@@ -140,25 +140,33 @@ fleet-fault-check:
 
 # Local mirror of the CI image-sink job: the direct tar sink must agree
 # with the VFS path (same canonical digest), the archive must be readable
-# by system tar, and a plan executed by 3 tar-segment workers and stitched
-# must be byte-identical to the single-process tar of the same spec.
+# by system tar, both sinks must write the same bytes at -j 1 and -j 4 (the
+# content workers behind them change nothing but the time), the squashfs
+# run must print the tar run's digest, and a plan executed by 3 tar-segment
+# workers (at -j 1, 2 and 4) and stitched must be byte-identical to the
+# single-process tar of the same spec.
 image-sink-check:
 	@rm -rf /tmp/impressions-image-check && mkdir -p /tmp/impressions-image-check
 	$(GO) build -o /tmp/impressions-image-check/impressions ./cmd/impressions
 	@set -e; cd /tmp/impressions-image-check; \
-	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -format tar -out single.tar -digest | grep '^image digest:' > tar.digest; \
-	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -digest -out vfs | grep '^image digest:' > vfs.digest; \
+	spec="-files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225"; \
+	./impressions $$spec -j 1 -format tar -out single.tar -digest | grep '^image digest:' > tar.digest; \
+	./impressions $$spec -j 4 -format tar -out single-j4.tar -digest | grep '^image digest:' > tar-j4.digest; \
+	cmp single.tar single-j4.tar; cmp tar.digest tar-j4.digest; \
+	./impressions $$spec -digest -out vfs | grep '^image digest:' > vfs.digest; \
 	cmp tar.digest vfs.digest; \
 	tar -tf single.tar > /dev/null; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -shards 3 -plan plan.json; \
-	pids=""; for s in 0 1 2; do ./impressions worker -plan plan.json -shard $$s -format tar -out seg$$s.tar -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
+	./impressions plan $$spec -shards 3 -plan plan.json; \
+	pids=""; for s in 0 1 2; do ./impressions worker -plan plan.json -shard $$s -j $$((1 << s)) -format tar -out seg$$s.tar -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
 	for p in $$pids; do wait "$$p"; done; \
 	./impressions stitch -plan plan.json -out stitched.tar seg0.tar seg1.tar seg2.tar; \
 	cmp single.tar stitched.tar; \
 	./impressions merge -plan plan.json -print-digest manifest-*.json > merged.digest; \
 	cmp tar.digest merged.digest; \
-	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -format squashfs -out image.squashfs; \
-	echo "image-sink-check: OK (tar digest matches VFS; 3-worker stitch byte-identical)"
+	./impressions $$spec -j 1 -format squashfs -out image.squashfs -digest | grep '^image digest:' > squashfs.digest; \
+	./impressions $$spec -j 4 -format squashfs -out image-j4.squashfs; \
+	cmp image.squashfs image-j4.squashfs; cmp tar.digest squashfs.digest; \
+	echo "image-sink-check: OK (tar digest matches VFS and squashfs; -j 1 and -j 4 byte-identical; 3-worker stitch byte-identical)"
 
 # Local mirror of the CI memory-bound job: a 1M-file streamed plan build
 # and a 10M-file partitioned (spilled) build must hold peak live heap under

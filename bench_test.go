@@ -513,62 +513,59 @@ func sinkBenchImage(b *testing.B) *fsimage.Image {
 	return sinkBenchImg
 }
 
-// BenchmarkTarSink streams the image as a tar archive onto a file.
-func BenchmarkTarSink(b *testing.B) {
+// benchSink streams the image into a sink on a file at j=1 and j=2 content
+// workers, so `make bench-json` carries the scaling row of the sinks'
+// parallel body engine (the writer itself stays one goroutine).
+func benchSink(b *testing.B, name string, open func(w io.WriteSeeker, opts imgfmt.Options) (sink fsimage.RecordSink, finish func() (int64, error), err error)) {
 	img := sinkBenchImage(b)
 	registry := content.NewRegistry(content.KindDefault)
-	out, err := os.Create(filepath.Join(b.TempDir(), "image.tar"))
-	if err != nil {
-		b.Fatal(err)
+	for _, j := range []int{1, 2} {
+		b.Run("j="+strconv.Itoa(j), func(b *testing.B) {
+			out, err := os.Create(filepath.Join(b.TempDir(), name))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer out.Close()
+			b.ResetTimer()
+			var written int64
+			for i := 0; i < b.N; i++ {
+				if _, err := out.Seek(0, io.SeekStart); err != nil {
+					b.Fatal(err)
+				}
+				sink, finish, err := open(out, imgfmt.Options{Registry: registry, Seed: img.Spec.Seed, Parallelism: j})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := img.StreamRecords(sink); err != nil {
+					b.Fatal(err)
+				}
+				if written, err = finish(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(written)
+		})
 	}
-	defer out.Close()
-	b.ResetTimer()
-	var written int64
-	for i := 0; i < b.N; i++ {
-		if _, err := out.Seek(0, io.SeekStart); err != nil {
-			b.Fatal(err)
-		}
-		sink := imgfmt.NewTarSink(out, imgfmt.Options{Registry: registry, Seed: img.Spec.Seed})
-		if err := img.StreamRecords(sink); err != nil {
-			b.Fatal(err)
-		}
-		if err := sink.Close(); err != nil {
-			b.Fatal(err)
-		}
-		written = sink.Written()
-	}
-	b.SetBytes(written)
+}
+
+// BenchmarkTarSink streams the image as a tar archive onto a file.
+func BenchmarkTarSink(b *testing.B) {
+	benchSink(b, "image.tar", func(w io.WriteSeeker, opts imgfmt.Options) (fsimage.RecordSink, func() (int64, error), error) {
+		sink := imgfmt.NewTarSink(w, opts)
+		return sink, func() (int64, error) { err := sink.Close(); return sink.Written(), err }, nil
+	})
 }
 
 // BenchmarkSquashfsSink streams the image as an uncompressed squashfs onto
 // a file.
 func BenchmarkSquashfsSink(b *testing.B) {
-	img := sinkBenchImage(b)
-	registry := content.NewRegistry(content.KindDefault)
-	out, err := os.Create(filepath.Join(b.TempDir(), "image.squashfs"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer out.Close()
-	b.ResetTimer()
-	var written int64
-	for i := 0; i < b.N; i++ {
-		if _, err := out.Seek(0, io.SeekStart); err != nil {
-			b.Fatal(err)
-		}
-		sink, err := imgfmt.NewSquashfsSink(out, imgfmt.Options{Registry: registry, Seed: img.Spec.Seed})
+	benchSink(b, "image.squashfs", func(w io.WriteSeeker, opts imgfmt.Options) (fsimage.RecordSink, func() (int64, error), error) {
+		sink, err := imgfmt.NewSquashfsSink(w, opts)
 		if err != nil {
-			b.Fatal(err)
+			return nil, nil, err
 		}
-		if err := img.StreamRecords(sink); err != nil {
-			b.Fatal(err)
-		}
-		if err := sink.Close(); err != nil {
-			b.Fatal(err)
-		}
-		written = sink.Written()
-	}
-	b.SetBytes(written)
+		return sink, func() (int64, error) { err := sink.Close(); return sink.Written(), err }, nil
+	})
 }
 
 // BenchmarkMaterializeVFSSmallFiles is the VFS baseline the sinks are

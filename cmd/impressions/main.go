@@ -186,7 +186,7 @@ func newGenFlags(fs *flag.FlagSet) *genFlags {
 		special: fs.Bool("special-dirs", false, "bias placement towards special directories (Windows, Program Files, web cache)"),
 		mu:      fs.Float64("size-mu", 0, "override lognormal mu of the file-size body"),
 		sigma:   fs.Float64("size-sigma", 0, "override lognormal sigma of the file-size body"),
-		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization (0 = all CPUs, 1 = serial); the image is byte-identical at any level"),
+		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization; with -format tar/squashfs, the workers generating and hashing file content behind the one image writer (0 = all CPUs, 1 = one worker); the image is byte-identical at any level"),
 	}
 }
 
@@ -272,17 +272,20 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 		return usagef("-format %s requires -out <file>", format)
 	}
 
-	// When both the digest and a materialized image are wanted, collect the
-	// per-file hashes during the single write pass instead of generating
-	// every file's content twice.
-	var digests []string
-	if *digestFlag && *outFlag != "" && !*metadataOnly {
-		digests = make([]string, res.Image.FileCount())
-	}
+	// When both the digest and a materialized image are wanted, the single
+	// write pass also hashes, instead of generating every file's content
+	// twice: the VFS materializer fills a per-file table that is folded
+	// afterwards, the archive sinks fold the digest as they write.
+	foldDigest := *digestFlag && *outFlag != "" && !*metadataOnly
+	var digest string
 
 	switch {
 	case *outFlag == "":
 	case format == "" || format == "dir":
+		var digests []string
+		if foldDigest {
+			digests = make([]string, res.Image.FileCount())
+		}
 		written, err := res.Image.Materialize(*outFlag, fsimage.MaterializeOptions{
 			Registry:     content.NewRegistry(content.Kind(*gen.content)),
 			Seed:         res.Image.Spec.Seed,
@@ -294,8 +297,19 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "materialized %d bytes under %s\n", written, *outFlag)
+		if foldDigest {
+			if digest, err = fsimage.CombineDigest(res.Image, digests); err != nil {
+				return err
+			}
+		}
 	default:
-		written, err := writeImageArchive(format, *outFlag, res.Image, content.Kind(*gen.content), *metadataOnly, digests)
+		var written int64
+		written, digest, err = writeImageArchive(format, *outFlag, res.Image, imgfmt.Options{
+			Registry:     content.NewRegistry(content.Kind(*gen.content)),
+			Seed:         res.Image.Spec.Seed,
+			MetadataOnly: *metadataOnly,
+			Parallelism:  *gen.jobs,
+		}, foldDigest)
 		if err != nil {
 			return err
 		}
@@ -309,18 +323,15 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 			// — and computing it regenerates every file's content in memory.
 			fmt.Fprintln(stderr, "impressions: note: -digest describes the image's content, not the metadata-only tree just written")
 		}
-		var digest string
-		if digests != nil {
-			digest, err = fsimage.CombineDigest(res.Image, digests)
-		} else {
+		if !foldDigest {
 			digest, err = res.Image.Digest(fsimage.MaterializeOptions{
 				Registry:    content.NewRegistry(content.Kind(*gen.content)),
 				Seed:        res.Image.Spec.Seed,
 				Parallelism: *gen.jobs,
 			})
-		}
-		if err != nil {
-			return err
+			if err != nil {
+				return err
+			}
 		}
 		fmt.Fprintf(stdout, "image digest: sha256:%s\n", digest)
 	}
@@ -336,45 +347,44 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 
 // writeImageArchive serializes the image straight into an archive or
 // filesystem image file with sequential writes — the direct image sinks:
-// no VFS tree, no per-file syscalls, no mkfs, no root. Returns the content
-// bytes written.
-func writeImageArchive(format, out string, img *fsimage.Image, kind content.Kind, metadataOnly bool, digests []string) (int64, error) {
-	opts := imgfmt.Options{
-		Registry:     content.NewRegistry(kind),
-		Seed:         img.Spec.Seed,
-		MetadataOnly: metadataOnly,
-	}
-	if digests != nil {
-		opts.OnDigest = func(f fsimage.File, sum string) { digests[f.ID] = sum }
+// no VFS tree, no per-file syscalls, no mkfs, no root. With foldDigest the
+// canonical image digest is folded during the same pass. Returns the
+// content bytes written and that digest.
+func writeImageArchive(format, out string, img *fsimage.Image, opts imgfmt.Options, foldDigest bool) (written int64, digest string, err error) {
+	var fold *imgfmt.DigestFold
+	if foldDigest {
+		fold = imgfmt.FoldDigest(&opts, img.DirCount(), img.FileCount(), img.TotalBytes())
 	}
 	f, err := os.Create(out)
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
-	var written int64
-	switch format {
-	case "tar":
-		sink := imgfmt.NewTarSink(f, opts)
-		if err = img.StreamRecords(sink); err == nil {
-			err = sink.Close()
-		}
-		written = sink.Written()
-	case "squashfs":
-		var sink *imgfmt.SquashfsSink
-		if sink, err = imgfmt.NewSquashfsSink(f, opts); err == nil {
-			if err = img.StreamRecords(sink); err == nil {
-				err = sink.Close()
-			}
-		}
-		if sink != nil {
-			written = sink.Written()
-		}
+	var sink interface {
+		fsimage.RecordSink
+		Close() error
+		Written() int64
+	}
+	if format == "tar" {
+		sink = imgfmt.NewTarSink(f, opts)
+	} else if sink, err = imgfmt.NewSquashfsSink(f, opts); err != nil {
+		f.Close()
+		return 0, "", err
+	}
+	records := fsimage.RecordSink(sink)
+	if fold != nil {
+		records = fsimage.MultiSink(sink, fold)
+	}
+	if err = img.StreamRecords(records); err == nil {
+		err = sink.Close()
+	}
+	if err == nil && fold != nil {
+		digest, err = fold.Sum()
 	}
 	if err != nil {
 		f.Close()
-		return written, err
+		return sink.Written(), "", err
 	}
-	return written, f.Close()
+	return sink.Written(), digest, f.Close()
 }
 
 // runStitch merges per-shard tar segments (written by `worker -format
@@ -614,7 +624,7 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 		outFlag      = fs.String("out", "", "directory (-format dir) or segment file (-format tar) to write the shard to (required)")
 		manifestFlag = fs.String("manifest", "", "file to write the shard manifest to (required with -plan/-from)")
 		metadataOnly = fs.Bool("metadata-only", false, "create files with correct sizes but no content")
-		jobs         = fs.Int("j", 0, "concurrent file writers within this worker (0 = all CPUs, 1 = serial); output is byte-identical at any level")
+		jobs         = fs.Int("j", 0, "concurrent file writers within this worker; with -format tar, the workers generating and hashing file content behind the one segment writer (0 = all CPUs, 1 = one worker); output is byte-identical at any level")
 		workDir      = fs.String("work", "", "fleet mode: directory for shard journals (default: -out); keep it stable across restarts to resume mid-shard")
 		batchFiles   = fs.Int("batch-files", 0, "fleet mode: files per sealed journal batch (0 = default)")
 		idleExit     = fs.Duration("idle-exit", 0, "fleet mode: exit cleanly after this long without work (0 = run until signalled)")
@@ -679,7 +689,7 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 		if seg, err = os.Create(*outFlag); err != nil {
 			return err
 		}
-		m, err = distribute.ExecuteShardViewTar(view, seg, distribute.WorkerOptions{MetadataOnly: *metadataOnly})
+		m, err = distribute.ExecuteShardViewTar(view, seg, distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs})
 		if cerr := seg.Close(); err == nil {
 			err = cerr
 		}

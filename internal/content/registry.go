@@ -54,22 +54,25 @@ func NewRegistry(kind Kind) *Registry {
 	default: // KindDefault
 		r.textGen = NewTextGenerator(NewHybridModel(0.2))
 		r.defaultGen = BinaryGenerator{}
-		r.register(NewJPEG(), "jpg", "jpeg")
-		r.register(NewGIF(), "gif")
-		r.register(NewPNG(), "png")
-		r.register(NewMP3(), "mp3")
-		r.register(NewPDF(), "pdf")
-		r.register(NewHTML(), "htm", "html")
-		r.register(NewZIP(), "zip", "cab", "jar", "gz", "tar")
-		r.register(NewExecutable("exe"), "exe")
-		r.register(NewExecutable("dll"), "dll", "lib", "obj", "pdb", "sys")
-		r.register(NewMPEG(), "mpg", "mpeg", "avi", "wmv")
-		r.register(NewWAV(), "wav")
+		r.Register(NewJPEG(), "jpg", "jpeg")
+		r.Register(NewGIF(), "gif")
+		r.Register(NewPNG(), "png")
+		r.Register(NewMP3(), "mp3")
+		r.Register(NewPDF(), "pdf")
+		r.Register(NewHTML(), "htm", "html")
+		r.Register(NewZIP(), "zip", "cab", "jar", "gz", "tar")
+		r.Register(NewExecutable("exe"), "exe")
+		r.Register(NewExecutable("dll"), "dll", "lib", "obj", "pdb", "sys")
+		r.Register(NewMPEG(), "mpg", "mpeg", "avi", "wmv")
+		r.Register(NewWAV(), "wav")
 	}
 	return r
 }
 
-func (r *Registry) register(g Generator, exts ...string) {
+// Register makes g the generator for the given extensions (lower case,
+// without the leading dot), replacing the policy's choice for them. Call it
+// before the registry is shared: lookups are not synchronized with it.
+func (r *Registry) Register(g Generator, exts ...string) {
 	for _, e := range exts {
 		r.byExt[e] = g
 	}

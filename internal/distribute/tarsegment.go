@@ -1,6 +1,8 @@
 package distribute
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"io"
 
@@ -18,9 +20,9 @@ import (
 // ExecuteShardViewTar serializes one shard's view as a tar segment onto w
 // and returns the sealed manifest — identical in shape and digests to the
 // VFS worker's, so the existing merge/verify machinery accepts tar workers
-// unchanged. Segments are inherently sequential, so WorkerOptions.
-// Parallelism is ignored; determinism makes the bytes identical either
-// way.
+// unchanged. The segment is written sequentially, but its file content is
+// generated and hashed by WorkerOptions.Parallelism workers ahead of the
+// writer; the bytes and the manifest are identical at every value.
 func ExecuteShardViewTar(v *ShardView, w io.Writer, opts WorkerOptions) (*Manifest, error) {
 	if err := validateShardStreamKey(v); err != nil {
 		return nil, err
@@ -32,17 +34,14 @@ func ExecuteShardViewTar(v *ShardView, w io.Writer, opts WorkerOptions) (*Manife
 		MetadataOnly: opts.MetadataOnly,
 		DirPerm:      opts.DirPerm,
 		FilePerm:     opts.FilePerm,
+		Parallelism:  opts.Parallelism,
 		Context:      opts.Context,
 	}
 	if !opts.MetadataOnly {
-		digests = make([]string, len(v.Files))
-		// WriteSegment emits v.Files in order, so a cursor indexes the
-		// shard-local digest slot.
-		pos := 0
-		iopts.OnDigest = func(f fsimage.File, sum string) {
-			digests[pos] = sum
-			pos++
-		}
+		// OnDigest reports v.Files in order, one call each, so appending
+		// fills the shard-local digest slots.
+		digests = make([]string, 0, len(v.Files))
+		iopts.OnDigest = func(_ fsimage.File, sum string) { digests = append(digests, sum) }
 	}
 	written, err := imgfmt.WriteSegment(w, v.Tree, v.Dirs, v.Files, iopts)
 	if err != nil {
@@ -96,10 +95,17 @@ func StitchPlanTar(planR io.Reader, segments []io.Reader, w io.Writer, opts imgf
 // and returns the plan and the canonical image digest (empty with
 // MetadataOnly — there is no content to attest). registry, when non-nil,
 // supplies the content registry for the plan's kind (the daemon passes its
-// warm cache); otherwise a fresh registry is built.
+// warm cache); otherwise a fresh registry is built. opts.Parallelism
+// workers generate the content.
 func WritePlanTar(planR io.Reader, w io.Writer, opts imgfmt.Options, registry func(kind string) *content.Registry) (*Plan, string, error) {
+	// A plan document that fails to decode mid-stream is an error the sink
+	// never sees; cancelling its context on the way out is what releases
+	// its content workers then (the daemon is long-lived).
+	ctx, cancel := context.WithCancel(cmp.Or(opts.Context, context.Background()))
+	defer cancel()
+	opts.Context = ctx
 	var sink *imgfmt.TarSink
-	var db *fsimage.DigestBuilder
+	var fold *imgfmt.DigestFold
 	p, err := decodePlanStream(planR, func(hdr *Plan) (fsimage.RecordSink, error) {
 		if registry != nil {
 			opts.Registry = registry(hdr.ContentKind)
@@ -111,25 +117,11 @@ func WritePlanTar(planR io.Reader, w io.Writer, opts imgfmt.Options, registry fu
 			sink = imgfmt.NewTarSink(w, opts)
 			return sink, nil
 		}
-		// The digest builder runs behind the tar sink in the fan-out, so
-		// each file's OnDigest observation lands before the builder folds
-		// that file in.
-		var last string
-		prev := opts.OnDigest
-		opts.OnDigest = func(f fsimage.File, sum string) {
-			last = sum
-			if prev != nil {
-				prev(f, sum)
-			}
-		}
+		// The canonical digest is folded in the write pass, from the sink's
+		// in-order OnDigest.
+		fold = imgfmt.FoldDigest(&opts, hdr.Dirs, hdr.Files, hdr.Bytes)
 		sink = imgfmt.NewTarSink(w, opts)
-		db = fsimage.NewDigestBuilder(hdr.Dirs, hdr.Files, hdr.Bytes, func(f fsimage.File) (string, error) {
-			if last == "" {
-				return "", fmt.Errorf("distribute: no content digest observed for file %d", f.ID)
-			}
-			return last, nil
-		})
-		return fsimage.MultiSink(sink, db), nil
+		return fsimage.MultiSink(sink, fold), nil
 	})
 	if err != nil {
 		return nil, "", err
@@ -137,10 +129,10 @@ func WritePlanTar(planR io.Reader, w io.Writer, opts imgfmt.Options, registry fu
 	if err := sink.Close(); err != nil {
 		return nil, "", err
 	}
-	if db == nil {
+	if fold == nil {
 		return p, "", nil
 	}
-	digest, err := db.Sum()
+	digest, err := fold.Sum()
 	if err != nil {
 		return nil, "", err
 	}

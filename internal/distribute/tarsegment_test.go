@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
 	"testing"
+	"time"
 
+	"impressions/internal/fsimage"
 	"impressions/internal/imgfmt"
 )
 
@@ -103,5 +106,62 @@ func TestWritePlanTarMetadataOnly(t *testing.T) {
 	}
 	if p.Files == 0 {
 		t.Error("decoded plan reports zero files")
+	}
+}
+
+// TestTarWorkerIdenticalAtAnyParallelism: WorkerOptions.Parallelism reaches
+// the tar worker's content engine and changes neither the segment nor the
+// sealed manifest.
+func TestTarWorkerIdenticalAtAnyParallelism(t *testing.T) {
+	_, open := encodedTarPlan(t, 2)
+	for s := range open.Plan.Shards {
+		var wantSeg, wantManifest []byte
+		for _, j := range []int{1, 2, 8} {
+			v, err := open.ShardView(s)
+			if err != nil {
+				t.Fatalf("ShardView(%d): %v", s, err)
+			}
+			var seg, manifest bytes.Buffer
+			m, err := ExecuteShardViewTar(v, &seg, WorkerOptions{Parallelism: j})
+			if err != nil {
+				t.Fatalf("shard %d j=%d: ExecuteShardViewTar: %v", s, j, err)
+			}
+			if err := m.Encode(&manifest); err != nil {
+				t.Fatalf("shard %d j=%d: encoding manifest: %v", s, j, err)
+			}
+			if wantSeg == nil {
+				wantSeg, wantManifest = seg.Bytes(), manifest.Bytes()
+				continue
+			}
+			if !bytes.Equal(seg.Bytes(), wantSeg) {
+				t.Errorf("shard %d: segment at j=%d differs from j=1", s, j)
+			}
+			if !bytes.Equal(manifest.Bytes(), wantManifest) {
+				t.Errorf("shard %d: manifest at j=%d differs from j=1", s, j)
+			}
+		}
+	}
+}
+
+// TestWritePlanTarReleasesWorkersOnBadPlan: a plan document that breaks off
+// mid-stream fails WritePlanTar from outside the sink, which therefore
+// never hears of it; the sink's content workers must still not outlive the
+// call (the daemon serves image.tar for as long as it lives).
+func TestWritePlanTarReleasesWorkersOnBadPlan(t *testing.T) {
+	doc, _ := encodedTarPlan(t, 2)
+	baseline := runtime.NumGoroutine()
+	digests := 0
+	opts := imgfmt.Options{Parallelism: 1, OnDigest: func(fsimage.File, string) { digests++ }}
+	if _, _, err := WritePlanTar(bytes.NewReader(doc[:len(doc)*9/10]), io.Discard, opts, nil); err == nil {
+		t.Fatal("WritePlanTar accepted a truncated plan document")
+	}
+	if digests == 0 {
+		t.Fatal("the plan broke off before any file was written: the test would show nothing")
+	}
+	// The workers are cancelled, not joined, on this path.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed call, %d before it", runtime.NumGoroutine(), baseline)
+		}
 	}
 }

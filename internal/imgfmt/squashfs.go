@@ -2,10 +2,7 @@ package imgfmt
 
 import (
 	"bufio"
-	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"io/fs"
@@ -13,7 +10,6 @@ import (
 	"strconv"
 
 	"impressions/internal/fsimage"
-	"impressions/internal/stats"
 )
 
 // Squashfs v4 on-disk constants. The writer emits a fully uncompressed
@@ -56,25 +52,28 @@ const (
 
 // SquashfsSink is the streaming squashfs materializer: a RecordSink that
 // serializes the canonical record stream into an uncompressed squashfs v4
-// image on a WriteSeeker. File content streams into the data area during
-// AddFile (purely sequential); Close lays down the inode, directory, and id
-// tables from the compact directory tree plus per-file integer columns —
-// the sink never holds file names or content in memory. The result mounts
-// directly: `mount -o loop image.squashfs /mnt`, no mkfs, no root at build
-// time.
+// image on a WriteSeeker. File content streams into the data area in
+// stream order (purely sequential), generated by Options.Parallelism
+// workers ahead of the writer exactly as for TarSink: a file's bytes and
+// its OnDigest land during a later AddFile or Close, always from the
+// calling goroutine. Close lays down the inode, directory, and id tables
+// from the compact directory tree plus per-file integer columns — the sink
+// never holds file names in memory, and content only within the workers'
+// fixed budget. The result mounts directly: `mount -o loop image.squashfs
+// /mnt`, no mkfs, no root at build time. A method that returns an error has
+// stopped the workers: a failed sink needs no Close.
 type SquashfsSink struct {
-	w       io.WriteSeeker
-	bw      *bufio.Writer
-	opts    Options
-	ctx     context.Context
-	baseRNG *stats.RNG
-	tap     tapWriter
-	ts      fsimage.TreeSink
-	offset  int64 // disk bytes emitted so far
+	w      io.WriteSeeker
+	bw     *bufio.Writer
+	opts   Options
+	body   *bodyEngine
+	ts     fsimage.TreeSink
+	offset int64 // disk bytes emitted so far
 
 	// Per-file integer columns (names are regenerated from the ID and the
 	// interned name suffix, sizes drive the block lists, starts locate the
-	// data blocks).
+	// data blocks). fileStart trails the others: a file's start is known
+	// when its body is written, not when it is queued.
 	fileSize   []int64
 	fileDir    []int32
 	fileStart  []int64
@@ -92,15 +91,16 @@ type SquashfsSink struct {
 func NewSquashfsSink(w io.WriteSeeker, opts Options) (*SquashfsSink, error) {
 	opts = opts.withDefaults()
 	s := &SquashfsSink{
-		w:       w,
-		bw:      bufio.NewWriterSize(w, 64*1024),
-		opts:    opts,
-		ctx:     opts.ctx(),
-		baseRNG: stats.NewRNG(opts.Seed).Fork(fsimage.MaterializeStreamLabel),
-		tap:     tapWriter{h: sha256.New()},
+		w:    w,
+		bw:   bufio.NewWriterSize(fullWriter{w}, 64*1024),
+		opts: opts,
 
 		suffixIdx: make(map[string]int32),
 	}
+	s.body = newBodyEngine(opts, func(fsimage.File) error {
+		s.fileStart = append(s.fileStart, s.offset)
+		return nil
+	}, s.write)
 	// Reserve the superblock; data blocks start right behind it.
 	if err := s.write(zeroBlock[:squashfsSuperSize]); err != nil {
 		return nil, err
@@ -120,10 +120,13 @@ func (s *SquashfsSink) write(p []byte) error {
 // AddDir records the directory; squashfs directories produce no data
 // blocks, so nothing is written until Close.
 func (s *SquashfsSink) AddDir(d fsimage.DirRecord) error {
-	if err := s.ctx.Err(); err != nil {
-		return err
+	if err := s.opts.ctx().Err(); err != nil {
+		return s.body.fail(err)
 	}
-	return s.ts.AddDir(d)
+	if err := s.ts.AddDir(d); err != nil {
+		return s.body.fail(err)
+	}
+	return nil
 }
 
 // appendFileName rebuilds file i's name into dst from its ID and interned
@@ -138,14 +141,11 @@ func (s *SquashfsSink) appendFileName(dst []byte, id int) []byte {
 	return append(dst, s.suffixes[s.fileSuffix[id]]...)
 }
 
-// AddFile streams the file's content into the data area and retains only
+// AddFile queues the file's content for the data area and retains only
 // integer columns (size, directory, start offset, name-suffix index).
 func (s *SquashfsSink) AddFile(f fsimage.File) error {
-	if err := s.ctx.Err(); err != nil {
-		return err
-	}
 	if err := s.ts.AddFile(f); err != nil {
-		return err
+		return s.body.fail(err)
 	}
 	// The name must be reconstructible as "file%08d" + suffix, or the
 	// emitted listing would silently diverge from the canonical stream.
@@ -157,7 +157,7 @@ func (s *SquashfsSink) AddFile(f fsimage.File) error {
 	prefix = strconv.AppendInt(prefix, int64(f.ID), 10)
 	s.nameBuf = prefix
 	if len(f.Name) < len(prefix) || f.Name[:len(prefix)] != string(prefix) {
-		return fmt.Errorf("imgfmt: file %d name %q does not match canonical naming: %w", f.ID, f.Name, fsimage.ErrManifestIntegrity)
+		return s.body.fail(fmt.Errorf("imgfmt: file %d name %q does not match canonical naming: %w", f.ID, f.Name, fsimage.ErrManifestIntegrity))
 	}
 	suffix := f.Name[len(prefix):]
 	idx, ok := s.suffixIdx[suffix]
@@ -168,47 +168,12 @@ func (s *SquashfsSink) AddFile(f fsimage.File) error {
 	}
 	s.fileSize = append(s.fileSize, f.Size)
 	s.fileDir = append(s.fileDir, int32(f.DirID))
-	s.fileStart = append(s.fileStart, s.offset)
 	s.fileSuffix = append(s.fileSuffix, idx)
-
-	if s.opts.MetadataOnly {
-		for remaining := f.Size; remaining > 0; {
-			n := int64(len(zeroBlock))
-			if remaining < n {
-				n = remaining
-			}
-			if err := s.write(zeroBlock[:n]); err != nil {
-				return err
-			}
-			remaining -= n
-		}
-		return nil
-	}
-	rng := s.baseRNG.SplitN(uint64(f.ID))
-	var dst io.Writer = s.bw
-	if s.opts.OnDigest != nil {
-		s.tap.w = s.bw
-		s.tap.h.Reset()
-		dst = &s.tap
-	}
-	if err := s.opts.Registry.ForExtension(f.Ext).Generate(dst, f.Size, rng); err != nil {
-		return fmt.Errorf("imgfmt: generating content for file %d: %w", f.ID, err)
-	}
-	s.offset += f.Size
-	if s.opts.OnDigest != nil {
-		s.opts.OnDigest(f, hex.EncodeToString(s.tap.h.Sum(nil)))
-	}
-	return nil
+	return s.body.add(f)
 }
 
 // Written returns the content bytes written so far.
-func (s *SquashfsSink) Written() int64 {
-	var total int64
-	for _, sz := range s.fileSize {
-		total += sz
-	}
-	return total
-}
+func (s *SquashfsSink) Written() int64 { return s.body.written }
 
 // inodeLayout precomputes every inode's position in the inode table: with
 // fixed-size extended inodes the table layout is a pure function of the
@@ -430,10 +395,11 @@ func (m *metaWriter) flush() error {
 	return nil
 }
 
-// Close finishes the image: inode table, directory table, id table, pad,
-// and the patched superblock. The sink must not be used afterwards.
+// Close finishes the image: the file bodies still queued, then the inode
+// table, directory table, id table, pad, and the patched superblock. The
+// sink must not be used afterwards.
 func (s *SquashfsSink) Close() error {
-	if err := s.ctx.Err(); err != nil {
+	if err := s.body.finish(); err != nil {
 		return err
 	}
 	tree := s.ts.Tree()
@@ -618,7 +584,7 @@ func (s *SquashfsSink) Close() error {
 	if _, err := s.w.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("imgfmt: seeking to squashfs superblock: %w", err)
 	}
-	if _, err := s.w.Write(buf); err != nil {
+	if _, err := (fullWriter{s.w}).Write(buf); err != nil {
 		return fmt.Errorf("imgfmt: patching squashfs superblock: %w", err)
 	}
 	return nil

@@ -27,6 +27,8 @@ type Stitcher struct {
 	ts   fsimage.TreeSink
 	segs []*tar.Reader
 
+	written int64 // content bytes copied so far
+
 	// rootShard maps each shard's cut roots to the shard index; shardOf
 	// memoizes the assignment for every streamed directory so files and
 	// descendant dirs resolve with one slice lookup.
@@ -100,12 +102,13 @@ func (s *Stitcher) AddDir(d fsimage.DirRecord) error {
 		}
 	}
 	s.shardOf = append(s.shardOf, shard)
+	s.t.tree = s.ts.Tree()
 	if d.ID == 0 {
 		// The root produces no entry in either the monolithic archive or
 		// the owning segment.
 		return nil
 	}
-	name, err := s.t.writeDirHeader(s.ts.Tree(), d.ID)
+	name, err := s.t.writeDirHeader(d.ID)
 	if err != nil {
 		return err
 	}
@@ -119,7 +122,7 @@ func (s *Stitcher) AddFile(f fsimage.File) error {
 	if err := s.ts.AddFile(f); err != nil {
 		return err
 	}
-	name, err := s.t.writeFileHeader(s.ts.Tree(), f)
+	name, err := s.t.writeFileHeader(f)
 	if err != nil {
 		return err
 	}
@@ -134,7 +137,7 @@ func (s *Stitcher) AddFile(f fsimage.File) error {
 	if n != f.Size {
 		return fmt.Errorf("imgfmt: segment entry %q carried %d of %d bytes: %w", name, n, f.Size, fsimage.ErrManifestIntegrity)
 	}
-	s.t.written += n
+	s.written += n
 	return nil
 }
 
@@ -156,4 +159,4 @@ func (s *Stitcher) Close() error {
 }
 
 // Written returns the content bytes copied so far.
-func (s *Stitcher) Written() int64 { return s.t.written }
+func (s *Stitcher) Written() int64 { return s.written }

@@ -4,20 +4,13 @@ import (
 	"archive/tar"
 	"bufio"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"io/fs"
 
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
-	"impressions/internal/stats"
 )
-
-// zeroBlock feeds MetadataOnly entry bodies.
-var zeroBlock [32 * 1024]byte
 
 // tarWriter is the serialization core shared by every tar-producing path —
 // the monolithic TarSink, the per-shard WriteSegment, and the Stitcher. All
@@ -25,52 +18,40 @@ var zeroBlock [32 * 1024]byte
 // makes "segment-stitched equals monolithic" true byte for byte, not just
 // semantically.
 type tarWriter struct {
-	tw      *tar.Writer
-	bw      *bufio.Writer
-	opts    Options
-	ctx     context.Context
-	baseRNG *stats.RNG
-	tap     tapWriter
+	tw   *tar.Writer
+	bw   *bufio.Writer
+	opts Options
+	ctx  context.Context
+	// tree is the full image tree entry names are built from; the owner
+	// sets it before the first header (TarSink and Stitcher as it grows).
+	tree *namespace.Tree
+	// body generates file content ahead of the writer; headers and bodies
+	// still reach tw from the calling goroutine only, in stream order.
+	body    *bodyEngine
 	pathBuf []byte
-	written int64
-}
-
-// tapWriter tees generated content into a hash without the per-file
-// io.MultiWriter allocation.
-type tapWriter struct {
-	w io.Writer
-	h hash.Hash
-}
-
-func (t *tapWriter) Write(p []byte) (int, error) {
-	t.h.Write(p)
-	return t.w.Write(p)
 }
 
 func newTarWriter(w io.Writer, opts Options) *tarWriter {
 	opts = opts.withDefaults()
-	bw := bufio.NewWriterSize(w, 64*1024)
-	return &tarWriter{
-		tw:      tar.NewWriter(bw),
-		bw:      bw,
-		opts:    opts,
-		ctx:     opts.ctx(),
-		baseRNG: stats.NewRNG(opts.Seed).Fork(fsimage.MaterializeStreamLabel),
-		tap:     tapWriter{h: sha256.New()},
-	}
+	bw := bufio.NewWriterSize(fullWriter{w}, 64*1024)
+	t := &tarWriter{tw: tar.NewWriter(bw), bw: bw, opts: opts, ctx: opts.ctx()}
+	t.body = newBodyEngine(opts,
+		func(f fsimage.File) error { _, err := t.writeFileHeader(f); return err },
+		func(p []byte) error { _, err := t.tw.Write(p); return err })
+	return t
 }
 
 // dirEntryName builds the canonical archive name of a directory: its
 // slash path with a trailing slash.
-func (t *tarWriter) dirEntryName(tree *namespace.Tree, id int) string {
-	t.pathBuf = tree.AppendPath(t.pathBuf[:0], id)
+func (t *tarWriter) dirEntryName(id int) string {
+	t.pathBuf = t.tree.AppendPath(t.pathBuf[:0], id)
 	t.pathBuf = append(t.pathBuf, '/')
 	return string(t.pathBuf)
 }
 
 // fileEntryName builds the canonical archive name of a file record.
-func (t *tarWriter) fileEntryName(tree *namespace.Tree, f fsimage.File) string {
-	t.pathBuf = tree.AppendPath(t.pathBuf[:0], f.DirID)
+func (t *tarWriter) fileEntryName(f fsimage.File) string {
+	t.pathBuf = t.tree.AppendPath(t.pathBuf[:0], f.DirID)
 	if len(t.pathBuf) > 0 {
 		t.pathBuf = append(t.pathBuf, '/')
 	}
@@ -80,14 +61,14 @@ func (t *tarWriter) fileEntryName(tree *namespace.Tree, f fsimage.File) string {
 
 // writeDirHeader emits one directory entry (nothing for the image root —
 // the extraction root stands in for it) and returns the entry name.
-func (t *tarWriter) writeDirHeader(tree *namespace.Tree, id int) (string, error) {
+func (t *tarWriter) writeDirHeader(id int) (string, error) {
 	if err := t.ctx.Err(); err != nil {
 		return "", err
 	}
 	if id == 0 {
 		return "", nil
 	}
-	name := t.dirEntryName(tree, id)
+	name := t.dirEntryName(id)
 	hdr := tar.Header{
 		Typeflag: tar.TypeDir,
 		Name:     name,
@@ -104,11 +85,11 @@ func (t *tarWriter) writeDirHeader(tree *namespace.Tree, id int) (string, error)
 
 // writeFileHeader emits one file entry's header and returns the entry name;
 // the caller supplies exactly f.Size body bytes (generated or copied).
-func (t *tarWriter) writeFileHeader(tree *namespace.Tree, f fsimage.File) (string, error) {
+func (t *tarWriter) writeFileHeader(f fsimage.File) (string, error) {
 	if err := t.ctx.Err(); err != nil {
 		return "", err
 	}
-	name := t.fileEntryName(tree, f)
+	name := t.fileEntryName(f)
 	hdr := tar.Header{
 		Typeflag: tar.TypeReg,
 		Name:     name,
@@ -124,46 +105,15 @@ func (t *tarWriter) writeFileHeader(tree *namespace.Tree, f fsimage.File) (strin
 	return name, nil
 }
 
-// writeFileBody generates one file's content straight into the archive —
-// zero bytes with MetadataOnly — and reports its digest to OnDigest.
-func (t *tarWriter) writeFileBody(f fsimage.File) error {
-	if t.opts.MetadataOnly {
-		for remaining := f.Size; remaining > 0; {
-			n := int64(len(zeroBlock))
-			if remaining < n {
-				n = remaining
-			}
-			if _, err := t.tw.Write(zeroBlock[:n]); err != nil {
-				return fmt.Errorf("imgfmt: writing tar body for file %d: %w", f.ID, err)
-			}
-			remaining -= n
-		}
-		t.written += f.Size
-		return nil
-	}
-	// Each file owns a stream keyed by its ID: bytes depend only on the
-	// seed and the file, never on which process or shard writes them.
-	rng := t.baseRNG.SplitN(uint64(f.ID))
-	var dst io.Writer = t.tw
-	if t.opts.OnDigest != nil {
-		t.tap.w = t.tw
-		t.tap.h.Reset()
-		dst = &t.tap
-	}
-	if err := t.opts.Registry.ForExtension(f.Ext).Generate(dst, f.Size, rng); err != nil {
-		return fmt.Errorf("imgfmt: generating content for file %d: %w", f.ID, err)
-	}
-	if t.opts.OnDigest != nil {
-		t.opts.OnDigest(f, hex.EncodeToString(t.tap.h.Sum(nil)))
-	}
-	t.written += f.Size
-	return nil
-}
-
 // TarSink is the streaming tar materializer: a RecordSink that serializes
 // the canonical record stream into one POSIX tar archive with purely
-// sequential writes. Close writes the end-of-archive trailer; the emitted
-// bytes are a pure function of the record stream and Options.
+// sequential writes. File content is generated by Options.Parallelism
+// workers ahead of the writer, so an entry reaches w (and OnDigest) during
+// a later AddFile or Close than the one that submitted it; w is only ever
+// written from the goroutine making those calls. Close writes the
+// end-of-archive trailer; the emitted bytes are a pure function of the
+// record stream and Options. A method that returns an error has stopped
+// the workers: a failed sink needs no Close.
 type TarSink struct {
 	t  *tarWriter
 	ts fsimage.TreeSink
@@ -178,27 +128,30 @@ func NewTarSink(w io.Writer, opts Options) *TarSink {
 // AddDir appends the next directory entry.
 func (s *TarSink) AddDir(d fsimage.DirRecord) error {
 	if err := s.ts.AddDir(d); err != nil {
-		return err
+		return s.t.body.fail(err)
 	}
-	_, err := s.t.writeDirHeader(s.ts.Tree(), d.ID)
-	return err
+	s.t.tree = s.ts.Tree()
+	if _, err := s.t.writeDirHeader(d.ID); err != nil {
+		return s.t.body.fail(err)
+	}
+	return nil
 }
 
-// AddFile appends the next file entry, generating its content directly
-// into the archive.
+// AddFile appends the next file entry; its header and generated content
+// follow the entries queued before it.
 func (s *TarSink) AddFile(f fsimage.File) error {
 	if err := s.ts.AddFile(f); err != nil {
-		return err
+		return s.t.body.fail(err)
 	}
-	if _, err := s.t.writeFileHeader(s.ts.Tree(), f); err != nil {
-		return err
-	}
-	return s.t.writeFileBody(f)
+	return s.t.body.add(f)
 }
 
-// Close writes the tar trailer and flushes. The sink must not be used
-// afterwards.
+// Close writes the entries still queued, then the tar trailer, and
+// flushes. The sink must not be used afterwards.
 func (s *TarSink) Close() error {
+	if err := s.t.body.finish(); err != nil {
+		return err
+	}
 	if err := s.t.tw.Close(); err != nil {
 		return fmt.Errorf("imgfmt: closing tar stream: %w", err)
 	}
@@ -210,7 +163,7 @@ func (s *TarSink) Close() error {
 
 // Written returns the content bytes written so far (header and padding
 // overhead excluded — comparable to Materialize's return).
-func (s *TarSink) Written() int64 { return s.t.written }
+func (s *TarSink) Written() int64 { return s.t.body.written }
 
 // WriteSegment writes one shard's records as a tar segment: the shard's
 // directories (ascending IDs, the image root skipped) then its files
@@ -223,26 +176,27 @@ func (s *TarSink) Written() int64 { return s.t.written }
 // content bytes written.
 func WriteSegment(w io.Writer, tree *namespace.Tree, dirs []int, files []fsimage.File, opts Options) (int64, error) {
 	t := newTarWriter(w, opts)
+	t.tree = tree
 	for _, id := range dirs {
-		if _, err := t.writeDirHeader(tree, id); err != nil {
-			return t.written, err
+		if _, err := t.writeDirHeader(id); err != nil {
+			return 0, err
 		}
 	}
 	for _, f := range files {
-		if _, err := t.writeFileHeader(tree, f); err != nil {
-			return t.written, err
+		if err := t.body.add(f); err != nil {
+			return t.body.written, err
 		}
-		if err := t.writeFileBody(f); err != nil {
-			return t.written, err
-		}
+	}
+	if err := t.body.finish(); err != nil {
+		return t.body.written, err
 	}
 	// Flush pads the final entry to its block boundary without writing the
 	// end-of-archive trailer — the truncated-at-EOF segment form.
 	if err := t.tw.Flush(); err != nil {
-		return t.written, fmt.Errorf("imgfmt: flushing tar segment: %w", err)
+		return t.body.written, fmt.Errorf("imgfmt: flushing tar segment: %w", err)
 	}
 	if err := t.bw.Flush(); err != nil {
-		return t.written, fmt.Errorf("imgfmt: flushing tar segment: %w", err)
+		return t.body.written, fmt.Errorf("imgfmt: flushing tar segment: %w", err)
 	}
-	return t.written, nil
+	return t.body.written, nil
 }

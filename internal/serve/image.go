@@ -54,6 +54,10 @@ func (s *Server) handleGetRunImage(w http.ResponseWriter, r *http.Request) {
 	// Announce the trailer before the first body byte; its value is set
 	// once the stream has been fully generated and digested.
 	w.Header().Set("Trailer", HeaderImageDigest)
+	// Parallelism stays at its default, one content worker per CPU behind
+	// the stream's single writer (512 KiB each): the slot acquired above
+	// already bounds how many of these run at once. The workers end with
+	// ctx, so a client that goes away mid-archive leaves none behind.
 	_, digest, err := distribute.WritePlanTar(rc, w, imgfmt.Options{Context: ctx}, s.registry)
 	if err != nil {
 		// Headers are out; aborting mid-archive is the only honest signal

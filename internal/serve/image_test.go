@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -101,4 +102,66 @@ func TestRunImageTarNotComplete(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("running run image: status %d, want %d", resp.StatusCode, http.StatusConflict)
 	}
+}
+
+// TestRunImageTarAbandonedMidStream: a client that walks away from
+// image.tar mid-archive must not leave the daemon with the stream's
+// goroutines — the handler, and the content workers the tar sink runs
+// behind it — for the rest of its life.
+func TestRunImageTarAbandonedMidStream(t *testing.T) {
+	fo := fleetTestOptions()
+	fo.InlineGrace = time.Millisecond
+	_, c := newFleetServer(t, fo)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// Far more than loopback socket buffers hold, so the handler is still
+	// generating when the client stops reading.
+	spec := testSpec(9003)
+	spec.FSSizeBytes = 48 << 20
+	st, err := c.PostRun(ctx, PlanRequest{Spec: spec, Shards: 2})
+	if err != nil {
+		t.Fatalf("PostRun: %v", err)
+	}
+	if st, err = c.WaitRun(ctx, st.ID, 5*time.Millisecond); err != nil || st.State != fleet.RunComplete {
+		t.Fatalf("WaitRun: state %s, error %v (%s)", st.State, err, st.Error)
+	}
+	// With the keep-alive connections closed, what is left is the daemon at
+	// rest: no connection goroutines on either side.
+	c.HTTP.CloseIdleConnections()
+	baseline := settledGoroutines()
+
+	resp, err := c.HTTP.Get(c.Base + "/v1/runs/" + st.ID + "/image.tar")
+	if err != nil {
+		t.Fatalf("GET image.tar: %v", err)
+	}
+	if _, err := io.CopyN(io.Discard, resp.Body, 64<<10); err != nil {
+		t.Fatalf("reading the head of image.tar: %v", err)
+	}
+	if n := runtime.NumGoroutine(); n <= baseline {
+		t.Fatalf("%d goroutines mid-stream, %d at rest: nothing is streaming", n, baseline)
+	}
+	resp.Body.Close()
+
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after the abandoned download, %d at rest:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// settledGoroutines reads the goroutine count once it has stopped moving
+// (connection goroutines take a moment to unwind after a close).
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for same < 10 {
+		time.Sleep(5 * time.Millisecond)
+		if now := runtime.NumGoroutine(); now == n {
+			same++
+		} else {
+			n, same = now, 0
+		}
+	}
+	return n
 }
