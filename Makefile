@@ -7,7 +7,7 @@ MICRO_BENCH := ^Benchmark(HybridFileSizeSample|NamespaceGeneration|TreePath|File
 BENCH_TIME ?= 1x
 BENCH_DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test race bench bench-smoke bench-json lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check
+.PHONY: build test race bench bench-smoke bench-json lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check bench-pipeline-check
 
 build:
 	$(GO) build ./...
@@ -167,6 +167,15 @@ image-sink-check:
 	./impressions $$spec -j 4 -format squashfs -out image-j4.squashfs; \
 	cmp image.squashfs image-j4.squashfs; cmp tar.digest squashfs.digest; \
 	echo "image-sink-check: OK (tar digest matches VFS and squashfs; -j 1 and -j 4 byte-identical; 3-worker stitch byte-identical)"
+
+# Local mirror of the CI bench-pipeline job. bench/pipeline is a Go module of
+# its own, so `go vet ./...` and `go test ./...` from the root never see it:
+# vet and test it where it lives, then run its smallest end-to-end pass (one
+# workload, one repetition, every run still gated on its reference digest)
+# so that the referee cannot rot between the PRs that consult it.
+bench-pipeline-check:
+	cd bench/pipeline && $(GO) vet ./... && $(GO) test -short ./...
+	$(GO) run -C bench/pipeline . -scale 0.02 -reps 1 -workload tar_small
 
 # Local mirror of the CI memory-bound job: a 1M-file streamed plan build
 # and a 10M-file partitioned (spilled) build must hold peak live heap under

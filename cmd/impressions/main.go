@@ -253,15 +253,8 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.GenerateImage(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, res.Image.Summary())
-	if _, err := res.Report.WriteTo(stdout); err != nil {
-		return err
-	}
-
+	// Usage errors come before any work: generation can take minutes, and
+	// its summary must not precede a complaint about the flags.
 	format := strings.ToLower(*formatFlag)
 	switch format {
 	case "", "dir", "tar", "squashfs":
@@ -270,6 +263,14 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 	}
 	if format != "dir" && format != "" && *outFlag == "" {
 		return usagef("-format %s requires -out <file>", format)
+	}
+	res, err := core.GenerateImage(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, res.Image.Summary())
+	if _, err := res.Report.WriteTo(stdout); err != nil {
+		return err
 	}
 
 	// When both the digest and a materialized image are wanted, the single

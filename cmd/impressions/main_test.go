@@ -222,6 +222,28 @@ func TestMainExitCodes(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsFormatBeforeGenerating: a -format the run cannot honour
+// is a usage error raised before any work, not after the image has been
+// generated and its summary and report printed.
+func TestGenerateRejectsFormatBeforeGenerating(t *testing.T) {
+	for _, args := range [][]string{
+		{"-files", "30", "-seed", "2", "-format", "tar"},
+		{"-files", "30", "-seed", "2", "-format", "squashfs", "-digest"},
+		{"-files", "30", "-seed", "2", "-format", "zip", "-out", filepath.Join(t.TempDir(), "image.zip")},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := Main(args, &stdout, &stderr); got != 2 {
+			t.Errorf("Main(%q) = %d, want 2 (stderr: %s)", args, got, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("Main(%q) printed to stdout before failing:\n%s", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "-format") {
+			t.Errorf("Main(%q): stderr does not name the flag: %s", args, stderr.String())
+		}
+	}
+}
+
 // TestHelperProcess is not a real test: it is the re-exec target that lets
 // the tests below run `impressions` subcommands as genuinely separate OS
 // processes. It runs Main on the arguments after "--" and exits with its

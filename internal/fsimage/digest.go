@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"impressions/internal/parallel"
@@ -114,6 +115,20 @@ func CombineDigest(img *Image, fileDigests []string) (string, error) {
 	return b.Sum()
 }
 
+// AppendFileLine appends one file's line of the canonical digest,
+// "F <path> <size> <content sha256, hex>\n", to dst. It is the one formatter
+// of that line: DigestBuilder uses it, and so do the archive sinks' workers,
+// which hand their lines to AddFileLines.
+func AppendFileLine[S string | []byte](dst, path []byte, size int64, hexSum S) []byte {
+	dst = append(dst, "F "...)
+	dst = append(dst, path...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, size, 10)
+	dst = append(dst, ' ')
+	dst = append(dst, hexSum...)
+	return append(dst, '\n')
+}
+
 // DigestBuilder computes the canonical image digest (the Digest /
 // CombineDigest formula, DigestVersion) from a record stream, holding only
 // the compact directory tree — never the file records. The expected totals
@@ -128,6 +143,10 @@ type DigestBuilder struct {
 	wantDirs  int
 	wantFiles int
 	wantBytes int64
+	// lineFiles and lineBytes count what AddFileLines folded.
+	lineFiles  int
+	lineBytes  int64
+	path, line []byte // reused per record
 }
 
 // NewDigestBuilder starts a streaming digest over an image promising the
@@ -143,7 +162,8 @@ func (b *DigestBuilder) AddDir(d DirRecord) error {
 	if err := b.ts.AddDir(d); err != nil {
 		return err
 	}
-	fmt.Fprintf(b.h, "D %s\n", b.ts.Tree().Path(d.ID))
+	b.line = append(b.ts.Tree().AppendPath(append(b.line[:0], "D "...), d.ID), '\n')
+	b.h.Write(b.line)
 	return nil
 }
 
@@ -157,16 +177,30 @@ func (b *DigestBuilder) AddFile(f File) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(b.h, "F %s %d %s\n", filePathIn(b.ts.Tree(), f), f.Size, sum)
+	b.path = AppendFilePath(b.path[:0], b.ts.Tree(), f)
+	b.line = AppendFileLine(b.line[:0], b.path, f.Size, sum)
+	b.h.Write(b.line)
 	return nil
+}
+
+// AddFileLines folds the AppendFileLine lines of the next files of the
+// stream — that many files, of that many bytes together — in place of an
+// AddFile each. It is for a caller that has validated those records itself
+// and formats the lines elsewhere (the archive sinks: their workers format,
+// their TreeSink validates); the counts go into the totals Sum verifies.
+func (b *DigestBuilder) AddFileLines(lines []byte, files int, bytes int64) {
+	b.h.Write(lines)
+	b.lineFiles += files
+	b.lineBytes += bytes
 }
 
 // Sum returns the canonical digest, verifying the stream delivered exactly
 // the totals promised to NewDigestBuilder.
 func (b *DigestBuilder) Sum() (string, error) {
-	if b.ts.DirCount() != b.wantDirs || b.ts.FileCount() != b.wantFiles || b.ts.TotalBytes() != b.wantBytes {
+	files, bytes := b.ts.FileCount()+b.lineFiles, b.ts.TotalBytes()+b.lineBytes
+	if b.ts.DirCount() != b.wantDirs || files != b.wantFiles || bytes != b.wantBytes {
 		return "", fmt.Errorf("fsimage: digest stream carried %d dirs, %d files, %d bytes; header promised %d, %d, %d",
-			b.ts.DirCount(), b.ts.FileCount(), b.ts.TotalBytes(), b.wantDirs, b.wantFiles, b.wantBytes)
+			b.ts.DirCount(), files, bytes, b.wantDirs, b.wantFiles, b.wantBytes)
 	}
 	return hex.EncodeToString(b.h.Sum(nil)), nil
 }

@@ -93,7 +93,7 @@ func (img *Image) MeanFileSize() float64 {
 // FilePath returns the slash-separated path of the file relative to the image
 // root.
 func (img *Image) FilePath(f File) string {
-	return filePathIn(img.Tree, f)
+	return string(AppendFilePath(nil, img.Tree, f))
 }
 
 // MaxFileDepth returns the deepest file depth in the image.

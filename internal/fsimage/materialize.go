@@ -259,14 +259,15 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 	return written, nil
 }
 
-// filePathIn returns the slash-separated path of a file record relative to
-// the tree root.
-func filePathIn(tree *namespace.Tree, f File) string {
-	dir := tree.Path(f.DirID)
-	if dir == "" {
-		return f.Name
+// AppendFilePath appends the slash-separated path of a file record relative
+// to the tree root: the name the file has in the canonical digest and in
+// every archive format.
+func AppendFilePath(dst []byte, tree *namespace.Tree, f File) []byte {
+	base := len(dst)
+	if dst = tree.AppendPath(dst, f.DirID); len(dst) > base {
+		dst = append(dst, '/')
 	}
-	return dir + "/" + f.Name
+	return append(dst, f.Name...)
 }
 
 // appendEntryPath resets dst to the on-disk path of one image entry — root,

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,7 +79,10 @@ func (b *imageBuilder) tiny(n int) {
 // one byte over (where hashing moves to the caller), a run cut by its file
 // count, a run that exactly fills its chunk with an empty file behind it, a
 // file larger than everything eight workers can hold in flight, and runs of
-// several hundred tiny files in between.
+// several hundred tiny files in between. Runs are cut by what a file takes
+// in the image, which for tar is a 512-byte header more (and padding), so
+// the chunk edges come twice: as content sizes, where squashfs has them,
+// and a header short of that, where tar does.
 func edgeImage() *fsimage.Image {
 	const chunk, budget = bodyChunk, bodyBudget
 	b := newImageBuilder(7)
@@ -94,11 +98,51 @@ func edgeImage() *fsimage.Image {
 	b.add(chunk / 2)
 	b.add(chunk / 2)
 	b.add(0)
+	for _, size := range []int64{chunk - 512, chunk - 511, chunk/2 - 512, chunk/2 - 512, 0} {
+		b.add(size)
+	}
 	b.add(int64(slices.Max(parallelisms))*budget + 3)
 	b.tiny(400)
 	b.add(chunk - 1)
 	b.add(2)
 	return b.img
+}
+
+// longNameImage aims entry names at the tar header's edges: a chain of
+// directories with 30-byte names, so that directory and file paths cross
+// 100 bytes (the name field; longer paths split into ustar's prefix), 155
+// (the prefix field; the split moves to an earlier slash) and 256 (no
+// split left: PAX), a directory with a non-ASCII name (PAX at any length,
+// for itself and everything under it), and a file whose last component
+// alone is over 100 bytes (unsplittable: PAX although the path is short).
+// Every directory holds an empty file and one with content.
+func longNameImage() *fsimage.Image {
+	tree := namespace.GenerateTree(nil, 1, namespace.ShapeFlat)
+	img := fsimage.New(tree)
+	img.Spec.Seed = 3
+	addDir := func(parent int, name string) int {
+		id := tree.AddDir(parent)
+		tree.Dirs[id].Name = name
+		return id
+	}
+	addFile := func(dir int, ext string, size int64) {
+		img.AddFile(fsimage.MakeFileName(len(img.Files), ext), ext, size, dir, tree.Dirs[dir].Depth+1)
+		tree.Dirs[dir].FileCount++
+		tree.Dirs[dir].Bytes += size
+	}
+	dirs := []int{0}
+	for depth, parent := 0, 0; depth < 10; depth++ {
+		parent = addDir(parent, fmt.Sprintf("level%02d-%s", depth, strings.Repeat("x", 22)))
+		dirs = append(dirs, parent)
+	}
+	accented := addDir(0, "données")
+	dirs = append(dirs, accented, addDir(accented, "plain"))
+	for i, dir := range dirs {
+		addFile(dir, "txt", 0)
+		addFile(dir, "jpg", int64(300+i*211))
+	}
+	addFile(dirs[1], strings.Repeat("e", 110), 77)
+	return img
 }
 
 // referenceTar is the oracle: the archive written the way the sink wrote it
@@ -189,8 +233,17 @@ func eachVariant(fn func(j int, log *digestLog)) {
 	}
 }
 
+// identityImages are the images the referenceTar identity tests run on: the
+// engine's size edges and the header builder's name edges.
+var identityImages = map[string]func() *fsimage.Image{"edgeImage": edgeImage, "longNameImage": longNameImage}
+
 func TestTarSinkIdenticalAtAnyParallelism(t *testing.T) {
-	img := edgeImage()
+	for name, build := range identityImages {
+		t.Run(name, func(t *testing.T) { testTarSinkIdentical(t, build()) })
+	}
+}
+
+func testTarSinkIdentical(t *testing.T, img *fsimage.Image) {
 	want, sums := referenceTar(t, img)
 	eachVariant(func(j int, log *digestLog) {
 		var buf bytes.Buffer
@@ -212,7 +265,12 @@ func TestTarSinkIdenticalAtAnyParallelism(t *testing.T) {
 }
 
 func TestSegmentsIdenticalAtAnyParallelism(t *testing.T) {
-	img := edgeImage()
+	for name, build := range identityImages {
+		t.Run(name, func(t *testing.T) { testSegmentsIdentical(t, build()) })
+	}
+}
+
+func testSegmentsIdentical(t *testing.T, img *fsimage.Image) {
 	want, sums := referenceTar(t, img)
 	const shards = 3
 	roots, dirs, files := shardImage(img, shards)
@@ -314,7 +372,11 @@ func TestSquashfsIdenticalAtAnyParallelism(t *testing.T) {
 // OnDigest during the write equals the one CombineDigest folds from a
 // retained table, and a callback already on the options still runs.
 func TestDigestFoldMatchesCombineDigest(t *testing.T) {
-	img := sinkTestImage(t, 11)
+	t.Run("sinkTestImage", func(t *testing.T) { testDigestFold(t, sinkTestImage(t, 11)) })
+	t.Run("longNameImage", func(t *testing.T) { testDigestFold(t, longNameImage()) })
+}
+
+func testDigestFold(t *testing.T, img *fsimage.Image) {
 	_, sums := referenceTar(t, img)
 	want, err := fsimage.CombineDigest(img, sums)
 	if err != nil {

@@ -5,19 +5,29 @@
 // Where fsimage.MaterializeSink pays one open/write/close per file (so a
 // 100k-small-file image is syscall-bound), these sinks are bound by the
 // content engine and SHA-256 on Options.Parallelism cores: that many
-// workers generate and hash file bodies ahead of the one goroutine that
-// writes the image (the ordered, bounded pipeline in body.go), until the
-// writer's own per-entry work — tar header formatting on ~1 KB files — is
-// what is left. Two backends ship:
+// workers put file entries together ahead of the one goroutine that writes
+// the image (the ordered, bounded pipeline in body.go). Everything that
+// costs per entry happens in the workers — the tar header, the content and
+// its hash, the padding, the file's line of the canonical digest — so the
+// writer is a copy loop, one write per 128 KiB chunk of finished entries,
+// and is not what bounds -j on ~1 KB files. Two backends ship:
 //
-//   - TarSink streams a POSIX tar (archive/tar, USTAR with PAX fallback for
-//     long names) whose bytes are a pure function of (spec, seed, Options):
-//     entry order is the canonical record order (directories in ID order,
-//     then files in ID order) and all VFS-dependent metadata — mtime, uid,
-//     gid, permissions — is fixed by Options, so the stream is
-//     byte-identical at any parallelism. WriteSegment emits one shard's
-//     sub-stream as a truncated-at-EOF tar segment, and Stitcher merges
-//     per-shard segments back into the identical monolithic archive, so a
+//   - TarSink streams a POSIX tar whose bytes are a pure function of (spec,
+//     seed, Options): entry order is the canonical record order (directories
+//     in ID order, then files in ID order) and all VFS-dependent metadata —
+//     mtime, uid, gid, permissions — is fixed by Options, so the stream is
+//     byte-identical at any parallelism. Headers are archive/tar's, byte
+//     for byte, but archive/tar formats only two of them per sink: one
+//     builder (tarheader.go) has it render a file and a directory header
+//     once and patches name, size and checksum into copies. An entry ustar
+//     cannot hold — a name that is not ASCII, a path that does not split
+//     into ustar's 155-byte prefix and 100-byte name (none over 256 bytes
+//     does), a size of 8 GiB or more, or Options that do not render as one
+//     plain block — is written by archive/tar itself, on its PAX route; the
+//     builder decides from the entry, never from an option. WriteSegment
+//     emits one shard's sub-stream as a truncated-at-EOF tar segment, and
+//     Stitcher merges per-shard segments back into the identical monolithic
+//     archive, rewriting every header through the same builder, so a
 //     distributed fleet can produce one tar without any node writing
 //     O(image) files.
 //
@@ -80,12 +90,12 @@ type Options struct {
 	// content ahead of the writer (0: runtime.NumCPU(), as
 	// fsimage.MaterializeOptions has it; 1: one worker). Every file's
 	// content comes from a stream keyed by its ID, so the image bytes and
-	// the OnDigest sequence are identical at every value. Content in flight
-	// is capped at 512 KiB per worker, whatever the file sizes and counts.
+	// the OnDigest sequence are identical at every value. Entries in flight
+	// are capped at 512 KiB per worker, whatever the file sizes and counts.
 	Parallelism int
 	// Context, when non-nil, cancels the serialization: the per-record
-	// loops and the content workers watch it and abort with its error,
-	// leaving a truncated image.
+	// loops and the workers watch it and abort with its error, leaving a
+	// truncated image.
 	Context context.Context
 	// OnDigest, when non-nil, observes each file's content SHA-256 (hex) —
 	// the same tap the VFS materializer offers, so archive workers seal
@@ -97,6 +107,10 @@ type Options struct {
 	// AddFile than the one that submitted the file, but always before Close
 	// returns; after a failed AddFile or Close no further calls are made.
 	OnDigest func(f fsimage.File, sha256 string)
+
+	// fold is the DigestFold FoldDigest attached, which the sink feeds as it
+	// writes.
+	fold *DigestFold
 }
 
 // ctx returns the cancellation context, defaulting to context.Background().
@@ -143,50 +157,34 @@ func (f fullWriter) Write(p []byte) (int, error) {
 
 // DigestFold computes the canonical image digest (fsimage.DigestVersion)
 // during the write pass instead of from a retained per-file digest table:
-// it is fed the sink's record stream for the directories, and the sink's
-// in-order OnDigest for the files. Use it as
+// it is fed the sink's record stream for the directories, and by the sink
+// itself for the files — the sink's workers format each file's digest line
+// beside its content hash, and the writer folds them run by run. Use it as
 //
 //	fold := imgfmt.FoldDigest(&opts, dirs, files, bytes)
 //	sink := imgfmt.NewTarSink(w, opts)
 //	err := src.StreamRecords(fsimage.MultiSink(sink, fold))
 //	... sink.Close(), then fold.Sum()
 type DigestFold struct {
-	b   *fsimage.DigestBuilder
-	sum string // the content digest OnDigest is folding
-	err error
+	b *fsimage.DigestBuilder
 }
 
-// FoldDigest chains a digest fold onto opts.OnDigest (a callback already
-// there still runs) for an image promising the given totals. opts must not
-// be MetadataOnly: without content there is nothing to attest.
+// FoldDigest attaches a digest fold to opts, for the one sink then made from
+// them (opts.OnDigest is left as it is, and still runs), for an image
+// promising the given totals. opts must not be MetadataOnly: without
+// content there is nothing to attest.
 func FoldDigest(opts *Options, dirs, files int, bytes int64) *DigestFold {
-	d := &DigestFold{}
-	d.b = fsimage.NewDigestBuilder(dirs, files, bytes, func(fsimage.File) (string, error) { return d.sum, nil })
-	prev := opts.OnDigest
-	opts.OnDigest = func(f fsimage.File, sum string) {
-		if d.err == nil {
-			d.sum = sum
-			d.err = d.b.AddFile(f)
-		}
-		if prev != nil {
-			prev(f, sum)
-		}
-	}
-	return d
+	opts.fold = &DigestFold{b: fsimage.NewDigestBuilder(dirs, files, bytes, nil)}
+	return opts.fold
 }
 
 // AddDir folds the next directory record.
 func (d *DigestFold) AddDir(rec fsimage.DirRecord) error { return d.b.AddDir(rec) }
 
-// AddFile folds nothing — a file enters the digest when the sink reports
-// its content hash — but surfaces a fold that has already failed.
-func (d *DigestFold) AddFile(fsimage.File) error { return d.err }
+// AddFile folds nothing: a file enters the digest when the sink has written
+// it and knows its content hash.
+func (d *DigestFold) AddFile(fsimage.File) error { return nil }
 
 // Sum returns the canonical digest once the sink is closed; it fails if the
 // sink did not report exactly the promised files.
-func (d *DigestFold) Sum() (string, error) {
-	if d.err != nil {
-		return "", d.err
-	}
-	return d.b.Sum()
-}
+func (d *DigestFold) Sum() (string, error) { return d.b.Sum() }

@@ -69,11 +69,14 @@ type SquashfsSink struct {
 	body   *bodyEngine
 	ts     fsimage.TreeSink
 	offset int64 // disk bytes emitted so far
+	// dataEnd is where the next file's data will start: the data area is
+	// the file bodies back to back behind the superblock, so a start offset
+	// is a running sum, known when the file is queued.
+	dataEnd int64
 
 	// Per-file integer columns (names are regenerated from the ID and the
 	// interned name suffix, sizes drive the block lists, starts locate the
-	// data blocks). fileStart trails the others: a file's start is known
-	// when its body is written, not when it is queued.
+	// data blocks).
 	fileSize   []int64
 	fileDir    []int32
 	fileStart  []int64
@@ -95,12 +98,10 @@ func NewSquashfsSink(w io.WriteSeeker, opts Options) (*SquashfsSink, error) {
 		bw:   bufio.NewWriterSize(fullWriter{w}, 64*1024),
 		opts: opts,
 
+		dataEnd:   squashfsSuperSize,
 		suffixIdx: make(map[string]int32),
 	}
-	s.body = newBodyEngine(opts, func(fsimage.File) error {
-		s.fileStart = append(s.fileStart, s.offset)
-		return nil
-	}, s.write)
+	s.body = newBodyEngine(opts, s.write)
 	// Reserve the superblock; data blocks start right behind it.
 	if err := s.write(zeroBlock[:squashfsSuperSize]); err != nil {
 		return nil, err
@@ -126,6 +127,7 @@ func (s *SquashfsSink) AddDir(d fsimage.DirRecord) error {
 	if err := s.ts.AddDir(d); err != nil {
 		return s.body.fail(err)
 	}
+	s.body.tree = s.ts.Tree()
 	return nil
 }
 
@@ -168,7 +170,9 @@ func (s *SquashfsSink) AddFile(f fsimage.File) error {
 	}
 	s.fileSize = append(s.fileSize, f.Size)
 	s.fileDir = append(s.fileDir, int32(f.DirID))
+	s.fileStart = append(s.fileStart, s.dataEnd)
 	s.fileSuffix = append(s.fileSuffix, idx)
+	s.dataEnd += f.Size
 	return s.body.add(f)
 }
 
@@ -401,6 +405,9 @@ func (m *metaWriter) flush() error {
 func (s *SquashfsSink) Close() error {
 	if err := s.body.finish(); err != nil {
 		return err
+	}
+	if s.offset != s.dataEnd {
+		return fmt.Errorf("imgfmt: internal error: squashfs data area ends at offset %d, the file sizes say %d", s.offset, s.dataEnd)
 	}
 	tree := s.ts.Tree()
 	dirCount := tree.Len()

@@ -48,7 +48,7 @@ func NewStitcher(w io.Writer, segments []io.Reader, roots [][]int, opts Options)
 		return nil, fmt.Errorf("imgfmt: %d segments for %d shards", len(segments), len(roots))
 	}
 	s := &Stitcher{
-		t:         newTarWriter(w, opts),
+		t:         newTarWriter(w, opts.withDefaults()),
 		segs:      make([]*tar.Reader, len(segments)),
 		rootShard: make(map[int]int, len(roots)*2),
 	}
@@ -71,13 +71,13 @@ func NewStitcher(w io.Writer, segments []io.Reader, roots [][]int, opts Options)
 
 // next advances shard's segment to its next entry and verifies it is the
 // entry the monolithic stream expects here.
-func (s *Stitcher) next(shard int, name string, size int64, typeflag byte) (*tar.Reader, error) {
+func (s *Stitcher) next(shard int, name []byte, size int64, typeflag byte) (*tar.Reader, error) {
 	seg := s.segs[shard]
 	hdr, err := seg.Next()
 	if err != nil {
 		return nil, fmt.Errorf("imgfmt: segment %d ended before entry %q: %w (%w)", shard, name, err, fsimage.ErrManifestIntegrity)
 	}
-	if hdr.Name != name || hdr.Size != size || hdr.Typeflag != typeflag {
+	if hdr.Name != string(name) || hdr.Size != size || hdr.Typeflag != typeflag {
 		return nil, fmt.Errorf("imgfmt: segment %d entry %q (size %d, type %d) where plan expects %q (size %d, type %d): %w",
 			shard, hdr.Name, hdr.Size, hdr.Typeflag, name, size, typeflag, fsimage.ErrManifestIntegrity)
 	}
@@ -130,12 +130,15 @@ func (s *Stitcher) AddFile(f fsimage.File) error {
 	if err != nil {
 		return err
 	}
-	n, err := io.Copy(s.t.tw, seg)
+	n, err := io.Copy(s.t.bw, seg)
 	if err != nil {
 		return fmt.Errorf("imgfmt: copying %q from segment %d: %w", name, s.shardOf[f.DirID], err)
 	}
 	if n != f.Size {
 		return fmt.Errorf("imgfmt: segment entry %q carried %d of %d bytes: %w", name, n, f.Size, fsimage.ErrManifestIntegrity)
+	}
+	if _, err := s.t.bw.Write(zeroBlock[:tarPadding(n)]); err != nil {
+		return fmt.Errorf("imgfmt: padding %q: %w", name, err)
 	}
 	s.written += n
 	return nil
@@ -149,13 +152,7 @@ func (s *Stitcher) Close() error {
 			return fmt.Errorf("imgfmt: segment %d has entries beyond the plan stream: %w", i, fsimage.ErrManifestIntegrity)
 		}
 	}
-	if err := s.t.tw.Close(); err != nil {
-		return fmt.Errorf("imgfmt: closing stitched tar: %w", err)
-	}
-	if err := s.t.bw.Flush(); err != nil {
-		return fmt.Errorf("imgfmt: flushing stitched tar: %w", err)
-	}
-	return nil
+	return s.t.finish(tarTrailer)
 }
 
 // Written returns the content bytes copied so far.
