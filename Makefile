@@ -39,19 +39,22 @@ bench-json:
 	@echo "wrote BENCH_$(BENCH_DATE).json"
 
 # Local mirror of the CI distributed-determinism job: a plan executed by 4
-# worker processes and merged must be byte-identical to a single-process run
-# (same canonical digest, same on-disk bytes).
+# worker processes (at -j 1, 2, 4 and 8) and merged must be byte-identical to
+# a single-process run at -j 1 and at -j 4 (same canonical digest, same
+# on-disk bytes).
 dist-check:
 	@rm -rf /tmp/impressions-dist-check && mkdir -p /tmp/impressions-dist-check
 	$(GO) build -o /tmp/impressions-dist-check/impressions ./cmd/impressions
 	@set -e; cd /tmp/impressions-dist-check; \
-	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -digest -out single | grep '^image digest:' > single.digest; \
+	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -digest -out single | grep '^image digest:' > single.digest; \
+	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -digest -out single-j4 | grep '^image digest:' > single-j4.digest; \
+	cmp single.digest single-j4.digest; diff -r single single-j4; \
 	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -shards 4 -plan plan.json; \
-	pids=""; for s in 0 1 2 3; do ./impressions worker -plan plan.json -shard $$s -out merged -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
+	pids=""; for s in 0 1 2 3; do ./impressions worker -plan plan.json -shard $$s -j $$((1 << s)) -out merged -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
 	for p in $$pids; do wait "$$p"; done; \
 	./impressions merge -plan plan.json -print-digest manifest-*.json > merged.digest; \
 	cmp single.digest merged.digest; diff -r single merged; \
-	echo "dist-check: OK (digests and trees identical)"
+	echo "dist-check: OK (digests and trees identical at every -j)"
 
 # Local mirror of the CI fault-injection step: plan → 4 workers, one killed
 # mid-write (its manifest discarded so the outcome is timing-independent) →

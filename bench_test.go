@@ -174,40 +174,26 @@ func BenchmarkHybridFileSizeSample(b *testing.B) {
 	}
 }
 
-// benchNamespace builds a namespace with the generative model at the given
-// worker count; output is identical at every count (asserted by the
-// namespace determinism tests), so the Serial/Parallel pair isolates the
-// speculative-attachment speedup.
-func benchNamespace(b *testing.B, nDirs, workers int) {
+// benchNamespace builds a namespace of nDirs directories with the generative
+// model.
+func benchNamespace(b *testing.B, nDirs int) {
 	b.Helper()
 	b.ReportAllocs()
 	dirs := 0
 	for i := 0; i < b.N; i++ {
-		rng := stats.NewRNG(int64(i))
-		tree := namespace.GenerateTreeParallel(rng, nDirs, namespace.ShapeGenerative, workers)
+		tree := namespace.GenerateTree(stats.NewRNG(int64(i)), nDirs, namespace.ShapeGenerative)
 		dirs += tree.Len()
 	}
 	b.ReportMetric(float64(dirs)/b.Elapsed().Seconds(), "dirs/s")
 }
 
 // BenchmarkNamespaceGeneration measures building a 10,000-directory namespace
-// with the generative model (single worker).
-func BenchmarkNamespaceGeneration(b *testing.B) { benchNamespace(b, 10000, 1) }
-
-// BenchmarkNamespaceGenerationParallel uses one proposal worker per CPU.
-func BenchmarkNamespaceGenerationParallel(b *testing.B) {
-	benchNamespace(b, 10000, runtime.NumCPU())
-}
+// with the generative model.
+func BenchmarkNamespaceGeneration(b *testing.B) { benchNamespace(b, 10000) }
 
 // BenchmarkNamespaceGeneration100k scales the skeleton build to 100,000
-// directories, where speculative batches are large enough for the proposal
-// workers to matter.
-func BenchmarkNamespaceGeneration100k(b *testing.B) { benchNamespace(b, 100000, 1) }
-
-// BenchmarkNamespaceGeneration100kParallel is the multi-worker counterpart.
-func BenchmarkNamespaceGeneration100kParallel(b *testing.B) {
-	benchNamespace(b, 100000, runtime.NumCPU())
-}
+// directories.
+func BenchmarkNamespaceGeneration100k(b *testing.B) { benchNamespace(b, 100000) }
 
 // BenchmarkTreePath measures directory path construction over a deep
 // generative tree (the satellite fix replaced O(depth²) concatenation with a
@@ -292,7 +278,7 @@ func benchPlanBuild(b *testing.B, streamed bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if streamed {
-			if _, err := distribute.StreamPlan(cfg, 8, 0, io.Discard); err != nil {
+			if _, err := (distribute.PlanRequest{Config: cfg, MaxShards: 8}).Stream(context.Background(), io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		} else {

@@ -203,11 +203,11 @@ func serveCheck(ctx context.Context, c *serve.Client, spec fsimage.Spec, shards 
 		if err != nil {
 			return fmt.Errorf("check: PullShard(%d): %w", s, err)
 		}
-		m, err := distribute.ExecuteShardView(view, root, distribute.WorkerOptions{Context: ctx})
+		res, err := distribute.Execute(ctx, view, distribute.DirTarget(root), distribute.WorkerOptions{})
 		if err != nil {
-			return fmt.Errorf("check: ExecuteShardView(%d): %w", s, err)
+			return fmt.Errorf("check: Execute(%d): %w", s, err)
 		}
-		manifests[s] = m
+		manifests[s] = res.Manifest
 	}
 
 	decoded, err := distribute.DecodePlan(bytes.NewReader(planDoc))

@@ -684,22 +684,24 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var m *distribute.Manifest
+	target := distribute.DirTarget(*outFlag)
+	var seg *os.File
 	if format == "tar" {
-		var seg *os.File
 		if seg, err = os.Create(*outFlag); err != nil {
 			return err
 		}
-		m, err = distribute.ExecuteShardViewTar(view, seg, distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs})
+		target = distribute.TarTarget(seg)
+	}
+	res, err := distribute.Execute(context.Background(), view, target, distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs})
+	if seg != nil {
 		if cerr := seg.Close(); err == nil {
 			err = cerr
 		}
-	} else {
-		m, err = distribute.ExecuteShardView(view, *outFlag, distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs})
 	}
 	if err != nil {
 		return err
 	}
+	m := res.Manifest
 	if err := writeJSONFile(*manifestFlag, m.Encode); err != nil {
 		return err
 	}

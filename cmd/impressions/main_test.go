@@ -910,8 +910,12 @@ func TestVerifyShardOnDiskChecksDirectories(t *testing.T) {
 	}
 	out := t.TempDir()
 	for s := range open.Plan.Shards {
-		if _, err := distribute.ExecuteShard(open, s, out, distribute.WorkerOptions{}); err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+		view, err := open.ShardView(s)
+		if err != nil {
+			t.Fatalf("ShardView(%d): %v", s, err)
+		}
+		if _, err := distribute.Execute(context.Background(), view, distribute.DirTarget(out), distribute.WorkerOptions{}); err != nil {
+			t.Fatalf("Execute(%d): %v", s, err)
 		}
 		if err := verifyShardOnDisk(open, s, out); err != nil {
 			t.Fatalf("freshly written shard %d should verify: %v", s, err)

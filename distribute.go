@@ -29,8 +29,15 @@ type ShardView = distribute.ShardView
 type Manifest = distribute.Manifest
 
 // WorkerOptions controls one shard execution (permissions, parallelism,
-// metadata-only mode, cancellation).
+// metadata-only mode, the resume journal).
 type WorkerOptions = distribute.WorkerOptions
+
+// Target is where Execute sends a shard's bytes.
+type Target = distribute.Target
+
+// ShardResult reports one shard execution: the sealed manifest, and how
+// many files a journal let the execution skip.
+type ShardResult = distribute.ShardResult
 
 // MergeResult is the verified outcome of stitching shard manifests back
 // into one image: the image, its report, and the canonical digest.
@@ -59,28 +66,6 @@ type FragmentMergeResult = distribute.FragmentMergeResult
 // fleets that want the plan built shard by shard use PartitionPlan.
 func BuildPlan(ctx context.Context, req PlanRequest) (*Plan, error) {
 	return distribute.BuildPlan(ctx, req)
-}
-
-// BuildPlanContext builds a retained plan from positional arguments.
-//
-// Deprecated: use BuildPlan with a PlanRequest.
-func BuildPlanContext(ctx context.Context, cfg Config, maxShards, chunkSize int) (*Plan, error) {
-	return distribute.BuildPlanContext(ctx, cfg, maxShards, chunkSize)
-}
-
-// StreamPlan builds a plan and writes its complete wire document to w in
-// one streaming pass, holding O(chunk) file records.
-//
-// Deprecated: use PlanRequest.Stream.
-func StreamPlan(cfg Config, maxShards, chunkSize int, w io.Writer) (*Plan, error) {
-	return distribute.StreamPlan(cfg, maxShards, chunkSize, w)
-}
-
-// StreamPlanContext writes a plan document from positional arguments.
-//
-// Deprecated: use PlanRequest.Stream.
-func StreamPlanContext(ctx context.Context, cfg Config, maxShards, chunkSize int, w io.Writer) (*Plan, error) {
-	return distribute.StreamPlanContext(ctx, cfg, maxShards, chunkSize, w)
 }
 
 // PartitionPlan builds a partitioned plan: K self-contained fragment
@@ -124,11 +109,18 @@ func LoadPlanShard(path string, shard int) (*ShardView, error) {
 // impressionsd's shard endpoint, or written by ShardView.Encode).
 func DecodeShardView(r io.Reader) (*ShardView, error) { return distribute.DecodeShardView(r) }
 
-// ExecuteShardView materializes one shard under outRoot and returns its
-// sealed manifest. Shards share nothing; run any number concurrently, in
-// any placement.
-func ExecuteShardView(v *ShardView, outRoot string, opts WorkerOptions) (*Manifest, error) {
-	return distribute.ExecuteShardView(v, outRoot, opts)
+// DirTarget materializes a shard as real files under outRoot.
+func DirTarget(outRoot string) Target { return distribute.DirTarget(outRoot) }
+
+// TarTarget serializes a shard as a tar segment onto w; TarTarget(io.Discard)
+// writes nowhere and only proves the content.
+func TarTarget(w io.Writer) Target { return distribute.TarTarget(w) }
+
+// Execute runs one shard — its bytes go to the target — and returns the
+// sealed manifest, identical for every target and parallelism. Shards
+// share nothing; run any number concurrently, in any placement.
+func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOptions) (*ShardResult, error) {
+	return distribute.Execute(ctx, v, target, opts)
 }
 
 // Merge verifies a complete manifest set against the plan and stitches the

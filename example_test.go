@@ -77,12 +77,12 @@ func ExampleBuildPlan() {
 			fmt.Println(err)
 			return
 		}
-		m, err := impressions.ExecuteShardView(view, root, impressions.WorkerOptions{})
+		res, err := impressions.Execute(context.Background(), view, impressions.DirTarget(root), impressions.WorkerOptions{})
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
-		manifests = append(manifests, m)
+		manifests = append(manifests, res.Manifest)
 	}
 	merged, err := impressions.Merge(open, manifests)
 	if err != nil {

@@ -33,18 +33,19 @@
 // # Cancellation
 //
 // Every long-running entry point has a context-aware form — GenerateContext,
-// GenerateStreamContext, MaterializeOptions.Context — whose worker loops
-// poll the context between shards (generation) or files (materialization,
+// GenerateStreamContext, MaterializeOptions.Context, Execute — whose worker
+// loops poll the context between shards (generation) or files (materialization,
 // digests). Cancelling returns ctx.Err() promptly without affecting
 // determinism: partial results are discarded, never reused. The plain forms
 // are thin wrappers over context.Background().
 //
 // # Distributed generation and serving
 //
-// The same pipeline scales out: BuildPlan/StreamPlan partition an image into
-// shard plans, ExecuteShardView runs one shard anywhere, and Merge verifies
-// the manifests back into a single image (see the distributed re-exports in
-// this package). cmd/impressionsd wraps it all as a long-running HTTP
+// The same pipeline scales out: BuildPlan or PlanRequest.Stream partition an
+// image into shard plans, Execute runs one shard anywhere — onto a
+// DirTarget, a TarTarget, or TarTarget(io.Discard) when only the manifest is
+// wanted — and Merge verifies the manifests back into a single image (see
+// the distributed re-exports in this package). cmd/impressionsd wraps it all as a long-running HTTP
 // service with a content-addressed plan cache keyed by SpecFingerprint.
 //
 // # Errors

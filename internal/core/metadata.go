@@ -158,12 +158,9 @@ func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, erro
 		return nil, err
 	}
 
-	// Phase 1: directory structure (namespace skeleton), built with
-	// deterministic speculative attachment: identical trees at every
-	// parallelism level.
+	// Phase 1: directory structure (namespace skeleton), one serial pass.
 	start := clock.Now()
-	tree := namespace.GenerateTreeParallel(rng.Fork("namespace"), cfg.NumDirs, cfg.TreeShape,
-		effectiveParallelism(cfg.Parallelism))
+	tree := namespace.GenerateTree(rng.Fork("namespace"), cfg.NumDirs, cfg.TreeShape)
 	if cfg.UseSpecialDirectories {
 		tree.MarkSpecial(cfg.SpecialDirectories)
 	}

@@ -240,8 +240,7 @@ func (g *Generator) resolveMetadataSpill(ctx context.Context) (*Metadata, error)
 	// Phase 1: directory structure — identical to the in-memory pass (the
 	// compact tree is O(dirs) and stays resident in both modes).
 	start := clock.Now()
-	tree := namespace.GenerateTreeParallel(rng.Fork("namespace"), cfg.NumDirs, cfg.TreeShape,
-		effectiveParallelism(cfg.Parallelism))
+	tree := namespace.GenerateTree(rng.Fork("namespace"), cfg.NumDirs, cfg.TreeShape)
 	if cfg.UseSpecialDirectories {
 		tree.MarkSpecial(cfg.SpecialDirectories)
 	}

@@ -201,9 +201,9 @@ func TestAuditMixedModesMajorityWins(t *testing.T) {
 		if s == 0 {
 			opts.MetadataOnly = false // the one mistaken full-content shard
 		}
-		m, err := ExecuteShard(open, s, t.TempDir(), opts)
+		m, err := executeShard(open, s, t.TempDir(), opts)
 		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+			t.Fatalf("Execute(%d): %v", s, err)
 		}
 		manifests[s] = m
 	}

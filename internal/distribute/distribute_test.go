@@ -5,8 +5,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"impressions/internal/content"
 	"impressions/internal/core"
@@ -68,15 +70,45 @@ func planRoundTrip(t *testing.T, cfg core.Config, shards int) *OpenPlan {
 	return open
 }
 
+// checkGoroutines fails the test unless the goroutine count returns to
+// baseline.
+func checkGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed call, %d before it", runtime.NumGoroutine(), baseline)
+		}
+	}
+}
+
+// executeView runs one shard view onto target and returns its manifest.
+func executeView(v *ShardView, target Target, opts WorkerOptions) (*Manifest, error) {
+	res, err := Execute(context.Background(), v, target, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Manifest, nil
+}
+
+// executeShard projects one shard out of a retained plan and materializes
+// it under outRoot.
+func executeShard(p *OpenPlan, shard int, outRoot string, opts WorkerOptions) (*Manifest, error) {
+	v, err := p.ShardView(shard)
+	if err != nil {
+		return nil, err
+	}
+	return executeView(v, DirTarget(outRoot), opts)
+}
+
 // runManifests executes every shard (each into the shared outRoot) and
 // round-trips each manifest through its JSON encoding.
 func runManifests(t *testing.T, open *OpenPlan, outRoot string) []*Manifest {
 	t.Helper()
 	manifests := make([]*Manifest, len(open.Plan.Shards))
 	for s := range open.Plan.Shards {
-		m, err := ExecuteShard(open, s, outRoot, WorkerOptions{})
+		m, err := executeShard(open, s, outRoot, WorkerOptions{})
 		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+			t.Fatalf("Execute(%d): %v", s, err)
 		}
 		var buf bytes.Buffer
 		if err := m.Encode(&buf); err != nil {
@@ -159,9 +191,9 @@ func TestWorkersInSeparateRoots(t *testing.T) {
 	open := planRoundTrip(t, cfg, 4)
 	manifests := make([]*Manifest, len(open.Plan.Shards))
 	for s := range open.Plan.Shards {
-		m, err := ExecuteShard(open, s, filepath.Join(t.TempDir(), "w"), WorkerOptions{})
+		m, err := executeShard(open, s, filepath.Join(t.TempDir(), "w"), WorkerOptions{})
 		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+			t.Fatalf("Execute(%d): %v", s, err)
 		}
 		manifests[s] = m
 	}
@@ -291,19 +323,19 @@ func TestOpenRejectsCorruptPlan(t *testing.T) {
 // validation.
 func TestExecuteShardValidation(t *testing.T) {
 	open := planRoundTrip(t, testConfig(), 2)
-	if _, err := ExecuteShard(open, -1, t.TempDir(), WorkerOptions{}); err == nil {
+	if _, err := executeShard(open, -1, t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("negative shard index should fail")
 	}
-	if _, err := ExecuteShard(open, len(open.Plan.Shards), t.TempDir(), WorkerOptions{}); err == nil {
+	if _, err := executeShard(open, len(open.Plan.Shards), t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("out-of-range shard index should fail")
 	}
 	// A plan whose stream key derives a different stream must be refused.
 	open.Plan.Shards[0].StreamKey = "fork:somethingelse"
-	if _, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
+	if _, err := executeShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("incompatible stream key should fail")
 	}
 	open.Plan.Shards[0].StreamKey = "not a key"
-	if _, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
+	if _, err := executeShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("unparseable stream key should fail")
 	}
 }
@@ -316,9 +348,9 @@ func TestMetadataOnlyDistributedRun(t *testing.T) {
 	outRoot := t.TempDir()
 	manifests := make([]*Manifest, len(open.Plan.Shards))
 	for s := range open.Plan.Shards {
-		m, err := ExecuteShard(open, s, outRoot, WorkerOptions{MetadataOnly: true})
+		m, err := executeShard(open, s, outRoot, WorkerOptions{MetadataOnly: true})
 		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
+			t.Fatalf("Execute(%d): %v", s, err)
 		}
 		manifests[s] = m
 	}
@@ -366,26 +398,5 @@ func TestPlanFingerprintSensitivity(t *testing.T) {
 	alt.Shards[0].Files++
 	if alt.Fingerprint() == base {
 		t.Error("fingerprint ignores shard expectations")
-	}
-}
-
-// TestWorkerParallelismInvariance asserts a worker's within-shard
-// parallelism level never changes its manifest: same digests, same bytes,
-// same seal.
-func TestWorkerParallelismInvariance(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
-	var ref *Manifest
-	for _, j := range []int{1, 4} {
-		m, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: j})
-		if err != nil {
-			t.Fatalf("ExecuteShard(j=%d): %v", j, err)
-		}
-		if ref == nil {
-			ref = m
-			continue
-		}
-		if m.ManifestSHA256 != ref.ManifestSHA256 {
-			t.Fatalf("manifest differs between worker parallelism 1 and %d", j)
-		}
 	}
 }

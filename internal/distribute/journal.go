@@ -2,7 +2,6 @@ package distribute
 
 import (
 	"bufio"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,16 +10,14 @@ import (
 	"os"
 	"path/filepath"
 
-	"impressions/internal/content"
 	"impressions/internal/fsimage"
-	"impressions/internal/stats"
 )
 
-// This file implements incremental shard manifests: a worker executing a
-// shard flushes sealed batches of per-file content digests to an
-// append-only journal as the content pass runs, so a preempted worker
-// resumes from the last sealed batch instead of regenerating the whole
-// shard. The journal is the mid-shard analogue of the sealed manifest —
+// This file implements the shard journal behind WorkerOptions.JournalPath:
+// a worker executing a shard flushes sealed batches of per-file content
+// digests to an append-only journal as the content pass runs, so a
+// preempted worker resumes from the last sealed batch instead of
+// regenerating the whole shard. The journal is the mid-shard analogue of the sealed manifest —
 // every batch is fingerprint-bound and chained to its predecessor, so a
 // stale, torn, or foreign journal is detected and discarded, never trusted.
 
@@ -175,248 +172,27 @@ func (j *ShardJournal) Append(digests []string, bytes int64) error {
 // Close closes the journal file.
 func (j *ShardJournal) Close() error { return j.f.Close() }
 
-// DefaultJournalBatch is the files-per-batch flush granularity of
-// incremental shard execution.
+// DefaultJournalBatch is the files-per-batch flush granularity of journaled
+// shard execution.
 const DefaultJournalBatch = 256
 
-// IncrementalOptions configures ExecuteShardIncremental.
-type IncrementalOptions struct {
-	// JournalPath is the journal file (required). Reusing the path across
-	// attempts of the same (plan, shard) is what makes resume work.
-	JournalPath string
-	// BatchFiles is the flush granularity (0 selects DefaultJournalBatch).
-	BatchFiles int
-	// MetadataOnly mirrors WorkerOptions.MetadataOnly.
-	MetadataOnly bool
-	// DirPerm / FilePerm mirror WorkerOptions.
-	DirPerm  os.FileMode
-	FilePerm os.FileMode
-	// Context cancels execution between files (the journal keeps everything
-	// sealed so far).
-	Context context.Context
-	// FailAfterFiles > 0 aborts execution with ErrSimulatedCrash once that
-	// many files have been written by THIS attempt (resumed files do not
-	// count) — the deterministic mid-shard fault the fleet drills inject.
-	FailAfterFiles int
-	// OnFile, when non-nil, observes each file written by this attempt
-	// (after its digest is computed, possibly before its batch seals).
-	OnFile func(written int)
-}
-
-// ErrSimulatedCrash reports an execution aborted by FailAfterFiles. The
-// fleet worker CLI converts it into a SIGKILL of its own process, so the
-// daemon observes a real worker death.
-var ErrSimulatedCrash = errors.New("distribute: simulated worker crash (fail-after-files)")
-
-// IncrementalResult reports one incremental shard execution.
-type IncrementalResult struct {
-	Manifest *Manifest
-	// ResumedFiles is how many files were proven done by the journal and
-	// skipped; WrittenFiles is how many this attempt wrote.
-	ResumedFiles int
-	WrittenFiles int
-}
-
-// ExecuteShardIncremental materializes one shard like ExecuteShardView, but
-// flushes sealed digest batches to a journal during the content pass and
-// resumes from the last sealed batch when the journal already covers a
-// prefix of the shard. Execution is serial (shard file order) — the price
-// of a well-defined resume point; parallel workers that do not need
-// mid-shard resume use ExecuteShardView. Resumed files are verified on disk
-// (present, regular, exact size) before being trusted; any mismatch, or any
-// journal integrity failure, discards the journal and restarts the shard.
-// The caller should delete the journal once the returned manifest is
-// committed downstream.
-func ExecuteShardIncremental(v *ShardView, outRoot string, opts IncrementalOptions) (*IncrementalResult, error) {
-	if opts.JournalPath == "" {
-		return nil, fmt.Errorf("distribute: incremental execution requires a journal path")
-	}
-	if opts.BatchFiles <= 0 {
-		opts.BatchFiles = DefaultJournalBatch
-	}
-	if err := validateShardStreamKey(v); err != nil {
-		return nil, err
-	}
-	fingerprint := v.Plan.Fingerprint()
-
-	rec, err := loadJournal(opts.JournalPath, fingerprint, v.Shard)
-	if err != nil || len(rec.digests) > len(v.Files) {
-		if err == nil {
-			err = fmt.Errorf("distribute: shard journal covers %d files, shard has %d (%w)", len(rec.digests), len(v.Files), fsimage.ErrManifestIntegrity)
-		}
-		// A journal that cannot be trusted is deleted, not argued with: the
-		// shard restarts from scratch.
-		os.Remove(opts.JournalPath)
-		rec = &journalRecovery{lastSeal: journalChainSeed}
-	}
-
-	mopts := fsimage.MaterializeOptions{
-		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
-		Seed:         v.Plan.Seed,
-		MetadataOnly: opts.MetadataOnly,
-		DirPerm:      opts.DirPerm,
-		FilePerm:     opts.FilePerm,
-		Parallelism:  1,
-		Context:      opts.Context,
-	}
-
-	// The directory pass is idempotent MkdirAll; run it every attempt so a
-	// resume against a cleaned output root recreates the skeleton.
-	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, mopts, nil); err != nil {
-		return nil, fmt.Errorf("distribute: shard %d: %w", v.Shard, err)
-	}
-
-	// Trust the journal only as far as the disk agrees with it: every
-	// resumed file must exist at its planned size. (A stat pass, not a
-	// re-hash — the seal chain plus fingerprint binding covers content.)
-	resumed := len(rec.digests)
-	for i := 0; i < resumed; i++ {
+// recoverJournal returns what the journal at path proves done for this
+// shard under outRoot, trusting it only as far as the disk agrees: every
+// resumed file must exist, regular, at its planned size (a stat pass, not a
+// re-hash — the seal chain plus fingerprint binding covers content). A
+// journal that cannot be trusted is deleted, not argued with: the recovery
+// is then empty and the shard restarts from scratch.
+func recoverJournal(path string, v *ShardView, outRoot string) *journalRecovery {
+	rec, err := loadJournal(path, v.Plan.Fingerprint(), v.Shard)
+	trusted := err == nil && len(rec.digests) <= len(v.Files)
+	for i := 0; trusted && i < len(rec.digests); i++ {
 		f := v.Files[i]
-		p := filepath.Join(outRoot, filepath.FromSlash(shardFilePath(v, f)))
-		info, serr := os.Stat(p)
-		if serr != nil || !info.Mode().IsRegular() || info.Size() != f.Size {
-			os.Remove(opts.JournalPath)
-			rec = &journalRecovery{lastSeal: journalChainSeed}
-			resumed = 0
-			break
-		}
+		info, serr := os.Stat(filepath.Join(outRoot, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name))
+		trusted = serr == nil && info.Mode().IsRegular() && info.Size() == f.Size
 	}
-
-	j, err := openJournal(opts.JournalPath, fingerprint, v.Shard, rec.lastSeal, resumed)
-	if err != nil {
-		return nil, err
+	if !trusted {
+		os.Remove(path)
+		return &journalRecovery{lastSeal: journalChainSeed}
 	}
-	defer j.Close()
-
-	digests := make([]string, len(v.Files))
-	copy(digests, rec.digests)
-	written := rec.bytes
-	wroteThisAttempt := 0
-	for lo := resumed; lo < len(v.Files); lo += opts.BatchFiles {
-		hi := min(lo+opts.BatchFiles, len(v.Files))
-		if opts.FailAfterFiles > 0 && wroteThisAttempt+(hi-lo) > opts.FailAfterFiles {
-			hi = lo + (opts.FailAfterFiles - wroteThisAttempt)
-		}
-		var batchDigests []string
-		if !opts.MetadataOnly {
-			batchDigests = digests[lo:hi]
-		}
-		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files[lo:hi], mopts, batchDigests)
-		if err != nil {
-			return nil, fmt.Errorf("distribute: shard %d: %w", v.Shard, err)
-		}
-		if err := j.Append(digests[lo:hi], n); err != nil {
-			return nil, err
-		}
-		written += n
-		wroteThisAttempt += hi - lo
-		if opts.OnFile != nil {
-			opts.OnFile(wroteThisAttempt)
-		}
-		if opts.FailAfterFiles > 0 && wroteThisAttempt >= opts.FailAfterFiles && hi < len(v.Files) {
-			return nil, ErrSimulatedCrash
-		}
-	}
-
-	m := &Manifest{
-		FormatVersion:   FormatVersion,
-		PlanFingerprint: fingerprint,
-		Shard:           v.Shard,
-		Dirs:            len(v.Dirs),
-		Files:           len(v.Files),
-		Bytes:           written,
-		ContentHashed:   !opts.MetadataOnly,
-		FileDigests:     make([]FileDigest, 0, len(v.Files)),
-	}
-	for i, f := range v.Files {
-		fd := FileDigest{ID: f.ID, Size: f.Size}
-		if !opts.MetadataOnly {
-			fd.SHA256 = digests[i]
-		}
-		m.FileDigests = append(m.FileDigests, fd)
-	}
-	m.Seal()
-	return &IncrementalResult{Manifest: m, ResumedFiles: resumed, WrittenFiles: wroteThisAttempt}, nil
-}
-
-// shardFilePath returns a file record's slash path relative to the shard's
-// output root.
-func shardFilePath(v *ShardView, f fsimage.File) string {
-	dir := v.Tree.Path(f.DirID)
-	if dir == "" {
-		return f.Name
-	}
-	return dir + "/" + f.Name
-}
-
-// validateShardStreamKey checks that this build derives the content stream
-// the plan's shard records — shared by every shard-execution entry point.
-func validateShardStreamKey(v *ShardView) error {
-	sp := v.Plan.Shards[v.Shard]
-	key, err := stats.ParseStreamKey(sp.StreamKey)
-	if err != nil {
-		return fmt.Errorf("distribute: shard %d stream key: %w", v.Shard, err)
-	}
-	want := stats.DeriveSeed(v.Plan.Seed, fsimage.MaterializeStreamLabel)
-	if got := key.Apply(v.Plan.Seed); got != want {
-		return fmt.Errorf("distribute: shard %d stream key %q derives seed %d; this build's content stream derives %d — plan is from an incompatible version (%w)",
-			v.Shard, sp.StreamKey, got, want, fsimage.ErrPlanVersion)
-	}
-	return nil
-}
-
-// DigestShardView computes one shard's manifest without touching disk: each
-// file's content generator writes straight into a hash, using exactly the
-// per-file RNG streams the materializing path uses, so the manifest is
-// byte-for-byte the one ExecuteShardView would produce. It is the daemon's
-// inline-fallback executor — with zero live workers a run still converges
-// on the canonical digest, it just proves content instead of writing it.
-// ctx cancels between files.
-func DigestShardView(ctx context.Context, v *ShardView, reg *content.Registry) (*Manifest, error) {
-	if err := validateShardStreamKey(v); err != nil {
-		return nil, err
-	}
-	if reg == nil {
-		reg = content.NewRegistry(content.Kind(v.Plan.ContentKind))
-	}
-	digests, written, err := hashShardFiles(ctx, v, reg)
-	if err != nil {
-		return nil, err
-	}
-	m := &Manifest{
-		FormatVersion:   FormatVersion,
-		PlanFingerprint: v.Plan.Fingerprint(),
-		Shard:           v.Shard,
-		Dirs:            len(v.Dirs),
-		Files:           len(v.Files),
-		Bytes:           written,
-		ContentHashed:   true,
-		FileDigests:     make([]FileDigest, 0, len(v.Files)),
-	}
-	for i, f := range v.Files {
-		m.FileDigests = append(m.FileDigests, FileDigest{ID: f.ID, Size: f.Size, SHA256: digests[i]})
-	}
-	m.Seal()
-	return m, nil
-}
-
-// hashShardFiles generates every shard file's content into a SHA-256.
-func hashShardFiles(ctx context.Context, v *ShardView, reg *content.Registry) ([]string, int64, error) {
-	digests := make([]string, len(v.Files))
-	var written int64
-	baseRNG := stats.NewRNG(v.Plan.Seed).Fork(fsimage.MaterializeStreamLabel)
-	h := sha256.New()
-	for i, f := range v.Files {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		h.Reset()
-		rng := baseRNG.SplitN(uint64(f.ID))
-		if err := reg.ForExtension(f.Ext).Generate(h, f.Size, rng); err != nil {
-			return nil, 0, fmt.Errorf("distribute: shard %d hashing file %d: %w", v.Shard, f.ID, err)
-		}
-		digests[i] = hex.EncodeToString(h.Sum(nil))
-		written += f.Size
-	}
-	return digests, written, nil
+	return rec
 }

@@ -7,65 +7,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"impressions/internal/fsimage"
 )
 
 // incrementalOpts returns the standard test options: a small batch size so
 // even test shards span several sealed batches.
-func incrementalOpts(journal string) IncrementalOptions {
-	return IncrementalOptions{JournalPath: journal, BatchFiles: 8}
-}
-
-// TestIncrementalMatchesExecuteShardView: the incremental executor is the
-// same worker, with a journal — for every shard its sealed manifest must be
-// byte-identical to ExecuteShardView's, and the merged digest must match the
-// single-process run.
-func TestIncrementalMatchesExecuteShardView(t *testing.T) {
-	cfg := testConfig()
-	_, refDigest, refTreeHash := singleProcessReference(t, cfg)
-	open := planRoundTrip(t, cfg, 3)
-
-	outRoot := t.TempDir()
-	work := t.TempDir()
-	manifests := make([]*Manifest, len(open.Plan.Shards))
-	for s := range open.Plan.Shards {
-		view, err := open.ShardView(s)
-		if err != nil {
-			t.Fatalf("ShardView(%d): %v", s, err)
-		}
-		journal := filepath.Join(work, "journal")
-		res, err := ExecuteShardIncremental(view, outRoot, incrementalOpts(journal))
-		if err != nil {
-			t.Fatalf("ExecuteShardIncremental(%d): %v", s, err)
-		}
-		if res.ResumedFiles != 0 {
-			t.Fatalf("shard %d: fresh run resumed %d files", s, res.ResumedFiles)
-		}
-		ref, err := ExecuteShard(open, s, t.TempDir(), WorkerOptions{Parallelism: 1})
-		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
-		}
-		if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
-			t.Fatalf("shard %d: incremental manifest differs from ExecuteShardView's", s)
-		}
-		os.Remove(journal)
-		manifests[s] = res.Manifest
-	}
-	merged, err := Merge(open, manifests)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if merged.Digest != refDigest {
-		t.Fatalf("digest mismatch: incremental %s, single-process %s", merged.Digest, refDigest)
-	}
-	treeHash, err := fsimage.HashTree(outRoot)
-	if err != nil {
-		t.Fatalf("HashTree: %v", err)
-	}
-	if treeHash != refTreeHash {
-		t.Fatalf("tree mismatch: incremental %s, single-process %s", treeHash, refTreeHash)
-	}
+func incrementalOpts(journal string) WorkerOptions {
+	return WorkerOptions{JournalPath: journal, BatchFiles: 8}
 }
 
 // crashShard runs one shard with an injected crash and returns its view and
@@ -78,7 +25,7 @@ func crashShard(t *testing.T, open *OpenPlan, shard int, outRoot, journal string
 	}
 	opts := incrementalOpts(journal)
 	opts.FailAfterFiles = failAfter
-	if _, err := ExecuteShardIncremental(view, outRoot, opts); !errors.Is(err, ErrSimulatedCrash) {
+	if _, err := Execute(context.Background(), view, DirTarget(outRoot), opts); !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("injected crash: got %v, want ErrSimulatedCrash", err)
 	}
 	return view
@@ -93,7 +40,7 @@ func TestIncrementalResume(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal")
 	view := crashShard(t, open, 0, outRoot, journal, 20)
 
-	res, err := ExecuteShardIncremental(view, outRoot, incrementalOpts(journal))
+	res, err := Execute(context.Background(), view, DirTarget(outRoot), incrementalOpts(journal))
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -103,9 +50,9 @@ func TestIncrementalResume(t *testing.T) {
 	if res.ResumedFiles+res.WrittenFiles != len(view.Files) {
 		t.Fatalf("resumed %d + wrote %d != shard's %d files", res.ResumedFiles, res.WrittenFiles, len(view.Files))
 	}
-	ref, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("ExecuteShard: %v", err)
+		t.Fatalf("executeShard: %v", err)
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("resumed manifest differs from a clean run's")
@@ -127,16 +74,16 @@ func TestIncrementalResumeAfterRepeatedCrashes(t *testing.T) {
 		attempts++
 		opts := incrementalOpts(journal)
 		opts.FailAfterFiles = 16
-		res, err := ExecuteShardIncremental(view, outRoot, opts)
+		res, err := Execute(context.Background(), view, DirTarget(outRoot), opts)
 		if errors.Is(err, ErrSimulatedCrash) {
 			continue
 		}
 		if err != nil {
 			t.Fatalf("attempt %d: %v", attempts, err)
 		}
-		ref, err := ExecuteShard(open, 1, t.TempDir(), WorkerOptions{Parallelism: 1})
+		ref, err := executeShard(open, 1, t.TempDir(), WorkerOptions{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("ExecuteShard: %v", err)
+			t.Fatalf("executeShard: %v", err)
 		}
 		if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 			t.Fatal("manifest after repeated crashes differs from a clean run's")
@@ -169,16 +116,16 @@ func TestIncrementalJournalTampered(t *testing.T) {
 		t.Fatalf("writing tampered journal: %v", err)
 	}
 
-	res, err := ExecuteShardIncremental(view, outRoot, incrementalOpts(journal))
+	res, err := Execute(context.Background(), view, DirTarget(outRoot), incrementalOpts(journal))
 	if err != nil {
 		t.Fatalf("run over tampered journal: %v", err)
 	}
 	if res.ResumedFiles != 0 {
 		t.Fatalf("tampered journal was trusted for %d files; want a full restart", res.ResumedFiles)
 	}
-	ref, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("ExecuteShard: %v", err)
+		t.Fatalf("executeShard: %v", err)
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("manifest after tampered-journal restart differs from a clean run's")
@@ -202,16 +149,16 @@ func TestIncrementalTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	res, err := ExecuteShardIncremental(view, outRoot, incrementalOpts(journal))
+	res, err := Execute(context.Background(), view, DirTarget(outRoot), incrementalOpts(journal))
 	if err != nil {
 		t.Fatalf("run over torn journal: %v", err)
 	}
 	if res.ResumedFiles == 0 {
 		t.Fatal("torn tail discarded the sealed prefix; want a resume")
 	}
-	ref, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("ExecuteShard: %v", err)
+		t.Fatalf("executeShard: %v", err)
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("manifest after torn-tail resume differs from a clean run's")
@@ -233,42 +180,18 @@ func TestIncrementalMissingResumedFile(t *testing.T) {
 		t.Fatalf("removing %s: %v", victim, err)
 	}
 
-	res, err := ExecuteShardIncremental(view, outRoot, incrementalOpts(journal))
+	res, err := Execute(context.Background(), view, DirTarget(outRoot), incrementalOpts(journal))
 	if err != nil {
 		t.Fatalf("run over stale journal: %v", err)
 	}
 	if res.ResumedFiles != 0 {
 		t.Fatalf("journal trusted %d files despite a missing one; want a full restart", res.ResumedFiles)
 	}
-	ref, err := ExecuteShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
-		t.Fatalf("ExecuteShard: %v", err)
+		t.Fatalf("executeShard: %v", err)
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("manifest after stale-journal restart differs from a clean run's")
-	}
-}
-
-// TestDigestShardViewMatchesExecute: the disk-free digest executor (the
-// daemon's inline fallback) seals the same manifest as a worker that
-// actually writes the shard.
-func TestDigestShardViewMatchesExecute(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 3)
-	for s := range open.Plan.Shards {
-		view, err := open.ShardView(s)
-		if err != nil {
-			t.Fatalf("ShardView(%d): %v", s, err)
-		}
-		m, err := DigestShardView(context.Background(), view, nil)
-		if err != nil {
-			t.Fatalf("DigestShardView(%d): %v", s, err)
-		}
-		ref, err := ExecuteShard(open, s, t.TempDir(), WorkerOptions{Parallelism: 1})
-		if err != nil {
-			t.Fatalf("ExecuteShard(%d): %v", s, err)
-		}
-		if m.ManifestSHA256 != ref.ManifestSHA256 {
-			t.Fatalf("shard %d: digest-only manifest differs from a written shard's", s)
-		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 //
 // A plan fragment IS a shard document — the exact wire format
 // ShardView.Encode produces and workers already consume (DecodeShardView,
-// ExecuteShardView, the serve layer's shard endpoint). PartitionPlan
-// resolves the metadata pass once, seals the monolithic plan header (chunk
+// Execute, the serve layer's shard endpoint). PartitionPlan resolves the
+// metadata pass once, seals the monolithic plan header (chunk
 // count + chain hash, so the fragment-embedded plan fingerprints
 // bit-identically to the monolithic file's), and then routes one record
 // replay through K incremental shard-document encoders. Nothing retains the
@@ -418,10 +418,20 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 	case r := <-readyCh:
 		hdr, tree = r.hdr, r.tree
 	case err := <-streams[0].done:
-		if err == nil {
-			err = fmt.Errorf("distribute: fragment 0 delivered no tree (%w)", fsimage.ErrManifestIntegrity)
+		// A fragment 0 small enough for the files channel can hand over its
+		// tree and finish before this select runs; both cases are then ready
+		// and Go picks one at random. The hand-over wins whenever it
+		// happened, and done goes back for the collection below.
+		select {
+		case r := <-readyCh:
+			hdr, tree = r.hdr, r.tree
+			streams[0].done <- err
+		default:
+			if err == nil {
+				err = fmt.Errorf("distribute: fragment 0 delivered no tree (%w)", fsimage.ErrManifestIntegrity)
+			}
+			return fail(err)
 		}
-		return fail(err)
 	case <-ctx.Done():
 		return fail(ctx.Err())
 	}

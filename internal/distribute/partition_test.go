@@ -99,9 +99,9 @@ func runFragmentPipeline(t *testing.T, frags [][]byte) (*FragmentMergeResult, st
 		if err != nil {
 			t.Fatalf("DecodeShardView(%d): %v", s, err)
 		}
-		m, err := ExecuteShardView(view, outRoot, WorkerOptions{})
+		m, err := executeView(view, DirTarget(outRoot), WorkerOptions{})
 		if err != nil {
-			t.Fatalf("ExecuteShardView(%d): %v", s, err)
+			t.Fatalf("Execute(%d): %v", s, err)
 		}
 		manifests[s] = m
 	}
@@ -214,7 +214,7 @@ func TestMergeFragmentsRejectsTamperedFragment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if manifests[s], err = ExecuteShardView(view, outRoot, WorkerOptions{}); err != nil {
+		if manifests[s], err = executeView(view, DirTarget(outRoot), WorkerOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,5 +336,66 @@ func TestPartitionedPlanBuildMemoryBound(t *testing.T) {
 	if peak > memCap {
 		t.Errorf("partitioned plan build peaked at %.1f MB live heap, cap is %.0f MB — something is retaining O(files) state",
 			float64(peak)/(1<<20), float64(memCap)/(1<<20))
+	}
+}
+
+// gatedContext is a context whose Done blocks until gate is closed: it holds
+// a caller at the point where it asks for the channel.
+type gatedContext struct {
+	context.Context
+	gate <-chan struct{}
+}
+
+func (c gatedContext) Done() <-chan struct{} {
+	<-c.gate
+	return c.Context.Done()
+}
+
+// closeSignal closes closed when the reader is closed.
+type closeSignal struct {
+	io.Reader
+	closed chan struct{}
+}
+
+func (c closeSignal) Close() error {
+	close(c.closed)
+	return nil
+}
+
+// TestMergeFragmentsSmallFragmentZero: a fragment 0 of at most 256 file
+// records fits the merge's file channel whole, so its decoder can hand over
+// the tree, stream every file and report done before the merger looks at
+// either; the merger must still take the tree. The gated context holds the
+// merger, as it enters its first wait, until fragment 0's decoder has
+// finished (it closes its reader after reporting done), so every round is
+// that case — a merger that then picks at random loses half of them.
+func TestMergeFragmentsSmallFragmentZero(t *testing.T) {
+	cfg := core.Config{NumFiles: 120, NumDirs: 24, FSSizeBytes: 120 * 1024, Seed: 77, Parallelism: 1}
+	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: 2, ChunkSize: 64})
+	manifests := make([]*Manifest, len(frags))
+	for s, doc := range frags {
+		view, err := DecodeShardView(bytes.NewReader(doc))
+		if err != nil {
+			t.Fatalf("DecodeShardView(%d): %v", s, err)
+		}
+		if s == 0 && len(view.Files) > 256 {
+			t.Fatalf("fragment 0 holds %d files; its decoder cannot finish unattended with more than 256", len(view.Files))
+		}
+		if manifests[s], err = executeView(view, DirTarget(t.TempDir()), WorkerOptions{}); err != nil {
+			t.Fatalf("Execute(%d): %v", s, err)
+		}
+	}
+	for round := 0; round < 64; round++ {
+		decoded := make(chan struct{})
+		ctx := gatedContext{Context: context.Background(), gate: decoded}
+		_, err := MergeFragments(ctx, func(shard int) (io.ReadCloser, error) {
+			if shard == 0 {
+				return closeSignal{Reader: bytes.NewReader(frags[0]), closed: decoded}, nil
+			}
+			return io.NopCloser(bytes.NewReader(frags[shard])), nil
+		}, manifests)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 	}
 }

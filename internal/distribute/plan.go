@@ -1,20 +1,24 @@
 // Package distribute implements multi-node generation of file-system
 // images as a shard-plan / worker / merge pipeline:
 //
-//   - BuildPlan / StreamPlan run the (cheap) metadata pass once — directory
-//     skeleton, constrained file sizes, extensions, placement — and
-//     partition the namespace into balanced subtree shards, each carrying
-//     its stable RNG stream key. The partition and per-shard expectations
+//   - BuildPlan / PlanRequest.Stream run the (cheap) metadata pass once —
+//     directory skeleton, constrained file sizes, extensions, placement —
+//     and partition the namespace into balanced subtree shards, each
+//     carrying its stable RNG stream key. The partition and per-shard expectations
 //     are computed from the compact namespace tree and streaming per-shard
 //     accumulators, never from a retained file slice. A plan serializes as
 //     one JSON document whose image metadata streams through hash-guarded
-//     chunks, so encoding and decoding buffer O(chunk) bytes; StreamPlan
-//     fuses generation and encoding so the producer side too holds O(chunk)
-//     file records (BuildPlan additionally retains the image for in-process
+//     chunks, so encoding and decoding buffer O(chunk) bytes; Stream fuses
+//     generation and encoding so the producer side too holds O(chunk) file
+//     records (BuildPlan additionally retains the image for in-process
 //     pipelines).
-//   - ExecuteShard runs one shard in total isolation: it needs only the plan
-//     file, materializes the shard's directories and files (the expensive
-//     content pass), and emits a Manifest recording per-file content hashes.
+//   - Execute is the one shard executor. It runs one shard in total
+//     isolation — it needs only the shard's view of the plan — runs the
+//     expensive content pass, and emits a Manifest recording per-file content
+//     hashes. What varies is the Target the bytes go to: a directory
+//     (through fsimage's one VFS writer; resumable from a journal when
+//     WorkerOptions.JournalPath is set), a tar segment, or io.Discard when
+//     only the manifest is wanted. The manifest is the same for all of them.
 //     Workers share nothing, so "multi-node" is any shared-nothing fleet:
 //     processes, containers, CI jobs, or machines. A worker decodes the plan
 //     through the shard-pruning path (LoadPlanShard), retaining only its own
@@ -92,8 +96,8 @@ type ShardPlan struct {
 // where the chunks stream the image metadata (fsimage.Chunk) in fixed
 // order and the trailer seals the stream (chunk count + chain hash — known
 // only after the last chunk, which is what lets a fused generation pass
-// write the header first and stream the rest). Encode, StreamPlan, and
-// DecodePlan all process the chunks one at a time, so peak memory for the
+// write the header first and stream the rest). Encode, PlanRequest.Stream
+// and DecodePlan all process the chunks one at a time, so peak memory for the
 // serialized metadata is O(chunk) regardless of image size.
 type Plan struct {
 	FormatVersion int    `json:"format_version"`
@@ -120,8 +124,8 @@ type Plan struct {
 
 	// img is the retained image metadata: populated by BuildPlan on the
 	// producing side and rebuilt chunk by chunk by DecodePlan on the
-	// consuming side. StreamPlan leaves it nil — the streamed producer never
-	// holds the image. It never appears in the wire JSON.
+	// consuming side. PlanRequest.Stream leaves it nil — the streamed
+	// producer never holds the image. It never appears in the wire JSON.
 	img *fsimage.Image
 }
 
@@ -197,27 +201,6 @@ func planScaffold(m *core.Metadata, maxShards, chunkSize int) (*Plan, *namespace
 		ChunkSize:     chunkSize,
 		Shards:        shards,
 	}, part, nil
-}
-
-// BuildPlanContext builds a retained plan from positional arguments.
-//
-// Deprecated: use BuildPlan with a PlanRequest.
-func BuildPlanContext(ctx context.Context, cfg core.Config, maxShards, chunkSize int) (*Plan, error) {
-	return BuildPlan(ctx, PlanRequest{Config: cfg, MaxShards: maxShards, ChunkSize: chunkSize})
-}
-
-// StreamPlan writes a plan document from positional arguments.
-//
-// Deprecated: use PlanRequest.Stream.
-func StreamPlan(cfg core.Config, maxShards, chunkSize int, w io.Writer) (*Plan, error) {
-	return PlanRequest{Config: cfg, MaxShards: maxShards, ChunkSize: chunkSize}.Stream(context.Background(), w)
-}
-
-// StreamPlanContext writes a plan document from positional arguments.
-//
-// Deprecated: use PlanRequest.Stream.
-func StreamPlanContext(ctx context.Context, cfg core.Config, maxShards, chunkSize int, w io.Writer) (*Plan, error) {
-	return PlanRequest{Config: cfg, MaxShards: maxShards, ChunkSize: chunkSize}.Stream(ctx, w)
 }
 
 // Encode writes the retained plan as its JSON document: header, metadata
@@ -378,7 +361,7 @@ func decodePlanStream(r io.Reader, open func(*Plan) (fsimage.RecordSink, error))
 	return &p, nil
 }
 
-// DecodePlan reads a plan previously written by Encode or StreamPlan,
+// DecodePlan reads a plan previously written by Encode or PlanRequest.Stream,
 // verifying each metadata chunk's integrity hash and rebuilding the image
 // incrementally — the serialized metadata is never held in memory whole.
 // Open validates the decoded plan's shard expectations and unpacks the

@@ -36,7 +36,7 @@ func TestVerifyManifestTamperIsManifestIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ExecuteShardView(view, t.TempDir(), WorkerOptions{})
+	m, err := executeView(view, DirTarget(t.TempDir()), WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package distribute
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -61,13 +62,13 @@ func TestShardWireExecutesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeShardView: %v", err)
 	}
-	mRef, err := ExecuteShardView(v, t.TempDir(), WorkerOptions{})
+	mRef, err := executeView(v, DirTarget(t.TempDir()), WorkerOptions{})
 	if err != nil {
-		t.Fatalf("ExecuteShardView(local): %v", err)
+		t.Fatalf("Execute(local): %v", err)
 	}
-	mWire, err := ExecuteShardView(wire, t.TempDir(), WorkerOptions{})
+	mWire, err := executeView(wire, DirTarget(t.TempDir()), WorkerOptions{})
 	if err != nil {
-		t.Fatalf("ExecuteShardView(wire): %v", err)
+		t.Fatalf("Execute(wire): %v", err)
 	}
 	if mRef.ManifestSHA256 != mWire.ManifestSHA256 {
 		t.Fatalf("manifest diverged: local %s, wire %s", mRef.ManifestSHA256, mWire.ManifestSHA256)
@@ -161,11 +162,11 @@ func TestSpecFingerprintMatchesPlan(t *testing.T) {
 		t.Fatalf("ConfigFromSpec: %v", err)
 	}
 	var a, b bytes.Buffer
-	if _, err := StreamPlan(cfgBack, 2, 64, &a); err != nil {
-		t.Fatalf("StreamPlan(a): %v", err)
+	if _, err := (PlanRequest{Config: cfgBack, MaxShards: 2, ChunkSize: 64}).Stream(context.Background(), &a); err != nil {
+		t.Fatalf("Stream(a): %v", err)
 	}
-	if _, err := StreamPlan(cfgBack, 2, 64, &b); err != nil {
-		t.Fatalf("StreamPlan(b): %v", err)
+	if _, err := (PlanRequest{Config: cfgBack, MaxShards: 2, ChunkSize: 64}).Stream(context.Background(), &b); err != nil {
+		t.Fatalf("Stream(b): %v", err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("plan build is not deterministic for a normalized spec")

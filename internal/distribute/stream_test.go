@@ -24,9 +24,9 @@ func streamPlanFile(t *testing.T, cfg core.Config, shards, chunkSize int, dir st
 		t.Fatal(err)
 	}
 	defer f.Close()
-	plan, err := StreamPlan(cfg, shards, chunkSize, f)
+	plan, err := PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: chunkSize}.Stream(context.Background(), f)
 	if err != nil {
-		t.Fatalf("StreamPlan: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -50,9 +50,9 @@ func TestStreamPlanMatchesRetainedBytes(t *testing.T) {
 			t.Fatalf("Encode: %v", err)
 		}
 		var sbuf bytes.Buffer
-		streamed, err := StreamPlan(cfg, 4, chunkSize, &sbuf)
+		streamed, err := PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: chunkSize}.Stream(context.Background(), &sbuf)
 		if err != nil {
-			t.Fatalf("StreamPlan: %v", err)
+			t.Fatalf("Stream: %v", err)
 		}
 		if !bytes.Equal(rbuf.Bytes(), sbuf.Bytes()) {
 			t.Fatalf("chunkSize %d: streamed plan bytes differ from retained", chunkSize)
@@ -84,9 +84,9 @@ func TestStreamedPlanWorkerMergeMatchesSingleProcess(t *testing.T) {
 			if err != nil {
 				t.Fatalf("K=%d LoadPlanShard(%d): %v", workers, s, err)
 			}
-			m, err := ExecuteShardView(view, outRoot, WorkerOptions{})
+			m, err := executeView(view, DirTarget(outRoot), WorkerOptions{})
 			if err != nil {
-				t.Fatalf("K=%d ExecuteShardView(%d): %v", workers, s, err)
+				t.Fatalf("K=%d Execute(%d): %v", workers, s, err)
 			}
 			manifests[s] = m
 		}
@@ -242,9 +242,9 @@ func TestStreamedPlanBuildMemoryBound(t *testing.T) {
 	var plan *Plan
 	peak := liveHeapPeak(t, func() {
 		var err error
-		plan, err = StreamPlan(cfg, 8, 0, countingDiscard{})
+		plan, err = PlanRequest{Config: cfg, MaxShards: 8}.Stream(context.Background(), countingDiscard{})
 		if err != nil {
-			t.Errorf("StreamPlan: %v", err)
+			t.Errorf("Stream: %v", err)
 		}
 	})
 	if plan == nil {

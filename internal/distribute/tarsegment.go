@@ -3,7 +3,6 @@ package distribute
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"io"
 
 	"impressions/internal/content"
@@ -11,61 +10,26 @@ import (
 	"impressions/internal/imgfmt"
 )
 
-// The tar execution path: the same shard contract as ExecuteShardView, but
-// each worker serializes its shard as a tar segment (sequential writes into
-// one file or pipe) instead of materializing O(shard) files through the
-// VFS. A deterministic stitch then merges the segments into the
-// byte-identical monolithic archive the single-process tar sink writes.
-
-// ExecuteShardViewTar serializes one shard's view as a tar segment onto w
-// and returns the sealed manifest — identical in shape and digests to the
-// VFS worker's, so the existing merge/verify machinery accepts tar workers
-// unchanged. The segment is written sequentially, but its file content is
-// generated and hashed by WorkerOptions.Parallelism workers ahead of the
-// writer; the bytes and the manifest are identical at every value.
-func ExecuteShardViewTar(v *ShardView, w io.Writer, opts WorkerOptions) (*Manifest, error) {
-	if err := validateShardStreamKey(v); err != nil {
-		return nil, err
-	}
-	var digests []string
-	iopts := imgfmt.Options{
+// writeTarSegment is Execute's tar target: the same shard contract as the
+// directory target, but the shard is serialized as a tar segment
+// (sequential writes into one file or pipe) instead of O(shard) files
+// through the VFS. The segment is written sequentially, its file content
+// generated and hashed by opts.Parallelism workers ahead of the writer; the
+// bytes and the digests are identical at every value.
+func writeTarSegment(ctx context.Context, v *ShardView, w io.Writer, opts WorkerOptions, digests []string) (int64, error) {
+	next := 0
+	return imgfmt.WriteSegment(w, v.Tree, v.Dirs, v.Files, imgfmt.Options{
 		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
 		Seed:         v.Plan.Seed,
 		MetadataOnly: opts.MetadataOnly,
 		DirPerm:      opts.DirPerm,
 		FilePerm:     opts.FilePerm,
 		Parallelism:  opts.Parallelism,
-		Context:      opts.Context,
-	}
-	if !opts.MetadataOnly {
-		// OnDigest reports v.Files in order, one call each, so appending
-		// fills the shard-local digest slots.
-		digests = make([]string, 0, len(v.Files))
-		iopts.OnDigest = func(_ fsimage.File, sum string) { digests = append(digests, sum) }
-	}
-	written, err := imgfmt.WriteSegment(w, v.Tree, v.Dirs, v.Files, iopts)
-	if err != nil {
-		return nil, fmt.Errorf("distribute: shard %d tar segment: %w", v.Shard, err)
-	}
-	m := &Manifest{
-		FormatVersion:   FormatVersion,
-		PlanFingerprint: v.Plan.Fingerprint(),
-		Shard:           v.Shard,
-		Dirs:            len(v.Dirs),
-		Files:           len(v.Files),
-		Bytes:           written,
-		ContentHashed:   !opts.MetadataOnly,
-		FileDigests:     make([]FileDigest, 0, len(v.Files)),
-	}
-	for i, f := range v.Files {
-		fd := FileDigest{ID: f.ID, Size: f.Size}
-		if digests != nil {
-			fd.SHA256 = digests[i]
-		}
-		m.FileDigests = append(m.FileDigests, fd)
-	}
-	m.Seal()
-	return m, nil
+		Context:      ctx,
+		// OnDigest reports v.Files in order, one call each (none with
+		// MetadataOnly), so counting fills the shard-local digest slots.
+		OnDigest: func(_ fsimage.File, sum string) { digests[next] = sum; next++ },
+	})
 }
 
 // StitchPlanTar replays a plan document and merges per-shard tar segments

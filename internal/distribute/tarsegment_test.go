@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 	"testing"
-	"time"
 
 	"impressions/internal/fsimage"
 	"impressions/internal/imgfmt"
@@ -61,9 +60,9 @@ func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 				t.Fatalf("K=%d: ShardView(%d): %v", k, s, err)
 			}
 			var seg bytes.Buffer
-			m, err := ExecuteShardViewTar(v, &seg, WorkerOptions{})
+			m, err := executeView(v, TarTarget(&seg), WorkerOptions{})
 			if err != nil {
-				t.Fatalf("K=%d: ExecuteShardViewTar(%d): %v", k, s, err)
+				t.Fatalf("K=%d: Execute(%d): %v", k, s, err)
 			}
 			segments[s] = bytes.NewReader(seg.Bytes())
 			manifests[s] = m
@@ -122,9 +121,9 @@ func TestTarWorkerIdenticalAtAnyParallelism(t *testing.T) {
 				t.Fatalf("ShardView(%d): %v", s, err)
 			}
 			var seg, manifest bytes.Buffer
-			m, err := ExecuteShardViewTar(v, &seg, WorkerOptions{Parallelism: j})
+			m, err := executeView(v, TarTarget(&seg), WorkerOptions{Parallelism: j})
 			if err != nil {
-				t.Fatalf("shard %d j=%d: ExecuteShardViewTar: %v", s, j, err)
+				t.Fatalf("shard %d j=%d: Execute: %v", s, j, err)
 			}
 			if err := m.Encode(&manifest); err != nil {
 				t.Fatalf("shard %d j=%d: encoding manifest: %v", s, j, err)
@@ -159,9 +158,5 @@ func TestWritePlanTarReleasesWorkersOnBadPlan(t *testing.T) {
 		t.Fatal("the plan broke off before any file was written: the test would show nothing")
 	}
 	// The workers are cancelled, not joined, on this path.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the failed call, %d before it", runtime.NumGoroutine(), baseline)
-		}
-	}
+	checkGoroutines(t, baseline)
 }

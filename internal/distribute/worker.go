@@ -5,16 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
-	"impressions/internal/parallel"
+	"impressions/internal/stats"
 )
 
 // FileDigest records one written file in a shard manifest.
@@ -107,58 +105,88 @@ type WorkerOptions struct {
 	// DirPerm / FilePerm override the created entries' permissions.
 	DirPerm  os.FileMode
 	FilePerm os.FileMode
-	// Parallelism is the number of concurrent file writers within this
-	// worker; 0 selects runtime.NumCPU(), 1 forces the serial path. As
-	// everywhere else, the written bytes are identical at every level.
+	// Parallelism is the number of workers generating (and, for a directory
+	// target, writing) files within this shard; 0 selects runtime.NumCPU().
+	// As everywhere else, the written bytes are identical at every level.
 	Parallelism int
-	// Context, when non-nil, lets a caller abandon the shard mid-write: the
-	// per-file writer loops poll it between files and return ctx.Err().
-	// Written files are left in place (the resume machinery cleans up).
-	Context context.Context
+	// JournalPath, when set, makes a directory execution resumable: files
+	// are written BatchFiles at a time, each batch's digests are sealed into
+	// this append-only journal, and an execution that finds a journal for
+	// the same (plan, shard) skips the prefix it proves — after checking
+	// every such file on disk (present, regular, exact size). A journal that
+	// fails any check is discarded and the shard restarts. Delete the
+	// journal once the manifest is committed downstream.
+	JournalPath string
+	// BatchFiles is the journal's flush granularity (0 selects
+	// DefaultJournalBatch).
+	BatchFiles int
+	// FailAfterFiles > 0 aborts a directory execution with
+	// ErrSimulatedCrash once that many files have been written by THIS
+	// attempt (resumed files do not count) — the deterministic mid-shard
+	// fault the fleet drills inject.
+	FailAfterFiles int
 }
 
-// ExecuteShard runs one shard of the plan in isolation: it materializes the
-// shard's directories and files under outRoot and returns the sealed
-// manifest. It is the retained-plan wrapper over ExecuteShardView — worker
-// processes decode only their shard (LoadPlanShard) and execute the view
-// directly.
-func ExecuteShard(p *OpenPlan, shard int, outRoot string, opts WorkerOptions) (*Manifest, error) {
-	v, err := p.ShardView(shard)
-	if err != nil {
-		return nil, err
-	}
-	return ExecuteShardView(v, outRoot, opts)
+// Target is where Execute sends a shard's bytes: DirTarget or TarTarget.
+type Target struct {
+	dir string
+	tar io.Writer
 }
 
-// ExecuteShardView materializes one shard's view under outRoot and returns
-// the sealed manifest. It reads nothing but the view — no state is shared
-// with other workers, so any number of executions may run concurrently in
-// one process, in N processes, or on N machines. Shards from different
-// workers may share outRoot (subtrees are disjoint) or use separate roots
-// that are later combined; the bytes written are identical either way.
-func ExecuteShardView(v *ShardView, outRoot string, opts WorkerOptions) (*Manifest, error) {
-	// The plan's stream key is authoritative: validate that this build
-	// derives the content stream the plan was built for, instead of silently
-	// writing bytes from a different stream.
+// DirTarget materializes the shard as real files under outRoot. Shards
+// from different workers may share outRoot (subtrees are disjoint) or use
+// separate roots that are later combined; the bytes are identical either way.
+func DirTarget(outRoot string) Target { return Target{dir: outRoot} }
+
+// TarTarget serializes the shard as a tar segment onto w, sequentially;
+// StitchPlanTar merges the segments into the byte-identical monolithic
+// archive. TarTarget(io.Discard) writes nowhere and only proves the content:
+// the manifest is the one a worker that keeps its bytes seals.
+func TarTarget(w io.Writer) Target { return Target{tar: w} }
+
+// ShardResult reports one shard execution.
+type ShardResult struct {
+	Manifest *Manifest
+	// ResumedFiles is how many files a journal proved done and the execution
+	// skipped; WrittenFiles is how many this attempt wrote.
+	ResumedFiles int
+	WrittenFiles int
+}
+
+// ErrSimulatedCrash reports an execution aborted by FailAfterFiles. The
+// fleet worker CLI converts it into a SIGKILL of its own process, so the
+// daemon observes a real worker death.
+var ErrSimulatedCrash = errors.New("distribute: simulated worker crash (fail-after-files)")
+
+// Execute runs one shard: it sends the bytes of the view's directories and
+// files to the target and returns the sealed manifest, which is identical
+// for every target, parallelism and resume history. It reads nothing but
+// the view — no state is shared with other workers, so any number of
+// executions may run concurrently in one process, in N processes, or on N
+// machines. ctx cancels between files; what is already written stays (a
+// staging directory or the journal is the caller's clean-up).
+func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOptions) (*ShardResult, error) {
 	if err := validateShardStreamKey(v); err != nil {
 		return nil, err
 	}
-
 	// Digest slots are per shard record, so a pruned worker's buffers scale
-	// with its shard, never the image.
-	var digests []string
-	if !opts.MetadataOnly {
-		digests = make([]string, len(v.Files))
+	// with its shard, never the image. They stay empty with MetadataOnly.
+	digests := make([]string, len(v.Files))
+	var (
+		written int64
+		resumed int
+		err     error
+	)
+	switch {
+	case target.dir != "":
+		written, resumed, err = writeDir(ctx, v, target.dir, opts, digests)
+	case target.tar == nil:
+		err = errors.New("no target")
+	case opts.JournalPath != "" || opts.FailAfterFiles > 0:
+		err = errors.New("JournalPath and FailAfterFiles need a directory target")
+	default:
+		written, err = writeTarSegment(ctx, v, target.tar, opts, digests)
 	}
-	mopts := fsimage.MaterializeOptions{
-		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
-		Seed:         v.Plan.Seed,
-		MetadataOnly: opts.MetadataOnly,
-		DirPerm:      opts.DirPerm,
-		FilePerm:     opts.FilePerm,
-		Context:      opts.Context,
-	}
-	written, err := materializeShardParallel(v, outRoot, mopts, opts.Parallelism, digests)
 	if err != nil {
 		return nil, fmt.Errorf("distribute: shard %d: %w", v.Shard, err)
 	}
@@ -171,62 +199,86 @@ func ExecuteShardView(v *ShardView, outRoot string, opts WorkerOptions) (*Manife
 		Files:           len(v.Files),
 		Bytes:           written,
 		ContentHashed:   !opts.MetadataOnly,
-		FileDigests:     make([]FileDigest, 0, len(v.Files)),
+		FileDigests:     make([]FileDigest, len(v.Files)),
 	}
 	for i, f := range v.Files {
-		fd := FileDigest{ID: f.ID, Size: f.Size}
-		if digests != nil {
-			fd.SHA256 = digests[i]
-		}
-		m.FileDigests = append(m.FileDigests, fd)
+		m.FileDigests[i] = FileDigest{ID: f.ID, Size: f.Size, SHA256: digests[i]}
 	}
 	m.Seal()
-	return m, nil
+	return &ShardResult{Manifest: m, ResumedFiles: resumed, WrittenFiles: len(v.Files) - resumed}, nil
 }
 
-// materializeShardParallel writes one shard with up to `parallelism`
-// concurrent file writers: directories first (one serial pass, ascending ID
-// order), then the shard's files in fixed-size chunks. Chunk boundaries and
-// per-file RNG streams depend only on file IDs, and digest slots are
-// disjoint, so the output and manifest are identical at every level.
-func materializeShardParallel(v *ShardView, outRoot string, mopts fsimage.MaterializeOptions, parallelism int, digests []string) (int64, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
+// validateShardStreamKey checks that this build derives the content stream
+// the plan's shard records: the plan's key is authoritative, and a worker
+// must refuse it rather than silently write bytes from a different stream.
+func validateShardStreamKey(v *ShardView) error {
+	sp := v.Plan.Shards[v.Shard]
+	key, err := stats.ParseStreamKey(sp.StreamKey)
+	if err != nil {
+		return fmt.Errorf("distribute: shard %d stream key: %w", v.Shard, err)
 	}
-	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, mopts, nil); err != nil {
-		return 0, err
+	want := stats.DeriveSeed(v.Plan.Seed, fsimage.MaterializeStreamLabel)
+	if got := key.Apply(v.Plan.Seed); got != want {
+		return fmt.Errorf("distribute: shard %d stream key %q derives seed %d; this build's content stream derives %d — plan is from an incompatible version (%w)",
+			v.Shard, sp.StreamKey, got, want, fsimage.ErrPlanVersion)
 	}
-	files := v.Files
-	sub := func(lo, hi int) []string {
-		if digests == nil {
-			return nil
+	return nil
+}
+
+// writeDir materializes the shard under outRoot through the VFS writer,
+// fills digests and returns the bytes the shard holds and how many files a
+// journal let it skip. Without a journal the files go in one batch; with
+// one they go BatchFiles at a time in shard file order — a resume point is
+// a prefix of that order — and each batch is sealed into the journal before
+// the next starts.
+func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOptions, digests []string) (written int64, resumed int, err error) {
+	mopts := fsimage.MaterializeOptions{
+		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
+		Seed:         v.Plan.Seed,
+		MetadataOnly: opts.MetadataOnly,
+		DirPerm:      opts.DirPerm,
+		FilePerm:     opts.FilePerm,
+		Parallelism:  opts.Parallelism,
+		Context:      ctx,
+	}
+	// The directory pass is idempotent MkdirAll; run it every attempt so a
+	// resume against a cleaned output root recreates the skeleton.
+	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, mopts); err != nil {
+		return 0, 0, err
+	}
+	var journal *ShardJournal
+	batch := len(v.Files)
+	if opts.JournalPath != "" {
+		rec := recoverJournal(opts.JournalPath, v, outRoot)
+		if journal, err = openJournal(opts.JournalPath, v.Plan.Fingerprint(), v.Shard, rec.lastSeal, len(rec.digests)); err != nil {
+			return 0, 0, err
 		}
-		return digests[lo:hi]
-	}
-	var (
-		written atomic.Int64
-		mu      sync.Mutex
-		firstEr error
-	)
-	// RunChunks sizes chunks to the worker count (a fixed 4096-item chunk
-	// would leave any shard under 4096 files on one goroutine). Safe here
-	// because all randomness is per-file, keyed by file ID.
-	parallel.RunChunks(parallelism, len(files), func(lo, hi int) {
-		mu.Lock()
-		failed := firstEr != nil
-		mu.Unlock()
-		if failed {
-			return
+		defer journal.Close()
+		copy(digests, rec.digests)
+		written, resumed = rec.bytes, len(rec.digests)
+		if batch = opts.BatchFiles; batch <= 0 {
+			batch = DefaultJournalBatch
 		}
-		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, files[lo:hi], mopts, sub(lo, hi))
-		written.Add(n)
+	}
+	for lo, hi := resumed, 0; lo < len(v.Files); lo = hi {
+		hi = min(lo+batch, len(v.Files))
+		if opts.FailAfterFiles > 0 {
+			hi = min(hi, resumed+opts.FailAfterFiles)
+		}
+		mopts.Digests = digests[lo:hi]
+		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files[lo:hi], mopts)
 		if err != nil {
-			mu.Lock()
-			if firstEr == nil {
-				firstEr = err
-			}
-			mu.Unlock()
+			return 0, 0, err
 		}
-	})
-	return written.Load(), firstEr
+		if journal != nil {
+			if err := journal.Append(digests[lo:hi], n); err != nil {
+				return 0, 0, err
+			}
+		}
+		written += n
+		if opts.FailAfterFiles > 0 && hi == resumed+opts.FailAfterFiles && hi < len(v.Files) {
+			return 0, 0, ErrSimulatedCrash
+		}
+	}
+	return written, resumed, nil
 }

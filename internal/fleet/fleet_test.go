@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -71,18 +72,18 @@ func referenceDigest(t *testing.T) string {
 	return digest
 }
 
-// manifestFor computes a shard's true manifest via the disk-free executor.
+// manifestFor computes a shard's true manifest on a target that keeps no bytes.
 func manifestFor(t *testing.T, open *distribute.OpenPlan, shard int) *distribute.Manifest {
 	t.Helper()
 	view, err := open.ShardView(shard)
 	if err != nil {
 		t.Fatalf("ShardView(%d): %v", shard, err)
 	}
-	m, err := distribute.DigestShardView(context.Background(), view, nil)
+	res, err := distribute.Execute(context.Background(), view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
 	if err != nil {
-		t.Fatalf("DigestShardView(%d): %v", shard, err)
+		t.Fatalf("Execute(%d): %v", shard, err)
 	}
-	return m
+	return res.Manifest
 }
 
 // testOptions are the standard scheduler knobs under the fake clock.
@@ -322,7 +323,11 @@ func TestInlineFallback(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return distribute.DigestShardView(ctx, view, nil)
+		res, err := distribute.Execute(ctx, view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
+		if err != nil {
+			return nil, err
+		}
+		return res.Manifest, nil
 	}
 	s := New(opts)
 	open = openTestPlan(t, 2)

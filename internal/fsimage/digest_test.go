@@ -58,9 +58,9 @@ func TestContentDigestsMatchMaterializedBytes(t *testing.T) {
 	}
 }
 
-// TestMaterializeShardCollectsDigests asserts the digests collected while
-// writing equal the ones computed independently, and that the written bytes
-// count matches.
+// TestMaterializeShardCollectsDigests asserts the digests the VFS writer
+// collects while writing equal the oracle's at every parallelism, slot for
+// slot, and that the written byte count matches.
 func TestMaterializeShardCollectsDigests(t *testing.T) {
 	img := digestTestImage(t)
 	opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: 11}
@@ -69,24 +69,22 @@ func TestMaterializeShardCollectsDigests(t *testing.T) {
 		t.Fatalf("ContentDigests: %v", err)
 	}
 	dirs := make([]int, img.Tree.Len())
-	files := make([]int, len(img.Files))
 	for i := range dirs {
 		dirs[i] = i
 	}
-	for i := range files {
-		files[i] = i
-	}
-	got := make([]string, len(img.Files))
-	n, err := img.MaterializeShard(t.TempDir(), dirs, files, opts, got)
-	if err != nil {
-		t.Fatalf("MaterializeShard: %v", err)
-	}
-	if n != img.TotalBytes() {
-		t.Fatalf("wrote %d bytes, want %d", n, img.TotalBytes())
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("file %d: collected digest %s != computed %s", i, got[i], want[i])
+	for _, j := range []int{1, 4} {
+		opts.Parallelism, opts.Digests = j, make([]string, len(img.Files))
+		n, err := MaterializeShardRecords(t.TempDir(), img.Tree, dirs, img.Files, opts)
+		if err != nil {
+			t.Fatalf("j=%d: MaterializeShardRecords: %v", j, err)
+		}
+		if n != img.TotalBytes() {
+			t.Fatalf("j=%d: wrote %d bytes, want %d", j, n, img.TotalBytes())
+		}
+		for i := range want {
+			if want[i] != opts.Digests[i] {
+				t.Fatalf("j=%d file %d: collected digest %s != computed %s", j, i, opts.Digests[i], want[i])
+			}
 		}
 	}
 }

@@ -3,6 +3,13 @@
 // extension, parent), the reproducibility specification and report, and the
 // machinery to materialize an image onto a real file system, scan a real
 // directory tree back into an image, and serialize images to JSON.
+//
+// There is one VFS writer, MaterializeShardRecords, over a slice of file
+// records: Image.Materialize and the distributed executor's directory
+// target are calls to it, and MaterializeSink, the streamed O(1)-record
+// writer for images too large to retain, runs the same per-file step.
+// ContentDigests/Digest is the hash-only oracle the writers are tested
+// against.
 package fsimage
 
 import (

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,22 +35,22 @@ type MaterializeOptions struct {
 	// DirPerm and FilePerm are the permissions for created entries.
 	DirPerm  os.FileMode
 	FilePerm os.FileMode
-	// Parallelism is the number of shard workers writing the image; 0 selects
-	// runtime.NumCPU(), 1 forces the serial path. Every file's content is
-	// drawn from a stream derived from the seed and the file's ID, so the
-	// written bytes are identical at every parallelism level.
+	// Parallelism is the number of workers writing files; 0 selects
+	// runtime.NumCPU(), 1 writes them inline. Every file's content is drawn
+	// from a stream derived from the seed and the file's ID, so the written
+	// bytes are identical at every parallelism level.
 	Parallelism int
-	// Digests, when non-nil, must have length Image.FileCount(); the SHA-256
-	// (hex) of each written file's content is stored at its file ID during
-	// the write, saving a second content-generation pass when both the image
-	// and its digest are wanted. Slots stay empty with MetadataOnly. Shard
-	// workers write disjoint slots, so no synchronization is needed.
+	// Digests, when non-nil, must have one slot per file written
+	// (Image.FileCount() for Materialize, where a slot's index is the file's
+	// ID); the SHA-256 (hex) of each file's content is stored in its slot
+	// during the write, saving a second content-generation pass when both the
+	// image and its digest are wanted. Slots stay empty with MetadataOnly.
+	// Workers write disjoint slots, so no synchronization is needed.
 	Digests []string
-	// Context, when non-nil, cancels the materialization: the per-shard
-	// worker loops poll it between files and abort with its error. Written
-	// files are left in place (a cancelled shard simply stops), so callers
-	// that need a clean tree should write into a staging directory. A nil
-	// Context never cancels.
+	// Context, when non-nil, cancels the materialization: the workers poll it
+	// between files and stop with its error. Written files are left in place,
+	// so callers that need a clean tree should write into a staging
+	// directory. A nil Context never cancels.
 	Context context.Context
 }
 
@@ -89,174 +90,137 @@ func (opts MaterializeOptions) normalized(img *Image) MaterializeOptions {
 }
 
 // ShardWeight estimates the materialization cost of one directory (its
-// bytes, a per-file creation overhead, and a per-directory floor). It is
-// the one weighting both Materialize and the distributed planner balance
-// shards by, so single-process and distributed runs split work the same way.
+// bytes, a per-file creation overhead, and a per-directory floor): the
+// weighting the distributed planner balances shards by.
 func ShardWeight(d *namespace.Dir) float64 {
 	return float64(d.Bytes) + 16*1024*float64(d.FileCount) + 4096
 }
 
-// Materialize writes the image as a real directory tree rooted at root.
-// It returns the number of bytes written.
-//
-// The image is partitioned into balanced shards (namespace.PartitionBalanced,
-// which may cut dominant subtrees at deeper levels — a shard's directory list
-// can contain deep cut roots whose ancestors belong to other shards and are
-// created implicitly via MkdirAll); each worker creates its shard's
-// directories and files. Per-file RNG streams keep the output byte-identical
-// regardless of the worker count, and per-shard byte counts are merged into
-// the single returned total.
+// Materialize writes the image as a real directory tree rooted at root and
+// returns the number of bytes written: MaterializeShardRecords over every
+// directory and every file of the image.
 func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, error) {
-	opts = opts.normalized(img)
-	workers := opts.Parallelism
-	if opts.Digests != nil && len(opts.Digests) != len(img.Files) {
-		return 0, fmt.Errorf("fsimage: digest slice has length %d, want %d", len(opts.Digests), len(img.Files))
+	dirs := make([]int, img.Tree.Len())
+	for i := range dirs {
+		dirs[i] = i
+	}
+	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, opts.normalized(img))
+}
+
+// MaterializeShardRecords is the VFS writer: it creates the given
+// directories (tree IDs, ascending so parents precede children; a missing
+// ancestor is created on the way) in one serial pass, then writes the file
+// records with opts.Parallelism workers. Image.Materialize, every directory
+// target of the distributed executor and each of its journal batches are
+// calls to it. The root itself is created if missing. opts.Seed is used as
+// given — callers without an image pass the plan or spec seed.
+//
+// Files are written ordered by directory, so a worker's run of files
+// shares a path prefix and two workers seldom contend for one directory.
+// Each file's bytes come from its own stream, keyed by the seed and the
+// file ID alone, and opts.Digests slots are positional, so the tree and
+// the digests are identical at every parallelism. The first failed write,
+// or the context's cancellation, stops every worker at its next file and
+// is the error returned; files already written stay in place.
+func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, opts MaterializeOptions) (int64, error) {
+	opts = opts.withDefaults(opts.Seed)
+	if opts.Digests != nil && len(opts.Digests) != len(files) {
+		return 0, fmt.Errorf("fsimage: digest slice has length %d, want %d", len(opts.Digests), len(files))
 	}
 	if err := os.MkdirAll(root, opts.DirPerm); err != nil {
 		return 0, fmt.Errorf("fsimage: creating root %q: %w", root, err)
 	}
-
-	// Partition the namespace into balanced subtree shards; weight each
-	// directory by the bytes and files it holds directly so shards carry
-	// comparable write work. Over-shard relative to the worker count so the
-	// atomic shard queue can smooth out uneven subtrees; the balanced
-	// partitioner cuts dominant subtrees at deeper levels, so shards stay
-	// comparable even on heavily skewed generative trees.
-	shardGoal := workers * 4
-	part := namespace.PartitionBalanced(img.Tree, shardGoal, ShardWeight)
-	filesByShard := make([][]int, part.Len())
-	for i := range img.Files {
-		s := part.ShardOf(img.Files[i].DirID)
-		filesByShard[s] = append(filesByShard[s], i)
-	}
-
-	var (
-		written atomic.Int64
-		mu      sync.Mutex
-		firstEr error
-	)
-	parallel.Run(workers, part.Len(), func(s int) {
-		mu.Lock()
-		failed := firstEr != nil
-		mu.Unlock()
-		if failed {
-			return // short-circuit remaining shards after the first error
+	mk := newFileWriter(root, tree, opts)
+	for _, id := range dirs {
+		if err := mk.mkdir(id); err != nil {
+			return 0, err
 		}
-		n, err := img.materializeShard(root, part.Shards[s], filesByShard[s], opts, opts.Digests)
-		written.Add(n)
-		if err != nil {
-			mu.Lock()
-			if firstEr == nil {
-				firstEr = err
+	}
+	// Sorting directory<<32|position orders the files by directory and, within
+	// one, by position; a counting sort would cost O(dirs) per journal batch.
+	order := make([]uint64, len(files))
+	for k, f := range files {
+		order[k] = uint64(f.DirID)<<32 | uint64(k)
+	}
+	slices.Sort(order)
+
+	ctx, stop := context.WithCancelCause(opts.ctx())
+	defer stop(nil)
+	var written atomic.Int64
+	parallel.RunChunks(opts.Parallelism, len(order), func(lo, hi int) {
+		w := newFileWriter(root, tree, opts)
+		var n int64
+		defer func() { written.Add(n) }()
+		for _, key := range order[lo:hi] {
+			if ctx.Err() != nil {
+				return
 			}
-			mu.Unlock()
+			k := int(uint32(key))
+			sum, err := w.write(files[k], opts.Digests != nil)
+			if err != nil {
+				stop(err)
+				return
+			}
+			if sum != "" {
+				opts.Digests[k] = sum
+			}
+			n += files[k].Size
 		}
 	})
-	return written.Load(), firstEr
+	if ctx.Err() != nil {
+		return written.Load(), context.Cause(ctx)
+	}
+	return written.Load(), nil
 }
 
-// MaterializeShard creates the given directories and files of the image
-// under root, the primitive one distributed worker process executes for its
-// shard. dirs and files are image IDs/indices; dirs must be in ascending ID
-// order so parents precede children (namespace.Partition shard lists are).
-// The image root itself is created if missing. When digests is non-nil it
-// must have length len(img.Files); the SHA-256 (hex) of each written file's
-// content is stored at its file ID, so shard manifests can prove what was
-// written without re-reading it. With MetadataOnly no content exists and
-// digest slots are left empty.
-func (img *Image) MaterializeShard(root string, dirs, files []int, opts MaterializeOptions, digests []string) (int64, error) {
-	opts = opts.normalized(img)
-	if digests == nil {
-		digests = opts.Digests
-	}
-	if digests != nil && len(digests) != len(img.Files) {
-		return 0, fmt.Errorf("fsimage: digest slice has length %d, want %d", len(digests), len(img.Files))
-	}
-	return img.materializeShard(root, dirs, files, opts, digests)
+// fileWriter is the per-entry VFS step behind both materializers: build the
+// entry's path, derive the file's content stream, tap the SHA-256 if asked,
+// create and fill the file. It is not safe for concurrent use — every
+// worker owns one.
+type fileWriter struct {
+	root    string
+	tree    *namespace.Tree
+	opts    MaterializeOptions
+	baseRNG *stats.RNG
+	sum     hash.Hash
+	// One path buffer serves every entry: the string handed to the open
+	// syscall is the only per-entry allocation.
+	pathBuf []byte
 }
 
-// materializeShard gathers one shard's file records and hands them to the
-// record-based primitive, scattering the per-record digests back into the
-// image-wide (file-ID indexed) slice.
-func (img *Image) materializeShard(root string, dirs []int, files []int, opts MaterializeOptions, digests []string) (int64, error) {
-	recs := make([]File, len(files))
-	for k, i := range files {
-		recs[k] = img.Files[i]
-	}
-	var local []string
-	if digests != nil {
-		local = make([]string, len(recs))
-	}
-	written, err := MaterializeShardRecords(root, img.Tree, dirs, recs, opts, local)
-	for k, sum := range local {
-		if sum != "" {
-			digests[recs[k].ID] = sum
-		}
-	}
-	return written, err
+func newFileWriter(root string, tree *namespace.Tree, opts MaterializeOptions) *fileWriter {
+	return &fileWriter{root: root, tree: tree, opts: opts,
+		baseRNG: stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel), sum: sha256.New()}
 }
 
-// MaterializeShardRecords creates the given directories (tree IDs, in
-// ascending order so parents precede children) and file records under root
-// — the record-based materialization primitive every path shares: the
-// retained Image.Materialize, the distributed shard workers, and the
-// streaming MaterializeSink. The root itself is created if missing. When
-// digests is non-nil it must have length len(files); the SHA-256 (hex) of
-// files[i]'s written content is stored at digests[i] (left empty with
-// MetadataOnly). opts.Seed is used as given — callers without an image pass
-// the plan or spec seed.
-func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, opts MaterializeOptions, digests []string) (int64, error) {
-	opts = opts.withDefaults(opts.Seed)
-	if digests != nil && len(digests) != len(files) {
-		return 0, fmt.Errorf("fsimage: digest slice has length %d, want %d", len(digests), len(files))
+// mkdir creates directory id (the root is the caller's).
+func (w *fileWriter) mkdir(id int) error {
+	if id == 0 {
+		return nil
 	}
-	if err := os.MkdirAll(root, opts.DirPerm); err != nil {
-		return 0, fmt.Errorf("fsimage: creating root %q: %w", root, err)
+	w.pathBuf = appendEntryPath(w.pathBuf, w.root, w.tree, id, "")
+	p := string(w.pathBuf)
+	if err := os.MkdirAll(p, w.opts.DirPerm); err != nil {
+		return fmt.Errorf("fsimage: creating directory %q: %w", p, err)
 	}
-	// One path buffer serves every entry in the shard: the per-file
-	// filepath.Join/FromSlash garbage used to dominate the hot loop's
-	// allocations (the final string for the open syscall is the only
-	// per-entry allocation left).
-	var pathBuf []byte
-	for _, id := range dirs {
-		if id == 0 {
-			continue
-		}
-		pathBuf = appendEntryPath(pathBuf, root, tree, id, "")
-		p := string(pathBuf)
-		if err := os.MkdirAll(p, opts.DirPerm); err != nil {
-			return 0, fmt.Errorf("fsimage: creating directory %q: %w", p, err)
-		}
+	return nil
+}
+
+// write creates f and, when tap is set, returns the SHA-256 (hex) of its
+// content ("" with MetadataOnly: there is no content).
+func (w *fileWriter) write(f File, tap bool) (string, error) {
+	w.pathBuf = appendEntryPath(w.pathBuf, w.root, w.tree, f.DirID, f.Name)
+	// Each file owns a stream keyed by its ID: content depends only on the
+	// seed and the file, never on write order or worker identity.
+	rng := w.baseRNG.SplitN(uint64(f.ID))
+	if !tap || w.opts.MetadataOnly {
+		return "", writeFile(string(w.pathBuf), f, w.opts, rng, nil)
 	}
-	var written int64
-	var sum hash.Hash
-	if digests != nil {
-		sum = sha256.New()
+	w.sum.Reset()
+	if err := writeFile(string(w.pathBuf), f, w.opts, rng, w.sum); err != nil {
+		return "", err
 	}
-	ctx := opts.ctx()
-	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
-	for k, f := range files {
-		if err := ctx.Err(); err != nil {
-			return written, err
-		}
-		pathBuf = appendEntryPath(pathBuf, root, tree, f.DirID, f.Name)
-		p := string(pathBuf)
-		// Each file owns a stream keyed by its ID: content depends only on
-		// the seed and the file, never on write order or worker identity.
-		rng := baseRNG.SplitN(uint64(f.ID))
-		if sum != nil {
-			sum.Reset()
-		}
-		n, err := writeFile(p, f, opts, rng, sum)
-		if err != nil {
-			return written, err
-		}
-		if sum != nil && !opts.MetadataOnly {
-			digests[k] = hex.EncodeToString(sum.Sum(nil))
-		}
-		written += n
-	}
-	return written, nil
+	return hex.EncodeToString(w.sum.Sum(nil)), nil
 }
 
 // AppendFilePath appends the slash-separated path of a file record relative
@@ -300,23 +264,18 @@ func appendEntryPath(dst []byte, root string, tree *namespace.Tree, dirID int, n
 
 // MaterializeSink is the streaming materializer: a RecordSink that writes
 // each record to disk as it arrives — directories as they stream by, each
-// file's content generated straight into its file — holding only the
-// compact directory tree. It is the out-of-core counterpart of
-// Image.Materialize for pipelines that never retain the file records;
-// writes are serial (stream order), so prefer Materialize when the image is
-// in memory and parallel writers pay off. The written bytes are identical
-// either way: content streams are keyed by file ID alone.
+// file through the same per-file step MaterializeShardRecords runs —
+// holding only the compact directory tree. It is the O(1)-record writer for
+// images too large to retain; writes are serial (stream order), so prefer
+// Image.Materialize when the image is in memory. The written bytes are
+// identical either way: content streams are keyed by file ID alone.
 type MaterializeSink struct {
 	// OnDigest, when non-nil, observes each written file's content SHA-256
 	// (hex); it is not called with MetadataOnly.
 	OnDigest func(f File, sha256 string)
 
-	root    string
-	opts    MaterializeOptions
 	ts      TreeSink
-	baseRNG *stats.RNG
-	sum     hash.Hash
-	pathBuf []byte
+	w       *fileWriter
 	written int64
 }
 
@@ -327,13 +286,7 @@ func NewMaterializeSink(root string, opts MaterializeOptions) (*MaterializeSink,
 	if err := os.MkdirAll(root, opts.DirPerm); err != nil {
 		return nil, fmt.Errorf("fsimage: creating root %q: %w", root, err)
 	}
-	s := &MaterializeSink{
-		root:    root,
-		opts:    opts,
-		baseRNG: stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel),
-		sum:     sha256.New(),
-	}
-	return s, nil
+	return &MaterializeSink{w: newFileWriter(root, nil, opts)}, nil
 }
 
 // AddDir creates the next directory.
@@ -341,44 +294,28 @@ func (s *MaterializeSink) AddDir(d DirRecord) error {
 	if err := s.ts.AddDir(d); err != nil {
 		return err
 	}
-	if d.ID == 0 {
-		return nil
-	}
-	s.pathBuf = appendEntryPath(s.pathBuf, s.root, s.ts.Tree(), d.ID, "")
-	p := string(s.pathBuf)
-	if err := os.MkdirAll(p, s.opts.DirPerm); err != nil {
-		return fmt.Errorf("fsimage: creating directory %q: %w", p, err)
-	}
-	return nil
+	s.w.tree = s.ts.Tree()
+	return s.w.mkdir(d.ID)
 }
 
 // AddFile writes the next file. It polls the options' context between
-// files, like every other per-file loop: a cancelled streaming
-// materialization stops at the next record instead of draining the whole
-// stream onto disk.
+// files, like the slice writer: a cancelled streaming materialization stops
+// at the next record instead of draining the whole stream onto disk.
 func (s *MaterializeSink) AddFile(f File) error {
-	if err := s.opts.ctx().Err(); err != nil {
+	if err := s.w.opts.ctx().Err(); err != nil {
 		return err
 	}
 	if err := s.ts.AddFile(f); err != nil {
 		return err
 	}
-	s.pathBuf = appendEntryPath(s.pathBuf, s.root, s.ts.Tree(), f.DirID, f.Name)
-	p := string(s.pathBuf)
-	rng := s.baseRNG.SplitN(uint64(f.ID))
-	var sum hash.Hash
-	if s.OnDigest != nil && !s.opts.MetadataOnly {
-		sum = s.sum
-		sum.Reset()
-	}
-	n, err := writeFile(p, f, s.opts, rng, sum)
+	sum, err := s.w.write(f, s.OnDigest != nil)
 	if err != nil {
 		return err
 	}
-	if sum != nil {
-		s.OnDigest(f, hex.EncodeToString(sum.Sum(nil)))
+	if sum != "" {
+		s.OnDigest(f, sum)
 	}
-	s.written += n
+	s.written += f.Size
 	return nil
 }
 
@@ -391,19 +328,19 @@ var writerPool = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(nil, 64*1024) },
 }
 
-func writeFile(path string, f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) (int64, error) {
+func writeFile(path string, f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) error {
 	fh, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, opts.FilePerm)
 	if err != nil {
-		return 0, fmt.Errorf("fsimage: creating file %q: %w", path, err)
+		return fmt.Errorf("fsimage: creating file %q: %w", path, err)
 	}
 	defer fh.Close()
 	if opts.MetadataOnly {
 		if f.Size > 0 {
 			if err := fh.Truncate(f.Size); err != nil {
-				return 0, fmt.Errorf("fsimage: truncating %q: %w", path, err)
+				return fmt.Errorf("fsimage: truncating %q: %w", path, err)
 			}
 		}
-		return f.Size, nil
+		return nil
 	}
 	bw := writerPool.Get().(*bufio.Writer)
 	bw.Reset(fh)
@@ -418,13 +355,13 @@ func writeFile(path string, f File, opts MaterializeOptions, rng *stats.RNG, sum
 		dst = io.MultiWriter(bw, sum)
 	}
 	if err := opts.Registry.ForExtension(f.Ext).Generate(dst, f.Size, rng); err != nil {
-		return 0, fmt.Errorf("fsimage: writing content for %q: %w", path, err)
+		return fmt.Errorf("fsimage: writing content for %q: %w", path, err)
 	}
 	if err := bw.Flush(); err != nil {
-		return 0, fmt.Errorf("fsimage: flushing %q: %w", path, err)
+		return fmt.Errorf("fsimage: flushing %q: %w", path, err)
 	}
 	if err := fh.Close(); err != nil {
-		return 0, fmt.Errorf("fsimage: closing %q: %w", path, err)
+		return fmt.Errorf("fsimage: closing %q: %w", path, err)
 	}
-	return f.Size, nil
+	return nil
 }

@@ -280,9 +280,8 @@ func TestMeanBytesPerFileByDepth(t *testing.T) {
 	}
 }
 
-// TestGenerateTreeParallelDeterminism is the core guarantee of the
-// speculative skeleton build: for a fixed seed, every worker count produces
-// the identical tree, and the single-worker GenerateTree path agrees.
+// TestGenerateTreeParallelDeterminism: for a fixed seed, GenerateTreeParallel
+// at every worker count returns the tree GenerateTree builds.
 func TestGenerateTreeParallelDeterminism(t *testing.T) {
 	for _, n := range []int{1, 2, 10, 500, 20000} {
 		for _, seed := range []int64{1, 42, 977} {
@@ -308,8 +307,8 @@ func TestGenerateTreeParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestGenerateTreePreferentialAttachment sanity-checks that the speculative
-// build still realizes the C(d)+2 dynamics: early directories accumulate far
+// TestGenerateTreePreferentialAttachment sanity-checks that the build
+// realizes the C(d)+2 dynamics: early directories accumulate far
 // more children than late ones (preferential attachment), and fan-out is
 // heavy-tailed.
 func TestGenerateTreePreferentialAttachment(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"impressions/internal/distribute"
@@ -49,7 +50,8 @@ func (s *Server) newFleet(opts fleet.Options) *fleet.Scheduler {
 }
 
 // inlineShard is the zero-worker fallback executor: slice the shard out of
-// the stored plan and hash its content daemon-side — no disk, no worker.
+// the stored plan and run it daemon-side onto a target that discards the
+// bytes and keeps the manifest — no disk, no worker.
 // It runs under the same worker-pool semaphore as every heavy request.
 func (s *Server) inlineShard(ctx context.Context, fingerprint string, shard int) (*distribute.Manifest, error) {
 	if s.opts.RequestTimeout > 0 {
@@ -70,7 +72,11 @@ func (s *Server) inlineShard(ctx context.Context, fingerprint string, shard int)
 	if err != nil {
 		return nil, err
 	}
-	return distribute.DigestShardView(ctx, view, s.registry(view.Plan.ContentKind))
+	res, err := distribute.Execute(ctx, view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Manifest, nil
 }
 
 // handlePostRun creates a distributed run: ensure the plan exists in the

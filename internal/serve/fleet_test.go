@@ -9,6 +9,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -240,10 +241,11 @@ func TestFleetTamperedManifest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PullShard: %v", err)
 	}
-	m, err := distribute.DigestShardView(ctx, view, nil)
+	res, err := distribute.Execute(ctx, view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
 	if err != nil {
-		t.Fatalf("DigestShardView: %v", err)
+		t.Fatalf("Execute: %v", err)
 	}
+	m := res.Manifest
 	m.Bytes++ // altered after sealing
 	err = c.CompleteLease(ctx, l.LeaseID, m)
 	if StatusCode(err) != http.StatusUnprocessableEntity {
@@ -306,10 +308,11 @@ func TestFleetDoubleClaimedLease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PullShard: %v", err)
 	}
-	m, err := distribute.DigestShardView(ctx, view, nil)
+	res, err := distribute.Execute(ctx, view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
 	if err != nil {
-		t.Fatalf("DigestShardView: %v", err)
+		t.Fatalf("Execute: %v", err)
 	}
+	m := res.Manifest
 
 	// The slow worker surfaces with its stale lease: refused, shard state
 	// untouched.

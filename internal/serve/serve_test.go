@@ -197,11 +197,11 @@ func TestServedShardsMergeToLocalDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("PullShard(%d): %v", s, err)
 		}
-		m, err := distribute.ExecuteShardView(view, root, distribute.WorkerOptions{})
+		res, err := distribute.Execute(ctx, view, distribute.DirTarget(root), distribute.WorkerOptions{})
 		if err != nil {
-			t.Fatalf("ExecuteShardView(%d): %v", s, err)
+			t.Fatalf("Execute(%d): %v", s, err)
 		}
-		manifests[s] = m
+		manifests[s] = res.Manifest
 	}
 
 	decoded, err := distribute.DecodePlan(bytes.NewReader(planDoc))
@@ -547,11 +547,11 @@ func TestPartitionedPlansServeFragments(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodeShardView(%d): %v", s, err)
 		}
-		m, err := distribute.ExecuteShardView(view, root, distribute.WorkerOptions{})
+		res, err := distribute.Execute(ctx, view, distribute.DirTarget(root), distribute.WorkerOptions{})
 		if err != nil {
-			t.Fatalf("ExecuteShardView(%d): %v", s, err)
+			t.Fatalf("Execute(%d): %v", s, err)
 		}
-		manifests[s] = m
+		manifests[s] = res.Manifest
 	}
 	res, err := distribute.MergeFragments(ctx, func(shard int) (io.ReadCloser, error) {
 		return io.NopCloser(bytes.NewReader(frags[shard])), nil

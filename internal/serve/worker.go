@@ -1,10 +1,10 @@
 package serve
 
 // The fleet worker loop: register, heartbeat in the background, and pull
-// shard leases until the context ends. Each leased shard executes through
-// the incremental journal (distribute.ExecuteShardIncremental), so a
-// worker killed mid-shard — or preempted and restarted — resumes from the
-// last sealed digest batch instead of rewriting the shard. Shard pulls are
+// shard leases until the context ends. Each leased shard executes against
+// a shard journal (distribute.WorkerOptions.JournalPath), so a worker
+// killed mid-shard — or preempted and restarted — resumes from the last
+// sealed digest batch instead of rewriting the shard. Shard pulls are
 // idempotent and retried; lease claims and completions never are.
 
 import (
@@ -158,10 +158,11 @@ func (c *Client) executeLease(ctx context.Context, lease *fleet.Lease, opts Flee
 	}
 	outRoot := filepath.Join(opts.OutRoot, shortFingerprint(lease.Fingerprint))
 	journal := filepath.Join(opts.WorkDir, fmt.Sprintf("journal-%s-%d.jsonl", shortFingerprint(lease.Fingerprint), lease.Shard))
-	res, err := distribute.ExecuteShardIncremental(view, outRoot, distribute.IncrementalOptions{
+	// One file writer per lease; the journal seals batches at any value.
+	res, err := distribute.Execute(ctx, view, distribute.DirTarget(outRoot), distribute.WorkerOptions{
+		Parallelism:    1,
 		JournalPath:    journal,
 		BatchFiles:     opts.BatchFiles,
-		Context:        ctx,
 		FailAfterFiles: opts.FailAfterFiles,
 	})
 	if err != nil {
