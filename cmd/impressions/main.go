@@ -504,7 +504,7 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case *partitionFlag > 0:
 		plan, err = distribute.PartitionPlan(context.Background(), req, func(shard int) (io.WriteCloser, error) {
-			return os.Create(fmt.Sprintf("%s.frag%d", *planFlag, shard))
+			return os.Create(filepath.Join(filepath.Dir(*planFlag), distribute.FragmentName(filepath.Base(*planFlag), shard)))
 		})
 		if err == nil {
 			fragments = len(plan.Shards)

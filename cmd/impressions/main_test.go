@@ -175,6 +175,37 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 	if got := strings.TrimSpace(mergeOut.String()); got != refDigest {
 		t.Errorf("fragment pipeline digest %q != monolithic %q", got, refDigest)
 	}
+
+	// An index is input like any other: one whose fragment names lead out of
+	// its directory must fail the merge (exit 1) at the index, before the
+	// file it points at is opened, let alone quoted in a parse error.
+	secret := filepath.Join(dir, "secret.txt")
+	if err := os.WriteFile(secret, []byte("hunter2 is not a shard document"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	index, err := os.ReadFile(planPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostileDir := filepath.Join(dir, "elsewhere", "deeper")
+	if err := os.MkdirAll(hostileDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hostile := filepath.Join(hostileDir, "plan.json")
+	rewritten := bytes.Replace(index, []byte(`"plan.json.frag0"`), []byte(`"../../secret.txt"`), 1)
+	if bytes.Equal(rewritten, index) {
+		t.Fatalf("the index does not name plan.json.frag0:\n%s", index)
+	}
+	if err := os.WriteFile(hostile, rewritten, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var errOut bytes.Buffer
+	if code := Main(append([]string{"merge", "-index", hostile, "-print-digest"}, manifests...), io.Discard, &errOut); code != 1 {
+		t.Errorf("merge -index with a fragment named ../../secret.txt exited %d, want 1", code)
+	}
+	if msg := errOut.String(); !strings.Contains(msg, "fragment index names fragment 0") || strings.Contains(msg, "hunter2") {
+		t.Errorf("merge -index with a fragment named ../../secret.txt said:\n%s", msg)
+	}
 }
 
 // TestMainExitCodes is the exit-status audit: parse errors must never leave

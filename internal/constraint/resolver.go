@@ -19,6 +19,14 @@
 //     test against the full sample to confirm the distribution is preserved.
 //  4. If the oversampling budget is exhausted, discard the sample set and
 //     start over (up to MaxRestarts).
+//
+// Step 2 runs the subset search only when the target lies between the sums
+// of the N smallest and the N largest pool elements (boundsTracker), and
+// builds that tracker only once the sum of the pool's positive values
+// (reachBound) no longer rules the target out from below. Neither check
+// draws from the RNG or alters what a step decides: a target no sample
+// reaches costs an attempt its draws and little else, and every Result is
+// what the search alone would return.
 package constraint
 
 import (
@@ -203,7 +211,9 @@ func applyDefaults(p *Problem) {
 // state and returns whether it converged, plus the attempt's final relative
 // feasibility gap: 0 when some oversampling step was sum-feasible (the
 // target sat inside the achievable [minSum, maxSum] window), otherwise how
-// far outside the window the target remained as a fraction of the target.
+// far outside the window the target remained as a fraction of the target —
+// or, when the reach bound alone already puts that past futilityGapFrac, the
+// bound's smaller figure, which classifies the attempt the same way.
 func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac float64) {
 	pool := r.samplePool(p.Dist, p.N)
 	tolerance := p.Beta * p.TargetSum
@@ -238,7 +248,19 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 	// of bounded heaps in O(log N) per oversample; recomputing them from
 	// scratch made the whole resolution O(N²) and dominated image-generation
 	// time at production scale.
-	bounds := newBoundsTracker(pool, p.N)
+	//
+	// The tracker (a sort and two N-element heaps) is itself only built once
+	// the cheaper reach bound stops excluding the window from below: until
+	// then a step is a draw and two additions. A spec with no size to
+	// resolve (the target is N × a Pareto-inflated mean the sample reaches a
+	// fifth of) never builds it. A convergence trace records the tracker's
+	// bounds at every step, so recording builds it up front.
+	var bounds *boundsTracker
+	if r.recordPath {
+		bounds = newBoundsTracker(pool, p.N)
+	}
+	reach := newReachBound(pool)
+	lower := p.TargetSum - tolerance
 
 	// Abort the attempt early when repeated subset searches stop making
 	// progress; the paper's prescription for such extreme targets is to drop
@@ -251,9 +273,17 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 	for extra := 1; extra <= maxOversamples; extra++ {
 		sample := p.Dist.Sample(r.rng)
 		pool = append(pool, sample)
-		bounds.add(sample)
+		if bounds != nil {
+			bounds.add(sample)
+		} else {
+			reach.add(sample)
+			if reach.max() < lower {
+				continue // maxSum <= reach.max(): infeasible, as the tracker would find
+			}
+			bounds = replayBoundsTracker(pool, p.N)
+		}
 
-		if bounds.minSum > p.TargetSum+tolerance || bounds.maxSum < p.TargetSum-tolerance {
+		if bounds.minSum > p.TargetSum+tolerance || bounds.maxSum < lower {
 			if r.recordPath {
 				res.Trace = append(res.Trace, nearestBound(bounds.minSum, bounds.maxSum, p.TargetSum))
 			}
@@ -306,13 +336,74 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 	if feasible {
 		return false, 0
 	}
+	if bounds == nil {
+		// The window's lower edge stayed above anything the pool reaches. If
+		// even that bound is a wide miss, the exact gap (no smaller) is too.
+		if gapFrac := (lower - reach.max()) / p.TargetSum; gapFrac > futilityGapFrac {
+			return false, gapFrac
+		}
+		bounds = replayBoundsTracker(pool, p.N)
+	}
 	// The bounds only widen as the pool grows, so the final window is the
 	// closest this attempt ever came to feasibility.
-	gap := math.Max(bounds.minSum-(p.TargetSum+tolerance), (p.TargetSum-tolerance)-bounds.maxSum)
+	gap := math.Max(bounds.minSum-(p.TargetSum+tolerance), lower-bounds.maxSum)
 	if gap < 0 {
 		gap = 0
 	}
 	return false, gap / p.TargetSum
+}
+
+// reachBound bounds from above what any subset of a growing pool can sum to:
+// no subset exceeds the sum of the pool's positive values. While that stays
+// below the tolerance window no N-subset can enter it, which is everything
+// an oversampling step asks of the boundsTracker, at the price of two
+// additions instead of a sort up front and two heap updates per step.
+type reachBound struct {
+	n        int     // values added
+	positive float64 // running sum of the positive values
+	mass     float64 // running sum of |value|: the scale of the rounding error
+}
+
+// reachGuard widens the bound past floating-point accumulation error, so
+// that it dominates the tracker's maxSum as computed and not only the exact
+// sum of the N largest. Adding n values one at a time is off by at most
+// n·2⁻⁵³ of their mass, the tracker's maxSum (N−1 additions, then two
+// operations per oversample) by at most twice that; n·2⁻⁵⁰ covers both
+// nearly three times over.
+const reachGuard = 0x1p-50
+
+func newReachBound(pool []float64) reachBound {
+	var b reachBound
+	for _, v := range pool {
+		b.add(v)
+	}
+	return b
+}
+
+func (b *reachBound) add(v float64) {
+	b.n++
+	if v > 0 {
+		b.positive += v
+	}
+	b.mass += math.Abs(v)
+}
+
+// max returns a value no smaller than the sum of any subset of the values
+// added, nor than a boundsTracker's maxSum over them.
+func (b *reachBound) max() float64 {
+	return b.positive + float64(b.n)*reachGuard*b.mass
+}
+
+// replayBoundsTracker builds the tracker an attempt would hold had it kept
+// one from the start: seeded with the first n pool values, then fed the
+// oversamples in draw order — the same operations in the same order, so the
+// same floats.
+func replayBoundsTracker(pool []float64, n int) *boundsTracker {
+	b := newBoundsTracker(pool[:n], n)
+	for _, v := range pool[n:] {
+		b.add(v)
+	}
+	return b
 }
 
 // boundsTracker maintains the sums of the n smallest and n largest elements

@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -217,6 +218,67 @@ func TestBoundsTrackerMatchesBoundSums(t *testing.T) {
 	}
 }
 
+// TestReachBoundDominatesTracker is the invariant the lazy tracker rests on:
+// at every step the reach bound is no smaller than the maxSum a tracker
+// computes over the same values, rounding included, for pools of mixed sign
+// and wildly mixed magnitude.
+func TestReachBoundDominatesTracker(t *testing.T) {
+	wide := stats.NewEmpirical([]float64{-1e18, -3, -1e-9, 0, 1e-12, 0.1, 7, 1e9, 1e17, 3e17}, "wide")
+	for name, dist := range map[string]stats.Distribution{"lognormal": paperDist(), "mixed signs and magnitudes": wide} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := stats.NewRNG(seed)
+			n := 1 + rng.Intn(300)
+			pool := stats.SampleN(dist, rng, n)
+			tracker, reach := newBoundsTracker(pool, n), newReachBound(pool)
+			for step := 0; step <= 3*n; step++ {
+				if reach.max() < tracker.maxSum {
+					t.Fatalf("%s, seed %d, N %d, step %d: reach bound %v below the tracker's maxSum %v", name, seed, n, step, reach.max(), tracker.maxSum)
+				}
+				v := dist.Sample(rng)
+				tracker.add(v)
+				reach.add(v)
+			}
+		}
+	}
+}
+
+// TestLazyTrackerMatchesEager holds the tracker built on demand to the one
+// built up front, which RecordConvergence(true) still is: whatever the
+// target's position (far above reach, so the tracker is never built; just
+// above, so it is built when the attempt ends or in the middle of it; inside
+// or below, so it is built at the first step), both resolvers must return
+// the same Result but for the Trace and leave their RNG at the same draw.
+func TestLazyTrackerMatchesEager(t *testing.T) {
+	signed := stats.NewEmpirical([]float64{-40, -5, 0, 3, 12, 30, 75}, "signed")
+	heavy := stats.NewHybrid(stats.NewLognormal(9.48, 2.46), stats.NewPareto(0.91, 512<<20), 0.999).WithCap(8 << 30)
+	for name, dist := range map[string]stats.Distribution{"lognormal": paperDist(), "heavy tail": heavy, "signed": signed} {
+		mean := dist.Mean()
+		for _, factor := range []float64{0.001, 0.5, 1, 1.6, 2.0, 2.2, 2.4, 2.8, 4, 50} {
+			for seed := int64(1); seed <= 6; seed++ {
+				p := Problem{N: 300, TargetSum: factor * 300 * mean, Dist: dist, MaxRestarts: 3, SkipKS: name == "signed"}
+				lazyRNG, eagerRNG := stats.NewRNG(seed), stats.NewRNG(seed)
+				lazy, err := NewResolver(lazyRNG).Resolve(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recording := NewResolver(eagerRNG)
+				recording.RecordConvergence(true)
+				eager, err := recording.Resolve(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eager.Trace = nil
+				if !reflect.DeepEqual(lazy, eager) {
+					t.Errorf("%s, target %g x mean, seed %d: lazy tracker resolved\n%+v\neager tracker\n%+v", name, factor, seed, lazy, eager)
+				}
+				if lazyRNG.Uint64() != eagerRNG.Uint64() {
+					t.Errorf("%s, target %g x mean, seed %d: the resolvers left their RNGs at different draws", name, factor, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestSuccessivePoolDrawsAreFresh(t *testing.T) {
 	// Restarts and repeated Resolve calls on one Resolver must redraw fresh
 	// initial pools: the restart mechanism exists to replace an unlucky draw.
@@ -264,5 +326,22 @@ func TestQuickResolverInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkResolveUnreachable is plan_meta's resolver bill at a tenth of its
+// scale: N = 100k files of the default size model and no -size, so the
+// target is N × the Pareto-inflated mean, a sum the sample comes nowhere
+// near. Both attempts spend their whole oversample budget.
+func BenchmarkResolveUnreachable(b *testing.B) {
+	const n = 100_000
+	model := stats.NewHybrid(stats.NewLognormal(9.48, 2.46), stats.NewPareto(0.91, 512<<20), 0.99994).WithCap(8 << 30)
+	p := Problem{N: n, TargetSum: float64(int64(n * model.Mean())), Dist: model}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := NewResolver(stats.NewRNG(20090225)).Resolve(p)
+		if err != nil || res.Converged || res.Oversamples != n {
+			b.Fatalf("Resolve: %+v, %v", res, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -172,7 +173,7 @@ func (r *colReader) read(n int) []byte {
 	if r.err != nil {
 		return r.buf[:n]
 	}
-	if _, err := io_readFull(r.br, r.buf[:n]); err != nil {
+	if _, err := io.ReadFull(r.br, r.buf[:n]); err != nil {
 		r.err = err
 	}
 	return r.buf[:n]
@@ -191,19 +192,6 @@ func (r *colReader) close() error {
 		return fmt.Errorf("core: reading spill column %s: %w", filepath.Base(r.f.Name()), r.err)
 	}
 	return nil
-}
-
-// io_readFull avoids importing io just for ReadFull in this hot loop file.
-func io_readFull(br *bufio.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := br.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // roundSpillSize is roundSizes for a single on-read value: spilled sizes are
@@ -550,14 +538,14 @@ func (g *Generator) placeFilesSpill(ctx context.Context, tree *namespace.Tree, r
 	// independent (each reads/updates only dirs at depth d-1) and each
 	// draws from its own stream, so running them sequentially here matches
 	// the in-memory parallel.Run exactly. The chosen parents are patched
-	// into the parent column by offset; the page cache absorbs the small
-	// in-place writes.
+	// into the parent column through a write-combining window: indices
+	// ascend within a level, so each level is one forward sweep.
 	parentF, err := os.OpenFile(sp.path(spillParentsCol), os.O_RDWR, 0)
 	if err != nil {
 		return fmt.Errorf("core: opening spill column %s: %w", spillParentsCol, err)
 	}
+	patches := patchWindow{f: parentF, size: int64(n) * 4}
 	parentStream := rng.Fork("placement/parent")
-	var patch [4]byte
 	for d := 0; d <= maxDepth; d++ {
 		if _, err := os.Stat(sp.path(pairName(d))); err != nil {
 			continue
@@ -587,8 +575,7 @@ func (g *Generator) placeFilesSpill(ctx context.Context, tree *namespace.Tree, r
 			}
 			dirID := placer.ChooseParentAt(d-1, drng)
 			placer.Commit(dirID, size)
-			binary.LittleEndian.PutUint32(patch[:], uint32(int32(dirID)))
-			if _, werr := parentF.WriteAt(patch[:], int64(i)*4); werr != nil {
+			if werr := patches.put(int64(i), int32(dirID)); werr != nil {
 				pr.err = werr
 				break
 			}
@@ -599,11 +586,109 @@ func (g *Generator) placeFilesSpill(ctx context.Context, tree *namespace.Tree, r
 		}
 		os.Remove(sp.path(pairName(d)))
 	}
+	if err := patches.flush(); err != nil {
+		parentF.Close()
+		return fmt.Errorf("core: patching spill column %s: %w", spillParentsCol, err)
+	}
 	if err := parentF.Close(); err != nil {
 		return fmt.Errorf("core: patching spill column %s: %w", spillParentsCol, err)
 	}
 	os.Remove(sp.path(spillDepthsCol))
 	return nil
+}
+
+// patchWindowBytes is the span of the parent column a patchWindow combines
+// patches over. Measured on a 4 MB column, ns per patch (best of five
+// sweeps, two runs averaged) against the pwrite(2) per patch it replaces:
+//
+//	files between patches   pwrite   4 KiB   16 KiB   64 KiB   256 KiB
+//	1                         3800       9        5        5         5
+//	7                         3600      36       15        9         9
+//	1000                      3450    3300     1450      660       610
+//	2000                      3300    3350     3000     1300       880
+//	4000                      3300    3300     3350     3000      2200
+//	10000                     3400    3400     3900     4700      4800
+//	100000                    3700    3600     3600     3600      3700
+//
+// Any size makes a dense level cost next to nothing. A sparse level is at
+// its worst with two patches to a window, which then is read and written
+// for the two system calls saved: 16 KiB is the largest window that stays
+// within the measurement's spread of pwrite there, where 64 KiB pays 4.7 µs
+// for 3.4.
+const patchWindowBytes = 16 << 10
+
+// patchWindow combines the placement pass's 4-byte patches of the parent
+// column, each of which used to be a pwrite(2) of its own (a million files,
+// a million system calls), into one read and one write per window of the
+// column that a depth level touches. The first patch to land in a window is
+// held back: if the level has no second one for that window it is written
+// alone, exactly as before; otherwise the window is read, other levels'
+// entries included, patched in memory, and its patched span written back
+// when a patch lands outside it.
+type patchWindow struct {
+	f interface {
+		io.ReaderAt
+		io.WriterAt
+	}
+	size int64 // of the column, in bytes
+
+	base    int64 // offset of the window being patched
+	patches int   // patches to it that are not written yet
+	firstAt int   // the first of them, as an offset into the window,
+	first   int32 // and its value: all there is until the window is read
+	buf     []byte
+	lo, hi  int // the patched span of buf, once the window is read
+}
+
+// put sets entry i of the column to v.
+func (w *patchWindow) put(i int64, v int32) error {
+	off := i * 4
+	if off < 0 || off+4 > w.size {
+		return fmt.Errorf("core: spilled placement names file %d, the column holds %d", i, w.size/4)
+	}
+	if w.patches > 0 && (off < w.base || off >= w.base+patchWindowBytes) {
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	if w.patches == 0 {
+		w.base = off - off%patchWindowBytes
+		w.firstAt, w.first, w.patches = int(off-w.base), v, 1
+		return nil
+	}
+	if w.patches == 1 {
+		if w.buf == nil {
+			w.buf = make([]byte, patchWindowBytes)
+		}
+		w.buf = w.buf[:min(patchWindowBytes, w.size-w.base)]
+		if n, err := w.f.ReadAt(w.buf, w.base); n < len(w.buf) {
+			return err // non-nil: ReadAt came up short
+		}
+		binary.LittleEndian.PutUint32(w.buf[w.firstAt:], uint32(w.first))
+		w.lo, w.hi = w.firstAt, w.firstAt+4
+	}
+	p := int(off - w.base)
+	binary.LittleEndian.PutUint32(w.buf[p:], uint32(v))
+	w.lo, w.hi = min(w.lo, p), max(w.hi, p+4)
+	w.patches++
+	return nil
+}
+
+// flush writes the pending patches back. WriteAt reports a short write as an
+// error.
+func (w *patchWindow) flush() error {
+	var err error
+	switch w.patches {
+	case 0:
+	case 1:
+		var one [4]byte
+		binary.LittleEndian.PutUint32(one[:], uint32(w.first))
+		_, err = w.f.WriteAt(one[:], w.base+int64(w.firstAt))
+	default:
+		_, err = w.f.WriteAt(w.buf[w.lo:w.hi], w.base+int64(w.lo))
+	}
+	w.patches = 0
+	return err
 }
 
 // eachPlacement is the spilled EachPlacement: a lockstep sequential read of

@@ -15,6 +15,7 @@ import (
 	"impressions/internal/content"
 	"impressions/internal/core"
 	"impressions/internal/fsimage"
+	"impressions/internal/namespace"
 )
 
 // Golden pins for testConfig() as a 3-shard plan with 64-record chunks. The
@@ -80,6 +81,128 @@ func TestGoldenWireDocuments(t *testing.T) {
 	}
 	if got := sha256Hex(shardDoc.Bytes()); got != goldenShardDoc2 {
 		t.Errorf("shard 2 document hashes to %s, pinned %s", got, goldenShardDoc2)
+	}
+}
+
+// escapeConfig is testConfig() with special directories whose records need
+// every route the chunk codec has: names JSON must escape for HTML (& < >),
+// with a quote, a non-ASCII rune, a tab and a backslash (sanitizeName only
+// rewrites '/' and NUL), and biases that %g and JSON print differently
+// (1e-07 against 1e-7, 1e+21 against 1e21).
+func escapeConfig() core.Config {
+	cfg := testConfig()
+	cfg.UseSpecialDirectories = true
+	cfg.SpecialDirectories = []namespace.SpecialDir{
+		{Name: "R&D <tmp>", Depth: 1, Bias: 2.5, FileShare: 0.05},
+		{Name: `naïve "dir"`, Depth: 2, Bias: 1e-7},
+		{Name: "tab\there\\back", Depth: 3, Bias: 1e21},
+	}
+	return cfg
+}
+
+// Golden pins for escapeConfig() as a 3-shard plan with 64-record chunks,
+// taken at the commit before the chunk codec stopped going through fmt and
+// encoding/json (PR 17's tree).
+const (
+	goldenEscapePlanDoc   = "0d236b5812fa4ee1f887045d1d29fa751be6e45f59146b465ff8003adb9062f2" // Plan.Encode
+	goldenEscapeFragment1 = "951f5ebd75e308a3d89b320a4052f647a7ed2b7f7ad1ae0b4c21a4aba96066a0" // PartitionPlan, fragment 1
+	goldenEscapeShardDoc2 = "e5dc6326b4cacec888a88244bf5a74e40eeb7538b31ed9c9e334633dcdb0b867" // ShardView.Encode, shard 2
+)
+
+// handBuiltView is a shard view no generator produces: generated file names
+// are fileNNNNNNNN.ext over [a-z0-9], but a view decoded from someone else's
+// document and encoded again can carry anything but '/' and NUL.
+func handBuiltView() *ShardView {
+	tree := namespace.GenerateTree(nil, 1, namespace.ShapeFlat)
+	for _, d := range []struct {
+		parent  int
+		name    string
+		special bool
+		bias    float64
+	}{
+		{0, "plain", false, 0},
+		{0, "l'été & <co>", true, 0.5},
+		{2, "line\u2028sep", false, 0},
+	} {
+		id := tree.AddDir(d.parent)
+		tree.Dirs[id].Name, tree.Dirs[id].Special, tree.Dirs[id].Bias = d.name, d.special, d.bias
+	}
+	files := []fsimage.File{
+		{ID: 0, Name: "file00000000.txt", Ext: "txt", Size: 12, DirID: 0, Depth: 1},
+		{ID: 1, Name: "it's.r&d", Ext: "r&d", Size: 0, DirID: 2, Depth: 2},
+		{ID: 3, Name: "naïve.tx't", Ext: "tx't", Size: 1 << 40, DirID: 3, Depth: 3},
+		{ID: 4, Name: "snow☃", Ext: "", Size: 7, DirID: 0, Depth: 1},
+	}
+	plan := &Plan{
+		FormatVersion: FormatVersion, Seed: 7, ContentKind: "default", DigestAlgo: fsimage.DigestVersion,
+		Files: 5, Dirs: tree.Len(), Bytes: 1<<40 + 19 + 100, ChunkSize: 3, Chunks: 4,
+		ImageSHA256: "0000000000000000000000000000000000000000000000000000000000000000",
+		Shards: []ShardPlan{
+			{Index: 0, StreamKey: contentStreamKey().String(), Roots: []int{2}, Dirs: 3, Files: 4, Bytes: 1<<40 + 19},
+			{Index: 1, StreamKey: contentStreamKey().String(), Roots: []int{1}, Dirs: 1, Files: 1, Bytes: 100},
+		},
+	}
+	return &ShardView{Plan: plan, Tree: tree, Shard: 0, Files: files}
+}
+
+// TestGoldenEscapedDocuments pins the wire documents of records whose strings
+// and floats the codec cannot copy through verbatim.
+func TestGoldenEscapedDocuments(t *testing.T) {
+	cfg := escapeConfig()
+	plan, err := BuildPlan(context.Background(), PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
+	if err != nil {
+		t.Fatalf("BuildPlan: %v", err)
+	}
+	var doc bytes.Buffer
+	if err := plan.Encode(&doc); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	for _, name := range []string{`"R\u0026D \u003ctmp\u003e"`, `"naïve \"dir\""`, `"tab\there\\back"`, `"bias":1e-7`, `"bias":1e+21`} {
+		if !bytes.Contains(doc.Bytes(), []byte(name)) {
+			t.Errorf("plan document does not carry %s: the pin does not cover that route", name)
+		}
+	}
+	if got := sha256Hex(doc.Bytes()); got != goldenEscapePlanDoc {
+		t.Errorf("plan document hashes to %s, pinned %s", got, goldenEscapePlanDoc)
+	}
+	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: 3, ChunkSize: 64})
+	if got := sha256Hex(frags[1]); got != goldenEscapeFragment1 {
+		t.Errorf("fragment 1 hashes to %s, pinned %s", got, goldenEscapeFragment1)
+	}
+	view, err := DecodePlanShard(bytes.NewReader(doc.Bytes()), 2)
+	if err != nil {
+		t.Fatalf("DecodePlanShard: %v", err)
+	}
+	var shardDoc bytes.Buffer
+	if err := view.Encode(&shardDoc); err != nil {
+		t.Fatalf("ShardView.Encode: %v", err)
+	}
+	if got := sha256Hex(shardDoc.Bytes()); got != goldenEscapeShardDoc2 {
+		t.Errorf("shard 2 document hashes to %s, pinned %s", got, goldenEscapeShardDoc2)
+	}
+
+	var hand bytes.Buffer
+	if err := handBuiltView().Encode(&hand); err != nil {
+		t.Fatalf("hand-built ShardView.Encode: %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "handbuilt_shard.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(hand.Bytes(), want) {
+		t.Errorf("hand-built shard document:\n%s\npinned in testdata/handbuilt_shard.json:\n%s", hand.Bytes(), want)
+	}
+	// A parent-commit document decodes, verifies and encodes back to itself.
+	decoded, err := DecodeShardView(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("DecodeShardView(testdata/handbuilt_shard.json): %v", err)
+	}
+	hand.Reset()
+	if err := decoded.Encode(&hand); err != nil {
+		t.Fatalf("re-encoding the decoded view: %v", err)
+	}
+	if !bytes.Equal(hand.Bytes(), want) {
+		t.Errorf("decoded and re-encoded shard document:\n%s\npinned:\n%s", hand.Bytes(), want)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"impressions/internal/core"
 	"impressions/internal/fsimage"
@@ -56,8 +57,9 @@ type FragmentIndex struct {
 	Files       int    `json:"files"`
 	Dirs        int    `json:"dirs"`
 	Bytes       int64  `json:"bytes"`
-	// Fragments names each shard's fragment document (basenames, resolved
-	// relative to the index location by convention).
+	// Fragments names each shard's fragment document: bare file names,
+	// resolved in the index's own directory. DecodeFragmentIndex rejects an
+	// empty name, ".", "..", and anything with a path separator.
 	Fragments []string `json:"fragments"`
 }
 
@@ -83,6 +85,13 @@ func DecodeFragmentIndex(r io.Reader) (*FragmentIndex, error) {
 	if ix.Shards != len(ix.Fragments) {
 		return nil, fmt.Errorf("distribute: fragment index promises %d shards but names %d fragments (%w)", ix.Shards, len(ix.Fragments), fsimage.ErrManifestIntegrity)
 	}
+	// Readers open the names next to the index: anything but a bare file
+	// name would let the index point them at any file they can read.
+	for s, name := range ix.Fragments {
+		if name != filepath.Base(name) || name == "." || name == ".." {
+			return nil, fmt.Errorf("distribute: fragment index names fragment %d %q, not a file name in the index's directory (%w)", s, name, fsimage.ErrManifestIntegrity)
+		}
+	}
 	return &ix, nil
 }
 
@@ -102,17 +111,27 @@ func FragmentName(planBase string, shard int) string {
 	return fmt.Sprintf("%s.frag%d", planBase, shard)
 }
 
-// sealedScaffold resolves the metadata pass for a partitioned request and
-// seals the plan header: the shared front half of PartitionPlan and
-// BuildPlanFragment. The caller owns the returned metadata (Close it).
-func sealedScaffold(ctx context.Context, req PlanRequest) (*Plan, *namespace.Partition, *core.Metadata, error) {
+// sealedPlan is the shared front half of PartitionPlan and
+// BuildPlanFragment: the resolved metadata pass (the caller Closes it), the
+// partition, and the plan header sealed against the monolithic chunk chain.
+type sealedPlan struct {
+	plan *Plan
+	part *namespace.Partition
+	meta *core.Metadata
+	// dirHashes are the record hashes of the chain's directory chunks. Every
+	// fragment opens with the same directory records at the same chunk size
+	// and index, so these are its first chunk hashes too.
+	dirHashes []string
+}
+
+func sealPlan(ctx context.Context, req PlanRequest) (*sealedPlan, error) {
 	shards, err := req.shardCount()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	m, err := resolvePlanMetadata(ctx, req.config(), shards)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	ok := false
 	defer func() {
@@ -122,37 +141,51 @@ func sealedScaffold(ctx context.Context, req PlanRequest) (*Plan, *namespace.Par
 	}()
 	p, part, err := planScaffold(m, shards, req.ChunkSize)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	// Seal the monolithic chunk chain without writing it anywhere: the
 	// fragment headers must carry the exact Chunks/ImageSHA256 the
 	// monolithic plan file would, or the fingerprint manifests bind to
 	// would diverge between partitioned and single-document planning.
-	enc := fsimage.NewChunkEncoder(p.ChunkSize, func(*fsimage.Chunk) error { return nil })
+	sp := &sealedPlan{plan: p, part: part, meta: m}
+	enc := fsimage.NewChunkEncoder(p.ChunkSize, func(c *fsimage.Chunk) error {
+		if len(c.Dirs) > 0 {
+			sp.dirHashes = append(sp.dirHashes, c.SHA256)
+		}
+		return nil
+	})
 	if err := m.StreamRecords(enc); err != nil {
-		return nil, nil, nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
+		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
 	}
 	if err := enc.Close(); err != nil {
-		return nil, nil, nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
+		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
 	}
 	p.Chunks = enc.Chunks()
 	p.ImageSHA256 = enc.ChainHash()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	ok = true
-	return p, part, m, nil
+	return sp, nil
 }
 
 // fragmentRouter is the RecordSink that fans one metadata replay out to the
-// per-shard fragment encoders: every directory record goes to all of them,
-// each file record only to its shard's. A nil encoder slot skips that
-// shard (BuildPlanFragment's single-fragment mode).
+// fragment encoders. Each file record goes to its shard's encoder only. The
+// directory section is the same bytes in every fragment, so the router
+// renders each directory chunk once, sealed with the hash sealPlan kept,
+// writes it to every fragment, and has the encoders resume behind it at the
+// first file chunk: directory records are hashed once and rendered once,
+// whatever K is, and no rendered chunk outlives its writes. A nil encoder
+// slot skips that shard (BuildPlanFragment's single-fragment mode).
 type fragmentRouter struct {
 	ctx  context.Context
-	part *namespace.Partition
+	sp   *sealedPlan
 	encs []*shardDocEncoder
 	n    int
+
+	dirs  fsimage.Chunk // the directory chunk being filled
+	buf   []byte        // its rendering
+	files bool          // the section is written and the encoders have resumed
 }
 
 func (r *fragmentRouter) poll() error {
@@ -170,14 +203,55 @@ func (r *fragmentRouter) AddDir(d fsimage.DirRecord) error {
 	if err := r.poll(); err != nil {
 		return err
 	}
+	if r.files {
+		return fmt.Errorf("distribute: directory record %d after the file stream began", d.ID)
+	}
+	r.dirs.Dirs = append(r.dirs.Dirs, d)
+	if len(r.dirs.Dirs) >= r.sp.plan.ChunkSize {
+		return r.flushDirs()
+	}
+	return nil
+}
+
+// flushDirs writes the buffered directory chunk to every fragment. Its hash
+// is there: sealPlan's pass cut the same tree at the same chunk size.
+func (r *fragmentRouter) flushDirs() error {
+	if len(r.dirs.Dirs) == 0 {
+		return nil
+	}
+	r.dirs.SHA256 = r.sp.dirHashes[r.dirs.Index]
+	var err error
+	if r.buf, err = appendChunkElement(r.buf[:0], &r.dirs); err != nil {
+		return fmt.Errorf("distribute: encoding record chunk %d: %w", r.dirs.Index, err)
+	}
 	for _, e := range r.encs {
 		if e == nil {
 			continue
 		}
-		if err := e.AddDir(d); err != nil {
+		if _, err := e.bw.Write(r.buf); err != nil {
 			return err
 		}
 	}
+	r.dirs.Index++
+	r.dirs.Dirs = r.dirs.Dirs[:0]
+	return nil
+}
+
+// beginFiles closes the directory section and resumes every encoder behind
+// it.
+func (r *fragmentRouter) beginFiles() error {
+	if err := r.flushDirs(); err != nil {
+		return err
+	}
+	if r.dirs.Index != len(r.sp.dirHashes) {
+		return fmt.Errorf("distribute: the replay carried %d directory chunks, the plan was sealed over %d (%w)", r.dirs.Index, len(r.sp.dirHashes), fsimage.ErrManifestIntegrity)
+	}
+	for _, e := range r.encs {
+		if e != nil {
+			e.resumeAfter(r.sp.plan.ChunkSize, r.sp.dirHashes)
+		}
+	}
+	r.files = true
 	return nil
 }
 
@@ -185,11 +259,49 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 	if err := r.poll(); err != nil {
 		return err
 	}
-	e := r.encs[r.part.ShardOf(f.DirID)]
+	if !r.files {
+		if err := r.beginFiles(); err != nil {
+			return err
+		}
+	}
+	e := r.encs[r.sp.part.ShardOf(f.DirID)]
 	if e == nil {
 		return nil
 	}
 	return e.AddFile(f)
+}
+
+// writeFragments replays the metadata once through a router over one shard
+// document per non-nil writer (writers[s] receives fragment s) and seals
+// them.
+func (sp *sealedPlan) writeFragments(ctx context.Context, writers []io.Writer) error {
+	router := &fragmentRouter{ctx: ctx, sp: sp, encs: make([]*shardDocEncoder, len(writers))}
+	for s, w := range writers {
+		if w == nil {
+			continue
+		}
+		var err error
+		if router.encs[s], err = newShardDocEncoder(sp.plan, s, w); err != nil {
+			return err
+		}
+	}
+	if err := sp.meta.StreamRecords(router); err != nil {
+		return fmt.Errorf("distribute: routing records to fragments: %w", err)
+	}
+	if !router.files { // an image without files
+		if err := router.beginFiles(); err != nil {
+			return err
+		}
+	}
+	for s, e := range router.encs {
+		if e == nil {
+			continue
+		}
+		if err := e.Close(); err != nil {
+			return fmt.Errorf("distribute: sealing fragment %d: %w", s, err)
+		}
+	}
+	return nil
 }
 
 // PartitionPlan builds a partitioned plan: the request's shard count
@@ -204,14 +316,13 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 // Live memory is the compact tree plus one chunk buffer per fragment;
 // combined with PlanRequest.Spill the whole build runs in O(dirs) heap.
 func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
-	p, part, m, err := sealedScaffold(ctx, req)
+	sp, err := sealPlan(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	defer m.Close()
+	defer sp.meta.Close()
 
-	encs := make([]*shardDocEncoder, len(p.Shards))
-	wcs := make([]io.WriteCloser, len(p.Shards))
+	wcs := make([]io.WriteCloser, len(sp.plan.Shards))
 	closeAll := func() {
 		for _, wc := range wcs {
 			if wc != nil {
@@ -219,36 +330,27 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 			}
 		}
 	}
-	for s := range encs {
+	writers := make([]io.Writer, len(wcs))
+	for s := range wcs {
 		wc, err := open(s)
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("distribute: opening fragment %d: %w", s, err)
 		}
-		wcs[s] = wc
-		if encs[s], err = newShardDocEncoder(p, s, wc); err != nil {
-			closeAll()
-			return nil, err
-		}
+		wcs[s], writers[s] = wc, wc
 	}
-	router := &fragmentRouter{ctx: ctx, part: part, encs: encs}
-	if err := m.StreamRecords(router); err != nil {
+	if err := sp.writeFragments(ctx, writers); err != nil {
 		closeAll()
-		return nil, fmt.Errorf("distribute: routing records to fragments: %w", err)
+		return nil, err
 	}
-	for s, e := range encs {
-		if err := e.Close(); err != nil {
-			closeAll()
-			return nil, fmt.Errorf("distribute: sealing fragment %d: %w", s, err)
-		}
-		wc := wcs[s]
+	for s, wc := range wcs {
 		wcs[s] = nil
 		if err := wc.Close(); err != nil {
 			closeAll()
 			return nil, fmt.Errorf("distribute: closing fragment %d: %w", s, err)
 		}
 	}
-	return p, nil
+	return sp.plan, nil
 }
 
 // BuildPlanFragment runs the same deterministic partitioned pass as
@@ -259,26 +361,20 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 // more than O(dirs) + one chunk buffer, and K nodes produce the K fragments
 // wall-clock-bounded by the slowest replay.
 func BuildPlanFragment(ctx context.Context, req PlanRequest, shard int, w io.Writer) (*Plan, error) {
-	p, part, m, err := sealedScaffold(ctx, req)
+	sp, err := sealPlan(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	defer m.Close()
-	if shard < 0 || shard >= len(p.Shards) {
-		return nil, fmt.Errorf("distribute: fragment %d out of range (plan has %d shards) (%w)", shard, len(p.Shards), fsimage.ErrInvalidSpec)
+	defer sp.meta.Close()
+	if shard < 0 || shard >= len(sp.plan.Shards) {
+		return nil, fmt.Errorf("distribute: fragment %d out of range (plan has %d shards) (%w)", shard, len(sp.plan.Shards), fsimage.ErrInvalidSpec)
 	}
-	encs := make([]*shardDocEncoder, len(p.Shards))
-	if encs[shard], err = newShardDocEncoder(p, shard, w); err != nil {
+	writers := make([]io.Writer, len(sp.plan.Shards))
+	writers[shard] = w
+	if err := sp.writeFragments(ctx, writers); err != nil {
 		return nil, err
 	}
-	router := &fragmentRouter{ctx: ctx, part: part, encs: encs}
-	if err := m.StreamRecords(router); err != nil {
-		return nil, fmt.Errorf("distribute: routing records to fragment %d: %w", shard, err)
-	}
-	if err := encs[shard].Close(); err != nil {
-		return nil, fmt.Errorf("distribute: sealing fragment %d: %w", shard, err)
-	}
-	return p, nil
+	return sp.plan, nil
 }
 
 // FragmentMergeResult is the outcome of a fragment-stream merge: the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -36,34 +37,64 @@ type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
 
+// fragmentCases are the images the fragment byte-identity tests run over,
+// with 64-record chunks: a directory section that ends in a partial chunk
+// (80 directories), one that ends exactly on a chunk edge (128), and an
+// image so sparse (3 files under 64 directories) that with more shards than
+// files some fragment carries no file chunk at all. Each case says what a
+// plan must show for it to be the corner it was written for.
+var fragmentCases = []struct {
+	name   string
+	adjust func(*core.Config)
+	holds  func(*Plan) bool
+}{
+	{"partial directory chunk", func(*core.Config) {}, func(p *Plan) bool { return p.Dirs%p.ChunkSize != 0 }},
+	{"directory chunk edge", func(c *core.Config) { c.NumDirs = 128 }, func(p *Plan) bool { return p.Dirs%p.ChunkSize == 0 }},
+	{"fragments without files", func(c *core.Config) { c.NumDirs, c.NumFiles, c.FSSizeBytes = 64, 3, 3*2048 },
+		func(p *Plan) bool {
+			for _, sp := range p.Shards {
+				if sp.Files == 0 {
+					return true
+				}
+			}
+			return len(p.Shards) <= 3
+		}},
+}
+
 // TestPartitionPlanFragmentsMatchSlicedPlan is the fragment format
 // contract: fragment s of a partitioned build must be byte-identical to
 // slicing shard s out of the monolithic plan document (DecodePlanShard →
 // ShardView.Encode), for K ∈ {1, 2, 4} — so fragments built anywhere
 // interoperate with every existing shard-document consumer.
 func TestPartitionPlanFragmentsMatchSlicedPlan(t *testing.T) {
-	cfg := testConfig()
-	for _, k := range []int{1, 2, 4} {
-		plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: k, ChunkSize: 64})
-		var mono bytes.Buffer
-		streamed, err := PlanRequest{Config: cfg, MaxShards: k, ChunkSize: 64}.Stream(context.Background(), &mono)
-		if err != nil {
-			t.Fatalf("K=%d Stream: %v", k, err)
-		}
-		if plan.Fingerprint() != streamed.Fingerprint() {
-			t.Errorf("K=%d partitioned fingerprint %s != streamed %s", k, plan.Fingerprint(), streamed.Fingerprint())
-		}
-		for s := 0; s < k; s++ {
-			view, err := DecodePlanShard(bytes.NewReader(mono.Bytes()), s)
+	for _, fc := range fragmentCases {
+		name, cfg := fc.name, testConfig()
+		fc.adjust(&cfg)
+		for _, k := range []int{1, 2, 4} {
+			plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: k, ChunkSize: 64})
+			if !fc.holds(plan) {
+				t.Fatalf("%s K=%d: the plan (%d directories, shards %+v) is not that case", name, k, plan.Dirs, plan.Shards)
+			}
+			var mono bytes.Buffer
+			streamed, err := PlanRequest{Config: cfg, MaxShards: k, ChunkSize: 64}.Stream(context.Background(), &mono)
 			if err != nil {
-				t.Fatalf("K=%d DecodePlanShard(%d): %v", k, s, err)
+				t.Fatalf("%s K=%d Stream: %v", name, k, err)
 			}
-			var want bytes.Buffer
-			if err := view.Encode(&want); err != nil {
-				t.Fatalf("K=%d Encode(%d): %v", k, s, err)
+			if plan.Fingerprint() != streamed.Fingerprint() {
+				t.Errorf("%s K=%d partitioned fingerprint %s != streamed %s", name, k, plan.Fingerprint(), streamed.Fingerprint())
 			}
-			if !bytes.Equal(frags[s], want.Bytes()) {
-				t.Errorf("K=%d fragment %d bytes differ from sliced monolithic plan", k, s)
+			for s := range frags {
+				view, err := DecodePlanShard(bytes.NewReader(mono.Bytes()), s)
+				if err != nil {
+					t.Fatalf("%s K=%d DecodePlanShard(%d): %v", name, k, s, err)
+				}
+				var want bytes.Buffer
+				if err := view.Encode(&want); err != nil {
+					t.Fatalf("%s K=%d Encode(%d): %v", name, k, s, err)
+				}
+				if !bytes.Equal(frags[s], want.Bytes()) {
+					t.Errorf("%s K=%d fragment %d bytes differ from sliced monolithic plan", name, k, s)
+				}
 			}
 		}
 	}
@@ -73,16 +104,21 @@ func TestPartitionPlanFragmentsMatchSlicedPlan(t *testing.T) {
 // build emits the same bytes as the corresponding writer of a full
 // partitioned build.
 func TestBuildPlanFragmentMatchesPartitionPlan(t *testing.T) {
-	cfg := testConfig()
-	req := PlanRequest{Config: cfg, Partition: 3, ChunkSize: 64}
-	_, frags := fragmentBuffers(t, req)
-	for s := 0; s < 3; s++ {
-		var buf bytes.Buffer
-		if _, err := BuildPlanFragment(context.Background(), req, s, &buf); err != nil {
-			t.Fatalf("BuildPlanFragment(%d): %v", s, err)
-		}
-		if !bytes.Equal(buf.Bytes(), frags[s]) {
-			t.Errorf("fragment %d: BuildPlanFragment bytes differ from PartitionPlan's", s)
+	for _, fc := range fragmentCases {
+		name, cfg := fc.name, testConfig()
+		fc.adjust(&cfg)
+		for _, k := range []int{1, 4} {
+			req := PlanRequest{Config: cfg, Partition: k, ChunkSize: 64}
+			_, frags := fragmentBuffers(t, req)
+			for s := range frags {
+				var buf bytes.Buffer
+				if _, err := BuildPlanFragment(context.Background(), req, s, &buf); err != nil {
+					t.Fatalf("%s K=%d BuildPlanFragment(%d): %v", name, k, s, err)
+				}
+				if !bytes.Equal(buf.Bytes(), frags[s]) {
+					t.Errorf("%s K=%d fragment %d: BuildPlanFragment bytes differ from PartitionPlan's", name, k, s)
+				}
+			}
 		}
 	}
 }
@@ -164,11 +200,20 @@ func rawDrawSum(t *testing.T, cfg core.Config) float64 {
 // TestSpilledPlanMatchesInMemory: a spilled metadata pass must produce a
 // plan document byte-identical to the in-memory pass — on the resolver's
 // replicated fast path (target placed on the raw draw sum) and on the
-// documented O(N) fallback (target far from it).
+// documented O(N) fallback (target far from it); for a 1-file image; and
+// for file counts that end the parent column just short of, on, and just
+// past an edge of the 16 KiB (4096-entry) window the spilled placement
+// patches it through, so that levels patch entries on both sides of one.
 func TestSpilledPlanMatchesInMemory(t *testing.T) {
 	fast := testConfig()
 	fast.FSSizeBytes = int64(rawDrawSum(t, fast))
-	for name, cfg := range map[string]core.Config{"fastpath": fast, "fallback": testConfig()} {
+	cases := map[string]core.Config{"fastpath": fast, "fallback": testConfig()}
+	for _, n := range []int{1, 4095, 4096, 4097, 2*4096 + 1} {
+		cfg := testConfig()
+		cfg.NumFiles, cfg.FSSizeBytes = n, int64(n)*2048
+		cases[fmt.Sprintf("%d files", n)] = cfg
+	}
+	for name, cfg := range cases {
 		var mem bytes.Buffer
 		if _, err := (PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64}).Stream(context.Background(), &mem); err != nil {
 			t.Fatalf("%s in-memory Stream: %v", name, err)
@@ -289,6 +334,16 @@ func TestFragmentIndexRoundTrip(t *testing.T) {
 	short.Encode(&b3)
 	if _, err := DecodeFragmentIndex(bytes.NewReader(b3.Bytes())); err == nil {
 		t.Error("index with missing fragment names accepted")
+	}
+	// Names that would take a reader out of the index's directory.
+	for _, name := range []string{"", ".", "..", "../plan.json.frag1", "../../etc/passwd", "/etc/passwd", "sub/plan.json.frag1", "plan.json.frag1/"} {
+		hostile := *ix
+		hostile.Fragments = []string{ix.Fragments[0], name}
+		var b bytes.Buffer
+		hostile.Encode(&b)
+		if _, err := DecodeFragmentIndex(bytes.NewReader(b.Bytes())); !errors.Is(err, fsimage.ErrManifestIntegrity) {
+			t.Errorf("index naming fragment %q: got %v, want ErrManifestIntegrity", name, err)
+		}
 	}
 }
 

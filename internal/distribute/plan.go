@@ -236,21 +236,7 @@ func (p *Plan) encodeDocument(w io.Writer, stream func(fsimage.RecordSink) error
 	if _, err := fmt.Fprintf(bw, "{\"header\":%s,\"chunks\":[", header); err != nil {
 		return 0, "", fmt.Errorf("distribute: encoding plan: %w", err)
 	}
-	first := true
-	enc := fsimage.NewChunkEncoder(p.ChunkSize, func(c *fsimage.Chunk) error {
-		raw, err := json.Marshal(c)
-		if err != nil {
-			return fmt.Errorf("encoding metadata chunk %d: %w", c.Index, err)
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(raw)
-		return err
-	})
+	enc := fsimage.NewChunkEncoder(p.ChunkSize, chunkArrayWriter(bw, "metadata"))
 	if err := stream(enc); err != nil {
 		return 0, "", fmt.Errorf("distribute: %w", err)
 	}
@@ -268,6 +254,30 @@ func (p *Plan) encodeDocument(w io.Writer, stream func(fsimage.RecordSink) error
 		return 0, "", fmt.Errorf("distribute: encoding plan: %w", err)
 	}
 	return enc.Chunks(), enc.ChainHash(), nil
+}
+
+// appendChunkElement appends one sealed chunk as the next element of a wire
+// document's chunk array. fsimage renders the chunk; every document numbers
+// its chunks from 0, so any later index follows a comma.
+func appendChunkElement(dst []byte, c *fsimage.Chunk) ([]byte, error) {
+	if c.Index > 0 {
+		dst = append(dst, ',')
+	}
+	return c.AppendJSON(dst)
+}
+
+// chunkArrayWriter is the ChunkEncoder emit callback of both wire documents:
+// each sealed chunk goes through one reused buffer into bw. what names the
+// chunks in errors.
+func chunkArrayWriter(bw *bufio.Writer, what string) func(*fsimage.Chunk) error {
+	var buf []byte
+	return func(c *fsimage.Chunk) (err error) {
+		if buf, err = appendChunkElement(buf[:0], c); err != nil {
+			return fmt.Errorf("encoding %s chunk %d: %w", what, c.Index, err)
+		}
+		_, err = bw.Write(buf)
+		return err
+	}
 }
 
 // expectDelim reads one JSON token and requires it to be the given

@@ -74,23 +74,14 @@ func newShardDocEncoder(p *Plan, shard int, w io.Writer) (*shardDocEncoder, erro
 	if _, err := fmt.Fprintf(bw, "{\"view\":%s,\"records\":[", hdr); err != nil {
 		return nil, fmt.Errorf("distribute: encoding shard view: %w", err)
 	}
-	e := &shardDocEncoder{bw: bw}
-	first := true
-	e.enc = fsimage.NewChunkEncoder(p.ChunkSize, func(c *fsimage.Chunk) error {
-		raw, err := json.Marshal(c)
-		if err != nil {
-			return fmt.Errorf("encoding record chunk %d: %w", c.Index, err)
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(raw)
-		return err
-	})
-	return e, nil
+	return &shardDocEncoder{bw: bw, enc: fsimage.NewChunkEncoder(p.ChunkSize, chunkArrayWriter(bw, "record"))}, nil
+}
+
+// resumeAfter positions the encoder behind a directory section its caller
+// wrote to bw itself (the fragment router, once for all fragments): the
+// next chunk is the first file chunk, chained after dirHashes.
+func (e *shardDocEncoder) resumeAfter(chunkSize int, dirHashes []string) {
+	e.enc = fsimage.ResumeChunkEncoder(chunkSize, dirHashes, chunkArrayWriter(e.bw, "record"))
 }
 
 func (e *shardDocEncoder) AddDir(d fsimage.DirRecord) error { return e.enc.AddDir(d) }

@@ -3,8 +3,10 @@ package fsimage
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash"
+	"strconv"
 )
 
 // The chunked metadata stream is how large images travel inside plan files
@@ -49,19 +51,160 @@ type Chunk struct {
 	SHA256 string `json:"sha256"`
 }
 
+// hashFlushBytes is how many rendered record lines RecordsHash gathers
+// before one hash.Write.
+const hashFlushBytes = 32 << 10
+
 // RecordsHash computes the canonical SHA-256 (hex) over the chunk's index
 // and records. It hashes field values, not JSON bytes, so the hash is stable
-// across whitespace, field-order, and encoder differences.
+// across whitespace, field-order, and encoder differences. The hashed text
+// is one line per record,
+//
+//	"D %d %d %q %t %g\n" (ID, Parent, Name, Special, Bias)
+//	"F %d %q %q %d %d %d\n" (ID, Name, Ext, Size, DirID, Depth)
+//
+// after a "version\nindex:%d\n" preamble, rendered with strconv's appenders
+// (which is what fmt's verbs call; %q is strconv.AppendQuote behind
+// appendQuoted's shortcut) rather than through fmt: every plan record is
+// hashed at least twice, sealing and verifying, and formatting was seven
+// times the cost of the SHA-256 it fed.
 func (c *Chunk) RecordsHash() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\nindex:%d\n", chunkHashVersion, c.Index)
-	for _, d := range c.Dirs {
-		fmt.Fprintf(h, "D %d %d %q %t %g\n", d.ID, d.Parent, d.Name, d.Special, d.Bias)
+	// One buffer for all the lines: flushed when full, sized for a small
+	// chunk when the chunk is small, with room for one more line.
+	buf := make([]byte, 0, min(hashFlushBytes, 128*(len(c.Dirs)+len(c.Files)))+512)
+	buf = append(buf, chunkHashVersion...)
+	buf = append(buf, "\nindex:"...)
+	buf = strconv.AppendInt(buf, int64(c.Index), 10)
+	buf = append(buf, '\n')
+	for i := range c.Dirs {
+		d := &c.Dirs[i]
+		buf = append(buf, 'D', ' ')
+		buf = strconv.AppendInt(buf, int64(d.ID), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(d.Parent), 10)
+		buf = append(buf, ' ')
+		buf = appendQuoted(buf, d.Name, strconv.AppendQuote)
+		buf = append(buf, ' ')
+		buf = strconv.AppendBool(buf, d.Special)
+		buf = append(buf, ' ')
+		buf = strconv.AppendFloat(buf, d.Bias, 'g', -1, 64)
+		buf = append(buf, '\n')
+		if len(buf) >= hashFlushBytes {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
-	for _, f := range c.Files {
-		fmt.Fprintf(h, "F %d %q %q %d %d %d\n", f.ID, f.Name, f.Ext, f.Size, f.DirID, f.Depth)
+	for i := range c.Files {
+		f := &c.Files[i]
+		buf = append(buf, 'F', ' ')
+		buf = strconv.AppendInt(buf, int64(f.ID), 10)
+		buf = append(buf, ' ')
+		buf = appendQuoted(buf, f.Name, strconv.AppendQuote)
+		buf = append(buf, ' ')
+		buf = appendQuoted(buf, f.Ext, strconv.AppendQuote)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, f.Size, 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(f.DirID), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(f.Depth), 10)
+		buf = append(buf, '\n')
+		if len(buf) >= hashFlushBytes {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(buf)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+// AppendJSON appends the chunk's wire form, byte for byte what
+// json.Marshal(c) returns, to dst. Integers, booleans and the strings that
+// JSON copies through verbatim (appendQuoted) are appended directly; any
+// other string and a non-zero Bias are rendered by encoding/json itself, so
+// its escaping and float rules are never restated here. Like json.Marshal
+// it fails on an infinite or NaN Bias. Decoding stays with encoding/json:
+// it is the side that faces bytes this program did not write.
+func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(c.Index), 10)
+	if len(c.Dirs) > 0 {
+		dst = append(dst, `,"dirs":[`...)
+		for i := range c.Dirs {
+			d := &c.Dirs[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"id":`...)
+			dst = strconv.AppendInt(dst, int64(d.ID), 10)
+			dst = append(dst, `,"parent":`...)
+			dst = strconv.AppendInt(dst, int64(d.Parent), 10)
+			dst = append(dst, `,"name":`...)
+			dst = appendQuoted(dst, d.Name, appendStdlibJSONString)
+			if d.Special {
+				dst = append(dst, `,"special":true`...)
+			}
+			if d.Bias != 0 {
+				bias, err := json.Marshal(d.Bias)
+				if err != nil {
+					return dst, err
+				}
+				dst = append(append(dst, `,"bias":`...), bias...)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if len(c.Files) > 0 {
+		dst = append(dst, `,"files":[`...)
+		for i := range c.Files {
+			f := &c.Files[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"ID":`...)
+			dst = strconv.AppendInt(dst, int64(f.ID), 10)
+			dst = append(dst, `,"Name":`...)
+			dst = appendQuoted(dst, f.Name, appendStdlibJSONString)
+			dst = append(dst, `,"Ext":`...)
+			dst = appendQuoted(dst, f.Ext, appendStdlibJSONString)
+			dst = append(dst, `,"Size":`...)
+			dst = strconv.AppendInt(dst, f.Size, 10)
+			dst = append(dst, `,"DirID":`...)
+			dst = strconv.AppendInt(dst, int64(f.DirID), 10)
+			dst = append(dst, `,"Depth":`...)
+			dst = strconv.AppendInt(dst, int64(f.Depth), 10)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"sha256":`...)
+	dst = appendQuoted(dst, c.SHA256, appendStdlibJSONString)
+	return append(dst, '}'), nil
+}
+
+// appendQuoted appends s between double quotes as it stands when it is
+// printable ASCII free of " \ < > & — a string that strconv.Quote and
+// encoding/json (which escapes the last three for HTML) both copy through,
+// as every generated name is — and leaves any other string to render, the
+// renderer whose output the fast path stands for.
+func appendQuoted(dst []byte, s string, render func([]byte, string) []byte) []byte {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < 0x20 || b > 0x7e || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			return render(dst, s)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendStdlibJSONString appends json.Marshal(s).
+func appendStdlibJSONString(dst []byte, s string) []byte {
+	raw, _ := json.Marshal(s) // a string always marshals
+	return append(dst, raw...)
 }
 
 // ChunkEncoder is the RecordSink that slices a metadata stream into sealed,
@@ -151,6 +294,22 @@ func (e *ChunkEncoder) Chunks() int { return e.c.Index }
 // Close it is the whole-image integrity value a chunked stream's header or
 // trailer records.
 func (e *ChunkEncoder) ChainHash() string { return e.chain.Sum() }
+
+// ResumeChunkEncoder returns an encoder for the file half of a stream whose
+// directory chunks were sealed elsewhere: dirHashes are their RecordsHash
+// values in stream order. Its first chunk is numbered len(dirHashes), its
+// chain starts from those hashes, and it rejects directory records. The K
+// fragments of a partitioned plan share one directory section this way
+// instead of each hashing and rendering it again.
+func ResumeChunkEncoder(chunkSize int, dirHashes []string, emit func(*Chunk) error) *ChunkEncoder {
+	e := NewChunkEncoder(chunkSize, emit)
+	for _, h := range dirHashes {
+		e.chain.Add(h)
+	}
+	e.c.Index = len(dirHashes)
+	e.files = true
+	return e
+}
 
 // EncodeChunks slices img's metadata into sealed chunks of at most chunkSize
 // records each and passes them to emit in stream order. The chunk (and its

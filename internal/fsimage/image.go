@@ -10,11 +10,22 @@
 // writer for images too large to retain, runs the same per-file step.
 // ContentDigests/Digest is the hash-only oracle the writers are tested
 // against.
+//
+// The chunked metadata stream (chunks.go) is how records travel in plan,
+// fragment and shard documents. Its encoder side renders with appenders:
+// Chunk.RecordsHash builds the hashed record lines and Chunk.AppendJSON the
+// wire form in reused buffers, copying integers and plain printable-ASCII
+// strings straight through and handing any other string, and any non-zero
+// float, to strconv.AppendQuote and encoding/json, whose output the fast
+// path reproduces byte for byte (FuzzChunkCodec holds both to the fmt and
+// json.Marshal renderings they replaced). The decoder side is
+// encoding/json: it reads bytes this program did not write.
 package fsimage
 
 import (
 	"fmt"
 	"path"
+	"strconv"
 	"strings"
 
 	"impressions/internal/namespace"
@@ -161,12 +172,27 @@ func ExtensionOf(name string) string {
 }
 
 // MakeFileName builds a file name from a numeric counter and extension,
-// matching the paper's "simple numeric counter" naming scheme.
+// matching the paper's "simple numeric counter" naming scheme:
+// "file%08d" and, with an extension, "file%08d.%s". Every replay of a
+// metadata pass names every file again, so the name is assembled by hand.
 func MakeFileName(counter int, ext string) string {
-	if ext == "" || ext == "null" {
-		return fmt.Sprintf("file%08d", counter)
+	var digits [20]byte
+	num := strconv.AppendInt(digits[:0], int64(counter), 10)
+	name := make([]byte, 0, 32)
+	name = append(name, "file"...)
+	pad := 8 - len(num) // %08d: the width counts the sign, which goes first
+	if counter < 0 {
+		name, num = append(name, '-'), num[1:]
 	}
-	return fmt.Sprintf("file%08d.%s", counter, ext)
+	for ; pad > 0; pad-- {
+		name = append(name, '0')
+	}
+	name = append(name, num...)
+	if ext != "" && ext != "null" {
+		name = append(name, '.')
+		name = append(name, ext...)
+	}
+	return string(name)
 }
 
 // Summary is a compact human-readable description of an image.

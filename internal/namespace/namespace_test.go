@@ -1,6 +1,7 @@
 package namespace
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,6 +268,79 @@ func TestPlacerSizeDepthCoupling(t *testing.T) {
 	if hugeDepth/n >= tinyDepth/n {
 		t.Errorf("large files mean depth %.2f should be shallower than small files %.2f",
 			hugeDepth/n, tinyDepth/n)
+	}
+}
+
+// referenceChooseDepth is ChooseDepth as it was written until PR 18: a
+// weights slice per call and the per-depth logarithm recomputed per file.
+func referenceChooseDepth(p *Placer, size int64, rng *stats.RNG) int {
+	weights := make([]float64, p.maxFileDepth+1)
+	total := 0.0
+	logSize := math.Log(float64(size) + 1)
+	for d := 1; d <= p.maxFileDepth; d++ {
+		if len(p.tree.DirsAtDepth(d-1)) == 0 {
+			continue
+		}
+		w := p.depthPMF[d]
+		if p.cfg.MeanBytesByDepth != nil {
+			mean := p.meanBytesAt(d)
+			diff := logSize - math.Log(mean+1)
+			w *= math.Exp(-diff * diff / (2 * p.sigma * p.sigma))
+		}
+		weights[d] = w
+		total += w
+	}
+	if total <= 0 {
+		for d := 1; d <= p.maxFileDepth; d++ {
+			if len(p.tree.DirsAtDepth(d-1)) > 0 {
+				return d
+			}
+		}
+		return 1
+	}
+	target := rng.Float64() * total
+	acc := 0.0
+	last := 1
+	for d := 1; d <= p.maxFileDepth; d++ {
+		if weights[d] <= 0 {
+			continue
+		}
+		last = d
+		acc += weights[d]
+		if target < acc {
+			return d
+		}
+	}
+	return last
+}
+
+// TestChooseDepthMatchesReference: the table-driven ChooseDepth draws the
+// depth the reference draws from the same stream, with and without the
+// size-affinity term, on a tree its stack array holds and on a chain deeper
+// than that.
+func TestChooseDepthMatchesReference(t *testing.T) {
+	meanBytes := make([]float64, 17)
+	for d := range meanBytes {
+		meanBytes[d] = 4 * 1024 * 1024 / float64(int64(1)<<uint(d))
+	}
+	for name, tree := range map[string]*Tree{
+		"generative": GenerateTree(stats.NewRNG(16), 2000, ShapeGenerative),
+		"chain":      GenerateTree(nil, 150, ShapeDeep),
+	} {
+		for _, mb := range [][]float64{nil, meanBytes} {
+			placer := NewPlacer(tree, PlacerConfig{
+				DepthModel:       stats.NewPoisson(6.49),
+				DirFileModel:     stats.NewInversePolynomial(2, 2.36, 4096),
+				MeanBytesByDepth: mb,
+			}, stats.NewRNG(1))
+			got, want := stats.NewRNG(7), stats.NewRNG(7)
+			for i := 0; i < 2000; i++ {
+				size := int64(i) * int64(i) * 977
+				if g, w := placer.ChooseDepth(size, got), referenceChooseDepth(placer, size, want); g != w {
+					t.Fatalf("%s tree, size affinity %v, file %d: ChooseDepth = %d, the reference draws %d", name, mb != nil, i, g, w)
+				}
+			}
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ type Placer struct {
 	rng  *stats.RNG
 
 	depthPMF     []float64 // Poisson PMF per candidate file depth
+	logMeanBytes []float64 // log(desired mean bytes + 1) per candidate file depth
 	sigma        float64
 	maxFileDepth int
 
@@ -74,11 +75,13 @@ func NewPlacer(tree *Tree, cfg PlacerConfig, rng *stats.RNG) *Placer {
 		p.maxFileDepth = 1
 	}
 	p.depthPMF = make([]float64, p.maxFileDepth+1)
+	p.logMeanBytes = make([]float64, p.maxFileDepth+1)
 	for d := 1; d <= p.maxFileDepth; d++ {
 		p.depthPMF[d] = cfg.DepthModel.PMF(d)
 		if p.depthPMF[d] <= 0 {
 			p.depthPMF[d] = 1e-12
 		}
+		p.logMeanBytes[d] = math.Log(p.meanBytesAt(d) + 1)
 	}
 	p.parentFen = make([]*fenwick, tree.MaxDepth()+1)
 	p.posInDepth = make([]int, tree.Len())
@@ -185,7 +188,14 @@ func (p *Placer) MaxFileDepth() int { return p.maxFileDepth }
 // evolving file counters), so shard workers may call it concurrently, each
 // with its own rng.
 func (p *Placer) ChooseDepth(size int64, rng *stats.RNG) int {
-	weights := make([]float64, p.maxFileDepth+1)
+	// Called once per file: the weights live on the stack for any tree a
+	// generator has produced, and the per-depth logarithm comes from
+	// NewPlacer's table.
+	var stack [64]float64
+	weights := stack[:]
+	if p.maxFileDepth >= len(stack) {
+		weights = make([]float64, p.maxFileDepth+1)
+	}
 	total := 0.0
 	logSize := math.Log(float64(size) + 1)
 	for d := 1; d <= p.maxFileDepth; d++ {
@@ -194,8 +204,7 @@ func (p *Placer) ChooseDepth(size int64, rng *stats.RNG) int {
 		}
 		w := p.depthPMF[d]
 		if p.cfg.MeanBytesByDepth != nil {
-			mean := p.meanBytesAt(d)
-			diff := logSize - math.Log(mean+1)
+			diff := logSize - p.logMeanBytes[d]
 			w *= math.Exp(-diff * diff / (2 * p.sigma * p.sigma))
 		}
 		weights[d] = w
