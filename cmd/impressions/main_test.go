@@ -253,6 +253,28 @@ func TestMainExitCodes(t *testing.T) {
 	}
 }
 
+// TestRejectsCountsPastInt32: three billion files do not fit the metadata
+// columns' 32-bit indices; the command says so and exits 1 having created
+// neither the output directory nor a plan file.
+func TestRejectsCountsPastInt32(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-files", "3000000000", "-out", filepath.Join(dir, "image")},
+		{"plan", "-files", "3000000000", "-partition", "4", "-spill", dir, "-plan", filepath.Join(dir, "plan.json")},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := Main(args, &stdout, &stderr); got != 1 {
+			t.Errorf("Main(%q) = %d, want 1 (stderr: %s)", args, got, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "3000000000 files") {
+			t.Errorf("Main(%q): stderr does not name the count: %s", args, stderr.String())
+		}
+	}
+	if left, _ := os.ReadDir(dir); len(left) > 0 {
+		t.Errorf("the rejected commands left %s behind", left[0].Name())
+	}
+}
+
 // TestGenerateRejectsFormatBeforeGenerating: a -format the run cannot honour
 // is a usage error raised before any work, not after the image has been
 // generated and its summary and report printed.

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
+	"impressions/internal/parallel"
 	"impressions/internal/stats"
 )
 
@@ -58,6 +60,29 @@ func valuesSHA256(values []float64) string {
 		h.Write(b[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// awayPool is caller-supplied storage that, like a column in a temp file,
+// hands Draw a scratch shard and keeps it out of the resolver's sight.
+type awayPool struct {
+	n      int
+	shards [][]float64
+	scans  int
+}
+
+func (a *awayPool) Draw(s int, fill func([]float64)) error {
+	lo, hi := parallel.Bounds(a.n, s)
+	a.shards[s] = make([]float64, hi-lo)
+	fill(a.shards[s])
+	return nil
+}
+
+func (a *awayPool) Scan(visit func([]float64)) error {
+	a.scans++
+	for _, shard := range a.shards {
+		visit(shard)
+	}
+	return nil
 }
 
 func TestGoldenResolve(t *testing.T) {
@@ -127,6 +152,15 @@ func TestGoldenResolve(t *testing.T) {
 			nextUint64: 6555744079977746192, draws: 11596, firstReach: 3545,
 		},
 		{
+			// The raw draw already fits: the pool is the result, and with
+			// caller-supplied storage it is never read back.
+			name: "raw draw inside the tolerance", seed: 1,
+			problem: Problem{N: 10000, TargetSum: 10000 * stats.NewLognormal(6.9, 0.5).Mean(), Dist: stats.NewLognormal(6.9, 0.5)},
+			sum:     1.1217858458713837e+07, initialBeta: 0.0023201047291486936, finalBeta: 0.0023201047291486936, oversamples: 0, restarts: 0, converged: true,
+			values:     "a020f9af03f8eed8485a8381fffc9a03884ee2441b5d8ead22d942c784edd645",
+			nextUint64: 13757245211066428519, draws: 10000, firstReach: 9503,
+		},
+		{
 			// Negative values: the positive draws alone reach the window at
 			// oversample 244, the N largest at oversample 344.
 			name: "negative values", seed: 1,
@@ -137,28 +171,46 @@ func TestGoldenResolve(t *testing.T) {
 		},
 	}
 	for _, pin := range pins {
-		t.Run(pin.name, func(t *testing.T) {
-			var draws []float64
-			p := pin.problem
-			p.Dist = recordingDist{pin.problem.Dist, &draws}
-			rng := stats.NewRNG(pin.seed)
-			res, err := NewResolver(rng).Resolve(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := []any{res.Sum, res.InitialBeta, res.FinalBeta, res.Oversamples, res.Restarts, res.Converged,
-				valuesSHA256(res.Values), rng.Uint64(), len(draws), firstReach(draws, pin.problem)}
-			want := []any{pin.sum, pin.initialBeta, pin.finalBeta, pin.oversamples, pin.restarts, pin.converged,
-				pin.values, pin.nextUint64, pin.draws, pin.firstReach}
-			for i, field := range []string{"Sum", "InitialBeta", "FinalBeta", "Oversamples", "Restarts", "Converged",
-				"SHA-256 of Values", "next Uint64 of the resolver's RNG", "draws", "firstReach"} {
-				if got[i] != want[i] {
-					t.Errorf("%s = %v, pinned %v", field, got[i], want[i])
+		for _, away := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/storage=%v", pin.name, away), func(t *testing.T) {
+				var draws []float64
+				p := pin.problem
+				p.Dist = recordingDist{pin.problem.Dist, &draws}
+				rng := stats.NewRNG(pin.seed)
+				r := NewResolver(rng)
+				pool := &awayPool{n: p.N, shards: make([][]float64, parallel.Shards(p.N))}
+				if away {
+					r.SetPoolStorage(pool)
 				}
-			}
-			if res.OversampleRate != float64(res.Oversamples)/float64(pin.problem.N) {
-				t.Errorf("OversampleRate = %v with %d oversamples of N = %d", res.OversampleRate, res.Oversamples, pin.problem.N)
-			}
-		})
+				res, err := r.Resolve(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				values := res.Values
+				if away && res.Converged && res.Oversamples == 0 {
+					// The raw draw stands: it is in the storage, summed once
+					// and never read back.
+					if res.Values != nil || pool.scans != 1 {
+						t.Errorf("Resolve kept %d values and scanned the storage %d times", len(res.Values), pool.scans)
+					}
+					for _, shard := range pool.shards {
+						values = append(values, shard...)
+					}
+				}
+				got := []any{res.Sum, res.InitialBeta, res.FinalBeta, res.Oversamples, res.Restarts, res.Converged,
+					valuesSHA256(values), rng.Uint64(), len(draws), firstReach(draws, pin.problem)}
+				want := []any{pin.sum, pin.initialBeta, pin.finalBeta, pin.oversamples, pin.restarts, pin.converged,
+					pin.values, pin.nextUint64, pin.draws, pin.firstReach}
+				for i, field := range []string{"Sum", "InitialBeta", "FinalBeta", "Oversamples", "Restarts", "Converged",
+					"SHA-256 of Values", "next Uint64 of the resolver's RNG", "draws", "firstReach"} {
+					if got[i] != want[i] {
+						t.Errorf("%s = %v, pinned %v", field, got[i], want[i])
+					}
+				}
+				if res.OversampleRate != float64(res.Oversamples)/float64(pin.problem.N) {
+					t.Errorf("OversampleRate = %v with %d oversamples of N = %d", res.OversampleRate, res.Oversamples, pin.problem.N)
+				}
+			})
+		}
 	}
 }

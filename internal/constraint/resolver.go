@@ -26,7 +26,8 @@
 // (reachBound) no longer rules the target out from below. Neither check
 // draws from the RNG or alters what a step decides: a target no sample
 // reaches costs an attempt its draws and little else, and every Result is
-// what the search alone would return.
+// what the search alone would return. The package alone draws the pool and
+// tests the tolerance; a caller may only say where it is kept (PoolStorage).
 package constraint
 
 import (
@@ -102,6 +103,7 @@ type Resolver struct {
 	rng        *stats.RNG
 	recordPath bool
 	workers    int
+	storage    PoolStorage
 }
 
 // NewResolver returns a resolver that draws samples from rng.
@@ -119,24 +121,64 @@ func (r *Resolver) RecordConvergence(on bool) { r.recordPath = on }
 // which every stats distribution does (they are immutable values).
 func (r *Resolver) SetParallelism(workers int) { r.workers = workers }
 
-// samplePool draws the initial n-element pool. The shard base is seeded by
-// one draw from the resolver's main stream, so every attempt — across
-// restarts and across successive Resolve calls on the same Resolver — gets a
-// genuinely fresh pool (the restart mechanism exists to replace an unlucky
-// initial draw). Shard s of the pool then comes from the derived stream
-// SplitN(s) of that base, so concurrent workers never contend and the result
-// is independent of scheduling.
-func (r *Resolver) samplePool(d stats.Distribution, n int) []float64 {
+// PoolStorage keeps a pool of N draws somewhere other than the resolver's
+// heap: core hands Resolve its file-size column, which may be a temp file.
+type PoolStorage interface {
+	// Draw has fill draw shard s of the pool (parallel.Bounds of N) and keeps
+	// what it drew. Distinct shards are drawn concurrently.
+	Draw(s int, fill func(shard []float64)) error
+	// Scan visits the pool's shards in index order.
+	Scan(visit func(shard []float64)) error
+}
+
+// SetPoolStorage makes Resolve draw each attempt's pool into s. When a draw
+// already meets the sum constraint, Resolve returns without having held it:
+// the values are in s, Result.Values and Result.KS stay zero. Otherwise it
+// reads the pool back whole and carries on as it does on its own heap.
+func (r *Resolver) SetPoolStorage(s PoolStorage) { r.storage = s }
+
+// heapPool is the storage of a pool the resolver keeps itself.
+type heapPool []float64
+
+func (h heapPool) Draw(s int, fill func([]float64)) error {
+	lo, hi := parallel.Bounds(len(h), s)
+	fill(h[lo:hi])
+	return nil
+}
+
+func (h heapPool) Scan(visit func([]float64)) error {
+	visit(h)
+	return nil
+}
+
+// samplePool draws an n-element pool into store and returns its sum, taken
+// left to right. The shard base is seeded by one draw from the resolver's
+// main stream, so every attempt — across restarts and successive Resolve
+// calls — gets a genuinely fresh pool (the restart mechanism exists to
+// replace an unlucky initial draw). Shard s then comes from the derived
+// stream SplitN(s) of that base, so concurrent workers never contend and the
+// result is independent of scheduling.
+func (r *Resolver) samplePool(d stats.Distribution, n int, store PoolStorage) (float64, error) {
 	base := stats.NewRNG(int64(r.rng.Uint64())).SplitStream("pool")
-	out := make([]float64, n)
-	parallel.Run(r.workers, parallel.Shards(n), func(s int) {
-		srng := base.SplitN(uint64(s))
-		lo, hi := parallel.Bounds(n, s)
-		for i := lo; i < hi; i++ {
-			out[i] = d.Sample(srng)
+	errs := make([]error, parallel.Shards(n))
+	parallel.Run(r.workers, len(errs), func(s int) {
+		errs[s] = store.Draw(s, func(shard []float64) {
+			srng := base.SplitN(uint64(s))
+			for i := range shard {
+				shard[i] = d.Sample(srng)
+			}
+		})
+	})
+	if err := errors.Join(errs...); err != nil {
+		return 0, err
+	}
+	sum := 0.0
+	err := store.Scan(func(shard []float64) {
+		for _, v := range shard {
+			sum += v
 		}
 	})
-	return out
+	return sum, err
 }
 
 // Resolve solves the problem, returning the resolved samples and convergence
@@ -157,7 +199,10 @@ func (r *Resolver) Resolve(p Problem) (Result, error) {
 	wideMisses := 0
 	for restart := 0; restart <= p.MaxRestarts; restart++ {
 		res.Restarts = restart
-		ok, gapFrac := r.attempt(p, &res)
+		ok, gapFrac, err := r.attempt(p, &res)
+		if err != nil {
+			return Result{}, err
+		}
 		if ok {
 			res.Converged = true
 			return res, nil
@@ -214,12 +259,20 @@ func applyDefaults(p *Problem) {
 // far outside the window the target remained as a fraction of the target —
 // or, when the reach bound alone already puts that past futilityGapFrac, the
 // bound's smaller figure, which classifies the attempt the same way.
-func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac float64) {
-	pool := r.samplePool(p.Dist, p.N)
+func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac float64, err error) {
+	var pool []float64 // nil while the caller's storage holds the draw
+	store := r.storage
+	if store == nil {
+		pool = make([]float64, p.N)
+		store = heapPool(pool)
+	}
+	initialSum, err := r.samplePool(p.Dist, p.N, store)
+	if err != nil {
+		return false, 0, err
+	}
 	tolerance := p.Beta * p.TargetSum
 	maxOversamples := int(p.Lambda * float64(p.N))
 
-	initialSum := stats.Sum(pool)
 	if res.InitialBeta == 0 {
 		res.InitialBeta = math.Abs(initialSum-p.TargetSum) / p.TargetSum
 	}
@@ -234,10 +287,17 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 		res.FinalBeta = math.Abs(initialSum-p.TargetSum) / p.TargetSum
 		res.Oversamples = 0
 		res.OversampleRate = 0
-		if !p.SkipKS {
+		if !p.SkipKS && pool != nil {
 			res.KS, _ = gof.KSTwoSample(pool, pool, p.Alpha)
 		}
-		return true, 0
+		return true, 0, nil
+	}
+	if pool == nil {
+		// The documented O(N) corner of caller-supplied storage.
+		pool = make([]float64, 0, p.N)
+		if err := store.Scan(func(shard []float64) { pool = append(pool, shard...) }); err != nil {
+			return false, 0, err
+		}
 	}
 
 	// Feasibility (is there any N-subset whose sum can fall inside the
@@ -329,18 +389,18 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 		res.FinalBeta = math.Abs(sum-p.TargetSum) / p.TargetSum
 		res.Oversamples = extra
 		res.OversampleRate = float64(extra) / float64(p.N)
-		return true, 0
+		return true, 0, nil
 	}
 	res.Oversamples = maxOversamples
 	res.OversampleRate = p.Lambda
 	if feasible {
-		return false, 0
+		return false, 0, nil
 	}
 	if bounds == nil {
 		// The window's lower edge stayed above anything the pool reaches. If
 		// even that bound is a wide miss, the exact gap (no smaller) is too.
 		if gapFrac := (lower - reach.max()) / p.TargetSum; gapFrac > futilityGapFrac {
-			return false, gapFrac
+			return false, gapFrac, nil
 		}
 		bounds = replayBoundsTracker(pool, p.N)
 	}
@@ -350,7 +410,7 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 	if gap < 0 {
 		gap = 0
 	}
-	return false, gap / p.TargetSum
+	return false, gap / p.TargetSum, nil
 }
 
 // reachBound bounds from above what any subset of a growing pool can sum to:

@@ -283,8 +283,12 @@ func TestSuccessivePoolDrawsAreFresh(t *testing.T) {
 	// Restarts and repeated Resolve calls on one Resolver must redraw fresh
 	// initial pools: the restart mechanism exists to replace an unlucky draw.
 	r := NewResolver(stats.NewRNG(9))
-	a := r.samplePool(paperDist(), 50)
-	b := r.samplePool(paperDist(), 50)
+	a, b := make(heapPool, 50), make(heapPool, 50)
+	for _, pool := range []heapPool{a, b} {
+		if _, err := r.samplePool(paperDist(), 50, pool); err != nil {
+			t.Fatal(err)
+		}
+	}
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

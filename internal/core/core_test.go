@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"impressions/internal/content"
+	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 )
 
@@ -103,6 +105,24 @@ func TestGenerateDeriveCounts(t *testing.T) {
 func TestGenerateEmptyConfigFails(t *testing.T) {
 	if _, err := GenerateImage(Config{}); err == nil {
 		t.Fatal("expected error for empty config")
+	}
+}
+
+// TestNewGeneratorRejectsCountsPastInt32: the columns hold file indices and
+// directory IDs as int32, so a count past that — given, or derived from a
+// size — is an invalid spec, said before any work.
+func TestNewGeneratorRejectsCountsPastInt32(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"files":         {NumFiles: math.MaxInt32 + 1, NumDirs: 10},
+		"dirs":          {NumFiles: 10, NumDirs: math.MaxInt32 + 1},
+		"files derived": {FSSizeBytes: 1 << 62},
+	} {
+		if _, err := NewGenerator(cfg); !errors.Is(err, fsimage.ErrInvalidSpec) {
+			t.Errorf("%s: got %v, want ErrInvalidSpec", name, err)
+		}
+	}
+	if _, err := NewGenerator(Config{NumFiles: math.MaxInt32, NumDirs: math.MaxInt32}); err != nil {
+		t.Errorf("the largest image: %v", err)
 	}
 }
 

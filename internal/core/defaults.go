@@ -4,6 +4,13 @@
 // sizing under constraints, extension assignment, file placement, optional
 // on-disk layout simulation), accuracy self-checks, and the reproducibility
 // report.
+//
+// The metadata phases, the record replay and the placement walk are each
+// written once, over a column store (columns.go) whose shards live on the
+// heap or, under Config.SpillDir, in temp files: the backing changes what a
+// pass costs, never a byte it emits. The file-size pool is drawn, and the
+// sum tolerance tested, by internal/constraint alone; core only hands it the
+// sizes column to draw into.
 package core
 
 import (

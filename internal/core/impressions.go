@@ -31,6 +31,9 @@ type Result struct {
 // same config produce identical images.
 type Generator struct {
 	cfg Config
+	// openColumn, when a test sets it, replaces the creation of a spilled
+	// column's file.
+	openColumn func(path string) (blockFile, error)
 }
 
 // NewGenerator validates and normalizes the configuration and returns a
@@ -42,6 +45,12 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	normalized, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
+	}
+	// The parents column and the depth lists hold directory IDs and file
+	// indices as int32.
+	if normalized.NumFiles > math.MaxInt32 || normalized.NumDirs > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d files in %d directories: an image holds at most %d of either (%w)",
+			normalized.NumFiles, normalized.NumDirs, math.MaxInt32, fsimage.ErrInvalidSpec)
 	}
 	return &Generator{cfg: normalized}, nil
 }
@@ -77,7 +86,10 @@ func (g *Generator) GenerateContext(ctx context.Context) (*Result, error) {
 	// Materializing the retained image is part of the placement phase's
 	// accounting (it is where the file records spring into existence).
 	start := clock.Now()
-	img := m.Image()
+	img, err := m.Image()
+	if err != nil {
+		return nil, err
+	}
 	m.phases["file and bytes with depth"] += seconds(start)
 
 	// Phase 5: optional on-disk layout simulation (§3.7). The disk stream is
@@ -104,171 +116,237 @@ func (g *Generator) GenerateContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// resolveSizes draws the file-size sample under the N / S constraints.
-func (g *Generator) resolveSizes(rng *stats.RNG) ([]float64, constraint.Result, error) {
+// resolveSizes draws the file-size sample under the N / S constraints into
+// the sizes column, which keeps the raw values: readers round them with
+// roundSize. The resolver draws a pool straight into the column and, when
+// the draw already meets the constraint — every well-sized config — never
+// holds it; otherwise it works on the heap and its result is written over
+// the column, the documented O(files) corner of a spilled pass (targets far
+// from the distribution's expected sum).
+func (g *Generator) resolveSizes(rng *stats.RNG, sizes *column[float64]) (constraint.Result, error) {
 	cfg := g.cfg
 	resolver := constraint.NewResolver(rng)
 	resolver.SetParallelism(effectiveParallelism(cfg.Parallelism))
-	problem := constraint.Problem{
+	resolver.SetPoolStorage(poolColumn{sizes})
+	result, err := resolver.Resolve(constraint.Problem{
 		N:         cfg.NumFiles,
 		TargetSum: float64(cfg.FSSizeBytes),
 		Dist:      cfg.FileSizeDist,
 		Beta:      cfg.Beta,
 		Lambda:    cfg.Lambda,
-	}
-	result, err := resolver.Resolve(problem)
+	})
 	if err != nil {
-		return nil, constraint.Result{}, fmt.Errorf("core: resolving file sizes: %w", err)
+		return constraint.Result{}, fmt.Errorf("core: resolving file sizes: %w", err)
 	}
+	values := result.Values
+	result.Values = nil
 	if !result.Converged {
 		// Fall back to the raw (unconstrained) sample rather than failing:
 		// the user asked for an unusual combination (§3.4 notes far-apart
 		// desired and expected sums may not converge); report the error so
 		// the caller can decide.
-		sizes := stats.SampleN(cfg.FileSizeDist, rng.Fork("fallback"), cfg.NumFiles)
-		roundSizes(sizes)
-		return sizes, result, nil
+		values = stats.SampleN(cfg.FileSizeDist, rng.Fork("fallback"), cfg.NumFiles)
 	}
-	roundSizes(result.Values)
-	return result.Values, result, nil
-}
-
-// roundSizes rounds sampled sizes to whole non-negative byte counts.
-func roundSizes(sizes []float64) {
-	for i, s := range sizes {
-		if s < 0 {
-			s = 0
+	if values == nil {
+		return result, nil // the column holds the draw that met the constraint
+	}
+	var shard []float64
+	for s := 0; s < parallel.Shards(sizes.n); s++ {
+		lo, hi := parallel.Bounds(sizes.n, s)
+		shard = sizes.shard(s, shard)
+		copy(shard, values[lo:hi])
+		if err := sizes.store(s, shard); err != nil {
+			return constraint.Result{}, err
 		}
-		sizes[i] = math.Round(s)
 	}
+	return result, nil
 }
 
-// assignExtensions samples extensions from the dataset's percentile table;
-// files falling in the "others" bucket receive a random three-character
-// extension, exactly as §3.3.2 describes. Files are processed in fixed-size
-// shards, each drawing from its own derived stream, so the assignment is
-// identical at every parallelism level. Cancellation is polled per shard:
-// a cancelled context makes remaining shards no-ops and the error is
-// surfaced by the caller's post-phase check (the partial column is
-// discarded, so determinism is unaffected).
-func (g *Generator) assignExtensions(ctx context.Context, rng *stats.RNG, n int) []string {
+// roundSize is a file's size in whole non-negative bytes, as every reader of
+// the sizes column takes it.
+func roundSize(v float64) int64 {
+	if v < 0 {
+		v = 0
+	}
+	return int64(math.Round(v))
+}
+
+// extOther flags an extension code as three packed base-36 characters, the
+// random extension of a file in the table's "others" bucket, rather than an
+// index into the table's names.
+const extOther = uint32(1) << 31
+
+const extLetters = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+// assignExtensions samples extensions from the dataset's percentile table
+// into the codes column; files falling in the "others" bucket receive a
+// random three-character extension, exactly as §3.3.2 describes. Files are
+// processed in fixed-size shards, each drawing from its own derived stream,
+// so the assignment is identical at every parallelism level.
+func (g *Generator) assignExtensions(ctx context.Context, rng *stats.RNG, exts *column[uint32]) ([]string, error) {
 	table := g.cfg.Dataset.ExtensionsByCount()
-	out := make([]string, n)
-	parallel.Run(effectiveParallelism(g.cfg.Parallelism), parallel.Shards(n), func(s int) {
-		if ctx.Err() != nil {
-			return
-		}
+	names := table.Names()
+	if len(names) >= int(extOther) {
+		return nil, fmt.Errorf("core: extension table too large for a 31-bit code (%d names)", len(names))
+	}
+	err := runShards(ctx, effectiveParallelism(g.cfg.Parallelism), parallel.Shards(exts.n), func(s int) error {
 		srng := rng.SplitN(uint64(s))
-		lo, hi := parallel.Bounds(n, s)
-		for i := lo; i < hi; i++ {
-			ext := table.SampleName(srng)
-			if ext == "others" {
-				ext = randomExtension(srng)
+		codes := exts.shard(s, nil)
+		for k := range codes {
+			idx := table.SampleIndex(srng)
+			codes[k] = uint32(idx)
+			if names[idx] == "others" {
+				c0, c1, c2 := srng.Intn(len(extLetters)), srng.Intn(len(extLetters)), srng.Intn(len(extLetters))
+				codes[k] = extOther | uint32((c0*len(extLetters)+c1)*len(extLetters)+c2)
 			}
-			out[i] = ext
 		}
+		return exts.store(s, codes)
 	})
-	return out
+	return names, err
 }
 
-// placeFiles assigns every file a parent directory and depth using the
-// multiplicative model of §3.3.2, decomposed into two deterministic parallel
-// passes:
+// extFor decodes an extension code back to the raw extension draw ("null"
+// means none).
+func (m *Metadata) extFor(code uint32) string {
+	if code&extOther == 0 {
+		return m.extNames[code]
+	}
+	v, n := int(code&^extOther), len(extLetters)
+	return string([]byte{extLetters[v/(n*n)], extLetters[v/n%n], extLetters[v%n]})
+}
+
+// placeFiles assigns every file a parent directory using the multiplicative
+// model of §3.3.2, decomposed into two deterministic passes around a
+// sequential commit:
 //
 //  1. Depth pass — for each file, decide whether it lands in a special
 //     directory and otherwise choose its namespace depth. Both decisions read
 //     only the immutable tree skeleton, so files are processed in fixed-size
-//     shards with per-shard RNG streams.
-//  2. Parent pass — group files by chosen depth and run one worker per depth
-//     level. A file at depth d picks its parent among directories at depth
-//     d-1 only, so workers touch disjoint directory sets while preserving
-//     the sequential preferential-attachment dynamics within each depth.
+//     shards with per-shard RNG streams. The parents column takes the
+//     outcome: the special directory's ID, or the depth negated (a file's
+//     depth is at least 1) until pass 2 replaces it.
+//  2. Commit — in index order, special placements are committed, so every
+//     depth level starts from the same directory counters, and every other
+//     file's index is appended to its depth level's list.
+//  3. Parent pass — one worker per depth level walks its list. A file at
+//     depth d picks its parent among directories at depth d-1 only, so
+//     workers touch disjoint directory sets while preserving the sequential
+//     preferential-attachment dynamics within each depth. Indices ascend
+//     within a level, so the walk loads the block an index falls in, patches
+//     it, and stores it when the walk leaves it.
 //
 // Shard boundaries, depth grouping (ascending file index), and every RNG
 // stream are functions of the seed and stable shard/depth keys — never of
 // worker count or scheduling — so any parallelism level produces the
 // identical image.
 //
-// placeFiles returns the parent directory column; it emits no records — a
-// file's record (name, depth, extension) is derived from the columns at
-// consumption time, whether that is the retained Image or a record stream.
-// Cancellation is polled per shard (pass 1) and per depth level (pass 2);
-// on cancellation the partially filled columns are discarded by the caller,
-// so an aborted run never leaks a half-placed image.
-func (g *Generator) placeFiles(ctx context.Context, tree *namespace.Tree, sizes []float64, rng *stats.RNG) ([]int32, error) {
-	placer := namespace.NewPlacer(tree, g.placerConfig(tree), rng.Fork("placement"))
+// placeFiles fills m's parents column and emits no records — a file's record
+// (name, depth, extension) is derived from the columns at consumption time.
+// It also totals the rounded sizes, which the commit loop passes anyway.
+// Cancellation is polled per shard and per depth level; on cancellation the
+// caller discards the partially filled columns, so an aborted run never
+// leaks a half-placed image.
+func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG) error {
+	sizes, parents := m.sizes, m.parents
+	placer := namespace.NewPlacer(m.tree, g.placerConfig(m.tree), rng.Fork("placement"))
 	workers := effectiveParallelism(g.cfg.Parallelism)
-	n := len(sizes)
 
-	// Pass 1: special-directory draws and depth choices, sharded. The depth
-	// column is transient — a placed file's depth is its parent's depth + 1,
-	// so only the parent column survives the pass.
-	depths := make([]int32, n)
-	parents := make([]int32, n) // parent dir ID; -1 until assigned
 	depthStream := rng.Fork("placement/depth")
-	parallel.Run(workers, parallel.Shards(n), func(s int) {
-		if ctx.Err() != nil {
-			return
-		}
+	err := runShards(ctx, workers, parallel.Shards(sizes.n), func(s int) error {
 		srng := depthStream.SplitN(uint64(s))
-		lo, hi := parallel.Bounds(n, s)
-		for i := lo; i < hi; i++ {
+		sz, err := sizes.load(s, nil)
+		if err != nil {
+			return err
+		}
+		par := parents.shard(s, nil)
+		for k := range par {
 			if dirID, ok := placer.ChooseSpecial(srng); ok {
-				parents[i] = int32(dirID)
-				depths[i] = int32(placer.FileDepthAt(dirID))
+				par[k] = int32(dirID)
+			} else {
+				par[k] = -int32(placer.ChooseDepth(roundSize(sz[k]), srng))
+			}
+		}
+		return parents.store(s, par)
+	})
+	if err != nil {
+		return err
+	}
+
+	levels := make([]*column[int32], placer.MaxFileDepth()+1)
+	err = scanFiles(ctx, sizes, nil, parents, func(lo int, sz []float64, _ []uint32, par []int32) error {
+		for k, p := range par {
+			size := roundSize(sz[k])
+			m.totalBytes += size
+			if p >= 0 {
+				placer.Commit(int(p), size)
 				continue
 			}
-			parents[i] = -1
-			depths[i] = int32(placer.ChooseDepth(int64(sizes[i]), srng))
+			if levels[-p] == nil {
+				level, err := newColumn[int32](m.store, fmt.Sprintf("depth-%d.i32", -p), 0)
+				if err != nil {
+					return err
+				}
+				levels[-p] = level
+			}
+			if err := levels[-p].append(int32(lo + k)); err != nil {
+				return err
+			}
 		}
+		return nil
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if err != nil {
+		return err
 	}
 
-	// Commit special placements before the parent pass so every depth worker
-	// starts from the same directory counters.
-	byDepth := make([][]int32, placer.MaxFileDepth()+1)
-	for i := 0; i < n; i++ {
-		if parents[i] >= 0 {
-			placer.Commit(int(parents[i]), int64(sizes[i]))
-			continue
-		}
-		byDepth[depths[i]] = append(byDepth[depths[i]], int32(i))
+	// Two levels can have files in one block of the parents column, which
+	// only a column patched in place lets them patch at the same time.
+	if !parents.inPlace() {
+		workers = 1
 	}
-
-	// Pass 2: parent choice, one worker per depth level. A depth-d worker
-	// reads and updates only directories at depth d-1, so depth levels are
-	// independent; each draws from its own stream keyed by the depth.
 	parentStream := rng.Fork("placement/parent")
-	parallel.Run(workers, len(byDepth), func(d int) {
-		if ctx.Err() != nil {
-			return
+	return runShards(ctx, workers, len(levels), func(d int) error {
+		level := levels[d]
+		if level == nil {
+			return nil
 		}
-		files := byDepth[d]
-		if len(files) == 0 {
-			return
+		if err := level.flush(); err != nil {
+			return err
 		}
 		drng := parentStream.SplitN(uint64(d))
-		for _, i := range files {
-			dirID := placer.ChooseParentAt(d-1, drng)
-			placer.Commit(dirID, int64(sizes[i]))
-			parents[i] = int32(dirID)
+		var (
+			sz  []float64
+			par []int32
+		)
+		block := -1 // the shard sz and par hold
+		err := level.each(func(files []int32) error {
+			for _, i := range files {
+				if s := int(i) / parallel.DefaultShardSize; s != block {
+					if block >= 0 {
+						if err := parents.store(block, par); err != nil {
+							return err
+						}
+					}
+					var err error
+					if sz, err = sizes.load(s, sz); err != nil {
+						return err
+					}
+					if par, err = parents.load(s, par); err != nil {
+						return err
+					}
+					block = s
+				}
+				k := int(i) % parallel.DefaultShardSize
+				dirID := placer.ChooseParentAt(d-1, drng)
+				placer.Commit(dirID, roundSize(sz[k]))
+				par[k] = int32(dirID)
+			}
+			return nil
+		})
+		if err != nil || block < 0 {
+			return err
 		}
+		return parents.store(block, par)
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return parents, nil
-}
-
-func randomExtension(rng *stats.RNG) string {
-	const letters = "abcdefghijklmnopqrstuvwxyz0123456789"
-	b := make([]byte, 3)
-	for i := range b {
-		b[i] = letters[rng.Intn(len(letters))]
-	}
-	return string(b)
 }
 
 func normalizeExt(ext string) string {

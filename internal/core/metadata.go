@@ -8,12 +8,14 @@ import (
 	"impressions/internal/constraint"
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
+	"impressions/internal/parallel"
 	"impressions/internal/stats"
 )
 
 // Metadata is the resolved metadata pass in compact columnar form: the
 // directory tree plus one primitive column per file attribute (size,
-// extension, parent directory). It is what the generation phases actually
+// extension, parent directory), on the heap or, under Config.SpillDir, in
+// temp files (see columns.go). It is what the generation phases actually
 // produce — the in-memory fsimage.Image is just one way to consume it.
 // Holding columns instead of fsimage.File structs keeps the metadata pass
 // free of per-file name allocations and lets consumers choose between
@@ -22,14 +24,12 @@ import (
 // materializing records at all (EachPlacement) — the planner's route to
 // per-shard accumulators with O(chunk) live records.
 type Metadata struct {
-	tree    *namespace.Tree
-	sizes   []float64 // whole non-negative bytes per file
-	exts    []string  // raw extension draws ("null" means none)
-	parents []int32   // parent directory ID per file
-
-	// spill, when non-nil, replaces the three columns above with their
-	// file-backed variant (Config.SpillDir); sizes/exts/parents stay nil.
-	spill *spillColumns
+	tree     *namespace.Tree
+	store    *columnStore
+	sizes    *column[float64] // the resolver's raw values; roundSize on read
+	exts     *column[uint32]  // extension codes; extFor on read
+	parents  *column[int32]   // parent directory ID per file
+	extNames []string         // the extension table's names, which codes index
 
 	spec        fsimage.Spec
 	convergence constraint.Result
@@ -38,25 +38,15 @@ type Metadata struct {
 }
 
 // Close releases the file-backed columns of a spilled metadata pass. It is a
-// no-op for in-memory metadata. Streaming consumers that resolve metadata
-// themselves must close it when done.
-func (m *Metadata) Close() error {
-	if m.spill != nil {
-		return m.spill.Close()
-	}
-	return nil
-}
+// no-op for in-memory metadata, and after the first call. Streaming
+// consumers that resolve metadata themselves must close it when done.
+func (m *Metadata) Close() error { return m.store.close() }
 
 // Tree returns the directory tree (shared, not copied).
 func (m *Metadata) Tree() *namespace.Tree { return m.tree }
 
 // FileCount returns the number of files.
-func (m *Metadata) FileCount() int {
-	if m.spill != nil {
-		return m.spill.n
-	}
-	return len(m.sizes)
-}
+func (m *Metadata) FileCount() int { return m.sizes.n }
 
 // DirCount returns the number of directories (including the root).
 func (m *Metadata) DirCount() int { return m.tree.Len() }
@@ -67,92 +57,93 @@ func (m *Metadata) TotalBytes() int64 { return m.totalBytes }
 // Spec returns the reproducibility spec of the resolved metadata.
 func (m *Metadata) Spec() fsimage.Spec { return m.spec }
 
-// FileAt builds the canonical file record for file i on the fly.
-func (m *Metadata) FileAt(i int) fsimage.File {
-	parent := int(m.parents[i])
-	return fsimage.File{
-		ID:    i,
-		Name:  fsimage.MakeFileName(i, m.exts[i]),
-		Ext:   normalizeExt(m.exts[i]),
-		Size:  int64(m.sizes[i]),
-		DirID: parent,
-		Depth: m.tree.Dirs[parent].Depth + 1,
-	}
-}
-
 // EachPlacement walks every file's placement (ID, parent directory, size)
 // without materializing records — the compact input for per-shard
-// accumulators. In spill mode the walk is a sequential column read and can
-// fail with an I/O error; in-memory it always returns nil.
+// accumulators. On file-backed columns the walk can fail with an I/O error;
+// in memory it always returns nil.
 func (m *Metadata) EachPlacement(fn func(fileID, dirID int, size int64)) error {
-	if m.spill != nil {
-		return m.spill.eachPlacement(fn)
-	}
-	for i := range m.sizes {
-		fn(i, int(m.parents[i]), int64(m.sizes[i]))
-	}
-	return nil
+	return scanFiles(context.Background(), m.sizes, nil, m.parents, func(lo int, sizes []float64, _ []uint32, parents []int32) error {
+		for k, parent := range parents {
+			fn(lo+k, int(parent), roundSize(sizes[k]))
+		}
+		return nil
+	})
 }
 
-// StreamRecords replays the metadata as the canonical record stream,
-// building each file record transiently — Metadata is a fsimage.RecordSource
-// whose live file records are bounded by whatever the sink buffers.
+// eachFile replays the columns as the canonical file records, each built
+// transiently, polling ctx once per shard of records (per-record checks
+// would dominate the loop's cost).
+func (m *Metadata) eachFile(ctx context.Context, fn func(fsimage.File) error) error {
+	return scanFiles(ctx, m.sizes, m.exts, m.parents, func(lo int, sizes []float64, exts []uint32, parents []int32) error {
+		for k, parent := range parents {
+			ext := m.extFor(exts[k])
+			err := fn(fsimage.File{
+				ID:    lo + k,
+				Name:  fsimage.MakeFileName(lo+k, ext),
+				Ext:   normalizeExt(ext),
+				Size:  roundSize(sizes[k]),
+				DirID: int(parent),
+				Depth: m.tree.Dirs[parent].Depth + 1,
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// StreamRecords replays the metadata as the canonical record stream —
+// Metadata is a fsimage.RecordSource whose live file records are bounded by
+// whatever the sink buffers.
 func (m *Metadata) StreamRecords(sink fsimage.RecordSink) error {
+	return m.streamRecords(context.Background(), sink)
+}
+
+func (m *Metadata) streamRecords(ctx context.Context, sink fsimage.RecordSink) error {
 	for i := range m.tree.Dirs {
+		if i%parallel.DefaultShardSize == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		d := &m.tree.Dirs[i]
 		if err := sink.AddDir(fsimage.DirRecord{ID: d.ID, Parent: d.Parent, Name: d.Name, Special: d.Special, Bias: d.Bias}); err != nil {
 			return err
 		}
 	}
-	if m.spill != nil {
-		return m.spill.eachFile(context.Background(), m.tree, 0, sink.AddFile)
-	}
-	for i := range m.sizes {
-		if err := sink.AddFile(m.FileAt(i)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.eachFile(ctx, sink.AddFile)
 }
 
 // Image materializes the metadata as a retained in-memory image sharing the
 // tree. This is the retained-sink path Generate takes; large-scale pipelines
-// stream instead. Spilled metadata exists precisely to avoid O(files) heap,
-// so retaining it is a programming error (Generate rejects SpillDir).
-func (m *Metadata) Image() *fsimage.Image {
-	if m.spill != nil {
-		panic("core: Image() called on spilled metadata; stream it instead")
-	}
+// stream instead.
+func (m *Metadata) Image() (*fsimage.Image, error) {
 	img := fsimage.New(m.tree)
 	img.Files = make([]fsimage.File, m.FileCount())
-	for i := range img.Files {
-		img.Files[i] = m.FileAt(i)
-	}
 	img.Spec = m.spec
-	return img
+	err := m.eachFile(context.Background(), func(f fsimage.File) error {
+		img.Files[f.ID] = f
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return img, nil
 }
 
-// ResolveMetadata runs the metadata pipeline — directory skeleton,
+// ResolveMetadataContext runs the metadata pipeline — directory skeleton,
 // constrained file sizes, extensions, placement — and returns the result in
 // columnar form without building an image. It is the shared front half of
 // Generate and GenerateStream, and the generation side of the fused
-// distributed planner.
-func (g *Generator) ResolveMetadata() (*Metadata, error) {
-	return g.ResolveMetadataContext(context.Background())
-}
-
-// ResolveMetadataContext is ResolveMetadata with cancellation: ctx is
-// checked between phases and polled per shard inside the sharded phases
-// (extensions and both placement passes), so a server can abandon a
-// disconnected client's metadata pass mid-phase. On cancellation the
-// partial columns are discarded and ctx.Err() is returned.
+// distributed planner. ctx is checked between phases and polled per shard
+// inside the sharded phases (extensions and placement), so a server can
+// abandon a disconnected client's metadata pass mid-phase. On cancellation
+// or error the partial columns are discarded.
 func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, error) {
-	if g.cfg.SpillDir != "" {
-		return g.resolveMetadataSpill(ctx)
-	}
 	cfg := g.cfg
 	rng := stats.NewRNG(cfg.Seed)
-	phases := map[string]float64{}
+	m := &Metadata{spec: g.buildSpec(), phases: map[string]float64{}}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -160,57 +151,62 @@ func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, erro
 
 	// Phase 1: directory structure (namespace skeleton), one serial pass.
 	start := clock.Now()
-	tree := namespace.GenerateTree(rng.Fork("namespace"), cfg.NumDirs, cfg.TreeShape)
+	m.tree = namespace.GenerateTree(rng.Fork("namespace"), cfg.NumDirs, cfg.TreeShape)
 	if cfg.UseSpecialDirectories {
-		tree.MarkSpecial(cfg.SpecialDirectories)
+		m.tree.MarkSpecial(cfg.SpecialDirectories)
 	}
-	phases["directory structure"] = seconds(start)
+	m.phases["directory structure"] = seconds(start)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Phase 2: file sizes under the sum constraint (§3.4).
-	start = clock.Now()
-	sizes, convergence, err := g.resolveSizes(rng.Fork("sizes"))
-	if err != nil {
+	// The one place the backing is chosen.
+	var err error
+	if m.store, err = newColumnStore(cfg.SpillDir, g.openColumn); err != nil {
 		return nil, err
 	}
-	phases["file sizes distribution"] = seconds(start)
+	ok := false
+	defer func() {
+		if !ok {
+			m.Close()
+		}
+	}()
+
+	// Phase 2: file sizes under the sum constraint (§3.4).
+	start = clock.Now()
+	if m.sizes, err = newColumn[float64](m.store, "sizes.f64", cfg.NumFiles); err != nil {
+		return nil, err
+	}
+	if m.convergence, err = g.resolveSizes(rng.Fork("sizes"), m.sizes); err != nil {
+		return nil, err
+	}
+	m.phases["file sizes distribution"] = seconds(start)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// Phase 3: extensions from the percentile table (sharded workers).
 	start = clock.Now()
-	exts := g.assignExtensions(ctx, rng.Fork("extensions"), len(sizes))
-	phases["popular extensions"] = seconds(start)
-	if err := ctx.Err(); err != nil {
+	if m.exts, err = newColumn[uint32](m.store, "exts.u32", cfg.NumFiles); err != nil {
 		return nil, err
 	}
+	if m.extNames, err = g.assignExtensions(ctx, rng.Fork("extensions"), m.exts); err != nil {
+		return nil, err
+	}
+	m.phases["popular extensions"] = seconds(start)
 
-	// Phase 4: file depths and parent directories (multiplicative model),
-	// run as the two-pass sharded placement pipeline.
+	// Phase 4: file depths and parent directories (multiplicative model).
 	start = clock.Now()
-	parents, err := g.placeFiles(ctx, tree, sizes, rng)
-	if err != nil {
+	if m.parents, err = newColumn[int32](m.store, "parents.i32", cfg.NumFiles); err != nil {
 		return nil, err
 	}
-	phases["file and bytes with depth"] = seconds(start)
-
-	var total int64
-	for _, s := range sizes {
-		total += int64(s)
+	if err = g.placeFiles(ctx, m, rng); err != nil {
+		return nil, err
 	}
-	return &Metadata{
-		tree:        tree,
-		sizes:       sizes,
-		exts:        exts,
-		parents:     parents,
-		spec:        g.buildSpec(),
-		convergence: convergence,
-		phases:      phases,
-		totalBytes:  total,
-	}, nil
+	m.phases["file and bytes with depth"] = seconds(start)
+
+	ok = true
+	return m, nil
 }
 
 // report assembles the reproducibility report for the resolved metadata.
@@ -261,40 +257,8 @@ func (g *Generator) GenerateStreamContext(ctx context.Context, sink fsimage.Reco
 		return fsimage.Report{}, err
 	}
 	defer m.Close()
-	if err := m.streamRecordsContext(ctx, sink); err != nil {
+	if err := m.streamRecords(ctx, sink); err != nil {
 		return fsimage.Report{}, err
 	}
 	return m.report(g.cfg, 1.0), nil
-}
-
-// streamRecordsContext replays the metadata into sink, polling ctx every
-// cancelCheckStride records (per-record checks would dominate the replay
-// loop's cost).
-func (m *Metadata) streamRecordsContext(ctx context.Context, sink fsimage.RecordSink) error {
-	const cancelCheckStride = 4096
-	for i := range m.tree.Dirs {
-		if i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		d := &m.tree.Dirs[i]
-		if err := sink.AddDir(fsimage.DirRecord{ID: d.ID, Parent: d.Parent, Name: d.Name, Special: d.Special, Bias: d.Bias}); err != nil {
-			return err
-		}
-	}
-	if m.spill != nil {
-		return m.spill.eachFile(ctx, m.tree, cancelCheckStride, sink.AddFile)
-	}
-	for i := range m.sizes {
-		if i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := sink.AddFile(m.FileAt(i)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -177,7 +177,7 @@ func TestPartitionedPipelineMatchesSingleProcess(t *testing.T) {
 }
 
 // rawDrawSum replicates the constraint resolver's attempt-0 pool sum for
-// cfg, so tests can pin FSSizeBytes onto the spill fast path exactly.
+// cfg, so tests can place FSSizeBytes where the resolver keeps its raw draw.
 func rawDrawSum(t *testing.T, cfg core.Config) float64 {
 	t.Helper()
 	n, err := cfg.Normalize()
@@ -197,13 +197,14 @@ func rawDrawSum(t *testing.T, cfg core.Config) float64 {
 	return sum
 }
 
-// TestSpilledPlanMatchesInMemory: a spilled metadata pass must produce a
-// plan document byte-identical to the in-memory pass — on the resolver's
-// replicated fast path (target placed on the raw draw sum) and on the
-// documented O(N) fallback (target far from it); for a 1-file image; and
-// for file counts that end the parent column just short of, on, and just
-// past an edge of the 16 KiB (4096-entry) window the spilled placement
-// patches it through, so that levels patch entries on both sides of one.
+// TestSpilledPlanMatchesInMemory: a pass over file-backed columns must
+// produce a plan document byte-identical to the pass over columns on the
+// heap, at Parallelism 1 and 4 — where the resolver keeps its raw draw
+// (target placed on the raw draw sum) and on the documented O(N) fallback
+// (target far from it); for a 1-file image; and for file counts that end
+// the columns just short of, on, and just past an edge of the 4096-value
+// blocks they are loaded and stored in, so that depth levels patch parents
+// on both sides of one.
 func TestSpilledPlanMatchesInMemory(t *testing.T) {
 	fast := testConfig()
 	fast.FSSizeBytes = int64(rawDrawSum(t, fast))
@@ -214,16 +215,19 @@ func TestSpilledPlanMatchesInMemory(t *testing.T) {
 		cases[fmt.Sprintf("%d files", n)] = cfg
 	}
 	for name, cfg := range cases {
-		var mem bytes.Buffer
-		if _, err := (PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64}).Stream(context.Background(), &mem); err != nil {
-			t.Fatalf("%s in-memory Stream: %v", name, err)
-		}
-		var spilled bytes.Buffer
-		if _, err := (PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64, Spill: t.TempDir()}).Stream(context.Background(), &spilled); err != nil {
-			t.Fatalf("%s spilled Stream: %v", name, err)
-		}
-		if !bytes.Equal(mem.Bytes(), spilled.Bytes()) {
-			t.Errorf("%s: spilled plan bytes differ from in-memory", name)
+		for _, par := range []int{1, 4} {
+			cfg.Parallelism = par
+			var mem bytes.Buffer
+			if _, err := (PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64}).Stream(context.Background(), &mem); err != nil {
+				t.Fatalf("%s -j %d in-memory Stream: %v", name, par, err)
+			}
+			var spilled bytes.Buffer
+			if _, err := (PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64, Spill: t.TempDir()}).Stream(context.Background(), &spilled); err != nil {
+				t.Fatalf("%s -j %d spilled Stream: %v", name, par, err)
+			}
+			if !bytes.Equal(mem.Bytes(), spilled.Bytes()) {
+				t.Errorf("%s -j %d: spilled plan bytes differ from in-memory", name, par)
+			}
 		}
 	}
 }
@@ -352,8 +356,9 @@ func TestFragmentIndexRoundTrip(t *testing.T) {
 // fragments must hold its peak live heap under the same 128 MB cap the 1M
 // streamed build honors — an order of magnitude more files, no new memory.
 // The target sum sits on the measured raw-draw sum for this seed, so the
-// resolver takes the replicated streaming fast path (the spill contract's
-// O(dirs) regime); a regression onto any O(files) column blows the cap.
+// resolver keeps the draw it made into the sizes column and never holds it
+// (the spill contract's O(dirs) regime); a regression onto any O(files)
+// column blows the cap.
 // Extrapolation: live heap is dirs-dominated (~200k dirs here), so 10⁸
 // files at the same dir count fits the same cap, and 10⁹ needs only the
 // dir tree to grow.
@@ -365,15 +370,41 @@ func TestPartitionedPlanBuildMemoryBound(t *testing.T) {
 		t.Skip("10M-file build skipped in -short")
 	}
 	// FSSizeBytes pins the target onto the raw-draw sum measured for this
-	// exact (NumFiles, Seed) pair, keeping the resolver on the streamed
-	// fast path; see rawDrawSum for the replication it relies on.
+	// exact (NumFiles, Seed) pair; see rawDrawSum.
 	cfg := core.Config{NumFiles: 10_000_000, NumDirs: 200_000, FSSizeBytes: 3_605_134_771_990, Seed: 20090225, Parallelism: 1}
-	req := PlanRequest{Config: cfg, Partition: 8, Spill: t.TempDir()}
 	const memCap = 128 << 20
+	peak := spilledPartitionPeak(t, cfg)
+	t.Logf("10M-file partitioned plan build: peak live heap %.1f MB (cap %.0f MB)", float64(peak)/(1<<20), float64(memCap)/(1<<20))
+	if peak > memCap {
+		t.Errorf("partitioned plan build peaked at %.1f MB live heap, cap is %.0f MB — something is retaining O(files) state",
+			float64(peak)/(1<<20), float64(memCap)/(1<<20))
+	}
+
+	// The sharded phases of a spilled pass run on Parallelism workers, each
+	// holding the blocks of the shard it works on: O(workers × shard), not
+	// O(files). With few directories under many files, a column or a work
+	// list kept per worker would show.
+	small := core.Config{NumFiles: 2_000_000, NumDirs: 20_000, Seed: 20090225}
+	small.FSSizeBytes = int64(rawDrawSum(t, small))
+	var peaks [2]float64
+	for i, par := range []int{1, 4} {
+		small.Parallelism = par
+		peaks[i] = float64(spilledPartitionPeak(t, small)) / (1 << 20)
+	}
+	t.Logf("2M-file partitioned plan build: peak live heap %.1f MB at -j 1, %.1f MB at -j 4", peaks[0], peaks[1])
+	if d := peaks[1] - peaks[0]; d > 8 || d < -8 {
+		t.Errorf("peak live heap %.1f MB at -j 1 and %.1f MB at -j 4: more than 8 MB apart", peaks[0], peaks[1])
+	}
+}
+
+// spilledPartitionPeak builds cfg's plan as 8 spilled fragments and returns
+// the build's peak live heap.
+func spilledPartitionPeak(t *testing.T, cfg core.Config) uint64 {
+	t.Helper()
 	var plan *Plan
 	peak := liveHeapPeak(t, func() {
 		var err error
-		plan, err = PartitionPlan(context.Background(), req, func(int) (io.WriteCloser, error) {
+		plan, err = PartitionPlan(context.Background(), PlanRequest{Config: cfg, Partition: 8, Spill: t.TempDir()}, func(int) (io.WriteCloser, error) {
 			return nopWriteCloser{countingDiscard{}}, nil
 		})
 		if err != nil {
@@ -383,15 +414,10 @@ func TestPartitionedPlanBuildMemoryBound(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no plan")
 	}
-	if plan.Files != cfg.NumFiles {
-		t.Fatalf("plan has %d files, want %d", plan.Files, cfg.NumFiles)
+	if plan.Files != cfg.NumFiles || len(plan.Shards) != 8 {
+		t.Fatalf("plan has %d files in %d fragments, want %d in 8", plan.Files, len(plan.Shards), cfg.NumFiles)
 	}
-	t.Logf("10M-file partitioned plan build: peak live heap %.1f MB (cap %.0f MB), %d fragments",
-		float64(peak)/(1<<20), float64(memCap)/(1<<20), len(plan.Shards))
-	if peak > memCap {
-		t.Errorf("partitioned plan build peaked at %.1f MB live heap, cap is %.0f MB — something is retaining O(files) state",
-			float64(peak)/(1<<20), float64(memCap)/(1<<20))
-	}
+	return peak
 }
 
 // gatedContext is a context whose Done blocks until gate is closed: it holds

@@ -182,7 +182,7 @@ func planScaffold(m *core.Metadata, maxShards, chunkSize int) (*Plan, *namespace
 		shards[s] = ShardPlan{
 			Index:     s,
 			StreamKey: key,
-			Roots:     part.ShardRoots(m.Tree(), s),
+			Roots:     part.ShardRoots(s),
 			Dirs:      len(part.Shards[s]),
 			Files:     acc.Files(s),
 			Bytes:     acc.Bytes(s),

@@ -74,32 +74,15 @@ func BuildPlan(ctx context.Context, req PlanRequest) (*Plan, error) {
 	if req.Spill != "" {
 		return nil, fmt.Errorf("distribute: spilled plan builds need a streaming consumer (PlanRequest.Stream or PartitionPlan); the retained image would defeat the spill")
 	}
-	shards, err := req.shardCount()
+	sp, err := sealPlan(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	m, err := resolvePlanMetadata(ctx, req.config(), shards)
-	if err != nil {
+	defer sp.meta.Close()
+	if sp.plan.img, err = sp.meta.Image(); err != nil {
 		return nil, err
 	}
-	p, _, err := planScaffold(m, shards, req.ChunkSize)
-	if err != nil {
-		return nil, err
-	}
-	p.img = m.Image()
-
-	// One streaming pass over the metadata seals the chunk boundaries and
-	// the whole-image chain hash without ever buffering the chunks' JSON.
-	enc := fsimage.NewChunkEncoder(p.ChunkSize, func(*fsimage.Chunk) error { return nil })
-	if err := p.img.StreamRecords(enc); err != nil {
-		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
-	}
-	if err := enc.Close(); err != nil {
-		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
-	}
-	p.Chunks = enc.Chunks()
-	p.ImageSHA256 = enc.ChainHash()
-	return p, nil
+	return sp.plan, nil
 }
 
 // Stream is the generator-fused planner: it resolves the metadata pass,

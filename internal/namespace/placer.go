@@ -174,9 +174,6 @@ func (p *Placer) parentWeight(d *Dir) float64 {
 	return w
 }
 
-// FileDepthAt returns the namespace depth a file placed in dirID gets.
-func (p *Placer) FileDepthAt(dirID int) int { return p.tree.Dirs[dirID].Depth + 1 }
-
 // MaxFileDepth returns the deepest file depth the placer considers.
 func (p *Placer) MaxFileDepth() int { return p.maxFileDepth }
 

@@ -6,10 +6,11 @@ import (
 )
 
 // Partition splits a directory tree into disjoint subtree shards for parallel
-// processing. Every directory belongs to exactly one shard; a directory is
-// always in the same shard as its top-level ancestor (the child of the root it
-// descends from), so each shard is a forest of whole subtrees and two shards
-// never share a directory. The root itself is assigned to shard 0.
+// processing. Every directory belongs to exactly one shard: that of its
+// nearest ancestor-or-self in the partition's cut set, so each shard is a
+// forest of subtrees (less the deeper cuts inside them) and two shards never
+// share a directory. The root, and whatever else lies above every cut, is
+// assigned to shard 0.
 //
 // Partitioning is deterministic: the same tree and shard count always produce
 // the same assignment. Workers may process shards in any order — determinism
@@ -21,91 +22,13 @@ type Partition struct {
 	Shards [][]int
 
 	dirShard []int   // shard index per directory ID
-	roots    [][]int // cut-set roots per shard (nil: top-level partition)
+	roots    [][]int // cut-set roots per shard
 }
 
 // ShardWeight estimates the processing cost of one directory; the partitioner
 // balances the sum of weights across shards. A nil weight counts each
 // directory once.
 type ShardWeight func(d *Dir) float64
-
-// PartitionSubtrees partitions the tree into at most maxShards balanced
-// shards using longest-processing-time-first assignment of the root's
-// immediate subtrees. If the tree has fewer top-level subtrees than
-// maxShards, the shard count is the subtree count (plus the root shard).
-func PartitionSubtrees(t *Tree, maxShards int, weight ShardWeight) *Partition {
-	if maxShards < 1 {
-		maxShards = 1
-	}
-	if weight == nil {
-		weight = func(*Dir) float64 { return 1 }
-	}
-	n := t.Len()
-	// Aggregate subtree weights bottom-up: children always have larger IDs
-	// than their parent, so one reverse sweep accumulates whole subtrees.
-	subtree := make([]float64, n)
-	for id := n - 1; id >= 1; id-- {
-		subtree[id] += weight(&t.Dirs[id])
-		subtree[t.Dirs[id].Parent] += subtree[id]
-	}
-	// Top-level ancestor of every directory (-1 for the root itself).
-	top := make([]int, n)
-	top[0] = -1
-	for id := 1; id < n; id++ {
-		if t.Dirs[id].Parent == 0 {
-			top[id] = id
-		} else {
-			top[id] = top[t.Dirs[id].Parent]
-		}
-	}
-	// Greedy LPT: heaviest subtree first onto the lightest shard, with
-	// deterministic tie-breaks (weight desc, then ID asc; lightest shard by
-	// load, then index).
-	var roots []int
-	for id := 1; id < n; id++ {
-		if t.Dirs[id].Parent == 0 {
-			roots = append(roots, id)
-		}
-	}
-	shardCount := maxShards
-	if len(roots) < shardCount {
-		shardCount = len(roots)
-	}
-	if shardCount < 1 {
-		shardCount = 1
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		if subtree[roots[i]] != subtree[roots[j]] {
-			return subtree[roots[i]] > subtree[roots[j]]
-		}
-		return roots[i] < roots[j]
-	})
-	loads := make([]float64, shardCount)
-	rootShard := make(map[int]int, len(roots))
-	for _, r := range roots {
-		best := 0
-		for s := 1; s < shardCount; s++ {
-			if loads[s] < loads[best] {
-				best = s
-			}
-		}
-		rootShard[r] = best
-		loads[best] += subtree[r]
-	}
-	p := &Partition{
-		Shards:   make([][]int, shardCount),
-		dirShard: make([]int, n),
-	}
-	for id := 0; id < n; id++ {
-		s := 0
-		if top[id] >= 0 {
-			s = rootShard[top[id]]
-		}
-		p.dirShard[id] = s
-		p.Shards[s] = append(p.Shards[s], id)
-	}
-	return p
-}
 
 // PartitionBalanced partitions the tree into exactly shards balanced
 // shards by recursively cutting oversized subtrees: candidate cut points
@@ -115,9 +38,8 @@ func PartitionSubtrees(t *Tree, maxShards int, weight ShardWeight) *Partition {
 // singletons — are LPT-assigned, so even a tree whose weight sits under one
 // dominant top-level directory (or a pure chain) spreads across all shards.
 //
-// Unlike PartitionSubtrees, the shard count never collapses when the root
-// has few children. Shards may be empty if the tree is smaller than the
-// shard count. The assignment is deterministic and serialized by
+// The shard count never collapses when the root has few children; shards
+// may be empty if the tree is smaller than the shard count. The assignment is deterministic and serialized by
 // ShardRoots / PartitionFromRoots; nested cuts are resolved by the
 // nearest-ancestor rule of assignByCuts.
 func PartitionBalanced(t *Tree, shards int, weight ShardWeight) *Partition {
@@ -240,20 +162,8 @@ func assignByCuts(t *Tree, p *Partition, cutShard map[int]int) {
 // ascending ID order. Together with the tree, these lists fully determine
 // the partition — they are its compact serializable form, recorded in
 // distributed plan files and rebuilt on the worker side with
-// PartitionFromRoots. For partitions built by PartitionSubtrees the cut set
-// is the shard's top-level subtree roots.
-func (p *Partition) ShardRoots(t *Tree, s int) []int {
-	if p.roots != nil {
-		return p.roots[s]
-	}
-	var roots []int
-	for id := 1; id < t.Len(); id++ {
-		if t.Dirs[id].Parent == 0 && p.dirShard[id] == s {
-			roots = append(roots, id)
-		}
-	}
-	return roots
-}
+// PartitionFromRoots.
+func (p *Partition) ShardRoots(s int) []int { return p.roots[s] }
 
 // PartitionFromRoots rebuilds a partition from an explicit per-shard list
 // of cut-set subtree roots: every directory belongs to the shard of its

@@ -7,118 +7,17 @@ import (
 	"impressions/internal/stats"
 )
 
-func TestPartitionSubtreesCoversEveryDirOnce(t *testing.T) {
-	tree := GenerateTree(stats.NewRNG(3), 5000, ShapeGenerative)
-	for _, shards := range []int{1, 2, 4, 16} {
-		part := PartitionSubtrees(tree, shards, nil)
-		if part.Len() < 1 || part.Len() > shards {
-			t.Fatalf("requested %d shards, got %d", shards, part.Len())
-		}
-		seen := make([]int, tree.Len())
-		for s, dirs := range part.Shards {
-			prev := -1
-			for _, id := range dirs {
-				seen[id]++
-				if id <= prev {
-					t.Fatalf("shard %d not in ascending ID order", s)
-				}
-				prev = id
-				if part.ShardOf(id) != s {
-					t.Fatalf("ShardOf(%d) = %d, want %d", id, part.ShardOf(id), s)
-				}
-			}
-		}
-		for id, n := range seen {
-			if n != 1 {
-				t.Fatalf("shards=%d: dir %d appears %d times", shards, id, n)
-			}
-		}
-	}
-}
-
-func TestPartitionSubtreesKeepsSubtreesWhole(t *testing.T) {
-	tree := GenerateTree(stats.NewRNG(11), 2000, ShapeGenerative)
-	part := PartitionSubtrees(tree, 8, nil)
-	for id := 1; id < tree.Len(); id++ {
-		parent := tree.Dirs[id].Parent
-		if parent == 0 {
-			continue // top-level subtree roots may land anywhere
-		}
-		if part.ShardOf(id) != part.ShardOf(parent) {
-			t.Fatalf("dir %d (shard %d) split from parent %d (shard %d)",
-				id, part.ShardOf(id), parent, part.ShardOf(parent))
-		}
-	}
-}
-
-func TestPartitionSubtreesDeterministic(t *testing.T) {
-	tree := GenerateTree(stats.NewRNG(5), 1000, ShapeGenerative)
-	a := PartitionSubtrees(tree, 4, nil)
-	b := PartitionSubtrees(tree, 4, nil)
-	if !reflect.DeepEqual(a.Shards, b.Shards) {
-		t.Fatal("partition is not deterministic")
-	}
-}
-
-func TestPartitionSubtreesBalance(t *testing.T) {
-	tree := GenerateTree(stats.NewRNG(9), 10000, ShapeGenerative)
-	part := PartitionSubtrees(tree, 4, nil)
-	if part.Len() < 2 {
-		t.Skip("tree produced fewer than 2 shards")
-	}
-	max, min := 0, tree.Len()
-	for _, dirs := range part.Shards {
-		if len(dirs) > max {
-			max = len(dirs)
-		}
-		if len(dirs) < min {
-			min = len(dirs)
-		}
-	}
-	// LPT on preferential-attachment trees can be lopsided when one subtree
-	// dominates, but the largest shard must never exceed the whole tree minus
-	// the other shards' minimum contribution.
-	if max >= tree.Len() {
-		t.Fatalf("one shard holds the entire tree (%d dirs)", max)
-	}
-	if min == 0 {
-		t.Fatalf("empty shard produced alongside max=%d", max)
-	}
-}
-
-func TestPartitionDegenerateTrees(t *testing.T) {
-	// Deep chains have exactly one top-level subtree: everything (except the
-	// root) collapses into one shard.
-	deep := GenerateTree(stats.NewRNG(1), 50, ShapeDeep)
-	part := PartitionSubtrees(deep, 8, nil)
-	if part.Len() != 1 {
-		t.Fatalf("deep tree: got %d shards, want 1", part.Len())
-	}
-	// Flat trees split their dirs across all requested shards.
-	flat := GenerateTree(stats.NewRNG(1), 100, ShapeFlat)
-	part = PartitionSubtrees(flat, 4, nil)
-	if part.Len() != 4 {
-		t.Fatalf("flat tree: got %d shards, want 4", part.Len())
-	}
-	// Single-directory tree.
-	single := GenerateTree(stats.NewRNG(1), 1, ShapeGenerative)
-	part = PartitionSubtrees(single, 4, nil)
-	if part.Len() != 1 || part.ShardOf(0) != 0 {
-		t.Fatalf("single-dir tree: unexpected partition %+v", part.Shards)
-	}
-}
-
-// TestPartitionRootsRoundTrip serializes a partition as per-shard top-level
+// TestPartitionRootsRoundTrip serializes a partition as per-shard cut-set
 // roots and rebuilds it with PartitionFromRoots: the reconstruction must be
 // identical, which is what lets a distributed plan carry the partition
 // compactly and workers on other machines rebuild it exactly.
 func TestPartitionRootsRoundTrip(t *testing.T) {
 	tree := GenerateTree(stats.NewRNG(7), 3000, ShapeGenerative)
 	for _, shards := range []int{1, 2, 4, 9} {
-		part := PartitionSubtrees(tree, shards, nil)
+		part := PartitionBalanced(tree, shards, nil)
 		roots := make([][]int, part.Len())
 		for s := range roots {
-			roots[s] = part.ShardRoots(tree, s)
+			roots[s] = part.ShardRoots(s)
 		}
 		rebuilt, err := PartitionFromRoots(tree, roots)
 		if err != nil {
@@ -139,10 +38,10 @@ func TestPartitionRootsRoundTrip(t *testing.T) {
 // truncated plan must hit.
 func TestPartitionFromRootsValidates(t *testing.T) {
 	tree := GenerateTree(stats.NewRNG(7), 200, ShapeGenerative)
-	part := PartitionSubtrees(tree, 2, nil)
+	part := PartitionBalanced(tree, 2, nil)
 	good := make([][]int, part.Len())
 	for s := range good {
-		good[s] = part.ShardRoots(tree, s)
+		good[s] = part.ShardRoots(s)
 	}
 	if len(good) < 2 || len(good[0]) == 0 || len(good[1]) == 0 {
 		t.Skip("tree too small to build a 2-shard partition")
@@ -172,43 +71,54 @@ func TestPartitionFromRootsValidates(t *testing.T) {
 // TestPartitionBalancedCoversEveryDirOnce asserts the balanced partitioner
 // produces exactly the requested shard count, assigns every directory
 // exactly once, keeps shards in ascending ID order, and round-trips through
-// its cut-set serialization.
+// its cut-set serialization — on a generative tree and on the degenerate
+// ones: a chain (one top-level subtree), a flat tree (nothing to cut below
+// the root's children) and the root alone (every shard but the first empty).
 func TestPartitionBalancedCoversEveryDirOnce(t *testing.T) {
-	tree := GenerateTree(stats.NewRNG(3), 5000, ShapeGenerative)
-	for _, shards := range []int{1, 2, 4, 16} {
-		part := PartitionBalanced(tree, shards, nil)
-		if part.Len() != shards {
-			t.Fatalf("requested %d shards, got %d", shards, part.Len())
-		}
-		seen := make([]int, tree.Len())
-		for s, dirs := range part.Shards {
-			prev := -1
-			for _, id := range dirs {
-				seen[id]++
-				if id <= prev {
-					t.Fatalf("shard %d not in ascending ID order", s)
-				}
-				prev = id
-				if part.ShardOf(id) != s {
-					t.Fatalf("ShardOf(%d) = %d, want %d", id, part.ShardOf(id), s)
+	for name, tree := range map[string]*Tree{
+		"generative": GenerateTree(stats.NewRNG(3), 5000, ShapeGenerative),
+		"deep":       GenerateTree(nil, 50, ShapeDeep),
+		"flat":       GenerateTree(nil, 100, ShapeFlat),
+		"single":     GenerateTree(stats.NewRNG(1), 1, ShapeGenerative),
+	} {
+		for _, shards := range []int{1, 2, 4, 16} {
+			part := PartitionBalanced(tree, shards, nil)
+			if part.Len() != shards {
+				t.Fatalf("%s: requested %d shards, got %d", name, shards, part.Len())
+			}
+			if part.ShardOf(0) != 0 {
+				t.Fatalf("%s: the root is in shard %d", name, part.ShardOf(0))
+			}
+			seen := make([]int, tree.Len())
+			for s, dirs := range part.Shards {
+				prev := -1
+				for _, id := range dirs {
+					seen[id]++
+					if id <= prev {
+						t.Fatalf("%s: shard %d not in ascending ID order", name, s)
+					}
+					prev = id
+					if part.ShardOf(id) != s {
+						t.Fatalf("%s: ShardOf(%d) = %d, want %d", name, id, part.ShardOf(id), s)
+					}
 				}
 			}
-		}
-		for id, n := range seen {
-			if n != 1 {
-				t.Fatalf("shards=%d: dir %d appears %d times", shards, id, n)
+			for id, n := range seen {
+				if n != 1 {
+					t.Fatalf("%s shards=%d: dir %d appears %d times", name, shards, id, n)
+				}
 			}
-		}
-		roots := make([][]int, part.Len())
-		for s := range roots {
-			roots[s] = part.ShardRoots(tree, s)
-		}
-		rebuilt, err := PartitionFromRoots(tree, roots)
-		if err != nil {
-			t.Fatalf("shards=%d: PartitionFromRoots: %v", shards, err)
-		}
-		if !reflect.DeepEqual(rebuilt.Shards, part.Shards) {
-			t.Fatalf("shards=%d: rebuilt balanced partition differs", shards)
+			roots := make([][]int, part.Len())
+			for s := range roots {
+				roots[s] = part.ShardRoots(s)
+			}
+			rebuilt, err := PartitionFromRoots(tree, roots)
+			if err != nil {
+				t.Fatalf("%s shards=%d: PartitionFromRoots: %v", name, shards, err)
+			}
+			if !reflect.DeepEqual(rebuilt.Shards, part.Shards) {
+				t.Fatalf("%s shards=%d: rebuilt balanced partition differs", name, shards)
+			}
 		}
 	}
 }
@@ -216,8 +126,8 @@ func TestPartitionBalancedCoversEveryDirOnce(t *testing.T) {
 // TestPartitionBalancedSplitsDominantSubtrees asserts the property that
 // motivated the balanced partitioner: a generative tree whose namespace is
 // concentrated under one top-level directory must still yield multiple
-// non-empty shards with bounded imbalance — PartitionSubtrees cannot do
-// this, because it never cuts below the root's children.
+// non-empty shards with bounded imbalance, which takes cutting below the
+// root's children.
 func TestPartitionBalancedSplitsDominantSubtrees(t *testing.T) {
 	// Deep chains hang everything under one child of the root; generative
 	// trees concentrate by preferential attachment. Both must split.
