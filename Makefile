@@ -7,7 +7,7 @@ MICRO_BENCH := ^Benchmark(HybridFileSizeSample|NamespaceGeneration|TreePath|File
 BENCH_TIME ?= 1x
 BENCH_DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test race bench bench-smoke bench-json lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check bench-pipeline-check
+.PHONY: build test race bench bench-smoke bench-json lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check bench-pipeline-check fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -199,6 +199,26 @@ bench-pipeline-check:
 # TestPartitionedPlanBuildMemoryBound).
 mem-check:
 	$(GO) test ./internal/distribute -run 'TestStreamedPlanBuildMemoryBound|TestPartitionedPlanBuildMemoryBound' -v -timeout 15m
+
+# Local mirror of the CI fuzz-smoke job: every fuzz target of the module
+# (whatever `go test -list '^Fuzz'` finds: the tar header and stitcher in
+# internal/imgfmt, the chunk codec and decoder in internal/fsimage, the plan
+# document, shard document and manifest decoders in internal/distribute) for
+# FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in
+# `go test`; this is the ten seconds of new inputs per target on top. The
+# minimizer is off (it stalls on the stitcher's tens-of-KiB inputs) and the
+# cache of interesting inputs lives outside the tree; a finding is written
+# to the package's testdata/fuzz/ and fails the target.
+FUZZ_TIME ?= 10s
+FUZZ_CACHE ?= /tmp/impressions-fuzz-cache
+fuzz-smoke:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$pkg $$target ($(FUZZ_TIME))"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 0 -parallel 2 -test.fuzzcachedir $(FUZZ_CACHE); \
+		done; \
+	done; \
+	echo "fuzz-smoke: OK"
 
 # lint = the full static gate: stock go vet, gofmt, and the project's
 # determinism-contract checkers (cmd/impressionsvet) run as a vet tool so

@@ -207,6 +207,9 @@ func (g *genFlags) config() (core.Config, error) {
 		}
 		cfg.FSSizeBytes = bytes
 	}
+	if !cfg.ContentKind.Known() {
+		return core.Config{}, usagef("unknown content policy %q", *g.content)
+	}
 	shape, err := namespace.ParseShape(strings.ToLower(*g.tree))
 	if err != nil {
 		return core.Config{}, usagef("unknown tree shape %q", *g.tree)
@@ -445,15 +448,14 @@ func runStitch(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runPlan resolves the metadata pass and writes the shard plan. With
-// -stream it takes the generator-fused out-of-core path: records go from
-// the metadata pass straight into the chunk encoder, so the planner never
-// holds the image — at 10^7+ files that is the difference between O(chunk)
-// file records and gigabytes of retained metadata. The plan bytes are
-// identical either way. With -partition K the plan is emitted as K
-// independent fragment documents plus an index at the plan path; with
-// -spill even the metadata columns live on disk, so the build runs in
-// O(dirs) heap at any file count.
+// runPlan resolves the metadata pass and writes the shard plan, always by
+// the generator-fused path: records go from the metadata pass straight into
+// the chunk encoder, so the planner never holds the image — at 10^7+ files
+// that is the difference between O(chunk) file records and gigabytes of
+// retained metadata. With -partition K the plan is emitted as K independent
+// fragment documents plus an index at the plan path; with -spill even the
+// metadata columns live on disk, so the build runs in O(dirs) heap at any
+// file count.
 func runPlan(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -461,7 +463,7 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	var (
 		shardsFlag    = fs.Int("shards", 4, "number of subtree shards to partition the namespace into")
 		planFlag      = fs.String("plan", "", "file to write the JSON plan to (required)")
-		streamFlag    = fs.Bool("stream", false, "stream records from the metadata pass into the plan file without retaining the image (O(chunk) file records; identical plan bytes)")
+		_             = fs.Bool("stream", false, "accepted and ignored: plan always streams records from the metadata pass into the plan file without retaining the image")
 		partitionFlag = fs.Int("partition", 0, "emit the plan as this many self-contained fragment documents (<plan>.frag<i>) plus a fragment index at -plan; fragments are byte-identical to slicing the monolithic plan")
 		spillFlag     = fs.String("spill", "", "spill the metadata pass's per-file columns to temp files under this directory (O(dirs) live heap; identical plan bytes)")
 		memFlag       = fs.Bool("mem", false, "report peak heap usage of the plan build")
@@ -474,12 +476,6 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	}
 	if *gen.layout != 1.0 {
 		return usagef("plan: -layout is not supported in distributed runs (disk-layout simulation is a single-node feature)")
-	}
-	if *partitionFlag > 0 && *streamFlag {
-		return usagef("plan: -stream and -partition are exclusive (a partitioned plan is always streamed)")
-	}
-	if *spillFlag != "" && !*streamFlag && *partitionFlag <= 0 {
-		return usagef("plan: -spill needs a streaming build (-stream or -partition); the retained path would hold the image anyway")
 	}
 	shardsSet := false
 	fs.Visit(func(f *flag.Flag) {
@@ -501,39 +497,22 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	}
 	var plan *distribute.Plan
 	fragments := 0
-	switch {
-	case *partitionFlag > 0:
+	if *partitionFlag > 0 {
+		dir, base := filepath.Split(*planFlag)
+		name := func(shard int) string { return distribute.FragmentName(base, shard) }
 		plan, err = distribute.PartitionPlan(context.Background(), req, func(shard int) (io.WriteCloser, error) {
-			return os.Create(filepath.Join(filepath.Dir(*planFlag), distribute.FragmentName(filepath.Base(*planFlag), shard)))
+			return os.Create(filepath.Join(dir, name(shard)))
 		})
 		if err == nil {
 			fragments = len(plan.Shards)
-			names := make([]string, fragments)
-			for s := range names {
-				names[s] = distribute.FragmentName(filepath.Base(*planFlag), s)
-			}
-			index := &distribute.FragmentIndex{
-				FormatVersion: distribute.FragmentIndexVersion,
-				Fingerprint:   plan.Fingerprint(),
-				Shards:        fragments,
-				Files:         plan.Files,
-				Dirs:          plan.Dirs,
-				Bytes:         plan.Bytes,
-				Fragments:     names,
-			}
-			err = writeJSONFile(*planFlag, index.Encode)
+			err = writeJSONFile(*planFlag, plan.FragmentIndex(name).Encode)
 		}
-	case *streamFlag:
+	} else {
 		err = writeJSONFile(*planFlag, func(w io.Writer) error {
 			var serr error
 			plan, serr = req.Stream(context.Background(), w)
 			return serr
 		})
-	default:
-		plan, err = distribute.BuildPlan(context.Background(), req)
-		if err == nil {
-			err = writeJSONFile(*planFlag, plan.Encode)
-		}
 	}
 	if err != nil {
 		return err
@@ -864,7 +843,7 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 	for _, path := range fs.Args() {
 		m, err := distribute.LoadManifest(path)
 		if err != nil {
-			if !*partialFlag {
+			if !*partialFlag || !errors.Is(err, fsimage.ErrManifestIntegrity) {
 				return err
 			}
 			// In partial mode an unreadable manifest (truncated upload, crash
@@ -938,7 +917,7 @@ func runFragmentMerge(indexPath string, manifestPaths []string, printDigest bool
 			return fmt.Errorf("merge: manifest %s names shard %d, index has %d shards", path, m.Shard, ix.Shards)
 		}
 		if manifests[m.Shard] != nil {
-			return fmt.Errorf("merge: duplicate manifest for shard %d (%s)", m.Shard, path)
+			return fmt.Errorf("merge: duplicate manifest for shard %d (%s) (%w)", m.Shard, path, fsimage.ErrInvalidSpec)
 		}
 		manifests[m.Shard] = m
 	}
@@ -956,7 +935,7 @@ func runFragmentMerge(indexPath string, manifestPaths []string, printDigest bool
 		return err
 	}
 	if res.Fingerprint != ix.Fingerprint {
-		return fmt.Errorf("merge: fragment fingerprint %s does not match index fingerprint %s", res.Fingerprint, ix.Fingerprint)
+		return fmt.Errorf("merge: fragment fingerprint %s does not match index fingerprint %s (%w)", res.Fingerprint, ix.Fingerprint, fsimage.ErrManifestIntegrity)
 	}
 	if !printDigest {
 		fmt.Fprintf(stdout, "merged %d dirs, %d files, %d bytes from %d fragments (fingerprint %s)\n",
@@ -1115,7 +1094,7 @@ func verifyShardOnDisk(open *distribute.OpenPlan, shard int, outRoot string) err
 			return fmt.Errorf("its output is not in %s (%w)", outRoot, err)
 		}
 		if !info.Mode().IsRegular() || info.Size() != f.Size {
-			return fmt.Errorf("%s has %d bytes, plan says %d", p, info.Size(), f.Size)
+			return fmt.Errorf("%s has %d bytes, plan says %d (%w)", p, info.Size(), f.Size, fsimage.ErrManifestIntegrity)
 		}
 	}
 	return nil

@@ -87,31 +87,29 @@ func TestRunUserSpecifiedSizeModel(t *testing.T) {
 	}
 }
 
-// TestPlanStreamWritesIdenticalPlan: `plan -stream` (the generator-fused
-// O(chunk) path) must write the byte-identical plan file the retained path
-// writes, and -mem must report the build's memory use.
+// TestPlanStreamWritesIdenticalPlan: `plan` always takes the
+// generator-fused O(chunk) path, so it writes the same bytes with and
+// without -stream (still accepted, now without effect), -spill works on its
+// own, and -mem reports the build's memory use. That those bytes are the
+// retained builder's is TestStreamPlanMatchesRetainedBytes, in the library.
 func TestPlanStreamWritesIdenticalPlan(t *testing.T) {
 	dir := t.TempDir()
-	retained := filepath.Join(dir, "retained.json")
-	streamed := filepath.Join(dir, "streamed.json")
 	args := []string{"plan", "-files", "400", "-dirs", "80", "-seed", "9", "-shards", "3"}
-	if err := run(append(args, "-plan", retained), io.Discard, io.Discard); err != nil {
-		t.Fatalf("retained plan: %v", err)
-	}
 	var out bytes.Buffer
-	if err := run(append(args, "-stream", "-mem", "-plan", streamed), &out, io.Discard); err != nil {
-		t.Fatalf("streamed plan: %v", err)
+	var plans [][]byte
+	for name, extra := range map[string][]string{"plain": nil, "stream": {"-stream", "-mem"}, "spill": {"-spill", dir}} {
+		path := filepath.Join(dir, name+".json")
+		if err := run(append(args, append(extra, "-plan", path)...), &out, io.Discard); err != nil {
+			t.Fatalf("plan %v: %v", extra, err)
+		}
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, doc)
 	}
-	a, err := os.ReadFile(retained)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(streamed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Error("plan -stream wrote different bytes than the retained path")
+	if !bytes.Equal(plans[0], plans[1]) || !bytes.Equal(plans[0], plans[2]) {
+		t.Error("plan wrote different bytes with -stream or -spill than without")
 	}
 	if !strings.Contains(out.String(), "peak heap") {
 		t.Errorf("-mem did not report peak heap:\n%s", out.String())
@@ -239,6 +237,8 @@ func TestMainExitCodes(t *testing.T) {
 		{"merge bad flag", []string{"merge", "-no-such-flag"}, 2},
 		{"distrun missing out", []string{"distrun", "-files", "10"}, 2},
 		{"distrun bad flag", []string{"distrun", "-no-such-flag"}, 2},
+		{"unknown content policy", []string{"-files", "50", "-dirs", "5", "-content", "txet-model", "-digest"}, 2},
+		{"plan unknown content policy", []string{"plan", "-files", "10", "-content", "bogus", "-plan", filepath.Join(t.TempDir(), "p.json")}, 2},
 		{"generate success", []string{"-files", "30", "-seed", "2"}, 0},
 	}
 	for _, c := range cases {

@@ -76,12 +76,6 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 	return distribute.PartitionPlan(ctx, req, open)
 }
 
-// BuildPlanFragment emits a single shard's fragment document: the leasable
-// unit of distributed planning.
-func BuildPlanFragment(ctx context.Context, req PlanRequest, shard int, w io.Writer) (*Plan, error) {
-	return distribute.BuildPlanFragment(ctx, req, shard, w)
-}
-
 // MergeFragments verifies a complete set of fragment documents and worker
 // manifests and reproduces the canonical image digest while holding
 // O(dirs + shards·chunk) memory — no node in the partitioned pipeline ever

@@ -73,6 +73,17 @@ const (
 	KindZero Kind = "zero"
 )
 
+// Known reports whether k is one of the six policies above. NewRegistry
+// builds the default policy for any other string, so whoever takes a kind
+// from outside — a flag, a spec, a plan document — asks this first.
+func (k Kind) Known() bool {
+	switch k {
+	case KindDefault, KindTextSingleWord, KindTextModel, KindImage, KindBinary, KindZero:
+		return true
+	}
+	return false
+}
+
 // TextLineWidth is the column at which TextGenerator wraps lines. A line
 // only exceeds it when a single word is longer than the width.
 const TextLineWidth = 72

@@ -223,6 +223,9 @@ func (c Config) Validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: negative parallelism %d (%w)", c.Parallelism, fsimage.ErrInvalidSpec)
 	}
+	if c.ContentKind != "" && !c.ContentKind.Known() {
+		return fmt.Errorf("core: unknown content kind %q (%w)", c.ContentKind, fsimage.ErrInvalidSpec)
+	}
 	return nil
 }
 

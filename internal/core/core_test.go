@@ -126,6 +126,22 @@ func TestNewGeneratorRejectsCountsPastInt32(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownContentKind: content.NewRegistry builds the
+// default policy for any string, so a misspelt kind would generate default
+// content under the other name. The empty kind is the default, said short.
+func TestValidateRejectsUnknownContentKind(t *testing.T) {
+	for _, kind := range []content.Kind{"", content.KindDefault, content.KindTextSingleWord, content.KindTextModel, content.KindImage, content.KindBinary, content.KindZero} {
+		if err := (Config{NumFiles: 10, ContentKind: kind}).Validate(); err != nil {
+			t.Errorf("content kind %q: %v", kind, err)
+		}
+	}
+	for _, kind := range []content.Kind{"txet-model", "bogus", "Default", " default"} {
+		if _, err := NewGenerator(Config{NumFiles: 10, ContentKind: kind}); !errors.Is(err, fsimage.ErrInvalidSpec) {
+			t.Errorf("content kind %q: got %v, want ErrInvalidSpec", kind, err)
+		}
+	}
+}
+
 func TestGenerateTreeShapes(t *testing.T) {
 	for _, shape := range []namespace.TreeShape{namespace.ShapeFlat, namespace.ShapeDeep} {
 		cfg := Config{NumFiles: 300, NumDirs: 101, FSSizeBytes: 8 << 20, TreeShape: shape, Seed: 5}

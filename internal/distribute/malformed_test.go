@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -155,6 +156,10 @@ func malformedCases() []malformedCase {
 		both("cut root 0", resub(`"roots":\[(\d+),`, 0, func(m []string) string { return `"roots":[0,` }), integrity),
 		both("shards[1].files 10^12", resub(shardEntry, 1, setFiles("1000000000000")), integrity),
 		both("shards[1].files -1", resub(shardEntry, 1, setFiles("-1")), integrity),
+		both("files and shards[1].files both 10^12 too many", func(doc string) string {
+			doc = swap(`"files":400,"dirs":80`, `"files":1000000000400,"dirs":80`)(doc)
+			return resub(shardEntry, 1, func(m []string) string { return setFiles("1000000000" + m[2])(m) })(doc)
+		}, integrity),
 		both("shards[0].files off by one", resub(shardEntry, 0, func(m []string) string {
 			n, _ := strconv.Atoi(m[2])
 			return `"dirs":` + m[1] + `,"files":` + strconv.Itoa(n+1) + `,"bytes":` + m[3] + `}`
@@ -184,6 +189,11 @@ func malformedCases() []malformedCase {
 // validDocuments builds the two valid documents the table damages:
 // testConfig() as a 3-shard plan with 64-record chunks, and shard 1 of it.
 func validDocuments(tb testing.TB) map[string]string {
+	docs, _ := validDocumentsAndView(tb)
+	return docs
+}
+
+func validDocumentsAndView(tb testing.TB) (map[string]string, *ShardView) {
 	tb.Helper()
 	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 3, ChunkSize: 64})
 	if err != nil {
@@ -201,7 +211,94 @@ func validDocuments(tb testing.TB) map[string]string {
 	if err := view.Encode(&shardDoc); err != nil {
 		tb.Fatalf("ShardView.Encode: %v", err)
 	}
-	return map[string]string{planKind: doc.String(), shardKind: shardDoc.String()}
+	return map[string]string{planKind: doc.String(), shardKind: shardDoc.String()}, view
+}
+
+// records is a record stream held as two slices: the sink that collects one
+// and the source that replays it.
+type records struct {
+	dirs  []fsimage.DirRecord
+	files []fsimage.File
+}
+
+func (l *records) AddDir(d fsimage.DirRecord) error { l.dirs = append(l.dirs, d); return nil }
+func (l *records) AddFile(f fsimage.File) error     { l.files = append(l.files, f); return nil }
+func (l *records) replay(sink fsimage.RecordSink) error {
+	return fsimage.StreamSeqs(slices.Values(l.dirs), slices.Values(l.files), sink)
+}
+
+// forgedCases damage the records themselves and seal the damage: the
+// document is written by this package's own writer, so every chunk hash, the
+// chain and the trailer are right and only the record checks stand between
+// the forgery and a worker. Each forgery edits the valid stream of either
+// kind (all 400 files of the plan, or shard 1's 179); mid is a file in the
+// middle of it.
+var forgedCases = []struct {
+	name  string
+	forge func(l *records, mid int)
+}{
+	{"two files out of order", func(l *records, mid int) { l.files[mid], l.files[mid+1] = l.files[mid+1], l.files[mid] }},
+	{"a file twice", func(l *records, mid int) { l.files[mid+1] = l.files[mid] }},
+	{"a file with a negative ID", func(l *records, mid int) { l.files[0].ID = -1 }},
+	{"a file past the plan's count", func(l *records, mid int) { l.files[len(l.files)-1].ID = 1 << 40 }},
+	{"one file more than promised", func(l *records, mid int) {
+		f := l.files[len(l.files)-1]
+		f.ID++
+		l.files = append(l.files, f)
+	}},
+	{"one file fewer than promised", func(l *records, mid int) { l.files = l.files[:len(l.files)-1] }},
+	{"a file one byte larger", func(l *records, mid int) { l.files[mid].Size++ }},
+	{"a file of negative size", func(l *records, mid int) { l.files[mid].Size = -1 }},
+	{"a file at the wrong depth", func(l *records, mid int) { l.files[mid].Depth++ }},
+	{"a file in an unknown directory", func(l *records, mid int) { l.files[mid].DirID = 9999 }},
+	{"a file in directory -1", func(l *records, mid int) { l.files[mid].DirID = -1 }},
+	{"a file named a/b", func(l *records, mid int) { l.files[mid].Name = "a/b" }},
+	{"a file without a name", func(l *records, mid int) { l.files[mid].Name = "" }},
+	{"a file moved to another shard's directory", func(l *records, mid int) {
+		// Directory 3 is a cut root of shard 0 at depth 2; the stream's middle
+		// file is shard 1's or 2's.
+		l.files[mid].DirID, l.files[mid].Depth = 3, 3
+	}},
+	{"no root directory", func(l *records, mid int) { l.dirs = l.dirs[1:] }},
+	{"a directory under an unknown parent", func(l *records, mid int) { l.dirs[5].Parent = 9999 }},
+	{"a directory under itself", func(l *records, mid int) { l.dirs[5].Parent = 5 }},
+	{"directory IDs with a gap", func(l *records, mid int) { l.dirs[5].ID = 6 }},
+	{"one directory fewer than promised", func(l *records, mid int) { l.dirs = l.dirs[:len(l.dirs)-1] }},
+	{"no records at all", func(l *records, mid int) { *l = records{} }},
+}
+
+// forgedDocuments seals every forgery into a document of each kind.
+func forgedDocuments(tb testing.TB) []malformedDocument {
+	tb.Helper()
+	valid, view := validDocumentsAndView(tb)
+	open, err := DecodePlan(strings.NewReader(valid[planKind]))
+	if err != nil {
+		tb.Fatalf("DecodePlan: %v", err)
+	}
+	var out []malformedDocument
+	for _, c := range forgedCases {
+		for _, k := range []struct {
+			kind   string
+			doc    docKind
+			head   any
+			source fsimage.RecordSource
+		}{
+			{planKind, planDoc, open, open.img},
+			{shardKind, shardDoc, shardHeader(view.Plan, view.Shard), &fsimage.Image{Tree: view.Tree, Files: view.Files}},
+		} {
+			var l records
+			if err := k.source.StreamRecords(&l); err != nil {
+				tb.Fatal(err)
+			}
+			c.forge(&l, len(l.files)/2)
+			var doc bytes.Buffer
+			if _, _, err := writeDocument(&doc, k.doc, k.head, 64, l.replay); err != nil {
+				tb.Fatalf("sealing %q: %v", c.name, err)
+			}
+			out = append(out, malformedDocument{name: "forged: " + c.name + " (" + k.kind + ")", kind: k.kind, doc: doc.Bytes(), want: fsimage.ErrManifestIntegrity})
+		}
+	}
+	return out
 }
 
 // malformedDocument is one damaged document of the table.
@@ -226,7 +323,7 @@ func malformedDocuments(tb testing.TB) []malformedDocument {
 			}
 		}
 	}
-	return out
+	return append(out, forgedDocuments(tb)...)
 }
 
 // door is one exported decoder of a document kind.
@@ -301,108 +398,6 @@ func checkRejection(t *testing.T, err error, want error, alloc uint64, n int) {
 	}
 }
 
-// failsAtParent marks the rows that fail at commit b195151, where this table
-// was written: the decoders there answer them with no sentinel, another
-// sentinel, a doubled prefix, a 64 MiB allocation, a panic, or by accepting
-// the document. They are skipped until the change that makes them pass.
-var failsAtParent = map[string]bool{
-	"TestMalformedDocuments/empty_input_(plan)/DecodePlan+Open":                             true,
-	"TestMalformedDocuments/empty_input_(plan)/DecodePlanShard":                             true,
-	"TestMalformedDocuments/empty_input_(shard)/DecodeShardView":                            true,
-	"TestMalformedDocuments/not_JSON_(plan)/DecodePlan+Open":                                true,
-	"TestMalformedDocuments/not_JSON_(plan)/DecodePlanShard":                                true,
-	"TestMalformedDocuments/not_JSON_(shard)/DecodeShardView":                               true,
-	"TestMalformedDocuments/a_JSON_array_(plan)/DecodePlan+Open":                            true,
-	"TestMalformedDocuments/a_JSON_array_(plan)/DecodePlanShard":                            true,
-	"TestMalformedDocuments/a_JSON_array_(shard)/DecodeShardView":                           true,
-	"TestMalformedDocuments/a_JSON_object_without_the_envelope_(plan)/DecodePlan+Open":      true,
-	"TestMalformedDocuments/a_JSON_object_without_the_envelope_(plan)/DecodePlanShard":      true,
-	"TestMalformedDocuments/a_JSON_object_without_the_envelope_(shard)/DecodeShardView":     true,
-	"TestMalformedDocuments/truncated_inside_the_header_(plan)/DecodePlan+Open":             true,
-	"TestMalformedDocuments/truncated_inside_the_header_(plan)/DecodePlanShard":             true,
-	"TestMalformedDocuments/truncated_inside_the_header_(shard)/DecodeShardView":            true,
-	"TestMalformedDocuments/truncated_inside_the_stream_(plan)/DecodePlan+Open":             true,
-	"TestMalformedDocuments/truncated_inside_the_stream_(plan)/DecodePlanShard":             true,
-	"TestMalformedDocuments/truncated_inside_the_stream_(shard)/DecodeShardView":            true,
-	"TestMalformedDocuments/truncated_before_the_trailer_(plan)/DecodePlan+Open":            true,
-	"TestMalformedDocuments/truncated_before_the_trailer_(plan)/DecodePlanShard":            true,
-	"TestMalformedDocuments/truncated_before_the_trailer_(shard)/DecodeShardView":           true,
-	"TestMalformedDocuments/one_byte_after_the_closing_brace_(plan)/DecodePlan+Open":        true,
-	"TestMalformedDocuments/one_byte_after_the_closing_brace_(plan)/DecodePlanShard":        true,
-	"TestMalformedDocuments/one_byte_after_the_closing_brace_(shard)/DecodeShardView":       true,
-	"TestMalformedDocuments/a_second_value_after_the_closing_brace_(plan)/DecodePlan+Open":  true,
-	"TestMalformedDocuments/a_second_value_after_the_closing_brace_(plan)/DecodePlanShard":  true,
-	"TestMalformedDocuments/a_second_value_after_the_closing_brace_(shard)/DecodeShardView": true,
-	"TestMalformedDocuments/content_kind_bogus_(plan)/DecodePlan+Open":                      true,
-	"TestMalformedDocuments/content_kind_bogus_(plan)/DecodePlanShard":                      true,
-	"TestMalformedDocuments/content_kind_bogus_(shard)/DecodeShardView":                     true,
-	"TestMalformedDocuments/stream_key_zzz_(plan)/DecodePlan+Open":                          true,
-	"TestMalformedDocuments/stream_key_zzz_(plan)/DecodePlanShard":                          true,
-	"TestMalformedDocuments/stream_key_zzz_(shard)/DecodeShardView":                         true,
-	"TestMalformedDocuments/stream_key_of_another_stream_(plan)/DecodePlan+Open":            true,
-	"TestMalformedDocuments/stream_key_of_another_stream_(plan)/DecodePlanShard":            true,
-	"TestMalformedDocuments/stream_key_of_another_stream_(shard)/DecodeShardView":           true,
-	"TestMalformedDocuments/files_10^12_(shard)/DecodeShardView":                            true,
-	"TestMalformedDocuments/negative_files_(shard)/DecodeShardView":                         true,
-	"TestMalformedDocuments/negative_dirs_(plan)/DecodePlanShard":                           true,
-	"TestMalformedDocuments/negative_dirs_(shard)/DecodeShardView":                          true,
-	"TestMalformedDocuments/negative_bytes_(shard)/DecodeShardView":                         true,
-	"TestMalformedDocuments/files_is_a_string_(plan)/DecodePlan+Open":                       true,
-	"TestMalformedDocuments/files_is_a_string_(plan)/DecodePlanShard":                       true,
-	"TestMalformedDocuments/files_is_a_string_(shard)/DecodeShardView":                      true,
-	"TestMalformedDocuments/no_directories_(plan)/DecodePlan+Open":                          true,
-	"TestMalformedDocuments/no_directories_(plan)/DecodePlanShard":                          true,
-	"TestMalformedDocuments/no_directories_(shard)/DecodeShardView":                         true,
-	"TestMalformedDocuments/shards_[]_(plan)/DecodePlan+Open":                               true,
-	"TestMalformedDocuments/shards_[]_(plan)/DecodePlanShard":                               true,
-	"TestMalformedDocuments/shards_[]_(shard)/DecodeShardView":                              true,
-	"TestMalformedDocuments/shards_missing_(plan)/DecodePlan+Open":                          true,
-	"TestMalformedDocuments/shards_missing_(plan)/DecodePlanShard":                          true,
-	"TestMalformedDocuments/shards_missing_(shard)/DecodeShardView":                         true,
-	"TestMalformedDocuments/shard_table_out_of_order_(plan)/DecodePlan+Open":                true,
-	"TestMalformedDocuments/shard_table_out_of_order_(plan)/DecodePlanShard":                true,
-	"TestMalformedDocuments/shard_table_out_of_order_(shard)/DecodeShardView":               true,
-	"TestMalformedDocuments/unknown_cut_root_(plan)/DecodePlan+Open":                        true,
-	"TestMalformedDocuments/unknown_cut_root_(plan)/DecodePlanShard":                        true,
-	"TestMalformedDocuments/unknown_cut_root_(shard)/DecodeShardView":                       true,
-	"TestMalformedDocuments/duplicated_cut_root_(plan)/DecodePlan+Open":                     true,
-	"TestMalformedDocuments/duplicated_cut_root_(plan)/DecodePlanShard":                     true,
-	"TestMalformedDocuments/duplicated_cut_root_(shard)/DecodeShardView":                    true,
-	"TestMalformedDocuments/cut_root_0_(plan)/DecodePlan+Open":                              true,
-	"TestMalformedDocuments/cut_root_0_(plan)/DecodePlanShard":                              true,
-	"TestMalformedDocuments/cut_root_0_(shard)/DecodeShardView":                             true,
-	"TestMalformedDocuments/shards[1].files_10^12_(plan)/DecodePlanShard":                   true,
-	"TestMalformedDocuments/shards[1].files_10^12_(shard)/DecodeShardView":                  true,
-	"TestMalformedDocuments/shards[0].files_off_by_one_(shard)/DecodeShardView":             true,
-	"TestMalformedDocuments/chunk_array_under_another_key_(plan)/DecodePlan+Open":           true,
-	"TestMalformedDocuments/chunk_array_under_another_key_(plan)/DecodePlanShard":           true,
-	"TestMalformedDocuments/chunk_array_under_another_key_(shard)/DecodeShardView":          true,
-	"TestMalformedDocuments/a_number_in_the_chunk_array_(plan)/DecodePlan+Open":             true,
-	"TestMalformedDocuments/a_number_in_the_chunk_array_(plan)/DecodePlanShard":             true,
-	"TestMalformedDocuments/a_number_in_the_chunk_array_(shard)/DecodeShardView":            true,
-	"TestMalformedDocuments/embedded_shard_is_another_shard's_(shard)/DecodeShardView":      true,
-	"TestMalformedLeaves/DecodeManifest/empty_input":                                        true,
-	"TestMalformedLeaves/DecodeManifest/not_JSON":                                           true,
-	"TestMalformedLeaves/DecodeManifest/a_JSON_array":                                       true,
-	"TestMalformedLeaves/DecodeManifest/truncated":                                          true,
-	"TestMalformedLeaves/DecodeManifest/one_byte_after_the_closing_brace":                   true,
-	"TestMalformedLeaves/DecodeManifest/a_second_value_after_the_closing_brace":             true,
-	"TestMalformedLeaves/DecodeManifest/shard_is_a_string":                                  true,
-	"TestMalformedLeaves/DecodeFragmentIndex/empty_input":                                   true,
-	"TestMalformedLeaves/DecodeFragmentIndex/not_JSON":                                      true,
-	"TestMalformedLeaves/DecodeFragmentIndex/a_JSON_array":                                  true,
-	"TestMalformedLeaves/DecodeFragmentIndex/truncated":                                     true,
-	"TestMalformedLeaves/DecodeFragmentIndex/one_byte_after_the_closing_brace":              true,
-	"TestMalformedLeaves/DecodeFragmentIndex/a_second_value_after_the_closing_brace":        true,
-	"TestMalformedLeaves/DecodeFragmentIndex/shard_is_a_string":                             true,
-}
-
-func skipIfFailsAtParent(t *testing.T) {
-	if failsAtParent[t.Name()] {
-		t.Skip("fails at the parent commit (see failsAtParent)")
-	}
-}
-
 // TestMalformedDocuments: a damaged artifact meets the same verdict
 // whichever door it comes through.
 func TestMalformedDocuments(t *testing.T) {
@@ -422,7 +417,6 @@ func TestMalformedDocuments(t *testing.T) {
 				continue
 			}
 			t.Run(m.name+"/"+d.name, func(t *testing.T) {
-				skipIfFailsAtParent(t)
 				err, alloc := verdict(func() error { return d.open(m.doc) })
 				checkRejection(t, err, m.want, alloc, len(m.doc))
 			})
@@ -501,14 +495,12 @@ func TestMalformedLeaves(t *testing.T) {
 	manifests, indexes := malformedLeaves(t)
 	for _, m := range manifests {
 		t.Run("DecodeManifest/"+m.name, func(t *testing.T) {
-			skipIfFailsAtParent(t)
 			err, alloc := verdict(func() error { _, err := DecodeManifest(bytes.NewReader(m.doc)); return err })
 			checkRejection(t, err, m.want, alloc, len(m.doc))
 		})
 	}
 	for _, m := range indexes {
 		t.Run("DecodeFragmentIndex/"+m.name, func(t *testing.T) {
-			skipIfFailsAtParent(t)
 			err, alloc := verdict(func() error { _, err := DecodeFragmentIndex(bytes.NewReader(m.doc)); return err })
 			checkRejection(t, err, m.want, alloc, len(m.doc))
 		})

@@ -103,13 +103,18 @@ func (a *Audit) Verified() int {
 	return n
 }
 
-// verifyShardManifest checks one manifest against the plan's expectations
-// for shard s: format version, plan fingerprint, seal, counts, per-file
-// assignments and sizes, and hash presence. It is the single source of
-// truth Merge, Audit, and the distrun resume path all share.
-func verifyShardManifest(p *OpenPlan, fingerprint string, s int, m *Manifest) error {
+// checkManifest is the one check of a manifest against the shard-table row
+// it is presented for and the fingerprint of the plan that row is from:
+// format version, shard, plan binding, seal, totals and entry count. With
+// checkEntry over the shard's files it is everything VerifyManifest,
+// AuditManifests, Merge and MergeFragments hold a manifest to.
+func checkManifest(m *Manifest, fingerprint string, sp ShardPlan) error {
+	s := sp.Index
 	if m.FormatVersion != FormatVersion {
 		return fmt.Errorf("distribute: shard %d manifest format v%d, this build speaks v%d (%w)", s, m.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
+	}
+	if m.Shard != s {
+		return fmt.Errorf("distribute: manifest for shard %d records shard %d (%w)", s, m.Shard, fsimage.ErrManifestIntegrity)
 	}
 	if m.PlanFingerprint != fingerprint {
 		return fmt.Errorf("distribute: shard %d manifest was produced for a different plan (fingerprint %s, this plan is %s) (%w)",
@@ -118,25 +123,40 @@ func verifyShardManifest(p *OpenPlan, fingerprint string, s int, m *Manifest) er
 	if err := m.VerifySelf(); err != nil {
 		return err
 	}
-	sp := p.Plan.Shards[s]
-	if m.Dirs != sp.Dirs || m.Files != sp.Files || m.Bytes != sp.Bytes {
-		return fmt.Errorf("distribute: shard %d wrote %d dirs, %d files, %d bytes; plan expects %d, %d, %d (%w)",
-			s, m.Dirs, m.Files, m.Bytes, sp.Dirs, sp.Files, sp.Bytes, fsimage.ErrManifestIntegrity)
+	if m.Dirs != sp.Dirs || m.Files != sp.Files || m.Bytes != sp.Bytes || len(m.FileDigests) != sp.Files {
+		return fmt.Errorf("distribute: shard %d wrote %d dirs, %d files (%d listed), %d bytes; plan expects %d, %d, %d (%w)",
+			s, m.Dirs, m.Files, len(m.FileDigests), m.Bytes, sp.Dirs, sp.Files, sp.Bytes, fsimage.ErrManifestIntegrity)
 	}
-	expect := p.FilesByShard[s]
-	if len(m.FileDigests) != len(expect) {
-		return fmt.Errorf("distribute: shard %d manifest lists %d files, plan assigns %d (%w)", s, len(m.FileDigests), len(expect), fsimage.ErrManifestIntegrity)
+	return nil
+}
+
+// checkEntry compares the manifest's i-th entry with f, the i-th file the
+// plan assigns the shard: same file, same size, and a content hash unless
+// the run was metadata-only.
+func (m *Manifest) checkEntry(i int, f *fsimage.File) error {
+	if i >= len(m.FileDigests) {
+		return fmt.Errorf("distribute: shard %d manifest lists %d files, plan assigns it more (%w)", m.Shard, len(m.FileDigests), fsimage.ErrManifestIntegrity)
 	}
-	for i, fd := range m.FileDigests {
-		id := expect[i]
-		if fd.ID != id {
-			return fmt.Errorf("distribute: shard %d manifest entry %d is file %d, plan assigns file %d (%w)", s, i, fd.ID, id, fsimage.ErrManifestIntegrity)
-		}
-		if fd.Size != p.Image.Files[id].Size {
-			return fmt.Errorf("distribute: shard %d reports %d bytes for file %d, plan says %d (%w)", s, fd.Size, id, p.Image.Files[id].Size, fsimage.ErrManifestIntegrity)
-		}
-		if m.ContentHashed && fd.SHA256 == "" {
-			return fmt.Errorf("distribute: shard %d manifest is missing the content hash of file %d (%w)", s, id, fsimage.ErrManifestIntegrity)
+	fd := m.FileDigests[i]
+	if fd.ID != f.ID || fd.Size != f.Size {
+		return fmt.Errorf("distribute: shard %d manifest entry %d is file %d of %d bytes, plan assigns file %d of %d bytes (%w)",
+			m.Shard, i, fd.ID, fd.Size, f.ID, f.Size, fsimage.ErrManifestIntegrity)
+	}
+	if m.ContentHashed && fd.SHA256 == "" {
+		return fmt.Errorf("distribute: shard %d manifest is missing the content hash of file %d (%w)", m.Shard, f.ID, fsimage.ErrManifestIntegrity)
+	}
+	return nil
+}
+
+// verifyManifest checks a manifest whose shard the plan has against the
+// open plan: checkManifest, then checkEntry for every file of the shard.
+func verifyManifest(p *OpenPlan, fingerprint string, m *Manifest) error {
+	if err := checkManifest(m, fingerprint, p.Plan.Shards[m.Shard]); err != nil {
+		return err
+	}
+	for i, id := range p.FilesByShard[m.Shard] {
+		if err := m.checkEntry(i, &p.Image.Files[id]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -153,7 +173,7 @@ func VerifyManifest(p *OpenPlan, m *Manifest) error {
 	if m.Shard < 0 || m.Shard >= len(p.Plan.Shards) {
 		return fmt.Errorf("distribute: manifest for unknown shard %d (plan has %d shards) (%w)", m.Shard, len(p.Plan.Shards), fsimage.ErrManifestIntegrity)
 	}
-	return verifyShardManifest(p, p.Plan.Fingerprint(), m.Shard, m)
+	return verifyManifest(p, p.Plan.Fingerprint(), m)
 }
 
 // AuditManifests grades a manifest set — possibly incomplete, possibly
@@ -179,7 +199,7 @@ func AuditManifests(p *OpenPlan, manifests []*Manifest) (*Audit, error) {
 		if audit.Statuses[m.Shard].State != ShardMissing {
 			return nil, fmt.Errorf("distribute: duplicate manifest for shard %d (%w)", m.Shard, fsimage.ErrInvalidSpec)
 		}
-		if err := verifyShardManifest(p, fingerprint, m.Shard, m); err != nil {
+		if err := verifyManifest(p, fingerprint, m); err != nil {
 			audit.Statuses[m.Shard] = ShardStatus{Shard: m.Shard, State: ShardInvalid, Err: err}
 			continue
 		}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"impressions/internal/core"
@@ -28,13 +27,10 @@ import (
 // spill knob set (PlanRequest.Spill) even the metadata columns live on
 // disk, so a 10⁸-file plan builds in O(dirs) heap.
 //
-// BuildPlanFragment is the distributable unit: the same deterministic pass,
-// emitting only one shard's document. Fragment i is byte-identical whether
-// produced by PartitionPlan, by BuildPlanFragment on another machine, or by
-// slicing a monolithic plan file (DecodePlanShard → Encode) — all three
-// derive from the same seed-keyed metadata replay — so a fleet can lease
-// planning work fragment by fragment and interoperate with every existing
-// consumer.
+// Fragment i is byte-identical whether produced by PartitionPlan or by
+// slicing a monolithic plan file (DecodePlanShard → Encode) — both derive
+// from the same seed-keyed metadata replay — so fragments interoperate with
+// every existing consumer.
 //
 // MergeFragments is the no-O(image) verification pass: it streams all K
 // fragment documents through a DigestBuilder (plus each shard's manifest)
@@ -63,6 +59,17 @@ type FragmentIndex struct {
 	Fragments []string `json:"fragments"`
 }
 
+// FragmentIndex describes the plan as partitioned into one fragment per
+// shard, fragment s under the name name(s).
+func (p *Plan) FragmentIndex(name func(shard int) string) *FragmentIndex {
+	ix := &FragmentIndex{FormatVersion: FragmentIndexVersion, Fingerprint: p.Fingerprint(), Shards: len(p.Shards),
+		Files: p.Files, Dirs: p.Dirs, Bytes: p.Bytes, Fragments: make([]string, len(p.Shards))}
+	for s := range ix.Fragments {
+		ix.Fragments[s] = name(s)
+	}
+	return ix
+}
+
 // Encode writes the index as JSON.
 func (ix *FragmentIndex) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -76,8 +83,8 @@ func (ix *FragmentIndex) Encode(w io.Writer) error {
 // DecodeFragmentIndex reads a fragment index written by Encode.
 func DecodeFragmentIndex(r io.Reader) (*FragmentIndex, error) {
 	var ix FragmentIndex
-	if err := json.NewDecoder(r).Decode(&ix); err != nil {
-		return nil, fmt.Errorf("distribute: decoding fragment index: %w", err)
+	if err := decodeJSONArtifact(r, "fragment index", &ix); err != nil {
+		return nil, err
 	}
 	if ix.FormatVersion != FragmentIndexVersion {
 		return nil, fmt.Errorf("distribute: fragment index v%d, this build speaks v%d (%w)", ix.FormatVersion, FragmentIndexVersion, fsimage.ErrPlanVersion)
@@ -97,12 +104,7 @@ func DecodeFragmentIndex(r io.Reader) (*FragmentIndex, error) {
 
 // LoadFragmentIndex reads a fragment index file.
 func LoadFragmentIndex(path string) (*FragmentIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("distribute: %w", err)
-	}
-	defer f.Close()
-	return DecodeFragmentIndex(f)
+	return loadFile(path, DecodeFragmentIndex)
 }
 
 // FragmentName returns the conventional fragment basename for a shard,
@@ -111,9 +113,9 @@ func FragmentName(planBase string, shard int) string {
 	return fmt.Sprintf("%s.frag%d", planBase, shard)
 }
 
-// sealedPlan is the shared front half of PartitionPlan and
-// BuildPlanFragment: the resolved metadata pass (the caller Closes it), the
-// partition, and the plan header sealed against the monolithic chunk chain.
+// sealedPlan is the shared front half of BuildPlan and PartitionPlan: the
+// resolved metadata pass (the caller Closes it), the partition, and the plan
+// header sealed against the monolithic chunk chain.
 type sealedPlan struct {
 	plan *Plan
 	part *namespace.Partition
@@ -175,12 +177,11 @@ func sealPlan(ctx context.Context, req PlanRequest) (*sealedPlan, error) {
 // renders each directory chunk once, sealed with the hash sealPlan kept,
 // writes it to every fragment, and has the encoders resume behind it at the
 // first file chunk: directory records are hashed once and rendered once,
-// whatever K is, and no rendered chunk outlives its writes. A nil encoder
-// slot skips that shard (BuildPlanFragment's single-fragment mode).
+// whatever K is, and no rendered chunk outlives its writes.
 type fragmentRouter struct {
 	ctx  context.Context
 	sp   *sealedPlan
-	encs []*shardDocEncoder
+	docs []*docWriter
 	n    int
 
 	dirs  fsimage.Chunk // the directory chunk being filled
@@ -222,13 +223,10 @@ func (r *fragmentRouter) flushDirs() error {
 	r.dirs.SHA256 = r.sp.dirHashes[r.dirs.Index]
 	var err error
 	if r.buf, err = appendChunkElement(r.buf[:0], &r.dirs); err != nil {
-		return fmt.Errorf("distribute: encoding record chunk %d: %w", r.dirs.Index, err)
+		return err
 	}
-	for _, e := range r.encs {
-		if e == nil {
-			continue
-		}
-		if _, err := e.bw.Write(r.buf); err != nil {
+	for _, d := range r.docs {
+		if _, err := d.bw.Write(r.buf); err != nil {
 			return err
 		}
 	}
@@ -246,10 +244,8 @@ func (r *fragmentRouter) beginFiles() error {
 	if r.dirs.Index != len(r.sp.dirHashes) {
 		return fmt.Errorf("distribute: the replay carried %d directory chunks, the plan was sealed over %d (%w)", r.dirs.Index, len(r.sp.dirHashes), fsimage.ErrManifestIntegrity)
 	}
-	for _, e := range r.encs {
-		if e != nil {
-			e.resumeAfter(r.sp.plan.ChunkSize, r.sp.dirHashes)
-		}
+	for _, d := range r.docs {
+		d.resumeAfter(r.sp.dirHashes)
 	}
 	r.files = true
 	return nil
@@ -264,24 +260,16 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 			return err
 		}
 	}
-	e := r.encs[r.sp.part.ShardOf(f.DirID)]
-	if e == nil {
-		return nil
-	}
-	return e.AddFile(f)
+	return r.docs[r.sp.part.ShardOf(f.DirID)].AddFile(f)
 }
 
 // writeFragments replays the metadata once through a router over one shard
-// document per non-nil writer (writers[s] receives fragment s) and seals
-// them.
-func (sp *sealedPlan) writeFragments(ctx context.Context, writers []io.Writer) error {
-	router := &fragmentRouter{ctx: ctx, sp: sp, encs: make([]*shardDocEncoder, len(writers))}
+// document per writer (writers[s] receives fragment s) and seals them.
+func (sp *sealedPlan) writeFragments(ctx context.Context, writers []io.WriteCloser) error {
+	router := &fragmentRouter{ctx: ctx, sp: sp, docs: make([]*docWriter, len(writers))}
 	for s, w := range writers {
-		if w == nil {
-			continue
-		}
 		var err error
-		if router.encs[s], err = newShardDocEncoder(sp.plan, s, w); err != nil {
+		if router.docs[s], err = newDocWriter(w, shardDoc, shardHeader(sp.plan, s), sp.plan.ChunkSize); err != nil {
 			return err
 		}
 	}
@@ -293,11 +281,8 @@ func (sp *sealedPlan) writeFragments(ctx context.Context, writers []io.Writer) e
 			return err
 		}
 	}
-	for s, e := range router.encs {
-		if e == nil {
-			continue
-		}
-		if err := e.Close(); err != nil {
+	for s, d := range router.docs {
+		if _, _, err := d.Close(); err != nil {
 			return fmt.Errorf("distribute: sealing fragment %d: %w", s, err)
 		}
 	}
@@ -330,16 +315,15 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 			}
 		}
 	}
-	writers := make([]io.Writer, len(wcs))
 	for s := range wcs {
 		wc, err := open(s)
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("distribute: opening fragment %d: %w", s, err)
 		}
-		wcs[s], writers[s] = wc, wc
+		wcs[s] = wc
 	}
-	if err := sp.writeFragments(ctx, writers); err != nil {
+	if err := sp.writeFragments(ctx, wcs); err != nil {
 		closeAll()
 		return nil, err
 	}
@@ -349,30 +333,6 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 			closeAll()
 			return nil, fmt.Errorf("distribute: closing fragment %d: %w", s, err)
 		}
-	}
-	return sp.plan, nil
-}
-
-// BuildPlanFragment runs the same deterministic partitioned pass as
-// PartitionPlan but emits only shard's fragment document to w: the leasable
-// unit of distributed planning. Every node pays the metadata replay (the
-// placement model is a globally sequential process per depth level — a
-// fragment cannot be produced from a slice of the input), but no node holds
-// more than O(dirs) + one chunk buffer, and K nodes produce the K fragments
-// wall-clock-bounded by the slowest replay.
-func BuildPlanFragment(ctx context.Context, req PlanRequest, shard int, w io.Writer) (*Plan, error) {
-	sp, err := sealPlan(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	defer sp.meta.Close()
-	if shard < 0 || shard >= len(sp.plan.Shards) {
-		return nil, fmt.Errorf("distribute: fragment %d out of range (plan has %d shards) (%w)", shard, len(sp.plan.Shards), fsimage.ErrInvalidSpec)
-	}
-	writers := make([]io.Writer, len(sp.plan.Shards))
-	writers[shard] = w
-	if err := sp.writeFragments(ctx, writers); err != nil {
-		return nil, err
 	}
 	return sp.plan, nil
 }
@@ -432,18 +392,6 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 		if mf == nil {
 			return nil, fmt.Errorf("distribute: missing manifest for shard %d (%w)", s, fsimage.ErrManifestIntegrity)
 		}
-		if mf.FormatVersion != FormatVersion {
-			return nil, fmt.Errorf("distribute: manifest %d format v%d, this build speaks v%d (%w)", s, mf.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
-		}
-		if err := mf.VerifySelf(); err != nil {
-			return nil, err
-		}
-		if mf.Shard != s {
-			return nil, fmt.Errorf("distribute: manifest %d records shard %d (%w)", s, mf.Shard, fsimage.ErrManifestIntegrity)
-		}
-		if mf.ContentHashed != manifests[0].ContentHashed {
-			return nil, fmt.Errorf("distribute: manifests mix content-hashed and hashless shards (%w)", fsimage.ErrManifestIntegrity)
-		}
 	}
 	contentHashed := manifests[0].ContentHashed
 
@@ -481,7 +429,7 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 					}
 				}
 			}
-			view, err := decodeShardDoc(rc, func(f fsimage.File) error {
+			view, err := decodeShard(rc, shardDoc, 0, func(f fsimage.File) error {
 				select {
 				case fs.files <- f:
 					return nil
@@ -499,12 +447,6 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 			fs.view = view
 			fs.done <- nil
 		}(s)
-	}
-
-	// collect waits for every decoder so no goroutine outlives an error
-	// return (the abort channel unblocks their sends).
-	fail := func(err error) (*FragmentMergeResult, error) {
-		return nil, err
 	}
 
 	// Wait for fragment 0's tree (or its failure).
@@ -526,14 +468,22 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 			if err == nil {
 				err = fmt.Errorf("distribute: fragment 0 delivered no tree (%w)", fsimage.ErrManifestIntegrity)
 			}
-			return fail(err)
+			return nil, err
 		}
 	case <-ctx.Done():
-		return fail(ctx.Err())
+		return nil, ctx.Err()
 	}
 	fingerprint := hdr.Fingerprint()
 	if len(hdr.Shards) != k {
-		return fail(fmt.Errorf("distribute: plan has %d shards, merge was handed %d manifests (%w)", len(hdr.Shards), k, fsimage.ErrInvalidSpec))
+		return nil, fmt.Errorf("distribute: plan has %d shards, merge was handed %d manifests (%w)", len(hdr.Shards), k, fsimage.ErrInvalidSpec)
+	}
+	for s, mf := range manifests {
+		if err := checkManifest(mf, fingerprint, hdr.Shards[s]); err != nil {
+			return nil, err
+		}
+		if mf.ContentHashed != contentHashed {
+			return nil, fmt.Errorf("distribute: manifests mix content-hashed and hashless shards (%w)", fsimage.ErrManifestIntegrity)
+		}
 	}
 
 	var builder *fsimage.DigestBuilder
@@ -542,11 +492,8 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 		builder = fsimage.NewDigestBuilder(hdr.Dirs, hdr.Files, hdr.Bytes, func(fsimage.File) (string, error) {
 			return curSHA, nil
 		})
-		for i := range tree.Dirs {
-			d := &tree.Dirs[i]
-			if err := builder.AddDir(fsimage.DirRecord{ID: d.ID, Parent: d.Parent, Name: d.Name, Special: d.Special, Bias: d.Bias}); err != nil {
-				return fail(fmt.Errorf("distribute: folding directory digest: %w", err))
-			}
+		if err := (&fsimage.Image{Tree: tree}).StreamRecords(builder); err != nil {
+			return nil, fmt.Errorf("distribute: folding directory digest: %w", err)
 		}
 	}
 
@@ -561,8 +508,6 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 		next(s)
 	}
 	cursors := make([]int, k)
-	var files int
-	var bytes int64
 	for {
 		best := -1
 		for s := 0; s < k; s++ {
@@ -575,27 +520,16 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 		}
 		f := heads[best]
 		mf := manifests[best]
-		j := cursors[best]
-		if j >= len(mf.FileDigests) {
-			return fail(fmt.Errorf("distribute: shard %d manifest records %d files, fragment carries more (%w)", best, len(mf.FileDigests), fsimage.ErrManifestIntegrity))
-		}
-		fd := mf.FileDigests[j]
-		if fd.ID != f.ID || fd.Size != f.Size {
-			return fail(fmt.Errorf("distribute: shard %d file %d: manifest records id %d size %d, fragment says id %d size %d (%w)",
-				best, j, fd.ID, fd.Size, f.ID, f.Size, fsimage.ErrManifestIntegrity))
+		if err := mf.checkEntry(cursors[best], &f); err != nil {
+			return nil, err
 		}
 		if contentHashed {
-			if fd.SHA256 == "" {
-				return fail(fmt.Errorf("distribute: shard %d manifest is missing the content hash for file %d (%w)", best, fd.ID, fsimage.ErrManifestIntegrity))
-			}
-			curSHA = fd.SHA256
+			curSHA = mf.FileDigests[cursors[best]].SHA256
 			if err := builder.AddFile(f); err != nil {
-				return fail(fmt.Errorf("distribute: folding file digest: %w", err))
+				return nil, fmt.Errorf("distribute: folding file digest: %w", err)
 			}
 		}
 		cursors[best]++
-		files++
-		bytes += f.Size
 		next(best)
 	}
 
@@ -604,39 +538,26 @@ func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, er
 	sum0 := dirsum(tree)
 	for s := 0; s < k; s++ {
 		if err := <-streams[s].done; err != nil {
-			return fail(err)
+			return nil, err
 		}
 		view := streams[s].view
 		if got := view.Plan.Fingerprint(); got != fingerprint {
-			return fail(fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", s, got, fingerprint, fsimage.ErrManifestIntegrity))
+			return nil, fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", s, got, fingerprint, fsimage.ErrManifestIntegrity)
 		}
 		if s > 0 {
 			if got := dirsum(view.Tree); got != sum0 {
-				return fail(fmt.Errorf("distribute: fragment %d carries a different directory tree than fragment 0 (%w)", s, fsimage.ErrManifestIntegrity))
+				return nil, fmt.Errorf("distribute: fragment %d carries a different directory tree than fragment 0 (%w)", s, fsimage.ErrManifestIntegrity)
 			}
 		}
-		mf := manifests[s]
-		if mf.PlanFingerprint != fingerprint {
-			return fail(fmt.Errorf("distribute: manifest %d was produced against plan %.12s, fragments bind %.12s (%w)", s, mf.PlanFingerprint, fingerprint, fsimage.ErrManifestIntegrity))
-		}
-		sp := hdr.Shards[s]
-		if mf.Dirs != sp.Dirs || mf.Files != sp.Files || mf.Bytes != sp.Bytes {
-			return fail(fmt.Errorf("distribute: manifest %d totals (%d dirs, %d files, %d bytes) do not match the plan's shard expectations (%d, %d, %d) (%w)",
-				s, mf.Dirs, mf.Files, mf.Bytes, sp.Dirs, sp.Files, sp.Bytes, fsimage.ErrManifestIntegrity))
-		}
-		if cursors[s] != len(mf.FileDigests) {
-			return fail(fmt.Errorf("distribute: shard %d manifest records %d files, fragment carried %d (%w)", s, len(mf.FileDigests), cursors[s], fsimage.ErrManifestIntegrity))
-		}
-	}
-	if files != hdr.Files || bytes != hdr.Bytes {
-		return fail(fmt.Errorf("distribute: fragments carried %d files, %d bytes; plan promises %d, %d (%w)", files, bytes, hdr.Files, hdr.Bytes, fsimage.ErrManifestIntegrity))
 	}
 
-	res := &FragmentMergeResult{Fingerprint: fingerprint, Dirs: hdr.Dirs, Files: files, Bytes: bytes}
+	// Every fragment's decoder has held its stream to its row of the shard
+	// table, and the rows sum to the header's totals.
+	res := &FragmentMergeResult{Fingerprint: fingerprint, Dirs: hdr.Dirs, Files: hdr.Files, Bytes: hdr.Bytes}
 	if contentHashed {
 		digest, err := builder.Sum()
 		if err != nil {
-			return fail(fmt.Errorf("distribute: %w (%w)", err, fsimage.ErrManifestIntegrity))
+			return nil, fmt.Errorf("distribute: %w (%w)", err, fsimage.ErrManifestIntegrity)
 		}
 		res.Digest = digest
 	}

@@ -100,29 +100,6 @@ func TestPartitionPlanFragmentsMatchSlicedPlan(t *testing.T) {
 	}
 }
 
-// TestBuildPlanFragmentMatchesPartitionPlan: the leasable single-fragment
-// build emits the same bytes as the corresponding writer of a full
-// partitioned build.
-func TestBuildPlanFragmentMatchesPartitionPlan(t *testing.T) {
-	for _, fc := range fragmentCases {
-		name, cfg := fc.name, testConfig()
-		fc.adjust(&cfg)
-		for _, k := range []int{1, 4} {
-			req := PlanRequest{Config: cfg, Partition: k, ChunkSize: 64}
-			_, frags := fragmentBuffers(t, req)
-			for s := range frags {
-				var buf bytes.Buffer
-				if _, err := BuildPlanFragment(context.Background(), req, s, &buf); err != nil {
-					t.Fatalf("%s K=%d BuildPlanFragment(%d): %v", name, k, s, err)
-				}
-				if !bytes.Equal(buf.Bytes(), frags[s]) {
-					t.Errorf("%s K=%d fragment %d: BuildPlanFragment bytes differ from PartitionPlan's", name, k, s)
-				}
-			}
-		}
-	}
-}
-
 // runFragmentPipeline executes every fragment through the real worker path
 // and merges the fragment streams, returning the merge result and the
 // materialized out root.

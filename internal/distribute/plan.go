@@ -30,6 +30,32 @@
 //     incomplete manifest set shard by shard so a failed run can be resumed
 //     instead of restarted.
 //
+// Wire documents. A plan document and a shard document (a plan fragment is
+// a shard document) are one shape,
+//
+//	{<head>: {...}, <array>: [chunk, ...], "trailer": {"chunks": n, <chain>: hex}}
+//
+// keyed "header"/"chunks"/"image_sha256" around the Plan itself, or
+// "view"/"records"/"records_sha256" around a shard index, the plan's
+// trailer-sealed fields and the Plan, with an array that carries every
+// directory but only that shard's files. The chunks are fsimage.Chunk,
+// each guarded by a hash and all of them by the chain hash; the trailer
+// comes last because the chain is known only after the last chunk, which is
+// what lets a fused pass stream a document it never holds. One writer
+// (docWriter) renders both, and whatever reads bytes this process did not
+// just write goes through four checks: readDocument walks the envelope,
+// verifies every chunk and the trailer and demands the input end there;
+// checkHeader holds the plan header to this build (format version, digest
+// algorithm, content kind, stream keys — ErrPlanVersion) and to itself
+// (counts, shard table, sums — ErrManifestIntegrity); recordCheck holds the
+// record stream to that header (canonical records, rebuilt partition, every
+// shard's expectations) under the retention policies of DecodePlanShard,
+// of DecodeShardView and MergeFragments, and of Open; checkManifest and
+// checkEntry hold a manifest to the plan. Asking for a shard the plan does
+// not have is ErrInvalidSpec; nothing else a damaged artifact can cause is
+// untyped, and no count a document states is allocated before the records
+// that bear it out have arrived.
+//
 // The headline invariant, enforced by tests and CI: for a fixed seed,
 // plan → K workers → merge produces an image byte-identical to a
 // single-process run, for any K — even across worker failures, retries and
@@ -41,11 +67,9 @@
 package distribute
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -89,16 +113,9 @@ type ShardPlan struct {
 // image metadata plus the shard partition. It is self-contained — a worker
 // needs nothing but the plan file and its shard index.
 //
-// On the wire a plan is one JSON document of the form
-//
-//	{"header": {...this struct...}, "chunks": [...], "trailer": {...}}
-//
-// where the chunks stream the image metadata (fsimage.Chunk) in fixed
-// order and the trailer seals the stream (chunk count + chain hash — known
-// only after the last chunk, which is what lets a fused generation pass
-// write the header first and stream the rest). Encode, PlanRequest.Stream
-// and DecodePlan all process the chunks one at a time, so peak memory for the
-// serialized metadata is O(chunk) regardless of image size.
+// On the wire it is the header of a plan document (see the package comment):
+// Encode, PlanRequest.Stream and DecodePlan process the chunks one at a time,
+// so peak memory for the serialized metadata is O(chunk) at any image size.
 type Plan struct {
 	FormatVersion int    `json:"format_version"`
 	Seed          int64  `json:"seed"`
@@ -127,12 +144,6 @@ type Plan struct {
 	// consuming side. PlanRequest.Stream leaves it nil — the streamed
 	// producer never holds the image. It never appears in the wire JSON.
 	img *fsimage.Image
-}
-
-// planTrailer seals a plan document's chunk stream.
-type planTrailer struct {
-	Chunks      int    `json:"chunks"`
-	ImageSHA256 string `json:"image_sha256"`
 }
 
 // contentStreamKey is the stream key every shard records for the content
@@ -210,7 +221,7 @@ func (p *Plan) Encode(w io.Writer) error {
 	if p.img == nil {
 		return fmt.Errorf("distribute: plan holds no image metadata to encode")
 	}
-	chunks, chain, err := p.encodeDocument(w, p.img.StreamRecords)
+	chunks, chain, err := writeDocument(w, planDoc, p, p.ChunkSize, p.img.StreamRecords)
 	if err != nil {
 		return err
 	}
@@ -223,154 +234,6 @@ func (p *Plan) Encode(w io.Writer) error {
 	return nil
 }
 
-// encodeDocument writes the plan document around a record stream: the
-// header object, then every record chunked and streamed by the given
-// source, then the sealing trailer. It returns the sealed chunk count and
-// chain hash.
-func (p *Plan) encodeDocument(w io.Writer, stream func(fsimage.RecordSink) error) (int, string, error) {
-	bw := bufio.NewWriterSize(w, 64*1024)
-	header, err := json.Marshal(p)
-	if err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan header: %w", err)
-	}
-	if _, err := fmt.Fprintf(bw, "{\"header\":%s,\"chunks\":[", header); err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan: %w", err)
-	}
-	enc := fsimage.NewChunkEncoder(p.ChunkSize, chunkArrayWriter(bw, "metadata"))
-	if err := stream(enc); err != nil {
-		return 0, "", fmt.Errorf("distribute: %w", err)
-	}
-	if err := enc.Close(); err != nil {
-		return 0, "", fmt.Errorf("distribute: %w", err)
-	}
-	trailer, err := json.Marshal(planTrailer{Chunks: enc.Chunks(), ImageSHA256: enc.ChainHash()})
-	if err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan trailer: %w", err)
-	}
-	if _, err := fmt.Fprintf(bw, "],\"trailer\":%s}\n", trailer); err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding plan: %w", err)
-	}
-	return enc.Chunks(), enc.ChainHash(), nil
-}
-
-// appendChunkElement appends one sealed chunk as the next element of a wire
-// document's chunk array. fsimage renders the chunk; every document numbers
-// its chunks from 0, so any later index follows a comma.
-func appendChunkElement(dst []byte, c *fsimage.Chunk) ([]byte, error) {
-	if c.Index > 0 {
-		dst = append(dst, ',')
-	}
-	return c.AppendJSON(dst)
-}
-
-// chunkArrayWriter is the ChunkEncoder emit callback of both wire documents:
-// each sealed chunk goes through one reused buffer into bw. what names the
-// chunks in errors.
-func chunkArrayWriter(bw *bufio.Writer, what string) func(*fsimage.Chunk) error {
-	var buf []byte
-	return func(c *fsimage.Chunk) (err error) {
-		if buf, err = appendChunkElement(buf[:0], c); err != nil {
-			return fmt.Errorf("encoding %s chunk %d: %w", what, c.Index, err)
-		}
-		_, err = bw.Write(buf)
-		return err
-	}
-}
-
-// expectDelim reads one JSON token and requires it to be the given
-// delimiter.
-func expectDelim(dec *json.Decoder, want rune, where string) error {
-	tok, err := dec.Token()
-	if err != nil {
-		return fmt.Errorf("distribute: decoding plan %s: %w", where, err)
-	}
-	if d, ok := tok.(json.Delim); !ok || rune(d) != want {
-		return fmt.Errorf("distribute: decoding plan %s: got %v, want %q", where, tok, want)
-	}
-	return nil
-}
-
-// decodePlanStream reads a plan document from r, verifying each metadata
-// chunk's integrity hash and replaying the verified records into the sink
-// returned by open (called once, after the header is decoded and
-// validated). The chunk chain is verified against the sealing trailer. This
-// is the single wire reader behind both the retained DecodePlan and the
-// shard-pruning DecodePlanShard.
-func decodePlanStream(r io.Reader, open func(*Plan) (fsimage.RecordSink, error)) (*Plan, error) {
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 64*1024))
-	if err := expectDelim(dec, '{', "document"); err != nil {
-		return nil, err
-	}
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "header" {
-		return nil, fmt.Errorf("distribute: plan does not start with a header (got %v) — not a v%d chunked plan; rebuild it with this impressions version", tok, FormatVersion)
-	}
-	var p Plan
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan header: %w", err)
-	}
-	if p.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("distribute: plan format v%d, this build speaks v%d (%w)", p.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
-	}
-	sink, err := open(&p)
-	if err != nil {
-		return nil, err
-	}
-	tok, err = dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "chunks" {
-		return nil, fmt.Errorf("distribute: plan header is not followed by metadata chunks (got %v)", tok)
-	}
-	if err := expectDelim(dec, '[', "chunk stream"); err != nil {
-		return nil, err
-	}
-	cdec := fsimage.NewChunkDecoder(sink)
-	var c fsimage.Chunk
-	for dec.More() {
-		c = fsimage.Chunk{}
-		if err := dec.Decode(&c); err != nil {
-			return nil, fmt.Errorf("distribute: decoding metadata chunk %d: %w", cdec.Chunks(), err)
-		}
-		if err := cdec.AddChunk(&c); err != nil {
-			return nil, fmt.Errorf("distribute: %w", err)
-		}
-	}
-	if err := expectDelim(dec, ']', "chunk stream"); err != nil {
-		return nil, err
-	}
-	tok, err = dec.Token()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan trailer: %w", err)
-	}
-	if key, ok := tok.(string); !ok || key != "trailer" {
-		return nil, fmt.Errorf("distribute: plan chunks are not followed by a sealing trailer (got %v) — truncated? (%w)", tok, fsimage.ErrManifestIntegrity)
-	}
-	var tr planTrailer
-	if err := dec.Decode(&tr); err != nil {
-		return nil, fmt.Errorf("distribute: decoding plan trailer: %w", err)
-	}
-	if err := expectDelim(dec, '}', "document"); err != nil {
-		return nil, err
-	}
-	if cdec.Chunks() != tr.Chunks {
-		return nil, fmt.Errorf("distribute: plan trailer promises %d metadata chunks, stream carried %d — truncated? (%w)", tr.Chunks, cdec.Chunks(), fsimage.ErrManifestIntegrity)
-	}
-	if got := cdec.ChainHash(); got != tr.ImageSHA256 {
-		return nil, fmt.Errorf("distribute: embedded image hash mismatch: plan says %s, chunks chain to %s (%w)", tr.ImageSHA256, got, fsimage.ErrManifestIntegrity)
-	}
-	p.Chunks = tr.Chunks
-	p.ImageSHA256 = tr.ImageSHA256
-	return &p, nil
-}
-
 // DecodePlan reads a plan previously written by Encode or PlanRequest.Stream,
 // verifying each metadata chunk's integrity hash and rebuilding the image
 // incrementally — the serialized metadata is never held in memory whole.
@@ -379,33 +242,36 @@ func decodePlanStream(r io.Reader, open func(*Plan) (fsimage.RecordSink, error))
 // and never rebuild the image.
 func DecodePlan(r io.Reader) (*Plan, error) {
 	var builder *fsimage.ImageSink
-	p, err := decodePlanStream(r, func(hdr *Plan) (fsimage.RecordSink, error) {
+	p, err := readDocument(r, planDoc, func(hdr *Plan, _ int) (fsimage.RecordSink, error) {
 		builder = fsimage.NewImageSink(hdr.Spec)
 		return builder, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	img, err := builder.Image()
-	if err != nil {
-		return nil, fmt.Errorf("distribute: embedded image: %w", err)
+	if p.img, err = builder.Image(); err != nil {
+		return nil, fmt.Errorf("distribute: embedded image: %v (%w)", err, fsimage.ErrManifestIntegrity)
 	}
-	p.img = img
 	return p, nil
 }
 
 // LoadPlan reads and opens a plan file.
 func LoadPlan(path string) (*OpenPlan, error) {
+	p, err := loadFile(path, DecodePlan)
+	if err != nil {
+		return nil, err
+	}
+	return p.Open()
+}
+
+// loadFile decodes the artifact in the file at path.
+func loadFile[T any](path string, decode func(io.Reader) (*T, error)) (*T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("distribute: %w", err)
 	}
 	defer f.Close()
-	p, err := DecodePlan(f)
-	if err != nil {
-		return nil, err
-	}
-	return p.Open()
+	return decode(f)
 }
 
 // Fingerprint returns a SHA-256 (hex) over every field of the plan that
@@ -425,19 +291,6 @@ func (p *Plan) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// validateShardTable checks the header's shard table shape (indices dense
-// and in order) and returns the per-shard root lists.
-func (p *Plan) validateShardTable() ([][]int, error) {
-	roots := make([][]int, len(p.Shards))
-	for i, s := range p.Shards {
-		if s.Index != i {
-			return nil, fmt.Errorf("distribute: shard %d recorded with index %d", i, s.Index)
-		}
-		roots[i] = s.Roots
-	}
-	return roots, nil
-}
-
 // OpenPlan is a validated, unpacked plan: the decoded image, the rebuilt
 // partition, and the per-shard file lists.
 type OpenPlan struct {
@@ -448,44 +301,24 @@ type OpenPlan struct {
 	FilesByShard [][]int
 }
 
-// Open validates the plan — format version, totals, partition
-// reconstruction, per-shard invariants — and unpacks it for execution. The
-// metadata's chunk-level integrity is verified earlier, by DecodePlan.
+// Open validates the plan — the header through checkHeader, then the
+// retained image replayed through the same recordCheck a decoded stream
+// goes through: directory count, partition reconstruction, every shard's
+// expectations — and unpacks it for execution. The metadata's chunk-level
+// integrity is verified earlier, by DecodePlan.
 func (p *Plan) Open() (*OpenPlan, error) {
-	if p.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("distribute: plan format v%d, this build speaks v%d (%w)", p.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
-	}
-	if p.DigestAlgo != fsimage.DigestVersion {
-		return nil, fmt.Errorf("distribute: plan digest algo %q, this build computes %q (%w)", p.DigestAlgo, fsimage.DigestVersion, fsimage.ErrPlanVersion)
-	}
-	img := p.img
-	if img == nil {
-		return nil, fmt.Errorf("distribute: plan holds no image metadata (not produced by BuildPlan or DecodePlan)")
-	}
-	if img.FileCount() != p.Files || img.DirCount() != p.Dirs || img.TotalBytes() != p.Bytes {
-		return nil, fmt.Errorf("distribute: plan totals (%d files, %d dirs, %d bytes) do not match embedded image (%d, %d, %d) (%w)",
-			p.Files, p.Dirs, p.Bytes, img.FileCount(), img.DirCount(), img.TotalBytes(), fsimage.ErrManifestIntegrity)
-	}
-	roots, err := p.validateShardTable()
-	if err != nil {
+	if err := checkHeader(p); err != nil {
 		return nil, err
 	}
-	part, err := namespace.PartitionFromRoots(img.Tree, roots)
-	if err != nil {
-		return nil, fmt.Errorf("distribute: rebuilding partition: %w", err)
+	if p.img == nil {
+		return nil, fmt.Errorf("distribute: plan holds no image metadata (not produced by BuildPlan or DecodePlan)")
 	}
-	filesByShard := make([][]int, part.Len())
-	acc := namespace.NewShardAccumulator(part)
-	for i := range img.Files {
-		s := part.ShardOf(img.Files[i].DirID)
-		filesByShard[s] = append(filesByShard[s], i)
-		acc.Add(img.Files[i].DirID, img.Files[i].Size)
+	c := newRecordCheck(p, allShards, false)
+	if err := p.img.StreamRecords(c.ts); err != nil {
+		return nil, err
 	}
-	for i, s := range p.Shards {
-		if len(part.Shards[i]) != s.Dirs || acc.Files(i) != s.Files || acc.Bytes(i) != s.Bytes {
-			return nil, fmt.Errorf("distribute: shard %d expectations (%d dirs, %d files, %d bytes) do not match the embedded image (%d, %d, %d) (%w)",
-				i, s.Dirs, s.Files, s.Bytes, len(part.Shards[i]), acc.Files(i), acc.Bytes(i), fsimage.ErrManifestIntegrity)
-		}
+	if err := c.finish(); err != nil {
+		return nil, err
 	}
-	return &OpenPlan{Plan: p, Image: img, Part: part, FilesByShard: filesByShard}, nil
+	return &OpenPlan{Plan: p, Image: p.img, Part: c.part, FilesByShard: c.byShard}, nil
 }

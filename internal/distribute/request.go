@@ -111,11 +111,8 @@ func (r PlanRequest) Stream(ctx context.Context, w io.Writer) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks, chain, err := p.encodeDocument(w, m.StreamRecords)
-	if err != nil {
+	if p.Chunks, p.ImageSHA256, err = writeDocument(w, planDoc, p, p.ChunkSize, m.StreamRecords); err != nil {
 		return nil, err
 	}
-	p.Chunks = chunks
-	p.ImageSHA256 = chain
 	return p, nil
 }

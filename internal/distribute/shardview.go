@@ -3,7 +3,6 @@ package distribute
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
@@ -31,101 +30,153 @@ type ShardView struct {
 	StreamedFileRecords int
 }
 
-// shardPruner is the RecordSink behind DecodePlanShard: the compact
-// TreeSink plus a filter retaining only the target shard's file records,
-// with streaming per-shard accumulators standing in for the retained
-// Open-time validation.
-type shardPruner struct {
-	hdr   *Plan
-	shard int
-	ts    *fsimage.TreeSink
-	part  *namespace.Partition
-	acc   *namespace.ShardAccumulator
-	files []fsimage.File
-	total int
+// allShards is the recordCheck shard that keeps no shard's records and
+// indexes every shard's files instead (Plan.Open).
+const allShards = -1
+
+// recordCheck is the one validator of a record stream against a plan
+// header, behind DecodePlanShard, DecodeShardView, MergeFragments' streaming
+// decode and Plan.Open. Its RecordSink is ts, a TreeSink: that rebuilds the
+// compact tree and holds every record to the canonical-stream rules, and
+// hands each file to addFile, which rebuilds the partition once the
+// directories are in, tallies every shard, and keeps what the policy says:
+//
+//   - whole-plan stream, one shard kept (DecodePlanShard): the records of
+//     shard are retained, the rest only counted;
+//   - shard document (fragment = true): every file must belong to shard,
+//     IDs ascend but skip; records are retained, or handed to onFile;
+//   - whole-plan stream, allShards (Open): nothing is retained, byShard
+//     lists each shard's file IDs.
+//
+// finish compares the tallies with the shard table's expectations.
+type recordCheck struct {
+	hdr      *Plan
+	shard    int
+	fragment bool
+	ts       *fsimage.TreeSink
+	part     *namespace.Partition
+	acc      *namespace.ShardAccumulator
+	files    []fsimage.File
+	byShard  [][]int
+	// onFile, when non-nil, takes each of the shard's validated file records
+	// instead of files, so a consumer (the fragment merge) processes an
+	// arbitrarily large shard with O(dirs) state here.
+	onFile func(fsimage.File) error
+	// onTree, when non-nil, fires once, when the directory stream is
+	// complete and the partition verified — before the first file record is
+	// delivered — with the plan header and the tree.
+	onTree func(hdr *Plan, tree *namespace.Tree) error
 }
 
-func newShardPruner(hdr *Plan, shard int) (*shardPruner, error) {
-	if hdr.DigestAlgo != fsimage.DigestVersion {
-		return nil, fmt.Errorf("distribute: plan digest algo %q, this build computes %q (%w)", hdr.DigestAlgo, fsimage.DigestVersion, fsimage.ErrPlanVersion)
-	}
-	if shard < 0 || shard >= len(hdr.Shards) {
-		return nil, fmt.Errorf("distribute: shard %d out of range (plan has %d shards) (%w)", shard, len(hdr.Shards), fsimage.ErrInvalidSpec)
-	}
-	pr := &shardPruner{hdr: hdr, shard: shard}
-	// The header is untrusted until the stream verifies: clamp the
-	// preallocation so a tampered shard count degrades into a failed
-	// expectation check, never a gigantic allocation.
-	if n := hdr.Shards[shard].Files; n > 0 {
-		pr.files = make([]fsimage.File, 0, min(n, 1<<20))
-	}
-	pr.ts = fsimage.NewTreeSink(pr.onFile)
-	return pr, nil
+func newRecordCheck(hdr *Plan, shard int, fragment bool) *recordCheck {
+	c := &recordCheck{hdr: hdr, shard: shard, fragment: fragment}
+	c.ts = fsimage.NewTreeSink(c.addFile)
+	c.ts.Sparse = fragment
+	return c
 }
-
-func (pr *shardPruner) AddDir(d fsimage.DirRecord) error { return pr.ts.AddDir(d) }
-func (pr *shardPruner) AddFile(f fsimage.File) error     { return pr.ts.AddFile(f) }
 
 // ensurePartition rebuilds the partition once the directory stream is
-// complete (at the first file record, or at end-of-stream for file-less
-// plans).
-func (pr *shardPruner) ensurePartition() error {
-	if pr.part != nil {
+// complete (at the first file record, or at end-of-stream for a stream
+// without files).
+func (c *recordCheck) ensurePartition() error {
+	if c.part != nil {
 		return nil
 	}
-	if got := pr.ts.DirCount(); got != pr.hdr.Dirs {
-		return fmt.Errorf("distribute: plan stream carried %d directories, header promises %d (%w)", got, pr.hdr.Dirs, fsimage.ErrManifestIntegrity)
+	if got := c.ts.DirCount(); got != c.hdr.Dirs {
+		return fmt.Errorf("distribute: the stream carried %d directories, the plan header promises %d (%w)", got, c.hdr.Dirs, fsimage.ErrManifestIntegrity)
 	}
-	roots, err := pr.hdr.validateShardTable()
+	part, err := namespace.PartitionFromRoots(c.ts.Tree(), c.hdr.shardRoots())
 	if err != nil {
-		return err
+		return fmt.Errorf("distribute: rebuilding partition: %v (%w)", err, fsimage.ErrManifestIntegrity)
 	}
-	part, err := namespace.PartitionFromRoots(pr.ts.Tree(), roots)
-	if err != nil {
-		return fmt.Errorf("distribute: rebuilding partition: %w", err)
+	c.part, c.acc = part, namespace.NewShardAccumulator(part)
+	if c.shard == allShards {
+		c.byShard = make([][]int, part.Len())
 	}
-	pr.part = part
-	pr.acc = namespace.NewShardAccumulator(part)
-	return nil
-}
-
-// onFile accounts every file record but retains only the target shard's.
-func (pr *shardPruner) onFile(f fsimage.File) error {
-	if err := pr.ensurePartition(); err != nil {
-		return err
-	}
-	pr.total++
-	pr.acc.Add(f.DirID, f.Size)
-	if pr.part.ShardOf(f.DirID) == pr.shard {
-		pr.files = append(pr.files, f)
+	if c.onTree != nil {
+		return c.onTree(c.hdr, c.ts.Tree())
 	}
 	return nil
 }
 
-// finish runs the whole-plan validations the retained Open performs, from
-// the streaming accumulators, and assembles the view.
-func (pr *shardPruner) finish() (*ShardView, error) {
-	if err := pr.ensurePartition(); err != nil {
-		return nil, err
+// addFile takes the next file record the TreeSink validated.
+func (c *recordCheck) addFile(f fsimage.File) error {
+	if err := c.ensurePartition(); err != nil {
+		return err
 	}
-	if pr.ts.FileCount() != pr.hdr.Files || pr.ts.TotalBytes() != pr.hdr.Bytes {
-		return nil, fmt.Errorf("distribute: plan stream carried %d files, %d bytes; header promises %d, %d (%w)",
-			pr.ts.FileCount(), pr.ts.TotalBytes(), pr.hdr.Files, pr.hdr.Bytes, fsimage.ErrManifestIntegrity)
+	if f.ID >= c.hdr.Files {
+		return fmt.Errorf("distribute: file %d outside the plan's %d files (%w)", f.ID, c.hdr.Files, fsimage.ErrManifestIntegrity)
 	}
-	for i, s := range pr.hdr.Shards {
-		if len(pr.part.Shards[i]) != s.Dirs || pr.acc.Files(i) != s.Files || pr.acc.Bytes(i) != s.Bytes {
-			return nil, fmt.Errorf("distribute: shard %d expectations (%d dirs, %d files, %d bytes) do not match the embedded image (%d, %d, %d) (%w)",
-				i, s.Dirs, s.Files, s.Bytes, len(pr.part.Shards[i]), pr.acc.Files(i), pr.acc.Bytes(i), fsimage.ErrManifestIntegrity)
+	c.acc.Add(f.DirID, f.Size)
+	switch s := c.part.ShardOf(f.DirID); {
+	case c.shard == allShards:
+		c.byShard[s] = append(c.byShard[s], f.ID)
+	case s != c.shard:
+		if c.fragment {
+			return fmt.Errorf("distribute: file %d belongs to shard %d, document claims shard %d (%w)", f.ID, s, c.shard, fsimage.ErrManifestIntegrity)
+		}
+	case c.onFile != nil:
+		return c.onFile(f)
+	default:
+		// The header is untrusted until the stream verifies, so room grows as
+		// records do — fourfold, up to the count the shard table promises: a
+		// count the document merely claims allocates nothing.
+		if n, want := len(c.files), c.hdr.Shards[s].Files; n == cap(c.files) && n < want {
+			c.files = append(make([]fsimage.File, 0, min(max(4*n, 1024), want)), c.files...)
+		}
+		c.files = append(c.files, f)
+	}
+	return nil
+}
+
+// finish compares what the stream carried with what the shard table
+// expects: every shard's directories, and the files and bytes of every
+// shard the stream covers.
+func (c *recordCheck) finish() error {
+	if err := c.ensurePartition(); err != nil {
+		return err
+	}
+	for i, s := range c.hdr.Shards {
+		if len(c.part.Shards[i]) != s.Dirs || (!c.fragment || i == c.shard) && (c.acc.Files(i) != s.Files || c.acc.Bytes(i) != s.Bytes) {
+			return fmt.Errorf("distribute: shard %d expectations (%d dirs, %d files, %d bytes) do not match the stream (%d, %d, %d) (%w)",
+				i, s.Dirs, s.Files, s.Bytes, len(c.part.Shards[i]), c.acc.Files(i), c.acc.Bytes(i), fsimage.ErrManifestIntegrity)
 		}
 	}
+	return nil
+}
+
+// decodeShard reads a document of either kind into the view of one shard:
+// the requested one of a plan document, the embedded one of a shard
+// document. onFile and onTree are recordCheck's hooks.
+func decodeShard(r io.Reader, kind docKind, requested int, onFile func(fsimage.File) error, onTree func(*Plan, *namespace.Tree) error) (*ShardView, error) {
+	var c *recordCheck
+	if _, err := readDocument(r, kind, func(hdr *Plan, embedded int) (fsimage.RecordSink, error) {
+		shard := embedded
+		if kind == planDoc {
+			shard = requested
+		}
+		if err := hdr.checkShard(shard); err != nil {
+			return nil, err
+		}
+		c = newRecordCheck(hdr, shard, kind == shardDoc)
+		c.onFile, c.onTree = onFile, onTree
+		return c.ts, nil
+	}); err != nil {
+		return nil, err
+	}
+	// readDocument seals the trailer fields on the header it handed over, so
+	// c.hdr is the finished plan.
+	if err := c.finish(); err != nil {
+		return nil, err
+	}
 	return &ShardView{
-		Plan:                pr.hdr,
-		Tree:                pr.ts.Tree(),
-		Part:                pr.part,
-		Shard:               pr.shard,
-		Dirs:                pr.part.Shards[pr.shard],
-		Files:               pr.files,
-		StreamedFileRecords: pr.total,
+		Plan:                c.hdr,
+		Tree:                c.ts.Tree(),
+		Part:                c.part,
+		Shard:               c.shard,
+		Dirs:                c.part.Shards[c.shard],
+		Files:               c.files,
+		StreamedFileRecords: c.ts.FileCount(),
 	}, nil
 }
 
@@ -135,36 +186,21 @@ func (pr *shardPruner) finish() (*ShardView, error) {
 // chain and every shard's expectations are still checked — the pruning
 // drops memory, not validation.
 func DecodePlanShard(r io.Reader, shard int) (*ShardView, error) {
-	var pr *shardPruner
-	// decodePlanStream hands the header to the callback and seals the
-	// trailer fields on that same struct, so pr.hdr is the finished plan.
-	if _, err := decodePlanStream(r, func(hdr *Plan) (fsimage.RecordSink, error) {
-		var err error
-		pr, err = newShardPruner(hdr, shard)
-		return pr, err
-	}); err != nil {
-		return nil, err
-	}
-	return pr.finish()
+	return decodeShard(r, planDoc, shard, nil, nil)
 }
 
 // LoadPlanShard reads a plan file through the shard-pruning decoder — the
 // entry point a distributed worker process uses, so its memory is bounded
 // by its shard (plus the compact tree), never by the image.
 func LoadPlanShard(path string, shard int) (*ShardView, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("distribute: %w", err)
-	}
-	defer f.Close()
-	return DecodePlanShard(f, shard)
+	return loadFile(path, func(r io.Reader) (*ShardView, error) { return DecodePlanShard(r, shard) })
 }
 
 // ShardView projects one shard's view out of a retained open plan, for
 // in-process execution (distrun, tests, the library API).
 func (p *OpenPlan) ShardView(shard int) (*ShardView, error) {
-	if shard < 0 || shard >= len(p.Plan.Shards) {
-		return nil, fmt.Errorf("distribute: shard %d out of range (plan has %d shards) (%w)", shard, len(p.Plan.Shards), fsimage.ErrInvalidSpec)
+	if err := p.Plan.checkShard(shard); err != nil {
+		return nil, err
 	}
 	idx := p.FilesByShard[shard]
 	files := make([]fsimage.File, len(idx))

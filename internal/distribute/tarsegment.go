@@ -40,13 +40,9 @@ func writeTarSegment(ctx context.Context, v *ShardView, w io.Writer, opts Worker
 // plan or seed fails with fsimage.ErrManifestIntegrity.
 func StitchPlanTar(planR io.Reader, segments []io.Reader, w io.Writer, opts imgfmt.Options) (*Plan, error) {
 	var st *imgfmt.Stitcher
-	p, err := decodePlanStream(planR, func(hdr *Plan) (fsimage.RecordSink, error) {
-		roots, err := hdr.validateShardTable()
-		if err != nil {
-			return nil, err
-		}
+	p, err := readDocument(planR, planDoc, func(hdr *Plan, _ int) (_ fsimage.RecordSink, err error) {
 		opts.Seed = hdr.Seed
-		st, err = imgfmt.NewStitcher(w, segments, roots, opts)
+		st, err = imgfmt.NewStitcher(w, segments, hdr.shardRoots(), opts)
 		return st, err
 	})
 	if err != nil {
@@ -70,7 +66,7 @@ func WritePlanTar(planR io.Reader, w io.Writer, opts imgfmt.Options, registry fu
 	opts.Context = ctx
 	var sink *imgfmt.TarSink
 	var fold *imgfmt.DigestFold
-	p, err := decodePlanStream(planR, func(hdr *Plan) (fsimage.RecordSink, error) {
+	p, err := readDocument(planR, planDoc, func(hdr *Plan, _ int) (fsimage.RecordSink, error) {
 		if registry != nil {
 			opts.Registry = registry(hdr.ContentKind)
 		} else if opts.Registry == nil {

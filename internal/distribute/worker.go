@@ -12,7 +12,6 @@ import (
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
-	"impressions/internal/stats"
 )
 
 // FileDigest records one written file in a shard manifest.
@@ -81,21 +80,28 @@ func (m *Manifest) Encode(w io.Writer) error {
 // DecodeManifest reads a manifest previously written by Encode.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
 	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("distribute: decoding manifest: %w", err)
+	if err := decodeJSONArtifact(r, "manifest", &m); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }
 
-// LoadManifest reads a manifest file.
-func LoadManifest(path string) (*Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("distribute: %w", err)
+// decodeJSONArtifact reads a single-object artifact (a manifest, a fragment
+// index) that must be all of r: input that does not parse, stops early or
+// goes on after the object is a damaged artifact.
+func decodeJSONArtifact(r io.Reader, what string, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("distribute: decoding %s: %v (%w)", what, err, fsimage.ErrManifestIntegrity)
 	}
-	defer f.Close()
-	return DecodeManifest(f)
+	if tok, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("distribute: decoding %s: input goes on after the object (%v, %v) (%w)", what, tok, err, fsimage.ErrManifestIntegrity)
+	}
+	return nil
 }
+
+// LoadManifest reads a manifest file.
+func LoadManifest(path string) (*Manifest, error) { return loadFile(path, DecodeManifest) }
 
 // WorkerOptions controls one shard execution.
 type WorkerOptions struct {
@@ -166,7 +172,7 @@ var ErrSimulatedCrash = errors.New("distribute: simulated worker crash (fail-aft
 // machines. ctx cancels between files; what is already written stays (a
 // staging directory or the journal is the caller's clean-up).
 func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOptions) (*ShardResult, error) {
-	if err := validateShardStreamKey(v); err != nil {
+	if err := validateShardStreamKey(v.Plan, v.Shard); err != nil {
 		return nil, err
 	}
 	// Digest slots are per shard record, so a pruned worker's buffers scale
@@ -206,23 +212,6 @@ func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOption
 	}
 	m.Seal()
 	return &ShardResult{Manifest: m, ResumedFiles: resumed, WrittenFiles: len(v.Files) - resumed}, nil
-}
-
-// validateShardStreamKey checks that this build derives the content stream
-// the plan's shard records: the plan's key is authoritative, and a worker
-// must refuse it rather than silently write bytes from a different stream.
-func validateShardStreamKey(v *ShardView) error {
-	sp := v.Plan.Shards[v.Shard]
-	key, err := stats.ParseStreamKey(sp.StreamKey)
-	if err != nil {
-		return fmt.Errorf("distribute: shard %d stream key: %w", v.Shard, err)
-	}
-	want := stats.DeriveSeed(v.Plan.Seed, fsimage.MaterializeStreamLabel)
-	if got := key.Apply(v.Plan.Seed); got != want {
-		return fmt.Errorf("distribute: shard %d stream key %q derives seed %d; this build's content stream derives %d — plan is from an incompatible version (%w)",
-			v.Shard, sp.StreamKey, got, want, fsimage.ErrPlanVersion)
-	}
-	return nil
 }
 
 // writeDir materializes the shard under outRoot through the VFS writer,

@@ -125,13 +125,19 @@ func (m multiSink) AddFile(f File) error {
 // file counters restored as file records pass by), validates that the
 // stream is canonical — dense ascending IDs, known parents, the root first,
 // non-negative sizes, consistent depths, legal names — and hands each file
-// record to an optional callback instead of retaining it.
+// record to an optional callback instead of retaining it. A stream that is
+// not canonical is a damaged artifact: every rejection wraps
+// ErrManifestIntegrity.
 type TreeSink struct {
 	// OnFile, when non-nil, observes every validated file record.
 	OnFile func(File) error
+	// Sparse accepts a stream that carries some of the image's files, as a
+	// shard document does: file IDs must still ascend, but may skip.
+	Sparse bool
 
 	tree       *namespace.Tree
 	nextFileID int
+	files      int
 	totalBytes int64
 }
 
@@ -143,12 +149,12 @@ func NewTreeSink(onFile func(File) error) *TreeSink {
 
 // AddDir applies the next directory record.
 func (s *TreeSink) AddDir(d DirRecord) error {
-	if s.nextFileID > 0 {
-		return fmt.Errorf("fsimage: directory %d arrived after the file stream began", d.ID)
+	if s.files > 0 {
+		return fmt.Errorf("fsimage: directory %d arrived after the file stream began (%w)", d.ID, ErrManifestIntegrity)
 	}
 	if s.tree == nil {
 		if d.ID != 0 {
-			return fmt.Errorf("fsimage: metadata stream begins with directory %d, want the root (0)", d.ID)
+			return fmt.Errorf("fsimage: metadata stream begins with directory %d, want the root (0) (%w)", d.ID, ErrManifestIntegrity)
 		}
 		s.tree = namespace.GenerateTree(nil, 1, namespace.ShapeFlat)
 		s.tree.Dirs[0].Name = d.Name
@@ -157,11 +163,11 @@ func (s *TreeSink) AddDir(d DirRecord) error {
 		return nil
 	}
 	if d.Parent < 0 || d.Parent >= s.tree.Len() {
-		return fmt.Errorf("fsimage: directory %d has invalid parent %d", d.ID, d.Parent)
+		return fmt.Errorf("fsimage: directory %d has invalid parent %d (%w)", d.ID, d.Parent, ErrManifestIntegrity)
 	}
 	id := s.tree.AddDir(d.Parent)
 	if id != d.ID {
-		return fmt.Errorf("fsimage: directory IDs are not dense (got %d want %d)", id, d.ID)
+		return fmt.Errorf("fsimage: directory IDs are not dense (got %d want %d) (%w)", id, d.ID, ErrManifestIntegrity)
 	}
 	s.tree.Dirs[id].Name = d.Name
 	s.tree.Dirs[id].Special = d.Special
@@ -173,24 +179,25 @@ func (s *TreeSink) AddDir(d DirRecord) error {
 // directory's counters, and forwards the record to OnFile.
 func (s *TreeSink) AddFile(f File) error {
 	if s.tree == nil {
-		return fmt.Errorf("fsimage: file %d arrived before any directory record", f.ID)
+		return fmt.Errorf("fsimage: file %d arrived before any directory record (%w)", f.ID, ErrManifestIntegrity)
 	}
-	if f.ID != s.nextFileID {
-		return fmt.Errorf("fsimage: file IDs are not dense (got %d want %d)", f.ID, s.nextFileID)
+	if f.ID != s.nextFileID && !(s.Sparse && f.ID > s.nextFileID) {
+		return fmt.Errorf("fsimage: file IDs are not dense and ascending (got %d want %d) (%w)", f.ID, s.nextFileID, ErrManifestIntegrity)
 	}
 	if f.DirID < 0 || f.DirID >= s.tree.Len() {
-		return fmt.Errorf("fsimage: file %d references unknown directory %d", f.ID, f.DirID)
+		return fmt.Errorf("fsimage: file %d references unknown directory %d (%w)", f.ID, f.DirID, ErrManifestIntegrity)
 	}
 	if f.Size < 0 {
-		return fmt.Errorf("fsimage: file %q has negative size %d", f.Name, f.Size)
+		return fmt.Errorf("fsimage: file %q has negative size %d (%w)", f.Name, f.Size, ErrManifestIntegrity)
 	}
 	if wantDepth := s.tree.Dirs[f.DirID].Depth + 1; f.Depth != wantDepth {
 		return fmt.Errorf("fsimage: file %q depth %d does not match directory depth %d (%w)", f.Name, f.Depth, wantDepth, ErrManifestIntegrity)
 	}
 	if f.Name == "" || strings.ContainsAny(f.Name, "/\x00") {
-		return fmt.Errorf("fsimage: file %d has invalid name %q", f.ID, f.Name)
+		return fmt.Errorf("fsimage: file %d has invalid name %q (%w)", f.ID, f.Name, ErrManifestIntegrity)
 	}
-	s.nextFileID++
+	s.nextFileID = f.ID + 1
+	s.files++
 	s.totalBytes += f.Size
 	s.tree.Dirs[f.DirID].FileCount++
 	s.tree.Dirs[f.DirID].Bytes += f.Size
@@ -213,7 +220,7 @@ func (s *TreeSink) DirCount() int {
 }
 
 // FileCount returns the number of file records applied.
-func (s *TreeSink) FileCount() int { return s.nextFileID }
+func (s *TreeSink) FileCount() int { return s.files }
 
 // TotalBytes returns the byte total of the file records applied.
 func (s *TreeSink) TotalBytes() int64 { return s.totalBytes }

@@ -285,6 +285,13 @@ func TestErrorMapping(t *testing.T) {
 	if got := post("/v1/generate", `{"spec":{"num_files":5000}}`); got != http.StatusBadRequest {
 		t.Errorf("over-limit inline files: HTTP %d, want 400", got)
 	}
+	// A content kind this build does not know is a mistake in the spec, not a
+	// request for the default policy under another name.
+	for _, path := range []string{"/v1/plans", "/v1/runs", "/v1/generate"} {
+		if got := post(path, `{"spec":{"num_files":10,"content_kind":"bogus"}}`); got != http.StatusBadRequest {
+			t.Errorf("POST %s with an unknown content kind: HTTP %d, want 400", path, got)
+		}
+	}
 	if got := get("/v1/plans/deadbeef/shards/0"); got != http.StatusNotFound {
 		t.Errorf("unknown fingerprint: HTTP %d, want 404", got)
 	}

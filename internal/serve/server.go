@@ -495,19 +495,7 @@ func (s *Server) partitionIntoStore(ctx context.Context, req PlanRequest, fp str
 // fingerprint plus the fragments' store keys (fetchable via the fragments
 // endpoint).
 func fragmentIndexFor(plan *distribute.Plan, fp string) *distribute.FragmentIndex {
-	names := make([]string, len(plan.Shards))
-	for i := range names {
-		names[i] = fragmentKey(fp, i)
-	}
-	return &distribute.FragmentIndex{
-		FormatVersion: distribute.FragmentIndexVersion,
-		Fingerprint:   plan.Fingerprint(),
-		Shards:        len(plan.Shards),
-		Files:         plan.Files,
-		Dirs:          plan.Dirs,
-		Bytes:         plan.Bytes,
-		Fragments:     names,
-	}
+	return plan.FragmentIndex(func(shard int) string { return fragmentKey(fp, shard) })
 }
 
 // planConfig lowers a spec to the planner's config (matching the
@@ -570,7 +558,18 @@ func (s *Server) streamPlan(w http.ResponseWriter, fp, cacheState string, rc io.
 // self-contained shard document. The extraction runs the shard-pruning
 // decode server-side, so the response — and the server's memory — is
 // bounded by the shard, not the plan.
-func (s *Server) handleGetShard(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleGetShard(w http.ResponseWriter, r *http.Request) { s.serveShard(w, r, false) }
+
+// handleGetFragment streams one fragment document of a partitioned plan.
+// Stored fragments are served verbatim; on a miss the server derives the
+// fragment by slicing a stored monolithic plan — fragments are shard
+// documents, so the two sources are byte-identical.
+func (s *Server) handleGetFragment(w http.ResponseWriter, r *http.Request) { s.serveShard(w, r, true) }
+
+// serveShard answers both endpoints: a stored fragment verbatim when stored
+// is set and the store has it, otherwise shard {shard} pruned out of the
+// stored plan {fp}.
+func (s *Server) serveShard(w http.ResponseWriter, r *http.Request, stored bool) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	fp := r.PathValue("fp")
@@ -584,51 +583,16 @@ func (s *Server) handleGetShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	rc, _, err := s.opts.Store.Open(fp)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer rc.Close()
-	view, err := distribute.DecodePlanShard(rc, shard)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderFingerprint, fp)
-	if err := view.Encode(w); err != nil {
-		return
-	}
-	s.shardsServed.Add(1)
-}
-
-// handleGetFragment streams one fragment document of a partitioned plan.
-// Stored fragments are served verbatim; on a miss the server derives the
-// fragment by slicing a stored monolithic plan — fragments are shard
-// documents, so the two sources are byte-identical.
-func (s *Server) handleGetFragment(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	fp := r.PathValue("fp")
-	shard, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil {
-		writeError(w, fmt.Errorf("serve: fragment index %q is not a number (%w)", r.PathValue("shard"), fsimage.ErrInvalidSpec))
-		return
-	}
-	if err := s.acquire(ctx); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.release()
-	if rc, size, err := s.opts.Store.Open(fragmentKey(fp, shard)); err == nil {
-		defer rc.Close()
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-		w.Header().Set(HeaderFingerprint, fp)
-		io.Copy(w, rc)
-		s.shardsServed.Add(1)
-		return
+	if stored {
+		if rc, size, err := s.opts.Store.Open(fragmentKey(fp, shard)); err == nil {
+			defer rc.Close()
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+			w.Header().Set(HeaderFingerprint, fp)
+			io.Copy(w, rc)
+			s.shardsServed.Add(1)
+			return
+		}
 	}
 	rc, _, err := s.opts.Store.Open(fp)
 	if err != nil {
