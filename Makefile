@@ -19,6 +19,7 @@ test:
 # needs more than the default 10m under the race detector on small machines.
 race:
 	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -count=3 -timeout 30m ./internal/fleet/... ./internal/serve/... ./cmd/impressions/...
 
 # Full benchmark suite (paper tables/figures + micro + parallel engine).
 bench:
@@ -73,7 +74,12 @@ dist-check:
 # mid-write (its manifest discarded so the outcome is timing-independent) →
 # `merge -partial` names the outstanding shard and its re-run command →
 # resuming exactly as instructed → digest and tree byte-identical to the
-# single-process run.
+# single-process run. Then the same faults under `distrun`: a shard-3 worker
+# that SIGKILLed itself after 40 files (-fail-after-files; run by hand on
+# distrun's own plan and -work, distrun takes no per-shard fault flag) is
+# finished by distrun from its journal, and a distrun whose whole process
+# group is SIGKILLed as soon as its workers have begun to write is run again
+# with the same -work — each ending in the single-process digest and tree.
 dist-fault-check:
 	@rm -rf /tmp/impressions-fault-check && mkdir -p /tmp/impressions-fault-check/work
 	$(GO) build -o /tmp/impressions-fault-check/impressions ./cmd/impressions
@@ -91,7 +97,18 @@ dist-fault-check:
 	./impressions worker -plan work/plan.json -shard 3 -out merged -manifest work/manifest-3.json; \
 	./impressions merge -plan work/plan.json -print-digest work/manifest-*.json > merged.digest; \
 	cmp single.digest merged.digest; diff -r single merged; \
-	echo "dist-fault-check: OK (killed worker resumed; digest and tree identical)"
+	spec="-files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -shards 4"; \
+	mkdir dwork; ./impressions plan $$spec -plan dwork/plan.json > /dev/null; \
+	./impressions worker -plan dwork/plan.json -shard 3 -out dmerged -manifest dwork/manifest-3.json -work dwork -fail-after-files 40 > /dev/null 2>&1 || true; \
+	./impressions distrun $$spec -retries 1 -work dwork -out dmerged > distrun.out; \
+	grep -q 'worker: shard 3 resumed 40 files from its journal' distrun.out; \
+	grep '^image digest:' distrun.out > distrun.digest; cmp single.digest distrun.digest; diff -r single dmerged; \
+	setsid ./impressions distrun $$spec -work kwork -out kmerged > /dev/null 2>&1 & victim=$$!; \
+	for i in $$(seq 1 500); do [ -d kmerged ] && break; sleep 0.01; done; \
+	kill -9 -$$victim 2>/dev/null || echo "dist-fault-check: distrun had finished before the kill"; wait $$victim || true; \
+	./impressions distrun $$spec -work kwork -out kmerged | grep '^image digest:' > killed.digest; \
+	cmp single.digest killed.digest; diff -r single kmerged; \
+	echo "dist-fault-check: OK (killed worker resumed, by hand and under distrun; SIGKILLed distrun re-run; digests and trees identical)"
 
 # Local mirror of the CI serve-check job: boot impressionsd on an ephemeral
 # port, pull a plan and all its shards over HTTP, execute and merge them

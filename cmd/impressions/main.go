@@ -9,7 +9,9 @@
 // namespace into shards, `worker` executes one shard in isolation (workers
 // are plain processes — run them on any shared-nothing fleet), `merge`
 // stitches the shard manifests back into one verified image, and `distrun`
-// orchestrates plan → N local worker processes → merge in one call.
+// runs plan → N local worker processes → merge in one call: the fleet
+// scheduler in process, its workers writing in place under the shard journal
+// (`worker -work`), so a failed or killed run is resumed by running it again.
 //
 // Fleet mode hands the orchestration to a running impressionsd: `worker
 // -join <url>` turns this process into a lease-pulling fleet worker with
@@ -48,7 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	iofs "io/fs"
+	"math"
 	"net/http"
 	"os"
 	"os/exec"
@@ -605,10 +607,10 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 		manifestFlag = fs.String("manifest", "", "file to write the shard manifest to (required with -plan/-from)")
 		metadataOnly = fs.Bool("metadata-only", false, "create files with correct sizes but no content")
 		jobs         = fs.Int("j", 0, "concurrent file writers within this worker; with -format tar, the workers generating and hashing file content behind the one segment writer (0 = all CPUs, 1 = one worker); output is byte-identical at any level")
-		workDir      = fs.String("work", "", "fleet mode: directory for shard journals (default: -out); keep it stable across restarts to resume mid-shard")
-		batchFiles   = fs.Int("batch-files", 0, "fleet mode: files per sealed journal batch (0 = default)")
+		workDir      = fs.String("work", "", "directory for shard journals: the shard is written a sealed batch at a time and a re-run resumes after the last one (with -join the default is -out, otherwise no journal); keep it stable across restarts")
+		batchFiles   = fs.Int("batch-files", 0, "files per sealed journal batch (0 = default)")
 		idleExit     = fs.Duration("idle-exit", 0, "fleet mode: exit cleanly after this long without work (0 = run until signalled)")
-		failAfter    = fs.Int("fail-after-files", 0, "fault injection: SIGKILL this process after writing N files of a leased shard")
+		failAfter    = fs.Int("fail-after-files", 0, "fault injection: SIGKILL this process after writing N files of a shard")
 	)
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -617,6 +619,7 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	if format != "dir" && format != "" && format != "tar" {
 		return usagef("worker: unknown -format %q (want dir or tar)", *formatFlag)
 	}
+	wopts := distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs, BatchFiles: *batchFiles, FailAfterFiles: *failAfter}
 	if *joinFlag != "" {
 		if *planFlag != "" || *fromFlag != "" || *fragFlag != "" {
 			return usagef("worker: -join is exclusive with -plan/-from/-fragment")
@@ -627,7 +630,7 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 		if format == "tar" {
 			return usagef("worker: -format tar is not available in fleet mode (leases materialize trees)")
 		}
-		return runFleetWorker(*joinFlag, *outFlag, *workDir, *batchFiles, *idleExit, *failAfter, stdout)
+		return runFleetWorker(*joinFlag, *outFlag, *workDir, *idleExit, wopts, stdout)
 	}
 	sources := 0
 	for _, set := range []bool{*planFlag != "", *fromFlag != "", *fragFlag != ""} {
@@ -671,16 +674,23 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 		}
 		target = distribute.TarTarget(seg)
 	}
-	res, err := distribute.Execute(context.Background(), view, target, distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs})
+	if *workDir != "" {
+		wopts.JournalPath = distribute.JournalFile(*workDir, view.Plan.Fingerprint(), view.Shard)
+	}
+	res, err := distribute.Execute(context.Background(), view, target, wopts)
 	if seg != nil {
 		if cerr := seg.Close(); err == nil {
 			err = cerr
 		}
 	}
 	if err != nil {
+		dieIfInjected(err, fmt.Sprintf("worker: shard %d", view.Shard), stdout)
 		return err
 	}
 	m := res.Manifest
+	if res.ResumedFiles > 0 {
+		fmt.Fprintf(stdout, "worker: shard %d resumed %d files from its journal, wrote %d more\n", m.Shard, res.ResumedFiles, res.WrittenFiles)
+	}
 	if err := writeJSONFile(*manifestFlag, m.Encode); err != nil {
 		return err
 	}
@@ -704,11 +714,20 @@ func fetchShardView(url string) (*distribute.ShardView, error) {
 	return distribute.DecodeShardView(resp.Body)
 }
 
+// dieIfInjected escalates an injected -fail-after-files crash to a SIGKILL
+// of this very process — no deferred cleanup, no flushes — so fault drills
+// exercise the exact failure mode of a machine dying.
+func dieIfInjected(err error, who string, stdout io.Writer) {
+	if errors.Is(err, distribute.ErrSimulatedCrash) {
+		fmt.Fprintf(stdout, "%s: injected crash — SIGKILL\n", who)
+		//impressions:nondeterministic fault injection must kill this very process, pid is the point
+		syscall.Kill(os.Getpid(), syscall.SIGKILL)
+	}
+}
+
 // runFleetWorker joins a daemon's fleet and works shard leases until
-// signalled (or idle-exit). An injected -fail-after-files crash escalates
-// to a SIGKILL of this very process — no deferred cleanup, no flushes —
-// so fault drills exercise the exact failure mode of a machine dying.
-func runFleetWorker(base, outRoot, workDir string, batchFiles int, idleExit time.Duration, failAfter int, stdout io.Writer) error {
+// signalled (or idle-exit).
+func runFleetWorker(base, outRoot, workDir string, idleExit time.Duration, wopts distribute.WorkerOptions, stdout io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	c := &serve.Client{Base: base}
@@ -718,21 +737,16 @@ func runFleetWorker(base, outRoot, workDir string, batchFiles int, idleExit time
 		return err
 	}
 	st, err := c.RunFleetWorker(ctx, serve.FleetWorkerOptions{
-		OutRoot:        outRoot,
-		WorkDir:        workDir,
-		BatchFiles:     batchFiles,
-		IdleExit:       idleExit,
-		FailAfterFiles: failAfter,
+		OutRoot:  outRoot,
+		WorkDir:  workDir,
+		IdleExit: idleExit,
+		Worker:   wopts,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stdout, format+"\n", a...)
 		},
 	})
-	if errors.Is(err, distribute.ErrSimulatedCrash) {
-		fmt.Fprintf(stdout, "worker %s: injected crash — SIGKILL\n", st.WorkerID)
-		//impressions:nondeterministic fault injection must kill this very process, pid is the point
-		syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	}
 	if err != nil {
+		dieIfInjected(err, "worker "+st.WorkerID, stdout)
 		return err
 	}
 	fmt.Fprintf(stdout, "worker %s: done (%d shards committed, %d resumed mid-shard, %d files written, %d resumed)\n",
@@ -794,13 +808,20 @@ func runFleetrun(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "fleetrun: run %s %s: %d/%d shards committed, %d requeue(s), %dms\n",
 		st.ID, st.State, st.Committed, st.TotalShards, st.Requeues, st.ElapsedMillis)
 	if st.State != fleet.RunComplete {
-		for _, o := range st.Outstanding {
-			fmt.Fprintf(stdout, "fleetrun: shard %d outstanding after %d attempt(s); re-run by hand:\n  %s\n", o.Shard, o.Attempts, o.Command)
-		}
-		return fmt.Errorf("fleetrun: run %s %s: %s", st.ID, st.State, st.Error)
+		return runIncomplete(stdout, "fleetrun", st)
 	}
 	fmt.Fprintf(stdout, "image digest: sha256:%s\n", st.Digest)
 	return nil
+}
+
+// runIncomplete reports a run that did not end in a digest: every
+// outstanding shard with the command that re-runs it by hand, and the
+// scheduler's reason as the error.
+func runIncomplete(stdout io.Writer, who string, st fleet.RunStatus) error {
+	for _, o := range st.Outstanding {
+		fmt.Fprintf(stdout, "%s: shard %d outstanding after %d attempt(s); re-run by hand:\n  %s\n", who, o.Shard, o.Attempts, o.Command)
+	}
+	return fmt.Errorf("%s: run %s %s: %s", who, st.ID, st.State, st.Error)
 }
 
 // runMerge verifies shard manifests against the plan and emits the merged
@@ -989,278 +1010,41 @@ func printMergeAudit(w io.Writer, audit *distribute.Audit, open *distribute.Open
 	fmt.Fprintf(w, "merge: image incomplete — run the outstanding workers, then merge again\n")
 }
 
-// workerCommand builds the *exec.Cmd that distrun spawns for one shard. It
-// is a variable so tests can reroute it through the test binary's helper
-// process; the default re-executes this binary's worker subcommand.
-var workerCommand = func(planPath string, shard int, outRoot, manifestPath string, metadataOnly bool, jobs int) (*exec.Cmd, error) {
+// workerCommand builds the process distrun runs one shard attempt in: this
+// binary's worker subcommand, killed when ctx ends. It is a variable so tests
+// can reroute it through the test binary's helper process.
+var workerCommand = func(ctx context.Context, args []string) (*exec.Cmd, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("distrun: locating executable: %w", err)
 	}
-	args := workerArgs(planPath, shard, outRoot, manifestPath, metadataOnly, jobs)
-	return exec.Command(exe, args...), nil
+	return exec.CommandContext(ctx, exe, args...), nil
 }
 
-// workerArgs builds the worker-subcommand argument list distrun (and the
-// tests' helper-process reroute) spawn a shard with.
-func workerArgs(planPath string, shard int, outRoot, manifestPath string, metadataOnly bool, jobs int) []string {
-	args := []string{"worker", "-plan", planPath, "-shard", strconv.Itoa(shard), "-out", outRoot, "-manifest", manifestPath}
-	if metadataOnly {
-		args = append(args, "-metadata-only")
-	}
-	if jobs != 0 {
-		args = append(args, "-j", strconv.Itoa(jobs))
-	}
-	return args
-}
-
-// distrunSupervisor drives one distributed run's worker fleet: one
-// goroutine per outstanding shard, each retrying its worker process up to
-// retries times under an optional per-attempt deadline. Every attempt
-// materializes into a private staging directory and writes its manifest to
-// a staging path; only a verified attempt is promoted (files renamed into
-// the shared out root, then the manifest renamed to its final path — the
-// atomic commit point), so a killed, failed, or timed-out attempt never
-// leaks partial output into the image or a half-written manifest into the
-// work directory. The first unrecoverable shard failure cancels the shared
-// context, which kills every sibling worker process promptly instead of
-// waiting for them to finish.
-type distrunSupervisor struct {
-	open         *distribute.OpenPlan
-	planPath     string
-	workDir      string
-	outRoot      string
-	stageRoot    string
-	metadataOnly bool
-	jobs         int
-	retries      int
-	shardTimeout time.Duration
-
-	cancel context.CancelFunc
-	mu     sync.Mutex // guards stdout/stderr writes and rootErr
-	stdout io.Writer
-	stderr io.Writer
-	// rootErr is the failure that triggered cancellation — the error worth
-	// reporting, as opposed to the "canceled" errors of killed siblings.
-	rootErr error
-}
-
-func (d *distrunSupervisor) logf(format string, a ...any) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	fmt.Fprintf(d.stdout, format, a...)
-}
-
-// fail records the run's root-cause failure once and cancels every sibling.
-func (d *distrunSupervisor) fail(err error) {
-	d.mu.Lock()
-	if d.rootErr == nil {
-		d.rootErr = err
-	}
-	d.mu.Unlock()
-	d.cancel()
-}
-
-func (d *distrunSupervisor) manifestPath(shard int) string {
-	return filepath.Join(d.workDir, fmt.Sprintf("manifest-%d.json", shard))
-}
-
-// verifyShardOnDisk confirms the out root actually holds everything a
-// resumable shard's manifest claims: every directory (including file-less
-// ones — the byte-identical-tree contract covers empty dirs too) and every
-// file, present and exactly the planned size. It is a stat pass (no
-// re-hashing), which is what protects a resume against a wrong or cleaned
-// -out without re-paying content generation; cross-mode content mismatches
-// are rejected earlier by the manifest's ContentHashed check.
-func verifyShardOnDisk(open *distribute.OpenPlan, shard int, outRoot string) error {
-	for _, id := range open.Part.Shards[shard] {
-		if id == 0 {
-			continue // the image root is created unconditionally
-		}
-		p := filepath.Join(outRoot, filepath.FromSlash(open.Image.Tree.Path(id)))
-		info, err := os.Stat(p)
-		if err != nil {
-			return fmt.Errorf("its output is not in %s (%w)", outRoot, err)
-		}
-		if !info.IsDir() {
-			return fmt.Errorf("%s is not a directory", p)
-		}
-	}
-	for _, i := range open.FilesByShard[shard] {
-		f := open.Image.Files[i]
-		p := filepath.Join(outRoot, filepath.FromSlash(open.Image.FilePath(f)))
-		info, err := os.Stat(p)
-		if err != nil {
-			return fmt.Errorf("its output is not in %s (%w)", outRoot, err)
-		}
-		if !info.Mode().IsRegular() || info.Size() != f.Size {
-			return fmt.Errorf("%s has %d bytes, plan says %d (%w)", p, info.Size(), f.Size, fsimage.ErrManifestIntegrity)
-		}
-	}
-	return nil
-}
-
-// runShard supervises one shard to completion or unrecoverable failure.
-func (d *distrunSupervisor) runShard(ctx context.Context, shard int) error {
-	var lastErr error
-	for attempt := 0; attempt <= d.retries; attempt++ {
-		if ctx.Err() != nil {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("distrun: shard %d canceled after a sibling's failure", shard)
-			}
-			return lastErr
-		}
-		err := d.runAttempt(ctx, shard, attempt)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			// The attempt died because the run is being torn down; its error
-			// is noise, not a reason to retry.
-			return lastErr
-		}
-		if attempt < d.retries {
-			d.logf("distrun: shard %d attempt %d failed (%v); retrying\n", shard, attempt+1, err)
-		}
-	}
-	d.fail(fmt.Errorf("distrun: shard %d failed %d attempt(s), giving up: %w", shard, d.retries+1, lastErr))
-	return lastErr
-}
-
-// runAttempt executes one worker process into a fresh staging area and, on
-// success, promotes its output and manifest.
-func (d *distrunSupervisor) runAttempt(ctx context.Context, shard, attempt int) (err error) {
-	stage := filepath.Join(d.stageRoot, fmt.Sprintf("shard-%d-attempt-%d", shard, attempt))
-	stageManifest := d.manifestPath(shard) + fmt.Sprintf(".attempt-%d", attempt)
-	defer func() {
-		if err != nil {
-			// Never leave a failed attempt's partial output or manifest
-			// behind where a retry or resume could mistake it for done work.
-			os.RemoveAll(stage)
-			os.Remove(stageManifest)
-		}
-	}()
-
-	attemptCtx := ctx
-	if d.shardTimeout > 0 {
-		var cancelAttempt context.CancelFunc
-		attemptCtx, cancelAttempt = context.WithTimeout(ctx, d.shardTimeout)
-		defer cancelAttempt()
-	}
-	cmd, err := workerCommand(d.planPath, shard, stage, stageManifest, d.metadataOnly, d.jobs)
-	if err != nil {
-		return err
-	}
-	var errBuf bytes.Buffer
-	cmd.Stdout = io.Discard
-	cmd.Stderr = &errBuf
-	defer func() {
-		if errBuf.Len() > 0 {
-			d.mu.Lock()
-			fmt.Fprintf(d.stderr, "--- worker %d (attempt %d) stderr ---\n%s", shard, attempt+1, errBuf.String())
-			d.mu.Unlock()
-		}
-	}()
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("distrun: starting worker %d: %w", shard, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case werr := <-done:
-		if werr != nil {
-			return fmt.Errorf("distrun: worker %d: %w", shard, werr)
-		}
-	case <-attemptCtx.Done():
-		// Kill the wedged (or no-longer-wanted) process and reap it before
-		// touching its staging area.
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-		<-done
-		if ctx.Err() != nil {
-			return fmt.Errorf("distrun: worker %d killed: %w", shard, ctx.Err())
-		}
-		return fmt.Errorf("distrun: worker %d timed out after %s (attempt %d)", shard, d.shardTimeout, attempt+1)
-	}
-
-	// Trust nothing about the attempt until its manifest verifies against
-	// the plan: a worker that exited 0 with a truncated or foreign manifest
-	// is a failure, not a success.
-	m, err := distribute.LoadManifest(stageManifest)
-	if err != nil {
-		return fmt.Errorf("distrun: worker %d produced no usable manifest: %w", shard, err)
-	}
-	if m.Shard != shard {
-		return fmt.Errorf("distrun: worker %d produced a manifest for shard %d", shard, m.Shard)
-	}
-	if err := distribute.VerifyManifest(d.open, m); err != nil {
-		return fmt.Errorf("distrun: worker %d manifest failed verification: %w", shard, err)
-	}
-	if err := promoteStage(stage, d.outRoot); err != nil {
-		return fmt.Errorf("distrun: promoting shard %d output: %w", shard, err)
-	}
-	os.RemoveAll(stage)
-	// The manifest rename is the commit point: a sealed manifest at its
-	// final path means — and only ever means — promoted, verified output.
-	if err := os.Rename(stageManifest, d.manifestPath(shard)); err != nil {
-		return fmt.Errorf("distrun: committing shard %d manifest: %w", shard, err)
-	}
-	return nil
-}
-
-// promoteStage merges one staged shard attempt into the final output root:
-// directories are (re)created, files are renamed into place. Renames are
-// atomic and every shard's file set is disjoint, so promotions never
-// collide; re-promoting after a crash simply overwrites. The stage lives
-// under the out root, so source and target share a filesystem and rename
-// never degrades to a copy.
-func promoteStage(stage, outRoot string) error {
-	return filepath.WalkDir(stage, func(path string, d iofs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, rerr := filepath.Rel(stage, path)
-		if rerr != nil {
-			return rerr
-		}
-		if rel == "." {
-			return nil
-		}
-		target := filepath.Join(outRoot, rel)
-		if d.IsDir() {
-			info, ierr := d.Info()
-			if ierr != nil {
-				return ierr
-			}
-			return os.MkdirAll(target, info.Mode().Perm())
-		}
-		return os.Rename(path, target)
-	})
-}
-
-// runDistrun orchestrates the full pipeline locally: build the plan, launch
-// one supervised worker OS process per shard (all promoting into the shared
-// output root — subtree shards are disjoint), and merge their manifests. It
-// exists as a convenience and as a constantly exercised reference for the
-// multi-machine recipe, where the same worker invocations run on different
-// hosts.
+// runDistrun orchestrates the full pipeline locally: build the plan, hand it
+// to an in-process fleet.Scheduler, and run one worker OS process per leased
+// shard attempt, all writing in place into the shared output root (subtree
+// shards are disjoint) under the shard journal in the work directory. The
+// scheduler owns retry, verification and the merge; this function owns the
+// processes. It exists as a convenience and as a constantly exercised
+// reference for the multi-machine recipe, where the same worker invocations
+// run on different hosts.
 //
-// With -work pointing at the directory of an earlier (failed) run, distrun
-// resumes it: shards whose sealed manifests still verify against the plan
-// fingerprint are skipped, stale manifests — from an older plan, a
-// different seed, or a truncated write — are deleted and their shards
-// regenerated. A manifest is never taken at face value: only fingerprint-
-// bound, self-hash-verified manifests count as done work.
-func runDistrun(args []string, stdout, stderr io.Writer) error {
+// Resuming is running the same command with the same -work: every shard is
+// executed again, and a shard's journal — bound to the plan, checked against
+// what -out holds — decides how much of it is written again, from nothing
+// (sealed to the end) to everything (another plan, another or a cleaned
+// -out, the other content mode). A failed run leaves what its workers wrote
+// in -out; the printed digest and exit status 0 say an image is complete,
+// never the directory.
+func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("impressions distrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	gen := newGenFlags(fs)
 	var (
 		shardsFlag   = fs.Int("shards", 4, "number of shards / local worker processes")
 		outFlag      = fs.String("out", "", "directory to materialize the image into (required)")
-		workFlag     = fs.String("work", "", "directory for the plan and manifests; reuse it to resume a failed run (default: a temp dir, removed afterwards)")
+		workFlag     = fs.String("work", "", "directory for the plan, manifests and shard journals; reuse it to resume a failed run (default: a temp dir, removed once the run succeeds)")
 		metadataOnly = fs.Bool("metadata-only", false, "create files with correct sizes but no content")
 		reportFlag   = fs.String("report", "", "write the merged JSON reproducibility report to this file")
 		retriesFlag  = fs.Int("retries", 1, "times to retry a failed or timed-out worker before giving up")
@@ -1288,12 +1072,15 @@ func runDistrun(args []string, stdout, stderr io.Writer) error {
 
 	workDir := *workFlag
 	if workDir == "" {
-		tmp, err := os.MkdirTemp("", "impressions-distrun-*")
-		if err != nil {
+		if workDir, err = os.MkdirTemp("", "impressions-distrun-*"); err != nil {
 			return err
 		}
-		defer os.RemoveAll(tmp)
-		workDir = tmp
+		// A failed run keeps it: the re-run commands it prints name its files.
+		defer func() {
+			if err == nil {
+				os.RemoveAll(workDir)
+			}
+		}()
 	} else if err := os.MkdirAll(workDir, 0o755); err != nil {
 		return err
 	}
@@ -1307,144 +1094,83 @@ func runDistrun(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	// The plan is deterministic from the flags, so rewriting it on resume is
-	// idempotent; if the work dir held a plan from different flags, the
-	// fingerprint check below retires its manifests as stale.
+	// idempotent; journals a work dir holds from other flags are bound to
+	// another fingerprint and prove nothing about this one.
 	planPath := filepath.Join(workDir, "plan.json")
 	if err := writeJSONFile(planPath, plan.Encode); err != nil {
 		return err
 	}
-
-	if err := os.MkdirAll(*outFlag, 0o755); err != nil {
-		return err
-	}
-	stageRoot := filepath.Join(*outFlag, ".impressions-stage")
-	// Leftover staging from a crashed run is garbage by definition: resume
-	// state lives solely in committed manifests. That includes attempt-
-	// staged manifests in the work dir — a hard-killed supervisor can leave
-	// manifest-N.json.attempt-K files behind.
-	if err := os.RemoveAll(stageRoot); err != nil {
-		return err
-	}
-	defer os.RemoveAll(stageRoot)
-	if staged, err := filepath.Glob(filepath.Join(workDir, "manifest-*.json.attempt-*")); err == nil {
-		for _, p := range staged {
-			os.Remove(p)
+	manifestPath := func(shard int) string { return filepath.Join(workDir, fmt.Sprintf("manifest-%d.json", shard)) }
+	workerArgs := func(shard int) []string {
+		args := []string{"worker", "-plan", planPath, "-shard", strconv.Itoa(shard), "-out", *outFlag, "-manifest", manifestPath(shard), "-work", workDir}
+		if *metadataOnly {
+			args = append(args, "-metadata-only")
 		}
+		if *gen.jobs != 0 {
+			args = append(args, "-j", strconv.Itoa(*gen.jobs))
+		}
+		return args
 	}
 
-	// Resume pass: a shard is done iff its committed manifest verifies
-	// against this exact plan. Anything else — unreadable, truncated,
-	// unsealed, or fingerprint-mismatched — is deleted so it can never mask
-	// a worker failure at merge time.
-	done := make([]bool, len(plan.Shards))
-	resumed := 0
-	for s := range plan.Shards {
-		mPath := filepath.Join(workDir, fmt.Sprintf("manifest-%d.json", s))
-		m, err := distribute.LoadManifest(mPath)
-		if err != nil {
-			if !errors.Is(err, os.ErrNotExist) {
-				fmt.Fprintf(stderr, "distrun: shard %d: discarding unreadable manifest %s (%v); regenerating\n", s, mPath, err)
-				os.Remove(mPath)
-			}
-			continue
-		}
-		if m.Shard != s {
-			fmt.Fprintf(stderr, "distrun: shard %d: manifest %s claims shard %d; discarding and regenerating\n", s, mPath, m.Shard)
-			os.Remove(mPath)
-			continue
-		}
-		// A manifest from the other content mode is done work for a run the
-		// user is no longer asking for: resuming a -metadata-only run with
-		// full content (or vice versa) must regenerate the shard.
-		if m.ContentHashed == *metadataOnly {
-			fmt.Fprintf(stderr, "distrun: shard %d: manifest is from a %s run, this run wants %s; regenerating\n",
-				s, distribute.ContentModeName(m.ContentHashed), distribute.ContentModeName(!*metadataOnly))
-			os.Remove(mPath)
-			continue
-		}
-		if err := distribute.VerifyManifest(open, m); err != nil {
-			fmt.Fprintf(stderr, "distrun: shard %d: stale manifest (%v); regenerating\n", s, err)
-			os.Remove(mPath)
-			continue
-		}
-		// A manifest proves the shard was generated, not that THIS out root
-		// still holds it: resuming against a different or cleaned -out with
-		// only manifest checks would report success over a hole in the
-		// image. Stat every file the shard owns before trusting the skip.
-		if err := verifyShardOnDisk(open, s, *outFlag); err != nil {
-			fmt.Fprintf(stderr, "distrun: shard %d: verified manifest but %v; regenerating\n", s, err)
-			os.Remove(mPath)
-			continue
-		}
-		done[s] = true
-		resumed++
+	var mu sync.Mutex // serializes the scheduler's and the workers' lines
+	say := func(w io.Writer, format string, a ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(w, format, a...)
 	}
-	outstanding := len(plan.Shards) - resumed
-	if resumed > 0 {
-		fmt.Fprintf(stdout, "distrun: resuming: %d of %d shards already verified; launching %d worker processes\n",
-			resumed, len(plan.Shards), outstanding)
-	} else {
-		fmt.Fprintf(stdout, "distrun: plan has %d shards; launching %d worker processes\n", len(plan.Shards), outstanding)
+	ttl := *timeoutFlag
+	if ttl == 0 {
+		ttl = math.MaxInt64
 	}
-
-	if outstanding > 0 {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		sup := &distrunSupervisor{
-			open:         open,
-			planPath:     planPath,
-			workDir:      workDir,
-			outRoot:      *outFlag,
-			stageRoot:    stageRoot,
-			metadataOnly: *metadataOnly,
-			jobs:         *gen.jobs,
-			retries:      *retriesFlag,
-			shardTimeout: *timeoutFlag,
-			cancel:       cancel,
-			stdout:       stdout,
-			stderr:       stderr,
-		}
-		var wg sync.WaitGroup
-		for s := range plan.Shards {
-			if done[s] {
-				continue
-			}
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				sup.runShard(ctx, s)
-			}(s)
-		}
-		wg.Wait()
-		if sup.rootErr != nil {
-			if *workFlag != "" {
-				fmt.Fprintf(stderr, "distrun: completed shards keep their sealed manifests under %s; re-run with -work %s to resume\n",
-					workDir, workDir)
-			} else {
-				fmt.Fprintf(stderr, "distrun: pass -work <dir> to keep manifests across runs and make failures resumable\n")
-			}
-			return sup.rootErr
-		}
-	}
-
-	manifests := make([]*distribute.Manifest, len(plan.Shards))
-	for s := range plan.Shards {
-		if manifests[s], err = distribute.LoadManifest(filepath.Join(workDir, fmt.Sprintf("manifest-%d.json", s))); err != nil {
-			return err
-		}
-	}
-	res, err := distribute.Merge(open, manifests)
+	sched := fleet.New(fleet.Options{
+		LeaseTTL:    ttl,
+		MaxAttempts: *retriesFlag + 1,
+		// A failed worker is retried at once: the smallest backoff there is.
+		BackoffBase: time.Nanosecond,
+		BackoffMax:  time.Nanosecond,
+		InlineGrace: -1,
+		WorkerCommand: func(_ string, shard int) string {
+			return "impressions " + strings.Join(workerArgs(shard), " ")
+		},
+		Logf: func(format string, a ...any) { say(stdout, format+"\n", a...) },
+	})
+	runID, err := sched.CreateRun(plan.Fingerprint(), open)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "distrun: merged %s\n", res.Image.Summary())
-	if res.Digest != "" {
-		fmt.Fprintf(stdout, "image digest: sha256:%s\n", res.Digest)
+	execute := func(ctx context.Context, l *fleet.Lease) (*distribute.Manifest, error) {
+		cmd, err := workerCommand(ctx, workerArgs(l.Shard))
+		if err != nil {
+			return nil, err
+		}
+		var outBuf, errBuf bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
+		err = cmd.Run()
+		say(stdout, "%s", outBuf.String())
+		if errBuf.Len() > 0 {
+			say(stderr, "--- worker %d (attempt %d) stderr ---\n%s", l.Shard, l.Attempt, errBuf.String())
+		}
+		if err != nil {
+			return nil, fmt.Errorf("worker process: %w", err)
+		}
+		return distribute.LoadManifest(manifestPath(l.Shard))
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	say(stdout, "distrun: plan has %d shards; launching %d worker processes\n", len(plan.Shards), len(plan.Shards))
+	st, report, err := fleet.RunSlots(ctx, sched, runID, workDir, execute)
+	if err != nil {
+		return fmt.Errorf("distrun: %w", err)
+	}
+	if st.State != fleet.RunComplete {
+		return runIncomplete(stdout, "distrun", st)
+	}
+	fmt.Fprintf(stdout, "distrun: merged %s\n", open.Image.Summary())
+	if st.Digest != "" {
+		fmt.Fprintf(stdout, "image digest: sha256:%s\n", st.Digest)
 	}
 	if *reportFlag != "" {
-		if err := writeReportFile(*reportFlag, &res.Report); err != nil {
-			return err
-		}
+		return writeReportFile(*reportFlag, report)
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"impressions/internal/core"
 	"impressions/internal/distribute"
 	"impressions/internal/fsimage"
 )
@@ -300,10 +299,10 @@ func TestGenerateRejectsFormatBeforeGenerating(t *testing.T) {
 // TestHelperProcess is not a real test: it is the re-exec target that lets
 // the tests below run `impressions` subcommands as genuinely separate OS
 // processes. It runs Main on the arguments after "--" and exits with its
-// status. A few marker commands simulate misbehaving workers for the
-// fault-tolerance tests: "helper-sleep" wedges forever (a hung worker),
-// "helper-fail" dies immediately, and "helper-junk <dir>" writes partial
-// garbage output before dying (a worker killed mid-write).
+// status. Two marker commands stage faults for the distrun tests:
+// "helper-sleep" wedges forever (a hung worker), and "helper-await <file>...
+// -- <command>" runs the command only once the files exist, so that sibling
+// shards have finished before this one misbehaves.
 func TestHelperProcess(t *testing.T) {
 	if os.Getenv("IMPRESSIONS_HELPER_PROCESS") != "1" {
 		t.Skip("helper process for cross-process tests")
@@ -320,41 +319,33 @@ func TestHelperProcess(t *testing.T) {
 		case "helper-sleep":
 			time.Sleep(5 * time.Minute)
 			os.Exit(0)
-		case "helper-fail":
-			fmt.Fprintln(os.Stderr, "helper: simulated worker crash")
-			os.Exit(1)
-		case "helper-await-fail":
-			// Die only after the named files exist, so sibling shards commit
-			// before this one's failure tears the run down.
+		case "helper-await":
 			deadline := time.Now().Add(2 * time.Minute)
-			for _, p := range args[1:] {
+			for args = args[1:]; args[0] != "--"; args = args[1:] {
 				for {
-					if _, err := os.Stat(p); err == nil || time.Now().After(deadline) {
+					if _, err := os.Stat(args[0]); err == nil || time.Now().After(deadline) {
 						break
 					}
 					time.Sleep(10 * time.Millisecond)
 				}
 			}
-			fmt.Fprintln(os.Stderr, "helper: simulated worker crash (after siblings committed)")
-			os.Exit(1)
-		case "helper-junk":
-			if err := os.MkdirAll(args[1], 0o755); err == nil {
-				os.WriteFile(filepath.Join(args[1], "junk.bin"), bytes.Repeat([]byte{0xAB}, 4096), 0o644)
-			}
-			fmt.Fprintln(os.Stderr, "helper: died mid-write after leaving partial output")
-			os.Exit(1)
+			args = args[1:]
 		}
 	}
 	os.Exit(Main(args, os.Stdout, os.Stderr))
 }
 
-// helperCommand builds an exec.Cmd that re-runs this test binary as an
-// impressions process with the given CLI arguments.
-func helperCommand(t *testing.T, args ...string) *exec.Cmd {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], append([]string{"-test.run=TestHelperProcess", "--"}, args...)...)
+// helperCommandContext builds an exec.Cmd that re-runs this test binary as
+// an impressions process with the given CLI arguments, killed when ctx ends.
+func helperCommandContext(ctx context.Context, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-test.run=TestHelperProcess", "--"}, args...)...)
 	cmd.Env = append(os.Environ(), "IMPRESSIONS_HELPER_PROCESS=1")
 	return cmd
+}
+
+func helperCommand(t *testing.T, args ...string) *exec.Cmd {
+	t.Helper()
+	return helperCommandContext(context.Background(), args...)
 }
 
 var digestRe = regexp.MustCompile(`image digest: (sha256:[0-9a-f]{64})`)
@@ -443,11 +434,7 @@ func TestDistrunOrchestration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
 	}
-	orig := workerCommand
-	t.Cleanup(func() { workerCommand = orig })
-	workerCommand = func(planPath string, shard int, outRoot, manifestPath string, metadataOnly bool, jobs int) (*exec.Cmd, error) {
-		return helperCommand(t, workerArgs(planPath, shard, outRoot, manifestPath, metadataOnly, jobs)...), nil
-	}
+	rerouteWorkers(t, nil)
 
 	cfgArgs := []string{"-files", "200", "-dirs", "40", "-size", "400KB", "-seed", "99"}
 	singleRoot := filepath.Join(t.TempDir(), "single")
@@ -503,256 +490,269 @@ func refDigestAndTree(t *testing.T, cfgArgs []string) (string, string) {
 	return extractDigest(t, buf.Bytes()), tree
 }
 
-// rerouteWorkers redirects distrun's worker spawns through fn for the test's
-// duration. fn receives the shard and how many times that shard has been
-// launched so far (starting at 1), and the real argument list.
-func rerouteWorkers(t *testing.T, fn func(shard, call int, args []string) *exec.Cmd) {
+// rerouteWorkers runs distrun's workers through the helper process for the
+// test's duration. stage, when not nil, may replace the command line of a
+// shard's n-th launch (counting from 1); it returns args to run the real
+// worker.
+func rerouteWorkers(t *testing.T, stage func(shard, call int, args []string) []string) {
 	t.Helper()
 	orig := workerCommand
 	t.Cleanup(func() { workerCommand = orig })
 	var mu sync.Mutex
 	calls := map[int]int{}
-	workerCommand = func(planPath string, shard int, outRoot, manifestPath string, metadataOnly bool, jobs int) (*exec.Cmd, error) {
-		mu.Lock()
-		calls[shard]++
-		n := calls[shard]
-		mu.Unlock()
-		return fn(shard, n, workerArgs(planPath, shard, outRoot, manifestPath, metadataOnly, jobs)), nil
-	}
-}
-
-// realWorker builds the genuine worker subprocess for a reroute.
-func realWorker(t *testing.T, args []string) *exec.Cmd {
-	return helperCommand(t, args...)
-}
-
-// TestDistrunCancelsSiblingsOnFailure is the regression test for the
-// baseline hang: one worker fails immediately while its siblings are wedged
-// forever. distrun must kill the siblings and return promptly instead of
-// draining every result — before the supervisor, this test hung for the
-// full 5-minute helper sleep.
-func TestDistrunCancelsSiblingsOnFailure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses; skipped in -short")
-	}
-	rerouteWorkers(t, func(shard, call int, args []string) *exec.Cmd {
-		if shard == 0 {
-			return helperCommand(t, "helper-fail")
+	workerCommand = func(ctx context.Context, args []string) (*exec.Cmd, error) {
+		if stage != nil {
+			shard, _ := strconv.Atoi(args[4]) // worker -plan P -shard N ...
+			mu.Lock()
+			calls[shard]++
+			n := calls[shard]
+			mu.Unlock()
+			args = stage(shard, n, args)
 		}
-		return helperCommand(t, "helper-sleep")
-	})
-	distArgs := append([]string{"distrun"}, faultCfgArgs...)
-	distArgs = append(distArgs, "-shards", "3", "-retries", "0", "-out", filepath.Join(t.TempDir(), "img"))
-	start := time.Now()
-	err := run(distArgs, io.Discard, io.Discard)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("distrun should fail when a worker fails")
-	}
-	if !strings.Contains(err.Error(), "shard 0") {
-		t.Errorf("error should name the failing shard: %v", err)
-	}
-	if elapsed > 60*time.Second {
-		t.Fatalf("distrun took %s to fail — wedged siblings were not killed", elapsed)
+		return helperCommandContext(ctx, args...), nil
 	}
 }
 
-// TestDistrunRetriesWorkerKilledMidWrite: a worker that writes partial
-// garbage into its staging area and dies is retried, and none of its
-// partial output may reach the final image — digest AND on-disk tree must
-// match the single-process run.
+// distrun runs `impressions distrun` over cfgArgs with three shards and
+// returns what it printed.
+func distrun(t *testing.T, cfgArgs []string, work, out string, extra ...string) (stdout string, err error) {
+	t.Helper()
+	args := append([]string{"distrun"}, cfgArgs...)
+	args = append(args, "-shards", "3", "-work", work, "-out", out)
+	var buf, errBuf bytes.Buffer
+	err = run(append(args, extra...), &buf, &errBuf)
+	if err != nil {
+		err = fmt.Errorf("%w\nstdout:\n%s\nstderr:\n%s", err, buf.String(), errBuf.String())
+	}
+	return buf.String(), err
+}
+
+// interruptedRun leaves work and out as a failed run does: shards 0 and 2
+// complete, their manifests written and their journals sealed to the end,
+// and shard 1's worker dead (-fail-after-files) with five files sealed.
+func interruptedRun(t *testing.T, cfgArgs []string, work, out string, extra ...string) {
+	t.Helper()
+	rerouteWorkers(t, func(shard, call int, args []string) []string {
+		if shard != 1 {
+			return args
+		}
+		staged := []string{"helper-await", filepath.Join(work, "manifest-0.json"), filepath.Join(work, "manifest-2.json"), "--"}
+		return append(append(staged, args...), "-fail-after-files", "5")
+	})
+	stdout, err := distrun(t, cfgArgs, work, out, append(extra, "-retries", "0")...)
+	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("the staged run should fail and name shard 1, got: %v", err)
+	}
+	if !strings.Contains(stdout, "-shard 1 ") || !strings.Contains(stdout, "-work "+work) {
+		t.Errorf("the failure should print shard 1's re-run command:\n%s", stdout)
+	}
+	if _, err := os.Stat(filepath.Join(work, "manifest-1.json")); !os.IsNotExist(err) {
+		t.Fatalf("the killed worker left a manifest behind: %v", err)
+	}
+	rerouteWorkers(t, nil)
+}
+
+// requireImage checks a finished distrun against the single-process run.
+func requireImage(t *testing.T, stdout, out, refDigest, refTree string) {
+	t.Helper()
+	if got := extractDigest(t, []byte(stdout)); got != refDigest {
+		t.Errorf("digest %s != single-process %s", got, refDigest)
+	}
+	gotTree, err := fsimage.HashTree(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotTree != refTree {
+		t.Error("tree differs from the single-process run")
+	}
+}
+
+var resumedRe = regexp.MustCompile(`worker: shard (\d+) resumed (\d+) files from its journal, wrote (\d+) more`)
+
+// TestDistrunRetriesWorkerKilledMidWrite: a worker killed partway through its
+// shard is retried within the run. The retry resumes after the batches the
+// dead worker sealed — unless a file it sealed has since been cut short, which
+// costs the journal and rewrites the shard. Either way digest AND on-disk
+// tree must match the single-process run.
 func TestDistrunRetriesWorkerKilledMidWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
 	}
 	refDigest, refTree := refDigestAndTree(t, faultCfgArgs)
-	rerouteWorkers(t, func(shard, call int, args []string) *exec.Cmd {
-		if shard == 1 && call == 1 {
-			// args[6] is the staged -out directory; scribble into it and die.
-			return helperCommand(t, "helper-junk", args[6])
-		}
-		return realWorker(t, args)
-	})
-	out := filepath.Join(t.TempDir(), "img")
-	var buf bytes.Buffer
-	distArgs := append([]string{"distrun"}, faultCfgArgs...)
-	distArgs = append(distArgs, "-shards", "3", "-retries", "1", "-out", out)
-	if err := run(distArgs, &buf, io.Discard); err != nil {
-		t.Fatalf("distrun with one mid-write death should retry and succeed: %v", err)
-	}
-	if got := extractDigest(t, buf.Bytes()); got != refDigest {
-		t.Errorf("digest %s != single-process %s", got, refDigest)
-	}
-	gotTree, err := fsimage.HashTree(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTree != refTree {
-		t.Error("tree differs from single-process run — partial output from the killed attempt leaked")
+	for _, truncate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("truncate=%t", truncate), func(t *testing.T) {
+			work, out := t.TempDir(), filepath.Join(t.TempDir(), "img")
+			rerouteWorkers(t, func(shard, call int, args []string) []string {
+				if shard == 1 && call == 1 {
+					return append(args, "-fail-after-files", "10")
+				}
+				if shard == 1 && truncate {
+					view, err := distribute.LoadPlanShard(filepath.Join(work, "plan.json"), 1)
+					if err != nil {
+						t.Error(err)
+						return args
+					}
+					for _, f := range view.Files[:10] {
+						if f.Size > 1 {
+							if err := os.Truncate(filepath.Join(out, view.Tree.Path(f.DirID), f.Name), f.Size/2); err != nil {
+								t.Error(err)
+							}
+							break
+						}
+					}
+				}
+				return args
+			})
+			stdout, err := distrun(t, faultCfgArgs, work, out, "-retries", "1")
+			if err != nil {
+				t.Fatalf("distrun with one mid-write death should retry and succeed: %v", err)
+			}
+			requireImage(t, stdout, out, refDigest, refTree)
+			m := resumedRe.FindStringSubmatch(stdout)
+			if truncate && m != nil {
+				t.Errorf("the retry trusted a journal over a truncated file: %s", m[0])
+			}
+			if !truncate && (m == nil || m[1] != "1" || m[2] != "10") {
+				t.Errorf("the retry should resume shard 1 after the 10 files its first attempt sealed:\n%s", stdout)
+			}
+			if left, _ := filepath.Glob(filepath.Join(work, "journal-*")); len(left) > 0 {
+				t.Errorf("a merged run left journals behind: %v", left)
+			}
+		})
 	}
 }
 
-// TestDistrunShardTimeout: a wedged worker is killed at the per-shard
-// deadline; with a retry it completes and matches the reference, without
-// retries the run fails promptly with a timeout error.
-func TestDistrunShardTimeout(t *testing.T) {
+// TestDistrunKillsWedgedWorker: a worker process that hangs is killed at the
+// per-shard deadline and its shard retried. (What the scheduler makes of a
+// deadline, with and without retries left, is TestRunSlotsDeadline in
+// internal/fleet; this is the process actually dying.)
+func TestDistrunKillsWedgedWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
 	}
-	refDigest, _ := refDigestAndTree(t, faultCfgArgs)
-	rerouteWorkers(t, func(shard, call int, args []string) *exec.Cmd {
+	refDigest, refTree := refDigestAndTree(t, faultCfgArgs)
+	rerouteWorkers(t, func(shard, call int, args []string) []string {
 		if shard == 2 && call == 1 {
-			return helperCommand(t, "helper-sleep")
+			return []string{"helper-sleep"}
 		}
-		return realWorker(t, args)
+		return args
 	})
 	out := filepath.Join(t.TempDir(), "img")
-	var buf bytes.Buffer
-	distArgs := append([]string{"distrun"}, faultCfgArgs...)
-	distArgs = append(distArgs, "-shards", "3", "-retries", "1", "-shard-timeout", "5s", "-out", out)
-	if err := run(distArgs, &buf, io.Discard); err != nil {
+	stdout, err := distrun(t, faultCfgArgs, t.TempDir(), out, "-retries", "1", "-shard-timeout", "2s")
+	if err != nil {
 		t.Fatalf("distrun with a timed-out worker should retry and succeed: %v", err)
 	}
-	if got := extractDigest(t, buf.Bytes()); got != refDigest {
-		t.Errorf("digest %s != single-process %s", got, refDigest)
+	if !strings.Contains(stdout, "timed out after 2s") {
+		t.Errorf("the deadline should be named as the reason for the retry:\n%s", stdout)
 	}
-
-	// Without retries, the timeout is a prompt, descriptive failure.
-	rerouteWorkers(t, func(shard, call int, args []string) *exec.Cmd {
-		if shard == 0 {
-			return helperCommand(t, "helper-sleep")
-		}
-		return realWorker(t, args)
-	})
-	distArgs = append([]string{"distrun"}, faultCfgArgs...)
-	distArgs = append(distArgs, "-shards", "3", "-retries", "0", "-shard-timeout", "2s", "-out", filepath.Join(t.TempDir(), "img2"))
-	start := time.Now()
-	err := run(distArgs, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("want a timeout error, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 60*time.Second {
-		t.Fatalf("timeout failure took %s", elapsed)
-	}
+	requireImage(t, stdout, out, refDigest, refTree)
 }
 
-// TestDistrunResumeAfterFailure: a failed run with -work leaves verified
-// manifests behind; a resumed run regenerates only the outstanding shard
-// (plus any shard whose manifest was truncated while the run was down) and
-// the final image is byte-identical to a single-process run. This also
-// covers the stale-manifest satellite: the truncated manifest is decodable
-// garbage and must be discarded, never trusted.
+// TestDistrunResumeAfterFailure: running a failed run's command again with
+// its -work finishes it, and writes only what was not sealed: nothing for the
+// shards that had completed, the rest of the one that was killed.
 func TestDistrunResumeAfterFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
 	}
 	refDigest, refTree := refDigestAndTree(t, faultCfgArgs)
-	work := t.TempDir()
-	out := filepath.Join(t.TempDir(), "img")
+	work, out := t.TempDir(), filepath.Join(t.TempDir(), "img")
+	interruptedRun(t, faultCfgArgs, work, out)
 
-	rerouteWorkers(t, func(shard, call int, args []string) *exec.Cmd {
-		if shard == 1 {
-			// Fail only after shards 0 and 2 committed their manifests, so
-			// the work dir is left in the classic partially-complete state.
-			return helperCommand(t, "helper-await-fail",
-				filepath.Join(work, "manifest-0.json"), filepath.Join(work, "manifest-2.json"))
-		}
-		return realWorker(t, args)
-	})
-	distArgs := append([]string{"distrun"}, faultCfgArgs...)
-	distArgs = append(distArgs, "-shards", "3", "-retries", "0", "-work", work, "-out", out)
-	var stderrBuf bytes.Buffer
-	if err := run(distArgs, io.Discard, &stderrBuf); err == nil {
-		t.Fatal("first run should fail")
-	}
-	if !strings.Contains(stderrBuf.String(), "-work") {
-		t.Errorf("failure output should point at resuming via -work:\n%s", stderrBuf.String())
-	}
-	// Shards 0 and 2 committed manifests; shard 1 must not have.
-	if _, err := os.Stat(filepath.Join(work, "manifest-1.json")); !os.IsNotExist(err) {
-		t.Fatalf("failed shard left a manifest behind: %v", err)
-	}
-
-	// Truncate shard 0's manifest to simulate a corrupted work dir: the
-	// resume must detect it (self-hash) and regenerate shard 0 too.
-	m0 := filepath.Join(work, "manifest-0.json")
-	data, err := os.ReadFile(m0)
+	open, err := distribute.LoadPlan(filepath.Join(work, "plan.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(m0, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
+	modTime := func(i int) time.Time {
+		info, err := os.Stat(filepath.Join(out, filepath.FromSlash(open.Image.FilePath(open.Image.Files[i]))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.ModTime()
 	}
-
-	var launched []int
-	var mu sync.Mutex
-	rerouteWorkers(t, func(shard, call int, args []string) *exec.Cmd {
-		mu.Lock()
-		launched = append(launched, shard)
-		mu.Unlock()
-		return realWorker(t, args)
-	})
-	var buf bytes.Buffer
-	stderrBuf.Reset()
-	if err := run(distArgs, &buf, &stderrBuf); err != nil {
-		t.Fatalf("resumed run: %v\nstderr:\n%s", err, stderrBuf.String())
-	}
-	if !strings.Contains(buf.String(), "resuming") {
-		t.Errorf("resumed run should say so:\n%s", buf.String())
-	}
-	mu.Lock()
-	ran := append([]int(nil), launched...)
-	mu.Unlock()
-	if len(ran) != 2 {
-		t.Errorf("resume launched shards %v, want exactly the outstanding {0, 1}", ran)
-	}
-	for _, s := range ran {
-		if s == 2 {
-			t.Errorf("resume relaunched shard 2, whose manifest was verified (launched %v)", ran)
+	before := map[int]time.Time{}
+	for _, shard := range []int{0, 2} {
+		for _, i := range open.FilesByShard[shard] {
+			before[i] = modTime(i)
 		}
 	}
-	if got := extractDigest(t, buf.Bytes()); got != refDigest {
-		t.Errorf("resumed digest %s != single-process %s", got, refDigest)
-	}
-	gotTree, err := fsimage.HashTree(out)
+
+	stdout, err := distrun(t, faultCfgArgs, work, out, "-retries", "0")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resumed run: %v", err)
 	}
-	if gotTree != refTree {
-		t.Error("resumed tree differs from the single-process run")
+	requireImage(t, stdout, out, refDigest, refTree)
+	wrote := map[string]string{}
+	for _, m := range resumedRe.FindAllStringSubmatch(stdout, -1) {
+		wrote[m[1]] = m[2] + "+" + m[3]
+	}
+	for shard, resumed := range map[int]int{0: len(open.FilesByShard[0]), 1: 5, 2: len(open.FilesByShard[2])} {
+		want := fmt.Sprintf("%d+%d", resumed, len(open.FilesByShard[shard])-resumed)
+		if got := wrote[strconv.Itoa(shard)]; got != want {
+			t.Errorf("shard %d resumed+wrote %q files, want %q:\n%s", shard, got, want, stdout)
+		}
+	}
+	for i, was := range before {
+		if now := modTime(i); !now.Equal(was) {
+			t.Errorf("file %d of a finished shard was written again (mtime %s, was %s)", i, now, was)
+		}
 	}
 }
 
-// TestDistrunDiscardsStaleManifests: reusing a work dir with a different
-// seed must not let the old run's (decodable, sealed) manifests mask the
-// fact that nothing was generated for the new plan.
-func TestDistrunDiscardsStaleManifests(t *testing.T) {
+// resumeOverStaleWork interrupts a run of faultCfgArgs (with the first
+// flags), then runs cfg to the end over the same -work: into the same -out
+// (emptied first when clean is set) or into a fresh one. What the first run
+// left counts only for the same plan, the same content mode and an -out that
+// still holds the files, and none of these cases is one: nothing may be
+// resumed, and the run must end in cfg's single-process digest and tree,
+// never in a hole.
+func resumeOverStaleWork(t *testing.T, first, cfg []string, sameOut, clean bool) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
 	}
-	rerouteWorkers(t, func(shard, call int, args []string) *exec.Cmd { return realWorker(t, args) })
-	work := t.TempDir()
-
-	firstArgs := append([]string{"distrun"}, faultCfgArgs...)
-	firstArgs = append(firstArgs, "-shards", "2", "-work", work, "-out", filepath.Join(t.TempDir(), "a"))
-	if err := run(firstArgs, io.Discard, io.Discard); err != nil {
-		t.Fatalf("seed run: %v", err)
+	refDigest, refTree := refDigestAndTree(t, cfg)
+	work, out := t.TempDir(), filepath.Join(t.TempDir(), "img")
+	interruptedRun(t, faultCfgArgs, work, out, first...)
+	if clean {
+		if err := os.RemoveAll(out); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	otherCfg := []string{"-files", "120", "-dirs", "30", "-size", "200KB", "-seed", "2026"}
-	refDigest, _ := refDigestAndTree(t, otherCfg)
-	secondArgs := append([]string{"distrun"}, otherCfg...)
-	secondArgs = append(secondArgs, "-shards", "2", "-work", work, "-out", filepath.Join(t.TempDir(), "b"))
-	var buf, errBuf bytes.Buffer
-	if err := run(secondArgs, &buf, &errBuf); err != nil {
+	if !sameOut {
+		out = filepath.Join(t.TempDir(), "other")
+	}
+	stdout, err := distrun(t, cfg, work, out)
+	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	if !strings.Contains(errBuf.String(), "stale") {
-		t.Errorf("stale manifests should be called out:\n%s", errBuf.String())
+	if m := resumedRe.FindString(stdout); m != "" {
+		t.Errorf("nothing of the first run may be resumed: %s", m)
 	}
-	if got := extractDigest(t, buf.Bytes()); got != refDigest {
-		t.Errorf("digest after stale-manifest cleanup %s != single-process %s", got, refDigest)
-	}
+	requireImage(t, stdout, out, refDigest, refTree)
+}
+
+// TestDistrunDiscardsStaleManifests: reusing a work dir with a different
+// seed must not let the old run's manifests and journals mask the fact that
+// nothing was generated for the new plan.
+func TestDistrunDiscardsStaleManifests(t *testing.T) {
+	otherSeed := []string{"-files", "120", "-dirs", "30", "-size", "200KB", "-seed", "2026"}
+	resumeOverStaleWork(t, nil, otherSeed, false, false)
+}
+
+// TestDistrunResumeVerifiesOutRoot: a journal proves a shard was written,
+// not that the current -out holds it. Resuming into a different or an
+// emptied out root must regenerate everything.
+func TestDistrunResumeVerifiesOutRoot(t *testing.T) {
+	t.Run("another -out", func(t *testing.T) { resumeOverStaleWork(t, nil, faultCfgArgs, false, false) })
+	t.Run("a cleaned -out", func(t *testing.T) { resumeOverStaleWork(t, nil, faultCfgArgs, true, true) })
+}
+
+// TestDistrunResumeRejectsModeMismatch: what a -metadata-only run sealed is
+// done work for a different image; resuming the same work dir and -out with
+// full content must regenerate every shard.
+func TestDistrunResumeRejectsModeMismatch(t *testing.T) {
+	resumeOverStaleWork(t, []string{"-metadata-only"}, faultCfgArgs, true, false)
 }
 
 // TestMergePartialReportsOutstanding drives the resumable-merge CLI: an
@@ -833,40 +833,6 @@ func TestMergePartialReportsOutstanding(t *testing.T) {
 	}
 }
 
-// TestDistrunResumeRejectsModeMismatch: manifests committed by a
-// -metadata-only run are done work for a different image; resuming the same
-// work dir with full content must regenerate every shard (and vice versa),
-// never skip on the strength of the other mode's manifests.
-func TestDistrunResumeRejectsModeMismatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses; skipped in -short")
-	}
-	rerouteWorkers(t, func(shard, call int, args []string) *exec.Cmd { return realWorker(t, args) })
-	work := t.TempDir()
-	metaArgs := append([]string{"distrun"}, faultCfgArgs...)
-	metaArgs = append(metaArgs, "-shards", "2", "-metadata-only", "-work", work, "-out", filepath.Join(t.TempDir(), "meta"))
-	if err := run(metaArgs, io.Discard, io.Discard); err != nil {
-		t.Fatalf("metadata-only run: %v", err)
-	}
-
-	refDigest, _ := refDigestAndTree(t, faultCfgArgs)
-	fullArgs := append([]string{"distrun"}, faultCfgArgs...)
-	fullArgs = append(fullArgs, "-shards", "2", "-work", work, "-out", filepath.Join(t.TempDir(), "full"))
-	var buf, errBuf bytes.Buffer
-	if err := run(fullArgs, &buf, &errBuf); err != nil {
-		t.Fatalf("full-content run over metadata-only work dir: %v\nstderr:\n%s", err, errBuf.String())
-	}
-	if !strings.Contains(errBuf.String(), "metadata-only run") {
-		t.Errorf("mode mismatch should be called out:\n%s", errBuf.String())
-	}
-	if strings.Contains(buf.String(), "resuming") {
-		t.Errorf("nothing should be resumable across content modes:\n%s", buf.String())
-	}
-	if got := extractDigest(t, buf.Bytes()); got != refDigest {
-		t.Errorf("digest %s != single-process %s", got, refDigest)
-	}
-}
-
 // TestMergePartialMetadataOnlyRerunHint: for a metadata-only run, the
 // re-run command -partial prints must carry -metadata-only, or following
 // the instruction would produce a manifest the next merge rejects for
@@ -898,98 +864,59 @@ func TestMergePartialMetadataOnlyRerunHint(t *testing.T) {
 	}
 }
 
-// TestDistrunResumeVerifiesOutRoot: verified manifests prove a shard was
-// generated, not that the current -out holds it. Resuming into a different
-// (empty) out root must regenerate everything rather than report success
-// over a hole in the image.
-func TestDistrunResumeVerifiesOutRoot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses; skipped in -short")
+// TestWorkerResumeRecreatesEmptyDirectories: a journal sealed to the end
+// lets a re-run skip every file, but the byte-identical-tree contract covers
+// file-less directories too, which no content digest would miss: the re-run
+// must put back one that has gone.
+func TestWorkerResumeRecreatesEmptyDirectories(t *testing.T) {
+	cfgArgs := []string{"-files", "10", "-dirs", "60", "-size", "10KB", "-seed", "5"}
+	_, refTree := refDigestAndTree(t, cfgArgs)
+	work, out := t.TempDir(), filepath.Join(t.TempDir(), "img")
+	planPath := filepath.Join(work, "plan.json")
+	if err := run(append(append([]string{"plan"}, cfgArgs...), "-shards", "2", "-plan", planPath), io.Discard, io.Discard); err != nil {
+		t.Fatalf("plan: %v", err)
 	}
-	rerouteWorkers(t, func(shard, call int, args []string) *exec.Cmd { return realWorker(t, args) })
-	refDigest, refTree := refDigestAndTree(t, faultCfgArgs)
-	work := t.TempDir()
-	outA := filepath.Join(t.TempDir(), "a")
-	firstArgs := append([]string{"distrun"}, faultCfgArgs...)
-	firstArgs = append(firstArgs, "-shards", "2", "-work", work, "-out", outA)
-	if err := run(firstArgs, io.Discard, io.Discard); err != nil {
-		t.Fatalf("first run: %v", err)
+	workers := func() string {
+		var buf bytes.Buffer
+		for s := 0; s < 2; s++ {
+			manifest := filepath.Join(work, fmt.Sprintf("manifest-%d.json", s))
+			if err := run([]string{"worker", "-plan", planPath, "-shard", strconv.Itoa(s), "-out", out, "-manifest", manifest, "-work", work}, &buf, io.Discard); err != nil {
+				t.Fatalf("worker %d: %v", s, err)
+			}
+		}
+		return buf.String()
 	}
-
-	// Leave an attempt-staged manifest behind, as a hard-killed supervisor
-	// would; the next run must sweep it.
-	strayAttempt := filepath.Join(work, "manifest-0.json.attempt-0")
-	if err := os.WriteFile(strayAttempt, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	outB := filepath.Join(t.TempDir(), "b")
-	secondArgs := append([]string{"distrun"}, faultCfgArgs...)
-	secondArgs = append(secondArgs, "-shards", "2", "-work", work, "-out", outB)
-	var buf, errBuf bytes.Buffer
-	if err := run(secondArgs, &buf, &errBuf); err != nil {
-		t.Fatalf("run into a fresh out root: %v\nstderr:\n%s", err, errBuf.String())
-	}
-	if strings.Contains(buf.String(), "resuming") {
-		t.Errorf("nothing is resumable into an empty out root:\n%s\nstderr:\n%s", buf.String(), errBuf.String())
-	}
-	if got := extractDigest(t, buf.Bytes()); got != refDigest {
-		t.Errorf("digest %s != single-process %s", got, refDigest)
-	}
-	gotTree, err := fsimage.HashTree(outB)
+	workers()
+	open, err := distribute.LoadPlan(planPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotTree != refTree {
-		t.Error("fresh out root is incomplete — resume trusted manifests for files that are not there")
-	}
-	if _, err := os.Stat(strayAttempt); !os.IsNotExist(err) {
-		t.Errorf("stray attempt manifest was not swept: %v", err)
-	}
-}
-
-// TestVerifyShardOnDiskChecksDirectories: the resume-time stat pass must
-// cover a shard's file-less directories too — the byte-identical-tree
-// contract includes empty dirs, which the content digest alone would miss.
-func TestVerifyShardOnDiskChecksDirectories(t *testing.T) {
-	cfg := core.Config{NumFiles: 10, NumDirs: 60, FSSizeBytes: 10 * 1024, Seed: 5, Parallelism: 1}
-	plan, err := distribute.BuildPlan(context.Background(), distribute.PlanRequest{Config: cfg, MaxShards: 2})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
-	}
-	open, err := plan.Open()
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	out := t.TempDir()
-	for s := range open.Plan.Shards {
-		view, err := open.ShardView(s)
-		if err != nil {
-			t.Fatalf("ShardView(%d): %v", s, err)
-		}
-		if _, err := distribute.Execute(context.Background(), view, distribute.DirTarget(out), distribute.WorkerOptions{}); err != nil {
-			t.Fatalf("Execute(%d): %v", s, err)
-		}
-		if err := verifyShardOnDisk(open, s, out); err != nil {
-			t.Fatalf("freshly written shard %d should verify: %v", s, err)
+	// With 60 dirs for 10 files most directories are empty leaves.
+	removed := ""
+	for id, d := range open.Image.Tree.Dirs {
+		if id != 0 && d.FileCount == 0 && d.SubdirCount == 0 {
+			removed = filepath.Join(out, filepath.FromSlash(open.Image.Tree.Path(id)))
+			break
 		}
 	}
-	// Find a shard directory that holds no files at all and remove it; the
-	// stat pass must notice (with 60 dirs for 10 files most dirs are empty).
-	for s := range open.Plan.Shards {
-		for _, id := range open.Part.Shards[s] {
-			if id == 0 || open.Image.Tree.Dirs[id].FileCount > 0 || open.Image.Tree.Dirs[id].SubdirCount > 0 {
-				continue
-			}
-			p := filepath.Join(out, filepath.FromSlash(open.Image.Tree.Path(id)))
-			if err := os.Remove(p); err != nil {
-				t.Fatalf("removing empty dir: %v", err)
-			}
-			if err := verifyShardOnDisk(open, s, out); err == nil {
-				t.Fatalf("shard %d verified with its empty directory %s missing", s, p)
-			}
-			return
-		}
+	if removed == "" {
+		t.Fatal("no file-less leaf directory in this plan")
 	}
-	t.Skip("no file-less leaf directory in this plan (unexpected at 60 dirs / 10 files)")
+	if err := os.Remove(removed); err != nil {
+		t.Fatal(err)
+	}
+	stdout := workers()
+	wrote := 0
+	for _, m := range resumedRe.FindAllStringSubmatch(stdout, -1) {
+		if m[3] != "0" {
+			t.Errorf("the re-run wrote files again: %s", m[0])
+		}
+		wrote++
+	}
+	if wrote == 0 {
+		t.Errorf("the re-run did not resume from the journals:\n%s", stdout)
+	}
+	if tree, err := fsimage.HashTree(out); err != nil || tree != refTree {
+		t.Errorf("tree after the re-run differs from the single-process run (%v); %s was not put back", err, removed)
+	}
 }

@@ -18,6 +18,7 @@
 //	POST /v1/fleet/workers/{id}/heartbeat
 //	POST /v1/fleet/workers/{id}/lease  claim one shard attempt
 //	POST /v1/fleet/leases/{id}/complete upload a shard manifest
+//	POST /v1/fleet/leases/{id}/fail    give a lease back: the attempt failed, re-queue the shard now
 //	GET  /healthz                      liveness (always 200 while the process serves)
 //	GET  /readyz                       readiness (503 while draining)
 //

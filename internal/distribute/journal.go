@@ -176,19 +176,31 @@ func (j *ShardJournal) Close() error { return j.f.Close() }
 // shard execution.
 const DefaultJournalBatch = 256
 
+// JournalFile names the journal of one shard of one plan under workDir. A
+// worker and whoever supervises it (the fleet worker itself, distrun over
+// its worker processes) derive the path from the same three values, so the
+// one that learns the manifest is committed, or refused, finds the journal
+// that produced it.
+func JournalFile(workDir, fingerprint string, shard int) string {
+	return filepath.Join(workDir, fmt.Sprintf("journal-%s-%d.jsonl", fingerprint[:min(len(fingerprint), 12)], shard))
+}
+
 // recoverJournal returns what the journal at path proves done for this
 // shard under outRoot, trusting it only as far as the disk agrees: every
 // resumed file must exist, regular, at its planned size (a stat pass, not a
-// re-hash — the seal chain plus fingerprint binding covers content). A
-// journal that cannot be trusted is deleted, not argued with: the recovery
-// is then empty and the shard restarts from scratch.
-func recoverJournal(path string, v *ShardView, outRoot string) *journalRecovery {
+// re-hash — the seal chain plus fingerprint binding covers content), and
+// must have been written in the content mode this execution runs in — a
+// metadata-only run seals empty digests over sized, empty files, which are
+// exactly what the stat pass accepts. A journal that cannot be trusted is
+// deleted, not argued with: the recovery is then empty and the shard
+// restarts from scratch.
+func recoverJournal(path string, v *ShardView, outRoot string, metadataOnly bool) *journalRecovery {
 	rec, err := loadJournal(path, v.Plan.Fingerprint(), v.Shard)
 	trusted := err == nil && len(rec.digests) <= len(v.Files)
 	for i := 0; trusted && i < len(rec.digests); i++ {
 		f := v.Files[i]
 		info, serr := os.Stat(filepath.Join(outRoot, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name))
-		trusted = serr == nil && info.Mode().IsRegular() && info.Size() == f.Size
+		trusted = serr == nil && info.Mode().IsRegular() && info.Size() == f.Size && (rec.digests[i] == "") == metadataOnly
 	}
 	if !trusted {
 		os.Remove(path)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"impressions/internal/fsimage"
 )
 
 // incrementalOpts returns the standard test options: a small batch size so
@@ -193,5 +195,66 @@ func TestIncrementalMissingResumedFile(t *testing.T) {
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("manifest after stale-journal restart differs from a clean run's")
+	}
+}
+
+// TestJournalFromOtherContentMode: a journal sealed by a metadata-only run
+// proves sized, empty files, which is all the stat pass looks at; resumed by
+// a full-content run (or the other way round) it must be discarded and the
+// shard rewritten, or the manifest claims content the disk does not hold.
+func TestJournalFromOtherContentMode(t *testing.T) {
+	open := planRoundTrip(t, testConfig(), 2)
+	view, err := open.ShardView(0)
+	if err != nil {
+		t.Fatalf("ShardView: %v", err)
+	}
+	for _, c := range []struct {
+		name                string
+		firstMeta, thenMeta bool
+	}{
+		{"metadata-only then full content", true, false},
+		{"full content then metadata-only", false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			outRoot := t.TempDir()
+			journal := filepath.Join(t.TempDir(), "journal")
+			first := incrementalOpts(journal)
+			first.MetadataOnly = c.firstMeta
+			if _, err := Execute(context.Background(), view, DirTarget(outRoot), first); err != nil {
+				t.Fatalf("first run: %v", err)
+			}
+			then := incrementalOpts(journal)
+			then.MetadataOnly = c.thenMeta
+			res, err := Execute(context.Background(), view, DirTarget(outRoot), then)
+			if err != nil {
+				t.Fatalf("second run: %v", err)
+			}
+			if res.ResumedFiles != 0 || res.WrittenFiles != len(view.Files) {
+				t.Fatalf("resumed %d and wrote %d of %d files over the other mode's journal; want a full restart",
+					res.ResumedFiles, res.WrittenFiles, len(view.Files))
+			}
+			if err := VerifyManifest(open, res.Manifest); err != nil {
+				t.Fatalf("manifest: %v", err)
+			}
+			cleanRoot := t.TempDir()
+			clean, err := executeShard(open, 0, cleanRoot, WorkerOptions{MetadataOnly: c.thenMeta})
+			if err != nil {
+				t.Fatalf("executeShard: %v", err)
+			}
+			if res.Manifest.ManifestSHA256 != clean.ManifestSHA256 {
+				t.Error("manifest differs from a clean run's in the second mode")
+			}
+			got, err := fsimage.HashTree(outRoot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fsimage.HashTree(cleanRoot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Error("the tree still holds the first mode's file contents")
+			}
+		})
 	}
 }

@@ -227,15 +227,15 @@ func AuditManifests(p *OpenPlan, manifests []*Manifest) (*Audit, error) {
 			s := st.Shard
 			audit.Statuses[s] = ShardStatus{Shard: s, State: ShardInvalid,
 				Err: fmt.Errorf("distribute: shard %d manifest is %s while the run's majority is %s — mixes metadata-only and full-content runs",
-					s, ContentModeName(st.Manifest.ContentHashed), ContentModeName(audit.ContentHashed))}
+					s, contentModeName(st.Manifest.ContentHashed), contentModeName(audit.ContentHashed))}
 		}
 	}
 	return audit, nil
 }
 
-// ContentModeName names a manifest's run mode (Manifest.ContentHashed) in
-// diagnostics, shared by merge audits and distrun's resume messages.
-func ContentModeName(hashed bool) string {
+// contentModeName names a manifest's run mode (Manifest.ContentHashed) in
+// the audit's diagnostics.
+func contentModeName(hashed bool) string {
 	if hashed {
 		return "full-content"
 	}

@@ -238,7 +238,7 @@ func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOpti
 	var journal *ShardJournal
 	batch := len(v.Files)
 	if opts.JournalPath != "" {
-		rec := recoverJournal(opts.JournalPath, v, outRoot)
+		rec := recoverJournal(opts.JournalPath, v, outRoot, opts.MetadataOnly)
 		if journal, err = openJournal(opts.JournalPath, v.Plan.Fingerprint(), v.Shard, rec.lastSeal, len(rec.digests)); err != nil {
 			return 0, 0, err
 		}

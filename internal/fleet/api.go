@@ -32,6 +32,12 @@ type Lease struct {
 	TTLMillis int64 `json:"ttl_millis"`
 }
 
+// FailRequest is the body of POST /v1/fleet/leases/{id}/fail: why the
+// attempt ended without a manifest.
+type FailRequest struct {
+	Reason string `json:"reason"`
+}
+
 // RunState is a run's lifecycle phase.
 type RunState string
 
@@ -59,7 +65,7 @@ type RunShard struct {
 	// fallback executor) or the one that committed the shard.
 	Worker string `json:"worker,omitempty"`
 	// LastError is the most recent failure recorded for the shard (an
-	// expired lease, a rejected manifest).
+	// expired lease, a failed attempt, a rejected manifest).
 	LastError string `json:"last_error,omitempty"`
 }
 
@@ -82,7 +88,7 @@ type RunStatus struct {
 	Committed   int        `json:"committed"`
 	TotalShards int        `json:"total_shards"`
 	// Requeues counts every time a shard went back to pending after a
-	// granted lease (expiry, worker death, rejected manifest).
+	// granted lease (expiry, worker death, failed attempt, rejected manifest).
 	Requeues int `json:"requeues"`
 	// Digest is the canonical image digest, set when State is complete.
 	Digest string `json:"digest,omitempty"`

@@ -1,18 +1,25 @@
-// Package fleet turns the generation daemon into a shard scheduler over
-// unreliable workers. Workers register, heartbeat, and pull shard leases;
-// the scheduler tracks per-shard state (pending → leased → committed),
-// expires leases on missed heartbeats or per-attempt deadlines, re-queues
-// shards with capped exponential backoff plus jitter, verifies every
-// uploaded manifest server-side before trusting it, and merges a completed
-// run into the canonical image digest. It is the supervision contract
-// distrun enforces over local worker processes, lifted to HTTP — a fleet
-// that loses workers must still converge on the byte-identical digest a
-// single process produces.
+// Package fleet is the shard scheduler over unreliable workers: it tracks
+// per-shard state (pending → leased → committed), re-queues a shard whose
+// attempt failed, expired or was refused with capped exponential backoff
+// plus jitter, fails the run when a shard is out of attempts, verifies every
+// manifest before trusting it, and merges a completed run into the canonical
+// image digest. A run that loses workers must still converge on the
+// byte-identical digest a single process produces.
 //
-// The scheduler is transport-agnostic (internal/serve mounts it behind the
-// daemon's HTTP API) and clock-injectable, so every failure path — missed
-// heartbeats, expired leases, double claims, tampered manifests, zero live
-// workers — is deterministic under test.
+// Two transports drive the one state machine through the same calls
+// (Register, Lease, Complete, Fail). Over HTTP (internal/serve mounts the
+// scheduler behind the daemon's API) workers are remote and may vanish
+// without a word, so liveness is the scheduler's to judge: workers
+// heartbeat, and Tick expires the leases of the silent and the overdue.
+// Locally (RunSlots, which `impressions distrun` runs over its worker
+// processes) a worker is a child process whose death is its exit status, so
+// there are no heartbeats and no Tick: the slot that holds a lease bounds the
+// attempt by the lease's TTL, kills the process at the deadline and says so
+// with Fail.
+//
+// The scheduler is clock-injectable, so every failure path — missed
+// heartbeats, expired leases, failed attempts, double claims, tampered
+// manifests, zero live workers — is deterministic under test.
 package fleet
 
 import (
@@ -27,6 +34,7 @@ import (
 
 	"impressions/internal/backoff"
 	"impressions/internal/distribute"
+	"impressions/internal/fsimage"
 )
 
 // Sentinel errors, mapped to HTTP statuses by the serving layer.
@@ -61,11 +69,11 @@ type Options struct {
 	// HeartbeatMisses is how many intervals may elapse without a beat
 	// before a worker is dead and its leases expire (default 3).
 	HeartbeatMisses int
-	// LeaseTTL is the per-attempt deadline for one shard lease (default 2m)
-	// — the HTTP analogue of distrun's -shard-timeout.
+	// LeaseTTL is the per-attempt deadline for one shard lease (default 2m;
+	// distrun's -shard-timeout).
 	LeaseTTL time.Duration
 	// MaxAttempts is how many granted leases a shard may consume before the
-	// run fails (default 5) — the analogue of distrun's -retries.
+	// run fails (default 5; distrun's -retries plus the first attempt).
 	MaxAttempts int
 	// BackoffBase / BackoffMax shape the re-queue delay: attempt k waits
 	// min(BackoffMax, BackoffBase·2^(k-1)) with jitter in [d/2, d]
@@ -85,7 +93,8 @@ type Options struct {
 	InlineExecute func(ctx context.Context, fingerprint string, shard int) (*distribute.Manifest, error)
 	// WorkerCommand renders the standalone re-run command a run status
 	// names for an outstanding shard. The serving layer fills in how to
-	// fetch the plan; a default covers tests.
+	// fetch the plan, distrun the files of its work directory; a default
+	// covers tests.
 	WorkerCommand func(fingerprint string, shard int) string
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -171,6 +180,7 @@ type run struct {
 	shards      []shardState
 	state       RunState
 	digest      string
+	report      *fsimage.Report // with the digest, what a finished run keeps
 	errMsg      string
 	requeues    int
 	createdAt   time.Time
@@ -243,15 +253,8 @@ func (s *Scheduler) Register() RegisterResponse {
 		WorkerID:        w.id,
 		HeartbeatMillis: s.opts.HeartbeatInterval.Milliseconds(),
 		LeaseTTLMillis:  s.opts.LeaseTTL.Milliseconds(),
-		PollMillis:      maxInt64(s.opts.HeartbeatInterval.Milliseconds()/2, 50),
+		PollMillis:      max(s.opts.HeartbeatInterval.Milliseconds()/2, 50),
 	}
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Heartbeat renews a worker's liveness.
@@ -373,35 +376,28 @@ func (s *Scheduler) grantLocked(r *run, shard int, workerID string, now time.Tim
 // its canonical digest and sheds its retained plan.
 func (s *Scheduler) Complete(leaseID string, m *distribute.Manifest) error {
 	s.mu.Lock()
-	l, ok := s.leases[leaseID]
-	if !ok {
+	r, l, err := s.claimLocked(leaseID)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("%w (lease %s)", ErrLeaseInvalid, leaseID)
+		return err
 	}
-	r := s.runs[l.runID]
-	st := &r.shards[l.shard]
-	if r.state != RunRunning || st.phase != ShardLeased || st.leaseID != leaseID {
-		// The lease object survived but the shard moved on (or the run
-		// ended) — a double claim or a commit racing its own expiry.
-		delete(s.leases, leaseID)
-		s.mu.Unlock()
-		return fmt.Errorf("%w (lease %s superseded)", ErrLeaseInvalid, leaseID)
-	}
-	delete(s.leases, leaseID)
+	var refused string
 	if m == nil || m.Shard != l.shard {
 		got := -1
 		if m != nil {
 			got = m.Shard
 		}
-		s.rejectLocked(r, l, fmt.Sprintf("manifest is for shard %d, lease is for shard %d", got, l.shard))
-		s.mu.Unlock()
-		return fmt.Errorf("%w: wrong shard", ErrManifestRejected)
+		refused = fmt.Sprintf("manifest is for shard %d, lease is for shard %d", got, l.shard)
+	} else if err := distribute.VerifyManifest(r.open, m); err != nil {
+		refused = err.Error()
 	}
-	if err := distribute.VerifyManifest(r.open, m); err != nil {
-		s.rejectLocked(r, l, err.Error())
+	if refused != "" {
+		s.manifestsRejected++
+		s.requeueLocked(r, l.shard, "manifest rejected: "+refused)
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrManifestRejected, err)
+		return fmt.Errorf("%w: %s", ErrManifestRejected, refused)
 	}
+	st := &r.shards[l.shard]
 	st.phase = ShardCommitted
 	st.manifest = m
 	st.worker = l.workerID
@@ -443,9 +439,11 @@ func (s *Scheduler) Complete(leaseID string, m *distribute.Manifest) error {
 	} else {
 		r.state = RunComplete
 		r.digest = res.Digest
+		r.report = &res.Report
 		s.runsCompleted++
 	}
-	// A finished run sheds its O(image) state: the digest is the product.
+	// A finished run sheds its O(image) state: the digest and the report
+	// are the product.
 	r.open = nil
 	for i := range r.shards {
 		r.shards[i].manifest = nil
@@ -454,10 +452,38 @@ func (s *Scheduler) Complete(leaseID string, m *distribute.Manifest) error {
 	return nil
 }
 
-// rejectLocked re-queues a shard after a rejected manifest.
-func (s *Scheduler) rejectLocked(r *run, l *lease, reason string) {
-	s.manifestsRejected++
-	s.requeueLocked(r, l.shard, "manifest rejected: "+reason)
+// Fail gives a lease back: the attempt ended without a manifest (the worker
+// exited non-zero, was killed at its deadline, could not pull the shard),
+// and its holder says so instead of letting the lease run out. The shard
+// re-queues exactly as after an expiry — same attempt count, backoff and
+// run failure at MaxAttempts. A lease that is no longer current is
+// ErrLeaseInvalid and changes nothing.
+func (s *Scheduler) Fail(leaseID, reason string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, l, err := s.claimLocked(leaseID)
+	if err != nil {
+		return err
+	}
+	s.requeueLocked(r, l.shard, reason)
+	return nil
+}
+
+// claimLocked takes leaseID out of the lease table and returns its run and
+// lease if it is still the one its shard is leased under.
+func (s *Scheduler) claimLocked(leaseID string) (*run, *lease, error) {
+	l, ok := s.leases[leaseID]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w (lease %s)", ErrLeaseInvalid, leaseID)
+	}
+	delete(s.leases, leaseID)
+	r := s.runs[l.runID]
+	if st := &r.shards[l.shard]; r.state != RunRunning || st.phase != ShardLeased || st.leaseID != leaseID {
+		// The lease object survived but the shard moved on (or the run
+		// ended) — a double claim or a report racing its own expiry.
+		return nil, nil, fmt.Errorf("%w (lease %s superseded)", ErrLeaseInvalid, leaseID)
+	}
+	return r, l, nil
 }
 
 // requeueLocked sends a leased shard back to pending with backoff, or
@@ -553,10 +579,8 @@ func (s *Scheduler) Tick() {
 		if !expired && !died {
 			continue
 		}
-		r := s.runs[l.runID]
-		st := &r.shards[l.shard]
-		delete(s.leases, id)
-		if r.state != RunRunning || st.phase != ShardLeased || st.leaseID != id {
+		r, _, err := s.claimLocked(id)
+		if err != nil {
 			continue
 		}
 		s.leasesExpired++
@@ -607,16 +631,8 @@ func (s *Scheduler) Tick() {
 func (s *Scheduler) runInline(ctx context.Context, l *Lease) {
 	m, err := s.opts.InlineExecute(ctx, l.Fingerprint, l.Shard)
 	if err != nil {
-		s.mu.Lock()
-		if r, ok := s.runs[l.RunID]; ok {
-			if lease, live := s.leases[l.LeaseID]; live {
-				delete(s.leases, l.LeaseID)
-				if r.state == RunRunning && r.shards[lease.shard].phase == ShardLeased && r.shards[lease.shard].leaseID == l.LeaseID {
-					s.requeueLocked(r, lease.shard, fmt.Sprintf("inline execution: %v", err))
-				}
-			}
-		}
-		s.mu.Unlock()
+		// An expiry may have beaten us to the requeue; then there is nothing to say.
+		_ = s.Fail(l.LeaseID, fmt.Sprintf("inline execution: %v", err))
 		return
 	}
 	if err := s.Complete(l.LeaseID, m); err != nil {

@@ -102,6 +102,13 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("serve: %s %s: HTTP %d", e.Method, e.Path, e.Status)
 }
 
+// Is maps the status a refused manifest is answered with back to the
+// scheduler's sentinel, so a worker treats the refusal the same way whether
+// it asked over HTTP or in process (fleet.Commit).
+func (e *APIError) Is(target error) bool {
+	return target == fleet.ErrManifestRejected && e.Status == http.StatusUnprocessableEntity
+}
+
 // StatusCode extracts the HTTP status from an error returned by the
 // client, or 0 when the error never reached the server.
 func StatusCode(err error) int {
@@ -351,16 +358,23 @@ func (c *Client) RegisterWorker(ctx context.Context) (fleet.RegisterResponse, er
 	return reg, err
 }
 
-// Heartbeat renews a worker's liveness. Not auto-retried — a missed beat
-// is exactly the signal the scheduler is designed to notice; the worker
-// loop just beats again on its next tick.
-func (c *Client) Heartbeat(ctx context.Context, workerID string) error {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/fleet/workers/"+workerID+"/heartbeat", nil)
+// post sends one state transition and discards its empty answer. Never
+// auto-retried: the server's answer is something the worker must react to,
+// not paper over.
+func (c *Client) post(ctx context.Context, path string, body any) error {
+	resp, err := c.do(ctx, http.MethodPost, path, body)
 	if err != nil {
 		return err
 	}
 	drainBody(resp)
 	return nil
+}
+
+// Heartbeat renews a worker's liveness. A missed beat is exactly the signal
+// the scheduler is designed to notice; the worker loop just beats again on
+// its next tick.
+func (c *Client) Heartbeat(ctx context.Context, workerID string) error {
+	return c.post(ctx, "/v1/fleet/workers/"+workerID+"/heartbeat", nil)
 }
 
 // LeaseShard claims one shard attempt; (nil, nil) means no work is ready.
@@ -382,16 +396,16 @@ func (c *Client) LeaseShard(ctx context.Context, workerID string) (*fleet.Lease,
 	return &l, nil
 }
 
-// CompleteLease uploads a shard manifest against a lease. Never
-// auto-retried: the server's answer (accepted, superseded, rejected) is a
-// state transition the worker must react to, not paper over.
+// CompleteLease uploads a shard manifest against a lease; the answer is
+// accepted, superseded (409) or rejected (422).
 func (c *Client) CompleteLease(ctx context.Context, leaseID string, m *distribute.Manifest) error {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/fleet/leases/"+leaseID+"/complete", m)
-	if err != nil {
-		return err
-	}
-	drainBody(resp)
-	return nil
+	return c.post(ctx, "/v1/fleet/leases/"+leaseID+"/complete", m)
+}
+
+// FailLease gives a lease back with the reason the attempt produced no
+// manifest.
+func (c *Client) FailLease(ctx context.Context, leaseID, reason string) error {
+	return c.post(ctx, "/v1/fleet/leases/"+leaseID+"/fail", fleet.FailRequest{Reason: reason})
 }
 
 // getJSON runs one call and decodes its JSON response into out.

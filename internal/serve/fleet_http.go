@@ -189,12 +189,18 @@ func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.fleet.Register())
 }
 
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if err := s.fleet.Heartbeat(r.PathValue("id")); err != nil {
+// writeNoContent answers a state transition that has nothing to say but
+// whether it happened.
+func writeNoContent(w http.ResponseWriter, err error) {
+	if err != nil {
 		writeError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
+	writeNoContent(w, s.fleet.Heartbeat(r.PathValue("id")))
 }
 
 // handleLease grants one shard attempt (200) or reports no work ready
@@ -217,13 +223,21 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 // lease is 409, a bad manifest is 422 (and its shard is re-queued).
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var m distribute.Manifest
-	if err := decodeJSONLimit(r, &m, maxManifestBody); err != nil {
-		writeError(w, err)
-		return
+	err := decodeJSONLimit(r, &m, maxManifestBody)
+	if err == nil {
+		err = s.fleet.Complete(r.PathValue("id"), &m)
 	}
-	if err := s.fleet.Complete(r.PathValue("id"), &m); err != nil {
-		writeError(w, err)
-		return
+	writeNoContent(w, err)
+}
+
+// handleFail gives a lease back: the worker's attempt ended without a
+// manifest and it says so, so the shard re-queues after the backoff instead
+// of sitting leased until the TTL. A stale lease is 409, as for complete.
+func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
+	var req fleet.FailRequest
+	err := decodeJSON(r, &req)
+	if err == nil {
+		err = s.fleet.Fail(r.PathValue("id"), req.Reason)
 	}
-	w.WriteHeader(http.StatusNoContent)
+	writeNoContent(w, err)
 }

@@ -12,6 +12,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,7 +99,7 @@ func TestFleetRunConverges(t *testing.T) {
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
 	for i := 0; i < 2; i++ {
-		startWorker(wctx, c, FleetWorkerOptions{OutRoot: t.TempDir(), BatchFiles: 8}, nil)
+		startWorker(wctx, c, FleetWorkerOptions{OutRoot: t.TempDir(), Worker: distribute.WorkerOptions{Parallelism: 1, BatchFiles: 8}}, nil)
 	}
 	st, err = c.WaitRun(ctx, st.ID, 10*time.Millisecond)
 	if err != nil {
@@ -132,7 +135,7 @@ func TestFleetWorkerKilledMidShard(t *testing.T) {
 	// returns ErrSimulatedCrash and its heartbeat goroutine stops with it —
 	// the in-process equivalent of SIGKILL.
 	victimErr := startWorker(ctx, c, FleetWorkerOptions{
-		OutRoot: outRoot, WorkDir: workDir, BatchFiles: 8, FailAfterFiles: 20,
+		OutRoot: outRoot, WorkDir: workDir, Worker: distribute.WorkerOptions{Parallelism: 1, BatchFiles: 8, FailAfterFiles: 20},
 	}, nil)
 	if err := <-victimErr; !errors.Is(err, distribute.ErrSimulatedCrash) {
 		t.Fatalf("victim worker: got %v, want ErrSimulatedCrash", err)
@@ -143,7 +146,7 @@ func TestFleetWorkerKilledMidShard(t *testing.T) {
 	statsCh := make(chan FleetWorkerStats, 1)
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
-	startWorker(wctx, c, FleetWorkerOptions{OutRoot: outRoot, WorkDir: workDir, BatchFiles: 8}, statsCh)
+	startWorker(wctx, c, FleetWorkerOptions{OutRoot: outRoot, WorkDir: workDir, Worker: distribute.WorkerOptions{Parallelism: 1, BatchFiles: 8}}, statsCh)
 
 	st, err = c.WaitRun(ctx, st.ID, 10*time.Millisecond)
 	if err != nil {
@@ -195,7 +198,7 @@ func TestFleetDroppedHeartbeats(t *testing.T) {
 
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
-	startWorker(wctx, c, FleetWorkerOptions{OutRoot: t.TempDir(), BatchFiles: 8}, nil)
+	startWorker(wctx, c, FleetWorkerOptions{OutRoot: t.TempDir(), Worker: distribute.WorkerOptions{Parallelism: 1, BatchFiles: 8}}, nil)
 
 	st, err = c.WaitRun(ctx, st.ID, 10*time.Millisecond)
 	if err != nil {
@@ -256,7 +259,7 @@ func TestFleetTamperedManifest(t *testing.T) {
 	// shard).
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
-	startWorker(wctx, c, FleetWorkerOptions{OutRoot: t.TempDir(), BatchFiles: 8}, nil)
+	startWorker(wctx, c, FleetWorkerOptions{OutRoot: t.TempDir(), Worker: distribute.WorkerOptions{Parallelism: 1, BatchFiles: 8}}, nil)
 	st, err = c.WaitRun(ctx, st.ID, 10*time.Millisecond)
 	if err != nil {
 		t.Fatalf("WaitRun: %v", err)
@@ -269,6 +272,87 @@ func TestFleetTamperedManifest(t *testing.T) {
 	}
 	if fs := srv.Fleet().StatsSnapshot(); fs.ManifestsRejected != 1 {
 		t.Fatalf("ManifestsRejected = %d, want 1", fs.ManifestsRejected)
+	}
+}
+
+// TestFleetFailedShardIsGivenBack: a worker whose attempt fails — here it
+// cannot create its output root — gives the lease back with the reason, so
+// the shard is pending again at once. Nothing else could release it in this
+// test: the lease TTL is an hour and no worker is ever declared dead. A
+// second report against the same lease is 409, like a late completion.
+func TestFleetFailedShardIsGivenBack(t *testing.T) {
+	fo := fleetTestOptions()
+	fo.LeaseTTL = time.Hour
+	fo.HeartbeatMisses = 1 << 30
+	fo.MaxAttempts = 50
+	_, c := newFleetServer(t, fo)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	spec := testSpec(7007)
+	st, err := c.PostRun(ctx, PlanRequest{Spec: spec, Shards: 2})
+	if err != nil {
+		t.Fatalf("PostRun: %v", err)
+	}
+
+	w, err := c.RegisterWorker(ctx)
+	if err != nil {
+		t.Fatalf("RegisterWorker: %v", err)
+	}
+	l, err := c.LeaseShard(ctx, w.WorkerID)
+	if err != nil || l == nil {
+		t.Fatalf("lease: %v, %v", l, err)
+	}
+	if err := c.FailLease(ctx, l.LeaseID, "no space left on device"); err != nil {
+		t.Fatalf("FailLease: %v", err)
+	}
+	if err := c.FailLease(ctx, l.LeaseID, "again"); StatusCode(err) != http.StatusConflict {
+		t.Fatalf("second FailLease: got %v (status %d), want 409", err, StatusCode(err))
+	}
+	if st, err = c.Run(ctx, st.ID); err != nil || st.Requeues != 1 || st.Shards[l.Shard].LastError != "no space left on device" {
+		t.Fatalf("after FailLease: %+v, %v", st, err)
+	}
+
+	// The same through the worker loop: its output root is under a regular
+	// file, so every attempt fails. It is stopped at its first failure.
+	blocker := filepath.Join(t.TempDir(), "blocker")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bctx, stop := context.WithCancel(ctx)
+	defer stop()
+	broken := startWorker(bctx, c, FleetWorkerOptions{
+		OutRoot: filepath.Join(blocker, "out"), WorkDir: t.TempDir(),
+		Logf: func(format string, _ ...any) {
+			if strings.Contains(format, "failed") {
+				stop()
+			}
+		},
+	}, nil)
+	if err := <-broken; err != nil {
+		t.Fatalf("broken worker: %v", err)
+	}
+	if st, err = c.Run(ctx, st.ID); err != nil || st.Requeues < 2 {
+		t.Fatalf("the broken worker's attempt was not given back: %+v, %v", st, err)
+	}
+	for _, sh := range st.Shards {
+		if sh.Phase != fleet.ShardPending {
+			t.Fatalf("shard %d is %s with no worker left; want pending", sh.Shard, sh.Phase)
+		}
+	}
+
+	wctx, wcancel := context.WithCancel(ctx)
+	defer wcancel()
+	startWorker(wctx, c, FleetWorkerOptions{OutRoot: t.TempDir(), Worker: distribute.WorkerOptions{Parallelism: 1, BatchFiles: 8}}, nil)
+	st, err = c.WaitRun(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatalf("WaitRun: %v", err)
+	}
+	if st.State != fleet.RunComplete {
+		t.Fatalf("run state %s, want complete (%s)", st.State, st.Error)
+	}
+	if ref := fleetReferenceDigest(t, spec); st.Digest != ref {
+		t.Fatalf("digest %s, want %s", st.Digest, ref)
 	}
 }
 

@@ -128,6 +128,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/fleet/workers/{id}/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("POST /v1/fleet/workers/{id}/lease", s.handleLease)
 	s.mux.HandleFunc("POST /v1/fleet/leases/{id}/complete", s.handleComplete)
+	s.mux.HandleFunc("POST /v1/fleet/leases/{id}/fail", s.handleFail)
 	// /healthz is liveness — the process is up and serving. /readyz is
 	// readiness — it additionally goes 503 while the daemon drains.
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

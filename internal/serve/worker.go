@@ -5,7 +5,16 @@ package serve
 // a shard journal (distribute.WorkerOptions.JournalPath), so a worker
 // killed mid-shard — or preempted and restarted — resumes from the last
 // sealed digest batch instead of rewriting the shard. Shard pulls are
-// idempotent and retried; lease claims and completions never are.
+// idempotent and retried; lease claims, completions and failure reports
+// never are.
+//
+// This loop and fleet.RunSlots drive the same scheduler calls and stay two
+// functions: this one outlives runs, heartbeats and re-registers because the
+// daemon can only judge it by what it hears, leaves an overdue attempt to the
+// daemon's expiry (the journal it keeps filling serves the next lease), and
+// drops a journal the moment the daemon holds the manifest; a local slot
+// ends with its run, kills the attempt at the lease deadline itself, and
+// keeps journals until the run has merged.
 
 import (
 	"context"
@@ -29,16 +38,16 @@ type FleetWorkerOptions struct {
 	// WorkDir holds shard journals (default: OutRoot). Keeping it stable
 	// across restarts is what makes mid-shard resume work.
 	WorkDir string
-	// BatchFiles is the journal flush granularity (0 = package default).
-	BatchFiles int
+	// Worker is what every leased shard executes under: Parallelism, the
+	// journal's BatchFiles, and FailAfterFiles > 0 to inject a deterministic
+	// mid-shard crash — execution stops with distribute.ErrSimulatedCrash
+	// after that many files of the first leased shard, and the loop returns
+	// the error immediately (the CLI escalates it to a SIGKILL of the whole
+	// process). JournalPath is set per lease.
+	Worker distribute.WorkerOptions
 	// IdleExit, when > 0, ends the loop cleanly after that long without any
 	// lease — how CI drains workers when the daemon runs out of work.
 	IdleExit time.Duration
-	// FailAfterFiles > 0 injects a deterministic mid-shard crash: execution
-	// stops with distribute.ErrSimulatedCrash after that many files of the
-	// first leased shard, and the loop returns the error immediately (the
-	// CLI escalates it to a SIGKILL of the whole process).
-	FailAfterFiles int
 	// Logf, when non-nil, receives worker progress lines.
 	Logf func(format string, a ...any)
 }
@@ -146,31 +155,36 @@ func (c *Client) RunFleetWorker(ctx context.Context, opts FleetWorkerOptions) (F
 
 // executeLease runs one leased shard end to end: pull the shard view
 // (retried — idempotent), execute it incrementally against the shard's
-// journal, and upload the manifest (never retried). The journal is removed
-// only once the daemon accepts the manifest; a superseded lease keeps it,
-// so the next lease over this shard resumes instead of restarting.
+// journal, and upload the manifest (never retried). An attempt that fails is
+// given back at once (FailLease), so the shard re-queues after the backoff
+// instead of idling until the lease expires; an injected crash says nothing,
+// which is the fault being drilled. The journal is removed once the daemon
+// accepts the manifest (or refuses it: fleet.Commit); a superseded lease
+// keeps it, so the next lease over this shard resumes instead of restarting.
 func (c *Client) executeLease(ctx context.Context, lease *fleet.Lease, opts FleetWorkerOptions, st *FleetWorkerStats, logf func(string, ...any)) (crashed bool, _ error) {
 	logf("worker %s: leased run %s shard %d (attempt %d)", st.WorkerID, lease.RunID, lease.Shard, lease.Attempt)
+	wopts := opts.Worker
+	wopts.JournalPath = distribute.JournalFile(opts.WorkDir, lease.Fingerprint, lease.Shard)
 	view, err := c.PullShard(ctx, lease.Fingerprint, lease.Shard)
-	if err != nil {
-		logf("worker %s: pulling shard %d: %v", st.WorkerID, lease.Shard, err)
-		return false, err
+	var res *distribute.ShardResult
+	if err == nil {
+		// Each plan gets a subdirectory of its own, named like its journals.
+		outRoot := filepath.Join(opts.OutRoot, lease.Fingerprint[:min(len(lease.Fingerprint), 12)])
+		res, err = distribute.Execute(ctx, view, distribute.DirTarget(outRoot), wopts)
 	}
-	outRoot := filepath.Join(opts.OutRoot, shortFingerprint(lease.Fingerprint))
-	journal := filepath.Join(opts.WorkDir, fmt.Sprintf("journal-%s-%d.jsonl", shortFingerprint(lease.Fingerprint), lease.Shard))
-	// One file writer per lease; the journal seals batches at any value.
-	res, err := distribute.Execute(ctx, view, distribute.DirTarget(outRoot), distribute.WorkerOptions{
-		Parallelism:    1,
-		JournalPath:    journal,
-		BatchFiles:     opts.BatchFiles,
-		FailAfterFiles: opts.FailAfterFiles,
-	})
+	if errors.Is(err, distribute.ErrSimulatedCrash) {
+		// The injected fault: stop everything mid-shard, journal intact.
+		return true, err
+	}
 	if err != nil {
-		if errors.Is(err, distribute.ErrSimulatedCrash) {
-			// The injected fault: stop everything mid-shard, journal intact.
-			return true, err
-		}
 		logf("worker %s: shard %d failed: %v", st.WorkerID, lease.Shard, err)
+		// A worker being stopped fails its attempt too: ctx is over, the
+		// lease is not.
+		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+		defer cancel()
+		if ferr := c.FailLease(fctx, lease.LeaseID, err.Error()); ferr != nil {
+			logf("worker %s: shard %d lease not given back: %v", st.WorkerID, lease.Shard, ferr)
+		}
 		return false, err
 	}
 	st.FilesWritten += res.WrittenFiles
@@ -179,29 +193,17 @@ func (c *Client) executeLease(ctx context.Context, lease *fleet.Lease, opts Flee
 		st.ShardsResumed++
 		logf("worker %s: shard %d resumed %d files from its journal, wrote %d more", st.WorkerID, lease.Shard, res.ResumedFiles, res.WrittenFiles)
 	}
-	if err := c.CompleteLease(ctx, lease.LeaseID, res.Manifest); err != nil {
+	complete := func(leaseID string, m *distribute.Manifest) error { return c.CompleteLease(ctx, leaseID, m) }
+	if err := fleet.Commit(complete, lease, res.Manifest, wopts.JournalPath); err != nil {
 		st.LeasesLost++
 		// A superseded lease (409) means the scheduler moved on — expiry
 		// beat us, or another attempt committed first. The journal stays:
 		// if this shard comes back to us, the work is already sealed.
 		logf("worker %s: shard %d manifest not accepted: %v", st.WorkerID, lease.Shard, err)
-		if StatusCode(err) == http.StatusUnprocessableEntity {
-			// Rejected outright — the journal produced a manifest the daemon
-			// disproved, so nothing in it is worth resuming from.
-			os.Remove(journal)
-		}
 		return false, err
 	}
-	os.Remove(journal)
+	os.Remove(wopts.JournalPath)
 	st.ShardsCommitted++
 	logf("worker %s: shard %d committed (%d files, %d bytes)", st.WorkerID, lease.Shard, res.Manifest.Files, res.Manifest.Bytes)
 	return false, nil
-}
-
-// shortFingerprint abbreviates a plan fingerprint for paths and logs.
-func shortFingerprint(fp string) string {
-	if len(fp) > 12 {
-		return fp[:12]
-	}
-	return fp
 }
