@@ -77,9 +77,9 @@ dist-check:
 # single-process run. Then the same faults under `distrun`: a shard-3 worker
 # that SIGKILLed itself after 40 files (-fail-after-files; run by hand on
 # distrun's own plan and -work, distrun takes no per-shard fault flag) is
-# finished by distrun from its journal, and a distrun whose whole process
-# group is SIGKILLed as soon as its workers have begun to write is run again
-# with the same -work — each ending in the single-process digest and tree.
+# finished by distrun from its journal, and a distrun that is SIGKILLed (it
+# alone: its workers die with it) as soon as they have begun to write is run
+# again with the same -work — each ending in the single-process digest and tree.
 dist-fault-check:
 	@rm -rf /tmp/impressions-fault-check && mkdir -p /tmp/impressions-fault-check/work
 	$(GO) build -o /tmp/impressions-fault-check/impressions ./cmd/impressions
@@ -103,9 +103,9 @@ dist-fault-check:
 	./impressions distrun $$spec -retries 1 -work dwork -out dmerged > distrun.out; \
 	grep -q 'worker: shard 3 resumed 40 files from its journal' distrun.out; \
 	grep '^image digest:' distrun.out > distrun.digest; cmp single.digest distrun.digest; diff -r single dmerged; \
-	setsid ./impressions distrun $$spec -work kwork -out kmerged > /dev/null 2>&1 & victim=$$!; \
+	./impressions distrun $$spec -work kwork -out kmerged > /dev/null 2>&1 & victim=$$!; \
 	for i in $$(seq 1 500); do [ -d kmerged ] && break; sleep 0.01; done; \
-	kill -9 -$$victim 2>/dev/null || echo "dist-fault-check: distrun had finished before the kill"; wait $$victim || true; \
+	kill -9 $$victim 2>/dev/null || echo "dist-fault-check: distrun had finished before the kill"; wait $$victim || true; \
 	./impressions distrun $$spec -work kwork -out kmerged | grep '^image digest:' > killed.digest; \
 	cmp single.digest killed.digest; diff -r single kmerged; \
 	echo "dist-fault-check: OK (killed worker resumed, by hand and under distrun; SIGKILLed distrun re-run; digests and trees identical)"

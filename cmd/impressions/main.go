@@ -1132,7 +1132,8 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 		WorkerCommand: func(_ string, shard int) string {
 			return "impressions " + strings.Join(workerArgs(shard), " ")
 		},
-		Logf: func(format string, a ...any) { say(stdout, format+"\n", a...) },
+		// Worker and lease ids are random; stdout stays what the flags decide.
+		Logf: func(format string, a ...any) { say(stderr, format+"\n", a...) },
 	})
 	runID, err := sched.CreateRun(plan.Fingerprint(), open)
 	if err != nil {
@@ -1145,7 +1146,12 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		var outBuf, errBuf bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
+		// The worker is tied to the thread that starts it, so the thread is
+		// this goroutine's until the worker is gone.
+		cmd.SysProcAttr = workerProcAttr
+		runtime.LockOSThread()
 		err = cmd.Run()
+		runtime.UnlockOSThread()
 		say(stdout, "%s", outBuf.String())
 		if errBuf.Len() > 0 {
 			say(stderr, "--- worker %d (attempt %d) stderr ---\n%s", l.Shard, l.Attempt, errBuf.String())

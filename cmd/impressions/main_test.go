@@ -9,9 +9,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -299,10 +301,11 @@ func TestGenerateRejectsFormatBeforeGenerating(t *testing.T) {
 // TestHelperProcess is not a real test: it is the re-exec target that lets
 // the tests below run `impressions` subcommands as genuinely separate OS
 // processes. It runs Main on the arguments after "--" and exits with its
-// status. Two marker commands stage faults for the distrun tests:
-// "helper-sleep" wedges forever (a hung worker), and "helper-await <file>...
+// status. Three marker commands stage faults for the distrun tests:
+// "helper-sleep" wedges forever (a hung worker), "helper-await <file>...
 // -- <command>" runs the command only once the files exist, so that sibling
-// shards have finished before this one misbehaves.
+// shards have finished before this one misbehaves, and "helper-wedge-workers
+// <command>" runs a distrun whose every worker is a helper-sleep.
 func TestHelperProcess(t *testing.T) {
 	if os.Getenv("IMPRESSIONS_HELPER_PROCESS") != "1" {
 		t.Skip("helper process for cross-process tests")
@@ -328,6 +331,11 @@ func TestHelperProcess(t *testing.T) {
 					}
 					time.Sleep(10 * time.Millisecond)
 				}
+			}
+			args = args[1:]
+		case "helper-wedge-workers":
+			workerCommand = func(ctx context.Context, _ []string) (*exec.Cmd, error) {
+				return helperCommandContext(ctx, "helper-sleep"), nil
 			}
 			args = args[1:]
 		}
@@ -638,14 +646,85 @@ func TestDistrunKillsWedgedWorker(t *testing.T) {
 		return args
 	})
 	out := filepath.Join(t.TempDir(), "img")
-	stdout, err := distrun(t, faultCfgArgs, t.TempDir(), out, "-retries", "1", "-shard-timeout", "2s")
-	if err != nil {
-		t.Fatalf("distrun with a timed-out worker should retry and succeed: %v", err)
+	args := append([]string{"distrun"}, faultCfgArgs...)
+	args = append(args, "-shards", "3", "-work", t.TempDir(), "-out", out, "-retries", "1", "-shard-timeout", "2s")
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("distrun with a timed-out worker should retry and succeed: %v\n%s", err, stderr.String())
 	}
-	if !strings.Contains(stdout, "timed out after 2s") {
-		t.Errorf("the deadline should be named as the reason for the retry:\n%s", stdout)
+	if !strings.Contains(stderr.String(), "timed out after 2s") {
+		t.Errorf("the deadline should be named as the reason for the retry:\n%s", stderr.String())
 	}
-	requireImage(t, stdout, out, refDigest, refTree)
+	if strings.Contains(stdout.String(), "fleet:") {
+		t.Errorf("the scheduler's events, with their random ids, belong on stderr:\n%s", stdout.String())
+	}
+	requireImage(t, stdout.String(), out, refDigest, refTree)
+}
+
+// childrenOf lists the live (not zombie) processes whose parent is pid.
+func childrenOf(t *testing.T, pid int) []int {
+	t.Helper()
+	stats, _ := filepath.Glob("/proc/[0-9]*/stat")
+	var kids []int
+	for _, path := range stats {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			continue // gone since the glob
+		}
+		// pid (comm) state ppid ...; comm may hold anything but ends at the last ")".
+		f := strings.Fields(string(data[bytes.LastIndexByte(data, ')')+1:]))
+		if ppid, _ := strconv.Atoi(f[1]); ppid == pid && f[0] != "Z" {
+			kid, _ := strconv.Atoi(filepath.Base(filepath.Dir(path)))
+			kids = append(kids, kid)
+		}
+	}
+	return kids
+}
+
+// TestDistrunKilledTakesItsWorkers: a distrun that dies without a chance to
+// kill its workers (SIGKILL, the OOM killer) leaves none behind to write into
+// -out and the journals under the run that replaces it.
+func TestDistrunKilledTakesItsWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses; skipped in -short")
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("workers die with their distrun on Linux only (PR_SET_PDEATHSIG)")
+	}
+	args := append([]string{"helper-wedge-workers", "distrun"}, faultCfgArgs...)
+	cmd := helperCommand(t, append(args, "-shards", "3", "-work", t.TempDir(), "-out", filepath.Join(t.TempDir(), "img"))...)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var workers []int
+	for deadline := time.Now().Add(30 * time.Second); len(workers) < 3; time.Sleep(10 * time.Millisecond) {
+		if workers = childrenOf(t, cmd.Process.Pid); time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatalf("distrun started %d of 3 workers", len(workers))
+		}
+	}
+	t.Cleanup(func() {
+		for _, pid := range workers {
+			syscall.Kill(pid, syscall.SIGKILL)
+		}
+	})
+	cmd.Process.Kill() // distrun alone, not its process group
+	cmd.Wait()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var alive []int
+		for _, pid := range workers {
+			data, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+			if err == nil && !strings.HasPrefix(string(data[bytes.LastIndexByte(data, ')')+1:]), " Z") {
+				alive = append(alive, pid)
+			}
+		}
+		if len(alive) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers %v outlived their SIGKILLed distrun", alive)
+		}
+	}
 }
 
 // TestDistrunResumeAfterFailure: running a failed run's command again with

@@ -439,7 +439,9 @@ func (s *Scheduler) Complete(leaseID string, m *distribute.Manifest) error {
 	} else {
 		r.state = RunComplete
 		r.digest = res.Digest
-		r.report = &res.Report
+		// A copy: a pointer into res would keep res.Image alive with it.
+		rep := res.Report
+		r.report = &rep
 		s.runsCompleted++
 	}
 	// A finished run sheds its O(image) state: the digest and the report

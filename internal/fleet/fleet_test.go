@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"impressions/internal/content"
 	"impressions/internal/core"
@@ -144,6 +146,35 @@ func TestSchedulerHappyPath(t *testing.T) {
 	}
 	if st.Requeues != 0 || len(st.Outstanding) != 0 {
 		t.Fatalf("clean run reports %d requeues, %d outstanding", st.Requeues, len(st.Outstanding))
+	}
+}
+
+// TestFinishedRunShedsImage: the scheduler keeps every run it has seen, so a
+// finished one must hold no path to its plan's image — the digest and the
+// report are kept, the O(image) state is collectable.
+func TestFinishedRunShedsImage(t *testing.T) {
+	clk := newFakeClock()
+	s := New(testOptions(clk))
+	var img weak.Pointer[fsimage.Image]
+	id := func() string {
+		open := openTestPlan(t, 2)
+		img = weak.Make(open.Image)
+		id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+		if err != nil {
+			t.Fatalf("CreateRun: %v", err)
+		}
+		drainRun(t, s, clk, open, s.Register().WorkerID)
+		return id
+	}()
+	if st, _ := s.Status(id); st.State != RunComplete {
+		t.Fatalf("run state %s, want complete (error: %s)", st.State, st.Error)
+	}
+	runtime.GC()
+	if img.Value() != nil {
+		t.Fatal("a completed run still reaches its plan's image")
+	}
+	if rep := s.runs[id].report; rep == nil || rep.ActualFiles != testConfig().NumFiles {
+		t.Fatalf("the completed run's report: %+v", rep)
 	}
 }
 

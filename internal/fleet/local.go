@@ -22,22 +22,6 @@ import (
 // gives up; the attempt must stop then (a worker process is killed).
 type ExecuteFunc func(ctx context.Context, l *Lease) (*distribute.Manifest, error)
 
-// Commit hands a finished attempt's manifest to complete — Scheduler.Complete,
-// or the HTTP client's call of it — and applies the one rule both transports
-// share about the journal the attempt ran under: a manifest the scheduler
-// refuses disproves the journal that produced it, so the journal goes and the
-// retry starts clean. Every other outcome leaves the journal to the caller:
-// an accepted one is dropped by whoever now durably holds what it proved (the
-// fleet worker at once, the daemon has the manifest; distrun when the run has
-// merged), a superseded lease keeps it for the shard's next attempt.
-func Commit(complete func(leaseID string, m *distribute.Manifest) error, l *Lease, m *distribute.Manifest, journal string) error {
-	err := complete(l.LeaseID, m)
-	if errors.Is(err, ErrManifestRejected) {
-		os.Remove(journal)
-	}
-	return err
-}
-
 // RunSlots drives run runID of s, a scheduler of the caller's own with no
 // other run on it, to its end: one slot per shard, each holding leases until
 // it has committed a shard, so a failed attempt is retried by the slot that
@@ -99,7 +83,7 @@ func (s *Scheduler) slot(ctx context.Context, cancel context.CancelFunc, runID, 
 			}
 			continue
 		}
-		ttl := time.Duration(l.TTLMillis) * time.Millisecond
+		ttl := s.opts.LeaseTTL // not l.TTLMillis: the wire's milliseconds would round a short one to 0
 		attemptCtx, stop := context.WithTimeout(ctx, ttl)
 		m, err := execute(attemptCtx, l)
 		timedOut := attemptCtx.Err() != nil
@@ -108,8 +92,13 @@ func (s *Scheduler) slot(ctx context.Context, cancel context.CancelFunc, runID, 
 		case ctx.Err() != nil:
 			// The run is over or the caller gave up: nothing is left to settle.
 		case err == nil:
-			if Commit(s.Complete, l, m, distribute.JournalFile(workDir, l.Fingerprint, l.Shard)) == nil {
+			if err = s.Complete(l.LeaseID, m); err == nil {
 				return
+			}
+			if errors.Is(err, ErrManifestRejected) {
+				// The journal produced a manifest the scheduler disproved:
+				// the retry starts clean.
+				os.Remove(distribute.JournalFile(workDir, l.Fingerprint, l.Shard))
 			}
 		default:
 			if timedOut {

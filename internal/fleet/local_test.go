@@ -272,12 +272,14 @@ func TestRunSlotsDeadline(t *testing.T) {
 		t.Errorf("shard 2 took %d attempts, want 2", st.Shards[2].Attempts)
 	}
 
-	r = newSlotRun(t, 1, 20*time.Millisecond)
+	// A TTL the wire's whole milliseconds cannot carry: the slot's deadline
+	// is the scheduler's own LeaseTTL.
+	r = newSlotRun(t, 1, 20500*time.Microsecond)
 	st, err = r.run(t, context.Background(), wedgeFirst)
 	if err != nil {
 		t.Fatalf("RunSlots: %v", err)
 	}
-	if st.State != RunFailed || !strings.Contains(st.Error, "shard 2") || !strings.Contains(st.Error, "timed out after 20ms") {
+	if st.State != RunFailed || !strings.Contains(st.Error, "shard 2") || !strings.Contains(st.Error, "timed out after 20.5ms") {
 		t.Fatalf("without a retry: state %s, error %q", st.State, st.Error)
 	}
 }

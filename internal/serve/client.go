@@ -102,13 +102,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("serve: %s %s: HTTP %d", e.Method, e.Path, e.Status)
 }
 
-// Is maps the status a refused manifest is answered with back to the
-// scheduler's sentinel, so a worker treats the refusal the same way whether
-// it asked over HTTP or in process (fleet.Commit).
-func (e *APIError) Is(target error) bool {
-	return target == fleet.ErrManifestRejected && e.Status == http.StatusUnprocessableEntity
-}
-
 // StatusCode extracts the HTTP status from an error returned by the
 // client, or 0 when the error never reached the server.
 func StatusCode(err error) int {

@@ -159,8 +159,9 @@ func (c *Client) RunFleetWorker(ctx context.Context, opts FleetWorkerOptions) (F
 // given back at once (FailLease), so the shard re-queues after the backoff
 // instead of idling until the lease expires; an injected crash says nothing,
 // which is the fault being drilled. The journal is removed once the daemon
-// accepts the manifest (or refuses it: fleet.Commit); a superseded lease
-// keeps it, so the next lease over this shard resumes instead of restarting.
+// accepts the manifest, or refuses it (422: the journal produced a manifest
+// the daemon disproved); a superseded lease keeps it, so the next lease over
+// this shard resumes instead of restarting.
 func (c *Client) executeLease(ctx context.Context, lease *fleet.Lease, opts FleetWorkerOptions, st *FleetWorkerStats, logf func(string, ...any)) (crashed bool, _ error) {
 	logf("worker %s: leased run %s shard %d (attempt %d)", st.WorkerID, lease.RunID, lease.Shard, lease.Attempt)
 	wopts := opts.Worker
@@ -193,13 +194,15 @@ func (c *Client) executeLease(ctx context.Context, lease *fleet.Lease, opts Flee
 		st.ShardsResumed++
 		logf("worker %s: shard %d resumed %d files from its journal, wrote %d more", st.WorkerID, lease.Shard, res.ResumedFiles, res.WrittenFiles)
 	}
-	complete := func(leaseID string, m *distribute.Manifest) error { return c.CompleteLease(ctx, leaseID, m) }
-	if err := fleet.Commit(complete, lease, res.Manifest, wopts.JournalPath); err != nil {
+	if err := c.CompleteLease(ctx, lease.LeaseID, res.Manifest); err != nil {
 		st.LeasesLost++
 		// A superseded lease (409) means the scheduler moved on — expiry
 		// beat us, or another attempt committed first. The journal stays:
 		// if this shard comes back to us, the work is already sealed.
 		logf("worker %s: shard %d manifest not accepted: %v", st.WorkerID, lease.Shard, err)
+		if StatusCode(err) == http.StatusUnprocessableEntity {
+			os.Remove(wopts.JournalPath)
+		}
 		return false, err
 	}
 	os.Remove(wopts.JournalPath)
