@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -10,6 +13,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -997,5 +1001,120 @@ func TestWorkerResumeRecreatesEmptyDirectories(t *testing.T) {
 	}
 	if tree, err := fsimage.HashTree(out); err != nil || tree != refTree {
 		t.Errorf("tree after the re-run differs from the single-process run (%v); %s was not put back", err, removed)
+	}
+}
+
+var updatePins = flag.Bool("update-pins", false, "rewrite testdata/generate/*.golden from this binary's output (only at a commit whose output is the reference)")
+
+var (
+	generatedAtRe = regexp.MustCompile(`(?m)^(  generated at: +).*$`)
+	phaseTimeRe   = regexp.MustCompile(`(?m)^(    [a-z -]+: +)\d+\.\d{3}$`)
+)
+
+// TestGeneratePins pins what the single-process command prints and writes,
+// for two specs (the default size model, and the benchmark's SMALL shape,
+// large enough to cross a 4096-file boundary) in every output mode at -j 1
+// and -j 4: stdout (the `generated at:` line and the phase times masked,
+// temp paths as $T), stderr, the SHA-256 of the tar and squashfs files, the
+// HashTree of the directory, and the -report JSON's spec, totals, achieved
+// layout score and phase names. The golden files were written at the commit
+// before runGenerate stopped retaining the image and must not change with it.
+func TestGeneratePins(t *testing.T) {
+	specs := []struct {
+		name string
+		args []string
+	}{
+		{"default", []string{"-files", "120", "-dirs", "30", "-size", "200KB", "-seed", "1337"}},
+		{"small", []string{"-files", "5000", "-dirs", "500", "-size", "5734400", "-size-mu", "6.9", "-size-sigma", "0.5", "-seed", "20090225"}},
+	}
+	modes := []struct {
+		name     string
+		args     []string // $T is the run's temp dir
+		artifact string   // what the run leaves under $T: "", "out" (a tree) or a file
+	}{
+		{"dryrun", nil, ""},
+		{"digest", []string{"-digest"}, ""},
+		{"dir", []string{"-out", "$T/out", "-digest"}, "out"},
+		{"tar", []string{"-format", "tar", "-out", "$T/image.tar", "-digest"}, "image.tar"},
+		{"squashfs", []string{"-format", "squashfs", "-out", "$T/image.squashfs", "-digest"}, "image.squashfs"},
+		{"dir-metadata-only", []string{"-out", "$T/out", "-metadata-only", "-digest"}, "out"},
+		{"layout-tar", []string{"-layout", "0.7", "-format", "tar", "-out", "$T/image.tar", "-digest"}, "image.tar"},
+	}
+	for _, spec := range specs {
+		for _, mode := range modes {
+			for _, j := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/j=%d", spec.name, mode.name, j), func(t *testing.T) {
+					dir := t.TempDir()
+					args := append(append([]string{}, spec.args...), "-j", strconv.Itoa(j))
+					for _, a := range append(mode.args, "-report", "$T/report.json") {
+						args = append(args, strings.ReplaceAll(a, "$T", dir))
+					}
+					var stdout, stderr bytes.Buffer
+					if code := Main(args, &stdout, &stderr); code != 0 {
+						t.Fatalf("Main(%q) = %d\n%s", args, code, stderr.String())
+					}
+					mask := func(b []byte) string {
+						s := strings.ReplaceAll(string(b), dir, "$T")
+						s = generatedAtRe.ReplaceAllString(s, "${1}<masked>")
+						return phaseTimeRe.ReplaceAllString(s, "${1}<masked>")
+					}
+					var got strings.Builder
+					fmt.Fprintf(&got, "--- stdout\n%s--- stderr\n%s", mask(stdout.Bytes()), mask(stderr.Bytes()))
+					switch mode.artifact {
+					case "":
+					case "out":
+						sum, err := fsimage.HashTree(filepath.Join(dir, "out"))
+						if err != nil {
+							t.Fatal(err)
+						}
+						fmt.Fprintf(&got, "--- artifact\ntree %s\n", sum)
+					default:
+						data, err := os.ReadFile(filepath.Join(dir, mode.artifact))
+						if err != nil {
+							t.Fatal(err)
+						}
+						fmt.Fprintf(&got, "--- artifact\n%s %d bytes sha256:%x\n", mode.artifact, len(data), sha256.Sum256(data))
+					}
+					var report fsimage.Report
+					data, err := os.ReadFile(filepath.Join(dir, "report.json"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := json.Unmarshal(data, &report); err != nil {
+						t.Fatalf("report.json: %v", err)
+					}
+					specJSON, err := json.Marshal(report.Spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					phases := make([]string, 0, len(report.PhaseTimes))
+					for name := range report.PhaseTimes {
+						phases = append(phases, name)
+					}
+					sort.Strings(phases)
+					fmt.Fprintf(&got, "--- report\nspec %s\nactual %d files, %d dirs, %d bytes\nsum_error %v\nachieved_layout_score %v\noversamples %d\nphases %s\n",
+						specJSON, report.ActualFiles, report.ActualDirs, report.ActualBytes, report.SumError,
+						report.AchievedLayoutScore, report.Oversamples, strings.Join(phases, ", "))
+
+					// One golden per spec and mode: -j must not show anywhere.
+					golden := filepath.Join("testdata", "generate", spec.name+"-"+mode.name+".golden")
+					if *updatePins && j == 1 {
+						if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want, err := os.ReadFile(golden)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.String() != string(want) {
+						t.Errorf("Main(%q) moved from %s:\n--- got\n%s\n--- want\n%s", args, golden, got.String(), want)
+					}
+				})
+			}
+		}
 	}
 }
