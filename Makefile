@@ -2,12 +2,10 @@
 
 GO ?= go
 
-# Micro-benchmarks tracked in the BENCH_<date>.json perf trajectory.
-MICRO_BENCH := ^Benchmark(HybridFileSizeSample|NamespaceGeneration|TreePath|FilePlacement|ConstraintResolution|ImageGeneration|Materialize|Content|FindWorkload|SearchIndexing|LayoutScore|StreamingPlanBuild|RetainedPlanBuild|PartitionedPlanBuild|TarSink|SquashfsSink)
-BENCH_TIME ?= 1x
+# Stamp of the SERVE_<date>.json / FLEET_<date>.json metric reports.
 BENCH_DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test race bench bench-smoke bench-json lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check bench-pipeline-check fuzz-smoke
+.PHONY: build test race bench bench-smoke lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check bench-pipeline-check fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -28,16 +26,6 @@ bench:
 # One iteration of every benchmark, the CI smoke job.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Run the micro-benchmarks and write a machine-readable BENCH_<date>.json
-# (name, ns/op, MB/s, allocs/op + custom metrics) so the perf trajectory is
-# tracked from PR 2 onward; CI uploads the file as an artifact. Override
-# BENCH_TIME (e.g. BENCH_TIME=2s) for stable local numbers.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(MICRO_BENCH)' -benchtime $(BENCH_TIME) -benchmem . > bench-micro.out
-	$(GO) run ./cmd/benchjson < bench-micro.out > BENCH_$(BENCH_DATE).json
-	@rm -f bench-micro.out
-	@echo "wrote BENCH_$(BENCH_DATE).json"
 
 # Local mirror of the CI distributed-determinism job: a plan executed by 4
 # worker processes (at -j 1, 2, 4 and 8) and merged must be byte-identical to
@@ -213,9 +201,11 @@ bench-pipeline-check:
 # Local mirror of the CI memory-bound job: a 1M-file streamed plan build
 # and a 10M-file partitioned (spilled) build must hold peak live heap under
 # the same hard cap (see TestStreamedPlanBuildMemoryBound and
-# TestPartitionedPlanBuildMemoryBound).
+# TestPartitionedPlanBuildMemoryBound), and the single-process command must
+# replay 300k files into the tar sink and into a directory without holding
+# their records (TestGenerateMemoryBound).
 mem-check:
-	$(GO) test ./internal/distribute -run 'TestStreamedPlanBuildMemoryBound|TestPartitionedPlanBuildMemoryBound' -v -timeout 15m
+	$(GO) test ./internal/distribute ./cmd/impressions -run 'TestStreamedPlanBuildMemoryBound|TestPartitionedPlanBuildMemoryBound|TestGenerateMemoryBound' -v -timeout 15m
 
 # Local mirror of the CI fuzz-smoke job: every fuzz target of the module
 # (whatever `go test -list '^Fuzz'` finds: the tar header and stitcher in

@@ -21,13 +21,13 @@ import (
 
 // The serve scenario drives a running impressionsd through its whole API
 // surface and reports service-level metrics (plans/sec, cache hit rate,
-// latency percentiles) in the same bench-json schema the micro-benchmarks
-// use, so serve latency rides the existing benchmark trajectory tooling.
+// latency percentiles) as a JSON report of benchmark-shaped entries that CI
+// keeps as an artifact.
 //
 //	benchrunner serve -base http://127.0.0.1:7077 -check -bench-json SERVE.json
 
-// benchEntry / benchDoc mirror cmd/benchjson's report schema (that command
-// is package main, so the shape is duplicated here deliberately).
+// benchEntry / benchDoc are the -bench-json report: `go test -bench` rows as
+// JSON (name, iterations, ns/op, custom metrics).
 type benchEntry struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`

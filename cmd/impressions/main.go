@@ -160,6 +160,16 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
+// parseAllFlags is parseFlags for a command without positional arguments:
+// parsing stops at the first one, and would drop what follows it in silence.
+func parseAllFlags(fs *flag.FlagSet, args []string) error {
+	err := parseFlags(fs, args)
+	if err == nil && fs.NArg() > 0 {
+		err = usagef("unexpected argument %q: %s takes flags only, and would ignore everything after it", fs.Arg(0), fs.Name())
+	}
+	return err
+}
+
 // genFlags registers the generation-config flags shared by the generate,
 // plan, and distrun subcommands.
 type genFlags struct {
@@ -217,6 +227,9 @@ func (g *genFlags) config() (core.Config, error) {
 		return core.Config{}, usagef("unknown tree shape %q", *g.tree)
 	}
 	cfg.TreeShape = shape
+	if *g.mu < 0 || *g.sigma < 0 {
+		return core.Config{}, usagef("-size-mu and -size-sigma must be positive (0 keeps the default)")
+	}
 	if *g.mu > 0 || *g.sigma > 0 {
 		cfg.Mode = core.ModeUserSpecified
 		bodyMu, bodySigma := core.DefaultFileSizeMu, core.DefaultFileSizeSigma
@@ -228,11 +241,16 @@ func (g *genFlags) config() (core.Config, error) {
 		}
 		cfg.FileSizeDist = userFileSizeDist(bodyMu, bodySigma)
 	}
+	// What the flags alone get wrong is a usage error, raised before any work.
+	if err := cfg.Validate(); err != nil {
+		return core.Config{}, usageError{err}
+	}
 	return cfg, nil
 }
 
-// runGenerate is the classic single-process path: generate, optionally
-// materialize, report.
+// runGenerate is the single-process path: resolve the metadata, report, and
+// replay it once into the output the flags name. It holds no file record:
+// the metadata columns are replayed, and every sink keeps a bounded window.
 func runGenerate(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -245,7 +263,7 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 		printDefaults = fs.Bool("print-defaults", false, "print the Table 2 parameter defaults and exit")
 		digestFlag    = fs.Bool("digest", false, "print the canonical SHA-256 image digest (computed without touching disk)")
 	)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseAllFlags(fs, args); err != nil {
 		return err
 	}
 
@@ -262,80 +280,56 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 	// its summary must not precede a complaint about the flags.
 	format := strings.ToLower(*formatFlag)
 	switch format {
-	case "", "dir", "tar", "squashfs":
+	case "":
+		format = "dir"
+	case "dir", "tar", "squashfs":
 	default:
 		return usagef("unknown -format %q (want dir, tar, or squashfs)", *formatFlag)
 	}
-	if format != "dir" && format != "" && *outFlag == "" {
+	if format != "dir" && *outFlag == "" {
 		return usagef("-format %s requires -out <file>", format)
 	}
-	res, err := core.GenerateImage(cfg)
+	g, err := core.NewGenerator(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(stdout, res.Image.Summary())
-	if _, err := res.Report.WriteTo(stdout); err != nil {
+	m, err := g.ResolveMetadataContext(context.Background())
+	if err != nil {
+		return err
+	}
+	defer m.Close()
+	report, _, err := m.Report()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, m.Summary())
+	if _, err := report.WriteTo(stdout); err != nil {
 		return err
 	}
 
-	// When both the digest and a materialized image are wanted, the single
-	// write pass also hashes, instead of generating every file's content
-	// twice: the VFS materializer fills a per-file table that is folded
-	// afterwards, the archive sinks fold the digest as they write.
-	foldDigest := *digestFlag && *outFlag != "" && !*metadataOnly
-	var digest string
-
-	switch {
-	case *outFlag == "":
-	case format == "" || format == "dir":
-		var digests []string
-		if foldDigest {
-			digests = make([]string, res.Image.FileCount())
-		}
-		written, err := res.Image.Materialize(*outFlag, fsimage.MaterializeOptions{
-			Registry:     content.NewRegistry(content.Kind(*gen.content)),
-			Seed:         res.Image.Spec.Seed,
-			MetadataOnly: *metadataOnly,
-			Parallelism:  *gen.jobs,
-			Digests:      digests,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "materialized %d bytes under %s\n", written, *outFlag)
-		if foldDigest {
-			if digest, err = fsimage.CombineDigest(res.Image, digests); err != nil {
-				return err
-			}
-		}
-	default:
-		var written int64
-		written, digest, err = writeImageArchive(format, *outFlag, res.Image, imgfmt.Options{
-			Registry:     content.NewRegistry(content.Kind(*gen.content)),
-			Seed:         res.Image.Spec.Seed,
-			MetadataOnly: *metadataOnly,
-			Parallelism:  *gen.jobs,
-		}, foldDigest)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s image %s (%d content bytes, sequential)\n", format, *outFlag, written)
+	opts := imgfmt.Options{
+		Registry:     content.NewRegistry(cfg.ContentKind),
+		Seed:         m.Spec().Seed,
+		MetadataOnly: *metadataOnly,
+		Parallelism:  *gen.jobs,
 	}
-
-	if *digestFlag {
-		if *metadataOnly && *outFlag != "" {
-			// The digest always describes the image's full content; a
-			// metadata-only tree holds empty files, so the two will not match
-			// — and computing it regenerates every file's content in memory.
-			fmt.Fprintln(stderr, "impressions: note: -digest describes the image's content, not the metadata-only tree just written")
+	// When both the digest and a written image are wanted, the one write pass
+	// also hashes, instead of generating every file's content twice.
+	var digest string
+	if *outFlag != "" {
+		if digest, err = streamImage(m, format, *outFlag, opts, *digestFlag && !*metadataOnly, stdout); err != nil {
+			return err
 		}
-		if !foldDigest {
-			digest, err = res.Image.Digest(fsimage.MaterializeOptions{
-				Registry:    content.NewRegistry(content.Kind(*gen.content)),
-				Seed:        res.Image.Spec.Seed,
-				Parallelism: *gen.jobs,
-			})
-			if err != nil {
+	}
+	if *digestFlag {
+		if digest == "" {
+			if *outFlag != "" {
+				// The digest always describes the image's full content, which a
+				// second replay now generates; a metadata-only tree holds none of it.
+				fmt.Fprintln(stderr, "impressions: note: -digest describes the image's content, not the metadata-only tree just written")
+			}
+			opts.MetadataOnly = false
+			if digest, err = streamImage(m, "tar", "", opts, true, stdout); err != nil {
 				return err
 			}
 		}
@@ -343,7 +337,7 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *reportFlag != "" {
-		if err := writeReportFile(*reportFlag, &res.Report); err != nil {
+		if err := writeReportFile(*reportFlag, &report); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote reproducibility report to %s\n", *reportFlag)
@@ -351,46 +345,68 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// writeImageArchive serializes the image straight into an archive or
-// filesystem image file with sequential writes — the direct image sinks:
-// no VFS tree, no per-file syscalls, no mkfs, no root. With foldDigest the
-// canonical image digest is folded during the same pass. Returns the
-// content bytes written and that digest.
-func writeImageArchive(format, out string, img *fsimage.Image, opts imgfmt.Options, foldDigest bool) (written int64, digest string, err error) {
-	var fold *imgfmt.DigestFold
-	if foldDigest {
-		fold = imgfmt.FoldDigest(&opts, img.DirCount(), img.FileCount(), img.TotalBytes())
+// streamImage replays the metadata once into the sink format and out name: a
+// directory tree written through the VFS, or an archive or filesystem image
+// written sequentially (no per-file syscalls, no mkfs, no root) — a tar onto
+// io.Discard when out is empty, which generates and hashes every file and
+// keeps nothing. With wantDigest the canonical image digest is folded in the
+// same pass and returned. The sink's line is printed once the image is whole.
+func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, wantDigest bool, stdout io.Writer) (digest string, err error) {
+	var (
+		fold *fsimage.DigestBuilder
+		sink interface {
+			fsimage.RecordSink
+			Close() error
+			Written() int64
+		}
+		file  *os.File
+		wrote = "wrote " + format + " image %[2]s (%[1]d content bytes, sequential)\n" // the sink's line, of (bytes, out)
+	)
+	if wantDigest {
+		fold = imgfmt.FoldDigest(&opts, m.DirCount(), m.FileCount(), m.TotalBytes())
 	}
-	f, err := os.Create(out)
+	if out != "" && format != "dir" {
+		if file, err = os.Create(out); err != nil {
+			return "", err
+		}
+		defer file.Close()
+	}
+	switch {
+	case format == "dir":
+		sink = fsimage.NewMaterializeSink(out, fsimage.MaterializeOptions{
+			Registry: opts.Registry, Seed: opts.Seed, MetadataOnly: opts.MetadataOnly, Parallelism: opts.Parallelism,
+		}, fold)
+		wrote = "materialized %d bytes under %s\n"
+	case format == "squashfs":
+		sink, err = imgfmt.NewSquashfsSink(file, opts)
+	case file != nil:
+		sink = imgfmt.NewTarSink(file, opts)
+	default:
+		sink, wrote = imgfmt.NewTarSink(io.Discard, opts), ""
+	}
 	if err != nil {
-		return 0, "", err
-	}
-	var sink interface {
-		fsimage.RecordSink
-		Close() error
-		Written() int64
-	}
-	if format == "tar" {
-		sink = imgfmt.NewTarSink(f, opts)
-	} else if sink, err = imgfmt.NewSquashfsSink(f, opts); err != nil {
-		f.Close()
-		return 0, "", err
+		return "", err
 	}
 	records := fsimage.RecordSink(sink)
 	if fold != nil {
 		records = fsimage.MultiSink(sink, fold)
 	}
-	if err = img.StreamRecords(records); err == nil {
+	if err = m.StreamRecords(records); err == nil {
 		err = sink.Close()
 	}
-	if err == nil && fold != nil {
-		digest, err = fold.Sum()
+	if err == nil && file != nil {
+		err = file.Close()
 	}
 	if err != nil {
-		f.Close()
-		return sink.Written(), "", err
+		return "", err
 	}
-	return sink.Written(), digest, f.Close()
+	if wrote != "" {
+		fmt.Fprintf(stdout, wrote, sink.Written(), out)
+	}
+	if fold != nil {
+		return fold.Sum()
+	}
+	return "", nil
 }
 
 // runStitch merges per-shard tar segments (written by `worker -format
@@ -470,7 +486,7 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 		spillFlag     = fs.String("spill", "", "spill the metadata pass's per-file columns to temp files under this directory (O(dirs) live heap; identical plan bytes)")
 		memFlag       = fs.Bool("mem", false, "report peak heap usage of the plan build")
 	)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseAllFlags(fs, args); err != nil {
 		return err
 	}
 	if *planFlag == "" {
@@ -772,7 +788,7 @@ func runFleetrun(args []string, stdout, stderr io.Writer) error {
 		tree    = fs.String("tree", "generative", "tree shape: generative, flat, deep")
 		special = fs.Bool("special-dirs", false, "bias placement towards special directories")
 	)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseAllFlags(fs, args); err != nil {
 		return err
 	}
 	spec := fsimage.Spec{
@@ -1050,7 +1066,7 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 		retriesFlag  = fs.Int("retries", 1, "times to retry a failed or timed-out worker before giving up")
 		timeoutFlag  = fs.Duration("shard-timeout", 0, "per-attempt deadline for one worker process (0 = none)")
 	)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseAllFlags(fs, args); err != nil {
 		return err
 	}
 	if *outFlag == "" {

@@ -105,7 +105,8 @@ type MaterializeOptions = fsimage.MaterializeOptions
 // then files in ID order) — the out-of-core alternative to retaining an
 // Image. See fsimage for the provided sinks: ImageSink (retain),
 // ChunkEncoder (serialize), DigestBuilder (canonical digest), ImageStats
-// (histograms), MaterializeSink (write to disk).
+// (histograms), MaterializeSink (write to disk, a batch of records at a time;
+// Close it when the stream is through).
 type RecordSink = fsimage.RecordSink
 
 // RecordSource is anything that can replay an image's metadata records into

@@ -137,7 +137,11 @@ func TestGoldenMetadata(t *testing.T) {
 					if err := enc.Close(); err != nil {
 						t.Fatal(err)
 					}
-					oversamples := m.report(gen.Config(), 1).Oversamples
+					report, _, err := m.Report()
+					if err != nil {
+						t.Fatal(err)
+					}
+					oversamples := report.Oversamples
 					if got := enc.ChainHash(); got != pin.chain {
 						t.Errorf("chain hash %s, pinned %s", got, pin.chain)
 					}

@@ -59,10 +59,10 @@ func NewGenerator(cfg Config) (*Generator, error) {
 func (g *Generator) Config() Config { return g.cfg }
 
 // Generate runs the full pipeline and returns the generated image, report,
-// and optional simulated disk. It is the retained-sink consumer of the
-// columnar metadata pass (ResolveMetadata): the records are materialized
-// into an in-memory image, which phase 5 and the library API then use.
-// Pipelines that must not hold the image use GenerateStream instead.
+// and optional simulated disk. It is the retained consumer of the columnar
+// metadata pass (ResolveMetadata): the records are materialized into an
+// in-memory image for the library API. Pipelines that must not hold the
+// image use GenerateStream instead.
 func (g *Generator) Generate() (*Result, error) {
 	return g.GenerateContext(context.Background())
 }
@@ -73,10 +73,7 @@ func (g *Generator) Generate() (*Result, error) {
 // generator is stateless between runs — it only abandons work, so a server
 // handler can cut a disconnected client's generation short.
 func (g *Generator) GenerateContext(ctx context.Context) (*Result, error) {
-	cfg := g.cfg
-	res := &Result{}
-
-	if cfg.SpillDir != "" {
+	if g.cfg.SpillDir != "" {
 		return nil, fmt.Errorf("core: SpillDir requires a streaming consumer (GenerateStream); the retained image would defeat the spill")
 	}
 	m, err := g.ResolveMetadataContext(ctx)
@@ -91,28 +88,13 @@ func (g *Generator) GenerateContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	m.phases["file and bytes with depth"] += seconds(start)
-
-	// Phase 5: optional on-disk layout simulation (§3.7). The disk stream is
-	// forked from a fresh master RNG exactly as the metadata streams are, so
-	// the refactor onto ResolveMetadata leaves every draw unchanged.
-	achievedLayout := 1.0
-	if cfg.SimulateDisk {
-		start = clock.Now()
-		d, score, derr := g.simulateDisk(img, stats.NewRNG(cfg.Seed).Fork("disk"))
-		if derr != nil {
-			return nil, derr
-		}
-		res.Disk = d
-		achievedLayout = score
-		m.phases["on-disk layout"] = seconds(start)
-	}
-
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("core: generated image failed validation: %w", err)
 	}
-
-	res.Image = img
-	res.Report = m.report(cfg, achievedLayout)
+	res := &Result{Image: img}
+	if res.Report, res.Disk, err = m.Report(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -377,26 +359,6 @@ func (g *Generator) placerConfig(tree *namespace.Tree) namespace.PlacerConfig {
 		UseSpecialDirectories: cfg.UseSpecialDirectories,
 		MaxDepth:              maxDepth,
 	}
-}
-
-// simulateDisk allocates every file of the image on a simulated block device,
-// fragmenting towards the configured layout score, and returns the disk and
-// the achieved score.
-func (g *Generator) simulateDisk(img *fsimage.Image, rng *stats.RNG) (*disk.Disk, float64, error) {
-	cfg := g.cfg
-	capacity := cfg.DiskCapacityBytes
-	if capacity < img.TotalBytes()*2 {
-		capacity = img.TotalBytes() * 2
-	}
-	d := disk.New(capacity)
-	frag := disk.NewFragmenter(d, cfg.LayoutScore, rng)
-	for _, f := range img.Files {
-		if err := frag.CreateFile(disk.FileID(f.ID), f.Size); err != nil {
-			return nil, 0, fmt.Errorf("core: allocating file %d on simulated disk: %w", f.ID, err)
-		}
-	}
-	frag.Cleanup()
-	return d, d.LayoutScore(), nil
 }
 
 // Spec returns the reproducibility spec the generator's normalized

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"impressions/internal/clock"
 	"impressions/internal/constraint"
+	"impressions/internal/disk"
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 	"impressions/internal/parallel"
@@ -31,6 +33,7 @@ type Metadata struct {
 	parents  *column[int32]   // parent directory ID per file
 	extNames []string         // the extension table's names, which codes index
 
+	cfg         Config // the generator's, normalized
 	spec        fsimage.Spec
 	convergence constraint.Result
 	phases      map[string]float64
@@ -57,14 +60,29 @@ func (m *Metadata) TotalBytes() int64 { return m.totalBytes }
 // Spec returns the reproducibility spec of the resolved metadata.
 func (m *Metadata) Spec() fsimage.Spec { return m.spec }
 
+// Summary is fsimage.Image.Summary without the files: placement left every
+// directory its file count, which names the deepest one.
+func (m *Metadata) Summary() string {
+	maxDepth := 0
+	for i := range m.tree.Dirs {
+		if d := &m.tree.Dirs[i]; d.FileCount > 0 && d.Depth >= maxDepth {
+			maxDepth = d.Depth + 1
+		}
+	}
+	return fmt.Sprintf("image: %d files, %d dirs, %s total, max file depth %d",
+		m.FileCount(), m.DirCount(), stats.FormatBytes(float64(m.totalBytes)), maxDepth)
+}
+
 // EachPlacement walks every file's placement (ID, parent directory, size)
 // without materializing records — the compact input for per-shard
-// accumulators. On file-backed columns the walk can fail with an I/O error;
-// in memory it always returns nil.
-func (m *Metadata) EachPlacement(fn func(fileID, dirID int, size int64)) error {
+// accumulators and the disk simulation — and stops at fn's first error. On
+// file-backed columns the walk itself can fail with an I/O error.
+func (m *Metadata) EachPlacement(fn func(fileID, dirID int, size int64) error) error {
 	return scanFiles(context.Background(), m.sizes, nil, m.parents, func(lo int, sizes []float64, _ []uint32, parents []int32) error {
 		for k, parent := range parents {
-			fn(lo+k, int(parent), roundSize(sizes[k]))
+			if err := fn(lo+k, int(parent), roundSize(sizes[k])); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
@@ -143,7 +161,7 @@ func (m *Metadata) Image() (*fsimage.Image, error) {
 func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, error) {
 	cfg := g.cfg
 	rng := stats.NewRNG(cfg.Seed)
-	m := &Metadata{spec: g.buildSpec(), phases: map[string]float64{}}
+	m := &Metadata{cfg: cfg, spec: g.buildSpec(), phases: map[string]float64{}}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -209,37 +227,57 @@ func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, erro
 	return m, nil
 }
 
-// report assembles the reproducibility report for the resolved metadata.
-func (m *Metadata) report(cfg Config, achievedLayout float64) fsimage.Report {
+// Report runs phase 5, the optional on-disk layout simulation (§3.7), and
+// assembles the reproducibility report. The simulated disk is nil unless the
+// configuration asked for one.
+func (m *Metadata) Report() (fsimage.Report, *disk.Disk, error) {
 	r := fsimage.Report{
 		Spec:                m.spec,
-		GeneratedAt:         clock.Now(),
 		ActualFiles:         m.FileCount(),
 		ActualDirs:          m.DirCount(),
 		ActualBytes:         m.totalBytes,
-		AchievedLayoutScore: achievedLayout,
+		AchievedLayoutScore: 1.0,
 		Oversamples:         m.convergence.Oversamples,
 		PhaseTimes:          m.phases,
 	}
-	if cfg.FSSizeBytes > 0 {
-		r.SumError = abs64(m.totalBytes-cfg.FSSizeBytes) / float64(cfg.FSSizeBytes)
+	var d *disk.Disk
+	if m.cfg.SimulateDisk {
+		start := clock.Now()
+		var err error
+		if d, err = m.simulateDisk(); err != nil {
+			return fsimage.Report{}, nil, err
+		}
+		r.AchievedLayoutScore = d.LayoutScore()
+		m.phases["on-disk layout"] = seconds(start)
 	}
-	return r
+	r.GeneratedAt = clock.Now()
+	if m.cfg.FSSizeBytes > 0 {
+		r.SumError = math.Abs(float64(m.totalBytes-m.cfg.FSSizeBytes)) / float64(m.cfg.FSSizeBytes)
+	}
+	return r, d, nil
 }
 
-func abs64(v int64) float64 {
-	if v < 0 {
-		return float64(-v)
-	}
-	return float64(v)
+// simulateDisk allocates every file on a simulated block device, in ID
+// order, fragmenting towards the configured layout score. The disk stream is
+// forked from a fresh master RNG exactly as the metadata streams are.
+func (m *Metadata) simulateDisk() (*disk.Disk, error) {
+	d := disk.New(max(m.cfg.DiskCapacityBytes, m.totalBytes*2))
+	frag := disk.NewFragmenter(d, m.cfg.LayoutScore, stats.NewRNG(m.cfg.Seed).Fork("disk"))
+	err := m.EachPlacement(func(id, _ int, size int64) error {
+		if err := frag.CreateFile(disk.FileID(id), size); err != nil {
+			return fmt.Errorf("core: allocating file %d on simulated disk: %w", id, err)
+		}
+		return nil
+	})
+	frag.Cleanup()
+	return d, err
 }
 
 // GenerateStream runs the metadata pipeline and emits the resulting records
 // directly into sink instead of retaining an image: the out-of-core
 // generation path. Only the compact tree and per-file columns are held; the
 // sink decides what survives (chunks, digests, statistics, disk — see
-// fsimage's RecordSink implementations). Disk-layout simulation needs the
-// retained image and is rejected here.
+// fsimage's RecordSink implementations).
 func (g *Generator) GenerateStream(sink fsimage.RecordSink) (fsimage.Report, error) {
 	return g.GenerateStreamContext(context.Background(), sink)
 }
@@ -249,9 +287,6 @@ func (g *Generator) GenerateStream(sink fsimage.RecordSink) (fsimage.Report, err
 // ctx between chunks of records so a sink wired to a dead client does not
 // stream to nowhere.
 func (g *Generator) GenerateStreamContext(ctx context.Context, sink fsimage.RecordSink) (fsimage.Report, error) {
-	if g.cfg.SimulateDisk {
-		return fsimage.Report{}, fmt.Errorf("core: disk-layout simulation requires the retained path (Generate)")
-	}
 	m, err := g.ResolveMetadataContext(ctx)
 	if err != nil {
 		return fsimage.Report{}, err
@@ -260,5 +295,6 @@ func (g *Generator) GenerateStreamContext(ctx context.Context, sink fsimage.Reco
 	if err := m.streamRecords(ctx, sink); err != nil {
 		return fsimage.Report{}, err
 	}
-	return m.report(g.cfg, 1.0), nil
+	report, _, err := m.Report()
+	return report, err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"impressions/internal/content"
@@ -44,14 +45,14 @@ func TestGenerateStreamMatchesRetained(t *testing.T) {
 			imgSink := fsimage.NewImageSink(res.Image.Spec)
 			statsSink := fsimage.NewImageStats(fsimage.StatsConfig{SizeMaxExp: 34, DepthBins: 16, CountBins: 32})
 			streamRoot := t.TempDir()
-			matSink, err := fsimage.NewMaterializeSink(streamRoot, fsimage.MaterializeOptions{
-				Registry: content.NewRegistry(content.KindDefault), Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
+			matSink := fsimage.NewMaterializeSink(streamRoot, fsimage.MaterializeOptions{
+				Registry: content.NewRegistry(content.KindDefault), Seed: seed}, nil)
 			report, err := gen.GenerateStream(fsimage.MultiSink(imgSink, statsSink, matSink))
 			if err != nil {
 				t.Fatalf("seed %d P%d: GenerateStream: %v", seed, par, err)
+			}
+			if err := matSink.Close(); err != nil {
+				t.Fatalf("seed %d P%d: closing the materializer: %v", seed, par, err)
 			}
 
 			// Spec and report totals.
@@ -122,15 +123,45 @@ func TestGenerateStreamMatchesRetained(t *testing.T) {
 	}
 }
 
-// TestGenerateStreamRejectsDiskSimulation: the streamed path has no
-// retained image for the layout simulator to walk.
-func TestGenerateStreamRejectsDiskSimulation(t *testing.T) {
-	cfg := Config{NumFiles: 50, NumDirs: 10, FSSizeBytes: 50 * 1024, SimulateDisk: true}
-	gen, err := NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gen.GenerateStream(fsimage.NewImageSink(fsimage.Spec{})); err == nil {
-		t.Error("GenerateStream accepted SimulateDisk")
+// TestGenerateStreamSimulatesDisk: the layout simulation reads the columns,
+// heap or spilled, so the streamed path reports the score the retained path
+// does, and the disk it returns scores the same.
+func TestGenerateStreamSimulatesDisk(t *testing.T) {
+	for _, layout := range []float64{0.7, 0.3} {
+		cfg := Config{NumFiles: 300, NumDirs: 30, FSSizeBytes: 300 * 8192, LayoutScore: layout, Seed: 9}
+		res, err := GenerateImage(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.Report.AchievedLayoutScore
+		if want >= 1 || res.Disk == nil || res.Disk.LayoutScore() != want {
+			t.Fatalf("layout %.1f: Generate achieved %v on disk %v", layout, want, res.Disk)
+		}
+		for _, spill := range []string{"", t.TempDir()} {
+			cfg.SpillDir = spill
+			gen, err := NewGenerator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, err := gen.GenerateStream(fsimage.NewTreeSink(nil))
+			if err != nil {
+				t.Fatalf("layout %.1f spill %q: GenerateStream: %v", layout, spill, err)
+			}
+			if report.AchievedLayoutScore != want {
+				t.Errorf("layout %.1f spill %q: streamed AchievedLayoutScore %v, retained %v", layout, spill, report.AchievedLayoutScore, want)
+			}
+			m, err := gen.ResolveMetadataContext(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, d, err := m.Report()
+			m.Close()
+			if err != nil {
+				t.Fatalf("layout %.1f spill %q: Report: %v", layout, spill, err)
+			}
+			if d.LayoutScore() != res.Disk.LayoutScore() {
+				t.Errorf("layout %.1f spill %q: Metadata.Report's disk scores %v, Result.Disk %v", layout, spill, d.LayoutScore(), res.Disk.LayoutScore())
+			}
+		}
 	}
 }

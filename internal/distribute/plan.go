@@ -184,7 +184,7 @@ func planScaffold(m *core.Metadata, maxShards, chunkSize int) (*Plan, *namespace
 	}
 	part := namespace.PartitionBalanced(m.Tree(), maxShards, fsimage.ShardWeight)
 	acc := namespace.NewShardAccumulator(part)
-	if err := m.EachPlacement(func(_, dirID int, size int64) { acc.Add(dirID, size) }); err != nil {
+	if err := m.EachPlacement(func(_, dirID int, size int64) error { acc.Add(dirID, size); return nil }); err != nil {
 		return nil, nil, fmt.Errorf("distribute: accumulating shard expectations: %w", err)
 	}
 	key := contentStreamKey().String()

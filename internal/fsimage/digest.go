@@ -35,7 +35,7 @@ const MaterializeStreamLabel = "materialize"
 // Materialize uses, so digests[i] is the hash of the bytes Materialize would
 // write for file i.
 func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
-	opts = opts.normalized(img)
+	opts = opts.withDefaults(img.Spec.Seed)
 	digests := make([]string, len(img.Files))
 	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	var (
@@ -135,7 +135,9 @@ func AppendFileLine[S string | []byte](dst, path []byte, size int64, hexSum S) [
 // are part of the digest header, so they must be known up front (plan
 // headers and images both carry them); Sum fails if the stream did not
 // deliver exactly those totals. content supplies each file's content hash
-// (from a manifest, a precomputed table, or inline generation).
+// (from a manifest, a precomputed table, or inline generation); a builder
+// without one takes the directories from its stream and the files from the
+// sink beside it, through AddFileLines.
 type DigestBuilder struct {
 	ts        TreeSink
 	h         hash.Hash
@@ -170,6 +172,9 @@ func (b *DigestBuilder) AddDir(d DirRecord) error {
 // AddFile folds the next file record (path, size, content hash) into the
 // digest.
 func (b *DigestBuilder) AddFile(f File) error {
+	if b.content == nil {
+		return nil
+	}
 	if err := b.ts.AddFile(f); err != nil {
 		return err
 	}

@@ -6,8 +6,8 @@
 //
 // There is one VFS writer, MaterializeShardRecords, over a slice of file
 // records: Image.Materialize and the distributed executor's directory
-// target are calls to it, and MaterializeSink, the streamed O(1)-record
-// writer for images too large to retain, runs the same per-file step.
+// target are calls to it, and so is every batch of MaterializeSink, the
+// streamed writer that holds 4096 records of an image too large to retain.
 // ContentDigests/Digest is the hash-only oracle the writers are tested
 // against.
 //

@@ -84,11 +84,6 @@ func (opts MaterializeOptions) withDefaults(fallbackSeed int64) MaterializeOptio
 	return opts
 }
 
-// normalized fills in the option defaults relative to an image.
-func (opts MaterializeOptions) normalized(img *Image) MaterializeOptions {
-	return opts.withDefaults(img.Spec.Seed)
-}
-
 // ShardWeight estimates the materialization cost of one directory (its
 // bytes, a per-file creation overhead, and a per-directory floor): the
 // weighting the distributed planner balances shards by.
@@ -104,7 +99,7 @@ func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, erro
 	for i := range dirs {
 		dirs[i] = i
 	}
-	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, opts.normalized(img))
+	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, opts.withDefaults(img.Spec.Seed))
 }
 
 // MaterializeShardRecords is the VFS writer: it creates the given
@@ -130,10 +125,14 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 	if err := os.MkdirAll(root, opts.DirPerm); err != nil {
 		return 0, fmt.Errorf("fsimage: creating root %q: %w", root, err)
 	}
-	mk := newFileWriter(root, tree, opts)
+	var path []byte // one buffer serves every entry: the string handed to the syscall is the only allocation
 	for _, id := range dirs {
-		if err := mk.mkdir(id); err != nil {
-			return 0, err
+		if id == 0 {
+			continue // the root is made
+		}
+		path = appendEntryPath(path, root, tree, id, "")
+		if err := os.MkdirAll(string(path), opts.DirPerm); err != nil {
+			return 0, fmt.Errorf("fsimage: creating directory %q: %w", path, err)
 		}
 	}
 	// Sorting directory<<32|position orders the files by directory and, within
@@ -146,81 +145,42 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 
 	ctx, stop := context.WithCancelCause(opts.ctx())
 	defer stop(nil)
+	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	var written atomic.Int64
 	parallel.RunChunks(opts.Parallelism, len(order), func(lo, hi int) {
-		w := newFileWriter(root, tree, opts)
-		var n int64
+		var (
+			path []byte
+			sum  hash.Hash // taps the content when digests are wanted
+			n    int64
+		)
+		if opts.Digests != nil && !opts.MetadataOnly {
+			sum = sha256.New()
+		}
 		defer func() { written.Add(n) }()
 		for _, key := range order[lo:hi] {
 			if ctx.Err() != nil {
 				return
 			}
 			k := int(uint32(key))
-			sum, err := w.write(files[k], opts.Digests != nil)
-			if err != nil {
+			f := files[k]
+			path = appendEntryPath(path, root, tree, f.DirID, f.Name)
+			// Each file owns a stream keyed by its ID: content depends only on
+			// the seed and the file, never on write order or worker identity.
+			if err := writeFile(string(path), f, opts, baseRNG.SplitN(uint64(f.ID)), sum); err != nil {
 				stop(err)
 				return
 			}
-			if sum != "" {
-				opts.Digests[k] = sum
+			if sum != nil {
+				opts.Digests[k] = hex.EncodeToString(sum.Sum(nil))
+				sum.Reset()
 			}
-			n += files[k].Size
+			n += f.Size
 		}
 	})
 	if ctx.Err() != nil {
 		return written.Load(), context.Cause(ctx)
 	}
 	return written.Load(), nil
-}
-
-// fileWriter is the per-entry VFS step behind both materializers: build the
-// entry's path, derive the file's content stream, tap the SHA-256 if asked,
-// create and fill the file. It is not safe for concurrent use — every
-// worker owns one.
-type fileWriter struct {
-	root    string
-	tree    *namespace.Tree
-	opts    MaterializeOptions
-	baseRNG *stats.RNG
-	sum     hash.Hash
-	// One path buffer serves every entry: the string handed to the open
-	// syscall is the only per-entry allocation.
-	pathBuf []byte
-}
-
-func newFileWriter(root string, tree *namespace.Tree, opts MaterializeOptions) *fileWriter {
-	return &fileWriter{root: root, tree: tree, opts: opts,
-		baseRNG: stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel), sum: sha256.New()}
-}
-
-// mkdir creates directory id (the root is the caller's).
-func (w *fileWriter) mkdir(id int) error {
-	if id == 0 {
-		return nil
-	}
-	w.pathBuf = appendEntryPath(w.pathBuf, w.root, w.tree, id, "")
-	p := string(w.pathBuf)
-	if err := os.MkdirAll(p, w.opts.DirPerm); err != nil {
-		return fmt.Errorf("fsimage: creating directory %q: %w", p, err)
-	}
-	return nil
-}
-
-// write creates f and, when tap is set, returns the SHA-256 (hex) of its
-// content ("" with MetadataOnly: there is no content).
-func (w *fileWriter) write(f File, tap bool) (string, error) {
-	w.pathBuf = appendEntryPath(w.pathBuf, w.root, w.tree, f.DirID, f.Name)
-	// Each file owns a stream keyed by its ID: content depends only on the
-	// seed and the file, never on write order or worker identity.
-	rng := w.baseRNG.SplitN(uint64(f.ID))
-	if !tap || w.opts.MetadataOnly {
-		return "", writeFile(string(w.pathBuf), f, w.opts, rng, nil)
-	}
-	w.sum.Reset()
-	if err := writeFile(string(w.pathBuf), f, w.opts, rng, w.sum); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(w.sum.Sum(nil)), nil
 }
 
 // AppendFilePath appends the slash-separated path of a file record relative
@@ -262,60 +222,80 @@ func appendEntryPath(dst []byte, root string, tree *namespace.Tree, dirID int, n
 	return dst
 }
 
-// MaterializeSink is the streaming materializer: a RecordSink that writes
-// each record to disk as it arrives — directories as they stream by, each
-// file through the same per-file step MaterializeShardRecords runs —
-// holding only the compact directory tree. It is the O(1)-record writer for
-// images too large to retain; writes are serial (stream order), so prefer
-// Image.Materialize when the image is in memory. The written bytes are
-// identical either way: content streams are keyed by file ID alone.
-type MaterializeSink struct {
-	// OnDigest, when non-nil, observes each written file's content SHA-256
-	// (hex); it is not called with MetadataOnly.
-	OnDigest func(f File, sha256 string)
+// materializeBatch is how many file records MaterializeSink holds before it
+// writes them: one column shard of the metadata pass.
+const materializeBatch = parallel.DefaultShardSize
 
-	ts      TreeSink
-	w       *fileWriter
-	written int64
+// MaterializeSink is the streaming materializer: a RecordSink that writes the
+// records a batch at a time through MaterializeShardRecords, opts.Parallelism
+// workers per batch, holding the compact directory tree and one batch of
+// records. The tree it writes is Image.Materialize's: content streams are
+// keyed by file ID alone.
+type MaterializeSink struct {
+	ts   TreeSink
+	root string
+	opts MaterializeOptions
+	// fold, when non-nil, is handed each batch's lines of the canonical
+	// digest once the batch is on disk.
+	fold        *DigestBuilder
+	dirsMade    int
+	batch       []File
+	path, lines []byte // reused per batch
+	written     int64
 }
 
 // NewMaterializeSink starts a streaming materialization under root.
 // opts.Seed must carry the content seed (there is no image to default from).
-func NewMaterializeSink(root string, opts MaterializeOptions) (*MaterializeSink, error) {
-	opts = opts.withDefaults(opts.Seed)
-	if err := os.MkdirAll(root, opts.DirPerm); err != nil {
-		return nil, fmt.Errorf("fsimage: creating root %q: %w", root, err)
-	}
-	return &MaterializeSink{w: newFileWriter(root, nil, opts)}, nil
+// fold may be nil; otherwise it is a DigestBuilder without a content
+// function, in the same stream (MultiSink) for the directories, and opts must
+// not be MetadataOnly: without content there is nothing to attest.
+func NewMaterializeSink(root string, opts MaterializeOptions, fold *DigestBuilder) *MaterializeSink {
+	return &MaterializeSink{root: root, opts: opts, fold: fold}
 }
 
-// AddDir creates the next directory.
-func (s *MaterializeSink) AddDir(d DirRecord) error {
-	if err := s.ts.AddDir(d); err != nil {
-		return err
-	}
-	s.w.tree = s.ts.Tree()
-	return s.w.mkdir(d.ID)
-}
+// AddDir takes the next directory.
+func (s *MaterializeSink) AddDir(d DirRecord) error { return s.ts.AddDir(d) }
 
-// AddFile writes the next file. It polls the options' context between
-// files, like the slice writer: a cancelled streaming materialization stops
-// at the next record instead of draining the whole stream onto disk.
+// AddFile takes the next file, and writes the batch it completes.
 func (s *MaterializeSink) AddFile(f File) error {
-	if err := s.w.opts.ctx().Err(); err != nil {
-		return err
-	}
 	if err := s.ts.AddFile(f); err != nil {
 		return err
 	}
-	sum, err := s.w.write(f, s.OnDigest != nil)
-	if err != nil {
+	if s.batch = append(s.batch, f); len(s.batch) < materializeBatch {
+		return nil
+	}
+	return s.flush()
+}
+
+// Close writes what is still held.
+func (s *MaterializeSink) Close() error { return s.flush() }
+
+// flush creates the directories not yet made and writes the files held. The
+// options' context is polled between the files of a batch, so a cancelled
+// materialization fails at its next batch instead of draining the stream
+// onto disk.
+func (s *MaterializeSink) flush() error {
+	dirs := make([]int, s.ts.DirCount()-s.dirsMade)
+	for i := range dirs {
+		dirs[i] = s.dirsMade + i
+	}
+	s.dirsMade += len(dirs)
+	batch, opts := s.batch, s.opts
+	s.batch = s.batch[:0]
+	if s.fold != nil {
+		opts.Digests = make([]string, len(batch))
+	}
+	n, err := MaterializeShardRecords(s.root, s.ts.Tree(), dirs, batch, opts)
+	s.written += n
+	if err != nil || s.fold == nil {
 		return err
 	}
-	if sum != "" {
-		s.OnDigest(f, sum)
+	s.lines = s.lines[:0]
+	for k, f := range batch {
+		s.path = AppendFilePath(s.path[:0], s.ts.Tree(), f)
+		s.lines = AppendFileLine(s.lines, s.path, f.Size, opts.Digests[k])
 	}
-	s.written += f.Size
+	s.fold.AddFileLines(s.lines, len(batch), n)
 	return nil
 }
 

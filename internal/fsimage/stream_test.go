@@ -7,7 +7,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"impressions/internal/content"
 	"impressions/internal/stats"
@@ -159,7 +164,7 @@ func TestDigestBuilderMatchesCombineDigest(t *testing.T) {
 		t.Fatalf("Digest: %v", err)
 	}
 	// Streaming path: hash each file's content inline as its record passes.
-	opts = opts.normalized(img)
+	opts = opts.withDefaults(img.Spec.Seed)
 	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	h := sha256.New()
 	b := NewDigestBuilder(img.DirCount(), img.FileCount(), img.TotalBytes(), func(f File) (string, error) {
@@ -247,52 +252,67 @@ func TestImageStatsMatchesRetainedHistograms(t *testing.T) {
 		img.ExtensionFractions([]string{"txt", "null", "jpg"}))
 }
 
-// TestMaterializeSinkMatchesMaterialize: streaming records to disk must
-// produce the byte-identical tree the retained Materialize writes.
-func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
+// batchTestImage is buildTestImage's tree holding n small files, dealt
+// round the directories so every batch of the sink touches all of them.
+func batchTestImage(t testing.TB, n int) *Image {
+	t.Helper()
 	img := buildTestImage(t)
-	opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed}
+	img.Files = nil
+	exts := []string{"txt", "jpg", "", "dll", "htm"}
+	for i := 0; i < n; i++ {
+		dir := i % img.Tree.Len()
+		img.AddFile(MakeFileName(i, exts[i%len(exts)]), exts[i%len(exts)], int64(i%7)*11, dir, img.Tree.Dirs[dir].Depth+1)
+	}
+	return img
+}
 
-	retainedRoot := t.TempDir()
-	wantWritten, err := img.Materialize(retainedRoot, opts)
-	if err != nil {
-		t.Fatalf("Materialize: %v", err)
-	}
-	wantHash, err := HashTree(retainedRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
+// sinkBatchCounts are the file counts the sink's batching can get wrong: no
+// file, one, one short of a batch, a batch, one over, and three and one.
+var sinkBatchCounts = []int{0, 1, materializeBatch - 1, materializeBatch, materializeBatch + 1, 3*materializeBatch + 1}
 
-	streamRoot := t.TempDir()
-	sink, err := NewMaterializeSink(streamRoot, opts)
-	if err != nil {
-		t.Fatalf("NewMaterializeSink: %v", err)
-	}
-	digests := map[int]string{}
-	sink.OnDigest = func(f File, sum string) { digests[f.ID] = sum }
-	if err := img.StreamRecords(sink); err != nil {
-		t.Fatalf("stream materialize: %v", err)
-	}
-	if sink.Written() != wantWritten {
-		t.Errorf("streamed %d bytes, retained wrote %d", sink.Written(), wantWritten)
-	}
-	gotHash, err := HashTree(streamRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotHash != wantHash {
-		t.Errorf("streamed tree hash %s != retained %s", gotHash, wantHash)
-	}
-
-	// The digests observed during the streamed write must match the
-	// canonical per-file content digests.
-	want, err := img.ContentDigests(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, sum := range want {
-		if digests[id] != sum {
-			t.Errorf("file %d digest %s != %s", id, digests[id], sum)
+// TestMaterializeSinkMatchesMaterialize: at every batch boundary and at
+// Parallelism 1 and 4, streaming records to disk writes the byte-identical
+// tree the retained Materialize writes, and hands the fold the per-file
+// digests Materialize's Digests table holds, in ID order.
+func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
+	for _, n := range sinkBatchCounts {
+		img := batchTestImage(t, n)
+		opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed}
+		retained := opts
+		retained.Digests = make([]string, n)
+		retainedRoot := t.TempDir()
+		wantWritten, err := img.Materialize(retainedRoot, retained)
+		if err != nil {
+			t.Fatalf("n=%d: Materialize: %v", n, err)
+		}
+		wantHash, err := HashTree(retainedRoot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDigest, err := CombineDigest(img, retained.Digests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4} {
+			opts.Parallelism = par
+			streamRoot := t.TempDir()
+			fold := NewDigestBuilder(img.DirCount(), n, img.TotalBytes(), nil)
+			sink := NewMaterializeSink(streamRoot, opts, fold)
+			if err := img.StreamRecords(MultiSink(sink, fold)); err != nil {
+				t.Fatalf("n=%d P%d: stream materialize: %v", n, par, err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatalf("n=%d P%d: Close: %v", n, par, err)
+			}
+			if sink.Written() != wantWritten {
+				t.Errorf("n=%d P%d: streamed %d bytes, retained wrote %d", n, par, sink.Written(), wantWritten)
+			}
+			if gotHash, err := HashTree(streamRoot); err != nil || gotHash != wantHash {
+				t.Errorf("n=%d P%d: streamed tree hash %s (%v) != retained %s", n, par, gotHash, err, wantHash)
+			}
+			if got, err := fold.Sum(); err != nil || got != wantDigest {
+				t.Errorf("n=%d P%d: folded digest %s (%v), Materialize's table combines to %s", n, par, got, err, wantDigest)
+			}
 		}
 	}
 }
@@ -320,32 +340,65 @@ func TestMultiSinkFansOut(t *testing.T) {
 	}
 }
 
-// TestMaterializeSinkCancellation: a cancelled context must stop the
-// streaming per-file path too, not only the shard worker loops — AddFile
-// polls the context before every file.
+// TestMaterializeSinkCancellation: what stops a batch stops the stream. A
+// context cancelled once the first batch is on disk, or a write that fails
+// in the second, is the error of the AddFile that completes the second batch
+// (of Close, when the stream ends inside it); no file of a later batch is
+// written, and no worker goroutine is left.
 func TestMaterializeSinkCancellation(t *testing.T) {
-	img := buildTestImage(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	sink, err := NewMaterializeSink(t.TempDir(), MaterializeOptions{
-		Registry: content.NewRegistry(content.KindDefault),
-		Seed:     img.Spec.Seed,
-		Context:  ctx,
-	})
-	if err != nil {
-		t.Fatalf("NewMaterializeSink: %v", err)
-	}
-	written := 0
-	sink.OnDigest = func(File, string) {
-		written++
-		if written == 3 {
-			cancel()
+	for _, n := range sinkBatchCounts[4:] {
+		img := batchTestImage(t, n)
+		blocked := img.Files[materializeBatch] // the first file of the second batch
+		for _, par := range []int{1, 4} {
+			for _, fault := range []string{"cancel", "write"} {
+				label := fmt.Sprintf("n=%d P%d %s", n, par, fault)
+				baseline := runtime.NumGoroutine()
+				root := t.TempDir()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				sink := NewMaterializeSink(root, MaterializeOptions{
+					Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed, Parallelism: par, Context: ctx,
+				}, nil)
+				after := NewTreeSink(func(f File) error {
+					if f.ID != materializeBatch-1 {
+						return nil
+					}
+					if fault == "cancel" {
+						cancel()
+						return nil
+					}
+					// A directory where the file should go: creating it fails.
+					return os.MkdirAll(filepath.Join(root, filepath.FromSlash(img.FilePath(blocked))), 0o755)
+				})
+				err := img.StreamRecords(MultiSink(sink, after))
+				if err == nil {
+					err = sink.Close()
+				}
+				if fault == "cancel" && !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: got %v, want context.Canceled", label, err)
+				}
+				if fault == "write" && (err == nil || !strings.Contains(err.Error(), blocked.Name)) {
+					t.Fatalf("%s: got %v, want the failed creation of %s", label, err, blocked.Name)
+				}
+				if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(img.FilePath(img.Files[0])))); err != nil {
+					t.Errorf("%s: the first batch was not written: %v", label, err)
+				}
+				if last := img.Files[n-1]; n > 2*materializeBatch {
+					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(img.FilePath(last)))); err == nil {
+						t.Errorf("%s: %s of the last batch was written after the stream failed", label, last.Name)
+					}
+				}
+				if fault == "cancel" {
+					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(img.FilePath(blocked)))); err == nil {
+						t.Errorf("%s: %s was written after the cancellation", label, blocked.Name)
+					}
+				}
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: %d goroutines, %d before the sink was created", label, runtime.NumGoroutine(), baseline)
+					}
+				}
+			}
 		}
-	}
-	err = img.StreamRecords(sink)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled stream: got %v, want context.Canceled", err)
-	}
-	if written != 3 || written >= len(img.Files) {
-		t.Fatalf("wrote %d of %d files after cancellation at 3", written, len(img.Files))
 	}
 }

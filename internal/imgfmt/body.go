@@ -294,7 +294,7 @@ func (e *bodyEngine) drain(r *bodyRun) error {
 		}
 	}
 	if e.opts.fold != nil {
-		e.opts.fold.b.AddFileLines(lines, len(r.files), bytes)
+		e.opts.fold.AddFileLines(lines, len(r.files), bytes)
 	}
 	return nil
 }

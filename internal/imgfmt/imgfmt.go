@@ -157,34 +157,22 @@ func (f fullWriter) Write(p []byte) (int, error) {
 
 // DigestFold computes the canonical image digest (fsimage.DigestVersion)
 // during the write pass instead of from a retained per-file digest table:
-// it is fed the sink's record stream for the directories, and by the sink
-// itself for the files — the sink's workers format each file's digest line
-// beside its content hash, and the writer folds them run by run. Use it as
+// a fsimage.DigestBuilder without a content function, fed the sink's record
+// stream for the directories and by the sink itself for the files — the
+// sink's workers format each file's digest line beside its content hash,
+// and the writer folds them run by run. Use it as
 //
 //	fold := imgfmt.FoldDigest(&opts, dirs, files, bytes)
 //	sink := imgfmt.NewTarSink(w, opts)
 //	err := src.StreamRecords(fsimage.MultiSink(sink, fold))
 //	... sink.Close(), then fold.Sum()
-type DigestFold struct {
-	b *fsimage.DigestBuilder
-}
+type DigestFold = fsimage.DigestBuilder
 
 // FoldDigest attaches a digest fold to opts, for the one sink then made from
 // them (opts.OnDigest is left as it is, and still runs), for an image
 // promising the given totals. opts must not be MetadataOnly: without
 // content there is nothing to attest.
 func FoldDigest(opts *Options, dirs, files int, bytes int64) *DigestFold {
-	opts.fold = &DigestFold{b: fsimage.NewDigestBuilder(dirs, files, bytes, nil)}
+	opts.fold = fsimage.NewDigestBuilder(dirs, files, bytes, nil)
 	return opts.fold
 }
-
-// AddDir folds the next directory record.
-func (d *DigestFold) AddDir(rec fsimage.DirRecord) error { return d.b.AddDir(rec) }
-
-// AddFile folds nothing: a file enters the digest when the sink has written
-// it and knows its content hash.
-func (d *DigestFold) AddFile(fsimage.File) error { return nil }
-
-// Sum returns the canonical digest once the sink is closed; it fails if the
-// sink did not report exactly the promised files.
-func (d *DigestFold) Sum() (string, error) { return d.b.Sum() }
