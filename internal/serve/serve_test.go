@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +21,7 @@ import (
 	"impressions/internal/content"
 	"impressions/internal/core"
 	"impressions/internal/distribute"
+	"impressions/internal/fleet"
 	"impressions/internal/fsimage"
 )
 
@@ -660,6 +666,265 @@ func TestFragmentEndpointSlicesMonolithicPlans(t *testing.T) {
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Errorf("shard %d: fragment endpoint and shard endpoint disagree", s)
+		}
+	}
+}
+
+// forgetfulStore is a PlanStore that accepts every write and keeps none: an
+// entry is gone again by the time its builder re-opens it, the worst case of
+// a byte budget much smaller than the plan.
+type forgetfulStore struct{}
+
+func (forgetfulStore) Open(fp string) (io.ReadCloser, int64, error) {
+	return nil, 0, fmt.Errorf("%w (fingerprint %s)", ErrPlanNotFound, fp)
+}
+func (forgetfulStore) Create(string) (PlanWriter, error) { return forgetfulWriter{}, nil }
+
+type forgetfulWriter struct{}
+
+func (forgetfulWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (forgetfulWriter) Commit() error               { return nil }
+func (forgetfulWriter) Abort() error                { return nil }
+
+// cacheCounters is the part of Stats the cache discipline owns.
+type cacheCounters struct{ built, hits, misses, bypass, coalesced int64 }
+
+func countersSince(before, after Stats) cacheCounters {
+	return cacheCounters{
+		built:     after.PlansBuilt - before.PlansBuilt,
+		hits:      after.PlanCacheHits - before.PlanCacheHits,
+		misses:    after.PlanCacheMisses - before.PlanCacheMisses,
+		bypass:    after.PlanCacheBypass - before.PlanCacheBypass,
+		coalesced: after.CoalescedBuilds - before.CoalescedBuilds,
+	}
+}
+
+// cacheAnswer is one response of a build-or-fetch entry point, as the table
+// below compares it.
+type cacheAnswer struct {
+	status int
+	cache  string // the X-Impressions-Cache header
+	fp     string
+	body   []byte
+	err    error
+}
+
+// TestCacheDiscipline pins the build-or-fetch protocol of the three entry
+// points that share it — POST /v1/plans, the same with partition, POST
+// /v1/runs — in every state a request can find the cache in: the header, the
+// /v1/stats deltas and the response bytes.
+func TestCacheDiscipline(t *testing.T) {
+	const racers = 4
+	entries := []struct {
+		name string
+		path string
+		req  PlanRequest
+		// verdict is what the entry point reports in X-Impressions-Cache for
+		// the verdict the cache reached: /v1/runs answers with a run status
+		// and reports none.
+		verdict func(string) string
+		// body makes two answers to the same question comparable.
+		body func(t *testing.T, raw []byte) []byte
+		// forgotten is the answer when the entry is gone between commit and
+		// re-open.
+		forgotten       int
+		forgottenBypass int64
+	}{
+		{name: "plans", path: "/v1/plans", req: PlanRequest{Spec: testSpec(77), Shards: 2},
+			verdict: func(v string) string { return v }, body: func(_ *testing.T, raw []byte) []byte { return raw },
+			forgotten: http.StatusOK, forgottenBypass: 1},
+		{name: "partition", path: "/v1/plans", req: PlanRequest{Spec: testSpec(77), Partition: 2},
+			verdict: func(v string) string { return v }, body: func(_ *testing.T, raw []byte) []byte { return raw },
+			forgotten: http.StatusOK, forgottenBypass: 1},
+		{name: "runs", path: "/v1/runs", req: PlanRequest{Spec: testSpec(77), Shards: 2},
+			verdict: func(string) string { return "" },
+			// A run's status carries its own id and age; the rest is a
+			// function of the plan.
+			body: func(t *testing.T, raw []byte) []byte {
+				t.Helper()
+				var st fleet.RunStatus
+				if err := json.Unmarshal(raw, &st); err != nil {
+					t.Fatalf("run status %q: %v", raw, err)
+				}
+				if st.ID == "" || st.TotalShards != 2 || st.State != fleet.RunRunning {
+					t.Fatalf("run status %+v, want a running 2-shard run", st)
+				}
+				st.ID, st.ElapsedMillis = "", 0
+				out, err := json.Marshal(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			},
+			forgotten: http.StatusNotFound, forgottenBypass: 0},
+	}
+	for _, e := range entries {
+		raw, err := json.Marshal(e.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		post := func(ctx context.Context, c *Client) cacheAnswer {
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+e.path, bytes.NewReader(raw))
+			if err != nil {
+				return cacheAnswer{err: err}
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := c.http().Do(req)
+			if err != nil {
+				return cacheAnswer{err: err}
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			return cacheAnswer{status: resp.StatusCode, cache: resp.Header.Get(HeaderCache),
+				fp: resp.Header.Get(HeaderFingerprint), body: body, err: err}
+		}
+		ok := func(t *testing.T, what string, a cacheAnswer, verdict string, want []byte) {
+			t.Helper()
+			if a.err != nil {
+				t.Fatalf("%s: %v", what, a.err)
+			}
+			if a.status != http.StatusOK {
+				t.Fatalf("%s: HTTP %d: %s", what, a.status, a.body)
+			}
+			if a.cache != e.verdict(verdict) {
+				t.Fatalf("%s: %s %q, want %q", what, HeaderCache, a.cache, e.verdict(verdict))
+			}
+			if a.fp == "" {
+				t.Fatalf("%s: no %s header", what, HeaderFingerprint)
+			}
+			if want != nil && !bytes.Equal(e.body(t, a.body), want) {
+				t.Fatalf("%s: the response differs from the reference one", what)
+			}
+		}
+		counted := func(t *testing.T, what string, srv *Server, before Stats, want cacheCounters) {
+			t.Helper()
+			if got := countersSince(before, srv.Stats()); got != want {
+				t.Fatalf("%s: counters moved by %+v, want %+v", what, got, want)
+			}
+		}
+		bg := context.Background()
+
+		// The reference answer: a server of its own, asked once.
+		_, refClient := newTestServer(t, Options{})
+		ref := post(bg, refClient)
+		if ref.err != nil || ref.status != http.StatusOK {
+			t.Fatalf("%s: reference request: HTTP %d, %v", e.name, ref.status, ref.err)
+		}
+		want := e.body(t, ref.body)
+
+		t.Run(e.name+"/cold miss then hit", func(t *testing.T) {
+			srv, c := newTestServer(t, Options{})
+			before := srv.Stats()
+			ok(t, "cold request", post(bg, c), "miss", want)
+			counted(t, "cold request", srv, before, cacheCounters{built: 1, misses: 1})
+			before = srv.Stats()
+			ok(t, "repeated request", post(bg, c), "hit", want)
+			counted(t, "repeated request", srv, before, cacheCounters{hits: 1})
+		})
+
+		t.Run(e.name+"/racing requests build once", func(t *testing.T) {
+			gs := &gatedStore{PlanStore: NewMemStore(0), gate: make(chan struct{})}
+			srv, c := newTestServer(t, Options{Store: gs})
+			before := srv.Stats()
+			answers := make(chan cacheAnswer, racers)
+			go func() { answers <- post(bg, c) }()
+			// The leader is provably inside the build (blocked in Create)
+			// before anyone races it.
+			waitFor(t, func() bool { return gs.creates.Load() >= 1 })
+			for i := 1; i < racers; i++ {
+				go func() { answers <- post(bg, c) }()
+			}
+			waitFor(t, func() bool { return srv.Stats().PlanCacheMisses-before.PlanCacheMisses == racers })
+			time.Sleep(50 * time.Millisecond) // from counted as a miss to waiting on the build
+			close(gs.gate)
+			verdicts := map[string]int{}
+			for i := 0; i < racers; i++ {
+				a := <-answers
+				ok(t, "racing request", a, a.cache, want)
+				verdicts[a.cache]++
+			}
+			wantVerdicts := map[string]int{}
+			wantVerdicts[e.verdict("miss")]++
+			wantVerdicts[e.verdict("coalesced")] += racers - 1
+			if !reflect.DeepEqual(verdicts, wantVerdicts) {
+				t.Fatalf("racing requests were answered %v, want %v", verdicts, wantVerdicts)
+			}
+			counted(t, "racing requests", srv, before, cacheCounters{built: 1, misses: racers, coalesced: racers - 1})
+		})
+
+		t.Run(e.name+"/a waiter outlives its cancelled leader", func(t *testing.T) {
+			gs := &gatedStore{PlanStore: NewMemStore(0), gate: make(chan struct{})}
+			srv, c := newTestServer(t, Options{Store: gs})
+			before := srv.Stats()
+			lctx, lcancel := context.WithCancel(bg)
+			defer lcancel()
+			leader := make(chan cacheAnswer, 1)
+			go func() { leader <- post(lctx, c) }()
+			waitFor(t, func() bool { return gs.creates.Load() >= 1 })
+			waiter := make(chan cacheAnswer, 1)
+			go func() { waiter <- post(bg, c) }()
+			waitFor(t, func() bool { return srv.Stats().PlanCacheMisses-before.PlanCacheMisses == 2 })
+			time.Sleep(50 * time.Millisecond)
+			// The leader's client goes away while its build is held in Create;
+			// the build fails on its dead context as soon as it is let go.
+			lcancel()
+			if a := <-leader; a.err == nil {
+				t.Fatalf("the cancelled leader was answered HTTP %d", a.status)
+			}
+			time.Sleep(200 * time.Millisecond) // the server learns of it from the closed connection
+			close(gs.gate)
+			ok(t, "surviving waiter", <-waiter, "miss", want)
+			counted(t, "cancelled leader and its waiter", srv, before, cacheCounters{built: 1, misses: 2})
+		})
+
+		t.Run(e.name+"/entry gone between commit and re-open", func(t *testing.T) {
+			srv, c := newTestServer(t, Options{Store: forgetfulStore{}})
+			before := srv.Stats()
+			a := post(bg, c)
+			if a.err != nil || a.status != e.forgotten {
+				t.Fatalf("HTTP %d (%v), want %d: %s", a.status, a.err, e.forgotten, a.body)
+			}
+			if a.status == http.StatusOK {
+				ok(t, "bypassed request", a, "bypass", want)
+			}
+			counted(t, "bypassed request", srv, before, cacheCounters{built: 1, misses: 1, bypass: e.forgottenBypass})
+		})
+	}
+}
+
+var updatePins = flag.Bool("update-pins", false, "rewrite testdata/generate-*.json from this build's answers")
+
+// TestGenerateEndpointPins holds POST /v1/generate to the answers it gave
+// before it stopped retaining the image: digest, report totals, accuracy and
+// the normalized spec, for a default spec and one with a simulated disk.
+func TestGenerateEndpointPins(t *testing.T) {
+	_, c := newTestServer(t, Options{})
+	layout := testSpec(2)
+	layout.LayoutScore = 0.8
+	layout.ContentKind = "text-1word"
+	for name, spec := range map[string]fsimage.Spec{"default": testSpec(1234), "layout": layout} {
+		got, err := c.Generate(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%s: Generate: %v", name, err)
+		}
+		got.Report.GeneratedAt, got.Report.PhaseTimes = time.Time{}, nil
+		answer, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "generate-"+name+".json")
+		if *updatePins {
+			if err := os.WriteFile(path, append(answer, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(answer, '\n'), want) {
+			t.Errorf("%s: POST /v1/generate answered\n%s\nwant\n%s", name, answer, want)
 		}
 	}
 }
