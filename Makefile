@@ -1,9 +1,7 @@
-# Targets mirror .github/workflows/ci.yml so local runs and CI are identical.
+# The CI jobs of .github/workflows/ci.yml run these targets, so local runs and
+# CI are identical.
 
 GO ?= go
-
-# Stamp of the SERVE_<date>.json / FLEET_<date>.json metric reports.
-BENCH_DATE := $(shell date +%Y%m%d)
 
 .PHONY: build test race bench bench-smoke lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check bench-pipeline-check fuzz-smoke
 
@@ -98,15 +96,19 @@ dist-fault-check:
 	cmp single.digest killed.digest; diff -r single kmerged; \
 	echo "dist-fault-check: OK (killed worker resumed, by hand and under distrun; SIGKILLed distrun re-run; digests and trees identical)"
 
-# Local mirror of the CI serve-check job: boot impressionsd on an ephemeral
-# port, pull a plan and all its shards over HTTP, execute and merge them
-# locally, and require the canonical digest of an in-process run — then
-# require the repeated plan request to be a cache hit. Also writes the serve
-# latency metrics (plans/sec, hit rate, p50/p95/p99) as SERVE_<date>.json.
+# The CI serve-check job: the service proves what the pipeline proves, over
+# HTTP, with nothing but the daemon, the CLI and curl. Boot impressionsd on an
+# ephemeral port, POST a plan (keeping the headers: a cold request is a cache
+# miss), execute every shard with `worker -from` the daemon's shard endpoint,
+# merge against the served plan document, and require the digest of
+# `impressions … -digest` for the same spec — then require the repeated POST
+# to be a cache hit with the same bytes, and SIGTERM to end in a clean stop.
+# Service numbers (serve.plan_cold_s, serve.plan_hit_ms,
+# serve.shard_fetch_mb_per_s) are bench/pipeline's, under -trace.
 serve-check:
 	@rm -rf /tmp/impressions-serve-check && mkdir -p /tmp/impressions-serve-check
 	$(GO) build -o /tmp/impressions-serve-check/impressionsd ./cmd/impressionsd
-	$(GO) build -o /tmp/impressions-serve-check/benchrunner ./cmd/benchrunner
+	$(GO) build -o /tmp/impressions-serve-check/impressions ./cmd/impressions
 	@set -e; cd /tmp/impressions-serve-check; \
 	./impressionsd -addr 127.0.0.1:0 -workers 4 > daemon.log 2>&1 & dpid=$$!; \
 	trap 'kill -TERM $$dpid 2>/dev/null || true' EXIT; \
@@ -115,25 +117,31 @@ serve-check:
 		[ -n "$$addr" ] && break; sleep 0.1; \
 	done; \
 	[ -n "$$addr" ] || { echo "daemon never came up:"; cat daemon.log; exit 1; }; \
-	./benchrunner serve -base "http://$$addr" -check -requests 24 -specs 6 \
-		-bench-json SERVE_$(BENCH_DATE).json; \
+	req='{"spec":{"seed":20090225,"num_files":400,"num_dirs":80,"fs_size_bytes":2097152},"shards":3}'; \
+	post() { curl -sS --fail -H 'Content-Type: application/json' -d "$$req" -D "$$1.headers" -o "$$1.json" "http://$$addr/v1/plans"; }; \
+	post plan; grep -qi '^X-Impressions-Cache: miss' plan.headers; \
+	fp=$$(tr -d '\r' < plan.headers | sed -n 's/^X-Impressions-Plan-Fingerprint: //p'); \
+	for s in 0 1 2; do ./impressions worker -from "http://$$addr/v1/plans/$$fp/shards/$$s" -out merged -manifest manifest-$$s.json; done; \
+	./impressions merge -plan plan.json -print-digest manifest-*.json > merged.digest; \
+	./impressions -files 400 -dirs 80 -size 2MB -seed 20090225 -digest | grep '^image digest:' > single.digest; \
+	cmp single.digest merged.digest; \
+	post again; grep -qi '^X-Impressions-Cache: hit' again.headers; cmp plan.json again.json; \
 	kill -TERM $$dpid; wait $$dpid; \
 	grep -q 'impressionsd: stopped' daemon.log; \
-	cp SERVE_$(BENCH_DATE).json $(CURDIR)/; \
-	echo "serve-check: OK (wrote SERVE_$(BENCH_DATE).json)"
+	echo "serve-check: OK (served shards merge to the single-process digest; repeated plan request is a cache hit)"
 
-# Local mirror of the CI fleet fault-injection job: boot impressionsd as a
-# shard scheduler with fast fault detection, join 3 workers — one rigged to
-# SIGKILL itself mid-shard — and drive a whole run through POST /v1/runs.
-# The run must report at least one re-queue (the kill was noticed and the
-# shard re-leased, resuming from the victim's journal) and the fleet digest
-# must be byte-identical to a local single-process run. Also writes the
-# fleet metrics (shards/sec, requeues, lease-expiry p95) as FLEET_<date>.json.
+# The CI fleet fault-injection job: boot impressionsd as a shard scheduler
+# with fast fault detection, join 3 workers — one rigged to SIGKILL itself
+# mid-shard — and drive a whole run with `impressions fleetrun`. Its status
+# line must report at least one re-queue (the kill was noticed and the shard
+# re-leased, resuming from the victim's journal), its digest must be the one
+# `impressions … -digest` prints for the same flags, the victim must have
+# died and the daemon must have marked it dead. Fleet numbers (fleet.run_s,
+# fleet.overhead_s, fleet.requeues) are bench/pipeline's, under -trace.
 fleet-fault-check:
 	@rm -rf /tmp/impressions-fleet-check && mkdir -p /tmp/impressions-fleet-check/out /tmp/impressions-fleet-check/work
 	$(GO) build -o /tmp/impressions-fleet-check/impressionsd ./cmd/impressionsd
 	$(GO) build -o /tmp/impressions-fleet-check/impressions ./cmd/impressions
-	$(GO) build -o /tmp/impressions-fleet-check/benchrunner ./cmd/benchrunner
 	@set -e; cd /tmp/impressions-fleet-check; \
 	./impressionsd -addr 127.0.0.1:0 -workers 4 \
 		-heartbeat-interval 150ms -heartbeat-misses 3 -lease-ttl 60s -inline-grace -1s \
@@ -148,15 +156,18 @@ fleet-fault-check:
 	wpids=""; for w in 1 2; do \
 		./impressions worker -join "http://$$addr" -out out -work work > worker-$$w.log 2>&1 & wpids="$$wpids $$!"; \
 	done; \
-	./benchrunner fleet -base "http://$$addr" -shards 8 -files 3000 -seed 20090225 \
-		-check -require-requeue 1 -bench-json FLEET_$(BENCH_DATE).json; \
+	spec="-files 3000 -dirs 600 -size 6144000 -seed 20090225"; \
+	./impressions fleetrun -base "http://$$addr" -shards 8 $$spec > fleetrun.out || { cat fleetrun.out; exit 1; }; cat fleetrun.out; \
+	grep -Eq ' [1-9][0-9]* requeue\(s\)' fleetrun.out || { echo "the run saw no re-queue: the retry path was not exercised"; exit 1; }; \
+	grep '^image digest:' fleetrun.out > fleet.digest; \
+	./impressions $$spec -digest | grep '^image digest:' > single.digest; \
+	cmp single.digest fleet.digest; \
 	wait $$victim && { echo "victim worker was supposed to be killed mid-shard:"; cat victim.log; exit 1; } || true; \
 	for p in $$wpids; do kill -TERM $$p 2>/dev/null || true; done; \
 	for p in $$wpids; do wait $$p || true; done; \
 	kill -TERM $$dpid; wait $$dpid; \
 	grep -q 'impressionsd: stopped' daemon.log; \
 	grep -q 'marking dead' daemon.log; \
-	cp FLEET_$(BENCH_DATE).json $(CURDIR)/; \
 	echo "fleet-fault-check: OK (killed worker re-queued; digest matches single-process run)"
 
 # Local mirror of the CI image-sink job: the direct tar sink must agree

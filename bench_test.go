@@ -308,12 +308,11 @@ func (discardWriteCloser) Close() error                { return nil }
 // The delta against BenchmarkStreamingPlanBuild is the price of the spill
 // round trip plus the per-fragment chunk encoders.
 func BenchmarkPartitionedPlanBuild(b *testing.B) {
-	cfg := core.Config{NumFiles: 100000, NumDirs: 20000, FSSizeBytes: 100000 * 256, Seed: 1, Parallelism: 1}
-	spill := b.TempDir()
+	cfg := core.Config{NumFiles: 100000, NumDirs: 20000, FSSizeBytes: 100000 * 256, Seed: 1, Parallelism: 1, SpillDir: b.TempDir()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := distribute.PlanRequest{Config: cfg, Partition: 8, Spill: spill}
+		req := distribute.PlanRequest{Config: cfg, MaxShards: 8}
 		if _, err := distribute.PartitionPlan(context.Background(), req, func(int) (io.WriteCloser, error) {
 			return discardWriteCloser{}, nil
 		}); err != nil {

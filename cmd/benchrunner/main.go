@@ -9,17 +9,6 @@
 //	benchrunner -exp fig1
 //	benchrunner -all -quick
 //	benchrunner -all -out results.txt
-//
-// The `serve` subcommand benchmarks a running impressionsd daemon instead
-// (plans/sec, cache hit rate, latency percentiles; see serve.go):
-//
-//	benchrunner serve -base http://127.0.0.1:7077 -check -bench-json SERVE.json
-//
-// The `fleet` subcommand drives a scheduled distributed run through the
-// daemon's lease scheduler and reports shards/sec, re-queues, and
-// lease-expiry latency (see fleet.go):
-//
-//	benchrunner fleet -base http://127.0.0.1:7077 -shards 8 -check -bench-json FLEET.json
 package main
 
 import (
@@ -40,12 +29,6 @@ func main() {
 }
 
 func run(args []string, stdout io.Writer) error {
-	if len(args) > 0 && args[0] == "serve" {
-		return runServe(args[1:], stdout)
-	}
-	if len(args) > 0 && args[0] == "fleet" {
-		return runFleet(args[1:], stdout)
-	}
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	var (
 		expFlag    = fs.String("exp", "", "run a single experiment (see -list)")

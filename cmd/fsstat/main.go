@@ -1,4 +1,4 @@
-// Command fsstat scans an existing directory tree (or a serialized image) and
+// Command fsstat scans an existing directory tree and
 // reports its file-system distributions in the same terms Impressions uses:
 // file and directory counts, total size, files by size, bytes by size, files
 // and directories by namespace depth, directory sizes, and the top

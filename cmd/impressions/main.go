@@ -329,7 +329,7 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintln(stderr, "impressions: note: -digest describes the image's content, not the metadata-only tree just written")
 			}
 			opts.MetadataOnly = false
-			if digest, err = streamImage(m, "tar", "", opts, true, stdout); err != nil {
+			if digest, err = imgfmt.Digest(m, opts); err != nil {
 				return err
 			}
 		}
@@ -347,10 +347,9 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 
 // streamImage replays the metadata once into the sink format and out name: a
 // directory tree written through the VFS, or an archive or filesystem image
-// written sequentially (no per-file syscalls, no mkfs, no root) — a tar onto
-// io.Discard when out is empty, which generates and hashes every file and
-// keeps nothing. With wantDigest the canonical image digest is folded in the
-// same pass and returned. The sink's line is printed once the image is whole.
+// written sequentially (no per-file syscalls, no mkfs, no root). With
+// wantDigest the canonical image digest is folded in the same pass and
+// returned. The sink's line is printed once the image is whole.
 func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, wantDigest bool, stdout io.Writer) (digest string, err error) {
 	var (
 		fold *fsimage.DigestBuilder
@@ -365,24 +364,21 @@ func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, want
 	if wantDigest {
 		fold = imgfmt.FoldDigest(&opts, m.DirCount(), m.FileCount(), m.TotalBytes())
 	}
-	if out != "" && format != "dir" {
-		if file, err = os.Create(out); err != nil {
-			return "", err
-		}
-		defer file.Close()
-	}
-	switch {
-	case format == "dir":
+	if format == "dir" {
 		sink = fsimage.NewMaterializeSink(out, fsimage.MaterializeOptions{
 			Registry: opts.Registry, Seed: opts.Seed, MetadataOnly: opts.MetadataOnly, Parallelism: opts.Parallelism,
 		}, fold)
 		wrote = "materialized %d bytes under %s\n"
-	case format == "squashfs":
-		sink, err = imgfmt.NewSquashfsSink(file, opts)
-	case file != nil:
-		sink = imgfmt.NewTarSink(file, opts)
-	default:
-		sink, wrote = imgfmt.NewTarSink(io.Discard, opts), ""
+	} else {
+		if file, err = os.Create(out); err != nil {
+			return "", err
+		}
+		defer file.Close()
+		if format == "squashfs" {
+			sink, err = imgfmt.NewSquashfsSink(file, opts)
+		} else {
+			sink = imgfmt.NewTarSink(file, opts)
+		}
 	}
 	if err != nil {
 		return "", err
@@ -400,9 +396,7 @@ func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, want
 	if err != nil {
 		return "", err
 	}
-	if wrote != "" {
-		fmt.Fprintf(stdout, wrote, sink.Written(), out)
-	}
+	fmt.Fprintf(stdout, wrote, sink.Written(), out)
 	if fold != nil {
 		return fold.Sum()
 	}
@@ -505,9 +499,14 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	req := distribute.PlanRequest{Config: cfg, MaxShards: *shardsFlag, Partition: *partitionFlag, Spill: *spillFlag}
-	if *partitionFlag > 0 && !shardsSet {
-		req.MaxShards = 0 // -partition alone fixes the shard count
+	cfg.SpillDir = *spillFlag
+	req := distribute.PlanRequest{Config: cfg, MaxShards: *shardsFlag}
+	if *partitionFlag > 0 {
+		if shardsSet && *shardsFlag != *partitionFlag {
+			return fmt.Errorf("plan: -shards %d conflicts with -partition %d — fragments are shard documents, the counts must agree (%w)",
+				*shardsFlag, *partitionFlag, fsimage.ErrInvalidSpec)
+		}
+		req.MaxShards = *partitionFlag
 	}
 	var sampler *memSampler
 	if *memFlag {
@@ -776,36 +775,29 @@ func runFleetWorker(base, outRoot, workDir string, idleExit time.Duration, wopts
 func runFleetrun(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions fleetrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	gen := newGenFlags(fs)
 	var (
 		base    = fs.String("base", "http://127.0.0.1:7077", "base URL of the running impressionsd")
 		shards  = fs.Int("shards", 0, "number of shards (0 = one per daemon CPU decision, i.e. server default)")
 		timeout = fs.Duration("timeout", 10*time.Minute, "overall deadline for the run")
-		size    = fs.String("size", "", "desired file-system size (e.g. 500MB, 4.55GB)")
-		files   = fs.Int("files", 0, "number of files (derived from -size if omitted)")
-		dirs    = fs.Int("dirs", 0, "number of directories (derived from -files if omitted)")
-		seed    = fs.Int64("seed", 0, "random seed (0 = default seed)")
-		kind    = fs.String("content", "default", "content policy: default, text-1word, text-model, image, binary, zero")
-		tree    = fs.String("tree", "generative", "tree shape: generative, flat, deep")
-		special = fs.Bool("special-dirs", false, "bias placement towards special directories")
 	)
 	if err := parseAllFlags(fs, args); err != nil {
 		return err
 	}
-	spec := fsimage.Spec{
-		Seed:                  *seed,
-		NumFiles:              *files,
-		NumDirs:               *dirs,
-		ContentKind:           *kind,
-		TreeShape:             *tree,
-		UseSpecialDirectories: *special,
+	// What reaches the daemon is a spec, which carries neither a layout
+	// simulation nor a file-size model.
+	if *gen.layout != 1.0 || *gen.mu != 0 || *gen.sigma != 0 {
+		return usagef("fleetrun: -layout, -size-mu and -size-sigma are not supported in fleet runs (the daemon is sent a spec, which cannot carry them)")
 	}
-	if *size != "" {
-		bytes, err := parseSize(*size)
-		if err != nil {
-			return usageError{err}
-		}
-		spec.FSSizeBytes = bytes
+	cfg, err := gen.config()
+	if err != nil {
+		return err
 	}
+	g, err := core.NewGenerator(cfg)
+	if err != nil {
+		return err
+	}
+	spec := g.Spec()
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 	c := &serve.Client{Base: *base}
@@ -851,7 +843,6 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 	var (
 		planFlag    = fs.String("plan", "", "plan file produced by `impressions plan` (required unless -index)")
 		indexFlag   = fs.String("index", "", "fragment index produced by `plan -partition`: verify the fragment documents + manifests and reproduce the canonical digest without ever materializing the image")
-		imageFlag   = fs.String("image", "", "write the merged image metadata (JSON) to this file")
 		reportFlag  = fs.String("report", "", "write the merged JSON reproducibility report to this file")
 		printDigest = fs.Bool("print-digest", false, "print only the canonical image digest line")
 		partialFlag = fs.Bool("partial", false, "accept an incomplete manifest set: report outstanding shards (with re-run commands) instead of failing; merges normally when the set turns out to be complete")
@@ -861,8 +852,8 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *indexFlag != "" {
-		if *planFlag != "" || *partialFlag || *imageFlag != "" || *reportFlag != "" {
-			return usagef("merge: -index is exclusive with -plan/-partial/-image/-report (a fragment merge never holds the image)")
+		if *planFlag != "" || *partialFlag || *reportFlag != "" {
+			return usagef("merge: -index is exclusive with -plan/-partial/-report (a fragment merge never holds the image)")
 		}
 		return runFragmentMerge(*indexFlag, fs.Args(), *printDigest, stdout)
 	}
@@ -918,11 +909,6 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 	}
 	if res.Digest != "" {
 		fmt.Fprintf(stdout, "image digest: sha256:%s\n", res.Digest)
-	}
-	if *imageFlag != "" {
-		if err := writeJSONFile(*imageFlag, res.Image.Encode); err != nil {
-			return err
-		}
 	}
 	if *reportFlag != "" {
 		if err := writeReportFile(*reportFlag, &res.Report); err != nil {

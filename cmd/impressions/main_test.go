@@ -8,6 +8,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,12 +20,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"impressions/internal/distribute"
+	"impressions/internal/fleet"
 	"impressions/internal/fsimage"
+	"impressions/internal/serve"
 )
 
 func TestParseSize(t *testing.T) {
@@ -217,6 +222,26 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 // failures exit 1, success and -h exit 0 — on every subcommand.
 func TestMainExitCodes(t *testing.T) {
 	stray := t.TempDir() // where the rejected commands would have written
+	// The daemon a rejected fleetrun must not have tried to reach.
+	daemon, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer daemon.Close()
+	var dialled atomic.Int32
+	go func() {
+		for {
+			c, err := daemon.Accept()
+			if err != nil {
+				return
+			}
+			dialled.Add(1)
+			c.Close()
+		}
+	}()
+	fleetrun := func(args ...string) []string {
+		return append([]string{"fleetrun", "-base", "http://" + daemon.Addr().String(), "-timeout", "2s"}, args...)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -266,6 +291,16 @@ func TestMainExitCodes(t *testing.T) {
 		{"plan negative size-mu", []string{"plan", "-files", "30", "-size-mu", "-1", "-plan", filepath.Join(stray, "p.json")}, 2},
 		{"distrun negative -j", []string{"distrun", "-files", "30", "-j", "-3", "-out", filepath.Join(stray, "dist")}, 2},
 		{"distrun negative -dirs", []string{"distrun", "-files", "30", "-dirs", "-1", "-out", filepath.Join(stray, "dist")}, 2},
+		{"fleetrun unknown content policy", fleetrun("-files", "30", "-content", "bogus"), 2},
+		{"fleetrun unknown tree shape", fleetrun("-files", "30", "-tree", "bonsai"), 2},
+		{"fleetrun negative -files", fleetrun("-content", "bogus", "-files", "-5"), 2},
+		// A spec carries no layout simulation and no file-size model.
+		{"fleetrun -layout", fleetrun("-files", "30", "-layout", "0.7"), 2},
+		{"fleetrun -size-mu", fleetrun("-files", "30", "-size-mu", "7"), 2},
+		{"fleetrun -size-sigma", fleetrun("-files", "30", "-size-sigma", "1"), 2},
+		// The two shard counts of a partitioned plan must agree; a runtime
+		// failure, raised before any work.
+		{"plan -shards against -partition", []string{"plan", "-files", "30", "-shards", "3", "-partition", "4", "-plan", filepath.Join(stray, "p.json")}, 1},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -282,6 +317,41 @@ func TestMainExitCodes(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(stray); len(left) > 0 {
 		t.Errorf("a rejected command left %s behind", left[0].Name())
+	}
+	if n := dialled.Load(); n > 0 {
+		t.Errorf("rejected fleetrun commands connected to the daemon %d times", n)
+	}
+}
+
+// TestFleetrunMatchesDigest: fleetrun declares its image with the flags the
+// single-process command takes, so a daemon with no worker (its inline
+// fallback executes the shards) and `impressions … -digest` print the same
+// digest for the same flags.
+func TestFleetrunMatchesDigest(t *testing.T) {
+	srv := serve.New(serve.Options{Fleet: fleet.Options{InlineGrace: time.Millisecond}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go srv.Fleet().Loop(ctx, 5*time.Millisecond)
+
+	digestLine := regexp.MustCompile(`(?m)^image digest: sha256:[0-9a-f]{64}$`)
+	for _, flags := range [][]string{
+		{"-files", "300", "-dirs", "60", "-size", "300KB", "-seed", "20090225"},
+		{"-files", "200", "-seed", "7", "-size", "150KB", "-content", "text-1word", "-tree", "flat", "-special-dirs"},
+	} {
+		var local, remote, stderr bytes.Buffer
+		if code := Main(append(flags[:len(flags):len(flags)], "-digest"), &local, &stderr); code != 0 {
+			t.Fatalf("impressions %v -digest exited %d: %s", flags, code, stderr.String())
+		}
+		args := append([]string{"fleetrun", "-base", ts.URL, "-shards", "3", "-timeout", "2m"}, flags...)
+		if code := Main(args, &remote, &stderr); code != 0 {
+			t.Fatalf("impressions %v exited %d: %s\n%s", args, code, stderr.String(), remote.String())
+		}
+		want, got := digestLine.FindString(local.String()), digestLine.FindString(remote.String())
+		if want == "" || got != want {
+			t.Errorf("%v: fleetrun printed %q, -digest %q", flags, got, want)
+		}
 	}
 }
 

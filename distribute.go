@@ -28,7 +28,7 @@ type ShardView = distribute.ShardView
 // Manifest is a worker's sealed proof of work for one shard.
 type Manifest = distribute.Manifest
 
-// WorkerOptions controls one shard execution (permissions, parallelism,
+// WorkerOptions controls one shard execution (parallelism,
 // metadata-only mode, the resume journal).
 type WorkerOptions = distribute.WorkerOptions
 
@@ -47,9 +47,9 @@ type MergeResult = distribute.MergeResult
 // for resuming a partially failed distributed run.
 type Audit = distribute.Audit
 
-// PlanRequest is the single entry point for building plans: configuration,
-// sharding, chunking, partitioned output, and spill-to-disk in one request
-// struct instead of a family of positional-argument functions.
+// PlanRequest is the single entry point for building plans: configuration
+// (spill-to-disk included), sharding and chunking in one request struct
+// instead of a family of positional-argument functions.
 type PlanRequest = distribute.PlanRequest
 
 // FragmentIndex describes a partitioned plan: the parent fingerprint plus
@@ -70,7 +70,7 @@ func BuildPlan(ctx context.Context, req PlanRequest) (*Plan, error) {
 
 // PartitionPlan builds a partitioned plan: K self-contained fragment
 // documents (byte-identical to slicing the monolithic plan file), written
-// to the writers open returns. Combined with PlanRequest.Spill, the whole
+// to the writers open returns. Combined with Config.SpillDir, the whole
 // build runs in O(dirs) live heap regardless of file count.
 func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
 	return distribute.PartitionPlan(ctx, req, open)

@@ -31,6 +31,7 @@
 package constraint
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -160,20 +161,19 @@ func (h heapPool) Scan(visit func([]float64)) error {
 // result is independent of scheduling.
 func (r *Resolver) samplePool(d stats.Distribution, n int, store PoolStorage) (float64, error) {
 	base := stats.NewRNG(int64(r.rng.Uint64())).SplitStream("pool")
-	errs := make([]error, parallel.Shards(n))
-	parallel.Run(r.workers, len(errs), func(s int) {
-		errs[s] = store.Draw(s, func(shard []float64) {
+	err := parallel.Run(context.Background(), r.workers, parallel.Shards(n), func(s int) error {
+		return store.Draw(s, func(shard []float64) {
 			srng := base.SplitN(uint64(s))
 			for i := range shard {
 				shard[i] = d.Sample(srng)
 			}
 		})
 	})
-	if err := errors.Join(errs...); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	sum := 0.0
-	err := store.Scan(func(shard []float64) {
+	err = store.Scan(func(shard []float64) {
 		for _, v := range shard {
 			sum += v
 		}

@@ -256,20 +256,3 @@ func scanFiles(ctx context.Context, sizes *column[float64], exts *column[uint32]
 	}
 	return nil
 }
-
-// runShards runs fn over shards on workers goroutines. After the first error
-// or once ctx is cancelled the shards not yet started are skipped, and that
-// error (or the context's) is returned when the started ones have finished.
-func runShards(ctx context.Context, workers, shards int, fn func(s int) error) error {
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	parallel.Run(workers, shards, func(s int) {
-		if ctx.Err() != nil {
-			return
-		}
-		if err := fn(s); err != nil {
-			cancel(err)
-		}
-	})
-	return context.Cause(ctx)
-}

@@ -171,7 +171,7 @@ func (g *Generator) assignExtensions(ctx context.Context, rng *stats.RNG, exts *
 	if len(names) >= int(extOther) {
 		return nil, fmt.Errorf("core: extension table too large for a 31-bit code (%d names)", len(names))
 	}
-	err := runShards(ctx, effectiveParallelism(g.cfg.Parallelism), parallel.Shards(exts.n), func(s int) error {
+	err := parallel.Run(ctx, effectiveParallelism(g.cfg.Parallelism), parallel.Shards(exts.n), func(s int) error {
 		srng := rng.SplitN(uint64(s))
 		codes := exts.shard(s, nil)
 		for k := range codes {
@@ -234,7 +234,7 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 	workers := effectiveParallelism(g.cfg.Parallelism)
 
 	depthStream := rng.Fork("placement/depth")
-	err := runShards(ctx, workers, parallel.Shards(sizes.n), func(s int) error {
+	err := parallel.Run(ctx, workers, parallel.Shards(sizes.n), func(s int) error {
 		srng := depthStream.SplitN(uint64(s))
 		sz, err := sizes.load(s, nil)
 		if err != nil {
@@ -286,7 +286,7 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 		workers = 1
 	}
 	parentStream := rng.Fork("placement/parent")
-	return runShards(ctx, workers, len(levels), func(d int) error {
+	return parallel.Run(ctx, workers, len(levels), func(d int) error {
 		level := levels[d]
 		if level == nil {
 			return nil

@@ -67,7 +67,7 @@ func TestGoldenWireDocuments(t *testing.T) {
 	if got := sha256Hex(doc.Bytes()); got != goldenPlanDoc {
 		t.Errorf("plan document hashes to %s, pinned %s", got, goldenPlanDoc)
 	}
-	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: 3, ChunkSize: 64})
+	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
 	if got := sha256Hex(frags[1]); got != goldenFragment1 {
 		t.Errorf("fragment 1 hashes to %s, pinned %s", got, goldenFragment1)
 	}
@@ -165,7 +165,7 @@ func TestGoldenEscapedDocuments(t *testing.T) {
 	if got := sha256Hex(doc.Bytes()); got != goldenEscapePlanDoc {
 		t.Errorf("plan document hashes to %s, pinned %s", got, goldenEscapePlanDoc)
 	}
-	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: 3, ChunkSize: 64})
+	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
 	if got := sha256Hex(frags[1]); got != goldenEscapeFragment1 {
 		t.Errorf("fragment 1 hashes to %s, pinned %s", got, goldenEscapeFragment1)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"regexp"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -96,7 +95,7 @@ func emptyImageDocs() (plan, shard string) {
 		`","files":0,"dirs":0,"bytes":0,"spec":{},"chunk_size":64,"shards":[{"index":0,"stream_key":"` +
 		contentStreamKey().String() + `","roots":[],"dirs":0,"files":0,"bytes":0},{"index":1,"stream_key":"` +
 		contentStreamKey().String() + `","roots":[],"dirs":0,"files":0,"bytes":0}]`
-	chain := fsimage.ChainChunkHashes(nil)
+	chain := fsimage.NewChunkHashChain().Sum()
 	plan = `{"header":{` + hdr + `},"chunks":[],"trailer":{"chunks":0,"image_sha256":"` + chain + `"}}`
 	shard = `{"view":{"format_version":3,"shard":1,"plan_chunks":0,"image_sha256":"` + chain + `","plan":{` + hdr +
 		`}},"records":[],"trailer":{"chunks":0,"records_sha256":"` + chain + `"}}`
@@ -224,7 +223,17 @@ type records struct {
 func (l *records) AddDir(d fsimage.DirRecord) error { l.dirs = append(l.dirs, d); return nil }
 func (l *records) AddFile(f fsimage.File) error     { l.files = append(l.files, f); return nil }
 func (l *records) replay(sink fsimage.RecordSink) error {
-	return fsimage.StreamSeqs(slices.Values(l.dirs), slices.Values(l.files), sink)
+	for _, d := range l.dirs {
+		if err := sink.AddDir(d); err != nil {
+			return err
+		}
+	}
+	for _, f := range l.files {
+		if err := sink.AddFile(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // forgedCases damage the records themselves and seal the damage: the

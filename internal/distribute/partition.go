@@ -24,8 +24,8 @@ import (
 // bit-identically to the monolithic file's), and then routes one record
 // replay through K incremental shard-document encoders. Nothing retains the
 // image: live state is the compact tree plus K chunk buffers, and with the
-// spill knob set (PlanRequest.Spill) even the metadata columns live on
-// disk, so a 10⁸-file plan builds in O(dirs) heap.
+// spill knob set (Config.SpillDir) even the metadata columns live on disk,
+// so a 10⁸-file plan builds in O(dirs) heap.
 //
 // Fragment i is byte-identical whether produced by PartitionPlan or by
 // slicing a monolithic plan file (DecodePlanShard → Encode) — both derive
@@ -127,11 +127,7 @@ type sealedPlan struct {
 }
 
 func sealPlan(ctx context.Context, req PlanRequest) (*sealedPlan, error) {
-	shards, err := req.shardCount()
-	if err != nil {
-		return nil, err
-	}
-	m, err := resolvePlanMetadata(ctx, req.config(), shards)
+	m, err := resolvePlanMetadata(ctx, req.Config, req.MaxShards)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +137,7 @@ func sealPlan(ctx context.Context, req PlanRequest) (*sealedPlan, error) {
 			m.Close()
 		}
 	}()
-	p, part, err := planScaffold(m, shards, req.ChunkSize)
+	p, part, err := planScaffold(m, req.MaxShards, req.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
@@ -289,9 +285,9 @@ func (sp *sealedPlan) writeFragments(ctx context.Context, writers []io.WriteClos
 	return nil
 }
 
-// PartitionPlan builds a partitioned plan: the request's shard count
-// (Partition, or MaxShards) fragments, each a self-contained shard document
-// written to the writer open returns for it. Fragments are byte-identical
+// PartitionPlan builds a partitioned plan: the request's MaxShards
+// fragments, each a self-contained shard document written to the writer open
+// returns for it. Fragments are byte-identical
 // to slicing the monolithic plan file (DecodePlanShard → ShardView.Encode),
 // so every existing consumer — workers, manifests, the serve layer — works
 // on them unchanged. The returned plan is the sealed parent header (no
@@ -299,7 +295,7 @@ func (sp *sealedPlan) writeFragments(ctx context.Context, writers []io.WriteClos
 // what an index should record.
 //
 // Live memory is the compact tree plus one chunk buffer per fragment;
-// combined with PlanRequest.Spill the whole build runs in O(dirs) heap.
+// combined with Config.SpillDir the whole build runs in O(dirs) heap.
 func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
 	sp, err := sealPlan(ctx, req)
 	if err != nil {

@@ -18,13 +18,13 @@ import (
 // buffer per fragment.
 func fragmentBuffers(t *testing.T, req PlanRequest) (*Plan, [][]byte) {
 	t.Helper()
-	bufs := make([]*bytes.Buffer, req.Partition)
+	bufs := make([]*bytes.Buffer, req.MaxShards)
 	plan, err := PartitionPlan(context.Background(), req, func(shard int) (io.WriteCloser, error) {
 		bufs[shard] = &bytes.Buffer{}
 		return nopWriteCloser{bufs[shard]}, nil
 	})
 	if err != nil {
-		t.Fatalf("PartitionPlan(K=%d): %v", req.Partition, err)
+		t.Fatalf("PartitionPlan(K=%d): %v", req.MaxShards, err)
 	}
 	out := make([][]byte, len(bufs))
 	for s, b := range bufs {
@@ -71,7 +71,7 @@ func TestPartitionPlanFragmentsMatchSlicedPlan(t *testing.T) {
 		name, cfg := fc.name, testConfig()
 		fc.adjust(&cfg)
 		for _, k := range []int{1, 2, 4} {
-			plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: k, ChunkSize: 64})
+			plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: k, ChunkSize: 64})
 			if !fc.holds(plan) {
 				t.Fatalf("%s K=%d: the plan (%d directories, shards %+v) is not that case", name, k, plan.Dirs, plan.Shards)
 			}
@@ -132,7 +132,7 @@ func TestPartitionedPipelineMatchesSingleProcess(t *testing.T) {
 	cfg := testConfig()
 	_, refDigest, refTreeHash := singleProcessReference(t, cfg)
 	for _, k := range []int{1, 2, 4} {
-		_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: k, ChunkSize: 64})
+		_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: k, ChunkSize: 64})
 		res, outRoot, err := runFragmentPipeline(t, frags)
 		if err != nil {
 			t.Fatalf("K=%d MergeFragments: %v", k, err)
@@ -199,7 +199,9 @@ func TestSpilledPlanMatchesInMemory(t *testing.T) {
 				t.Fatalf("%s -j %d in-memory Stream: %v", name, par, err)
 			}
 			var spilled bytes.Buffer
-			if _, err := (PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64, Spill: t.TempDir()}).Stream(context.Background(), &spilled); err != nil {
+			onDisk := cfg
+			onDisk.SpillDir = t.TempDir()
+			if _, err := (PlanRequest{Config: onDisk, MaxShards: 4, ChunkSize: 64}).Stream(context.Background(), &spilled); err != nil {
 				t.Fatalf("%s -j %d spilled Stream: %v", name, par, err)
 			}
 			if !bytes.Equal(mem.Bytes(), spilled.Bytes()) {
@@ -210,18 +212,12 @@ func TestSpilledPlanMatchesInMemory(t *testing.T) {
 }
 
 // TestPlanRequestValidation covers the request surface: BuildPlan rejects a
-// spill (the retained image would defeat it) and conflicting
-// MaxShards/Partition counts are an invalid spec.
+// spill (the retained image would defeat it).
 func TestPlanRequestValidation(t *testing.T) {
-	if _, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 2, Spill: t.TempDir()}); err == nil {
+	cfg := testConfig()
+	cfg.SpillDir = t.TempDir()
+	if _, err := BuildPlan(context.Background(), PlanRequest{Config: cfg, MaxShards: 2}); err == nil {
 		t.Error("BuildPlan accepted a spilled request")
-	}
-	_, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 3, Partition: 2})
-	if !errors.Is(err, fsimage.ErrInvalidSpec) {
-		t.Errorf("conflicting MaxShards/Partition: got %v, want ErrInvalidSpec", err)
-	}
-	if _, err := (PlanRequest{Config: testConfig(), MaxShards: 3, Partition: 2}).Stream(context.Background(), io.Discard); !errors.Is(err, fsimage.ErrInvalidSpec) {
-		t.Errorf("Stream with conflicting counts: got %v, want ErrInvalidSpec", err)
 	}
 }
 
@@ -230,7 +226,7 @@ func TestPlanRequestValidation(t *testing.T) {
 // violation, never a silently different image.
 func TestMergeFragmentsRejectsTamperedFragment(t *testing.T) {
 	cfg := testConfig()
-	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: 2, ChunkSize: 64})
+	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 2, ChunkSize: 64})
 
 	// Build honest manifests first, then tamper fragment 1's header.
 	manifests := make([]*Manifest, len(frags))
@@ -381,7 +377,8 @@ func spilledPartitionPeak(t *testing.T, cfg core.Config) uint64 {
 	var plan *Plan
 	peak := liveHeapPeak(t, func() {
 		var err error
-		plan, err = PartitionPlan(context.Background(), PlanRequest{Config: cfg, Partition: 8, Spill: t.TempDir()}, func(int) (io.WriteCloser, error) {
+		cfg.SpillDir = t.TempDir()
+		plan, err = PartitionPlan(context.Background(), PlanRequest{Config: cfg, MaxShards: 8}, func(int) (io.WriteCloser, error) {
 			return nopWriteCloser{countingDiscard{}}, nil
 		})
 		if err != nil {
@@ -429,7 +426,7 @@ func (c closeSignal) Close() error {
 // that case — a merger that then picks at random loses half of them.
 func TestMergeFragmentsSmallFragmentZero(t *testing.T) {
 	cfg := core.Config{NumFiles: 120, NumDirs: 24, FSSizeBytes: 120 * 1024, Seed: 77, Parallelism: 1}
-	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, Partition: 2, ChunkSize: 64})
+	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 2, ChunkSize: 64})
 	manifests := make([]*Manifest, len(frags))
 	for s, doc := range frags {
 		view, err := DecodeShardView(bytes.NewReader(doc))

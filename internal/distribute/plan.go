@@ -134,7 +134,7 @@ type Plan struct {
 	// last chunk is sealed.
 	Chunks int `json:"-"`
 	// ImageSHA256 chains the per-chunk record hashes
-	// (fsimage.ChainChunkHashes), guarding the whole metadata stream. Like
+	// (fsimage.ChunkHashChain), guarding the whole metadata stream. Like
 	// Chunks it is sealed by the wire trailer.
 	ImageSHA256 string      `json:"-"`
 	Shards      []ShardPlan `json:"shards"`

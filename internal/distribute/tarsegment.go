@@ -22,8 +22,6 @@ func writeTarSegment(ctx context.Context, v *ShardView, w io.Writer, opts Worker
 		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
 		Seed:         v.Plan.Seed,
 		MetadataOnly: opts.MetadataOnly,
-		DirPerm:      opts.DirPerm,
-		FilePerm:     opts.FilePerm,
 		Parallelism:  opts.Parallelism,
 		Context:      ctx,
 		// OnDigest reports v.Files in order, one call each (none with

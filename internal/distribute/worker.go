@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
@@ -108,9 +107,6 @@ type WorkerOptions struct {
 	// MetadataOnly creates correctly sized but empty files (no content, no
 	// content hashes).
 	MetadataOnly bool
-	// DirPerm / FilePerm override the created entries' permissions.
-	DirPerm  os.FileMode
-	FilePerm os.FileMode
 	// Parallelism is the number of workers generating (and, for a directory
 	// target, writing) files within this shard; 0 selects runtime.NumCPU().
 	// As everywhere else, the written bytes are identical at every level.
@@ -225,8 +221,6 @@ func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOpti
 		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
 		Seed:         v.Plan.Seed,
 		MetadataOnly: opts.MetadataOnly,
-		DirPerm:      opts.DirPerm,
-		FilePerm:     opts.FilePerm,
 		Parallelism:  opts.Parallelism,
 		Context:      ctx,
 	}

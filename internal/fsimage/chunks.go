@@ -18,7 +18,7 @@ import (
 // RecordSink, and both sides hold O(chunk) metadata buffers instead of
 // O(image). The per-chunk hash covers the records themselves — not their
 // JSON rendering — so integrity survives any re-encoding, and the chain over
-// all chunk hashes (ChainChunkHashes) stands in for a whole-image hash.
+// all chunk hashes (ChunkHashChain) stands in for a whole-image hash.
 
 // DefaultChunkSize is the default number of metadata records per chunk. At
 // ~100 bytes per serialized record a chunk costs on the order of 1 MB to
@@ -311,30 +311,6 @@ func ResumeChunkEncoder(chunkSize int, dirHashes []string, emit func(*Chunk) err
 	return e
 }
 
-// EncodeChunks slices img's metadata into sealed chunks of at most chunkSize
-// records each and passes them to emit in stream order. The chunk (and its
-// record slices) is reused between calls — emit must not retain it. A
-// chunkSize <= 0 selects DefaultChunkSize.
-func EncodeChunks(img *Image, chunkSize int, emit func(*Chunk) error) error {
-	enc := NewChunkEncoder(chunkSize, emit)
-	if err := img.StreamRecords(enc); err != nil {
-		return err
-	}
-	return enc.Close()
-}
-
-// ChainChunkHashes folds a sequence of chunk hashes (in stream order) into
-// one SHA-256 (hex), the whole-image integrity value a chunked stream's
-// header records. Both producer and consumer can compute it incrementally;
-// see also ChunkHashChain for the streaming form.
-func ChainChunkHashes(hashes []string) string {
-	chain := NewChunkHashChain()
-	for _, h := range hashes {
-		chain.Add(h)
-	}
-	return chain.Sum()
-}
-
 // ChunkHashChain incrementally folds chunk hashes into the whole-image
 // integrity hash, so neither side needs to hold the per-chunk hash list.
 type ChunkHashChain struct {
@@ -361,9 +337,9 @@ func (c *ChunkHashChain) Sum() string {
 // ChunkDecoder verifies a chunked metadata stream — chunk order, per-chunk
 // integrity hashes, the dirs-before-files invariant — and replays the
 // verified records into any RecordSink, maintaining the running hash chain.
-// It is the guard every chunk consumer shares: the retained ImageBuilder,
-// the shard-pruning plan decoder, and any streaming pipeline reading chunks
-// off the wire.
+// It is the guard every chunk consumer shares: the plan decoders, retaining
+// (an ImageSink behind it) or shard-pruning, and any streaming pipeline
+// reading chunks off the wire.
 type ChunkDecoder struct {
 	sink      RecordSink
 	nextChunk int
@@ -415,32 +391,3 @@ func (d *ChunkDecoder) ChainHash() string { return d.chain.Sum() }
 
 // Chunks returns how many chunks have been applied.
 func (d *ChunkDecoder) Chunks() int { return d.nextChunk }
-
-// ImageBuilder rebuilds an image incrementally from a chunked metadata
-// stream: a ChunkDecoder feeding the retained ImageSink. Feed chunks in
-// order with AddChunk — each is integrity-checked and folded into the
-// running hash chain — then call Finish. Only the growing image itself is
-// held in memory; no chunk's serialized form outlives its AddChunk call.
-type ImageBuilder struct {
-	dec  *ChunkDecoder
-	sink *ImageSink
-}
-
-// NewImageBuilder starts a builder for an image carrying the given spec.
-func NewImageBuilder(spec Spec) *ImageBuilder {
-	sink := NewImageSink(spec)
-	return &ImageBuilder{dec: NewChunkDecoder(sink), sink: sink}
-}
-
-// AddChunk verifies and applies the next chunk of the stream.
-func (b *ImageBuilder) AddChunk(c *Chunk) error { return b.dec.AddChunk(c) }
-
-// ChainHash returns the running chain hash over the chunks added so far;
-// after the last chunk it must equal the stream header's whole-image hash.
-func (b *ImageBuilder) ChainHash() string { return b.dec.ChainHash() }
-
-// Chunks returns how many chunks have been added.
-func (b *ImageBuilder) Chunks() int { return b.dec.Chunks() }
-
-// Finish validates the assembled image and returns it.
-func (b *ImageBuilder) Finish() (*Image, error) { return b.sink.Image() }

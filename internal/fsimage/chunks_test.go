@@ -1,17 +1,55 @@
 package fsimage
 
 import (
-	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// collectChunks runs EncodeChunks and deep-copies each emitted chunk (the
-// encoder reuses its buffers between calls).
+// encodeChunks replays img into a ChunkEncoder handing its chunks to emit.
+func encodeChunks(img *Image, chunkSize int, emit func(*Chunk) error) error {
+	enc := NewChunkEncoder(chunkSize, emit)
+	if err := img.StreamRecords(enc); err != nil {
+		return err
+	}
+	return enc.Close()
+}
+
+// sameRecords reports whether two images replay the same record stream under
+// the same spec.
+func sameRecords(t *testing.T, a, b *Image) bool {
+	t.Helper()
+	var logs [2]struct {
+		dirs  []DirRecord
+		files []File
+	}
+	for i, img := range []*Image{a, b} {
+		l := &logs[i]
+		err := img.StreamRecords(recordFuncs{
+			dir:  func(d DirRecord) error { l.dirs = append(l.dirs, d); return nil },
+			file: func(f File) error { l.files = append(l.files, f); return nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reflect.DeepEqual(a.Spec, b.Spec) && reflect.DeepEqual(logs[0], logs[1])
+}
+
+type recordFuncs struct {
+	dir  func(DirRecord) error
+	file func(File) error
+}
+
+func (r recordFuncs) AddDir(d DirRecord) error { return r.dir(d) }
+func (r recordFuncs) AddFile(f File) error     { return r.file(f) }
+
+// collectChunks encodes img and deep-copies each emitted chunk (the encoder
+// reuses its buffers between calls).
 func collectChunks(t *testing.T, img *Image, chunkSize int) []*Chunk {
 	t.Helper()
 	var out []*Chunk
-	err := EncodeChunks(img, chunkSize, func(c *Chunk) error {
+	err := encodeChunks(img, chunkSize, func(c *Chunk) error {
 		cp := *c
 		cp.Dirs = append([]DirRecord(nil), c.Dirs...)
 		cp.Files = append([]File(nil), c.Files...)
@@ -19,36 +57,33 @@ func collectChunks(t *testing.T, img *Image, chunkSize int) []*Chunk {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("EncodeChunks: %v", err)
+		t.Fatalf("ChunkEncoder: %v", err)
 	}
 	return out
 }
 
-// rebuild feeds chunks through an ImageBuilder.
+// rebuild feeds chunks through a ChunkDecoder into the retained sink.
 func rebuild(t *testing.T, spec Spec, chunks []*Chunk) (*Image, string) {
 	t.Helper()
-	b := NewImageBuilder(spec)
+	sink := NewImageSink(spec)
+	dec := NewChunkDecoder(sink)
 	for _, c := range chunks {
-		if err := b.AddChunk(c); err != nil {
+		if err := dec.AddChunk(c); err != nil {
 			t.Fatalf("AddChunk(%d): %v", c.Index, err)
 		}
 	}
-	img, err := b.Finish()
+	img, err := sink.Image()
 	if err != nil {
-		t.Fatalf("Finish: %v", err)
+		t.Fatalf("Image: %v", err)
 	}
-	return img, b.ChainHash()
+	return img, dec.ChainHash()
 }
 
-// TestChunkRoundTrip: an image sliced into chunks and rebuilt must encode to
-// byte-identical JSON, at several chunk sizes (including ones that force
-// both multi-chunk dirs and multi-chunk files).
+// TestChunkRoundTrip: an image sliced into chunks and rebuilt must replay the
+// identical records, at several chunk sizes (including ones that force both
+// multi-chunk dirs and multi-chunk files).
 func TestChunkRoundTrip(t *testing.T) {
 	img := buildTestImage(t)
-	var want bytes.Buffer
-	if err := img.Encode(&want); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
 	for _, cs := range []int{1, 3, 7, 1 << 20} {
 		chunks := collectChunks(t, img, cs)
 		wantChunks := (img.DirCount()+cs-1)/cs + (img.FileCount()+cs-1)/cs
@@ -56,19 +91,15 @@ func TestChunkRoundTrip(t *testing.T) {
 			t.Fatalf("chunkSize=%d: got %d chunks, want %d", cs, len(chunks), wantChunks)
 		}
 		got, chain := rebuild(t, img.Spec, chunks)
-		var buf bytes.Buffer
-		if err := got.Encode(&buf); err != nil {
-			t.Fatalf("Encode(rebuilt): %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		if !sameRecords(t, got, img) {
 			t.Fatalf("chunkSize=%d: rebuilt image differs from the original", cs)
 		}
-		hashes := make([]string, len(chunks))
-		for i, c := range chunks {
-			hashes[i] = c.SHA256
+		hashes := NewChunkHashChain()
+		for _, c := range chunks {
+			hashes.Add(c.SHA256)
 		}
-		if chain != ChainChunkHashes(hashes) {
-			t.Fatalf("chunkSize=%d: builder chain hash differs from ChainChunkHashes", cs)
+		if chain != hashes.Sum() {
+			t.Fatalf("chunkSize=%d: decoder chain hash differs from the chain of the chunks' hashes", cs)
 		}
 	}
 }
@@ -98,16 +129,16 @@ func TestChunkHashIsContentBased(t *testing.T) {
 	}
 }
 
-// TestImageBuilderRejectsBadStreams covers corruption, reordering and
+// TestChunkDecoderRejectsBadStreams covers corruption, reordering and
 // structural violations.
-func TestImageBuilderRejectsBadStreams(t *testing.T) {
+func TestChunkDecoderRejectsBadStreams(t *testing.T) {
 	img := buildTestImage(t)
 	chunks := collectChunks(t, img, 4)
 
 	corrupt := *chunks[len(chunks)-1]
 	corrupt.Files = append([]File(nil), corrupt.Files...)
 	corrupt.Files[0].Size += 7 // seal not recomputed
-	b := NewImageBuilder(img.Spec)
+	b := NewChunkDecoder(NewImageSink(img.Spec))
 	for _, c := range chunks[:len(chunks)-1] {
 		if err := b.AddChunk(c); err != nil {
 			t.Fatalf("AddChunk: %v", err)
@@ -117,13 +148,13 @@ func TestImageBuilderRejectsBadStreams(t *testing.T) {
 		t.Errorf("corrupted chunk: got %v, want an integrity error", err)
 	}
 
-	b = NewImageBuilder(img.Spec)
+	b = NewChunkDecoder(NewImageSink(img.Spec))
 	if err := b.AddChunk(chunks[1]); err == nil || !strings.Contains(err.Error(), "out of order") {
 		t.Errorf("out-of-order chunk: got %v", err)
 	}
 
 	// Directory records after the file stream began.
-	b = NewImageBuilder(img.Spec)
+	b = NewChunkDecoder(NewImageSink(img.Spec))
 	for _, c := range chunks {
 		if err := b.AddChunk(c); err != nil {
 			t.Fatalf("AddChunk: %v", err)
@@ -138,24 +169,24 @@ func TestImageBuilderRejectsBadStreams(t *testing.T) {
 	// A mixed chunk is structurally invalid.
 	mixed := Chunk{Index: 0, Dirs: []DirRecord{{ID: 0, Name: "root"}}, Files: []File{{ID: 0, Name: "f"}}}
 	mixed.SHA256 = mixed.RecordsHash()
-	if err := NewImageBuilder(img.Spec).AddChunk(&mixed); err == nil || !strings.Contains(err.Error(), "mixes") {
+	if err := NewChunkDecoder(NewImageSink(img.Spec)).AddChunk(&mixed); err == nil || !strings.Contains(err.Error(), "mixes") {
 		t.Errorf("mixed chunk: got %v", err)
 	}
 
 	// An empty stream has no image.
-	if _, err := NewImageBuilder(img.Spec).Finish(); err == nil {
+	if _, err := NewImageSink(img.Spec).Image(); err == nil {
 		t.Error("empty stream should not finish")
 	}
 }
 
-// TestEncodeChunksBounded asserts the encoder is actually streaming: with a
+// TestChunkEncoderBounded asserts the encoder is actually streaming: with a
 // small chunk size it must emit many chunks, and no single chunk may carry
 // more than chunkSize records — the O(chunk) memory contract.
-func TestEncodeChunksBounded(t *testing.T) {
+func TestChunkEncoderBounded(t *testing.T) {
 	img := buildTestImage(t)
 	const cs = 2
 	n := 0
-	err := EncodeChunks(img, cs, func(c *Chunk) error {
+	err := encodeChunks(img, cs, func(c *Chunk) error {
 		if len(c.Dirs) > cs || len(c.Files) > cs {
 			t.Fatalf("chunk %d carries %d+%d records, limit %d", c.Index, len(c.Dirs), len(c.Files), cs)
 		}

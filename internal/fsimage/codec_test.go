@@ -150,13 +150,13 @@ func TestResumeChunkEncoder(t *testing.T) {
 		if err := enc.Close(); err != nil {
 			t.Fatal(err)
 		}
-		hashes := make([]string, len(whole))
-		for j, c := range whole {
-			hashes[j] = c.SHA256
+		chain := NewChunkHashChain()
+		for _, c := range whole {
+			chain.Add(c.SHA256)
 		}
-		if i != len(whole) || enc.Chunks() != len(whole) || enc.ChainHash() != ChainChunkHashes(hashes) {
+		if i != len(whole) || enc.Chunks() != len(whole) || enc.ChainHash() != chain.Sum() {
 			t.Errorf("chunkSize=%d: resumed encoder ended at chunk %d (Chunks %d) chaining to %s, want %d chunks chaining to %s",
-				cs, i, enc.Chunks(), enc.ChainHash(), len(whole), ChainChunkHashes(hashes))
+				cs, i, enc.Chunks(), enc.ChainHash(), len(whole), chain.Sum())
 		}
 	}
 }

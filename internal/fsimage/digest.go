@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"sync"
 
 	"impressions/internal/parallel"
 	"impressions/internal/stats"
@@ -38,47 +37,27 @@ func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 	opts = opts.withDefaults(img.Spec.Seed)
 	digests := make([]string, len(img.Files))
 	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
-	var (
-		mu      sync.Mutex
-		firstEr error
-	)
 	// Chunks scale with the worker count (per-file streams are ID-keyed, so
 	// boundaries are free to move); a fixed 4096-file chunk would hash any
 	// smaller image serially.
 	ctx := opts.ctx()
-	parallel.RunChunks(opts.Parallelism, len(img.Files), func(lo, hi int) {
-		mu.Lock()
-		failed := firstEr != nil
-		mu.Unlock()
-		if failed {
-			return
-		}
+	err := parallel.RunChunks(ctx, opts.Parallelism, len(img.Files), func(lo, hi int) error {
 		h := sha256.New()
-		for i := lo; i < hi; i++ {
+		for _, f := range img.Files[lo:hi] {
 			if err := ctx.Err(); err != nil {
-				mu.Lock()
-				if firstEr == nil {
-					firstEr = err
-				}
-				mu.Unlock()
-				return
+				return err
 			}
-			f := img.Files[i]
 			h.Reset()
 			rng := baseRNG.SplitN(uint64(f.ID))
 			if err := opts.Registry.ForExtension(f.Ext).Generate(h, f.Size, rng); err != nil {
-				mu.Lock()
-				if firstEr == nil {
-					firstEr = fmt.Errorf("fsimage: hashing content of file %d: %w", f.ID, err)
-				}
-				mu.Unlock()
-				return
+				return fmt.Errorf("fsimage: hashing content of file %d: %w", f.ID, err)
 			}
 			digests[f.ID] = hex.EncodeToString(h.Sum(nil))
 		}
+		return nil
 	})
-	if firstEr != nil {
-		return nil, firstEr
+	if err != nil {
+		return nil, err
 	}
 	return digests, nil
 }

@@ -162,42 +162,6 @@ func TestExtensionFractions(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	img := buildTestImage(t)
-	var buf bytes.Buffer
-	if err := img.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.FileCount() != img.FileCount() || decoded.DirCount() != img.DirCount() {
-		t.Fatalf("decoded counts differ: %d/%d vs %d/%d",
-			decoded.FileCount(), decoded.DirCount(), img.FileCount(), img.DirCount())
-	}
-	for i := range img.Files {
-		if img.Files[i] != decoded.Files[i] {
-			t.Fatalf("file %d differs after round trip", i)
-		}
-	}
-	if decoded.Spec.Seed != img.Spec.Seed {
-		t.Error("spec lost in round trip")
-	}
-	if decoded.TotalBytes() != img.TotalBytes() {
-		t.Error("total bytes differ after round trip")
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(strings.NewReader("not json")); err == nil {
-		t.Error("expected decode error")
-	}
-	if _, err := Decode(strings.NewReader(`{"dirs":[],"files":[]}`)); err == nil {
-		t.Error("expected error for image without directories")
-	}
-}
-
 func TestMaterializeAndScanRoundTrip(t *testing.T) {
 	img := buildTestImage(t)
 	root := t.TempDir()

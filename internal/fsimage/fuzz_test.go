@@ -3,6 +3,7 @@ package fsimage
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ func encodeChunkStream(t testing.TB, img *Image, chunkSize int) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte('[')
 	first := true
-	err := EncodeChunks(img, chunkSize, func(c *Chunk) error {
+	err := encodeChunks(img, chunkSize, func(c *Chunk) error {
 		if !first {
 			buf.WriteByte(',')
 		}
@@ -27,15 +28,15 @@ func encodeChunkStream(t testing.TB, img *Image, chunkSize int) []byte {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("EncodeChunks: %v", err)
+		t.Fatalf("ChunkEncoder: %v", err)
 	}
 	buf.WriteByte(']')
 	return buf.Bytes()
 }
 
-// decodeChunkStream replays a serialized chunk array through an
-// ImageBuilder, exactly as the plan decoder does, and returns the first
-// error (nil when the stream verifies end to end).
+// decodeChunkStream replays a serialized chunk array through a ChunkDecoder
+// into the retained sink, exactly as the plan decoder does, and returns the
+// first error (nil when the stream verifies end to end).
 func decodeChunkStream(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	tok, err := dec.Token()
@@ -43,9 +44,10 @@ func decodeChunkStream(data []byte) error {
 		return err
 	}
 	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return json.Unmarshal(data, &struct{}{}) // not an array: surface some error
+		return errors.New("not a chunk array") // a well-formed object is no stream either
 	}
-	b := NewImageBuilder(Spec{})
+	sink := NewImageSink(Spec{})
+	b := NewChunkDecoder(sink)
 	for dec.More() {
 		var c Chunk
 		if err := dec.Decode(&c); err != nil {
@@ -58,7 +60,7 @@ func decodeChunkStream(data []byte) error {
 	if _, err := dec.Token(); err != nil {
 		return err
 	}
-	_, err = b.Finish()
+	_, err = sink.Image()
 	return err
 }
 
@@ -196,7 +198,8 @@ func FuzzDecodeChunks(f *testing.F) {
 		if _, terr := dec.Token(); terr != nil {
 			t.Fatalf("accepted stream unreadable: %v", terr)
 		}
-		b := NewImageBuilder(Spec{})
+		sink := NewImageSink(Spec{})
+		b := NewChunkDecoder(sink)
 		for dec.More() {
 			var c Chunk
 			if derr := dec.Decode(&c); derr != nil {
@@ -206,7 +209,7 @@ func FuzzDecodeChunks(f *testing.F) {
 				t.Fatalf("accepted stream re-apply: %v", aerr)
 			}
 		}
-		rebuilt, ferr := b.Finish()
+		rebuilt, ferr := sink.Image()
 		if ferr != nil {
 			t.Fatalf("accepted stream finish: %v", ferr)
 		}

@@ -20,6 +20,13 @@ import (
 	"impressions/internal/stats"
 )
 
+// Every image is written with the same permissions: its bytes, and how an
+// extracted tree looks, are a function of spec and seed alone.
+const (
+	dirPerm  = 0o755
+	filePerm = 0o644
+)
+
 // MaterializeOptions controls how an image is written to a real file system.
 type MaterializeOptions struct {
 	// Registry supplies per-extension content generators. If nil, the default
@@ -32,9 +39,6 @@ type MaterializeOptions struct {
 	// without writing content, which is much faster and sufficient for
 	// metadata-only studies.
 	MetadataOnly bool
-	// DirPerm and FilePerm are the permissions for created entries.
-	DirPerm  os.FileMode
-	FilePerm os.FileMode
 	// Parallelism is the number of workers writing files; 0 selects
 	// runtime.NumCPU(), 1 writes them inline. Every file's content is drawn
 	// from a stream derived from the seed and the file's ID, so the written
@@ -72,12 +76,6 @@ func (opts MaterializeOptions) withDefaults(fallbackSeed int64) MaterializeOptio
 	if opts.Seed == 0 {
 		opts.Seed = fallbackSeed
 	}
-	if opts.DirPerm == 0 {
-		opts.DirPerm = 0o755
-	}
-	if opts.FilePerm == 0 {
-		opts.FilePerm = 0o644
-	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.NumCPU()
 	}
@@ -114,15 +112,16 @@ func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, erro
 // shares a path prefix and two workers seldom contend for one directory.
 // Each file's bytes come from its own stream, keyed by the seed and the
 // file ID alone, and opts.Digests slots are positional, so the tree and
-// the digests are identical at every parallelism. The first failed write,
-// or the context's cancellation, stops every worker at its next file and
-// is the error returned; files already written stay in place.
+// the digests are identical at every parallelism. The first failed write
+// stops every worker at its next chunk of files, the context's cancellation
+// at its next file, and is the error returned; files already written stay in
+// place.
 func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, opts MaterializeOptions) (int64, error) {
 	opts = opts.withDefaults(opts.Seed)
 	if opts.Digests != nil && len(opts.Digests) != len(files) {
 		return 0, fmt.Errorf("fsimage: digest slice has length %d, want %d", len(opts.Digests), len(files))
 	}
-	if err := os.MkdirAll(root, opts.DirPerm); err != nil {
+	if err := os.MkdirAll(root, dirPerm); err != nil {
 		return 0, fmt.Errorf("fsimage: creating root %q: %w", root, err)
 	}
 	var path []byte // one buffer serves every entry: the string handed to the syscall is the only allocation
@@ -131,7 +130,7 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 			continue // the root is made
 		}
 		path = appendEntryPath(path, root, tree, id, "")
-		if err := os.MkdirAll(string(path), opts.DirPerm); err != nil {
+		if err := os.MkdirAll(string(path), dirPerm); err != nil {
 			return 0, fmt.Errorf("fsimage: creating directory %q: %w", path, err)
 		}
 	}
@@ -143,11 +142,10 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 	}
 	slices.Sort(order)
 
-	ctx, stop := context.WithCancelCause(opts.ctx())
-	defer stop(nil)
+	ctx := opts.ctx()
 	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	var written atomic.Int64
-	parallel.RunChunks(opts.Parallelism, len(order), func(lo, hi int) {
+	err := parallel.RunChunks(ctx, opts.Parallelism, len(order), func(lo, hi int) error {
 		var (
 			path []byte
 			sum  hash.Hash // taps the content when digests are wanted
@@ -158,8 +156,8 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 		}
 		defer func() { written.Add(n) }()
 		for _, key := range order[lo:hi] {
-			if ctx.Err() != nil {
-				return
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			k := int(uint32(key))
 			f := files[k]
@@ -167,8 +165,7 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 			// Each file owns a stream keyed by its ID: content depends only on
 			// the seed and the file, never on write order or worker identity.
 			if err := writeFile(string(path), f, opts, baseRNG.SplitN(uint64(f.ID)), sum); err != nil {
-				stop(err)
-				return
+				return err
 			}
 			if sum != nil {
 				opts.Digests[k] = hex.EncodeToString(sum.Sum(nil))
@@ -176,11 +173,9 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 			}
 			n += f.Size
 		}
+		return nil
 	})
-	if ctx.Err() != nil {
-		return written.Load(), context.Cause(ctx)
-	}
-	return written.Load(), nil
+	return written.Load(), err
 }
 
 // AppendFilePath appends the slash-separated path of a file record relative
@@ -309,7 +304,7 @@ var writerPool = sync.Pool{
 }
 
 func writeFile(path string, f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) error {
-	fh, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, opts.FilePerm)
+	fh, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, filePerm)
 	if err != nil {
 		return fmt.Errorf("fsimage: creating file %q: %w", path, err)
 	}

@@ -2,7 +2,6 @@ package fsimage
 
 import (
 	"fmt"
-	"iter"
 	"strings"
 
 	"impressions/internal/namespace"
@@ -47,47 +46,6 @@ func (img *Image) StreamRecords(sink RecordSink) error {
 	}
 	for i := range img.Files {
 		if err := sink.AddFile(img.Files[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DirRecords returns an iterator over the image's directory records in ID
-// order, the iter.Seq view of the stream's first half.
-func (img *Image) DirRecords() iter.Seq[DirRecord] {
-	return func(yield func(DirRecord) bool) {
-		for i := range img.Tree.Dirs {
-			d := &img.Tree.Dirs[i]
-			if !yield(DirRecord{ID: d.ID, Parent: d.Parent, Name: d.Name, Special: d.Special, Bias: d.Bias}) {
-				return
-			}
-		}
-	}
-}
-
-// FileRecords returns an iterator over the image's file records in ID order,
-// the iter.Seq view of the stream's second half.
-func (img *Image) FileRecords() iter.Seq[File] {
-	return func(yield func(File) bool) {
-		for i := range img.Files {
-			if !yield(img.Files[i]) {
-				return
-			}
-		}
-	}
-}
-
-// StreamSeqs replays a record stream given as two iterators (dirs, then
-// files) into a sink — the bridge from iter.Seq producers to RecordSinks.
-func StreamSeqs(dirs iter.Seq[DirRecord], files iter.Seq[File], sink RecordSink) error {
-	for d := range dirs {
-		if err := sink.AddDir(d); err != nil {
-			return err
-		}
-	}
-	for f := range files {
-		if err := sink.AddFile(f); err != nil {
 			return err
 		}
 	}
@@ -226,9 +184,8 @@ func (s *TreeSink) FileCount() int { return s.files }
 func (s *TreeSink) TotalBytes() int64 { return s.totalBytes }
 
 // ImageSink is the retained RecordSink: it rebuilds a complete in-memory
-// Image from the stream. It is how the whole-image Decode, the chunked
-// ImageBuilder, and any streamed pipeline that ultimately wants random
-// access all materialize their records.
+// Image from the stream. It is how the plan decoder and any streamed
+// pipeline that ultimately wants random access materialize their records.
 type ImageSink struct {
 	ts   TreeSink
 	img  *Image

@@ -13,18 +13,17 @@
 // and is not what bounds -j on ~1 KB files. Two backends ship:
 //
 //   - TarSink streams a POSIX tar whose bytes are a pure function of (spec,
-//     seed, Options): entry order is the canonical record order (directories
-//     in ID order, then files in ID order) and all VFS-dependent metadata —
-//     mtime, uid, gid, permissions — is fixed by Options, so the stream is
-//     byte-identical at any parallelism. Headers are archive/tar's, byte
+//     seed): entry order is the canonical record order (directories in ID
+//     order, then files in ID order) and all VFS-dependent metadata — mtime,
+//     uid, gid, permissions — is constant, so the stream is byte-identical
+//     at any parallelism. Headers are archive/tar's, byte
 //     for byte, but archive/tar formats only two of them per sink: one
 //     builder (tarheader.go) has it render a file and a directory header
 //     once and patches name, size and checksum into copies. An entry ustar
 //     cannot hold — a name that is not ASCII, a path that does not split
 //     into ustar's 155-byte prefix and 100-byte name (none over 256 bytes
-//     does), a size of 8 GiB or more, or Options that do not render as one
-//     plain block — is written by archive/tar itself, on its PAX route; the
-//     builder decides from the entry, never from an option. WriteSegment
+//     does), or a size of 8 GiB or more — is written by archive/tar itself,
+//     on its PAX route. WriteSegment
 //     emits one shard's sub-stream as a truncated-at-EOF tar segment, and
 //     Stitcher merges per-shard segments back into the identical monolithic
 //     archive, rewriting every header through the same builder, so a
@@ -47,7 +46,6 @@ package imgfmt
 import (
 	"context"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -55,16 +53,23 @@ import (
 	"impressions/internal/fsimage"
 )
 
-// DefaultModTime is the fixed timestamp stamped on every entry when
-// Options.ModTime is zero: 2009-02-06 00:00:00 UTC, the FAST '09 week.
-// Image bytes must be a pure function of (spec, seed), so the build's wall
-// clock can never leak into an archive.
+// What a kernel would invent for an entry — owner, permissions, timestamp —
+// is the same for every entry of every image: image bytes are a pure
+// function of (spec, seed), so neither the build's wall clock nor its user
+// can leak into an archive, and images mount and extract without any
+// host-user dependence.
+const (
+	dirPerm  = 0o755
+	filePerm = 0o644
+	ownerID  = 0 // uid and gid
+)
+
+// DefaultModTime is the timestamp of every entry: 2009-02-06 00:00:00 UTC,
+// the FAST '09 week.
 var DefaultModTime = time.Unix(1233878400, 0).UTC()
 
-// Options fixes everything about an image file that a kernel would
-// otherwise invent — ownership, permissions, timestamps — plus the content
-// engine configuration. The zero value is usable; every field has the same
-// default the VFS materializer uses.
+// Options configures the content engine behind an image file. The zero value
+// is usable; every field has the same default the VFS materializer uses.
 type Options struct {
 	// Registry supplies per-extension content generators (nil: the default
 	// content policy).
@@ -76,16 +81,6 @@ type Options struct {
 	// keep their full size (the archive counterpart of a truncated VFS
 	// file), and no content digests are produced.
 	MetadataOnly bool
-	// DirPerm and FilePerm are the recorded permissions (defaults 0755 and
-	// 0644).
-	DirPerm  os.FileMode
-	FilePerm os.FileMode
-	// UID and GID are the recorded owner (default 0:0 — images mount and
-	// extract without any host-user dependence).
-	UID int
-	GID int
-	// ModTime is the fixed timestamp for every entry (zero: DefaultModTime).
-	ModTime time.Time
 	// Parallelism is the number of workers generating and hashing file
 	// content ahead of the writer (0: runtime.NumCPU(), as
 	// fsimage.MaterializeOptions has it; 1: one worker). Every file's
@@ -125,15 +120,6 @@ func (o Options) ctx() context.Context {
 func (o Options) withDefaults() Options {
 	if o.Registry == nil {
 		o.Registry = content.NewRegistry(content.KindDefault)
-	}
-	if o.DirPerm == 0 {
-		o.DirPerm = 0o755
-	}
-	if o.FilePerm == 0 {
-		o.FilePerm = 0o644
-	}
-	if o.ModTime.IsZero() {
-		o.ModTime = DefaultModTime
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
@@ -175,4 +161,30 @@ type DigestFold = fsimage.DigestBuilder
 func FoldDigest(opts *Options, dirs, files int, bytes int64) *DigestFold {
 	opts.fold = fsimage.NewDigestBuilder(dirs, files, bytes, nil)
 	return opts.fold
+}
+
+// Source is an image's record stream with its totals: a metadata pass
+// (core.Metadata), replayed, or a retained image.
+type Source interface {
+	fsimage.RecordSource
+	DirCount() int
+	FileCount() int
+	TotalBytes() int64
+}
+
+// Digest returns the canonical image digest of src without writing an image:
+// the records go through a tar sink onto io.Discard, which generates and
+// hashes every file on opts.Parallelism workers and keeps nothing, with the
+// digest folded in the same pass. It is the route of `impressions -digest`
+// and of the daemon's POST /v1/generate.
+func Digest(src Source, opts Options) (string, error) {
+	fold := FoldDigest(&opts, src.DirCount(), src.FileCount(), src.TotalBytes())
+	sink := NewTarSink(io.Discard, opts)
+	if err := src.StreamRecords(fsimage.MultiSink(sink, fold)); err != nil {
+		return "", err
+	}
+	if err := sink.Close(); err != nil {
+		return "", err
+	}
+	return fold.Sum()
 }

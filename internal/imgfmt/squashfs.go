@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"io/fs"
 	"sort"
 	"strconv"
 
@@ -440,15 +439,9 @@ func (s *SquashfsSink) Close() error {
 		subdirs[tree.Dirs[id].Parent]++
 	}
 
-	// Identity table indices (at most two distinct ids).
-	ids := []uint32{uint32(s.opts.UID)}
-	gidIdx := uint16(0)
-	if s.opts.GID != s.opts.UID {
-		ids = append(ids, uint32(s.opts.GID))
-		gidIdx = 1
-	}
-
-	mtime := uint32(s.opts.ModTime.Unix())
+	// The identity table holds the one id that owns and groups every inode.
+	ids := []uint32{ownerID}
+	mtime := uint32(DefaultModTime.Unix())
 
 	// Inode table.
 	inodeTableStart := s.offset
@@ -465,9 +458,9 @@ func (s *SquashfsSink) Close() error {
 		blk, off := metaRef(listStart[d])
 		buf = buf[:0]
 		buf = binary.LittleEndian.AppendUint16(buf, squashfsTypeExtDir)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(s.opts.DirPerm&fs.ModePerm))
+		buf = binary.LittleEndian.AppendUint16(buf, dirPerm)
 		buf = binary.LittleEndian.AppendUint16(buf, 0) // uid index
-		buf = binary.LittleEndian.AppendUint16(buf, gidIdx)
+		buf = binary.LittleEndian.AppendUint16(buf, 0) // gid index
 		buf = binary.LittleEndian.AppendUint32(buf, mtime)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d+1)) // inode number
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(2+subdirs[d]))
@@ -488,9 +481,9 @@ func (s *SquashfsSink) Close() error {
 		size := s.fileSize[i]
 		buf = buf[:0]
 		buf = binary.LittleEndian.AppendUint16(buf, squashfsTypeExtReg)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(s.opts.FilePerm&fs.ModePerm))
+		buf = binary.LittleEndian.AppendUint16(buf, filePerm)
 		buf = binary.LittleEndian.AppendUint16(buf, 0)
-		buf = binary.LittleEndian.AppendUint16(buf, gidIdx)
+		buf = binary.LittleEndian.AppendUint16(buf, 0)
 		buf = binary.LittleEndian.AppendUint32(buf, mtime)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(dirCount+1+i))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.fileStart[i]))

@@ -31,7 +31,7 @@ func newTarWriter(w io.Writer, opts Options) *tarWriter {
 	return &tarWriter{
 		bw:      bufio.NewWriterSize(fullWriter{w}, 64*1024),
 		ctx:     opts.ctx(),
-		headers: newTarHeaders(opts),
+		headers: newTarHeaders(),
 	}
 }
 

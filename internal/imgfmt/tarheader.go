@@ -4,13 +4,12 @@ import (
 	"archive/tar"
 	"bytes"
 	"fmt"
-	"io/fs"
 )
 
 // The ustar header block, as far as this writer patches it. In a header of
 // this package only the name (split over the name and prefix fields), the
 // size and the checksum differ from entry to entry: mode, owner and mtime
-// are fixed by Options.
+// are the package's constants.
 const (
 	tarBlock = 512
 
@@ -18,10 +17,8 @@ const (
 	tarSizeOff, tarSizeDigits  = 124, 11
 	tarSumOff, tarSumDigits    = 148, 6
 	tarSumLen                  = 8 // the digits, a NUL, a space
-	tarMagicOff                = 257
 	tarPrefixOff, tarPrefixLen = 345, 155
 
-	tarMagic = "ustar\x0000"
 	// tarMaxSize is the largest size the octal size field holds; beyond it
 	// the size travels in a PAX record.
 	tarMaxSize = 1<<(3*tarSizeDigits) - 1
@@ -42,20 +39,19 @@ func tarPadding(size int64) int { return int(-size & (tarBlock - 1)) }
 // renders each kind of entry once, with an empty name and size 0, and the
 // builder patches name, size and checksum into a copy of that block. An
 // entry such a block cannot hold — a name that is not ASCII or does not
-// split into ustar's 100 + 155 bytes, a size of 8 GiB or more, or Options
-// whose rendering is not one plain ustar block to begin with — is written
-// by archive/tar itself (its PAX route), so the output is archive/tar's
-// either way. A tarHeaders is read-only once built and safe to share.
+// split into ustar's 100 + 155 bytes, or a size of 8 GiB or more — is
+// written by archive/tar itself (its PAX route), so the output is
+// archive/tar's either way. A tarHeaders is read-only once built and safe to share.
 type tarHeaders struct {
 	file, dir tarTemplate
 }
 
-func newTarHeaders(opts Options) *tarHeaders {
+func newTarHeaders() *tarHeaders {
 	h := &tarHeaders{}
-	entry := tar.Header{Uid: opts.UID, Gid: opts.GID, ModTime: opts.ModTime}
-	entry.Typeflag, entry.Mode = tar.TypeReg, int64(opts.FilePerm&fs.ModePerm)
+	entry := tar.Header{Uid: ownerID, Gid: ownerID, ModTime: DefaultModTime}
+	entry.Typeflag, entry.Mode = tar.TypeReg, filePerm
 	h.file.init(entry)
-	entry.Typeflag, entry.Mode = tar.TypeDir, int64(opts.DirPerm&fs.ModePerm)
+	entry.Typeflag, entry.Mode = tar.TypeDir, dirPerm
 	h.dir.init(entry)
 	return h
 }
@@ -63,18 +59,13 @@ func newTarHeaders(opts Options) *tarHeaders {
 // tarTemplate builds the headers of one kind of entry.
 type tarTemplate struct {
 	proto tar.Header     // what archive/tar is given, Name and Size aside
-	block [tarBlock]byte // its rendering of proto
+	block [tarBlock]byte // its rendering of proto: one ustar header
 	sum   uint32         // block's checksum with the checksum field blank
-	plain bool           // block is a ustar header and the whole rendering
 }
 
 func (t *tarTemplate) init(proto tar.Header) {
 	t.proto = proto
-	b, err := t.appendStdlib(nil, nil, 0)
-	if err != nil || len(b) != tarBlock || string(b[tarMagicOff:tarMagicOff+len(tarMagic)]) != tarMagic {
-		return
-	}
-	t.plain = true
+	b, _ := t.appendStdlib(nil, nil, 0)
 	copy(t.block[:], b)
 	// The checksum counts its own field as spaces.
 	t.sum = tarSumLen * ' '
@@ -97,7 +88,7 @@ func (t *tarTemplate) append(dst, name []byte, size int64) ([]byte, error) {
 			ascii = false
 		}
 	}
-	split, ok := -1, t.plain && ascii && size >= 0 && size <= tarMaxSize
+	split, ok := -1, ascii && size >= 0 && size <= tarMaxSize
 	if ok && len(name) > tarNameLen {
 		split, ok = ustarSplit(name)
 	}

@@ -3,7 +3,6 @@ package imgfmt
 import (
 	"archive/tar"
 	"bytes"
-	"io/fs"
 	"strings"
 	"testing"
 	"time"
@@ -12,11 +11,10 @@ import (
 // stdlibHeader is the oracle of the header tests: the entry's header as
 // archive/tar writes it when handed every field, the way tarWriter did
 // before there was a builder.
-func stdlibHeader(opts Options, name string, size int64, dir bool) ([]byte, error) {
-	hdr := tar.Header{Typeflag: tar.TypeReg, Name: name, Size: size, Mode: int64(opts.FilePerm & fs.ModePerm),
-		Uid: opts.UID, Gid: opts.GID, ModTime: opts.ModTime}
+func stdlibHeader(name string, size int64, dir bool) ([]byte, error) {
+	hdr := tar.Header{Typeflag: tar.TypeReg, Name: name, Size: size, Mode: 0o644, ModTime: time.Unix(1233878400, 0)}
 	if dir {
-		hdr.Typeflag, hdr.Mode = tar.TypeDir, int64(opts.DirPerm&fs.ModePerm)
+		hdr.Typeflag, hdr.Mode = tar.TypeDir, 0o755
 	}
 	var buf bytes.Buffer
 	err := tar.NewWriter(&buf).WriteHeader(&hdr)
@@ -25,7 +23,7 @@ func stdlibHeader(opts Options, name string, size int64, dir bool) ([]byte, erro
 
 // checkHeader compares the builder with the oracle on one entry and returns
 // the header.
-func checkHeader(t *testing.T, opts Options, h *tarHeaders, name string, size int64, dir bool) []byte {
+func checkHeader(t *testing.T, h *tarHeaders, name string, size int64, dir bool) []byte {
 	t.Helper()
 	tpl := &h.file
 	if dir {
@@ -34,7 +32,7 @@ func checkHeader(t *testing.T, opts Options, h *tarHeaders, name string, size in
 	// A prefix already in dst must survive: the workers append to scratch
 	// they reuse.
 	got, err := tpl.append([]byte("kept"), []byte(name), size)
-	want, wantErr := stdlibHeader(opts, name, size, dir)
+	want, wantErr := stdlibHeader(name, size, dir)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("%q size %d dir %v: builder error %v, archive/tar error %v", name, size, dir, err, wantErr)
 	}
@@ -106,26 +104,22 @@ func TestTarHeaderMatchesArchiveTar(t *testing.T) {
 		size  int64
 		ustar bool
 	}{{0, true}, {1, true}, {511, true}, {0o1234567, true}, {1<<33 - 1, true}, {1 << 33, false}, {1 << 40, false}}
-	opts := Options{}.withDefaults()
-	h := newTarHeaders(opts)
-	if !h.file.plain || !h.dir.plain {
-		t.Fatal("the default options did not render as plain ustar blocks")
-	}
+	h := newTarHeaders()
 	for _, c := range headerCases {
 		for _, s := range sizes {
-			got := checkHeader(t, opts, h, c.name, s.size, false)
+			got := checkHeader(t, h, c.name, s.size, false)
 			if plain := len(got) == tarBlock; plain != (c.ustar && s.ustar) {
 				t.Errorf("%s, size %d: header of %d bytes, want one block: %v", c.label, s.size, len(got), c.ustar && s.ustar)
 			}
 		}
 		// The same name as a directory's, with its trailing slash; one byte
 		// longer, so the edges move by one, which the oracle knows.
-		checkHeader(t, opts, h, c.name+"/", 0, true)
+		checkHeader(t, h, c.name+"/", 0, true)
 	}
 	// A trailing slash is not counted against the prefix split, and a
 	// regular file must not have one.
-	checkHeader(t, opts, h, tarPath(100, 20)+"/", 0, true)
-	checkHeader(t, opts, h, strings.Repeat("p", 155)+"/"+strings.Repeat("n", 99)+"/", 0, true)
+	checkHeader(t, h, tarPath(100, 20)+"/", 0, true)
+	checkHeader(t, h, strings.Repeat("p", 155)+"/"+strings.Repeat("n", 99)+"/", 0, true)
 	if _, err := h.file.append(nil, []byte("dir/"), 0); err == nil {
 		t.Error("a regular file named dir/ got a header")
 	}
@@ -134,28 +128,22 @@ func TestTarHeaderMatchesArchiveTar(t *testing.T) {
 	}
 }
 
-// TestTarHeaderFallsBackOnOptions: options archive/tar cannot render as one
-// plain block send every entry through it, still byte for byte.
-func TestTarHeaderFallsBackOnOptions(t *testing.T) {
-	for _, tc := range []struct {
-		label string
-		opts  Options
-		plain bool
-	}{
-		{"uid past the octal field", Options{UID: 1 << 21}, false},
-		{"negative gid", Options{GID: -1}, false},
-		{"mtime before the epoch", Options{ModTime: time.Unix(-5, 0)}, false},
-		{"sub-second mtime", Options{ModTime: time.Unix(1233878400, 500)}, true}, // archive/tar rounds it
-		{"other permissions and owner", Options{FilePerm: 0o600, DirPerm: 0o700, UID: 1000, GID: 100}, true},
-	} {
-		opts := tc.opts.withDefaults()
-		h := newTarHeaders(opts)
-		if h.file.plain != tc.plain || h.dir.plain != tc.plain {
-			t.Errorf("%s: templates plain %v/%v, want %v", tc.label, h.file.plain, h.dir.plain, tc.plain)
+// TestTarHeaderTemplatesArePlain: the package's constant owner, permissions
+// and timestamp render as one plain ustar block for a file and for a
+// directory, which is what lets the builder patch a copy of it.
+func TestTarHeaderTemplatesArePlain(t *testing.T) {
+	h := newTarHeaders()
+	for _, tpl := range []*tarTemplate{&h.file, &h.dir} {
+		b, err := tpl.appendStdlib(nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, c := range headerCases {
-			checkHeader(t, opts, h, c.name, 1234, false)
-			checkHeader(t, opts, h, c.name+"/", 0, true)
+		const magicOff, magic = 257, "ustar\x0000"
+		if len(b) != tarBlock || string(b[magicOff:magicOff+len(magic)]) != magic {
+			t.Fatalf("archive/tar renders the type %c template in %d bytes, not as one ustar block", tpl.proto.Typeflag, len(b))
+		}
+		if !bytes.Equal(tpl.block[:], b) {
+			t.Fatalf("the type %c template is not archive/tar's rendering", tpl.proto.Typeflag)
 		}
 	}
 }
@@ -163,7 +151,7 @@ func TestTarHeaderFallsBackOnOptions(t *testing.T) {
 // TestTarHeaderPatchesWithoutAllocating: a name ustar holds is patched into
 // the caller's buffer; only the archive/tar route allocates.
 func TestTarHeaderPatchesWithoutAllocating(t *testing.T) {
-	h := newTarHeaders(Options{}.withDefaults())
+	h := newTarHeaders()
 	buf := make([]byte, 0, 2*tarBlock)
 	for _, name := range [][]byte{[]byte("dir00001/file00000012.txt"), []byte(tarPath(217, 60))} {
 		if n := testing.AllocsPerRun(100, func() { buf, _ = h.file.append(buf[:0], name, 1234) }); n != 0 {
@@ -181,16 +169,14 @@ func FuzzTarHeader(f *testing.F) {
 		f.Add("dir00001/file00000012.txt", size, false)
 		f.Add(tarPath(150, 30), size, false)
 	}
-	opts := Options{}.withDefaults()
-	h := newTarHeaders(opts)
+	h := newTarHeaders()
 	f.Fuzz(func(t *testing.T, name string, size int64, dir bool) {
-		checkHeader(t, opts, h, name, size, dir)
+		checkHeader(t, h, name, size, dir)
 	})
 }
 
 func BenchmarkTarHeader(b *testing.B) {
-	opts := Options{}.withDefaults()
-	h := newTarHeaders(opts)
+	h := newTarHeaders()
 	name := []byte("dir00012/dir00345/dir06789/file00123456.html") // tar_small's typical depth
 	buf := make([]byte, 0, tarBlock)
 	b.Run("template", func(b *testing.B) {

@@ -8,6 +8,7 @@
 package parallel
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -35,25 +36,33 @@ func Bounds(n, s int) (lo, hi int) {
 }
 
 // Run executes fn(shard) for every shard index in [0, shards) on up to
-// workers goroutines. Shards are claimed through an atomic counter, so the
-// set of shards each worker executes is scheduling-dependent — fn must
-// derive any randomness it needs from the shard index, not from worker
-// identity. With workers <= 1 the shards run inline in order, which is also
-// the degenerate deterministic reference path. fn is responsible for its own
-// error collection (e.g. a mutex-guarded first-error slot checked between
-// shards); Run itself never fails.
-func Run(workers, shards int, fn func(shard int)) {
-	if shards <= 0 {
-		return
+// workers goroutines and returns the first error: once a callback fails, or
+// ctx is cancelled, the shards not yet started are skipped, and that error
+// (or the context's cause) is returned when the started ones have finished —
+// no goroutine outlives the call. Shards are claimed through an atomic
+// counter, so the set of shards each worker executes is scheduling-dependent
+// — fn must derive any randomness it needs from the shard index, not from
+// worker identity. With workers <= 1 the shards run inline in order, which is
+// also the degenerate deterministic reference path.
+func Run(ctx context.Context, workers, shards int, fn func(shard int) error) error {
+	ctx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	run := func(s int) {
+		if ctx.Err() != nil {
+			return
+		}
+		if err := fn(s); err != nil {
+			stop(err)
+		}
 	}
 	if workers > shards {
 		workers = shards
 	}
 	if workers <= 1 {
 		for s := 0; s < shards; s++ {
-			fn(s)
+			run(s)
 		}
-		return
+		return context.Cause(ctx)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -66,23 +75,22 @@ func Run(workers, shards int, fn func(shard int)) {
 				if s >= shards {
 					return
 				}
-				fn(s)
+				run(s)
 			}
 		}()
 	}
 	wg.Wait()
+	return context.Cause(ctx)
 }
 
 // RunChunks executes fn(lo, hi) over contiguous chunks of n items on up to
 // workers goroutines, sizing chunks so there are ~4 per worker (clamped to
-// [1, DefaultShardSize] items each). Unlike Shards/Bounds — whose fixed
-// boundaries exist so per-shard RNG streams stay put — chunk boundaries here
-// depend on the worker count, so RunChunks is only for loops whose work is
-// keyed per item (e.g. per-file content streams), never per chunk.
-func RunChunks(workers, n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
+// [1, DefaultShardSize] items each), with Run's error and cancellation rule.
+// Unlike Shards/Bounds — whose fixed boundaries exist so per-shard RNG
+// streams stay put — chunk boundaries here depend on the worker count, so
+// RunChunks is only for loops whose work is keyed per item (e.g. per-file
+// content streams), never per chunk.
+func RunChunks(ctx context.Context, workers, n int, fn func(lo, hi int) error) error {
 	if workers < 1 {
 		workers = 1
 	}
@@ -94,12 +102,12 @@ func RunChunks(workers, n int, fn func(lo, hi int)) {
 		chunk = DefaultShardSize
 	}
 	chunks := (n + chunk - 1) / chunk
-	Run(workers, chunks, func(s int) {
+	return Run(ctx, workers, chunks, func(s int) error {
 		lo := s * chunk
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		fn(lo, hi)
+		return fn(lo, hi)
 	})
 }

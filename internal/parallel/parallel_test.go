@@ -1,9 +1,14 @@
 package parallel
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunCoversAllShards exercises the worker pool under the race detector:
@@ -12,7 +17,9 @@ func TestRunCoversAllShards(t *testing.T) {
 	for _, workers := range []int{1, 2, 5, 16} {
 		const shards = 97
 		hits := make([]int32, shards)
-		Run(workers, shards, func(s int) { hits[s]++ })
+		if err := Run(context.Background(), workers, shards, func(s int) error { hits[s]++; return nil }); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for s, n := range hits {
 			if n != 1 {
 				t.Fatalf("workers=%d: shard %d ran %d times", workers, s, n)
@@ -52,14 +59,18 @@ func TestRunChunksCoversAllItems(t *testing.T) {
 			hits := make([]int32, n)
 			var mu sync.Mutex
 			chunks := 0
-			RunChunks(workers, n, func(lo, hi int) {
+			err := RunChunks(context.Background(), workers, n, func(lo, hi int) error {
 				mu.Lock()
 				chunks++
 				mu.Unlock()
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
+				return nil
 			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("workers=%d n=%d: item %d visited %d times", workers, n, i, h)
@@ -69,5 +80,96 @@ func TestRunChunksCoversAllItems(t *testing.T) {
 				t.Fatalf("workers=%d n=%d: only %d chunks — cannot keep all workers busy", workers, n, chunks)
 			}
 		}
+	}
+}
+
+// TestRunFirstErrorWins: the first callback to fail decides what Run
+// returns, and the shards not yet started are skipped.
+func TestRunFirstErrorWins(t *testing.T) {
+	// Inline, shard 0 fails first and nothing else starts.
+	var ran []int
+	err := Run(context.Background(), 1, 1000, func(s int) error {
+		ran = append(ran, s)
+		return fmt.Errorf("shard %d", s)
+	})
+	if err == nil || err.Error() != "shard 0" || len(ran) != 1 {
+		t.Fatalf("inline: Run returned %v after shards %v, want shard 0's error and no other shard", err, ran)
+	}
+	// On a pool, the shards claimed while the failure was being recorded run
+	// to their end; the hundreds behind them do not start.
+	boom := errors.New("boom")
+	var started atomic.Int32
+	err = Run(context.Background(), 4, 1000, func(s int) error {
+		if started.Add(1) == 1 {
+			return boom
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if err != boom {
+		t.Fatalf("pool: Run returned %v, want the one error", err)
+	}
+	if n := started.Load(); n == 1000 {
+		t.Fatal("pool: every shard started after the first had failed")
+	}
+	if err := RunChunks(context.Background(), 2, 100, func(lo, hi int) error { return boom }); err != boom {
+		t.Fatalf("RunChunks returned %v, want its callback's error", err)
+	}
+}
+
+// TestRunCancelSkipsTheRest: a cancelled context stops Run between shards and
+// is what it returns, its cause when it has one; a context cancelled before
+// the call runs nothing.
+func TestRunCancelSkipsTheRest(t *testing.T) {
+	boom := errors.New("lease expired")
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		var ran atomic.Int32
+		err := Run(ctx, workers, 1000, func(s int) error {
+			if ran.Add(1) == 3 {
+				cancel(boom)
+			}
+			return nil
+		})
+		if err != boom {
+			t.Fatalf("workers=%d: Run returned %v, want the context's cause", workers, err)
+		}
+		if n := ran.Load(); int(n) >= 3+workers {
+			t.Fatalf("workers=%d: %d shards ran, the cancellation came in the third", workers, n)
+		}
+		err = Run(ctx, workers, 10, func(int) error { t.Error("a shard ran under a dead context"); return nil })
+		if err != boom {
+			t.Fatalf("workers=%d: Run under a dead context returned %v", workers, err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Run(ctx, 2, 10, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run under a cancelled context returned %v", err)
+	}
+}
+
+// TestRunLeavesNoGoroutine: Run returns once every worker has, whether the
+// shards succeeded, failed or were cancelled.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := 0; i < 20; i++ {
+		Run(context.Background(), 8, 64, func(int) error { return nil })
+		Run(context.Background(), 8, 64, func(s int) error { return errors.New("boom") })
+		RunChunks(ctx, 8, 1000, func(lo, hi int) error {
+			if lo > 100 {
+				cancel()
+			}
+			return nil
+		})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before, %d after", before, after)
 	}
 }

@@ -70,16 +70,6 @@ type Stats struct {
 	UptimeSeconds   float64 `json:"uptime_seconds"`
 }
 
-// HitRate returns the plan-cache hit rate in [0, 1] (0 when no plan
-// requests have been served).
-func (s Stats) HitRate() float64 {
-	total := s.PlanCacheHits + s.PlanCacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.PlanCacheHits) / float64(total)
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }

@@ -3,20 +3,18 @@ package serve
 // The fleet endpoints: the HTTP face of internal/fleet's scheduler. The
 // scheduler owns every decision (lease grants, expiry, verification,
 // merge); this file only translates requests, bounds bodies, and maps
-// sentinel errors to statuses. Run creation reuses the plan cache and
-// single-flight build machinery — a fleet run over a spec the daemon has
-// already planned starts instantly from the store.
+// sentinel errors to statuses. Run creation goes through the plan cache's
+// buildOrFetch — a fleet run over a spec the daemon has already planned
+// starts instantly from the store.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 
 	"impressions/internal/distribute"
 	"impressions/internal/fleet"
-	"impressions/internal/fsimage"
 )
 
 // maxManifestBody bounds an uploaded shard manifest (64 MiB — a manifest
@@ -53,37 +51,31 @@ func (s *Server) newFleet(opts fleet.Options) *fleet.Scheduler {
 // the stored plan and run it daemon-side onto a target that discards the
 // bytes and keeps the manifest — no disk, no worker.
 // It runs under the same worker-pool semaphore as every heavy request.
-func (s *Server) inlineShard(ctx context.Context, fingerprint string, shard int) (*distribute.Manifest, error) {
+func (s *Server) inlineShard(ctx context.Context, fingerprint string, shard int) (m *distribute.Manifest, err error) {
 	if s.opts.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
 		defer cancel()
 	}
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.release()
-	rc, _, err := s.opts.Store.Open(fingerprint)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	view, err := distribute.DecodePlanShard(rc, shard)
-	if err != nil {
-		return nil, err
-	}
-	res, err := distribute.Execute(ctx, view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Manifest, nil
+	err = s.withStored(ctx, fingerprint, func(doc io.Reader, _ int64) error {
+		view, err := distribute.DecodePlanShard(doc, shard)
+		if err != nil {
+			return err
+		}
+		res, err := distribute.Execute(ctx, view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
+		if err == nil {
+			m = res.Manifest
+		}
+		return err
+	})
+	return m, err
 }
 
-// handlePostRun creates a distributed run: ensure the plan exists in the
-// store (building it exactly once under the single-flight group), retain
-// its open form for verification and merge, and hand it to the scheduler.
-// The response is the run's initial status; poll GET /v1/runs/{id} until
-// it carries the canonical digest.
+// handlePostRun creates a distributed run: make sure the plan is in the
+// store (buildOrFetch: built exactly once however many requests race),
+// retain its open form for verification and merge, and hand it to the
+// scheduler. The response is the run's initial status; poll GET
+// /v1/runs/{id} until it carries the canonical digest.
 func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -92,33 +84,8 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if req.Shards <= 0 {
-		req.Shards = 1
-	}
-	if req.Shards > s.opts.MaxShards {
-		writeError(w, fmt.Errorf("serve: %d shards exceeds the server's limit of %d (%w)", req.Shards, s.opts.MaxShards, fsimage.ErrInvalidSpec))
-		return
-	}
-	fp, err := distribute.SpecFingerprint(req.Spec, req.Shards, req.ChunkSize)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := s.ensurePlan(ctx, req, fp); err != nil {
-		writeError(w, err)
-		return
-	}
-	open, err := s.openStoredPlan(ctx, fp)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	id, err := s.fleet.CreateRun(fp, open)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	st, err := s.fleet.Status(id)
+	req.Partition = 0 // a run executes shards of the monolithic plan
+	st, fp, err := s.createRun(ctx, req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -127,49 +94,36 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// ensurePlan makes sure fingerprint fp is present in the store, running
-// the cache-filling build (single-flight) when it is not.
-func (s *Server) ensurePlan(ctx context.Context, req PlanRequest, fp string) error {
-	if rc, _, err := s.opts.Store.Open(fp); err == nil {
-		rc.Close()
-		s.cacheHits.Add(1)
-		return nil
+func (s *Server) createRun(ctx context.Context, req PlanRequest) (st fleet.RunStatus, fp string, err error) {
+	if fp, err = s.planFingerprint(&req); err != nil {
+		return st, fp, err
 	}
-	s.cacheMisses.Add(1)
-	for {
-		leader, err := s.flight.do(ctx, fp, func() error { return s.buildPlan(ctx, req, fp) })
+	rc, _, _, err := s.buildOrFetch(ctx, fp, planBuilder(req))
+	if err != nil {
+		return st, fp, err
+	}
+	if rc != nil {
+		rc.Close()
+	}
+	// Decoding a stored plan into its retained open form and building its
+	// tree are O(image). An entry already gone again is a 404, as for a shard.
+	var open *distribute.OpenPlan
+	err = s.withStored(ctx, fp, func(doc io.Reader, _ int64) error {
+		p, err := distribute.DecodePlan(doc)
 		if err == nil {
-			if !leader {
-				s.coalescedBuilds.Add(1)
-			}
-			return nil
-		}
-		// A leader killed by its own disconnection poisons only its own
-		// waiters' round: any waiter still alive retries as the next leader.
-		if !leader && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
-			continue
+			open, err = p.Open()
 		}
 		return err
-	}
-}
-
-// openStoredPlan decodes a stored plan into its retained open form, under
-// a worker slot (the decode and tree build are O(image)).
-func (s *Server) openStoredPlan(ctx context.Context, fp string) (*distribute.OpenPlan, error) {
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.release()
-	rc, _, err := s.opts.Store.Open(fp)
+	})
 	if err != nil {
-		return nil, err
+		return st, fp, err
 	}
-	defer rc.Close()
-	p, err := distribute.DecodePlan(rc)
+	id, err := s.fleet.CreateRun(fp, open)
 	if err != nil {
-		return nil, err
+		return st, fp, err
 	}
-	return p.Open()
+	st, err = s.fleet.Status(id)
+	return st, fp, err
 }
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {

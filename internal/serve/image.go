@@ -10,6 +10,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"impressions/internal/distribute"
@@ -38,32 +39,26 @@ func (s *Server) handleGetRunImage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: run %s is %s", ErrRunNotComplete, st.ID, st.State))
 		return
 	}
-	if err := s.acquire(ctx); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.release()
-	rc, _, err := s.opts.Store.Open(st.Fingerprint)
+	err = s.withStored(ctx, st.Fingerprint, func(plan io.Reader, _ int64) error {
+		w.Header().Set("Content-Type", "application/x-tar")
+		w.Header().Set(HeaderFingerprint, st.Fingerprint)
+		// Announce the trailer before the first body byte; its value is set
+		// once the stream has been fully generated and digested.
+		w.Header().Set("Trailer", HeaderImageDigest)
+		// Parallelism stays at its default, one content worker per CPU behind
+		// the stream's single writer (512 KiB each): the slot held here
+		// already bounds how many of these run at once. The workers end with
+		// ctx, so a client that goes away mid-archive leaves none behind.
+		// Once headers are out, aborting mid-archive is the only honest
+		// signal of a failure left (the client's tar reader fails on the
+		// truncation).
+		if _, digest, err := distribute.WritePlanTar(plan, w, imgfmt.Options{Context: ctx}, s.registry); err == nil {
+			w.Header().Set(HeaderImageDigest, digest)
+			s.imagesServed.Add(1)
+		}
+		return nil
+	})
 	if err != nil {
 		writeError(w, err)
-		return
 	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", "application/x-tar")
-	w.Header().Set(HeaderFingerprint, st.Fingerprint)
-	// Announce the trailer before the first body byte; its value is set
-	// once the stream has been fully generated and digested.
-	w.Header().Set("Trailer", HeaderImageDigest)
-	// Parallelism stays at its default, one content worker per CPU behind
-	// the stream's single writer (512 KiB each): the slot acquired above
-	// already bounds how many of these run at once. The workers end with
-	// ctx, so a client that goes away mid-archive leaves none behind.
-	_, digest, err := distribute.WritePlanTar(rc, w, imgfmt.Options{Context: ctx}, s.registry)
-	if err != nil {
-		// Headers are out; aborting mid-archive is the only honest signal
-		// left (the client's tar reader fails on the truncation).
-		return
-	}
-	w.Header().Set(HeaderImageDigest, digest)
-	s.imagesServed.Add(1)
 }

@@ -18,6 +18,7 @@ import (
 	"impressions/internal/distribute"
 	"impressions/internal/fleet"
 	"impressions/internal/fsimage"
+	"impressions/internal/imgfmt"
 )
 
 // Options configures a Server. The zero value is usable: in-memory store,
@@ -254,11 +255,30 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handlePostPlans is the build-or-fetch plan endpoint. The spec is
-// fingerprinted (normalized content address), the store consulted, and on a
-// miss exactly one of the racing requests builds the plan — streaming it
-// into the store, never into memory whole — while the rest wait and then
-// serve the committed entry through the shared read path.
+// planFingerprint settles how many shards a plan request cuts the image into
+// (req.Shards on return) and returns the plan's content address.
+func (s *Server) planFingerprint(req *PlanRequest) (string, error) {
+	noun := "shards"
+	if req.Partition > 0 {
+		if req.Shards != 0 && req.Shards != req.Partition {
+			return "", fmt.Errorf("serve: shards %d conflicts with partition %d — fragments are shard documents, the counts must agree (%w)",
+				req.Shards, req.Partition, fsimage.ErrInvalidSpec)
+		}
+		noun, req.Shards = "fragments", req.Partition
+	}
+	if req.Shards <= 0 {
+		req.Shards = 1
+	}
+	if req.Shards > s.opts.MaxShards {
+		return "", fmt.Errorf("serve: %d %s exceeds the server's limit of %d (%w)", req.Shards, noun, s.opts.MaxShards, fsimage.ErrInvalidSpec)
+	}
+	return distribute.SpecFingerprint(req.Spec, req.Shards, req.ChunkSize)
+}
+
+// handlePostPlans is the build-or-fetch plan endpoint: the spec is
+// fingerprinted (normalized content address) and the plan document, or with
+// partition the fragment index, is served through the cache discipline of
+// buildOrFetch.
 func (s *Server) handlePostPlans(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -267,34 +287,95 @@ func (s *Server) handlePostPlans(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if req.Partition > 0 {
-		s.servePartitionedPlan(ctx, w, req)
-		return
-	}
-	if req.Shards <= 0 {
-		req.Shards = 1
-	}
-	if req.Shards > s.opts.MaxShards {
-		writeError(w, fmt.Errorf("serve: %d shards exceeds the server's limit of %d (%w)", req.Shards, s.opts.MaxShards, fsimage.ErrInvalidSpec))
-		return
-	}
-	fp, err := distribute.SpecFingerprint(req.Spec, req.Shards, req.ChunkSize)
+	fp, err := s.planFingerprint(&req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-
-	if rc, size, err := s.opts.Store.Open(fp); err == nil {
-		s.cacheHits.Add(1)
-		s.streamPlan(w, fp, "hit", rc, size)
+	key, build := fp, planBuilder(req)
+	if req.Partition > 0 {
+		key, build = fragmentIndexKey(fp), s.fragmentBuilder(req, fp)
+	}
+	rc, size, verdict, err := s.buildOrFetch(ctx, key, build)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	s.cacheMisses.Add(1)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(HeaderFingerprint, fp)
+	w.Header().Set(HeaderCache, verdict)
+	if rc != nil {
+		defer rc.Close()
+		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+		io.Copy(w, rc)
+		return
+	}
+	// Bypass: serve the request anyway, a fresh build streamed straight into
+	// the response. Headers are out; all a failure can do is abort the stream
+	// mid-document so the client's decoder rejects it.
+	s.cacheBypass.Add(1)
+	if err := s.acquire(ctx); err != nil {
+		writeError(w, err)
+		return
+	}
+	defer s.release()
+	build(ctx, w)
+}
 
-	var leader bool
+// buildFunc writes the document the cache holds under one key into dst.
+type buildFunc func(ctx context.Context, dst io.Writer) error
+
+// buildOrFetch is the cache discipline, written once for every document the
+// store holds. The store is consulted, and on a miss exactly one of the
+// racing requests for key runs build — under a worker slot, streaming into a
+// staged store entry that is committed whole or not at all, never into
+// memory — while the rest wait for it. It returns the committed entry open
+// for reading and how this request came by it: "hit", "miss" (this request
+// built it) or "coalesced" (another in-flight request did). When the entry
+// is gone again by the time it is re-opened (a byte budget much smaller than
+// the document) the verdict is "bypass" and there is no reader: the caller
+// serves from a build of its own.
+func (s *Server) buildOrFetch(ctx context.Context, key string, build buildFunc) (rc io.ReadCloser, size int64, verdict string, err error) {
+	if rc, size, err = s.opts.Store.Open(key); err == nil {
+		s.cacheHits.Add(1)
+		return rc, size, "hit", nil
+	}
+	s.cacheMisses.Add(1)
+	fill := func() error {
+		if err := s.acquire(ctx); err != nil {
+			return err
+		}
+		defer s.release()
+		// A build that finished between the probe above and this request
+		// becoming leader already paid for the entry.
+		if rc, _, err := s.opts.Store.Open(key); err == nil {
+			rc.Close()
+			return nil
+		}
+		pw, err := s.opts.Store.Create(key)
+		if err != nil {
+			return err
+		}
+		defer pw.Abort()
+		// ctx is the leading request's: if it dies mid-build the staged
+		// entry is aborted.
+		if err := build(ctx, pw); err != nil {
+			return err
+		}
+		if err := pw.Commit(); err != nil {
+			return err
+		}
+		s.plansBuilt.Add(1)
+		return nil
+	}
+	verdict = "miss"
 	for {
-		leader, err = s.flight.do(ctx, fp, func() error { return s.buildPlan(ctx, req, fp) })
+		leader, err := s.flight.do(ctx, key, fill)
 		if err == nil {
+			if !leader {
+				s.coalescedBuilds.Add(1)
+				verdict = "coalesced"
+			}
 			break
 		}
 		// A leader killed by its own disconnection poisons only its own
@@ -302,40 +383,48 @@ func (s *Server) handlePostPlans(w http.ResponseWriter, r *http.Request) {
 		if !leader && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
 			continue
 		}
-		writeError(w, err)
-		return
+		return nil, 0, "", err
 	}
-	state := "miss"
-	if !leader {
-		s.coalescedBuilds.Add(1)
-		state = "coalesced"
+	if rc, size, err = s.opts.Store.Open(key); err != nil {
+		return nil, 0, "bypass", nil
 	}
-	if rc, size, err := s.opts.Store.Open(fp); err == nil {
-		s.streamPlan(w, fp, state, rc, size)
-		return
-	}
+	return rc, size, verdict, nil
+}
 
-	// The entry was evicted between commit and re-open (a byte budget much
-	// smaller than the plan). Serve the request anyway by streaming a fresh
-	// build straight into the response.
-	s.cacheBypass.Add(1)
+// withStored runs fn on the stored document under key, holding a worker slot
+// (what fn does with a plan is O(image) or O(shard)) and the open entry for
+// as long as fn runs.
+func (s *Server) withStored(ctx context.Context, key string, fn func(doc io.Reader, size int64) error) error {
 	if err := s.acquire(ctx); err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	defer s.release()
-	cfg, err := planConfig(req.Spec)
+	rc, size, err := s.opts.Store.Open(key)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderFingerprint, fp)
-	w.Header().Set(HeaderCache, "bypass")
-	if _, err := (distribute.PlanRequest{Config: cfg, MaxShards: req.Shards, ChunkSize: req.ChunkSize}).Stream(ctx, w); err != nil {
-		// Headers are out; all we can do is abort the stream mid-document so
-		// the client's decoder rejects it.
-		return
+	defer rc.Close()
+	return fn(rc, size)
+}
+
+// planRequest lowers a request to the planner's (matching the normalization
+// SpecFingerprint applies).
+func planRequest(req PlanRequest) (distribute.PlanRequest, error) {
+	cfg, err := core.ConfigFromSpec(req.Spec)
+	cfg.SimulateDisk = false
+	cfg.LayoutScore = 1.0
+	return distribute.PlanRequest{Config: cfg, MaxShards: req.Shards, ChunkSize: req.ChunkSize}, err
+}
+
+// planBuilder builds the monolithic plan document of a request.
+func planBuilder(req PlanRequest) buildFunc {
+	return func(ctx context.Context, dst io.Writer) error {
+		preq, err := planRequest(req)
+		if err != nil {
+			return err
+		}
+		_, err = preq.Stream(ctx, dst)
+		return err
 	}
 }
 
@@ -355,123 +444,25 @@ type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// servePartitionedPlan is the partitioned flavor of POST /v1/plans: build
-// (or fetch) Partition fragment documents plus an index, respond with the
-// index. Same cache discipline as the monolithic path — content address,
-// store probe, single-flight build, eviction bypass.
-func (s *Server) servePartitionedPlan(ctx context.Context, w http.ResponseWriter, req PlanRequest) {
-	if req.Shards != 0 && req.Shards != req.Partition {
-		writeError(w, fmt.Errorf("serve: shards %d conflicts with partition %d — fragments are shard documents, the counts must agree (%w)",
-			req.Shards, req.Partition, fsimage.ErrInvalidSpec))
-		return
-	}
-	if req.Partition > s.opts.MaxShards {
-		writeError(w, fmt.Errorf("serve: %d fragments exceeds the server's limit of %d (%w)", req.Partition, s.opts.MaxShards, fsimage.ErrInvalidSpec))
-		return
-	}
-	fp, err := distribute.SpecFingerprint(req.Spec, req.Partition, req.ChunkSize)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	key := fragmentIndexKey(fp)
-	if rc, size, err := s.opts.Store.Open(key); err == nil {
-		s.cacheHits.Add(1)
-		s.streamPlan(w, fp, "hit", rc, size)
-		return
-	}
-	s.cacheMisses.Add(1)
-
-	var leader bool
-	for {
-		leader, err = s.flight.do(ctx, key, func() error { return s.buildFragments(ctx, req, fp) })
-		if err == nil {
-			break
+// fragmentBuilder builds a partitioned plan's index document and, on the way,
+// streams its fragments into staged store entries, committing every one only
+// after the whole build succeeds — an error (or a dead requester) aborts all
+// of them, never publishing a partial set. The index describes the plan to
+// clients: the parent fingerprint plus the fragments' store keys (fetchable
+// via the fragments endpoint).
+func (s *Server) fragmentBuilder(req PlanRequest, fp string) buildFunc {
+	return func(ctx context.Context, dst io.Writer) error {
+		preq, err := planRequest(req)
+		if err != nil {
+			return err
 		}
-		if !leader && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
-			continue
-		}
-		writeError(w, err)
-		return
-	}
-	state := "miss"
-	if !leader {
-		s.coalescedBuilds.Add(1)
-		state = "coalesced"
-	}
-	if rc, size, err := s.opts.Store.Open(key); err == nil {
-		s.streamPlan(w, fp, state, rc, size)
-		return
-	}
-
-	// The index was evicted between commit and re-open. Rebuild the
-	// fragments into the store and stream a fresh index straight to the
-	// response.
-	s.cacheBypass.Add(1)
-	if err := s.acquire(ctx); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.release()
-	plan, err := s.partitionIntoStore(ctx, req, fp)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderFingerprint, fp)
-	w.Header().Set(HeaderCache, "bypass")
-	fragmentIndexFor(plan, fp).Encode(w)
-}
-
-// buildFragments runs one cache-filling partitioned build under a worker
-// slot: all fragments staged and committed, then the index committed last.
-func (s *Server) buildFragments(ctx context.Context, req PlanRequest, fp string) error {
-	if err := s.acquire(ctx); err != nil {
-		return err
-	}
-	defer s.release()
-	key := fragmentIndexKey(fp)
-	if rc, _, err := s.opts.Store.Open(key); err == nil {
-		rc.Close()
-		return nil
-	}
-	plan, err := s.partitionIntoStore(ctx, req, fp)
-	if err != nil {
-		return err
-	}
-	iw, err := s.opts.Store.Create(key)
-	if err != nil {
-		return err
-	}
-	defer iw.Abort()
-	if err := fragmentIndexFor(plan, fp).Encode(iw); err != nil {
-		return err
-	}
-	if err := iw.Commit(); err != nil {
-		return err
-	}
-	s.plansBuilt.Add(1)
-	return nil
-}
-
-// partitionIntoStore streams a partitioned build into staged store entries,
-// committing every fragment only after the whole build succeeds — an error
-// (or a dead requester) aborts all of them, never publishing a partial set.
-func (s *Server) partitionIntoStore(ctx context.Context, req PlanRequest, fp string) (*distribute.Plan, error) {
-	cfg, err := planConfig(req.Spec)
-	if err != nil {
-		return nil, err
-	}
-	var writers []PlanWriter
-	abortAll := func() {
-		for _, pw := range writers {
-			pw.Abort()
-		}
-	}
-	plan, err := distribute.PartitionPlan(ctx,
-		distribute.PlanRequest{Config: cfg, Partition: req.Partition, ChunkSize: req.ChunkSize},
-		func(shard int) (io.WriteCloser, error) {
+		var writers []PlanWriter
+		defer func() {
+			for _, pw := range writers {
+				pw.Abort() // a no-op on the committed
+			}
+		}()
+		plan, err := distribute.PartitionPlan(ctx, preq, func(shard int) (io.WriteCloser, error) {
 			pw, err := s.opts.Store.Create(fragmentKey(fp, shard))
 			if err != nil {
 				return nil, err
@@ -479,80 +470,16 @@ func (s *Server) partitionIntoStore(ctx context.Context, req PlanRequest, fp str
 			writers = append(writers, pw)
 			return nopWriteCloser{pw}, nil
 		})
-	if err != nil {
-		abortAll()
-		return nil, err
-	}
-	for _, pw := range writers {
-		if err := pw.Commit(); err != nil {
-			abortAll()
-			return nil, err
+		if err != nil {
+			return err
 		}
+		for _, pw := range writers {
+			if err := pw.Commit(); err != nil {
+				return err
+			}
+		}
+		return plan.FragmentIndex(func(shard int) string { return fragmentKey(fp, shard) }).Encode(dst)
 	}
-	return plan, nil
-}
-
-// fragmentIndexFor describes a partitioned plan to clients: the parent
-// fingerprint plus the fragments' store keys (fetchable via the fragments
-// endpoint).
-func fragmentIndexFor(plan *distribute.Plan, fp string) *distribute.FragmentIndex {
-	return plan.FragmentIndex(func(shard int) string { return fragmentKey(fp, shard) })
-}
-
-// planConfig lowers a spec to the planner's config (matching the
-// normalization SpecFingerprint applies).
-func planConfig(spec fsimage.Spec) (core.Config, error) {
-	cfg, err := core.ConfigFromSpec(spec)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.SimulateDisk = false
-	cfg.LayoutScore = 1.0
-	return cfg, nil
-}
-
-// buildPlan runs one cache-filling plan build under a worker slot: stream
-// the plan into a staged store entry and commit it atomically. ctx is the
-// leading request's context — if it dies mid-build the staged entry is
-// aborted, and a waiter retries as the next leader.
-func (s *Server) buildPlan(ctx context.Context, req PlanRequest, fp string) error {
-	if err := s.acquire(ctx); err != nil {
-		return err
-	}
-	defer s.release()
-	// Double-check under the flight lock: a build that finished between our
-	// store probe and becoming leader already paid for this entry.
-	if rc, _, err := s.opts.Store.Open(fp); err == nil {
-		rc.Close()
-		return nil
-	}
-	cfg, err := planConfig(req.Spec)
-	if err != nil {
-		return err
-	}
-	pw, err := s.opts.Store.Create(fp)
-	if err != nil {
-		return err
-	}
-	defer pw.Abort()
-	if _, err := (distribute.PlanRequest{Config: cfg, MaxShards: req.Shards, ChunkSize: req.ChunkSize}).Stream(ctx, pw); err != nil {
-		return err
-	}
-	if err := pw.Commit(); err != nil {
-		return err
-	}
-	s.plansBuilt.Add(1)
-	return nil
-}
-
-// streamPlan copies a stored plan document to the response.
-func (s *Server) streamPlan(w http.ResponseWriter, fp, cacheState string, rc io.ReadCloser, size int64) {
-	defer rc.Close()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.Header().Set(HeaderFingerprint, fp)
-	w.Header().Set(HeaderCache, cacheState)
-	io.Copy(w, rc)
 }
 
 // handleGetShard slices one shard out of a stored plan and streams it as a
@@ -579,45 +506,45 @@ func (s *Server) serveShard(w http.ResponseWriter, r *http.Request, stored bool)
 		writeError(w, fmt.Errorf("serve: shard index %q is not a number (%w)", r.PathValue("shard"), fsimage.ErrInvalidSpec))
 		return
 	}
-	if err := s.acquire(ctx); err != nil {
-		writeError(w, err)
-		return
+	head := func() {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set(HeaderFingerprint, fp)
 	}
-	defer s.release()
 	if stored {
-		if rc, size, err := s.opts.Store.Open(fragmentKey(fp, shard)); err == nil {
-			defer rc.Close()
-			w.Header().Set("Content-Type", "application/json")
+		err = s.withStored(ctx, fragmentKey(fp, shard), func(doc io.Reader, size int64) error {
+			head()
 			w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-			w.Header().Set(HeaderFingerprint, fp)
-			io.Copy(w, rc)
+			io.Copy(w, doc)
 			s.shardsServed.Add(1)
-			return
-		}
+			return nil
+		})
 	}
-	rc, _, err := s.opts.Store.Open(fp)
+	if !stored || err != nil {
+		err = s.withStored(ctx, fp, func(doc io.Reader, _ int64) error {
+			view, err := distribute.DecodePlanShard(doc, shard)
+			if err != nil {
+				return err
+			}
+			// From here the headers are out: an encoding that fails aborts the
+			// document mid-stream.
+			head()
+			if view.Encode(w) == nil {
+				s.shardsServed.Add(1)
+			}
+			return nil
+		})
+	}
 	if err != nil {
 		writeError(w, err)
-		return
 	}
-	defer rc.Close()
-	view, err := distribute.DecodePlanShard(rc, shard)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderFingerprint, fp)
-	if err := view.Encode(w); err != nil {
-		return
-	}
-	s.shardsServed.Add(1)
 }
 
 // handleGenerate generates a small image inline and reports its canonical
 // digest: the one-call path for images that don't warrant the plan/worker
-// pipeline. The generation and digest passes poll the request context, so a
-// disconnected client frees its worker slot mid-run.
+// pipeline, and the route of the CLI's -digest — metadata resolved once,
+// reported, and replayed through a tar sink that keeps nothing. The metadata
+// and digest passes poll the request context, so a disconnected client frees
+// its worker slot mid-run.
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -626,43 +553,43 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	cfg, err := core.ConfigFromSpec(req.Spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	gen, err := core.NewGenerator(cfg)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	spec := gen.Spec()
-	if spec.NumFiles > s.opts.MaxInlineFiles {
-		writeError(w, fmt.Errorf("serve: %d files exceeds the inline limit of %d — use POST /v1/plans and the distributed pipeline (%w)",
-			spec.NumFiles, s.opts.MaxInlineFiles, fsimage.ErrInvalidSpec))
-		return
-	}
-	if err := s.acquire(ctx); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.release()
-	res, err := gen.GenerateContext(ctx)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	digest, err := res.Image.Digest(fsimage.MaterializeOptions{
-		Registry: s.registry(spec.ContentKind),
-		Seed:     spec.Seed,
-		Context:  ctx,
-	})
+	resp, err := s.generate(ctx, req.Spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	s.inlineGenerates.Add(1)
-	writeJSON(w, GenerateResponse{Digest: digest, Report: res.Report})
+	writeJSON(w, resp)
+}
+
+func (s *Server) generate(ctx context.Context, spec fsimage.Spec) (resp GenerateResponse, err error) {
+	cfg, err := core.ConfigFromSpec(spec)
+	if err != nil {
+		return resp, err
+	}
+	gen, err := core.NewGenerator(cfg)
+	if err != nil {
+		return resp, err
+	}
+	spec = gen.Spec()
+	if spec.NumFiles > s.opts.MaxInlineFiles {
+		return resp, fmt.Errorf("serve: %d files exceeds the inline limit of %d — use POST /v1/plans and the distributed pipeline (%w)",
+			spec.NumFiles, s.opts.MaxInlineFiles, fsimage.ErrInvalidSpec)
+	}
+	if err := s.acquire(ctx); err != nil {
+		return resp, err
+	}
+	defer s.release()
+	m, err := gen.ResolveMetadataContext(ctx)
+	if err != nil {
+		return resp, err
+	}
+	defer m.Close()
+	if resp.Report, _, err = m.Report(); err != nil {
+		return resp, err
+	}
+	resp.Digest, err = imgfmt.Digest(m, imgfmt.Options{Registry: s.registry(spec.ContentKind), Seed: spec.Seed, Context: ctx})
+	return resp, err
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -91,13 +91,6 @@ func (s *MemStore) Create(fp string) (PlanWriter, error) {
 	return &memWriter{store: s, fp: fp}, nil
 }
 
-// Used returns the bytes currently held (for stats and tests).
-func (s *MemStore) Used() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
-
 // insert publishes data under fp, evicting least-recently-used entries
 // (never the new one) until the budget holds.
 func (s *MemStore) insert(fp string, data []byte) {
