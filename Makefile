@@ -242,12 +242,17 @@ fuzz-smoke:
 # determinism-contract checkers (cmd/impressionsvet) run as a vet tool so
 # findings integrate with go vet's caching and package graph. staticcheck
 # and govulncheck run when installed (CI installs pinned versions; local
-# runs skip them rather than forcing a download).
+# runs skip them rather than forcing a download). The cross-builds cover the
+# platforms the test matrix does not run: the VFS writer calls syscall
+# directly, and cmd/impressions does not build on windows (syscall.Kill).
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; \
 	fi
+	GOOS=darwin $(GO) build ./...
+	GOOS=freebsd $(GO) build ./...
+	GOOS=windows $(GO) build $$($(GO) list ./... | grep -v '/cmd/impressions$$')
 	$(GO) build -o bin/impressionsvet ./cmd/impressionsvet
 	$(GO) vet -vettool=$(abspath bin/impressionsvet) ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \

@@ -1,13 +1,17 @@
 package impressions_test
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
+	"syscall"
 	"testing"
 
 	"impressions"
@@ -574,4 +578,76 @@ func BenchmarkMaterializeVFSSmallFiles(b *testing.B) {
 		}
 	}
 	b.SetBytes(written)
+}
+
+// BenchmarkVFSFloor is the kernel floor under BenchmarkMaterializeVFSSmallFiles:
+// the same image's directories made with one mkdir each, then its files —
+// by directory, as the writer goes — with one open, write and close each of
+// a constant buffer of the file's size, at runtime.NumCPU() goroutines. No
+// content, no hash, no bookkeeping (the paths are joined off the clock), so
+// the writer's time over this one is what the writer adds to the kernel.
+func BenchmarkVFSFloor(b *testing.B) {
+	img := sinkBenchImage(b)
+	order := make([]int, len(img.Files))
+	var largest int64
+	for k, f := range img.Files {
+		order[k] = k
+		largest = max(largest, f.Size)
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(img.Files[x].DirID, img.Files[y].DirID) })
+	buf := make([]byte, largest)
+	base := b.TempDir()
+	workers := runtime.NumCPU()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		root := filepath.Join(base, strconv.Itoa(i))
+		dirs := make([]string, img.Tree.Len())
+		for id := range dirs {
+			dirs[id] = filepath.Join(root, filepath.FromSlash(img.Tree.Path(id)))
+		}
+		paths := make([]string, len(order))
+		for k, idx := range order {
+			paths[k] = filepath.Join(dirs[img.Files[idx].DirID], img.Files[idx].Name)
+		}
+		b.StartTimer()
+		for _, d := range dirs {
+			if err := os.Mkdir(d, 0o755); err != nil {
+				b.Fatal(err)
+			}
+		}
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := range workers {
+			lo, hi := w*len(order)/workers, (w+1)*len(order)/workers
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := lo; k < hi && errs[w] == nil; k++ {
+					errs[w] = floorFile(paths[k], buf[:img.Files[order[k]].Size])
+				}
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(img.TotalBytes())
+}
+
+// floorFile is one file of BenchmarkVFSFloor: open, one write, close.
+func floorFile(path string, data []byte) error {
+	fd, err := syscall.Open(path, syscall.O_CREAT|syscall.O_WRONLY|syscall.O_TRUNC|syscall.O_CLOEXEC, 0o644)
+	if err != nil {
+		return err
+	}
+	n, err := syscall.Write(fd, data)
+	if err == nil && n != len(data) {
+		err = io.ErrShortWrite
+	}
+	if cerr := syscall.Close(fd); err == nil {
+		err = cerr
+	}
+	return err
 }

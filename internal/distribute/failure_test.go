@@ -25,16 +25,19 @@ import (
 // The failure-path suite of the VFS executor: every writer that puts a
 // shard's files on disk — Image.Materialize and Execute's directory target,
 // plain and journaled — is driven into the same faults at Parallelism 1 and
-// 4, and must return the cause (errors.Is), no result, and no goroutine.
-// Where the outcome is deterministic the suite also counts the files left
-// on disk: a failed or cancelled write must stop the files behind it.
+// 4, and must return the cause (errors.Is), no result, no goroutine and no
+// open descriptor (the writer's are raw: no finalizer would close a leaked
+// one). Where the outcome is deterministic the suite also counts the files
+// left on disk: a failed or cancelled write must stop the files behind it.
 //
 // The faults are ones a process running as root cannot talk its way past
 // (an unwritable directory is writable to root): a regular file where a
 // directory belongs (ENOTDIR, met by the directory pass, before any file),
 // a name the file system refuses (ENAMETOOLONG, met at exactly that file),
-// and a FIFO in a file's place, which holds the writer inside that file
-// until the test has cancelled the context.
+// a symlink to /dev/full in a file's place (ENOSPC from its write, EINVAL
+// from its ftruncate under MetadataOnly), and a FIFO in a file's place,
+// which holds the writer inside that file until the test has cancelled the
+// context.
 
 // vfsWriter is one way of writing a shard's files under root.
 type vfsWriter struct {
@@ -42,7 +45,7 @@ type vfsWriter struct {
 	// ordered says the whole shard goes through one MaterializeShardRecords
 	// call, so at Parallelism 1 the files land in writeOrder.
 	ordered bool
-	run     func(ctx context.Context, v *ShardView, root string, j int) (gotResult bool, err error)
+	run     func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (gotResult bool, err error)
 }
 
 func vfsWriters(t *testing.T) []vfsWriter {
@@ -51,17 +54,17 @@ func vfsWriters(t *testing.T) []vfsWriter {
 		return res != nil, err
 	}
 	return []vfsWriter{
-		{name: "Image.Materialize", ordered: true, run: func(ctx context.Context, v *ShardView, root string, j int) (bool, error) {
+		{name: "Image.Materialize", ordered: true, run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
 			img := &fsimage.Image{Tree: v.Tree, Files: v.Files}
 			_, err := img.Materialize(root, fsimage.MaterializeOptions{
-				Registry: content.NewRegistry(content.Kind(v.Plan.ContentKind)), Seed: v.Plan.Seed, Parallelism: j, Context: ctx})
+				Registry: content.NewRegistry(content.Kind(v.Plan.ContentKind)), Seed: v.Plan.Seed, Parallelism: j, Context: ctx, MetadataOnly: metadataOnly})
 			return false, err
 		}},
-		{name: "Execute dir", ordered: true, run: func(ctx context.Context, v *ShardView, root string, j int) (bool, error) {
-			return execute(ctx, v, root, WorkerOptions{Parallelism: j})
+		{name: "Execute dir", ordered: true, run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
+			return execute(ctx, v, root, WorkerOptions{Parallelism: j, MetadataOnly: metadataOnly})
 		}},
-		{name: "Execute dir journaled", run: func(ctx context.Context, v *ShardView, root string, j int) (bool, error) {
-			return execute(ctx, v, root, WorkerOptions{Parallelism: j, JournalPath: filepath.Join(t.TempDir(), "journal"), BatchFiles: 8})
+		{name: "Execute dir journaled", run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
+			return execute(ctx, v, root, WorkerOptions{Parallelism: j, MetadataOnly: metadataOnly, JournalPath: filepath.Join(t.TempDir(), "journal"), BatchFiles: 8})
 		}},
 	}
 }
@@ -102,20 +105,19 @@ func regularFiles(t *testing.T, root string) int {
 	return n
 }
 
+// openDescriptors counts the process's open file descriptors.
+func openDescriptors(t *testing.T) int {
+	t.Helper()
+	entries, err := os.ReadDir("/dev/fd")
+	if err != nil {
+		t.Fatalf("listing open descriptors: %v", err)
+	}
+	return len(entries)
+}
+
 // fivePositions spreads five indices over [0, n): first, quartiles, last.
 func fivePositions(n int) []int {
 	return []int{0, n / 4, n / 2, 3 * n / 4, n - 1}
-}
-
-// goldenShard is the pinned plan's shard 1: 179 files, 22 journal batches
-// of 8 and one of 3.
-func goldenShard(t *testing.T) *ShardView {
-	t.Helper()
-	view, err := planRoundTrip(t, testConfig(), 3).ShardView(1)
-	if err != nil {
-		t.Fatalf("ShardView: %v", err)
-	}
-	return view
 }
 
 func TestVFSWriteFailures(t *testing.T) {
@@ -129,12 +131,14 @@ func TestVFSWriteFailures(t *testing.T) {
 	}
 
 	type fault struct {
-		name string
+		name         string
+		metadataOnly bool
 		// arm prepares root and the (private) view, and returns the context
 		// to run under, the error the run must return, how many regular
 		// files an ordered writer leaves at Parallelism 1 (-1: not
-		// checked), and a function to call once the run has returned.
-		arm func(t *testing.T, v *ShardView, root string) (ctx context.Context, cause error, left int, after func())
+		// checked), and a function to call with the run's error once it
+		// has returned.
+		arm func(t *testing.T, v *ShardView, root string) (ctx context.Context, cause error, left int, after func(error))
 	}
 	var faults []fault
 	for _, p := range fivePositions(len(pristine.Dirs)) {
@@ -142,7 +146,7 @@ func TestVFSWriteFailures(t *testing.T) {
 		if id == 0 {
 			id = pristine.Dirs[p+1] // the root is the caller's to create
 		}
-		faults = append(faults, fault{fmt.Sprintf("ENOTDIR at directory %d", p), func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func()) {
+		faults = append(faults, fault{name: fmt.Sprintf("ENOTDIR at directory %d", p), arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
 			// A regular file where the directory belongs: one blocker file,
 			// and the directory pass must fail before any other exists.
 			blocker := filepath.Join(root, filepath.FromSlash(v.Tree.Path(id)))
@@ -152,7 +156,7 @@ func TestVFSWriteFailures(t *testing.T) {
 			if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			return context.Background(), syscall.ENOTDIR, -1, func() {
+			return context.Background(), syscall.ENOTDIR, -1, func(error) {
 				if n := regularFiles(t, root); n != 1 {
 					t.Errorf("%d regular files under the root, want only the blocker: the directory pass comes first", n)
 				}
@@ -160,13 +164,41 @@ func TestVFSWriteFailures(t *testing.T) {
 		}})
 	}
 	for _, p := range fivePositions(len(order)) {
-		faults = append(faults, fault{fmt.Sprintf("ENAMETOOLONG at file %d", p), func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func()) {
+		faults = append(faults, fault{name: fmt.Sprintf("ENAMETOOLONG at file %d", p), arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
 			v.Files[order[p]].Name = strings.Repeat("x", 300)
-			return context.Background(), syscall.ENAMETOOLONG, p, func() {}
+			return context.Background(), syscall.ENAMETOOLONG, p, func(error) {}
 		}})
 	}
+	for _, metadataOnly := range []bool{false, true} {
+		// /dev/full takes the open and refuses what comes next: the write
+		// (ENOSPC), or under MetadataOnly the ftruncate of a device (EINVAL).
+		cause, what := error(syscall.ENOSPC), "ENOSPC"
+		if metadataOnly {
+			cause, what = syscall.EINVAL, "metadata-only EINVAL"
+		}
+		for _, p := range fivePositions(len(order)) {
+			faults = append(faults, fault{name: fmt.Sprintf("%s from /dev/full at file %d", what, p), metadataOnly: metadataOnly, arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
+				if _, err := os.Stat("/dev/full"); err != nil {
+					t.Skipf("no /dev/full here: %v", err)
+				}
+				f := v.Files[order[p]]
+				link := filepath.Join(root, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name)
+				if err := os.MkdirAll(filepath.Dir(link), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Symlink("/dev/full", link); err != nil {
+					t.Fatal(err)
+				}
+				return context.Background(), cause, p, func(err error) {
+					if err != nil && !strings.Contains(err.Error(), f.Name) {
+						t.Errorf("the error does not name the file %s: %v", f.Name, err)
+					}
+				}
+			}})
+		}
+	}
 	faults = append(faults,
-		fault{"cancelled inside the largest file", func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func()) {
+		fault{name: "cancelled inside the largest file", arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
 			// A FIFO in the file's place: the writer blocks opening it until
 			// this side opens it too, which is how the test knows the writer
 			// is inside that file. Cancel then, and only then let it finish.
@@ -189,16 +221,16 @@ func TestVFSWriteFailures(t *testing.T) {
 				}
 				drained <- err
 			}()
-			return ctx, context.Canceled, largest, func() {
+			return ctx, context.Canceled, largest, func(error) {
 				if err := <-drained; err != nil {
 					t.Errorf("draining the FIFO: %v", err)
 				}
 			}
 		}},
-		fault{"cancelled before the first file", func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func()) {
+		fault{name: "cancelled before the first file", arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			return ctx, context.Canceled, -1, func() {
+			return ctx, context.Canceled, -1, func(error) {
 				if n := regularFiles(t, root); n != 0 {
 					t.Errorf("%d files written under a context cancelled from the start", n)
 				}
@@ -206,16 +238,17 @@ func TestVFSWriteFailures(t *testing.T) {
 		}},
 	)
 
+	openDescriptors(t) // the first listing may start the runtime's poller
 	for _, w := range vfsWriters(t) {
 		for _, j := range []int{1, 4} {
 			for _, f := range faults {
 				t.Run(fmt.Sprintf("%s j=%d %s", w.name, j, f.name), func(t *testing.T) {
 					root := t.TempDir()
 					v := withFiles(pristine)
-					baseline := runtime.NumGoroutine()
+					baseline, fds := runtime.NumGoroutine(), openDescriptors(t)
 					ctx, cause, left, after := f.arm(t, v, root)
-					gotResult, err := w.run(ctx, v, root, j)
-					after()
+					gotResult, err := w.run(ctx, v, root, j, f.metadataOnly)
+					after(err)
 					if !errors.Is(err, cause) {
 						t.Fatalf("got error %v, want %v", err, cause)
 					}
@@ -228,6 +261,9 @@ func TestVFSWriteFailures(t *testing.T) {
 						}
 					}
 					checkGoroutines(t, baseline)
+					if n := openDescriptors(t); n != fds {
+						t.Errorf("%d descriptors open after the run, %d before it", n, fds)
+					}
 				})
 			}
 		}

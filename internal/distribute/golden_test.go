@@ -53,6 +53,17 @@ func sha256Hex(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// goldenShard is the pinned plan's shard 1: 179 files, 22 journal batches
+// of 8 and one of 3.
+func goldenShard(t *testing.T) *ShardView {
+	t.Helper()
+	view, err := planRoundTrip(t, testConfig(), 3).ShardView(1)
+	if err != nil {
+		t.Fatalf("ShardView: %v", err)
+	}
+	return view
+}
+
 // TestGoldenWireDocuments pins the bytes of the three plan wire documents.
 func TestGoldenWireDocuments(t *testing.T) {
 	cfg := testConfig()

@@ -2,6 +2,7 @@ package distribute
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -73,14 +74,17 @@ type journalRecovery struct {
 	digests  []string // per shard-file-index, contiguous from 0
 	bytes    int64
 	lastSeal string
+	// size is the length of the verified prefix of the file: what follows it
+	// is a torn tail, cut before anything is appended.
+	size int64
 }
 
 // loadJournal reads and verifies a journal file against the plan
 // fingerprint and shard. It stops at the first torn or unparsable line
-// (a crash mid-append) and returns what verified; a batch that breaks the
-// chain, the fingerprint binding, or contiguity invalidates the whole
-// journal (returned error), because a wrong prefix cannot be trusted as
-// done work.
+// (a crash mid-append) and returns what verified, with the byte offset just
+// past it; a batch that breaks the chain, the fingerprint binding, or
+// contiguity invalidates the whole journal (returned error), because a
+// wrong prefix cannot be trusted as done work.
 func loadJournal(path, fingerprint string, shard int) (*journalRecovery, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -93,13 +97,15 @@ func loadJournal(path, fingerprint string, shard int) (*journalRecovery, error) 
 	rec := &journalRecovery{lastSeal: journalChainSeed}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	sc.Split(scanTerminatedLines)
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+		line, whole := bytes.CutSuffix(sc.Bytes(), []byte("\n"))
+		if whole && len(line) == 0 {
+			rec.size++
 			continue
 		}
 		var b JournalBatch
-		if err := json.Unmarshal(line, &b); err != nil {
+		if !whole || json.Unmarshal(line, &b) != nil {
 			// A torn tail line is the expected crash signature: everything
 			// sealed before it still counts.
 			break
@@ -122,6 +128,7 @@ func loadJournal(path, fingerprint string, shard int) (*journalRecovery, error) 
 		rec.digests = append(rec.digests, b.Digests...)
 		rec.bytes += b.Bytes
 		rec.lastSeal = seal
+		rec.size += int64(len(line)) + 1
 	}
 	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
 		return nil, fmt.Errorf("distribute: reading shard journal: %w", err)
@@ -129,14 +136,32 @@ func loadJournal(path, fingerprint string, shard int) (*journalRecovery, error) 
 	return rec, nil
 }
 
+// scanTerminatedLines splits a journal into lines that keep their newline,
+// so a last line without one — written in part — is told from a sealed
+// batch.
+func scanTerminatedLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
 // openJournal opens (creating or truncating-to-resume) the journal for
-// appending after next files are already sealed.
-func openJournal(path, fingerprint string, shard int, lastSeal string, next int) (*ShardJournal, error) {
+// appending after rec's sealed files: a torn tail past rec.size is cut
+// first, or the next batch would be glued onto it and never verify.
+func openJournal(path, fingerprint string, shard int, rec *journalRecovery) (*ShardJournal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("distribute: opening shard journal: %w", err)
 	}
-	return &ShardJournal{f: f, fp: fingerprint, shard: shard, lastSeal: lastSeal, next: next}, nil
+	if err := f.Truncate(rec.size); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("distribute: cutting the torn tail of the shard journal: %w", err)
+	}
+	return &ShardJournal{f: f, fp: fingerprint, shard: shard, lastSeal: rec.lastSeal, next: len(rec.digests)}, nil
 }
 
 // Append seals and flushes one batch. digests cover the shard's files

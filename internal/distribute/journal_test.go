@@ -3,6 +3,7 @@ package distribute
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -164,6 +165,42 @@ func TestIncrementalTornTail(t *testing.T) {
 	}
 	if res.Manifest.ManifestSHA256 != ref.ManifestSHA256 {
 		t.Fatal("manifest after torn-tail resume differs from a clean run's")
+	}
+}
+
+// TestTornTailCutBeforeAppend: the batches an execution seals after a torn
+// tail still count — the tail is cut before they are appended, not left to
+// glue the first of them onto half a line that hides all of them.
+func TestTornTailCutBeforeAppend(t *testing.T) {
+	pristine := goldenShard(t)
+	for _, j := range []int{1, 4} {
+		t.Run(fmt.Sprintf("j=%d", j), func(t *testing.T) {
+			outRoot, journal := t.TempDir(), filepath.Join(t.TempDir(), "journal")
+			crash := WorkerOptions{Parallelism: j, JournalPath: journal, BatchFiles: 8, FailAfterFiles: 16}
+			if _, err := Execute(context.Background(), pristine, DirTarget(outRoot), crash); !errors.Is(err, ErrSimulatedCrash) {
+				t.Fatalf("first crash: got %v, want ErrSimulatedCrash", err)
+			}
+			f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatalf("opening journal: %v", err)
+			}
+			if _, err := f.WriteString(`{"format_version":1,"plan_finger`); err != nil {
+				t.Fatalf("appending torn line: %v", err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Execute(context.Background(), pristine, DirTarget(outRoot), crash); !errors.Is(err, ErrSimulatedCrash) {
+				t.Fatalf("second crash: got %v, want ErrSimulatedCrash", err)
+			}
+			res, err := Execute(context.Background(), pristine, DirTarget(outRoot), WorkerOptions{Parallelism: j, JournalPath: journal, BatchFiles: 8})
+			if err != nil {
+				t.Fatalf("resumed execution: %v", err)
+			}
+			if res.ResumedFiles != 32 || res.Manifest.ManifestSHA256 != goldenManifests[1] {
+				t.Errorf("resumed %d files to manifest %s, want the 32 sealed and %s", res.ResumedFiles, res.Manifest.ManifestSHA256, goldenManifests[1])
+			}
+		})
 	}
 }
 

@@ -233,7 +233,7 @@ func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOpti
 	batch := len(v.Files)
 	if opts.JournalPath != "" {
 		rec := recoverJournal(opts.JournalPath, v, outRoot, opts.MetadataOnly)
-		if journal, err = openJournal(opts.JournalPath, v.Plan.Fingerprint(), v.Shard, rec.lastSeal, len(rec.digests)); err != nil {
+		if journal, err = openJournal(opts.JournalPath, v.Plan.Fingerprint(), v.Shard, rec); err != nil {
 			return 0, 0, err
 		}
 		defer journal.Close()

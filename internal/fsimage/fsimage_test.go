@@ -248,6 +248,48 @@ func TestMaterializeDeterministicContent(t *testing.T) {
 	}
 }
 
+// TestMaterializeAllocsPerFile pins the writer's per-file cost in
+// allocations: 2 000 small files with their digests, which at 12 per file
+// would mean an *os.File (and its finalizer) per file again.
+func TestMaterializeAllocsPerFile(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	const nFiles, nDirs, maxAllocs = 2000, 100, 10
+	tree := namespace.GenerateTree(stats.NewRNG(1), nDirs, namespace.ShapeGenerative)
+	exts := []string{"txt", "jpg", "", "dll", "htm", "cpp", "mp3", "gif", "h", "pdf"}
+	files := make([]File, nFiles)
+	for i := range files {
+		ext := exts[i%len(exts)]
+		files[i] = File{ID: i, Name: MakeFileName(i, ext), Ext: ext, Size: 1100, DirID: i % nDirs}
+	}
+	dirs := make([]int, nDirs)
+	for i := range dirs {
+		dirs[i] = i
+	}
+	root := t.TempDir()
+	opts := MaterializeOptions{Seed: 1, Parallelism: 1}
+	if _, err := MaterializeShardRecords(root, tree, dirs, nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	opts = opts.withDefaults(1) // the registry is built once, not per run
+	opts.Digests = make([]string, nFiles)
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, werr := MaterializeShardRecords(root, tree, nil, files, opts); werr != nil {
+			err = werr
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perFile := allocs / nFiles
+	if perFile > maxAllocs {
+		t.Errorf("%.2f allocations per written file, want at most %d", perFile, maxAllocs)
+	}
+	t.Logf("%.2f allocations per written file", perFile)
+}
+
 // TestScanSkipsIrregularEntries: symlinks (to files, directories, or
 // nothing) and other non-regular entries must not be counted as files — a
 // symlink's lstat size is the length of its target path, which would skew

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"impressions/internal/content"
 	"impressions/internal/namespace"
@@ -116,6 +117,13 @@ func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, erro
 // stops every worker at its next chunk of files, the context's cancellation
 // at its next file, and is the error returned; files already written stay in
 // place.
+//
+// Each directory is one mkdir(2) unless it cannot be (then MkdirAll's
+// checks run); each file is one raw descriptor from syscall.Open with
+// O_CLOEXEC, written through a pooled buffer whose write(2)s are retried on
+// EINTR and after short writes (Ftruncate'd instead under MetadataOnly), and
+// closed on every path, its close error checked. No *os.File is made, so
+// nothing but this function closes a descriptor it opened.
 func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, opts MaterializeOptions) (int64, error) {
 	opts = opts.withDefaults(opts.Seed)
 	if opts.Digests != nil && len(opts.Digests) != len(files) {
@@ -130,8 +138,13 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 			continue // the root is made
 		}
 		path = appendEntryPath(path, root, tree, id, "")
-		if err := os.MkdirAll(string(path), dirPerm); err != nil {
-			return 0, fmt.Errorf("fsimage: creating directory %q: %w", path, err)
+		// One mkdir(2) in the common case; MkdirAll sorts out the rest — a
+		// directory already there (a resume), a missing ancestor, or a
+		// non-directory in the way.
+		if p := string(path); os.Mkdir(p, dirPerm) != nil {
+			if err := os.MkdirAll(p, dirPerm); err != nil {
+				return 0, fmt.Errorf("fsimage: creating directory %q: %w", path, err)
+			}
 		}
 	}
 	// Sorting directory<<32|position orders the files by directory and, within
@@ -297,46 +310,96 @@ func (s *MaterializeSink) flush() error {
 // Written returns the bytes written so far.
 func (s *MaterializeSink) Written() int64 { return s.written }
 
-// writerPool recycles the 64 KB bufio.Writers used to write file content, so
-// concurrent shard workers stop allocating fresh buffers for every file.
-var writerPool = sync.Pool{
-	New: func() any { return bufio.NewWriterSize(nil, 64*1024) },
-}
+// openFlags creates or truncates a file for writing. O_CLOEXEC keeps the
+// descriptor out of any process started while it is open.
+const openFlags = syscall.O_CREAT | syscall.O_WRONLY | syscall.O_TRUNC | syscall.O_CLOEXEC
 
+// writeFile creates one file through a raw descriptor — no *os.File, so no
+// poller registration and no finalizer — and closes it on every path.
 func writeFile(path string, f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) error {
-	fh, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, filePerm)
+	fd, err := syscall.Open(path, openFlags, filePerm)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, openFlags, filePerm)
+	}
 	if err != nil {
 		return fmt.Errorf("fsimage: creating file %q: %w", path, err)
 	}
-	defer fh.Close()
-	if opts.MetadataOnly {
-		if f.Size > 0 {
-			if err := fh.Truncate(f.Size); err != nil {
-				return fmt.Errorf("fsimage: truncating %q: %w", path, err)
-			}
+	switch {
+	case opts.MetadataOnly && f.Size > 0:
+		err = syscall.Ftruncate(fd, f.Size)
+		for err == syscall.EINTR {
+			err = syscall.Ftruncate(fd, f.Size)
 		}
-		return nil
+		if err != nil {
+			err = fmt.Errorf("fsimage: truncating %q: %w", path, err)
+		}
+	case !opts.MetadataOnly:
+		err = writeContent(fd, path, f, opts, rng, sum)
 	}
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(fh)
-	defer func() {
-		bw.Reset(nil) // drop the file reference before pooling
-		writerPool.Put(bw)
-	}()
-	var dst io.Writer = bw
+	if cerr := syscall.Close(fd); cerr != nil && err == nil {
+		err = fmt.Errorf("fsimage: closing %q: %w", path, cerr)
+	}
+	return err
+}
+
+// writeContent generates the file's content onto fd through a pooled
+// fdWriter and flushes it.
+func writeContent[FD any](fd FD, path string, f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) error {
+	w := writerPool.Get().(*fdWriter[FD])
+	defer writerPool.Put(w)
+	w.fd = fd
+	w.buf.Reset(w) // clears what a failed file left buffered
+	var dst io.Writer = w.buf
 	if sum != nil {
 		// The hash taps the generator's output directly, before buffering, so
 		// it observes exactly the bytes that reach the file.
-		dst = io.MultiWriter(bw, sum)
+		dst = io.MultiWriter(w.buf, sum)
 	}
 	if err := opts.Registry.ForExtension(f.Ext).Generate(dst, f.Size, rng); err != nil {
 		return fmt.Errorf("fsimage: writing content for %q: %w", path, err)
 	}
-	if err := bw.Flush(); err != nil {
+	if err := w.buf.Flush(); err != nil {
 		return fmt.Errorf("fsimage: flushing %q: %w", path, err)
 	}
-	if err := fh.Close(); err != nil {
-		return fmt.Errorf("fsimage: closing %q: %w", path, err)
-	}
 	return nil
+}
+
+// writerPool recycles fdWriters and their 64 KB buffers, so concurrent shard
+// workers stop allocating either for every file.
+var writerPool = sync.Pool{New: func() any { return newFDWriter(syscall.Write) }}
+
+// fdWriter is an io.Writer over a raw descriptor, with the buffer that
+// flushes into it. FD is whatever syscall.Open returns — an int on Unix, a
+// Handle on Windows — so one definition serves every platform without a
+// build tag.
+type fdWriter[FD any] struct {
+	fd    FD
+	write func(FD, []byte) (int, error) // syscall.Write
+	buf   *bufio.Writer
+}
+
+func newFDWriter[FD any](write func(FD, []byte) (int, error)) *fdWriter[FD] {
+	w := &fdWriter[FD]{write: write}
+	w.buf = bufio.NewWriterSize(w, 64*1024)
+	return w
+}
+
+// Write writes all of p: write(2) is retried when a signal interrupts it and
+// after a short write, and a write that makes no progress is
+// io.ErrShortWrite.
+func (w *fdWriter[FD]) Write(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		m, err := w.write(w.fd, p[n:])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
+			return n, err
+		case m == 0:
+			return n, io.ErrShortWrite
+		default:
+			n += m
+		}
+	}
+	return n, nil
 }
