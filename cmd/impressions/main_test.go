@@ -1216,6 +1216,129 @@ func TestGeneratePins(t *testing.T) {
 	}
 }
 
+var generatedAtJSONRe = regexp.MustCompile(`"generated_at": "[^"]*"`)
+
+// TestDistributedPins pins what the merge and distrun commands print over
+// faultCfgArgs' image: `merge -plan` complete (with its -report JSON), with
+// -print-digest, and with -partial over a set missing shard 1 and holding a
+// shard 2 manifest with one entry's size changed and resealed; `merge -index`
+// over the same image as fragments; and distrun's `distrun:` and `image
+// digest:` lines and its -report JSON. The `generated at` values are masked
+// and temp paths read $T. The golden files were written at the commit before
+// the merge stopped retaining the plan and must not change with it.
+func TestDistributedPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses; skipped in -short")
+	}
+	dir := t.TempDir()
+	mask := func(s string) string {
+		s = strings.ReplaceAll(s, dir, "$T")
+		s = generatedAtRe.ReplaceAllString(s, "${1}<masked>")
+		return generatedAtJSONRe.ReplaceAllString(s, `"generated_at": "<masked>"`)
+	}
+	pin := func(t *testing.T, name, got string) {
+		t.Helper()
+		golden := filepath.Join("testdata", "distributed", name+".golden")
+		if *updatePins {
+			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s moved:\n--- got\n%s\n--- want\n%s", golden, got, want)
+		}
+	}
+	// cli runs one command in process and renders its exit status and output.
+	cli := func(t *testing.T, args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		code := Main(args, &stdout, &stderr)
+		return mask(fmt.Sprintf("--- exit %d\n--- stdout\n%s--- stderr\n%s", code, stdout.String(), stderr.String()))
+	}
+	must := func(t *testing.T, args ...string) {
+		t.Helper()
+		var stderr bytes.Buffer
+		if code := Main(args, io.Discard, &stderr); code != 0 {
+			t.Fatalf("Main(%q) = %d: %s", args, code, stderr.String())
+		}
+	}
+	file := func(t *testing.T, path string) string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mask(string(data))
+	}
+
+	plan, out := filepath.Join(dir, "plan.json"), filepath.Join(dir, "out")
+	manifest := func(s int) string { return filepath.Join(dir, fmt.Sprintf("manifest-%d.json", s)) }
+	must(t, append(append([]string{"plan"}, faultCfgArgs...), "-shards", "3", "-plan", plan)...)
+	for s := 0; s < 3; s++ {
+		must(t, "worker", "-plan", plan, "-shard", strconv.Itoa(s), "-out", out, "-manifest", manifest(s))
+	}
+	m2, err := distribute.LoadManifest(manifest(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2.FileDigests[0].Size++
+	m2.Seal()
+	resealed := filepath.Join(dir, "resealed-2.json")
+	if err := writeJSONFile(resealed, m2.Encode); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("merge-plan", func(t *testing.T) {
+		report := filepath.Join(dir, "merge-report.json")
+		got := cli(t, "merge", "-plan", plan, "-report", report, manifest(0), manifest(1), manifest(2))
+		pin(t, "merge-plan", got+"--- report\n"+file(t, report))
+	})
+	t.Run("merge-plan-print-digest", func(t *testing.T) {
+		pin(t, "merge-plan-print-digest", cli(t, "merge", "-plan", plan, "-print-digest", manifest(0), manifest(1), manifest(2)))
+	})
+	t.Run("merge-plan-partial", func(t *testing.T) {
+		pin(t, "merge-plan-partial", cli(t, "merge", "-plan", plan, "-partial", "-out", out, manifest(0), resealed))
+	})
+	t.Run("merge-index", func(t *testing.T) {
+		index := filepath.Join(dir, "part", "plan.json")
+		if err := os.MkdirAll(filepath.Dir(index), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		must(t, append(append([]string{"plan"}, faultCfgArgs...), "-partition", "3", "-plan", index)...)
+		var manifests []string
+		for s := 0; s < 3; s++ {
+			m := filepath.Join(dir, "part", fmt.Sprintf("manifest-%d.json", s))
+			must(t, "worker", "-fragment", fmt.Sprintf("%s.frag%d", index, s), "-out", filepath.Join(dir, "part-out"), "-manifest", m)
+			manifests = append(manifests, m)
+		}
+		pin(t, "merge-index", cli(t, append([]string{"merge", "-index", index}, manifests...)...))
+	})
+	t.Run("distrun", func(t *testing.T) {
+		rerouteWorkers(t, nil)
+		report := filepath.Join(dir, "distrun-report.json")
+		var stdout, stderr bytes.Buffer
+		args := append(append([]string{"distrun"}, faultCfgArgs...), "-shards", "3", "-work", filepath.Join(dir, "work"), "-out", filepath.Join(dir, "dist"), "-report", report)
+		if code := Main(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("distrun exited %d: %s", code, stderr.String())
+		}
+		// Worker lines come in whatever order the workers finish.
+		var got strings.Builder
+		for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "distrun:") || strings.HasPrefix(line, "image digest:") {
+				got.WriteString(line)
+			}
+		}
+		pin(t, "distrun", mask(got.String())+"--- report\n"+file(t, report))
+	})
+}
+
 // TestGenerateMemoryBound: once the metadata is resolved the single-process
 // command holds the columns, the directory tree and a sink's window, never
 // the image's file records. The sampler starts when the summary line is

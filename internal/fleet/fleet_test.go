@@ -307,6 +307,41 @@ func TestTamperedManifestRejected(t *testing.T) {
 	}
 }
 
+// TestResealedManifestRejected: a manifest whose entry disagrees with the
+// plan passes its own seal once resealed; Complete must still refuse it
+// against the plan before committing anything, and its shard goes back to
+// pending.
+func TestResealedManifestRejected(t *testing.T) {
+	clk := newFakeClock()
+	s := New(testOptions(clk))
+	open := openTestPlan(t, 2)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	if err != nil {
+		t.Fatalf("CreateRun: %v", err)
+	}
+	w := s.Register()
+	l, err := s.Lease(w.WorkerID)
+	if err != nil || l == nil {
+		t.Fatalf("Lease: %v, %v", l, err)
+	}
+	bad := manifestFor(t, open, l.Shard)
+	bad.FileDigests[0].Size++
+	bad.Seal()
+	if err := bad.VerifySelf(); err != nil {
+		t.Fatalf("the resealed manifest fails its own seal: %v", err)
+	}
+	if err := s.Complete(l.LeaseID, bad); !errors.Is(err, ErrManifestRejected) {
+		t.Fatalf("resealed completion: got %v, want ErrManifestRejected", err)
+	}
+	st, _ := s.Status(id)
+	if sh := st.Shards[l.Shard]; sh.Phase != ShardPending || st.Committed != 0 {
+		t.Fatalf("after the refusal: shard %+v, %d committed; want it pending and nothing committed", sh, st.Committed)
+	}
+	if stats := s.StatsSnapshot(); stats.ManifestsRejected != 1 || stats.ShardsCommitted != 0 {
+		t.Fatalf("ManifestsRejected = %d, ShardsCommitted = %d; want 1 and 0", stats.ManifestsRejected, stats.ShardsCommitted)
+	}
+}
+
 // TestMaxAttemptsFailsRun: a shard that burns every attempt fails the run,
 // and the status names the outstanding shard with its re-run command.
 func TestMaxAttemptsFailsRun(t *testing.T) {

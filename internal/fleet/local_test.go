@@ -189,6 +189,13 @@ func TestRunSlotsRetriesFailedAttempt(t *testing.T) {
 			m.Bytes += 7
 			return &m, nil
 		}, true},
+		{"resealed entry", func(r *slotRun) (*distribute.Manifest, error) {
+			m := *r.honest[1]
+			m.FileDigests = append([]distribute.FileDigest(nil), m.FileDigests...)
+			m.FileDigests[0].Size++
+			m.Seal()
+			return &m, nil
+		}, true},
 		{"no manifest", func(*slotRun) (*distribute.Manifest, error) {
 			return nil, fmt.Errorf("no usable manifest: %w", os.ErrNotExist)
 		}, false},
