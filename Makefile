@@ -212,16 +212,18 @@ bench-pipeline-check:
 # Local mirror of the CI memory-bound job: a 1M-file streamed plan build
 # and a 10M-file partitioned (spilled) build must hold peak live heap under
 # the same hard cap (see TestStreamedPlanBuildMemoryBound and
-# TestPartitionedPlanBuildMemoryBound), and the single-process command must
-# replay 300k files into the tar sink and into a directory without holding
-# their records (TestGenerateMemoryBound).
+# TestPartitionedPlanBuildMemoryBound), the merge of a 300k-file plan must
+# hold none of its file records (TestMergeMemoryBound), and the
+# single-process command must replay 300k files into the tar sink and into a
+# directory without holding their records (TestGenerateMemoryBound).
 mem-check:
-	$(GO) test ./internal/distribute ./cmd/impressions -run 'TestStreamedPlanBuildMemoryBound|TestPartitionedPlanBuildMemoryBound|TestGenerateMemoryBound' -v -timeout 15m
+	$(GO) test ./internal/distribute ./cmd/impressions -run 'TestStreamedPlanBuildMemoryBound|TestPartitionedPlanBuildMemoryBound|TestMergeMemoryBound|TestGenerateMemoryBound' -v -timeout 15m
 
 # Local mirror of the CI fuzz-smoke job: every fuzz target of the module
 # (whatever `go test -list '^Fuzz'` finds: the tar header and stitcher in
 # internal/imgfmt, the chunk codec and decoder in internal/fsimage, the plan
-# document, shard document and manifest decoders in internal/distribute) for
+# document, shard document, manifest and journal decoders in
+# internal/distribute) for
 # FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in
 # `go test`; this is the ten seconds of new inputs per target on top. The
 # minimizer is off (it stalls on the stitcher's tens-of-KiB inputs) and the

@@ -270,35 +270,21 @@ func benchGeneration(b *testing.B, parallelism int) {
 	b.ReportMetric(float64(files)/b.Elapsed().Seconds(), "files/s")
 }
 
-// benchPlanBuild builds a 100k-file distributed plan end to end (metadata
-// pass + chunk encode to a discarding writer) on either the streamed
-// (generator-fused, O(chunk) file records) or retained (in-memory image)
-// path. The allocs/op row is the number that matters: it is the perf
-// trajectory of the out-of-core planner's allocation ceiling.
-func benchPlanBuild(b *testing.B, streamed bool) {
-	b.Helper()
+// BenchmarkStreamingPlanBuild builds a 100k-file distributed plan end to
+// end (metadata pass + chunk encode to a discarding writer) on the
+// generator-fused planner, which holds O(chunk) file records. The allocs/op
+// row is the number that matters: it is the perf trajectory of the
+// out-of-core planner's allocation ceiling.
+func BenchmarkStreamingPlanBuild(b *testing.B) {
 	cfg := core.Config{NumFiles: 100000, NumDirs: 20000, FSSizeBytes: 100000 * 256, Seed: 1, Parallelism: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if streamed {
-			if _, err := (distribute.PlanRequest{Config: cfg, MaxShards: 8}).Stream(context.Background(), io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			plan, err := distribute.BuildPlan(context.Background(), distribute.PlanRequest{Config: cfg, MaxShards: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := plan.Encode(io.Discard); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := (distribute.PlanRequest{Config: cfg, MaxShards: 8}).Stream(context.Background(), io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkStreamingPlanBuild tracks the fused out-of-core planner.
-func BenchmarkStreamingPlanBuild(b *testing.B) { benchPlanBuild(b, true) }
 
 // discardWriteCloser swallows fragment writes without retaining them.
 type discardWriteCloser struct{}
@@ -324,10 +310,6 @@ func BenchmarkPartitionedPlanBuild(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRetainedPlanBuild is the in-memory reference the streamed path
-// is compared against.
-func BenchmarkRetainedPlanBuild(b *testing.B) { benchPlanBuild(b, false) }
 
 // BenchmarkImageGenerationSerial is the single-worker reference.
 func BenchmarkImageGenerationSerial(b *testing.B) { benchGeneration(b, 1) }

@@ -863,10 +863,11 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() == 0 && !*partialFlag {
 		return usagef("merge: at least one shard manifest file is required (or -partial to audit an empty set)")
 	}
-	open, err := distribute.LoadPlan(*planFlag)
+	plan, err := os.Open(*planFlag)
 	if err != nil {
 		return err
 	}
+	defer plan.Close()
 	manifests := make([]*distribute.Manifest, 0, fs.NArg())
 	for _, path := range fs.Args() {
 		m, err := distribute.LoadManifest(path)
@@ -882,24 +883,19 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 		}
 		manifests = append(manifests, m)
 	}
-	var res *distribute.MergeResult
-	if *partialFlag {
-		audit, err := distribute.AuditManifests(open, manifests)
-		if err != nil {
-			return err
-		}
-		if !audit.Complete() {
-			printMergeAudit(stdout, audit, open, *planFlag, *outHint, fs.Args())
-			return nil
-		}
-		if res, err = distribute.MergeAudited(open, audit); err != nil {
-			return err
-		}
-	} else if res, err = distribute.Merge(open, manifests); err != nil {
+	res, err := distribute.Merge(distribute.DocumentSource(plan), manifests)
+	if err != nil {
 		return err
 	}
+	if !res.Complete() {
+		if !*partialFlag {
+			return res.Err()
+		}
+		printMergeAudit(stdout, res, *planFlag, *outHint, fs.Args())
+		return nil
+	}
 	if !*printDigest {
-		fmt.Fprintf(stdout, "merged %s\n", res.Image.Summary())
+		fmt.Fprintf(stdout, "merged %s\n", res.Summary())
 		if _, err := res.Report.WriteTo(stdout); err != nil {
 			return err
 		}
@@ -930,39 +926,35 @@ func runFragmentMerge(indexPath string, manifestPaths []string, printDigest bool
 	if len(manifestPaths) == 0 {
 		return usagef("merge: -index requires the shard manifest files as arguments")
 	}
-	manifests := make([]*distribute.Manifest, ix.Shards)
-	for _, path := range manifestPaths {
-		m, err := distribute.LoadManifest(path)
-		if err != nil {
+	manifests := make([]*distribute.Manifest, len(manifestPaths))
+	for i, path := range manifestPaths {
+		if manifests[i], err = distribute.LoadManifest(path); err != nil {
 			return err
-		}
-		if m.Shard < 0 || m.Shard >= ix.Shards {
-			return fmt.Errorf("merge: manifest %s names shard %d, index has %d shards", path, m.Shard, ix.Shards)
-		}
-		if manifests[m.Shard] != nil {
-			return fmt.Errorf("merge: duplicate manifest for shard %d (%s) (%w)", m.Shard, path, fsimage.ErrInvalidSpec)
-		}
-		manifests[m.Shard] = m
-	}
-	for s, m := range manifests {
-		if m == nil {
-			return fmt.Errorf("merge: no manifest for shard %d — run its worker (impressions worker -fragment %s ...) and merge again",
-				s, filepath.Join(filepath.Dir(indexPath), ix.Fragments[s]))
 		}
 	}
 	dir := filepath.Dir(indexPath)
-	res, err := distribute.MergeFragments(context.Background(), func(shard int) (io.ReadCloser, error) {
+	res, err := distribute.Merge(distribute.FragmentSource(context.Background(), ix.Shards, func(shard int) (io.ReadCloser, error) {
 		return os.Open(filepath.Join(dir, ix.Fragments[shard]))
-	}, manifests)
+	}), manifests)
 	if err != nil {
 		return err
 	}
-	if res.Fingerprint != ix.Fingerprint {
-		return fmt.Errorf("merge: fragment fingerprint %s does not match index fingerprint %s (%w)", res.Fingerprint, ix.Fingerprint, fsimage.ErrManifestIntegrity)
+	for _, st := range res.Statuses {
+		if st.State == distribute.ShardMissing {
+			return fmt.Errorf("merge: no manifest for shard %d — run its worker (impressions worker -fragment %s ...) and merge again",
+				st.Shard, filepath.Join(dir, ix.Fragments[st.Shard]))
+		}
+	}
+	if err := res.Err(); err != nil {
+		return err
+	}
+	fingerprint := res.Plan.Fingerprint()
+	if fingerprint != ix.Fingerprint {
+		return fmt.Errorf("merge: fragment fingerprint %s does not match index fingerprint %s (%w)", fingerprint, ix.Fingerprint, fsimage.ErrManifestIntegrity)
 	}
 	if !printDigest {
 		fmt.Fprintf(stdout, "merged %d dirs, %d files, %d bytes from %d fragments (fingerprint %s)\n",
-			res.Dirs, res.Files, res.Bytes, ix.Shards, res.Fingerprint[:12])
+			res.Plan.Dirs, res.Plan.Files, res.Plan.Bytes, ix.Shards, fingerprint[:12])
 	}
 	if printDigest && res.Digest == "" {
 		return fmt.Errorf("merge: the manifests are metadata-only and carry no content digest")
@@ -973,14 +965,14 @@ func runFragmentMerge(indexPath string, manifestPaths []string, printDigest bool
 	return nil
 }
 
-// printMergeAudit renders an incomplete audit as a triage report: one line
+// printMergeAudit renders an incomplete merge as a triage report: one line
 // per outstanding shard, each with the exact worker command that produces
 // the missing manifest. outHint fills the -out argument when known;
 // manifestPaths (the files the caller presented) anchor where the re-run's
 // manifest should land, falling back to the plan's directory.
-func printMergeAudit(w io.Writer, audit *distribute.Audit, open *distribute.OpenPlan, planPath, outHint string, manifestPaths []string) {
+func printMergeAudit(w io.Writer, audit *distribute.MergeResult, planPath, outHint string, manifestPaths []string) {
 	fmt.Fprintf(w, "merge: %d of %d shards verified (plan fingerprint %s)\n",
-		audit.Verified(), len(audit.Statuses), open.Plan.Fingerprint()[:12])
+		audit.Verified(), len(audit.Statuses), audit.Plan.Fingerprint()[:12])
 	if outHint == "" {
 		outHint = "<out>"
 	}
@@ -1087,19 +1079,19 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	plan, err := distribute.BuildPlan(context.Background(), distribute.PlanRequest{Config: cfg, MaxShards: *shardsFlag})
+	// The metadata is resolved once: the plan file is written from its
+	// columns, and the scheduler replays them to verify and merge.
+	resolved, err := distribute.PlanRequest{Config: cfg, MaxShards: *shardsFlag}.Resolve(context.Background())
 	if err != nil {
 		return err
 	}
-	open, err := plan.Open()
-	if err != nil {
-		return err
-	}
+	defer resolved.Close()
+	plan := resolved.Plan
 	// The plan is deterministic from the flags, so rewriting it on resume is
 	// idempotent; journals a work dir holds from other flags are bound to
 	// another fingerprint and prove nothing about this one.
 	planPath := filepath.Join(workDir, "plan.json")
-	if err := writeJSONFile(planPath, plan.Encode); err != nil {
+	if err := writeJSONFile(planPath, resolved.Write); err != nil {
 		return err
 	}
 	manifestPath := func(shard int) string { return filepath.Join(workDir, fmt.Sprintf("manifest-%d.json", shard)) }
@@ -1137,7 +1129,7 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 		// Worker and lease ids are random; stdout stays what the flags decide.
 		Logf: func(format string, a ...any) { say(stderr, format+"\n", a...) },
 	})
-	runID, err := sched.CreateRun(plan.Fingerprint(), open)
+	runID, err := sched.CreateRun(plan.Fingerprint(), resolved.Source())
 	if err != nil {
 		return err
 	}
@@ -1173,7 +1165,7 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 	if st.State != fleet.RunComplete {
 		return runIncomplete(stdout, "distrun", st)
 	}
-	fmt.Fprintf(stdout, "distrun: merged %s\n", open.Image.Summary())
+	fmt.Fprintf(stdout, "distrun: merged %s\n", resolved.Meta.Summary())
 	if st.Digest != "" {
 		fmt.Fprintf(stdout, "image digest: sha256:%s\n", st.Digest)
 	}

@@ -217,6 +217,59 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesStrayManifest: a manifest naming a shard the plan does not
+// have fails the merge the same way whether the plan is one document or
+// fragments: exit 1, an integrity violation, from the one merge.
+func TestMergeRefusesStrayManifest(t *testing.T) {
+	dir := t.TempDir()
+	cfgArgs := []string{"-files", "120", "-dirs", "30", "-size", "200KB", "-seed", "9"}
+	for _, mode := range []struct {
+		name, plan string
+		worker     func(s int) []string
+		merge      []string
+	}{
+		{"plan", "plan.json", func(s int) []string {
+			return []string{"-plan", filepath.Join(dir, "plan.json"), "-shard", strconv.Itoa(s)}
+		}, []string{"merge", "-plan", filepath.Join(dir, "plan.json")}},
+		{"index", "part.json", func(s int) []string {
+			return []string{"-fragment", fmt.Sprintf("%s.frag%d", filepath.Join(dir, "part.json"), s)}
+		}, []string{"merge", "-index", filepath.Join(dir, "part.json")}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			shards := map[string]string{"plan": "-shards", "index": "-partition"}[mode.name]
+			if err := run(append(append([]string{"plan"}, cfgArgs...), shards, "2", "-plan", filepath.Join(dir, mode.plan)), io.Discard, io.Discard); err != nil {
+				t.Fatalf("plan: %v", err)
+			}
+			var manifests []string
+			for s := 0; s < 2; s++ {
+				m := filepath.Join(dir, fmt.Sprintf("%s-manifest-%d.json", mode.name, s))
+				args := append(append([]string{"worker"}, mode.worker(s)...), "-out", filepath.Join(dir, mode.name+"-out"), "-manifest", m)
+				if err := run(args, io.Discard, io.Discard); err != nil {
+					t.Fatalf("worker %d: %v", s, err)
+				}
+				manifests = append(manifests, m)
+			}
+			stray, err := distribute.LoadManifest(manifests[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			stray.Shard = 7
+			stray.Seal()
+			manifests[1] = filepath.Join(dir, mode.name+"-stray.json")
+			if err := writeJSONFile(manifests[1], stray.Encode); err != nil {
+				t.Fatal(err)
+			}
+			var stderr bytes.Buffer
+			if code := Main(append(mode.merge, manifests...), io.Discard, &stderr); code != 1 {
+				t.Errorf("merge with a manifest for shard 7 of 2 exited %d, want 1", code)
+			}
+			if msg := stderr.String(); !strings.Contains(msg, "manifest for unknown shard 7 (plan has 2 shards)") || !strings.Contains(msg, fsimage.ErrManifestIntegrity.Error()) {
+				t.Errorf("merge with a manifest for shard 7 of 2 said: %s", msg)
+			}
+		})
+	}
+}
+
 // TestMainExitCodes is the exit-status audit: parse errors must never leave
 // the process with status 0. Bad flags and usage errors exit 2, runtime
 // failures exit 1, success and -h exit 0 — on every subcommand.
@@ -557,13 +610,21 @@ func TestDistrunOrchestration(t *testing.T) {
 		t.Fatalf("HashTree: %v", err)
 	}
 
-	out := filepath.Join(t.TempDir(), "image")
+	out, work := filepath.Join(t.TempDir(), "image"), t.TempDir()
 	report := filepath.Join(t.TempDir(), "report.json")
 	buf.Reset()
 	distArgs := append([]string{"distrun"}, cfgArgs...)
-	distArgs = append(distArgs, "-shards", "3", "-out", out, "-report", report)
+	distArgs = append(distArgs, "-shards", "3", "-work", work, "-out", out, "-report", report)
 	if err := run(distArgs, &buf, io.Discard); err != nil {
 		t.Fatalf("distrun: %v", err)
+	}
+	// distrun writes its plan from the same pass `plan` streams.
+	planPath := filepath.Join(t.TempDir(), "plan.json")
+	if err := run(append(append([]string{"plan"}, cfgArgs...), "-shards", "3", "-plan", planPath), io.Discard, io.Discard); err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	if want, got := readFile(t, planPath), readFile(t, filepath.Join(work, "plan.json")); !bytes.Equal(got, want) {
+		t.Error("distrun's plan.json differs from the one `plan -shards 3` writes")
 	}
 	if got := extractDigest(t, buf.Bytes()); got != refDigest {
 		t.Fatalf("distrun digest %s != single-process %s", got, refDigest)
@@ -578,6 +639,15 @@ func TestDistrunOrchestration(t *testing.T) {
 	if _, err := os.Stat(report); err != nil {
 		t.Errorf("expected merged report: %v", err)
 	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // faultCfgArgs is the shared small config for the fault-tolerance suite.
@@ -839,12 +909,16 @@ func TestDistrunResumeAfterFailure(t *testing.T) {
 	work, out := t.TempDir(), filepath.Join(t.TempDir(), "img")
 	interruptedRun(t, faultCfgArgs, work, out)
 
-	open, err := distribute.LoadPlan(filepath.Join(work, "plan.json"))
-	if err != nil {
-		t.Fatal(err)
+	views := make([]*distribute.ShardView, 3)
+	for shard := range views {
+		v, err := distribute.LoadPlanShard(filepath.Join(work, "plan.json"), shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[shard] = v
 	}
-	modTime := func(i int) time.Time {
-		info, err := os.Stat(filepath.Join(out, filepath.FromSlash(open.Image.FilePath(open.Image.Files[i]))))
+	modTime := func(v *distribute.ShardView, f fsimage.File) time.Time {
+		info, err := os.Stat(filepath.Join(out, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -852,8 +926,8 @@ func TestDistrunResumeAfterFailure(t *testing.T) {
 	}
 	before := map[int]time.Time{}
 	for _, shard := range []int{0, 2} {
-		for _, i := range open.FilesByShard[shard] {
-			before[i] = modTime(i)
+		for _, f := range views[shard].Files {
+			before[f.ID] = modTime(views[shard], f)
 		}
 	}
 
@@ -866,15 +940,17 @@ func TestDistrunResumeAfterFailure(t *testing.T) {
 	for _, m := range resumedRe.FindAllStringSubmatch(stdout, -1) {
 		wrote[m[1]] = m[2] + "+" + m[3]
 	}
-	for shard, resumed := range map[int]int{0: len(open.FilesByShard[0]), 1: 5, 2: len(open.FilesByShard[2])} {
-		want := fmt.Sprintf("%d+%d", resumed, len(open.FilesByShard[shard])-resumed)
+	for shard, resumed := range map[int]int{0: len(views[0].Files), 1: 5, 2: len(views[2].Files)} {
+		want := fmt.Sprintf("%d+%d", resumed, len(views[shard].Files)-resumed)
 		if got := wrote[strconv.Itoa(shard)]; got != want {
 			t.Errorf("shard %d resumed+wrote %q files, want %q:\n%s", shard, got, want, stdout)
 		}
 	}
-	for i, was := range before {
-		if now := modTime(i); !now.Equal(was) {
-			t.Errorf("file %d of a finished shard was written again (mtime %s, was %s)", i, now, was)
+	for _, shard := range []int{0, 2} {
+		for _, f := range views[shard].Files {
+			if now := modTime(views[shard], f); !now.Equal(before[f.ID]) {
+				t.Errorf("file %d of a finished shard was written again (mtime %s, was %s)", f.ID, now, before[f.ID])
+			}
 		}
 	}
 }
@@ -1067,15 +1143,15 @@ func TestWorkerResumeRecreatesEmptyDirectories(t *testing.T) {
 		return buf.String()
 	}
 	workers()
-	open, err := distribute.LoadPlan(planPath)
+	view, err := distribute.LoadPlanShard(planPath, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With 60 dirs for 10 files most directories are empty leaves.
 	removed := ""
-	for id, d := range open.Image.Tree.Dirs {
+	for id, d := range view.Tree.Dirs {
 		if id != 0 && d.FileCount == 0 && d.SubdirCount == 0 {
-			removed = filepath.Join(out, filepath.FromSlash(open.Image.Tree.Path(id)))
+			removed = filepath.Join(out, filepath.FromSlash(view.Tree.Path(id)))
 			break
 		}
 	}

@@ -19,9 +19,6 @@ import (
 // needs nothing but the plan document and a shard index.
 type Plan = distribute.Plan
 
-// OpenPlan is a validated, unpacked plan ready for in-process execution.
-type OpenPlan = distribute.OpenPlan
-
 // ShardView is everything one worker needs to execute a single shard.
 type ShardView = distribute.ShardView
 
@@ -39,13 +36,13 @@ type Target = distribute.Target
 // many files a journal let the execution skip.
 type ShardResult = distribute.ShardResult
 
-// MergeResult is the verified outcome of stitching shard manifests back
-// into one image: the image, its report, and the canonical digest.
+// MergeResult is what Merge finds: every shard's grade and, once every shard
+// has verified, the merged report and the canonical digest.
 type MergeResult = distribute.MergeResult
 
-// Audit grades an incomplete manifest set shard by shard, the entry point
-// for resuming a partially failed distributed run.
-type Audit = distribute.Audit
+// PlanSource replays a plan for Merge: a plan document, a set of fragment
+// documents, or a resolved plan's columns.
+type PlanSource = distribute.PlanSource
 
 // PlanRequest is the single entry point for building plans: configuration
 // (spill-to-disk included), sharding and chunking in one request struct
@@ -56,18 +53,6 @@ type PlanRequest = distribute.PlanRequest
 // the names of its fragment documents.
 type FragmentIndex = distribute.FragmentIndex
 
-// FragmentMergeResult is the outcome of a fragment-stream merge: the
-// canonical digest and verified totals, with no retained image.
-type FragmentMergeResult = distribute.FragmentMergeResult
-
-// BuildPlan resolves the metadata pass for the request and partitions it
-// into balanced subtree shards, retaining the image for in-process
-// execution. Pipelines that only need the plan file use PlanRequest.Stream;
-// fleets that want the plan built shard by shard use PartitionPlan.
-func BuildPlan(ctx context.Context, req PlanRequest) (*Plan, error) {
-	return distribute.BuildPlan(ctx, req)
-}
-
 // PartitionPlan builds a partitioned plan: K self-contained fragment
 // documents (byte-identical to slicing the monolithic plan file), written
 // to the writers open returns. Combined with Config.SpillDir, the whole
@@ -76,21 +61,10 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 	return distribute.PartitionPlan(ctx, req, open)
 }
 
-// MergeFragments verifies a complete set of fragment documents and worker
-// manifests and reproduces the canonical image digest while holding
-// O(dirs + shards·chunk) memory — no node in the partitioned pipeline ever
-// materializes the image.
-func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, error), manifests []*Manifest) (*FragmentMergeResult, error) {
-	return distribute.MergeFragments(ctx, open, manifests)
-}
-
 // LoadFragmentIndex reads a fragment index file written by `plan -partition`.
 func LoadFragmentIndex(path string) (*FragmentIndex, error) {
 	return distribute.LoadFragmentIndex(path)
 }
-
-// LoadPlan reads and opens a plan file for in-process execution.
-func LoadPlan(path string) (*OpenPlan, error) { return distribute.LoadPlan(path) }
 
 // LoadPlanShard reads a plan file through the shard-pruning decoder,
 // retaining only the given shard's records — a worker's memory is bounded
@@ -117,22 +91,23 @@ func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOption
 	return distribute.Execute(ctx, v, target, opts)
 }
 
-// Merge verifies a complete manifest set against the plan and stitches the
-// shards back into a single image, report, and canonical digest.
-func Merge(p *OpenPlan, manifests []*Manifest) (*MergeResult, error) {
-	return distribute.Merge(p, manifests)
+// Merge is the one merge: it replays the plan src delivers, holds every file
+// to its shard's manifest, grades each shard verified, invalid or missing —
+// so a failed run can be resumed instead of restarted — and folds a complete
+// set into the canonical digest, holding O(dirs + chunk) beside the
+// manifests.
+func Merge(src PlanSource, manifests []*Manifest) (*MergeResult, error) {
+	return distribute.Merge(src, manifests)
 }
 
-// AuditManifests grades a (possibly incomplete, possibly duplicated)
-// manifest set shard by shard, so a failed run can be resumed instead of
-// restarted.
-func AuditManifests(p *OpenPlan, manifests []*Manifest) (*Audit, error) {
-	return distribute.AuditManifests(p, manifests)
-}
+// DocumentSource replays a plan document read from r, for one Merge.
+func DocumentSource(r io.Reader) PlanSource { return distribute.DocumentSource(r) }
 
-// MergeAudited merges a complete audit's verified manifests.
-func MergeAudited(p *OpenPlan, audit *Audit) (*MergeResult, error) {
-	return distribute.MergeAudited(p, audit)
+// FragmentSource replays a partitioned plan from its k fragment documents,
+// which open returns readers for, holding O(dirs + k·chunk) memory — no node
+// in the partitioned pipeline ever materializes the image.
+func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadCloser, error)) PlanSource {
+	return distribute.FragmentSource(ctx, k, open)
 }
 
 // SpecFingerprint returns the content address (SHA-256 hex) of the plan a

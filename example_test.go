@@ -51,40 +51,52 @@ func ExampleSpecFingerprint() {
 	// Output: true false
 }
 
-// ExampleBuildPlan runs the whole distributed pipeline in one process:
-// plan, execute every shard, merge the manifests, and verify the merged
-// digest matches a plain single-process generation.
-func ExampleBuildPlan() {
+// ExampleMerge runs the whole distributed pipeline in one process: stream
+// the plan, execute every shard off its pruned view, merge the manifests
+// against the plan document, and verify the merged digest matches a plain
+// single-process generation.
+func ExampleMerge() {
 	cfg := impressions.Config{NumFiles: 300, NumDirs: 60, FSSizeBytes: 300 * 1024, Seed: 7}
 
-	plan, err := impressions.BuildPlan(context.Background(), impressions.PlanRequest{Config: cfg, MaxShards: 3})
+	dir, _ := os.MkdirTemp("", "impressions-example")
+	defer os.RemoveAll(dir)
+	planPath := filepath.Join(dir, "plan.json")
+	f, err := os.Create(planPath)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	open, err := plan.Open()
+	plan, err := impressions.PlanRequest{Config: cfg, MaxShards: 3}.Stream(context.Background(), f)
+	f.Close()
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	root, _ := os.MkdirTemp("", "impressions-example")
-	defer os.RemoveAll(root)
 
 	var manifests []*impressions.Manifest
 	for shard := range plan.Shards {
-		view, err := open.ShardView(shard)
+		view, err := impressions.LoadPlanShard(planPath, shard)
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
-		res, err := impressions.Execute(context.Background(), view, impressions.DirTarget(root), impressions.WorkerOptions{})
+		res, err := impressions.Execute(context.Background(), view, impressions.DirTarget(filepath.Join(dir, "image")), impressions.WorkerOptions{})
 		if err != nil {
 			fmt.Println(err)
 			return
 		}
 		manifests = append(manifests, res.Manifest)
 	}
-	merged, err := impressions.Merge(open, manifests)
+	doc, err := os.Open(planPath)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer doc.Close()
+	merged, err := impressions.Merge(impressions.DocumentSource(doc), manifests)
+	if err == nil {
+		err = merged.Err()
+	}
 	if err != nil {
 		fmt.Println(err)
 		return

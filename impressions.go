@@ -41,11 +41,12 @@
 //
 // # Distributed generation and serving
 //
-// The same pipeline scales out: BuildPlan or PlanRequest.Stream partition an
-// image into shard plans, Execute runs one shard anywhere — onto a
-// DirTarget, a TarTarget, or TarTarget(io.Discard) when only the manifest is
-// wanted — and Merge verifies the manifests back into a single image (see
-// the distributed re-exports in this package). cmd/impressionsd wraps it all as a long-running HTTP
+// The same pipeline scales out: PlanRequest.Stream or PartitionPlan
+// partition an image into shard plans, Execute runs one shard anywhere —
+// onto a DirTarget, a TarTarget, or TarTarget(io.Discard) when only the
+// manifest is wanted — and Merge verifies the manifests against a replay of
+// the plan into the canonical digest (see the distributed re-exports in this
+// package). cmd/impressionsd wraps it all as a long-running HTTP
 // service with a content-addressed plan cache keyed by SpecFingerprint.
 //
 // # Errors

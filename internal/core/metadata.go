@@ -69,8 +69,7 @@ func (m *Metadata) Summary() string {
 			maxDepth = d.Depth + 1
 		}
 	}
-	return fmt.Sprintf("image: %d files, %d dirs, %s total, max file depth %d",
-		m.FileCount(), m.DirCount(), stats.FormatBytes(float64(m.totalBytes)), maxDepth)
+	return fsimage.Summary(m.FileCount(), m.DirCount(), m.totalBytes, maxDepth)
 }
 
 // EachPlacement walks every file's placement (ID, parent directory, size)

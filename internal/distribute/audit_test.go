@@ -3,24 +3,26 @@ package distribute
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"testing"
 
 	"impressions/internal/core"
+	"impressions/internal/fsimage"
 )
 
-// TestAuditManifestsGradesShards covers the fault-tolerant audit: verified,
+// TestMergeGradesShards covers the fault-tolerant grading: verified,
 // missing, tampered, and stale (foreign-plan) manifests each get the right
-// per-shard status, MergeAudited refuses the incomplete set, and filling in
-// the outstanding shard completes the merge.
-func TestAuditManifestsGradesShards(t *testing.T) {
+// per-shard status, an incomplete set yields no digest, and filling in the
+// outstanding shards completes the merge.
+func TestMergeGradesShards(t *testing.T) {
 	cfg := testConfig()
-	open := planRoundTrip(t, cfg, 4)
-	if len(open.Plan.Shards) < 3 {
-		t.Fatalf("want >= 3 shards, got %d", len(open.Plan.Shards))
+	p := planRoundTrip(t, cfg, 4)
+	if len(p.Plan.Shards) < 3 {
+		t.Fatalf("want >= 3 shards, got %d", len(p.Plan.Shards))
 	}
-	all := runManifests(t, open, t.TempDir())
+	all := runManifests(t, p, t.TempDir())
 
 	// Present everything except the last shard; tamper shard 0's manifest
 	// and rebind shard 1's to a foreign plan.
@@ -36,49 +38,36 @@ func TestAuditManifestsGradesShards(t *testing.T) {
 		presented = append(presented, m)
 	}
 
-	audit, err := AuditManifests(open, presented)
+	res, err := Merge(p.source(), presented)
 	if err != nil {
-		t.Fatalf("AuditManifests: %v", err)
+		t.Fatalf("Merge: %v", err)
 	}
-	if audit.Complete() {
-		t.Fatal("audit of a damaged set reports complete")
+	if res.Complete() {
+		t.Fatal("merge of a damaged set reports complete")
 	}
-	if st := audit.Statuses[0]; st.State != ShardInvalid || st.Err == nil || !strings.Contains(st.Err.Error(), "integrity") {
+	if st := res.Statuses[0]; st.State != ShardInvalid || st.Err == nil || !strings.Contains(st.Err.Error(), "integrity") {
 		t.Errorf("tampered shard 0: %+v", st)
 	}
-	if st := audit.Statuses[1]; st.State != ShardInvalid || st.Err == nil || !strings.Contains(st.Err.Error(), "different plan") {
+	if st := res.Statuses[1]; st.State != ShardInvalid || st.Err == nil || !strings.Contains(st.Err.Error(), "different plan") {
 		t.Errorf("stale shard 1: %+v", st)
 	}
-	if st := audit.Statuses[missing]; st.State != ShardMissing {
+	if st := res.Statuses[missing]; st.State != ShardMissing {
 		t.Errorf("missing shard %d: %+v", missing, st)
 	}
-	wantOutstanding := []int{0, 1, missing}
-	if got := audit.Outstanding(); len(got) != len(wantOutstanding) {
-		t.Errorf("Outstanding() = %v, want %v", got, wantOutstanding)
-	} else {
-		for i := range got {
-			if got[i] != wantOutstanding[i] {
-				t.Errorf("Outstanding() = %v, want %v", got, wantOutstanding)
-				break
-			}
+	for s := 2; s < missing; s++ {
+		if res.Statuses[s].State != ShardVerified {
+			t.Errorf("honest shard %d: %+v", s, res.Statuses[s])
 		}
 	}
-	if _, err := MergeAudited(open, audit); err == nil || !strings.Contains(err.Error(), "incomplete") {
-		t.Errorf("MergeAudited on incomplete audit: %v", err)
+	if res.Verified() != missing-2 || res.Digest != "" || res.Err() == nil {
+		t.Errorf("incomplete merge: %d verified, digest %q, error %v", res.Verified(), res.Digest, res.Err())
 	}
 
-	// Re-presenting the honest manifests completes the audit and the merged
-	// digest matches the single-process run — resume never changes bytes.
-	audit, err = AuditManifests(open, all)
-	if err != nil {
-		t.Fatalf("AuditManifests(all): %v", err)
-	}
-	if !audit.Complete() || audit.Verified() != len(all) {
-		t.Fatalf("full set should verify: %+v", audit.Statuses)
-	}
-	res, err := MergeAudited(open, audit)
-	if err != nil {
-		t.Fatalf("MergeAudited: %v", err)
+	// Re-presenting the honest manifests completes the merge, and the digest
+	// matches the single-process run — resume never changes bytes.
+	res = p.merge(t, all)
+	if res.Verified() != len(all) {
+		t.Fatalf("full set should verify: %+v", res.Statuses)
 	}
 	_, refDigest, _ := singleProcessReference(t, cfg)
 	if res.Digest != refDigest {
@@ -86,32 +75,51 @@ func TestAuditManifestsGradesShards(t *testing.T) {
 	}
 }
 
-// TestVerifyManifest covers the single-manifest check the resume path uses
-// to decide skip-vs-regenerate.
-func TestVerifyManifest(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
-	ms := runManifests(t, open, t.TempDir())
-	if err := VerifyManifest(open, ms[0]); err != nil {
-		t.Errorf("good manifest: %v", err)
+// TestManifestCheckVerify covers the O(shards) check a scheduler commits
+// shards by: it accepts what Merge verifies and refuses what Merge would
+// grade invalid, a resealed manifest with another entry size included.
+func TestManifestCheckVerify(t *testing.T) {
+	p := planRoundTrip(t, testConfig(), 2)
+	check, err := NewManifestCheck(p.source())
+	if err != nil {
+		t.Fatalf("NewManifestCheck: %v", err)
 	}
-	stale := *ms[0]
-	stale.PlanFingerprint = strings.Repeat("b", 64)
-	stale.Seal()
-	if err := VerifyManifest(open, &stale); err == nil || !strings.Contains(err.Error(), "different plan") {
-		t.Errorf("stale manifest: %v", err)
+	if check.Plan.Fingerprint() != p.Plan.Fingerprint() {
+		t.Fatalf("the check holds plan %s, the document is %s", check.Plan.Fingerprint(), p.Plan.Fingerprint())
 	}
-	unsealed := *ms[1]
-	unsealed.ManifestSHA256 = ""
-	if err := VerifyManifest(open, &unsealed); err == nil {
-		t.Error("unsealed manifest should fail")
+	ms := runManifests(t, p, t.TempDir())
+	for _, m := range ms {
+		if err := check.Verify(m); err != nil {
+			t.Errorf("good manifest of shard %d: %v", m.Shard, err)
+		}
 	}
-	if err := VerifyManifest(open, nil); err == nil {
-		t.Error("nil manifest should fail")
+	reseal := func(m Manifest, edit func(*Manifest)) *Manifest {
+		m.FileDigests = append([]FileDigest(nil), m.FileDigests...)
+		edit(&m)
+		m.Seal()
+		return &m
 	}
-	foreign := *ms[0]
-	foreign.Shard = 99
-	if err := VerifyManifest(open, &foreign); err == nil {
-		t.Error("unknown shard should fail")
+	for name, bad := range map[string]*Manifest{
+		"stale":            reseal(*ms[0], func(m *Manifest) { m.PlanFingerprint = strings.Repeat("b", 64) }),
+		"unsealed":         func() *Manifest { m := *ms[1]; m.ManifestSHA256 = ""; return &m }(),
+		"unknown shard":    func() *Manifest { m := *ms[0]; m.Shard = 99; return &m }(),
+		"another size":     reseal(*ms[0], func(m *Manifest) { m.FileDigests[0].Size++ }),
+		"another file":     reseal(*ms[1], func(m *Manifest) { m.FileDigests[0].ID++ }),
+		"two files turned": reseal(*ms[1], func(m *Manifest) { m.FileDigests[0], m.FileDigests[1] = m.FileDigests[1], m.FileDigests[0] }),
+		"no content hash":  reseal(*ms[0], func(m *Manifest) { m.FileDigests[1].SHA256 = "" }),
+		"nil":              nil,
+	} {
+		err := check.Verify(bad)
+		if err == nil {
+			t.Errorf("%s manifest accepted", name)
+			continue
+		}
+		if bad == nil {
+			continue
+		}
+		if res, merr := Merge(p.source(), []*Manifest{bad}); merr == nil && res.Verified() > 0 {
+			t.Errorf("%s manifest: the check refuses it (%v), the merge verifies it", name, err)
+		}
 	}
 }
 
@@ -143,13 +151,10 @@ func largePlanConfig() core.Config {
 // the chunked format, the embedded image was built as one buffer and this
 // test's bound fails by an order of magnitude.
 func TestPlanStreamingMemoryBound(t *testing.T) {
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: largePlanConfig(), MaxShards: 4, ChunkSize: 2048})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
-	}
 	var w maxWriteWriter
-	if err := plan.Encode(&w); err != nil {
-		t.Fatalf("Encode: %v", err)
+	plan, err := PlanRequest{Config: largePlanConfig(), MaxShards: 4, ChunkSize: 2048}.Stream(context.Background(), &w)
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	if w.total < 1<<20 {
 		t.Fatalf("test image too small to be meaningful: %d bytes", w.total)
@@ -163,25 +168,27 @@ func TestPlanStreamingMemoryBound(t *testing.T) {
 }
 
 // BenchmarkPlanRoundTrip tracks the cost (time and allocations) of
-// streaming a large plan through encode + decode.
+// streaming a large plan through encode + decode: one write of the resolved
+// plan, one replay of its document through the merge's record check.
 func BenchmarkPlanRoundTrip(b *testing.B) {
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: largePlanConfig(), MaxShards: 4})
+	rp, err := PlanRequest{Config: largePlanConfig(), MaxShards: 4}.Resolve(context.Background())
 	if err != nil {
-		b.Fatalf("BuildPlan: %v", err)
+		b.Fatalf("Resolve: %v", err)
 	}
+	defer rp.Close()
 	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		b.Fatalf("Encode: %v", err)
+	if err := rp.Write(&buf); err != nil {
+		b.Fatalf("Write: %v", err)
 	}
 	encoded := buf.Bytes()
 	b.SetBytes(int64(len(encoded)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := plan.Encode(io.Discard); err != nil {
+		if err := rp.Write(io.Discard); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := DecodePlan(bytes.NewReader(encoded)); err != nil {
+		if _, err := Merge(DocumentSource(bytes.NewReader(encoded)), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,30 +198,30 @@ func BenchmarkPlanRoundTrip(b *testing.B) {
 // the correct majority — the minority shard is the invalid one, so the
 // re-run guidance regenerates the one mistake, not the whole run.
 func TestAuditMixedModesMajorityWins(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 4)
-	if len(open.Plan.Shards) < 3 {
-		t.Fatalf("want >= 3 shards, got %d", len(open.Plan.Shards))
+	p := planRoundTrip(t, testConfig(), 4)
+	if len(p.Plan.Shards) < 3 {
+		t.Fatalf("want >= 3 shards, got %d", len(p.Plan.Shards))
 	}
-	manifests := make([]*Manifest, len(open.Plan.Shards))
-	for s := range open.Plan.Shards {
+	manifests := make([]*Manifest, len(p.Plan.Shards))
+	for s := range p.Plan.Shards {
 		opts := WorkerOptions{MetadataOnly: true}
 		if s == 0 {
 			opts.MetadataOnly = false // the one mistaken full-content shard
 		}
-		m, err := executeShard(open, s, t.TempDir(), opts)
+		m, err := executeShard(p, s, t.TempDir(), opts)
 		if err != nil {
 			t.Fatalf("Execute(%d): %v", s, err)
 		}
 		manifests[s] = m
 	}
-	audit, err := AuditManifests(open, manifests)
+	audit, err := Merge(p.source(), manifests)
 	if err != nil {
-		t.Fatalf("AuditManifests: %v", err)
+		t.Fatalf("Merge: %v", err)
 	}
 	if audit.ContentHashed {
 		t.Error("majority of shards are metadata-only; audit anchored on the minority")
 	}
-	if st := audit.Statuses[0]; st.State != ShardInvalid || st.Err == nil || !strings.Contains(st.Err.Error(), "mixes") {
+	if st := audit.Statuses[0]; st.State != ShardInvalid || !errors.Is(st.Err, fsimage.ErrManifestIntegrity) || !strings.Contains(st.Err.Error(), "mixes") {
 		t.Errorf("the mistaken shard 0 should be the invalid one: %+v", st)
 	}
 	for s := 1; s < len(audit.Statuses); s++ {

@@ -3,6 +3,7 @@ package distribute
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -46,28 +47,50 @@ func singleProcessReference(t *testing.T, cfg core.Config) (*fsimage.Image, stri
 	return res.Image, digest, treeHash
 }
 
-// planRoundTrip builds a plan, encodes it to JSON, decodes and opens it —
-// the exact path a worker on another machine takes. The small chunk size
-// forces the metadata stream through many chunks even on test-sized images.
-func planRoundTrip(t *testing.T, cfg core.Config, shards int) *OpenPlan {
-	t.Helper()
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: 64})
+// testPlan is a plan as the package's tests hold one: the streamed document
+// and its sealed header, from which every test takes shard views, replays
+// and merges, exactly as a worker or a merge on another machine would.
+type testPlan struct {
+	Plan *Plan
+	doc  []byte
+}
+
+// planRoundTrip streams cfg's plan into memory. The small chunk size forces
+// the metadata stream through many chunks even on test-sized images.
+func planRoundTrip(tb testing.TB, cfg core.Config, shards int) *testPlan {
+	tb.Helper()
+	var doc bytes.Buffer
+	plan, err := PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: 64}.Stream(context.Background(), &doc)
 	if err != nil {
-		t.Fatalf("BuildPlan(%d): %v", shards, err)
+		tb.Fatalf("Stream(%d): %v", shards, err)
 	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	decoded, err := DecodePlan(&buf)
+	return &testPlan{Plan: plan, doc: doc.Bytes()}
+}
+
+// source replays the plan document.
+func (p *testPlan) source() PlanSource { return DocumentSource(bytes.NewReader(p.doc)) }
+
+// view decodes one shard's view out of the plan document.
+func (p *testPlan) view(tb testing.TB, shard int) *ShardView {
+	tb.Helper()
+	v, err := DecodePlanShard(bytes.NewReader(p.doc), shard)
 	if err != nil {
-		t.Fatalf("DecodePlan: %v", err)
+		tb.Fatalf("DecodePlanShard(%d): %v", shard, err)
 	}
-	open, err := decoded.Open()
+	return v
+}
+
+// merge merges a manifest set against the plan and requires it complete.
+func (p *testPlan) merge(tb testing.TB, manifests []*Manifest) *MergeResult {
+	tb.Helper()
+	res, err := Merge(p.source(), manifests)
+	if err == nil {
+		err = res.Err()
+	}
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		tb.Fatalf("Merge: %v", err)
 	}
-	return open
+	return res
 }
 
 // checkGoroutines fails the test unless the goroutine count returns to
@@ -90,10 +113,10 @@ func executeView(v *ShardView, target Target, opts WorkerOptions) (*Manifest, er
 	return res.Manifest, nil
 }
 
-// executeShard projects one shard out of a retained plan and materializes
+// executeShard decodes one shard out of the plan document and materializes
 // it under outRoot.
-func executeShard(p *OpenPlan, shard int, outRoot string, opts WorkerOptions) (*Manifest, error) {
-	v, err := p.ShardView(shard)
+func executeShard(p *testPlan, shard int, outRoot string, opts WorkerOptions) (*Manifest, error) {
+	v, err := DecodePlanShard(bytes.NewReader(p.doc), shard)
 	if err != nil {
 		return nil, err
 	}
@@ -102,11 +125,11 @@ func executeShard(p *OpenPlan, shard int, outRoot string, opts WorkerOptions) (*
 
 // runManifests executes every shard (each into the shared outRoot) and
 // round-trips each manifest through its JSON encoding.
-func runManifests(t *testing.T, open *OpenPlan, outRoot string) []*Manifest {
+func runManifests(t *testing.T, p *testPlan, outRoot string) []*Manifest {
 	t.Helper()
-	manifests := make([]*Manifest, len(open.Plan.Shards))
-	for s := range open.Plan.Shards {
-		m, err := executeShard(open, s, outRoot, WorkerOptions{})
+	manifests := make([]*Manifest, len(p.Plan.Shards))
+	for s := range p.Plan.Shards {
+		m, err := executeShard(p, s, outRoot, WorkerOptions{})
 		if err != nil {
 			t.Fatalf("Execute(%d): %v", s, err)
 		}
@@ -132,19 +155,15 @@ func TestPlanWorkerMergeMatchesSingleProcess(t *testing.T) {
 	refImg, refDigest, refTreeHash := singleProcessReference(t, cfg)
 
 	for _, k := range []int{1, 2, 4} {
-		open := planRoundTrip(t, cfg, k)
-		if got := len(open.Plan.Shards); got > k {
+		p := planRoundTrip(t, cfg, k)
+		if got := len(p.Plan.Shards); got > k {
 			t.Fatalf("K=%d: plan has %d shards", k, got)
 		}
-		if open.Image.FileCount() != refImg.FileCount() || open.Image.TotalBytes() != refImg.TotalBytes() {
+		if p.Plan.Files != refImg.FileCount() || p.Plan.Bytes != refImg.TotalBytes() {
 			t.Fatalf("K=%d: plan metadata differs from single-process image", k)
 		}
 		outRoot := t.TempDir()
-		manifests := runManifests(t, open, outRoot)
-		res, err := Merge(open, manifests)
-		if err != nil {
-			t.Fatalf("K=%d: Merge: %v", k, err)
-		}
+		res := p.merge(t, runManifests(t, p, outRoot))
 		if res.Digest != refDigest {
 			t.Fatalf("K=%d: merged digest %s != single-process digest %s", k, res.Digest, refDigest)
 		}
@@ -155,11 +174,14 @@ func TestPlanWorkerMergeMatchesSingleProcess(t *testing.T) {
 		if treeHash != refTreeHash {
 			t.Fatalf("K=%d: materialized tree differs from single-process tree", k)
 		}
-		if res.Bytes != refImg.TotalBytes() {
-			t.Fatalf("K=%d: merged bytes %d != %d", k, res.Bytes, refImg.TotalBytes())
+		if res.Report.ActualBytes != refImg.TotalBytes() {
+			t.Fatalf("K=%d: merged bytes %d != %d", k, res.Report.ActualBytes, refImg.TotalBytes())
 		}
 		if res.Report.ActualFiles != refImg.FileCount() || res.Report.ActualDirs != refImg.DirCount() {
 			t.Fatalf("K=%d: merged report counts differ", k)
+		}
+		if res.Summary() != refImg.Summary() {
+			t.Fatalf("K=%d: merged %q, the single-process image is %q", k, res.Summary(), refImg.Summary())
 		}
 	}
 }
@@ -171,11 +193,8 @@ func TestShardCountInvariance(t *testing.T) {
 	cfg.Seed = 777
 	var ref string
 	for _, k := range []int{1, 2, 4} {
-		open := planRoundTrip(t, cfg, k)
-		res, err := Merge(open, runManifests(t, open, t.TempDir()))
-		if err != nil {
-			t.Fatalf("K=%d: Merge: %v", k, err)
-		}
+		p := planRoundTrip(t, cfg, k)
+		res := p.merge(t, runManifests(t, p, t.TempDir()))
 		if ref == "" {
 			ref = res.Digest
 		} else if res.Digest != ref {
@@ -188,19 +207,16 @@ func TestShardCountInvariance(t *testing.T) {
 // materializing into disjoint roots still merge to the same digest.
 func TestWorkersInSeparateRoots(t *testing.T) {
 	cfg := testConfig()
-	open := planRoundTrip(t, cfg, 4)
-	manifests := make([]*Manifest, len(open.Plan.Shards))
-	for s := range open.Plan.Shards {
-		m, err := executeShard(open, s, filepath.Join(t.TempDir(), "w"), WorkerOptions{})
+	p := planRoundTrip(t, cfg, 4)
+	manifests := make([]*Manifest, len(p.Plan.Shards))
+	for s := range p.Plan.Shards {
+		m, err := executeShard(p, s, filepath.Join(t.TempDir(), "w"), WorkerOptions{})
 		if err != nil {
 			t.Fatalf("Execute(%d): %v", s, err)
 		}
 		manifests[s] = m
 	}
-	res, err := Merge(open, manifests)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
+	res := p.merge(t, manifests)
 	_, refDigest, _ := singleProcessReference(t, cfg)
 	if res.Digest != refDigest {
 		t.Fatalf("separate-root merge digest %s != single-process %s", res.Digest, refDigest)
@@ -212,11 +228,11 @@ func TestWorkersInSeparateRoots(t *testing.T) {
 // and a manifest from a different plan must all fail with a clear error.
 func TestMergeRejectsTamperedManifests(t *testing.T) {
 	cfg := testConfig()
-	open := planRoundTrip(t, cfg, 4)
-	if len(open.Plan.Shards) < 2 {
-		t.Fatalf("want >= 2 shards, got %d", len(open.Plan.Shards))
+	p := planRoundTrip(t, cfg, 4)
+	if len(p.Plan.Shards) < 2 {
+		t.Fatalf("want >= 2 shards, got %d", len(p.Plan.Shards))
 	}
-	good := runManifests(t, open, t.TempDir())
+	good := runManifests(t, p, t.TempDir())
 
 	clone := func() []*Manifest {
 		out := make([]*Manifest, len(good))
@@ -230,8 +246,10 @@ func TestMergeRejectsTamperedManifests(t *testing.T) {
 
 	check := func(name, wantSubstr string, mutate func(ms []*Manifest) []*Manifest) {
 		t.Helper()
-		ms := mutate(clone())
-		_, err := Merge(open, ms)
+		res, err := Merge(p.source(), mutate(clone()))
+		if err == nil {
+			err = res.Err()
+		}
 		if err == nil {
 			t.Fatalf("%s: merge should fail", name)
 		}
@@ -255,7 +273,7 @@ func TestMergeRejectsTamperedManifests(t *testing.T) {
 		ms[0].Seal()
 		return ms
 	})
-	check("missing shard", "manifests", func(ms []*Manifest) []*Manifest {
+	check("missing shard", "missing manifest", func(ms []*Manifest) []*Manifest {
 		return ms[:len(ms)-1]
 	})
 	check("duplicate shard", "duplicate", func(ms []*Manifest) []*Manifest {
@@ -269,73 +287,79 @@ func TestMergeRejectsTamperedManifests(t *testing.T) {
 	})
 }
 
-// TestOpenRejectsCorruptPlan covers plan-side integrity: corrupted stream
-// bytes, a truncated chunk stream, edited totals, and a wrong format
-// version.
-func TestOpenRejectsCorruptPlan(t *testing.T) {
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 2, ChunkSize: 64})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
+// TestMergeRejectsCorruptPlan covers plan-side integrity: corrupted stream
+// bytes, a truncated chunk stream, a headerless document, and records
+// replayed under a header with edited totals or a wrong format version.
+func TestMergeRejectsCorruptPlan(t *testing.T) {
+	p := planRoundTrip(t, testConfig(), 2)
+	encoded := p.doc
+	merge := func(src PlanSource) error {
+		_, err := Merge(src, nil)
+		return err
 	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	encoded := buf.Bytes()
 
 	// Flip one byte inside the chunk stream: either the JSON breaks or a
-	// chunk hash stops matching — both must fail the decode.
+	// chunk hash stops matching — both must fail the merge.
 	corrupt := append([]byte(nil), encoded...)
 	corrupt[3*len(corrupt)/4] ^= 0xff
-	if _, err := DecodePlan(bytes.NewReader(corrupt)); err == nil {
-		t.Error("DecodePlan should reject corrupted stream bytes")
+	if merge(DocumentSource(bytes.NewReader(corrupt))) == nil {
+		t.Error("Merge should reject corrupted stream bytes")
 	}
 
 	// Drop the trailing chunks: the chunk count no longer matches.
-	truncated := append([]byte(nil), encoded[:len(encoded)/2]...)
-	if _, err := DecodePlan(bytes.NewReader(truncated)); err == nil {
-		t.Error("DecodePlan should reject a truncated stream")
+	if merge(DocumentSource(bytes.NewReader(encoded[:len(encoded)/2]))) == nil {
+		t.Error("Merge should reject a truncated stream")
 	}
 
 	// A v1-style plan (no header envelope) must be refused with a clear
 	// format error rather than a JSON parse failure deep in the stream.
-	if _, err := DecodePlan(strings.NewReader(`{"format_version":1,"seed":1}`)); err == nil || !strings.Contains(err.Error(), "header") {
-		t.Errorf("DecodePlan on a headerless plan: got %v", err)
+	if err := merge(DocumentSource(strings.NewReader(`{"format_version":1,"seed":1}`))); err == nil || !strings.Contains(err.Error(), "header") {
+		t.Errorf("Merge of a headerless plan: got %v", err)
 	}
 
-	decoded, err := DecodePlan(bytes.NewReader(encoded))
-	if err != nil {
-		t.Fatalf("DecodePlan: %v", err)
+	// The document's own records under an edited header.
+	under := func(hdr *Plan) PlanSource {
+		return func(open func(*Plan) (fsimage.RecordSink, error)) error {
+			sink, err := open(hdr)
+			if err != nil {
+				return err
+			}
+			return DocumentSource(bytes.NewReader(encoded))(func(*Plan) (fsimage.RecordSink, error) { return sink, nil })
+		}
 	}
-	edited := *decoded
+	if err := merge(under(p.Plan)); err != nil {
+		t.Fatalf("Merge of the records under their own header: %v", err)
+	}
+	edited := *p.Plan
 	edited.Files++
-	if _, err := edited.Open(); err == nil {
-		t.Error("Open should reject edited totals")
+	if merge(under(&edited)) == nil {
+		t.Error("Merge should reject edited totals")
 	}
-	future := *decoded
+	future := *p.Plan
 	future.FormatVersion = FormatVersion + 1
-	if _, err := future.Open(); err == nil {
-		t.Error("Open should reject an unknown format version")
+	if err := merge(under(&future)); !errors.Is(err, fsimage.ErrPlanVersion) {
+		t.Errorf("Merge under an unknown format version: got %v, want ErrPlanVersion", err)
 	}
 }
 
 // TestExecuteShardValidation covers worker-side argument and stream-key
 // validation.
 func TestExecuteShardValidation(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
-	if _, err := executeShard(open, -1, t.TempDir(), WorkerOptions{}); err == nil {
+	p := planRoundTrip(t, testConfig(), 2)
+	if _, err := executeShard(p, -1, t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("negative shard index should fail")
 	}
-	if _, err := executeShard(open, len(open.Plan.Shards), t.TempDir(), WorkerOptions{}); err == nil {
+	if _, err := executeShard(p, len(p.Plan.Shards), t.TempDir(), WorkerOptions{}); err == nil {
 		t.Error("out-of-range shard index should fail")
 	}
 	// A plan whose stream key derives a different stream must be refused.
-	open.Plan.Shards[0].StreamKey = "fork:somethingelse"
-	if _, err := executeShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
+	v := p.view(t, 0)
+	v.Plan.Shards[0].StreamKey = "fork:somethingelse"
+	if _, err := executeView(v, DirTarget(t.TempDir()), WorkerOptions{}); err == nil {
 		t.Error("incompatible stream key should fail")
 	}
-	open.Plan.Shards[0].StreamKey = "not a key"
-	if _, err := executeShard(open, 0, t.TempDir(), WorkerOptions{}); err == nil {
+	v.Plan.Shards[0].StreamKey = "not a key"
+	if _, err := executeView(v, DirTarget(t.TempDir()), WorkerOptions{}); err == nil {
 		t.Error("unparseable stream key should fail")
 	}
 }
@@ -344,29 +368,27 @@ func TestExecuteShardValidation(t *testing.T) {
 // merge succeeds, digests are absent, and the tree holds the right sizes.
 func TestMetadataOnlyDistributedRun(t *testing.T) {
 	cfg := testConfig()
-	open := planRoundTrip(t, cfg, 2)
+	p := planRoundTrip(t, cfg, 2)
 	outRoot := t.TempDir()
-	manifests := make([]*Manifest, len(open.Plan.Shards))
-	for s := range open.Plan.Shards {
-		m, err := executeShard(open, s, outRoot, WorkerOptions{MetadataOnly: true})
+	manifests := make([]*Manifest, len(p.Plan.Shards))
+	for s := range p.Plan.Shards {
+		m, err := executeShard(p, s, outRoot, WorkerOptions{MetadataOnly: true})
 		if err != nil {
 			t.Fatalf("Execute(%d): %v", s, err)
 		}
 		manifests[s] = m
 	}
-	res, err := Merge(open, manifests)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
+	res := p.merge(t, manifests)
 	if res.Digest != "" {
 		t.Errorf("metadata-only merge should have no content digest, got %s", res.Digest)
 	}
-	if res.Bytes != open.Image.TotalBytes() {
-		t.Errorf("metadata-only merge bytes %d != %d", res.Bytes, open.Image.TotalBytes())
+	if res.Report.ActualBytes != p.Plan.Bytes {
+		t.Errorf("metadata-only merge bytes %d != %d", res.Report.ActualBytes, p.Plan.Bytes)
 	}
 	// Spot-check one materialized file size.
-	f := open.Image.Files[0]
-	st, err := os.Stat(filepath.Join(outRoot, filepath.FromSlash(open.Image.FilePath(f))))
+	v := p.view(t, 0)
+	f := v.Files[0]
+	st, err := os.Stat(filepath.Join(outRoot, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name))
 	if err != nil {
 		t.Fatalf("stat: %v", err)
 	}
@@ -378,10 +400,7 @@ func TestMetadataOnlyDistributedRun(t *testing.T) {
 // TestPlanFingerprintSensitivity asserts the fingerprint changes when any
 // output-determining field changes.
 func TestPlanFingerprintSensitivity(t *testing.T) {
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 2})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
-	}
+	plan := planRoundTrip(t, testConfig(), 2).Plan
 	base := plan.Fingerprint()
 	alt := *plan
 	alt.Seed++

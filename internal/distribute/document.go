@@ -226,12 +226,12 @@ func readDocument(r io.Reader, kind docKind, open func(hdr *Plan, shard int) (fs
 }
 
 // checkHeader is the one check of a plan header, run on every header a
-// document carries and on every plan Open is asked to open: a format
-// version, digest algorithm, content kind and content stream this build
-// executes (anything else is ErrPlanVersion), and counts that can describe
-// an image — at least the root directory, nothing negative, a dense ordered
-// non-empty shard table whose expectations sum to the totals (anything else
-// is ErrManifestIntegrity). No count is trusted for an allocation before
+// document carries and on every header Merge and ManifestCheck are handed:
+// a format version, digest algorithm, content kind and content stream this
+// build executes (anything else is ErrPlanVersion), and counts that can
+// describe an image — at least the root directory, nothing negative, a dense
+// ordered non-empty shard table whose expectations sum to the totals
+// (anything else is ErrManifestIntegrity). No count is trusted for an allocation before
 // the stream bears it out; what it buys is that a header that contradicts
 // itself is refused before a single record is read.
 func checkHeader(p *Plan) error {

@@ -117,7 +117,7 @@ func goldenDocuments(tb testing.TB, req PlanRequest) (plan, shard []byte) {
 	return doc.Bytes(), shardDoc.Bytes()
 }
 
-// FuzzPlanDocument: both doors of a plan document give one verdict. Open
+// FuzzPlanDocument: both doors of a plan document give one verdict. Merge
 // has no shard to ask for, so DecodePlanShard may add ErrInvalidSpec for a
 // shard the plan lacks; nothing else may differ.
 func FuzzPlanDocument(f *testing.F) {
@@ -140,15 +140,12 @@ func FuzzPlanDocument(f *testing.F) {
 
 func checkPlanDoors(t *testing.T, doc []byte, shard uint8) {
 	t.Helper()
-	var open *OpenPlan
-	err, alloc := verdict(func() error {
-		p, err := DecodePlan(bytes.NewReader(doc))
-		if err == nil {
-			open, err = p.Open()
-		}
+	var merged *MergeResult
+	err, alloc := verdict(func() (err error) {
+		merged, err = Merge(DocumentSource(bytes.NewReader(doc)), nil)
 		return err
 	})
-	whole := sentinelOf(t, "DecodePlan+Open", err, alloc, len(doc))
+	whole := sentinelOf(t, "Merge", err, alloc, len(doc))
 	var view *ShardView
 	err, alloc = verdict(func() (err error) {
 		view, err = DecodePlanShard(bytes.NewReader(doc), int(shard))
@@ -159,11 +156,11 @@ func checkPlanDoors(t *testing.T, doc []byte, shard uint8) {
 	case whole == nil && pruned == nil:
 		roundTrip(t, view)
 	case whole == nil:
-		if pruned != fsimage.ErrInvalidSpec || int(shard) < len(open.Plan.Shards) {
-			t.Errorf("DecodePlan+Open accepted a %d-shard plan, DecodePlanShard(%d) says %v", len(open.Plan.Shards), shard, err)
+		if pruned != fsimage.ErrInvalidSpec || int(shard) < len(merged.Plan.Shards) {
+			t.Errorf("Merge accepted a %d-shard plan, DecodePlanShard(%d) says %v", len(merged.Plan.Shards), shard, err)
 		}
 	case pruned != whole && pruned != fsimage.ErrInvalidSpec:
-		t.Errorf("DecodePlan+Open says %q, DecodePlanShard(%d) says %v", whole, shard, err)
+		t.Errorf("Merge says %q, DecodePlanShard(%d) says %v", whole, shard, err)
 	}
 }
 
@@ -201,21 +198,18 @@ func FuzzShardDocument(f *testing.F) {
 }
 
 // FuzzManifest: the two single-object artifacts. Bytes that decode as a
-// manifest are verified against a fixed 2-shard plan, which must end in a
+// manifest are verified against a fixed 2-shard plan (ManifestCheck), which must end in a
 // sentinel or in a manifest that encodes back to a document of the same
 // seal; bytes that decode as a fragment index must name fragments inside the
 // index's directory, one per shard.
 func FuzzManifest(f *testing.F) {
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 2, ChunkSize: 64})
-	if err != nil {
-		f.Fatal(err)
-	}
-	open, err := plan.Open()
+	p := planRoundTrip(f, testConfig(), 2)
+	check, err := NewManifestCheck(p.source())
 	if err != nil {
 		f.Fatal(err)
 	}
 	for _, opts := range []WorkerOptions{{}, {MetadataOnly: true}} {
-		m, err := executeShard(open, 1, f.TempDir(), opts)
+		m, err := executeShard(p, 1, f.TempDir(), opts)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -233,11 +227,11 @@ func FuzzManifest(f *testing.F) {
 		var m *Manifest
 		err, alloc := verdict(func() (err error) {
 			if m, err = DecodeManifest(bytes.NewReader(doc)); err == nil {
-				err = VerifyManifest(open, m)
+				err = check.Verify(m)
 			}
 			return err
 		})
-		if sentinelOf(t, "DecodeManifest+VerifyManifest", err, alloc, len(doc)) == nil {
+		if sentinelOf(t, "DecodeManifest+ManifestCheck.Verify", err, alloc, len(doc)) == nil {
 			var again bytes.Buffer
 			if err := m.Encode(&again); err != nil {
 				t.Fatalf("a verified manifest does not encode: %v", err)
@@ -260,6 +254,90 @@ func FuzzManifest(f *testing.F) {
 					t.Errorf("an accepted index names fragment %q, which leaves its directory", name)
 				}
 			}
+		}
+	})
+}
+
+// FuzzJournal: loadJournal on arbitrary bytes, for goldenShard's plan and
+// shard. It answers with ErrPlanVersion or ErrManifestIntegrity or with a
+// recovery whose verified prefix lies within the input; a tail without a
+// newline never hides a batch sealed before it; and what a recovery proves,
+// the execution resuming from it keeps — a batch it then seals is the next
+// one a reload finds, whatever tail the journal had. Seeds are the journal
+// goldenJournals pins, torn and truncated.
+func FuzzJournal(f *testing.F) {
+	view := goldenShard(f)
+	fingerprint := view.Plan.Fingerprint()
+	journal := filepath.Join(f.TempDir(), "journal")
+	crash := WorkerOptions{JournalPath: journal, BatchFiles: 8, FailAfterFiles: 20}
+	if _, err := Execute(context.Background(), view, DirTarget(f.TempDir()), crash); !errors.Is(err, ErrSimulatedCrash) {
+		f.Fatalf("injected crash: got %v, want ErrSimulatedCrash", err)
+	}
+	sealed, err := os.ReadFile(journal)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if got := sha256Hex(sealed); got != goldenJournals[view.Shard] {
+		f.Fatalf("the seed journal hashes to %s, pinned %s", got, goldenJournals[view.Shard])
+	}
+	f.Add(sealed)
+	f.Add(append(append([]byte(nil), sealed...), `{"format_version":1,"plan_finger`...))
+	f.Add(sealed[:len(sealed)-len(sealed)/4])
+
+	load := func(t *testing.T, data []byte) (*journalRecovery, error) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := loadJournal(path, fingerprint, view.Shard)
+		if err != nil {
+			if !errors.Is(err, fsimage.ErrPlanVersion) && !errors.Is(err, fsimage.ErrManifestIntegrity) {
+				t.Fatalf("loadJournal: an error of no sentinel: %v", err)
+			}
+			return nil, err
+		}
+		if rec.size > int64(len(data)) {
+			t.Fatalf("loadJournal verified %d bytes of a %d-byte journal", rec.size, len(data))
+		}
+		return rec, nil
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := load(t, data)
+		if err != nil {
+			return
+		}
+		if i := bytes.LastIndexByte(data, '\n'); i+1 < len(data) {
+			whole, err := load(t, data[:i+1])
+			if err != nil {
+				t.Fatalf("the journal without its torn tail does not load: %v", err)
+			}
+			if len(whole.digests) != len(rec.digests) || whole.size != rec.size {
+				t.Fatalf("a torn tail changed the recovery: %d files sealed in %d bytes without it, %d in %d with it",
+					len(whole.digests), whole.size, len(rec.digests), rec.size)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := openJournal(path, fingerprint, view.Shard, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append([]string{"next"}, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := loadJournal(path, fingerprint, view.Shard)
+		if err != nil {
+			t.Fatalf("resumed after %d sealed files and sealed one more; the reload fails: %v", len(rec.digests), err)
+		}
+		if len(again.digests) != len(rec.digests)+1 || again.bytes != rec.bytes+1 {
+			t.Fatalf("resumed after %d sealed files (%d bytes) and sealed one more; the reload found %d (%d bytes)",
+				len(rec.digests), rec.bytes, len(again.digests), again.bytes)
 		}
 	})
 }

@@ -27,7 +27,7 @@ import (
 const (
 	goldenTreeHash  = "c4f805b79830c5052e014b78b49f5d6bae5f2e773f9f35a166c958aa36d8e8b5" // fsimage.HashTree of the materialized image
 	goldenDigest    = "f34a234e883884de49f65e5956a78b437dbe8562b2d3ce46190a7e6bcb9be587" // canonical image digest
-	goldenPlanDoc   = "1ac42f1640488cb21e35487dcedc40a1fc4472464b461d1ce18ba89fb1bdcf13" // Plan.Encode
+	goldenPlanDoc   = "1ac42f1640488cb21e35487dcedc40a1fc4472464b461d1ce18ba89fb1bdcf13" // PlanRequest.Stream
 	goldenFragment1 = "7abaf61ad343d70fa92790cfb816542f831dbeabd5c6426ab801698c0d01dffd" // PartitionPlan, fragment 1
 	goldenShardDoc2 = "dbbec3826035d40a42aa136387cac016d87f4575b338b4bebef2ee7e6733388a" // ShardView.Encode, shard 2
 )
@@ -55,25 +55,17 @@ func sha256Hex(b []byte) string {
 
 // goldenShard is the pinned plan's shard 1: 179 files, 22 journal batches
 // of 8 and one of 3.
-func goldenShard(t *testing.T) *ShardView {
-	t.Helper()
-	view, err := planRoundTrip(t, testConfig(), 3).ShardView(1)
-	if err != nil {
-		t.Fatalf("ShardView: %v", err)
-	}
-	return view
+func goldenShard(tb testing.TB) *ShardView {
+	tb.Helper()
+	return planRoundTrip(tb, testConfig(), 3).view(tb, 1)
 }
 
 // TestGoldenWireDocuments pins the bytes of the three plan wire documents.
 func TestGoldenWireDocuments(t *testing.T) {
 	cfg := testConfig()
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
-	}
 	var doc bytes.Buffer
-	if err := plan.Encode(&doc); err != nil {
-		t.Fatalf("Encode: %v", err)
+	if _, err := (PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64}).Stream(context.Background(), &doc); err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	if got := sha256Hex(doc.Bytes()); got != goldenPlanDoc {
 		t.Errorf("plan document hashes to %s, pinned %s", got, goldenPlanDoc)
@@ -115,7 +107,7 @@ func escapeConfig() core.Config {
 // taken at the commit before the chunk codec stopped going through fmt and
 // encoding/json (PR 17's tree).
 const (
-	goldenEscapePlanDoc   = "0d236b5812fa4ee1f887045d1d29fa751be6e45f59146b465ff8003adb9062f2" // Plan.Encode
+	goldenEscapePlanDoc   = "0d236b5812fa4ee1f887045d1d29fa751be6e45f59146b465ff8003adb9062f2" // PlanRequest.Stream
 	goldenEscapeFragment1 = "951f5ebd75e308a3d89b320a4052f647a7ed2b7f7ad1ae0b4c21a4aba96066a0" // PartitionPlan, fragment 1
 	goldenEscapeShardDoc2 = "e5dc6326b4cacec888a88244bf5a74e40eeb7538b31ed9c9e334633dcdb0b867" // ShardView.Encode, shard 2
 )
@@ -160,13 +152,9 @@ func handBuiltView() *ShardView {
 // and floats the codec cannot copy through verbatim.
 func TestGoldenEscapedDocuments(t *testing.T) {
 	cfg := escapeConfig()
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
-	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
-	}
 	var doc bytes.Buffer
-	if err := plan.Encode(&doc); err != nil {
-		t.Fatalf("Encode: %v", err)
+	if _, err := (PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64}).Stream(context.Background(), &doc); err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	for _, name := range []string{`"R\u0026D \u003ctmp\u003e"`, `"naïve \"dir\""`, `"tab\there\\back"`, `"bias":1e-7`, `"bias":1e+21`} {
 		if !bytes.Contains(doc.Bytes(), []byte(name)) {
@@ -245,9 +233,9 @@ func TestGoldenMaterializedTree(t *testing.T) {
 // run leaves is pinned too, so a journal written before this table existed
 // resumes the same way — and then finish it from the journal.
 func TestExecuteTargetsGolden(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 3)
-	if len(open.Plan.Shards) != len(goldenManifests) {
-		t.Fatalf("plan has %d shards, the pins cover %d", len(open.Plan.Shards), len(goldenManifests))
+	p := planRoundTrip(t, testConfig(), 3)
+	if len(p.Plan.Shards) != len(goldenManifests) {
+		t.Fatalf("plan has %d shards, the pins cover %d", len(p.Plan.Shards), len(goldenManifests))
 	}
 	type row struct {
 		name    string
@@ -267,12 +255,9 @@ func TestExecuteTargetsGolden(t *testing.T) {
 		for _, j := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s j=%d", r.name, j), func(t *testing.T) {
 				outRoot, work := t.TempDir(), t.TempDir()
-				manifests := make([]*Manifest, len(open.Plan.Shards))
-				for s := range open.Plan.Shards {
-					view, err := open.ShardView(s)
-					if err != nil {
-						t.Fatalf("ShardView(%d): %v", s, err)
-					}
+				manifests := make([]*Manifest, len(p.Plan.Shards))
+				for s := range p.Plan.Shards {
+					view := p.view(t, s)
 					opts, target, wantResumed := WorkerOptions{Parallelism: j}, r.target(outRoot), 0
 					if r.journal {
 						opts.JournalPath, opts.BatchFiles = filepath.Join(work, fmt.Sprintf("journal-%d", s)), 8
@@ -303,11 +288,7 @@ func TestExecuteTargetsGolden(t *testing.T) {
 					}
 					manifests[s] = res.Manifest
 				}
-				merged, err := Merge(open, manifests)
-				if err != nil {
-					t.Fatalf("Merge: %v", err)
-				}
-				if merged.Digest != goldenDigest {
+				if merged := p.merge(t, manifests); merged.Digest != goldenDigest {
 					t.Errorf("merged digest %s, pinned %s", merged.Digest, goldenDigest)
 				}
 				if !r.tree {

@@ -20,12 +20,9 @@ func incrementalOpts(journal string) WorkerOptions {
 
 // crashShard runs one shard with an injected crash and returns its view and
 // journal path (journal intact, shard partially written).
-func crashShard(t *testing.T, open *OpenPlan, shard int, outRoot, journal string, failAfter int) *ShardView {
+func crashShard(t *testing.T, p *testPlan, shard int, outRoot, journal string, failAfter int) *ShardView {
 	t.Helper()
-	view, err := open.ShardView(shard)
-	if err != nil {
-		t.Fatalf("ShardView: %v", err)
-	}
+	view := p.view(t, shard)
 	opts := incrementalOpts(journal)
 	opts.FailAfterFiles = failAfter
 	if _, err := Execute(context.Background(), view, DirTarget(outRoot), opts); !errors.Is(err, ErrSimulatedCrash) {
@@ -38,10 +35,10 @@ func crashShard(t *testing.T, open *OpenPlan, shard int, outRoot, journal string
 // sealed batch — skipping the proven prefix — and still produces the exact
 // manifest a clean run seals.
 func TestIncrementalResume(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
+	p := planRoundTrip(t, testConfig(), 2)
 	outRoot := t.TempDir()
 	journal := filepath.Join(t.TempDir(), "journal")
-	view := crashShard(t, open, 0, outRoot, journal, 20)
+	view := crashShard(t, p, 0, outRoot, journal, 20)
 
 	res, err := Execute(context.Background(), view, DirTarget(outRoot), incrementalOpts(journal))
 	if err != nil {
@@ -53,7 +50,7 @@ func TestIncrementalResume(t *testing.T) {
 	if res.ResumedFiles+res.WrittenFiles != len(view.Files) {
 		t.Fatalf("resumed %d + wrote %d != shard's %d files", res.ResumedFiles, res.WrittenFiles, len(view.Files))
 	}
-	ref, err := executeShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeShard(p, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("executeShard: %v", err)
 	}
@@ -65,13 +62,10 @@ func TestIncrementalResume(t *testing.T) {
 // TestIncrementalResumeAfterRepeatedCrashes: every attempt crashes a little
 // further in; progress is monotone and the final manifest is still exact.
 func TestIncrementalResumeAfterRepeatedCrashes(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
+	p := planRoundTrip(t, testConfig(), 2)
 	outRoot := t.TempDir()
 	journal := filepath.Join(t.TempDir(), "journal")
-	view, err := open.ShardView(1)
-	if err != nil {
-		t.Fatalf("ShardView: %v", err)
-	}
+	view := p.view(t, 1)
 	attempts := 0
 	for {
 		attempts++
@@ -84,7 +78,7 @@ func TestIncrementalResumeAfterRepeatedCrashes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("attempt %d: %v", attempts, err)
 		}
-		ref, err := executeShard(open, 1, t.TempDir(), WorkerOptions{Parallelism: 1})
+		ref, err := executeShard(p, 1, t.TempDir(), WorkerOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("executeShard: %v", err)
 		}
@@ -102,10 +96,10 @@ func TestIncrementalResumeAfterRepeatedCrashes(t *testing.T) {
 // is discarded wholesale — the shard restarts and still lands on the exact
 // manifest.
 func TestIncrementalJournalTampered(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
+	p := planRoundTrip(t, testConfig(), 2)
 	outRoot := t.TempDir()
 	journal := filepath.Join(t.TempDir(), "journal")
-	view := crashShard(t, open, 0, outRoot, journal, 20)
+	view := crashShard(t, p, 0, outRoot, journal, 20)
 
 	raw, err := os.ReadFile(journal)
 	if err != nil {
@@ -126,7 +120,7 @@ func TestIncrementalJournalTampered(t *testing.T) {
 	if res.ResumedFiles != 0 {
 		t.Fatalf("tampered journal was trusted for %d files; want a full restart", res.ResumedFiles)
 	}
-	ref, err := executeShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeShard(p, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("executeShard: %v", err)
 	}
@@ -138,10 +132,10 @@ func TestIncrementalJournalTampered(t *testing.T) {
 // TestIncrementalTornTail: a torn final line — the signature of a crash
 // mid-append — costs only the unsealed batch, not the whole journal.
 func TestIncrementalTornTail(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
+	p := planRoundTrip(t, testConfig(), 2)
 	outRoot := t.TempDir()
 	journal := filepath.Join(t.TempDir(), "journal")
-	view := crashShard(t, open, 0, outRoot, journal, 20)
+	view := crashShard(t, p, 0, outRoot, journal, 20)
 
 	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -159,7 +153,7 @@ func TestIncrementalTornTail(t *testing.T) {
 	if res.ResumedFiles == 0 {
 		t.Fatal("torn tail discarded the sealed prefix; want a resume")
 	}
-	ref, err := executeShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeShard(p, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("executeShard: %v", err)
 	}
@@ -208,10 +202,10 @@ func TestTornTailCutBeforeAppend(t *testing.T) {
 // the disk — a resumed file that vanished (or changed size) invalidates the
 // journal and restarts the shard.
 func TestIncrementalMissingResumedFile(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
+	p := planRoundTrip(t, testConfig(), 2)
 	outRoot := t.TempDir()
 	journal := filepath.Join(t.TempDir(), "journal")
-	view := crashShard(t, open, 0, outRoot, journal, 20)
+	view := crashShard(t, p, 0, outRoot, journal, 20)
 
 	// Delete one file the journal claims is done.
 	victim := filepath.Join(outRoot, view.Tree.Path(view.Files[0].DirID), view.Files[0].Name)
@@ -226,7 +220,7 @@ func TestIncrementalMissingResumedFile(t *testing.T) {
 	if res.ResumedFiles != 0 {
 		t.Fatalf("journal trusted %d files despite a missing one; want a full restart", res.ResumedFiles)
 	}
-	ref, err := executeShard(open, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
+	ref, err := executeShard(p, 0, t.TempDir(), WorkerOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("executeShard: %v", err)
 	}
@@ -240,11 +234,12 @@ func TestIncrementalMissingResumedFile(t *testing.T) {
 // a full-content run (or the other way round) it must be discarded and the
 // shard rewritten, or the manifest claims content the disk does not hold.
 func TestJournalFromOtherContentMode(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
-	view, err := open.ShardView(0)
+	p := planRoundTrip(t, testConfig(), 2)
+	check, err := NewManifestCheck(p.source())
 	if err != nil {
-		t.Fatalf("ShardView: %v", err)
+		t.Fatalf("NewManifestCheck: %v", err)
 	}
+	view := p.view(t, 0)
 	for _, c := range []struct {
 		name                string
 		firstMeta, thenMeta bool
@@ -270,11 +265,11 @@ func TestJournalFromOtherContentMode(t *testing.T) {
 				t.Fatalf("resumed %d and wrote %d of %d files over the other mode's journal; want a full restart",
 					res.ResumedFiles, res.WrittenFiles, len(view.Files))
 			}
-			if err := VerifyManifest(open, res.Manifest); err != nil {
+			if err := check.Verify(res.Manifest); err != nil {
 				t.Fatalf("manifest: %v", err)
 			}
 			cleanRoot := t.TempDir()
-			clean, err := executeShard(open, 0, cleanRoot, WorkerOptions{MetadataOnly: c.thenMeta})
+			clean, err := executeShard(p, 0, cleanRoot, WorkerOptions{MetadataOnly: c.thenMeta})
 			if err != nil {
 				t.Fatalf("executeShard: %v", err)
 			}

@@ -2,7 +2,6 @@ package distribute
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"regexp"
@@ -22,7 +21,7 @@ import (
 
 // Which documents a case damages, and which doors read them.
 const (
-	planKind  = "plan"  // Plan.Encode: read by DecodePlan+Open and DecodePlanShard
+	planKind  = "plan"  // PlanRequest.Stream: read by Merge and DecodePlanShard
 	shardKind = "shard" // ShardView.Encode: read by DecodeShardView
 )
 
@@ -194,23 +193,13 @@ func validDocuments(tb testing.TB) map[string]string {
 
 func validDocumentsAndView(tb testing.TB) (map[string]string, *ShardView) {
 	tb.Helper()
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 3, ChunkSize: 64})
-	if err != nil {
-		tb.Fatalf("BuildPlan: %v", err)
-	}
-	var doc bytes.Buffer
-	if err := plan.Encode(&doc); err != nil {
-		tb.Fatalf("Encode: %v", err)
-	}
-	view, err := DecodePlanShard(bytes.NewReader(doc.Bytes()), 1)
-	if err != nil {
-		tb.Fatalf("DecodePlanShard: %v", err)
-	}
+	p := planRoundTrip(tb, testConfig(), 3)
+	view := p.view(tb, 1)
 	var shardDoc bytes.Buffer
 	if err := view.Encode(&shardDoc); err != nil {
 		tb.Fatalf("ShardView.Encode: %v", err)
 	}
-	return map[string]string{planKind: doc.String(), shardKind: shardDoc.String()}, view
+	return map[string]string{planKind: string(p.doc), shardKind: shardDoc.String()}, view
 }
 
 // records is a record stream held as two slices: the sink that collects one
@@ -263,6 +252,12 @@ var forgedCases = []struct {
 	{"a file in directory -1", func(l *records, mid int) { l.files[mid].DirID = -1 }},
 	{"a file named a/b", func(l *records, mid int) { l.files[mid].Name = "a/b" }},
 	{"a file without a name", func(l *records, mid int) { l.files[mid].Name = "" }},
+	{"a file named ..", func(l *records, mid int) { l.files[mid].Name = ".." }},
+	{"a file named .", func(l *records, mid int) { l.files[mid].Name = "." }},
+	{"a directory named ..", func(l *records, mid int) { l.dirs[5].Name = ".." }},
+	{"a directory named .", func(l *records, mid int) { l.dirs[5].Name = "." }},
+	{"a directory named a/b", func(l *records, mid int) { l.dirs[5].Name = "a/b" }},
+	{"a directory without a name", func(l *records, mid int) { l.dirs[5].Name = "" }},
 	{"a file moved to another shard's directory", func(l *records, mid int) {
 		// Directory 3 is a cut root of shard 0 at depth 2; the stream's middle
 		// file is shard 1's or 2's.
@@ -280,9 +275,13 @@ var forgedCases = []struct {
 func forgedDocuments(tb testing.TB) []malformedDocument {
 	tb.Helper()
 	valid, view := validDocumentsAndView(tb)
-	open, err := DecodePlan(strings.NewReader(valid[planKind]))
-	if err != nil {
-		tb.Fatalf("DecodePlan: %v", err)
+	var plan *Plan
+	var planRecords records
+	if err := DocumentSource(strings.NewReader(valid[planKind]))(func(hdr *Plan) (fsimage.RecordSink, error) {
+		plan = hdr
+		return &planRecords, nil
+	}); err != nil {
+		tb.Fatalf("replaying the valid plan document: %v", err)
 	}
 	var out []malformedDocument
 	for _, c := range forgedCases {
@@ -290,13 +289,13 @@ func forgedDocuments(tb testing.TB) []malformedDocument {
 			kind   string
 			doc    docKind
 			head   any
-			source fsimage.RecordSource
+			source func(fsimage.RecordSink) error
 		}{
-			{planKind, planDoc, open, open.img},
-			{shardKind, shardDoc, shardHeader(view.Plan, view.Shard), &fsimage.Image{Tree: view.Tree, Files: view.Files}},
+			{planKind, planDoc, plan, planRecords.replay},
+			{shardKind, shardDoc, shardHeader(view.Plan, view.Shard), (&fsimage.Image{Tree: view.Tree, Files: view.Files}).StreamRecords},
 		} {
 			var l records
-			if err := k.source.StreamRecords(&l); err != nil {
+			if err := k.source(&l); err != nil {
 				tb.Fatal(err)
 			}
 			c.forge(&l, len(l.files)/2)
@@ -343,12 +342,8 @@ type door struct {
 }
 
 var doors = []door{
-	{"DecodePlan+Open", planKind, func(doc []byte) error {
-		p, err := DecodePlan(bytes.NewReader(doc))
-		if err != nil {
-			return err
-		}
-		_, err = p.Open()
+	{"Merge", planKind, func(doc []byte) error {
+		_, err := Merge(DocumentSource(bytes.NewReader(doc)), nil)
 		return err
 	}},
 	{"DecodePlanShard", planKind, func(doc []byte) error {
@@ -452,15 +447,8 @@ func TestMalformedRequests(t *testing.T) {
 // single-object artifacts, each read by one decoder.
 func malformedLeaves(tb testing.TB) (manifests, indexes []malformedDocument) {
 	tb.Helper()
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: 2, ChunkSize: 64})
-	if err != nil {
-		tb.Fatalf("BuildPlan: %v", err)
-	}
-	open, err := plan.Open()
-	if err != nil {
-		tb.Fatalf("Open: %v", err)
-	}
-	m, err := executeShard(open, 0, tb.TempDir(), WorkerOptions{MetadataOnly: true})
+	p := planRoundTrip(tb, testConfig(), 2)
+	m, err := executeShard(p, 0, tb.TempDir(), WorkerOptions{MetadataOnly: true})
 	if err != nil {
 		tb.Fatalf("Execute: %v", err)
 	}
@@ -468,8 +456,8 @@ func malformedLeaves(tb testing.TB) (manifests, indexes []malformedDocument) {
 	if err := m.Encode(&mdoc); err != nil {
 		tb.Fatal(err)
 	}
-	ix := &FragmentIndex{FormatVersion: FragmentIndexVersion, Fingerprint: open.Plan.Fingerprint(), Shards: 2,
-		Files: open.Plan.Files, Dirs: open.Plan.Dirs, Bytes: open.Plan.Bytes, Fragments: []string{"p.frag0", "p.frag1"}}
+	ix := &FragmentIndex{FormatVersion: FragmentIndexVersion, Fingerprint: p.Plan.Fingerprint(), Shards: 2,
+		Files: p.Plan.Files, Dirs: p.Plan.Dirs, Bytes: p.Plan.Bytes, Fragments: []string{"p.frag0", "p.frag1"}}
 	if err := ix.Encode(&idoc); err != nil {
 		tb.Fatal(err)
 	}

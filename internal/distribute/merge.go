@@ -1,29 +1,56 @@
 package distribute
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"io"
 	"math"
 
 	"impressions/internal/clock"
 	"impressions/internal/fsimage"
 )
 
-// MergeResult is the stitched outcome of a distributed run.
-type MergeResult struct {
-	// Image is the complete merged image (metadata from the plan, content
-	// proven by the shard manifests).
-	Image *fsimage.Image
-	// Report is the reproducibility report for the merged image.
-	Report fsimage.Report
-	// Digest is the canonical image digest combined from the manifests'
-	// per-file content hashes; it equals Image.Digest computed by a
-	// single process ("" for metadata-only runs, which have no content).
-	Digest string
-	// Bytes is the total number of bytes the workers wrote.
-	Bytes int64
+// A PlanSource replays a plan: it calls open once with the plan header,
+// streams the plan's records in canonical order into the sink open returns,
+// and returns when the stream has ended. By then the header it handed over
+// is sealed — a source that reads the chunk count and chain hash from a
+// trailer has filled them in. DocumentSource, FragmentSource and
+// ResolvedPlan.Source are the three.
+type PlanSource func(open func(hdr *Plan) (fsimage.RecordSink, error)) error
+
+// DocumentSource replays a plan document read from r, through the one
+// document reader.
+func DocumentSource(r io.Reader) PlanSource {
+	return func(open func(*Plan) (fsimage.RecordSink, error)) error {
+		_, err := readDocument(r, planDoc, func(hdr *Plan, _ int) (fsimage.RecordSink, error) { return open(hdr) })
+		return err
+	}
 }
 
-// ShardState grades one shard's manifest in an Audit.
+// MergeResult is what Merge finds: one grade per shard and, once every
+// shard has verified, the merged report and the canonical digest.
+type MergeResult struct {
+	// Plan is the sealed plan header the manifests were held to.
+	Plan *Plan
+	// Statuses has exactly one entry per plan shard, in shard order.
+	Statuses []ShardStatus
+	// ContentHashed reports whether the verified manifests carry content
+	// hashes (false for metadata-only runs; meaningless with none verified).
+	ContentHashed bool
+	// Report is the reproducibility report of the merged image; zero unless
+	// every shard verified.
+	Report fsimage.Report
+	// Digest is the canonical image digest folded from the manifests'
+	// per-file content hashes; it equals the digest a single process
+	// computes. It is "" unless every shard verified with content hashes.
+	Digest string
+	// maxFileDepth is the depth of the plan's deepest file, for Summary.
+	maxFileDepth int
+}
+
+// ShardState grades one shard's manifest in a MergeResult.
 type ShardState int
 
 const (
@@ -50,7 +77,7 @@ func (s ShardState) String() string {
 	}
 }
 
-// ShardStatus is one shard's line in an Audit.
+// ShardStatus is one shard's line in a MergeResult.
 type ShardStatus struct {
 	Shard    int
 	State    ShardState
@@ -59,43 +86,13 @@ type ShardStatus struct {
 	Err error
 }
 
-// Audit is the shard-by-shard grading of a (possibly incomplete) manifest
-// set against a plan: the fault-tolerant core that both Merge and the
-// resumable pipeline build on.
-type Audit struct {
-	// Statuses has exactly one entry per plan shard, in shard order.
-	Statuses []ShardStatus
-	// ContentHashed reports whether the verified manifests carry content
-	// hashes (false for metadata-only runs; meaningless with none verified).
-	ContentHashed bool
-}
-
 // Complete reports whether every shard verified.
-func (a *Audit) Complete() bool {
-	for _, st := range a.Statuses {
-		if st.State != ShardVerified {
-			return false
-		}
-	}
-	return true
-}
-
-// Outstanding lists the shards that still need a (re-)run: everything not
-// verified, in shard order.
-func (a *Audit) Outstanding() []int {
-	var out []int
-	for _, st := range a.Statuses {
-		if st.State != ShardVerified {
-			out = append(out, st.Shard)
-		}
-	}
-	return out
-}
+func (r *MergeResult) Complete() bool { return r.Verified() == len(r.Statuses) }
 
 // Verified counts the shards whose manifests verified.
-func (a *Audit) Verified() int {
+func (r *MergeResult) Verified() int {
 	n := 0
-	for _, st := range a.Statuses {
+	for _, st := range r.Statuses {
 		if st.State == ShardVerified {
 			n++
 		}
@@ -103,11 +100,30 @@ func (a *Audit) Verified() int {
 	return n
 }
 
+// Err is nil for a complete merge, and otherwise says what keeps the first
+// shard that did not verify from it.
+func (r *MergeResult) Err() error {
+	for _, st := range r.Statuses {
+		switch st.State {
+		case ShardMissing:
+			return fmt.Errorf("distribute: missing manifest for shard %d", st.Shard)
+		case ShardInvalid:
+			return st.Err
+		}
+	}
+	return nil
+}
+
+// Summary describes the merged image as fsimage.Image.Summary would.
+func (r *MergeResult) Summary() string {
+	return fsimage.Summary(r.Plan.Files, r.Plan.Dirs, r.Plan.Bytes, r.maxFileDepth)
+}
+
 // checkManifest is the one check of a manifest against the shard-table row
 // it is presented for and the fingerprint of the plan that row is from:
 // format version, shard, plan binding, seal, totals and entry count. With
-// checkEntry over the shard's files it is everything VerifyManifest,
-// AuditManifests, Merge and MergeFragments hold a manifest to.
+// checkEntry over the shard's files (or ManifestCheck's hash of them) it is
+// everything a manifest is held to.
 func checkManifest(m *Manifest, fingerprint string, sp ShardPlan) error {
 	s := sp.Index
 	if m.FormatVersion != FormatVersion {
@@ -148,93 +164,163 @@ func (m *Manifest) checkEntry(i int, f *fsimage.File) error {
 	return nil
 }
 
-// verifyManifest checks a manifest whose shard the plan has against the
-// open plan: checkManifest, then checkEntry for every file of the shard.
-func verifyManifest(p *OpenPlan, fingerprint string, m *Manifest) error {
-	if err := checkManifest(m, fingerprint, p.Plan.Shards[m.Shard]); err != nil {
-		return err
-	}
-	for i, id := range p.FilesByShard[m.Shard] {
-		if err := m.checkEntry(i, &p.Image.Files[id]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// VerifyManifest checks a single shard manifest against the plan, exactly
-// as Merge would. The resumable pipeline uses it to decide whether an
-// already-present manifest proves its shard done (skip) or is stale and
-// must be regenerated.
-func VerifyManifest(p *OpenPlan, m *Manifest) error {
-	if m == nil {
-		return fmt.Errorf("distribute: nil manifest")
-	}
-	if m.Shard < 0 || m.Shard >= len(p.Plan.Shards) {
-		return fmt.Errorf("distribute: manifest for unknown shard %d (plan has %d shards) (%w)", m.Shard, len(p.Plan.Shards), fsimage.ErrManifestIntegrity)
-	}
-	return verifyManifest(p, p.Plan.Fingerprint(), m)
-}
-
-// AuditManifests grades a manifest set — possibly incomplete, possibly
-// holding stale or damaged entries — shard by shard against the plan. It
-// never fails on an individual bad manifest (that becomes the shard's
-// status); it only errors on set-level contradictions that make grading
-// ambiguous: a nil entry, a manifest for an unknown shard, or two manifests
-// claiming the same shard.
-func AuditManifests(p *OpenPlan, manifests []*Manifest) (*Audit, error) {
-	want := len(p.Plan.Shards)
-	audit := &Audit{Statuses: make([]ShardStatus, want)}
-	for s := range audit.Statuses {
-		audit.Statuses[s] = ShardStatus{Shard: s, State: ShardMissing}
-	}
-	fingerprint := p.Plan.Fingerprint()
+// byShard files a manifest set by shard: nil where none was presented.
+// It refuses what makes grading ambiguous: a nil entry, a manifest for a
+// shard the plan does not have, or two manifests claiming the same shard.
+func byShard(hdr *Plan, manifests []*Manifest) ([]*Manifest, error) {
+	out := make([]*Manifest, len(hdr.Shards))
 	for _, m := range manifests {
 		if m == nil {
 			return nil, fmt.Errorf("distribute: nil manifest")
 		}
-		if m.Shard < 0 || m.Shard >= want {
-			return nil, fmt.Errorf("distribute: manifest for unknown shard %d (plan has %d shards) (%w)", m.Shard, want, fsimage.ErrManifestIntegrity)
+		if m.Shard < 0 || m.Shard >= len(out) {
+			return nil, fmt.Errorf("distribute: manifest for unknown shard %d (plan has %d shards) (%w)", m.Shard, len(out), fsimage.ErrManifestIntegrity)
 		}
-		if audit.Statuses[m.Shard].State != ShardMissing {
+		if out[m.Shard] != nil {
 			return nil, fmt.Errorf("distribute: duplicate manifest for shard %d (%w)", m.Shard, fsimage.ErrInvalidSpec)
 		}
-		if err := verifyManifest(p, fingerprint, m); err != nil {
-			audit.Statuses[m.Shard] = ShardStatus{Shard: m.Shard, State: ShardInvalid, Err: err}
-			continue
-		}
-		audit.Statuses[m.Shard] = ShardStatus{Shard: m.Shard, State: ShardVerified, Manifest: m}
+		out[m.Shard] = m
 	}
-	// Within one run every shard is either hashed or metadata-only; a mix
-	// means manifests from different run modes were combined. The majority
-	// mode is taken as the run's intent and the minority shards are the
-	// ones marked invalid — anchoring on an arbitrary shard would let one
-	// wrong-mode manifest condemn every correct one (and make the re-run
-	// hints regenerate the good shards in the wrong mode).
-	hashed, plain := 0, 0
-	for _, st := range audit.Statuses {
-		if st.State == ShardVerified {
-			if st.Manifest.ContentHashed {
-				hashed++
-			} else {
-				plain++
+	return out, nil
+}
+
+// merger is Merge's sink side: the record check, one cursor per shard into
+// its manifest, and the digest fold.
+type merger struct {
+	check     *recordCheck
+	manifests []*Manifest // by shard, nil where none was presented
+	cursors   []int
+	entryErrs []error
+	fold      *fsimage.DigestBuilder // nil unless every shard's manifest is present and hashed
+	sum       string                 // the content hash fold takes for the file at hand
+	maxDepth  int
+}
+
+// Merge is the one merge. It replays the plan src delivers through the
+// record check — tree, rebuilt partition, every shard's expectations —
+// holds each file to its shard's manifest, and grades every shard: missing,
+// invalid with its error, or verified. Within one run every shard is either
+// hashed or metadata-only, so a mix means manifests from different run modes
+// were combined; the majority mode is taken as the run's intent and the
+// minority shards are the invalid ones, so one wrong-mode manifest cannot
+// condemn every correct one (nor make re-run hints regenerate the good shards
+// in the wrong mode). When every shard verifies, the result carries the
+// merged report and, for hashed manifests, the canonical digest, folded in
+// the same pass.
+//
+// A bad manifest is its shard's grade, not an error. Merge fails on a plan
+// that does not verify and on a manifest set it cannot grade (see byShard).
+// It holds O(dirs + chunk) beside the manifests.
+func Merge(src PlanSource, manifests []*Manifest) (*MergeResult, error) {
+	var m *merger
+	err := src(func(hdr *Plan) (fsimage.RecordSink, error) {
+		if err := checkHeader(hdr); err != nil {
+			return nil, err
+		}
+		filed, err := byShard(hdr, manifests)
+		if err != nil {
+			return nil, err
+		}
+		k := len(hdr.Shards)
+		m = &merger{check: newRecordCheck(hdr, -1, false), manifests: filed, cursors: make([]int, k), entryErrs: make([]error, k)}
+		m.check.onFile = m.addFile
+		for _, mf := range filed {
+			if mf == nil || !mf.ContentHashed {
+				return m.check.ts, nil
 			}
 		}
+		m.fold = fsimage.NewDigestBuilder(hdr.Dirs, hdr.Files, hdr.Bytes, func(fsimage.File) (string, error) { return m.sum, nil })
+		return fsimage.MultiSink(m.check.ts, m.fold), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	audit.ContentHashed = hashed >= plain && hashed > 0
-	for _, st := range audit.Statuses {
-		if st.State == ShardVerified && st.Manifest.ContentHashed != audit.ContentHashed {
-			s := st.Shard
-			audit.Statuses[s] = ShardStatus{Shard: s, State: ShardInvalid,
-				Err: fmt.Errorf("distribute: shard %d manifest is %s while the run's majority is %s — mixes metadata-only and full-content runs",
-					s, contentModeName(st.Manifest.ContentHashed), contentModeName(audit.ContentHashed))}
+	if m == nil {
+		return nil, fmt.Errorf("distribute: the plan source delivered no plan")
+	}
+	if err := m.check.finish(); err != nil {
+		return nil, err
+	}
+	return m.result()
+}
+
+// addFile holds the next file to its shard's manifest and hands the fold
+// its content hash.
+func (m *merger) addFile(f fsimage.File, shard int) error {
+	m.maxDepth = max(m.maxDepth, f.Depth)
+	mf := m.manifests[shard]
+	if mf == nil || m.entryErrs[shard] != nil {
+		return nil
+	}
+	i := m.cursors[shard]
+	m.cursors[shard]++
+	if m.entryErrs[shard] = mf.checkEntry(i, &f); m.entryErrs[shard] == nil {
+		m.sum = mf.FileDigests[i].SHA256
+	}
+	return nil
+}
+
+// result grades the shards against the sealed header and completes what
+// verified.
+func (m *merger) result() (*MergeResult, error) {
+	hdr := m.check.hdr
+	fingerprint := hdr.Fingerprint()
+	res := &MergeResult{Plan: hdr, Statuses: make([]ShardStatus, len(m.manifests)), maxFileDepth: m.maxDepth}
+	hashed, plain := 0, 0
+	for s, mf := range m.manifests {
+		res.Statuses[s] = ShardStatus{Shard: s, State: ShardMissing}
+		if mf == nil {
+			continue
+		}
+		err := checkManifest(mf, fingerprint, hdr.Shards[s])
+		if err == nil {
+			err = m.entryErrs[s]
+		}
+		if err != nil {
+			res.Statuses[s] = ShardStatus{Shard: s, State: ShardInvalid, Err: err}
+			continue
+		}
+		res.Statuses[s] = ShardStatus{Shard: s, State: ShardVerified, Manifest: mf}
+		if mf.ContentHashed {
+			hashed++
+		} else {
+			plain++
 		}
 	}
-	return audit, nil
+	res.ContentHashed = hashed >= plain && hashed > 0
+	for s, st := range res.Statuses {
+		if st.State == ShardVerified && st.Manifest.ContentHashed != res.ContentHashed {
+			res.Statuses[s] = ShardStatus{Shard: s, State: ShardInvalid,
+				Err: fmt.Errorf("distribute: shard %d manifest is %s while the run's majority is %s — mixes metadata-only and full-content runs (%w)",
+					s, contentModeName(st.Manifest.ContentHashed), contentModeName(res.ContentHashed), fsimage.ErrManifestIntegrity)}
+		}
+	}
+	if !res.Complete() {
+		return res, nil
+	}
+	res.Report = fsimage.Report{
+		Spec:                hdr.Spec,
+		GeneratedAt:         clock.Now(),
+		ActualFiles:         hdr.Files,
+		ActualDirs:          hdr.Dirs,
+		ActualBytes:         hdr.Bytes,
+		AchievedLayoutScore: 1.0,
+	}
+	if size := hdr.Spec.FSSizeBytes; size > 0 {
+		res.Report.SumError = math.Abs(float64(hdr.Bytes-size)) / float64(size)
+	}
+	if res.ContentHashed {
+		digest, err := m.fold.Sum()
+		if err != nil {
+			return nil, fmt.Errorf("distribute: %w (%w)", err, fsimage.ErrManifestIntegrity)
+		}
+		res.Digest = digest
+	}
+	return res, nil
 }
 
 // contentModeName names a manifest's run mode (Manifest.ContentHashed) in
-// the audit's diagnostics.
+// the grades' diagnostics.
 func contentModeName(hashed bool) string {
 	if hashed {
 		return "full-content"
@@ -242,73 +328,93 @@ func contentModeName(hashed bool) string {
 	return "metadata-only"
 }
 
-// Merge verifies the shard manifests against the plan and stitches them
-// into a single image, report, and canonical digest. It fails loudly on any
-// divergence: a missing, duplicated, or tampered manifest, a manifest from
-// a different plan, or per-shard counts, sizes, or hashes that do not match
-// the plan's expectations. For incomplete sets, use AuditManifests to learn
-// exactly which shards are outstanding instead.
-func Merge(p *OpenPlan, manifests []*Manifest) (*MergeResult, error) {
-	want := len(p.Plan.Shards)
-	if len(manifests) != want {
-		return nil, fmt.Errorf("distribute: merge needs %d manifests (one per shard), got %d", want, len(manifests))
-	}
-	audit, err := AuditManifests(p, manifests)
+// ManifestCheck holds one shard manifest at a time to a plan in O(shards):
+// the sealed header and, per shard, a hash of the (ID, size) sequence of its
+// files. It is what a scheduler that commits shards one by one keeps of the
+// plan instead of the plan; a manifest it accepts is one Merge verifies.
+type ManifestCheck struct {
+	// Plan is the sealed plan header.
+	Plan        *Plan
+	fingerprint string
+	entries     [][sha256.Size]byte
+}
+
+// entryHash hashes a shard's (ID, size) sequence, one file at a time.
+type entryHash struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (e *entryHash) add(id int, size int64) {
+	e.buf = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(e.buf[:0], uint64(id)), uint64(size))
+	e.h.Write(e.buf)
+}
+
+func (e *entryHash) sum() (out [sha256.Size]byte) {
+	e.h.Sum(out[:0])
+	return out
+}
+
+// NewManifestCheck replays the plan src delivers once, through the record
+// check, and keeps what Verify needs.
+func NewManifestCheck(src PlanSource) (*ManifestCheck, error) {
+	var (
+		c      *recordCheck
+		shards []entryHash
+	)
+	err := src(func(hdr *Plan) (fsimage.RecordSink, error) {
+		if err := checkHeader(hdr); err != nil {
+			return nil, err
+		}
+		shards = make([]entryHash, len(hdr.Shards))
+		for s := range shards {
+			shards[s].h = sha256.New()
+		}
+		c = newRecordCheck(hdr, -1, false)
+		c.onFile = func(f fsimage.File, s int) error {
+			shards[s].add(f.ID, f.Size)
+			return nil
+		}
+		return c.ts, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, st := range audit.Statuses {
-		switch st.State {
-		case ShardMissing:
-			return nil, fmt.Errorf("distribute: missing manifest for shard %d", st.Shard)
-		case ShardInvalid:
-			return nil, st.Err
-		}
+	if c == nil {
+		return nil, fmt.Errorf("distribute: the plan source delivered no plan")
 	}
-	return MergeAudited(p, audit)
+	if err := c.finish(); err != nil {
+		return nil, err
+	}
+	mc := &ManifestCheck{Plan: c.hdr, fingerprint: c.hdr.Fingerprint(), entries: make([][sha256.Size]byte, len(shards))}
+	for s := range shards {
+		mc.entries[s] = shards[s].sum()
+	}
+	return mc, nil
 }
 
-// MergeAudited stitches a fully verified audit into the merged image,
-// report, and canonical digest. It errors if any shard is not verified;
-// callers holding an incomplete audit should report audit.Outstanding()
-// and re-run those shards instead.
-func MergeAudited(p *OpenPlan, audit *Audit) (*MergeResult, error) {
-	if !audit.Complete() {
-		out := audit.Outstanding()
-		return nil, fmt.Errorf("distribute: image incomplete — %d of %d shards verified, outstanding: %v",
-			audit.Verified(), len(audit.Statuses), out)
+// Verify holds a manifest to the plan: checkManifest, then its entries
+// against the plan's files of its shard — same files in the same order, of
+// the same sizes, each with a content hash unless the run was metadata-only.
+func (c *ManifestCheck) Verify(m *Manifest) error {
+	if m == nil {
+		return fmt.Errorf("distribute: nil manifest")
 	}
-	digests := make([]string, len(p.Image.Files))
-	var totalBytes int64
-	for _, st := range audit.Statuses {
-		for _, fd := range st.Manifest.FileDigests {
-			digests[fd.ID] = fd.SHA256
-			totalBytes += fd.Size
+	if m.Shard < 0 || m.Shard >= len(c.Plan.Shards) {
+		return fmt.Errorf("distribute: manifest for unknown shard %d (plan has %d shards) (%w)", m.Shard, len(c.Plan.Shards), fsimage.ErrManifestIntegrity)
+	}
+	if err := checkManifest(m, c.fingerprint, c.Plan.Shards[m.Shard]); err != nil {
+		return err
+	}
+	e := entryHash{h: sha256.New()}
+	for _, fd := range m.FileDigests {
+		if m.ContentHashed && fd.SHA256 == "" {
+			return fmt.Errorf("distribute: shard %d manifest is missing the content hash of file %d (%w)", m.Shard, fd.ID, fsimage.ErrManifestIntegrity)
 		}
+		e.add(fd.ID, fd.Size)
 	}
-	if totalBytes != p.Plan.Bytes {
-		return nil, fmt.Errorf("distribute: merged bytes %d do not match plan total %d (%w)", totalBytes, p.Plan.Bytes, fsimage.ErrManifestIntegrity)
+	if e.sum() != c.entries[m.Shard] {
+		return fmt.Errorf("distribute: shard %d manifest lists other files, or other sizes, than the plan assigns the shard (%w)", m.Shard, fsimage.ErrManifestIntegrity)
 	}
-
-	res := &MergeResult{Image: p.Image, Bytes: totalBytes}
-	if audit.ContentHashed {
-		digest, err := fsimage.CombineDigest(p.Image, digests)
-		if err != nil {
-			return nil, fmt.Errorf("distribute: combining digests: %w", err)
-		}
-		res.Digest = digest
-	}
-	spec := p.Image.Spec
-	res.Report = fsimage.Report{
-		Spec:                spec,
-		GeneratedAt:         clock.Now(),
-		ActualFiles:         p.Image.FileCount(),
-		ActualDirs:          p.Image.DirCount(),
-		ActualBytes:         totalBytes,
-		AchievedLayoutScore: 1.0,
-	}
-	if spec.FSSizeBytes > 0 {
-		res.Report.SumError = math.Abs(float64(totalBytes-spec.FSSizeBytes)) / float64(spec.FSSizeBytes)
-	}
-	return res, nil
+	return nil
 }

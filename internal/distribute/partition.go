@@ -9,7 +9,6 @@ import (
 	"io"
 	"path/filepath"
 
-	"impressions/internal/core"
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 )
@@ -32,10 +31,9 @@ import (
 // from the same seed-keyed metadata replay — so fragments interoperate with
 // every existing consumer.
 //
-// MergeFragments is the no-O(image) verification pass: it streams all K
-// fragment documents through a DigestBuilder (plus each shard's manifest)
-// and reproduces the canonical image digest while holding the tree and
-// O(K × chunk) buffers.
+// FragmentSource replays the K fragment documents as the whole plan's record
+// stream, so Merge verifies a partitioned run holding the tree and O(K ×
+// chunk) buffers.
 
 // FragmentIndexVersion is the fragment-index wire version.
 const FragmentIndexVersion = 1
@@ -113,72 +111,45 @@ func FragmentName(planBase string, shard int) string {
 	return fmt.Sprintf("%s.frag%d", planBase, shard)
 }
 
-// sealedPlan is the shared front half of BuildPlan and PartitionPlan: the
-// resolved metadata pass (the caller Closes it), the partition, and the plan
-// header sealed against the monolithic chunk chain.
-type sealedPlan struct {
-	plan *Plan
-	part *namespace.Partition
-	meta *core.Metadata
-	// dirHashes are the record hashes of the chain's directory chunks. Every
-	// fragment opens with the same directory records at the same chunk size
-	// and index, so these are its first chunk hashes too.
-	dirHashes []string
-}
-
-func sealPlan(ctx context.Context, req PlanRequest) (*sealedPlan, error) {
-	m, err := resolvePlanMetadata(ctx, req.Config, req.MaxShards)
-	if err != nil {
-		return nil, err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			m.Close()
-		}
-	}()
-	p, part, err := planScaffold(m, req.MaxShards, req.ChunkSize)
-	if err != nil {
-		return nil, err
-	}
-	// Seal the monolithic chunk chain without writing it anywhere: the
-	// fragment headers must carry the exact Chunks/ImageSHA256 the
-	// monolithic plan file would, or the fingerprint manifests bind to
-	// would diverge between partitioned and single-document planning.
-	sp := &sealedPlan{plan: p, part: part, meta: m}
-	enc := fsimage.NewChunkEncoder(p.ChunkSize, func(c *fsimage.Chunk) error {
+// sealDirs hashes the plan's monolithic chunk chain without writing it and
+// seals the plan with it: the fragment headers must carry the exact
+// Chunks/ImageSHA256 the monolithic plan file would, or the fingerprint
+// manifests bind to would diverge between partitioned and single-document
+// planning. It returns the record hashes of the chain's directory chunks.
+// Every fragment opens with the same directory records at the same chunk
+// size and index, so these are its first chunk hashes too.
+func (rp *ResolvedPlan) sealDirs(ctx context.Context) ([]string, error) {
+	var dirHashes []string
+	enc := fsimage.NewChunkEncoder(rp.Plan.ChunkSize, func(c *fsimage.Chunk) error {
 		if len(c.Dirs) > 0 {
-			sp.dirHashes = append(sp.dirHashes, c.SHA256)
+			dirHashes = append(dirHashes, c.SHA256)
 		}
 		return nil
 	})
-	if err := m.StreamRecords(enc); err != nil {
+	if err := rp.Meta.StreamRecords(enc); err != nil {
 		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
 	}
 	if err := enc.Close(); err != nil {
 		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
 	}
-	p.Chunks = enc.Chunks()
-	p.ImageSHA256 = enc.ChainHash()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ok = true
-	return sp, nil
+	rp.Plan.Chunks = enc.Chunks()
+	rp.Plan.ImageSHA256 = enc.ChainHash()
+	return dirHashes, ctx.Err()
 }
 
 // fragmentRouter is the RecordSink that fans one metadata replay out to the
 // fragment encoders. Each file record goes to its shard's encoder only. The
 // directory section is the same bytes in every fragment, so the router
-// renders each directory chunk once, sealed with the hash sealPlan kept,
+// renders each directory chunk once, sealed with the hash sealDirs kept,
 // writes it to every fragment, and has the encoders resume behind it at the
 // first file chunk: directory records are hashed once and rendered once,
 // whatever K is, and no rendered chunk outlives its writes.
 type fragmentRouter struct {
-	ctx  context.Context
-	sp   *sealedPlan
-	docs []*docWriter
-	n    int
+	ctx       context.Context
+	rp        *ResolvedPlan
+	dirHashes []string
+	docs      []*docWriter
+	n         int
 
 	dirs  fsimage.Chunk // the directory chunk being filled
 	buf   []byte        // its rendering
@@ -204,19 +175,19 @@ func (r *fragmentRouter) AddDir(d fsimage.DirRecord) error {
 		return fmt.Errorf("distribute: directory record %d after the file stream began", d.ID)
 	}
 	r.dirs.Dirs = append(r.dirs.Dirs, d)
-	if len(r.dirs.Dirs) >= r.sp.plan.ChunkSize {
+	if len(r.dirs.Dirs) >= r.rp.Plan.ChunkSize {
 		return r.flushDirs()
 	}
 	return nil
 }
 
 // flushDirs writes the buffered directory chunk to every fragment. Its hash
-// is there: sealPlan's pass cut the same tree at the same chunk size.
+// is there: sealDirs' pass cut the same tree at the same chunk size.
 func (r *fragmentRouter) flushDirs() error {
 	if len(r.dirs.Dirs) == 0 {
 		return nil
 	}
-	r.dirs.SHA256 = r.sp.dirHashes[r.dirs.Index]
+	r.dirs.SHA256 = r.dirHashes[r.dirs.Index]
 	var err error
 	if r.buf, err = appendChunkElement(r.buf[:0], &r.dirs); err != nil {
 		return err
@@ -237,11 +208,11 @@ func (r *fragmentRouter) beginFiles() error {
 	if err := r.flushDirs(); err != nil {
 		return err
 	}
-	if r.dirs.Index != len(r.sp.dirHashes) {
-		return fmt.Errorf("distribute: the replay carried %d directory chunks, the plan was sealed over %d (%w)", r.dirs.Index, len(r.sp.dirHashes), fsimage.ErrManifestIntegrity)
+	if r.dirs.Index != len(r.dirHashes) {
+		return fmt.Errorf("distribute: the replay carried %d directory chunks, the plan was sealed over %d (%w)", r.dirs.Index, len(r.dirHashes), fsimage.ErrManifestIntegrity)
 	}
 	for _, d := range r.docs {
-		d.resumeAfter(r.sp.dirHashes)
+		d.resumeAfter(r.dirHashes)
 	}
 	r.files = true
 	return nil
@@ -256,20 +227,20 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 			return err
 		}
 	}
-	return r.docs[r.sp.part.ShardOf(f.DirID)].AddFile(f)
+	return r.docs[r.rp.part.ShardOf(f.DirID)].AddFile(f)
 }
 
 // writeFragments replays the metadata once through a router over one shard
 // document per writer (writers[s] receives fragment s) and seals them.
-func (sp *sealedPlan) writeFragments(ctx context.Context, writers []io.WriteCloser) error {
-	router := &fragmentRouter{ctx: ctx, sp: sp, docs: make([]*docWriter, len(writers))}
+func (rp *ResolvedPlan) writeFragments(ctx context.Context, dirHashes []string, writers []io.WriteCloser) error {
+	router := &fragmentRouter{ctx: ctx, rp: rp, dirHashes: dirHashes, docs: make([]*docWriter, len(writers))}
 	for s, w := range writers {
 		var err error
-		if router.docs[s], err = newDocWriter(w, shardDoc, shardHeader(sp.plan, s), sp.plan.ChunkSize); err != nil {
+		if router.docs[s], err = newDocWriter(w, shardDoc, shardHeader(rp.Plan, s), rp.Plan.ChunkSize); err != nil {
 			return err
 		}
 	}
-	if err := sp.meta.StreamRecords(router); err != nil {
+	if err := rp.Meta.StreamRecords(router); err != nil {
 		return fmt.Errorf("distribute: routing records to fragments: %w", err)
 	}
 	if !router.files { // an image without files
@@ -297,13 +268,17 @@ func (sp *sealedPlan) writeFragments(ctx context.Context, writers []io.WriteClos
 // Live memory is the compact tree plus one chunk buffer per fragment;
 // combined with Config.SpillDir the whole build runs in O(dirs) heap.
 func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
-	sp, err := sealPlan(ctx, req)
+	rp, err := req.Resolve(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer sp.meta.Close()
+	defer rp.Close()
+	dirHashes, err := rp.sealDirs(ctx)
+	if err != nil {
+		return nil, err
+	}
 
-	wcs := make([]io.WriteCloser, len(sp.plan.Shards))
+	wcs := make([]io.WriteCloser, len(rp.Plan.Shards))
 	closeAll := func() {
 		for _, wc := range wcs {
 			if wc != nil {
@@ -319,7 +294,7 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 		}
 		wcs[s] = wc
 	}
-	if err := sp.writeFragments(ctx, wcs); err != nil {
+	if err := rp.writeFragments(ctx, dirHashes, wcs); err != nil {
 		closeAll()
 		return nil, err
 	}
@@ -330,22 +305,7 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 			return nil, fmt.Errorf("distribute: closing fragment %d: %w", s, err)
 		}
 	}
-	return sp.plan, nil
-}
-
-// FragmentMergeResult is the outcome of a fragment-stream merge: the
-// canonical image digest (when the manifests carry content hashes) and the
-// verified totals. Unlike MergeResult it retains no image — the whole point
-// of the fragment pipeline is that no node ever holds one.
-type FragmentMergeResult struct {
-	// Digest is the canonical image digest, empty when the manifests carry
-	// no content hashes (hashing disabled fleet-wide).
-	Digest string
-	// Fingerprint is the plan fingerprint every fragment and manifest bound.
-	Fingerprint string
-	Dirs        int
-	Files       int
-	Bytes       int64
+	return rp.Plan, nil
 }
 
 // dirsum folds a decoded fragment's directory table into a hash so sibling
@@ -366,196 +326,150 @@ type fragmentStream struct {
 	view  *ShardView
 }
 
-// MergeFragments verifies a complete partitioned run — K fragment documents
-// plus the K worker manifests produced against them — and reproduces the
-// canonical image digest without materializing an image: fragment 0's
-// directory stream seeds a DigestBuilder, the K file streams are merged by
-// ascending file ID (shards partition the ID space; each stream is
-// ascending), and each file's content hash is zipped from its shard's
-// manifest. open is called once per shard with the fragment's reader.
-//
-// Every integrity property the monolithic Merge enforces is enforced here:
-// manifest self-hashes, fingerprint binding (all fragments and manifests
-// must bind one plan), per-shard totals against the sealed expectations,
-// per-file ID/size agreement between fragment and manifest, and the digest
-// header totals. Memory is O(dirs + K·chunk).
-func MergeFragments(ctx context.Context, open func(shard int) (io.ReadCloser, error), manifests []*Manifest) (*FragmentMergeResult, error) {
-	k := len(manifests)
-	if k == 0 {
-		return nil, fmt.Errorf("distribute: no manifests to merge (%w)", fsimage.ErrInvalidSpec)
-	}
-	for s, mf := range manifests {
-		if mf == nil {
-			return nil, fmt.Errorf("distribute: missing manifest for shard %d (%w)", s, fsimage.ErrManifestIntegrity)
+// FragmentSource replays a partitioned plan from its k fragment documents,
+// which open returns readers for, as the whole plan's record stream. One
+// goroutine decodes each fragment and holds it to its own row of the shard
+// table. Fragment 0's header and directory tree open the stream the moment
+// its directories are in, and the k file streams follow merged by ascending
+// file ID (shards partition the ID space; each stream ascends). Every
+// fragment must bind fragment 0's plan and carry its tree. Memory is
+// O(dirs + k·chunk).
+func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadCloser, error)) PlanSource {
+	return func(openSink func(*Plan) (fsimage.RecordSink, error)) error {
+		if k < 1 {
+			return fmt.Errorf("distribute: no fragments to replay (%w)", fsimage.ErrInvalidSpec)
 		}
-	}
-	contentHashed := manifests[0].ContentHashed
-
-	// One goroutine per fragment: decode, stream validated files into a
-	// bounded channel, report the finished view. Fragment 0 additionally
-	// hands over the plan header and tree the moment its directory stream
-	// completes, so the digest fold starts while files still stream.
-	type treeReady struct {
-		hdr  *Plan
-		tree *namespace.Tree
-	}
-	readyCh := make(chan treeReady, 1)
-	abort := make(chan struct{})
-	defer close(abort)
-	streams := make([]*fragmentStream, k)
-	for s := 0; s < k; s++ {
-		fs := &fragmentStream{files: make(chan fsimage.File, 256), done: make(chan error, 1)}
-		streams[s] = fs
-		go func(s int) {
-			defer close(fs.files)
-			rc, err := open(s)
-			if err != nil {
-				fs.done <- fmt.Errorf("distribute: opening fragment %d: %w", s, err)
-				return
-			}
-			defer rc.Close()
-			var onTree func(*Plan, *namespace.Tree) error
-			if s == 0 {
-				onTree = func(hdr *Plan, tree *namespace.Tree) error {
+		// Fragment 0 hands over the plan header and tree the moment its
+		// directory stream completes, so the replay starts while files still
+		// stream.
+		type treeReady struct {
+			hdr  *Plan
+			tree *namespace.Tree
+		}
+		readyCh := make(chan treeReady, 1)
+		abort := make(chan struct{})
+		defer close(abort)
+		streams := make([]*fragmentStream, k)
+		for s := 0; s < k; s++ {
+			fs := &fragmentStream{files: make(chan fsimage.File, 256), done: make(chan error, 1)}
+			streams[s] = fs
+			go func(s int) {
+				defer close(fs.files)
+				rc, err := open(s)
+				if err != nil {
+					fs.done <- fmt.Errorf("distribute: opening fragment %d: %w", s, err)
+					return
+				}
+				defer rc.Close()
+				var onTree func(*Plan, *namespace.Tree) error
+				if s == 0 {
+					onTree = func(hdr *Plan, tree *namespace.Tree) error {
+						select {
+						case readyCh <- treeReady{hdr: hdr, tree: tree}:
+							return nil
+						case <-abort:
+							return ctx.Err()
+						}
+					}
+				}
+				view, err := decodeShard(rc, shardDoc, 0, func(f fsimage.File, _ int) error {
 					select {
-					case readyCh <- treeReady{hdr: hdr, tree: tree}:
+					case fs.files <- f:
 						return nil
 					case <-abort:
-						return ctx.Err()
+						if err := ctx.Err(); err != nil {
+							return err
+						}
+						return fmt.Errorf("distribute: fragment replay aborted")
 					}
+				}, onTree)
+				if err != nil {
+					fs.done <- err
+					return
 				}
-			}
-			view, err := decodeShard(rc, shardDoc, 0, func(f fsimage.File) error {
-				select {
-				case fs.files <- f:
-					return nil
-				case <-abort:
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					return fmt.Errorf("distribute: fragment merge aborted")
-				}
-			}, onTree)
-			if err != nil {
-				fs.done <- err
-				return
-			}
-			fs.view = view
-			fs.done <- nil
-		}(s)
-	}
+				fs.view = view
+				fs.done <- nil
+			}(s)
+		}
 
-	// Wait for fragment 0's tree (or its failure).
-	var hdr *Plan
-	var tree *namespace.Tree
-	select {
-	case r := <-readyCh:
-		hdr, tree = r.hdr, r.tree
-	case err := <-streams[0].done:
-		// A fragment 0 small enough for the files channel can hand over its
-		// tree and finish before this select runs; both cases are then ready
-		// and Go picks one at random. The hand-over wins whenever it
-		// happened, and done goes back for the collection below.
+		// Wait for fragment 0's tree (or its failure).
+		var hdr *Plan
+		var tree *namespace.Tree
 		select {
 		case r := <-readyCh:
 			hdr, tree = r.hdr, r.tree
-			streams[0].done <- err
-		default:
-			if err == nil {
-				err = fmt.Errorf("distribute: fragment 0 delivered no tree (%w)", fsimage.ErrManifestIntegrity)
+		case err := <-streams[0].done:
+			// A fragment 0 small enough for the files channel can hand over its
+			// tree and finish before this select runs; both cases are then ready
+			// and Go picks one at random. The hand-over wins whenever it
+			// happened, and done goes back for the collection below.
+			select {
+			case r := <-readyCh:
+				hdr, tree = r.hdr, r.tree
+				streams[0].done <- err
+			default:
+				if err == nil {
+					err = fmt.Errorf("distribute: fragment 0 delivered no tree (%w)", fsimage.ErrManifestIntegrity)
+				}
+				return err
 			}
-			return nil, err
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	fingerprint := hdr.Fingerprint()
-	if len(hdr.Shards) != k {
-		return nil, fmt.Errorf("distribute: plan has %d shards, merge was handed %d manifests (%w)", len(hdr.Shards), k, fsimage.ErrInvalidSpec)
-	}
-	for s, mf := range manifests {
-		if err := checkManifest(mf, fingerprint, hdr.Shards[s]); err != nil {
-			return nil, err
+		if len(hdr.Shards) != k {
+			return fmt.Errorf("distribute: the plan has %d shards, the replay was handed %d fragments (%w)", len(hdr.Shards), k, fsimage.ErrManifestIntegrity)
 		}
-		if mf.ContentHashed != contentHashed {
-			return nil, fmt.Errorf("distribute: manifests mix content-hashed and hashless shards (%w)", fsimage.ErrManifestIntegrity)
-		}
-	}
-
-	var builder *fsimage.DigestBuilder
-	var curSHA string
-	if contentHashed {
-		builder = fsimage.NewDigestBuilder(hdr.Dirs, hdr.Files, hdr.Bytes, func(fsimage.File) (string, error) {
-			return curSHA, nil
-		})
-		if err := (&fsimage.Image{Tree: tree}).StreamRecords(builder); err != nil {
-			return nil, fmt.Errorf("distribute: folding directory digest: %w", err)
-		}
-	}
-
-	// K-way merge by ascending file ID. heads[s] holds shard s's next file.
-	heads := make([]fsimage.File, k)
-	has := make([]bool, k)
-	next := func(s int) {
-		f, ok := <-streams[s].files
-		heads[s], has[s] = f, ok
-	}
-	for s := 0; s < k; s++ {
-		next(s)
-	}
-	cursors := make([]int, k)
-	for {
-		best := -1
-		for s := 0; s < k; s++ {
-			if has[s] && (best < 0 || heads[s].ID < heads[best].ID) {
-				best = s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		f := heads[best]
-		mf := manifests[best]
-		if err := mf.checkEntry(cursors[best], &f); err != nil {
-			return nil, err
-		}
-		if contentHashed {
-			curSHA = mf.FileDigests[cursors[best]].SHA256
-			if err := builder.AddFile(f); err != nil {
-				return nil, fmt.Errorf("distribute: folding file digest: %w", err)
-			}
-		}
-		cursors[best]++
-		next(best)
-	}
-
-	// All channels drained, so every decoder finished: collect results and
-	// run the cross-fragment checks.
-	sum0 := dirsum(tree)
-	for s := 0; s < k; s++ {
-		if err := <-streams[s].done; err != nil {
-			return nil, err
-		}
-		view := streams[s].view
-		if got := view.Plan.Fingerprint(); got != fingerprint {
-			return nil, fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", s, got, fingerprint, fsimage.ErrManifestIntegrity)
-		}
-		if s > 0 {
-			if got := dirsum(view.Tree); got != sum0 {
-				return nil, fmt.Errorf("distribute: fragment %d carries a different directory tree than fragment 0 (%w)", s, fsimage.ErrManifestIntegrity)
-			}
-		}
-	}
-
-	// Every fragment's decoder has held its stream to its row of the shard
-	// table, and the rows sum to the header's totals.
-	res := &FragmentMergeResult{Fingerprint: fingerprint, Dirs: hdr.Dirs, Files: hdr.Files, Bytes: hdr.Bytes}
-	if contentHashed {
-		digest, err := builder.Sum()
+		sink, err := openSink(hdr)
 		if err != nil {
-			return nil, fmt.Errorf("distribute: %w (%w)", err, fsimage.ErrManifestIntegrity)
+			return err
 		}
-		res.Digest = digest
+		if err := (&fsimage.Image{Tree: tree}).StreamRecords(sink); err != nil {
+			return err
+		}
+
+		// K-way merge by ascending file ID. heads[s] holds shard s's next file.
+		heads := make([]fsimage.File, k)
+		has := make([]bool, k)
+		next := func(s int) {
+			f, ok := <-streams[s].files
+			heads[s], has[s] = f, ok
+		}
+		for s := 0; s < k; s++ {
+			next(s)
+		}
+		for {
+			best := -1
+			for s := 0; s < k; s++ {
+				if has[s] && (best < 0 || heads[s].ID < heads[best].ID) {
+					best = s
+				}
+			}
+			if best < 0 {
+				break
+			}
+			if err := sink.AddFile(heads[best]); err != nil {
+				return err
+			}
+			next(best)
+		}
+
+		// All channels drained, so every decoder finished: collect results and
+		// run the cross-fragment checks.
+		fingerprint, sum0 := hdr.Fingerprint(), dirsum(tree)
+		for s := 0; s < k; s++ {
+			if err := <-streams[s].done; err != nil {
+				return err
+			}
+			view := streams[s].view
+			if got := view.Plan.Fingerprint(); got != fingerprint {
+				return fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", s, got, fingerprint, fsimage.ErrManifestIntegrity)
+			}
+			if s > 0 {
+				if got := dirsum(view.Tree); got != sum0 {
+					return fmt.Errorf("distribute: fragment %d carries a different directory tree than fragment 0 (%w)", s, fsimage.ErrManifestIntegrity)
+				}
+			}
+		}
+		return nil
 	}
-	return res, nil
 }

@@ -100,10 +100,17 @@ func TestPartitionPlanFragmentsMatchSlicedPlan(t *testing.T) {
 	}
 }
 
+// fragmentSource replays the fragment documents.
+func fragmentSource(ctx context.Context, frags [][]byte) PlanSource {
+	return FragmentSource(ctx, len(frags), func(shard int) (io.ReadCloser, error) {
+		return io.NopCloser(bytes.NewReader(frags[shard])), nil
+	})
+}
+
 // runFragmentPipeline executes every fragment through the real worker path
 // and merges the fragment streams, returning the merge result and the
 // materialized out root.
-func runFragmentPipeline(t *testing.T, frags [][]byte) (*FragmentMergeResult, string, error) {
+func runFragmentPipeline(t *testing.T, frags [][]byte) (*MergeResult, string, error) {
 	t.Helper()
 	outRoot := t.TempDir()
 	manifests := make([]*Manifest, len(frags))
@@ -118,9 +125,10 @@ func runFragmentPipeline(t *testing.T, frags [][]byte) (*FragmentMergeResult, st
 		}
 		manifests[s] = m
 	}
-	res, err := MergeFragments(context.Background(), func(shard int) (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(frags[shard])), nil
-	}, manifests)
+	res, err := Merge(fragmentSource(context.Background(), frags), manifests)
+	if err == nil {
+		err = res.Err()
+	}
 	return res, outRoot, err
 }
 
@@ -135,13 +143,13 @@ func TestPartitionedPipelineMatchesSingleProcess(t *testing.T) {
 		_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: k, ChunkSize: 64})
 		res, outRoot, err := runFragmentPipeline(t, frags)
 		if err != nil {
-			t.Fatalf("K=%d MergeFragments: %v", k, err)
+			t.Fatalf("K=%d fragment merge: %v", k, err)
 		}
 		if res.Digest != refDigest {
 			t.Errorf("K=%d fragment-merged digest %s != single-process %s", k, res.Digest, refDigest)
 		}
-		if res.Files != cfg.NumFiles {
-			t.Errorf("K=%d merge reports %d files, want %d", k, res.Files, cfg.NumFiles)
+		if res.Report.ActualFiles != cfg.NumFiles {
+			t.Errorf("K=%d merge reports %d files, want %d", k, res.Report.ActualFiles, cfg.NumFiles)
 		}
 		treeHash, err := fsimage.HashTree(outRoot)
 		if err != nil {
@@ -211,20 +219,10 @@ func TestSpilledPlanMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestPlanRequestValidation covers the request surface: BuildPlan rejects a
-// spill (the retained image would defeat it).
-func TestPlanRequestValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.SpillDir = t.TempDir()
-	if _, err := BuildPlan(context.Background(), PlanRequest{Config: cfg, MaxShards: 2}); err == nil {
-		t.Error("BuildPlan accepted a spilled request")
-	}
-}
-
-// TestMergeFragmentsRejectsTamperedFragment: editing a fragment's header —
+// TestFragmentSourceRejectsTamperedFragment: editing a fragment's header —
 // here the parent chain hash it binds — must surface as an integrity
 // violation, never a silently different image.
-func TestMergeFragmentsRejectsTamperedFragment(t *testing.T) {
+func TestFragmentSourceRejectsTamperedFragment(t *testing.T) {
 	cfg := testConfig()
 	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 2, ChunkSize: 64})
 
@@ -252,10 +250,7 @@ func TestMergeFragmentsRejectsTamperedFragment(t *testing.T) {
 	} else {
 		tampered[j] = '0'
 	}
-	docs := [][]byte{frags[0], tampered}
-	_, err := MergeFragments(context.Background(), func(shard int) (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(docs[shard])), nil
-	}, manifests)
+	_, err := Merge(fragmentSource(context.Background(), [][]byte{frags[0], tampered}), manifests)
 	if !errors.Is(err, fsimage.ErrManifestIntegrity) {
 		t.Errorf("tampered fragment header: got %v, want ErrManifestIntegrity", err)
 	}
@@ -267,10 +262,7 @@ func TestMergeFragmentsRejectsTamperedFragment(t *testing.T) {
 	}
 	flipped := append([]byte(nil), frags[0]...)
 	flipped[k+len(`"name":"`)] ^= 1
-	docs = [][]byte{flipped, frags[1]}
-	if _, err := MergeFragments(context.Background(), func(shard int) (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(docs[shard])), nil
-	}, manifests); err == nil {
+	if _, err := Merge(fragmentSource(context.Background(), [][]byte{flipped, frags[1]}), manifests); err == nil {
 		t.Error("bit-flipped fragment record accepted")
 	}
 }
@@ -417,14 +409,14 @@ func (c closeSignal) Close() error {
 	return nil
 }
 
-// TestMergeFragmentsSmallFragmentZero: a fragment 0 of at most 256 file
-// records fits the merge's file channel whole, so its decoder can hand over
-// the tree, stream every file and report done before the merger looks at
-// either; the merger must still take the tree. The gated context holds the
-// merger, as it enters its first wait, until fragment 0's decoder has
+// TestFragmentSourceSmallFragmentZero: a fragment 0 of at most 256 file
+// records fits the replay's file channel whole, so its decoder can hand over
+// the tree, stream every file and report done before the replay looks at
+// either; the replay must still take the tree. The gated context holds the
+// replay, as it enters its first wait, until fragment 0's decoder has
 // finished (it closes its reader after reporting done), so every round is
-// that case — a merger that then picks at random loses half of them.
-func TestMergeFragmentsSmallFragmentZero(t *testing.T) {
+// that case — a replay that then picks at random loses half of them.
+func TestFragmentSourceSmallFragmentZero(t *testing.T) {
 	cfg := core.Config{NumFiles: 120, NumDirs: 24, FSSizeBytes: 120 * 1024, Seed: 77, Parallelism: 1}
 	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 2, ChunkSize: 64})
 	manifests := make([]*Manifest, len(frags))
@@ -443,12 +435,15 @@ func TestMergeFragmentsSmallFragmentZero(t *testing.T) {
 	for round := 0; round < 64; round++ {
 		decoded := make(chan struct{})
 		ctx := gatedContext{Context: context.Background(), gate: decoded}
-		_, err := MergeFragments(ctx, func(shard int) (io.ReadCloser, error) {
+		res, err := Merge(FragmentSource(ctx, len(frags), func(shard int) (io.ReadCloser, error) {
 			if shard == 0 {
 				return closeSignal{Reader: bytes.NewReader(frags[0]), closed: decoded}, nil
 			}
 			return io.NopCloser(bytes.NewReader(frags[shard])), nil
-		}, manifests)
+		}), manifests)
+		if err == nil {
+			err = res.Err()
+		}
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -6,23 +6,22 @@ import (
 	"io"
 
 	"impressions/internal/core"
+	"impressions/internal/fsimage"
+	"impressions/internal/namespace"
 )
 
 // PlanRequest is the single entry point for building plans: one request
 // struct instead of a growing family of positional-argument functions. The
-// zero values of everything but Config are valid — a bare
-// PlanRequest{Config: cfg, MaxShards: k} reproduces the classic BuildPlan.
-// Which builder takes it decides the product: BuildPlan retains the image,
-// Stream writes the monolithic document, PartitionPlan writes MaxShards
+// zero values of everything but Config are valid. Which builder takes it
+// decides the product: Stream writes the monolithic document (Resolve, for a
+// caller that replays the records again), PartitionPlan writes MaxShards
 // fragments — one self-contained shard document each, under the same plan
 // header, so fragments and monolithic documents interoperate freely.
 type PlanRequest struct {
 	// Config is the image configuration the plan describes. With
 	// Config.SpillDir set the metadata pass runs through file-backed columns
 	// under that directory: the single-node fallback that bounds the
-	// planner's live heap by O(dirs) when no fleet is available. Only the
-	// streaming builders accept it — BuildPlan rejects a spilled request
-	// because retaining the image would defeat the spill.
+	// planner's live heap by O(dirs) when no fleet is available.
 	Config core.Config
 
 	// MaxShards is the number of balanced subtree shards the namespace is
@@ -34,53 +33,121 @@ type PlanRequest struct {
 	ChunkSize int
 }
 
-// BuildPlan runs the metadata pass for the request and partitions the
-// result into balanced subtree shards (oversized subtrees are cut at deeper
-// levels, so one worker per shard holds even when the generative model
-// concentrates the namespace under a few top-level directories). The
-// returned plan retains the image, so it can be Opened and executed
-// in-process without a decode round trip; pipelines that only need the plan
-// file use PlanRequest.Stream, and fleets that want the plan itself built
-// shard by shard use PartitionPlan — neither ever holds the image.
-func BuildPlan(ctx context.Context, req PlanRequest) (*Plan, error) {
-	if req.Config.SpillDir != "" {
-		return nil, fmt.Errorf("distribute: spilled plan builds need a streaming consumer (PlanRequest.Stream or PartitionPlan); the retained image would defeat the spill")
-	}
-	sp, err := sealPlan(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	defer sp.meta.Close()
-	if sp.plan.img, err = sp.meta.Image(); err != nil {
-		return nil, err
-	}
-	return sp.plan, nil
+// ResolvedPlan is a plan with the metadata pass it describes still open: the
+// header, and the columns its records replay from. Stream writes one and
+// closes it; distrun writes the plan file from one and hands the scheduler
+// its Source.
+type ResolvedPlan struct {
+	// Plan is the plan header; Write seals its Chunks and ImageSHA256.
+	Plan *Plan
+	// Meta is the resolved metadata pass.
+	Meta *core.Metadata
+	part *namespace.Partition
 }
+
+// Resolve runs the request's metadata pass, with disk simulation forced off
+// (plans describe images; the expensive content pass is the workers'), and
+// partitions the namespace into balanced subtree shards: oversized subtrees
+// are cut at deeper levels, so one worker per shard holds even when the
+// generative model concentrates the namespace under a few top-level
+// directories. The partition comes from the compact tree, the per-shard
+// file and byte expectations from a streaming accumulator over the placement
+// columns: no file record is materialized. The metadata pass honors ctx. The
+// caller Closes the result.
+func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
+	if r.MaxShards < 1 {
+		return nil, fmt.Errorf("distribute: shard count %d < 1 (%w)", r.MaxShards, fsimage.ErrInvalidSpec)
+	}
+	cfg := r.Config
+	cfg.SimulateDisk = false
+	cfg.LayoutScore = 1.0
+	gen, err := core.NewGenerator(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("distribute: %w", err)
+	}
+	m, err := gen.ResolveMetadataContext(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("distribute: metadata pass: %w", err)
+	}
+	chunkSize := r.ChunkSize
+	if chunkSize <= 0 {
+		chunkSize = fsimage.DefaultChunkSize
+	}
+	part := namespace.PartitionBalanced(m.Tree(), r.MaxShards, fsimage.ShardWeight)
+	acc := namespace.NewShardAccumulator(part)
+	if err := m.EachPlacement(func(_, dirID int, size int64) error { acc.Add(dirID, size); return nil }); err != nil {
+		m.Close()
+		return nil, fmt.Errorf("distribute: accumulating shard expectations: %w", err)
+	}
+	key := contentStreamKey().String()
+	shards := make([]ShardPlan, part.Len())
+	for s := range shards {
+		shards[s] = ShardPlan{
+			Index:     s,
+			StreamKey: key,
+			Roots:     part.ShardRoots(s),
+			Dirs:      len(part.Shards[s]),
+			Files:     acc.Files(s),
+			Bytes:     acc.Bytes(s),
+		}
+	}
+	spec := m.Spec()
+	return &ResolvedPlan{Plan: &Plan{
+		FormatVersion: FormatVersion,
+		Seed:          spec.Seed,
+		ContentKind:   spec.ContentKind,
+		DigestAlgo:    fsimage.DigestVersion,
+		Files:         m.FileCount(),
+		Dirs:          m.DirCount(),
+		Bytes:         m.TotalBytes(),
+		Spec:          spec,
+		ChunkSize:     chunkSize,
+		Shards:        shards,
+	}, Meta: m, part: part}, nil
+}
+
+// Write writes the plan document to w in one replay of the columns —
+// header, metadata chunks streamed one at a time, sealing trailer — and
+// seals the plan with the trailer's chunk count and chain hash. Peak
+// buffering is one chunk.
+func (rp *ResolvedPlan) Write(w io.Writer) (err error) {
+	rp.Plan.Chunks, rp.Plan.ImageSHA256, err = writeDocument(w, planDoc, rp.Plan, rp.Plan.ChunkSize, rp.Meta.StreamRecords)
+	return err
+}
+
+// Source replays the sealed plan from the columns: the records its document
+// carries, without a document in between, as often as it is asked to.
+func (rp *ResolvedPlan) Source() PlanSource {
+	return func(open func(*Plan) (fsimage.RecordSink, error)) error {
+		sink, err := open(rp.Plan)
+		if err != nil {
+			return err
+		}
+		return rp.Meta.StreamRecords(sink)
+	}
+}
+
+// Close releases the metadata columns.
+func (rp *ResolvedPlan) Close() error { return rp.Meta.Close() }
 
 // Stream is the generator-fused planner: it resolves the metadata pass,
 // partitions the namespace, and writes the complete plan document to w in
 // one streaming pass — spec → metadata columns → chunk encoder — holding
-// O(chunk) live file records and never an image. The plan bytes are
-// byte-identical to BuildPlan(ctx, r).Encode for the same request, so
-// manifests produced against either are interchangeable. The returned plan
-// is sealed (fingerprintable) but retains no image; Open it via a decode
-// (LoadPlan / LoadPlanShard) if execution state is needed.
+// O(chunk) live file records and never an image. The returned plan is
+// sealed (fingerprintable); a consumer that needs execution state decodes
+// the document (LoadPlanShard) or replays it (DocumentSource).
 //
 // The metadata pass honors ctx, so a server can abandon a plan build whose
 // requester is gone. On cancellation the partially written document is
 // abandoned mid-stream — callers staging into a store must not commit it.
 func (r PlanRequest) Stream(ctx context.Context, w io.Writer) (*Plan, error) {
-	m, err := resolvePlanMetadata(ctx, r.Config, r.MaxShards)
+	rp, err := r.Resolve(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer m.Close()
-	p, _, err := planScaffold(m, r.MaxShards, r.ChunkSize)
-	if err != nil {
+	defer rp.Close()
+	if err := rp.Write(w); err != nil {
 		return nil, err
 	}
-	if p.Chunks, p.ImageSHA256, err = writeDocument(w, planDoc, p, p.ChunkSize, m.StreamRecords); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return rp.Plan, nil
 }

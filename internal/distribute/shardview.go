@@ -12,8 +12,7 @@ import (
 // sealed plan header, the compact directory tree, the rebuilt partition,
 // and just that shard's file records. The pruned decode (DecodePlanShard)
 // produces one while holding O(dirs + shard files + chunk) memory — a
-// worker's footprint is bounded by its shard, not by the image — and the
-// retained OpenPlan can project one out for in-process execution.
+// worker's footprint is bounded by its shard, not by the image.
 type ShardView struct {
 	Plan  *Plan
 	Tree  *namespace.Tree
@@ -30,23 +29,20 @@ type ShardView struct {
 	StreamedFileRecords int
 }
 
-// allShards is the recordCheck shard that keeps no shard's records and
-// indexes every shard's files instead (Plan.Open).
-const allShards = -1
-
 // recordCheck is the one validator of a record stream against a plan
-// header, behind DecodePlanShard, DecodeShardView, MergeFragments' streaming
-// decode and Plan.Open. Its RecordSink is ts, a TreeSink: that rebuilds the
-// compact tree and holds every record to the canonical-stream rules, and
-// hands each file to addFile, which rebuilds the partition once the
-// directories are in, tallies every shard, and keeps what the policy says:
+// header, behind DecodePlanShard, DecodeShardView, FragmentSource's
+// decoders, Merge and ManifestCheck. Its RecordSink is ts, a TreeSink: that
+// rebuilds the compact tree and holds every record to the canonical-stream
+// rules, and hands each file to addFile, which rebuilds the partition once
+// the directories are in, tallies every shard, and keeps what the policy
+// says:
 //
 //   - whole-plan stream, one shard kept (DecodePlanShard): the records of
 //     shard are retained, the rest only counted;
 //   - shard document (fragment = true): every file must belong to shard,
 //     IDs ascend but skip; records are retained, or handed to onFile;
-//   - whole-plan stream, allShards (Open): nothing is retained, byShard
-//     lists each shard's file IDs.
+//   - whole-plan stream with onFile (Merge, ManifestCheck): every file goes
+//     to onFile with its shard, and nothing is retained.
 //
 // finish compares the tallies with the shard table's expectations.
 type recordCheck struct {
@@ -57,11 +53,10 @@ type recordCheck struct {
 	part     *namespace.Partition
 	acc      *namespace.ShardAccumulator
 	files    []fsimage.File
-	byShard  [][]int
-	// onFile, when non-nil, takes each of the shard's validated file records
-	// instead of files, so a consumer (the fragment merge) processes an
-	// arbitrarily large shard with O(dirs) state here.
-	onFile func(fsimage.File) error
+	// onFile, when non-nil, takes the validated file records the policy
+	// hands on, with their shard, instead of files, so a consumer processes
+	// an arbitrarily large stream with O(dirs) state here.
+	onFile func(f fsimage.File, shard int) error
 	// onTree, when non-nil, fires once, when the directory stream is
 	// complete and the partition verified — before the first file record is
 	// delivered — with the plan header and the tree.
@@ -90,9 +85,6 @@ func (c *recordCheck) ensurePartition() error {
 		return fmt.Errorf("distribute: rebuilding partition: %v (%w)", err, fsimage.ErrManifestIntegrity)
 	}
 	c.part, c.acc = part, namespace.NewShardAccumulator(part)
-	if c.shard == allShards {
-		c.byShard = make([][]int, part.Len())
-	}
 	if c.onTree != nil {
 		return c.onTree(c.hdr, c.ts.Tree())
 	}
@@ -109,15 +101,11 @@ func (c *recordCheck) addFile(f fsimage.File) error {
 	}
 	c.acc.Add(f.DirID, f.Size)
 	switch s := c.part.ShardOf(f.DirID); {
-	case c.shard == allShards:
-		c.byShard[s] = append(c.byShard[s], f.ID)
-	case s != c.shard:
-		if c.fragment {
-			return fmt.Errorf("distribute: file %d belongs to shard %d, document claims shard %d (%w)", f.ID, s, c.shard, fsimage.ErrManifestIntegrity)
-		}
+	case c.fragment && s != c.shard:
+		return fmt.Errorf("distribute: file %d belongs to shard %d, document claims shard %d (%w)", f.ID, s, c.shard, fsimage.ErrManifestIntegrity)
 	case c.onFile != nil:
-		return c.onFile(f)
-	default:
+		return c.onFile(f, s)
+	case s == c.shard:
 		// The header is untrusted until the stream verifies, so room grows as
 		// records do — fourfold, up to the count the shard table promises: a
 		// count the document merely claims allocates nothing.
@@ -148,7 +136,7 @@ func (c *recordCheck) finish() error {
 // decodeShard reads a document of either kind into the view of one shard:
 // the requested one of a plan document, the embedded one of a shard
 // document. onFile and onTree are recordCheck's hooks.
-func decodeShard(r io.Reader, kind docKind, requested int, onFile func(fsimage.File) error, onTree func(*Plan, *namespace.Tree) error) (*ShardView, error) {
+func decodeShard(r io.Reader, kind docKind, requested int, onFile func(fsimage.File, int) error, onTree func(*Plan, *namespace.Tree) error) (*ShardView, error) {
 	var c *recordCheck
 	if _, err := readDocument(r, kind, func(hdr *Plan, embedded int) (fsimage.RecordSink, error) {
 		shard := embedded
@@ -194,26 +182,4 @@ func DecodePlanShard(r io.Reader, shard int) (*ShardView, error) {
 // by its shard (plus the compact tree), never by the image.
 func LoadPlanShard(path string, shard int) (*ShardView, error) {
 	return loadFile(path, func(r io.Reader) (*ShardView, error) { return DecodePlanShard(r, shard) })
-}
-
-// ShardView projects one shard's view out of a retained open plan, for
-// in-process execution (distrun, tests, the library API).
-func (p *OpenPlan) ShardView(shard int) (*ShardView, error) {
-	if err := p.Plan.checkShard(shard); err != nil {
-		return nil, err
-	}
-	idx := p.FilesByShard[shard]
-	files := make([]fsimage.File, len(idx))
-	for k, i := range idx {
-		files[k] = p.Image.Files[i]
-	}
-	return &ShardView{
-		Plan:                p.Plan,
-		Tree:                p.Image.Tree,
-		Part:                p.Part,
-		Shard:               shard,
-		Dirs:                p.Part.Shards[shard],
-		Files:               files,
-		StreamedFileRecords: len(p.Image.Files),
-	}, nil
 }

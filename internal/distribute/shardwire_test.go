@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,12 +18,9 @@ import (
 // fingerprint (so manifests bind identically), same shard membership, same
 // records.
 func TestShardWireRoundTrip(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 3)
-	for s := range open.Plan.Shards {
-		v, err := open.ShardView(s)
-		if err != nil {
-			t.Fatalf("ShardView(%d): %v", s, err)
-		}
+	p := planRoundTrip(t, testConfig(), 3)
+	for s := range p.Plan.Shards {
+		v := p.view(t, s)
 		var buf bytes.Buffer
 		if err := v.Encode(&buf); err != nil {
 			t.Fatalf("shard %d Encode: %v", s, err)
@@ -30,7 +29,7 @@ func TestShardWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d DecodeShardView: %v", s, err)
 		}
-		if got.Plan.Fingerprint() != open.Plan.Fingerprint() {
+		if got.Plan.Fingerprint() != p.Plan.Fingerprint() {
 			t.Fatalf("shard %d: decoded plan fingerprint diverged", s)
 		}
 		if got.Shard != s || len(got.Files) != len(v.Files) || len(got.Dirs) != len(v.Dirs) {
@@ -49,11 +48,7 @@ func TestShardWireRoundTrip(t *testing.T) {
 // must produce the same sealed manifest as one executing the view pruned
 // straight from the plan file.
 func TestShardWireExecutesIdentically(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
-	v, err := open.ShardView(1)
-	if err != nil {
-		t.Fatalf("ShardView: %v", err)
-	}
+	v := planRoundTrip(t, testConfig(), 2).view(t, 1)
 	var buf bytes.Buffer
 	if err := v.Encode(&buf); err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -78,11 +73,7 @@ func TestShardWireExecutesIdentically(t *testing.T) {
 // TestShardWireRejectsTampering: flipping bytes inside a record chunk must
 // be caught by the chunk integrity hash and surface ErrManifestIntegrity.
 func TestShardWireRejectsTampering(t *testing.T) {
-	open := planRoundTrip(t, testConfig(), 2)
-	v, err := open.ShardView(0)
-	if err != nil {
-		t.Fatalf("ShardView: %v", err)
-	}
+	v := planRoundTrip(t, testConfig(), 2).view(t, 0)
 	var buf bytes.Buffer
 	if err := v.Encode(&buf); err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -92,12 +83,50 @@ func TestShardWireRejectsTampering(t *testing.T) {
 	if tampered == doc {
 		t.Fatal("test setup: no size field found to tamper with")
 	}
-	_, err = DecodeShardView(strings.NewReader(tampered))
+	_, err := DecodeShardView(strings.NewReader(tampered))
 	if err == nil {
 		t.Fatal("DecodeShardView accepted a tampered document")
 	}
 	if !errors.Is(err, fsimage.ErrManifestIntegrity) {
 		t.Fatalf("tampering surfaced %v, want ErrManifestIntegrity", err)
+	}
+}
+
+// TestShardDocumentStaysUnderOut: a shard document whose directory holding
+// files is named ".." would have those files written beside the output
+// root. Decoding it fails typed, and nothing lands beside out.
+func TestShardDocumentStaysUnderOut(t *testing.T) {
+	v := planRoundTrip(t, testConfig(), 2).view(t, 0)
+	renamed := false
+	for _, f := range v.Files {
+		if d := &v.Tree.Dirs[f.DirID]; d.Depth == 1 {
+			d.Name, renamed = "..", true
+			break
+		}
+	}
+	if !renamed {
+		t.Fatal("no depth-1 directory of the shard holds a file")
+	}
+	var doc bytes.Buffer
+	if err := v.Encode(&doc); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	base := t.TempDir()
+	view, err := DecodeShardView(&doc)
+	if err == nil {
+		_, err = Execute(context.Background(), view, DirTarget(filepath.Join(base, "out")), WorkerOptions{})
+	}
+	if !errors.Is(err, fsimage.ErrManifestIntegrity) {
+		t.Errorf("a shard document with a directory named ..: got %v, want ErrManifestIntegrity", err)
+	}
+	entries, err := os.ReadDir(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "out" {
+			t.Errorf("%s was written beside the output root", e.Name())
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package distribute
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -10,25 +9,6 @@ import (
 	"impressions/internal/fsimage"
 	"impressions/internal/imgfmt"
 )
-
-// encodedPlan builds and encodes a plan for cfg, returning the document
-// bytes and the opened plan.
-func encodedTarPlan(t *testing.T, shards int) ([]byte, *OpenPlan) {
-	t.Helper()
-	plan, err := BuildPlan(context.Background(), PlanRequest{Config: testConfig(), MaxShards: shards, ChunkSize: 64})
-	if err != nil {
-		t.Fatalf("BuildPlan(%d): %v", shards, err)
-	}
-	var buf bytes.Buffer
-	if err := plan.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	open, err := plan.Open()
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	return buf.Bytes(), open
-}
 
 // TestTarWorkersStitchMatchesMonolithic is the tar counterpart of the
 // headline invariant: plan → K tar-segment workers → stitch produces the
@@ -40,10 +20,10 @@ func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 	_, refDigest, _ := singleProcessReference(t, cfg)
 
 	for _, k := range []int{1, 2, 4} {
-		doc, open := encodedTarPlan(t, k)
+		p := planRoundTrip(t, testConfig(), k)
 
 		var mono bytes.Buffer
-		_, digest, err := WritePlanTar(bytes.NewReader(doc), &mono, imgfmt.Options{}, nil)
+		_, digest, err := WritePlanTar(bytes.NewReader(p.doc), &mono, imgfmt.Options{}, nil)
 		if err != nil {
 			t.Fatalf("K=%d: WritePlanTar: %v", k, err)
 		}
@@ -51,16 +31,12 @@ func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 			t.Errorf("K=%d: monolithic tar digest %s, reference %s", k, digest, refDigest)
 		}
 
-		shards := len(open.Plan.Shards)
+		shards := len(p.Plan.Shards)
 		segments := make([]io.Reader, shards)
 		manifests := make([]*Manifest, shards)
 		for s := 0; s < shards; s++ {
-			v, err := open.ShardView(s)
-			if err != nil {
-				t.Fatalf("K=%d: ShardView(%d): %v", k, s, err)
-			}
 			var seg bytes.Buffer
-			m, err := executeView(v, TarTarget(&seg), WorkerOptions{})
+			m, err := executeView(p.view(t, s), TarTarget(&seg), WorkerOptions{})
 			if err != nil {
 				t.Fatalf("K=%d: Execute(%d): %v", k, s, err)
 			}
@@ -69,20 +45,16 @@ func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 		}
 
 		var stitched bytes.Buffer
-		if _, err := StitchPlanTar(bytes.NewReader(doc), segments, &stitched, imgfmt.Options{}); err != nil {
+		if _, err := StitchPlanTar(bytes.NewReader(p.doc), segments, &stitched, imgfmt.Options{}); err != nil {
 			t.Fatalf("K=%d: StitchPlanTar: %v", k, err)
 		}
 		if !bytes.Equal(stitched.Bytes(), mono.Bytes()) {
 			t.Errorf("K=%d: stitched tar (%d bytes) differs from monolithic (%d bytes)", k, stitched.Len(), mono.Len())
 		}
 
-		// Tar workers seal ordinary manifests: the existing merge accepts
-		// them and reproduces the canonical digest.
-		res, err := Merge(open, manifests)
-		if err != nil {
-			t.Fatalf("K=%d: Merge: %v", k, err)
-		}
-		if res.Digest != refDigest {
+		// Tar workers seal ordinary manifests: the merge accepts them and
+		// reproduces the canonical digest.
+		if res := p.merge(t, manifests); res.Digest != refDigest {
 			t.Errorf("K=%d: merged tar-worker digest %s, reference %s", k, res.Digest, refDigest)
 		}
 	}
@@ -91,7 +63,7 @@ func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 // TestWritePlanTarMetadataOnly: the metadata-only archive keeps entry sizes
 // but reports no digest.
 func TestWritePlanTarMetadataOnly(t *testing.T) {
-	doc, _ := encodedTarPlan(t, 2)
+	doc := planRoundTrip(t, testConfig(), 2).doc
 	var out bytes.Buffer
 	p, digest, err := WritePlanTar(bytes.NewReader(doc), &out, imgfmt.Options{MetadataOnly: true}, nil)
 	if err != nil {
@@ -112,16 +84,12 @@ func TestWritePlanTarMetadataOnly(t *testing.T) {
 // the tar worker's content engine and changes neither the segment nor the
 // sealed manifest.
 func TestTarWorkerIdenticalAtAnyParallelism(t *testing.T) {
-	_, open := encodedTarPlan(t, 2)
-	for s := range open.Plan.Shards {
+	p := planRoundTrip(t, testConfig(), 2)
+	for s := range p.Plan.Shards {
 		var wantSeg, wantManifest []byte
 		for _, j := range []int{1, 2, 8} {
-			v, err := open.ShardView(s)
-			if err != nil {
-				t.Fatalf("ShardView(%d): %v", s, err)
-			}
 			var seg, manifest bytes.Buffer
-			m, err := executeView(v, TarTarget(&seg), WorkerOptions{Parallelism: j})
+			m, err := executeView(p.view(t, s), TarTarget(&seg), WorkerOptions{Parallelism: j})
 			if err != nil {
 				t.Fatalf("shard %d j=%d: Execute: %v", s, j, err)
 			}
@@ -147,7 +115,7 @@ func TestTarWorkerIdenticalAtAnyParallelism(t *testing.T) {
 // never hears of it; the sink's content workers must still not outlive the
 // call (the daemon serves image.tar for as long as it lives).
 func TestWritePlanTarReleasesWorkersOnBadPlan(t *testing.T) {
-	doc, _ := encodedTarPlan(t, 2)
+	doc := planRoundTrip(t, testConfig(), 2).doc
 	baseline := runtime.NumGoroutine()
 	digests := 0
 	opts := imgfmt.Options{Parallelism: 1, OnDigest: func(fsimage.File, string) { digests++ }}

@@ -4,7 +4,9 @@
 // plus jitter, fails the run when a shard is out of attempts, verifies every
 // manifest before trusting it, and merges a completed run into the canonical
 // image digest. A run that loses workers must still converge on the
-// byte-identical digest a single process produces.
+// byte-identical digest a single process produces. A run holds O(shards) of
+// its plan — a distribute.ManifestCheck and the distribute.PlanSource the
+// merge replays — never its records.
 //
 // Two transports drive the one state machine through the same calls
 // (Register, Lease, Complete, Fail). Over HTTP (internal/serve mounts the
@@ -84,8 +86,8 @@ type Options struct {
 	// workers before the scheduler executes them inline (default 5s;
 	// requires InlineExecute). Negative disables the fallback.
 	InlineGrace time.Duration
-	// MaxRuns caps concurrently active runs — each retains its open plan
-	// for verification and merge (default 8).
+	// MaxRuns caps concurrently active runs — each holds the manifests it
+	// has committed until it merges (default 8).
 	MaxRuns int
 	// InlineExecute computes one shard's manifest daemon-side (digest-only,
 	// no disk) for the zero-worker fallback. The serving layer provides it
@@ -176,7 +178,8 @@ type shardState struct {
 type run struct {
 	id          string
 	fingerprint string
-	open        *distribute.OpenPlan // dropped once the run finishes
+	check       *distribute.ManifestCheck // dropped once the run finishes
+	source      distribute.PlanSource     // what the merge replays; dropped likewise
 	shards      []shardState
 	state       RunState
 	digest      string
@@ -275,14 +278,18 @@ func (s *Scheduler) Heartbeat(workerID string) error {
 	return nil
 }
 
-// CreateRun registers a run over an opened plan. fingerprint is the plan's
-// content address as workers fetch it (the /v1/plans/{fp} key) — it is what
-// leases, re-run commands, and the inline executor carry; manifest-to-plan
-// binding is enforced separately by VerifyManifest against the plan's own
-// fingerprint. The plan stays retained until the run finishes — it is what
-// every uploaded manifest is verified against and what the final merge
-// digests.
-func (s *Scheduler) CreateRun(fingerprint string, open *distribute.OpenPlan) (string, error) {
+// CreateRun registers a run over the plan src replays. fingerprint is the
+// plan's content address as workers fetch it (the /v1/plans/{fp} key) — it
+// is what leases, re-run commands, and the inline executor carry;
+// manifest-to-plan binding is enforced separately, against the plan's own
+// fingerprint. One replay here holds the plan to its records and keeps, per
+// shard, what every uploaded manifest is verified against; the merge
+// replays src again when the last shard commits.
+func (s *Scheduler) CreateRun(fingerprint string, src distribute.PlanSource) (string, error) {
+	check, err := distribute.NewManifestCheck(src)
+	if err != nil {
+		return "", err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	active := 0
@@ -298,8 +305,9 @@ func (s *Scheduler) CreateRun(fingerprint string, open *distribute.OpenPlan) (st
 	r := &run{
 		id:          randID("run"),
 		fingerprint: fingerprint,
-		open:        open,
-		shards:      make([]shardState, len(open.Plan.Shards)),
+		check:       check,
+		source:      src,
+		shards:      make([]shardState, len(check.Plan.Shards)),
 		state:       RunRunning,
 		createdAt:   now,
 		idleSince:   now,
@@ -373,7 +381,7 @@ func (s *Scheduler) grantLocked(r *run, shard int, workerID string, now time.Tim
 // against the run's plan before anything is trusted; a stale or superseded
 // lease is rejected (ErrLeaseInvalid), a bad manifest re-queues its shard
 // (ErrManifestRejected). When the last shard commits, the run merges into
-// its canonical digest and sheds its retained plan.
+// its canonical digest and sheds its manifests and its hold on the plan.
 func (s *Scheduler) Complete(leaseID string, m *distribute.Manifest) error {
 	s.mu.Lock()
 	r, l, err := s.claimLocked(leaseID)
@@ -388,7 +396,7 @@ func (s *Scheduler) Complete(leaseID string, m *distribute.Manifest) error {
 			got = m.Shard
 		}
 		refused = fmt.Sprintf("manifest is for shard %d, lease is for shard %d", got, l.shard)
-	} else if err := distribute.VerifyManifest(r.open, m); err != nil {
+	} else if err := r.check.Verify(m); err != nil {
 		refused = err.Error()
 	}
 	if refused != "" {
@@ -418,16 +426,20 @@ func (s *Scheduler) Complete(leaseID string, m *distribute.Manifest) error {
 		return nil
 	}
 	r.merging = true
-	open := r.open
+	src := r.source
 	manifests := make([]*distribute.Manifest, len(r.shards))
 	for i := range r.shards {
 		manifests[i] = r.shards[i].manifest
 	}
 	s.mu.Unlock()
 
-	// The merge is O(image) hashing; do it outside the scheduler lock so a
-	// big run completing never stalls heartbeats and lease claims.
-	res, err := distribute.Merge(open, manifests)
+	// The merge is a replay of the plan and O(image) hashing; do it outside
+	// the scheduler lock so a big run completing never stalls heartbeats and
+	// lease claims.
+	res, err := distribute.Merge(src, manifests)
+	if err == nil {
+		err = res.Err()
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -439,14 +451,14 @@ func (s *Scheduler) Complete(leaseID string, m *distribute.Manifest) error {
 	} else {
 		r.state = RunComplete
 		r.digest = res.Digest
-		// A copy: a pointer into res would keep res.Image alive with it.
+		// A copy: a pointer into res would keep the manifests alive with it.
 		rep := res.Report
 		r.report = &rep
 		s.runsCompleted++
 	}
-	// A finished run sheds its O(image) state: the digest and the report
-	// are the product.
-	r.open = nil
+	// A finished run sheds what it held for the merge: the digest and the
+	// report are the product.
+	r.check, r.source = nil, nil
 	for i := range r.shards {
 		r.shards[i].manifest = nil
 	}

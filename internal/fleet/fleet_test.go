@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -45,18 +46,33 @@ func testConfig() core.Config {
 	return core.Config{NumFiles: 240, NumDirs: 40, FSSizeBytes: 240 * 1024, Seed: 99, Parallelism: 1}
 }
 
-// openTestPlan builds and opens a small sharded plan.
-func openTestPlan(t *testing.T, shards int) *distribute.OpenPlan {
+// testPlan is a small sharded plan document and its sealed header.
+type testPlan struct {
+	Plan *distribute.Plan
+	doc  []byte
+}
+
+// openTestPlan streams a small sharded plan into memory.
+func openTestPlan(t *testing.T, shards int) *testPlan {
 	t.Helper()
-	plan, err := distribute.BuildPlan(context.Background(), distribute.PlanRequest{Config: testConfig(), MaxShards: shards, ChunkSize: 64})
+	var doc bytes.Buffer
+	plan, err := distribute.PlanRequest{Config: testConfig(), MaxShards: shards, ChunkSize: 64}.Stream(context.Background(), &doc)
 	if err != nil {
-		t.Fatalf("BuildPlan: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
-	open, err := plan.Open()
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	return &testPlan{Plan: plan, doc: doc.Bytes()}
+}
+
+// source replays the plan document, as often as it is asked to.
+func (p *testPlan) source() distribute.PlanSource {
+	return func(open func(*distribute.Plan) (fsimage.RecordSink, error)) error {
+		return distribute.DocumentSource(bytes.NewReader(p.doc))(open)
 	}
-	return open
+}
+
+// view decodes one shard's view out of the plan document.
+func (p *testPlan) view(shard int) (*distribute.ShardView, error) {
+	return distribute.DecodePlanShard(bytes.NewReader(p.doc), shard)
 }
 
 // referenceDigest computes the single-process canonical digest for the test
@@ -75,11 +91,11 @@ func referenceDigest(t *testing.T) string {
 }
 
 // manifestFor computes a shard's true manifest on a target that keeps no bytes.
-func manifestFor(t *testing.T, open *distribute.OpenPlan, shard int) *distribute.Manifest {
+func manifestFor(t *testing.T, p *testPlan, shard int) *distribute.Manifest {
 	t.Helper()
-	view, err := open.ShardView(shard)
+	view, err := p.view(shard)
 	if err != nil {
-		t.Fatalf("ShardView(%d): %v", shard, err)
+		t.Fatalf("DecodePlanShard(%d): %v", shard, err)
 	}
 	res, err := distribute.Execute(context.Background(), view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
 	if err != nil {
@@ -104,7 +120,7 @@ func testOptions(clk *fakeClock) Options {
 
 // drainRun leases and completes every pending shard with its true manifest
 // under the given worker, advancing past backoff gates as needed.
-func drainRun(t *testing.T, s *Scheduler, clk *fakeClock, open *distribute.OpenPlan, workerID string) {
+func drainRun(t *testing.T, s *Scheduler, clk *fakeClock, open *testPlan, workerID string) {
 	t.Helper()
 	for i := 0; i < 100; i++ {
 		l, err := s.Lease(workerID)
@@ -127,7 +143,7 @@ func TestSchedulerHappyPath(t *testing.T) {
 	clk := newFakeClock()
 	s := New(testOptions(clk))
 	open := openTestPlan(t, 3)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}
@@ -149,17 +165,17 @@ func TestSchedulerHappyPath(t *testing.T) {
 	}
 }
 
-// TestFinishedRunShedsImage: the scheduler keeps every run it has seen, so a
-// finished one must hold no path to its plan's image — the digest and the
-// report are kept, the O(image) state is collectable.
-func TestFinishedRunShedsImage(t *testing.T) {
+// TestFinishedRunShedsPlan: the scheduler keeps every run it has seen, so a
+// finished one must hold no path to its plan — the digest and the report are
+// kept, the plan the merge replayed is collectable.
+func TestFinishedRunShedsPlan(t *testing.T) {
 	clk := newFakeClock()
 	s := New(testOptions(clk))
-	var img weak.Pointer[fsimage.Image]
+	var plan weak.Pointer[testPlan]
 	id := func() string {
 		open := openTestPlan(t, 2)
-		img = weak.Make(open.Image)
-		id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+		plan = weak.Make(open)
+		id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 		if err != nil {
 			t.Fatalf("CreateRun: %v", err)
 		}
@@ -170,8 +186,8 @@ func TestFinishedRunShedsImage(t *testing.T) {
 		t.Fatalf("run state %s, want complete (error: %s)", st.State, st.Error)
 	}
 	runtime.GC()
-	if img.Value() != nil {
-		t.Fatal("a completed run still reaches its plan's image")
+	if plan.Value() != nil {
+		t.Fatal("a completed run still reaches its plan")
 	}
 	if rep := s.runs[id].report; rep == nil || rep.ActualFiles != testConfig().NumFiles {
 		t.Fatalf("the completed run's report: %+v", rep)
@@ -185,7 +201,7 @@ func TestLeaseDeadlineExpiry(t *testing.T) {
 	clk := newFakeClock()
 	s := New(testOptions(clk))
 	open := openTestPlan(t, 2)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}
@@ -238,7 +254,7 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	clk := newFakeClock()
 	s := New(testOptions(clk))
 	open := openTestPlan(t, 2)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}
@@ -274,7 +290,7 @@ func TestTamperedManifestRejected(t *testing.T) {
 	clk := newFakeClock()
 	s := New(testOptions(clk))
 	open := openTestPlan(t, 2)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}
@@ -315,7 +331,7 @@ func TestResealedManifestRejected(t *testing.T) {
 	clk := newFakeClock()
 	s := New(testOptions(clk))
 	open := openTestPlan(t, 2)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}
@@ -350,7 +366,7 @@ func TestMaxAttemptsFailsRun(t *testing.T) {
 	opts.MaxAttempts = 2
 	s := New(opts)
 	open := openTestPlan(t, 1)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}
@@ -383,9 +399,9 @@ func TestInlineFallback(t *testing.T) {
 	clk := newFakeClock()
 	opts := testOptions(clk)
 	opts.InlineGrace = 5 * time.Second
-	var open *distribute.OpenPlan
+	var open *testPlan
 	opts.InlineExecute = func(ctx context.Context, fp string, shard int) (*distribute.Manifest, error) {
-		view, err := open.ShardView(shard)
+		view, err := open.view(shard)
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +413,7 @@ func TestInlineFallback(t *testing.T) {
 	}
 	s := New(opts)
 	open = openTestPlan(t, 2)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}
@@ -439,11 +455,11 @@ func TestRunCap(t *testing.T) {
 	opts.MaxRuns = 1
 	s := New(opts)
 	open := openTestPlan(t, 1)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}
-	if _, err := s.CreateRun(open.Plan.Fingerprint(), open); !errors.Is(err, ErrTooManyRuns) {
+	if _, err := s.CreateRun(open.Plan.Fingerprint(), open.source()); !errors.Is(err, ErrTooManyRuns) {
 		t.Fatalf("second CreateRun: got %v, want ErrTooManyRuns", err)
 	}
 	w := s.Register()
@@ -451,7 +467,7 @@ func TestRunCap(t *testing.T) {
 	if st, _ := s.Status(id); st.State != RunComplete {
 		t.Fatalf("run state %s, want complete", st.State)
 	}
-	if _, err := s.CreateRun("fp-cap-2", openTestPlan(t, 1)); err != nil {
+	if _, err := s.CreateRun("fp-cap-2", openTestPlan(t, 1).source()); err != nil {
 		t.Fatalf("CreateRun after completion: %v", err)
 	}
 }

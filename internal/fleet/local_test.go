@@ -31,7 +31,7 @@ func TestFailRequeuesAfterBackoff(t *testing.T) {
 	opts.Jitter = func(int64) int64 { return 0 } // backoff is exactly BackoffBase/2
 	s := New(opts)
 	open := openTestPlan(t, 1)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open)
+	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestFailRequeuesAfterBackoff(t *testing.T) {
 // slotRun is one RunSlots call over a fresh scheduler and a three-shard plan.
 type slotRun struct {
 	s       *Scheduler
-	open    *distribute.OpenPlan
+	open    *testPlan
 	id      string
 	workDir string
 	honest  []*distribute.Manifest // each shard's true manifest
@@ -93,7 +93,7 @@ type slotRun struct {
 // built once, the scheduler only reads it.
 var slotPlan struct {
 	once   sync.Once
-	open   *distribute.OpenPlan
+	open   *testPlan
 	honest []*distribute.Manifest
 }
 
@@ -109,7 +109,7 @@ func newSlotRun(t *testing.T, maxAttempts int, ttl time.Duration) *slotRun {
 	opts.MaxAttempts, opts.LeaseTTL = maxAttempts, ttl
 	opts.BackoffBase, opts.BackoffMax = time.Nanosecond, time.Nanosecond // retry at once: the clock stands still
 	r := &slotRun{s: New(opts), open: slotPlan.open, honest: slotPlan.honest, workDir: t.TempDir(), calls: map[int]int{}}
-	id, err := r.s.CreateRun(r.open.Plan.Fingerprint(), r.open)
+	id, err := r.s.CreateRun(r.open.Plan.Fingerprint(), r.open.source())
 	if err != nil {
 		t.Fatalf("CreateRun: %v", err)
 	}

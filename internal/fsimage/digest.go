@@ -18,7 +18,7 @@ import (
 
 // DigestVersion names the canonical image-digest formula. It is part of the
 // distributed pipeline's wire contract: shard manifests carry per-file
-// content hashes, the merge step combines them with CombineDigest, and the
+// content hashes, the merge step folds them with a DigestBuilder, and the
 // result must equal Digest computed by a single process. Bump the version if
 // the formula ever changes.
 const DigestVersion = "impressions-image-digest-v1"
@@ -66,7 +66,7 @@ func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 // order, then every file's path, size and content hash in ID order. Two
 // images with equal digests materialize to byte-identical trees. It is
 // computed without touching disk; the distributed merge step reproduces the
-// same value from shard manifests via CombineDigest.
+// same value from shard manifests through a DigestBuilder.
 func (img *Image) Digest(opts MaterializeOptions) (string, error) {
 	digests, err := img.ContentDigests(opts)
 	if err != nil {

@@ -197,6 +197,12 @@ func MakeFileName(counter int, ext string) string {
 
 // Summary is a compact human-readable description of an image.
 func (img *Image) Summary() string {
+	return Summary(img.FileCount(), img.DirCount(), img.TotalBytes(), img.MaxFileDepth())
+}
+
+// Summary is Image.Summary from an image's totals, for whoever holds those
+// and not the file records.
+func Summary(files, dirs int, bytes int64, maxFileDepth int) string {
 	return fmt.Sprintf("image: %d files, %d dirs, %s total, max file depth %d",
-		img.FileCount(), img.DirCount(), stats.FormatBytes(float64(img.TotalBytes())), img.MaxFileDepth())
+		files, dirs, stats.FormatBytes(float64(bytes)), maxFileDepth)
 }

@@ -123,6 +123,9 @@ func (s *TreeSink) AddDir(d DirRecord) error {
 	if d.Parent < 0 || d.Parent >= s.tree.Len() {
 		return fmt.Errorf("fsimage: directory %d has invalid parent %d (%w)", d.ID, d.Parent, ErrManifestIntegrity)
 	}
+	if !entryName(d.Name) {
+		return fmt.Errorf("fsimage: directory %d has invalid name %q (%w)", d.ID, d.Name, ErrManifestIntegrity)
+	}
 	id := s.tree.AddDir(d.Parent)
 	if id != d.ID {
 		return fmt.Errorf("fsimage: directory IDs are not dense (got %d want %d) (%w)", id, d.ID, ErrManifestIntegrity)
@@ -151,7 +154,7 @@ func (s *TreeSink) AddFile(f File) error {
 	if wantDepth := s.tree.Dirs[f.DirID].Depth + 1; f.Depth != wantDepth {
 		return fmt.Errorf("fsimage: file %q depth %d does not match directory depth %d (%w)", f.Name, f.Depth, wantDepth, ErrManifestIntegrity)
 	}
-	if f.Name == "" || strings.ContainsAny(f.Name, "/\x00") {
+	if !entryName(f.Name) {
 		return fmt.Errorf("fsimage: file %d has invalid name %q (%w)", f.ID, f.Name, ErrManifestIntegrity)
 	}
 	s.nextFileID = f.ID + 1
@@ -163,6 +166,12 @@ func (s *TreeSink) AddFile(f File) error {
 		return s.OnFile(f)
 	}
 	return nil
+}
+
+// entryName reports whether name can name one entry inside its directory:
+// a path joined from it stays under the directory it names.
+func entryName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, "/\x00")
 }
 
 // Tree returns the directory tree rebuilt so far (nil before the root

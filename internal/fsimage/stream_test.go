@@ -47,10 +47,11 @@ func TestTreeSinkRejectsBadStreams(t *testing.T) {
 	file := func(id, dirID, depth int, size int64, name string) File {
 		return File{ID: id, Name: name, Size: size, DirID: dirID, Depth: depth}
 	}
-	cases := []struct {
+	type sinkCase struct {
 		name string
 		feed func(s *TreeSink) error
-	}{
+	}
+	cases := []sinkCase{
 		{"non-root first", func(s *TreeSink) error { return s.AddDir(dir(1, 0)) }},
 		{"sparse dir ids", func(s *TreeSink) error {
 			if err := s.AddDir(dir(0, -1)); err != nil {
@@ -105,10 +106,25 @@ func TestTreeSinkRejectsBadStreams(t *testing.T) {
 			return s.AddFile(file(0, 0, 1, 1, "a/b"))
 		}},
 	}
+	// A name that does not stay inside its directory, for a file or a
+	// directory below the root: written out, it would land beside the tree.
+	for _, name := range []string{"", ".", "..", "a/b", "/", "a\x00b"} {
+		cases = append(cases, sinkCase{fmt.Sprintf("directory named %q", name), func(s *TreeSink) error {
+			if err := s.AddDir(dir(0, -1)); err != nil {
+				return err
+			}
+			return s.AddDir(DirRecord{ID: 1, Parent: 0, Name: name})
+		}}, sinkCase{fmt.Sprintf("file named %q", name), func(s *TreeSink) error {
+			if err := s.AddDir(dir(0, -1)); err != nil {
+				return err
+			}
+			return s.AddFile(file(0, 0, 1, 1, name))
+		}})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.feed(NewTreeSink(nil)); err == nil {
-				t.Error("malformed stream accepted")
+			if err := tc.feed(NewTreeSink(nil)); !errors.Is(err, ErrManifestIntegrity) {
+				t.Errorf("malformed stream: got %v, want ErrManifestIntegrity", err)
 			}
 		})
 	}

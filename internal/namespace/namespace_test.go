@@ -125,12 +125,14 @@ func TestMarkSpecial(t *testing.T) {
 	}
 }
 
+// TestMarkSpecialSanitizesNames: a configured special directory is always
+// one entry of its parent, whatever name it was given.
 func TestMarkSpecialSanitizesNames(t *testing.T) {
-	tree := GenerateTree(nil, 3, ShapeFlat)
-	tree.MarkSpecial([]SpecialDir{{Name: "bad/name", Depth: 1, Bias: 5}})
-	for _, id := range tree.SpecialDirs() {
-		if strings.Contains(tree.Dirs[id].Name, "/") {
-			t.Errorf("special dir name %q contains a path separator", tree.Dirs[id].Name)
+	for name, want := range map[string]string{"bad/name": "bad_name", ".": "_", "..": "__", "": "special", "x\x00y": "x_y", "...": "...", ".cache": ".cache"} {
+		tree := GenerateTree(nil, 3, ShapeFlat)
+		tree.MarkSpecial([]SpecialDir{{Name: name, Depth: 1, Bias: 5}})
+		if got := tree.Dirs[tree.SpecialDirs()[0]].Name; got != want {
+			t.Errorf("special directory %q is named %q, want %q", name, got, want)
 		}
 	}
 }

@@ -16,6 +16,7 @@ package namespace
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Dir is one directory in a generated namespace.
@@ -345,7 +346,13 @@ func (t *Tree) SubdirCountHistogram(maxBins int) []float64 {
 	return out
 }
 
+// sanitizeName makes a configured directory name one entry of its parent:
+// '/' and NUL become '_', and so do the dots of "." and "..", which name
+// the directory itself and its parent.
 func sanitizeName(name string) string {
+	if name == "." || name == ".." {
+		return strings.Repeat("_", len(name))
+	}
 	out := make([]byte, 0, len(name))
 	for i := 0; i < len(name); i++ {
 		c := name[i]

@@ -19,7 +19,7 @@ import (
 
 // Client is a thin typed client for the generation service. Plan and shard
 // responses are exposed as streams so callers decode them exactly like
-// local plan files (distribute.DecodePlan / distribute.DecodeShardView).
+// local plan files (distribute.DocumentSource / distribute.DecodeShardView).
 //
 // Idempotent calls (PostPlan, PullShard, Generate, Stats, run status)
 // transparently retry transient failures — connection refused/reset and

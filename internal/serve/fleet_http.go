@@ -9,12 +9,14 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 
 	"impressions/internal/distribute"
 	"impressions/internal/fleet"
+	"impressions/internal/fsimage"
 )
 
 // maxManifestBody bounds an uploaded shard manifest (64 MiB — a manifest
@@ -72,10 +74,10 @@ func (s *Server) inlineShard(ctx context.Context, fingerprint string, shard int)
 }
 
 // handlePostRun creates a distributed run: make sure the plan is in the
-// store (buildOrFetch: built exactly once however many requests race),
-// retain its open form for verification and merge, and hand it to the
-// scheduler. The response is the run's initial status; poll GET
-// /v1/runs/{id} until it carries the canonical digest.
+// store (buildOrFetch: built exactly once however many requests race) and
+// hand the scheduler a replay of the stored document. The response is the
+// run's initial status; poll GET /v1/runs/{id} until it carries the
+// canonical digest.
 func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -102,28 +104,51 @@ func (s *Server) createRun(ctx context.Context, req PlanRequest) (st fleet.RunSt
 	if err != nil {
 		return st, fp, err
 	}
-	if rc != nil {
-		rc.Close()
+	if rc == nil {
+		// An entry already gone again is a 404, as for a shard.
+		return st, fp, fmt.Errorf("%w (fingerprint %s)", ErrPlanNotFound, fp)
 	}
-	// Decoding a stored plan into its retained open form and building its
-	// tree are O(image). An entry already gone again is a 404, as for a shard.
-	var open *distribute.OpenPlan
-	err = s.withStored(ctx, fp, func(doc io.Reader, _ int64) error {
-		p, err := distribute.DecodePlan(doc)
-		if err == nil {
-			open, err = p.Open()
-		}
-		return err
-	})
-	if err != nil {
-		return st, fp, err
-	}
-	id, err := s.fleet.CreateRun(fp, open)
+	rc.Close()
+	id, err := s.fleet.CreateRun(fp, s.runSource(fp, req))
 	if err != nil {
 		return st, fp, err
 	}
 	st, err = s.fleet.Status(id)
 	return st, fp, err
+}
+
+// runSource replays the stored plan fp for a run: once as the run is
+// created, and again when its last shard commits. Each replay reads the
+// document under a worker slot, as every O(image) read of the store does, on
+// a context of its own — the request that created the run is gone by the
+// merge. An entry evicted in the meantime is rebuilt through buildOrFetch.
+func (s *Server) runSource(fp string, req PlanRequest) distribute.PlanSource {
+	return func(open func(*distribute.Plan) (fsimage.RecordSink, error)) error {
+		ctx := context.Background()
+		if s.opts.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
+			defer cancel()
+		}
+		replay := func(doc io.Reader, _ int64) error { return distribute.DocumentSource(doc)(open) }
+		err := s.withStored(ctx, fp, replay)
+		if !errors.Is(err, ErrPlanNotFound) {
+			return err
+		}
+		rc, _, _, err := s.buildOrFetch(ctx, fp, planBuilder(req))
+		if err != nil {
+			return err
+		}
+		if rc == nil {
+			return fmt.Errorf("%w (fingerprint %s, rebuilt and gone again)", ErrPlanNotFound, fp)
+		}
+		defer rc.Close()
+		if err := s.acquire(ctx); err != nil {
+			return err
+		}
+		defer s.release()
+		return replay(rc, 0)
+	}
 }
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {

@@ -459,6 +459,69 @@ func TestFleetInlineFallback(t *testing.T) {
 	}
 }
 
+// TestFleetRunMergesAfterEviction: a run holds no decoded plan, only a
+// replay of the stored document; an entry evicted between the run's
+// creation and its merge is rebuilt through buildOrFetch, once, and the run
+// still ends in the canonical digest.
+func TestFleetRunMergesAfterEviction(t *testing.T) {
+	srv, c := newTestServer(t, Options{Store: NewMemStore(1), Fleet: fleetTestOptions()})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	spec := testSpec(7007)
+	run, err := c.PostRun(ctx, PlanRequest{Spec: spec, Shards: 2})
+	if err != nil {
+		t.Fatalf("PostRun: %v", err)
+	}
+	manifests := make([]*distribute.Manifest, run.TotalShards)
+	for s := range manifests {
+		view, err := c.PullShard(ctx, run.Fingerprint, s)
+		if err != nil {
+			t.Fatalf("PullShard(%d): %v", s, err)
+		}
+		res, err := distribute.Execute(ctx, view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
+		if err != nil {
+			t.Fatalf("Execute(%d): %v", s, err)
+		}
+		manifests[s] = res.Manifest
+	}
+	// A one-byte budget keeps only the newest plan: another takes its place.
+	resp, err := c.PostPlan(ctx, PlanRequest{Spec: testSpec(7008), Shards: 1})
+	if err != nil {
+		t.Fatalf("PostPlan: %v", err)
+	}
+	resp.Body.Close()
+	if _, _, err := srv.opts.Store.Open(run.Fingerprint); !errors.Is(err, ErrPlanNotFound) {
+		t.Fatalf("the run's plan is still stored (%v): the test evicts nothing", err)
+	}
+
+	before := srv.Stats()
+	sched := srv.Fleet()
+	w := sched.Register()
+	for range manifests {
+		l, err := sched.Lease(w.WorkerID)
+		if err != nil || l == nil {
+			t.Fatalf("Lease: %v, %v", l, err)
+		}
+		if err := sched.Complete(l.LeaseID, manifests[l.Shard]); err != nil {
+			t.Fatalf("Complete(shard %d): %v", l.Shard, err)
+		}
+	}
+	st, err := sched.Status(run.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != fleet.RunComplete {
+		t.Fatalf("run state %s, want complete (%s)", st.State, st.Error)
+	}
+	if ref := fleetReferenceDigest(t, spec); st.Digest != ref {
+		t.Fatalf("digest %s, want %s", st.Digest, ref)
+	}
+	if got := countersSince(before, srv.Stats()); got != (cacheCounters{built: 1, misses: 1}) {
+		t.Fatalf("the merge moved the cache counters by %+v, want one rebuild", got)
+	}
+}
+
 // TestReadyzSplitsFromHealthz: /healthz is liveness (green the whole way
 // down); /readyz flips 503 the moment the server starts draining.
 func TestReadyzSplitsFromHealthz(t *testing.T) {

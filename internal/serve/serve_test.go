@@ -210,15 +210,10 @@ func TestServedShardsMergeToLocalDigest(t *testing.T) {
 		manifests[s] = res.Manifest
 	}
 
-	decoded, err := distribute.DecodePlan(bytes.NewReader(planDoc))
-	if err != nil {
-		t.Fatalf("DecodePlan: %v", err)
+	merged, err := distribute.Merge(distribute.DocumentSource(bytes.NewReader(planDoc)), manifests)
+	if err == nil {
+		err = merged.Err()
 	}
-	open, err := decoded.Open()
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	merged, err := distribute.Merge(open, manifests)
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
@@ -566,14 +561,17 @@ func TestPartitionedPlansServeFragments(t *testing.T) {
 		}
 		manifests[s] = res.Manifest
 	}
-	res, err := distribute.MergeFragments(ctx, func(shard int) (io.ReadCloser, error) {
+	res, err := distribute.Merge(distribute.FragmentSource(ctx, parts, func(shard int) (io.ReadCloser, error) {
 		return io.NopCloser(bytes.NewReader(frags[shard])), nil
-	}, manifests)
-	if err != nil {
-		t.Fatalf("MergeFragments: %v", err)
+	}), manifests)
+	if err == nil {
+		err = res.Err()
 	}
-	if res.Fingerprint != ix.Fingerprint {
-		t.Fatalf("merge bound plan %s, index advertised %s", res.Fingerprint, ix.Fingerprint)
+	if err != nil {
+		t.Fatalf("fragment merge: %v", err)
+	}
+	if fp := res.Plan.Fingerprint(); fp != ix.Fingerprint {
+		t.Fatalf("merge bound plan %s, index advertised %s", fp, ix.Fingerprint)
 	}
 
 	cfg, err := core.ConfigFromSpec(spec)
