@@ -1297,11 +1297,15 @@ var generatedAtJSONRe = regexp.MustCompile(`"generated_at": "[^"]*"`)
 // TestDistributedPins pins what the merge and distrun commands print over
 // faultCfgArgs' image: `merge -plan` complete (with its -report JSON), with
 // -print-digest, and with -partial over a set missing shard 1 and holding a
-// shard 2 manifest with one entry's size changed and resealed; `merge -index`
-// over the same image as fragments; and distrun's `distrun:` and `image
-// digest:` lines and its -report JSON. The `generated at` values are masked
-// and temp paths read $T. The golden files were written at the commit before
-// the merge stopped retaining the plan and must not change with it.
+// shard 2 manifest with one entry's size changed and resealed; the same
+// image as fragments, each fragment's worker (its output and manifest) and
+// `merge -index` over them; `stitch` over three tar segments (its output and
+// the archive's SHA-256); and distrun's `distrun:` and `image digest:` lines
+// and its -report JSON. The `generated at` values are masked and temp paths
+// read $T. The merge and distrun goldens were written at the commit before
+// the merge stopped retaining the plan, the worker-fragment and stitch ones
+// at the commit before -plan took a fragment index and a shard document, and
+// none may change with either.
 func TestDistributedPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
@@ -1382,19 +1386,41 @@ func TestDistributedPins(t *testing.T) {
 	t.Run("merge-plan-partial", func(t *testing.T) {
 		pin(t, "merge-plan-partial", cli(t, "merge", "-plan", plan, "-partial", "-out", out, manifest(0), resealed))
 	})
+	// The same image as a fragment index, one worker per fragment: what each
+	// prints, and the manifest it writes.
+	index := filepath.Join(dir, "part", "plan.json")
+	if err := os.MkdirAll(filepath.Dir(index), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	must(t, append(append([]string{"plan"}, faultCfgArgs...), "-partition", "3", "-plan", index)...)
+	var fragmentWorkers strings.Builder
+	var manifests []string
+	for s := 0; s < 3; s++ {
+		m := filepath.Join(dir, "part", fmt.Sprintf("manifest-%d.json", s))
+		fragmentWorkers.WriteString(cli(t, "worker", "-fragment", fmt.Sprintf("%s.frag%d", index, s), "-out", filepath.Join(dir, "part-out"), "-manifest", m))
+		fragmentWorkers.WriteString("--- manifest\n" + file(t, m))
+		manifests = append(manifests, m)
+	}
+	t.Run("worker-fragment", func(t *testing.T) {
+		pin(t, "worker-fragment", fragmentWorkers.String())
+	})
 	t.Run("merge-index", func(t *testing.T) {
-		index := filepath.Join(dir, "part", "plan.json")
-		if err := os.MkdirAll(filepath.Dir(index), 0o755); err != nil {
+		pin(t, "merge-index", cli(t, append([]string{"merge", "-index", index}, manifests...)...))
+	})
+	t.Run("stitch", func(t *testing.T) {
+		var segments []string
+		for s := 0; s < 3; s++ {
+			seg := filepath.Join(dir, fmt.Sprintf("seg-%d.tar", s))
+			must(t, "worker", "-plan", plan, "-shard", strconv.Itoa(s), "-format", "tar", "-out", seg, "-manifest", filepath.Join(dir, fmt.Sprintf("seg-manifest-%d.json", s)))
+			segments = append(segments, seg)
+		}
+		image := filepath.Join(dir, "stitched.tar")
+		got := cli(t, append([]string{"stitch", "-plan", plan, "-out", image}, segments...)...)
+		data, err := os.ReadFile(image)
+		if err != nil {
 			t.Fatal(err)
 		}
-		must(t, append(append([]string{"plan"}, faultCfgArgs...), "-partition", "3", "-plan", index)...)
-		var manifests []string
-		for s := 0; s < 3; s++ {
-			m := filepath.Join(dir, "part", fmt.Sprintf("manifest-%d.json", s))
-			must(t, "worker", "-fragment", fmt.Sprintf("%s.frag%d", index, s), "-out", filepath.Join(dir, "part-out"), "-manifest", m)
-			manifests = append(manifests, m)
-		}
-		pin(t, "merge-index", cli(t, append([]string{"merge", "-index", index}, manifests...)...))
+		pin(t, "stitch", fmt.Sprintf("%s--- sha256 %x\n", got, sha256.Sum256(data)))
 	})
 	t.Run("distrun", func(t *testing.T) {
 		rerouteWorkers(t, nil)
