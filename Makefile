@@ -28,11 +28,12 @@ bench-smoke:
 # Local mirror of the CI distributed-determinism job: a plan executed by 4
 # worker processes (at -j 1, 2, 4 and 8) and merged must be byte-identical to
 # a single-process run at -j 1 and at -j 4 (same canonical digest, same
-# on-disk bytes). The partitioned leg does it again without a plan file:
+# on-disk bytes). The partitioned leg does it again without a plan document:
 # `plan -partition 4` built with -spill at -j 1 and at -j 4, and without
 # -spill, must write the same index and the same four fragments, and four
-# `worker -fragment` processes plus `merge -index` must print the same digest
-# over the same tree.
+# `worker -plan part/plan.json -shard N` processes (each reads its fragment)
+# plus `merge -plan part/plan.json` must print the same digest over the same
+# tree.
 dist-check:
 	@rm -rf /tmp/impressions-dist-check && mkdir -p /tmp/impressions-dist-check
 	$(GO) build -o /tmp/impressions-dist-check/impressions ./cmd/impressions
@@ -50,11 +51,11 @@ dist-check:
 	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -partition 4 -spill part-j4 -plan part-j4/plan.json; \
 	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -partition 4 -plan part-mem/plan.json; \
 	for other in part-j4 part-mem; do cmp part/plan.json $$other/plan.json; for s in 0 1 2 3; do cmp part/plan.json.frag$$s $$other/plan.json.frag$$s; done; done; \
-	pids=""; for s in 0 1 2 3; do ./impressions worker -fragment part/plan.json.frag$$s -j $$((1 << s)) -out part-merged -manifest part/manifest-$$s.json & pids="$$pids $$!"; done; \
+	pids=""; for s in 0 1 2 3; do ./impressions worker -plan part/plan.json -shard $$s -j $$((1 << s)) -out part-merged -manifest part/manifest-$$s.json & pids="$$pids $$!"; done; \
 	for p in $$pids; do wait "$$p"; done; \
-	./impressions merge -index part/plan.json -print-digest part/manifest-*.json > part.digest; \
+	./impressions merge -plan part/plan.json -print-digest part/manifest-*.json > part.digest; \
 	cmp single.digest part.digest; diff -r single part-merged; \
-	echo "dist-check: OK (digests and trees identical at every -j, from a plan file and from fragments)"
+	echo "dist-check: OK (digests and trees identical at every -j, from a plan document and from a fragment index)"
 
 # Local mirror of the CI fault-injection step: plan → 4 workers, one killed
 # mid-write (its manifest discarded so the outcome is timing-independent) →

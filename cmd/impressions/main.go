@@ -12,6 +12,9 @@
 // runs plan → N local worker processes → merge in one call: the fleet
 // scheduler in process, its workers writing in place under the shard journal
 // (`worker -work`), so a failed or killed run is resumed by running it again.
+// `worker`, `merge` and `stitch` take a plan at -plan in any of its shapes: a
+// plan document, the fragment index `plan -partition` writes, or (for the
+// worker) one shard document, such as a fragment.
 //
 // Fleet mode hands the orchestration to a running impressionsd: `worker
 // -join <url>` turns this process into a lease-pulling fleet worker with
@@ -37,6 +40,8 @@
 //	impressions worker -plan plan.json -shard 3 -format tar -out seg3.tar -manifest shard3.json
 //	impressions stitch -plan plan.json -out image.tar seg0.tar seg1.tar seg2.tar
 //	impressions merge -plan plan.json -print-digest shard*.json
+//	impressions plan -files 20000 -seed 42 -partition 8 -plan part.json
+//	impressions worker -plan part.json.frag3 -out /mnt/img -manifest shard3.json
 //	impressions distrun -files 20000 -seed 42 -shards 4 -out /tmp/image
 //	impressions worker -join http://127.0.0.1:7077 -out /mnt/img -work /var/tmp/journals
 //	impressions fleetrun -base http://127.0.0.1:7077 -files 20000 -seed 42 -shards 8
@@ -51,7 +56,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -405,18 +409,18 @@ func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, want
 
 // runStitch merges per-shard tar segments (written by `worker -format
 // tar`, named in shard order) into the monolithic archive — byte-identical
-// to a single-process `-format tar` run of the same plan. Content bytes
-// are copied, never regenerated; every entry is verified against the plan
-// stream.
+// to a single-process `-format tar` run of the same plan, whether -plan is
+// its document or its fragment index. Content bytes are copied, never
+// regenerated; every entry is verified against the plan stream.
 func runStitch(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions stitch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		planFlag = fs.String("plan", "", "plan file the segments were built from (required)")
+		planFlag = fs.String("plan", "", "plan the segments were built from (required): a plan document, or the fragment index `plan -partition` writes")
 		outFlag  = fs.String("out", "", "file to write the stitched tar archive to (required)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: impressions stitch -plan plan.json -out image.tar seg0.tar seg1.tar ...")
+		fmt.Fprintln(stderr, "usage: impressions stitch -plan plan.json|index.json -out image.tar seg0.tar seg1.tar ...")
 		fs.PrintDefaults()
 	}
 	if err := parseFlags(fs, args); err != nil {
@@ -429,11 +433,10 @@ func runStitch(args []string, stdout, stderr io.Writer) error {
 	if len(segPaths) == 0 {
 		return usagef("stitch: segment files (one per shard, in shard order) are required")
 	}
-	planF, err := os.Open(*planFlag)
+	plan, err := distribute.OpenPlanFile(*planFlag)
 	if err != nil {
 		return err
 	}
-	defer planF.Close()
 	segments := make([]io.Reader, len(segPaths))
 	for i, p := range segPaths {
 		f, err := os.Open(p)
@@ -447,7 +450,7 @@ func runStitch(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p, err := distribute.StitchPlanTar(planF, segments, out, imgfmt.Options{})
+	p, err := distribute.StitchPlanTar(plan.Source(context.Background()), segments, out, imgfmt.Options{})
 	if err != nil {
 		out.Close()
 		return err
@@ -612,11 +615,10 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		planFlag     = fs.String("plan", "", "plan file produced by `impressions plan`")
-		fragFlag     = fs.String("fragment", "", "self-contained fragment document (written by `plan -partition`) to execute; the fragment names its own shard")
+		planFlag     = fs.String("plan", "", "plan to execute a shard of: a plan document, the fragment index `plan -partition` writes (the shard's fragment is read), or one shard document such as a fragment, which names its own shard")
 		fromFlag     = fs.String("from", "", "URL of a shard document to fetch and execute (the daemon's /v1/plans/{fp}/shards/{i})")
 		joinFlag     = fs.String("join", "", "base URL of an impressionsd to join as a fleet worker (e.g. http://127.0.0.1:7077)")
-		shardFlag    = fs.Int("shard", -1, "shard index to execute (required with -plan)")
+		shardFlag    = fs.Int("shard", -1, "shard index to execute (required with a plan document or an index; with a shard document it must name the shard the document carries)")
 		formatFlag   = fs.String("format", "dir", "shard output: dir (materialized tree) or tar (segment file for `stitch`)")
 		outFlag      = fs.String("out", "", "directory (-format dir) or segment file (-format tar) to write the shard to (required)")
 		manifestFlag = fs.String("manifest", "", "file to write the shard manifest to (required with -plan/-from)")
@@ -636,8 +638,8 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	}
 	wopts := distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs, BatchFiles: *batchFiles, FailAfterFiles: *failAfter}
 	if *joinFlag != "" {
-		if *planFlag != "" || *fromFlag != "" || *fragFlag != "" {
-			return usagef("worker: -join is exclusive with -plan/-from/-fragment")
+		if *planFlag != "" || *fromFlag != "" {
+			return usagef("worker: -join is exclusive with -plan/-from")
 		}
 		if *outFlag == "" {
 			return usagef("worker: -join requires -out")
@@ -647,36 +649,17 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 		}
 		return runFleetWorker(*joinFlag, *outFlag, *workDir, *idleExit, wopts, stdout)
 	}
-	sources := 0
-	for _, set := range []bool{*planFlag != "", *fromFlag != "", *fragFlag != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return usagef("worker: exactly one of -plan, -from, or -fragment is required (or -join for fleet mode)")
+	if (*planFlag == "") == (*fromFlag == "") {
+		return usagef("worker: exactly one of -plan or -from is required (or -join for fleet mode)")
 	}
 	if *outFlag == "" || *manifestFlag == "" {
 		return usagef("worker: -out and -manifest are required")
 	}
-	var (
-		view *distribute.ShardView
-		err  error
-	)
-	switch {
-	case *fromFlag != "":
-		view, err = fetchShardView(*fromFlag)
-	case *fragFlag != "":
-		var f *os.File
-		if f, err = os.Open(*fragFlag); err == nil {
-			view, err = distribute.DecodeShardView(f)
-			f.Close()
-		}
-	default:
-		if *shardFlag < 0 {
-			return usagef("worker: -plan requires -shard")
-		}
-		view, err = distribute.LoadPlanShard(*planFlag, *shardFlag)
+	view, err := workerView(*planFlag, *fromFlag, *shardFlag)
+	if errors.Is(err, fsimage.ErrInvalidSpec) {
+		// No shard of a whole plan, one it does not have, or another one than
+		// the shard document's: the flags ask for what the plan cannot give.
+		return usageError{err}
 	}
 	if err != nil {
 		return err
@@ -714,19 +697,29 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// fetchShardView pulls a self-contained shard document from a daemon URL —
-// the re-run path a fleet run's status names for outstanding shards.
-func fetchShardView(url string) (*distribute.ShardView, error) {
-	resp, err := http.Get(url)
+// workerView reads the shard a worker executes: from the plan at planPath,
+// whatever its shape, or from the daemon's shard document at url, fetched
+// with the client's retry of a daemon that is restarting or draining. shard
+// is -1 or the shard to execute; a shard document must carry it.
+func workerView(planPath, url string, shard int) (*distribute.ShardView, error) {
+	if planPath != "" {
+		pf, err := distribute.OpenPlanFile(planPath)
+		if err != nil {
+			return nil, err
+		}
+		return pf.View(shard)
+	}
+	base, rest, _ := strings.Cut(url, "/v1/plans/")
+	fp, index, _ := strings.Cut(rest, "/shards/")
+	served, err := strconv.Atoi(index)
 	if err != nil {
-		return nil, err
+		return nil, usagef("worker: -from %q is not a daemon's shard URL (<base>/v1/plans/<fingerprint>/shards/<i>)", url)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("worker: fetching shard from %s: HTTP %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
+	view, err := (&serve.Client{Base: base}).PullShard(context.Background(), fp, served)
+	if err == nil && shard >= 0 && view.Shard != shard {
+		err = fmt.Errorf("worker: %s is the document of shard %d, not of shard %d (%w)", url, view.Shard, shard, fsimage.ErrInvalidSpec)
 	}
-	return distribute.DecodeShardView(resp.Body)
+	return view, err
 }
 
 // dieIfInjected escalates an injected -fail-after-files crash to a SIGKILL
@@ -836,13 +829,13 @@ func runIncomplete(stdout io.Writer, who string, st fleet.RunStatus) error {
 // image, report, and canonical digest. With -partial it instead audits a
 // possibly incomplete manifest set and reports exactly which shards are
 // outstanding — with the worker command line to re-run each — so a failed
-// distributed run can be resumed instead of restarted.
+// distributed run can be resumed instead of restarted. The plan is a plan
+// document or a fragment index, and the merge says the same of either.
 func runMerge(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions merge", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		planFlag    = fs.String("plan", "", "plan file produced by `impressions plan` (required unless -index)")
-		indexFlag   = fs.String("index", "", "fragment index produced by `plan -partition`: verify the fragment documents + manifests and reproduce the canonical digest without ever materializing the image")
+		planFlag    = fs.String("plan", "", "plan the manifests were produced from (required): a plan document, or the fragment index `plan -partition` writes (its fragments are read)")
 		reportFlag  = fs.String("report", "", "write the merged JSON reproducibility report to this file")
 		printDigest = fs.Bool("print-digest", false, "print only the canonical image digest line")
 		partialFlag = fs.Bool("partial", false, "accept an incomplete manifest set: report outstanding shards (with re-run commands) instead of failing; merges normally when the set turns out to be complete")
@@ -851,23 +844,16 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if *indexFlag != "" {
-		if *planFlag != "" || *partialFlag || *reportFlag != "" {
-			return usagef("merge: -index is exclusive with -plan/-partial/-report (a fragment merge never holds the image)")
-		}
-		return runFragmentMerge(*indexFlag, fs.Args(), *printDigest, stdout)
-	}
 	if *planFlag == "" {
 		return usagef("merge: -plan <file> is required")
 	}
 	if fs.NArg() == 0 && !*partialFlag {
 		return usagef("merge: at least one shard manifest file is required (or -partial to audit an empty set)")
 	}
-	plan, err := os.Open(*planFlag)
+	plan, err := distribute.OpenPlanFile(*planFlag)
 	if err != nil {
 		return err
 	}
-	defer plan.Close()
 	manifests := make([]*distribute.Manifest, 0, fs.NArg())
 	for _, path := range fs.Args() {
 		m, err := distribute.LoadManifest(path)
@@ -883,7 +869,7 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 		}
 		manifests = append(manifests, m)
 	}
-	res, err := distribute.Merge(distribute.DocumentSource(plan), manifests)
+	res, err := distribute.Merge(plan.Source(context.Background()), manifests)
 	if err != nil {
 		return err
 	}
@@ -910,57 +896,6 @@ func runMerge(args []string, stdout, stderr io.Writer) error {
 		if err := writeReportFile(*reportFlag, &res.Report); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runFragmentMerge is the partitioned pipeline's final stage: it streams
-// the fragment documents named by the index against the workers' manifests
-// and reproduces the canonical image digest in O(dirs + shards·chunk)
-// memory — the merge node never holds the image either.
-func runFragmentMerge(indexPath string, manifestPaths []string, printDigest bool, stdout io.Writer) error {
-	ix, err := distribute.LoadFragmentIndex(indexPath)
-	if err != nil {
-		return err
-	}
-	if len(manifestPaths) == 0 {
-		return usagef("merge: -index requires the shard manifest files as arguments")
-	}
-	manifests := make([]*distribute.Manifest, len(manifestPaths))
-	for i, path := range manifestPaths {
-		if manifests[i], err = distribute.LoadManifest(path); err != nil {
-			return err
-		}
-	}
-	dir := filepath.Dir(indexPath)
-	res, err := distribute.Merge(distribute.FragmentSource(context.Background(), ix.Shards, func(shard int) (io.ReadCloser, error) {
-		return os.Open(filepath.Join(dir, ix.Fragments[shard]))
-	}), manifests)
-	if err != nil {
-		return err
-	}
-	for _, st := range res.Statuses {
-		if st.State == distribute.ShardMissing {
-			return fmt.Errorf("merge: no manifest for shard %d — run its worker (impressions worker -fragment %s ...) and merge again",
-				st.Shard, filepath.Join(dir, ix.Fragments[st.Shard]))
-		}
-	}
-	if err := res.Err(); err != nil {
-		return err
-	}
-	fingerprint := res.Plan.Fingerprint()
-	if fingerprint != ix.Fingerprint {
-		return fmt.Errorf("merge: fragment fingerprint %s does not match index fingerprint %s (%w)", fingerprint, ix.Fingerprint, fsimage.ErrManifestIntegrity)
-	}
-	if !printDigest {
-		fmt.Fprintf(stdout, "merged %d dirs, %d files, %d bytes from %d fragments (fingerprint %s)\n",
-			res.Plan.Dirs, res.Plan.Files, res.Plan.Bytes, ix.Shards, fingerprint[:12])
-	}
-	if printDigest && res.Digest == "" {
-		return fmt.Errorf("merge: the manifests are metadata-only and carry no content digest")
-	}
-	if res.Digest != "" {
-		fmt.Fprintf(stdout, "image digest: sha256:%s\n", res.Digest)
 	}
 	return nil
 }

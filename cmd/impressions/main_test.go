@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -129,13 +130,15 @@ func TestPlanStreamWritesIdenticalPlan(t *testing.T) {
 
 // TestPlanPartitionWorkerMergePipeline drives the partitioned pipeline
 // through the CLI end to end: plan -partition writes fragments plus an
-// index, worker -fragment executes each fragment, merge -index verifies the
-// set and reproduces the digest a monolithic plan/worker/merge run prints.
+// index, worker -plan executes a shard from the index or from its fragment,
+// and merge -plan of the index has the whole front end of a document's:
+// the digest a monolithic plan/worker/merge run prints, -partial's re-run
+// line, which completes the merge when run, and the same -report.
 func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 	dir := t.TempDir()
 	cfgArgs := []string{"-files", "400", "-dirs", "80", "-seed", "9"}
 
-	// Reference digest from the monolithic pipeline.
+	// Reference digest and report from the monolithic pipeline.
 	monoPlan := filepath.Join(dir, "mono.json")
 	if err := run(append([]string{"plan"}, append(cfgArgs, "-shards", "2", "-plan", monoPlan)...), io.Discard, io.Discard); err != nil {
 		t.Fatalf("monolithic plan: %v", err)
@@ -149,8 +152,9 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 		}
 		monoManifests = append(monoManifests, mf)
 	}
+	monoReport := filepath.Join(dir, "mono-report.json")
 	var monoOut bytes.Buffer
-	if err := run(append([]string{"merge", "-plan", monoPlan, "-print-digest"}, monoManifests...), &monoOut, io.Discard); err != nil {
+	if err := run(append([]string{"merge", "-plan", monoPlan, "-print-digest", "-report", monoReport}, monoManifests...), &monoOut, io.Discard); err != nil {
 		t.Fatalf("monolithic merge: %v", err)
 	}
 	refDigest := strings.TrimSpace(monoOut.String())
@@ -165,24 +169,43 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 		t.Errorf("plan -partition -mem did not report the fragment count:\n%s", planOut.String())
 	}
 	outRoot := filepath.Join(dir, "out")
-	manifests := []string{}
-	for s := 0; s < 2; s++ {
-		frag := fmt.Sprintf("%s.frag%d", planPath, s)
-		if _, err := os.Stat(frag); err != nil {
-			t.Fatalf("fragment %d not written: %v", s, err)
-		}
-		mf := filepath.Join(dir, fmt.Sprintf("manifest-%d.json", s))
-		if err := run([]string{"worker", "-fragment", frag, "-out", outRoot, "-manifest", mf}, io.Discard, io.Discard); err != nil {
-			t.Fatalf("worker -fragment %d: %v", s, err)
-		}
-		manifests = append(manifests, mf)
+	manifest := func(s int) string { return filepath.Join(dir, fmt.Sprintf("manifest-%d.json", s)) }
+	frag := planPath + ".frag0"
+	if err := run([]string{"worker", "-plan", frag, "-out", outRoot, "-manifest", manifest(0)}, io.Discard, io.Discard); err != nil {
+		t.Fatalf("worker -plan %s: %v", frag, err)
 	}
+
+	// Shard 1 withheld: -partial names it, with the command that runs it from
+	// the index, and that command completes the merge.
+	var partial bytes.Buffer
+	if err := run([]string{"merge", "-plan", planPath, "-partial", "-out", outRoot, manifest(0)}, &partial, io.Discard); err != nil {
+		t.Fatalf("merge -partial: %v", err)
+	}
+	rerun := regexp.MustCompile(`(?m)^    re-run: impressions (.*)$`).FindAllStringSubmatch(partial.String(), -1)
+	if want := "worker -plan " + planPath + " -shard 1 -out " + outRoot + " -manifest " + manifest(1); len(rerun) != 1 || rerun[0][1] != want {
+		t.Fatalf("merge -partial of the index said:\n%s\nwant one re-run line %q", partial.String(), want)
+	}
+	if err := run(strings.Fields(rerun[0][1]), io.Discard, io.Discard); err != nil {
+		t.Fatalf("the re-run line: %v", err)
+	}
+	report := filepath.Join(dir, "report.json")
 	var mergeOut bytes.Buffer
-	if err := run(append([]string{"merge", "-index", planPath, "-print-digest"}, manifests...), &mergeOut, io.Discard); err != nil {
-		t.Fatalf("merge -index: %v", err)
+	if err := run([]string{"merge", "-plan", planPath, "-print-digest", "-report", report, manifest(0), manifest(1)}, &mergeOut, io.Discard); err != nil {
+		t.Fatalf("merge -plan of the index: %v", err)
 	}
 	if got := strings.TrimSpace(mergeOut.String()); got != refDigest {
 		t.Errorf("fragment pipeline digest %q != monolithic %q", got, refDigest)
+	}
+	var reports [2]string
+	for i, path := range []string{monoReport, report} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports[i] = generatedAtJSONRe.ReplaceAllString(string(data), "")
+	}
+	if reports[0] != reports[1] {
+		t.Errorf("merge -report of the index wrote\n%s\nof the document\n%s", reports[1], reports[0])
 	}
 
 	// An index is input like any other: one whose fragment names lead out of
@@ -209,11 +232,11 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	var errOut bytes.Buffer
-	if code := Main(append([]string{"merge", "-index", hostile, "-print-digest"}, manifests...), io.Discard, &errOut); code != 1 {
-		t.Errorf("merge -index with a fragment named ../../secret.txt exited %d, want 1", code)
+	if code := Main([]string{"merge", "-plan", hostile, "-print-digest", manifest(0), manifest(1)}, io.Discard, &errOut); code != 1 {
+		t.Errorf("merge -plan with a fragment named ../../secret.txt exited %d, want 1", code)
 	}
-	if msg := errOut.String(); !strings.Contains(msg, "fragment index names fragment 0") || strings.Contains(msg, "hunter2") {
-		t.Errorf("merge -index with a fragment named ../../secret.txt said:\n%s", msg)
+	if msg := errOut.String(); !strings.Contains(msg, "fragment index names fragment 0") || !strings.Contains(msg, fsimage.ErrManifestIntegrity.Error()) || strings.Contains(msg, "hunter2") {
+		t.Errorf("merge -plan with a fragment named ../../secret.txt said:\n%s", msg)
 	}
 }
 
@@ -232,8 +255,8 @@ func TestMergeRefusesStrayManifest(t *testing.T) {
 			return []string{"-plan", filepath.Join(dir, "plan.json"), "-shard", strconv.Itoa(s)}
 		}, []string{"merge", "-plan", filepath.Join(dir, "plan.json")}},
 		{"index", "part.json", func(s int) []string {
-			return []string{"-fragment", fmt.Sprintf("%s.frag%d", filepath.Join(dir, "part.json"), s)}
-		}, []string{"merge", "-index", filepath.Join(dir, "part.json")}},
+			return []string{"-plan", fmt.Sprintf("%s.frag%d", filepath.Join(dir, "part.json"), s)}
+		}, []string{"merge", "-plan", filepath.Join(dir, "part.json")}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			shards := map[string]string{"plan": "-shards", "index": "-partition"}[mode.name]
@@ -265,6 +288,98 @@ func TestMergeRefusesStrayManifest(t *testing.T) {
 			}
 			if msg := stderr.String(); !strings.Contains(msg, "manifest for unknown shard 7 (plan has 2 shards)") || !strings.Contains(msg, fsimage.ErrManifestIntegrity.Error()) {
 				t.Errorf("merge with a manifest for shard 7 of 2 said: %s", msg)
+			}
+		})
+	}
+}
+
+// TestWorkerShardSources runs a worker from every source a shard comes from
+// — a plan document, a fragment index, a fragment, a daemon's shard URL —
+// with and without -shard. A whole plan needs -shard, and a shard document
+// names its own shard, so -shard naming another one is a usage error (exit 2,
+// no manifest) instead of being ignored. The rest write the manifest a worker
+// of the plan document writes, one -from row although the daemon answers its
+// first request 503, as a daemon that is restarting or draining does.
+func TestWorkerShardSources(t *testing.T) {
+	dir := t.TempDir()
+	doc, index := filepath.Join(dir, "plan.json"), filepath.Join(dir, "part", "plan.json")
+	if err := os.MkdirAll(filepath.Dir(index), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-shards", "2", "-plan", doc}, {"-partition", "2", "-plan", index}} {
+		if err := run(append(append([]string{"plan"}, faultCfgArgs...), args...), io.Discard, io.Discard); err != nil {
+			t.Fatalf("plan %v: %v", args, err)
+		}
+	}
+	fragment := func(s int) string { return fmt.Sprintf("%s.frag%d", index, s) }
+	want := make([][]byte, 2)
+	for s := range want {
+		m := filepath.Join(dir, fmt.Sprintf("want-%d.json", s))
+		if err := run([]string{"worker", "-plan", doc, "-shard", strconv.Itoa(s), "-out", filepath.Join(dir, "out"), "-manifest", m}, io.Discard, io.Discard); err != nil {
+			t.Fatalf("worker %d: %v", s, err)
+		}
+		var err error
+		if want[s], err = os.ReadFile(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A daemon that serves fragment 0 as its shard 0, and turns a request
+	// away when told to.
+	served, err := os.ReadFile(fragment(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var turnAway atomic.Bool
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case turnAway.Swap(false):
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+		case r.URL.Path == "/v1/plans/f00/shards/0":
+			w.Write(served)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer daemon.Close()
+	from := daemon.URL + "/v1/plans/f00/shards/0"
+
+	for _, c := range []struct {
+		name   string
+		source []string
+		shard  int  // the shard the worker must execute
+		busy   bool // the daemon answers the first request 503
+		want   int
+	}{
+		{"document", []string{"-plan", doc, "-shard", "1"}, 1, false, 0},
+		{"document without -shard", []string{"-plan", doc}, 0, false, 2},
+		{"document -shard out of range", []string{"-plan", doc, "-shard", "2"}, 0, false, 2},
+		{"index", []string{"-plan", index, "-shard", "1"}, 1, false, 0},
+		{"index without -shard", []string{"-plan", index}, 0, false, 2},
+		{"fragment", []string{"-plan", fragment(1)}, 1, false, 0},
+		{"fragment -shard its own", []string{"-plan", fragment(1), "-shard", "1"}, 1, false, 0},
+		{"fragment -shard another", []string{"-plan", fragment(0), "-shard", "1"}, 0, false, 2},
+		{"from", []string{"-from", from}, 0, false, 0},
+		{"from a busy daemon", []string{"-from", from}, 0, true, 0},
+		{"from -shard its own", []string{"-from", from, "-shard", "0"}, 0, false, 0},
+		{"from -shard another", []string{"-from", from, "-shard", "1"}, 0, false, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			turnAway.Store(c.busy)
+			m := filepath.Join(t.TempDir(), "manifest.json")
+			var stdout, stderr bytes.Buffer
+			args := append(append([]string{"worker"}, c.source...), "-out", filepath.Join(dir, "out"), "-manifest", m)
+			if code := Main(args, &stdout, &stderr); code != c.want {
+				t.Fatalf("Main(%q) = %d, want %d: %s", args, code, c.want, stderr.String())
+			}
+			got, err := os.ReadFile(m)
+			switch {
+			case c.want != 0 && err == nil:
+				t.Errorf("a refused worker wrote a manifest")
+			case c.want != 0 && stdout.Len() > 0:
+				t.Errorf("a refused worker printed %q", stdout.String())
+			case c.want == 0 && !bytes.Equal(got, want[c.shard]):
+				t.Errorf("the manifest (%v) is not the one a worker of the plan document writes for shard %d", err, c.shard)
 			}
 		})
 	}
@@ -315,7 +430,6 @@ func TestMainExitCodes(t *testing.T) {
 		{"worker join+from conflict", []string{"worker", "-join", "http://127.0.0.1:1", "-from", "http://x/v1/plans/f/shards/0", "-out", t.TempDir()}, 2},
 		{"worker join missing out", []string{"worker", "-join", "http://127.0.0.1:1"}, 2},
 		{"worker plan+from conflict", []string{"worker", "-plan", "p.json", "-from", "http://x/v1/plans/f/shards/0", "-out", t.TempDir(), "-manifest", "m.json"}, 2},
-		{"worker plan missing shard", []string{"worker", "-plan", "/nonexistent/plan.json", "-out", t.TempDir(), "-manifest", "m.json"}, 2},
 		{"fleetrun bad flag", []string{"fleetrun", "-no-such-flag"}, 2},
 		{"fleetrun bad size", []string{"fleetrun", "-size", "notasize"}, 2},
 		{"merge missing manifests", []string{"merge", "-plan", "/nonexistent/plan.json"}, 2},
@@ -1298,14 +1412,17 @@ var generatedAtJSONRe = regexp.MustCompile(`"generated_at": "[^"]*"`)
 // faultCfgArgs' image: `merge -plan` complete (with its -report JSON), with
 // -print-digest, and with -partial over a set missing shard 1 and holding a
 // shard 2 manifest with one entry's size changed and resealed; the same
-// image as fragments, each fragment's worker (its output and manifest) and
-// `merge -index` over them; `stitch` over three tar segments (its output and
-// the archive's SHA-256); and distrun's `distrun:` and `image digest:` lines
-// and its -report JSON. The `generated at` values are masked and temp paths
-// read $T. The merge and distrun goldens were written at the commit before
-// the merge stopped retaining the plan, the worker-fragment and stitch ones
-// at the commit before -plan took a fragment index and a shard document, and
-// none may change with either.
+// image as a fragment index, each shard's worker (its output and manifest)
+// run from the index and from its fragment, and `merge -plan` of the index,
+// which must print what it prints of the document; `stitch` over three tar
+// segments (its output and the archive's SHA-256, which is the
+// single-process archive's), from the document and from the index; and
+// distrun's `distrun:` and `image digest:` lines and its -report JSON. The
+// `generated at` values are masked and temp paths read $T. The merge and
+// distrun goldens were written at the commit before the merge stopped
+// retaining the plan, the worker-fragment and stitch ones at the commit
+// before -plan took a fragment index and a shard document (by `worker
+// -fragment` and `stitch -plan <document>`), and none may change with either.
 func TestDistributedPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
@@ -1386,41 +1503,67 @@ func TestDistributedPins(t *testing.T) {
 	t.Run("merge-plan-partial", func(t *testing.T) {
 		pin(t, "merge-plan-partial", cli(t, "merge", "-plan", plan, "-partial", "-out", out, manifest(0), resealed))
 	})
-	// The same image as a fragment index, one worker per fragment: what each
-	// prints, and the manifest it writes.
+	// The same image as a fragment index. Each shard is executed from the
+	// index, from its fragment, and from its fragment naming the shard, and
+	// each way must print and write what `worker -fragment` did.
 	index := filepath.Join(dir, "part", "plan.json")
 	if err := os.MkdirAll(filepath.Dir(index), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	must(t, append(append([]string{"plan"}, faultCfgArgs...), "-partition", "3", "-plan", index)...)
-	var fragmentWorkers strings.Builder
+	fragment := func(s int) string { return fmt.Sprintf("%s.frag%d", index, s) }
 	var manifests []string
 	for s := 0; s < 3; s++ {
-		m := filepath.Join(dir, "part", fmt.Sprintf("manifest-%d.json", s))
-		fragmentWorkers.WriteString(cli(t, "worker", "-fragment", fmt.Sprintf("%s.frag%d", index, s), "-out", filepath.Join(dir, "part-out"), "-manifest", m))
-		fragmentWorkers.WriteString("--- manifest\n" + file(t, m))
-		manifests = append(manifests, m)
+		manifests = append(manifests, filepath.Join(dir, "part", fmt.Sprintf("manifest-%d.json", s)))
 	}
-	t.Run("worker-fragment", func(t *testing.T) {
-		pin(t, "worker-fragment", fragmentWorkers.String())
-	})
+	for _, way := range []struct {
+		name  string
+		shard func(s int) []string
+	}{
+		{"index", func(s int) []string { return []string{"-plan", index, "-shard", strconv.Itoa(s)} }},
+		{"fragment", func(s int) []string { return []string{"-plan", fragment(s)} }},
+		{"fragment-shard", func(s int) []string { return []string{"-plan", fragment(s), "-shard", strconv.Itoa(s)} }},
+	} {
+		t.Run("worker-fragment/"+way.name, func(t *testing.T) {
+			var got strings.Builder
+			for s := 0; s < 3; s++ {
+				got.WriteString(cli(t, append(append([]string{"worker"}, way.shard(s)...), "-out", filepath.Join(dir, "part-out"), "-manifest", manifests[s])...))
+				got.WriteString("--- manifest\n" + file(t, manifests[s]))
+			}
+			pin(t, "worker-fragment", got.String())
+		})
+	}
 	t.Run("merge-index", func(t *testing.T) {
-		pin(t, "merge-index", cli(t, append([]string{"merge", "-index", index}, manifests...)...))
+		report := filepath.Join(dir, "part", "merge-report.json")
+		got := cli(t, append([]string{"merge", "-plan", index, "-report", report}, manifests...)...)
+		pin(t, "merge-plan", got+"--- report\n"+file(t, report))
+		pin(t, "merge-plan-print-digest", cli(t, append([]string{"merge", "-plan", index, "-print-digest"}, manifests...)...))
 	})
 	t.Run("stitch", func(t *testing.T) {
-		var segments []string
-		for s := 0; s < 3; s++ {
-			seg := filepath.Join(dir, fmt.Sprintf("seg-%d.tar", s))
-			must(t, "worker", "-plan", plan, "-shard", strconv.Itoa(s), "-format", "tar", "-out", seg, "-manifest", filepath.Join(dir, fmt.Sprintf("seg-manifest-%d.json", s)))
-			segments = append(segments, seg)
-		}
-		image := filepath.Join(dir, "stitched.tar")
-		got := cli(t, append([]string{"stitch", "-plan", plan, "-out", image}, segments...)...)
-		data, err := os.ReadFile(image)
+		single := filepath.Join(dir, "single.tar")
+		must(t, append(append([]string{}, faultCfgArgs...), "-format", "tar", "-out", single)...)
+		want, err := os.ReadFile(single)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pin(t, "stitch", fmt.Sprintf("%s--- sha256 %x\n", got, sha256.Sum256(data)))
+		for _, p := range []string{plan, index} {
+			var segments []string
+			for s := 0; s < 3; s++ {
+				seg := filepath.Join(dir, fmt.Sprintf("seg-%d.tar", s))
+				must(t, "worker", "-plan", p, "-shard", strconv.Itoa(s), "-format", "tar", "-out", seg, "-manifest", filepath.Join(dir, fmt.Sprintf("seg-manifest-%d.json", s)))
+				segments = append(segments, seg)
+			}
+			image := filepath.Join(dir, "stitched.tar")
+			got := cli(t, append([]string{"stitch", "-plan", p, "-out", image}, segments...)...)
+			data, err := os.ReadFile(image)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin(t, "stitch", fmt.Sprintf("%s--- sha256 %x\n", got, sha256.Sum256(data)))
+			if !bytes.Equal(data, want) {
+				t.Errorf("stitch -plan %s wrote another archive than -format tar", mask(p))
+			}
+		}
 	})
 	t.Run("distrun", func(t *testing.T) {
 		rerouteWorkers(t, nil)

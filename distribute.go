@@ -41,7 +41,8 @@ type ShardResult = distribute.ShardResult
 type MergeResult = distribute.MergeResult
 
 // PlanSource replays a plan for Merge: a plan document, a set of fragment
-// documents, or a resolved plan's columns.
+// documents, or a resolved plan's columns. PlanFile.Source is the first two
+// at a path.
 type PlanSource = distribute.PlanSource
 
 // PlanRequest is the single entry point for building plans: configuration
@@ -61,10 +62,15 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 	return distribute.PartitionPlan(ctx, req, open)
 }
 
-// LoadFragmentIndex reads a fragment index file written by `plan -partition`.
-func LoadFragmentIndex(path string) (*FragmentIndex, error) {
-	return distribute.LoadFragmentIndex(path)
-}
+// PlanFile is a plan path opened for what it holds: a plan document, the
+// fragment index `plan -partition` writes, or one shard document.
+type PlanFile = distribute.PlanFile
+
+// OpenPlanFile opens the plan at path in whichever of the three shapes it
+// holds. Its View decodes the shard a worker executes, and its Source replays
+// the whole plan for Merge or the stitcher — a fragment index through its
+// fragments, held to what the index names.
+func OpenPlanFile(path string) (*PlanFile, error) { return distribute.OpenPlanFile(path) }
 
 // LoadPlanShard reads a plan file through the shard-pruning decoder,
 // retaining only the given shard's records — a worker's memory is bounded

@@ -32,16 +32,17 @@ import (
 // every existing consumer.
 //
 // FragmentSource replays the K fragment documents as the whole plan's record
-// stream, so Merge verifies a partitioned run holding the tree and O(K ×
-// chunk) buffers.
+// stream, so Merge verifies a partitioned run, and the stitcher rebuilds its
+// archive, holding the tree and O(K × chunk) buffers. OpenPlanFile takes the
+// index's path where a plan document's is taken.
 
 // FragmentIndexVersion is the fragment-index wire version.
 const FragmentIndexVersion = 1
 
 // FragmentIndex describes a partitioned plan: the parent plan's identity
 // plus the names of its fragment documents. It is what `plan -partition`
-// writes at the plan path (fragments land next to it) and what the serve
-// layer stores under the plan fingerprint.
+// writes at the plan path (fragments land next to it), and OpenPlanFile
+// opens it there like a plan document.
 type FragmentIndex struct {
 	FormatVersion int `json:"format_version"`
 	// Fingerprint is the parent plan's Fingerprint(); every fragment's
@@ -100,9 +101,14 @@ func DecodeFragmentIndex(r io.Reader) (*FragmentIndex, error) {
 	return &ix, nil
 }
 
-// LoadFragmentIndex reads a fragment index file.
-func LoadFragmentIndex(path string) (*FragmentIndex, error) {
-	return loadFile(path, DecodeFragmentIndex)
+// check holds a plan header to the plan the index names: the same
+// fingerprint, shard count and totals.
+func (ix *FragmentIndex) check(hdr *Plan) error {
+	if fp := hdr.Fingerprint(); fp != ix.Fingerprint || len(hdr.Shards) != ix.Shards || hdr.Files != ix.Files || hdr.Dirs != ix.Dirs || hdr.Bytes != ix.Bytes {
+		return fmt.Errorf("distribute: the fragment index names plan %.12s of %d shards, %d files, %d dirs, %d bytes; its fragments carry plan %.12s of %d, %d, %d, %d (%w)",
+			ix.Fingerprint, ix.Shards, ix.Files, ix.Dirs, ix.Bytes, fp, len(hdr.Shards), hdr.Files, hdr.Dirs, hdr.Bytes, fsimage.ErrManifestIntegrity)
+	}
+	return nil
 }
 
 // FragmentName returns the conventional fragment basename for a shard,

@@ -24,7 +24,10 @@
 //     processes, containers, CI jobs, or machines. A worker decodes the plan
 //     through the shard-pruning path (LoadPlanShard), retaining only its own
 //     shard's file records — its memory is bounded by its shard, not the
-//     image.
+//     image. OpenPlanFile takes a plan path in any of its three shapes — a
+//     plan document, a fragment index, one shard document — and gives the
+//     worker its shard (View) and the merge or the stitcher the whole plan
+//     (Source).
 //   - Merge is the one merge. It replays a plan from a PlanSource — a plan
 //     document, a set of fragments, or a resolved plan's columns — holds
 //     every file to its shard's manifest, grades each shard so a failed run

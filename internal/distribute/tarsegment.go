@@ -30,16 +30,19 @@ func writeTarSegment(ctx context.Context, v *ShardView, w io.Writer, opts Worker
 	})
 }
 
-// StitchPlanTar replays a plan document and merges per-shard tar segments
+// StitchPlanTar replays a plan from src and merges per-shard tar segments
 // (one reader per shard, in shard order) into the monolithic archive on w
 // — byte-identical to a single-process tar serialization of the same plan.
 // Content bytes are copied from the segments, never regenerated; every
 // entry is verified against the plan stream, so a segment from a different
 // plan or seed fails with fsimage.ErrManifestIntegrity.
-func StitchPlanTar(planR io.Reader, segments []io.Reader, w io.Writer, opts imgfmt.Options) (*Plan, error) {
-	var st *imgfmt.Stitcher
-	p, err := readDocument(planR, planDoc, func(hdr *Plan, _ int) (_ fsimage.RecordSink, err error) {
-		opts.Seed = hdr.Seed
+func StitchPlanTar(src PlanSource, segments []io.Reader, w io.Writer, opts imgfmt.Options) (*Plan, error) {
+	var (
+		p  *Plan
+		st *imgfmt.Stitcher
+	)
+	err := src(func(hdr *Plan) (_ fsimage.RecordSink, err error) {
+		p, opts.Seed = hdr, hdr.Seed
 		st, err = imgfmt.NewStitcher(w, segments, hdr.shardRoots(), opts)
 		return st, err
 	})
@@ -49,22 +52,26 @@ func StitchPlanTar(planR io.Reader, segments []io.Reader, w io.Writer, opts imgf
 	return p, st.Close()
 }
 
-// WritePlanTar regenerates a plan's full image as one monolithic tar on w
-// and returns the plan and the canonical image digest (empty with
-// MetadataOnly — there is no content to attest). registry, when non-nil,
-// supplies the content registry for the plan's kind (the daemon passes its
-// warm cache); otherwise a fresh registry is built. opts.Parallelism
-// workers generate the content.
-func WritePlanTar(planR io.Reader, w io.Writer, opts imgfmt.Options, registry func(kind string) *content.Registry) (*Plan, string, error) {
-	// A plan document that fails to decode mid-stream is an error the sink
-	// never sees; cancelling its context on the way out is what releases
-	// its content workers then (the daemon is long-lived).
+// WritePlanTar regenerates the full image of the plan src replays as one
+// monolithic tar on w and returns the plan and the canonical image digest
+// (empty with MetadataOnly — there is no content to attest). registry, when
+// non-nil, supplies the content registry for the plan's kind (the daemon
+// passes its warm cache); otherwise a fresh registry is built.
+// opts.Parallelism workers generate the content.
+func WritePlanTar(src PlanSource, w io.Writer, opts imgfmt.Options, registry func(kind string) *content.Registry) (*Plan, string, error) {
+	// A plan that fails to replay mid-stream is an error the sink never sees;
+	// cancelling its context on the way out is what releases its content
+	// workers then (the daemon is long-lived).
 	ctx, cancel := context.WithCancel(cmp.Or(opts.Context, context.Background()))
 	defer cancel()
 	opts.Context = ctx
-	var sink *imgfmt.TarSink
-	var fold *imgfmt.DigestFold
-	p, err := readDocument(planR, planDoc, func(hdr *Plan, _ int) (fsimage.RecordSink, error) {
+	var (
+		p    *Plan
+		sink *imgfmt.TarSink
+		fold *imgfmt.DigestFold
+	)
+	err := src(func(hdr *Plan) (fsimage.RecordSink, error) {
+		p = hdr
 		if registry != nil {
 			opts.Registry = registry(hdr.ContentKind)
 		} else if opts.Registry == nil {

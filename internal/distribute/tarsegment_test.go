@@ -23,7 +23,7 @@ func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 		p := planRoundTrip(t, testConfig(), k)
 
 		var mono bytes.Buffer
-		_, digest, err := WritePlanTar(bytes.NewReader(p.doc), &mono, imgfmt.Options{}, nil)
+		_, digest, err := WritePlanTar(p.source(), &mono, imgfmt.Options{}, nil)
 		if err != nil {
 			t.Fatalf("K=%d: WritePlanTar: %v", k, err)
 		}
@@ -45,7 +45,7 @@ func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 		}
 
 		var stitched bytes.Buffer
-		if _, err := StitchPlanTar(bytes.NewReader(p.doc), segments, &stitched, imgfmt.Options{}); err != nil {
+		if _, err := StitchPlanTar(p.source(), segments, &stitched, imgfmt.Options{}); err != nil {
 			t.Fatalf("K=%d: StitchPlanTar: %v", k, err)
 		}
 		if !bytes.Equal(stitched.Bytes(), mono.Bytes()) {
@@ -65,7 +65,7 @@ func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 func TestWritePlanTarMetadataOnly(t *testing.T) {
 	doc := planRoundTrip(t, testConfig(), 2).doc
 	var out bytes.Buffer
-	p, digest, err := WritePlanTar(bytes.NewReader(doc), &out, imgfmt.Options{MetadataOnly: true}, nil)
+	p, digest, err := WritePlanTar(DocumentSource(bytes.NewReader(doc)), &out, imgfmt.Options{MetadataOnly: true}, nil)
 	if err != nil {
 		t.Fatalf("WritePlanTar: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestWritePlanTarReleasesWorkersOnBadPlan(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	digests := 0
 	opts := imgfmt.Options{Parallelism: 1, OnDigest: func(fsimage.File, string) { digests++ }}
-	if _, _, err := WritePlanTar(bytes.NewReader(doc[:len(doc)*9/10]), io.Discard, opts, nil); err == nil {
+	if _, _, err := WritePlanTar(DocumentSource(bytes.NewReader(doc[:len(doc)*9/10])), io.Discard, opts, nil); err == nil {
 		t.Fatal("WritePlanTar accepted a truncated plan document")
 	}
 	if digests == 0 {

@@ -35,14 +35,6 @@ type PlanRequest struct {
 	// ChunkSize is the metadata records per plan chunk (0 selects
 	// fsimage.DefaultChunkSize).
 	ChunkSize int `json:"chunk_size,omitempty"`
-	// Partition, when > 0, asks for a partitioned plan: the server builds
-	// Partition self-contained fragment documents (content-addressed like
-	// plans, so the fleet scheduler can lease planning work) and responds
-	// with a fragment index instead of a monolithic plan document. Fetch
-	// fragments via GET /v1/plans/{fp}/fragments/{i}. Shards must be zero or
-	// equal to Partition — fragments are shard documents, the counts name
-	// the same cut.
-	Partition int `json:"partition,omitempty"`
 }
 
 // GenerateRequest asks for a small image to be generated inline.

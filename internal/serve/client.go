@@ -247,34 +247,6 @@ func (c *Client) PostPlan(ctx context.Context, req PlanRequest) (*PlanResponse, 
 	}, nil
 }
 
-// PostPartitionedPlan requests a partitioned plan (req.Partition > 0) and
-// decodes the fragment index the server responds with. Fetch the fragments
-// themselves via PullFragment.
-func (c *Client) PostPartitionedPlan(ctx context.Context, req PlanRequest) (*distribute.FragmentIndex, error) {
-	if req.Partition <= 0 {
-		return nil, fmt.Errorf("serve: PostPartitionedPlan needs Partition > 0 (%w)", fsimage.ErrInvalidSpec)
-	}
-	resp, err := c.doIdempotent(ctx, http.MethodPost, "/v1/plans", req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return distribute.DecodeFragmentIndex(resp.Body)
-}
-
-// PullFragment fetches one fragment document of a partitioned plan and
-// decodes it into an executable view. Fragments are shard documents, so the
-// result is interchangeable with PullShard's — but the server can satisfy
-// this from a leased fragment build without ever storing a monolithic plan.
-func (c *Client) PullFragment(ctx context.Context, fingerprint string, shard int) (*distribute.ShardView, error) {
-	resp, err := c.doIdempotent(ctx, http.MethodGet, fmt.Sprintf("/v1/plans/%s/fragments/%d", fingerprint, shard), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return distribute.DecodeShardView(resp.Body)
-}
-
 // PullShard fetches one shard's self-contained document and decodes it into
 // an executable view.
 func (c *Client) PullShard(ctx context.Context, fingerprint string, shard int) (*distribute.ShardView, error) {

@@ -86,7 +86,6 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	req.Partition = 0 // a run executes shards of the monolithic plan
 	st, fp, err := s.createRun(ctx, req)
 	if err != nil {
 		writeError(w, err)

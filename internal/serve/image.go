@@ -52,7 +52,7 @@ func (s *Server) handleGetRunImage(w http.ResponseWriter, r *http.Request) {
 		// Once headers are out, aborting mid-archive is the only honest
 		// signal of a failure left (the client's tar reader fails on the
 		// truncation).
-		if _, digest, err := distribute.WritePlanTar(plan, w, imgfmt.Options{Context: ctx}, s.registry); err == nil {
+		if _, digest, err := distribute.WritePlanTar(distribute.DocumentSource(plan), w, imgfmt.Options{Context: ctx}, s.registry); err == nil {
 			w.Header().Set(HeaderImageDigest, digest)
 			s.imagesServed.Add(1)
 		}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -501,173 +502,6 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never became true")
 }
 
-// rawFragment fetches one fragment document's bytes over the wire so the
-// test can both execute it (DecodeShardView) and feed the merge verifier
-// the exact served stream.
-func rawFragment(t *testing.T, c *Client, fp string, shard int) []byte {
-	t.Helper()
-	resp, err := c.doIdempotent(context.Background(), http.MethodGet,
-		fmt.Sprintf("/v1/plans/%s/fragments/%d", fp, shard), nil)
-	if err != nil {
-		t.Fatalf("GET fragment %d: %v", shard, err)
-	}
-	defer resp.Body.Close()
-	doc, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return doc
-}
-
-// TestPartitionedPlansServeFragments: a partitioned plan request returns a
-// fragment index, the served fragments execute and merge to the local
-// single-process digest, and the repeated request is an index cache hit.
-func TestPartitionedPlansServeFragments(t *testing.T) {
-	srv, c := newTestServer(t, Options{})
-	ctx := context.Background()
-	spec := testSpec(1234)
-	const parts = 2
-
-	ix, err := c.PostPartitionedPlan(ctx, PlanRequest{Spec: spec, Partition: parts})
-	if err != nil {
-		t.Fatalf("PostPartitionedPlan: %v", err)
-	}
-	if ix.Shards != parts || len(ix.Fragments) != parts {
-		t.Fatalf("index promises %d shards / %d fragments, want %d", ix.Shards, len(ix.Fragments), parts)
-	}
-	if ix.Fingerprint == "" {
-		t.Fatal("index has no plan fingerprint")
-	}
-	if ix.Files != spec.NumFiles {
-		t.Fatalf("index reports %d files, spec asked for %d", ix.Files, spec.NumFiles)
-	}
-
-	specFP, err := distribute.SpecFingerprint(spec, parts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := t.TempDir()
-	frags := make([][]byte, parts)
-	manifests := make([]*distribute.Manifest, parts)
-	for s := 0; s < parts; s++ {
-		frags[s] = rawFragment(t, c, specFP, s)
-		view, err := distribute.DecodeShardView(bytes.NewReader(frags[s]))
-		if err != nil {
-			t.Fatalf("DecodeShardView(%d): %v", s, err)
-		}
-		res, err := distribute.Execute(ctx, view, distribute.DirTarget(root), distribute.WorkerOptions{})
-		if err != nil {
-			t.Fatalf("Execute(%d): %v", s, err)
-		}
-		manifests[s] = res.Manifest
-	}
-	res, err := distribute.Merge(distribute.FragmentSource(ctx, parts, func(shard int) (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(frags[shard])), nil
-	}), manifests)
-	if err == nil {
-		err = res.Err()
-	}
-	if err != nil {
-		t.Fatalf("fragment merge: %v", err)
-	}
-	if fp := res.Plan.Fingerprint(); fp != ix.Fingerprint {
-		t.Fatalf("merge bound plan %s, index advertised %s", fp, ix.Fingerprint)
-	}
-
-	cfg, err := core.ConfigFromSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := core.GenerateImage(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	localDigest, err := local.Image.Digest(fsimage.MaterializeOptions{
-		Registry: content.NewRegistry(content.KindDefault),
-		Seed:     spec.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Digest != localDigest {
-		t.Fatalf("served fragments merged to %s, local run digests %s", res.Digest, localDigest)
-	}
-
-	// The second identical request must be served from the fragment cache.
-	built := srv.Stats().PlansBuilt
-	hits := srv.Stats().PlanCacheHits
-	again, err := c.PostPartitionedPlan(ctx, PlanRequest{Spec: spec, Partition: parts})
-	if err != nil {
-		t.Fatalf("repeated PostPartitionedPlan: %v", err)
-	}
-	if again.Fingerprint != ix.Fingerprint {
-		t.Fatalf("repeated request fingerprint %s != first %s", again.Fingerprint, ix.Fingerprint)
-	}
-	if got := srv.Stats().PlansBuilt; got != built {
-		t.Fatalf("repeated request rebuilt the plan (%d builds, was %d)", got, built)
-	}
-	if got := srv.Stats().PlanCacheHits; got != hits+1 {
-		t.Fatalf("repeated request recorded %d cache hits, want %d", got, hits+1)
-	}
-
-	// A PullFragment view must round-trip to the served bytes.
-	view, err := c.PullFragment(ctx, specFP, 0)
-	if err != nil {
-		t.Fatalf("PullFragment: %v", err)
-	}
-	var reenc bytes.Buffer
-	if err := view.Encode(&reenc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reenc.Bytes(), frags[0]) {
-		t.Fatal("PullFragment view re-encodes differently from the served fragment document")
-	}
-
-	// Conflicting shard counts are rejected up front.
-	if _, err := c.PostPartitionedPlan(ctx, PlanRequest{Spec: spec, Partition: parts, Shards: parts + 1}); StatusCode(err) != http.StatusBadRequest {
-		t.Fatalf("conflicting shards/partition: got %v, want HTTP 400", err)
-	}
-}
-
-// TestFragmentEndpointSlicesMonolithicPlans: when only a monolithic plan is
-// stored (built via the unpartitioned path), the fragments endpoint still
-// serves shard documents by slicing the stored plan — fragments and shard
-// slices are the same format.
-func TestFragmentEndpointSlicesMonolithicPlans(t *testing.T) {
-	_, c := newTestServer(t, Options{})
-	ctx := context.Background()
-	spec := testSpec(77)
-	const shards = 2
-
-	resp, err := c.PostPlan(ctx, PlanRequest{Spec: spec, Shards: shards})
-	if err != nil {
-		t.Fatalf("PostPlan: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	for s := 0; s < shards; s++ {
-		frag, err := c.PullFragment(ctx, resp.Fingerprint, s)
-		if err != nil {
-			t.Fatalf("PullFragment(%d): %v", s, err)
-		}
-		shard, err := c.PullShard(ctx, resp.Fingerprint, s)
-		if err != nil {
-			t.Fatalf("PullShard(%d): %v", s, err)
-		}
-		var a, b bytes.Buffer
-		if err := frag.Encode(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := shard.Encode(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("shard %d: fragment endpoint and shard endpoint disagree", s)
-		}
-	}
-}
-
 // forgetfulStore is a PlanStore that accepts every write and keeps none: an
 // entry is gone again by the time its builder re-opens it, the worst case of
 // a byte budget much smaller than the plan.
@@ -707,10 +541,11 @@ type cacheAnswer struct {
 	err    error
 }
 
-// TestCacheDiscipline pins the build-or-fetch protocol of the three entry
-// points that share it — POST /v1/plans, the same with partition, POST
-// /v1/runs — in every state a request can find the cache in: the header, the
-// /v1/stats deltas and the response bytes.
+// TestCacheDiscipline pins the build-or-fetch protocol of the two entry
+// points that share it — POST /v1/plans and POST /v1/runs — in every state a
+// request can find the cache in: the header, the /v1/stats deltas and the
+// response bytes. A request the API cannot read, such as one asking for the
+// partitioned plan it no longer builds, is refused before the cache is.
 func TestCacheDiscipline(t *testing.T) {
 	const racers = 4
 	entries := []struct {
@@ -729,9 +564,6 @@ func TestCacheDiscipline(t *testing.T) {
 		forgottenBypass int64
 	}{
 		{name: "plans", path: "/v1/plans", req: PlanRequest{Spec: testSpec(77), Shards: 2},
-			verdict: func(v string) string { return v }, body: func(_ *testing.T, raw []byte) []byte { return raw },
-			forgotten: http.StatusOK, forgottenBypass: 1},
-		{name: "partition", path: "/v1/plans", req: PlanRequest{Spec: testSpec(77), Partition: 2},
 			verdict: func(v string) string { return v }, body: func(_ *testing.T, raw []byte) []byte { return raw },
 			forgotten: http.StatusOK, forgottenBypass: 1},
 		{name: "runs", path: "/v1/runs", req: PlanRequest{Spec: testSpec(77), Shards: 2},
@@ -888,6 +720,35 @@ func TestCacheDiscipline(t *testing.T) {
 			counted(t, "bypassed request", srv, before, cacheCounters{built: 1, misses: 1, bypass: e.forgottenBypass})
 		})
 	}
+
+	// A request for a partitioned plan, the flavour the API no longer has, is a
+	// 400 on both entry points: read as a plan request without the field it
+	// would be answered with a one-shard plan nobody asked for.
+	t.Run("partition/refused", func(t *testing.T) {
+		srv, c := newTestServer(t, Options{})
+		spec, err := json.Marshal(testSpec(77))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := srv.Stats()
+		for _, path := range []string{"/v1/plans", "/v1/runs"} {
+			resp, err := c.http().Post(c.Base+path, "application/json", strings.NewReader(`{"spec":`+string(spec)+`,"partition":2}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"partition\"`) {
+				t.Errorf("POST %s with partition: HTTP %d: %.200s, want 400 naming the field", path, resp.StatusCode, body)
+			}
+		}
+		if got := countersSince(before, srv.Stats()); got != (cacheCounters{}) {
+			t.Errorf("refused requests moved the cache counters by %+v", got)
+		}
+		if st := srv.Fleet().StatsSnapshot(); st.RunsActive != 0 {
+			t.Errorf("a refused POST /v1/runs created %d runs", st.RunsActive)
+		}
+	})
 }
 
 var updatePins = flag.Bool("update-pins", false, "rewrite testdata/generate-*.json from this build's answers")

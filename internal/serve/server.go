@@ -118,7 +118,6 @@ func New(opts Options) *Server {
 	s.ready.Store(true)
 	s.mux.HandleFunc("POST /v1/plans", s.handlePostPlans)
 	s.mux.HandleFunc("GET /v1/plans/{fp}/shards/{shard}", s.handleGetShard)
-	s.mux.HandleFunc("GET /v1/plans/{fp}/fragments/{shard}", s.handleGetFragment)
 	s.mux.HandleFunc("POST /v1/generate", s.handleGenerate)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v1/runs", s.handlePostRun)
@@ -209,9 +208,12 @@ func decodeJSON(r *http.Request, v any) error {
 }
 
 // decodeJSONLimit reads a JSON request body up to limit bytes (manifest
-// uploads carry per-file digest lines and need more room than specs).
+// uploads carry per-file digest lines and need more room than specs). A
+// member the request type does not have is refused, not ignored: a field
+// the API has dropped must not come back as a silently different answer.
 func decodeJSONLimit(r *http.Request, v any, limit int64) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: decoding request body: %v (%w)", err, fsimage.ErrInvalidSpec)
 	}
@@ -258,27 +260,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 // planFingerprint settles how many shards a plan request cuts the image into
 // (req.Shards on return) and returns the plan's content address.
 func (s *Server) planFingerprint(req *PlanRequest) (string, error) {
-	noun := "shards"
-	if req.Partition > 0 {
-		if req.Shards != 0 && req.Shards != req.Partition {
-			return "", fmt.Errorf("serve: shards %d conflicts with partition %d — fragments are shard documents, the counts must agree (%w)",
-				req.Shards, req.Partition, fsimage.ErrInvalidSpec)
-		}
-		noun, req.Shards = "fragments", req.Partition
-	}
 	if req.Shards <= 0 {
 		req.Shards = 1
 	}
 	if req.Shards > s.opts.MaxShards {
-		return "", fmt.Errorf("serve: %d %s exceeds the server's limit of %d (%w)", req.Shards, noun, s.opts.MaxShards, fsimage.ErrInvalidSpec)
+		return "", fmt.Errorf("serve: %d shards exceeds the server's limit of %d (%w)", req.Shards, s.opts.MaxShards, fsimage.ErrInvalidSpec)
 	}
 	return distribute.SpecFingerprint(req.Spec, req.Shards, req.ChunkSize)
 }
 
 // handlePostPlans is the build-or-fetch plan endpoint: the spec is
-// fingerprinted (normalized content address) and the plan document, or with
-// partition the fragment index, is served through the cache discipline of
-// buildOrFetch.
+// fingerprinted (normalized content address) and the plan document is served
+// through the cache discipline of buildOrFetch.
 func (s *Server) handlePostPlans(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -292,11 +285,8 @@ func (s *Server) handlePostPlans(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	key, build := fp, planBuilder(req)
-	if req.Partition > 0 {
-		key, build = fragmentIndexKey(fp), s.fragmentBuilder(req, fp)
-	}
-	rc, size, verdict, err := s.buildOrFetch(ctx, key, build)
+	build := planBuilder(req)
+	rc, size, verdict, err := s.buildOrFetch(ctx, fp, build)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -428,76 +418,11 @@ func planBuilder(req PlanRequest) buildFunc {
 	}
 }
 
-// fragmentKey is the store key of one fragment document: fragments are
-// content-addressed exactly like plans, so the fleet scheduler can lease
-// planning work the way it leases shard execution.
-func fragmentKey(fp string, shard int) string { return fmt.Sprintf("%s-frag-%d", fp, shard) }
-
-// fragmentIndexKey is the store key of a partitioned plan's index document.
-// It commits last, so an index hit implies every fragment was committed.
-func fragmentIndexKey(fp string) string { return fp + "-index" }
-
-// nopWriteCloser adapts a staged store writer to the io.WriteCloser
-// PartitionPlan expects, deferring commit/abort to the caller — the error
-// path must abort, never publish, a half-written fragment.
-type nopWriteCloser struct{ io.Writer }
-
-func (nopWriteCloser) Close() error { return nil }
-
-// fragmentBuilder builds a partitioned plan's index document and, on the way,
-// streams its fragments into staged store entries, committing every one only
-// after the whole build succeeds — an error (or a dead requester) aborts all
-// of them, never publishing a partial set. The index describes the plan to
-// clients: the parent fingerprint plus the fragments' store keys (fetchable
-// via the fragments endpoint).
-func (s *Server) fragmentBuilder(req PlanRequest, fp string) buildFunc {
-	return func(ctx context.Context, dst io.Writer) error {
-		preq, err := planRequest(req)
-		if err != nil {
-			return err
-		}
-		var writers []PlanWriter
-		defer func() {
-			for _, pw := range writers {
-				pw.Abort() // a no-op on the committed
-			}
-		}()
-		plan, err := distribute.PartitionPlan(ctx, preq, func(shard int) (io.WriteCloser, error) {
-			pw, err := s.opts.Store.Create(fragmentKey(fp, shard))
-			if err != nil {
-				return nil, err
-			}
-			writers = append(writers, pw)
-			return nopWriteCloser{pw}, nil
-		})
-		if err != nil {
-			return err
-		}
-		for _, pw := range writers {
-			if err := pw.Commit(); err != nil {
-				return err
-			}
-		}
-		return plan.FragmentIndex(func(shard int) string { return fragmentKey(fp, shard) }).Encode(dst)
-	}
-}
-
 // handleGetShard slices one shard out of a stored plan and streams it as a
 // self-contained shard document. The extraction runs the shard-pruning
 // decode server-side, so the response — and the server's memory — is
 // bounded by the shard, not the plan.
-func (s *Server) handleGetShard(w http.ResponseWriter, r *http.Request) { s.serveShard(w, r, false) }
-
-// handleGetFragment streams one fragment document of a partitioned plan.
-// Stored fragments are served verbatim; on a miss the server derives the
-// fragment by slicing a stored monolithic plan — fragments are shard
-// documents, so the two sources are byte-identical.
-func (s *Server) handleGetFragment(w http.ResponseWriter, r *http.Request) { s.serveShard(w, r, true) }
-
-// serveShard answers both endpoints: a stored fragment verbatim when stored
-// is set and the store has it, otherwise shard {shard} pruned out of the
-// stored plan {fp}.
-func (s *Server) serveShard(w http.ResponseWriter, r *http.Request, stored bool) {
+func (s *Server) handleGetShard(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	fp := r.PathValue("fp")
@@ -506,34 +431,20 @@ func (s *Server) serveShard(w http.ResponseWriter, r *http.Request, stored bool)
 		writeError(w, fmt.Errorf("serve: shard index %q is not a number (%w)", r.PathValue("shard"), fsimage.ErrInvalidSpec))
 		return
 	}
-	head := func() {
+	err = s.withStored(ctx, fp, func(doc io.Reader, _ int64) error {
+		view, err := distribute.DecodePlanShard(doc, shard)
+		if err != nil {
+			return err
+		}
+		// From here the headers are out: an encoding that fails aborts the
+		// document mid-stream.
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set(HeaderFingerprint, fp)
-	}
-	if stored {
-		err = s.withStored(ctx, fragmentKey(fp, shard), func(doc io.Reader, size int64) error {
-			head()
-			w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-			io.Copy(w, doc)
+		if view.Encode(w) == nil {
 			s.shardsServed.Add(1)
-			return nil
-		})
-	}
-	if !stored || err != nil {
-		err = s.withStored(ctx, fp, func(doc io.Reader, _ int64) error {
-			view, err := distribute.DecodePlanShard(doc, shard)
-			if err != nil {
-				return err
-			}
-			// From here the headers are out: an encoding that fails aborts the
-			// document mid-stream.
-			head()
-			if view.Encode(w) == nil {
-				s.shardsServed.Add(1)
-			}
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 	if err != nil {
 		writeError(w, err)
 	}
