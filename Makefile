@@ -224,8 +224,8 @@ mem-check:
 # (whatever `go test -list '^Fuzz'` finds: the tar header and stitcher in
 # internal/imgfmt, the chunk codec and decoder in internal/fsimage, the plan
 # document, shard document, manifest and journal decoders in
-# internal/distribute) for
-# FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in
+# internal/distribute, and the radix sort against sort.Float64s in
+# internal/stats) for FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in
 # `go test`; this is the ten seconds of new inputs per target on top. The
 # minimizer is off (it stalls on the stitcher's tens-of-KiB inputs) and the
 # cache of interesting inputs lives outside the tree; a finding is written

@@ -1146,9 +1146,10 @@ func writeReportFile(path string, r *fsimage.Report) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// parseSize parses human-friendly sizes like "500MB", "4.55GB", "1048576".
-func parseSize(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
+// parseSize parses human-friendly sizes like "500MB", "4.55GB", "1048576":
+// a finite number that comes to at least one byte and less than 2^63 bytes.
+func parseSize(in string) (int64, error) {
+	s := strings.TrimSpace(strings.ToUpper(in))
 	mult := float64(1)
 	for _, suffix := range []struct {
 		text string
@@ -1164,10 +1165,16 @@ func parseSize(s string) (int64, error) {
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	if err != nil {
-		return 0, fmt.Errorf("invalid size %q", s)
+		return 0, fmt.Errorf("invalid size %q", in)
 	}
-	if v <= 0 {
-		return 0, fmt.Errorf("size must be positive")
+	switch bytes := v * mult; {
+	case math.IsNaN(bytes) || math.IsInf(bytes, 0):
+		return 0, fmt.Errorf("invalid size %q: not a finite number", in)
+	case bytes < 1:
+		return 0, fmt.Errorf("invalid size %q: less than one byte", in)
+	case bytes >= 1<<63:
+		return 0, fmt.Errorf("invalid size %q: 2^63 bytes or more", in)
+	default:
+		return int64(bytes), nil
 	}
-	return int64(v * mult), nil
 }

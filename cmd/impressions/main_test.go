@@ -17,6 +17,7 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +42,8 @@ func TestParseSize(t *testing.T) {
 		"4.5GB":  int64(4.5 * float64(1<<30)),
 		"2TB":    2 << 40,
 		" 1 MB ": 1 << 20,
+		"1.5":    1,
+		"1e18":   1_000_000_000_000_000_000,
 	}
 	for in, want := range cases {
 		got, err := parseSize(in)
@@ -52,7 +55,7 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("parseSize(%q) = %d, want %d", in, got, want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "-5MB", "0"} {
+	for _, bad := range []string{"", "abc", "-5MB", "0", "0.4", "0.5B", "nan", "inf", "-inf", "1e30", "8192PB", "9.3e18"} {
 		if _, err := parseSize(bad); err == nil {
 			t.Errorf("parseSize(%q) should fail", bad)
 		}
@@ -480,6 +483,23 @@ func TestMainExitCodes(t *testing.T) {
 		}
 		if c.want == 2 && stdout.Len() > 0 {
 			t.Errorf("%s: a usage error came after output:\n%s", c.name, stdout.String())
+		}
+	}
+	// A -size that is not a size is a usage error naming it. A size under
+	// one byte used to become 0, and so no size at all; one that is not
+	// finite or reaches 2^63 bytes used to be reported as a negative size.
+	for _, args := range [][]string{
+		{"-files", "10", "-size", "0.4"},
+		{"-files", "10", "-size", "nan"},
+		{"-files", "10", "-size", "inf"},
+		{"-files", "10", "-size", "1e30"},
+		{"plan", "-files", "10", "-size", "9.3e18", "-plan", filepath.Join(stray, "p.json")},
+		fleetrun("-files", "10", "-size", "-inf"),
+	} {
+		var stdout, stderr bytes.Buffer
+		size := args[slices.Index(args, "-size")+1]
+		if got := Main(args, &stdout, &stderr); got != 2 || stdout.Len() > 0 || !strings.Contains(stderr.String(), strconv.Quote(size)) {
+			t.Errorf("Main(%q) = %d, want 2 with no output and an error naming %q (stdout: %s, stderr: %s)", args, got, size, stdout.String(), stderr.String())
 		}
 	}
 	if left, _ := os.ReadDir(stray); len(left) > 0 {

@@ -37,13 +37,13 @@ func (f Fig2) Run(w io.Writer, opts Options) error {
 	}
 
 	// (a) Directories by namespace depth.
+	desDirs, desSubdirs := ds.NamespaceCurvesFor(img.DirCount())
 	genDirs := img.DirsByDepthHistogram(dataset.DepthBins).Normalize()
-	desDirs := ds.DirsByDepthFor(img.DirCount()).Normalize()
-	printDepthSeries(w, "(a) directories by namespace depth (% of dirs)", desDirs, genDirs)
+	printDepthSeries(w, "(a) directories by namespace depth (% of dirs)", desDirs.Normalize(), genDirs)
 
 	// (b) Directories by subdirectory count (cumulative, as the paper plots).
 	genSub := cumulative(img.DirsBySubdirHistogram(17).Normalize())
-	desSub := cumulative(ds.DirsBySubdirCountFor(img.DirCount()).Normalize()[:17])
+	desSub := cumulative(desSubdirs.Normalize()[:17])
 	printSeriesWithLabels(w, "(b) directories by subdirectory count (cumulative %)", countLabels(17), desSub, genSub)
 
 	// (c) Files by size.

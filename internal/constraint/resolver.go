@@ -482,8 +482,8 @@ type boundsTracker struct {
 // newBoundsTracker seeds the tracker with the initial pool, which must hold
 // at least n elements (the resolver starts from exactly n).
 func newBoundsTracker(pool []float64, n int) *boundsTracker {
-	sorted := append([]float64(nil), pool...)
-	sort.Float64s(sorted)
+	sorted := make([]float64, len(pool))
+	stats.SortFloat64s(sorted, pool)
 	b := &boundsTracker{n: n}
 	b.minSum, b.maxSum = boundSums(sorted, n)
 	if n > len(sorted) {

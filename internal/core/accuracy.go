@@ -67,17 +67,13 @@ func MeasureAccuracy(img *fsimage.Image, ds *dataset.Dataset, useSpecial bool) A
 		CountBins:  65,
 	})
 
-	// Directories by namespace depth. The generative model's depth profile
-	// depends on tree size, so the desired curve is produced at the same
-	// directory count as the image (Figure 2(a)).
-	genDirs := st.DirsByDepth().Normalize()
-	desDirs := ds.DirsByDepthFor(img.DirCount()).Normalize()
-	acc.DirsWithDepth = mustMDCC(genDirs, desDirs)
-
-	// Directories by subdirectory count, also at matching scale (Figure 2(b)).
-	genSub := st.DirsBySubdir().Normalize()
-	desSub := ds.DirsBySubdirCountFor(img.DirCount()).Normalize()
-	acc.DirsWithSubdirs = mustMDCC(genSub, desSub)
+	// Directories by namespace depth and by subdirectory count. The
+	// generative model's depth profile depends on tree size, so both desired
+	// curves are produced at the same directory count as the image (Figure
+	// 2(a) and (b)).
+	desDirs, desSub := ds.NamespaceCurvesFor(img.DirCount())
+	acc.DirsWithDepth = mustMDCC(st.DirsByDepth().Normalize(), desDirs.Normalize())
+	acc.DirsWithSubdirs = mustMDCC(st.DirsBySubdir().Normalize(), desSub.Normalize())
 
 	// Files by size.
 	genSize := st.FilesBySize().Normalize()

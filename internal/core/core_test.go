@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"impressions/internal/content"
+	"impressions/internal/dataset"
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 )
@@ -213,6 +215,29 @@ func TestGenerateSpecialDirectories(t *testing.T) {
 	if fracSpecial <= fracDirs {
 		t.Errorf("special dirs hold %.3f of files but are %.3f of dirs; expected a placement bias",
 			fracSpecial, fracDirs)
+	}
+}
+
+// TestGenerationLeavesDatasetCurvesUnbuilt: generation reads only the
+// analytic parts of its dataset, so after a full generation, special
+// directories included, the first curve accessor still builds the Monte
+// Carlo curves — a 20,000-directory tree among them, thousands of
+// allocations — and the second only copies a histogram.
+func TestGenerationLeavesDatasetCurvesUnbuilt(t *testing.T) {
+	ds := dataset.New(20090225)
+	cfg := Config{FSSizeBytes: 3000 << 12, NumFiles: 3000, NumDirs: 300, Seed: 7, UseSpecialDirectories: true, Dataset: ds}
+	if _, err := GenerateImage(cfg); err != nil {
+		t.Fatalf("GenerateImage: %v", err)
+	}
+	mallocs := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ds.FilesBySize()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if first, second := mallocs(), mallocs(); first < 1000 || second > 100 {
+		t.Errorf("first curve accessor after a generation made %d allocations, the second %d: want the first to build the curves (1000 or more) and the second to copy (100 or fewer)", first, second)
 	}
 }
 

@@ -11,6 +11,17 @@
 // popularity), with a large sample count and a dedicated seed so the curves
 // are smooth, deterministic, and independent of the generation pipeline under
 // test. See DESIGN.md §1 for the substitution rationale.
+//
+// New builds only the analytic parts: the parametric models, the extension
+// tables, the special directories and MeanBytesByDepth, which is all that
+// generation reads. The six Monte Carlo curves — DirsByDepth,
+// DirsBySubdirCount, FilesBySize, BytesByFileSize, FilesByDepth and
+// FilesByDepthWithSpecial — are built together the first time any of those
+// six accessors is called (an accuracy measurement or a paper experiment),
+// once per Dataset and safely under concurrent callers. They come from the
+// same seed and stream labels either way, so when they are built does not
+// change them. DirsByDepthFor, DirsBySubdirCountFor and NamespaceCurvesFor
+// build their curves on every call; Profile and Profiles build theirs too.
 package dataset
 
 import (
@@ -35,12 +46,9 @@ const DepthBins = 17
 type Dataset struct {
 	seed int64
 
-	dirsByDepth     *stats.Histogram
-	dirsBySubdirs   *stats.Histogram
-	filesBySize     *stats.Histogram
-	bytesBySize     *stats.Histogram
-	filesByDepth    *stats.Histogram
-	filesByDepthSp  *stats.Histogram
+	curvesOnce sync.Once
+	built      curves // read through d.curves()
+
 	meanBytesDepth  []float64
 	extByCount      stats.Categorical
 	extByBytes      stats.Categorical
@@ -52,6 +60,16 @@ type Dataset struct {
 	sampleCount     int
 	dirSampleCount  int
 	referenceFSSize float64
+}
+
+// curves are the six desired curves drawn by Monte Carlo from the models.
+type curves struct {
+	dirsByDepth    *stats.Histogram
+	dirsBySubdirs  *stats.Histogram
+	filesBySize    *stats.Histogram
+	bytesBySize    *stats.Histogram
+	filesByDepth   *stats.Histogram
+	filesByDepthSp *stats.Histogram
 }
 
 // SpecialDirectory describes a directory that holds a disproportionate share
@@ -107,7 +125,8 @@ func WithFileSystemSize(bytes float64) Option {
 	}
 }
 
-// New builds the synthetic desired dataset deterministically from seed.
+// New builds the synthetic desired dataset deterministically from seed. The
+// Monte Carlo curves are left for their first accessor.
 func New(seed int64, opts ...Option) *Dataset {
 	cfg := config{samples: 200000, dirSamples: 20000, fsSize: 100 << 30}
 	for _, o := range opts {
@@ -126,12 +145,15 @@ func New(seed int64, opts ...Option) *Dataset {
 	d.extByCount = DefaultExtensionsByCount()
 	d.extByBytes = DefaultExtensionsByBytes()
 	d.specialDirs = DefaultSpecialDirectories()
-	d.build()
+	d.meanBytesDepth = make([]float64, DepthBins)
+	for depth := range d.meanBytesDepth {
+		d.meanBytesDepth[depth] = meanBytesAtDepth(depth)
+	}
 	return d
 }
 
-// defaultDataset caches the default dataset; building it samples hundreds of
-// thousands of values, so it is constructed once per process.
+// defaultDataset caches the default dataset, so that its curves, once an
+// accessor builds them, are built once per process.
 var (
 	defaultOnce sync.Once
 	defaultDS   *Dataset
@@ -224,20 +246,21 @@ func DefaultSpecialDirectories() []SpecialDirectory {
 	}
 }
 
-// build materializes all desired curves by direct Monte Carlo from the
-// parametric models.
-func (d *Dataset) build() {
-	rng := stats.NewRNG(d.seed)
-
-	d.buildNamespaceCurves(rng.Fork("dataset/dirs"))
-	d.buildFileSizeCurves(rng.Fork("dataset/sizes"))
-	d.buildDepthCurves(rng.Fork("dataset/depths"))
+// curves returns the Monte Carlo curves, building them on the first call.
+func (d *Dataset) curves() *curves {
+	d.curvesOnce.Do(d.buildCurves)
+	return &d.built
 }
 
-// buildNamespaceCurves runs the generative directory model to obtain the
-// desired dirs-by-depth and dirs-by-subdir-count curves.
-func (d *Dataset) buildNamespaceCurves(rng *stats.RNG) {
-	d.dirsByDepth, d.dirsBySubdirs = namespaceCurves(rng, d.dirSampleCount)
+// buildCurves materializes the six desired curves by direct Monte Carlo from
+// the parametric models: the generative directory model gives the namespace
+// curves, and the hybrid size model and the Poisson depth model the rest.
+func (d *Dataset) buildCurves() {
+	rng := stats.NewRNG(d.seed)
+	c := &d.built
+	c.dirsByDepth, c.dirsBySubdirs = namespaceCurves(rng.Fork("dataset/dirs"), d.dirSampleCount)
+	c.filesBySize, c.bytesBySize = sizeCurves(rng.Fork("dataset/sizes"), d.sampleCount, d.fileSizeModel)
+	c.filesByDepth, c.filesByDepthSp = d.depthCurves(rng.Fork("dataset/depths"))
 }
 
 // namespaceCurves runs the generative model of Agrawal et al. (parent chosen
@@ -261,27 +284,31 @@ func namespaceCurves(rng *stats.RNG, nDirs int) (byDepth, bySubdirs *stats.Histo
 }
 
 // DirsByDepthFor returns the desired directories-by-depth curve for a file
-// system containing nDirs directories. The generative model's depth profile
-// depends on tree size, so accuracy comparisons (Figure 2, Table 3) use a
-// desired curve generated at the same scale as the image under test. The
-// curve is deterministic for a given dataset seed and nDirs, and is averaged
-// over several independent model runs so it represents the model rather than
-// one realization.
+// system containing nDirs directories (see NamespaceCurvesFor).
 func (d *Dataset) DirsByDepthFor(nDirs int) *stats.Histogram {
-	byDepth, _ := d.averagedNamespaceCurves(nDirs)
+	byDepth, _ := d.NamespaceCurvesFor(nDirs)
 	return byDepth
 }
 
 // DirsBySubdirCountFor is the companion of DirsByDepthFor for the
 // directories-by-subdirectory-count curve.
 func (d *Dataset) DirsBySubdirCountFor(nDirs int) *stats.Histogram {
-	_, bySub := d.averagedNamespaceCurves(nDirs)
+	_, bySub := d.NamespaceCurvesFor(nDirs)
 	return bySub
 }
 
 const namespaceCurveTrials = 5
 
-func (d *Dataset) averagedNamespaceCurves(nDirs int) (*stats.Histogram, *stats.Histogram) {
+// NamespaceCurvesFor returns the desired directories-by-depth and
+// directories-by-subdirectory-count curves for a file system containing nDirs
+// directories. The generative model's depth profile depends on tree size, so
+// accuracy comparisons (Figure 2, Table 3) use desired curves generated at the
+// same scale as the image under test. They are deterministic for a given
+// dataset seed and nDirs, and are averaged over several independent model
+// runs so they represent the model rather than one realization. A caller that
+// needs both curves takes them from one call: each call grows
+// namespaceCurveTrials trees of nDirs directories.
+func (d *Dataset) NamespaceCurvesFor(nDirs int) (byDepth, bySubdirs *stats.Histogram) {
 	accDepth := stats.NewHistogram(stats.UnitEdges(DepthBins))
 	accSub := stats.NewHistogram(stats.UnitEdges(65))
 	rng := stats.NewRNG(d.seed).Fork(fmt.Sprintf("dataset/dirs/%d", nDirs))
@@ -297,21 +324,16 @@ func (d *Dataset) averagedNamespaceCurves(nDirs int) (*stats.Histogram, *stats.H
 	return accDepth, accSub
 }
 
-// buildFileSizeCurves derives both desired size curves from the hybrid model:
-// files-by-size counts each file once, and bytes-by-containing-size weights
-// each file by its size. Deriving both views from the same model keeps the
-// desired curves mutually consistent, exactly as they are in a real metadata
-// snapshot (the Table 2 mixture-of-lognormals remains available via
-// BytesBySizeModel as the parametric description of the byte view).
-func (d *Dataset) buildFileSizeCurves(rng *stats.RNG) {
-	d.filesBySize, d.bytesBySize = sizeCurves(rng, d.sampleCount, d.fileSizeModel)
-}
-
 // sizeCurves builds the files-by-size and bytes-by-size histograms for n
-// files drawn from the hybrid model. The lognormal body is sampled; the
-// Pareto tail's contribution is added analytically so the "desired" curves
-// represent the population (the paper's 60,000-machine dataset) rather than
-// one noisy realization — with k<1 a sampled tail would be dominated by its
+// files drawn from the hybrid model: files-by-size counts each file once, and
+// bytes-by-containing-size weights each file by its size. Deriving both views
+// from the same model keeps the desired curves mutually consistent, exactly
+// as they are in a real metadata snapshot (the Table 2 mixture-of-lognormals
+// remains available via BytesBySizeModel as the parametric description of
+// the byte view). The lognormal body is sampled; the Pareto tail's
+// contribution is added analytically so the "desired" curves represent the
+// population (the paper's 60,000-machine dataset) rather than one noisy
+// realization — with k<1 a sampled tail would be dominated by its
 // single largest draw.
 func sizeCurves(rng *stats.RNG, n int, model stats.Hybrid) (hCount, hBytes *stats.Histogram) {
 	hCount = stats.NewPowerOfTwoHistogram(SizeMaxExp)
@@ -384,10 +406,10 @@ func pow(base, exp float64) float64 { return math.Pow(base, exp) }
 
 func logf(x float64) float64 { return math.Log(x) }
 
-// buildDepthCurves samples the Poisson depth model and derives mean bytes per
-// file at each depth, plus the special-directory-augmented curve.
-func (d *Dataset) buildDepthCurves(rng *stats.RNG) {
-	hDepth := stats.NewHistogram(stats.UnitEdges(DepthBins))
+// depthCurves samples the Poisson depth model, and derives from it the
+// special-directory-augmented curve.
+func (d *Dataset) depthCurves(rng *stats.RNG) (hDepth, hSpecial *stats.Histogram) {
+	hDepth = stats.NewHistogram(stats.UnitEdges(DepthBins))
 	for i := 0; i < d.sampleCount; i++ {
 		depth := d.fileDepthModel.SampleInt(rng)
 		if depth >= DepthBins {
@@ -395,25 +417,14 @@ func (d *Dataset) buildDepthCurves(rng *stats.RNG) {
 		}
 		hDepth.Add(float64(depth))
 	}
-	d.filesByDepth = hDepth
-
-	// Mean bytes per file decreases slowly with depth: files near the root
-	// (installers, archives, databases) are larger than deeply nested ones
-	// (source files, web cache). Modeled as an exponential decay from ~1.5 MB
-	// at the root towards ~32 KB at depth 16, matching the shape of the
-	// paper's Figure 2(g).
-	d.meanBytesDepth = make([]float64, DepthBins)
-	for depth := 0; depth < DepthBins; depth++ {
-		d.meanBytesDepth[depth] = meanBytesAtDepth(depth)
-	}
 
 	// Files by depth with special directories: each special directory holds
 	// its FileShare of all files directly at its Depth (the depth of its
 	// files); the remaining files follow the Poisson base curve. This is the
 	// same conditional-probability model the placer uses, so generated images
 	// can be validated against it.
-	hSpecial := stats.NewHistogram(stats.UnitEdges(DepthBins))
-	base := d.filesByDepth.Normalize()
+	hSpecial = stats.NewHistogram(stats.UnitEdges(DepthBins))
+	base := hDepth.Normalize()
 	extra := make([]float64, DepthBins)
 	specialShare := 0.0
 	for _, sp := range d.specialDirs {
@@ -429,11 +440,15 @@ func (d *Dataset) buildDepthCurves(rng *stats.RNG) {
 		frac := (1-specialShare)*base[depth] + extra[depth]
 		hSpecial.Counts[depth] = frac * float64(d.sampleCount)
 	}
-	d.filesByDepthSp = hSpecial
+	return hDepth, hSpecial
 }
 
 // meanBytesAtDepth returns the desired mean file size (bytes) at a namespace
-// depth.
+// depth. Mean bytes per file decreases slowly with depth: files near the root
+// (installers, archives, databases) are larger than deeply nested ones
+// (source files, web cache). Modeled as an exponential decay from ~1.5 MB at
+// the root towards ~32 KB at depth 16, matching the shape of the paper's
+// Figure 2(g).
 func meanBytesAtDepth(depth int) float64 {
 	const root = 1.5 * 1024 * 1024
 	const floor = 32 * 1024
@@ -452,25 +467,27 @@ func meanBytesAtDepth(depth int) float64 {
 func (d *Dataset) MeanBytesAtDepth(depth int) float64 { return meanBytesAtDepth(depth) }
 
 // DirsByDepth returns the desired directories-by-namespace-depth histogram.
-func (d *Dataset) DirsByDepth() *stats.Histogram { return d.dirsByDepth.Clone() }
+func (d *Dataset) DirsByDepth() *stats.Histogram { return d.curves().dirsByDepth.Clone() }
 
 // DirsBySubdirCount returns the desired directories-by-subdirectory-count
 // histogram.
-func (d *Dataset) DirsBySubdirCount() *stats.Histogram { return d.dirsBySubdirs.Clone() }
+func (d *Dataset) DirsBySubdirCount() *stats.Histogram { return d.curves().dirsBySubdirs.Clone() }
 
 // FilesBySize returns the desired files-by-size histogram (power-of-two
 // bins).
-func (d *Dataset) FilesBySize() *stats.Histogram { return d.filesBySize.Clone() }
+func (d *Dataset) FilesBySize() *stats.Histogram { return d.curves().filesBySize.Clone() }
 
 // BytesByFileSize returns the desired bytes-by-containing-file-size histogram.
-func (d *Dataset) BytesByFileSize() *stats.Histogram { return d.bytesBySize.Clone() }
+func (d *Dataset) BytesByFileSize() *stats.Histogram { return d.curves().bytesBySize.Clone() }
 
 // FilesByDepth returns the desired files-by-namespace-depth histogram.
-func (d *Dataset) FilesByDepth() *stats.Histogram { return d.filesByDepth.Clone() }
+func (d *Dataset) FilesByDepth() *stats.Histogram { return d.curves().filesByDepth.Clone() }
 
 // FilesByDepthWithSpecial returns the desired files-by-depth histogram when
 // special directories are enabled.
-func (d *Dataset) FilesByDepthWithSpecial() *stats.Histogram { return d.filesByDepthSp.Clone() }
+func (d *Dataset) FilesByDepthWithSpecial() *stats.Histogram {
+	return d.curves().filesByDepthSp.Clone()
+}
 
 // MeanBytesByDepth returns the desired mean bytes per file at each depth.
 func (d *Dataset) MeanBytesByDepth() []float64 {

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"impressions/internal/stats"
@@ -245,4 +247,48 @@ func TestDatasetString(t *testing.T) {
 	if d.String() == "" {
 		t.Error("String() should describe the dataset")
 	}
+}
+
+// TestCurvesConcurrentFirstUse: the daemon and the parallel experiments share
+// one Dataset, so the first use of its curves may come from many goroutines
+// at once. Each accessor must return what it returns on a dataset used from
+// one goroutine; run it under -race.
+func TestCurvesConcurrentFirstUse(t *testing.T) {
+	opts := []Option{WithSampleCount(20000), WithDirectorySampleCount(2000)}
+	shared, ref := New(21, opts...), New(21, opts...)
+	accessors := []func(*Dataset) *stats.Histogram{
+		(*Dataset).DirsByDepth, (*Dataset).DirsBySubdirCount, (*Dataset).FilesBySize,
+		(*Dataset).BytesByFileSize, (*Dataset).FilesByDepth, (*Dataset).FilesByDepthWithSpecial,
+	}
+	got := make([]*stats.Histogram, 4*len(accessors))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = accessors[i%len(accessors)](shared)
+		}()
+	}
+	wg.Wait()
+	for i, h := range got {
+		want := accessors[i%len(accessors)](ref)
+		if !slices.Equal(h.Edges, want.Edges) || !slices.Equal(h.Counts, want.Counts) {
+			t.Errorf("accessor %d under concurrent first use differs from its single-goroutine value", i%len(accessors))
+		}
+	}
+}
+
+// BenchmarkNew: what every process that generates pays for its dataset
+// (analytic) and what the first accuracy measurement adds (curves).
+func BenchmarkNew(b *testing.B) {
+	b.Run("analytic", func(b *testing.B) {
+		for b.Loop() {
+			New(20090225)
+		}
+	})
+	b.Run("curves", func(b *testing.B) {
+		for b.Loop() {
+			New(20090225).FilesBySize()
+		}
+	})
 }

@@ -3,6 +3,8 @@ package distribute
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -197,11 +199,44 @@ func FuzzShardDocument(f *testing.F) {
 	})
 }
 
+// fmtSelfHash is Manifest.selfHash as fmt renders it, the reference its
+// appenders are held to.
+func fmtSelfHash(m *Manifest) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "impressions-manifest-v%d\nplan:%s\nshard:%d dirs:%d files:%d bytes:%d hashed:%t\n",
+		m.FormatVersion, m.PlanFingerprint, m.Shard, m.Dirs, m.Files, m.Bytes, m.ContentHashed)
+	for _, fd := range m.FileDigests {
+		fmt.Fprintf(h, "%d %d %s\n", fd.ID, fd.Size, fd.SHA256)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestManifestSelfHashMatchesFmt: the self-hash of manifests whose lines
+// fill the flush buffer several times over, with negative numbers, strings
+// that are not hex and a line longer than the buffer in the middle.
+func TestManifestSelfHashMatchesFmt(t *testing.T) {
+	m := &Manifest{FormatVersion: -3, PlanFingerprint: "plan\n\"quoted\" é", Shard: 7, Dirs: -1, Files: 1 << 40, Bytes: -1 << 63, ContentHashed: true}
+	for _, n := range []int{0, 1, 3000} {
+		m.FileDigests = m.FileDigests[:0]
+		for i := range n {
+			fd := FileDigest{ID: i - 5, Size: int64(i) * 1_000_003, SHA256: strings.Repeat("ab", i%40)}
+			if i == n/2 {
+				fd.SHA256 = strings.Repeat("x", 3*manifestFlushBytes)
+			}
+			m.FileDigests = append(m.FileDigests, fd)
+		}
+		if got, want := m.selfHash(), fmtSelfHash(m); got != want {
+			t.Errorf("%d entries: selfHash %s, fmt renders %s", n, got, want)
+		}
+	}
+}
+
 // FuzzManifest: the two single-object artifacts. Bytes that decode as a
-// manifest are verified against a fixed 2-shard plan (ManifestCheck), which must end in a
-// sentinel or in a manifest that encodes back to a document of the same
-// seal; bytes that decode as a fragment index must name fragments inside the
-// index's directory, one per shard.
+// manifest hash as fmtSelfHash does, and are verified against a fixed
+// 2-shard plan (ManifestCheck), which must end in a sentinel or in a manifest
+// that encodes back to a document of the same seal; bytes that decode as a
+// fragment index must name fragments inside the index's directory, one per
+// shard.
 func FuzzManifest(f *testing.F) {
 	p := planRoundTrip(f, testConfig(), 2)
 	check, err := NewManifestCheck(p.source())
@@ -224,6 +259,9 @@ func FuzzManifest(f *testing.F) {
 		f.Add(m.doc)
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
+		if m, err := DecodeManifest(bytes.NewReader(doc)); err == nil && m.selfHash() != fmtSelfHash(m) {
+			t.Errorf("selfHash %s, fmt renders %s", m.selfHash(), fmtSelfHash(m))
+		}
 		var m *Manifest
 		err, alloc := verdict(func() (err error) {
 			if m, err = DecodeManifest(bytes.NewReader(doc)); err == nil {

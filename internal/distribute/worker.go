@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
@@ -42,15 +43,47 @@ type Manifest struct {
 	ManifestSHA256 string `json:"manifest_sha256"`
 }
 
-// selfHash computes the manifest's integrity hash.
+// manifestFlushBytes is how many rendered lines selfHash gathers before one
+// hash.Write.
+const manifestFlushBytes = 32 << 10
+
+// selfHash computes the manifest's integrity hash over its header line and
+// one "<id> <size> <sha256>" line per file.
 func (m *Manifest) selfHash() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "impressions-manifest-v%d\nplan:%s\nshard:%d dirs:%d files:%d bytes:%d hashed:%t\n",
-		m.FormatVersion, m.PlanFingerprint, m.Shard, m.Dirs, m.Files, m.Bytes, m.ContentHashed)
+	// One buffer for all the lines: flushed when full, sized for a small
+	// manifest when the manifest is small, with room for one more line.
+	buf := make([]byte, 0, min(manifestFlushBytes, 96*len(m.FileDigests))+512)
+	buf = append(buf, "impressions-manifest-v"...)
+	buf = strconv.AppendInt(buf, int64(m.FormatVersion), 10)
+	buf = append(buf, "\nplan:"...)
+	buf = append(buf, m.PlanFingerprint...)
+	buf = append(buf, "\nshard:"...)
+	buf = strconv.AppendInt(buf, int64(m.Shard), 10)
+	buf = append(buf, " dirs:"...)
+	buf = strconv.AppendInt(buf, int64(m.Dirs), 10)
+	buf = append(buf, " files:"...)
+	buf = strconv.AppendInt(buf, int64(m.Files), 10)
+	buf = append(buf, " bytes:"...)
+	buf = strconv.AppendInt(buf, m.Bytes, 10)
+	buf = append(buf, " hashed:"...)
+	buf = strconv.AppendBool(buf, m.ContentHashed)
+	buf = append(buf, '\n')
 	for _, fd := range m.FileDigests {
-		fmt.Fprintf(h, "%d %d %s\n", fd.ID, fd.Size, fd.SHA256)
+		buf = strconv.AppendInt(buf, int64(fd.ID), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, fd.Size, 10)
+		buf = append(buf, ' ')
+		buf = append(buf, fd.SHA256...)
+		buf = append(buf, '\n')
+		if len(buf) >= manifestFlushBytes {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(buf)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // Seal fills in the manifest's self-integrity hash.

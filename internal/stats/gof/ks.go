@@ -10,6 +10,8 @@ import (
 	"errors"
 	"math"
 	"sort"
+
+	"impressions/internal/stats"
 )
 
 // KSResult reports the outcome of a Kolmogorov-Smirnov test.
@@ -64,10 +66,8 @@ func KSTwoSample(a, b []float64, alpha float64) (KSResult, error) {
 	}
 	sa := make([]float64, len(a))
 	sb := make([]float64, len(b))
-	copy(sa, a)
-	copy(sb, b)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
+	stats.SortFloat64s(sa, a)
+	stats.SortFloat64s(sb, b)
 
 	na, nb := len(sa), len(sb)
 	var i, j int
