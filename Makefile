@@ -28,7 +28,10 @@ bench-smoke:
 # Local mirror of the CI distributed-determinism job: a plan executed by 4
 # worker processes (at -j 1, 2, 4 and 8) and merged must be byte-identical to
 # a single-process run at -j 1 and at -j 4 (same canonical digest, same
-# on-disk bytes). The partitioned leg does it again without a plan document:
+# on-disk bytes). The plan itself is built three times and must not move a
+# byte: at -j 1, where its chunks are sealed inline, and at -j 4 on the heap
+# and with -spill, where three goroutines seal them and the spilled
+# placement runs one worker per depth level. The partitioned leg does it again without a plan document:
 # `plan -partition 4` built with -spill at -j 1 and at -j 4, and without
 # -spill, must write the same index and the same four fragments, and four
 # `worker -plan part/plan.json -shard N` processes (each reads its fragment)
@@ -41,7 +44,11 @@ dist-check:
 	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -digest -out single | grep '^image digest:' > single.digest; \
 	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -digest -out single-j4 | grep '^image digest:' > single-j4.digest; \
 	cmp single.digest single-j4.digest; diff -r single single-j4; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -shards 4 -plan plan.json; \
+	mkdir -p plan-spill; \
+	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -shards 4 -plan plan.json; \
+	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -plan plan-j4.json; \
+	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -spill plan-spill -plan plan-j4-spill.json; \
+	cmp plan.json plan-j4.json; cmp plan.json plan-j4-spill.json; \
 	pids=""; for s in 0 1 2 3; do ./impressions worker -plan plan.json -shard $$s -j $$((1 << s)) -out merged -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
 	for p in $$pids; do wait "$$p"; done; \
 	./impressions merge -plan plan.json -print-digest manifest-*.json > merged.digest; \

@@ -202,7 +202,7 @@ func newGenFlags(fs *flag.FlagSet) *genFlags {
 		special: fs.Bool("special-dirs", false, "bias placement towards special directories (Windows, Program Files, web cache)"),
 		mu:      fs.Float64("size-mu", 0, "override lognormal mu of the file-size body"),
 		sigma:   fs.Float64("size-sigma", 0, "override lognormal sigma of the file-size body"),
-		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization; with -format tar/squashfs, the workers generating and hashing file content behind the one image writer (0 = all CPUs, 1 = one worker); the image is byte-identical at any level"),
+		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization; with -format tar/squashfs, the workers generating and hashing file content behind the one image writer; for plan, the metadata pass's workers, of which all but one hash and render the plan's chunks behind the goroutine writing them (0 = all CPUs, 1 = one worker, sealing inline); the image and the plan are byte-identical at any level"),
 	}
 }
 
@@ -492,6 +492,12 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	if *gen.layout != 1.0 {
 		return usagef("plan: -layout is not supported in distributed runs (disk-layout simulation is a single-node feature)")
 	}
+	if *shardsFlag < 1 {
+		return usagef("plan: -shards %d: a plan has at least one shard", *shardsFlag)
+	}
+	if *partitionFlag < 0 {
+		return usagef("plan: -partition %d: a partitioned plan has at least one fragment (0 writes one plan document)", *partitionFlag)
+	}
 	shardsSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "shards" {
@@ -515,22 +521,36 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	if *memFlag {
 		sampler = startMemSampler()
 	}
+	// An interrupted build fails like any other, and leaves nothing behind.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	var plan *distribute.Plan
 	fragments := 0
 	if *partitionFlag > 0 {
 		dir, base := filepath.Split(*planFlag)
 		name := func(shard int) string { return distribute.FragmentName(base, shard) }
-		plan, err = distribute.PartitionPlan(context.Background(), req, func(shard int) (io.WriteCloser, error) {
-			return os.Create(filepath.Join(dir, name(shard)))
+		var created []string
+		plan, err = distribute.PartitionPlan(ctx, req, func(shard int) (io.WriteCloser, error) {
+			path := filepath.Join(dir, name(shard))
+			f, err := os.Create(path)
+			if err == nil {
+				created = append(created, path)
+			}
+			return f, err
 		})
 		if err == nil {
 			fragments = len(plan.Shards)
 			err = writeJSONFile(*planFlag, plan.FragmentIndex(name).Encode)
 		}
+		if err != nil {
+			for _, path := range created {
+				removeTorn(path)
+			}
+		}
 	} else {
 		err = writeJSONFile(*planFlag, func(w io.Writer) error {
 			var serr error
-			plan, serr = req.Stream(context.Background(), w)
+			plan, serr = req.Stream(ctx, w)
 			return serr
 		})
 	}
@@ -985,6 +1005,9 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 	if *outFlag == "" {
 		return usagef("distrun: -out <dir> is required")
 	}
+	if *shardsFlag < 1 {
+		return usagef("distrun: -shards %d: a run has at least one shard", *shardsFlag)
+	}
 	if *retriesFlag < 0 {
 		return usagef("distrun: -retries must be >= 0")
 	}
@@ -1124,17 +1147,32 @@ func printDefaultTable(w io.Writer) {
 }
 
 // writeJSONFile creates path and streams enc's output into it, surfacing
-// the close error (short writes on full disks appear there).
-func writeJSONFile(path string, enc func(io.Writer) error) error {
+// the close error (short writes on full disks appear there). A failed write
+// leaves no torn document at path (see removeTorn).
+func writeJSONFile(path string, enc func(io.Writer) error) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := enc(f); err != nil {
+	defer func() {
+		if err != nil {
+			f.Close()
+			removeTorn(path)
+		}
+	}()
+	if err = enc(f); err != nil {
 		return err
 	}
 	return f.Close()
+}
+
+// removeTorn removes the file a failed write left at path: a regular file,
+// which the write created or truncated. Anything else — a device such as
+// /dev/null, a pipe, a symbolic link — is not the command's to remove.
+func removeTorn(path string) {
+	if fi, err := os.Lstat(path); err == nil && fi.Mode().IsRegular() {
+		os.Remove(path)
+	}
 }
 
 // writeReportFile writes the JSON reproducibility report to path.

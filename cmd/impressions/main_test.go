@@ -131,6 +131,42 @@ func TestPlanStreamWritesIdenticalPlan(t *testing.T) {
 	}
 }
 
+// TestFailedPlanLeavesNothing: a plan build that fails after it has created
+// its output removes what it created — the plan document its encoder could
+// not finish, and the fragments opened before one could not be — so no torn
+// document is left for a worker to find.
+func TestFailedPlanLeavesNothing(t *testing.T) {
+	for name, c := range map[string]struct {
+		args  []string
+		setup func(dir string) // what makes the build fail
+	}{
+		// The metadata pass fails once the plan file is open.
+		"document": {args: []string{"-spill", "/nonexistent/spill"}},
+		// Fragment 0 is created; fragment 1 cannot be, a directory holds its name.
+		"fragments": {args: []string{"-partition", "2"}, setup: func(dir string) {
+			if err := os.Mkdir(filepath.Join(dir, "p.json.frag1"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		dir := t.TempDir()
+		if c.setup != nil {
+			c.setup(dir)
+		}
+		args := append([]string{"plan", "-files", "100", "-seed", "3"}, c.args...)
+		var stdout, stderr bytes.Buffer
+		if code := Main(append(args, "-plan", filepath.Join(dir, "p.json")), &stdout, &stderr); code != 1 {
+			t.Errorf("%s: Main(%q) = %d, want 1 (stderr: %s)", name, args, code, stderr.String())
+		}
+		left, _ := os.ReadDir(dir)
+		for _, e := range left {
+			if !e.IsDir() {
+				t.Errorf("%s: the failed build left %s behind", name, e.Name())
+			}
+		}
+	}
+}
+
 // TestPlanPartitionWorkerMergePipeline drives the partitioned pipeline
 // through the CLI end to end: plan -partition writes fragments plus an
 // index, worker -plan executes a shard from the index or from its fragment,
@@ -471,6 +507,12 @@ func TestMainExitCodes(t *testing.T) {
 		// The two shard counts of a partitioned plan must agree; a runtime
 		// failure, raised before any work.
 		{"plan -shards against -partition", []string{"plan", "-files", "30", "-shards", "3", "-partition", "4", "-plan", filepath.Join(stray, "p.json")}, 1},
+		// A shard count that describes no plan is a usage error, raised before
+		// anything is created: it used to fail late, or not at all.
+		{"plan -shards -2", []string{"plan", "-files", "30", "-shards", "-2", "-plan", filepath.Join(stray, "p.json")}, 2},
+		{"plan -shards 0", []string{"plan", "-files", "30", "-shards", "0", "-partition", "4", "-plan", filepath.Join(stray, "p.json")}, 2},
+		{"plan -partition -1", []string{"plan", "-files", "30", "-partition", "-1", "-plan", filepath.Join(stray, "p.json")}, 2},
+		{"distrun -shards 0", []string{"distrun", "-files", "30", "-shards", "0", "-work", filepath.Join(stray, "work"), "-out", filepath.Join(stray, "dist")}, 2},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer

@@ -14,9 +14,10 @@ import (
 
 // The column store. A metadata pass keeps one fixed-width value per file
 // and attribute — size, extension code, parent directory — and, while it
-// places files, one list of file indices per depth level. A column is N such
-// values addressed by the shard geometry the sharded phases already use
-// (parallel.Bounds): a phase loads shard s, works on it, and stores it.
+// places files, one list per depth level of the sizes of the files placed
+// there, which the parent pass overwrites with their parents. A column is N
+// such values addressed by the shard geometry the sharded phases already
+// use (parallel.Bounds): a phase loads shard s, works on it, and stores it.
 // Where the shards live is decided once per pass, from Config.SpillDir:
 //
 //   - on the heap: load hands out the column's own memory and store has
@@ -29,11 +30,14 @@ import (
 // Every phase, the record replay and the placement walk are written once
 // over load and store, so both backings replay byte-identical records for a
 // seed: the values, the RNG streams and the order they are drawn in are the
-// same code. What the backing decides is cost, and one thing besides:
-// whether two goroutines may patch the same column at once (inPlace).
+// same code. What the backing decides is cost alone: goroutines share a
+// column only by shard, two never loading or storing the same one, so a
+// stored copy of a block never undoes another goroutine's writes to it.
 
 // value is what a column holds.
-type value interface{ float64 | int32 | uint32 }
+type value interface {
+	float64 | int32 | int64 | uint32
+}
 
 // blockFile is what the file backing asks of a column's file. Tests
 // substitute one that fails.
@@ -110,10 +114,15 @@ func newColumn[T value](st *columnStore, name string, n int) (*column[T], error)
 	return c, nil
 }
 
-// inPlace reports whether load hands out the column's own memory, so that
-// goroutines writing distinct values of one shard cannot lose each other's
-// writes. On the file backing each would store its own copy of the block.
-func (c *column[T]) inPlace() bool { return c.f == nil }
+// newList makes an empty list in st, which append grows; on the heap it
+// holds room for capacity values from the start.
+func newList[T value](st *columnStore, name string, capacity int) (*column[T], error) {
+	c, err := newColumn[T](st, name, 0)
+	if err == nil && c.f == nil {
+		c.mem = make([]T, 0, capacity)
+	}
+	return c, err
+}
 
 // rawBlocks are the byte buffers the file backing moves blocks through.
 var rawBlocks = sync.Pool{New: func() any { return new([parallel.DefaultShardSize * 8]byte) }}
@@ -124,14 +133,15 @@ func (c *column[T]) offset(s int) int64 {
 }
 
 // shard returns where shard s's values go without reading them: the
-// column's memory, or buf (grown if it is too small) on the file backing.
+// column's memory, or buf (grown to the column's largest shard if it is too
+// small) on the file backing.
 func (c *column[T]) shard(s int, buf []T) []T {
 	lo, hi := parallel.Bounds(c.n, s)
 	if c.f == nil {
 		return c.mem[lo:hi]
 	}
 	if cap(buf) < hi-lo {
-		buf = make([]T, parallel.DefaultShardSize)
+		buf = make([]T, min(c.n, parallel.DefaultShardSize))
 	}
 	return buf[:hi-lo]
 }
@@ -205,6 +215,47 @@ func (c *column[T]) each(visit func(vals []T) error) error {
 		}
 	}
 	return nil
+}
+
+// rewrite visits the shards in index order and stores each as visit leaves
+// it.
+func (c *column[T]) rewrite(visit func(vals []T) error) error {
+	var vals []T
+	for s := 0; s < parallel.Shards(c.n); s++ {
+		var err error
+		if vals, err = c.load(s, vals); err != nil {
+			return err
+		}
+		if err := visit(vals); err != nil {
+			return err
+		}
+		if err := c.store(s, vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reader reads a column's values one at a time in index order, a shard at
+// a time.
+type reader[T value] struct {
+	c    *column[T]
+	vals []T
+	i    int // the index of the next value
+}
+
+// next returns the next value; the column must have one.
+func (r *reader[T]) next() (T, error) {
+	k := r.i % parallel.DefaultShardSize
+	if k == 0 {
+		var err error
+		if r.vals, err = r.c.load(r.i/parallel.DefaultShardSize, r.vals); err != nil {
+			var zero T
+			return zero, err
+		}
+	}
+	r.i++
+	return r.vals[k], nil
 }
 
 // poolColumn makes the sizes column the storage the constraint resolver

@@ -18,8 +18,9 @@ import (
 )
 
 // TestColumnBackingsAgree drives the column primitive directly: shards
-// stored out of order and a list grown by append read back the same from the
-// heap and from a file, for lengths that end a column on a lone value, just
+// stored out of order and a list grown by append, then rewritten shard by
+// shard, read back the same from the heap and from a file, shard by shard
+// and value by value, for lengths that end a column on a lone value, just
 // short of, on and just past a shard edge, and one value into a third shard.
 func TestColumnBackingsAgree(t *testing.T) {
 	for _, n := range []int{0, 1, 4095, 4096, 4097, 8193} {
@@ -33,9 +34,6 @@ func TestColumnBackingsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if col.inPlace() != (spill == "") {
-				t.Errorf("n=%d spill=%q: inPlace() = %v", n, spill, col.inPlace())
-			}
 			for s := parallel.Shards(n) - 1; s >= 0; s-- {
 				vals := col.shard(s, nil)
 				for k := range vals {
@@ -45,7 +43,7 @@ func TestColumnBackingsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			list, err := newColumn[int32](st, "list.i32", 0)
+			list, err := newList[int32](st, "list.i32", n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,6 +53,14 @@ func TestColumnBackingsAgree(t *testing.T) {
 				}
 			}
 			if err := list.flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := list.rewrite(func(vals []int32) error {
+				for k := range vals {
+					vals[k] *= 3
+				}
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range []*column[int32]{col, list} {
@@ -67,6 +73,16 @@ func TestColumnBackingsAgree(t *testing.T) {
 				})
 				if err != nil {
 					t.Fatal(err)
+				}
+				r := reader[int32]{c: c}
+				for i := 0; i < n; i++ {
+					v, err := r.next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := read[b][len(read[b])-n+i]; v != want {
+						t.Fatalf("n=%d spill=%q: column %s value %d reads %d one at a time, %d by shard", n, spill, c.name, i, v, want)
+					}
 				}
 			}
 			if err := st.close(); err != nil {
@@ -90,17 +106,19 @@ type fault struct {
 }
 
 // The stages of a pass, each by a call only it makes: the resolver's draw
-// writes the sizes column, the extension draw writes the codes, pass 1 is
-// the first to write parents and the commit loop the first to read them,
-// pass 2 alone reads the depth lists, and only a replay reads the codes.
+// writes the sizes column, the extension draw writes the codes, the depth
+// pass is the first to write parents (one write per shard, four here) and
+// the commit loop the first to read them, the parent pass is the first to
+// read the depth lists, the ordered pass writes parents again, and only a
+// replay reads the codes.
 var faultStages = []fault{
 	{stage: "sizes", column: "sizes.f64", write: true, at: 2},
 	{stage: "sizes, summing the draw", column: "sizes.f64", at: 1},
 	{stage: "extensions", column: "exts.u32", write: true, at: 3},
-	{stage: "pass 1", column: "parents.i32", write: true, at: 1},
+	{stage: "depth pass", column: "parents.i32", write: true, at: 1},
 	{stage: "commit", column: "parents.i32", at: 2},
-	{stage: "pass 2, reading a level", column: "depth-", at: 1},
-	{stage: "pass 2, patching a block", column: "parents.i32", write: true, at: 5},
+	{stage: "parent pass, reading a level", column: "depth-", at: 1},
+	{stage: "ordered pass, writing a block", column: "parents.i32", write: true, at: 5},
 	{stage: "replay", column: "exts.u32", at: 2},
 }
 

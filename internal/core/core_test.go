@@ -110,9 +110,9 @@ func TestGenerateEmptyConfigFails(t *testing.T) {
 	}
 }
 
-// TestNewGeneratorRejectsCountsPastInt32: the columns hold file indices and
-// directory IDs as int32, so a count past that — given, or derived from a
-// size — is an invalid spec, said before any work.
+// TestNewGeneratorRejectsCountsPastInt32: directory IDs and file indices are
+// held as int32, so a count past that — given, or derived from a size — is
+// an invalid spec, said before any work.
 func TestNewGeneratorRejectsCountsPastInt32(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"files":         {NumFiles: math.MaxInt32 + 1, NumDirs: 10},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"impressions/internal/clock"
@@ -46,8 +47,8 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The parents column and the depth lists hold directory IDs and file
-	// indices as int32.
+	// Directory IDs (the parents column) and file indices (the squashfs
+	// sink's directory listings) are held as int32.
 	if normalized.NumFiles > math.MaxInt32 || normalized.NumDirs > math.MaxInt32 {
 		return nil, fmt.Errorf("core: %d files in %d directories: an image holds at most %d of either (%w)",
 			normalized.NumFiles, normalized.NumDirs, math.MaxInt32, fsimage.ErrInvalidSpec)
@@ -206,21 +207,25 @@ func (m *Metadata) extFor(code uint32) string {
 //     only the immutable tree skeleton, so files are processed in fixed-size
 //     shards with per-shard RNG streams. The parents column takes the
 //     outcome: the special directory's ID, or the depth negated (a file's
-//     depth is at least 1) until pass 2 replaces it.
+//     depth is at least 1) until the ordered pass replaces it. Each shard
+//     tallies its files per depth.
 //  2. Commit — in index order, special placements are committed, so every
 //     depth level starts from the same directory counters, and every other
-//     file's index is appended to its depth level's list.
+//     file's rounded size is appended to its depth level's list, made with
+//     room for the level's tally.
 //  3. Parent pass — one worker per depth level walks its list. A file at
 //     depth d picks its parent among directories at depth d-1 only, so
 //     workers touch disjoint directory sets while preserving the sequential
-//     preferential-attachment dynamics within each depth. Indices ascend
-//     within a level, so the walk loads the block an index falls in, patches
-//     it, and stores it when the walk leaves it.
+//     preferential-attachment dynamics within each depth. The walk reads
+//     each size from the level's own list and writes the parent drawn for
+//     it in its place; it holds no block of the file columns.
+//  4. Ordered pass — in index order, each file still marked with a depth
+//     takes the next parent of that depth's list.
 //
 // Shard boundaries, depth grouping (ascending file index), and every RNG
 // stream are functions of the seed and stable shard/depth keys — never of
-// worker count or scheduling — so any parallelism level produces the
-// identical image.
+// worker count, scheduling or where the columns live — so any parallelism
+// level produces the identical image, on the heap or spilled.
 //
 // placeFiles fills m's parents column and emits no records — a file's record
 // (name, depth, extension) is derived from the columns at consumption time.
@@ -234,6 +239,7 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 	workers := effectiveParallelism(g.cfg.Parallelism)
 
 	depthStream := rng.Fork("placement/depth")
+	tallies := make([]atomic.Int64, placer.MaxFileDepth()+1)
 	err := parallel.Run(ctx, workers, parallel.Shards(sizes.n), func(s int) error {
 		srng := depthStream.SplitN(uint64(s))
 		sz, err := sizes.load(s, nil)
@@ -241,11 +247,19 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 			return err
 		}
 		par := parents.shard(s, nil)
+		tally := make([]int64, len(tallies))
 		for k := range par {
 			if dirID, ok := placer.ChooseSpecial(srng); ok {
 				par[k] = int32(dirID)
 			} else {
-				par[k] = -int32(placer.ChooseDepth(roundSize(sz[k]), srng))
+				d := placer.ChooseDepth(roundSize(sz[k]), srng)
+				par[k] = -int32(d)
+				tally[d]++
+			}
+		}
+		for d, n := range tally {
+			if n > 0 {
+				tallies[d].Add(n)
 			}
 		}
 		return parents.store(s, par)
@@ -254,23 +268,23 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 		return err
 	}
 
-	levels := make([]*column[int32], placer.MaxFileDepth()+1)
-	err = scanFiles(ctx, sizes, nil, parents, func(lo int, sz []float64, _ []uint32, par []int32) error {
+	// A level's list carries its files' sizes into the parent pass and their
+	// parents out of it.
+	levels := make([]*column[int64], len(tallies))
+	for d := range levels {
+		if n := tallies[d].Load(); n > 0 {
+			if levels[d], err = newList[int64](m.store, fmt.Sprintf("depth-%d.i64", d), int(n)); err != nil {
+				return err
+			}
+		}
+	}
+	err = scanFiles(ctx, sizes, nil, parents, func(_ int, sz []float64, _ []uint32, par []int32) error {
 		for k, p := range par {
 			size := roundSize(sz[k])
 			m.totalBytes += size
 			if p >= 0 {
 				placer.Commit(int(p), size)
-				continue
-			}
-			if levels[-p] == nil {
-				level, err := newColumn[int32](m.store, fmt.Sprintf("depth-%d.i32", -p), 0)
-				if err != nil {
-					return err
-				}
-				levels[-p] = level
-			}
-			if err := levels[-p].append(int32(lo + k)); err != nil {
+			} else if err := levels[-p].append(size); err != nil {
 				return err
 			}
 		}
@@ -280,13 +294,8 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 		return err
 	}
 
-	// Two levels can have files in one block of the parents column, which
-	// only a column patched in place lets them patch at the same time.
-	if !parents.inPlace() {
-		workers = 1
-	}
 	parentStream := rng.Fork("placement/parent")
-	return parallel.Run(ctx, workers, len(levels), func(d int) error {
+	err = parallel.Run(ctx, workers, len(levels), func(d int) error {
 		level := levels[d]
 		if level == nil {
 			return nil
@@ -295,39 +304,37 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 			return err
 		}
 		drng := parentStream.SplitN(uint64(d))
-		var (
-			sz  []float64
-			par []int32
-		)
-		block := -1 // the shard sz and par hold
-		err := level.each(func(files []int32) error {
-			for _, i := range files {
-				if s := int(i) / parallel.DefaultShardSize; s != block {
-					if block >= 0 {
-						if err := parents.store(block, par); err != nil {
-							return err
-						}
-					}
-					var err error
-					if sz, err = sizes.load(s, sz); err != nil {
-						return err
-					}
-					if par, err = parents.load(s, par); err != nil {
-						return err
-					}
-					block = s
-				}
-				k := int(i) % parallel.DefaultShardSize
+		return level.rewrite(func(vals []int64) error {
+			for k, size := range vals {
 				dirID := placer.ChooseParentAt(d-1, drng)
-				placer.Commit(dirID, roundSize(sz[k]))
-				par[k] = int32(dirID)
+				placer.Commit(dirID, size)
+				vals[k] = int64(dirID)
 			}
 			return nil
 		})
-		if err != nil || block < 0 {
+	})
+	if err != nil {
+		return err
+	}
+
+	readers := make([]reader[int64], len(levels))
+	for d, level := range levels {
+		readers[d].c = level
+	}
+	return parents.rewrite(func(par []int32) error {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return parents.store(block, par)
+		for k, p := range par {
+			if p < 0 {
+				dirID, err := readers[-p].next()
+				if err != nil {
+					return err
+				}
+				par[k] = int32(dirID)
+			}
+		}
+		return nil
 	})
 }
 

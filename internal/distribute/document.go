@@ -26,49 +26,40 @@ var (
 )
 
 // docWriter writes one document incrementally: newDocWriter emits the head,
-// the records pushed through AddDir/AddFile leave as hash-guarded chunks
-// through one reused buffer, Close seals the trailer. Peak buffering is one
-// chunk.
+// the records pushed through AddDir/AddFile leave as hash-guarded chunks,
+// sealed and rendered by the build's sealer, Close seals the trailer. The
+// writer buffers the records of the chunk it is cutting; the renderings, and
+// the records of the chunks being sealed, are the sealer's, at most one per
+// sealing goroutine across every writer of the build.
 type docWriter struct {
-	kind      docKind
-	chunkSize int
-	bw        *bufio.Writer
-	enc       *fsimage.ChunkEncoder
-	buf       []byte
+	kind docKind
+	bw   *bufio.Writer
+	enc  *fsimage.ChunkEncoder
 }
 
-func newDocWriter(w io.Writer, kind docKind, head any, chunkSize int) (*docWriter, error) {
+func newDocWriter(w io.Writer, kind docKind, head any, sealer *fsimage.ChunkSealer, chunkSize int) (*docWriter, error) {
 	raw, err := json.Marshal(head)
 	if err != nil {
 		return nil, fmt.Errorf("distribute: encoding %s header: %w", kind.name, err)
 	}
-	d := &docWriter{kind: kind, chunkSize: chunkSize, bw: bufio.NewWriterSize(w, 64*1024)}
-	d.enc = fsimage.NewChunkEncoder(chunkSize, d.emit)
+	d := &docWriter{kind: kind, bw: bufio.NewWriterSize(w, 64*1024)}
+	d.enc = sealer.Encoder(chunkSize, true, d.emit)
 	if _, err := fmt.Fprintf(d.bw, "{%q:%s,%q:[", kind.head, raw, kind.array); err != nil {
 		return nil, fmt.Errorf("distribute: encoding %s: %w", kind.name, err)
 	}
 	return d, nil
 }
 
-// appendChunkElement appends one sealed chunk as the next element of a
-// document's chunk array. fsimage renders the chunk; every document numbers
-// its chunks from 0, so any later index follows a comma.
-func appendChunkElement(dst []byte, c *fsimage.Chunk) ([]byte, error) {
+// emit writes one sealed chunk, rendered, as the next element of the chunk
+// array. Every document numbers its chunks from 0, so any later index
+// follows a comma.
+func (d *docWriter) emit(c *fsimage.Chunk, rendered []byte) error {
 	if c.Index > 0 {
-		dst = append(dst, ',')
+		if err := d.bw.WriteByte(','); err != nil {
+			return err
+		}
 	}
-	dst, err := c.AppendJSON(dst)
-	if err != nil {
-		return nil, fmt.Errorf("distribute: encoding chunk %d: %w", c.Index, err)
-	}
-	return dst, nil
-}
-
-func (d *docWriter) emit(c *fsimage.Chunk) (err error) {
-	if d.buf, err = appendChunkElement(d.buf[:0], c); err != nil {
-		return err
-	}
-	_, err = d.bw.Write(d.buf)
+	_, err := d.bw.Write(rendered)
 	return err
 }
 
@@ -77,7 +68,7 @@ func (d *docWriter) emit(c *fsimage.Chunk) (err error) {
 // fragments): the next chunk is the first file chunk, chained after
 // dirHashes.
 func (d *docWriter) resumeAfter(dirHashes []string) {
-	d.enc = fsimage.ResumeChunkEncoder(d.chunkSize, dirHashes, d.emit)
+	d.enc.Resume(dirHashes)
 }
 
 func (d *docWriter) AddDir(r fsimage.DirRecord) error { return d.enc.AddDir(r) }
@@ -98,9 +89,10 @@ func (d *docWriter) Close() (chunks int, chain string, err error) {
 	return chunks, chain, nil
 }
 
-// writeDocument writes a whole document around one replay of its records.
-func writeDocument(w io.Writer, kind docKind, head any, chunkSize int, replay func(fsimage.RecordSink) error) (chunks int, chain string, err error) {
-	d, err := newDocWriter(w, kind, head, chunkSize)
+// writeDocument writes a whole document around one replay of its records,
+// sealed by sealer.
+func writeDocument(w io.Writer, kind docKind, head any, sealer *fsimage.ChunkSealer, chunkSize int, replay func(fsimage.RecordSink) error) (chunks int, chain string, err error) {
+	d, err := newDocWriter(w, kind, head, sealer, chunkSize)
 	if err != nil {
 		return 0, "", err
 	}

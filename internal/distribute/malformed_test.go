@@ -300,7 +300,7 @@ func forgedDocuments(tb testing.TB) []malformedDocument {
 			}
 			c.forge(&l, len(l.files)/2)
 			var doc bytes.Buffer
-			if _, _, err := writeDocument(&doc, k.doc, k.head, 64, l.replay); err != nil {
+			if _, _, err := writeDocument(&doc, k.doc, k.head, fsimage.NewChunkSealer(1), 64, l.replay); err != nil {
 				tb.Fatalf("sealing %q: %v", c.name, err)
 			}
 			out = append(out, malformedDocument{name: "forged: " + c.name + " (" + k.kind + ")", kind: k.kind, doc: doc.Bytes(), want: fsimage.ErrManifestIntegrity})

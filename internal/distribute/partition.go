@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strconv"
 
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
@@ -124,9 +125,9 @@ func FragmentName(planBase string, shard int) string {
 // planning. It returns the record hashes of the chain's directory chunks.
 // Every fragment opens with the same directory records at the same chunk
 // size and index, so these are its first chunk hashes too.
-func (rp *ResolvedPlan) sealDirs(ctx context.Context) ([]string, error) {
+func (rp *ResolvedPlan) sealDirs(ctx context.Context, sealer *fsimage.ChunkSealer) ([]string, error) {
 	var dirHashes []string
-	enc := fsimage.NewChunkEncoder(rp.Plan.ChunkSize, func(c *fsimage.Chunk) error {
+	enc := sealer.Encoder(rp.Plan.ChunkSize, false, func(c *fsimage.Chunk, _ []byte) error {
 		if len(c.Dirs) > 0 {
 			dirHashes = append(dirHashes, c.SHA256)
 		}
@@ -149,7 +150,9 @@ func (rp *ResolvedPlan) sealDirs(ctx context.Context) ([]string, error) {
 // renders each directory chunk once, sealed with the hash sealDirs kept,
 // writes it to every fragment, and has the encoders resume behind it at the
 // first file chunk: directory records are hashed once and rendered once,
-// whatever K is, and no rendered chunk outlives its writes.
+// whatever K is, and no rendered chunk outlives its writes. The K encoders
+// share the build's sealer, so the file chunks in flight are bounded by its
+// goroutines, not by K.
 type fragmentRouter struct {
 	ctx       context.Context
 	rp        *ResolvedPlan
@@ -195,11 +198,11 @@ func (r *fragmentRouter) flushDirs() error {
 	}
 	r.dirs.SHA256 = r.dirHashes[r.dirs.Index]
 	var err error
-	if r.buf, err = appendChunkElement(r.buf[:0], &r.dirs); err != nil {
-		return err
+	if r.buf, err = r.dirs.AppendJSON(r.buf[:0]); err != nil {
+		return fmt.Errorf("distribute: encoding chunk %d: %w", r.dirs.Index, err)
 	}
 	for _, d := range r.docs {
-		if _, err := d.bw.Write(r.buf); err != nil {
+		if err := d.emit(&r.dirs, r.buf); err != nil {
 			return err
 		}
 	}
@@ -238,11 +241,11 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 
 // writeFragments replays the metadata once through a router over one shard
 // document per writer (writers[s] receives fragment s) and seals them.
-func (rp *ResolvedPlan) writeFragments(ctx context.Context, dirHashes []string, writers []io.WriteCloser) error {
+func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.ChunkSealer, dirHashes []string, writers []io.WriteCloser) error {
 	router := &fragmentRouter{ctx: ctx, rp: rp, dirHashes: dirHashes, docs: make([]*docWriter, len(writers))}
 	for s, w := range writers {
 		var err error
-		if router.docs[s], err = newDocWriter(w, shardDoc, shardHeader(rp.Plan, s), rp.Plan.ChunkSize); err != nil {
+		if router.docs[s], err = newDocWriter(w, shardDoc, shardHeader(rp.Plan, s), sealer, rp.Plan.ChunkSize); err != nil {
 			return err
 		}
 	}
@@ -279,7 +282,11 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 		return nil, err
 	}
 	defer rp.Close()
-	dirHashes, err := rp.sealDirs(ctx)
+	// One sealer for both passes: the one that seals the header and the
+	// one that writes the fragments.
+	sealer := fsimage.NewChunkSealer(rp.parallelism)
+	defer sealer.Close()
+	dirHashes, err := rp.sealDirs(ctx, sealer)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +307,7 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 		}
 		wcs[s] = wc
 	}
-	if err := rp.writeFragments(ctx, dirHashes, wcs); err != nil {
+	if err := rp.writeFragments(ctx, sealer, dirHashes, wcs); err != nil {
 		closeAll()
 		return nil, err
 	}
@@ -315,13 +322,31 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 }
 
 // dirsum folds a decoded fragment's directory table into a hash so sibling
-// fragments' trees can be cross-checked cheaply.
+// fragments' trees can be cross-checked cheaply. Each directory is the line
+// "%d %d %q %v %g\n" (ID, Parent, Name, Special, Bias), rendered with the
+// strconv appenders fmt's verbs call into one buffer hashed every 32 KiB.
 func dirsum(tree *namespace.Tree) string {
+	const flushBytes = 32 << 10
 	h := sha256.New()
+	buf := make([]byte, 0, flushBytes+512)
 	for i := range tree.Dirs {
 		d := &tree.Dirs[i]
-		fmt.Fprintf(h, "%d %d %q %v %g\n", d.ID, d.Parent, d.Name, d.Special, d.Bias)
+		buf = strconv.AppendInt(buf, int64(d.ID), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(d.Parent), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendQuote(buf, d.Name)
+		buf = append(buf, ' ')
+		buf = strconv.AppendBool(buf, d.Special)
+		buf = append(buf, ' ')
+		buf = strconv.AppendFloat(buf, d.Bias, 'g', -1, 64)
+		buf = append(buf, '\n')
+		if len(buf) >= flushBytes {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

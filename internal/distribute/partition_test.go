@@ -3,13 +3,20 @@ package distribute
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"impressions/internal/core"
 	"impressions/internal/fsimage"
+	"impressions/internal/namespace"
 	"impressions/internal/parallel"
 	"impressions/internal/stats"
 )
@@ -100,6 +107,34 @@ func TestPartitionPlanFragmentsMatchSlicedPlan(t *testing.T) {
 	}
 }
 
+// TestDirsumMatchesFmt holds dirsum's appended lines to the fmt rendering
+// that defines them, "%d %d %q %v %g\n" per directory: over a generated tree
+// with special directories, whose lines fill the hash buffer several times,
+// and over names and biases that fmt quotes and formats the long way.
+func TestDirsumMatchesFmt(t *testing.T) {
+	reference := func(tree *namespace.Tree) string {
+		h := sha256.New()
+		for i := range tree.Dirs {
+			d := &tree.Dirs[i]
+			fmt.Fprintf(h, "%d %d %q %v %g\n", d.ID, d.Parent, d.Name, d.Special, d.Bias)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	generated := namespace.GenerateTree(stats.NewRNG(5), 5000, namespace.ShapeGenerative)
+	generated.MarkSpecial(core.DefaultSpecialDirectories())
+	odd := &namespace.Tree{}
+	for i, name := range []string{"R&D <tmp>", `q"b\s`, "tab\tnl\n", "bad\xff\xfe", "é ", "", strings.Repeat("n", 40<<10)} {
+		for j, bias := range []float64{0, math.Copysign(0, -1), 1e21, 5e-324, 123456789.125, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			odd.Dirs = append(odd.Dirs, namespace.Dir{ID: i*10 + j, Parent: -i, Name: name, Special: j%2 == 0, Bias: bias})
+		}
+	}
+	for name, tree := range map[string]*namespace.Tree{"empty": {}, "generated": generated, "odd": odd} {
+		if got, want := dirsum(tree), reference(tree); got != want {
+			t.Errorf("%s tree: dirsum %s, the fmt reference %s", name, got, want)
+		}
+	}
+}
+
 // fragmentSource replays the fragment documents.
 func fragmentSource(ctx context.Context, frags [][]byte) PlanSource {
 	return FragmentSource(ctx, len(frags), func(shard int) (io.ReadCloser, error) {
@@ -182,14 +217,18 @@ func rawDrawSum(t *testing.T, cfg core.Config) float64 {
 	return sum
 }
 
-// TestSpilledPlanMatchesInMemory: a pass over file-backed columns must
-// produce a plan document byte-identical to the pass over columns on the
-// heap, at Parallelism 1 and 4 — where the resolver keeps its raw draw
-// (target placed on the raw draw sum) and on the documented O(N) fallback
-// (target far from it); for a 1-file image; and for file counts that end
-// the columns just short of, on, and just past an edge of the 4096-value
-// blocks they are loaded and stored in, so that depth levels patch parents
-// on both sides of one.
+// TestSpilledPlanMatchesInMemory is the byte-identity matrix of the plan
+// builders: the Stream document and the PartitionPlan fragments, built at
+// Parallelism 1, 2 and 4 — where the chunk sealer runs inline, on one
+// goroutine and on three — over columns on the heap and spilled to files,
+// must all equal the heap build at Parallelism 1. The images: where the
+// resolver keeps its raw draw (target placed on the raw draw sum) and on
+// the documented O(N) fallback (target far from it); a 1-file image; file
+// counts that end the columns just short of, on, and just past an edge of
+// the 4096-value blocks they are loaded and stored in, so that depth levels
+// place files on both sides of one; and the two placement cases, special
+// directories (files committed before the parent pass) and a deep tree
+// (many depth levels, most of them sparse).
 func TestSpilledPlanMatchesInMemory(t *testing.T) {
 	fast := testConfig()
 	fast.FSSizeBytes = int64(rawDrawSum(t, fast))
@@ -199,23 +238,135 @@ func TestSpilledPlanMatchesInMemory(t *testing.T) {
 		cfg.NumFiles, cfg.FSSizeBytes = n, int64(n)*2048
 		cases[fmt.Sprintf("%d files", n)] = cfg
 	}
+	special := testConfig()
+	special.NumFiles, special.NumDirs, special.FSSizeBytes, special.UseSpecialDirectories = 9000, 400, 9000*2048, true
+	cases["special directories"] = special
+	deep := testConfig()
+	deep.NumFiles, deep.NumDirs, deep.FSSizeBytes, deep.TreeShape = 9000, 300, 9000*2048, namespace.ShapeDeep
+	cases["deep tree"] = deep
+
+	build := func(cfg core.Config) (doc []byte, frags [][]byte) {
+		var buf bytes.Buffer
+		if _, err := (PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64}).Stream(context.Background(), &buf); err != nil {
+			t.Fatalf("Stream: %v", err)
+		}
+		_, frags = fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64})
+		return buf.Bytes(), frags
+	}
 	for name, cfg := range cases {
-		for _, par := range []int{1, 4} {
-			cfg.Parallelism = par
-			var mem bytes.Buffer
-			if _, err := (PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64}).Stream(context.Background(), &mem); err != nil {
-				t.Fatalf("%s -j %d in-memory Stream: %v", name, par, err)
-			}
-			var spilled bytes.Buffer
-			onDisk := cfg
-			onDisk.SpillDir = t.TempDir()
-			if _, err := (PlanRequest{Config: onDisk, MaxShards: 4, ChunkSize: 64}).Stream(context.Background(), &spilled); err != nil {
-				t.Fatalf("%s -j %d spilled Stream: %v", name, par, err)
-			}
-			if !bytes.Equal(mem.Bytes(), spilled.Bytes()) {
-				t.Errorf("%s -j %d: spilled plan bytes differ from in-memory", name, par)
+		cfg.Parallelism = 1
+		refDoc, refFrags := build(cfg)
+		for _, par := range []int{1, 2, 4} {
+			for _, spill := range []bool{false, true} {
+				if par == 1 && !spill {
+					continue
+				}
+				c := cfg
+				c.Parallelism = par
+				if spill {
+					c.SpillDir = t.TempDir()
+				}
+				doc, frags := build(c)
+				if !bytes.Equal(doc, refDoc) {
+					t.Errorf("%s -j %d spill=%v: the plan document differs from the heap build at -j 1", name, par, spill)
+				}
+				for s := range refFrags {
+					if !bytes.Equal(frags[s], refFrags[s]) {
+						t.Errorf("%s -j %d spill=%v: fragment %d differs from the heap build at -j 1", name, par, spill, s)
+					}
+				}
 			}
 		}
+	}
+}
+
+// stopWriter passes n bytes; then it fails every write with err or, with
+// err nil, calls cancel once and passes everything.
+type stopWriter struct {
+	n      int
+	err    error
+	cancel func()
+}
+
+func (w *stopWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.n {
+		w.n -= len(p)
+		return len(p), nil
+	}
+	if w.err == nil {
+		w.cancel()
+		w.n = math.MaxInt
+		return len(p), nil
+	}
+	written := w.n
+	w.n = 0
+	return written, w.err
+}
+
+func (*stopWriter) Close() error { return nil }
+
+// TestPlanBuildFailuresStopTheSealer: a plan build whose writer fails, or
+// whose context is cancelled, part way returns that error at every
+// Parallelism the sealer runs at, and leaves no goroutine behind. The
+// writers fail at their first flush, half way, and at the trailer, of the
+// monolithic document and of one fragment; the cancel comes at the
+// fragment's first flush and a quarter of the way in, with records left to
+// route.
+func TestPlanBuildFailuresStopTheSealer(t *testing.T) {
+	cfg := testConfig()
+	cfg.NumFiles, cfg.FSSizeBytes = 20000, 20000*2048
+	var doc bytes.Buffer
+	if _, err := (PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64}).Stream(context.Background(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
+	docLen, fragLen := doc.Len(), len(frags[1])
+	boom := errors.New("boom")
+	for _, par := range []int{1, 2, 4} {
+		cfg.Parallelism = par
+		req := PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64}
+		fragment1 := func(ctx context.Context, w *stopWriter) error {
+			_, err := PartitionPlan(ctx, req, func(shard int) (io.WriteCloser, error) {
+				if shard == 1 {
+					return w, nil
+				}
+				return nopWriteCloser{io.Discard}, nil
+			})
+			return err
+		}
+		baseline := runtime.NumGoroutine()
+		for _, at := range []int{10, docLen / 2, docLen - 10} {
+			if _, err := req.Stream(context.Background(), &stopWriter{n: at, err: boom}); !errors.Is(err, boom) {
+				t.Errorf("-j %d Stream, the writer failing after %d of %d bytes: got %v, want %v", par, at, docLen, err, boom)
+			}
+		}
+		for _, at := range []int{10, fragLen / 2, fragLen - 10} {
+			if err := fragment1(context.Background(), &stopWriter{n: at, err: boom}); !errors.Is(err, boom) {
+				t.Errorf("-j %d PartitionPlan, fragment 1's writer failing after %d of %d bytes: got %v, want %v", par, at, fragLen, err, boom)
+			}
+		}
+		for _, at := range []int{10, fragLen / 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			err := fragment1(ctx, &stopWriter{n: at, cancel: cancel})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("-j %d PartitionPlan cancelled after %d of fragment 1's %d bytes: got %v, want %v", par, at, fragLen, err, context.Canceled)
+			}
+		}
+		waitGoroutines(t, baseline)
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// baseline within a few seconds.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines left, %d before the build", n, baseline)
 	}
 }
 

@@ -43,6 +43,11 @@ type ResolvedPlan struct {
 	// Meta is the resolved metadata pass.
 	Meta *core.Metadata
 	part *namespace.Partition
+	// parallelism is the request's Config.Parallelism. Each build of the
+	// plan's documents seals their chunks with a sealer of its own at it,
+	// and closes it, so neither its goroutines nor its buffers outlive the
+	// build.
+	parallelism int
 }
 
 // Resolve runs the request's metadata pass, with disk simulation forced off
@@ -103,15 +108,17 @@ func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
 		Spec:          spec,
 		ChunkSize:     chunkSize,
 		Shards:        shards,
-	}, Meta: m, part: part}, nil
+	}, Meta: m, part: part, parallelism: cfg.Parallelism}, nil
 }
 
 // Write writes the plan document to w in one replay of the columns —
 // header, metadata chunks streamed one at a time, sealing trailer — and
 // seals the plan with the trailer's chunk count and chain hash. Peak
-// buffering is one chunk.
+// buffering is the chunk being cut plus the sealer's chunks in flight.
 func (rp *ResolvedPlan) Write(w io.Writer) (err error) {
-	rp.Plan.Chunks, rp.Plan.ImageSHA256, err = writeDocument(w, planDoc, rp.Plan, rp.Plan.ChunkSize, rp.Meta.StreamRecords)
+	sealer := fsimage.NewChunkSealer(rp.parallelism)
+	defer sealer.Close()
+	rp.Plan.Chunks, rp.Plan.ImageSHA256, err = writeDocument(w, planDoc, rp.Plan, sealer, rp.Plan.ChunkSize, rp.Meta.StreamRecords)
 	return err
 }
 

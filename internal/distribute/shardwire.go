@@ -33,7 +33,7 @@ func shardHeader(p *Plan, shard int) shardWireHeader {
 // tree's directory records plus only this shard's file records streamed
 // through hash-guarded chunks, sealing trailer. Peak buffering is one chunk.
 func (v *ShardView) Encode(w io.Writer) error {
-	_, _, err := writeDocument(w, shardDoc, shardHeader(v.Plan, v.Shard), v.Plan.ChunkSize,
+	_, _, err := writeDocument(w, shardDoc, shardHeader(v.Plan, v.Shard), fsimage.NewChunkSealer(1), v.Plan.ChunkSize,
 		(&fsimage.Image{Tree: v.Tree, Files: v.Files}).StreamRecords)
 	return err
 }

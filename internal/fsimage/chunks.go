@@ -4,9 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
+	"runtime"
 	"strconv"
+	"sync"
 )
 
 // The chunked metadata stream is how large images travel inside plan files
@@ -19,6 +22,14 @@ import (
 // O(image). The per-chunk hash covers the records themselves — not their
 // JSON rendering — so integrity survives any re-encoding, and the chain over
 // all chunk hashes (ChunkHashChain) stands in for a whole-image hash.
+//
+// An encoder cuts chunks; a ChunkSealer seals them. One sealer serves every
+// encoder of a build: it hashes each cut chunk and, for an encoder that
+// writes a document, renders it, on parallelism−1 goroutines while the
+// goroutine feeding the encoders goes on cutting, and hands the sealed
+// chunks back to that goroutine — which folds each encoder's chain and
+// emits its chunks — in the order they were cut. At parallelism 1 it seals
+// each chunk inline as it is cut; NewChunkEncoder is that case.
 
 // DefaultChunkSize is the default number of metadata records per chunk. At
 // ~100 bytes per serialized record a chunk costs on the order of 1 MB to
@@ -69,11 +80,20 @@ const hashFlushBytes = 32 << 10
 // hashed at least twice, sealing and verifying, and formatting was seven
 // times the cost of the SHA-256 it fed.
 func (c *Chunk) RecordsHash() string {
+	hash, _ := c.recordsHash(nil)
+	return hash
+}
+
+// recordsHash is RecordsHash rendering the lines through buf, which it
+// returns for the next call.
+func (c *Chunk) recordsHash(buf []byte) (string, []byte) {
 	h := sha256.New()
 	// One buffer for all the lines: flushed when full, sized for a small
 	// chunk when the chunk is small, with room for one more line.
-	buf := make([]byte, 0, min(hashFlushBytes, 128*(len(c.Dirs)+len(c.Files)))+512)
-	buf = append(buf, chunkHashVersion...)
+	if need := min(hashFlushBytes, 128*(len(c.Dirs)+len(c.Files))) + 512; cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf = append(buf[:0], chunkHashVersion...)
 	buf = append(buf, "\nindex:"...)
 	buf = strconv.AppendInt(buf, int64(c.Index), 10)
 	buf = append(buf, '\n')
@@ -117,7 +137,7 @@ func (c *Chunk) RecordsHash() string {
 	}
 	h.Write(buf)
 	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
+	return hex.EncodeToString(h.Sum(sum[:0])), buf
 }
 
 // AppendJSON appends the chunk's wire form, byte for byte what
@@ -207,31 +227,216 @@ func appendStdlibJSONString(dst []byte, s string) []byte {
 	return append(dst, raw...)
 }
 
+// ChunkSealer seals the chunks its encoders cut (see the stream comment
+// above). At most max(parallelism−1, 1) chunks are sealed and not yet
+// emitted at any time, across all its encoders, and each holds its records
+// and its rendering; when none is free, the next cut waits for the oldest
+// and emits it. Encoders and the sealer belong to one goroutine. The first
+// failure — a chunk that does not render, an emit that fails — is returned
+// by every later call of any of its encoders.
+type ChunkSealer struct {
+	work   chan *sealSlot // to the sealing goroutines; nil seals inline
+	wg     sync.WaitGroup
+	free   []*sealSlot
+	flight []*sealSlot // sealing or sealed, not yet emitted, oldest first
+	err    error
+}
+
+// sealSlot is one chunk between its cut and its emit.
+type sealSlot struct {
+	c     Chunk
+	dirs  []DirRecord // the record buffers c was cut into
+	files []File
+	enc   *ChunkEncoder
+	lines []byte // RecordsHash's line buffer
+	json  []byte // the rendering, when enc renders
+	err   error  // a rendering failure
+	done  chan struct{}
+}
+
+// NewChunkSealer returns a sealer for one build at the given parallelism
+// (<= 0 selects runtime.NumCPU()). Above 1 it starts parallelism−1
+// goroutines, which Close stops.
+func NewChunkSealer(parallelism int) *ChunkSealer {
+	if parallelism <= 0 {
+		parallelism = runtime.NumCPU()
+	}
+	workers := parallelism - 1
+	s := &ChunkSealer{}
+	for range max(workers, 1) {
+		s.free = append(s.free, &sealSlot{done: make(chan struct{}, 1)})
+	}
+	if workers > 0 {
+		// One place per slot: a cut never waits to hand its chunk over.
+		s.work = make(chan *sealSlot, workers)
+		s.wg.Add(workers)
+		for range workers {
+			go func() {
+				defer s.wg.Done()
+				for sl := range s.work {
+					sl.seal()
+					sl.done <- struct{}{}
+				}
+			}()
+		}
+	}
+	return s
+}
+
+// Encoder returns an encoder cutting chunks of at most chunkSize records
+// (<= 0 selects DefaultChunkSize) for this sealer to seal. With render set
+// each chunk is also rendered (AppendJSON) and emit receives the rendering;
+// otherwise it receives nil. The *Chunk and the rendering are reused after
+// emit returns — emit must not retain them.
+func (s *ChunkSealer) Encoder(chunkSize int, render bool, emit func(c *Chunk, json []byte) error) *ChunkEncoder {
+	if chunkSize <= 0 {
+		chunkSize = DefaultChunkSize
+	}
+	return &ChunkEncoder{sealer: s, chunkSize: chunkSize, render: render, emit: emit, chain: NewChunkHashChain()}
+}
+
+// Close stops the sealer's goroutines, abandoning the chunks in flight;
+// every later call of its encoders fails. Further calls do nothing.
+func (s *ChunkSealer) Close() {
+	if s.work != nil {
+		close(s.work)
+		s.wg.Wait()
+		s.work = nil
+	}
+	if s.err == nil {
+		s.err = errSealerClosed
+	}
+}
+
+var errSealerClosed = errors.New("fsimage: chunk sealer closed")
+
+// renderBytes is about what AppendJSON takes for one generated record.
+const renderBytes = 112
+
+// seal hashes the slot's chunk and renders it when its encoder asks.
+func (sl *sealSlot) seal() {
+	sl.c.SHA256, sl.lines = sl.c.recordsHash(sl.lines)
+	if sl.enc.render {
+		// Sized for the chunk up front, a rendering is not copied from
+		// buffer to ever larger buffer while every goroutine renders its own.
+		if need := renderBytes * (len(sl.c.Dirs) + len(sl.c.Files)); cap(sl.json) < need {
+			sl.json = make([]byte, 0, need)
+		}
+		if sl.json, sl.err = sl.c.AppendJSON(sl.json[:0]); sl.err != nil {
+			sl.err = fmt.Errorf("fsimage: encoding chunk %d: %w", sl.c.Index, sl.err)
+		}
+	}
+}
+
+// cut seals the records e has buffered as its next chunk: inline, or handed
+// to the goroutines in exchange for the record buffers of a free slot.
+func (s *ChunkSealer) cut(e *ChunkEncoder) error {
+	if s.err != nil {
+		return s.err
+	}
+	if len(s.free) == 0 {
+		if err := s.emitOldest(); err != nil {
+			return err
+		}
+	}
+	sl := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	sl.enc, sl.c.Index = e, e.cut
+	e.cut++
+	if s.work == nil {
+		sl.c.Dirs, sl.c.Files = orNil(e.dirBuf), orNil(e.fileBuf)
+		sl.seal()
+		e.dirBuf, e.fileBuf = e.dirBuf[:0], e.fileBuf[:0]
+		return s.emit(sl)
+	}
+	// A chunk holds one kind of record, and every directory chunk precedes
+	// every file chunk: a slot that takes files keeps no directory buffer.
+	if len(e.dirBuf) > 0 {
+		sl.dirs, e.dirBuf = e.dirBuf, sl.dirs[:0]
+		sl.c.Dirs, sl.c.Files = sl.dirs, nil
+	} else {
+		sl.files, e.fileBuf, sl.dirs = e.fileBuf, sl.files[:0], nil
+		sl.c.Dirs, sl.c.Files = nil, sl.files
+	}
+	s.flight = append(s.flight, sl)
+	s.work <- sl
+	return nil
+}
+
+func orNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
+// emitOldest waits for the oldest chunk in flight and emits it.
+func (s *ChunkSealer) emitOldest() error {
+	sl := s.flight[0]
+	s.flight = append(s.flight[:0], s.flight[1:]...)
+	<-sl.done
+	return s.emit(sl)
+}
+
+// emit folds a sealed chunk into its encoder's chain, hands it to the
+// encoder's emit and frees its slot.
+func (s *ChunkSealer) emit(sl *sealSlot) error {
+	e, err := sl.enc, sl.err
+	if err == nil {
+		e.chain.Add(sl.c.SHA256)
+		e.sealed++
+		err = e.emit(&sl.c, sl.json)
+	}
+	// The slot keeps its own buffers, not the records it borrowed inline.
+	sl.enc, sl.err, sl.c.Dirs, sl.c.Files = nil, nil, nil, nil
+	s.free = append(s.free, sl)
+	if err != nil {
+		s.err = err
+	}
+	return err
+}
+
+// drain emits chunks in flight until every chunk e has cut is emitted.
+func (s *ChunkSealer) drain(e *ChunkEncoder) error {
+	for e.sealed < e.cut {
+		if s.err != nil {
+			return s.err
+		}
+		if err := s.emitOldest(); err != nil {
+			return err
+		}
+	}
+	return s.err
+}
+
 // ChunkEncoder is the RecordSink that slices a metadata stream into sealed,
 // hash-guarded chunks: directory records fill directory chunks, the first
 // file record seals any partial directory chunk, and Close seals the
-// trailing partial chunk. Only one chunk's records are ever buffered, so a
+// trailing partial chunk. Only the records of the chunk being cut are
+// buffered here, and those of the chunks in its sealer's flight there, so a
 // generation pass can stream an arbitrarily large image through it in
-// O(chunk) memory. The emitted *Chunk (and its record slices) is reused
-// between emit calls — emit must not retain it.
+// O(chunk) memory.
 type ChunkEncoder struct {
+	sealer    *ChunkSealer
 	chunkSize int
-	emit      func(*Chunk) error
+	render    bool
+	emit      func(*Chunk, []byte) error
 
-	c       Chunk
 	dirBuf  []DirRecord
 	fileBuf []File
 	files   bool // the file half of the stream has begun
+	cut     int  // chunks cut
+	sealed  int  // chunks emitted, all folded into chain
 	chain   *ChunkHashChain
 }
 
 // NewChunkEncoder returns an encoder emitting chunks of at most chunkSize
-// records (<= 0 selects DefaultChunkSize).
+// records (<= 0 selects DefaultChunkSize), each sealed inline as it is cut:
+// the encoder of a sealer at parallelism 1, rendering nothing. The emitted
+// *Chunk (and its record slices) is reused between emit calls — emit must
+// not retain it.
 func NewChunkEncoder(chunkSize int, emit func(*Chunk) error) *ChunkEncoder {
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
-	}
-	return &ChunkEncoder{chunkSize: chunkSize, emit: emit, chain: NewChunkHashChain()}
+	return NewChunkSealer(1).Encoder(chunkSize, false, func(c *Chunk, _ []byte) error { return emit(c) })
 }
 
 // AddDir buffers the next directory record, sealing a chunk when full.
@@ -253,7 +458,7 @@ func (e *ChunkEncoder) AddFile(f File) error {
 		if err := e.flush(); err != nil {
 			return err
 		}
-		e.files = true
+		e.files, e.dirBuf = true, nil
 	}
 	e.fileBuf = append(e.fileBuf, f)
 	if len(e.fileBuf) >= e.chunkSize {
@@ -262,71 +467,64 @@ func (e *ChunkEncoder) AddFile(f File) error {
 	return nil
 }
 
-// flush seals and emits the buffered records as one chunk (no-op if empty).
+// flush cuts the buffered records as one chunk (no-op if empty).
 func (e *ChunkEncoder) flush() error {
 	if len(e.dirBuf) == 0 && len(e.fileBuf) == 0 {
 		return nil
 	}
-	e.c.Dirs, e.c.Files = e.dirBuf, e.fileBuf
-	if len(e.dirBuf) == 0 {
-		e.c.Dirs = nil
-	}
-	if len(e.fileBuf) == 0 {
-		e.c.Files = nil
-	}
-	e.c.SHA256 = e.c.RecordsHash()
-	e.chain.Add(e.c.SHA256)
-	err := e.emit(&e.c)
-	e.c.Index++
-	e.dirBuf = e.dirBuf[:0]
-	e.fileBuf = e.fileBuf[:0]
-	return err
+	return e.sealer.cut(e)
 }
 
-// Close seals the trailing partial chunk. It must be called after the last
-// record; the encoder may be inspected (Chunks, ChainHash) afterwards.
-func (e *ChunkEncoder) Close() error { return e.flush() }
+// Close cuts the trailing partial chunk and waits until every chunk of the
+// encoder is emitted. It must be called after the last record; the encoder
+// may be inspected (Chunks, ChainHash) afterwards.
+func (e *ChunkEncoder) Close() error {
+	if err := e.flush(); err != nil {
+		return err
+	}
+	return e.sealer.drain(e)
+}
 
-// Chunks returns how many chunks have been sealed so far.
-func (e *ChunkEncoder) Chunks() int { return e.c.Index }
+// Chunks returns how many chunks have been sealed and emitted so far.
+func (e *ChunkEncoder) Chunks() int { return e.sealed }
 
-// ChainHash returns the running chain hash over the sealed chunks; after
+// ChainHash returns the running chain hash over the emitted chunks; after
 // Close it is the whole-image integrity value a chunked stream's header or
 // trailer records.
 func (e *ChunkEncoder) ChainHash() string { return e.chain.Sum() }
 
-// ResumeChunkEncoder returns an encoder for the file half of a stream whose
+// Resume positions a fresh encoder for the file half of a stream whose
 // directory chunks were sealed elsewhere: dirHashes are their RecordsHash
 // values in stream order. Its first chunk is numbered len(dirHashes), its
 // chain starts from those hashes, and it rejects directory records. The K
 // fragments of a partitioned plan share one directory section this way
 // instead of each hashing and rendering it again.
-func ResumeChunkEncoder(chunkSize int, dirHashes []string, emit func(*Chunk) error) *ChunkEncoder {
-	e := NewChunkEncoder(chunkSize, emit)
+func (e *ChunkEncoder) Resume(dirHashes []string) {
 	for _, h := range dirHashes {
 		e.chain.Add(h)
 	}
-	e.c.Index = len(dirHashes)
+	e.cut, e.sealed = len(dirHashes), len(dirHashes)
 	e.files = true
-	return e
 }
 
 // ChunkHashChain incrementally folds chunk hashes into the whole-image
 // integrity hash, so neither side needs to hold the per-chunk hash list.
 type ChunkHashChain struct {
-	h hash.Hash
+	h    hash.Hash
+	line []byte
 }
 
 // NewChunkHashChain starts an empty chain.
 func NewChunkHashChain() *ChunkHashChain {
 	h := sha256.New()
-	fmt.Fprintf(h, "impressions-plan-chunk-chain-v1\n")
+	h.Write([]byte("impressions-plan-chunk-chain-v1\n"))
 	return &ChunkHashChain{h: h}
 }
 
-// Add folds one chunk hash (hex) into the chain.
+// Add folds one chunk hash (hex) into the chain: the line "%s\n".
 func (c *ChunkHashChain) Add(chunkHash string) {
-	fmt.Fprintf(c.h, "%s\n", chunkHash)
+	c.line = append(append(c.line[:0], chunkHash...), '\n')
+	c.h.Write(c.line)
 }
 
 // Sum returns the chain hash (hex) over everything added so far.

@@ -179,6 +179,57 @@ func TestChunkDecoderRejectsBadStreams(t *testing.T) {
 	}
 }
 
+// TestChunkSealerSharedByEncoders: encoders sharing one sealer, fed in turn
+// as the fragment router feeds them, each emit their own chunks in order,
+// with the hashes, renderings and chains the inline sealer gives them, at
+// every parallelism.
+func TestChunkSealerSharedByEncoders(t *testing.T) {
+	img := buildTestImage(t)
+	const k = 3
+	type sealed struct {
+		index      int
+		hash, json string
+	}
+	seal := func(parallelism int) (chunks [k][]sealed, chains [k]string) {
+		s := NewChunkSealer(parallelism)
+		defer s.Close()
+		encs := make([]*ChunkEncoder, k)
+		for i := range encs {
+			encs[i] = s.Encoder(2, true, func(c *Chunk, json []byte) error {
+				chunks[i] = append(chunks[i], sealed{c.Index, c.SHA256, string(json)})
+				return nil
+			})
+		}
+		err := img.StreamRecords(recordFuncs{
+			dir: func(d DirRecord) error {
+				for _, e := range encs {
+					if err := e.AddDir(d); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			file: func(f File) error { return encs[f.ID%k].AddFile(f) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range encs {
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			chains[i] = e.ChainHash()
+		}
+		return chunks, chains
+	}
+	wantChunks, wantChains := seal(1)
+	for _, par := range []int{2, 3, 4} {
+		if chunks, chains := seal(par); !reflect.DeepEqual(chunks, wantChunks) || chains != wantChains {
+			t.Errorf("parallelism %d: the encoders emitted other chunks or chains than at parallelism 1", par)
+		}
+	}
+}
+
 // TestChunkEncoderBounded asserts the encoder is actually streaming: with a
 // small chunk size it must emit many chunks, and no single chunk may carry
 // more than chunkSize records — the O(chunk) memory contract.

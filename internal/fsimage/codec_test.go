@@ -132,13 +132,14 @@ func TestResumeChunkEncoder(t *testing.T) {
 			}
 		}
 		i := len(dirHashes)
-		enc := ResumeChunkEncoder(cs, dirHashes, func(c *Chunk) error {
+		enc := NewChunkEncoder(cs, func(c *Chunk) error {
 			if want := whole[i]; c.Index != want.Index || c.SHA256 != want.SHA256 || !reflect.DeepEqual(c.Files, want.Files) {
 				t.Errorf("chunkSize=%d: resumed encoder sealed chunk %d as %s, the whole stream has chunk %d as %s", cs, c.Index, c.SHA256, want.Index, want.SHA256)
 			}
 			i++
 			return nil
 		})
+		enc.Resume(dirHashes)
 		if err := enc.AddDir(DirRecord{ID: 99}); err == nil {
 			t.Errorf("chunkSize=%d: resumed encoder accepted a directory record", cs)
 		}
@@ -157,6 +158,22 @@ func TestResumeChunkEncoder(t *testing.T) {
 		if i != len(whole) || enc.Chunks() != len(whole) || enc.ChainHash() != chain.Sum() {
 			t.Errorf("chunkSize=%d: resumed encoder ended at chunk %d (Chunks %d) chaining to %s, want %d chunks chaining to %s",
 				cs, i, enc.Chunks(), enc.ChainHash(), len(whole), chain.Sum())
+		}
+	}
+}
+
+// TestChunkHashChainMatchesFmt holds the chain's appended lines to the fmt
+// rendering that defines them, a "%s\n" per chunk hash after the version
+// line, over hashes of any length and bytes a decoded document can carry.
+func TestChunkHashChainMatchesFmt(t *testing.T) {
+	ref := sha256.New()
+	fmt.Fprintf(ref, "impressions-plan-chunk-chain-v1\n")
+	chain := NewChunkHashChain()
+	for _, hash := range []string{(&Chunk{}).RecordsHash(), "", "x", string(bytes.Repeat([]byte("ab"), 300)), "bad\xff\nline", (&Chunk{Index: 1}).RecordsHash()} {
+		fmt.Fprintf(ref, "%s\n", hash)
+		chain.Add(hash)
+		if got, want := chain.Sum(), hex.EncodeToString(ref.Sum(nil)); got != want {
+			t.Fatalf("after %q the chain sums to %s, the fmt reference to %s", hash, got, want)
 		}
 	}
 }
