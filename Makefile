@@ -184,7 +184,9 @@ fleet-fault-check:
 # content workers behind them change nothing but the time), the squashfs
 # run must print the tar run's digest, and a plan executed by 3 tar-segment
 # workers (at -j 1, 2 and 4) and stitched must be byte-identical to the
-# single-process tar of the same spec.
+# single-process tar of the same spec — from the plan document and from the
+# fragment index of `plan -partition 3` alike. A stitch handed its segments
+# in the wrong order must fail and leave no archive behind.
 image-sink-check:
 	@rm -rf /tmp/impressions-image-check && mkdir -p /tmp/impressions-image-check
 	$(GO) build -o /tmp/impressions-image-check/impressions ./cmd/impressions
@@ -201,12 +203,19 @@ image-sink-check:
 	for p in $$pids; do wait "$$p"; done; \
 	./impressions stitch -plan plan.json -out stitched.tar seg0.tar seg1.tar seg2.tar; \
 	cmp single.tar stitched.tar; \
+	if ./impressions stitch -plan plan.json -out swapped.tar seg1.tar seg0.tar seg2.tar 2> swapped.err; then \
+		echo "image-sink-check: a stitch of swapped segments succeeded"; exit 1; fi; \
+	test ! -e swapped.tar; \
+	mkdir part; ./impressions plan $$spec -partition 3 -plan part/plan.json; \
+	for s in 0 1 2; do ./impressions worker -plan part/plan.json -shard $$s -format tar -out part/seg$$s.tar -manifest part/manifest-$$s.json; done; \
+	./impressions stitch -plan part/plan.json -out part/stitched.tar part/seg0.tar part/seg1.tar part/seg2.tar; \
+	cmp single.tar part/stitched.tar; \
 	./impressions merge -plan plan.json -print-digest manifest-*.json > merged.digest; \
 	cmp tar.digest merged.digest; \
 	./impressions $$spec -j 1 -format squashfs -out image.squashfs -digest | grep '^image digest:' > squashfs.digest; \
 	./impressions $$spec -j 4 -format squashfs -out image-j4.squashfs; \
 	cmp image.squashfs image-j4.squashfs; cmp tar.digest squashfs.digest; \
-	echo "image-sink-check: OK (tar digest matches VFS and squashfs; -j 1 and -j 4 byte-identical; 3-worker stitch byte-identical)"
+	echo "image-sink-check: OK (tar digest matches VFS and squashfs; -j 1 and -j 4 byte-identical; 3-worker stitch of the document and of the index byte-identical; swapped segments refused)"
 
 # Local mirror of the CI bench-pipeline job. bench/pipeline is a Go module of
 # its own, so `go vet ./...` and `go test ./...` from the root never see it:
@@ -228,8 +237,8 @@ mem-check:
 	$(GO) test ./internal/distribute ./cmd/impressions -run 'TestStreamedPlanBuildMemoryBound|TestPartitionedPlanBuildMemoryBound|TestMergeMemoryBound|TestGenerateMemoryBound' -v -timeout 15m
 
 # Local mirror of the CI fuzz-smoke job: every fuzz target of the module
-# (whatever `go test -list '^Fuzz'` finds: the tar header and stitcher in
-# internal/imgfmt, the chunk codec and decoder in internal/fsimage, the plan
+# (whatever `go test -list '^Fuzz'` finds: the tar header, stitcher and
+# squashfs extractor in internal/imgfmt, the chunk codec and decoder in internal/fsimage, the plan
 # document, shard document, manifest and journal decoders in
 # internal/distribute, and the radix sort against sort.Float64s in
 # internal/stats) for FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in

@@ -354,53 +354,50 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 // written sequentially (no per-file syscalls, no mkfs, no root). With
 // wantDigest the canonical image digest is folded in the same pass and
 // returned. The sink's line is printed once the image is whole.
-func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, wantDigest bool, stdout io.Writer) (digest string, err error) {
-	var (
-		fold *fsimage.DigestBuilder
-		sink interface {
-			fsimage.RecordSink
-			Close() error
-			Written() int64
-		}
-		file  *os.File
-		wrote = "wrote " + format + " image %[2]s (%[1]d content bytes, sequential)\n" // the sink's line, of (bytes, out)
-	)
+func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, wantDigest bool, stdout io.Writer) (string, error) {
+	var fold *fsimage.DigestFold
 	if wantDigest {
-		fold = imgfmt.FoldDigest(&opts, m.DirCount(), m.FileCount(), m.TotalBytes())
+		fold = fsimage.NewDigestFold(m.DirCount(), m.FileCount(), m.TotalBytes())
 	}
+	var written int64
+	stream := func(sink interface {
+		fsimage.RecordSink
+		Close() error
+		Written() int64
+	}) error {
+		err := m.StreamRecords(sink)
+		if err == nil {
+			err = sink.Close()
+		}
+		written = sink.Written()
+		return err
+	}
+	wrote := "wrote " + format + " image %[2]s (%[1]d content bytes, sequential)\n" // the sink's line, of (bytes, out)
+	var err error
 	if format == "dir" {
-		sink = fsimage.NewMaterializeSink(out, fsimage.MaterializeOptions{
-			Registry: opts.Registry, Seed: opts.Seed, MetadataOnly: opts.MetadataOnly, Parallelism: opts.Parallelism,
-		}, fold)
+		// The metadata holds the tree the records are of; the sink writes
+		// under it, and folds the digest over it.
 		wrote = "materialized %d bytes under %s\n"
+		err = stream(fsimage.NewMaterializeSink(out, m.Tree(), fsimage.MaterializeOptions{
+			Registry: opts.Registry, Seed: opts.Seed, MetadataOnly: opts.MetadataOnly, Parallelism: opts.Parallelism,
+		}, fold))
 	} else {
-		if file, err = os.Create(out); err != nil {
-			return "", err
-		}
-		defer file.Close()
-		if format == "squashfs" {
-			sink, err = imgfmt.NewSquashfsSink(file, opts)
-		} else {
-			sink = imgfmt.NewTarSink(file, opts)
-		}
+		imgfmt.FoldDigest(&opts, fold)
+		err = createFile(out, func(f *os.File) error {
+			if format != "squashfs" {
+				return stream(imgfmt.NewTarSink(f, opts))
+			}
+			sink, err := imgfmt.NewSquashfsSink(f, opts)
+			if err != nil {
+				return err
+			}
+			return stream(sink)
+		})
 	}
 	if err != nil {
 		return "", err
 	}
-	records := fsimage.RecordSink(sink)
-	if fold != nil {
-		records = fsimage.MultiSink(sink, fold)
-	}
-	if err = m.StreamRecords(records); err == nil {
-		err = sink.Close()
-	}
-	if err == nil && file != nil {
-		err = file.Close()
-	}
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(stdout, wrote, sink.Written(), out)
+	fmt.Fprintf(stdout, wrote, written, out)
 	if fold != nil {
 		return fold.Sum()
 	}
@@ -446,16 +443,11 @@ func runStitch(args []string, stdout, stderr io.Writer) error {
 		defer f.Close()
 		segments[i] = f
 	}
-	out, err := os.Create(*outFlag)
-	if err != nil {
+	var p *distribute.Plan
+	if err := createFile(*outFlag, func(out *os.File) (err error) {
+		p, err = distribute.StitchPlanTar(plan.Source(context.Background()), segments, out, imgfmt.Options{})
 		return err
-	}
-	p, err := distribute.StitchPlanTar(plan.Source(context.Background()), segments, out, imgfmt.Options{})
-	if err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "stitch: %d segments -> %s (%d dirs, %d files, %d content bytes)\n",
@@ -684,22 +676,18 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	target := distribute.DirTarget(*outFlag)
-	var seg *os.File
-	if format == "tar" {
-		if seg, err = os.Create(*outFlag); err != nil {
-			return err
-		}
-		target = distribute.TarTarget(seg)
-	}
 	if *workDir != "" {
 		wopts.JournalPath = distribute.JournalFile(*workDir, view.Plan.Fingerprint(), view.Shard)
 	}
-	res, err := distribute.Execute(context.Background(), view, target, wopts)
-	if seg != nil {
-		if cerr := seg.Close(); err == nil {
-			err = cerr
-		}
+	var res *distribute.ShardResult
+	execute := func(target distribute.Target) (err error) {
+		res, err = distribute.Execute(context.Background(), view, target, wopts)
+		return err
+	}
+	if format == "tar" {
+		err = createFile(*outFlag, func(seg *os.File) error { return execute(distribute.TarTarget(seg)) })
+	} else {
+		err = execute(distribute.DirTarget(*outFlag))
 	}
 	if err != nil {
 		dieIfInjected(err, fmt.Sprintf("worker: shard %d", view.Shard), stdout)
@@ -1146,10 +1134,15 @@ func printDefaultTable(w io.Writer) {
 	}
 }
 
-// writeJSONFile creates path and streams enc's output into it, surfacing
-// the close error (short writes on full disks appear there). A failed write
-// leaves no torn document at path (see removeTorn).
-func writeJSONFile(path string, enc func(io.Writer) error) (err error) {
+// writeJSONFile creates path and streams enc's output into it (createFile).
+func writeJSONFile(path string, enc func(io.Writer) error) error {
+	return createFile(path, func(f *os.File) error { return enc(f) })
+}
+
+// createFile creates path, has write fill it and closes it, surfacing the
+// close error (short writes on full disks appear there). A failed write
+// leaves no torn file at path (see removeTorn).
+func createFile(path string, write func(*os.File) error) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -1160,7 +1153,7 @@ func writeJSONFile(path string, enc func(io.Writer) error) (err error) {
 			removeTorn(path)
 		}
 	}()
-	if err = enc(f); err != nil {
+	if err = write(f); err != nil {
 		return err
 	}
 	return f.Close()

@@ -167,6 +167,103 @@ func TestFailedPlanLeavesNothing(t *testing.T) {
 	}
 }
 
+// tarSegments plans faultCfgArgs as two shards under dir and writes each
+// shard's tar segment with `worker -format tar`.
+func tarSegments(t *testing.T, dir string) (plan string, segments []string) {
+	t.Helper()
+	plan = filepath.Join(dir, "plan.json")
+	if err := run(append(append([]string{"plan"}, faultCfgArgs...), "-shards", "2", "-plan", plan), io.Discard, io.Discard); err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	for s := 0; s < 2; s++ {
+		seg := filepath.Join(dir, fmt.Sprintf("seg%d.tar", s))
+		args := []string{"worker", "-plan", plan, "-shard", strconv.Itoa(s), "-format", "tar", "-out", seg, "-manifest", filepath.Join(dir, fmt.Sprintf("m%d.json", s))}
+		if err := run(args, io.Discard, io.Discard); err != nil {
+			t.Fatalf("worker %d: %v", s, err)
+		}
+		segments = append(segments, seg)
+	}
+	return plan, segments
+}
+
+// TestFailedImageLeavesNothing: a command that fails after it has created
+// its archive — a tar or squashfs image, a tar segment, a stitched tar —
+// removes it, so no torn archive is left at -out to be taken for a whole
+// one. The writes of the first three fail at the file size limit of a
+// helper process; the stitch is handed its segments in the wrong order.
+func TestFailedImageLeavesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses; skipped in -short")
+	}
+	dir := t.TempDir()
+	plan, segments := tarSegments(t, dir)
+	limited := func(args ...string) []string { return append([]string{"helper-fsize", "16384"}, args...) }
+	for name, args := range map[string][]string{
+		"tar":      limited(append([]string{"-format", "tar"}, faultCfgArgs...)...),
+		"squashfs": limited(append([]string{"-format", "squashfs"}, faultCfgArgs...)...),
+		"segment":  limited("worker", "-plan", plan, "-shard", "0", "-format", "tar", "-manifest", filepath.Join(dir, "m.json")),
+		"stitch":   {"stitch", "-plan", plan},
+	} {
+		t.Run(name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "image")
+			args := append(slices.Clone(args), "-out", out)
+			if name == "stitch" {
+				args = append(args, segments[1], segments[0])
+			}
+			cmd := helperCommand(t, args...)
+			output, err := cmd.CombinedOutput()
+			if code := cmd.ProcessState.ExitCode(); code != 1 {
+				t.Fatalf("%q exited %d (%v), want 1: %s", args, code, err, output)
+			}
+			if _, err := os.Lstat(out); err == nil {
+				t.Errorf("%q failed and left %s behind", args, out)
+			}
+		})
+	}
+}
+
+// TestStitchChecksTheShardTable: a plan document whose shard table says one
+// file of shard 0 is shard 1's still balances — the shard sums equal the
+// header's totals — and its segments still stitch entry by entry; stitch
+// holds the plan to that table as merge does, so both refuse it.
+func TestStitchChecksTheShardTable(t *testing.T) {
+	dir := t.TempDir()
+	plan, segments := tarSegments(t, dir)
+	doc, err := os.ReadFile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := regexp.MustCompile(`"dirs":(\d+),"files":(\d+),"bytes":(\d+)\}`)
+	shard := 0
+	moved := entries.ReplaceAllStringFunc(string(doc), func(entry string) string {
+		m := entries.FindStringSubmatch(entry)
+		files, _ := strconv.Atoi(m[2])
+		files += 2*shard - 1 // shard 0 one fewer, shard 1 one more
+		shard++
+		return fmt.Sprintf(`"dirs":%s,"files":%d,"bytes":%s}`, m[1], files, m[3])
+	})
+	if shard != 2 {
+		t.Fatalf("the plan document has %d shard table entries, want 2", shard)
+	}
+	tampered := filepath.Join(dir, "tampered.json")
+	if err := os.WriteFile(tampered, []byte(moved), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "image.tar")
+	for _, args := range [][]string{
+		append([]string{"stitch", "-plan", tampered, "-out", out}, segments...),
+		{"merge", "-plan", tampered, filepath.Join(dir, "m0.json"), filepath.Join(dir, "m1.json")},
+	} {
+		var stderr bytes.Buffer
+		if code := Main(args, io.Discard, &stderr); code != 1 || !strings.Contains(stderr.String(), fsimage.ErrManifestIntegrity.Error()) {
+			t.Errorf("%s of a plan whose shard table moved a file exited %d: %s", args[0], code, stderr.String())
+		}
+	}
+	if _, err := os.Lstat(out); err == nil {
+		t.Errorf("the refused stitch left %s behind", out)
+	}
+}
+
 // TestPlanPartitionWorkerMergePipeline drives the partitioned pipeline
 // through the CLI end to end: plan -partition writes fragments plus an
 // index, worker -plan executes a shard from the index or from its fragment,
@@ -631,11 +728,12 @@ func TestGenerateRejectsFormatBeforeGenerating(t *testing.T) {
 // TestHelperProcess is not a real test: it is the re-exec target that lets
 // the tests below run `impressions` subcommands as genuinely separate OS
 // processes. It runs Main on the arguments after "--" and exits with its
-// status. Three marker commands stage faults for the distrun tests:
-// "helper-sleep" wedges forever (a hung worker), "helper-await <file>...
-// -- <command>" runs the command only once the files exist, so that sibling
-// shards have finished before this one misbehaves, and "helper-wedge-workers
-// <command>" runs a distrun whose every worker is a helper-sleep.
+// status. Marker commands stage faults: "helper-sleep" wedges forever (a
+// hung worker), "helper-await <file>... -- <command>" runs the command only
+// once the files exist, so that sibling shards have finished before this one
+// misbehaves, "helper-wedge-workers <command>" runs a distrun whose every
+// worker is a helper-sleep, and "helper-fsize <bytes> <command>" runs the
+// command under that file size limit, past which a write fails (EFBIG).
 func TestHelperProcess(t *testing.T) {
 	if os.Getenv("IMPRESSIONS_HELPER_PROCESS") != "1" {
 		t.Skip("helper process for cross-process tests")
@@ -668,6 +766,16 @@ func TestHelperProcess(t *testing.T) {
 				return helperCommandContext(ctx, "helper-sleep"), nil
 			}
 			args = args[1:]
+		case "helper-fsize":
+			limit, err := strconv.ParseUint(args[1], 10, 64)
+			if err == nil {
+				err = syscall.Setrlimit(syscall.RLIMIT_FSIZE, &syscall.Rlimit{Cur: limit, Max: limit})
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "helper-fsize:", err)
+				os.Exit(3)
+			}
+			args = args[2:]
 		}
 	}
 	os.Exit(Main(args, os.Stdout, os.Stderr))

@@ -104,10 +104,11 @@ type MaterializeOptions = fsimage.MaterializeOptions
 
 // RecordSink consumes an image's metadata stream (directories in ID order,
 // then files in ID order) — the out-of-core alternative to retaining an
-// Image. See fsimage for the provided sinks: ImageSink (retain),
-// ChunkEncoder (serialize), DigestBuilder (canonical digest), ImageStats
-// (histograms), MaterializeSink (write to disk, a batch of records at a time;
-// Close it when the stream is through).
+// Image. See fsimage for the provided sinks: TreeSink (validate and rebuild
+// the directory tree), ChunkEncoder (serialize), DigestBuilder (canonical
+// digest), ImageStats (histograms), MaterializeSink (write to disk under the
+// tree the caller holds, a batch of records at a time; Close it when the
+// stream is through).
 type RecordSink = fsimage.RecordSink
 
 // RecordSource is anything that can replay an image's metadata records into

@@ -24,9 +24,10 @@ func recordsHash(t *testing.T, img *fsimage.Image) string {
 
 // TestGenerateStreamMatchesRetained is the golden streaming-vs-retained
 // equivalence: for several seeds at parallelism 1, 2 and 8, one streamed
-// generation pass fanned into a retained sink, a stats accumulator, and a
-// streaming materializer must reproduce — byte for byte — the image,
-// digest, statistics, and on-disk tree of the classic Generate path.
+// generation pass, collected through a TreeSink, must reproduce — byte for
+// byte — the image and digest of the classic Generate path, and its records
+// replayed into a stats accumulator and a streaming materializer the
+// statistics and the on-disk tree.
 func TestGenerateStreamMatchesRetained(t *testing.T) {
 	for _, seed := range []int64{7, 20090225} {
 		for _, par := range []int{1, 2, 8} {
@@ -50,19 +51,30 @@ func TestGenerateStreamMatchesRetained(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// One streamed pass, fanned out to every consumer at once.
+			// One streamed pass, its records collected.
 			gen, err := NewGenerator(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			imgSink := fsimage.NewImageSink(res.Image.Spec)
-			statsSink := fsimage.NewImageStats(fsimage.StatsConfig{SizeMaxExp: 34, DepthBins: 16, CountBins: 32})
-			streamRoot := t.TempDir()
-			matSink := fsimage.NewMaterializeSink(streamRoot, fsimage.MaterializeOptions{
-				Registry: content.NewRegistry(content.KindDefault), Seed: seed}, nil)
-			report, err := gen.GenerateStream(fsimage.MultiSink(imgSink, statsSink, matSink))
+			streamed := &fsimage.Image{Spec: res.Image.Spec}
+			collect := fsimage.NewTreeSink(func(f fsimage.File) error { streamed.Files = append(streamed.Files, f); return nil })
+			report, err := gen.GenerateStream(collect)
 			if err != nil {
 				t.Fatalf("seed %d P%d: GenerateStream: %v", seed, par, err)
+			}
+			streamed.Tree = collect.Tree()
+			if err := streamed.Validate(); err != nil {
+				t.Fatalf("streamed image: %v", err)
+			}
+			statsSink := fsimage.NewImageStats(fsimage.StatsConfig{SizeMaxExp: 34, DepthBins: 16, CountBins: 32})
+			if err := streamed.StreamRecords(statsSink); err != nil {
+				t.Fatal(err)
+			}
+			streamRoot := t.TempDir()
+			matSink := fsimage.NewMaterializeSink(streamRoot, streamed.Tree, fsimage.MaterializeOptions{
+				Registry: content.NewRegistry(content.KindDefault), Seed: seed}, nil)
+			if err := streamed.StreamRecords(matSink); err != nil {
+				t.Fatalf("seed %d P%d: stream materialize: %v", seed, par, err)
 			}
 			if err := matSink.Close(); err != nil {
 				t.Fatalf("seed %d P%d: closing the materializer: %v", seed, par, err)
@@ -78,11 +90,7 @@ func TestGenerateStreamMatchesRetained(t *testing.T) {
 				t.Errorf("seed %d P%d: report totals diverge: %+v vs %+v", seed, par, report, res.Report)
 			}
 
-			// The retained sink's image must hold the identical records.
-			streamed, err := imgSink.Image()
-			if err != nil {
-				t.Fatalf("streamed image: %v", err)
-			}
+			// The collected image must hold the identical records.
 			if recordsHash(t, res.Image) != recordsHash(t, streamed) {
 				t.Errorf("seed %d P%d: streamed image holds different records", seed, par)
 			}

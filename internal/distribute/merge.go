@@ -10,6 +10,7 @@ import (
 
 	"impressions/internal/clock"
 	"impressions/internal/fsimage"
+	"impressions/internal/namespace"
 )
 
 // A PlanSource replays a plan: it calls open once with the plan header,
@@ -185,14 +186,13 @@ func byShard(hdr *Plan, manifests []*Manifest) ([]*Manifest, error) {
 }
 
 // merger is Merge's sink side: the record check, one cursor per shard into
-// its manifest, and the digest fold.
+// its manifest, and the digest fold over the check's tree.
 type merger struct {
 	check     *recordCheck
 	manifests []*Manifest // by shard, nil where none was presented
 	cursors   []int
 	entryErrs []error
-	fold      *fsimage.DigestBuilder // nil unless every shard's manifest is present and hashed
-	sum       string                 // the content hash fold takes for the file at hand
+	fold      *fsimage.DigestFold // nil unless every shard's manifest is present and hashed
 	maxDepth  int
 }
 
@@ -213,39 +213,54 @@ type merger struct {
 // It holds O(dirs + chunk) beside the manifests.
 func Merge(src PlanSource, manifests []*Manifest) (*MergeResult, error) {
 	var m *merger
-	err := src(func(hdr *Plan) (fsimage.RecordSink, error) {
-		if err := checkHeader(hdr); err != nil {
-			return nil, err
-		}
-		filed, err := byShard(hdr, manifests)
+	if err := checkPlan(src, func(c *recordCheck) error {
+		filed, err := byShard(c.hdr, manifests)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		k := len(hdr.Shards)
-		m = &merger{check: newRecordCheck(hdr, -1, false), manifests: filed, cursors: make([]int, k), entryErrs: make([]error, k)}
-		m.check.onFile = m.addFile
+		m = &merger{check: c, manifests: filed, cursors: make([]int, len(filed)), entryErrs: make([]error, len(filed))}
+		c.onFile = m.addFile
 		for _, mf := range filed {
 			if mf == nil || !mf.ContentHashed {
-				return m.check.ts, nil
+				return nil
 			}
 		}
-		m.fold = fsimage.NewDigestBuilder(hdr.Dirs, hdr.Files, hdr.Bytes, func(fsimage.File) (string, error) { return m.sum, nil })
-		return fsimage.MultiSink(m.check.ts, m.fold), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if m == nil {
-		return nil, fmt.Errorf("distribute: the plan source delivered no plan")
-	}
-	if err := m.check.finish(); err != nil {
+		m.fold = fsimage.NewDigestFold(c.hdr.Dirs, c.hdr.Files, c.hdr.Bytes)
+		c.onTree = func(_ *Plan, tree *namespace.Tree) error {
+			for id := range tree.Len() {
+				m.fold.AddDir(tree, id)
+			}
+			return nil
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return m.result()
 }
 
-// addFile holds the next file to its shard's manifest and hands the fold
-// its content hash.
+// checkPlan replays the plan src delivers through the record check of the
+// whole plan, once open has fitted the check with its hooks, and finishes
+// the check.
+func checkPlan(src PlanSource, open func(*recordCheck) error) error {
+	var c *recordCheck
+	if err := src(func(hdr *Plan) (fsimage.RecordSink, error) {
+		if err := checkHeader(hdr); err != nil {
+			return nil, err
+		}
+		c = newRecordCheck(hdr, -1, false)
+		return c.ts, open(c)
+	}); err != nil {
+		return err
+	}
+	if c == nil {
+		return fmt.Errorf("distribute: the plan source delivered no plan")
+	}
+	return c.finish()
+}
+
+// addFile holds the next file to its shard's manifest and folds its line,
+// with the manifest's content hash, into the digest.
 func (m *merger) addFile(f fsimage.File, shard int) error {
 	m.maxDepth = max(m.maxDepth, f.Depth)
 	mf := m.manifests[shard]
@@ -254,8 +269,8 @@ func (m *merger) addFile(f fsimage.File, shard int) error {
 	}
 	i := m.cursors[shard]
 	m.cursors[shard]++
-	if m.entryErrs[shard] = mf.checkEntry(i, &f); m.entryErrs[shard] == nil {
-		m.sum = mf.FileDigests[i].SHA256
+	if m.entryErrs[shard] = mf.checkEntry(i, &f); m.entryErrs[shard] == nil && m.fold != nil {
+		m.fold.AddFile(m.check.ts.Tree(), f, mf.FileDigests[i].SHA256)
 	}
 	return nil
 }
@@ -359,34 +374,23 @@ func (e *entryHash) sum() (out [sha256.Size]byte) {
 // check, and keeps what Verify needs.
 func NewManifestCheck(src PlanSource) (*ManifestCheck, error) {
 	var (
-		c      *recordCheck
+		hdr    *Plan
 		shards []entryHash
 	)
-	err := src(func(hdr *Plan) (fsimage.RecordSink, error) {
-		if err := checkHeader(hdr); err != nil {
-			return nil, err
-		}
-		shards = make([]entryHash, len(hdr.Shards))
+	if err := checkPlan(src, func(c *recordCheck) error {
+		hdr, shards = c.hdr, make([]entryHash, len(c.hdr.Shards))
 		for s := range shards {
 			shards[s].h = sha256.New()
 		}
-		c = newRecordCheck(hdr, -1, false)
 		c.onFile = func(f fsimage.File, s int) error {
 			shards[s].add(f.ID, f.Size)
 			return nil
 		}
-		return c.ts, nil
-	})
-	if err != nil {
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	if c == nil {
-		return nil, fmt.Errorf("distribute: the plan source delivered no plan")
-	}
-	if err := c.finish(); err != nil {
-		return nil, err
-	}
-	mc := &ManifestCheck{Plan: c.hdr, fingerprint: c.hdr.Fingerprint(), entries: make([][sha256.Size]byte, len(shards))}
+	mc := &ManifestCheck{Plan: hdr, fingerprint: hdr.Fingerprint(), entries: make([][sha256.Size]byte, len(shards))}
 	for s := range shards {
 		mc.entries[s] = shards[s].sum()
 	}

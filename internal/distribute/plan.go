@@ -56,7 +56,9 @@
 // (counts, shard table, sums — ErrManifestIntegrity); recordCheck holds the
 // record stream to that header (canonical records, rebuilt partition, every
 // shard's expectations) under the retention policies of DecodePlanShard,
-// of DecodeShardView and FragmentSource, and of Merge and ManifestCheck;
+// of DecodeShardView and FragmentSource, and of Merge, ManifestCheck and
+// StitchPlanTar, whose digest fold and stitcher read the tree and the
+// partition the check rebuilt;
 // checkManifest and checkEntry hold a manifest to the plan. Asking for a
 // shard the plan does not have is ErrInvalidSpec; nothing else a damaged
 // artifact can cause is untyped, and no count a document states is

@@ -31,18 +31,20 @@ type ShardView struct {
 
 // recordCheck is the one validator of a record stream against a plan
 // header, behind DecodePlanShard, DecodeShardView, FragmentSource's
-// decoders, Merge and ManifestCheck. Its RecordSink is ts, a TreeSink: that
-// rebuilds the compact tree and holds every record to the canonical-stream
-// rules, and hands each file to addFile, which rebuilds the partition once
-// the directories are in, tallies every shard, and keeps what the policy
-// says:
+// decoders, Merge, ManifestCheck and StitchPlanTar. Its RecordSink is ts, a
+// TreeSink: that rebuilds the compact tree and holds every record to the
+// canonical-stream rules, and hands each file to addFile, which rebuilds the
+// partition once the directories are in, tallies every shard, and keeps what
+// the policy says:
 //
 //   - whole-plan stream, one shard kept (DecodePlanShard): the records of
 //     shard are retained, the rest only counted;
 //   - shard document (fragment = true): every file must belong to shard,
 //     IDs ascend but skip; records are retained, or handed to onFile;
-//   - whole-plan stream with onFile (Merge, ManifestCheck): every file goes
-//     to onFile with its shard, and nothing is retained.
+//   - whole-plan stream with onFile (Merge, ManifestCheck, StitchPlanTar):
+//     every file goes to onFile with its shard, and nothing is retained.
+//     The tree onTree is handed is the one its consumers write and fold
+//     over: they hold none of their own.
 //
 // finish compares the tallies with the shard table's expectations.
 type recordCheck struct {

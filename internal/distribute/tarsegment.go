@@ -3,11 +3,13 @@ package distribute
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"io"
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
 	"impressions/internal/imgfmt"
+	"impressions/internal/namespace"
 )
 
 // writeTarSegment is Execute's tar target: the same shard contract as the
@@ -30,26 +32,40 @@ func writeTarSegment(ctx context.Context, v *ShardView, w io.Writer, opts Worker
 	})
 }
 
-// StitchPlanTar replays a plan from src and merges per-shard tar segments
-// (one reader per shard, in shard order) into the monolithic archive on w
-// — byte-identical to a single-process tar serialization of the same plan.
-// Content bytes are copied from the segments, never regenerated; every
-// entry is verified against the plan stream, so a segment from a different
-// plan or seed fails with fsimage.ErrManifestIntegrity.
+// StitchPlanTar replays a plan from src through the record check and merges
+// per-shard tar segments (one reader per shard, in shard order) into the
+// monolithic archive on w — byte-identical to a single-process tar
+// serialization of the same plan. The stitcher writes under the check's
+// tree and takes each entry's shard from the partition the check rebuilt,
+// so the plan is held to its shard table as a merge holds it. Content bytes
+// are copied from the segments, never regenerated; every entry is verified
+// against the plan stream, so a segment from a different plan or seed fails
+// with fsimage.ErrManifestIntegrity.
 func StitchPlanTar(src PlanSource, segments []io.Reader, w io.Writer, opts imgfmt.Options) (*Plan, error) {
 	var (
-		p  *Plan
-		st *imgfmt.Stitcher
+		hdr *Plan
+		st  *imgfmt.Stitcher
 	)
-	err := src(func(hdr *Plan) (_ fsimage.RecordSink, err error) {
-		p, opts.Seed = hdr, hdr.Seed
-		st, err = imgfmt.NewStitcher(w, segments, hdr.shardRoots(), opts)
-		return st, err
-	})
-	if err != nil {
+	if err := checkPlan(src, func(c *recordCheck) error {
+		if hdr = c.hdr; len(segments) != len(hdr.Shards) {
+			return fmt.Errorf("distribute: %d segments for a plan of %d shards (%w)", len(segments), len(hdr.Shards), fsimage.ErrInvalidSpec)
+		}
+		opts.Seed = hdr.Seed
+		c.onTree = func(_ *Plan, tree *namespace.Tree) error {
+			st = imgfmt.NewStitcher(w, tree, segments, opts)
+			for id := range tree.Len() {
+				if err := st.AddDir(id, c.part.ShardOf(id)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		c.onFile = func(f fsimage.File, shard int) error { return st.AddFile(f, shard) }
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	return p, st.Close()
+	return hdr, st.Close()
 }
 
 // WritePlanTar regenerates the full image of the plan src replays as one
@@ -68,7 +84,7 @@ func WritePlanTar(src PlanSource, w io.Writer, opts imgfmt.Options, registry fun
 	var (
 		p    *Plan
 		sink *imgfmt.TarSink
-		fold *imgfmt.DigestFold
+		fold *fsimage.DigestFold
 	)
 	err := src(func(hdr *Plan) (fsimage.RecordSink, error) {
 		p = hdr
@@ -78,15 +94,13 @@ func WritePlanTar(src PlanSource, w io.Writer, opts imgfmt.Options, registry fun
 			opts.Registry = content.NewRegistry(content.Kind(hdr.ContentKind))
 		}
 		opts.Seed = hdr.Seed
-		if opts.MetadataOnly {
-			sink = imgfmt.NewTarSink(w, opts)
-			return sink, nil
+		if !opts.MetadataOnly {
+			// The canonical digest is folded in the sink's write pass.
+			fold = fsimage.NewDigestFold(hdr.Dirs, hdr.Files, hdr.Bytes)
+			imgfmt.FoldDigest(&opts, fold)
 		}
-		// The canonical digest is folded in the write pass, from the sink's
-		// in-order OnDigest.
-		fold = imgfmt.FoldDigest(&opts, hdr.Dirs, hdr.Files, hdr.Bytes)
 		sink = imgfmt.NewTarSink(w, opts)
-		return fsimage.MultiSink(sink, fold), nil
+		return sink, nil
 	})
 	if err != nil {
 		return nil, "", err

@@ -65,14 +65,14 @@ func collectChunks(t *testing.T, img *Image, chunkSize int) []*Chunk {
 // rebuild feeds chunks through a ChunkDecoder into the retained sink.
 func rebuild(t *testing.T, spec Spec, chunks []*Chunk) (*Image, string) {
 	t.Helper()
-	sink := NewImageSink(spec)
+	sink := newCollector()
 	dec := NewChunkDecoder(sink)
 	for _, c := range chunks {
 		if err := dec.AddChunk(c); err != nil {
 			t.Fatalf("AddChunk(%d): %v", c.Index, err)
 		}
 	}
-	img, err := sink.Image()
+	img, err := sink.image(spec)
 	if err != nil {
 		t.Fatalf("Image: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestChunkDecoderRejectsBadStreams(t *testing.T) {
 	corrupt := *chunks[len(chunks)-1]
 	corrupt.Files = append([]File(nil), corrupt.Files...)
 	corrupt.Files[0].Size += 7 // seal not recomputed
-	b := NewChunkDecoder(NewImageSink(img.Spec))
+	b := NewChunkDecoder(newCollector())
 	for _, c := range chunks[:len(chunks)-1] {
 		if err := b.AddChunk(c); err != nil {
 			t.Fatalf("AddChunk: %v", err)
@@ -148,13 +148,13 @@ func TestChunkDecoderRejectsBadStreams(t *testing.T) {
 		t.Errorf("corrupted chunk: got %v, want an integrity error", err)
 	}
 
-	b = NewChunkDecoder(NewImageSink(img.Spec))
+	b = NewChunkDecoder(newCollector())
 	if err := b.AddChunk(chunks[1]); err == nil || !strings.Contains(err.Error(), "out of order") {
 		t.Errorf("out-of-order chunk: got %v", err)
 	}
 
 	// Directory records after the file stream began.
-	b = NewChunkDecoder(NewImageSink(img.Spec))
+	b = NewChunkDecoder(newCollector())
 	for _, c := range chunks {
 		if err := b.AddChunk(c); err != nil {
 			t.Fatalf("AddChunk: %v", err)
@@ -169,12 +169,12 @@ func TestChunkDecoderRejectsBadStreams(t *testing.T) {
 	// A mixed chunk is structurally invalid.
 	mixed := Chunk{Index: 0, Dirs: []DirRecord{{ID: 0, Name: "root"}}, Files: []File{{ID: 0, Name: "f"}}}
 	mixed.SHA256 = mixed.RecordsHash()
-	if err := NewChunkDecoder(NewImageSink(img.Spec)).AddChunk(&mixed); err == nil || !strings.Contains(err.Error(), "mixes") {
+	if err := NewChunkDecoder(newCollector()).AddChunk(&mixed); err == nil || !strings.Contains(err.Error(), "mixes") {
 		t.Errorf("mixed chunk: got %v", err)
 	}
 
 	// An empty stream has no image.
-	if _, err := NewImageSink(img.Spec).Image(); err == nil {
+	if _, err := newCollector().image(img.Spec); err == nil {
 		t.Error("empty stream should not finish")
 	}
 }

@@ -12,13 +12,14 @@ import (
 	"sort"
 	"strconv"
 
+	"impressions/internal/namespace"
 	"impressions/internal/parallel"
 	"impressions/internal/stats"
 )
 
 // DigestVersion names the canonical image-digest formula. It is part of the
 // distributed pipeline's wire contract: shard manifests carry per-file
-// content hashes, the merge step folds them with a DigestBuilder, and the
+// content hashes, the merge step folds them with a DigestFold, and the
 // result must equal Digest computed by a single process. Bump the version if
 // the formula ever changes.
 const DigestVersion = "impressions-image-digest-v1"
@@ -66,7 +67,7 @@ func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 // order, then every file's path, size and content hash in ID order. Two
 // images with equal digests materialize to byte-identical trees. It is
 // computed without touching disk; the distributed merge step reproduces the
-// same value from shard manifests through a DigestBuilder.
+// same value from shard manifests through a DigestFold.
 func (img *Image) Digest(opts MaterializeOptions) (string, error) {
 	digests, err := img.ContentDigests(opts)
 	if err != nil {
@@ -96,8 +97,8 @@ func CombineDigest(img *Image, fileDigests []string) (string, error) {
 
 // AppendFileLine appends one file's line of the canonical digest,
 // "F <path> <size> <content sha256, hex>\n", to dst. It is the one formatter
-// of that line: DigestBuilder uses it, and so do the archive sinks' workers,
-// which hand their lines to AddFileLines.
+// of that line: DigestFold.AddFile uses it, and so do the archive sinks'
+// workers, which hand their lines to AddFileLines.
 func AppendFileLine[S string | []byte](dst, path []byte, size int64, hexSum S) []byte {
 	dst = append(dst, "F "...)
 	dst = append(dst, path...)
@@ -108,34 +109,81 @@ func AppendFileLine[S string | []byte](dst, path []byte, size int64, hexSum S) [
 	return append(dst, '\n')
 }
 
-// DigestBuilder computes the canonical image digest (the Digest /
-// CombineDigest formula, DigestVersion) from a record stream, holding only
-// the compact directory tree — never the file records. The expected totals
-// are part of the digest header, so they must be known up front (plan
-// headers and images both carry them); Sum fails if the stream did not
-// deliver exactly those totals. content supplies each file's content hash
-// (from a manifest, a precomputed table, or inline generation); a builder
-// without one takes the directories from its stream and the files from the
-// sink beside it, through AddFileLines.
-type DigestBuilder struct {
-	ts        TreeSink
+// DigestFold is the tree-free core of the canonical image digest (the
+// Digest / CombineDigest formula, DigestVersion): the header from the totals
+// the image promises, then a line per directory and per file, each formatted
+// over the tree of whoever feeds the fold — it holds none of its own. The
+// promised totals are part of the header, so they must be known up front
+// (plan headers and images both carry them); Sum fails if the fold did not
+// take exactly those totals. Directories go in ID order, then files in ID
+// order.
+type DigestFold struct {
 	h         hash.Hash
-	content   func(File) (string, error)
 	wantDirs  int
 	wantFiles int
 	wantBytes int64
-	// lineFiles and lineBytes count what AddFileLines folded.
-	lineFiles  int
-	lineBytes  int64
-	path, line []byte // reused per record
+	dirs      int
+	files     int
+	bytes     int64
+	path      []byte // reused per line
+	line      []byte
+}
+
+// NewDigestFold starts a digest over an image promising the given totals.
+func NewDigestFold(dirs, files int, bytes int64) *DigestFold {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\ndirs:%d files:%d bytes:%d\n", DigestVersion, dirs, files, bytes)
+	return &DigestFold{h: h, wantDirs: dirs, wantFiles: files, wantBytes: bytes}
+}
+
+// AddDir folds the line of directory id of tree, the next directory of the
+// image.
+func (b *DigestFold) AddDir(tree *namespace.Tree, id int) {
+	b.line = append(tree.AppendPath(append(b.line[:0], "D "...), id), '\n')
+	b.h.Write(b.line)
+	b.dirs++
+}
+
+// AddFile folds the line of the next file, in tree, of content hash sum.
+func (b *DigestFold) AddFile(tree *namespace.Tree, f File, sum string) {
+	b.path = AppendFilePath(b.path[:0], tree, f)
+	b.line = AppendFileLine(b.line[:0], b.path, f.Size, sum)
+	b.AddFileLines(b.line, 1, f.Size)
+}
+
+// AddFileLines folds the AppendFileLine lines of the next files — that many
+// files, of that many bytes together — for a caller that formats them
+// elsewhere (the archive sinks' workers, beside each file's content hash).
+func (b *DigestFold) AddFileLines(lines []byte, files int, bytes int64) {
+	b.h.Write(lines)
+	b.files += files
+	b.bytes += bytes
+}
+
+// Sum returns the canonical digest, verifying the fold took exactly the
+// totals promised to NewDigestFold.
+func (b *DigestFold) Sum() (string, error) {
+	if b.dirs != b.wantDirs || b.files != b.wantFiles || b.bytes != b.wantBytes {
+		return "", fmt.Errorf("fsimage: digest stream carried %d dirs, %d files, %d bytes; header promised %d, %d, %d",
+			b.dirs, b.files, b.bytes, b.wantDirs, b.wantFiles, b.wantBytes)
+	}
+	return hex.EncodeToString(b.h.Sum(nil)), nil
+}
+
+// DigestBuilder is the canonical image digest of a record stream on its own:
+// a TreeSink, which validates the stream and rebuilds the compact directory
+// tree, feeding a DigestFold. content supplies each file's content hash
+// (from a manifest, a precomputed table, or inline generation).
+type DigestBuilder struct {
+	ts      TreeSink
+	fold    *DigestFold
+	content func(File) (string, error)
 }
 
 // NewDigestBuilder starts a streaming digest over an image promising the
 // given totals.
 func NewDigestBuilder(dirs, files int, bytes int64, content func(File) (string, error)) *DigestBuilder {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\ndirs:%d files:%d bytes:%d\n", DigestVersion, dirs, files, bytes)
-	return &DigestBuilder{h: h, content: content, wantDirs: dirs, wantFiles: files, wantBytes: bytes}
+	return &DigestBuilder{fold: NewDigestFold(dirs, files, bytes), content: content}
 }
 
 // AddDir folds the next directory record into the digest.
@@ -143,17 +191,13 @@ func (b *DigestBuilder) AddDir(d DirRecord) error {
 	if err := b.ts.AddDir(d); err != nil {
 		return err
 	}
-	b.line = append(b.ts.Tree().AppendPath(append(b.line[:0], "D "...), d.ID), '\n')
-	b.h.Write(b.line)
+	b.fold.AddDir(b.ts.Tree(), d.ID)
 	return nil
 }
 
 // AddFile folds the next file record (path, size, content hash) into the
 // digest.
 func (b *DigestBuilder) AddFile(f File) error {
-	if b.content == nil {
-		return nil
-	}
 	if err := b.ts.AddFile(f); err != nil {
 		return err
 	}
@@ -161,33 +205,13 @@ func (b *DigestBuilder) AddFile(f File) error {
 	if err != nil {
 		return err
 	}
-	b.path = AppendFilePath(b.path[:0], b.ts.Tree(), f)
-	b.line = AppendFileLine(b.line[:0], b.path, f.Size, sum)
-	b.h.Write(b.line)
+	b.fold.AddFile(b.ts.Tree(), f, sum)
 	return nil
-}
-
-// AddFileLines folds the AppendFileLine lines of the next files of the
-// stream — that many files, of that many bytes together — in place of an
-// AddFile each. It is for a caller that has validated those records itself
-// and formats the lines elsewhere (the archive sinks: their workers format,
-// their TreeSink validates); the counts go into the totals Sum verifies.
-func (b *DigestBuilder) AddFileLines(lines []byte, files int, bytes int64) {
-	b.h.Write(lines)
-	b.lineFiles += files
-	b.lineBytes += bytes
 }
 
 // Sum returns the canonical digest, verifying the stream delivered exactly
 // the totals promised to NewDigestBuilder.
-func (b *DigestBuilder) Sum() (string, error) {
-	files, bytes := b.ts.FileCount()+b.lineFiles, b.ts.TotalBytes()+b.lineBytes
-	if b.ts.DirCount() != b.wantDirs || files != b.wantFiles || bytes != b.wantBytes {
-		return "", fmt.Errorf("fsimage: digest stream carried %d dirs, %d files, %d bytes; header promised %d, %d, %d",
-			b.ts.DirCount(), files, bytes, b.wantDirs, b.wantFiles, b.wantBytes)
-	}
-	return hex.EncodeToString(b.h.Sum(nil)), nil
-}
+func (b *DigestBuilder) Sum() (string, error) { return b.fold.Sum() }
 
 // HashTree computes a canonical SHA-256 over a real directory tree: every
 // entry in sorted relative-path order, directories as "D path", files as

@@ -46,7 +46,7 @@ func decodeChunkStream(data []byte) error {
 	if d, ok := tok.(json.Delim); !ok || d != '[' {
 		return errors.New("not a chunk array") // a well-formed object is no stream either
 	}
-	sink := NewImageSink(Spec{})
+	sink := newCollector()
 	b := NewChunkDecoder(sink)
 	for dec.More() {
 		var c Chunk
@@ -60,7 +60,7 @@ func decodeChunkStream(data []byte) error {
 	if _, err := dec.Token(); err != nil {
 		return err
 	}
-	_, err = sink.Image()
+	_, err = sink.image(Spec{})
 	return err
 }
 
@@ -198,7 +198,7 @@ func FuzzDecodeChunks(f *testing.F) {
 		if _, terr := dec.Token(); terr != nil {
 			t.Fatalf("accepted stream unreadable: %v", terr)
 		}
-		sink := NewImageSink(Spec{})
+		sink := newCollector()
 		b := NewChunkDecoder(sink)
 		for dec.More() {
 			var c Chunk
@@ -209,7 +209,7 @@ func FuzzDecodeChunks(f *testing.F) {
 				t.Fatalf("accepted stream re-apply: %v", aerr)
 			}
 		}
-		rebuilt, ferr := sink.Image()
+		rebuilt, ferr := sink.image(Spec{})
 		if ferr != nil {
 			t.Fatalf("accepted stream finish: %v", ferr)
 		}

@@ -9,7 +9,11 @@
 // target are calls to it, and so is every batch of MaterializeSink, the
 // streamed writer that holds 4096 records of an image too large to retain.
 // ContentDigests/Digest is the hash-only oracle the writers are tested
-// against.
+// against. The canonical digest has one fold, DigestFold, which holds no
+// tree: whoever feeds it formats the lines over the tree it already has —
+// the generator's (MaterializeSink), the one an archive sink rebuilds to
+// name its entries, the distributed merge's record check, or, for a stream
+// on its own, DigestBuilder's TreeSink.
 //
 // The chunked metadata stream (chunks.go) is how records travel in plan,
 // fragment and shard documents. Its encoder side renders with appenders:

@@ -236,39 +236,44 @@ const materializeBatch = parallel.DefaultShardSize
 
 // MaterializeSink is the streaming materializer: a RecordSink that writes the
 // records a batch at a time through MaterializeShardRecords, opts.Parallelism
-// workers per batch, holding the compact directory tree and one batch of
-// records. The tree it writes is Image.Materialize's: content streams are
-// keyed by file ID alone.
+// workers per batch, under the directory tree it is given — the tree of the
+// records it is streamed, which its caller already holds — and one batch of
+// records. It trusts those records to be the tree's: a stream of foreign
+// bytes is validated (a TreeSink) before it reaches a writer. The tree it
+// writes is Image.Materialize's: content streams are keyed by file ID alone.
 type MaterializeSink struct {
-	ts   TreeSink
+	tree *namespace.Tree
 	root string
 	opts MaterializeOptions
-	// fold, when non-nil, is handed each batch's lines of the canonical
-	// digest once the batch is on disk.
-	fold        *DigestBuilder
-	dirsMade    int
-	batch       []File
-	path, lines []byte // reused per batch
-	written     int64
+	// fold, when non-nil, takes each directory's line of the canonical
+	// digest as it streams, and each batch's file lines once the batch is on
+	// disk.
+	fold     *DigestFold
+	dirs     int // directory records taken
+	dirsMade int
+	batch    []File
+	written  int64
 }
 
-// NewMaterializeSink starts a streaming materialization under root.
-// opts.Seed must carry the content seed (there is no image to default from).
-// fold may be nil; otherwise it is a DigestBuilder without a content
-// function, in the same stream (MultiSink) for the directories, and opts must
-// not be MetadataOnly: without content there is nothing to attest.
-func NewMaterializeSink(root string, opts MaterializeOptions, fold *DigestBuilder) *MaterializeSink {
-	return &MaterializeSink{root: root, opts: opts, fold: fold}
+// NewMaterializeSink starts a streaming materialization under root of the
+// records of tree. opts.Seed must carry the content seed (there is no image
+// to default from). fold may be nil; otherwise opts must not be
+// MetadataOnly: without content there is nothing to attest.
+func NewMaterializeSink(root string, tree *namespace.Tree, opts MaterializeOptions, fold *DigestFold) *MaterializeSink {
+	return &MaterializeSink{tree: tree, root: root, opts: opts, fold: fold}
 }
 
-// AddDir takes the next directory.
-func (s *MaterializeSink) AddDir(d DirRecord) error { return s.ts.AddDir(d) }
+// AddDir takes the next directory, the tree's next.
+func (s *MaterializeSink) AddDir(d DirRecord) error {
+	s.dirs++
+	if s.fold != nil {
+		s.fold.AddDir(s.tree, d.ID)
+	}
+	return nil
+}
 
 // AddFile takes the next file, and writes the batch it completes.
 func (s *MaterializeSink) AddFile(f File) error {
-	if err := s.ts.AddFile(f); err != nil {
-		return err
-	}
 	if s.batch = append(s.batch, f); len(s.batch) < materializeBatch {
 		return nil
 	}
@@ -283,7 +288,7 @@ func (s *MaterializeSink) Close() error { return s.flush() }
 // materialization fails at its next batch instead of draining the stream
 // onto disk.
 func (s *MaterializeSink) flush() error {
-	dirs := make([]int, s.ts.DirCount()-s.dirsMade)
+	dirs := make([]int, s.dirs-s.dirsMade)
 	for i := range dirs {
 		dirs[i] = s.dirsMade + i
 	}
@@ -293,17 +298,14 @@ func (s *MaterializeSink) flush() error {
 	if s.fold != nil {
 		opts.Digests = make([]string, len(batch))
 	}
-	n, err := MaterializeShardRecords(s.root, s.ts.Tree(), dirs, batch, opts)
+	n, err := MaterializeShardRecords(s.root, s.tree, dirs, batch, opts)
 	s.written += n
 	if err != nil || s.fold == nil {
 		return err
 	}
-	s.lines = s.lines[:0]
 	for k, f := range batch {
-		s.path = AppendFilePath(s.path[:0], s.ts.Tree(), f)
-		s.lines = AppendFileLine(s.lines, s.path, f.Size, opts.Digests[k])
+		s.fold.AddFile(s.tree, f, opts.Digests[k])
 	}
-	s.fold.AddFileLines(s.lines, len(batch), n)
 	return nil
 }
 

@@ -11,14 +11,17 @@ import (
 // retaining it. An image is, on the wire and in every consumer that doesn't
 // need random access, just a canonical record stream: every directory
 // (DirRecord) in ID order, then every file (File) in ID order. Producers
-// push that stream into a RecordSink; what the sink does with it — buffer it
-// into chunks (ChunkEncoder), fold it into the canonical digest
-// (DigestBuilder), accumulate histograms (ImageStats), write it to disk
-// (MaterializeSink), or retain it whole (ImageSink) — is the consumer's
-// choice. The in-memory Image is one retained-sink implementation, kept for
-// small images, random access, and the library API; it is no longer the
-// mandatory interchange format, so pipelines that only stream hold O(chunk)
-// file records regardless of image size.
+// push that stream into one RecordSink; what the sink does with it — buffer
+// it into chunks (ChunkEncoder), fold it into the canonical digest
+// (DigestBuilder), accumulate histograms (ImageStats), or write it to disk
+// (MaterializeSink) — is the consumer's choice. A consumer that needs paths
+// reads them from the tree whoever feeds it already holds — the generator's,
+// or the one a TreeSink rebuilds while it validates the stream — rather than
+// rebuilding another: DigestFold formats the digest over a caller's tree, and
+// MaterializeSink writes under one. The in-memory Image is kept for small
+// images, random access, and the library API; it is not the interchange
+// format, so pipelines that only stream hold O(chunk) file records
+// regardless of image size.
 
 // RecordSink consumes an image metadata stream in canonical order: every
 // directory record in ascending ID order (the root first), then every file
@@ -46,31 +49,6 @@ func (img *Image) StreamRecords(sink RecordSink) error {
 	}
 	for i := range img.Files {
 		if err := sink.AddFile(img.Files[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MultiSink fans one record stream out to several sinks; the first error
-// wins. It lets a single generation pass feed, say, a chunk encoder and a
-// stats accumulator at once.
-func MultiSink(sinks ...RecordSink) RecordSink { return multiSink(sinks) }
-
-type multiSink []RecordSink
-
-func (m multiSink) AddDir(d DirRecord) error {
-	for _, s := range m {
-		if err := s.AddDir(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m multiSink) AddFile(f File) error {
-	for _, s := range m {
-		if err := s.AddFile(f); err != nil {
 			return err
 		}
 	}
@@ -123,7 +101,7 @@ func (s *TreeSink) AddDir(d DirRecord) error {
 	if d.Parent < 0 || d.Parent >= s.tree.Len() {
 		return fmt.Errorf("fsimage: directory %d has invalid parent %d (%w)", d.ID, d.Parent, ErrManifestIntegrity)
 	}
-	if !entryName(d.Name) {
+	if !EntryName(d.Name) {
 		return fmt.Errorf("fsimage: directory %d has invalid name %q (%w)", d.ID, d.Name, ErrManifestIntegrity)
 	}
 	id := s.tree.AddDir(d.Parent)
@@ -154,7 +132,7 @@ func (s *TreeSink) AddFile(f File) error {
 	if wantDepth := s.tree.Dirs[f.DirID].Depth + 1; f.Depth != wantDepth {
 		return fmt.Errorf("fsimage: file %q depth %d does not match directory depth %d (%w)", f.Name, f.Depth, wantDepth, ErrManifestIntegrity)
 	}
-	if !entryName(f.Name) {
+	if !EntryName(f.Name) {
 		return fmt.Errorf("fsimage: file %d has invalid name %q (%w)", f.ID, f.Name, ErrManifestIntegrity)
 	}
 	s.nextFileID = f.ID + 1
@@ -168,9 +146,10 @@ func (s *TreeSink) AddFile(f File) error {
 	return nil
 }
 
-// entryName reports whether name can name one entry inside its directory:
-// a path joined from it stays under the directory it names.
-func entryName(name string) bool {
+// EntryName reports whether name can name one entry inside its directory: a
+// path joined from it stays under the directory it names. It is the one rule
+// for the names an image holds, whichever reader meets them.
+func EntryName(name string) bool {
 	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, "/\x00")
 }
 
@@ -191,48 +170,3 @@ func (s *TreeSink) FileCount() int { return s.files }
 
 // TotalBytes returns the byte total of the file records applied.
 func (s *TreeSink) TotalBytes() int64 { return s.totalBytes }
-
-// ImageSink is the retained RecordSink: it rebuilds a complete in-memory
-// Image from the stream. It is how the plan decoder and any streamed
-// pipeline that ultimately wants random access materialize their records.
-type ImageSink struct {
-	ts   TreeSink
-	img  *Image
-	spec Spec
-}
-
-// NewImageSink starts a retained sink; the finished image carries spec.
-func NewImageSink(spec Spec) *ImageSink {
-	s := &ImageSink{spec: spec}
-	s.ts.OnFile = func(f File) error {
-		s.img.Files = append(s.img.Files, f)
-		return nil
-	}
-	return s
-}
-
-// AddDir applies the next directory record.
-func (s *ImageSink) AddDir(d DirRecord) error {
-	if err := s.ts.AddDir(d); err != nil {
-		return err
-	}
-	if s.img == nil {
-		s.img = New(s.ts.Tree())
-	}
-	return nil
-}
-
-// AddFile applies the next file record.
-func (s *ImageSink) AddFile(f File) error { return s.ts.AddFile(f) }
-
-// Image validates and returns the assembled image.
-func (s *ImageSink) Image() (*Image, error) {
-	if s.img == nil {
-		return nil, fmt.Errorf("fsimage: decoded image has no directories")
-	}
-	if err := s.img.Validate(); err != nil {
-		return nil, err
-	}
-	s.img.Spec = s.spec
-	return s.img, nil
-}

@@ -17,15 +17,38 @@ import (
 	"impressions/internal/stats"
 )
 
-// TestStreamRecordsRoundTrip: replaying an image through the retained sink
-// must reproduce it record for record (records, spec, tree counters).
+// collector reassembles an image from a record stream: a TreeSink, which
+// validates the stream and rebuilds the tree, keeping the file records.
+type collector struct {
+	TreeSink
+	files []File
+}
+
+func newCollector() *collector {
+	c := &collector{}
+	c.OnFile = func(f File) error { c.files = append(c.files, f); return nil }
+	return c
+}
+
+// image validates and returns the reassembled image, which carries spec.
+func (c *collector) image(spec Spec) (*Image, error) {
+	if c.Tree() == nil {
+		return nil, errors.New("the stream carried no directory")
+	}
+	img := &Image{Tree: c.Tree(), Files: c.files, Spec: spec}
+	return img, img.Validate()
+}
+
+// TestStreamRecordsRoundTrip: replaying an image through a collecting
+// TreeSink must reproduce it record for record (records, spec, tree
+// counters).
 func TestStreamRecordsRoundTrip(t *testing.T) {
 	img := buildTestImage(t)
-	sink := NewImageSink(img.Spec)
+	sink := newCollector()
 	if err := img.StreamRecords(sink); err != nil {
 		t.Fatalf("StreamRecords: %v", err)
 	}
-	got, err := sink.Image()
+	got, err := sink.image(img.Spec)
 	if err != nil {
 		t.Fatalf("Image: %v", err)
 	}
@@ -272,9 +295,9 @@ func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			opts.Parallelism = par
 			streamRoot := t.TempDir()
-			fold := NewDigestBuilder(img.DirCount(), n, img.TotalBytes(), nil)
-			sink := NewMaterializeSink(streamRoot, opts, fold)
-			if err := img.StreamRecords(MultiSink(sink, fold)); err != nil {
+			fold := NewDigestFold(img.DirCount(), n, img.TotalBytes())
+			sink := NewMaterializeSink(streamRoot, img.Tree, opts, fold)
+			if err := img.StreamRecords(sink); err != nil {
 				t.Fatalf("n=%d P%d: stream materialize: %v", n, par, err)
 			}
 			if err := sink.Close(); err != nil {
@@ -293,27 +316,18 @@ func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
 	}
 }
 
-// TestMultiSinkFansOut: one stream feeding several sinks sees every record
-// in each, and errors short-circuit.
-func TestMultiSinkFansOut(t *testing.T) {
-	img := buildTestImage(t)
-	st := NewImageStats(StatsConfig{})
-	retained := NewImageSink(img.Spec)
-	if err := img.StreamRecords(MultiSink(st, retained)); err != nil {
-		t.Fatalf("MultiSink stream: %v", err)
+// faultAfter wraps a sink: fault runs on every file record the sink has
+// taken, and its error ends the stream.
+type faultAfter struct {
+	RecordSink
+	fault func(File) error
+}
+
+func (s faultAfter) AddFile(f File) error {
+	if err := s.RecordSink.AddFile(f); err != nil {
+		return err
 	}
-	if st.FileCount() != img.FileCount() {
-		t.Errorf("stats sink saw %d files, want %d", st.FileCount(), img.FileCount())
-	}
-	if _, err := retained.Image(); err != nil {
-		t.Errorf("retained sink: %v", err)
-	}
-	boom := fmt.Errorf("boom")
-	failing := NewTreeSink(func(File) error { return boom })
-	err := img.StreamRecords(MultiSink(failing, NewImageSink(img.Spec)))
-	if err == nil {
-		t.Error("sink error did not abort the stream")
-	}
+	return s.fault(f)
 }
 
 // TestMaterializeSinkCancellation: what stops a batch stops the stream. A
@@ -332,10 +346,10 @@ func TestMaterializeSinkCancellation(t *testing.T) {
 				root := t.TempDir()
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				sink := NewMaterializeSink(root, MaterializeOptions{
+				sink := NewMaterializeSink(root, img.Tree, MaterializeOptions{
 					Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed, Parallelism: par, Context: ctx,
 				}, nil)
-				after := NewTreeSink(func(f File) error {
+				err := img.StreamRecords(faultAfter{sink, func(f File) error {
 					if f.ID != materializeBatch-1 {
 						return nil
 					}
@@ -345,8 +359,7 @@ func TestMaterializeSinkCancellation(t *testing.T) {
 					}
 					// A directory where the file should go: creating it fails.
 					return os.MkdirAll(filepath.Join(root, filepath.FromSlash(img.FilePath(blocked))), 0o755)
-				})
-				err := img.StreamRecords(MultiSink(sink, after))
+				}})
 				if err == nil {
 					err = sink.Close()
 				}

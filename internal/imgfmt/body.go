@@ -27,9 +27,10 @@ import (
 //     body, the zeros up to the next block; for squashfs the body alone —
 //     into chunks it owns, the body from the frozen per-file stream
 //     (baseRNG.SplitN(fileID)) and hashed as it goes, and passes every full
-//     chunk to the run's channel. With a DigestFold attached it also formats
-//     the file's line of the canonical digest, from the path the header was
-//     built from.
+//     chunk to the run's channel. With a fsimage.DigestFold attached it also
+//     formats the file's line of the canonical digest, from the path the
+//     header was built from; the directories' lines the engine folds as the
+//     sink hands it each directory (addDir), from the sink's own tree.
 //   - The caller stays the only writer, and a copy loop: it drains the runs
 //     strictly in submission order — one write per chunk, OnDigest for the
 //     files a chunk completes, one fold per run — and hands each chunk back
@@ -118,8 +119,8 @@ type bodyEngine struct {
 	// bodies bare.
 	headers *tarHeaders
 	// tree names the files, for headers and fold lines. The sink sets it
-	// before the first add; once files flow only its directories' file
-	// counters change, which no worker reads.
+	// (addDir, or directly for a segment) before the first add; once files
+	// flow only its directories' file counters change, which no worker reads.
 	tree *namespace.Tree
 	// write is the sink, called on the caller's goroutine, in stream order.
 	write func([]byte) error
@@ -136,10 +137,9 @@ type bodyEngine struct {
 	workCtx context.Context
 	wg      sync.WaitGroup
 
-	hash       hash.Hash // for caller-hashed files
-	path, line []byte    // and their fold lines
-	err        error     // first failure, or errSinkClosed
-	written    int64     // content bytes drained so far
+	hash    hash.Hash // for caller-hashed files
+	err     error     // first failure, or errSinkClosed
+	written int64     // content bytes drained so far
 }
 
 // newBodyEngine takes opts with their defaults filled in.
@@ -154,6 +154,16 @@ func newBodyEngine(opts Options, write func([]byte) error) *bodyEngine {
 		baseRNG: stats.NewRNG(opts.Seed).Fork(fsimage.MaterializeStreamLabel),
 		hashing: opts.OnDigest != nil || opts.fold != nil,
 		write:   write,
+	}
+}
+
+// addDir takes the sink's next directory, id, of tree, the tree the sink
+// rebuilds from its stream: the files that follow are named from it, and an
+// attached fold takes the directory's line of the canonical digest here.
+func (e *bodyEngine) addDir(tree *namespace.Tree, id int) {
+	e.tree = tree
+	if e.opts.fold != nil {
+		e.opts.fold.AddDir(tree, id)
 	}
 }
 
@@ -279,22 +289,20 @@ func (e *bodyEngine) drain(r *bodyRun) error {
 		return fmt.Errorf("imgfmt: internal error: body run ended %d files early", len(r.files)-reported)
 	}
 	e.written += bytes
-	lines := r.lines
-	if callerHashed {
-		f := r.files[0]
-		sum := hex.EncodeToString(e.hash.Sum(nil))
-		e.hash.Reset()
-		if e.opts.OnDigest != nil {
-			e.opts.OnDigest(f, sum)
-		}
+	if !callerHashed {
 		if e.opts.fold != nil {
-			e.path = fsimage.AppendFilePath(e.path[:0], e.tree, f)
-			e.line = fsimage.AppendFileLine(e.line[:0], e.path, f.Size, sum)
-			lines = e.line
+			e.opts.fold.AddFileLines(r.lines, len(r.files), bytes)
 		}
+		return nil
+	}
+	f := r.files[0]
+	sum := hex.EncodeToString(e.hash.Sum(nil))
+	e.hash.Reset()
+	if e.opts.OnDigest != nil {
+		e.opts.OnDigest(f, sum)
 	}
 	if e.opts.fold != nil {
-		e.opts.fold.AddFileLines(lines, len(r.files), bytes)
+		e.opts.fold.AddFile(e.tree, f, sum)
 	}
 	return nil
 }

@@ -273,10 +273,10 @@ func TestSegmentsIdenticalAtAnyParallelism(t *testing.T) {
 func testSegmentsIdentical(t *testing.T, img *fsimage.Image) {
 	want, sums := referenceTar(t, img)
 	const shards = 3
-	roots, dirs, files := shardImage(img, shards)
+	sh := shardImage(t, img, shards)
 	var first [shards][]byte
 	eachVariant(func(j int, log *digestLog) {
-		segments := make([]io.Reader, shards)
+		segments := make([][]byte, shards)
 		for s := 0; s < shards; s++ {
 			label := fmt.Sprintf("%s shard %d", variant(j, log), s)
 			if log != nil {
@@ -284,35 +284,28 @@ func testSegmentsIdentical(t *testing.T, img *fsimage.Image) {
 			}
 			var seg bytes.Buffer
 			opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, OnDigest: log.hook()}
-			written, err := imgfmt.WriteSegment(&seg, img.Tree, dirs[s], files[s], opts)
+			written, err := imgfmt.WriteSegment(&seg, img.Tree, sh.part.Shards[s], sh.files[s], opts)
 			if err != nil {
 				t.Fatalf("%s: WriteSegment: %v", label, err)
 			}
 			var bytesWant int64
-			for _, f := range files[s] {
+			for _, f := range sh.files[s] {
 				bytesWant += f.Size
 			}
 			if written != bytesWant {
 				t.Errorf("%s: WriteSegment reported %d content bytes, shard holds %d", label, written, bytesWant)
 			}
-			log.check(t, label, files[s], sums, false)
+			log.check(t, label, sh.files[s], sums, false)
 			if first[s] == nil {
 				first[s] = seg.Bytes()
 			} else if !bytes.Equal(seg.Bytes(), first[s]) {
 				t.Errorf("%s: segment differs from the first variant's", label)
 			}
-			segments[s] = bytes.NewReader(seg.Bytes())
+			segments[s] = seg.Bytes()
 		}
 		var out bytes.Buffer
-		st, err := imgfmt.NewStitcher(&out, segments, roots, imgfmt.Options{Seed: img.Spec.Seed})
-		if err != nil {
-			t.Fatalf("%s: NewStitcher: %v", variant(j, log), err)
-		}
-		if err := img.StreamRecords(st); err != nil {
+		if err := sh.stitch(&out, segments, imgfmt.Options{Seed: img.Spec.Seed}); err != nil {
 			t.Fatalf("%s: stitch: %v", variant(j, log), err)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatalf("%s: stitch close: %v", variant(j, log), err)
 		}
 		if !bytes.Equal(out.Bytes(), want) {
 			t.Errorf("%s: stitched tar differs from the serial reference", variant(j, log))
@@ -368,12 +361,15 @@ func TestSquashfsIdenticalAtAnyParallelism(t *testing.T) {
 	})
 }
 
-// TestDigestFoldMatchesCombineDigest: the digest folded from the in-order
-// OnDigest during the write equals the one CombineDigest folds from a
-// retained table, and a callback already on the options still runs.
+// TestDigestFoldMatchesCombineDigest: the digest the tar and squashfs sinks
+// fold during the write — the directories' lines from their trees, the
+// files' from their workers — equals the one CombineDigest folds from a
+// retained table, for an image with files and one without, and a callback
+// already on the options still runs.
 func TestDigestFoldMatchesCombineDigest(t *testing.T) {
 	t.Run("sinkTestImage", func(t *testing.T) { testDigestFold(t, sinkTestImage(t, 11)) })
 	t.Run("longNameImage", func(t *testing.T) { testDigestFold(t, longNameImage()) })
+	t.Run("no files", func(t *testing.T) { testDigestFold(t, newImageBuilder(5).img) })
 }
 
 func testDigestFold(t *testing.T, img *fsimage.Image) {
@@ -382,24 +378,35 @@ func testDigestFold(t *testing.T, img *fsimage.Image) {
 	if err != nil {
 		t.Fatalf("CombineDigest: %v", err)
 	}
-	log := &digestLog{}
-	opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: 2, OnDigest: log.hook()}
-	fold := imgfmt.FoldDigest(&opts, img.DirCount(), img.FileCount(), img.TotalBytes())
-	sink := imgfmt.NewTarSink(io.Discard, opts)
-	if err := img.StreamRecords(fsimage.MultiSink(sink, fold)); err != nil {
-		t.Fatalf("StreamRecords: %v", err)
+	for _, kind := range []string{"tar", "squashfs"} {
+		log := &digestLog{}
+		opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: 2, OnDigest: log.hook()}
+		fold := fsimage.NewDigestFold(img.DirCount(), img.FileCount(), img.TotalBytes())
+		imgfmt.FoldDigest(&opts, fold)
+		var sink interface {
+			fsimage.RecordSink
+			Close() error
+		} = imgfmt.NewTarSink(io.Discard, opts)
+		if kind == "squashfs" {
+			if sink, err = imgfmt.NewSquashfsSink(&limitedWriter{limit: -1}, opts); err != nil {
+				t.Fatalf("NewSquashfsSink: %v", err)
+			}
+		}
+		if err := img.StreamRecords(sink); err != nil {
+			t.Fatalf("%s: StreamRecords: %v", kind, err)
+		}
+		if _, err := fold.Sum(); err == nil && img.FileCount() > 0 {
+			t.Errorf("%s: Sum before Close succeeded with files still queued", kind)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", kind, err)
+		}
+		got, err := fold.Sum()
+		if err != nil || got != want {
+			t.Errorf("%s: folded digest %s (%v), CombineDigest %s", kind, got, err, want)
+		}
+		log.check(t, kind+" chained OnDigest", img.Files, sums, false)
 	}
-	if _, err := fold.Sum(); err == nil {
-		t.Error("Sum before Close succeeded with files still queued")
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	got, err := fold.Sum()
-	if err != nil || got != want {
-		t.Errorf("folded digest %s (%v), CombineDigest %s", got, err, want)
-	}
-	log.check(t, "chained OnDigest", img.Files, sums, false)
 }
 
 // Failure paths. Each case drives a sink until something fails and then

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,10 +67,11 @@ func goldenSums(t *testing.T, img *fsimage.Image) map[string]string {
 	opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: 1}
 
 	foldOpts := opts
-	fold := imgfmt.FoldDigest(&foldOpts, img.DirCount(), img.FileCount(), img.TotalBytes())
+	fold := fsimage.NewDigestFold(img.DirCount(), img.FileCount(), img.TotalBytes())
+	imgfmt.FoldDigest(&foldOpts, fold)
 	var tarBuf bytes.Buffer
 	sink := imgfmt.NewTarSink(&tarBuf, foldOpts)
-	if err := img.StreamRecords(fsimage.MultiSink(sink, fold)); err != nil {
+	if err := img.StreamRecords(sink); err != nil {
 		t.Fatalf("tar: StreamRecords: %v", err)
 	}
 	if err := sink.Close(); err != nil {
@@ -84,27 +84,15 @@ func goldenSums(t *testing.T, img *fsimage.Image) map[string]string {
 	}
 	got["digest"] = digest
 
-	const shards = 3
-	roots, dirs, files := shardImage(img, shards)
-	segments := make([]io.Reader, shards)
-	for s := 0; s < shards; s++ {
-		var seg bytes.Buffer
-		if _, err := imgfmt.WriteSegment(&seg, img.Tree, dirs[s], files[s], opts); err != nil {
-			t.Fatalf("segment %d: %v", s, err)
-		}
-		got[fmt.Sprintf("segment%d", s)] = sum(seg.Bytes())
-		segments[s] = bytes.NewReader(seg.Bytes())
+	sh := shardImage(t, img, 3)
+	segments := make([][]byte, 3)
+	for s := range segments {
+		segments[s] = sh.segment(t, s, opts)
+		got[fmt.Sprintf("segment%d", s)] = sum(segments[s])
 	}
 	var stitched bytes.Buffer
-	st, err := imgfmt.NewStitcher(&stitched, segments, roots, opts)
-	if err != nil {
-		t.Fatalf("NewStitcher: %v", err)
-	}
-	if err := img.StreamRecords(st); err != nil {
+	if err := sh.stitch(&stitched, segments, opts); err != nil {
 		t.Fatalf("stitch: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("stitch: Close: %v", err)
 	}
 	got["stitched"] = sum(stitched.Bytes())
 

@@ -10,7 +10,10 @@
 // costs per entry happens in the workers — the tar header, the content and
 // its hash, the padding, the file's line of the canonical digest — so the
 // writer is a copy loop, one write per 128 KiB chunk of finished entries,
-// and is not what bounds -j on ~1 KB files. Two backends ship:
+// and is not what bounds -j on ~1 KB files. A digest fold attached with
+// FoldDigest takes the directories' lines from the tree the sink rebuilds
+// to name its entries, and the files' from the workers: a digest costs no
+// tree of its own. Two backends ship:
 //
 //   - TarSink streams a POSIX tar whose bytes are a pure function of (spec,
 //     seed): entry order is the canonical record order (directories in ID
@@ -28,7 +31,8 @@
 //     Stitcher merges per-shard segments back into the identical monolithic
 //     archive, rewriting every header through the same builder, so a
 //     distributed fleet can produce one tar without any node writing
-//     O(image) files.
+//     O(image) files. The stitcher holds no tree and knows no partition: its
+//     caller, which validates the plan, hands it both.
 //
 //   - SquashfsSink writes an uncompressed squashfs v4 image — superblock,
 //     data blocks, inode/directory/id tables — that mounts directly with
@@ -103,9 +107,9 @@ type Options struct {
 	// returns; after a failed AddFile or Close no further calls are made.
 	OnDigest func(f fsimage.File, sha256 string)
 
-	// fold is the DigestFold FoldDigest attached, which the sink feeds as it
+	// fold is the digest FoldDigest attached, which the sink feeds as it
 	// writes.
-	fold *DigestFold
+	fold *fsimage.DigestFold
 }
 
 // ctx returns the cancellation context, defaulting to context.Background().
@@ -141,27 +145,20 @@ func (f fullWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// DigestFold computes the canonical image digest (fsimage.DigestVersion)
-// during the write pass instead of from a retained per-file digest table:
-// a fsimage.DigestBuilder without a content function, fed the sink's record
-// stream for the directories and by the sink itself for the files — the
-// sink's workers format each file's digest line beside its content hash,
-// and the writer folds them run by run. Use it as
+// FoldDigest attaches fold to opts, for the one sink then made from them: the
+// sink folds the canonical image digest (fsimage.DigestVersion) during its
+// write pass instead of from a retained per-file digest table — each
+// directory's line from the tree the sink rebuilds, each file's line from
+// its workers, beside the file's content hash. opts.OnDigest is left as it
+// is, and still runs. opts must not be MetadataOnly: without content there
+// is nothing to attest. Use it as
 //
-//	fold := imgfmt.FoldDigest(&opts, dirs, files, bytes)
+//	fold := fsimage.NewDigestFold(dirs, files, bytes)
+//	imgfmt.FoldDigest(&opts, fold)
 //	sink := imgfmt.NewTarSink(w, opts)
-//	err := src.StreamRecords(fsimage.MultiSink(sink, fold))
+//	err := src.StreamRecords(sink)
 //	... sink.Close(), then fold.Sum()
-type DigestFold = fsimage.DigestBuilder
-
-// FoldDigest attaches a digest fold to opts, for the one sink then made from
-// them (opts.OnDigest is left as it is, and still runs), for an image
-// promising the given totals. opts must not be MetadataOnly: without
-// content there is nothing to attest.
-func FoldDigest(opts *Options, dirs, files int, bytes int64) *DigestFold {
-	opts.fold = fsimage.NewDigestBuilder(dirs, files, bytes, nil)
-	return opts.fold
-}
+func FoldDigest(opts *Options, fold *fsimage.DigestFold) { opts.fold = fold }
 
 // Source is an image's record stream with its totals: a metadata pass
 // (core.Metadata), replayed, or a retained image.
@@ -178,9 +175,10 @@ type Source interface {
 // digest folded in the same pass. It is the route of `impressions -digest`
 // and of the daemon's POST /v1/generate.
 func Digest(src Source, opts Options) (string, error) {
-	fold := FoldDigest(&opts, src.DirCount(), src.FileCount(), src.TotalBytes())
+	fold := fsimage.NewDigestFold(src.DirCount(), src.FileCount(), src.TotalBytes())
+	FoldDigest(&opts, fold)
 	sink := NewTarSink(io.Discard, opts)
-	if err := src.StreamRecords(fsimage.MultiSink(sink, fold)); err != nil {
+	if err := src.StreamRecords(sink); err != nil {
 		return "", err
 	}
 	if err := sink.Close(); err != nil {

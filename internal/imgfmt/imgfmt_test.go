@@ -145,12 +145,20 @@ func TestTarSinkRoundTrip(t *testing.T) {
 	}
 }
 
-// shardImage splits an image into K shards by cut roots: shard 0 owns the
-// root; shards 1..K-1 each own one top-level subtree (when available).
-func shardImage(img *fsimage.Image, k int) (roots [][]int, dirs [][]int, files [][]fsimage.File) {
-	roots = make([][]int, k)
-	dirs = make([][]int, k)
-	files = make([][]fsimage.File, k)
+// sharded is an image split into shards the way a plan splits one: by cut
+// roots — shard 0 keeps the image root, shards 1..k-1 take one top-level
+// subtree each, while there are some — and the partition
+// namespace.PartitionFromRoots rebuilds from them, which says what each
+// shard owns.
+type sharded struct {
+	img   *fsimage.Image
+	part  *namespace.Partition
+	files [][]fsimage.File // by shard, in ID order
+}
+
+func shardImage(tb testing.TB, img *fsimage.Image, k int) *sharded {
+	tb.Helper()
+	roots := make([][]int, k)
 	next := 1
 	for id := 1; id < img.Tree.Len() && next < k; id++ {
 		if img.Tree.Dirs[id].Parent == 0 {
@@ -158,29 +166,48 @@ func shardImage(img *fsimage.Image, k int) (roots [][]int, dirs [][]int, files [
 			next++
 		}
 	}
-	shardOf := make([]int, img.Tree.Len())
-	owner := make(map[int]int)
-	for s, rs := range roots {
-		for _, r := range rs {
-			owner[r] = s
-		}
+	part, err := namespace.PartitionFromRoots(img.Tree, roots)
+	if err != nil {
+		tb.Fatalf("PartitionFromRoots: %v", err)
 	}
-	for id := 0; id < img.Tree.Len(); id++ {
-		s := 0
-		if id > 0 {
-			var ok bool
-			if s, ok = owner[id]; !ok {
-				s = shardOf[img.Tree.Dirs[id].Parent]
-			}
-		}
-		shardOf[id] = s
-		dirs[s] = append(dirs[s], id)
-	}
+	s := &sharded{img: img, part: part, files: make([][]fsimage.File, k)}
 	for _, f := range img.Files {
-		s := shardOf[f.DirID]
-		files[s] = append(files[s], f)
+		shard := part.ShardOf(f.DirID)
+		s.files[shard] = append(s.files[shard], f)
 	}
-	return roots, dirs, files
+	return s
+}
+
+// segment writes shard's tar segment.
+func (s *sharded) segment(tb testing.TB, shard int, opts imgfmt.Options) []byte {
+	tb.Helper()
+	var seg bytes.Buffer
+	if _, err := imgfmt.WriteSegment(&seg, s.img.Tree, s.part.Shards[shard], s.files[shard], opts); err != nil {
+		tb.Fatalf("WriteSegment shard %d: %v", shard, err)
+	}
+	return seg.Bytes()
+}
+
+// stitch merges segments, one per shard, into w: the walk a plan's record
+// check makes, every directory and then every file of the image, each with
+// the shard the partition gives it.
+func (s *sharded) stitch(w io.Writer, segments [][]byte, opts imgfmt.Options) error {
+	readers := make([]io.Reader, len(segments))
+	for i, seg := range segments {
+		readers[i] = bytes.NewReader(seg)
+	}
+	st := imgfmt.NewStitcher(w, s.img.Tree, readers, opts)
+	for id := range s.img.Tree.Len() {
+		if err := st.AddDir(id, s.part.ShardOf(id)); err != nil {
+			return err
+		}
+	}
+	for _, f := range s.img.Files {
+		if err := st.AddFile(f, s.part.ShardOf(f.DirID)); err != nil {
+			return err
+		}
+	}
+	return st.Close()
 }
 
 func TestTarStitchByteIdentical(t *testing.T) {
@@ -188,26 +215,15 @@ func TestTarStitchByteIdentical(t *testing.T) {
 		img := sinkTestImage(t, seed)
 		want, _ := writeTar(t, img, imgfmt.Options{})
 		for _, k := range []int{1, 2, 4} {
-			roots, dirs, files := shardImage(img, k)
+			sh := shardImage(t, img, k)
 			opts := imgfmt.Options{Seed: seed}
-			segments := make([]io.Reader, k)
-			for s := 0; s < k; s++ {
-				var seg bytes.Buffer
-				if _, err := imgfmt.WriteSegment(&seg, img.Tree, dirs[s], files[s], opts); err != nil {
-					t.Fatalf("seed %d K=%d: WriteSegment shard %d: %v", seed, k, s, err)
-				}
-				segments[s] = bytes.NewReader(seg.Bytes())
+			segments := make([][]byte, k)
+			for s := range segments {
+				segments[s] = sh.segment(t, s, opts)
 			}
 			var out bytes.Buffer
-			st, err := imgfmt.NewStitcher(&out, segments, roots, opts)
-			if err != nil {
-				t.Fatalf("seed %d K=%d: NewStitcher: %v", seed, k, err)
-			}
-			if err := img.StreamRecords(st); err != nil {
-				t.Fatalf("seed %d K=%d: stitch stream: %v", seed, k, err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatalf("seed %d K=%d: stitch close: %v", seed, k, err)
+			if err := sh.stitch(&out, segments, opts); err != nil {
+				t.Fatalf("seed %d K=%d: stitch: %v", seed, k, err)
 			}
 			if !bytes.Equal(out.Bytes(), want) {
 				t.Errorf("seed %d: stitched K=%d tar differs from monolithic (%d vs %d bytes)", seed, k, out.Len(), len(want))
@@ -217,27 +233,11 @@ func TestTarStitchByteIdentical(t *testing.T) {
 }
 
 func TestStitcherRejectsForeignSegment(t *testing.T) {
-	img := sinkTestImage(t, 11)
-	other := sinkTestImage(t, 42)
-	roots, dirs, files := shardImage(other, 2)
+	sh := shardImage(t, sinkTestImage(t, 11), 2)
+	other := shardImage(t, sinkTestImage(t, 42), 2)
 	opts := imgfmt.Options{Seed: 42}
-	segments := make([]io.Reader, 2)
-	for s := 0; s < 2; s++ {
-		var seg bytes.Buffer
-		if _, err := imgfmt.WriteSegment(&seg, other.Tree, dirs[s], files[s], opts); err != nil {
-			t.Fatalf("WriteSegment: %v", err)
-		}
-		segments[s] = bytes.NewReader(seg.Bytes())
-	}
-	st, err := imgfmt.NewStitcher(io.Discard, segments, roots, opts)
-	if err != nil {
-		t.Fatalf("NewStitcher: %v", err)
-	}
-	err = img.StreamRecords(st)
-	if err == nil {
-		err = st.Close()
-	}
-	if !errors.Is(err, fsimage.ErrManifestIntegrity) {
+	segments := [][]byte{other.segment(t, 0, opts), other.segment(t, 1, opts)}
+	if err := sh.stitch(io.Discard, segments, opts); !errors.Is(err, fsimage.ErrManifestIntegrity) {
 		t.Fatalf("stitching foreign segments: got %v, want ErrManifestIntegrity", err)
 	}
 }

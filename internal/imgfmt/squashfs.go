@@ -126,7 +126,7 @@ func (s *SquashfsSink) AddDir(d fsimage.DirRecord) error {
 	if err := s.ts.AddDir(d); err != nil {
 		return s.body.fail(err)
 	}
-	s.body.tree = s.ts.Tree()
+	s.body.addDir(s.ts.Tree(), d.ID)
 	return nil
 }
 

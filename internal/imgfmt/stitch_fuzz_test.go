@@ -38,15 +38,11 @@ func stitchPlan() *fsimage.Image {
 func FuzzStitcher(f *testing.F) {
 	img := stitchPlan()
 	const shards = 3
-	roots, dirs, files := shardImage(img, shards)
+	sh := shardImage(f, img, shards)
 	opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: 1}
 	var valid [shards][]byte
 	for s := range valid {
-		var seg bytes.Buffer
-		if _, err := imgfmt.WriteSegment(&seg, img.Tree, dirs[s], files[s], opts); err != nil {
-			f.Fatalf("WriteSegment shard %d: %v", s, err)
-		}
-		valid[s] = seg.Bytes()
+		valid[s] = sh.segment(f, s, opts)
 	}
 	var mono bytes.Buffer
 	sink := imgfmt.NewTarSink(&mono, opts)
@@ -75,17 +71,7 @@ func FuzzStitcher(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var out bytes.Buffer
-		err := func() error {
-			readers := []io.Reader{bytes.NewReader(seg0), bytes.NewReader(seg1), bytes.NewReader(seg2)}
-			st, err := imgfmt.NewStitcher(&out, readers, roots, opts)
-			if err != nil {
-				return err
-			}
-			if err := img.StreamRecords(st); err != nil {
-				return err
-			}
-			return st.Close()
-		}()
+		err := sh.stitch(&out, [][]byte{seg0, seg1, seg2}, opts)
 		runtime.ReadMemStats(&after)
 		// Headers, buffers and the output itself: a few times the input and
 		// a fixed allowance, whatever sizes the damaged headers claim.

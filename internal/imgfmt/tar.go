@@ -21,7 +21,7 @@ type tarWriter struct {
 	ctx     context.Context
 	headers *tarHeaders
 	// tree is the full image tree entry names are built from; the owner
-	// sets it before the first header (TarSink and Stitcher as it grows).
+	// sets it before the first header (TarSink as it grows).
 	tree *namespace.Tree
 	// name and hdr hold the entry being written, reused from one to the next.
 	name, hdr []byte
@@ -120,7 +120,8 @@ func (s *TarSink) AddDir(d fsimage.DirRecord) error {
 	if err := s.ts.AddDir(d); err != nil {
 		return s.body.fail(err)
 	}
-	s.t.tree, s.body.tree = s.ts.Tree(), s.ts.Tree()
+	s.t.tree = s.ts.Tree()
+	s.body.addDir(s.t.tree, d.ID)
 	if _, err := s.t.writeDirHeader(d.ID); err != nil {
 		return s.body.fail(err)
 	}
