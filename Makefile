@@ -28,15 +28,12 @@ bench-smoke:
 # Local mirror of the CI distributed-determinism job: a plan executed by 4
 # worker processes (at -j 1, 2, 4 and 8) and merged must be byte-identical to
 # a single-process run at -j 1 and at -j 4 (same canonical digest, same
-# on-disk bytes). The plan itself is built three times and must not move a
-# byte: at -j 1, where its chunks are sealed inline, and at -j 4 on the heap
-# and with -spill, where three goroutines seal them and the spilled
-# placement runs one worker per depth level. The partitioned leg does it again without a plan document:
-# `plan -partition 4` built with -spill at -j 1 and at -j 4, and without
-# -spill, must write the same index and the same four fragments, and four
-# `worker -plan part/plan.json -shard N` processes (each reads its fragment)
-# plus `merge -plan part/plan.json` must print the same digest over the same
-# tree.
+# on-disk bytes). The plan — a fragment index and four fragments — is built
+# three times and must not move a byte: at -j 1, where its chunks are sealed
+# inline, and at -j 4 on the heap and with -spill, where three goroutines
+# seal them and the spilled placement runs one worker per depth level. The
+# index and every fragment are compared; the workers read their fragments
+# through the index, and `merge -plan` of the index prints the digest.
 dist-check:
 	@rm -rf /tmp/impressions-dist-check && mkdir -p /tmp/impressions-dist-check
 	$(GO) build -o /tmp/impressions-dist-check/impressions ./cmd/impressions
@@ -44,25 +41,16 @@ dist-check:
 	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -digest -out single | grep '^image digest:' > single.digest; \
 	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -digest -out single-j4 | grep '^image digest:' > single-j4.digest; \
 	cmp single.digest single-j4.digest; diff -r single single-j4; \
-	mkdir -p plan-spill; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -shards 4 -plan plan.json; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -plan plan-j4.json; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -spill plan-spill -plan plan-j4-spill.json; \
-	cmp plan.json plan-j4.json; cmp plan.json plan-j4-spill.json; \
-	pids=""; for s in 0 1 2 3; do ./impressions worker -plan plan.json -shard $$s -j $$((1 << s)) -out merged -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
+	mkdir -p plan plan-j4 plan-spill; \
+	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -shards 4 -plan plan/plan.json; \
+	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -plan plan-j4/plan.json; \
+	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -spill plan-spill -plan plan-spill/plan.json; \
+	for other in plan-j4 plan-spill; do cmp plan/plan.json $$other/plan.json; for s in 0 1 2 3; do cmp plan/plan.json.frag$$s $$other/plan.json.frag$$s; done; done; \
+	pids=""; for s in 0 1 2 3; do ./impressions worker -plan plan/plan.json -shard $$s -j $$((1 << s)) -out merged -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
 	for p in $$pids; do wait "$$p"; done; \
-	./impressions merge -plan plan.json -print-digest manifest-*.json > merged.digest; \
+	./impressions merge -plan plan/plan.json -print-digest manifest-*.json > merged.digest; \
 	cmp single.digest merged.digest; diff -r single merged; \
-	mkdir -p part part-j4 part-mem; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -partition 4 -spill part -plan part/plan.json; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -partition 4 -spill part-j4 -plan part-j4/plan.json; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -partition 4 -plan part-mem/plan.json; \
-	for other in part-j4 part-mem; do cmp part/plan.json $$other/plan.json; for s in 0 1 2 3; do cmp part/plan.json.frag$$s $$other/plan.json.frag$$s; done; done; \
-	pids=""; for s in 0 1 2 3; do ./impressions worker -plan part/plan.json -shard $$s -j $$((1 << s)) -out part-merged -manifest part/manifest-$$s.json & pids="$$pids $$!"; done; \
-	for p in $$pids; do wait "$$p"; done; \
-	./impressions merge -plan part/plan.json -print-digest part/manifest-*.json > part.digest; \
-	cmp single.digest part.digest; diff -r single part-merged; \
-	echo "dist-check: OK (digests and trees identical at every -j, from a plan document and from a fragment index)"
+	echo "dist-check: OK (index and fragments identical at every -j and with -spill; digests and trees identical)"
 
 # Local mirror of the CI fault-injection step: plan → 4 workers, one killed
 # mid-write (its manifest discarded so the outcome is timing-independent) →
@@ -107,10 +95,12 @@ dist-fault-check:
 # The CI serve-check job: the service proves what the pipeline proves, over
 # HTTP, with nothing but the daemon, the CLI and curl. Boot impressionsd on an
 # ephemeral port, POST a plan (keeping the headers: a cold request is a cache
-# miss), execute every shard with `worker -from` the daemon's shard endpoint,
-# merge against the served plan document, and require the digest of
-# `impressions … -digest` for the same spec — then require the repeated POST
-# to be a cache hit with the same bytes, and SIGTERM to end in a clean stop.
+# miss) and save the answer, the plan's fragment index, as <fp>; execute every
+# shard with `worker -from` the daemon's shard endpoint and save the shard
+# next to the index as <fp>.frag<i>; `merge -plan <fp>` must print the digest
+# of `impressions … -digest` for the same spec — then require the repeated
+# POST to be a cache hit with the same bytes, and SIGTERM to end in a clean
+# stop.
 # Service numbers (serve.plan_cold_s, serve.plan_hit_ms,
 # serve.shard_fetch_mb_per_s) are bench/pipeline's, under -trace.
 serve-check:
@@ -126,17 +116,21 @@ serve-check:
 	done; \
 	[ -n "$$addr" ] || { echo "daemon never came up:"; cat daemon.log; exit 1; }; \
 	req='{"spec":{"seed":20090225,"num_files":400,"num_dirs":80,"fs_size_bytes":2097152},"shards":3}'; \
-	post() { curl -sS --fail -H 'Content-Type: application/json' -d "$$req" -D "$$1.headers" -o "$$1.json" "http://$$addr/v1/plans"; }; \
+	post() { curl -sS --fail -H 'Content-Type: application/json' -d "$$req" -D "$$1.headers" -o "$$1.body" "http://$$addr/v1/plans"; }; \
 	post plan; grep -qi '^X-Impressions-Cache: miss' plan.headers; \
 	fp=$$(tr -d '\r' < plan.headers | sed -n 's/^X-Impressions-Plan-Fingerprint: //p'); \
-	for s in 0 1 2; do ./impressions worker -from "http://$$addr/v1/plans/$$fp/shards/$$s" -out merged -manifest manifest-$$s.json; done; \
-	./impressions merge -plan plan.json -print-digest manifest-*.json > merged.digest; \
+	mv plan.body "$$fp"; \
+	for s in 0 1 2; do \
+		curl -sS --fail -o "$$fp.frag$$s" "http://$$addr/v1/plans/$$fp/shards/$$s"; \
+		./impressions worker -from "http://$$addr/v1/plans/$$fp/shards/$$s" -out merged -manifest manifest-$$s.json; \
+	done; \
+	./impressions merge -plan "$$fp" -print-digest manifest-*.json > merged.digest; \
 	./impressions -files 400 -dirs 80 -size 2MB -seed 20090225 -digest | grep '^image digest:' > single.digest; \
 	cmp single.digest merged.digest; \
-	post again; grep -qi '^X-Impressions-Cache: hit' again.headers; cmp plan.json again.json; \
+	post again; grep -qi '^X-Impressions-Cache: hit' again.headers; cmp "$$fp" again.body; \
 	kill -TERM $$dpid; wait $$dpid; \
 	grep -q 'impressionsd: stopped' daemon.log; \
-	echo "serve-check: OK (served shards merge to the single-process digest; repeated plan request is a cache hit)"
+	echo "serve-check: OK (the served index and shards merge to the single-process digest; repeated plan request is a cache hit)"
 
 # The CI fleet fault-injection job: boot impressionsd as a shard scheduler
 # with fast fault detection, join 3 workers — one rigged to SIGKILL itself
@@ -184,9 +178,8 @@ fleet-fault-check:
 # content workers behind them change nothing but the time), the squashfs
 # run must print the tar run's digest, and a plan executed by 3 tar-segment
 # workers (at -j 1, 2 and 4) and stitched must be byte-identical to the
-# single-process tar of the same spec — from the plan document and from the
-# fragment index of `plan -partition 3` alike. A stitch handed its segments
-# in the wrong order must fail and leave no archive behind.
+# single-process tar of the same spec. A stitch handed its segments in the
+# wrong order must fail and leave no archive behind.
 image-sink-check:
 	@rm -rf /tmp/impressions-image-check && mkdir -p /tmp/impressions-image-check
 	$(GO) build -o /tmp/impressions-image-check/impressions ./cmd/impressions
@@ -206,16 +199,12 @@ image-sink-check:
 	if ./impressions stitch -plan plan.json -out swapped.tar seg1.tar seg0.tar seg2.tar 2> swapped.err; then \
 		echo "image-sink-check: a stitch of swapped segments succeeded"; exit 1; fi; \
 	test ! -e swapped.tar; \
-	mkdir part; ./impressions plan $$spec -partition 3 -plan part/plan.json; \
-	for s in 0 1 2; do ./impressions worker -plan part/plan.json -shard $$s -format tar -out part/seg$$s.tar -manifest part/manifest-$$s.json; done; \
-	./impressions stitch -plan part/plan.json -out part/stitched.tar part/seg0.tar part/seg1.tar part/seg2.tar; \
-	cmp single.tar part/stitched.tar; \
 	./impressions merge -plan plan.json -print-digest manifest-*.json > merged.digest; \
 	cmp tar.digest merged.digest; \
 	./impressions $$spec -j 1 -format squashfs -out image.squashfs -digest | grep '^image digest:' > squashfs.digest; \
 	./impressions $$spec -j 4 -format squashfs -out image-j4.squashfs; \
 	cmp image.squashfs image-j4.squashfs; cmp tar.digest squashfs.digest; \
-	echo "image-sink-check: OK (tar digest matches VFS and squashfs; -j 1 and -j 4 byte-identical; 3-worker stitch of the document and of the index byte-identical; swapped segments refused)"
+	echo "image-sink-check: OK (tar digest matches VFS and squashfs; -j 1 and -j 4 byte-identical; 3-worker stitch byte-identical; swapped segments refused)"
 
 # Local mirror of the CI bench-pipeline job. bench/pipeline is a Go module of
 # its own, so `go vet ./...` and `go test ./...` from the root never see it:
@@ -226,20 +215,19 @@ bench-pipeline-check:
 	cd bench/pipeline && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) run -C bench/pipeline . -scale 0.02 -reps 1 -workload tar_small
 
-# Local mirror of the CI memory-bound job: a 1M-file streamed plan build
-# and a 10M-file partitioned (spilled) build must hold peak live heap under
-# the same hard cap (see TestStreamedPlanBuildMemoryBound and
-# TestPartitionedPlanBuildMemoryBound), the merge of a 300k-file plan must
+# Local mirror of the CI memory-bound job: a 10M-file plan build (spilled,
+# 8 fragments) must hold peak live heap under a hard cap
+# (TestPartitionedPlanBuildMemoryBound), the merge of a 300k-file plan must
 # hold none of its file records (TestMergeMemoryBound), and the
 # single-process command must replay 300k files into the tar sink and into a
 # directory without holding their records (TestGenerateMemoryBound).
 mem-check:
-	$(GO) test ./internal/distribute ./cmd/impressions -run 'TestStreamedPlanBuildMemoryBound|TestPartitionedPlanBuildMemoryBound|TestMergeMemoryBound|TestGenerateMemoryBound' -v -timeout 15m
+	$(GO) test ./internal/distribute ./cmd/impressions -run 'TestPartitionedPlanBuildMemoryBound|TestMergeMemoryBound|TestGenerateMemoryBound' -v -timeout 15m
 
 # Local mirror of the CI fuzz-smoke job: every fuzz target of the module
 # (whatever `go test -list '^Fuzz'` finds: the tar header, stitcher and
-# squashfs extractor in internal/imgfmt, the chunk codec and decoder in internal/fsimage, the plan
-# document, shard document, manifest and journal decoders in
+# squashfs extractor in internal/imgfmt, the chunk codec and decoder in
+# internal/fsimage, the shard document, manifest and journal decoders in
 # internal/distribute, and the radix sort against sort.Float64s in
 # internal/stats) for FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in
 # `go test`; this is the ten seconds of new inputs per target on top. The
@@ -263,7 +251,8 @@ fuzz-smoke:
 # and govulncheck run when installed (CI installs pinned versions; local
 # runs skip them rather than forcing a download). The cross-builds cover the
 # platforms the test matrix does not run: the VFS writer calls syscall
-# directly, and cmd/impressions does not build on windows (syscall.Kill).
+# directly, cmd/impressions does not build on windows (syscall.Kill), and
+# 386 is the 32-bit int every constant comparison must fit.
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -272,6 +261,8 @@ lint:
 	GOOS=darwin $(GO) build ./...
 	GOOS=freebsd $(GO) build ./...
 	GOOS=windows $(GO) build $$($(GO) list ./... | grep -v '/cmd/impressions$$')
+	GOARCH=386 $(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) build -o bin/impressionsvet ./cmd/impressionsvet
 	$(GO) vet -vettool=$(abspath bin/impressionsvet) ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \

@@ -271,20 +271,17 @@ func benchGeneration(b *testing.B, parallelism int) {
 }
 
 // BenchmarkStreamingPlanBuild builds a 100k-file distributed plan end to
-// end (metadata pass + chunk encode to a discarding writer) on the
-// generator-fused planner, which holds O(chunk) file records. The allocs/op
-// row is the number that matters: it is the perf trajectory of the
+// end (metadata pass + chunk encode of 8 fragments to discarding writers) on
+// the generator-fused planner, which holds O(chunk) file records. The
+// allocs/op row is the number that matters: it is the perf trajectory of the
 // out-of-core planner's allocation ceiling.
-func BenchmarkStreamingPlanBuild(b *testing.B) {
-	cfg := core.Config{NumFiles: 100000, NumDirs: 20000, FSSizeBytes: 100000 * 256, Seed: 1, Parallelism: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (distribute.PlanRequest{Config: cfg, MaxShards: 8}).Stream(context.Background(), io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkStreamingPlanBuild(b *testing.B) { benchPlanBuild(b, "") }
+
+// BenchmarkPartitionedPlanBuild tracks the distributed planner's
+// single-node fallback: the same build off spilled metadata columns. The
+// delta against BenchmarkStreamingPlanBuild is the price of the spill round
+// trip.
+func BenchmarkPartitionedPlanBuild(b *testing.B) { benchPlanBuild(b, b.TempDir()) }
 
 // discardWriteCloser swallows fragment writes without retaining them.
 type discardWriteCloser struct{}
@@ -292,13 +289,8 @@ type discardWriteCloser struct{}
 func (discardWriteCloser) Write(p []byte) (int, error) { return len(p), nil }
 func (discardWriteCloser) Close() error                { return nil }
 
-// BenchmarkPartitionedPlanBuild tracks the distributed planner's
-// single-node fallback: the same 100k-file build as the streaming
-// benchmark, emitted as 8 fragment documents off spilled metadata columns.
-// The delta against BenchmarkStreamingPlanBuild is the price of the spill
-// round trip plus the per-fragment chunk encoders.
-func BenchmarkPartitionedPlanBuild(b *testing.B) {
-	cfg := core.Config{NumFiles: 100000, NumDirs: 20000, FSSizeBytes: 100000 * 256, Seed: 1, Parallelism: 1, SpillDir: b.TempDir()}
+func benchPlanBuild(b *testing.B, spill string) {
+	cfg := core.Config{NumFiles: 100000, NumDirs: 20000, FSSizeBytes: 100000 * 256, Seed: 1, Parallelism: 1, SpillDir: spill}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

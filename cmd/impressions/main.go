@@ -12,9 +12,9 @@
 // runs plan → N local worker processes → merge in one call: the fleet
 // scheduler in process, its workers writing in place under the shard journal
 // (`worker -work`), so a failed or killed run is resumed by running it again.
-// `worker`, `merge` and `stitch` take a plan at -plan in any of its shapes: a
-// plan document, the fragment index `plan -partition` writes, or (for the
-// worker) one shard document, such as a fragment.
+// `plan` writes a plan as one fragment per shard plus the fragment index that
+// names them; `worker`, `merge` and `stitch` take the index at -plan, and the
+// worker also takes one shard document, such as a fragment.
 //
 // Fleet mode hands the orchestration to a running impressionsd: `worker
 // -join <url>` turns this process into a lease-pulling fleet worker with
@@ -40,8 +40,7 @@
 //	impressions worker -plan plan.json -shard 3 -format tar -out seg3.tar -manifest shard3.json
 //	impressions stitch -plan plan.json -out image.tar seg0.tar seg1.tar seg2.tar
 //	impressions merge -plan plan.json -print-digest shard*.json
-//	impressions plan -files 20000 -seed 42 -partition 8 -plan part.json
-//	impressions worker -plan part.json.frag3 -out /mnt/img -manifest shard3.json
+//	impressions worker -plan plan.json.frag3 -out /mnt/img -manifest shard3.json
 //	impressions distrun -files 20000 -seed 42 -shards 4 -out /tmp/image
 //	impressions worker -join http://127.0.0.1:7077 -out /mnt/img -work /var/tmp/journals
 //	impressions fleetrun -base http://127.0.0.1:7077 -files 20000 -seed 42 -shards 8
@@ -406,18 +405,18 @@ func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, want
 
 // runStitch merges per-shard tar segments (written by `worker -format
 // tar`, named in shard order) into the monolithic archive — byte-identical
-// to a single-process `-format tar` run of the same plan, whether -plan is
-// its document or its fragment index. Content bytes are copied, never
-// regenerated; every entry is verified against the plan stream.
+// to a single-process `-format tar` run of the same plan. Content bytes are
+// copied, never regenerated; every entry is verified against the plan
+// stream.
 func runStitch(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions stitch", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		planFlag = fs.String("plan", "", "plan the segments were built from (required): a plan document, or the fragment index `plan -partition` writes")
+		planFlag = fs.String("plan", "", "plan the segments were built from (required): the fragment index `plan` writes")
 		outFlag  = fs.String("out", "", "file to write the stitched tar archive to (required)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: impressions stitch -plan plan.json|index.json -out image.tar seg0.tar seg1.tar ...")
+		fmt.Fprintln(stderr, "usage: impressions stitch -plan plan.json -out image.tar seg0.tar seg1.tar ...")
 		fs.PrintDefaults()
 	}
 	if err := parseFlags(fs, args); err != nil {
@@ -455,23 +454,22 @@ func runStitch(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runPlan resolves the metadata pass and writes the shard plan, always by
-// the generator-fused path: records go from the metadata pass straight into
-// the chunk encoder, so the planner never holds the image — at 10^7+ files
-// that is the difference between O(chunk) file records and gigabytes of
-// retained metadata. With -partition K the plan is emitted as K independent
-// fragment documents plus an index at the plan path; with -spill even the
-// metadata columns live on disk, so the build runs in O(dirs) heap at any
-// file count.
+// runPlan resolves the metadata pass and writes the shard plan — one
+// fragment document per shard next to the plan path and the fragment index
+// at it — by the generator-fused path: records go from the metadata pass
+// straight into the chunk encoders, so the planner never holds the image; at
+// 10^7+ files that is the difference between O(chunk) file records and
+// gigabytes of retained metadata. With -spill even the metadata columns live
+// on disk, so the build runs in O(dirs) heap at any file count.
 func runPlan(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	gen := newGenFlags(fs)
 	var (
-		shardsFlag    = fs.Int("shards", 4, "number of subtree shards to partition the namespace into")
-		planFlag      = fs.String("plan", "", "file to write the JSON plan to (required)")
-		_             = fs.Bool("stream", false, "accepted and ignored: plan always streams records from the metadata pass into the plan file without retaining the image")
-		partitionFlag = fs.Int("partition", 0, "emit the plan as this many self-contained fragment documents (<plan>.frag<i>) plus a fragment index at -plan; fragments are byte-identical to slicing the monolithic plan")
+		shardsFlag    = fs.Int("shards", 4, "number of subtree shards to partition the namespace into, one fragment document (<plan>.frag<i>) each")
+		planFlag      = fs.String("plan", "", "file to write the fragment index to (required); the fragments are written next to it")
+		_             = fs.Bool("stream", false, "accepted and ignored: plan always streams records from the metadata pass into the fragments without retaining the image")
+		partitionFlag = fs.Int("partition", 0, "synonym of -shards (0 = use -shards)")
 		spillFlag     = fs.String("spill", "", "spill the metadata pass's per-file columns to temp files under this directory (O(dirs) live heap; identical plan bytes)")
 		memFlag       = fs.Bool("mem", false, "report peak heap usage of the plan build")
 	)
@@ -488,7 +486,7 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 		return usagef("plan: -shards %d: a plan has at least one shard", *shardsFlag)
 	}
 	if *partitionFlag < 0 {
-		return usagef("plan: -partition %d: a partitioned plan has at least one fragment (0 writes one plan document)", *partitionFlag)
+		return usagef("plan: -partition %d: a plan has at least one fragment (0 takes -shards)", *partitionFlag)
 	}
 	shardsSet := false
 	fs.Visit(func(f *flag.Flag) {
@@ -504,7 +502,7 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	req := distribute.PlanRequest{Config: cfg, MaxShards: *shardsFlag}
 	if *partitionFlag > 0 {
 		if shardsSet && *shardsFlag != *partitionFlag {
-			return fmt.Errorf("plan: -shards %d conflicts with -partition %d — fragments are shard documents, the counts must agree (%w)",
+			return fmt.Errorf("plan: -shards %d conflicts with -partition %d — -partition is a synonym of -shards, the counts must agree (%w)",
 				*shardsFlag, *partitionFlag, fsimage.ErrInvalidSpec)
 		}
 		req.MaxShards = *partitionFlag
@@ -516,54 +514,55 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	// An interrupted build fails like any other, and leaves nothing behind.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var plan *distribute.Plan
-	fragments := 0
-	if *partitionFlag > 0 {
-		dir, base := filepath.Split(*planFlag)
-		name := func(shard int) string { return distribute.FragmentName(base, shard) }
-		var created []string
-		plan, err = distribute.PartitionPlan(ctx, req, func(shard int) (io.WriteCloser, error) {
-			path := filepath.Join(dir, name(shard))
-			f, err := os.Create(path)
-			if err == nil {
-				created = append(created, path)
-			}
-			return f, err
-		})
-		if err == nil {
-			fragments = len(plan.Shards)
-			err = writeJSONFile(*planFlag, plan.FragmentIndex(name).Encode)
-		}
-		if err != nil {
-			for _, path := range created {
-				removeTorn(path)
-			}
-		}
-	} else {
-		err = writeJSONFile(*planFlag, func(w io.Writer) error {
-			var serr error
-			plan, serr = req.Stream(ctx, w)
-			return serr
-		})
-	}
+	rp, err := req.Resolve(ctx)
 	if err != nil {
 		return err
 	}
+	err = writePlanFiles(ctx, rp, *planFlag)
+	rp.Close()
+	if err != nil {
+		return err
+	}
+	plan := rp.Plan
 	fmt.Fprintf(stdout, "plan: %d files, %d dirs, %d bytes across %d shards (fingerprint %s)\n",
 		plan.Files, plan.Dirs, plan.Bytes, len(plan.Shards), plan.Fingerprint()[:12])
 	for _, s := range plan.Shards {
 		fmt.Fprintf(stdout, "  shard %d: %d dirs, %d files, %s (stream %s)\n",
 			s.Index, s.Dirs, s.Files, stats.FormatBytes(float64(s.Bytes)), s.StreamKey)
 	}
-	if fragments > 0 {
-		fmt.Fprintf(stdout, "plan: wrote %d fragments next to %s (index at %s)\n", fragments, *planFlag, *planFlag)
-	}
+	fmt.Fprintf(stdout, "plan: wrote %d fragments next to %s (index at %s)\n", len(plan.Shards), *planFlag, *planFlag)
 	if sampler != nil {
 		peak, retained, total := sampler.stop()
 		fmt.Fprintf(stdout, "plan: peak heap %s (live %s retained after build), %s allocated in total, %d fragments\n",
-			stats.FormatBytes(float64(peak)), stats.FormatBytes(float64(retained)), stats.FormatBytes(float64(total)), fragments)
+			stats.FormatBytes(float64(peak)), stats.FormatBytes(float64(retained)), stats.FormatBytes(float64(total)), len(plan.Shards))
 	}
 	return nil
+}
+
+// writePlanFiles writes a resolved plan as its fragments, each next to path
+// under distribute.FragmentName, and the fragment index at path. A failed
+// write removes the files it created.
+func writePlanFiles(ctx context.Context, rp *distribute.ResolvedPlan, path string) error {
+	dir, base := filepath.Split(path)
+	name := func(shard int) string { return distribute.FragmentName(base, shard) }
+	var created []string
+	err := rp.WriteFragments(ctx, func(shard int) (io.WriteCloser, error) {
+		frag := filepath.Join(dir, name(shard))
+		f, err := os.Create(frag)
+		if err == nil {
+			created = append(created, frag)
+		}
+		return f, err
+	})
+	if err == nil {
+		err = writeJSONFile(path, rp.Plan.FragmentIndex(name).Encode)
+	}
+	if err != nil {
+		for _, frag := range created {
+			removeTorn(frag)
+		}
+	}
+	return err
 }
 
 // memSampler tracks the process's peak heap while a build runs, for the
@@ -618,19 +617,18 @@ func (s *memSampler) stop() (peak, retained, total uint64) {
 	return peak, retained, total
 }
 
-// runWorker executes one shard of a plan and writes its manifest. The plan
-// is decoded through the shard-pruning path: every chunk is still
-// integrity-verified, but only this shard's file records are retained, so a
-// worker's memory is bounded by its shard (plus the compact directory
-// tree), never by the image.
+// runWorker executes one shard of a plan and writes its manifest. It decodes
+// only the shard's fragment: every chunk is integrity-verified, and only
+// this shard's file records are read, so a worker's memory is bounded by its
+// shard (plus the compact directory tree), never by the image.
 func runWorker(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		planFlag     = fs.String("plan", "", "plan to execute a shard of: a plan document, the fragment index `plan -partition` writes (the shard's fragment is read), or one shard document such as a fragment, which names its own shard")
+		planFlag     = fs.String("plan", "", "plan to execute a shard of: the fragment index `plan` writes (the shard's fragment is read), or one shard document such as a fragment, which names its own shard")
 		fromFlag     = fs.String("from", "", "URL of a shard document to fetch and execute (the daemon's /v1/plans/{fp}/shards/{i})")
 		joinFlag     = fs.String("join", "", "base URL of an impressionsd to join as a fleet worker (e.g. http://127.0.0.1:7077)")
-		shardFlag    = fs.Int("shard", -1, "shard index to execute (required with a plan document or an index; with a shard document it must name the shard the document carries)")
+		shardFlag    = fs.Int("shard", -1, "shard index to execute (required with an index; with a shard document it must name the shard the document carries)")
 		formatFlag   = fs.String("format", "dir", "shard output: dir (materialized tree) or tar (segment file for `stitch`)")
 		outFlag      = fs.String("out", "", "directory (-format dir) or segment file (-format tar) to write the shard to (required)")
 		manifestFlag = fs.String("manifest", "", "file to write the shard manifest to (required with -plan/-from)")
@@ -669,7 +667,7 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	}
 	view, err := workerView(*planFlag, *fromFlag, *shardFlag)
 	if errors.Is(err, fsimage.ErrInvalidSpec) {
-		// No shard of a whole plan, one it does not have, or another one than
+		// No shard of an index, one it does not have, or another one than
 		// the shard document's: the flags ask for what the plan cannot give.
 		return usageError{err}
 	}
@@ -837,13 +835,13 @@ func runIncomplete(stdout io.Writer, who string, st fleet.RunStatus) error {
 // image, report, and canonical digest. With -partial it instead audits a
 // possibly incomplete manifest set and reports exactly which shards are
 // outstanding — with the worker command line to re-run each — so a failed
-// distributed run can be resumed instead of restarted. The plan is a plan
-// document or a fragment index, and the merge says the same of either.
+// distributed run can be resumed instead of restarted. The plan is a
+// fragment index; its fragments are read.
 func runMerge(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("impressions merge", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		planFlag    = fs.String("plan", "", "plan the manifests were produced from (required): a plan document, or the fragment index `plan -partition` writes (its fragments are read)")
+		planFlag    = fs.String("plan", "", "plan the manifests were produced from (required): the fragment index `plan` writes (its fragments are read)")
 		reportFlag  = fs.String("report", "", "write the merged JSON reproducibility report to this file")
 		printDigest = fs.Bool("print-digest", false, "print only the canonical image digest line")
 		partialFlag = fs.Bool("partial", false, "accept an incomplete manifest set: report outstanding shards (with re-run commands) instead of failing; merges normally when the set turns out to be complete")
@@ -1025,7 +1023,7 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	// The metadata is resolved once: the plan file is written from its
+	// The metadata is resolved once: the fragments are written from its
 	// columns, and the scheduler replays them to verify and merge.
 	resolved, err := distribute.PlanRequest{Config: cfg, MaxShards: *shardsFlag}.Resolve(context.Background())
 	if err != nil {
@@ -1037,7 +1035,7 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 	// idempotent; journals a work dir holds from other flags are bound to
 	// another fingerprint and prove nothing about this one.
 	planPath := filepath.Join(workDir, "plan.json")
-	if err := writeJSONFile(planPath, resolved.Write); err != nil {
+	if err := writePlanFiles(context.Background(), resolved, planPath); err != nil {
 		return err
 	}
 	manifestPath := func(shard int) string { return filepath.Join(workDir, fmt.Sprintf("manifest-%d.json", shard)) }

@@ -103,47 +103,54 @@ func TestRunUserSpecifiedSizeModel(t *testing.T) {
 }
 
 // TestPlanStreamWritesIdenticalPlan: `plan` always takes the
-// generator-fused O(chunk) path, so it writes the same bytes with and
-// without -stream (still accepted, now without effect), -spill works on its
-// own, and -mem reports the build's memory use. That those bytes are the
-// retained builder's is TestStreamPlanMatchesRetainedBytes, in the library.
+// generator-fused O(chunk) path, so it writes the same index and fragments
+// with and without -stream (still accepted, now without effect), with
+// -partition (a synonym of -shards) and with -spill, and -mem reports the
+// build's memory use.
 func TestPlanStreamWritesIdenticalPlan(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"plan", "-files", "400", "-dirs", "80", "-seed", "9", "-shards", "3"}
 	var out bytes.Buffer
 	var plans [][]byte
-	for name, extra := range map[string][]string{"plain": nil, "stream": {"-stream", "-mem"}, "spill": {"-spill", dir}} {
-		path := filepath.Join(dir, name+".json")
+	for name, extra := range map[string][]string{"plain": nil, "stream": {"-stream", "-mem"}, "partition": {"-partition", "3"}, "spill": {"-spill", dir}} {
+		path := filepath.Join(dir, name, "plan.json")
+		if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := run(append(args, append(extra, "-plan", path)...), &out, io.Discard); err != nil {
 			t.Fatalf("plan %v: %v", extra, err)
 		}
-		doc, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		var files []byte
+		for _, f := range []string{path, path + ".frag0", path + ".frag1", path + ".frag2"} {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(append(files, data...), 0)
 		}
-		plans = append(plans, doc)
+		plans = append(plans, files)
 	}
-	if !bytes.Equal(plans[0], plans[1]) || !bytes.Equal(plans[0], plans[2]) {
-		t.Error("plan wrote different bytes with -stream or -spill than without")
+	if !bytes.Equal(plans[0], plans[1]) || !bytes.Equal(plans[0], plans[2]) || !bytes.Equal(plans[0], plans[3]) {
+		t.Error("plan wrote different bytes with -stream, -partition or -spill than without")
 	}
 	if !strings.Contains(out.String(), "peak heap") {
 		t.Errorf("-mem did not report peak heap:\n%s", out.String())
 	}
 }
 
-// TestFailedPlanLeavesNothing: a plan build that fails after it has created
-// its output removes what it created — the plan document its encoder could
-// not finish, and the fragments opened before one could not be — so no torn
-// document is left for a worker to find.
+// TestFailedPlanLeavesNothing: a plan build that fails removes what it
+// created — the fragments opened before one could not be — so no torn
+// document is left for a worker to find, and one that fails in the metadata
+// pass creates nothing.
 func TestFailedPlanLeavesNothing(t *testing.T) {
 	for name, c := range map[string]struct {
 		args  []string
 		setup func(dir string) // what makes the build fail
 	}{
-		// The metadata pass fails once the plan file is open.
-		"document": {args: []string{"-spill", "/nonexistent/spill"}},
+		// The metadata pass fails.
+		"metadata": {args: []string{"-spill", "/nonexistent/spill"}},
 		// Fragment 0 is created; fragment 1 cannot be, a directory holds its name.
-		"fragments": {args: []string{"-partition", "2"}, setup: func(dir string) {
+		"fragments": {args: []string{"-shards", "2"}, setup: func(dir string) {
 			if err := os.Mkdir(filepath.Join(dir, "p.json.frag1"), 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -222,31 +229,63 @@ func TestFailedImageLeavesNothing(t *testing.T) {
 	}
 }
 
-// TestStitchChecksTheShardTable: a plan document whose shard table says one
-// file of shard 0 is shard 1's still balances — the shard sums equal the
-// header's totals — and its segments still stitch entry by entry; stitch
-// holds the plan to that table as merge does, so both refuse it.
+// TestStitchChecksTheShardTable: a plan whose shard table says one file of
+// shard 0 is shard 1's still balances — the shard sums equal the header's
+// totals — and, under an index that names it, its segments still stitch
+// entry by entry; stitch holds the plan to that table as merge does, so
+// both refuse it.
 func TestStitchChecksTheShardTable(t *testing.T) {
 	dir := t.TempDir()
 	plan, segments := tarSegments(t, dir)
-	doc, err := os.ReadFile(plan)
+	entries := regexp.MustCompile(`"dirs":(\d+),"files":(\d+),"bytes":(\d+)\}`)
+	tampered := filepath.Join(dir, "tampered", "plan.json")
+	if err := os.Mkdir(filepath.Dir(tampered), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var fingerprint string
+	for s := 0; s < 2; s++ {
+		frag, err := os.ReadFile(fmt.Sprintf("%s.frag%d", plan, s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := 0
+		moved := entries.ReplaceAllStringFunc(string(frag), func(entry string) string {
+			m := entries.FindStringSubmatch(entry)
+			files, _ := strconv.Atoi(m[2])
+			files += 2*shard - 1 // shard 0 one fewer, shard 1 one more
+			shard++
+			return fmt.Sprintf(`"dirs":%s,"files":%d,"bytes":%s}`, m[1], files, m[3])
+		})
+		if shard != 2 {
+			t.Fatalf("fragment %d has %d shard table entries, want 2", s, shard)
+		}
+		if err := os.WriteFile(fmt.Sprintf("%s.frag%d", tampered, s), []byte(moved), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var head struct {
+			View struct {
+				PlanChunks  int              `json:"plan_chunks"`
+				ImageSHA256 string           `json:"image_sha256"`
+				Plan        *distribute.Plan `json:"plan"`
+			} `json:"view"`
+		}
+		if err := json.Unmarshal([]byte(moved), &head); err != nil {
+			t.Fatal(err)
+		}
+		p := head.View.Plan
+		p.Chunks, p.ImageSHA256 = head.View.PlanChunks, head.View.ImageSHA256
+		fingerprint = p.Fingerprint()
+	}
+	index, err := os.ReadFile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := regexp.MustCompile(`"dirs":(\d+),"files":(\d+),"bytes":(\d+)\}`)
-	shard := 0
-	moved := entries.ReplaceAllStringFunc(string(doc), func(entry string) string {
-		m := entries.FindStringSubmatch(entry)
-		files, _ := strconv.Atoi(m[2])
-		files += 2*shard - 1 // shard 0 one fewer, shard 1 one more
-		shard++
-		return fmt.Sprintf(`"dirs":%s,"files":%d,"bytes":%s}`, m[1], files, m[3])
-	})
-	if shard != 2 {
-		t.Fatalf("the plan document has %d shard table entries, want 2", shard)
+	var ix distribute.FragmentIndex
+	if err := json.Unmarshal(index, &ix); err != nil {
+		t.Fatal(err)
 	}
-	tampered := filepath.Join(dir, "tampered.json")
-	if err := os.WriteFile(tampered, []byte(moved), 0o644); err != nil {
+	ix.Fingerprint = fingerprint
+	if err := writeJSONFile(tampered, ix.Encode); err != nil {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "image.tar")
@@ -255,7 +294,7 @@ func TestStitchChecksTheShardTable(t *testing.T) {
 		{"merge", "-plan", tampered, filepath.Join(dir, "m0.json"), filepath.Join(dir, "m1.json")},
 	} {
 		var stderr bytes.Buffer
-		if code := Main(args, io.Discard, &stderr); code != 1 || !strings.Contains(stderr.String(), fsimage.ErrManifestIntegrity.Error()) {
+		if code := Main(args, io.Discard, &stderr); code != 1 || !strings.Contains(stderr.String(), "expectations") || !strings.Contains(stderr.String(), fsimage.ErrManifestIntegrity.Error()) {
 			t.Errorf("%s of a plan whose shard table moved a file exited %d: %s", args[0], code, stderr.String())
 		}
 	}
@@ -264,36 +303,16 @@ func TestStitchChecksTheShardTable(t *testing.T) {
 	}
 }
 
-// TestPlanPartitionWorkerMergePipeline drives the partitioned pipeline
-// through the CLI end to end: plan -partition writes fragments plus an
-// index, worker -plan executes a shard from the index or from its fragment,
-// and merge -plan of the index has the whole front end of a document's:
-// the digest a monolithic plan/worker/merge run prints, -partial's re-run
-// line, which completes the merge when run, and the same -report.
+// TestPlanPartitionWorkerMergePipeline drives the pipeline through the CLI
+// end to end: plan -partition -spill writes fragments plus an index,
+// worker -plan executes a shard from the index or from its fragment, and
+// merge -plan of the index prints the single-process digest, names a
+// withheld shard with a re-run line that completes the merge when run, and
+// refuses an index whose fragment names leave its directory.
 func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 	dir := t.TempDir()
 	cfgArgs := []string{"-files", "400", "-dirs", "80", "-seed", "9"}
-
-	// Reference digest and report from the monolithic pipeline.
-	monoPlan := filepath.Join(dir, "mono.json")
-	if err := run(append([]string{"plan"}, append(cfgArgs, "-shards", "2", "-plan", monoPlan)...), io.Discard, io.Discard); err != nil {
-		t.Fatalf("monolithic plan: %v", err)
-	}
-	monoRoot := filepath.Join(dir, "mono-out")
-	monoManifests := []string{}
-	for s := 0; s < 2; s++ {
-		mf := filepath.Join(dir, fmt.Sprintf("mono-manifest-%d.json", s))
-		if err := run([]string{"worker", "-plan", monoPlan, "-shard", strconv.Itoa(s), "-out", monoRoot, "-manifest", mf}, io.Discard, io.Discard); err != nil {
-			t.Fatalf("monolithic worker %d: %v", s, err)
-		}
-		monoManifests = append(monoManifests, mf)
-	}
-	monoReport := filepath.Join(dir, "mono-report.json")
-	var monoOut bytes.Buffer
-	if err := run(append([]string{"merge", "-plan", monoPlan, "-print-digest", "-report", monoReport}, monoManifests...), &monoOut, io.Discard); err != nil {
-		t.Fatalf("monolithic merge: %v", err)
-	}
-	refDigest := strings.TrimSpace(monoOut.String())
+	refDigest, _ := refDigestAndTree(t, cfgArgs)
 
 	// Partitioned pipeline: fragments next to the index, -mem reporting.
 	planPath := filepath.Join(dir, "plan.json")
@@ -324,24 +343,12 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 	if err := run(strings.Fields(rerun[0][1]), io.Discard, io.Discard); err != nil {
 		t.Fatalf("the re-run line: %v", err)
 	}
-	report := filepath.Join(dir, "report.json")
 	var mergeOut bytes.Buffer
-	if err := run([]string{"merge", "-plan", planPath, "-print-digest", "-report", report, manifest(0), manifest(1)}, &mergeOut, io.Discard); err != nil {
+	if err := run([]string{"merge", "-plan", planPath, "-print-digest", manifest(0), manifest(1)}, &mergeOut, io.Discard); err != nil {
 		t.Fatalf("merge -plan of the index: %v", err)
 	}
-	if got := strings.TrimSpace(mergeOut.String()); got != refDigest {
-		t.Errorf("fragment pipeline digest %q != monolithic %q", got, refDigest)
-	}
-	var reports [2]string
-	for i, path := range []string{monoReport, report} {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports[i] = generatedAtJSONRe.ReplaceAllString(string(data), "")
-	}
-	if reports[0] != reports[1] {
-		t.Errorf("merge -report of the index wrote\n%s\nof the document\n%s", reports[1], reports[0])
+	if got := extractDigest(t, mergeOut.Bytes()); got != refDigest {
+		t.Errorf("fragment pipeline digest %q != single-process %q", got, refDigest)
 	}
 
 	// An index is input like any other: one whose fragment names lead out of
@@ -377,81 +384,59 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 }
 
 // TestMergeRefusesStrayManifest: a manifest naming a shard the plan does not
-// have fails the merge the same way whether the plan is one document or
-// fragments: exit 1, an integrity violation, from the one merge.
+// have fails the merge: exit 1, an integrity violation, from the one merge.
 func TestMergeRefusesStrayManifest(t *testing.T) {
 	dir := t.TempDir()
 	cfgArgs := []string{"-files", "120", "-dirs", "30", "-size", "200KB", "-seed", "9"}
-	for _, mode := range []struct {
-		name, plan string
-		worker     func(s int) []string
-		merge      []string
-	}{
-		{"plan", "plan.json", func(s int) []string {
-			return []string{"-plan", filepath.Join(dir, "plan.json"), "-shard", strconv.Itoa(s)}
-		}, []string{"merge", "-plan", filepath.Join(dir, "plan.json")}},
-		{"index", "part.json", func(s int) []string {
-			return []string{"-plan", fmt.Sprintf("%s.frag%d", filepath.Join(dir, "part.json"), s)}
-		}, []string{"merge", "-plan", filepath.Join(dir, "part.json")}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			shards := map[string]string{"plan": "-shards", "index": "-partition"}[mode.name]
-			if err := run(append(append([]string{"plan"}, cfgArgs...), shards, "2", "-plan", filepath.Join(dir, mode.plan)), io.Discard, io.Discard); err != nil {
-				t.Fatalf("plan: %v", err)
-			}
-			var manifests []string
-			for s := 0; s < 2; s++ {
-				m := filepath.Join(dir, fmt.Sprintf("%s-manifest-%d.json", mode.name, s))
-				args := append(append([]string{"worker"}, mode.worker(s)...), "-out", filepath.Join(dir, mode.name+"-out"), "-manifest", m)
-				if err := run(args, io.Discard, io.Discard); err != nil {
-					t.Fatalf("worker %d: %v", s, err)
-				}
-				manifests = append(manifests, m)
-			}
-			stray, err := distribute.LoadManifest(manifests[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			stray.Shard = 7
-			stray.Seal()
-			manifests[1] = filepath.Join(dir, mode.name+"-stray.json")
-			if err := writeJSONFile(manifests[1], stray.Encode); err != nil {
-				t.Fatal(err)
-			}
-			var stderr bytes.Buffer
-			if code := Main(append(mode.merge, manifests...), io.Discard, &stderr); code != 1 {
-				t.Errorf("merge with a manifest for shard 7 of 2 exited %d, want 1", code)
-			}
-			if msg := stderr.String(); !strings.Contains(msg, "manifest for unknown shard 7 (plan has 2 shards)") || !strings.Contains(msg, fsimage.ErrManifestIntegrity.Error()) {
-				t.Errorf("merge with a manifest for shard 7 of 2 said: %s", msg)
-			}
-		})
+	plan := filepath.Join(dir, "plan.json")
+	if err := run(append(append([]string{"plan"}, cfgArgs...), "-shards", "2", "-plan", plan), io.Discard, io.Discard); err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	var manifests []string
+	for s := 0; s < 2; s++ {
+		m := filepath.Join(dir, fmt.Sprintf("manifest-%d.json", s))
+		if err := run([]string{"worker", "-plan", fmt.Sprintf("%s.frag%d", plan, s), "-out", filepath.Join(dir, "out"), "-manifest", m}, io.Discard, io.Discard); err != nil {
+			t.Fatalf("worker %d: %v", s, err)
+		}
+		manifests = append(manifests, m)
+	}
+	stray, err := distribute.LoadManifest(manifests[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray.Shard = 7
+	stray.Seal()
+	manifests[1] = filepath.Join(dir, "stray.json")
+	if err := writeJSONFile(manifests[1], stray.Encode); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	if code := Main(append([]string{"merge", "-plan", plan}, manifests...), io.Discard, &stderr); code != 1 {
+		t.Errorf("merge with a manifest for shard 7 of 2 exited %d, want 1", code)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "manifest for unknown shard 7 (plan has 2 shards)") || !strings.Contains(msg, fsimage.ErrManifestIntegrity.Error()) {
+		t.Errorf("merge with a manifest for shard 7 of 2 said: %s", msg)
 	}
 }
 
 // TestWorkerShardSources runs a worker from every source a shard comes from
-// — a plan document, a fragment index, a fragment, a daemon's shard URL —
-// with and without -shard. A whole plan needs -shard, and a shard document
-// names its own shard, so -shard naming another one is a usage error (exit 2,
-// no manifest) instead of being ignored. The rest write the manifest a worker
-// of the plan document writes, one -from row although the daemon answers its
-// first request 503, as a daemon that is restarting or draining does.
+// — a fragment index, a fragment, a daemon's shard URL — with and without
+// -shard. An index needs -shard, and a shard document names its own shard,
+// so -shard naming another one is a usage error (exit 2, no manifest)
+// instead of being ignored. The rest write the manifest a worker of the
+// index writes, one -from row although the daemon answers its first request
+// 503, as a daemon that is restarting or draining does.
 func TestWorkerShardSources(t *testing.T) {
 	dir := t.TempDir()
-	doc, index := filepath.Join(dir, "plan.json"), filepath.Join(dir, "part", "plan.json")
-	if err := os.MkdirAll(filepath.Dir(index), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, args := range [][]string{{"-shards", "2", "-plan", doc}, {"-partition", "2", "-plan", index}} {
-		if err := run(append(append([]string{"plan"}, faultCfgArgs...), args...), io.Discard, io.Discard); err != nil {
-			t.Fatalf("plan %v: %v", args, err)
-		}
+	index := filepath.Join(dir, "plan.json")
+	if err := run(append(append([]string{"plan"}, faultCfgArgs...), "-shards", "2", "-plan", index), io.Discard, io.Discard); err != nil {
+		t.Fatalf("plan: %v", err)
 	}
 	fragment := func(s int) string { return fmt.Sprintf("%s.frag%d", index, s) }
 	want := make([][]byte, 2)
 	for s := range want {
 		m := filepath.Join(dir, fmt.Sprintf("want-%d.json", s))
-		if err := run([]string{"worker", "-plan", doc, "-shard", strconv.Itoa(s), "-out", filepath.Join(dir, "out"), "-manifest", m}, io.Discard, io.Discard); err != nil {
+		if err := run([]string{"worker", "-plan", index, "-shard", strconv.Itoa(s), "-out", filepath.Join(dir, "out"), "-manifest", m}, io.Discard, io.Discard); err != nil {
 			t.Fatalf("worker %d: %v", s, err)
 		}
 		var err error
@@ -487,11 +472,9 @@ func TestWorkerShardSources(t *testing.T) {
 		busy   bool // the daemon answers the first request 503
 		want   int
 	}{
-		{"document", []string{"-plan", doc, "-shard", "1"}, 1, false, 0},
-		{"document without -shard", []string{"-plan", doc}, 0, false, 2},
-		{"document -shard out of range", []string{"-plan", doc, "-shard", "2"}, 0, false, 2},
 		{"index", []string{"-plan", index, "-shard", "1"}, 1, false, 0},
 		{"index without -shard", []string{"-plan", index}, 0, false, 2},
+		{"index -shard out of range", []string{"-plan", index, "-shard", "2"}, 0, false, 2},
 		{"fragment", []string{"-plan", fragment(1)}, 1, false, 0},
 		{"fragment -shard its own", []string{"-plan", fragment(1), "-shard", "1"}, 1, false, 0},
 		{"fragment -shard another", []string{"-plan", fragment(0), "-shard", "1"}, 0, false, 2},
@@ -515,7 +498,7 @@ func TestWorkerShardSources(t *testing.T) {
 			case c.want != 0 && stdout.Len() > 0:
 				t.Errorf("a refused worker printed %q", stdout.String())
 			case c.want == 0 && !bytes.Equal(got, want[c.shard]):
-				t.Errorf("the manifest (%v) is not the one a worker of the plan document writes for shard %d", err, c.shard)
+				t.Errorf("the manifest (%v) is not the one a worker of the index writes for shard %d", err, c.shard)
 			}
 		})
 	}
@@ -1050,7 +1033,7 @@ func TestDistrunRetriesWorkerKilledMidWrite(t *testing.T) {
 					return append(args, "-fail-after-files", "10")
 				}
 				if shard == 1 && truncate {
-					view, err := distribute.LoadPlanShard(filepath.Join(work, "plan.json"), 1)
+					view, err := shardView(filepath.Join(work, "plan.json"), 1)
 					if err != nil {
 						t.Error(err)
 						return args
@@ -1195,7 +1178,7 @@ func TestDistrunResumeAfterFailure(t *testing.T) {
 
 	views := make([]*distribute.ShardView, 3)
 	for shard := range views {
-		v, err := distribute.LoadPlanShard(filepath.Join(work, "plan.json"), shard)
+		v, err := shardView(filepath.Join(work, "plan.json"), shard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1427,15 +1410,20 @@ func TestWorkerResumeRecreatesEmptyDirectories(t *testing.T) {
 		return buf.String()
 	}
 	workers()
-	view, err := distribute.LoadPlanShard(planPath, 0)
-	if err != nil {
-		t.Fatal(err)
+	var views [2]*distribute.ShardView
+	for s := range views {
+		v, err := shardView(planPath, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[s] = v
 	}
-	// With 60 dirs for 10 files most directories are empty leaves.
+	// With 60 dirs for 10 files most directories are empty leaves. A shard's
+	// tree counts the files of that shard only.
 	removed := ""
-	for id, d := range view.Tree.Dirs {
-		if id != 0 && d.FileCount == 0 && d.SubdirCount == 0 {
-			removed = filepath.Join(out, filepath.FromSlash(view.Tree.Path(id)))
+	for id, d := range views[0].Tree.Dirs {
+		if id != 0 && d.FileCount == 0 && views[1].Tree.Dirs[id].FileCount == 0 && d.SubdirCount == 0 {
+			removed = filepath.Join(out, filepath.FromSlash(views[0].Tree.Path(id)))
 			break
 		}
 	}
@@ -1581,18 +1569,18 @@ var generatedAtJSONRe = regexp.MustCompile(`"generated_at": "[^"]*"`)
 // TestDistributedPins pins what the merge and distrun commands print over
 // faultCfgArgs' image: `merge -plan` complete (with its -report JSON), with
 // -print-digest, and with -partial over a set missing shard 1 and holding a
-// shard 2 manifest with one entry's size changed and resealed; the same
-// image as a fragment index, each shard's worker (its output and manifest)
-// run from the index and from its fragment, and `merge -plan` of the index,
-// which must print what it prints of the document; `stitch` over three tar
-// segments (its output and the archive's SHA-256, which is the
-// single-process archive's), from the document and from the index; and
-// distrun's `distrun:` and `image digest:` lines and its -report JSON. The
-// `generated at` values are masked and temp paths read $T. The merge and
-// distrun goldens were written at the commit before the merge stopped
-// retaining the plan, the worker-fragment and stitch ones at the commit
-// before -plan took a fragment index and a shard document (by `worker
-// -fragment` and `stitch -plan <document>`), and none may change with either.
+// shard 2 manifest with one entry's size changed and resealed; each shard's
+// worker (its output and manifest) run from the index and from its
+// fragment, and `merge -plan` over their manifests, which must print the
+// same; `stitch` over three tar segments (its output and the archive's
+// SHA-256, which is the single-process archive's); and distrun's `distrun:`
+// and `image digest:` lines and its -report JSON. The `generated at` values
+// are masked and temp paths read $T. The merge and distrun goldens were
+// written at the commit before the merge stopped retaining the plan, the
+// worker-fragment and stitch ones at the commit before -plan took a fragment
+// index and a shard document (by `worker -fragment` and `stitch -plan
+// <document>`), and none has changed since: not when `plan` stopped writing
+// a plan document either.
 func TestDistributedPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
@@ -1673,15 +1661,13 @@ func TestDistributedPins(t *testing.T) {
 	t.Run("merge-plan-partial", func(t *testing.T) {
 		pin(t, "merge-plan-partial", cli(t, "merge", "-plan", plan, "-partial", "-out", out, manifest(0), resealed))
 	})
-	// The same image as a fragment index. Each shard is executed from the
-	// index, from its fragment, and from its fragment naming the shard, and
-	// each way must print and write what `worker -fragment` did.
-	index := filepath.Join(dir, "part", "plan.json")
-	if err := os.MkdirAll(filepath.Dir(index), 0o755); err != nil {
+	// Each shard is executed again, from the index, from its fragment, and
+	// from its fragment naming the shard, and each way must print and write
+	// what `worker -fragment` did.
+	if err := os.Mkdir(filepath.Join(dir, "part"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	must(t, append(append([]string{"plan"}, faultCfgArgs...), "-partition", "3", "-plan", index)...)
-	fragment := func(s int) string { return fmt.Sprintf("%s.frag%d", index, s) }
+	fragment := func(s int) string { return fmt.Sprintf("%s.frag%d", plan, s) }
 	var manifests []string
 	for s := 0; s < 3; s++ {
 		manifests = append(manifests, filepath.Join(dir, "part", fmt.Sprintf("manifest-%d.json", s)))
@@ -1690,7 +1676,7 @@ func TestDistributedPins(t *testing.T) {
 		name  string
 		shard func(s int) []string
 	}{
-		{"index", func(s int) []string { return []string{"-plan", index, "-shard", strconv.Itoa(s)} }},
+		{"index", func(s int) []string { return []string{"-plan", plan, "-shard", strconv.Itoa(s)} }},
 		{"fragment", func(s int) []string { return []string{"-plan", fragment(s)} }},
 		{"fragment-shard", func(s int) []string { return []string{"-plan", fragment(s), "-shard", strconv.Itoa(s)} }},
 	} {
@@ -1703,11 +1689,11 @@ func TestDistributedPins(t *testing.T) {
 			pin(t, "worker-fragment", got.String())
 		})
 	}
-	t.Run("merge-index", func(t *testing.T) {
+	t.Run("merge-fragment-manifests", func(t *testing.T) {
 		report := filepath.Join(dir, "part", "merge-report.json")
-		got := cli(t, append([]string{"merge", "-plan", index, "-report", report}, manifests...)...)
+		got := cli(t, append([]string{"merge", "-plan", plan, "-report", report}, manifests...)...)
 		pin(t, "merge-plan", got+"--- report\n"+file(t, report))
-		pin(t, "merge-plan-print-digest", cli(t, append([]string{"merge", "-plan", index, "-print-digest"}, manifests...)...))
+		pin(t, "merge-plan-print-digest", cli(t, append([]string{"merge", "-plan", plan, "-print-digest"}, manifests...)...))
 	})
 	t.Run("stitch", func(t *testing.T) {
 		single := filepath.Join(dir, "single.tar")
@@ -1716,23 +1702,21 @@ func TestDistributedPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []string{plan, index} {
-			var segments []string
-			for s := 0; s < 3; s++ {
-				seg := filepath.Join(dir, fmt.Sprintf("seg-%d.tar", s))
-				must(t, "worker", "-plan", p, "-shard", strconv.Itoa(s), "-format", "tar", "-out", seg, "-manifest", filepath.Join(dir, fmt.Sprintf("seg-manifest-%d.json", s)))
-				segments = append(segments, seg)
-			}
-			image := filepath.Join(dir, "stitched.tar")
-			got := cli(t, append([]string{"stitch", "-plan", p, "-out", image}, segments...)...)
-			data, err := os.ReadFile(image)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pin(t, "stitch", fmt.Sprintf("%s--- sha256 %x\n", got, sha256.Sum256(data)))
-			if !bytes.Equal(data, want) {
-				t.Errorf("stitch -plan %s wrote another archive than -format tar", mask(p))
-			}
+		var segments []string
+		for s := 0; s < 3; s++ {
+			seg := filepath.Join(dir, fmt.Sprintf("seg-%d.tar", s))
+			must(t, "worker", "-plan", plan, "-shard", strconv.Itoa(s), "-format", "tar", "-out", seg, "-manifest", filepath.Join(dir, fmt.Sprintf("seg-manifest-%d.json", s)))
+			segments = append(segments, seg)
+		}
+		image := filepath.Join(dir, "stitched.tar")
+		got := cli(t, append([]string{"stitch", "-plan", plan, "-out", image}, segments...)...)
+		data, err := os.ReadFile(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin(t, "stitch", fmt.Sprintf("%s--- sha256 %x\n", got, sha256.Sum256(data)))
+		if !bytes.Equal(data, want) {
+			t.Errorf("stitch -plan wrote another archive than -format tar")
 		}
 	})
 	t.Run("distrun", func(t *testing.T) {
@@ -1808,3 +1792,12 @@ func TestGenerateMemoryBound(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// shardView reads one shard of the plan at path, as a worker does.
+func shardView(path string, shard int) (*distribute.ShardView, error) {
+	pf, err := distribute.OpenPlanFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return pf.View(shard)
+}

@@ -1,14 +1,14 @@
 // Command impressionsd is the generation-as-a-service daemon: a long-running
 // HTTP server exposing the distributed pipeline's plan builder behind a
-// content-addressed plan cache, per-shard plan slicing for pull-based
+// content-addressed plan cache, the plan's fragments for pull-based
 // workers, inline generation for small images, and a lease-based shard
 // scheduler that drives whole distributed runs over a fleet of unreliable
 // workers.
 //
 // Endpoints:
 //
-//	POST /v1/plans                     build-or-fetch a plan for a JSON spec
-//	GET  /v1/plans/{fp}/shards/{i}     pull one shard's self-contained view
+//	POST /v1/plans                     build-or-fetch a plan for a JSON spec; answers with its fragment index
+//	GET  /v1/plans/{fp}/shards/{i}     pull one shard's fragment, as stored (save it as {fp}.frag{i})
 //	POST /v1/generate                  generate a small image inline (digest + report)
 //	POST /v1/runs                      start a scheduled distributed run
 //	GET  /v1/runs/{id}                 run status: shard states, re-run commands, digest
@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		addr           = fs.String("addr", "127.0.0.1:7077", "listen address (host:port; port 0 picks a free port)")
 		storeKind      = fs.String("store", "mem", "plan store backend: mem (LRU with a byte budget) or disk")
-		storeDir       = fs.String("store-dir", "", "plan directory for -store disk (required with it)")
+		storeDir       = fs.String("store-dir", "", "plan directory for -store disk (required with it): one directory per plan, holding its index and fragments")
 		cacheBytes     = fs.Int64("cache-bytes", 0, "byte budget of the in-memory plan cache (0 selects 256 MiB)")
 		workers        = fs.Int("workers", 0, "max concurrent heavy requests (0 selects GOMAXPROCS)")
 		requestTimeout = fs.Duration("request-timeout", 5*time.Minute, "per-request deadline for builds and generations")

@@ -101,8 +101,8 @@ func TestDaemonBootServeDrain(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/plans: HTTP %d, read err %v", resp.StatusCode, err)
 	}
-	if !bytes.Contains(doc, []byte(`"header"`)) {
-		t.Fatalf("plan response does not look like a plan document: %.80s", doc)
+	if !bytes.Contains(doc, []byte(`"fragments"`)) {
+		t.Fatalf("plan response does not look like a fragment index: %.80s", doc)
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

@@ -16,7 +16,7 @@ import (
 
 // Plan is the serializable unit of work distribution: fully resolved image
 // metadata plus a balanced subtree partition. Self-contained — a worker
-// needs nothing but the plan document and a shard index.
+// needs nothing but its fragment.
 type Plan = distribute.Plan
 
 // ShardView is everything one worker needs to execute a single shard.
@@ -40,9 +40,8 @@ type ShardResult = distribute.ShardResult
 // has verified, the merged report and the canonical digest.
 type MergeResult = distribute.MergeResult
 
-// PlanSource replays a plan for Merge: a plan document, a set of fragment
-// documents, or a resolved plan's columns. PlanFile.Source is the first two
-// at a path.
+// PlanSource replays a plan for Merge: a set of fragment documents, or a
+// resolved plan's columns. PlanFile.Source is the first at a path.
 type PlanSource = distribute.PlanSource
 
 // PlanRequest is the single entry point for building plans: configuration
@@ -50,37 +49,30 @@ type PlanSource = distribute.PlanSource
 // instead of a family of positional-argument functions.
 type PlanRequest = distribute.PlanRequest
 
-// FragmentIndex describes a partitioned plan: the parent fingerprint plus
-// the names of its fragment documents.
+// FragmentIndex describes a plan: its fingerprint plus the names of its
+// fragment documents.
 type FragmentIndex = distribute.FragmentIndex
 
-// PartitionPlan builds a partitioned plan: K self-contained fragment
-// documents (byte-identical to slicing the monolithic plan file), written
-// to the writers open returns. Combined with Config.SpillDir, the whole
-// build runs in O(dirs) live heap regardless of file count.
+// PartitionPlan builds a plan as K self-contained fragment documents, one
+// per shard, written to the writers open returns. Combined with
+// Config.SpillDir, the whole build runs in O(dirs) live heap regardless of
+// file count.
 func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
 	return distribute.PartitionPlan(ctx, req, open)
 }
 
-// PlanFile is a plan path opened for what it holds: a plan document, the
-// fragment index `plan -partition` writes, or one shard document.
+// PlanFile is a plan path opened for what it holds: the fragment index
+// `plan` writes, or one shard document.
 type PlanFile = distribute.PlanFile
 
-// OpenPlanFile opens the plan at path in whichever of the three shapes it
+// OpenPlanFile opens the plan at path in whichever of the two shapes it
 // holds. Its View decodes the shard a worker executes, and its Source replays
 // the whole plan for Merge or the stitcher — a fragment index through its
 // fragments, held to what the index names.
 func OpenPlanFile(path string) (*PlanFile, error) { return distribute.OpenPlanFile(path) }
 
-// LoadPlanShard reads a plan file through the shard-pruning decoder,
-// retaining only the given shard's records — a worker's memory is bounded
-// by its shard, never the image.
-func LoadPlanShard(path string, shard int) (*ShardView, error) {
-	return distribute.LoadPlanShard(path, shard)
-}
-
-// DecodeShardView reads a self-contained shard document (as served by
-// impressionsd's shard endpoint, or written by ShardView.Encode).
+// DecodeShardView reads a self-contained shard document: a plan fragment,
+// as PartitionPlan writes it and impressionsd's shard endpoint serves it.
 func DecodeShardView(r io.Reader) (*ShardView, error) { return distribute.DecodeShardView(r) }
 
 // DirTarget materializes a shard as real files under outRoot.
@@ -106,12 +98,9 @@ func Merge(src PlanSource, manifests []*Manifest) (*MergeResult, error) {
 	return distribute.Merge(src, manifests)
 }
 
-// DocumentSource replays a plan document read from r, for one Merge.
-func DocumentSource(r io.Reader) PlanSource { return distribute.DocumentSource(r) }
-
-// FragmentSource replays a partitioned plan from its k fragment documents,
-// which open returns readers for, holding O(dirs + k·chunk) memory — no node
-// in the partitioned pipeline ever materializes the image.
+// FragmentSource replays a plan from its k fragment documents, which open
+// returns readers for, holding O(k·(dirs + chunk)) memory — no node in the
+// pipeline ever materializes the image.
 func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadCloser, error)) PlanSource {
 	return distribute.FragmentSource(ctx, k, open)
 }
@@ -119,8 +108,8 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 // SpecFingerprint returns the content address (SHA-256 hex) of the plan a
 // spec resolves to under the given sharding parameters. The spec is
 // normalized first, so equivalent specs share an address; plan building is
-// deterministic, so equal addresses imply byte-identical plan documents —
-// the property impressionsd's plan cache is keyed on.
+// deterministic, so equal addresses imply byte-identical fragments — the
+// property impressionsd's plan cache is keyed on.
 func SpecFingerprint(spec Spec, maxShards, chunkSize int) (string, error) {
 	return distribute.SpecFingerprint(spec, maxShards, chunkSize)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -51,31 +52,42 @@ func ExampleSpecFingerprint() {
 	// Output: true false
 }
 
-// ExampleMerge runs the whole distributed pipeline in one process: stream
-// the plan, execute every shard off its pruned view, merge the manifests
-// against the plan document, and verify the merged digest matches a plain
-// single-process generation.
+// ExampleMerge runs the whole distributed pipeline in one process: write
+// the plan as its fragments and their index, execute every shard off its
+// fragment, merge the manifests against the plan, and verify the merged
+// digest matches a plain single-process generation.
 func ExampleMerge() {
 	cfg := impressions.Config{NumFiles: 300, NumDirs: 60, FSSizeBytes: 300 * 1024, Seed: 7}
 
 	dir, _ := os.MkdirTemp("", "impressions-example")
 	defer os.RemoveAll(dir)
-	planPath := filepath.Join(dir, "plan.json")
-	f, err := os.Create(planPath)
+	name := func(shard int) string { return fmt.Sprintf("plan.json.frag%d", shard) }
+	plan, err := impressions.PartitionPlan(context.Background(), impressions.PlanRequest{Config: cfg, MaxShards: 3},
+		func(shard int) (io.WriteCloser, error) { return os.Create(filepath.Join(dir, name(shard))) })
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	plan, err := impressions.PlanRequest{Config: cfg, MaxShards: 3}.Stream(context.Background(), f)
-	f.Close()
+	index, err := os.Create(filepath.Join(dir, "plan.json"))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	err = plan.FragmentIndex(name).Encode(index)
+	index.Close()
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
 
+	pf, err := impressions.OpenPlanFile(filepath.Join(dir, "plan.json"))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	var manifests []*impressions.Manifest
 	for shard := range plan.Shards {
-		view, err := impressions.LoadPlanShard(planPath, shard)
+		view, err := pf.View(shard)
 		if err != nil {
 			fmt.Println(err)
 			return
@@ -87,13 +99,7 @@ func ExampleMerge() {
 		}
 		manifests = append(manifests, res.Manifest)
 	}
-	doc, err := os.Open(planPath)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	defer doc.Close()
-	merged, err := impressions.Merge(impressions.DocumentSource(doc), manifests)
+	merged, err := impressions.Merge(pf.Source(context.Background()), manifests)
 	if err == nil {
 		err = merged.Err()
 	}
@@ -119,49 +125,33 @@ func ExampleMerge() {
 	// deterministic: true
 }
 
-// ExamplePlanRequest_Stream writes a plan document without ever retaining
-// the image, then decodes one shard's pruned view back out of it — the
-// out-of-core producer/consumer pair.
-func ExamplePlanRequest_Stream() {
+// bufferCloser holds one fragment in memory.
+type bufferCloser struct{ bytes.Buffer }
+
+func (*bufferCloser) Close() error { return nil }
+
+// ExamplePartitionPlan writes a plan as its fragments without ever
+// retaining the image, then decodes one shard's view back out of its
+// fragment — the out-of-core producer/consumer pair.
+func ExamplePartitionPlan() {
 	cfg := impressions.Config{NumFiles: 300, NumDirs: 60, FSSizeBytes: 300 * 1024, Seed: 7}
+	frags := make([]bufferCloser, 2)
+	plan, err := impressions.PartitionPlan(context.Background(), impressions.PlanRequest{Config: cfg, MaxShards: len(frags)},
+		func(shard int) (io.WriteCloser, error) { return &frags[shard], nil })
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 
-	dir, _ := os.MkdirTemp("", "impressions-example")
-	defer os.RemoveAll(dir)
-	planPath := filepath.Join(dir, "plan.json")
-
-	f, err := os.Create(planPath)
+	// A worker decodes only its shard's fragment.
+	view, err := impressions.DecodeShardView(&frags[1].Buffer)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	req := impressions.PlanRequest{Config: cfg, MaxShards: 2}
-	plan, err := req.Stream(context.Background(), f)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	f.Close()
-
-	// A worker decodes only its shard from the plan file, then the shard
-	// round-trips through its own self-contained wire document.
-	view, err := impressions.LoadPlanShard(planPath, 1)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	var doc bytes.Buffer
-	if err := view.Encode(&doc); err != nil {
-		fmt.Println(err)
-		return
-	}
-	decoded, err := impressions.DecodeShardView(&doc)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("streamed plan shards:", len(plan.Shards))
-	fmt.Println("shard view bound to same plan:", decoded.Plan.Fingerprint() == plan.Fingerprint())
+	fmt.Println("plan shards:", len(plan.Shards))
+	fmt.Println("shard view bound to the plan:", view.Shard == 1 && view.Plan.Fingerprint() == plan.Fingerprint())
 	// Output:
-	// streamed plan shards: 2
-	// shard view bound to same plan: true
+	// plan shards: 2
+	// shard view bound to the plan: true
 }

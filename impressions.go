@@ -41,8 +41,8 @@
 //
 // # Distributed generation and serving
 //
-// The same pipeline scales out: PlanRequest.Stream or PartitionPlan
-// partition an image into shard plans, Execute runs one shard anywhere —
+// The same pipeline scales out: PartitionPlan partitions an image into
+// shard plans, one fragment each, Execute runs one shard anywhere —
 // onto a DirTarget, a TarTarget, or TarTarget(io.Discard) when only the
 // manifest is wanted — and Merge verifies the manifests against a replay of
 // the plan into the canonical digest (see the distributed re-exports in this

@@ -169,7 +169,7 @@ const extLetters = "abcdefghijklmnopqrstuvwxyz0123456789"
 func (g *Generator) assignExtensions(ctx context.Context, rng *stats.RNG, exts *column[uint32]) ([]string, error) {
 	table := g.cfg.Dataset.ExtensionsByCount()
 	names := table.Names()
-	if len(names) >= int(extOther) {
+	if uint64(len(names)) >= uint64(extOther) {
 		return nil, fmt.Errorf("core: extension table too large for a 31-bit code (%d names)", len(names))
 	}
 	err := parallel.Run(ctx, effectiveParallelism(g.cfg.Parallelism), parallel.Shards(exts.n), func(s int) error {

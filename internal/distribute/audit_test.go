@@ -146,49 +146,63 @@ func largePlanConfig() core.Config {
 }
 
 // TestPlanStreamingMemoryBound is the O(chunk) contract made concrete: when
-// a large plan is encoded, no single write (= no single in-memory buffer of
-// serialized metadata) may approach the size of the whole stream. Before
-// the chunked format, the embedded image was built as one buffer and this
-// test's bound fails by an order of magnitude.
+// a large plan is encoded, no single write to a fragment (= no single
+// in-memory buffer of serialized metadata) may approach the size of the
+// plan's fragments together. Before the chunked format, the embedded image
+// was built as one buffer and this test's bound fails by an order of
+// magnitude.
 func TestPlanStreamingMemoryBound(t *testing.T) {
-	var w maxWriteWriter
-	plan, err := PlanRequest{Config: largePlanConfig(), MaxShards: 4, ChunkSize: 2048}.Stream(context.Background(), &w)
+	writers := make([]maxWriteWriter, 4)
+	plan, err := PartitionPlan(context.Background(), PlanRequest{Config: largePlanConfig(), MaxShards: len(writers), ChunkSize: 2048},
+		func(s int) (io.WriteCloser, error) { return nopWriteCloser{&writers[s]}, nil })
 	if err != nil {
-		t.Fatalf("Stream: %v", err)
+		t.Fatalf("PartitionPlan: %v", err)
 	}
-	if w.total < 1<<20 {
-		t.Fatalf("test image too small to be meaningful: %d bytes", w.total)
+	var total int64
+	writes, maxWrite := 0, 0
+	for _, w := range writers[:len(plan.Shards)] {
+		total += w.total
+		writes += w.writes
+		maxWrite = max(maxWrite, w.maxWrite)
 	}
-	if int64(w.maxWrite)*4 > w.total {
-		t.Errorf("largest single write is %d of %d total bytes — encoder is buffering the image, not streaming chunks", w.maxWrite, w.total)
+	if total < 1<<20 {
+		t.Fatalf("test image too small to be meaningful: %d bytes", total)
 	}
-	if w.writes < plan.Chunks {
-		t.Errorf("%d writes for %d chunks — chunks are being coalesced into one buffer", w.writes, plan.Chunks)
+	if int64(maxWrite)*4 > total {
+		t.Errorf("largest single write is %d of %d total bytes — encoder is buffering the image, not streaming chunks", maxWrite, total)
+	}
+	if writes < plan.Chunks {
+		t.Errorf("%d writes for %d chunks — chunks are being coalesced into one buffer", writes, plan.Chunks)
 	}
 }
 
 // BenchmarkPlanRoundTrip tracks the cost (time and allocations) of
 // streaming a large plan through encode + decode: one write of the resolved
-// plan, one replay of its document through the merge's record check.
+// plan's fragments, one replay of them through the merge's record check.
 func BenchmarkPlanRoundTrip(b *testing.B) {
 	rp, err := PlanRequest{Config: largePlanConfig(), MaxShards: 4}.Resolve(context.Background())
 	if err != nil {
 		b.Fatalf("Resolve: %v", err)
 	}
 	defer rp.Close()
-	var buf bytes.Buffer
-	if err := rp.Write(&buf); err != nil {
-		b.Fatalf("Write: %v", err)
+	bufs := make([]bytes.Buffer, len(rp.Plan.Shards))
+	if err := rp.WriteFragments(context.Background(), func(s int) (io.WriteCloser, error) { return nopWriteCloser{&bufs[s]}, nil }); err != nil {
+		b.Fatalf("WriteFragments: %v", err)
 	}
-	encoded := buf.Bytes()
-	b.SetBytes(int64(len(encoded)))
+	frags := make([][]byte, len(bufs))
+	size := 0
+	for s := range bufs {
+		frags[s] = bufs[s].Bytes()
+		size += len(frags[s])
+	}
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rp.Write(io.Discard); err != nil {
+		if err := rp.WriteFragments(context.Background(), func(int) (io.WriteCloser, error) { return nopWriteCloser{io.Discard}, nil }); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Merge(DocumentSource(bytes.NewReader(encoded)), nil); err != nil {
+		if _, err := Merge(fragmentSource(context.Background(), frags), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

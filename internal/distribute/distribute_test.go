@@ -47,35 +47,40 @@ func singleProcessReference(t *testing.T, cfg core.Config) (*fsimage.Image, stri
 	return res.Image, digest, treeHash
 }
 
-// testPlan is a plan as the package's tests hold one: the streamed document
-// and its sealed header, from which every test takes shard views, replays
-// and merges, exactly as a worker or a merge on another machine would.
+// testPlan is a plan as the package's tests hold one: its fragments and its
+// sealed header, from which every test takes shard views, replays and
+// merges, exactly as a worker or a merge on another machine would.
 type testPlan struct {
-	Plan *Plan
-	doc  []byte
+	Plan  *Plan
+	frags [][]byte
 }
 
-// planRoundTrip streams cfg's plan into memory. The small chunk size forces
+// planRoundTrip builds cfg's plan into memory. The small chunk size forces
 // the metadata stream through many chunks even on test-sized images.
 func planRoundTrip(tb testing.TB, cfg core.Config, shards int) *testPlan {
 	tb.Helper()
-	var doc bytes.Buffer
-	plan, err := PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: 64}.Stream(context.Background(), &doc)
-	if err != nil {
-		tb.Fatalf("Stream(%d): %v", shards, err)
-	}
-	return &testPlan{Plan: plan, doc: doc.Bytes()}
+	plan, frags := fragmentBuffers(tb, PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: 64})
+	return &testPlan{Plan: plan, frags: frags}
 }
 
-// source replays the plan document.
-func (p *testPlan) source() PlanSource { return DocumentSource(bytes.NewReader(p.doc)) }
+// source replays the plan's fragments.
+func (p *testPlan) source() PlanSource { return fragmentSource(context.Background(), p.frags) }
 
-// view decodes one shard's view out of the plan document.
+// decode decodes one shard's fragment, refusing a shard the plan does not
+// have as a worker does.
+func (p *testPlan) decode(shard int) (*ShardView, error) {
+	if err := p.Plan.checkShard(shard); err != nil {
+		return nil, err
+	}
+	return DecodeShardView(bytes.NewReader(p.frags[shard]))
+}
+
+// view decodes one shard's fragment.
 func (p *testPlan) view(tb testing.TB, shard int) *ShardView {
 	tb.Helper()
-	v, err := DecodePlanShard(bytes.NewReader(p.doc), shard)
+	v, err := p.decode(shard)
 	if err != nil {
-		tb.Fatalf("DecodePlanShard(%d): %v", shard, err)
+		tb.Fatalf("DecodeShardView(%d): %v", shard, err)
 	}
 	return v
 }
@@ -113,10 +118,10 @@ func executeView(v *ShardView, target Target, opts WorkerOptions) (*Manifest, er
 	return res.Manifest, nil
 }
 
-// executeShard decodes one shard out of the plan document and materializes
-// it under outRoot.
+// executeShard decodes one shard's fragment and materializes it under
+// outRoot.
 func executeShard(p *testPlan, shard int, outRoot string, opts WorkerOptions) (*Manifest, error) {
-	v, err := DecodePlanShard(bytes.NewReader(p.doc), shard)
+	v, err := p.decode(shard)
 	if err != nil {
 		return nil, err
 	}
@@ -287,44 +292,48 @@ func TestMergeRejectsTamperedManifests(t *testing.T) {
 	})
 }
 
-// TestMergeRejectsCorruptPlan covers plan-side integrity: corrupted stream
-// bytes, a truncated chunk stream, a headerless document, and records
-// replayed under a header with edited totals or a wrong format version.
+// TestMergeRejectsCorruptPlan covers plan-side integrity: corrupted
+// fragment bytes, a truncated fragment, a document of no fragment shape, and
+// records replayed under a header with edited totals or a wrong format
+// version.
 func TestMergeRejectsCorruptPlan(t *testing.T) {
 	p := planRoundTrip(t, testConfig(), 2)
-	encoded := p.doc
 	merge := func(src PlanSource) error {
 		_, err := Merge(src, nil)
 		return err
 	}
+	with := func(frag1 []byte) PlanSource {
+		return fragmentSource(context.Background(), [][]byte{p.frags[0], frag1})
+	}
 
 	// Flip one byte inside the chunk stream: either the JSON breaks or a
 	// chunk hash stops matching — both must fail the merge.
-	corrupt := append([]byte(nil), encoded...)
+	corrupt := append([]byte(nil), p.frags[1]...)
 	corrupt[3*len(corrupt)/4] ^= 0xff
-	if merge(DocumentSource(bytes.NewReader(corrupt))) == nil {
+	if merge(with(corrupt)) == nil {
 		t.Error("Merge should reject corrupted stream bytes")
 	}
 
 	// Drop the trailing chunks: the chunk count no longer matches.
-	if merge(DocumentSource(bytes.NewReader(encoded[:len(encoded)/2]))) == nil {
+	if merge(with(p.frags[1][:len(p.frags[1])/2])) == nil {
 		t.Error("Merge should reject a truncated stream")
 	}
 
-	// A v1-style plan (no header envelope) must be refused with a clear
-	// format error rather than a JSON parse failure deep in the stream.
-	if err := merge(DocumentSource(strings.NewReader(`{"format_version":1,"seed":1}`))); err == nil || !strings.Contains(err.Error(), "header") {
-		t.Errorf("Merge of a headerless plan: got %v", err)
+	// A v1-style plan (no envelope) must be refused as a damaged fragment
+	// rather than a JSON parse failure deep in the stream.
+	headless := fragmentSource(context.Background(), [][]byte{[]byte(`{"format_version":1,"seed":1}`), p.frags[1]})
+	if err := merge(headless); !errors.Is(err, fsimage.ErrManifestIntegrity) || !strings.Contains(err.Error(), `expected "view"`) {
+		t.Errorf("Merge of a fragment without the envelope: got %v", err)
 	}
 
-	// The document's own records under an edited header.
+	// The fragments' own records under an edited header.
 	under := func(hdr *Plan) PlanSource {
 		return func(open func(*Plan) (fsimage.RecordSink, error)) error {
 			sink, err := open(hdr)
 			if err != nil {
 				return err
 			}
-			return DocumentSource(bytes.NewReader(encoded))(func(*Plan) (fsimage.RecordSink, error) { return sink, nil })
+			return p.source()(func(*Plan) (fsimage.RecordSink, error) { return sink, nil })
 		}
 	}
 	if err := merge(under(p.Plan)); err != nil {

@@ -11,19 +11,22 @@ import (
 	"impressions/internal/stats"
 )
 
-// docKind names what differs between the two wire documents (see the
-// package comment): three member keys, and what errors call the document.
-type docKind struct {
-	name  string
-	head  string // key of the head object
-	array string // key of the chunk array
-	chain string // trailer key of the chain hash over the array's chunks
+// shardWireHeader is the "view" object of a shard document.
+type shardWireHeader struct {
+	FormatVersion int `json:"format_version"`
+	Shard         int `json:"shard"`
+	// PlanChunks / ImageSHA256 restore the plan's trailer-sealed fields
+	// (json:"-" on Plan itself), so Fingerprint() of the decoded plan equals
+	// the original's.
+	PlanChunks  int    `json:"plan_chunks"`
+	ImageSHA256 string `json:"image_sha256"`
+	Plan        *Plan  `json:"plan"`
 }
 
-var (
-	planDoc  = docKind{"plan", "header", "chunks", "image_sha256"}
-	shardDoc = docKind{"shard document", "view", "records", "records_sha256"}
-)
+// shardHeader is the view header of p's shard.
+func shardHeader(p *Plan, shard int) shardWireHeader {
+	return shardWireHeader{FormatVersion: FormatVersion, Shard: shard, PlanChunks: p.Chunks, ImageSHA256: p.ImageSHA256, Plan: p}
+}
 
 // docWriter writes one document incrementally: newDocWriter emits the head,
 // the records pushed through AddDir/AddFile leave as hash-guarded chunks,
@@ -32,20 +35,19 @@ var (
 // the records of the chunks being sealed, are the sealer's, at most one per
 // sealing goroutine across every writer of the build.
 type docWriter struct {
-	kind docKind
-	bw   *bufio.Writer
-	enc  *fsimage.ChunkEncoder
+	bw  *bufio.Writer
+	enc *fsimage.ChunkEncoder
 }
 
-func newDocWriter(w io.Writer, kind docKind, head any, sealer *fsimage.ChunkSealer, chunkSize int) (*docWriter, error) {
+func newDocWriter(w io.Writer, head shardWireHeader, sealer *fsimage.ChunkSealer, chunkSize int) (*docWriter, error) {
 	raw, err := json.Marshal(head)
 	if err != nil {
-		return nil, fmt.Errorf("distribute: encoding %s header: %w", kind.name, err)
+		return nil, fmt.Errorf("distribute: encoding shard document header: %w", err)
 	}
-	d := &docWriter{kind: kind, bw: bufio.NewWriterSize(w, 64*1024)}
+	d := &docWriter{bw: bufio.NewWriterSize(w, 64*1024)}
 	d.enc = sealer.Encoder(chunkSize, true, d.emit)
-	if _, err := fmt.Fprintf(d.bw, "{%q:%s,%q:[", kind.head, raw, kind.array); err != nil {
-		return nil, fmt.Errorf("distribute: encoding %s: %w", kind.name, err)
+	if _, err := fmt.Fprintf(d.bw, `{"view":%s,"records":[`, raw); err != nil {
+		return nil, fmt.Errorf("distribute: encoding shard document: %w", err)
 	}
 	return d, nil
 }
@@ -79,37 +81,23 @@ func (d *docWriter) AddFile(f fsimage.File) error     { return d.enc.AddFile(f) 
 func (d *docWriter) Close() (chunks int, chain string, err error) {
 	if err = d.enc.Close(); err == nil {
 		chunks, chain = d.enc.Chunks(), d.enc.ChainHash()
-		if _, err = fmt.Fprintf(d.bw, "],\"trailer\":{\"chunks\":%d,%q:%q}}\n", chunks, d.kind.chain, chain); err == nil {
+		if _, err = fmt.Fprintf(d.bw, "],\"trailer\":{\"chunks\":%d,\"records_sha256\":%q}}\n", chunks, chain); err == nil {
 			err = d.bw.Flush()
 		}
 	}
 	if err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding %s: %w", d.kind.name, err)
+		return 0, "", fmt.Errorf("distribute: encoding shard document: %w", err)
 	}
 	return chunks, chain, nil
 }
 
-// writeDocument writes a whole document around one replay of its records,
-// sealed by sealer.
-func writeDocument(w io.Writer, kind docKind, head any, sealer *fsimage.ChunkSealer, chunkSize int, replay func(fsimage.RecordSink) error) (chunks int, chain string, err error) {
-	d, err := newDocWriter(w, kind, head, sealer, chunkSize)
-	if err != nil {
-		return 0, "", err
-	}
-	if err := replay(d); err != nil {
-		return 0, "", err
-	}
-	return d.Close()
-}
-
-// readDocument is the one reader of wire documents. It walks the envelope,
-// decodes the head and holds its plan header to checkHeader, asks open for
-// the sink the records go to (once, with the checked header and the shard a
-// shard document embeds, -1 for a plan document), verifies every chunk's
-// hash and replays its records into that sink, verifies chunk count and
-// chain against the trailer, and requires the input to end after the
-// closing brace. It returns the plan header with its trailer-sealed fields
-// restored.
+// readDocument is the one reader of shard documents. It walks the envelope,
+// decodes the view and holds its plan header to checkHeader, asks open for
+// the sink the records go to (once, with the checked header, its
+// trailer-sealed fields restored, and the shard the document embeds),
+// verifies every chunk's hash and replays its records into that sink,
+// verifies chunk count and chain against the trailer, and requires the input
+// to end after the closing brace.
 //
 // Whatever keeps the input from reading as a document of this shape — bad
 // JSON, a misplaced or missing member, a failed hash, an early or late end —
@@ -118,10 +106,10 @@ func writeDocument(w io.Writer, kind docKind, head any, sealer *fsimage.ChunkSea
 // as it is: the record sinks of this package and fsimage type their own
 // rejections, and a sink's failed write or cancelled context is not a
 // verdict on the document.
-func readDocument(r io.Reader, kind docKind, open func(hdr *Plan, shard int) (fsimage.RecordSink, error)) (*Plan, error) {
+func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSink, error)) error {
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 64*1024))
 	damaged := func(format string, a ...any) error {
-		return fmt.Errorf("distribute: %s: %s (%w)", kind.name, fmt.Sprintf(format, a...), fsimage.ErrManifestIntegrity)
+		return fmt.Errorf("distribute: shard document: %s (%w)", fmt.Sprintf(format, a...), fsimage.ErrManifestIntegrity)
 	}
 	// next requires the next token to be want: a delimiter or a member key.
 	next := func(want json.Token) error {
@@ -140,81 +128,73 @@ func readDocument(r io.Reader, kind docKind, open func(hdr *Plan, shard int) (fs
 	}
 
 	if err := next(json.Delim('{')); err != nil {
-		return nil, err
+		return err
 	}
-	if err := next(kind.head); err != nil {
-		return nil, err
+	if err := next("view"); err != nil {
+		return err
 	}
-	p, shard := new(Plan), -1
-	if kind == shardDoc {
-		var hdr shardWireHeader
-		if err := value("view header", &hdr); err != nil {
-			return nil, err
-		}
-		if hdr.FormatVersion != FormatVersion {
-			return nil, fmt.Errorf("distribute: shard document format v%d, this build speaks v%d (%w)", hdr.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
-		}
-		if hdr.Plan == nil {
-			return nil, damaged("the view carries no plan header")
-		}
-		// Restore the trailer-sealed fields Plan's own JSON omits; the
-		// fingerprint manifests bind to depends on them.
-		p, shard = hdr.Plan, hdr.Shard
-		p.Chunks, p.ImageSHA256 = hdr.PlanChunks, hdr.ImageSHA256
-	} else if err := value("header", p); err != nil {
-		return nil, err
+	var hdr shardWireHeader
+	if err := value("view header", &hdr); err != nil {
+		return err
 	}
+	if hdr.FormatVersion != FormatVersion {
+		return fmt.Errorf("distribute: shard document format v%d, this build speaks v%d (%w)", hdr.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
+	}
+	if hdr.Plan == nil {
+		return damaged("the view carries no plan header")
+	}
+	// Restore the trailer-sealed fields Plan's own JSON omits; the
+	// fingerprint manifests bind to depends on them.
+	p := hdr.Plan
+	p.Chunks, p.ImageSHA256 = hdr.PlanChunks, hdr.ImageSHA256
 	if err := checkHeader(p); err != nil {
-		return nil, err
+		return err
 	}
-	sink, err := open(p, shard)
+	sink, err := open(p, hdr.Shard)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	if err := next(kind.array); err != nil {
-		return nil, err
+	if err := next("records"); err != nil {
+		return err
 	}
 	if err := next(json.Delim('[')); err != nil {
-		return nil, err
+		return err
 	}
 	cdec := fsimage.NewChunkDecoder(sink)
 	var c fsimage.Chunk
 	for dec.More() {
 		c = fsimage.Chunk{}
 		if err := dec.Decode(&c); err != nil {
-			return nil, damaged("decoding chunk %d: %v", cdec.Chunks(), err)
+			return damaged("decoding chunk %d: %v", cdec.Chunks(), err)
 		}
 		if err := cdec.AddChunk(&c); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := next(json.Delim(']')); err != nil {
-		return nil, err
+		return err
 	}
 	if err := next("trailer"); err != nil {
-		return nil, err
+		return err
 	}
 	var trailer map[string]any
 	if err := value("trailer", &trailer); err != nil {
-		return nil, err
+		return err
 	}
 	if err := next(json.Delim('}')); err != nil {
-		return nil, err
+		return err
 	}
 	if tok, err := dec.Token(); err != io.EOF {
-		return nil, damaged("input goes on after the closing brace (%v, %v)", tok, err)
+		return damaged("input goes on after the closing brace (%v, %v)", tok, err)
 	}
 	if n := cdec.Chunks(); trailer["chunks"] != float64(n) {
-		return nil, damaged("trailer promises %v chunks, the stream carried %d — truncated?", trailer["chunks"], n)
+		return damaged("trailer promises %v chunks, the stream carried %d — truncated?", trailer["chunks"], n)
 	}
-	if chain := cdec.ChainHash(); trailer[kind.chain] != chain {
-		return nil, damaged("chain hash mismatch: trailer says %v, chunks chain to %s", trailer[kind.chain], chain)
+	if chain := cdec.ChainHash(); trailer["records_sha256"] != chain {
+		return damaged("chain hash mismatch: trailer says %v, chunks chain to %s", trailer["records_sha256"], chain)
 	}
-	if kind == planDoc {
-		p.Chunks, p.ImageSHA256 = cdec.Chunks(), cdec.ChainHash()
-	}
-	return p, nil
+	return nil
 }
 
 // checkHeader is the one check of a plan header, run on every header a

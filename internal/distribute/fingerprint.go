@@ -42,7 +42,7 @@ func NormalizeSpec(spec fsimage.Spec) (fsimage.Spec, error) {
 // plus everything else that determines the plan's bytes — the plan format
 // version, the digest formula, the shard count, and the chunk size. Because
 // plan building is deterministic, equal fingerprints imply byte-identical
-// plan documents, so the fingerprint is a safe cache key for a plan store.
+// plans, so the fingerprint is a safe cache key for a plan store.
 // A chunkSize <= 0 selects fsimage.DefaultChunkSize, matching the planner.
 func SpecFingerprint(spec fsimage.Spec, maxShards, chunkSize int) (string, error) {
 	if maxShards < 1 {

@@ -20,23 +20,23 @@ import (
 // table asserts on its rows: a decoder answers with exactly one of the three
 // sentinels or with an artifact that survives a round trip, allocates within
 // allocBound of what it read, does not panic, and returns. Seeds are the
-// golden documents, testdata/handbuilt_shard.json and every row of the
+// golden fragments, testdata/handbuilt_shard.json and every row of the
 // table; what fuzzing found since is under testdata/fuzz/. A mutated record
 // stops at its chunk's hash, so each input is also run resealed: with the
 // hashes, the count and the chain recomputed over whatever records it
 // carries, which is how the fuzzer reaches the record checks behind them.
 
-// reseal rewrites a document so that every chunk hash, the trailer's count
-// and its chain are right for the records the document carries, leaving the
-// head, the records and the chunk indices as they are. It returns nil for
-// input that is not an object with an array of chunks in it.
-func reseal(doc []byte, kind docKind) []byte {
+// reseal rewrites a shard document so that every chunk hash, the trailer's
+// count and its chain are right for the records the document carries,
+// leaving the view, the records and the chunk indices as they are. It
+// returns nil for input that is not an object with an array of chunks in it.
+func reseal(doc []byte) []byte {
 	var envelope map[string]json.RawMessage
 	var chunks []fsimage.Chunk
-	if json.Unmarshal(doc, &envelope) != nil || envelope[kind.head] == nil || json.Unmarshal(envelope[kind.array], &chunks) != nil {
+	if json.Unmarshal(doc, &envelope) != nil || envelope["view"] == nil || json.Unmarshal(envelope["records"], &chunks) != nil {
 		return nil
 	}
-	out := fmt.Appendf(nil, "{%q:%s,%q:[", kind.head, envelope[kind.head], kind.array)
+	out := fmt.Appendf(nil, `{"view":%s,"records":[`, envelope["view"])
 	chain := fsimage.NewChunkHashChain()
 	for i := range chunks {
 		chunks[i].SHA256 = chunks[i].RecordsHash()
@@ -49,7 +49,7 @@ func reseal(doc []byte, kind docKind) []byte {
 			return nil
 		}
 	}
-	return fmt.Appendf(out, "],\"trailer\":{\"chunks\":%d,%q:%q}}", len(chunks), kind.chain, chain.Sum())
+	return fmt.Appendf(out, "],\"trailer\":{\"chunks\":%d,\"records_sha256\":%q}}", len(chunks), chain.Sum())
 }
 
 // sentinelOf returns the one sentinel err wraps, and fails the test when it
@@ -84,13 +84,10 @@ func sentinelOf(t *testing.T, door string, err error, alloc uint64, n int) error
 // decodes again, to the same plan fingerprint and the same records.
 func roundTrip(t *testing.T, v *ShardView) {
 	t.Helper()
-	var doc bytes.Buffer
-	if err := v.Encode(&doc); err != nil {
-		t.Fatalf("an accepted view does not encode: %v", err)
-	}
-	again, err := DecodeShardView(bytes.NewReader(doc.Bytes()))
+	doc := encodeView(t, v)
+	again, err := DecodeShardView(bytes.NewReader(doc))
 	if err != nil {
-		t.Fatalf("an accepted view's document does not decode: %v\n%s", err, doc.Bytes())
+		t.Fatalf("an accepted view's document does not decode: %v\n%s", err, doc)
 	}
 	if got, want := again.Plan.Fingerprint(), v.Plan.Fingerprint(); got != want {
 		t.Errorf("fingerprint %s after the round trip, %s before", got, want)
@@ -101,76 +98,11 @@ func roundTrip(t *testing.T, v *ShardView) {
 	}
 }
 
-// goldenDocuments are the plan document and shard document 2 of a pinned
-// config (TestGoldenWireDocuments, TestGoldenEscapedDocuments).
-func goldenDocuments(tb testing.TB, req PlanRequest) (plan, shard []byte) {
-	tb.Helper()
-	var doc, shardDoc bytes.Buffer
-	if _, err := req.Stream(context.Background(), &doc); err != nil {
-		tb.Fatalf("Stream: %v", err)
-	}
-	view, err := DecodePlanShard(bytes.NewReader(doc.Bytes()), 2)
-	if err != nil {
-		tb.Fatalf("DecodePlanShard: %v", err)
-	}
-	if err := view.Encode(&shardDoc); err != nil {
-		tb.Fatalf("ShardView.Encode: %v", err)
-	}
-	return doc.Bytes(), shardDoc.Bytes()
-}
-
-// FuzzPlanDocument: both doors of a plan document give one verdict. Merge
-// has no shard to ask for, so DecodePlanShard may add ErrInvalidSpec for a
-// shard the plan lacks; nothing else may differ.
-func FuzzPlanDocument(f *testing.F) {
-	for _, cfg := range []PlanRequest{{Config: testConfig(), MaxShards: 3, ChunkSize: 64}, {Config: escapeConfig(), MaxShards: 3, ChunkSize: 64}} {
-		plan, _ := goldenDocuments(f, cfg)
-		f.Add(plan, uint8(2))
-	}
-	for _, m := range malformedDocuments(f) {
-		if m.kind == planKind {
-			f.Add(m.doc, uint8(1))
-		}
-	}
-	f.Fuzz(func(t *testing.T, doc []byte, shard uint8) {
-		checkPlanDoors(t, doc, shard)
-		if sealed := reseal(doc, planDoc); sealed != nil {
-			checkPlanDoors(t, sealed, shard)
-		}
-	})
-}
-
-func checkPlanDoors(t *testing.T, doc []byte, shard uint8) {
-	t.Helper()
-	var merged *MergeResult
-	err, alloc := verdict(func() (err error) {
-		merged, err = Merge(DocumentSource(bytes.NewReader(doc)), nil)
-		return err
-	})
-	whole := sentinelOf(t, "Merge", err, alloc, len(doc))
-	var view *ShardView
-	err, alloc = verdict(func() (err error) {
-		view, err = DecodePlanShard(bytes.NewReader(doc), int(shard))
-		return err
-	})
-	pruned := sentinelOf(t, "DecodePlanShard", err, alloc, len(doc))
-	switch {
-	case whole == nil && pruned == nil:
-		roundTrip(t, view)
-	case whole == nil:
-		if pruned != fsimage.ErrInvalidSpec || int(shard) < len(merged.Plan.Shards) {
-			t.Errorf("Merge accepted a %d-shard plan, DecodePlanShard(%d) says %v", len(merged.Plan.Shards), shard, err)
-		}
-	case pruned != whole && pruned != fsimage.ErrInvalidSpec:
-		t.Errorf("Merge says %q, DecodePlanShard(%d) says %v", whole, shard, err)
-	}
-}
-
 // FuzzShardDocument: DecodeShardView on arbitrary bytes.
 func FuzzShardDocument(f *testing.F) {
 	for _, cfg := range []PlanRequest{{Config: testConfig(), MaxShards: 3, ChunkSize: 64}, {Config: escapeConfig(), MaxShards: 3, ChunkSize: 64}} {
-		_, shard := goldenDocuments(f, cfg)
-		f.Add(shard)
+		_, frags := fragmentBuffers(f, cfg)
+		f.Add(frags[2])
 	}
 	hand, err := os.ReadFile(filepath.Join("testdata", "handbuilt_shard.json"))
 	if err != nil {
@@ -178,12 +110,10 @@ func FuzzShardDocument(f *testing.F) {
 	}
 	f.Add(hand)
 	for _, m := range malformedDocuments(f) {
-		if m.kind == shardKind {
-			f.Add(m.doc)
-		}
+		f.Add(m.doc)
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
-		for _, doc := range [][]byte{doc, reseal(doc, shardDoc)} {
+		for _, doc := range [][]byte{doc, reseal(doc)} {
 			if doc == nil {
 				continue
 			}

@@ -27,9 +27,8 @@ import (
 const (
 	goldenTreeHash  = "c4f805b79830c5052e014b78b49f5d6bae5f2e773f9f35a166c958aa36d8e8b5" // fsimage.HashTree of the materialized image
 	goldenDigest    = "f34a234e883884de49f65e5956a78b437dbe8562b2d3ce46190a7e6bcb9be587" // canonical image digest
-	goldenPlanDoc   = "1ac42f1640488cb21e35487dcedc40a1fc4472464b461d1ce18ba89fb1bdcf13" // PlanRequest.Stream
 	goldenFragment1 = "7abaf61ad343d70fa92790cfb816542f831dbeabd5c6426ab801698c0d01dffd" // PartitionPlan, fragment 1
-	goldenShardDoc2 = "dbbec3826035d40a42aa136387cac016d87f4575b338b4bebef2ee7e6733388a" // ShardView.Encode, shard 2
+	goldenShardDoc2 = "dbbec3826035d40a42aa136387cac016d87f4575b338b4bebef2ee7e6733388a" // PartitionPlan, fragment 2 (first pinned as a shard document sliced out of the plan)
 )
 
 // goldenManifests are the ManifestSHA256 of shards 0-2 (29, 179 and 192
@@ -60,30 +59,14 @@ func goldenShard(tb testing.TB) *ShardView {
 	return planRoundTrip(tb, testConfig(), 3).view(tb, 1)
 }
 
-// TestGoldenWireDocuments pins the bytes of the three plan wire documents.
+// TestGoldenWireDocuments pins the bytes of two of the plan's fragments.
 func TestGoldenWireDocuments(t *testing.T) {
-	cfg := testConfig()
-	var doc bytes.Buffer
-	if _, err := (PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64}).Stream(context.Background(), &doc); err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	if got := sha256Hex(doc.Bytes()); got != goldenPlanDoc {
-		t.Errorf("plan document hashes to %s, pinned %s", got, goldenPlanDoc)
-	}
-	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
+	_, frags := fragmentBuffers(t, PlanRequest{Config: testConfig(), MaxShards: 3, ChunkSize: 64})
 	if got := sha256Hex(frags[1]); got != goldenFragment1 {
 		t.Errorf("fragment 1 hashes to %s, pinned %s", got, goldenFragment1)
 	}
-	view, err := DecodePlanShard(bytes.NewReader(doc.Bytes()), 2)
-	if err != nil {
-		t.Fatalf("DecodePlanShard: %v", err)
-	}
-	var shardDoc bytes.Buffer
-	if err := view.Encode(&shardDoc); err != nil {
-		t.Fatalf("ShardView.Encode: %v", err)
-	}
-	if got := sha256Hex(shardDoc.Bytes()); got != goldenShardDoc2 {
-		t.Errorf("shard 2 document hashes to %s, pinned %s", got, goldenShardDoc2)
+	if got := sha256Hex(frags[2]); got != goldenShardDoc2 {
+		t.Errorf("fragment 2 hashes to %s, pinned %s", got, goldenShardDoc2)
 	}
 }
 
@@ -107,9 +90,8 @@ func escapeConfig() core.Config {
 // taken at the commit before the chunk codec stopped going through fmt and
 // encoding/json (PR 17's tree).
 const (
-	goldenEscapePlanDoc   = "0d236b5812fa4ee1f887045d1d29fa751be6e45f59146b465ff8003adb9062f2" // PlanRequest.Stream
 	goldenEscapeFragment1 = "951f5ebd75e308a3d89b320a4052f647a7ed2b7f7ad1ae0b4c21a4aba96066a0" // PartitionPlan, fragment 1
-	goldenEscapeShardDoc2 = "e5dc6326b4cacec888a88244bf5a74e40eeb7538b31ed9c9e334633dcdb0b867" // ShardView.Encode, shard 2
+	goldenEscapeShardDoc2 = "e5dc6326b4cacec888a88244bf5a74e40eeb7538b31ed9c9e334633dcdb0b867" // PartitionPlan, fragment 2 (first pinned as a sliced shard document)
 )
 
 // handBuiltView is a shard view no generator produces: generated file names
@@ -151,57 +133,34 @@ func handBuiltView() *ShardView {
 // TestGoldenEscapedDocuments pins the wire documents of records whose strings
 // and floats the codec cannot copy through verbatim.
 func TestGoldenEscapedDocuments(t *testing.T) {
-	cfg := escapeConfig()
-	var doc bytes.Buffer
-	if _, err := (PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64}).Stream(context.Background(), &doc); err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
+	_, frags := fragmentBuffers(t, PlanRequest{Config: escapeConfig(), MaxShards: 3, ChunkSize: 64})
 	for _, name := range []string{`"R\u0026D \u003ctmp\u003e"`, `"naïve \"dir\""`, `"tab\there\\back"`, `"bias":1e-7`, `"bias":1e+21`} {
-		if !bytes.Contains(doc.Bytes(), []byte(name)) {
-			t.Errorf("plan document does not carry %s: the pin does not cover that route", name)
+		if !bytes.Contains(frags[2], []byte(name)) {
+			t.Errorf("fragment 2 does not carry %s: the pin does not cover that route", name)
 		}
 	}
-	if got := sha256Hex(doc.Bytes()); got != goldenEscapePlanDoc {
-		t.Errorf("plan document hashes to %s, pinned %s", got, goldenEscapePlanDoc)
-	}
-	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
 	if got := sha256Hex(frags[1]); got != goldenEscapeFragment1 {
 		t.Errorf("fragment 1 hashes to %s, pinned %s", got, goldenEscapeFragment1)
 	}
-	view, err := DecodePlanShard(bytes.NewReader(doc.Bytes()), 2)
-	if err != nil {
-		t.Fatalf("DecodePlanShard: %v", err)
-	}
-	var shardDoc bytes.Buffer
-	if err := view.Encode(&shardDoc); err != nil {
-		t.Fatalf("ShardView.Encode: %v", err)
-	}
-	if got := sha256Hex(shardDoc.Bytes()); got != goldenEscapeShardDoc2 {
-		t.Errorf("shard 2 document hashes to %s, pinned %s", got, goldenEscapeShardDoc2)
+	if got := sha256Hex(frags[2]); got != goldenEscapeShardDoc2 {
+		t.Errorf("fragment 2 hashes to %s, pinned %s", got, goldenEscapeShardDoc2)
 	}
 
-	var hand bytes.Buffer
-	if err := handBuiltView().Encode(&hand); err != nil {
-		t.Fatalf("hand-built ShardView.Encode: %v", err)
-	}
+	hand := encodeView(t, handBuiltView())
 	want, err := os.ReadFile(filepath.Join("testdata", "handbuilt_shard.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(hand.Bytes(), want) {
-		t.Errorf("hand-built shard document:\n%s\npinned in testdata/handbuilt_shard.json:\n%s", hand.Bytes(), want)
+	if !bytes.Equal(hand, want) {
+		t.Errorf("hand-built shard document:\n%s\npinned in testdata/handbuilt_shard.json:\n%s", hand, want)
 	}
 	// A parent-commit document decodes, verifies and encodes back to itself.
 	decoded, err := DecodeShardView(bytes.NewReader(want))
 	if err != nil {
 		t.Fatalf("DecodeShardView(testdata/handbuilt_shard.json): %v", err)
 	}
-	hand.Reset()
-	if err := decoded.Encode(&hand); err != nil {
-		t.Fatalf("re-encoding the decoded view: %v", err)
-	}
-	if !bytes.Equal(hand.Bytes(), want) {
-		t.Errorf("decoded and re-encoded shard document:\n%s\npinned:\n%s", hand.Bytes(), want)
+	if again := encodeView(t, decoded); !bytes.Equal(again, want) {
+		t.Errorf("decoded and re-encoded shard document:\n%s\npinned:\n%s", again, want)
 	}
 }
 

@@ -13,26 +13,17 @@ import (
 	"impressions/internal/fsimage"
 )
 
-// The malformed-document table: one list of damaged wire documents, each
-// run through every decoder that reads its kind of document. A damage is a
-// rewrite of the text of a valid document, so a case names what it damages
-// once and applies to the plan document, the shard document, or both — the
-// embedded plan header of a shard document is the plan header's own bytes.
+// The malformed-document table: one list of damaged shard documents, each
+// run through the one decoder of shard documents, DecodeShardView, which
+// every reader of a fragment goes through. A damage is a rewrite of the text
+// of a valid document.
 
-// Which documents a case damages, and which doors read them.
-const (
-	planKind  = "plan"  // PlanRequest.Stream: read by Merge and DecodePlanShard
-	shardKind = "shard" // ShardView.Encode: read by DecodeShardView
-)
-
-// malformedCase is one row: the damage to a valid document of each kind it
-// applies to (nil: the kind has no such member) and the sentinel every door
-// must answer with.
+// malformedCase is one row: the damage to a valid shard document and the
+// sentinel the decoder must answer with.
 type malformedCase struct {
-	name  string
-	plan  func(doc string) string
-	shard func(doc string) string
-	want  error
+	name   string
+	damage func(doc string) string
+	want   error
 }
 
 // swap replaces the first occurrence of old, which must be there.
@@ -64,16 +55,16 @@ func resub(re string, n int, fn func(m []string) string) func(string) string {
 
 func constant(s string) func(string) string { return func(string) string { return s } }
 
-// headerEnd is where the plan header object of each kind closes: the text
-// from its closing brace to the opening bracket of the chunk array.
-var headerEnd = map[string]string{planKind: `},"chunks":[`, shardKind: `}},"records":[`}
+// headerEnd is where the embedded plan header closes: the text from its
+// closing brace to the opening bracket of the chunk array.
+const headerEnd = `}},"records":[`
 
 // shardTable rewrites the value of the header's "shards" member (with
 // member = true, the whole `,"shards":[...]` member).
-func shardTable(kind string, member bool, fn func(table string) string) func(string) string {
+func shardTable(member bool, fn func(table string) string) func(string) string {
 	return func(doc string) string {
 		start := strings.Index(doc, `,"shards":[`)
-		end := strings.Index(doc, headerEnd[kind])
+		end := strings.Index(doc, headerEnd)
 		if start < 0 || end < start {
 			panic("malformed table: no shard table in the document")
 		}
@@ -87,28 +78,26 @@ func shardTable(kind string, member bool, fn func(table string) string) func(str
 // shardEntry matches one row of the shard table's expectations.
 const shardEntry = `"dirs":(\d+),"files":(\d+),"bytes":(\d+)\}`
 
-// emptyImageDocs are documents of a plan with no directory at all: every
-// count is zero, the stream is empty and the trailer seals it correctly.
-func emptyImageDocs() (plan, shard string) {
+// emptyImageDoc is a shard document of a plan with no directory at all:
+// every count is zero, the stream is empty and the trailer seals it
+// correctly.
+func emptyImageDoc() string {
 	hdr := `"format_version":3,"seed":1,"content_kind":"default","digest_algo":"` + fsimage.DigestVersion +
 		`","files":0,"dirs":0,"bytes":0,"spec":{},"chunk_size":64,"shards":[{"index":0,"stream_key":"` +
 		contentStreamKey().String() + `","roots":[],"dirs":0,"files":0,"bytes":0},{"index":1,"stream_key":"` +
 		contentStreamKey().String() + `","roots":[],"dirs":0,"files":0,"bytes":0}]`
 	chain := fsimage.NewChunkHashChain().Sum()
-	plan = `{"header":{` + hdr + `},"chunks":[],"trailer":{"chunks":0,"image_sha256":"` + chain + `"}}`
-	shard = `{"view":{"format_version":3,"shard":1,"plan_chunks":0,"image_sha256":"` + chain + `","plan":{` + hdr +
+	return `{"view":{"format_version":3,"shard":1,"plan_chunks":0,"image_sha256":"` + chain + `","plan":{` + hdr +
 		`}},"records":[],"trailer":{"chunks":0,"records_sha256":"` + chain + `"}}`
-	return plan, shard
 }
 
-// both applies one rewrite to either kind of document.
-func both(name string, fn func(string) string, want error) malformedCase {
-	return malformedCase{name: name, plan: fn, shard: fn, want: want}
+// row is one case of the table.
+func row(name string, damage func(string) string, want error) malformedCase {
+	return malformedCase{name: name, damage: damage, want: want}
 }
 
 func malformedCases() []malformedCase {
 	integrity, version, invalid := fsimage.ErrManifestIntegrity, fsimage.ErrPlanVersion, fsimage.ErrInvalidSpec
-	emptyPlan, emptyShard := emptyImageDocs()
 	bump := func(m []string) string {
 		n, _ := strconv.Atoi(m[1])
 		return strings.Replace(m[0], m[1], strconv.Itoa(n+1), 1)
@@ -118,88 +107,77 @@ func malformedCases() []malformedCase {
 	}
 	return []malformedCase{
 		// Not a document at all.
-		both("empty input", constant(""), integrity),
-		both("not JSON", constant("hello"), integrity),
-		both("a JSON array", constant("[1,2]"), integrity),
-		both("a JSON object without the envelope", constant(`{"format_version":3,"seed":1}`), integrity),
-		both("truncated inside the header", func(doc string) string { return doc[:100] }, integrity),
-		both("truncated inside the stream", func(doc string) string { return doc[:len(doc)/2] }, integrity),
-		both("truncated before the trailer", func(doc string) string { return doc[:strings.LastIndex(doc, `"trailer"`)-10] }, integrity),
-		both("one byte after the closing brace", func(doc string) string { return doc + "x" }, integrity),
-		both("a second value after the closing brace", func(doc string) string { return doc + "{}\n" }, integrity),
+		row("empty input", constant(""), integrity),
+		row("not JSON", constant("hello"), integrity),
+		row("a JSON array", constant("[1,2]"), integrity),
+		row("a JSON object without the envelope", constant(`{"format_version":3,"seed":1}`), integrity),
+		row("truncated inside the header", func(doc string) string { return doc[:100] }, integrity),
+		row("truncated inside the stream", func(doc string) string { return doc[:len(doc)/2] }, integrity),
+		row("truncated before the trailer", func(doc string) string { return doc[:strings.LastIndex(doc, `"trailer"`)-10] }, integrity),
+		row("one byte after the closing brace", func(doc string) string { return doc + "x" }, integrity),
+		row("a second value after the closing brace", func(doc string) string { return doc + "{}\n" }, integrity),
 
 		// Version skew: the artifact is whole, this build cannot execute it.
-		{name: "format_version 2", plan: swap(`{"header":{"format_version":3`, `{"header":{"format_version":2`),
-			shard: swap(`"plan":{"format_version":3`, `"plan":{"format_version":2`), want: version},
-		{name: "shard document format_version 2", shard: swap(`{"view":{"format_version":3`, `{"view":{"format_version":2`), want: version},
-		both("digest_algo x", swap(`"digest_algo":"`+fsimage.DigestVersion+`"`, `"digest_algo":"x"`), version),
-		both("content_kind bogus", swap(`"content_kind":"default","digest_algo"`, `"content_kind":"bogus","digest_algo"`), version),
-		both("stream_key zzz", swap(`"stream_key":"fork:materialize"`, `"stream_key":"zzz"`), version),
-		both("stream_key of another stream", swap(`"stream_key":"fork:materialize"`, `"stream_key":"fork:somethingelse"`), version),
+		row("format_version 2", swap(`"plan":{"format_version":3`, `"plan":{"format_version":2`), version),
+		row("shard document format_version 2", swap(`{"view":{"format_version":3`, `{"view":{"format_version":2`), version),
+		row("digest_algo x", swap(`"digest_algo":"`+fsimage.DigestVersion+`"`, `"digest_algo":"x"`), version),
+		row("content_kind bogus", swap(`"content_kind":"default","digest_algo"`, `"content_kind":"bogus","digest_algo"`), version),
+		row("stream_key zzz", swap(`"stream_key":"fork:materialize"`, `"stream_key":"zzz"`), version),
+		row("stream_key of another stream", swap(`"stream_key":"fork:materialize"`, `"stream_key":"fork:somethingelse"`), version),
 
 		// Header totals.
-		both("files 10^12", swap(`"files":400,"dirs":80`, `"files":1000000000000,"dirs":80`), integrity),
-		both("negative files", swap(`"files":400,"dirs":80`, `"files":-400,"dirs":80`), integrity),
-		both("negative dirs", swap(`"files":400,"dirs":80`, `"files":400,"dirs":-80`), integrity),
-		both("negative bytes", resub(`"dirs":80,"bytes":(\d+)`, 0, func(m []string) string { return `"dirs":80,"bytes":-1` }), integrity),
-		both("files is a string", swap(`"files":400,"dirs":80`, `"files":"400","dirs":80`), integrity),
-		{name: "no directories", plan: constant(emptyPlan), shard: constant(emptyShard), want: integrity},
+		row("files 10^12", swap(`"files":400,"dirs":80`, `"files":1000000000000,"dirs":80`), integrity),
+		row("negative files", swap(`"files":400,"dirs":80`, `"files":-400,"dirs":80`), integrity),
+		row("negative dirs", swap(`"files":400,"dirs":80`, `"files":400,"dirs":-80`), integrity),
+		row("negative bytes", resub(`"dirs":80,"bytes":(\d+)`, 0, func(m []string) string { return `"dirs":80,"bytes":-1` }), integrity),
+		row("files is a string", swap(`"files":400,"dirs":80`, `"files":"400","dirs":80`), integrity),
+		row("no directories", constant(emptyImageDoc()), integrity),
 
 		// The shard table.
-		{name: "shards []", plan: shardTable(planKind, false, constant("[]")), shard: shardTable(shardKind, false, constant("[]")), want: integrity},
-		{name: "shards missing", plan: shardTable(planKind, true, constant("")), shard: shardTable(shardKind, true, constant("")), want: integrity},
-		both("shard table out of order", swap(`"index":0,"stream_key"`, `"index":1,"stream_key"`), integrity),
-		both("unknown cut root", resub(`"roots":\[(\d+),`, 0, func(m []string) string { return `"roots":[9999,` }), integrity),
-		both("duplicated cut root", resub(`"roots":\[(\d+),(\d+),`, 0, func(m []string) string { return `"roots":[` + m[1] + `,` + m[1] + `,` }), integrity),
-		both("cut root 0", resub(`"roots":\[(\d+),`, 0, func(m []string) string { return `"roots":[0,` }), integrity),
-		both("shards[1].files 10^12", resub(shardEntry, 1, setFiles("1000000000000")), integrity),
-		both("shards[1].files -1", resub(shardEntry, 1, setFiles("-1")), integrity),
-		both("files and shards[1].files both 10^12 too many", func(doc string) string {
+		row("shards []", shardTable(false, constant("[]")), integrity),
+		row("shards missing", shardTable(true, constant("")), integrity),
+		row("shard table out of order", swap(`"index":0,"stream_key"`, `"index":1,"stream_key"`), integrity),
+		row("unknown cut root", resub(`"roots":\[(\d+),`, 0, func(m []string) string { return `"roots":[9999,` }), integrity),
+		row("duplicated cut root", resub(`"roots":\[(\d+),(\d+),`, 0, func(m []string) string { return `"roots":[` + m[1] + `,` + m[1] + `,` }), integrity),
+		row("cut root 0", resub(`"roots":\[(\d+),`, 0, func(m []string) string { return `"roots":[0,` }), integrity),
+		row("shards[1].files 10^12", resub(shardEntry, 1, setFiles("1000000000000")), integrity),
+		row("shards[1].files -1", resub(shardEntry, 1, setFiles("-1")), integrity),
+		row("files and shards[1].files both 10^12 too many", func(doc string) string {
 			doc = swap(`"files":400,"dirs":80`, `"files":1000000000400,"dirs":80`)(doc)
 			return resub(shardEntry, 1, func(m []string) string { return setFiles("1000000000" + m[2])(m) })(doc)
 		}, integrity),
-		both("shards[0].files off by one", resub(shardEntry, 0, func(m []string) string {
+		row("shards[0].files off by one", resub(shardEntry, 0, func(m []string) string {
 			n, _ := strconv.Atoi(m[2])
 			return `"dirs":` + m[1] + `,"files":` + strconv.Itoa(n+1) + `,"bytes":` + m[3] + `}`
 		}), integrity),
 
 		// The envelope around the stream.
-		{name: "chunk array under another key", plan: swap(`},"chunks":[`, `},"chunkz":[`), shard: swap(`}},"records":[`, `}},"recordz":[`), want: integrity},
-		{name: "a number in the chunk array", plan: swap(`},"chunks":[`, `},"chunks":[7,`), shard: swap(`}},"records":[`, `}},"records":[7,`), want: integrity},
-		both("a flipped byte in a record", swap(`"name":"dir00001"`, `"name":"dir00009"`), integrity),
-		both("trailer renamed", swap(`],"trailer":{`, `],"trailor":{`), integrity),
-		both("trailer missing", func(doc string) string { return doc[:strings.LastIndex(doc, `,"trailer":`)] + "}\n" }, integrity),
-		both("trailer chunk count off by one", resub(`"trailer":\{"chunks":(\d+)`, 0, bump), integrity),
-		both("trailer chain hash of another stream", resub(`_sha256":"([0-9a-f])([0-9a-f]{63})"\}\}`, 0, func(m []string) string {
+		row("chunk array under another key", swap(`}},"records":[`, `}},"recordz":[`), integrity),
+		row("a number in the chunk array", swap(`}},"records":[`, `}},"records":[7,`), integrity),
+		row("a flipped byte in a record", swap(`"name":"dir00001"`, `"name":"dir00009"`), integrity),
+		row("trailer renamed", swap(`],"trailer":{`, `],"trailor":{`), integrity),
+		row("trailer missing", func(doc string) string { return doc[:strings.LastIndex(doc, `,"trailer":`)] + "}\n" }, integrity),
+		row("trailer chunk count off by one", resub(`"trailer":\{"chunks":(\d+)`, 0, bump), integrity),
+		row("trailer chain hash of another stream", resub(`_sha256":"([0-9a-f])([0-9a-f]{63})"\}\}`, 0, func(m []string) string {
 			return `_sha256":"` + string("0123456789abcdef"[(strings.IndexByte("0123456789abcdef", m[1][0])+1)%16]) + m[2] + `"}}`
 		}), integrity),
 
-		// What only a shard document has.
-		{name: "plan null", shard: func(doc string) string {
-			return doc[:strings.Index(doc, `"plan":{`)] + `"plan":null` + doc[strings.Index(doc, headerEnd[shardKind])+1:]
-		}, want: integrity},
-		{name: "embedded shard -1", shard: swap(`"shard":1,"plan_chunks"`, `"shard":-1,"plan_chunks"`), want: invalid},
-		{name: "embedded shard 99", shard: swap(`"shard":1,"plan_chunks"`, `"shard":99,"plan_chunks"`), want: invalid},
-		{name: "embedded shard is another shard's", shard: swap(`"shard":1,"plan_chunks"`, `"shard":0,"plan_chunks"`), want: integrity},
+		// The view around the plan header.
+		row("plan null", func(doc string) string {
+			return doc[:strings.Index(doc, `"plan":{`)] + `"plan":null` + doc[strings.Index(doc, headerEnd)+1:]
+		}, integrity),
+		row("embedded shard -1", swap(`"shard":1,"plan_chunks"`, `"shard":-1,"plan_chunks"`), invalid),
+		row("embedded shard 99", swap(`"shard":1,"plan_chunks"`, `"shard":99,"plan_chunks"`), invalid),
+		row("embedded shard is another shard's", swap(`"shard":1,"plan_chunks"`, `"shard":0,"plan_chunks"`), integrity),
 	}
 }
 
-// validDocuments builds the two valid documents the table damages:
-// testConfig() as a 3-shard plan with 64-record chunks, and shard 1 of it.
-func validDocuments(tb testing.TB) map[string]string {
-	docs, _ := validDocumentsAndView(tb)
-	return docs
-}
-
-func validDocumentsAndView(tb testing.TB) (map[string]string, *ShardView) {
+// validDocument is the valid document the table damages: fragment 1 of
+// testConfig() as a 3-shard plan with 64-record chunks.
+func validDocument(tb testing.TB) (string, *ShardView) {
 	tb.Helper()
 	p := planRoundTrip(tb, testConfig(), 3)
-	view := p.view(tb, 1)
-	var shardDoc bytes.Buffer
-	if err := view.Encode(&shardDoc); err != nil {
-		tb.Fatalf("ShardView.Encode: %v", err)
-	}
-	return map[string]string{planKind: string(p.doc), shardKind: shardDoc.String()}, view
+	return string(p.frags[1]), p.view(tb, 1)
 }
 
 // records is a record stream held as two slices: the sink that collects one
@@ -228,9 +206,8 @@ func (l *records) replay(sink fsimage.RecordSink) error {
 // forgedCases damage the records themselves and seal the damage: the
 // document is written by this package's own writer, so every chunk hash, the
 // chain and the trailer are right and only the record checks stand between
-// the forgery and a worker. Each forgery edits the valid stream of either
-// kind (all 400 files of the plan, or shard 1's 179); mid is a file in the
-// middle of it.
+// the forgery and a worker. Each forgery edits the valid stream (shard 1's
+// 179 files); mid is a file in the middle of it.
 var forgedCases = []struct {
 	name  string
 	forge func(l *records, mid int)
@@ -271,89 +248,56 @@ var forgedCases = []struct {
 	{"no records at all", func(l *records, mid int) { *l = records{} }},
 }
 
-// forgedDocuments seals every forgery into a document of each kind.
+// forgedDocuments seals every forgery into a shard document.
 func forgedDocuments(tb testing.TB) []malformedDocument {
 	tb.Helper()
-	valid, view := validDocumentsAndView(tb)
-	var plan *Plan
-	var planRecords records
-	if err := DocumentSource(strings.NewReader(valid[planKind]))(func(hdr *Plan) (fsimage.RecordSink, error) {
-		plan = hdr
-		return &planRecords, nil
-	}); err != nil {
-		tb.Fatalf("replaying the valid plan document: %v", err)
-	}
+	_, view := validDocument(tb)
 	var out []malformedDocument
 	for _, c := range forgedCases {
-		for _, k := range []struct {
-			kind   string
-			doc    docKind
-			head   any
-			source func(fsimage.RecordSink) error
-		}{
-			{planKind, planDoc, plan, planRecords.replay},
-			{shardKind, shardDoc, shardHeader(view.Plan, view.Shard), (&fsimage.Image{Tree: view.Tree, Files: view.Files}).StreamRecords},
-		} {
-			var l records
-			if err := k.source(&l); err != nil {
-				tb.Fatal(err)
-			}
-			c.forge(&l, len(l.files)/2)
-			var doc bytes.Buffer
-			if _, _, err := writeDocument(&doc, k.doc, k.head, fsimage.NewChunkSealer(1), 64, l.replay); err != nil {
-				tb.Fatalf("sealing %q: %v", c.name, err)
-			}
-			out = append(out, malformedDocument{name: "forged: " + c.name + " (" + k.kind + ")", kind: k.kind, doc: doc.Bytes(), want: fsimage.ErrManifestIntegrity})
+		var l records
+		if err := (&fsimage.Image{Tree: view.Tree, Files: view.Files}).StreamRecords(&l); err != nil {
+			tb.Fatal(err)
 		}
+		c.forge(&l, len(l.files)/2)
+		var doc bytes.Buffer
+		sealer := fsimage.NewChunkSealer(1)
+		d, err := newDocWriter(&doc, shardHeader(view.Plan, view.Shard), sealer, 64)
+		if err == nil {
+			err = l.replay(d)
+		}
+		if err == nil {
+			_, _, err = d.Close()
+		}
+		sealer.Close()
+		if err != nil {
+			tb.Fatalf("sealing %q: %v", c.name, err)
+		}
+		out = append(out, malformedDocument{name: "forged: " + c.name, doc: doc.Bytes(), want: fsimage.ErrManifestIntegrity})
 	}
 	return out
 }
 
 // malformedDocument is one damaged document of the table.
 type malformedDocument struct {
-	name string // "<case> (<kind>)"
-	kind string
+	name string
 	doc  []byte
 	want error
 }
 
-// malformedDocuments applies every case to every kind it damages.
+// malformedDocuments applies every case to the valid document.
 func malformedDocuments(tb testing.TB) []malformedDocument {
-	valid := validDocuments(tb)
+	valid, _ := validDocument(tb)
 	var out []malformedDocument
 	for _, c := range malformedCases() {
-		for _, k := range []struct {
-			kind   string
-			damage func(string) string
-		}{{planKind, c.plan}, {shardKind, c.shard}} {
-			if k.damage != nil {
-				out = append(out, malformedDocument{name: c.name + " (" + k.kind + ")", kind: k.kind, doc: []byte(k.damage(valid[k.kind])), want: c.want})
-			}
-		}
+		out = append(out, malformedDocument{name: c.name, doc: []byte(c.damage(valid)), want: c.want})
 	}
 	return append(out, forgedDocuments(tb)...)
 }
 
-// door is one exported decoder of a document kind.
-type door struct {
-	name string
-	kind string
-	open func(doc []byte) error
-}
-
-var doors = []door{
-	{"Merge", planKind, func(doc []byte) error {
-		_, err := Merge(DocumentSource(bytes.NewReader(doc)), nil)
-		return err
-	}},
-	{"DecodePlanShard", planKind, func(doc []byte) error {
-		_, err := DecodePlanShard(bytes.NewReader(doc), 1)
-		return err
-	}},
-	{"DecodeShardView", shardKind, func(doc []byte) error {
-		_, err := DecodeShardView(bytes.NewReader(doc))
-		return err
-	}},
+// decodeShardView is the table's one door.
+func decodeShardView(doc []byte) error {
+	_, err := DecodeShardView(bytes.NewReader(doc))
+	return err
 }
 
 // sentinels are the three typed errors a decoder may answer with.
@@ -402,43 +346,16 @@ func checkRejection(t *testing.T, err error, want error, alloc uint64, n int) {
 	}
 }
 
-// TestMalformedDocuments: a damaged artifact meets the same verdict
-// whichever door it comes through.
+// TestMalformedDocuments: every damaged document meets its verdict.
 func TestMalformedDocuments(t *testing.T) {
-	for kind, doc := range validDocuments(t) {
-		for _, d := range doors {
-			if d.kind != kind {
-				continue
-			}
-			if err, alloc := verdict(func() error { return d.open([]byte(doc)) }); err != nil || alloc > allocBound(len(doc)) {
-				t.Fatalf("%s on the valid %s document: err %v, %d bytes allocated (bound %d)", d.name, kind, err, alloc, allocBound(len(doc)))
-			}
-		}
+	valid, _ := validDocument(t)
+	if err, alloc := verdict(func() error { return decodeShardView([]byte(valid)) }); err != nil || alloc > allocBound(len(valid)) {
+		t.Fatalf("DecodeShardView on the valid document: err %v, %d bytes allocated (bound %d)", err, alloc, allocBound(len(valid)))
 	}
 	for _, m := range malformedDocuments(t) {
-		for _, d := range doors {
-			if d.kind != m.kind {
-				continue
-			}
-			t.Run(m.name+"/"+d.name, func(t *testing.T) {
-				err, alloc := verdict(func() error { return d.open(m.doc) })
-				checkRejection(t, err, m.want, alloc, len(m.doc))
-			})
-		}
-	}
-}
-
-// TestMalformedRequests: asking a valid plan document for a shard it does
-// not have is the request's fault, and says so.
-func TestMalformedRequests(t *testing.T) {
-	doc := []byte(validDocuments(t)[planKind])
-	for _, shard := range []int{-1, 3, 99} {
-		err, alloc := verdict(func() error {
-			_, err := DecodePlanShard(bytes.NewReader(doc), shard)
-			return err
-		})
-		t.Run(fmt.Sprintf("DecodePlanShard(%d)", shard), func(t *testing.T) {
-			checkRejection(t, err, fsimage.ErrInvalidSpec, alloc, len(doc))
+		t.Run(m.name, func(t *testing.T) {
+			err, alloc := verdict(func() error { return decodeShardView(m.doc) })
+			checkRejection(t, err, m.want, alloc, len(m.doc))
 		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"io"
 	"math"
 
 	"impressions/internal/clock"
@@ -17,18 +16,9 @@ import (
 // streams the plan's records in canonical order into the sink open returns,
 // and returns when the stream has ended. By then the header it handed over
 // is sealed — a source that reads the chunk count and chain hash from a
-// trailer has filled them in. DocumentSource, FragmentSource and
-// ResolvedPlan.Source are the three.
+// trailer has filled them in. FragmentSource (and FragmentIndex.Source over
+// it) and ResolvedPlan.Source are the two.
 type PlanSource func(open func(hdr *Plan) (fsimage.RecordSink, error)) error
-
-// DocumentSource replays a plan document read from r, through the one
-// document reader.
-func DocumentSource(r io.Reader) PlanSource {
-	return func(open func(*Plan) (fsimage.RecordSink, error)) error {
-		_, err := readDocument(r, planDoc, func(hdr *Plan, _ int) (fsimage.RecordSink, error) { return open(hdr) })
-		return err
-	}
-}
 
 // MergeResult is what Merge finds: one grade per shard and, once every
 // shard has verified, the merged report and the canonical digest.
@@ -248,7 +238,7 @@ func checkPlan(src PlanSource, open func(*recordCheck) error) error {
 		if err := checkHeader(hdr); err != nil {
 			return nil, err
 		}
-		c = newRecordCheck(hdr, -1, false)
+		c = newRecordCheck(hdr, -1)
 		return c.ts, open(c)
 	}); err != nil {
 		return err

@@ -14,40 +14,33 @@ import (
 	"impressions/internal/namespace"
 )
 
-// Partitioned planning: the plan itself built as K independent fragments.
+// Partitioned planning: every plan is built as K independent fragments.
 //
-// A plan fragment IS a shard document — the exact wire format
-// ShardView.Encode produces and workers already consume (DecodeShardView,
-// Execute, the serve layer's shard endpoint). PartitionPlan resolves the
-// metadata pass once, seals the monolithic plan header (chunk
-// count + chain hash, so the fragment-embedded plan fingerprints
-// bit-identically to the monolithic file's), and then routes one record
-// replay through K incremental shard-document encoders. Nothing retains the
-// image: live state is the compact tree plus K chunk buffers, and with the
-// spill knob set (Config.SpillDir) even the metadata columns live on disk,
-// so a 10⁸-file plan builds in O(dirs) heap.
-//
-// Fragment i is byte-identical whether produced by PartitionPlan or by
-// slicing a monolithic plan file (DecodePlanShard → Encode) — both derive
-// from the same seed-keyed metadata replay — so fragments interoperate with
-// every existing consumer.
+// A plan fragment is a shard document (DecodeShardView, Execute, the serve
+// layer's shard endpoint). PartitionPlan resolves the metadata pass once,
+// seals the plan header (chunk count + chain hash over the whole record
+// stream, which every fragment's embedded header carries, so each fragment
+// fingerprints to the plan) and then routes one record replay through K
+// incremental shard-document encoders. Nothing retains the image: live
+// state is the compact tree plus K chunk buffers, and with the spill knob set
+// (Config.SpillDir) even the metadata columns live on disk, so a 10⁸-file
+// plan builds in O(dirs) heap.
 //
 // FragmentSource replays the K fragment documents as the whole plan's record
-// stream, so Merge verifies a partitioned run, and the stitcher rebuilds its
-// archive, holding the tree and O(K × chunk) buffers. OpenPlanFile takes the
-// index's path where a plan document's is taken.
+// stream, so Merge verifies a run, and the stitcher rebuilds its archive,
+// holding a tree per fragment and O(K × chunk) buffers. A fragment index names the
+// fragments and the plan they make up; OpenPlanFile opens one at its path.
 
 // FragmentIndexVersion is the fragment-index wire version.
 const FragmentIndexVersion = 1
 
-// FragmentIndex describes a partitioned plan: the parent plan's identity
-// plus the names of its fragment documents. It is what `plan -partition`
-// writes at the plan path (fragments land next to it), and OpenPlanFile
-// opens it there like a plan document.
+// FragmentIndex describes a plan: its identity plus the names of its
+// fragment documents. It is what `plan` writes at the plan path (fragments
+// land next to it), and what OpenPlanFile opens there.
 type FragmentIndex struct {
 	FormatVersion int `json:"format_version"`
-	// Fingerprint is the parent plan's Fingerprint(); every fragment's
-	// embedded plan header reproduces it bit for bit.
+	// Fingerprint is the plan's Fingerprint(); every fragment's embedded
+	// plan header reproduces it bit for bit.
 	Fingerprint string `json:"fingerprint"`
 	Shards      int    `json:"shards"`
 	Files       int    `json:"files"`
@@ -112,17 +105,32 @@ func (ix *FragmentIndex) check(hdr *Plan) error {
 	return nil
 }
 
+// Source replays the plan the index names from its fragments, which open
+// returns readers for: FragmentSource, with the header the fragments carry
+// held to the index — the same fingerprint, shard count and totals, or
+// ErrManifestIntegrity.
+func (ix *FragmentIndex) Source(ctx context.Context, open func(shard int) (io.ReadCloser, error)) PlanSource {
+	src := FragmentSource(ctx, ix.Shards, open)
+	return func(openSink func(*Plan) (fsimage.RecordSink, error)) error {
+		return src(func(hdr *Plan) (fsimage.RecordSink, error) {
+			if err := ix.check(hdr); err != nil {
+				return nil, err
+			}
+			return openSink(hdr)
+		})
+	}
+}
+
 // FragmentName returns the conventional fragment basename for a shard,
 // derived from the index (plan) path's basename.
 func FragmentName(planBase string, shard int) string {
 	return fmt.Sprintf("%s.frag%d", planBase, shard)
 }
 
-// sealDirs hashes the plan's monolithic chunk chain without writing it and
-// seals the plan with it: the fragment headers must carry the exact
-// Chunks/ImageSHA256 the monolithic plan file would, or the fingerprint
-// manifests bind to would diverge between partitioned and single-document
-// planning. It returns the record hashes of the chain's directory chunks.
+// sealDirs hashes the chunk chain of the plan's whole record stream without
+// writing it and seals the plan with it: every fragment header carries the
+// same Chunks/ImageSHA256, and the fingerprint manifests bind to covers
+// them. It returns the record hashes of the chain's directory chunks.
 // Every fragment opens with the same directory records at the same chunk
 // size and index, so these are its first chunk hashes too.
 func (rp *ResolvedPlan) sealDirs(ctx context.Context, sealer *fsimage.ChunkSealer) ([]string, error) {
@@ -245,7 +253,7 @@ func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.Chun
 	router := &fragmentRouter{ctx: ctx, rp: rp, dirHashes: dirHashes, docs: make([]*docWriter, len(writers))}
 	for s, w := range writers {
 		var err error
-		if router.docs[s], err = newDocWriter(w, shardDoc, shardHeader(rp.Plan, s), sealer, rp.Plan.ChunkSize); err != nil {
+		if router.docs[s], err = newDocWriter(w, shardHeader(rp.Plan, s), sealer, rp.Plan.ChunkSize); err != nil {
 			return err
 		}
 	}
@@ -265,30 +273,20 @@ func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.Chun
 	return nil
 }
 
-// PartitionPlan builds a partitioned plan: the request's MaxShards
-// fragments, each a self-contained shard document written to the writer open
-// returns for it. Fragments are byte-identical
-// to slicing the monolithic plan file (DecodePlanShard → ShardView.Encode),
-// so every existing consumer — workers, manifests, the serve layer — works
-// on them unchanged. The returned plan is the sealed parent header (no
-// image retained); its Fingerprint is what each fragment reproduces and
-// what an index should record.
-//
-// Live memory is the compact tree plus one chunk buffer per fragment;
-// combined with Config.SpillDir the whole build runs in O(dirs) heap.
-func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
-	rp, err := req.Resolve(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer rp.Close()
+// WriteFragments writes the plan as one self-contained shard document per
+// shard, fragment s to the writer open returns for it, and seals the plan
+// header: one replay of the columns hashes the chunk chain, a second routes
+// the records to the fragments. The sealed header's Fingerprint is what each
+// fragment reproduces and what an index records. Every writer open returned
+// is closed.
+func (rp *ResolvedPlan) WriteFragments(ctx context.Context, open func(shard int) (io.WriteCloser, error)) error {
 	// One sealer for both passes: the one that seals the header and the
 	// one that writes the fragments.
 	sealer := fsimage.NewChunkSealer(rp.parallelism)
 	defer sealer.Close()
 	dirHashes, err := rp.sealDirs(ctx, sealer)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	wcs := make([]io.WriteCloser, len(rp.Plan.Shards))
@@ -303,20 +301,37 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 		wc, err := open(s)
 		if err != nil {
 			closeAll()
-			return nil, fmt.Errorf("distribute: opening fragment %d: %w", s, err)
+			return fmt.Errorf("distribute: opening fragment %d: %w", s, err)
 		}
 		wcs[s] = wc
 	}
 	if err := rp.writeFragments(ctx, sealer, dirHashes, wcs); err != nil {
 		closeAll()
-		return nil, err
+		return err
 	}
 	for s, wc := range wcs {
 		wcs[s] = nil
 		if err := wc.Close(); err != nil {
 			closeAll()
-			return nil, fmt.Errorf("distribute: closing fragment %d: %w", s, err)
+			return fmt.Errorf("distribute: closing fragment %d: %w", s, err)
 		}
+	}
+	return nil
+}
+
+// PartitionPlan builds the plan req describes as one fragment per shard, at
+// most MaxShards (Resolve, then WriteFragments), and returns the sealed plan
+// header; no image is retained. Live memory is the compact tree plus one
+// chunk buffer per fragment; combined with Config.SpillDir the whole build
+// runs in O(dirs) heap.
+func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
+	rp, err := req.Resolve(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer rp.Close()
+	if err := rp.WriteFragments(ctx, open); err != nil {
+		return nil, err
 	}
 	return rp.Plan, nil
 }
@@ -357,14 +372,15 @@ type fragmentStream struct {
 	view  *ShardView
 }
 
-// FragmentSource replays a partitioned plan from its k fragment documents,
-// which open returns readers for, as the whole plan's record stream. One
-// goroutine decodes each fragment and holds it to its own row of the shard
-// table. Fragment 0's header and directory tree open the stream the moment
-// its directories are in, and the k file streams follow merged by ascending
+// FragmentSource replays a plan from its k fragment documents, which open
+// returns readers for, as the whole plan's record stream. One goroutine
+// decodes each fragment and holds it to its own row of the shard table.
+// Fragment 0's header and directory tree open the stream the moment its
+// directories are in, and the k file streams follow merged by ascending
 // file ID (shards partition the ID space; each stream ascends). Every
 // fragment must bind fragment 0's plan and carry its tree. Memory is
-// O(dirs + k·chunk).
+// O(k·(dirs + chunk)): each decoder rebuilds the tree it checks its
+// fragment's records against.
 func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadCloser, error)) PlanSource {
 	return func(openSink func(*Plan) (fsimage.RecordSink, error)) error {
 		if k < 1 {
@@ -403,7 +419,7 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 						}
 					}
 				}
-				view, err := decodeShard(rc, shardDoc, 0, func(f fsimage.File, _ int) error {
+				view, err := decodeShard(rc, func(f fsimage.File, _ int) error {
 					select {
 					case fs.files <- f:
 						return nil

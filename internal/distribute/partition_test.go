@@ -23,21 +23,40 @@ import (
 
 // fragmentBuffers builds a partitioned plan entirely into memory, one
 // buffer per fragment.
-func fragmentBuffers(t *testing.T, req PlanRequest) (*Plan, [][]byte) {
-	t.Helper()
-	bufs := make([]*bytes.Buffer, req.MaxShards)
+func fragmentBuffers(tb testing.TB, req PlanRequest) (*Plan, [][]byte) {
+	tb.Helper()
+	bufs := make([]bytes.Buffer, req.MaxShards)
 	plan, err := PartitionPlan(context.Background(), req, func(shard int) (io.WriteCloser, error) {
-		bufs[shard] = &bytes.Buffer{}
-		return nopWriteCloser{bufs[shard]}, nil
+		return nopWriteCloser{&bufs[shard]}, nil
 	})
 	if err != nil {
-		t.Fatalf("PartitionPlan(K=%d): %v", req.MaxShards, err)
+		tb.Fatalf("PartitionPlan(K=%d): %v", req.MaxShards, err)
 	}
-	out := make([][]byte, len(bufs))
-	for s, b := range bufs {
-		out[s] = b.Bytes()
+	out := make([][]byte, len(plan.Shards))
+	for s := range out {
+		out[s] = bufs[s].Bytes()
 	}
 	return plan, out
+}
+
+// encodeView writes a view as a shard document by the plain writer: its
+// tree's directory records and its files, through one encoder.
+func encodeView(tb testing.TB, v *ShardView) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	sealer := fsimage.NewChunkSealer(1)
+	defer sealer.Close()
+	d, err := newDocWriter(&buf, shardHeader(v.Plan, v.Shard), sealer, v.Plan.ChunkSize)
+	if err == nil {
+		err = (&fsimage.Image{Tree: v.Tree, Files: v.Files}).StreamRecords(d)
+	}
+	if err == nil {
+		_, _, err = d.Close()
+	}
+	if err != nil {
+		tb.Fatalf("encoding shard %d: %v", v.Shard, err)
+	}
+	return buf.Bytes()
 }
 
 type nopWriteCloser struct{ io.Writer }
@@ -68,12 +87,12 @@ var fragmentCases = []struct {
 		}},
 }
 
-// TestPartitionPlanFragmentsMatchSlicedPlan is the fragment format
-// contract: fragment s of a partitioned build must be byte-identical to
-// slicing shard s out of the monolithic plan document (DecodePlanShard →
-// ShardView.Encode), for K ∈ {1, 2, 4} — so fragments built anywhere
-// interoperate with every existing shard-document consumer.
-func TestPartitionPlanFragmentsMatchSlicedPlan(t *testing.T) {
+// TestPartitionPlanFragmentsMatchPlainEncoding is the fragment format
+// contract: fragment s of a build, which the router writes with a
+// directory section rendered once for every fragment, must be byte-identical
+// to its own view encoded by the plain writer, one encoder over the tree and
+// the shard's files, for K ∈ {1, 2, 4}.
+func TestPartitionPlanFragmentsMatchPlainEncoding(t *testing.T) {
 	for _, fc := range fragmentCases {
 		name, cfg := fc.name, testConfig()
 		fc.adjust(&cfg)
@@ -82,25 +101,16 @@ func TestPartitionPlanFragmentsMatchSlicedPlan(t *testing.T) {
 			if !fc.holds(plan) {
 				t.Fatalf("%s K=%d: the plan (%d directories, shards %+v) is not that case", name, k, plan.Dirs, plan.Shards)
 			}
-			var mono bytes.Buffer
-			streamed, err := PlanRequest{Config: cfg, MaxShards: k, ChunkSize: 64}.Stream(context.Background(), &mono)
-			if err != nil {
-				t.Fatalf("%s K=%d Stream: %v", name, k, err)
-			}
-			if plan.Fingerprint() != streamed.Fingerprint() {
-				t.Errorf("%s K=%d partitioned fingerprint %s != streamed %s", name, k, plan.Fingerprint(), streamed.Fingerprint())
-			}
 			for s := range frags {
-				view, err := DecodePlanShard(bytes.NewReader(mono.Bytes()), s)
+				view, err := DecodeShardView(bytes.NewReader(frags[s]))
 				if err != nil {
-					t.Fatalf("%s K=%d DecodePlanShard(%d): %v", name, k, s, err)
+					t.Fatalf("%s K=%d DecodeShardView(%d): %v", name, k, s, err)
 				}
-				var want bytes.Buffer
-				if err := view.Encode(&want); err != nil {
-					t.Fatalf("%s K=%d Encode(%d): %v", name, k, s, err)
+				if view.Plan.Fingerprint() != plan.Fingerprint() {
+					t.Errorf("%s K=%d fragment %d binds plan %s, the build sealed %s", name, k, s, view.Plan.Fingerprint(), plan.Fingerprint())
 				}
-				if !bytes.Equal(frags[s], want.Bytes()) {
-					t.Errorf("%s K=%d fragment %d bytes differ from sliced monolithic plan", name, k, s)
+				if !bytes.Equal(frags[s], encodeView(t, view)) {
+					t.Errorf("%s K=%d fragment %d bytes differ from its view's plain encoding", name, k, s)
 				}
 			}
 		}
@@ -218,8 +228,7 @@ func rawDrawSum(t *testing.T, cfg core.Config) float64 {
 }
 
 // TestSpilledPlanMatchesInMemory is the byte-identity matrix of the plan
-// builders: the Stream document and the PartitionPlan fragments, built at
-// Parallelism 1, 2 and 4 — where the chunk sealer runs inline, on one
+// builder: the PartitionPlan fragments, built at Parallelism 1, 2 and 4 — where the chunk sealer runs inline, on one
 // goroutine and on three — over columns on the heap and spilled to files,
 // must all equal the heap build at Parallelism 1. The images: where the
 // resolver keeps its raw draw (target placed on the raw draw sum) and on
@@ -245,17 +254,13 @@ func TestSpilledPlanMatchesInMemory(t *testing.T) {
 	deep.NumFiles, deep.NumDirs, deep.FSSizeBytes, deep.TreeShape = 9000, 300, 9000*2048, namespace.ShapeDeep
 	cases["deep tree"] = deep
 
-	build := func(cfg core.Config) (doc []byte, frags [][]byte) {
-		var buf bytes.Buffer
-		if _, err := (PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64}).Stream(context.Background(), &buf); err != nil {
-			t.Fatalf("Stream: %v", err)
-		}
-		_, frags = fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64})
-		return buf.Bytes(), frags
+	build := func(cfg core.Config) [][]byte {
+		_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 64})
+		return frags
 	}
 	for name, cfg := range cases {
 		cfg.Parallelism = 1
-		refDoc, refFrags := build(cfg)
+		refFrags := build(cfg)
 		for _, par := range []int{1, 2, 4} {
 			for _, spill := range []bool{false, true} {
 				if par == 1 && !spill {
@@ -266,10 +271,7 @@ func TestSpilledPlanMatchesInMemory(t *testing.T) {
 				if spill {
 					c.SpillDir = t.TempDir()
 				}
-				doc, frags := build(c)
-				if !bytes.Equal(doc, refDoc) {
-					t.Errorf("%s -j %d spill=%v: the plan document differs from the heap build at -j 1", name, par, spill)
-				}
+				frags := build(c)
 				for s := range refFrags {
 					if !bytes.Equal(frags[s], refFrags[s]) {
 						t.Errorf("%s -j %d spill=%v: fragment %d differs from the heap build at -j 1", name, par, spill, s)
@@ -308,19 +310,14 @@ func (*stopWriter) Close() error { return nil }
 // TestPlanBuildFailuresStopTheSealer: a plan build whose writer fails, or
 // whose context is cancelled, part way returns that error at every
 // Parallelism the sealer runs at, and leaves no goroutine behind. The
-// writers fail at their first flush, half way, and at the trailer, of the
-// monolithic document and of one fragment; the cancel comes at the
-// fragment's first flush and a quarter of the way in, with records left to
-// route.
+// writer of one fragment fails at its first flush, half way, and at the
+// trailer; the cancel comes at the fragment's first flush and a quarter of
+// the way in, with records left to route.
 func TestPlanBuildFailuresStopTheSealer(t *testing.T) {
 	cfg := testConfig()
 	cfg.NumFiles, cfg.FSSizeBytes = 20000, 20000*2048
-	var doc bytes.Buffer
-	if _, err := (PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64}).Stream(context.Background(), &doc); err != nil {
-		t.Fatal(err)
-	}
 	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
-	docLen, fragLen := doc.Len(), len(frags[1])
+	fragLen := len(frags[1])
 	boom := errors.New("boom")
 	for _, par := range []int{1, 2, 4} {
 		cfg.Parallelism = par
@@ -335,11 +332,6 @@ func TestPlanBuildFailuresStopTheSealer(t *testing.T) {
 			return err
 		}
 		baseline := runtime.NumGoroutine()
-		for _, at := range []int{10, docLen / 2, docLen - 10} {
-			if _, err := req.Stream(context.Background(), &stopWriter{n: at, err: boom}); !errors.Is(err, boom) {
-				t.Errorf("-j %d Stream, the writer failing after %d of %d bytes: got %v, want %v", par, at, docLen, err, boom)
-			}
-		}
 		for _, at := range []int{10, fragLen / 2, fragLen - 10} {
 			if err := fragment1(context.Background(), &stopWriter{n: at, err: boom}); !errors.Is(err, boom) {
 				t.Errorf("-j %d PartitionPlan, fragment 1's writer failing after %d of %d bytes: got %v, want %v", par, at, fragLen, err, boom)
@@ -467,10 +459,10 @@ func TestFragmentIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartitionedPlanBuildMemoryBound is the headline contract of this
-// refactor made concrete: a 10,000,000-file plan built as 8 spilled
-// fragments must hold its peak live heap under the same 128 MB cap the 1M
-// streamed build honors — an order of magnitude more files, no new memory.
+// TestPartitionedPlanBuildMemoryBound is the O(dirs) contract of the plan
+// build made concrete: a 10,000,000-file plan built as 8 spilled fragments
+// must hold its peak live heap under 128 MB, a cap the 10M retained file
+// records alone would blow through by an order of magnitude.
 // The target sum sits on the measured raw-draw sum for this seed, so the
 // resolver keeps the draw it made into the sizes column and never holds it
 // (the spill contract's O(dirs) regime); a regression onto any O(files)

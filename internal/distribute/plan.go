@@ -1,18 +1,20 @@
 // Package distribute implements multi-node generation of file-system
 // images as a shard-plan / worker / merge pipeline:
 //
-//   - PlanRequest.Stream runs the (cheap) metadata pass once — directory
+//   - PartitionPlan runs the (cheap) metadata pass once — directory
 //     skeleton, constrained file sizes, extensions, placement — partitions
 //     the namespace into balanced subtree shards, each carrying its stable RNG
-//     stream key, and writes the plan; PartitionPlan writes the same plan as
-//     one fragment document per shard. The partition and per-shard
-//     expectations are computed from the compact namespace tree and streaming
-//     per-shard accumulators, never from a retained file slice. A plan
-//     serializes as one JSON document whose image metadata streams through
-//     hash-guarded chunks, so neither a builder nor a reader of one holds more
-//     than O(chunk) file records. PlanRequest.Resolve keeps the metadata
-//     columns open behind the written plan, for a caller that replays its
-//     records again.
+//     stream key, and writes the plan as one fragment per shard: a shard
+//     document that carries every directory, that shard's files and the
+//     plan header. A FragmentIndex names the fragments and the plan they
+//     make up. The partition and per-shard expectations are computed from
+//     the compact namespace tree and streaming per-shard accumulators, never
+//     from a retained file slice, and the records stream through
+//     hash-guarded chunks, so neither a builder nor a reader holds more than
+//     O(chunk) file records of the image. PlanRequest.Resolve keeps the
+//     metadata columns open behind the written plan
+//     (ResolvedPlan.WriteFragments), for a caller that replays its records
+//     again.
 //   - Execute is the one shard executor. It runs one shard in total
 //     isolation — it needs only the shard's view of the plan — runs the
 //     expensive content pass, and emits a Manifest recording per-file content
@@ -21,56 +23,50 @@
 //     WorkerOptions.JournalPath is set), a tar segment, or io.Discard when
 //     only the manifest is wanted. The manifest is the same for all of them.
 //     Workers share nothing, so "multi-node" is any shared-nothing fleet:
-//     processes, containers, CI jobs, or machines. A worker decodes the plan
-//     through the shard-pruning path (LoadPlanShard), retaining only its own
-//     shard's file records — its memory is bounded by its shard, not the
-//     image. OpenPlanFile takes a plan path in any of its three shapes — a
-//     plan document, a fragment index, one shard document — and gives the
-//     worker its shard (View) and the merge or the stitcher the whole plan
-//     (Source).
-//   - Merge is the one merge. It replays a plan from a PlanSource — a plan
-//     document, a set of fragments, or a resolved plan's columns — holds
-//     every file to its shard's manifest, grades each shard so a failed run
-//     can be resumed instead of restarted, and folds a complete set into the
-//     canonical image digest, in one pass over O(dirs + chunk) beside the
-//     manifests. ManifestCheck holds one manifest to a plan in O(shards), for
-//     a scheduler that commits shards one at a time.
+//     processes, containers, CI jobs, or machines. A worker decodes only its
+//     own fragment (DecodeShardView), so its memory is bounded by its shard,
+//     not the image. OpenPlanFile takes a plan path in either of its shapes —
+//     a fragment index, one shard document — and gives the worker its shard
+//     (View) and the merge or the stitcher the whole plan (Source).
+//   - Merge is the one merge. It replays a plan from a PlanSource — a set of
+//     fragments, or a resolved plan's columns — holds every file to its
+//     shard's manifest, grades each shard so a failed run can be resumed
+//     instead of restarted, and folds a complete set into the canonical image
+//     digest, in one pass over O(dirs + chunk) beside the manifests.
+//     ManifestCheck holds one manifest to a plan in O(shards), for a
+//     scheduler that commits shards one at a time.
 //
-// Wire documents. A plan document and a shard document (a plan fragment is
-// a shard document) are one shape,
+// Wire documents. A shard document (a plan fragment) is
 //
-//	{<head>: {...}, <array>: [chunk, ...], "trailer": {"chunks": n, <chain>: hex}}
+//	{"view": {...}, "records": [chunk, ...], "trailer": {"chunks": n, "records_sha256": hex}}
 //
-// keyed "header"/"chunks"/"image_sha256" around the Plan itself, or
-// "view"/"records"/"records_sha256" around a shard index, the plan's
-// trailer-sealed fields and the Plan, with an array that carries every
-// directory but only that shard's files. The chunks are fsimage.Chunk,
-// each guarded by a hash and all of them by the chain hash; the trailer
-// comes last because the chain is known only after the last chunk, which is
-// what lets a fused pass stream a document it never holds. One writer
-// (docWriter) renders both, and whatever reads bytes this process did not
-// just write goes through four checks: readDocument walks the envelope,
-// verifies every chunk and the trailer and demands the input end there;
-// checkHeader holds the plan header to this build (format version, digest
-// algorithm, content kind, stream keys — ErrPlanVersion) and to itself
-// (counts, shard table, sums — ErrManifestIntegrity); recordCheck holds the
-// record stream to that header (canonical records, rebuilt partition, every
-// shard's expectations) under the retention policies of DecodePlanShard,
-// of DecodeShardView and FragmentSource, and of Merge, ManifestCheck and
+// around a shard index, the plan's trailer-sealed fields and the Plan, with
+// an array that carries every directory but only that shard's files. The
+// chunks are fsimage.Chunk, each guarded by a hash and all of them by the
+// chain hash; the trailer comes last because the chain is known only after
+// the last chunk, which is what lets a fused pass stream a document it never
+// holds. One writer (docWriter) renders it, and whatever reads bytes this
+// process did not just write goes through four checks: readDocument walks
+// the envelope, verifies every chunk and the trailer and demands the input
+// end there; checkHeader holds the plan header to this build (format
+// version, digest algorithm, content kind, stream keys — ErrPlanVersion) and
+// to itself (counts, shard table, sums — ErrManifestIntegrity); recordCheck
+// holds the record stream to that header (canonical records, rebuilt
+// partition, every shard's expectations) under the retention policies of
+// DecodeShardView and FragmentSource, and of Merge, ManifestCheck and
 // StitchPlanTar, whose digest fold and stitcher read the tree and the
-// partition the check rebuilt;
-// checkManifest and checkEntry hold a manifest to the plan. Asking for a
-// shard the plan does not have is ErrInvalidSpec; nothing else a damaged
-// artifact can cause is untyped, and no count a document states is
-// allocated before the records that bear it out have arrived.
+// partition the check rebuilt; checkManifest and checkEntry hold a manifest
+// to the plan. Asking for a shard the plan does not have is ErrInvalidSpec;
+// nothing else a damaged artifact can cause is untyped, and no count a
+// document states is allocated before the records that bear it out have
+// arrived.
 //
 // The headline invariant, enforced by tests and CI: for a fixed seed,
 // plan → K workers → merge produces an image byte-identical to a
 // single-process run, for any K — even across worker failures, retries and
-// resumed runs, and whether the plan was written whole or as fragments.
-// This holds because every RNG stream is a pure function of the
-// master seed and a stable key (see stats.StreamKey), never of process or
-// worker identity, and because a shard's output is only trusted once its
+// resumed runs. This holds because every RNG stream is a pure function of
+// the master seed and a stable key (see stats.StreamKey), never of process
+// or worker identity, and because a shard's output is only trusted once its
 // sealed manifest verifies against the plan fingerprint.
 package distribute
 
@@ -116,11 +112,11 @@ type ShardPlan struct {
 
 // Plan is the serializable unit of work distribution: the fully resolved
 // image metadata plus the shard partition. It is self-contained — a worker
-// needs nothing but the plan file and its shard index.
+// needs nothing but its fragment.
 //
-// On the wire it is the header of a plan document (see the package comment):
-// its writer and every reader process the chunks one at a time, so peak
-// memory for the serialized metadata is O(chunk) at any image size.
+// On the wire it is the plan header every fragment embeds (see the package
+// comment): its writer and every reader process the chunks one at a time,
+// so peak memory for the serialized metadata is O(chunk) at any image size.
 type Plan struct {
 	FormatVersion int    `json:"format_version"`
 	Seed          int64  `json:"seed"`

@@ -7,31 +7,26 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"impressions/internal/fsimage"
 )
 
-// writePlanFiles writes one plan in every shape OpenPlanFile takes: the
-// document, and an index over its fragments, which lie next to the index.
-func writePlanFiles(t *testing.T, k int) (doc, index string, ix *FragmentIndex) {
+// writePlanFiles writes a plan as OpenPlanFile takes it: an index over its
+// fragments, which lie next to the index.
+func writePlanFiles(t *testing.T, k int) (index string, ix *FragmentIndex) {
 	t.Helper()
 	dir := t.TempDir()
-	req := PlanRequest{Config: testConfig(), MaxShards: k, ChunkSize: 64}
-	plan, frags := fragmentBuffers(t, req)
+	plan, frags := fragmentBuffers(t, PlanRequest{Config: testConfig(), MaxShards: k, ChunkSize: 64})
 	ix = plan.FragmentIndex(func(s int) string { return FragmentName("plan.json", s) })
 	for s, frag := range frags {
 		if err := os.WriteFile(filepath.Join(dir, ix.Fragments[s]), frag, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	doc, index = filepath.Join(dir, "mono.json"), filepath.Join(dir, "plan.json")
+	index = filepath.Join(dir, "plan.json")
 	writeIndex(t, index, ix)
-	if err := os.WriteFile(doc, planRoundTrip(t, testConfig(), k).doc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return doc, index, ix
+	return index, ix
 }
 
 func writeIndex(t *testing.T, path string, ix *FragmentIndex) {
@@ -54,28 +49,15 @@ func openPlanFile(t *testing.T, path string) *PlanFile {
 	return pf
 }
 
-func encodeView(t *testing.T, v *ShardView) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := v.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestOpenPlanFileShapes: a plan document, its fragment index and each of
-// its fragments open at their paths and give a worker the same shard, and
-// the document and the index give the merge the same plan.
+// TestOpenPlanFileShapes: an index and each of its fragments open at their
+// paths and give a worker the same shard, and the index gives the merge the
+// plan: the digest of the single-process run.
 func TestOpenPlanFileShapes(t *testing.T) {
 	const k = 3
-	doc, index, ix := writePlanFiles(t, k)
-	d, x := openPlanFile(t, doc), openPlanFile(t, index)
+	index, ix := writePlanFiles(t, k)
+	x := openPlanFile(t, index)
 	manifests := make([]*Manifest, k)
 	for s := 0; s < k; s++ {
-		want, err := d.View(s)
-		if err != nil {
-			t.Fatalf("document View(%d): %v", s, err)
-		}
 		fromIndex, err := x.View(s)
 		if err != nil {
 			t.Fatalf("index View(%d): %v", s, err)
@@ -85,50 +67,51 @@ func TestOpenPlanFileShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fragment %d View(-1): %v", s, err)
 		}
-		for name, v := range map[string]*ShardView{"index": fromIndex, "fragment": fromFragment} {
-			if v.Shard != s || !bytes.Equal(encodeView(t, v), encodeView(t, want)) {
-				t.Errorf("shard %d from the %s is not the document's", s, name)
-			}
+		if fromIndex.Shard != s || fromFragment.Shard != s || !bytes.Equal(encodeView(t, fromIndex), encodeView(t, fromFragment)) {
+			t.Errorf("shard %d from the index is not its fragment's", s)
 		}
-		if manifests[s], err = executeView(want, TarTarget(&bytes.Buffer{}), WorkerOptions{}); err != nil {
+		if manifests[s], err = executeView(fromIndex, TarTarget(&bytes.Buffer{}), WorkerOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var results []*MergeResult
-	for _, pf := range []*PlanFile{d, x} {
-		res, err := Merge(pf.Source(context.Background()), manifests)
-		if err == nil {
-			err = res.Err()
-		}
-		if err != nil {
-			t.Fatalf("Merge: %v", err)
-		}
-		results = append(results, res)
+	res, err := Merge(x.Source(context.Background()), manifests)
+	if err == nil {
+		err = res.Err()
 	}
-	a, b := results[0], results[1]
-	b.Report.GeneratedAt = a.Report.GeneratedAt
-	if a.Digest == "" || a.Digest != b.Digest || a.Summary() != b.Summary() || !reflect.DeepEqual(a.Report, b.Report) {
-		t.Errorf("the index merged to %s (%s), the document to %s (%s)", b.Digest, b.Summary(), a.Digest, a.Summary())
+	if err != nil {
+		t.Fatalf("Merge: %v", err)
+	}
+	if _, digest, _ := singleProcessReference(t, testConfig()); res.Digest != digest {
+		t.Errorf("the index merged to %s, the single-process run digests %s", res.Digest, digest)
 	}
 }
 
 // TestOpenPlanFileRefusals: what a path cannot give is refused with the
 // sentinel of whose fault it is. Asking a whole plan for no shard or one it
 // does not have, a shard document for another shard, or a shard document
-// for the whole plan is the caller's (ErrInvalidSpec). A file of none of the
-// three shapes, and an index that names another plan than its fragments
-// carry or files a fragment under another shard, are damaged artifacts
+// for the whole plan is the caller's (ErrInvalidSpec). A plan document, the
+// single-document shape of earlier builds, is ErrPlanVersion. A file of no
+// plan shape, and an index that names another plan than its fragments carry
+// or files a fragment under another shard, are damaged artifacts
 // (ErrManifestIntegrity), at the worker and at the merge alike.
 func TestOpenPlanFileRefusals(t *testing.T) {
-	doc, index, ix := writePlanFiles(t, 2)
+	index, ix := writePlanFiles(t, 2)
 	dir := filepath.Dir(index)
 	fragment := filepath.Join(dir, ix.Fragments[0])
-	junk := filepath.Join(dir, "junk.json")
-	if err := os.WriteFile(junk, []byte(`{"chunks": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenPlanFile(junk); !errors.Is(err, fsimage.ErrManifestIntegrity) {
-		t.Errorf("OpenPlanFile of a file of no plan shape: %v, want %v", err, fsimage.ErrManifestIntegrity)
+	for name, c := range map[string]struct {
+		doc  string
+		want error
+	}{
+		"junk.json":     {`{"chunks": []}`, fsimage.ErrManifestIntegrity},
+		"document.json": {`{"header":{"format_version":3},"chunks":[],"trailer":{"chunks":0}}`, fsimage.ErrPlanVersion},
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(c.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenPlanFile(path); !errors.Is(err, c.want) {
+			t.Errorf("OpenPlanFile of %s: %v, want %v", name, err, c.want)
+		}
 	}
 
 	// Indexes that disagree with their fragments, written next to them.
@@ -150,8 +133,6 @@ func TestOpenPlanFileRefusals(t *testing.T) {
 		shard int
 		want  error
 	}{
-		{"document, no shard", doc, -1, fsimage.ErrInvalidSpec},
-		{"document, shard out of range", doc, 2, fsimage.ErrInvalidSpec},
 		{"index, no shard", index, -1, fsimage.ErrInvalidSpec},
 		{"index, shard out of range", index, 2, fsimage.ErrInvalidSpec},
 		{"fragment, another shard", fragment, 1, fsimage.ErrInvalidSpec},

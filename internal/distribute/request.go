@@ -3,7 +3,6 @@ package distribute
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"impressions/internal/core"
 	"impressions/internal/fsimage"
@@ -12,11 +11,10 @@ import (
 
 // PlanRequest is the single entry point for building plans: one request
 // struct instead of a growing family of positional-argument functions. The
-// zero values of everything but Config are valid. Which builder takes it
-// decides the product: Stream writes the monolithic document (Resolve, for a
-// caller that replays the records again), PartitionPlan writes MaxShards
-// fragments — one self-contained shard document each, under the same plan
-// header, so fragments and monolithic documents interoperate freely.
+// zero values of everything but Config are valid. PartitionPlan builds the
+// plan it describes as MaxShards fragments, one self-contained shard
+// document each under the same plan header; Resolve stops before the
+// fragments, for a caller that also replays the records (ResolvedPlan).
 type PlanRequest struct {
 	// Config is the image configuration the plan describes. With
 	// Config.SpillDir set the metadata pass runs through file-backed columns
@@ -34,17 +32,18 @@ type PlanRequest struct {
 }
 
 // ResolvedPlan is a plan with the metadata pass it describes still open: the
-// header, and the columns its records replay from. Stream writes one and
-// closes it; distrun writes the plan file from one and hands the scheduler
-// its Source.
+// header, and the columns its records replay from. PartitionPlan writes its
+// fragments and closes it; distrun writes the fragments from one and hands
+// the scheduler its Source.
 type ResolvedPlan struct {
-	// Plan is the plan header; Write seals its Chunks and ImageSHA256.
+	// Plan is the plan header; WriteFragments seals its Chunks and
+	// ImageSHA256.
 	Plan *Plan
 	// Meta is the resolved metadata pass.
 	Meta *core.Metadata
 	part *namespace.Partition
 	// parallelism is the request's Config.Parallelism. Each build of the
-	// plan's documents seals their chunks with a sealer of its own at it,
+	// plan's fragments seals their chunks with a sealer of its own at it,
 	// and closes it, so neither its goroutines nor its buffers outlive the
 	// build.
 	parallelism int
@@ -111,19 +110,9 @@ func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
 	}, Meta: m, part: part, parallelism: cfg.Parallelism}, nil
 }
 
-// Write writes the plan document to w in one replay of the columns —
-// header, metadata chunks streamed one at a time, sealing trailer — and
-// seals the plan with the trailer's chunk count and chain hash. Peak
-// buffering is the chunk being cut plus the sealer's chunks in flight.
-func (rp *ResolvedPlan) Write(w io.Writer) (err error) {
-	sealer := fsimage.NewChunkSealer(rp.parallelism)
-	defer sealer.Close()
-	rp.Plan.Chunks, rp.Plan.ImageSHA256, err = writeDocument(w, planDoc, rp.Plan, sealer, rp.Plan.ChunkSize, rp.Meta.StreamRecords)
-	return err
-}
-
-// Source replays the sealed plan from the columns: the records its document
-// carries, without a document in between, as often as it is asked to.
+// Source replays the sealed plan from the columns: the records its
+// fragments carry, without a document in between, as often as it is asked
+// to.
 func (rp *ResolvedPlan) Source() PlanSource {
 	return func(open func(*Plan) (fsimage.RecordSink, error)) error {
 		sink, err := open(rp.Plan)
@@ -136,25 +125,3 @@ func (rp *ResolvedPlan) Source() PlanSource {
 
 // Close releases the metadata columns.
 func (rp *ResolvedPlan) Close() error { return rp.Meta.Close() }
-
-// Stream is the generator-fused planner: it resolves the metadata pass,
-// partitions the namespace, and writes the complete plan document to w in
-// one streaming pass — spec → metadata columns → chunk encoder — holding
-// O(chunk) live file records and never an image. The returned plan is
-// sealed (fingerprintable); a consumer that needs execution state decodes
-// the document (LoadPlanShard) or replays it (DocumentSource).
-//
-// The metadata pass honors ctx, so a server can abandon a plan build whose
-// requester is gone. On cancellation the partially written document is
-// abandoned mid-stream — callers staging into a store must not commit it.
-func (r PlanRequest) Stream(ctx context.Context, w io.Writer) (*Plan, error) {
-	rp, err := r.Resolve(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer rp.Close()
-	if err := rp.Write(w); err != nil {
-		return nil, err
-	}
-	return rp.Plan, nil
-}

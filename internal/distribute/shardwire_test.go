@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,72 +14,10 @@ import (
 	"impressions/internal/fsimage"
 )
 
-// TestShardWireRoundTrip: a shard view encoded to its wire document and
-// decoded back must be execution-equivalent to the original — same plan
-// fingerprint (so manifests bind identically), same shard membership, same
-// records.
-func TestShardWireRoundTrip(t *testing.T) {
-	p := planRoundTrip(t, testConfig(), 3)
-	for s := range p.Plan.Shards {
-		v := p.view(t, s)
-		var buf bytes.Buffer
-		if err := v.Encode(&buf); err != nil {
-			t.Fatalf("shard %d Encode: %v", s, err)
-		}
-		got, err := DecodeShardView(&buf)
-		if err != nil {
-			t.Fatalf("shard %d DecodeShardView: %v", s, err)
-		}
-		if got.Plan.Fingerprint() != p.Plan.Fingerprint() {
-			t.Fatalf("shard %d: decoded plan fingerprint diverged", s)
-		}
-		if got.Shard != s || len(got.Files) != len(v.Files) || len(got.Dirs) != len(v.Dirs) {
-			t.Fatalf("shard %d: decoded view shape (%d dirs, %d files) != original (%d, %d)",
-				s, len(got.Dirs), len(got.Files), len(v.Dirs), len(v.Files))
-		}
-		for i := range v.Files {
-			if got.Files[i] != v.Files[i] {
-				t.Fatalf("shard %d: file record %d diverged: %+v != %+v", s, i, got.Files[i], v.Files[i])
-			}
-		}
-	}
-}
-
-// TestShardWireExecutesIdentically: a worker executing a wire-decoded view
-// must produce the same sealed manifest as one executing the view pruned
-// straight from the plan file.
-func TestShardWireExecutesIdentically(t *testing.T) {
-	v := planRoundTrip(t, testConfig(), 2).view(t, 1)
-	var buf bytes.Buffer
-	if err := v.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	wire, err := DecodeShardView(&buf)
-	if err != nil {
-		t.Fatalf("DecodeShardView: %v", err)
-	}
-	mRef, err := executeView(v, DirTarget(t.TempDir()), WorkerOptions{})
-	if err != nil {
-		t.Fatalf("Execute(local): %v", err)
-	}
-	mWire, err := executeView(wire, DirTarget(t.TempDir()), WorkerOptions{})
-	if err != nil {
-		t.Fatalf("Execute(wire): %v", err)
-	}
-	if mRef.ManifestSHA256 != mWire.ManifestSHA256 {
-		t.Fatalf("manifest diverged: local %s, wire %s", mRef.ManifestSHA256, mWire.ManifestSHA256)
-	}
-}
-
 // TestShardWireRejectsTampering: flipping bytes inside a record chunk must
 // be caught by the chunk integrity hash and surface ErrManifestIntegrity.
 func TestShardWireRejectsTampering(t *testing.T) {
-	v := planRoundTrip(t, testConfig(), 2).view(t, 0)
-	var buf bytes.Buffer
-	if err := v.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	doc := buf.String()
+	doc := string(planRoundTrip(t, testConfig(), 2).frags[0])
 	tampered := strings.Replace(doc, `"Size":`, `"Size":1`, 1)
 	if tampered == doc {
 		t.Fatal("test setup: no size field found to tamper with")
@@ -107,12 +46,8 @@ func TestShardDocumentStaysUnderOut(t *testing.T) {
 	if !renamed {
 		t.Fatal("no depth-1 directory of the shard holds a file")
 	}
-	var doc bytes.Buffer
-	if err := v.Encode(&doc); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
 	base := t.TempDir()
-	view, err := DecodeShardView(&doc)
+	view, err := DecodeShardView(bytes.NewReader(encodeView(t, v)))
 	if err == nil {
 		_, err = Execute(context.Background(), view, DirTarget(filepath.Join(base, "out")), WorkerOptions{})
 	}
@@ -173,7 +108,7 @@ func TestSpecFingerprintNormalizes(t *testing.T) {
 }
 
 // TestSpecFingerprintMatchesPlan: equal fingerprints must imply
-// byte-identical plan documents (the property that makes the fingerprint a
+// byte-identical fragments (the property that makes the fingerprint a
 // cache key).
 func TestSpecFingerprintMatchesPlan(t *testing.T) {
 	cfg := testConfig()
@@ -190,14 +125,9 @@ func TestSpecFingerprintMatchesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ConfigFromSpec: %v", err)
 	}
-	var a, b bytes.Buffer
-	if _, err := (PlanRequest{Config: cfgBack, MaxShards: 2, ChunkSize: 64}).Stream(context.Background(), &a); err != nil {
-		t.Fatalf("Stream(a): %v", err)
-	}
-	if _, err := (PlanRequest{Config: cfgBack, MaxShards: 2, ChunkSize: 64}).Stream(context.Background(), &b); err != nil {
-		t.Fatalf("Stream(b): %v", err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	_, a := fragmentBuffers(t, PlanRequest{Config: cfgBack, MaxShards: 2, ChunkSize: 64})
+	_, b := fragmentBuffers(t, PlanRequest{Config: cfgBack, MaxShards: 2, ChunkSize: 64})
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("plan build is not deterministic for a normalized spec")
 	}
 }

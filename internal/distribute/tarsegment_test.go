@@ -2,6 +2,7 @@ package distribute
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -63,9 +64,8 @@ func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 // TestWritePlanTarMetadataOnly: the metadata-only archive keeps entry sizes
 // but reports no digest.
 func TestWritePlanTarMetadataOnly(t *testing.T) {
-	doc := planRoundTrip(t, testConfig(), 2).doc
 	var out bytes.Buffer
-	p, digest, err := WritePlanTar(DocumentSource(bytes.NewReader(doc)), &out, imgfmt.Options{MetadataOnly: true}, nil)
+	p, digest, err := WritePlanTar(planRoundTrip(t, testConfig(), 2).source(), &out, imgfmt.Options{MetadataOnly: true}, nil)
 	if err != nil {
 		t.Fatalf("WritePlanTar: %v", err)
 	}
@@ -110,17 +110,18 @@ func TestTarWorkerIdenticalAtAnyParallelism(t *testing.T) {
 	}
 }
 
-// TestWritePlanTarReleasesWorkersOnBadPlan: a plan document that breaks off
-// mid-stream fails WritePlanTar from outside the sink, which therefore
-// never hears of it; the sink's content workers must still not outlive the
-// call (the daemon serves image.tar for as long as it lives).
+// TestWritePlanTarReleasesWorkersOnBadPlan: a plan whose last fragment
+// breaks off mid-stream fails WritePlanTar from outside the sink, which
+// therefore never hears of it; the sink's content workers must still not
+// outlive the call (the daemon serves image.tar for as long as it lives).
 func TestWritePlanTarReleasesWorkersOnBadPlan(t *testing.T) {
-	doc := planRoundTrip(t, testConfig(), 2).doc
+	frags := planRoundTrip(t, testConfig(), 2).frags
+	frags[1] = frags[1][:len(frags[1])*9/10]
 	baseline := runtime.NumGoroutine()
 	digests := 0
 	opts := imgfmt.Options{Parallelism: 1, OnDigest: func(fsimage.File, string) { digests++ }}
-	if _, _, err := WritePlanTar(DocumentSource(bytes.NewReader(doc[:len(doc)*9/10])), io.Discard, opts, nil); err == nil {
-		t.Fatal("WritePlanTar accepted a truncated plan document")
+	if _, _, err := WritePlanTar(fragmentSource(context.Background(), frags), io.Discard, opts, nil); err == nil {
+		t.Fatal("WritePlanTar accepted a truncated plan")
 	}
 	if digests == 0 {
 		t.Fatal("the plan broke off before any file was written: the test would show nothing")

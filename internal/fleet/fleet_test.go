@@ -46,33 +46,42 @@ func testConfig() core.Config {
 	return core.Config{NumFiles: 240, NumDirs: 40, FSSizeBytes: 240 * 1024, Seed: 99, Parallelism: 1}
 }
 
-// testPlan is a small sharded plan document and its sealed header.
+// testPlan is a small sharded plan: its fragments and its sealed header.
 type testPlan struct {
-	Plan *distribute.Plan
-	doc  []byte
+	Plan  *distribute.Plan
+	frags [][]byte
 }
 
-// openTestPlan streams a small sharded plan into memory.
+type nopWriteCloser struct{ io.Writer }
+
+func (nopWriteCloser) Close() error { return nil }
+
+// openTestPlan builds a small sharded plan into memory.
 func openTestPlan(t *testing.T, shards int) *testPlan {
 	t.Helper()
-	var doc bytes.Buffer
-	plan, err := distribute.PlanRequest{Config: testConfig(), MaxShards: shards, ChunkSize: 64}.Stream(context.Background(), &doc)
+	bufs := make([]bytes.Buffer, shards)
+	plan, err := distribute.PartitionPlan(context.Background(), distribute.PlanRequest{Config: testConfig(), MaxShards: shards, ChunkSize: 64},
+		func(s int) (io.WriteCloser, error) { return nopWriteCloser{&bufs[s]}, nil })
 	if err != nil {
-		t.Fatalf("Stream: %v", err)
+		t.Fatalf("PartitionPlan: %v", err)
 	}
-	return &testPlan{Plan: plan, doc: doc.Bytes()}
+	p := &testPlan{Plan: plan}
+	for s := range plan.Shards {
+		p.frags = append(p.frags, bufs[s].Bytes())
+	}
+	return p
 }
 
-// source replays the plan document, as often as it is asked to.
+// source replays the plan's fragments, as often as it is asked to.
 func (p *testPlan) source() distribute.PlanSource {
-	return func(open func(*distribute.Plan) (fsimage.RecordSink, error)) error {
-		return distribute.DocumentSource(bytes.NewReader(p.doc))(open)
-	}
+	return distribute.FragmentSource(context.Background(), len(p.frags), func(s int) (io.ReadCloser, error) {
+		return io.NopCloser(bytes.NewReader(p.frags[s])), nil
+	})
 }
 
-// view decodes one shard's view out of the plan document.
+// view decodes one shard's fragment.
 func (p *testPlan) view(shard int) (*distribute.ShardView, error) {
-	return distribute.DecodePlanShard(bytes.NewReader(p.doc), shard)
+	return distribute.DecodeShardView(bytes.NewReader(p.frags[shard]))
 }
 
 // referenceDigest computes the single-process canonical digest for the test
@@ -95,7 +104,7 @@ func manifestFor(t *testing.T, p *testPlan, shard int) *distribute.Manifest {
 	t.Helper()
 	view, err := p.view(shard)
 	if err != nil {
-		t.Fatalf("DecodePlanShard(%d): %v", shard, err)
+		t.Fatalf("DecodeShardView(%d): %v", shard, err)
 	}
 	res, err := distribute.Execute(context.Background(), view, distribute.TarTarget(io.Discard), distribute.WorkerOptions{})
 	if err != nil {

@@ -535,9 +535,8 @@ func (c *ChunkHashChain) Sum() string {
 // ChunkDecoder verifies a chunked metadata stream — chunk order, per-chunk
 // integrity hashes, the dirs-before-files invariant — and replays the
 // verified records into any RecordSink, maintaining the running hash chain.
-// It is the guard every chunk consumer shares: the plan decoders, the merge's
-// replay of a plan document, and any streaming pipeline reading chunks off
-// the wire.
+// It is the guard every chunk consumer shares: the fragment decoder, and any
+// streaming pipeline reading chunks off the wire.
 type ChunkDecoder struct {
 	sink      RecordSink
 	nextChunk int

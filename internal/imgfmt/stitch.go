@@ -13,7 +13,7 @@ import (
 
 // Stitcher merges per-shard tar segments (written by WriteSegment) back
 // into the monolithic archive TarSink would have produced — byte for byte.
-// Its caller walks the canonical record stream (from the plan document) over
+// Its caller walks the canonical record stream (the plan's fragments) over
 // a tree and a partition it has validated, and hands the stitcher each entry
 // with the shard that owns it: the stitcher writes the entry header through
 // the shared builder and copies the entry body from that shard's segment.

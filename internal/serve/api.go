@@ -5,9 +5,11 @@ import (
 )
 
 // The wire types shared by the server and its client. Every request body is
-// JSON; plan and shard responses stream the distribute package's own wire
-// documents (a plan document, a shard-view document), so anything that can
-// read a plan file can read the service's responses.
+// JSON; plan and shard responses are the distribute package's own files, as
+// stored: POST /v1/plans answers with the plan's fragment index, and GET
+// /v1/plans/{fp}/shards/{i} with fragment i, a shard document. The index
+// names fragment i <fp>.frag<i>, so the POST body saved as <fp> with each
+// shard saved next to it under that name is a plan `merge -plan` opens.
 
 // Response headers.
 const (
@@ -15,9 +17,8 @@ const (
 	// responses.
 	HeaderFingerprint = "X-Impressions-Plan-Fingerprint"
 	// HeaderCache reports how a plan response was satisfied: "hit" (served
-	// from the store), "miss" (this request built it), "coalesced" (another
-	// in-flight request built it), or "bypass" (built but evicted before it
-	// could be re-read; streamed directly).
+	// from the store), "miss" (this request built it), or "coalesced"
+	// (another in-flight request built it).
 	HeaderCache = "X-Impressions-Cache"
 	// HeaderImageDigest carries the canonical image digest as an HTTP
 	// trailer on GET /v1/runs/{id}/image.tar responses — the archive
@@ -54,7 +55,6 @@ type Stats struct {
 	PlansBuilt      int64   `json:"plans_built"`
 	PlanCacheHits   int64   `json:"plan_cache_hits"`
 	PlanCacheMisses int64   `json:"plan_cache_misses"`
-	PlanCacheBypass int64   `json:"plan_cache_bypass"`
 	CoalescedBuilds int64   `json:"coalesced_builds"`
 	ShardsServed    int64   `json:"shards_served"`
 	InlineGenerates int64   `json:"inline_generates"`

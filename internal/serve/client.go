@@ -17,9 +17,10 @@ import (
 	"impressions/internal/fsimage"
 )
 
-// Client is a thin typed client for the generation service. Plan and shard
-// responses are exposed as streams so callers decode them exactly like
-// local plan files (distribute.DocumentSource / distribute.DecodeShardView).
+// Client is a thin typed client for the generation service. A plan
+// response is the plan's fragment index, exposed as a stream to save or
+// decode (distribute.DecodeFragmentIndex); a shard is decoded as a local
+// fragment is (distribute.DecodeShardView).
 //
 // Idempotent calls (PostPlan, PullShard, Generate, Stats, run status)
 // transparently retry transient failures — connection refused/reset and
@@ -122,13 +123,13 @@ func retryableStatus(status int) bool {
 	return false
 }
 
-// PlanResponse is one streamed plan document plus its cache verdict.
+// PlanResponse is one streamed fragment index plus its cache verdict.
 type PlanResponse struct {
 	// Fingerprint is the plan's content address (cache key).
 	Fingerprint string
-	// Cache is the HeaderCache verdict: hit, miss, coalesced, or bypass.
+	// Cache is the HeaderCache verdict: hit, miss, or coalesced.
 	Cache string
-	// Body streams the plan document; the caller must Close it.
+	// Body streams the fragment index; the caller must Close it.
 	Body io.ReadCloser
 }
 
@@ -234,7 +235,8 @@ func (c *Client) doIdempotent(ctx context.Context, method, path string, body any
 }
 
 // PostPlan requests the plan for a spec, building it server-side on a cache
-// miss. The returned body streams the plan document.
+// miss. The returned body streams its fragment index, which names fragment
+// i <Fingerprint>.frag<i> (PullShard fetches it).
 func (c *Client) PostPlan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
 	resp, err := c.doIdempotent(ctx, http.MethodPost, "/v1/plans", req)
 	if err != nil {
@@ -247,8 +249,8 @@ func (c *Client) PostPlan(ctx context.Context, req PlanRequest) (*PlanResponse, 
 	}, nil
 }
 
-// PullShard fetches one shard's self-contained document and decodes it into
-// an executable view.
+// PullShard fetches one shard's fragment and decodes it into an executable
+// view, verified as a local fragment is.
 func (c *Client) PullShard(ctx context.Context, fingerprint string, shard int) (*distribute.ShardView, error) {
 	resp, err := c.doIdempotent(ctx, http.MethodGet, fmt.Sprintf("/v1/plans/%s/shards/%d", fingerprint, shard), nil)
 	if err != nil {

@@ -49,8 +49,8 @@ func (s *Server) newFleet(opts fleet.Options) *fleet.Scheduler {
 	return fleet.New(opts)
 }
 
-// inlineShard is the zero-worker fallback executor: slice the shard out of
-// the stored plan and run it daemon-side onto a target that discards the
+// inlineShard is the zero-worker fallback executor: decode the shard's
+// stored fragment and run it daemon-side onto a target that discards the
 // bytes and keeps the manifest — no disk, no worker.
 // It runs under the same worker-pool semaphore as every heavy request.
 func (s *Server) inlineShard(ctx context.Context, fingerprint string, shard int) (m *distribute.Manifest, err error) {
@@ -59,8 +59,13 @@ func (s *Server) inlineShard(ctx context.Context, fingerprint string, shard int)
 		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
 		defer cancel()
 	}
-	err = s.withStored(ctx, fingerprint, func(doc io.Reader, _ int64) error {
-		view, err := distribute.DecodePlanShard(doc, shard)
+	err = s.withStored(ctx, fingerprint, func(entry PlanEntry) error {
+		rc, _, err := entry.Open(shard)
+		if err != nil {
+			return err
+		}
+		view, err := distribute.DecodeShardView(rc)
+		rc.Close()
 		if err != nil {
 			return err
 		}
@@ -75,7 +80,7 @@ func (s *Server) inlineShard(ctx context.Context, fingerprint string, shard int)
 
 // handlePostRun creates a distributed run: make sure the plan is in the
 // store (buildOrFetch: built exactly once however many requests race) and
-// hand the scheduler a replay of the stored document. The response is the
+// hand the scheduler a replay of the stored fragments. The response is the
 // run's initial status; poll GET /v1/runs/{id} until it carries the
 // canonical digest.
 func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
@@ -99,15 +104,9 @@ func (s *Server) createRun(ctx context.Context, req PlanRequest) (st fleet.RunSt
 	if fp, err = s.planFingerprint(&req); err != nil {
 		return st, fp, err
 	}
-	rc, _, _, err := s.buildOrFetch(ctx, fp, planBuilder(req))
-	if err != nil {
+	if _, _, err := s.buildOrFetch(ctx, fp, planBuilder(req, fp)); err != nil {
 		return st, fp, err
 	}
-	if rc == nil {
-		// An entry already gone again is a 404, as for a shard.
-		return st, fp, fmt.Errorf("%w (fingerprint %s)", ErrPlanNotFound, fp)
-	}
-	rc.Close()
 	id, err := s.fleet.CreateRun(fp, s.runSource(fp, req))
 	if err != nil {
 		return st, fp, err
@@ -118,7 +117,7 @@ func (s *Server) createRun(ctx context.Context, req PlanRequest) (st fleet.RunSt
 
 // runSource replays the stored plan fp for a run: once as the run is
 // created, and again when its last shard commits. Each replay reads the
-// document under a worker slot, as every O(image) read of the store does, on
+// fragments under a worker slot, as every O(image) read of the store does, on
 // a context of its own — the request that created the run is gone by the
 // merge. An entry evicted in the meantime is rebuilt through buildOrFetch.
 func (s *Server) runSource(fp string, req PlanRequest) distribute.PlanSource {
@@ -129,24 +128,20 @@ func (s *Server) runSource(fp string, req PlanRequest) distribute.PlanSource {
 			ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
 			defer cancel()
 		}
-		replay := func(doc io.Reader, _ int64) error { return distribute.DocumentSource(doc)(open) }
+		replay := func(entry PlanEntry) error { return entrySource(ctx, entry)(open) }
 		err := s.withStored(ctx, fp, replay)
 		if !errors.Is(err, ErrPlanNotFound) {
 			return err
 		}
-		rc, _, _, err := s.buildOrFetch(ctx, fp, planBuilder(req))
+		entry, _, err := s.buildOrFetch(ctx, fp, planBuilder(req, fp))
 		if err != nil {
 			return err
 		}
-		if rc == nil {
-			return fmt.Errorf("%w (fingerprint %s, rebuilt and gone again)", ErrPlanNotFound, fp)
-		}
-		defer rc.Close()
 		if err := s.acquire(ctx); err != nil {
 			return err
 		}
 		defer s.release()
-		return replay(rc, 0)
+		return replay(entry)
 	}
 }
 

@@ -460,7 +460,7 @@ func TestFleetInlineFallback(t *testing.T) {
 }
 
 // TestFleetRunMergesAfterEviction: a run holds no decoded plan, only a
-// replay of the stored document; an entry evicted between the run's
+// replay of the stored fragments; an entry evicted between the run's
 // creation and its merge is rebuilt through buildOrFetch, once, and the run
 // still ends in the canonical digest.
 func TestFleetRunMergesAfterEviction(t *testing.T) {
@@ -491,7 +491,7 @@ func TestFleetRunMergesAfterEviction(t *testing.T) {
 		t.Fatalf("PostPlan: %v", err)
 	}
 	resp.Body.Close()
-	if _, _, err := srv.opts.Store.Open(run.Fingerprint); !errors.Is(err, ErrPlanNotFound) {
+	if _, err := srv.opts.Store.Open(run.Fingerprint); !errors.Is(err, ErrPlanNotFound) {
 		t.Fatalf("the run's plan is still stored (%v): the test evicts nothing", err)
 	}
 

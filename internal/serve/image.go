@@ -10,7 +10,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"impressions/internal/distribute"
@@ -39,7 +38,7 @@ func (s *Server) handleGetRunImage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: run %s is %s", ErrRunNotComplete, st.ID, st.State))
 		return
 	}
-	err = s.withStored(ctx, st.Fingerprint, func(plan io.Reader, _ int64) error {
+	err = s.withStored(ctx, st.Fingerprint, func(entry PlanEntry) error {
 		w.Header().Set("Content-Type", "application/x-tar")
 		w.Header().Set(HeaderFingerprint, st.Fingerprint)
 		// Announce the trailer before the first body byte; its value is set
@@ -52,7 +51,7 @@ func (s *Server) handleGetRunImage(w http.ResponseWriter, r *http.Request) {
 		// Once headers are out, aborting mid-archive is the only honest
 		// signal of a failure left (the client's tar reader fails on the
 		// truncation).
-		if _, digest, err := distribute.WritePlanTar(distribute.DocumentSource(plan), w, imgfmt.Options{Context: ctx}, s.registry); err == nil {
+		if _, digest, err := distribute.WritePlanTar(entrySource(ctx, entry), w, imgfmt.Options{Context: ctx}, s.registry); err == nil {
 			w.Header().Set(HeaderImageDigest, digest)
 			s.imagesServed.Add(1)
 		}

@@ -26,8 +26,8 @@ import (
 type Options struct {
 	// Store is the content-addressed plan cache (default: NewMemStore(0)).
 	Store PlanStore
-	// Workers bounds the concurrent heavy requests — plan builds, shard
-	// extractions, inline generations — across all connections (default:
+	// Workers bounds the concurrent heavy requests — plan builds, replays of
+	// stored plans, inline generations — across all connections (default:
 	// GOMAXPROCS). Requests beyond the bound queue on their own context, so
 	// a cancelled waiter never consumes a slot.
 	Workers int
@@ -70,10 +70,10 @@ func (o Options) withDefaults() Options {
 
 // Server is the generation service: an http.Handler exposing plan building
 // (content-addressed, single-flight deduplicated, served from the plan
-// store), per-shard plan slicing, and inline generation. All responses
-// stream in O(chunk) memory; determinism is inherited wholesale from the
-// distribute package — a plan served twice, or built by racing requests, is
-// byte-identical.
+// store as a fragment index and its fragments), and inline generation. All
+// responses stream in O(chunk) memory; determinism is inherited wholesale
+// from the distribute package — a plan served twice, or built by racing
+// requests, is byte-identical.
 type Server struct {
 	opts    Options
 	mux     *http.ServeMux
@@ -98,7 +98,6 @@ type Server struct {
 	plansBuilt      atomic.Int64
 	cacheHits       atomic.Int64
 	cacheMisses     atomic.Int64
-	cacheBypass     atomic.Int64
 	coalescedBuilds atomic.Int64
 	shardsServed    atomic.Int64
 	inlineGenerates atomic.Int64
@@ -159,7 +158,6 @@ func (s *Server) Stats() Stats {
 		PlansBuilt:      s.plansBuilt.Load(),
 		PlanCacheHits:   s.cacheHits.Load(),
 		PlanCacheMisses: s.cacheMisses.Load(),
-		PlanCacheBypass: s.cacheBypass.Load(),
 		CoalescedBuilds: s.coalescedBuilds.Load(),
 		ShardsServed:    s.shardsServed.Load(),
 		InlineGenerates: s.inlineGenerates.Load(),
@@ -270,8 +268,9 @@ func (s *Server) planFingerprint(req *PlanRequest) (string, error) {
 }
 
 // handlePostPlans is the build-or-fetch plan endpoint: the spec is
-// fingerprinted (normalized content address) and the plan document is served
-// through the cache discipline of buildOrFetch.
+// fingerprinted (normalized content address), the plan is built or found
+// through the cache discipline of buildOrFetch, and the answer is its
+// fragment index, whose fragments GET /v1/plans/{fp}/shards/{i} serves.
 func (s *Server) handlePostPlans(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
@@ -285,50 +284,46 @@ func (s *Server) handlePostPlans(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	build := planBuilder(req)
-	rc, size, verdict, err := s.buildOrFetch(ctx, fp, build)
+	entry, verdict, err := s.buildOrFetch(ctx, fp, planBuilder(req, fp))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderFingerprint, fp)
 	w.Header().Set(HeaderCache, verdict)
-	if rc != nil {
-		defer rc.Close()
-		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-		io.Copy(w, rc)
-		return
-	}
-	// Bypass: serve the request anyway, a fresh build streamed straight into
-	// the response. Headers are out; all a failure can do is abort the stream
-	// mid-document so the client's decoder rejects it.
-	s.cacheBypass.Add(1)
-	if err := s.acquire(ctx); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.release()
-	build(ctx, w)
+	servePart(w, fp, entry, IndexPart)
 }
 
-// buildFunc writes the document the cache holds under one key into dst.
-type buildFunc func(ctx context.Context, dst io.Writer) error
+// servePart answers with one part of a stored plan, as stored.
+func servePart(w http.ResponseWriter, fp string, entry PlanEntry, part int) bool {
+	rc, size, err := entry.Open(part)
+	if err != nil {
+		writeError(w, err)
+		return false
+	}
+	defer rc.Close()
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(HeaderFingerprint, fp)
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	_, err = io.Copy(w, rc)
+	return err == nil
+}
 
-// buildOrFetch is the cache discipline, written once for every document the
-// store holds. The store is consulted, and on a miss exactly one of the
-// racing requests for key runs build — under a worker slot, streaming into a
-// staged store entry that is committed whole or not at all, never into
-// memory — while the rest wait for it. It returns the committed entry open
-// for reading and how this request came by it: "hit", "miss" (this request
-// built it) or "coalesced" (another in-flight request did). When the entry
-// is gone again by the time it is re-opened (a byte budget much smaller than
-// the document) the verdict is "bypass" and there is no reader: the caller
-// serves from a build of its own.
-func (s *Server) buildOrFetch(ctx context.Context, key string, build buildFunc) (rc io.ReadCloser, size int64, verdict string, err error) {
-	if rc, size, err = s.opts.Store.Open(key); err == nil {
+// buildFunc stages the plan the cache holds under one key into pw.
+type buildFunc func(ctx context.Context, pw PlanWriter) error
+
+// buildOrFetch is the cache discipline, written once for every entry point
+// that needs a stored plan. The store is consulted, and on a miss exactly
+// one of the racing requests for key runs build — under a worker slot,
+// streaming into a staged store entry that is committed whole or not at all,
+// never into memory — while the rest wait for it. It returns the committed
+// entry and how this request came by it: "hit", "miss" (this request built
+// it) or "coalesced" (another in-flight request did). An entry gone again by
+// the time it is re-opened (a byte budget much smaller than the plan) is
+// ErrPlanNotFound.
+func (s *Server) buildOrFetch(ctx context.Context, key string, build buildFunc) (entry PlanEntry, verdict string, err error) {
+	if entry, err = s.opts.Store.Open(key); err == nil {
 		s.cacheHits.Add(1)
-		return rc, size, "hit", nil
+		return entry, "hit", nil
 	}
 	s.cacheMisses.Add(1)
 	fill := func() error {
@@ -338,8 +333,7 @@ func (s *Server) buildOrFetch(ctx context.Context, key string, build buildFunc) 
 		defer s.release()
 		// A build that finished between the probe above and this request
 		// becoming leader already paid for the entry.
-		if rc, _, err := s.opts.Store.Open(key); err == nil {
-			rc.Close()
+		if _, err := s.opts.Store.Open(key); err == nil {
 			return nil
 		}
 		pw, err := s.opts.Store.Create(key)
@@ -373,28 +367,45 @@ func (s *Server) buildOrFetch(ctx context.Context, key string, build buildFunc) 
 		if !leader && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) && ctx.Err() == nil {
 			continue
 		}
-		return nil, 0, "", err
+		return nil, "", err
 	}
-	if rc, size, err = s.opts.Store.Open(key); err != nil {
-		return nil, 0, "bypass", nil
+	if entry, err = s.opts.Store.Open(key); err != nil {
+		return nil, "", fmt.Errorf("%w (fingerprint %s, built and gone again)", ErrPlanNotFound, key)
 	}
-	return rc, size, verdict, nil
+	return entry, verdict, nil
 }
 
-// withStored runs fn on the stored document under key, holding a worker slot
-// (what fn does with a plan is O(image) or O(shard)) and the open entry for
-// as long as fn runs.
-func (s *Server) withStored(ctx context.Context, key string, fn func(doc io.Reader, size int64) error) error {
+// withStored runs fn on the stored plan under key, holding a worker slot
+// (what fn does with a plan is O(image) or O(shard)) for as long as fn runs.
+func (s *Server) withStored(ctx context.Context, key string, fn func(PlanEntry) error) error {
 	if err := s.acquire(ctx); err != nil {
 		return err
 	}
 	defer s.release()
-	rc, size, err := s.opts.Store.Open(key)
+	entry, err := s.opts.Store.Open(key)
 	if err != nil {
 		return err
 	}
-	defer rc.Close()
-	return fn(rc, size)
+	return fn(entry)
+}
+
+// entrySource replays a stored plan: its fragments, held to its index.
+func entrySource(ctx context.Context, entry PlanEntry) distribute.PlanSource {
+	return func(open func(*distribute.Plan) (fsimage.RecordSink, error)) error {
+		rc, _, err := entry.Open(IndexPart)
+		if err != nil {
+			return err
+		}
+		ix, err := distribute.DecodeFragmentIndex(rc)
+		rc.Close()
+		if err != nil {
+			return err
+		}
+		return ix.Source(ctx, func(shard int) (io.ReadCloser, error) {
+			rc, _, err := entry.Open(shard)
+			return rc, err
+		})(open)
+	}
 }
 
 // planRequest lowers a request to the planner's (matching the normalization
@@ -406,47 +417,50 @@ func planRequest(req PlanRequest) (distribute.PlanRequest, error) {
 	return distribute.PlanRequest{Config: cfg, MaxShards: req.Shards, ChunkSize: req.ChunkSize}, err
 }
 
-// planBuilder builds the monolithic plan document of a request.
-func planBuilder(req PlanRequest) buildFunc {
-	return func(ctx context.Context, dst io.Writer) error {
+// planBuilder builds a request's plan into a store entry: its fragments,
+// named after fp, and the index that names them.
+func planBuilder(req PlanRequest, fp string) buildFunc {
+	return func(ctx context.Context, pw PlanWriter) error {
 		preq, err := planRequest(req)
 		if err != nil {
 			return err
 		}
-		_, err = preq.Stream(ctx, dst)
-		return err
-	}
-}
-
-// handleGetShard slices one shard out of a stored plan and streams it as a
-// self-contained shard document. The extraction runs the shard-pruning
-// decode server-side, so the response — and the server's memory — is
-// bounded by the shard, not the plan.
-func (s *Server) handleGetShard(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	fp := r.PathValue("fp")
-	shard, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil {
-		writeError(w, fmt.Errorf("serve: shard index %q is not a number (%w)", r.PathValue("shard"), fsimage.ErrInvalidSpec))
-		return
-	}
-	err = s.withStored(ctx, fp, func(doc io.Reader, _ int64) error {
-		view, err := distribute.DecodePlanShard(doc, shard)
+		plan, err := distribute.PartitionPlan(ctx, preq, pw.Part)
 		if err != nil {
 			return err
 		}
-		// From here the headers are out: an encoding that fails aborts the
-		// document mid-stream.
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(HeaderFingerprint, fp)
-		if view.Encode(w) == nil {
-			s.shardsServed.Add(1)
+		w, err := pw.Part(IndexPart)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
+		if err := plan.FragmentIndex(func(shard int) string { return partName(fp, shard) }).Encode(w); err != nil {
+			w.Close()
+			return err
+		}
+		return w.Close()
+	}
+}
+
+// handleGetShard serves one shard's fragment of a stored plan: a
+// self-contained shard document, as stored.
+func (s *Server) handleGetShard(w http.ResponseWriter, r *http.Request) {
+	fp := r.PathValue("fp")
+	if !validFingerprint(fp) {
+		writeError(w, fmt.Errorf("serve: %q is not a plan fingerprint (%w)", fp, fsimage.ErrInvalidSpec))
+		return
+	}
+	shard, err := strconv.Atoi(r.PathValue("shard"))
+	if err != nil || shard < 0 {
+		writeError(w, fmt.Errorf("serve: shard index %q is not a shard number (%w)", r.PathValue("shard"), fsimage.ErrInvalidSpec))
+		return
+	}
+	entry, err := s.opts.Store.Open(fp)
 	if err != nil {
 		writeError(w, err)
+		return
+	}
+	if servePart(w, fp, entry, shard) {
+		s.shardsServed.Add(1)
 	}
 }
 

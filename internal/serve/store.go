@@ -1,9 +1,9 @@
 // Package serve turns the distributed generation pipeline into a
 // long-running service: a content-addressed plan cache keyed by
 // distribute.SpecFingerprint, fronted by an HTTP API (Server) that builds
-// plans on demand, streams them and their per-shard slices in O(chunk)
-// memory, and generates small images inline. See cmd/impressionsd for the
-// daemon wrapping it.
+// plans on demand, serves their fragment indexes and fragments as stored,
+// and generates small images inline. See cmd/impressionsd for the daemon
+// wrapping it.
 package serve
 
 import (
@@ -15,41 +15,77 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"impressions/internal/distribute"
+	"impressions/internal/fsimage"
 )
 
 // ErrPlanNotFound reports a fingerprint with no stored plan. Stores return
 // it from Open; the HTTP layer maps it to 404.
 var ErrPlanNotFound = errors.New("serve: plan not in store")
 
-// PlanStore is the content-addressed plan cache behind the server: plan
-// documents keyed by their spec fingerprint. Implementations must allow
-// concurrent Opens of the same key while another goroutine Creates a
-// different one, and a reader obtained from Open must stay valid even if
-// the entry is evicted mid-read.
+// IndexPart is the part of a stored plan that holds its fragment index;
+// parts 0 to K-1 are its K fragments.
+const IndexPart = -1
+
+// PlanStore is the content-addressed plan cache behind the server: one
+// entry per spec fingerprint, holding the plan's fragment index and its
+// fragments, which are staged and committed together and evicted together.
+// Implementations must allow concurrent Opens of the same key while another
+// goroutine Creates a different one, and an entry obtained from Open must
+// stay readable even if it is evicted while it is read.
 type PlanStore interface {
-	// Open returns a reader over the stored plan document and its size, or
+	// Open returns the committed entry of the fingerprint, or
 	// ErrPlanNotFound.
-	Open(fingerprint string) (io.ReadCloser, int64, error)
-	// Create starts writing a plan document for the fingerprint. The entry
-	// becomes visible to Open only when the writer's Commit returns; Abort
-	// (or dropping the writer) leaves the store unchanged.
+	Open(fingerprint string) (PlanEntry, error)
+	// Create starts staging an entry for the fingerprint. The entry becomes
+	// visible to Open only when the writer's Commit returns; Abort (or
+	// dropping the writer) leaves the store unchanged.
 	Create(fingerprint string) (PlanWriter, error)
 }
 
-// PlanWriter stages one plan document for atomic publication.
+// PlanEntry is one committed plan: its fragment index and its fragments.
+type PlanEntry interface {
+	// Open returns a reader over a part — IndexPart or a shard's fragment —
+	// and its size. A shard the plan does not have is ErrInvalidSpec.
+	Open(part int) (io.ReadCloser, int64, error)
+}
+
+// PlanWriter stages one plan entry for atomic publication.
 type PlanWriter interface {
-	io.Writer
-	// Commit atomically publishes the staged document under its fingerprint.
+	// Part creates one part of the entry; closing it ends the part.
+	Part(part int) (io.WriteCloser, error)
+	// Commit atomically publishes the staged parts under the fingerprint.
 	Commit() error
-	// Abort discards the staged document. Safe to call after Commit (no-op).
+	// Abort discards the staged parts. Safe to call after Commit (no-op).
 	Abort() error
 }
 
-// MemStore is the in-memory PlanStore: an LRU over plan documents with a
-// byte budget. The most recently committed entry is never evicted (a plan
-// larger than the whole budget still caches — everything else goes), so a
-// build is always followed by at least one hit. Readers hold a snapshot of
-// the entry's bytes, so eviction never invalidates an open reader.
+// validFingerprint reports whether fp is what distribute.SpecFingerprint
+// produces: 64 lowercase hex digits. Nothing else names a plan, and nothing
+// else may reach a path.
+func validFingerprint(fp string) bool {
+	if len(fp) != 64 {
+		return false
+	}
+	for _, c := range []byte(fp) {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// noShard is the error of a part the entry does not have.
+func noShard(fp string, part int) error {
+	return fmt.Errorf("serve: plan %.12s has no shard %d (%w)", fp, part, fsimage.ErrInvalidSpec)
+}
+
+// MemStore is the in-memory PlanStore: an LRU over plan entries with a byte
+// budget. The most recently committed entry is never evicted (a plan larger
+// than the whole budget still caches — everything else goes), so a build is
+// always followed by at least one hit. An entry holds the bytes of its
+// parts, so eviction never invalidates one that was opened.
 type MemStore struct {
 	mu     sync.Mutex
 	budget int64
@@ -59,12 +95,21 @@ type MemStore struct {
 }
 
 type memEntry struct {
-	fp   string
-	data []byte
+	fp    string
+	parts map[int][]byte
+	size  int64
+}
+
+func (e *memEntry) Open(part int) (io.ReadCloser, int64, error) {
+	data, ok := e.parts[part]
+	if !ok {
+		return nil, 0, noShard(e.fp, part)
+	}
+	return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
 }
 
 // NewMemStore returns an in-memory store holding at most budget bytes of
-// plan documents (<= 0 selects 256 MiB).
+// plans (<= 0 selects 256 MiB).
 func NewMemStore(budget int64) *MemStore {
 	if budget <= 0 {
 		budget = 256 << 20
@@ -72,76 +117,88 @@ func NewMemStore(budget int64) *MemStore {
 	return &MemStore{budget: budget, lru: list.New(), byFP: map[string]*list.Element{}}
 }
 
-// Open returns a reader over the cached document, refreshing its recency.
-func (s *MemStore) Open(fp string) (io.ReadCloser, int64, error) {
-	s.mu.Lock()
-	el, ok := s.byFP[fp]
-	if !ok {
-		s.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w (fingerprint %s)", ErrPlanNotFound, fp)
-	}
-	s.lru.MoveToFront(el)
-	data := el.Value.(*memEntry).data
-	s.mu.Unlock()
-	return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
-}
-
-// Create stages a new document in a private buffer.
-func (s *MemStore) Create(fp string) (PlanWriter, error) {
-	return &memWriter{store: s, fp: fp}, nil
-}
-
-// insert publishes data under fp, evicting least-recently-used entries
-// (never the new one) until the budget holds.
-func (s *MemStore) insert(fp string, data []byte) {
+// Open returns the cached entry, refreshing its recency.
+func (s *MemStore) Open(fp string) (PlanEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byFP[fp]; ok {
+	el, ok := s.byFP[fp]
+	if !ok {
+		return nil, fmt.Errorf("%w (fingerprint %s)", ErrPlanNotFound, fp)
+	}
+	s.lru.MoveToFront(el)
+	return el.Value.(*memEntry), nil
+}
+
+// Create stages a new entry in private buffers.
+func (s *MemStore) Create(fp string) (PlanWriter, error) {
+	return &memWriter{store: s, entry: &memEntry{fp: fp, parts: map[int][]byte{}}}, nil
+}
+
+// insert publishes e, evicting least-recently-used entries (never the new
+// one) until the budget holds.
+func (s *MemStore) insert(e *memEntry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.byFP[e.fp]; ok {
 		// A concurrent builder beat us to it; keep the existing entry (the
-		// documents are byte-identical by construction).
+		// plans are byte-identical by construction).
 		s.lru.MoveToFront(el)
 		return
 	}
-	el := s.lru.PushFront(&memEntry{fp: fp, data: data})
-	s.byFP[fp] = el
-	s.used += int64(len(data))
+	s.byFP[e.fp] = s.lru.PushFront(e)
+	s.used += e.size
 	for s.used > s.budget && s.lru.Len() > 1 {
 		back := s.lru.Back()
 		victim := back.Value.(*memEntry)
 		s.lru.Remove(back)
 		delete(s.byFP, victim.fp)
-		s.used -= int64(len(victim.data))
+		s.used -= victim.size
 	}
 }
 
 type memWriter struct {
 	store *MemStore
-	fp    string
-	buf   bytes.Buffer
+	entry *memEntry
 	done  bool
 }
 
-func (w *memWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+// memPart is one part being written; Close files it under the entry.
+type memPart struct {
+	bytes.Buffer
+	w    *memWriter
+	part int
+}
+
+func (p *memPart) Close() error {
+	p.w.entry.parts[p.part] = p.Bytes()
+	p.w.entry.size += int64(p.Len())
+	return nil
+}
+
+func (w *memWriter) Part(part int) (io.WriteCloser, error) {
+	return &memPart{w: w, part: part}, nil
+}
 
 func (w *memWriter) Commit() error {
 	if w.done {
 		return nil
 	}
 	w.done = true
-	w.store.insert(w.fp, bytes.Clone(w.buf.Bytes()))
+	w.store.insert(w.entry)
 	return nil
 }
 
 func (w *memWriter) Abort() error {
 	w.done = true
-	w.buf.Reset()
 	return nil
 }
 
-// DiskStore is the durable PlanStore: one file per fingerprint under a
-// directory, staged via a temp file and published with an atomic rename, so
-// crashed builds never leave a half-written plan visible and concurrent
-// readers of an entry being replaced keep their open file.
+// DiskStore is the durable PlanStore: one directory per fingerprint under a
+// root, holding the fragment index under the fingerprint's name and fragment
+// i as <fingerprint>.frag<i> — a plan `merge -plan` opens as it lies. An
+// entry is staged in a temporary directory and published with an atomic
+// rename, so a crashed build never leaves a half-written plan visible. It
+// takes no key but a fingerprint, and ignores whatever else the root holds.
 type DiskStore struct {
 	dir string
 }
@@ -154,15 +211,57 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir}, nil
 }
 
-func (s *DiskStore) path(fp string) string {
-	return filepath.Join(s.dir, fp+".plan.json")
+// partName is the file name of an entry's part.
+func partName(fp string, part int) string {
+	if part == IndexPart {
+		return fp
+	}
+	return distribute.FragmentName(fp, part)
 }
 
-// Open returns a reader over the stored plan file.
-func (s *DiskStore) Open(fp string) (io.ReadCloser, int64, error) {
-	f, err := os.Open(s.path(fp))
+func checkKey(fp string) error {
+	if !validFingerprint(fp) {
+		return fmt.Errorf("serve: plan store: %q is not a plan fingerprint (%w)", fp, fsimage.ErrInvalidSpec)
+	}
+	return nil
+}
+
+// Open returns the committed entry's directory.
+func (s *DiskStore) Open(fp string) (PlanEntry, error) {
+	if err := checkKey(fp); err != nil {
+		return nil, err
+	}
+	dir := filepath.Join(s.dir, fp)
+	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w (fingerprint %s)", ErrPlanNotFound, fp)
+	} else if err != nil {
+		return nil, fmt.Errorf("serve: plan store: %w", err)
+	}
+	return diskEntry{dir: dir, fp: fp}, nil
+}
+
+// Create stages a new entry in a directory next to its final one.
+func (s *DiskStore) Create(fp string) (PlanWriter, error) {
+	if err := checkKey(fp); err != nil {
+		return nil, err
+	}
+	tmp, err := os.MkdirTemp(s.dir, fp+".tmp-*")
+	if err != nil {
+		return nil, fmt.Errorf("serve: plan store: %w", err)
+	}
+	return &diskWriter{tmp: tmp, fp: fp, final: filepath.Join(s.dir, fp)}, nil
+}
+
+// diskEntry is a committed entry's directory. Committed directories are
+// never replaced, so its parts are the ones committed together.
+type diskEntry struct {
+	dir, fp string
+}
+
+func (e diskEntry) Open(part int) (io.ReadCloser, int64, error) {
+	f, err := os.Open(filepath.Join(e.dir, partName(e.fp, part)))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, fmt.Errorf("%w (fingerprint %s)", ErrPlanNotFound, fp)
+		return nil, 0, noShard(e.fp, part)
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: plan store: %w", err)
@@ -175,39 +274,43 @@ func (s *DiskStore) Open(fp string) (io.ReadCloser, int64, error) {
 	return f, st.Size(), nil
 }
 
-// Create stages a new plan file next to its final path.
-func (s *DiskStore) Create(fp string) (PlanWriter, error) {
-	tmp, err := os.CreateTemp(s.dir, fp+".tmp-*")
+type diskWriter struct {
+	tmp, fp, final string
+	done           bool
+}
+
+// diskPart is one part being written; Close syncs it.
+type diskPart struct{ *os.File }
+
+func (p diskPart) Close() error {
+	if err := p.Sync(); err != nil {
+		p.File.Close()
+		return err
+	}
+	return p.File.Close()
+}
+
+func (w *diskWriter) Part(part int) (io.WriteCloser, error) {
+	f, err := os.Create(filepath.Join(w.tmp, partName(w.fp, part)))
 	if err != nil {
 		return nil, fmt.Errorf("serve: plan store: %w", err)
 	}
-	return &diskWriter{f: tmp, final: s.path(fp)}, nil
+	return diskPart{f}, nil
 }
-
-type diskWriter struct {
-	f     *os.File
-	final string
-	done  bool
-}
-
-func (w *diskWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
 
 func (w *diskWriter) Commit() error {
 	if w.done {
 		return nil
 	}
 	w.done = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		os.Remove(w.f.Name())
-		return fmt.Errorf("serve: plan store: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.f.Name())
-		return fmt.Errorf("serve: plan store: %w", err)
-	}
-	if err := os.Rename(w.f.Name(), w.final); err != nil {
-		os.Remove(w.f.Name())
+	err := os.Rename(w.tmp, w.final)
+	if err != nil {
+		os.RemoveAll(w.tmp)
+		if _, serr := os.Stat(w.final); serr == nil {
+			// A concurrent builder committed first; the plans are
+			// byte-identical by construction.
+			return nil
+		}
 		return fmt.Errorf("serve: plan store: %w", err)
 	}
 	return nil
@@ -218,7 +321,5 @@ func (w *diskWriter) Abort() error {
 		return nil
 	}
 	w.done = true
-	w.f.Close()
-	os.Remove(w.f.Name())
-	return nil
+	return os.RemoveAll(w.tmp)
 }
