@@ -384,38 +384,52 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 }
 
 // TestMergeRefusesStrayManifest: a manifest naming a shard the plan does not
-// have fails the merge: exit 1, an integrity violation, from the one merge.
+// have fails the merge: exit 1, an integrity violation, from the one merge,
+// whichever way the plan and its manifests were made. "plan" plans with
+// -shards and runs each worker from the index; "index" plans with its
+// synonym -partition and runs each worker from its fragment.
 func TestMergeRefusesStrayManifest(t *testing.T) {
 	dir := t.TempDir()
 	cfgArgs := []string{"-files", "120", "-dirs", "30", "-size", "200KB", "-seed", "9"}
-	plan := filepath.Join(dir, "plan.json")
-	if err := run(append(append([]string{"plan"}, cfgArgs...), "-shards", "2", "-plan", plan), io.Discard, io.Discard); err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	var manifests []string
-	for s := 0; s < 2; s++ {
-		m := filepath.Join(dir, fmt.Sprintf("manifest-%d.json", s))
-		if err := run([]string{"worker", "-plan", fmt.Sprintf("%s.frag%d", plan, s), "-out", filepath.Join(dir, "out"), "-manifest", m}, io.Discard, io.Discard); err != nil {
-			t.Fatalf("worker %d: %v", s, err)
-		}
-		manifests = append(manifests, m)
-	}
-	stray, err := distribute.LoadManifest(manifests[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	stray.Shard = 7
-	stray.Seal()
-	manifests[1] = filepath.Join(dir, "stray.json")
-	if err := writeJSONFile(manifests[1], stray.Encode); err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	if code := Main(append([]string{"merge", "-plan", plan}, manifests...), io.Discard, &stderr); code != 1 {
-		t.Errorf("merge with a manifest for shard 7 of 2 exited %d, want 1", code)
-	}
-	if msg := stderr.String(); !strings.Contains(msg, "manifest for unknown shard 7 (plan has 2 shards)") || !strings.Contains(msg, fsimage.ErrManifestIntegrity.Error()) {
-		t.Errorf("merge with a manifest for shard 7 of 2 said: %s", msg)
+	for _, mode := range []struct {
+		name, shards string
+		worker       func(plan string, s int) []string
+	}{
+		{"plan", "-shards", func(plan string, s int) []string { return []string{"-plan", plan, "-shard", strconv.Itoa(s)} }},
+		{"index", "-partition", func(plan string, s int) []string { return []string{"-plan", fmt.Sprintf("%s.frag%d", plan, s)} }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			plan := filepath.Join(dir, mode.name+".json")
+			if err := run(append(append([]string{"plan"}, cfgArgs...), mode.shards, "2", "-plan", plan), io.Discard, io.Discard); err != nil {
+				t.Fatalf("plan: %v", err)
+			}
+			var manifests []string
+			for s := 0; s < 2; s++ {
+				m := filepath.Join(dir, fmt.Sprintf("%s-manifest-%d.json", mode.name, s))
+				args := append(append([]string{"worker"}, mode.worker(plan, s)...), "-out", filepath.Join(dir, mode.name+"-out"), "-manifest", m)
+				if err := run(args, io.Discard, io.Discard); err != nil {
+					t.Fatalf("worker %d: %v", s, err)
+				}
+				manifests = append(manifests, m)
+			}
+			stray, err := distribute.LoadManifest(manifests[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			stray.Shard = 7
+			stray.Seal()
+			manifests[1] = filepath.Join(dir, mode.name+"-stray.json")
+			if err := writeJSONFile(manifests[1], stray.Encode); err != nil {
+				t.Fatal(err)
+			}
+			var stderr bytes.Buffer
+			if code := Main(append([]string{"merge", "-plan", plan}, manifests...), io.Discard, &stderr); code != 1 {
+				t.Errorf("merge with a manifest for shard 7 of 2 exited %d, want 1", code)
+			}
+			if msg := stderr.String(); !strings.Contains(msg, "manifest for unknown shard 7 (plan has 2 shards)") || !strings.Contains(msg, fsimage.ErrManifestIntegrity.Error()) {
+				t.Errorf("merge with a manifest for shard 7 of 2 said: %s", msg)
+			}
+		})
 	}
 }
 

@@ -129,6 +129,42 @@ func FuzzShardDocument(f *testing.F) {
 	})
 }
 
+// FuzzFragmentSource: a fragment meets one verdict alone and in its plan.
+// Merge replays doc as fragment 1 of the malformed table's plan, between its
+// two intact fragments. Where DecodeShardView refuses doc, the merge refuses
+// with the same sentinel; where it accepts doc, the merge accepts or finds
+// the set damaged, as doc may be another plan's fragment or another shard's.
+// Seeds are fragment 1 of the two golden configs, every row of the table and
+// testdata/fuzz/.
+func FuzzFragmentSource(f *testing.F) {
+	frags := planRoundTrip(f, testConfig(), 3).frags
+	f.Add(frags[1])
+	f.Add(planRoundTrip(f, escapeConfig(), 3).frags[1])
+	for _, m := range malformedDocuments(f) {
+		f.Add(m.doc)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		for _, doc := range [][]byte{doc, reseal(doc)} {
+			if doc == nil {
+				continue
+			}
+			err, alloc := verdict(func() error {
+				_, err := DecodeShardView(bytes.NewReader(doc))
+				return err
+			})
+			alone := sentinelOf(t, "DecodeShardView", err, alloc, len(doc))
+			err, alloc = verdict(func() error {
+				_, err := Merge(fragmentSource(context.Background(), [][]byte{frags[0], doc, frags[2]}), nil)
+				return err
+			})
+			merged := sentinelOf(t, "Merge", err, alloc, len(frags[0])+len(doc)+len(frags[2]))
+			if merged != alone && (alone != nil || merged != fsimage.ErrManifestIntegrity) {
+				t.Errorf("DecodeShardView says %v; Merge with it as fragment 1 says %v", alone, err)
+			}
+		}
+	})
+}
+
 // fmtSelfHash is Manifest.selfHash as fmt renders it, the reference its
 // appenders are held to.
 func fmtSelfHash(m *Manifest) string {

@@ -2,8 +2,11 @@ package distribute
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -14,9 +17,15 @@ import (
 )
 
 // The malformed-document table: one list of damaged shard documents, each
-// run through the one decoder of shard documents, DecodeShardView, which
-// every reader of a fragment goes through. A damage is a rewrite of the text
-// of a valid document.
+// run through every door a fragment comes in by — DecodeShardView, the one
+// decoder of shard documents; PlanFile.View, a worker's door through the
+// plan's index; and Merge, which replays the fragment beside the plan's
+// intact ones — and every door must answer with the row's sentinel. A
+// damage is a rewrite of the text of a valid document.
+
+// shardKind is the kind of document every row damages, as the subtest names
+// say it: a shard document, which is what a fragment is.
+const shardKind = "shard"
 
 // malformedCase is one row: the damage to a valid shard document and the
 // sentinel the decoder must answer with.
@@ -272,14 +281,14 @@ func forgedDocuments(tb testing.TB) []malformedDocument {
 		if err != nil {
 			tb.Fatalf("sealing %q: %v", c.name, err)
 		}
-		out = append(out, malformedDocument{name: "forged: " + c.name, doc: doc.Bytes(), want: fsimage.ErrManifestIntegrity})
+		out = append(out, malformedDocument{name: "forged: " + c.name + " (" + shardKind + ")", doc: doc.Bytes(), want: fsimage.ErrManifestIntegrity})
 	}
 	return out
 }
 
 // malformedDocument is one damaged document of the table.
 type malformedDocument struct {
-	name string
+	name string // "<case> (shard)"
 	doc  []byte
 	want error
 }
@@ -289,15 +298,49 @@ func malformedDocuments(tb testing.TB) []malformedDocument {
 	valid, _ := validDocument(tb)
 	var out []malformedDocument
 	for _, c := range malformedCases() {
-		out = append(out, malformedDocument{name: c.name, doc: []byte(c.damage(valid)), want: c.want})
+		out = append(out, malformedDocument{name: c.name + " (" + shardKind + ")", doc: []byte(c.damage(valid)), want: c.want})
 	}
 	return append(out, forgedDocuments(tb)...)
 }
 
-// decodeShardView is the table's one door.
-func decodeShardView(doc []byte) error {
-	_, err := DecodeShardView(bytes.NewReader(doc))
-	return err
+// door is one reader a fragment comes in by: open reads doc as the plan's
+// fragment 1, and read is how many bytes of other fragments it reads too.
+type door struct {
+	name string
+	open func(doc []byte) error
+	read int
+}
+
+// fragmentDoors are the doors of validDocument's plan with doc in place of
+// its fragment 1: DecodeShardView of doc alone; a worker's PlanFile.View of
+// shard 1 through the plan's index, doc written where the index files
+// fragment 1; and Merge of the plan's fragments, doc between its two intact
+// neighbours.
+func fragmentDoors(tb testing.TB) []door {
+	tb.Helper()
+	index, ix := writePlanFiles(tb, 3)
+	fragment1 := filepath.Join(filepath.Dir(index), ix.Fragments[1])
+	frags := planRoundTrip(tb, testConfig(), 3).frags
+	return []door{
+		{name: "DecodeShardView", open: func(doc []byte) error {
+			_, err := DecodeShardView(bytes.NewReader(doc))
+			return err
+		}},
+		{name: "PlanFile.View", open: func(doc []byte) error {
+			if err := os.WriteFile(fragment1, doc, 0o644); err != nil {
+				return err
+			}
+			pf, err := OpenPlanFile(index)
+			if err == nil {
+				_, err = pf.View(1)
+			}
+			return err
+		}},
+		{name: "Merge", read: len(frags[0]) + len(frags[2]), open: func(doc []byte) error {
+			_, err := Merge(fragmentSource(context.Background(), [][]byte{frags[0], doc, frags[2]}), nil)
+			return err
+		}},
+	}
 }
 
 // sentinels are the three typed errors a decoder may answer with.
@@ -346,16 +389,39 @@ func checkRejection(t *testing.T, err error, want error, alloc uint64, n int) {
 	}
 }
 
-// TestMalformedDocuments: every damaged document meets its verdict.
+// TestMalformedDocuments: a damaged fragment meets the same verdict
+// whichever door it comes in by.
 func TestMalformedDocuments(t *testing.T) {
+	doors := fragmentDoors(t)
 	valid, _ := validDocument(t)
-	if err, alloc := verdict(func() error { return decodeShardView([]byte(valid)) }); err != nil || alloc > allocBound(len(valid)) {
-		t.Fatalf("DecodeShardView on the valid document: err %v, %d bytes allocated (bound %d)", err, alloc, allocBound(len(valid)))
+	for _, d := range doors {
+		n := len(valid) + d.read
+		if err, alloc := verdict(func() error { return d.open([]byte(valid)) }); err != nil || alloc > allocBound(n) {
+			t.Fatalf("%s on the valid document: err %v, %d bytes allocated (bound %d)", d.name, err, alloc, allocBound(n))
+		}
 	}
 	for _, m := range malformedDocuments(t) {
-		t.Run(m.name, func(t *testing.T) {
-			err, alloc := verdict(func() error { return decodeShardView(m.doc) })
-			checkRejection(t, err, m.want, alloc, len(m.doc))
+		for _, d := range doors {
+			t.Run(m.name+"/"+d.name, func(t *testing.T) {
+				err, alloc := verdict(func() error { return d.open(m.doc) })
+				checkRejection(t, err, m.want, alloc, len(m.doc)+d.read)
+			})
+		}
+	}
+}
+
+// TestMalformedRequests: asking a valid plan for a shard it does not have is
+// the request's fault, and says so.
+func TestMalformedRequests(t *testing.T) {
+	index, _ := writePlanFiles(t, 3)
+	pf := openPlanFile(t, index)
+	for _, shard := range []int{-1, 3, 99} {
+		err, alloc := verdict(func() error {
+			_, err := pf.View(shard)
+			return err
+		})
+		t.Run(fmt.Sprintf("PlanFile.View(%d)", shard), func(t *testing.T) {
+			checkRejection(t, err, fsimage.ErrInvalidSpec, alloc, 0)
 		})
 	}
 }

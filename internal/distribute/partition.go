@@ -372,6 +372,22 @@ type fragmentStream struct {
 	view  *ShardView
 }
 
+// fragmentFault is what a replay reports when the merged stream fails the
+// sink's check. A fragment whose decoder failed ended its stream early, and
+// the gap it left is what the check saw, so that decoder's error, which says
+// why, comes first. A decoder reports before it ends its stream, so the
+// receives do not block.
+func fragmentFault(streams []*fragmentStream, has []bool, err error) error {
+	for s, fs := range streams {
+		if !has[s] {
+			if ferr := <-fs.done; ferr != nil {
+				return ferr
+			}
+		}
+	}
+	return err
+}
+
 // FragmentSource replays a plan from its k fragment documents, which open
 // returns readers for, as the whole plan's record stream. One goroutine
 // decodes each fragment and holds it to its own row of the shard table.
@@ -495,7 +511,7 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 				break
 			}
 			if err := sink.AddFile(heads[best]); err != nil {
-				return err
+				return fragmentFault(streams, has, err)
 			}
 			next(best)
 		}

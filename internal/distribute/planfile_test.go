@@ -14,29 +14,29 @@ import (
 
 // writePlanFiles writes a plan as OpenPlanFile takes it: an index over its
 // fragments, which lie next to the index.
-func writePlanFiles(t *testing.T, k int) (index string, ix *FragmentIndex) {
-	t.Helper()
-	dir := t.TempDir()
-	plan, frags := fragmentBuffers(t, PlanRequest{Config: testConfig(), MaxShards: k, ChunkSize: 64})
+func writePlanFiles(tb testing.TB, k int) (index string, ix *FragmentIndex) {
+	tb.Helper()
+	dir := tb.TempDir()
+	plan, frags := fragmentBuffers(tb, PlanRequest{Config: testConfig(), MaxShards: k, ChunkSize: 64})
 	ix = plan.FragmentIndex(func(s int) string { return FragmentName("plan.json", s) })
 	for s, frag := range frags {
 		if err := os.WriteFile(filepath.Join(dir, ix.Fragments[s]), frag, 0o644); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	index = filepath.Join(dir, "plan.json")
-	writeIndex(t, index, ix)
+	writeIndex(tb, index, ix)
 	return index, ix
 }
 
-func writeIndex(t *testing.T, path string, ix *FragmentIndex) {
-	t.Helper()
+func writeIndex(tb testing.TB, path string, ix *FragmentIndex) {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := ix.Encode(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 
