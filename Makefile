@@ -29,9 +29,9 @@ bench-smoke:
 # worker processes (at -j 1, 2, 4 and 8) and merged must be byte-identical to
 # a single-process run at -j 1 and at -j 4 (same canonical digest, same
 # on-disk bytes). The plan — a fragment index and four fragments — is built
-# three times and must not move a byte: at -j 1, where its chunks are sealed
-# inline, and at -j 4 on the heap and with -spill, where three goroutines
-# seal them and the spilled placement runs one worker per depth level. The
+# four times and must not move a byte: at -j 1, where its chunks are sealed
+# inline, and at -j 4, where three goroutines seal them, each on the heap and
+# with -spill (whose placement runs one worker per depth level at -j 4). The
 # index and every fragment are compared; the workers read their fragments
 # through the index, and `merge -plan` of the index prints the digest.
 dist-check:
@@ -41,16 +41,17 @@ dist-check:
 	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -digest -out single | grep '^image digest:' > single.digest; \
 	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -digest -out single-j4 | grep '^image digest:' > single-j4.digest; \
 	cmp single.digest single-j4.digest; diff -r single single-j4; \
-	mkdir -p plan plan-j4 plan-spill; \
+	mkdir -p plan plan-spill plan-j4 plan-j4-spill; \
 	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -shards 4 -plan plan/plan.json; \
+	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -shards 4 -spill plan-spill -plan plan-spill/plan.json; \
 	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -plan plan-j4/plan.json; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -spill plan-spill -plan plan-spill/plan.json; \
-	for other in plan-j4 plan-spill; do cmp plan/plan.json $$other/plan.json; for s in 0 1 2 3; do cmp plan/plan.json.frag$$s $$other/plan.json.frag$$s; done; done; \
+	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -spill plan-j4-spill -plan plan-j4-spill/plan.json; \
+	for other in plan-spill plan-j4 plan-j4-spill; do cmp plan/plan.json $$other/plan.json; for s in 0 1 2 3; do cmp plan/plan.json.frag$$s $$other/plan.json.frag$$s; done; done; \
 	pids=""; for s in 0 1 2 3; do ./impressions worker -plan plan/plan.json -shard $$s -j $$((1 << s)) -out merged -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
 	for p in $$pids; do wait "$$p"; done; \
 	./impressions merge -plan plan/plan.json -print-digest manifest-*.json > merged.digest; \
 	cmp single.digest merged.digest; diff -r single merged; \
-	echo "dist-check: OK (index and fragments identical at every -j and with -spill; digests and trees identical)"
+	echo "dist-check: OK (index and fragments identical at -j 1 and -j 4, on the heap and spilled; digests and trees identical)"
 
 # Local mirror of the CI fault-injection step: plan → 4 workers, one killed
 # mid-write (its manifest discarded so the outcome is timing-independent) →
@@ -217,8 +218,9 @@ bench-pipeline-check:
 
 # Local mirror of the CI memory-bound job: a 10M-file plan build (spilled,
 # 8 fragments) must hold peak live heap under a hard cap
-# (TestPartitionedPlanBuildMemoryBound), the merge of a 300k-file plan must
-# hold none of its file records (TestMergeMemoryBound), and the
+# (TestPartitionedPlanBuildMemoryBound), the merge of a 300k-file plan, as 2
+# and as 8 fragments, must hold none of its file records and no tree per
+# fragment (TestMergeMemoryBound), and the
 # single-process command must replay 300k files into the tar sink and into a
 # directory without holding their records (TestGenerateMemoryBound).
 mem-check:

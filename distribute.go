@@ -99,7 +99,7 @@ func Merge(src PlanSource, manifests []*Manifest) (*MergeResult, error) {
 }
 
 // FragmentSource replays a plan from its k fragment documents, which open
-// returns readers for, holding O(k·(dirs + chunk)) memory — no node in the
+// returns readers for, holding O(dirs + k·chunk) memory — no node in the
 // pipeline ever materializes the image.
 func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadCloser, error)) PlanSource {
 	return distribute.FragmentSource(ctx, k, open)

@@ -257,31 +257,39 @@ var forgedCases = []struct {
 	{"no records at all", func(l *records, mid int) { *l = records{} }},
 }
 
+// sealRecords seals the view's records, as edit leaves them, into the view's
+// shard document with 64-record chunks.
+func sealRecords(tb testing.TB, view *ShardView, edit func(l *records)) []byte {
+	tb.Helper()
+	var l records
+	if err := (&fsimage.Image{Tree: view.Tree, Files: view.Files}).StreamRecords(&l); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&l)
+	var doc bytes.Buffer
+	sealer := fsimage.NewChunkSealer(1)
+	defer sealer.Close()
+	d, err := newDocWriter(&doc, shardHeader(view.Plan, view.Shard), sealer, 64)
+	if err == nil {
+		err = l.replay(d)
+	}
+	if err == nil {
+		_, _, err = d.Close()
+	}
+	if err != nil {
+		tb.Fatalf("sealing: %v", err)
+	}
+	return doc.Bytes()
+}
+
 // forgedDocuments seals every forgery into a shard document.
 func forgedDocuments(tb testing.TB) []malformedDocument {
 	tb.Helper()
 	_, view := validDocument(tb)
 	var out []malformedDocument
 	for _, c := range forgedCases {
-		var l records
-		if err := (&fsimage.Image{Tree: view.Tree, Files: view.Files}).StreamRecords(&l); err != nil {
-			tb.Fatal(err)
-		}
-		c.forge(&l, len(l.files)/2)
-		var doc bytes.Buffer
-		sealer := fsimage.NewChunkSealer(1)
-		d, err := newDocWriter(&doc, shardHeader(view.Plan, view.Shard), sealer, 64)
-		if err == nil {
-			err = l.replay(d)
-		}
-		if err == nil {
-			_, _, err = d.Close()
-		}
-		sealer.Close()
-		if err != nil {
-			tb.Fatalf("sealing %q: %v", c.name, err)
-		}
-		out = append(out, malformedDocument{name: "forged: " + c.name + " (" + shardKind + ")", doc: doc.Bytes(), want: fsimage.ErrManifestIntegrity})
+		doc := sealRecords(tb, view, func(l *records) { c.forge(l, len(l.files)/2) })
+		out = append(out, malformedDocument{name: "forged: " + c.name + " (" + shardKind + ")", doc: doc, want: fsimage.ErrManifestIntegrity})
 	}
 	return out
 }

@@ -2,13 +2,11 @@ package distribute
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
-	"strconv"
 
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
@@ -28,7 +26,8 @@ import (
 //
 // FragmentSource replays the K fragment documents as the whole plan's record
 // stream, so Merge verifies a run, and the stitcher rebuilds its archive,
-// holding a tree per fragment and O(K × chunk) buffers. A fragment index names the
+// holding fragment 0's tree and O(K × chunk) buffers: the other fragments are
+// held to that tree, not to trees of their own. A fragment index names the
 // fragments and the plan they make up; OpenPlanFile opens one at its path.
 
 // FragmentIndexVersion is the fragment-index wire version.
@@ -336,40 +335,122 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 	return rp.Plan, nil
 }
 
-// dirsum folds a decoded fragment's directory table into a hash so sibling
-// fragments' trees can be cross-checked cheaply. Each directory is the line
-// "%d %d %q %v %g\n" (ID, Parent, Name, Special, Bias), rendered with the
-// strconv appenders fmt's verbs call into one buffer hashed every 32 KiB.
-func dirsum(tree *namespace.Tree) string {
-	const flushBytes = 32 << 10
-	h := sha256.New()
-	buf := make([]byte, 0, flushBytes+512)
-	for i := range tree.Dirs {
-		d := &tree.Dirs[i]
-		buf = strconv.AppendInt(buf, int64(d.ID), 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(d.Parent), 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendQuote(buf, d.Name)
-		buf = append(buf, ' ')
-		buf = strconv.AppendBool(buf, d.Special)
-		buf = append(buf, ' ')
-		buf = strconv.AppendFloat(buf, d.Bias, 'g', -1, 64)
-		buf = append(buf, '\n')
-		if len(buf) >= flushBytes {
-			h.Write(buf)
-			buf = buf[:0]
+// fragmentBase is what fragment 0 lends the other fragments' checks,
+// published the moment its directory section is in: the plan header it binds
+// and the tree and partition its record check rebuilt.
+type fragmentBase struct {
+	ready chan struct{} // closed once the fields below are set, or fragment 0 failed first
+	hdr   *Plan
+	tree  *namespace.Tree
+	part  *namespace.Partition
+}
+
+// fragmentCheck holds a fragment after the first to fragment 0 without a
+// tree of its own: it must bind fragment 0's plan, its directory records
+// must be fragment 0's, field for field, and each of its files must lie in
+// its shard of fragment 0's partition. Everything else about the records —
+// dense ascending IDs, names, depths, sizes, every shard's tallies — is the
+// merged stream's to bear out, in the record check of the whole plan every
+// consumer of a PlanSource runs.
+type fragmentCheck struct {
+	hdr    *Plan
+	shard  int
+	base   *fragmentBase
+	wait   func() error // returns once base is published
+	held   bool         // base is published and binds hdr's plan
+	dirs   int          // the directory records held to base's
+	files  bool         // the file section began
+	onFile func(fsimage.File) error
+}
+
+// hold waits for fragment 0, once, and holds the plan to its plan.
+func (c *fragmentCheck) hold() error {
+	if c.held {
+		return nil
+	}
+	c.held = true
+	if err := c.wait(); err != nil {
+		return err
+	}
+	if got, want := c.hdr.Fingerprint(), c.base.hdr.Fingerprint(); got != want {
+		return fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", c.shard, got, want, fsimage.ErrManifestIntegrity)
+	}
+	return nil
+}
+
+func (c *fragmentCheck) AddDir(d fsimage.DirRecord) error {
+	if err := c.hold(); err != nil {
+		return err
+	}
+	if t := c.base.tree; c.dirs < t.Len() {
+		x := &t.Dirs[c.dirs]
+		if d.ID == x.ID && d.Parent == x.Parent && d.Name == x.Name && d.Special == x.Special && math.Float64bits(d.Bias) == math.Float64bits(x.Bias) {
+			c.dirs++
+			return nil
 		}
 	}
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil))
+	return fmt.Errorf("distribute: fragment %d's directory record %d differs from fragment 0's (%w)", c.shard, d.ID, fsimage.ErrManifestIntegrity)
+}
+
+// endDirs holds the completed directory section to fragment 0's.
+func (c *fragmentCheck) endDirs() error {
+	if err := c.hold(); err != nil || c.files {
+		return err
+	}
+	c.files = true
+	if c.dirs != c.base.tree.Len() {
+		return fmt.Errorf("distribute: fragment %d carries %d directories, fragment 0 %d (%w)", c.shard, c.dirs, c.base.tree.Len(), fsimage.ErrManifestIntegrity)
+	}
+	return nil
+}
+
+func (c *fragmentCheck) AddFile(f fsimage.File) error {
+	if err := c.endDirs(); err != nil {
+		return err
+	}
+	if f.DirID < 0 || f.DirID >= c.dirs || c.base.part.ShardOf(f.DirID) != c.shard {
+		return fmt.Errorf("distribute: fragment %d carries file %d of directory %d, which is not its shard's (%w)", c.shard, f.ID, f.DirID, fsimage.ErrManifestIntegrity)
+	}
+	return c.onFile(f)
+}
+
+// decodeFragment reads fragment s of a replay, which must embed shard s, and
+// hands its file records to send: fragment 0 through a record check, which
+// publishes base when its directories are in, every other fragment through a
+// fragmentCheck against base.
+func decodeFragment(r io.Reader, s int, base *fragmentBase, wait func() error, send func(fsimage.File) error) error {
+	var finish func() error
+	if err := readDocument(r, func(hdr *Plan, shard int) (fsimage.RecordSink, error) {
+		if err := hdr.checkShard(shard); err != nil {
+			return nil, err
+		}
+		if shard != s {
+			return nil, fmt.Errorf("distribute: fragment %d embeds shard %d (%w)", s, shard, fsimage.ErrManifestIntegrity)
+		}
+		if s > 0 {
+			c := &fragmentCheck{hdr: hdr, shard: s, base: base, wait: wait, onFile: send}
+			finish = c.endDirs
+			return c, nil
+		}
+		c := newRecordCheck(hdr, 0)
+		c.onFile = func(f fsimage.File, _ int) error { return send(f) }
+		c.onTree = func(hdr *Plan, tree *namespace.Tree) error {
+			base.hdr, base.tree, base.part = hdr, tree, c.part
+			close(base.ready)
+			return nil
+		}
+		finish = c.finish
+		return c.ts, nil
+	}); err != nil {
+		return err
+	}
+	return finish()
 }
 
 // fragmentStream is one decoding goroutine's channel bundle.
 type fragmentStream struct {
 	files chan fsimage.File
 	done  chan error
-	view  *ShardView
 }
 
 // fragmentFault is what a replay reports when the merged stream fails the
@@ -393,92 +474,75 @@ func fragmentFault(streams []*fragmentStream, has []bool, err error) error {
 // decodes each fragment and holds it to its own row of the shard table.
 // Fragment 0's header and directory tree open the stream the moment its
 // directories are in, and the k file streams follow merged by ascending
-// file ID (shards partition the ID space; each stream ascends). Every
-// fragment must bind fragment 0's plan and carry its tree. Memory is
-// O(k·(dirs + chunk)): each decoder rebuilds the tree it checks its
-// fragment's records against.
+// file ID (shards partition the ID space; each stream ascends). Every other
+// fragment must bind fragment 0's plan and carry its directories, which it
+// compares with fragment 0's tree as they stream past, and its files are
+// placed in fragment 0's partition. Memory is O(dirs + k·chunk): fragment 0's
+// tree and partition, beside the one the sink rebuilds, whatever k is.
 func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadCloser, error)) PlanSource {
 	return func(openSink func(*Plan) (fsimage.RecordSink, error)) error {
 		if k < 1 {
 			return fmt.Errorf("distribute: no fragments to replay (%w)", fsimage.ErrInvalidSpec)
 		}
-		// Fragment 0 hands over the plan header and tree the moment its
-		// directory stream completes, so the replay starts while files still
-		// stream.
-		type treeReady struct {
-			hdr  *Plan
-			tree *namespace.Tree
-		}
-		readyCh := make(chan treeReady, 1)
+		base := &fragmentBase{ready: make(chan struct{})}
 		abort := make(chan struct{})
 		defer close(abort)
+		aborted := func() error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("distribute: fragment replay aborted")
+		}
+		wait := func() error {
+			select {
+			case <-base.ready:
+				if base.hdr != nil {
+					return nil
+				}
+			case <-abort:
+			}
+			return aborted()
+		}
 		streams := make([]*fragmentStream, k)
 		for s := 0; s < k; s++ {
 			fs := &fragmentStream{files: make(chan fsimage.File, 256), done: make(chan error, 1)}
 			streams[s] = fs
 			go func(s int) {
 				defer close(fs.files)
+				if s == 0 {
+					defer func() {
+						if base.hdr == nil {
+							close(base.ready)
+						}
+					}()
+				}
 				rc, err := open(s)
 				if err != nil {
 					fs.done <- fmt.Errorf("distribute: opening fragment %d: %w", s, err)
 					return
 				}
 				defer rc.Close()
-				var onTree func(*Plan, *namespace.Tree) error
-				if s == 0 {
-					onTree = func(hdr *Plan, tree *namespace.Tree) error {
-						select {
-						case readyCh <- treeReady{hdr: hdr, tree: tree}:
-							return nil
-						case <-abort:
-							return ctx.Err()
-						}
-					}
-				}
-				view, err := decodeShard(rc, func(f fsimage.File, _ int) error {
+				fs.done <- decodeFragment(rc, s, base, wait, func(f fsimage.File) error {
 					select {
 					case fs.files <- f:
 						return nil
 					case <-abort:
-						if err := ctx.Err(); err != nil {
-							return err
-						}
-						return fmt.Errorf("distribute: fragment replay aborted")
+						return aborted()
 					}
-				}, onTree)
-				if err != nil {
-					fs.done <- err
-					return
-				}
-				fs.view = view
-				fs.done <- nil
+				})
 			}(s)
 		}
 
-		// Wait for fragment 0's tree (or its failure).
-		var hdr *Plan
-		var tree *namespace.Tree
+		// Wait for fragment 0's tree, or its failure.
 		select {
-		case r := <-readyCh:
-			hdr, tree = r.hdr, r.tree
-		case err := <-streams[0].done:
-			// A fragment 0 small enough for the files channel can hand over its
-			// tree and finish before this select runs; both cases are then ready
-			// and Go picks one at random. The hand-over wins whenever it
-			// happened, and done goes back for the collection below.
-			select {
-			case r := <-readyCh:
-				hdr, tree = r.hdr, r.tree
-				streams[0].done <- err
-			default:
-				if err == nil {
-					err = fmt.Errorf("distribute: fragment 0 delivered no tree (%w)", fsimage.ErrManifestIntegrity)
-				}
-				return err
-			}
+		case <-base.ready:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+		if base.hdr == nil {
+			return <-streams[0].done
+		}
+		hdr := base.hdr
 		if len(hdr.Shards) != k {
 			return fmt.Errorf("distribute: the plan has %d shards, the replay was handed %d fragments (%w)", len(hdr.Shards), k, fsimage.ErrManifestIntegrity)
 		}
@@ -486,7 +550,7 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 		if err != nil {
 			return err
 		}
-		if err := (&fsimage.Image{Tree: tree}).StreamRecords(sink); err != nil {
+		if err := (&fsimage.Image{Tree: base.tree}).StreamRecords(sink); err != nil {
 			return err
 		}
 
@@ -516,21 +580,11 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 			next(best)
 		}
 
-		// All channels drained, so every decoder finished: collect results and
-		// run the cross-fragment checks.
-		fingerprint, sum0 := hdr.Fingerprint(), dirsum(tree)
+		// All channels drained, so every decoder finished and holds its
+		// verdict.
 		for s := 0; s < k; s++ {
 			if err := <-streams[s].done; err != nil {
 				return err
-			}
-			view := streams[s].view
-			if got := view.Plan.Fingerprint(); got != fingerprint {
-				return fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", s, got, fingerprint, fsimage.ErrManifestIntegrity)
-			}
-			if s > 0 {
-				if got := dirsum(view.Tree); got != sum0 {
-					return fmt.Errorf("distribute: fragment %d carries a different directory tree than fragment 0 (%w)", s, fsimage.ErrManifestIntegrity)
-				}
 			}
 		}
 		return nil

@@ -3,14 +3,11 @@ package distribute
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -117,30 +114,30 @@ func TestPartitionPlanFragmentsMatchPlainEncoding(t *testing.T) {
 	}
 }
 
-// TestDirsumMatchesFmt holds dirsum's appended lines to the fmt rendering
-// that defines them, "%d %d %q %v %g\n" per directory: over a generated tree
-// with special directories, whose lines fill the hash buffer several times,
-// and over names and biases that fmt quotes and formats the long way.
-func TestDirsumMatchesFmt(t *testing.T) {
-	reference := func(tree *namespace.Tree) string {
-		h := sha256.New()
-		for i := range tree.Dirs {
-			d := &tree.Dirs[i]
-			fmt.Fprintf(h, "%d %d %q %v %g\n", d.ID, d.Parent, d.Name, d.Special, d.Bias)
+// TestFragmentsCarryFragmentZerosTree: a fragment whose directory records
+// differ from fragment 0's in any field fails the replay, even in the fields
+// (a bias, a special mark) that no check of the fragment alone can see, and
+// so does a fragment with a directory more or less.
+func TestFragmentsCarryFragmentZerosTree(t *testing.T) {
+	p := planRoundTrip(t, testConfig(), 3)
+	view := p.view(t, 1)
+	for name, edit := range map[string]func(l *records){
+		"a directory's bias":         func(l *records) { l.dirs[5].Bias = math.Nextafter(l.dirs[5].Bias, 1) },
+		"a directory's special mark": func(l *records) { l.dirs[5].Special = !l.dirs[5].Special },
+		"a directory more": func(l *records) {
+			l.dirs = append(l.dirs, fsimage.DirRecord{ID: len(l.dirs), Parent: 0, Name: "extra"})
+		},
+		"a directory fewer": func(l *records) { l.dirs = l.dirs[:len(l.dirs)-1] },
+	} {
+		doc := sealRecords(t, view, edit)
+		if name != "a directory fewer" && name != "a directory more" {
+			if _, err := DecodeShardView(bytes.NewReader(doc)); err != nil {
+				t.Fatalf("%s: the fragment alone is refused: %v", name, err)
+			}
 		}
-		return hex.EncodeToString(h.Sum(nil))
-	}
-	generated := namespace.GenerateTree(stats.NewRNG(5), 5000, namespace.ShapeGenerative)
-	generated.MarkSpecial(core.DefaultSpecialDirectories())
-	odd := &namespace.Tree{}
-	for i, name := range []string{"R&D <tmp>", `q"b\s`, "tab\tnl\n", "bad\xff\xfe", "é ", "", strings.Repeat("n", 40<<10)} {
-		for j, bias := range []float64{0, math.Copysign(0, -1), 1e21, 5e-324, 123456789.125, math.NaN(), math.Inf(1), math.Inf(-1)} {
-			odd.Dirs = append(odd.Dirs, namespace.Dir{ID: i*10 + j, Parent: -i, Name: name, Special: j%2 == 0, Bias: bias})
-		}
-	}
-	for name, tree := range map[string]*namespace.Tree{"empty": {}, "generated": generated, "odd": odd} {
-		if got, want := dirsum(tree), reference(tree); got != want {
-			t.Errorf("%s tree: dirsum %s, the fmt reference %s", name, got, want)
+		_, err := Merge(fragmentSource(context.Background(), [][]byte{p.frags[0], doc, p.frags[2]}), nil)
+		if !errors.Is(err, fsimage.ErrManifestIntegrity) {
+			t.Errorf("%s: Merge answered %v, want ErrManifestIntegrity", name, err)
 		}
 	}
 }

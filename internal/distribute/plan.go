@@ -53,9 +53,11 @@
 // to itself (counts, shard table, sums — ErrManifestIntegrity); recordCheck
 // holds the record stream to that header (canonical records, rebuilt
 // partition, every shard's expectations) under the retention policies of
-// DecodeShardView and FragmentSource, and of Merge, ManifestCheck and
-// StitchPlanTar, whose digest fold and stitcher read the tree and the
-// partition the check rebuilt; checkManifest and checkEntry hold a manifest
+// DecodeShardView and FragmentSource's fragment 0, and of Merge,
+// ManifestCheck and StitchPlanTar, whose digest fold and stitcher read the
+// tree and the partition the check rebuilt (FragmentSource holds every other
+// fragment to fragment 0's tree and partition, and leaves the rest to the
+// merged stream's check); checkManifest and checkEntry hold a manifest
 // to the plan. Asking for a shard the plan does not have is ErrInvalidSpec;
 // nothing else a damaged artifact can cause is untyped, and no count a
 // document states is allocated before the records that bear it out have

@@ -26,7 +26,7 @@ type ShardView struct {
 }
 
 // recordCheck is the one validator of a record stream against a plan
-// header, behind DecodeShardView, FragmentSource's decoders, Merge,
+// header, behind DecodeShardView, FragmentSource's fragment 0, Merge,
 // ManifestCheck and StitchPlanTar. Its RecordSink is ts, a TreeSink: that
 // rebuilds the compact tree and holds every record to the canonical-stream
 // rules, and hands each file to addFile, which rebuilds the partition once
@@ -128,16 +128,18 @@ func (c *recordCheck) finish() error {
 	return nil
 }
 
-// decodeShard reads a shard document into the view of the shard it embeds.
-// onFile and onTree are recordCheck's hooks.
-func decodeShard(r io.Reader, onFile func(fsimage.File, int) error, onTree func(*Plan, *namespace.Tree) error) (*ShardView, error) {
+// DecodeShardView reads a shard document — a plan fragment, as PartitionPlan
+// writes it and the daemon serves it — verifying every record chunk against
+// its integrity hash and the sealing trailer, and validating the shard's
+// records against the embedded plan header. The restored plan fingerprint
+// is the plan's, so manifests bind to it.
+func DecodeShardView(r io.Reader) (*ShardView, error) {
 	var c *recordCheck
 	if err := readDocument(r, func(hdr *Plan, shard int) (fsimage.RecordSink, error) {
 		if err := hdr.checkShard(shard); err != nil {
 			return nil, err
 		}
 		c = newRecordCheck(hdr, shard)
-		c.onFile, c.onTree = onFile, onTree
 		return c.ts, nil
 	}); err != nil {
 		return nil, err
@@ -153,13 +155,4 @@ func decodeShard(r io.Reader, onFile func(fsimage.File, int) error, onTree func(
 		Dirs:  c.part.Shards[c.shard],
 		Files: c.files,
 	}, nil
-}
-
-// DecodeShardView reads a shard document — a plan fragment, as PartitionPlan
-// writes it and the daemon serves it — verifying every record chunk against
-// its integrity hash and the sealing trailer, and validating the shard's
-// records against the embedded plan header. The restored plan fingerprint
-// is the plan's, so manifests bind to it.
-func DecodeShardView(r io.Reader) (*ShardView, error) {
-	return decodeShard(r, nil, nil)
 }

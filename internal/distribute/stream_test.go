@@ -77,12 +77,12 @@ func liveHeapPeak(t *testing.T, fn func()) uint64 {
 }
 
 // TestMergeMemoryBound: the one merge holds the tree, the partition and a
-// chunk of records beside the manifests it is handed, never the plan's file
-// records. It merges SMALL(300000) — the benchmark's small-file shape at 300k
-// files in 30k directories, two fragments of 14 MB — against two sealed
-// manifests built from its records, and bounds the peak live heap beyond
-// them (liveHeapPeak's baseline is taken with the manifests and the
-// fragments loaded).
+// chunk of records per fragment beside the manifests it is handed, never the
+// plan's file records, and no tree per fragment. It merges SMALL(300000) — the
+// benchmark's small-file shape at 300k files in 30k directories, 28 MB of
+// fragments — as 2 and as 8 fragments against sealed manifests built from
+// their records, and bounds the peak live heap beyond them (liveHeapPeak's
+// baseline is taken with the manifests and the fragments loaded).
 func TestMergeMemoryBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory ceilings are not meaningful under the race detector")
@@ -92,49 +92,56 @@ func TestMergeMemoryBound(t *testing.T) {
 	}
 	cfg := core.Config{NumFiles: 300_000, NumDirs: 30_000, FSSizeBytes: 344_064_000, Seed: 20090225, Parallelism: 1, Mode: core.ModeUserSpecified,
 		FileSizeDist: stats.NewHybrid(stats.NewLognormal(6.9, 0.5), stats.NewPareto(core.DefaultParetoK, core.DefaultParetoXm), core.DefaultFileSizeBodyWeight)}
-	plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 2})
-	manifests := make([]*Manifest, len(plan.Shards))
-	for s := range manifests {
-		v, err := DecodeShardView(bytes.NewReader(frags[s]))
+	for _, k := range []int{2, 8} {
+		plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: k})
+		manifests := make([]*Manifest, len(plan.Shards))
+		for s := range manifests {
+			v, err := DecodeShardView(bytes.NewReader(frags[s]))
+			if err != nil {
+				t.Fatalf("K=%d DecodeShardView(%d): %v", k, s, err)
+			}
+			m := &Manifest{FormatVersion: FormatVersion, PlanFingerprint: plan.Fingerprint(), Shard: s, Dirs: len(v.Dirs), Files: len(v.Files),
+				ContentHashed: true, FileDigests: make([]FileDigest, len(v.Files))}
+			for i, f := range v.Files {
+				m.Bytes += f.Size
+				m.FileDigests[i] = FileDigest{ID: f.ID, Size: f.Size, SHA256: fmt.Sprintf("%064x", f.ID)}
+			}
+			m.Seal()
+			manifests[s] = m
+		}
+		// Measured on a 2-core container (Go 1.24): a merge that retained this
+		// plan's file records peaked at 47.5 to 48.3 MB of heap beyond the
+		// manifests; this merge at 12.3 to 15.3 MB of live heap at K=2 (two
+		// trees and partitions, fragment 0's and the check's, and each
+		// fragment's chunk in decoding) and at 23.3 to 28.6 MB at K=8. A merge
+		// whose every fragment decoder rebuilt its tree peaked at 17.6 to 23.8
+		// MB at K=2 and at 53.3 to 59.0 MB at K=8. The cap is 24 MiB for two
+		// fragments and 3.5 MiB more for each fragment beyond: a chunk's JSON
+		// text and records in decoding, at the default 8192 records a chunk,
+		// where a tree and partition of these 30k directories would add 5 MB
+		// more.
+		cap := uint64(24<<20 + (k-2)*7<<19)
+		var (
+			res *MergeResult
+			err error
+		)
+		peak := liveHeapPeak(t, func() {
+			res, err = Merge(fragmentSource(context.Background(), frags), manifests)
+		})
+		if err == nil {
+			err = res.Err()
+		}
 		if err != nil {
-			t.Fatalf("DecodeShardView(%d): %v", s, err)
+			t.Fatalf("K=%d Merge: %v", k, err)
 		}
-		m := &Manifest{FormatVersion: FormatVersion, PlanFingerprint: plan.Fingerprint(), Shard: s, Dirs: len(v.Dirs), Files: len(v.Files),
-			ContentHashed: true, FileDigests: make([]FileDigest, len(v.Files))}
-		for i, f := range v.Files {
-			m.Bytes += f.Size
-			m.FileDigests[i] = FileDigest{ID: f.ID, Size: f.Size, SHA256: fmt.Sprintf("%064x", f.ID)}
+		if res.Digest == "" {
+			t.Fatalf("K=%d: the merge of hashed manifests produced no digest", k)
 		}
-		m.Seal()
-		manifests[s] = m
-	}
-	// Measured on a 2-core container (Go 1.24): a merge that retained this
-	// plan's file records peaked at 47.5 to 48.3 MB of heap beyond the
-	// manifests; this merge of two fragments at 15.9 to 24.1 MB of live heap,
-	// 15 MB of it three directory trees and their partitions (each fragment's
-	// decoder rebuilds one beside the check's), and a tree whose slice is
-	// doubling holds both copies. The cap sits between.
-	const cap = 36 << 20
-	var (
-		res *MergeResult
-		err error
-	)
-	peak := liveHeapPeak(t, func() {
-		res, err = Merge(fragmentSource(context.Background(), frags), manifests)
-	})
-	if err == nil {
-		err = res.Err()
-	}
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if res.Digest == "" {
-		t.Fatal("the merge of hashed manifests produced no digest")
-	}
-	t.Logf("300k-file merge: peak live heap %.1f MB beyond the manifests (cap %d MB)", float64(peak)/(1<<20), cap>>20)
-	if peak > cap {
-		t.Errorf("the merge peaked at %.1f MB of live heap beyond its manifests, cap is %d MB — something is retaining the plan's file records",
-			float64(peak)/(1<<20), cap>>20)
+		t.Logf("300k-file merge of %d fragments: peak live heap %.1f MB beyond the manifests (cap %.1f MB)", k, float64(peak)/(1<<20), float64(cap)/(1<<20))
+		if peak > cap {
+			t.Errorf("the merge of %d fragments peaked at %.1f MB of live heap beyond its manifests, cap is %.1f MB — something is retaining the plan's file records or a tree per fragment",
+				k, float64(peak)/(1<<20), float64(cap)/(1<<20))
+		}
 	}
 }
 

@@ -494,8 +494,9 @@ func TestMemStoreLRU(t *testing.T) {
 	}
 }
 
-// TestDiskStore: commit is atomic, abort leaves nothing behind, and the
-// store takes no key but a fingerprint, so no key reaches outside its root.
+// TestDiskStore: commit is atomic, abort leaves nothing behind, an entry
+// that lost a part the index names is no entry, and the store takes no key
+// but a fingerprint, so no key reaches outside its root.
 func TestDiskStore(t *testing.T) {
 	root := t.TempDir()
 	s, err := NewDiskStore(filepath.Join(root, "store"))
@@ -503,44 +504,67 @@ func TestDiskStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp1, fp2 := strings.Repeat("1", 64), strings.Repeat("2", 64)
+	var index bytes.Buffer
+	ix := &distribute.FragmentIndex{FormatVersion: distribute.FragmentIndexVersion, Fingerprint: fp1, Shards: 1, Dirs: 1,
+		Fragments: []string{partName(fp1, 0)}}
+	if err := ix.Encode(&index); err != nil {
+		t.Fatal(err)
+	}
 	w, err := s.Create(fp1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := w.Part(IndexPart)
-	if err != nil {
-		t.Fatal(err)
+	for part, data := range map[int][]byte{IndexPart: index.Bytes(), 0: []byte("hello")} {
+		pw, err := w.Part(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pw.Write(data)
+		if err := pw.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	part.Write([]byte("hello"))
-	part.Close()
 	if _, err := s.Open(fp1); !errors.Is(err, ErrPlanNotFound) {
 		t.Fatal("uncommitted entry is visible")
 	}
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if data, err := readPart(t, s, fp1, IndexPart); err != nil || string(data) != "hello" {
+	if data, err := readPart(t, s, fp1, 0); err != nil || string(data) != "hello" {
 		t.Fatalf("read back %q (%v)", data, err)
 	}
-	if _, err := readPart(t, s, fp1, 0); !errors.Is(err, fsimage.ErrInvalidSpec) {
+	if _, err := readPart(t, s, fp1, 1); !errors.Is(err, fsimage.ErrInvalidSpec) {
 		t.Fatalf("a part the entry does not have: %v, want ErrInvalidSpec", err)
 	}
 	// The entry is a plan as it lies: the index under the fingerprint's
 	// name, in a directory of that name.
-	if data, err := os.ReadFile(filepath.Join(root, "store", fp1, fp1)); err != nil || string(data) != "hello" {
+	if data, err := os.ReadFile(filepath.Join(root, "store", fp1, fp1)); err != nil || !bytes.Equal(data, index.Bytes()) {
 		t.Fatalf("the index on disk: %q (%v)", data, err)
 	}
 
+	// A committed entry that lost a fragment the index names (a crash before
+	// its directory entry reached the disk) is no entry: Open removes it, so
+	// a rebuild can commit in its place.
+	if err := os.Remove(filepath.Join(root, "store", fp1, partName(fp1, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Open(fp1); !errors.Is(err, ErrPlanNotFound) {
+		t.Fatalf("an entry without its fragment: %v, want ErrPlanNotFound", err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "store", fp1)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the damaged entry is still there: %v", err)
+	}
+
 	w2, _ := s.Create(fp2)
-	part, _ = w2.Part(IndexPart)
+	part, _ := w2.Part(IndexPart)
 	part.Write([]byte("zzz"))
 	part.Close()
 	w2.Abort()
 	if _, err := s.Open(fp2); !errors.Is(err, ErrPlanNotFound) {
 		t.Fatal("aborted entry is visible")
 	}
-	if left, _ := os.ReadDir(filepath.Join(root, "store")); len(left) != 1 {
-		t.Fatalf("the store holds %d entries after one commit and one abort", len(left))
+	if left, _ := os.ReadDir(filepath.Join(root, "store")); len(left) != 0 {
+		t.Fatalf("the store holds %d entries after a removed commit and an abort", len(left))
 	}
 
 	// A plan file beside the store, and an earlier build's plan document in
@@ -600,6 +624,42 @@ func TestDiskStoreServesPlans(t *testing.T) {
 	}
 	if st := srv.Stats(); st.PlansBuilt != 1 || st.PlanCacheHits != 1 {
 		t.Fatalf("stats %+v, want 1 build and 1 hit", st)
+	}
+
+	// A stored plan that lost a fragment is not in the store, and the next
+	// request rebuilds it; a shard the plan never had is still the request's
+	// fault.
+	fp := first.Fingerprint
+	if err := os.Remove(filepath.Join(root, "store", fp, partName(fp, 1))); err != nil {
+		t.Fatal(err)
+	}
+	get := func(shard int) int {
+		t.Helper()
+		resp, err := c.http().Get(fmt.Sprintf("%s/v1/plans/%s/shards/%d", c.Base, fp, shard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get(1); code != http.StatusNotFound {
+		t.Fatalf("GET a lost shard: HTTP %d, want 404", code)
+	}
+	third, err := c.PostPlan(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b3, _ := io.ReadAll(third.Body)
+	third.Body.Close()
+	if third.Cache != "miss" || !bytes.Equal(b1, b3) {
+		t.Fatalf("the request after the loss: cache state %q, same index %t; want a miss with the same index", third.Cache, bytes.Equal(b1, b3))
+	}
+	if code := get(1); code != http.StatusOK {
+		t.Fatalf("GET the rebuilt shard: HTTP %d, want 200", code)
+	}
+	if code := get(2); code != http.StatusBadRequest {
+		t.Fatalf("GET a shard the plan does not have: HTTP %d, want 400", code)
 	}
 
 	// A shard of a plan that lies beside the store: the key names a path

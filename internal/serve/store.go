@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 
 	"impressions/internal/distribute"
@@ -196,9 +197,11 @@ func (w *memWriter) Abort() error {
 // DiskStore is the durable PlanStore: one directory per fingerprint under a
 // root, holding the fragment index under the fingerprint's name and fragment
 // i as <fingerprint>.frag<i> — a plan `merge -plan` opens as it lies. An
-// entry is staged in a temporary directory and published with an atomic
-// rename, so a crashed build never leaves a half-written plan visible. It
-// takes no key but a fingerprint, and ignores whatever else the root holds.
+// entry is staged in a temporary directory, synced, and published with an
+// atomic rename, so a crashed build never leaves a half-written plan
+// visible; an entry that lost a part all the same is removed when it is
+// next opened, and rebuilt. It takes no key but a fingerprint, and ignores
+// whatever else the root holds.
 type DiskStore struct {
 	dir string
 }
@@ -226,18 +229,26 @@ func checkKey(fp string) error {
 	return nil
 }
 
-// Open returns the committed entry's directory.
+// Open returns the committed entry's directory. An entry without its index
+// or a fragment the index names — a crash before the staged directory
+// reached the disk — is not a plan: Open removes it and reports
+// ErrPlanNotFound, so the request that asked for it builds it again.
 func (s *DiskStore) Open(fp string) (PlanEntry, error) {
 	if err := checkKey(fp); err != nil {
 		return nil, err
 	}
-	dir := filepath.Join(s.dir, fp)
-	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+	e := diskEntry{dir: filepath.Join(s.dir, fp), fp: fp}
+	err := e.load()
+	if errors.Is(err, os.ErrNotExist) || errors.Is(err, fsimage.ErrManifestIntegrity) || errors.Is(err, fsimage.ErrPlanVersion) {
+		if err := os.RemoveAll(e.dir); err != nil {
+			return nil, fmt.Errorf("serve: plan store: removing a damaged entry: %w", err)
+		}
 		return nil, fmt.Errorf("%w (fingerprint %s)", ErrPlanNotFound, fp)
-	} else if err != nil {
+	}
+	if err != nil {
 		return nil, fmt.Errorf("serve: plan store: %w", err)
 	}
-	return diskEntry{dir: dir, fp: fp}, nil
+	return e, nil
 }
 
 // Create stages a new entry in a directory next to its final one.
@@ -252,16 +263,37 @@ func (s *DiskStore) Create(fp string) (PlanWriter, error) {
 	return &diskWriter{tmp: tmp, fp: fp, final: filepath.Join(s.dir, fp)}, nil
 }
 
-// diskEntry is a committed entry's directory. Committed directories are
-// never replaced, so its parts are the ones committed together.
+// diskEntry is a committed entry's directory. A whole committed directory
+// is never replaced, so its parts are the ones committed together.
 type diskEntry struct {
 	dir, fp string
+	shards  int // the fragments the index names
+}
+
+// load reads the entry's index and requires every fragment it names.
+func (e *diskEntry) load() error {
+	f, err := os.Open(filepath.Join(e.dir, e.fp))
+	if err != nil {
+		return err
+	}
+	ix, err := distribute.DecodeFragmentIndex(f)
+	f.Close()
+	for s := 0; err == nil && s < ix.Shards; s++ {
+		_, err = os.Stat(filepath.Join(e.dir, partName(e.fp, s)))
+	}
+	if err == nil {
+		e.shards = ix.Shards
+	}
+	return err
 }
 
 func (e diskEntry) Open(part int) (io.ReadCloser, int64, error) {
+	if part < IndexPart || part >= e.shards {
+		return nil, 0, noShard(e.fp, part)
+	}
 	f, err := os.Open(filepath.Join(e.dir, partName(e.fp, part)))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, noShard(e.fp, part)
+		return nil, 0, fmt.Errorf("%w (fingerprint %s lost its part %d)", ErrPlanNotFound, e.fp, part)
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: plan store: %w", err)
@@ -298,12 +330,35 @@ func (w *diskWriter) Part(part int) (io.WriteCloser, error) {
 	return diskPart{f}, nil
 }
 
+// syncDir makes a directory's entries durable. Windows cannot open a
+// directory for syncing, and does not need to.
+func syncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Commit publishes the staged directory. Its parts were synced as they
+// closed; syncing the directory makes their names durable before the rename
+// publishes them, and syncing the root makes the rename durable.
 func (w *diskWriter) Commit() error {
 	if w.done {
 		return nil
 	}
 	w.done = true
-	err := os.Rename(w.tmp, w.final)
+	err := syncDir(w.tmp)
+	if err == nil {
+		err = os.Rename(w.tmp, w.final)
+	}
 	if err != nil {
 		os.RemoveAll(w.tmp)
 		if _, serr := os.Stat(w.final); serr == nil {
@@ -311,6 +366,9 @@ func (w *diskWriter) Commit() error {
 			// byte-identical by construction.
 			return nil
 		}
+		return fmt.Errorf("serve: plan store: %w", err)
+	}
+	if err := syncDir(filepath.Dir(w.final)); err != nil {
 		return fmt.Errorf("serve: plan store: %w", err)
 	}
 	return nil
