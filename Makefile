@@ -254,7 +254,8 @@ fuzz-smoke:
 # runs skip them rather than forcing a download). The cross-builds cover the
 # platforms the test matrix does not run: the VFS writer calls syscall
 # directly, cmd/impressions does not build on windows (syscall.Kill), and
-# 386 is the 32-bit int every constant comparison must fit.
+# 386 is the 32-bit int every constant comparison must fit, which the 386
+# vet holds the test files to as well.
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -264,6 +265,7 @@ lint:
 	GOOS=freebsd $(GO) build ./...
 	GOOS=windows $(GO) build $$($(GO) list ./... | grep -v '/cmd/impressions$$')
 	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) build -o bin/impressionsvet ./cmd/impressionsvet
 	$(GO) vet -vettool=$(abspath bin/impressionsvet) ./...

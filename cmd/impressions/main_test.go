@@ -262,19 +262,15 @@ func TestStitchChecksTheShardTable(t *testing.T) {
 		if err := os.WriteFile(fmt.Sprintf("%s.frag%d", tampered, s), []byte(moved), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var head struct {
-			View struct {
-				PlanChunks  int              `json:"plan_chunks"`
-				ImageSHA256 string           `json:"image_sha256"`
-				Plan        *distribute.Plan `json:"plan"`
-			} `json:"view"`
-		}
-		if err := json.Unmarshal([]byte(moved), &head); err != nil {
+		// The plan the tampered fragments bind: the one the intact fragment
+		// decodes to, with the same file moved in its shard table.
+		view, err := distribute.DecodeShardView(bytes.NewReader(frag))
+		if err != nil {
 			t.Fatal(err)
 		}
-		p := head.View.Plan
-		p.Chunks, p.ImageSHA256 = head.View.PlanChunks, head.View.ImageSHA256
-		fingerprint = p.Fingerprint()
+		view.Plan.Shards[0].Files--
+		view.Plan.Shards[1].Files++
+		fingerprint = view.Plan.Fingerprint()
 	}
 	index, err := os.ReadFile(plan)
 	if err != nil {

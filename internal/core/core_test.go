@@ -114,11 +114,13 @@ func TestGenerateEmptyConfigFails(t *testing.T) {
 // held as int32, so a count past that — given, or derived from a size — is
 // an invalid spec, said before any work.
 func TestNewGeneratorRejectsCountsPastInt32(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"files":         {NumFiles: math.MaxInt32 + 1, NumDirs: 10},
-		"dirs":          {NumFiles: 10, NumDirs: math.MaxInt32 + 1},
-		"files derived": {FSSizeBytes: 1 << 62},
-	} {
+	cases := map[string]Config{"files derived": {FSSizeBytes: 1 << 62}}
+	if math.MaxInt > math.MaxInt32 { // a 32-bit int cannot hold such a count
+		past := int64(math.MaxInt32) + 1
+		cases["files"] = Config{NumFiles: int(past), NumDirs: 10}
+		cases["dirs"] = Config{NumFiles: 10, NumDirs: int(past)}
+	}
+	for name, cfg := range cases {
 		if _, err := NewGenerator(cfg); !errors.Is(err, fsimage.ErrInvalidSpec) {
 			t.Errorf("%s: got %v, want ErrInvalidSpec", name, err)
 		}

@@ -13,39 +13,31 @@ import (
 
 // shardWireHeader is the "view" object of a shard document.
 type shardWireHeader struct {
-	FormatVersion int `json:"format_version"`
-	Shard         int `json:"shard"`
-	// PlanChunks / ImageSHA256 restore the plan's trailer-sealed fields
-	// (json:"-" on Plan itself), so Fingerprint() of the decoded plan equals
-	// the original's.
-	PlanChunks  int    `json:"plan_chunks"`
-	ImageSHA256 string `json:"image_sha256"`
-	Plan        *Plan  `json:"plan"`
-}
-
-// shardHeader is the view header of p's shard.
-func shardHeader(p *Plan, shard int) shardWireHeader {
-	return shardWireHeader{FormatVersion: FormatVersion, Shard: shard, PlanChunks: p.Chunks, ImageSHA256: p.ImageSHA256, Plan: p}
+	FormatVersion int   `json:"format_version"`
+	Shard         int   `json:"shard"`
+	Plan          *Plan `json:"plan"`
 }
 
 // docWriter writes one document incrementally: newDocWriter emits the head,
 // the records pushed through AddDir/AddFile leave as hash-guarded chunks,
-// sealed and rendered by the build's sealer, Close seals the trailer. The
-// writer buffers the records of the chunk it is cutting; the renderings, and
-// the records of the chunks being sealed, are the sealer's, at most one per
-// sealing goroutine across every writer of the build.
+// sealed and rendered by the build's sealer, closing the encoder waits for
+// the last of them, and Close writes the trailer. The writer buffers the
+// records of the chunk it is cutting; the renderings, and the records of the
+// chunks being sealed, are the sealer's, at most one per sealing goroutine
+// across every writer of the build.
 type docWriter struct {
 	bw  *bufio.Writer
 	enc *fsimage.ChunkEncoder
 }
 
-func newDocWriter(w io.Writer, head shardWireHeader, sealer *fsimage.ChunkSealer, chunkSize int) (*docWriter, error) {
-	raw, err := json.Marshal(head)
+// newDocWriter starts shard's document of plan p.
+func newDocWriter(w io.Writer, p *Plan, shard int, sealer *fsimage.ChunkSealer) (*docWriter, error) {
+	raw, err := json.Marshal(shardWireHeader{FormatVersion: FormatVersion, Shard: shard, Plan: p})
 	if err != nil {
 		return nil, fmt.Errorf("distribute: encoding shard document header: %w", err)
 	}
 	d := &docWriter{bw: bufio.NewWriterSize(w, 64*1024)}
-	d.enc = sealer.Encoder(chunkSize, true, d.emit)
+	d.enc = sealer.Encoder(p.ChunkSize, true, d.emit)
 	if _, err := fmt.Fprintf(d.bw, `{"view":%s,"records":[`, raw); err != nil {
 		return nil, fmt.Errorf("distribute: encoding shard document: %w", err)
 	}
@@ -65,39 +57,33 @@ func (d *docWriter) emit(c *fsimage.Chunk, rendered []byte) error {
 	return err
 }
 
-// resumeAfter positions the writer behind a directory section its caller
-// rendered and wrote to bw itself (the fragment router, once for all
-// fragments): the next chunk is the first file chunk, chained after
-// dirHashes.
-func (d *docWriter) resumeAfter(dirHashes []string) {
-	d.enc.Resume(dirHashes)
-}
-
 func (d *docWriter) AddDir(r fsimage.DirRecord) error { return d.enc.AddDir(r) }
 func (d *docWriter) AddFile(f fsimage.File) error     { return d.enc.AddFile(f) }
 
-// Close seals the last chunk and the document, and returns what the trailer
-// records: the chunk count and the chain hash.
-func (d *docWriter) Close() (chunks int, chain string, err error) {
-	if err = d.enc.Close(); err == nil {
-		chunks, chain = d.enc.Chunks(), d.enc.ChainHash()
-		if _, err = fmt.Fprintf(d.bw, "],\"trailer\":{\"chunks\":%d,\"records_sha256\":%q}}\n", chunks, chain); err == nil {
+// Close writes the trailer, once the encoder is closed: the chunk count and
+// the plan's chains, whose entry for this document is its encoder's chain
+// hash. It flushes the document.
+func (d *docWriter) Close(chains []string) error {
+	raw, err := json.Marshal(chains)
+	if err == nil {
+		if _, err = fmt.Fprintf(d.bw, "],\"trailer\":{\"chunks\":%d,\"chains\":%s}}\n", d.enc.Chunks(), raw); err == nil {
 			err = d.bw.Flush()
 		}
 	}
 	if err != nil {
-		return 0, "", fmt.Errorf("distribute: encoding shard document: %w", err)
+		return fmt.Errorf("distribute: encoding shard document: %w", err)
 	}
-	return chunks, chain, nil
+	return nil
 }
 
 // readDocument is the one reader of shard documents. It walks the envelope,
 // decodes the view and holds its plan header to checkHeader, asks open for
-// the sink the records go to (once, with the checked header, its
-// trailer-sealed fields restored, and the shard the document embeds),
-// verifies every chunk's hash and replays its records into that sink,
-// verifies chunk count and chain against the trailer, and requires the input
-// to end after the closing brace.
+// the sink the records go to (once, with the checked header and the shard
+// the document embeds), verifies every chunk's hash and replays its records
+// into that sink, verifies the chunk count against the trailer and the
+// chain the chunks make against the trailer's entry for the shard in a list
+// of one chain per shard, requires the input to end after the closing
+// brace, and only then seals the header with the trailer's chains.
 //
 // Whatever keeps the input from reading as a document of this shape — bad
 // JSON, a misplaced or missing member, a failed hash, an early or late end —
@@ -140,13 +126,10 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 	if hdr.FormatVersion != FormatVersion {
 		return fmt.Errorf("distribute: shard document format v%d, this build speaks v%d (%w)", hdr.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
 	}
-	if hdr.Plan == nil {
+	p := hdr.Plan
+	if p == nil {
 		return damaged("the view carries no plan header")
 	}
-	// Restore the trailer-sealed fields Plan's own JSON omits; the
-	// fingerprint manifests bind to depends on them.
-	p := hdr.Plan
-	p.Chunks, p.ImageSHA256 = hdr.PlanChunks, hdr.ImageSHA256
 	if err := checkHeader(p); err != nil {
 		return err
 	}
@@ -178,7 +161,10 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 	if err := next("trailer"); err != nil {
 		return err
 	}
-	var trailer map[string]any
+	var trailer struct {
+		Chunks *int     `json:"chunks"`
+		Chains []string `json:"chains"`
+	}
 	if err := value("trailer", &trailer); err != nil {
 		return err
 	}
@@ -188,12 +174,16 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 	if tok, err := dec.Token(); err != io.EOF {
 		return damaged("input goes on after the closing brace (%v, %v)", tok, err)
 	}
-	if n := cdec.Chunks(); trailer["chunks"] != float64(n) {
-		return damaged("trailer promises %v chunks, the stream carried %d — truncated?", trailer["chunks"], n)
+	if n := cdec.Chunks(); trailer.Chunks == nil || *trailer.Chunks != n {
+		return damaged("the trailer does not promise the %d chunks the stream carried — truncated?", n)
 	}
-	if chain := cdec.ChainHash(); trailer["records_sha256"] != chain {
-		return damaged("chain hash mismatch: trailer says %v, chunks chain to %s", trailer["records_sha256"], chain)
+	if len(trailer.Chains) != len(p.Shards) {
+		return damaged("the trailer seals %d fragments, the plan has %d shards", len(trailer.Chains), len(p.Shards))
 	}
+	if chain := cdec.ChainHash(); hdr.Shard < 0 || hdr.Shard >= len(p.Shards) || trailer.Chains[hdr.Shard] != chain {
+		return damaged("chain hash mismatch: the chunks chain to %s, not to the trailer's chain of shard %d", chain, hdr.Shard)
+	}
+	p.Chains = trailer.Chains
 	return nil
 }
 

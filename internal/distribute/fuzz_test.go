@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,14 +28,27 @@ import (
 // carries, which is how the fuzzer reaches the record checks behind them.
 
 // reseal rewrites a shard document so that every chunk hash, the trailer's
-// count and its chain are right for the records the document carries,
-// leaving the view, the records and the chunk indices as they are. It
-// returns nil for input that is not an object with an array of chunks in it.
+// count and its own entry in the trailer's chains are right for the records
+// the document carries, leaving the view, the records, the chunk indices and
+// the other entries as they are; a list that does not have one entry per
+// shard of the view's plan is replaced by one of empty entries beside its
+// own. It returns nil for input that is not an object with an array of
+// chunks in it.
 func reseal(doc []byte) []byte {
 	var envelope map[string]json.RawMessage
 	var chunks []fsimage.Chunk
 	if json.Unmarshal(doc, &envelope) != nil || envelope["view"] == nil || json.Unmarshal(envelope["records"], &chunks) != nil {
 		return nil
+	}
+	var view struct {
+		Shard int
+		Plan  struct{ Shards []json.RawMessage }
+	}
+	var trailer struct{ Chains []string }
+	json.Unmarshal(envelope["view"], &view)
+	json.Unmarshal(envelope["trailer"], &trailer)
+	if len(trailer.Chains) != len(view.Plan.Shards) {
+		trailer.Chains = make([]string, len(view.Plan.Shards))
 	}
 	out := fmt.Appendf(nil, `{"view":%s,"records":[`, envelope["view"])
 	chain := fsimage.NewChunkHashChain()
@@ -49,7 +63,14 @@ func reseal(doc []byte) []byte {
 			return nil
 		}
 	}
-	return fmt.Appendf(out, "],\"trailer\":{\"chunks\":%d,\"records_sha256\":%q}}", len(chunks), chain.Sum())
+	if view.Shard >= 0 && view.Shard < len(trailer.Chains) {
+		trailer.Chains[view.Shard] = chain.Sum()
+	}
+	chains, err := json.Marshal(trailer.Chains)
+	if err != nil {
+		return nil
+	}
+	return fmt.Appendf(out, "],\"trailer\":{\"chunks\":%d,\"chains\":%s}}", len(chunks), chains)
 }
 
 // sentinelOf returns the one sentinel err wraps, and fails the test when it
@@ -181,7 +202,7 @@ func fmtSelfHash(m *Manifest) string {
 // fill the flush buffer several times over, with negative numbers, strings
 // that are not hex and a line longer than the buffer in the middle.
 func TestManifestSelfHashMatchesFmt(t *testing.T) {
-	m := &Manifest{FormatVersion: -3, PlanFingerprint: "plan\n\"quoted\" é", Shard: 7, Dirs: -1, Files: 1 << 40, Bytes: -1 << 63, ContentHashed: true}
+	m := &Manifest{FormatVersion: -3, PlanFingerprint: "plan\n\"quoted\" é", Shard: 7, Dirs: -1, Files: math.MaxInt, Bytes: -1 << 63, ContentHashed: true}
 	for _, n := range []int{0, 1, 3000} {
 		m.FileDigests = m.FileDigests[:0]
 		for i := range n {

@@ -23,12 +23,15 @@ import (
 // Execute (PR 16's tree), where ExecuteShardView at j = 1 and 4,
 // ExecuteShardIncremental fresh and resumed, ExecuteShardViewTar and
 // DigestShardView all sealed these same three manifests. A value here
-// changes only with a deliberate wire or format version bump.
+// changes only with a deliberate wire or format version bump: the fragment,
+// manifest and journal pins were taken again at format version 4, whose
+// fragments seal the plan with their chains, and no record, digest or tree
+// hash moved.
 const (
 	goldenTreeHash  = "c4f805b79830c5052e014b78b49f5d6bae5f2e773f9f35a166c958aa36d8e8b5" // fsimage.HashTree of the materialized image
 	goldenDigest    = "f34a234e883884de49f65e5956a78b437dbe8562b2d3ce46190a7e6bcb9be587" // canonical image digest
-	goldenFragment1 = "7abaf61ad343d70fa92790cfb816542f831dbeabd5c6426ab801698c0d01dffd" // PartitionPlan, fragment 1
-	goldenShardDoc2 = "dbbec3826035d40a42aa136387cac016d87f4575b338b4bebef2ee7e6733388a" // PartitionPlan, fragment 2 (first pinned as a shard document sliced out of the plan)
+	goldenFragment1 = "4d8d271cd44991a6166bd2980bd33c8dfdb6bb70fd9bef3a767409ad60124b7a" // PartitionPlan, fragment 1
+	goldenShardDoc2 = "0f5b5034a72d9f8959be496a23fba5c5665f5cd439022a8dd02157bf9e8a34be" // PartitionPlan, fragment 2 (first pinned as a shard document sliced out of the plan)
 )
 
 // goldenManifests are the ManifestSHA256 of shards 0-2 (29, 179 and 192
@@ -36,14 +39,14 @@ const (
 // BatchFiles 8 that FailAfterFiles stopped at 20 files.
 var (
 	goldenManifests = [3]string{
-		"6f1f3b494b984e82e6e2e66cfe9bd58d38b143c1b9cd75aea3d28fe9d8c6162b",
-		"a2d28ec87647b28a8f74fc12ca0ccbe97d7a1d3aa128ec1b6faa24bbdbb286a9",
-		"225c28aae712ff39ac34b0c27c3611473b220b420d99ecbefeed49df4cbe24fc",
+		"0525cda7c678cbd2773b00410f55b2aa349ed29f00a678bc046c85cb02e669ec",
+		"8026ff2ffa169d6acd7979a3b738f599dfb2ebec110b7a6b109dde81c77b75c1",
+		"d34e0f9b613c0504678cb5eb5a4593cbcf34c0862e0fdd8422d79038b5a4bc56",
 	}
 	goldenJournals = [3]string{
-		"6f3d614aecdf4208aa7dca93bf23c76374dd18ca341a1613293187a44b93cf2c",
-		"d95d3f612fc48cf335861ca37f94d9c1974a42dbf199b7f849b66ef924106542",
-		"9a7632ffb498fa942e993f11888b297609e740566122d6eea5b229380410fdb7",
+		"d8128dcfbb3a12ea08feac372b5af118e28d8705bc88823eafa0b12f8ed333a3",
+		"3f0d0d4abe6159dc7a767510b4e3576464fc0cbe1134339a34ba795c17182435",
+		"87dd929f7c1513252caffa509116c69eec0c1dd575283ad9dd7645e6944742de",
 	}
 )
 
@@ -90,8 +93,8 @@ func escapeConfig() core.Config {
 // taken at the commit before the chunk codec stopped going through fmt and
 // encoding/json (PR 17's tree).
 const (
-	goldenEscapeFragment1 = "951f5ebd75e308a3d89b320a4052f647a7ed2b7f7ad1ae0b4c21a4aba96066a0" // PartitionPlan, fragment 1
-	goldenEscapeShardDoc2 = "e5dc6326b4cacec888a88244bf5a74e40eeb7538b31ed9c9e334633dcdb0b867" // PartitionPlan, fragment 2 (first pinned as a sliced shard document)
+	goldenEscapeFragment1 = "2e97e39c951dd461985341830129569f39037ba79631f47173d452547e595475" // PartitionPlan, fragment 1
+	goldenEscapeShardDoc2 = "5e90ece4b877d134e1eaca8388340ec8d1acfbca3eb6873a9547b1699d1665d5" // PartitionPlan, fragment 2 (first pinned as a sliced shard document)
 )
 
 // handBuiltView is a shard view no generator produces: generated file names
@@ -120,12 +123,14 @@ func handBuiltView() *ShardView {
 	}
 	plan := &Plan{
 		FormatVersion: FormatVersion, Seed: 7, ContentKind: "default", DigestAlgo: fsimage.DigestVersion,
-		Files: 5, Dirs: tree.Len(), Bytes: 1<<40 + 19 + 100, ChunkSize: 3, Chunks: 4,
-		ImageSHA256: "0000000000000000000000000000000000000000000000000000000000000000",
+		Files: 5, Dirs: tree.Len(), Bytes: 1<<40 + 19 + 100, ChunkSize: 3,
 		Shards: []ShardPlan{
 			{Index: 0, StreamKey: contentStreamKey().String(), Roots: []int{2}, Dirs: 3, Files: 4, Bytes: 1<<40 + 19},
 			{Index: 1, StreamKey: contentStreamKey().String(), Roots: []int{1}, Dirs: 1, Files: 1, Bytes: 100},
 		},
+		// Shard 0's own chain is the one its records make, which the
+		// writer puts in its place.
+		Chains: []string{"", "0000000000000000000000000000000000000000000000000000000000000000"},
 	}
 	return &ShardView{Plan: plan, Tree: tree, Shard: 0, Files: files}
 }

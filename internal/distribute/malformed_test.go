@@ -3,12 +3,14 @@ package distribute
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -91,13 +93,44 @@ const shardEntry = `"dirs":(\d+),"files":(\d+),"bytes":(\d+)\}`
 // every count is zero, the stream is empty and the trailer seals it
 // correctly.
 func emptyImageDoc() string {
-	hdr := `"format_version":3,"seed":1,"content_kind":"default","digest_algo":"` + fsimage.DigestVersion +
+	hdr := `"format_version":4,"seed":1,"content_kind":"default","digest_algo":"` + fsimage.DigestVersion +
 		`","files":0,"dirs":0,"bytes":0,"spec":{},"chunk_size":64,"shards":[{"index":0,"stream_key":"` +
 		contentStreamKey().String() + `","roots":[],"dirs":0,"files":0,"bytes":0},{"index":1,"stream_key":"` +
 		contentStreamKey().String() + `","roots":[],"dirs":0,"files":0,"bytes":0}]`
 	chain := fsimage.NewChunkHashChain().Sum()
-	return `{"view":{"format_version":3,"shard":1,"plan_chunks":0,"image_sha256":"` + chain + `","plan":{` + hdr +
-		`}},"records":[],"trailer":{"chunks":0,"records_sha256":"` + chain + `"}}`
+	return `{"view":{"format_version":4,"shard":1,"plan":{` + hdr +
+		`}},"records":[],"trailer":{"chunks":0,"chains":["` + chain + `","` + chain + `"]}}`
+}
+
+// trailerChains rewrites the trailer's chains member: fn gets the list's
+// entries as the text has them, quoted, and returns the member's new text,
+// `,"chains":[...]` or nothing at all.
+func trailerChains(fn func(entries []string) string) func(string) string {
+	return func(doc string) string {
+		start := strings.LastIndex(doc, `,"chains":[`)
+		if start < 0 {
+			panic("malformed table: no chains in the trailer")
+		}
+		end := start + strings.IndexByte(doc[start:], ']')
+		return doc[:start] + fn(strings.Split(doc[start+len(`,"chains":[`):end], ",")) + doc[end+1:]
+	}
+}
+
+// chainsOf renders a chains member.
+func chainsOf(entries ...string) string { return `,"chains":[` + strings.Join(entries, ",") + `]` }
+
+// otherHex turns the first hex digit of a quoted hash into another.
+func otherHex(quoted string) string {
+	const hex = "0123456789abcdef"
+	return `"` + string(hex[(strings.IndexByte(hex, quoted[1])+1)%16]) + quoted[2:]
+}
+
+// asVersion3 rewrites the document into the shape format version 3 wrote:
+// the whole stream's seal in the view, one chain in the trailer.
+func asVersion3(doc string) string {
+	doc = swap(`{"view":{"format_version":4,"shard":1,"plan":{"format_version":4`,
+		`{"view":{"format_version":3,"shard":1,"plan_chunks":9,"image_sha256":"`+strings.Repeat("0", 64)+`","plan":{"format_version":3`)(doc)
+	return trailerChains(func(e []string) string { return `,"records_sha256":` + e[1] })(doc)
 }
 
 // row is one case of the table.
@@ -119,7 +152,7 @@ func malformedCases() []malformedCase {
 		row("empty input", constant(""), integrity),
 		row("not JSON", constant("hello"), integrity),
 		row("a JSON array", constant("[1,2]"), integrity),
-		row("a JSON object without the envelope", constant(`{"format_version":3,"seed":1}`), integrity),
+		row("a JSON object without the envelope", constant(`{"format_version":4,"seed":1}`), integrity),
 		row("truncated inside the header", func(doc string) string { return doc[:100] }, integrity),
 		row("truncated inside the stream", func(doc string) string { return doc[:len(doc)/2] }, integrity),
 		row("truncated before the trailer", func(doc string) string { return doc[:strings.LastIndex(doc, `"trailer"`)-10] }, integrity),
@@ -127,8 +160,9 @@ func malformedCases() []malformedCase {
 		row("a second value after the closing brace", func(doc string) string { return doc + "{}\n" }, integrity),
 
 		// Version skew: the artifact is whole, this build cannot execute it.
-		row("format_version 2", swap(`"plan":{"format_version":3`, `"plan":{"format_version":2`), version),
-		row("shard document format_version 2", swap(`{"view":{"format_version":3`, `{"view":{"format_version":2`), version),
+		row("format_version 2", swap(`"plan":{"format_version":4`, `"plan":{"format_version":2`), version),
+		row("shard document format_version 2", swap(`{"view":{"format_version":4`, `{"view":{"format_version":2`), version),
+		row("a version 3 fragment", asVersion3, version),
 		row("digest_algo x", swap(`"digest_algo":"`+fsimage.DigestVersion+`"`, `"digest_algo":"x"`), version),
 		row("content_kind bogus", swap(`"content_kind":"default","digest_algo"`, `"content_kind":"bogus","digest_algo"`), version),
 		row("stream_key zzz", swap(`"stream_key":"fork:materialize"`, `"stream_key":"zzz"`), version),
@@ -167,17 +201,20 @@ func malformedCases() []malformedCase {
 		row("trailer renamed", swap(`],"trailer":{`, `],"trailor":{`), integrity),
 		row("trailer missing", func(doc string) string { return doc[:strings.LastIndex(doc, `,"trailer":`)] + "}\n" }, integrity),
 		row("trailer chunk count off by one", resub(`"trailer":\{"chunks":(\d+)`, 0, bump), integrity),
-		row("trailer chain hash of another stream", resub(`_sha256":"([0-9a-f])([0-9a-f]{63})"\}\}`, 0, func(m []string) string {
-			return `_sha256":"` + string("0123456789abcdef"[(strings.IndexByte("0123456789abcdef", m[1][0])+1)%16]) + m[2] + `"}}`
-		}), integrity),
+		row("trailer chains missing", trailerChains(func([]string) string { return "" }), integrity),
+		row("trailer chains null", trailerChains(func([]string) string { return `,"chains":null` }), integrity),
+		row("trailer chains one entry short", trailerChains(func(e []string) string { return chainsOf(e[:len(e)-1]...) }), integrity),
+		row("trailer chains one entry extra", trailerChains(func(e []string) string { return chainsOf(append(e, e[0])...) }), integrity),
+		row("trailer chains with a number", trailerChains(func(e []string) string { return chainsOf(e[0], "7", e[2]) }), integrity),
+		row("trailer chain of another stream", trailerChains(func(e []string) string { return chainsOf(e[0], otherHex(e[1]), e[2]) }), integrity),
 
 		// The view around the plan header.
 		row("plan null", func(doc string) string {
 			return doc[:strings.Index(doc, `"plan":{`)] + `"plan":null` + doc[strings.Index(doc, headerEnd)+1:]
 		}, integrity),
-		row("embedded shard -1", swap(`"shard":1,"plan_chunks"`, `"shard":-1,"plan_chunks"`), invalid),
-		row("embedded shard 99", swap(`"shard":1,"plan_chunks"`, `"shard":99,"plan_chunks"`), invalid),
-		row("embedded shard is another shard's", swap(`"shard":1,"plan_chunks"`, `"shard":0,"plan_chunks"`), integrity),
+		row("embedded shard -1", swap(`"shard":1,"plan"`, `"shard":-1,"plan"`), invalid),
+		row("embedded shard 99", swap(`"shard":1,"plan"`, `"shard":99,"plan"`), invalid),
+		row("embedded shard is another shard's", swap(`"shard":1,"plan"`, `"shard":0,"plan"`), integrity),
 	}
 }
 
@@ -224,7 +261,7 @@ var forgedCases = []struct {
 	{"two files out of order", func(l *records, mid int) { l.files[mid], l.files[mid+1] = l.files[mid+1], l.files[mid] }},
 	{"a file twice", func(l *records, mid int) { l.files[mid+1] = l.files[mid] }},
 	{"a file with a negative ID", func(l *records, mid int) { l.files[0].ID = -1 }},
-	{"a file past the plan's count", func(l *records, mid int) { l.files[len(l.files)-1].ID = 1 << 40 }},
+	{"a file past the plan's count", func(l *records, mid int) { l.files[len(l.files)-1].ID = 1 << 30 }},
 	{"one file more than promised", func(l *records, mid int) {
 		f := l.files[len(l.files)-1]
 		f.ID++
@@ -258,7 +295,8 @@ var forgedCases = []struct {
 }
 
 // sealRecords seals the view's records, as edit leaves them, into the view's
-// shard document with 64-record chunks.
+// shard document, under the view's plan chains with its own entry the chain
+// the edited records make: every hash in it is right.
 func sealRecords(tb testing.TB, view *ShardView, edit func(l *records)) []byte {
 	tb.Helper()
 	var l records
@@ -269,17 +307,41 @@ func sealRecords(tb testing.TB, view *ShardView, edit func(l *records)) []byte {
 	var doc bytes.Buffer
 	sealer := fsimage.NewChunkSealer(1)
 	defer sealer.Close()
-	d, err := newDocWriter(&doc, shardHeader(view.Plan, view.Shard), sealer, 64)
+	d, err := newDocWriter(&doc, view.Plan, view.Shard, sealer)
 	if err == nil {
 		err = l.replay(d)
 	}
 	if err == nil {
-		_, _, err = d.Close()
+		err = d.enc.Close()
+	}
+	if err == nil {
+		chains := slices.Clone(view.Plan.Chains)
+		chains[view.Shard] = d.enc.ChainHash()
+		err = d.Close(chains)
 	}
 	if err != nil {
 		tb.Fatalf("sealing: %v", err)
 	}
 	return doc.Bytes()
+}
+
+// sealedUnder rewrites a document's trailer to seal its plan with chains.
+func sealedUnder(doc []byte, chains []string) []byte {
+	raw, err := json.Marshal(chains)
+	if err != nil {
+		panic(err)
+	}
+	return []byte(trailerChains(func([]string) string { return `,"chains":` + string(raw) })(string(doc)))
+}
+
+// chainsIn returns the chains a document's trailer seals its plan with.
+func chainsIn(tb testing.TB, doc []byte) []string {
+	tb.Helper()
+	var d struct{ Trailer struct{ Chains []string } }
+	if err := json.Unmarshal(doc, &d); err != nil {
+		tb.Fatal(err)
+	}
+	return d.Trailer.Chains
 }
 
 // forgedDocuments seals every forgery into a shard document.

@@ -15,8 +15,8 @@ import (
 // A PlanSource replays a plan: it calls open once with the plan header,
 // streams the plan's records in canonical order into the sink open returns,
 // and returns when the stream has ended. By then the header it handed over
-// is sealed — a source that reads the chunk count and chain hash from a
-// trailer has filled them in. FragmentSource (and FragmentIndex.Source over
+// is sealed — a source that reads the plan's chains from its fragments'
+// trailers has filled them in. FragmentSource (and FragmentIndex.Source over
 // it) and ResolvedPlan.Source are the two.
 type PlanSource func(open func(hdr *Plan) (fsimage.RecordSink, error)) error
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
@@ -15,20 +16,20 @@ import (
 // Partitioned planning: every plan is built as K independent fragments.
 //
 // A plan fragment is a shard document (DecodeShardView, Execute, the serve
-// layer's shard endpoint). PartitionPlan resolves the metadata pass once,
-// seals the plan header (chunk count + chain hash over the whole record
-// stream, which every fragment's embedded header carries, so each fragment
-// fingerprints to the plan) and then routes one record replay through K
-// incremental shard-document encoders. Nothing retains the image: live
-// state is the compact tree plus K chunk buffers, and with the spill knob set
-// (Config.SpillDir) even the metadata columns live on disk, so a 10⁸-file
-// plan builds in O(dirs) heap.
+// layer's shard endpoint). PartitionPlan resolves the metadata pass once and
+// routes one record replay through K incremental shard-document encoders;
+// each fragment's trailer then seals the plan with the chain hashes of all
+// K, so each fragment fingerprints to the plan. Nothing retains the image:
+// live state is the compact tree plus K chunk buffers, and with the spill
+// knob set (Config.SpillDir) even the metadata columns live on disk, so a
+// 10⁸-file plan builds in O(dirs) heap.
 //
 // FragmentSource replays the K fragment documents as the whole plan's record
 // stream, so Merge verifies a run, and the stitcher rebuilds its archive,
 // holding fragment 0's tree and O(K × chunk) buffers: the other fragments are
-// held to that tree, not to trees of their own. A fragment index names the
-// fragments and the plan they make up; OpenPlanFile opens one at its path.
+// held to that tree and to fragment 0's chains, not to trees of their own. A
+// fragment index names the fragments and the plan they make up; OpenPlanFile
+// opens one at its path.
 
 // FragmentIndexVersion is the fragment-index wire version.
 const FragmentIndexVersion = 1
@@ -94,29 +95,41 @@ func DecodeFragmentIndex(r io.Reader) (*FragmentIndex, error) {
 	return &ix, nil
 }
 
-// check holds a plan header to the plan the index names: the same
-// fingerprint, shard count and totals.
-func (ix *FragmentIndex) check(hdr *Plan) error {
-	if fp := hdr.Fingerprint(); fp != ix.Fingerprint || len(hdr.Shards) != ix.Shards || hdr.Files != ix.Files || hdr.Dirs != ix.Dirs || hdr.Bytes != ix.Bytes {
-		return fmt.Errorf("distribute: the fragment index names plan %.12s of %d shards, %d files, %d dirs, %d bytes; its fragments carry plan %.12s of %d, %d, %d, %d (%w)",
-			ix.Fingerprint, ix.Shards, ix.Files, ix.Dirs, ix.Bytes, fp, len(hdr.Shards), hdr.Files, hdr.Dirs, hdr.Bytes, fsimage.ErrManifestIntegrity)
+// check holds a plan header to the plan the index names: the same shard
+// count and totals and, once the header is sealed, the same fingerprint.
+func (ix *FragmentIndex) check(hdr *Plan, sealed bool) error {
+	if len(hdr.Shards) != ix.Shards || hdr.Files != ix.Files || hdr.Dirs != ix.Dirs || hdr.Bytes != ix.Bytes {
+		return fmt.Errorf("distribute: the fragment index names a plan of %d shards, %d files, %d dirs, %d bytes; its fragments carry one of %d, %d, %d, %d (%w)",
+			ix.Shards, ix.Files, ix.Dirs, ix.Bytes, len(hdr.Shards), hdr.Files, hdr.Dirs, hdr.Bytes, fsimage.ErrManifestIntegrity)
+	}
+	if !sealed {
+		return nil
+	}
+	if fp := hdr.Fingerprint(); fp != ix.Fingerprint {
+		return fmt.Errorf("distribute: the fragment index names plan %.12s, its fragments seal plan %.12s (%w)", ix.Fingerprint, fp, fsimage.ErrManifestIntegrity)
 	}
 	return nil
 }
 
 // Source replays the plan the index names from its fragments, which open
 // returns readers for: FragmentSource, with the header the fragments carry
-// held to the index — the same fingerprint, shard count and totals, or
+// held to the index — the same shard count and totals when the replay
+// opens, the same fingerprint once it has sealed the header — or
 // ErrManifestIntegrity.
 func (ix *FragmentIndex) Source(ctx context.Context, open func(shard int) (io.ReadCloser, error)) PlanSource {
 	src := FragmentSource(ctx, ix.Shards, open)
 	return func(openSink func(*Plan) (fsimage.RecordSink, error)) error {
-		return src(func(hdr *Plan) (fsimage.RecordSink, error) {
-			if err := ix.check(hdr); err != nil {
+		var hdr *Plan
+		if err := src(func(h *Plan) (fsimage.RecordSink, error) {
+			if err := ix.check(h, false); err != nil {
 				return nil, err
 			}
-			return openSink(hdr)
-		})
+			hdr = h
+			return openSink(h)
+		}); err != nil {
+			return err
+		}
+		return ix.check(hdr, true)
 	}
 }
 
@@ -126,50 +139,22 @@ func FragmentName(planBase string, shard int) string {
 	return fmt.Sprintf("%s.frag%d", planBase, shard)
 }
 
-// sealDirs hashes the chunk chain of the plan's whole record stream without
-// writing it and seals the plan with it: every fragment header carries the
-// same Chunks/ImageSHA256, and the fingerprint manifests bind to covers
-// them. It returns the record hashes of the chain's directory chunks.
-// Every fragment opens with the same directory records at the same chunk
-// size and index, so these are its first chunk hashes too.
-func (rp *ResolvedPlan) sealDirs(ctx context.Context, sealer *fsimage.ChunkSealer) ([]string, error) {
-	var dirHashes []string
-	enc := sealer.Encoder(rp.Plan.ChunkSize, false, func(c *fsimage.Chunk, _ []byte) error {
-		if len(c.Dirs) > 0 {
-			dirHashes = append(dirHashes, c.SHA256)
-		}
-		return nil
-	})
-	if err := rp.Meta.StreamRecords(enc); err != nil {
-		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
-	}
-	if err := enc.Close(); err != nil {
-		return nil, fmt.Errorf("distribute: hashing metadata chunks: %w", err)
-	}
-	rp.Plan.Chunks = enc.Chunks()
-	rp.Plan.ImageSHA256 = enc.ChainHash()
-	return dirHashes, ctx.Err()
-}
-
 // fragmentRouter is the RecordSink that fans one metadata replay out to the
 // fragment encoders. Each file record goes to its shard's encoder only. The
-// directory section is the same bytes in every fragment, so the router
-// renders each directory chunk once, sealed with the hash sealDirs kept,
-// writes it to every fragment, and has the encoders resume behind it at the
-// first file chunk: directory records are hashed once and rendered once,
-// whatever K is, and no rendered chunk outlives its writes. The K encoders
-// share the build's sealer, so the file chunks in flight are bounded by its
-// goroutines, not by K.
+// directory section is the same bytes in every fragment, so it is one more
+// encoder on the build's sealer, whose chunks are written to every fragment;
+// at the first file record the router closes it and has the fragment
+// encoders resume behind its chunk hashes: directory records are hashed once
+// and rendered once, whatever K is, and no rendered chunk outlives its
+// writes. The encoders share the build's sealer, so the chunks in flight
+// are bounded by its goroutines, not by K.
 type fragmentRouter struct {
-	ctx       context.Context
-	rp        *ResolvedPlan
-	dirHashes []string
-	docs      []*docWriter
-	n         int
-
-	dirs  fsimage.Chunk // the directory chunk being filled
-	buf   []byte        // its rendering
-	files bool          // the section is written and the encoders have resumed
+	ctx    context.Context
+	part   *namespace.Partition
+	docs   []*docWriter
+	dirs   *fsimage.ChunkEncoder // the directory section; nil once the files began
+	hashes []string              // its chunk hashes
+	n      int
 }
 
 func (r *fragmentRouter) poll() error {
@@ -187,50 +172,34 @@ func (r *fragmentRouter) AddDir(d fsimage.DirRecord) error {
 	if err := r.poll(); err != nil {
 		return err
 	}
-	if r.files {
+	if r.dirs == nil {
 		return fmt.Errorf("distribute: directory record %d after the file stream began", d.ID)
 	}
-	r.dirs.Dirs = append(r.dirs.Dirs, d)
-	if len(r.dirs.Dirs) >= r.rp.Plan.ChunkSize {
-		return r.flushDirs()
-	}
-	return nil
+	return r.dirs.AddDir(d)
 }
 
-// flushDirs writes the buffered directory chunk to every fragment. Its hash
-// is there: sealDirs' pass cut the same tree at the same chunk size.
-func (r *fragmentRouter) flushDirs() error {
-	if len(r.dirs.Dirs) == 0 {
-		return nil
-	}
-	r.dirs.SHA256 = r.dirHashes[r.dirs.Index]
-	var err error
-	if r.buf, err = r.dirs.AppendJSON(r.buf[:0]); err != nil {
-		return fmt.Errorf("distribute: encoding chunk %d: %w", r.dirs.Index, err)
-	}
+// emitDirs writes a sealed directory chunk to every fragment and keeps its
+// hash.
+func (r *fragmentRouter) emitDirs(c *fsimage.Chunk, rendered []byte) error {
+	r.hashes = append(r.hashes, c.SHA256)
 	for _, d := range r.docs {
-		if err := d.emit(&r.dirs, r.buf); err != nil {
+		if err := d.emit(c, rendered); err != nil {
 			return err
 		}
 	}
-	r.dirs.Index++
-	r.dirs.Dirs = r.dirs.Dirs[:0]
 	return nil
 }
 
 // beginFiles closes the directory section and resumes every encoder behind
 // it.
 func (r *fragmentRouter) beginFiles() error {
-	if err := r.flushDirs(); err != nil {
+	if err := r.dirs.Close(); err != nil {
 		return err
 	}
-	if r.dirs.Index != len(r.dirHashes) {
-		return fmt.Errorf("distribute: the replay carried %d directory chunks, the plan was sealed over %d (%w)", r.dirs.Index, len(r.dirHashes), fsimage.ErrManifestIntegrity)
-	}
+	r.dirs = nil
 	for _, d := range r.docs {
-		d.resumeAfter(r.dirHashes)
+		d.enc.Resume(r.hashes)
 	}
-	r.files = true
 	return nil
 }
 
@@ -238,56 +207,61 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 	if err := r.poll(); err != nil {
 		return err
 	}
-	if !r.files {
+	if r.dirs != nil {
 		if err := r.beginFiles(); err != nil {
 			return err
 		}
 	}
-	return r.docs[r.rp.part.ShardOf(f.DirID)].AddFile(f)
+	return r.docs[r.part.ShardOf(f.DirID)].AddFile(f)
 }
 
 // writeFragments replays the metadata once through a router over one shard
-// document per writer (writers[s] receives fragment s) and seals them.
-func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.ChunkSealer, dirHashes []string, writers []io.WriteCloser) error {
-	router := &fragmentRouter{ctx: ctx, rp: rp, dirHashes: dirHashes, docs: make([]*docWriter, len(writers))}
+// document per writer (writers[s] receives fragment s), seals the plan with
+// their chains and writes every trailer.
+func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.ChunkSealer, writers []io.WriteCloser) error {
+	router := &fragmentRouter{ctx: ctx, part: rp.part, docs: make([]*docWriter, len(writers))}
+	router.dirs = sealer.Encoder(rp.Plan.ChunkSize, true, router.emitDirs)
 	for s, w := range writers {
 		var err error
-		if router.docs[s], err = newDocWriter(w, shardHeader(rp.Plan, s), sealer, rp.Plan.ChunkSize); err != nil {
+		if router.docs[s], err = newDocWriter(w, rp.Plan, s, sealer); err != nil {
 			return err
 		}
 	}
 	if err := rp.Meta.StreamRecords(router); err != nil {
 		return fmt.Errorf("distribute: routing records to fragments: %w", err)
 	}
-	if !router.files { // an image without files
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if router.dirs != nil { // an image without files
 		if err := router.beginFiles(); err != nil {
 			return err
 		}
 	}
+	chains := make([]string, len(router.docs))
 	for s, d := range router.docs {
-		if _, _, err := d.Close(); err != nil {
+		if err := d.enc.Close(); err != nil {
+			return fmt.Errorf("distribute: sealing fragment %d: %w", s, err)
+		}
+		chains[s] = d.enc.ChainHash()
+	}
+	for s, d := range router.docs {
+		if err := d.Close(chains); err != nil {
 			return fmt.Errorf("distribute: sealing fragment %d: %w", s, err)
 		}
 	}
+	rp.Plan.Chains = chains
 	return nil
 }
 
 // WriteFragments writes the plan as one self-contained shard document per
-// shard, fragment s to the writer open returns for it, and seals the plan
-// header: one replay of the columns hashes the chunk chain, a second routes
-// the records to the fragments. The sealed header's Fingerprint is what each
-// fragment reproduces and what an index records. Every writer open returned
-// is closed.
+// shard, fragment s to the writer open returns for it, in one replay of the
+// columns, and seals the plan header with the fragments' chains. The sealed
+// header's Fingerprint is what each fragment reproduces and what an index
+// records. Every writer open returned is closed.
 func (rp *ResolvedPlan) WriteFragments(ctx context.Context, open func(shard int) (io.WriteCloser, error)) error {
-	// One sealer for both passes: the one that seals the header and the
-	// one that writes the fragments.
 	sealer := fsimage.NewChunkSealer(rp.parallelism)
 	defer sealer.Close()
-	dirHashes, err := rp.sealDirs(ctx, sealer)
-	if err != nil {
-		return err
-	}
-
 	wcs := make([]io.WriteCloser, len(rp.Plan.Shards))
 	closeAll := func() {
 		for _, wc := range wcs {
@@ -304,7 +278,7 @@ func (rp *ResolvedPlan) WriteFragments(ctx context.Context, open func(shard int)
 		}
 		wcs[s] = wc
 	}
-	if err := rp.writeFragments(ctx, sealer, dirHashes, wcs); err != nil {
+	if err := rp.writeFragments(ctx, sealer, wcs); err != nil {
 		closeAll()
 		return err
 	}
@@ -335,12 +309,16 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 	return rp.Plan, nil
 }
 
-// fragmentBase is what fragment 0 lends the other fragments' checks,
-// published the moment its directory section is in: the plan header it binds
-// and the tree and partition its record check rebuilt.
+// fragmentBase is what fragment 0 lends the replay and the other fragments'
+// checks, published the moment its directory section is in: a copy of the
+// plan header it binds, which the replay seals once every fragment is in
+// (the decoder seals its own at its trailer), that header's fingerprint
+// before either is sealed, and the tree and partition its record check
+// rebuilt.
 type fragmentBase struct {
 	ready chan struct{} // closed once the fields below are set, or fragment 0 failed first
 	hdr   *Plan
+	fp    string
 	tree  *namespace.Tree
 	part  *namespace.Partition
 }
@@ -363,7 +341,8 @@ type fragmentCheck struct {
 	onFile func(fsimage.File) error
 }
 
-// hold waits for fragment 0, once, and holds the plan to its plan.
+// hold waits for fragment 0, once, and holds the plan to its plan. Neither
+// header is sealed yet: their chains are the trailers' to compare.
 func (c *fragmentCheck) hold() error {
 	if c.held {
 		return nil
@@ -372,7 +351,7 @@ func (c *fragmentCheck) hold() error {
 	if err := c.wait(); err != nil {
 		return err
 	}
-	if got, want := c.hdr.Fingerprint(), c.base.hdr.Fingerprint(); got != want {
+	if got, want := c.hdr.Fingerprint(), c.base.fp; got != want {
 		return fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", c.shard, got, want, fsimage.ErrManifestIntegrity)
 	}
 	return nil
@@ -417,10 +396,15 @@ func (c *fragmentCheck) AddFile(f fsimage.File) error {
 // decodeFragment reads fragment s of a replay, which must embed shard s, and
 // hands its file records to send: fragment 0 through a record check, which
 // publishes base when its directories are in, every other fragment through a
-// fragmentCheck against base.
-func decodeFragment(r io.Reader, s int, base *fragmentBase, wait func() error, send func(fsimage.File) error) error {
-	var finish func() error
+// fragmentCheck against base. It returns the chains the fragment seals its
+// plan with.
+func decodeFragment(r io.Reader, s int, base *fragmentBase, wait func() error, send func(fsimage.File) error) ([]string, error) {
+	var (
+		sealed *Plan
+		finish func() error
+	)
 	if err := readDocument(r, func(hdr *Plan, shard int) (fsimage.RecordSink, error) {
+		sealed = hdr
 		if err := hdr.checkShard(shard); err != nil {
 			return nil, err
 		}
@@ -435,22 +419,25 @@ func decodeFragment(r io.Reader, s int, base *fragmentBase, wait func() error, s
 		c := newRecordCheck(hdr, 0)
 		c.onFile = func(f fsimage.File, _ int) error { return send(f) }
 		c.onTree = func(hdr *Plan, tree *namespace.Tree) error {
-			base.hdr, base.tree, base.part = hdr, tree, c.part
+			replayed := *hdr
+			base.hdr, base.fp, base.tree, base.part = &replayed, hdr.Fingerprint(), tree, c.part
 			close(base.ready)
 			return nil
 		}
 		finish = c.finish
 		return c.ts, nil
 	}); err != nil {
-		return err
+		return nil, err
 	}
-	return finish()
+	return sealed.Chains, finish()
 }
 
-// fragmentStream is one decoding goroutine's channel bundle.
+// fragmentStream is one decoding goroutine's channel bundle, and the chains
+// its fragment seals the plan with, set before done reports.
 type fragmentStream struct {
-	files chan fsimage.File
-	done  chan error
+	files  chan fsimage.File
+	done   chan error
+	chains []string
 }
 
 // fragmentFault is what a replay reports when the merged stream fails the
@@ -477,8 +464,11 @@ func fragmentFault(streams []*fragmentStream, has []bool, err error) error {
 // file ID (shards partition the ID space; each stream ascends). Every other
 // fragment must bind fragment 0's plan and carry its directories, which it
 // compares with fragment 0's tree as they stream past, and its files are
-// placed in fragment 0's partition. Memory is O(dirs + k·chunk): fragment 0's
-// tree and partition, beside the one the sink rebuilds, whatever k is.
+// placed in fragment 0's partition. Once every fragment is decoded, each
+// must seal the plan with fragment 0's chains — each fragment's decoder has
+// checked its own entry — which then seal the header the sink was handed.
+// Memory is O(dirs + k·chunk + k²): fragment 0's tree and partition, beside
+// the one the sink rebuilds, and every fragment's chain list.
 func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadCloser, error)) PlanSource {
 	return func(openSink func(*Plan) (fsimage.RecordSink, error)) error {
 		if k < 1 {
@@ -522,7 +512,7 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 					return
 				}
 				defer rc.Close()
-				fs.done <- decodeFragment(rc, s, base, wait, func(f fsimage.File) error {
+				fs.chains, err = decodeFragment(rc, s, base, wait, func(f fsimage.File) error {
 					select {
 					case fs.files <- f:
 						return nil
@@ -530,6 +520,7 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 						return aborted()
 					}
 				})
+				fs.done <- err
 			}(s)
 		}
 
@@ -587,6 +578,12 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 				return err
 			}
 		}
+		for s := 1; s < k; s++ {
+			if !slices.Equal(streams[s].chains, streams[0].chains) {
+				return fmt.Errorf("distribute: fragment %d seals its plan with other chains than fragment 0 (%w)", s, fsimage.ErrManifestIntegrity)
+			}
+		}
+		hdr.Chains = streams[0].chains
 		return nil
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,23 +39,11 @@ func fragmentBuffers(tb testing.TB, req PlanRequest) (*Plan, [][]byte) {
 }
 
 // encodeView writes a view as a shard document by the plain writer: its
-// tree's directory records and its files, through one encoder.
+// tree's directory records and its files, through one encoder, sealed under
+// its plan's chains with its own entry the chain its records make.
 func encodeView(tb testing.TB, v *ShardView) []byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	sealer := fsimage.NewChunkSealer(1)
-	defer sealer.Close()
-	d, err := newDocWriter(&buf, shardHeader(v.Plan, v.Shard), sealer, v.Plan.ChunkSize)
-	if err == nil {
-		err = (&fsimage.Image{Tree: v.Tree, Files: v.Files}).StreamRecords(d)
-	}
-	if err == nil {
-		_, _, err = d.Close()
-	}
-	if err != nil {
-		tb.Fatalf("encoding shard %d: %v", v.Shard, err)
-	}
-	return buf.Bytes()
+	return sealRecords(tb, v, func(*records) {})
 }
 
 type nopWriteCloser struct{ io.Writer }
@@ -135,7 +125,11 @@ func TestFragmentsCarryFragmentZerosTree(t *testing.T) {
 				t.Fatalf("%s: the fragment alone is refused: %v", name, err)
 			}
 		}
-		_, err := Merge(fragmentSource(context.Background(), [][]byte{p.frags[0], doc, p.frags[2]}), nil)
+		// Its neighbours sealed under its chains: the set agrees on its
+		// seal, and only the directory check stands in the way.
+		chains := chainsIn(t, doc)
+		set := [][]byte{sealedUnder(p.frags[0], chains), doc, sealedUnder(p.frags[2], chains)}
+		_, err := Merge(fragmentSource(context.Background(), set), nil)
 		if !errors.Is(err, fsimage.ErrManifestIntegrity) {
 			t.Errorf("%s: Merge answered %v, want ErrManifestIntegrity", name, err)
 		}
@@ -359,52 +353,59 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestFragmentSourceRejectsTamperedFragment: editing a fragment's header —
-// here the parent chain hash it binds — must surface as an integrity
-// violation, never a silently different image.
+// TestFragmentSourceRejectsTamperedFragment: a fragment whose records or
+// seal differ from the ones its plan was built with must surface as an
+// integrity violation, never a silently different image — even when every
+// count and sum of the shard table still holds.
 func TestFragmentSourceRejectsTamperedFragment(t *testing.T) {
-	cfg := testConfig()
-	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 2, ChunkSize: 64})
+	p := planRoundTrip(t, testConfig(), 3)
+	view := p.view(t, 1)
+	integrity := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, fsimage.ErrManifestIntegrity) {
+			t.Errorf("%s: got %v, want ErrManifestIntegrity", what, err)
+		}
+	}
+	replay := func(frag1 []byte) PlanSource {
+		return fragmentSource(context.Background(), [][]byte{p.frags[0], frag1, p.frags[2]})
+	}
 
-	// Build honest manifests first, then tamper fragment 1's header.
-	manifests := make([]*Manifest, len(frags))
-	outRoot := t.TempDir()
-	for s, doc := range frags {
-		view, err := DecodeShardView(bytes.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if manifests[s], err = executeView(view, DirTarget(outRoot), WorkerOptions{}); err != nil {
-			t.Fatal(err)
-		}
+	// One byte moved between two of fragment 1's files: the shard's files
+	// and bytes hold, every chunk hash and its own chain are right.
+	moved := sealRecords(t, view, func(l *records) {
+		i := slices.IndexFunc(l.files, func(f fsimage.File) bool { return f.Size > 0 })
+		l.files[i].Size--
+		l.files[i+1].Size++
+	})
+	_, err := DecodeShardView(bytes.NewReader(sealedUnder(moved, view.Plan.Chains)))
+	integrity("moved byte under the plan's chains: DecodeShardView", err)
+	_, err = Merge(replay(moved), nil)
+	integrity("moved byte under its own chain: Merge", err)
+	_, err = NewManifestCheck(replay(moved))
+	integrity("moved byte under its own chain: NewManifestCheck", err)
+	alone, err := DecodeShardView(bytes.NewReader(moved))
+	if err != nil {
+		t.Fatalf("moved byte under its own chain: DecodeShardView: %v", err)
 	}
-	marker := []byte(`"image_sha256":"`)
-	i := bytes.Index(frags[1], marker)
-	if i < 0 {
-		t.Fatal("no image_sha256 field in fragment header")
+	if alone.Plan.Fingerprint() == p.Plan.Fingerprint() {
+		t.Error("moved byte under its own chain: the fragment alone binds the plan's fingerprint")
 	}
-	tampered := append([]byte(nil), frags[1]...)
-	j := i + len(marker)
-	if tampered[j] == '0' {
-		tampered[j] = '1'
-	} else {
-		tampered[j] = '0'
-	}
-	_, err := Merge(fragmentSource(context.Background(), [][]byte{frags[0], tampered}), manifests)
-	if !errors.Is(err, fsimage.ErrManifestIntegrity) {
-		t.Errorf("tampered fragment header: got %v, want ErrManifestIntegrity", err)
-	}
+
+	// Another fragment's chain flipped in fragment 1's trailer.
+	chains := slices.Clone(view.Plan.Chains)
+	chains[2] = strings.Trim(otherHex(`"`+chains[2]+`"`), `"`)
+	_, err = Merge(replay(sealedUnder(p.frags[1], chains)), nil)
+	integrity("fragment 2's chain flipped in fragment 1: Merge", err)
 
 	// A flipped record byte must be caught too (chunk hash).
-	k := bytes.Index(frags[0], []byte(`"name":"dir`))
+	k := bytes.Index(p.frags[0], []byte(`"name":"dir`))
 	if k < 0 {
 		t.Fatal("no directory record in fragment 0")
 	}
-	flipped := append([]byte(nil), frags[0]...)
+	flipped := append([]byte(nil), p.frags[0]...)
 	flipped[k+len(`"name":"`)] ^= 1
-	if _, err := Merge(fragmentSource(context.Background(), [][]byte{flipped, frags[1]}), manifests); err == nil {
-		t.Error("bit-flipped fragment record accepted")
-	}
+	_, err = Merge(fragmentSource(context.Background(), [][]byte{flipped, p.frags[1], p.frags[2]}), nil)
+	integrity("bit-flipped record in fragment 0: Merge", err)
 }
 
 // TestFragmentIndexRoundTrip covers the index document: encode/decode

@@ -38,30 +38,34 @@
 //
 // Wire documents. A shard document (a plan fragment) is
 //
-//	{"view": {...}, "records": [chunk, ...], "trailer": {"chunks": n, "records_sha256": hex}}
+//	{"view": {...}, "records": [chunk, ...], "trailer": {"chunks": n, "chains": [c0, ..., cK-1]}}
 //
-// around a shard index, the plan's trailer-sealed fields and the Plan, with
-// an array that carries every directory but only that shard's files. The
-// chunks are fsimage.Chunk, each guarded by a hash and all of them by the
-// chain hash; the trailer comes last because the chain is known only after
-// the last chunk, which is what lets a fused pass stream a document it never
-// holds. One writer (docWriter) renders it, and whatever reads bytes this
-// process did not just write goes through four checks: readDocument walks
-// the envelope, verifies every chunk and the trailer and demands the input
-// end there; checkHeader holds the plan header to this build (format
-// version, digest algorithm, content kind, stream keys — ErrPlanVersion) and
-// to itself (counts, shard table, sums — ErrManifestIntegrity); recordCheck
-// holds the record stream to that header (canonical records, rebuilt
-// partition, every shard's expectations) under the retention policies of
-// DecodeShardView and FragmentSource's fragment 0, and of Merge,
-// ManifestCheck and StitchPlanTar, whose digest fold and stitcher read the
-// tree and the partition the check rebuilt (FragmentSource holds every other
-// fragment to fragment 0's tree and partition, and leaves the rest to the
-// merged stream's check); checkManifest and checkEntry hold a manifest
-// to the plan. Asking for a shard the plan does not have is ErrInvalidSpec;
-// nothing else a damaged artifact can cause is untyped, and no count a
-// document states is allocated before the records that bear it out have
-// arrived.
+// around a shard index and the Plan, with an array that carries every
+// directory but only that shard's files. The chunks are fsimage.Chunk, each
+// guarded by a hash and all of the document's by its chain hash; the
+// trailer seals the plan with the chain hash of every fragment, the same
+// list in each, this one's own among them. It comes last because a chain is
+// known only after its last chunk, so one pass streams every fragment and
+// holds none. The list is the plan's seal: Fingerprint folds
+// it, so a fragment whose records differ from the ones its plan was built
+// with binds another plan, and a set whose lists differ is no plan at all.
+// One writer (docWriter) renders it, and whatever reads bytes this process
+// did not just write goes through four checks: readDocument walks the
+// envelope, verifies every chunk, its own chain against its entry in the
+// trailer and demands the input end there; checkHeader holds the plan
+// header to this build (format version, digest algorithm, content kind,
+// stream keys — ErrPlanVersion) and to itself (counts, shard table, sums —
+// ErrManifestIntegrity); recordCheck holds the record stream to that header
+// (canonical records, rebuilt partition, every shard's expectations) under
+// the retention policies of DecodeShardView and FragmentSource's fragment
+// 0, and of Merge, ManifestCheck and StitchPlanTar, whose digest fold and
+// stitcher read the tree and the partition the check rebuilt
+// (FragmentSource holds every other fragment to fragment 0's tree,
+// partition and chain list, and leaves the rest to the merged stream's
+// check); checkManifest and checkEntry hold a manifest to the plan. Asking
+// for a shard the plan does not have is ErrInvalidSpec; nothing else a
+// damaged artifact can cause is untyped, and no count a document states is
+// allocated before the records that bear it out have arrived.
 //
 // The headline invariant, enforced by tests and CI: for a fixed seed,
 // plan → K workers → merge produces an image byte-identical to a
@@ -87,8 +91,11 @@ import (
 // plans from a different major format. Version 2 replaced the single
 // embedded image blob with the chunked metadata stream; version 3 moved the
 // stream's chunk count and chain hash into a trailer, so a fused
-// generate-and-encode pass can write a plan without ever holding the image.
-const FormatVersion = 3
+// generate-and-encode pass can write a plan without ever holding the image;
+// version 4 seals the plan with the fragments' own chain hashes, in every
+// fragment's trailer, instead of one chain over the whole record stream in
+// its header, so one pass writes every fragment.
+const FormatVersion = 4
 
 // ShardPlan describes one shard of the partitioned namespace.
 type ShardPlan struct {
@@ -131,16 +138,13 @@ type Plan struct {
 	// Spec is the image's reproducibility spec.
 	Spec fsimage.Spec `json:"spec"`
 	// ChunkSize is the metadata records-per-chunk the stream was sliced by.
-	ChunkSize int `json:"chunk_size"`
-	// Chunks is the number of metadata chunks in the stream. It lives in the
-	// wire trailer, not the header: the producer knows it only after the
-	// last chunk is sealed.
-	Chunks int `json:"-"`
-	// ImageSHA256 chains the per-chunk record hashes
-	// (fsimage.ChunkHashChain), guarding the whole metadata stream. Like
-	// Chunks it is sealed by the wire trailer.
-	ImageSHA256 string      `json:"-"`
-	Shards      []ShardPlan `json:"shards"`
+	ChunkSize int         `json:"chunk_size"`
+	Shards    []ShardPlan `json:"shards"`
+	// Chains seals the plan: the chain hash (fsimage.ChunkHashChain) of
+	// each fragment's chunks, in shard order. It lives in the wire trailer,
+	// not the header: the producer knows it only after the last chunk is
+	// sealed.
+	Chains []string `json:"-"`
 }
 
 // contentStreamKey is the stream key every shard records for the content
@@ -165,8 +169,12 @@ func loadFile[T any](path string, decode func(io.Reader) (*T, error)) (*T, error
 // the exact plan it was executed against; merge rejects any mismatch.
 func (p *Plan) Fingerprint() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "impressions-plan-v%d\nseed:%d\ncontent:%s\nalgo:%s\ndirs:%d files:%d bytes:%d\nimage:%s\n",
-		p.FormatVersion, p.Seed, p.ContentKind, p.DigestAlgo, p.Dirs, p.Files, p.Bytes, p.ImageSHA256)
+	fmt.Fprintf(h, "impressions-plan-v%d\nseed:%d\ncontent:%s\nalgo:%s\ndirs:%d files:%d bytes:%d\nchains:",
+		p.FormatVersion, p.Seed, p.ContentKind, p.DigestAlgo, p.Dirs, p.Files, p.Bytes)
+	for _, c := range p.Chains {
+		fmt.Fprintf(h, "%s,", c)
+	}
+	fmt.Fprintln(h)
 	for _, s := range p.Shards {
 		fmt.Fprintf(h, "shard:%d key:%s dirs:%d files:%d bytes:%d roots:", s.Index, s.StreamKey, s.Dirs, s.Files, s.Bytes)
 		for _, r := range s.Roots {

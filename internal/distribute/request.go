@@ -36,8 +36,7 @@ type PlanRequest struct {
 // fragments and closes it; distrun writes the fragments from one and hands
 // the scheduler its Source.
 type ResolvedPlan struct {
-	// Plan is the plan header; WriteFragments seals its Chunks and
-	// ImageSHA256.
+	// Plan is the plan header; WriteFragments seals its Chains.
 	Plan *Plan
 	// Meta is the resolved metadata pass.
 	Meta *core.Metadata
@@ -110,9 +109,9 @@ func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
 	}, Meta: m, part: part, parallelism: cfg.Parallelism}, nil
 }
 
-// Source replays the sealed plan from the columns: the records its
-// fragments carry, without a document in between, as often as it is asked
-// to.
+// Source replays the plan from the columns: the records its fragments
+// carry, without a document in between, as often as it is asked to. The
+// header it hands over is sealed once WriteFragments has written them.
 func (rp *ResolvedPlan) Source() PlanSource {
 	return func(open func(*Plan) (fsimage.RecordSink, error)) error {
 		sink, err := open(rp.Plan)

@@ -130,9 +130,10 @@ func (c *recordCheck) finish() error {
 
 // DecodeShardView reads a shard document — a plan fragment, as PartitionPlan
 // writes it and the daemon serves it — verifying every record chunk against
-// its integrity hash and the sealing trailer, and validating the shard's
-// records against the embedded plan header. The restored plan fingerprint
-// is the plan's, so manifests bind to it.
+// its integrity hash and the document's chain against its entry in the
+// sealing trailer, and validating the shard's records against the embedded
+// plan header. The header is sealed with the trailer's chains, so its
+// fingerprint is the plan's and manifests bind to it.
 func DecodeShardView(r io.Reader) (*ShardView, error) {
 	var c *recordCheck
 	if err := readDocument(r, func(hdr *Plan, shard int) (fsimage.RecordSink, error) {

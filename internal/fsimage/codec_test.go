@@ -187,7 +187,7 @@ func TestMakeFileNameMatchesFmt(t *testing.T) {
 		}
 		return fmt.Sprintf("file%08d.%s", counter, ext)
 	}
-	for _, counter := range []int{0, 7, 12345678, 99999999, 100000000, math.MaxInt64, -1, -1234567, -12345678, math.MinInt64} {
+	for _, counter := range []int{0, 7, 12345678, 99999999, 100000000, math.MaxInt, -1, -1234567, -12345678, math.MinInt} {
 		for _, ext := range []string{"", "null", "c", "tar.gz", "a-rather-long-extension-that-outgrows-the-stack-buffer"} {
 			if got, want := MakeFileName(counter, ext), reference(counter, ext); got != want {
 				t.Errorf("MakeFileName(%d, %q) = %q, fmt says %q", counter, ext, got, want)
