@@ -95,15 +95,12 @@ func DecodeFragmentIndex(r io.Reader) (*FragmentIndex, error) {
 	return &ix, nil
 }
 
-// check holds a plan header to the plan the index names: the same shard
-// count and totals and, once the header is sealed, the same fingerprint.
-func (ix *FragmentIndex) check(hdr *Plan, sealed bool) error {
+// check holds a sealed plan header to the plan the index names: the same
+// shard count, totals and fingerprint.
+func (ix *FragmentIndex) check(hdr *Plan) error {
 	if len(hdr.Shards) != ix.Shards || hdr.Files != ix.Files || hdr.Dirs != ix.Dirs || hdr.Bytes != ix.Bytes {
 		return fmt.Errorf("distribute: the fragment index names a plan of %d shards, %d files, %d dirs, %d bytes; its fragments carry one of %d, %d, %d, %d (%w)",
 			ix.Shards, ix.Files, ix.Dirs, ix.Bytes, len(hdr.Shards), hdr.Files, hdr.Dirs, hdr.Bytes, fsimage.ErrManifestIntegrity)
-	}
-	if !sealed {
-		return nil
 	}
 	if fp := hdr.Fingerprint(); fp != ix.Fingerprint {
 		return fmt.Errorf("distribute: the fragment index names plan %.12s, its fragments seal plan %.12s (%w)", ix.Fingerprint, fp, fsimage.ErrManifestIntegrity)
@@ -112,24 +109,20 @@ func (ix *FragmentIndex) check(hdr *Plan, sealed bool) error {
 }
 
 // Source replays the plan the index names from its fragments, which open
-// returns readers for: FragmentSource, with the header the fragments carry
-// held to the index — the same shard count and totals when the replay
-// opens, the same fingerprint once it has sealed the header — or
+// returns readers for: FragmentSource over the index's shard count, with the
+// header the replay sealed held to the index once it returns, or
 // ErrManifestIntegrity.
 func (ix *FragmentIndex) Source(ctx context.Context, open func(shard int) (io.ReadCloser, error)) PlanSource {
 	src := FragmentSource(ctx, ix.Shards, open)
 	return func(openSink func(*Plan) (fsimage.RecordSink, error)) error {
 		var hdr *Plan
 		if err := src(func(h *Plan) (fsimage.RecordSink, error) {
-			if err := ix.check(h, false); err != nil {
-				return nil, err
-			}
 			hdr = h
 			return openSink(h)
 		}); err != nil {
 			return err
 		}
-		return ix.check(hdr, true)
+		return ix.check(hdr)
 	}
 }
 
@@ -310,11 +303,11 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 }
 
 // fragmentBase is what fragment 0 lends the replay and the other fragments'
-// checks, published the moment its directory section is in: a copy of the
-// plan header it binds, which the replay seals once every fragment is in
-// (the decoder seals its own at its trailer), that header's fingerprint
-// before either is sealed, and the tree and partition its record check
-// rebuilt.
+// checks, published the moment its directory section is in, which for a
+// fragment without files is only after its trailer: an unsealed copy of the
+// plan header it binds, which the replay seals once every fragment is in,
+// that header's fingerprint as its document opened, before any seal, and
+// the tree and partition its record check rebuilt.
 type fragmentBase struct {
 	ready chan struct{} // closed once the fields below are set, or fragment 0 failed first
 	hdr   *Plan
@@ -331,7 +324,7 @@ type fragmentBase struct {
 // merged stream's to bear out, in the record check of the whole plan every
 // consumer of a PlanSource runs.
 type fragmentCheck struct {
-	hdr    *Plan
+	fp     string // the fingerprint of its header as the document opened, before any seal
 	shard  int
 	base   *fragmentBase
 	wait   func() error // returns once base is published
@@ -341,8 +334,9 @@ type fragmentCheck struct {
 	onFile func(fsimage.File) error
 }
 
-// hold waits for fragment 0, once, and holds the plan to its plan. Neither
-// header is sealed yet: their chains are the trailers' to compare.
+// hold waits for fragment 0, once, and holds the plan to its plan. Both
+// fingerprints were taken before any seal: the chains are the trailers' to
+// compare.
 func (c *fragmentCheck) hold() error {
 	if c.held {
 		return nil
@@ -351,7 +345,7 @@ func (c *fragmentCheck) hold() error {
 	if err := c.wait(); err != nil {
 		return err
 	}
-	if got, want := c.hdr.Fingerprint(), c.base.fp; got != want {
+	if got, want := c.fp, c.base.fp; got != want {
 		return fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", c.shard, got, want, fsimage.ErrManifestIntegrity)
 	}
 	return nil
@@ -396,8 +390,9 @@ func (c *fragmentCheck) AddFile(f fsimage.File) error {
 // decodeFragment reads fragment s of a replay, which must embed shard s, and
 // hands its file records to send: fragment 0 through a record check, which
 // publishes base when its directories are in, every other fragment through a
-// fragmentCheck against base. It returns the chains the fragment seals its
-// plan with.
+// fragmentCheck against base. Each fingerprints its header as the document
+// opens, before readDocument seals it. It returns the chains the fragment
+// seals its plan with.
 func decodeFragment(r io.Reader, s int, base *fragmentBase, wait func() error, send func(fsimage.File) error) ([]string, error) {
 	var (
 		sealed *Plan
@@ -411,8 +406,9 @@ func decodeFragment(r io.Reader, s int, base *fragmentBase, wait func() error, s
 		if shard != s {
 			return nil, fmt.Errorf("distribute: fragment %d embeds shard %d (%w)", s, shard, fsimage.ErrManifestIntegrity)
 		}
+		fp := hdr.Fingerprint()
 		if s > 0 {
-			c := &fragmentCheck{hdr: hdr, shard: s, base: base, wait: wait, onFile: send}
+			c := &fragmentCheck{fp: fp, shard: s, base: base, wait: wait, onFile: send}
 			finish = c.endDirs
 			return c, nil
 		}
@@ -420,7 +416,8 @@ func decodeFragment(r io.Reader, s int, base *fragmentBase, wait func() error, s
 		c.onFile = func(f fsimage.File, _ int) error { return send(f) }
 		c.onTree = func(hdr *Plan, tree *namespace.Tree) error {
 			replayed := *hdr
-			base.hdr, base.fp, base.tree, base.part = &replayed, hdr.Fingerprint(), tree, c.part
+			replayed.Chains = nil
+			base.hdr, base.fp, base.tree, base.part = &replayed, fp, tree, c.part
 			close(base.ready)
 			return nil
 		}

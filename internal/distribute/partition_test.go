@@ -50,12 +50,15 @@ type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// fragmentCases are the images the fragment byte-identity tests run over,
-// with 64-record chunks: a directory section that ends in a partial chunk
-// (80 directories), one that ends exactly on a chunk edge (128), and an
-// image so sparse (3 files under 64 directories) that with more shards than
-// files some fragment carries no file chunk at all. Each case says what a
-// plan must show for it to be the corner it was written for.
+// fragmentCases are the images the fragment tests run over, with 64-record
+// chunks: a directory section that ends in a partial chunk (80
+// directories), one that ends exactly on a chunk edge (128), an image so
+// sparse (3 files under 64 directories) that with more shards than files
+// some fragment carries no file chunk at all, and one whose fragment 0
+// carries none at 4 shards (1 file under 64 directories: the partitioner
+// hands shard 0 its heaviest item, a subtree of empty directories). Each
+// case says what a plan must show for it to be the corner it was written
+// for.
 var fragmentCases = []struct {
 	name   string
 	adjust func(*core.Config)
@@ -72,6 +75,8 @@ var fragmentCases = []struct {
 			}
 			return len(p.Shards) <= 3
 		}},
+	{"fragment 0 without files", func(c *core.Config) { c.NumDirs, c.NumFiles, c.FSSizeBytes = 64, 1, 2048 },
+		func(p *Plan) bool { return p.Shards[0].Files == 0 || len(p.Shards) < 4 }},
 }
 
 // TestPartitionPlanFragmentsMatchPlainEncoding is the fragment format
@@ -169,30 +174,44 @@ func runFragmentPipeline(t *testing.T, frags [][]byte) (*MergeResult, string, er
 }
 
 // TestPartitionedPipelineMatchesSingleProcess is the acceptance invariant
-// for distributed planning: fragments → workers → fragment merge must
-// reproduce the single-process digest and a byte-identical tree (the
-// diff -r equivalence), for K ∈ {1, 2, 4}.
+// for distributed planning: for every image of fragmentCases and K ∈ {1, 2,
+// 4}, the fragments replay through FragmentSource with the fingerprint their
+// build sealed, and fragments → workers → fragment merge reproduce the
+// single-process digest and a byte-identical tree (the diff -r equivalence).
 func TestPartitionedPipelineMatchesSingleProcess(t *testing.T) {
-	cfg := testConfig()
-	_, refDigest, refTreeHash := singleProcessReference(t, cfg)
-	for _, k := range []int{1, 2, 4} {
-		_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: k, ChunkSize: 64})
-		res, outRoot, err := runFragmentPipeline(t, frags)
-		if err != nil {
-			t.Fatalf("K=%d fragment merge: %v", k, err)
-		}
-		if res.Digest != refDigest {
-			t.Errorf("K=%d fragment-merged digest %s != single-process %s", k, res.Digest, refDigest)
-		}
-		if res.Report.ActualFiles != cfg.NumFiles {
-			t.Errorf("K=%d merge reports %d files, want %d", k, res.Report.ActualFiles, cfg.NumFiles)
-		}
-		treeHash, err := fsimage.HashTree(outRoot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if treeHash != refTreeHash {
-			t.Errorf("K=%d materialized tree hash %s != single-process %s", k, treeHash, refTreeHash)
+	for _, fc := range fragmentCases {
+		name, cfg := fc.name, testConfig()
+		fc.adjust(&cfg)
+		_, refDigest, refTreeHash := singleProcessReference(t, cfg)
+		for _, k := range []int{1, 2, 4} {
+			plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: k, ChunkSize: 64})
+			if !fc.holds(plan) {
+				t.Fatalf("%s K=%d: the plan (%d directories, shards %+v) is not that case", name, k, plan.Dirs, plan.Shards)
+			}
+			check, err := NewManifestCheck(fragmentSource(context.Background(), frags))
+			if err != nil {
+				t.Fatalf("%s K=%d NewManifestCheck: %v", name, k, err)
+			}
+			if check.Plan.Fingerprint() != plan.Fingerprint() {
+				t.Errorf("%s K=%d: the replay sealed plan %s, the build %s", name, k, check.Plan.Fingerprint(), plan.Fingerprint())
+			}
+			res, outRoot, err := runFragmentPipeline(t, frags)
+			if err != nil {
+				t.Fatalf("%s K=%d fragment merge: %v", name, k, err)
+			}
+			if res.Digest != refDigest {
+				t.Errorf("%s K=%d fragment-merged digest %s != single-process %s", name, k, res.Digest, refDigest)
+			}
+			if res.Report.ActualFiles != plan.Files {
+				t.Errorf("%s K=%d merge reports %d files, want %d", name, k, res.Report.ActualFiles, plan.Files)
+			}
+			treeHash, err := fsimage.HashTree(outRoot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if treeHash != refTreeHash {
+				t.Errorf("%s K=%d materialized tree hash %s != single-process %s", name, k, treeHash, refTreeHash)
+			}
 		}
 	}
 }

@@ -78,7 +78,7 @@ func (pf *PlanFile) View(shard int) (*ShardView, error) {
 		err = fmt.Errorf("distribute: the index files fragment %s under shard %d, it carries shard %d (%w)", pf.index.Fragments[shard], shard, v.Shard, fsimage.ErrManifestIntegrity)
 	}
 	if err == nil {
-		err = pf.index.check(v.Plan, true)
+		err = pf.index.check(v.Plan)
 	}
 	if err != nil {
 		return nil, err
