@@ -1,6 +1,7 @@
 package content
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -307,27 +308,37 @@ func (g *SimilarityGenerator) Name() string {
 	return fmt.Sprintf("similarity(%.0f%%,%s)", g.SharedFraction*100, g.Base.Name())
 }
 
-// fillRandom fills buf with deterministic pseudo-random bytes from rng.
+// fillRandom fills buf with deterministic pseudo-random bytes from rng: each
+// draw is eight little-endian bytes, and a tail of fewer than eight takes the
+// low bytes of one more draw. Four draws per iteration run side by side,
+// with the generator state in a local for the whole buffer.
 func fillRandom(buf []byte, rng *stats.RNG) {
+	st := rng.State()
+	var a, b, c, d uint64
 	i := 0
+	for ; i+32 <= len(buf); i += 32 {
+		st, a = st.Next()
+		st, b = st.Next()
+		st, c = st.Next()
+		st, d = st.Next()
+		w := buf[i : i+32 : i+32]
+		binary.LittleEndian.PutUint64(w[0:], a)
+		binary.LittleEndian.PutUint64(w[8:], b)
+		binary.LittleEndian.PutUint64(w[16:], c)
+		binary.LittleEndian.PutUint64(w[24:], d)
+	}
 	for ; i+8 <= len(buf); i += 8 {
-		v := rng.Uint64()
-		buf[i] = byte(v)
-		buf[i+1] = byte(v >> 8)
-		buf[i+2] = byte(v >> 16)
-		buf[i+3] = byte(v >> 24)
-		buf[i+4] = byte(v >> 32)
-		buf[i+5] = byte(v >> 40)
-		buf[i+6] = byte(v >> 48)
-		buf[i+7] = byte(v >> 56)
+		st, a = st.Next()
+		binary.LittleEndian.PutUint64(buf[i:], a)
 	}
 	if i < len(buf) {
-		v := rng.Uint64()
+		st, a = st.Next()
 		for ; i < len(buf); i++ {
-			buf[i] = byte(v)
-			v >>= 8
+			buf[i] = byte(a)
+			a >>= 8
 		}
 	}
+	rng.SetState(st)
 }
 
 // CountingWriter counts bytes written to it; used by tests and by the search

@@ -10,6 +10,8 @@
 package content
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"impressions/internal/stats"
@@ -224,21 +226,40 @@ func buildLetterTable() [1024]byte {
 	return tab
 }
 
-// appendLetters appends length English-frequency letters to dst, consuming
-// one 64-bit draw per six letters.
-func appendLetters(dst []byte, length int, rng *stats.RNG) []byte {
-	var bits uint64
-	avail := 0
-	for i := 0; i < length; i++ {
-		if avail == 0 {
-			bits = rng.Uint64()
-			avail = 6
-		}
-		dst = append(dst, letterTable[bits&1023])
-		bits >>= 10
-		avail--
+// letters6 maps one draw to six English-frequency letters, ten bits each,
+// packed little-endian into the low six bytes of a uint64.
+func letters6(v uint64) uint64 {
+	return uint64(letterTable[v&1023]) |
+		uint64(letterTable[v>>10&1023])<<8 |
+		uint64(letterTable[v>>20&1023])<<16 |
+		uint64(letterTable[v>>30&1023])<<24 |
+		uint64(letterTable[v>>40&1023])<<32 |
+		uint64(letterTable[v>>50&1023])<<40
+}
+
+// letterSlack is how far putLetters may write past a word's last letter.
+const letterSlack = 7
+
+// putLetters writes n English-frequency letters at b[pos:], taking one draw
+// from st per six letters, and returns the advanced state. Each six letters
+// are one 8-byte store, so the last store may reach letterSlack bytes past
+// pos+n; b must hold them.
+func putLetters(b []byte, pos, n int, st stats.SplitMix64) stats.SplitMix64 {
+	var v uint64
+	for end := pos + n; pos < end; pos += 6 {
+		st, v = st.Next()
+		binary.LittleEndian.PutUint64(b[pos:], letters6(v))
 	}
-	return dst
+	return st
+}
+
+// appendLetters appends length English-frequency letters to dst, consuming
+// one 64-bit draw per six letters. length is at most MaxSyntheticWordLength;
+// nothing past the appended letters is written.
+func appendLetters(dst []byte, length int, rng *stats.RNG) []byte {
+	var word [MaxSyntheticWordLength + letterSlack]byte
+	rng.SetState(putLetters(word[:], 0, length, rng.State()))
+	return append(dst, word[:length]...)
 }
 
 // HybridModel combines the popularity model for the body of common words with
@@ -264,11 +285,20 @@ type HybridModel struct {
 	fused    bool
 	// wordsFixed packs " word" at a fixed 16-byte stride so the block filler
 	// emits a body word as one constant-size copy (two SSE moves) instead of
-	// a string-header load plus a memmove call; wordLens[i] is the word's
-	// length without the separator.
+	// a string-header load plus a memmove call. wordLens[i] is the length of
+	// combined's outcome i without the separator: a popular word's length,
+	// or a tail word's.
 	wordsFixed [][16]byte
 	wordLens   []uint8
 }
+
+// wordReach bounds how far the fused block filler writes past a word's
+// start: a separator, the longest tail word and the letter stores' slack.
+// A body word's 16-byte copy stays inside it too. The block pool's slack
+// holds it, so the filler never grows a pooled block.
+const wordReach = 1 + MaxSyntheticWordLength + letterSlack
+
+const _ uint = blockSlack - wordReach // blockSlack >= wordReach
 
 // NewHybridModel builds the hybrid word model with the given tail
 // probability (the paper lets users pick the blend; 0.2 is the default).
@@ -300,7 +330,10 @@ func NewHybridModel(tailProb float64) *HybridModel {
 	m.combined = stats.NewAliasTable(weights)
 	m.fused = true
 	m.wordsFixed = make([][16]byte, m.vocab)
-	m.wordLens = make([]uint8, m.vocab)
+	m.wordLens = make([]uint8, len(weights))
+	for k := range MaxSyntheticWordLength {
+		m.wordLens[m.vocab+k] = uint8(k + 1)
+	}
 	for i, w := range m.Popularity.words {
 		if len(w) >= 16 || len(w) == 0 {
 			// A word list this packing cannot hold: keep correctness via the
@@ -338,49 +371,60 @@ func (m *HybridModel) AppendWord(dst []byte, rng *stats.RNG) []byte {
 }
 
 // fillBlock implements blockFiller: the whole words-separators-wrapping loop
-// runs with no per-word function calls — one 64-bit draw and one alias lookup
-// select each word, and popular words land in a single copy from the
-// precomputed " word" strings. A line only exceeds TextLineWidth when a
-// single word is longer than the width, which no built-in word source is.
+// runs with no per-word function calls and no branch on a random value but
+// the body-or-tail one. One 64-bit draw and a branch-free alias pick select
+// each word, popular words land in a single copy from the precomputed
+// " word" strings, and the separator and the new line length are computed,
+// not branched on. The generator state stays in a local for the whole
+// block. A line only exceeds TextLineWidth when a single word is longer than
+// the width, which no built-in word source is.
 func (m *HybridModel) fillBlock(buf []byte, limit, lineLen int, rng *stats.RNG) ([]byte, int) {
 	if !m.fused {
 		return fillBlockGeneric(m, buf, limit, lineLen, rng)
 	}
-	t := &m.combined
-	for len(buf) < limit {
-		idx := t.SampleBits(rng.Uint64())
-		wordStart := len(buf)
-		var wordLen int
-		if idx < m.vocab {
-			wordLen = int(m.wordLens[idx])
-			if lineLen == 0 {
-				buf = append(buf, m.Popularity.words[idx]...)
-				lineLen = wordLen
-				continue
-			}
-			buf = buf[:wordStart+16]
-			*(*[16]byte)(buf[wordStart:]) = m.wordsFixed[idx]
-			buf = buf[:wordStart+1+wordLen]
-		} else {
-			wordLen = idx - m.vocab + 1
-			if lineLen == 0 {
-				buf = appendLetters(buf, wordLen, rng)
-				lineLen = wordLen
-				continue
-			}
-			buf = append(buf, ' ')
-			buf = appendLetters(buf, wordLen, rng)
-		}
-		// Wrap BEFORE the word overflows the line: its leading separator
-		// becomes the newline.
-		if lineLen+1+wordLen > TextLineWidth {
-			buf[wordStart] = '\n'
-			lineLen = wordLen
-		} else {
-			lineLen += 1 + wordLen
-		}
+	pos := len(buf)
+	if pos >= limit {
+		return buf, lineLen
 	}
-	return buf, lineLen
+	// Words are written through the block's spare capacity, up to wordReach
+	// bytes past the last one's start.
+	b := slices.Grow(buf, limit+wordReach-pos)
+	b = b[:cap(b)]
+	cols, shift := m.combined.Columns()
+	fixed, lens, vocab := m.wordsFixed, m.wordLens, m.vocab
+	st := rng.State()
+	var v uint64
+	if lineLen == 0 {
+		// A file's first word has no separator in front of it.
+		st, v = st.Next()
+		idx := stats.PickColumn(cols, shift, v)
+		lineLen = int(lens[idx])
+		if idx < vocab {
+			copy(b[pos:], m.Popularity.words[idx])
+		} else {
+			st = putLetters(b, pos, lineLen, st)
+		}
+		pos += lineLen
+	}
+	for pos < limit {
+		st, v = st.Next()
+		idx := stats.PickColumn(cols, shift, v)
+		wordLen := int(lens[idx])
+		if idx < vocab {
+			*(*[16]byte)(b[pos:]) = fixed[idx]
+		} else {
+			st = putLetters(b, pos+1, wordLen, st)
+		}
+		// Wrap BEFORE the word overflows the line: its separator becomes
+		// the newline. wrap is all ones when it does, else zero.
+		next := lineLen + 1 + wordLen
+		wrap := -(uint64(TextLineWidth-next) >> 63)
+		b[pos] = ' ' ^ byte(wrap)&(' '^'\n')
+		lineLen = next - int(wrap&uint64(lineLen+1))
+		pos += 1 + wordLen
+	}
+	rng.SetState(st)
+	return b[:pos], lineLen
 }
 
 // Name implements WordModel.

@@ -4,8 +4,8 @@ import "math"
 
 // AliasTable is a Walker–Vose alias table: an O(1) sampler for an arbitrary
 // discrete distribution over indices 0..n-1. Construction is O(n); every
-// sample costs exactly one 64-bit draw, a shift, a compare, and at most two
-// array reads, independent of n. It is the shared hot-path sampler behind
+// sample costs exactly one 64-bit draw, a shift, one 8-byte column read and
+// a masked select, independent of n. It is the shared hot-path sampler behind
 // Categorical, Zipf, the content engine's word draws, and the dataset's
 // extension percentile table — all of which previously paid an O(log n)
 // binary search over a cumulative table per sample.
@@ -19,17 +19,25 @@ import "math"
 type AliasTable struct {
 	// prob[i] is the probability of keeping column i when it is hit, scaled
 	// so the comparison works directly on the fractional part of u*m; the
-	// complement redirects to alias[i].
-	prob  []float64
-	alias []int32
-	// thresh[i] is prob[i] quantized to 32 bits for the integer fast path.
-	thresh []uint32
+	// complement redirects to cols[i].Alias.
+	prob []float64
+	// cols holds each column's alias and prob quantized to 32 bits for the
+	// integer fast path.
+	cols []AliasColumn
 	// shift extracts the column index from a uint64's top bits.
 	shift uint
 	// nf is float64(len(prob)) for the float path.
 	nf float64
 	// n is the original (unpadded) category count.
 	n int
+}
+
+// AliasColumn is one column of an AliasTable in the integer fast path's
+// layout: the sampler keeps the column when a draw's low 32 bits fall under
+// Thresh and returns Alias otherwise. One column is one 8-byte read.
+type AliasColumn struct {
+	Thresh uint32
+	Alias  int32
 }
 
 // NewAliasTable builds an alias table for the given weights. Weights must be
@@ -58,12 +66,11 @@ func NewAliasTable(weights []float64) AliasTable {
 		k++
 	}
 	t := AliasTable{
-		prob:   make([]float64, m),
-		alias:  make([]int32, m),
-		thresh: make([]uint32, m),
-		shift:  uint(64 - k),
-		nf:     float64(m),
-		n:      n,
+		prob:  make([]float64, m),
+		cols:  make([]AliasColumn, m),
+		shift: uint(64 - k),
+		nf:    float64(m),
+		n:     n,
 	}
 	// Scale weights so the average column holds exactly 1 (padding columns
 	// hold 0 and will always redirect to a real column).
@@ -87,7 +94,7 @@ func NewAliasTable(weights []float64) AliasTable {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		t.prob[s] = scaled[s]
-		t.alias[s] = l
+		t.cols[s].Alias = l
 		scaled[l] -= 1 - scaled[s]
 		if scaled[l] < 1 {
 			large = large[:len(large)-1]
@@ -97,19 +104,19 @@ func NewAliasTable(weights []float64) AliasTable {
 	// Leftovers are exactly full up to rounding error.
 	for _, i := range large {
 		t.prob[i] = 1
-		t.alias[i] = i
+		t.cols[i].Alias = i
 	}
 	for _, i := range small {
 		t.prob[i] = 1
-		t.alias[i] = i
+		t.cols[i].Alias = i
 	}
 	for i, p := range t.prob {
 		if p >= 1 {
 			// Full columns keep themselves; the 2^-32 quantization loss
-			// redirects to alias[i] == i, so the result is unchanged.
-			t.thresh[i] = math.MaxUint32
+			// redirects to alias i itself, so the result is unchanged.
+			t.cols[i].Thresh = math.MaxUint32
 		} else {
-			t.thresh[i] = uint32(p * (1 << 32))
+			t.cols[i].Thresh = uint32(p * (1 << 32))
 		}
 	}
 	return t
@@ -124,12 +131,21 @@ func (t *AliasTable) Sample(rng *RNG) int {
 // SampleBits maps one uniform 64-bit value to an index using only integer
 // operations: the top bits select the column, the low 32 bits the
 // keep-or-alias decision.
-func (t *AliasTable) SampleBits(v uint64) int {
-	i := int(v >> t.shift)
-	if uint32(v) < t.thresh[i] {
-		return i
-	}
-	return int(t.alias[i])
+func (t *AliasTable) SampleBits(v uint64) int { return PickColumn(t.cols, t.shift, v) }
+
+// Columns returns the table's columns and the shift that maps a draw to one,
+// for a loop that keeps both in registers and samples with PickColumn.
+func (t *AliasTable) Columns() ([]AliasColumn, uint) { return t.cols, t.shift }
+
+// PickColumn is SampleBits over the columns and shift from Columns. The
+// keep-or-alias decision is a masked select, not a branch: it is a coin
+// flip no predictor learns.
+func PickColumn(cols []AliasColumn, shift uint, v uint64) int {
+	i := v >> shift
+	c := cols[i]
+	// lt is 1 when the low 32 bits fall under the threshold, else 0.
+	lt := (uint64(uint32(v)) - uint64(c.Thresh)) >> 63
+	return int(i ^ ((i ^ uint64(c.Alias)) & (lt - 1)))
 }
 
 // SampleU maps one uniform value in [0,1) to an index, for callers that
@@ -143,7 +159,7 @@ func (t *AliasTable) SampleU(u float64) int {
 	if scaled-float64(i) < t.prob[i] {
 		return i
 	}
-	return int(t.alias[i])
+	return int(t.cols[i].Alias)
 }
 
 // Len returns the number of categories.

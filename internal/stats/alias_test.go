@@ -169,3 +169,33 @@ func TestUniformAtAllocationFree(t *testing.T) {
 		t.Errorf("UniformAt allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// TestPickColumnMatchesBranch holds the branch-free keep-or-alias select to
+// the comparison it replaces, on random draws and on low bits at each
+// column's threshold.
+func TestPickColumnMatchesBranch(t *testing.T) {
+	table := NewAliasTable([]float64{12.7, 9.1, 8.2, 7.5, 0, 6.7, 6.3, 0.07, 1, 3})
+	cols, shift := table.Columns()
+	branch := func(v uint64) int {
+		i := int(v >> shift)
+		if uint32(v) < cols[i].Thresh {
+			return i
+		}
+		return int(cols[i].Alias)
+	}
+	check := func(v uint64) {
+		if got, want := table.SampleBits(v), branch(v); got != want {
+			t.Fatalf("SampleBits(%#x) = %d, want %d", v, got, want)
+		}
+	}
+	rng := NewRNG(5)
+	for i := 0; i < 100000; i++ {
+		check(rng.Uint64())
+	}
+	for i, c := range cols {
+		hi := uint64(i) << shift
+		for _, low := range []uint32{0, c.Thresh - 1, c.Thresh, c.Thresh + 1, math.MaxUint32} {
+			check(hi | uint64(low))
+		}
+	}
+}

@@ -29,29 +29,50 @@ import (
 // deterministic stream.
 type RNG struct {
 	seed int64
-	st   smState
+	st   SplitMix64
 	src  *rand.Rand
 }
 
-// smState is a SplitMix64 generator state implementing math/rand.Source64.
-type smState struct{ s uint64 }
+// splitMixGamma is SplitMix64's increment, the golden-ratio odd constant.
+const splitMixGamma = 0x9e3779b97f4a7c15
 
-func (st *smState) next() uint64 {
-	st.s += 0x9e3779b97f4a7c15
-	z := st.s
+// mix64 is the SplitMix64 finalizer (Steele, Lea & Flood). Every draw and
+// every seed derivation goes through it.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
+// SplitMix64 is the generator state behind an RNG. It also implements
+// math/rand.Source64, which serves the RNG's derived distributions.
+//
+// A content kernel copies an RNG's state into a local (RNG.State), draws from
+// the local with Next and writes it back (RNG.SetState). Next takes and
+// returns the state by value, so the local never has its address taken and
+// stays in a register: a state reached through a pointer is loaded and stored
+// on every draw, because the compiler cannot prove that the kernel's byte
+// stores do not alias it.
+type SplitMix64 struct{ s uint64 }
+
+// Next returns the state advanced by one draw, and that draw.
+func (st SplitMix64) Next() (SplitMix64, uint64) {
+	st.s += splitMixGamma
+	return st, mix64(st.s)
+}
+
 // Uint64 implements rand.Source64.
-func (st *smState) Uint64() uint64 { return st.next() }
+func (st *SplitMix64) Uint64() uint64 {
+	var v uint64
+	*st, v = st.Next()
+	return v
+}
 
 // Int63 implements rand.Source.
-func (st *smState) Int63() int64 { return int64(st.next() >> 1) }
+func (st *SplitMix64) Int63() int64 { return int64(st.Uint64() >> 1) }
 
 // Seed implements rand.Source.
-func (st *smState) Seed(seed int64) { st.s = uint64(seed) }
+func (st *SplitMix64) Seed(seed int64) { st.s = uint64(seed) }
 
 // NewRNG returns a deterministic RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
@@ -116,18 +137,13 @@ func fnv1a(label string) int64 {
 	return h
 }
 
-// splitmix64 is the SplitMix64 finalizer (Steele, Lea & Flood); it drives the
-// seed derivation of SplitStream/SplitN so that correlated inputs map to
+// splitmix64 is one SplitMix64 step from state x; it drives the seed
+// derivation of SplitStream/SplitN so that correlated inputs map to
 // uncorrelated child seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+func splitmix64(x uint64) uint64 { return mix64(x + splitMixGamma) }
 
 // Float64 returns a uniform value in [0,1).
-func (r *RNG) Float64() float64 { return float64(r.st.next()>>11) / (1 << 53) }
+func (r *RNG) Float64() float64 { return float64(r.st.Uint64()>>11) / (1 << 53) }
 
 // Intn returns a uniform integer in [0,n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
@@ -148,7 +164,16 @@ func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // Uint64 returns a pseudo-random 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.st.next() }
+func (r *RNG) Uint64() uint64 { return r.st.Uint64() }
+
+// State returns a copy of the RNG's generator state, for a kernel that draws
+// from a local and hands the state back with SetState.
+func (r *RNG) State() SplitMix64 { return r.st }
+
+// SetState replaces the RNG's generator state with st, which a kernel drew
+// forward from State. The draws taken from st are then the RNG's own: the
+// next draw from r is the one after them.
+func (r *RNG) SetState(st SplitMix64) { r.st = st }
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {

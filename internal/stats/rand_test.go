@@ -112,3 +112,34 @@ func TestSplitNSeparation(t *testing.T) {
 		t.Fatalf("first draws of consecutive streams are clustered: %d low, %d high of 1000", lo, hi)
 	}
 }
+
+// TestSplitMix64Reference pins the generator to the published SplitMix64
+// sequence for seed 1234567 (Vigna's reference implementation).
+func TestSplitMix64Reference(t *testing.T) {
+	want := []uint64{6457827717110365317, 3203168211198807973, 9817491932198370423,
+		4593380528125082431, 16408922859458223821}
+	if got := sequence(NewRNG(1234567), len(want)); !equalSeq(got, want) {
+		t.Fatalf("draws %v, want %v", got, want)
+	}
+}
+
+// TestStateDrawsAreTheRNGs: draws taken from a local copy of the state are
+// the RNG's own once the state is written back.
+func TestStateDrawsAreTheRNGs(t *testing.T) {
+	want := sequence(NewRNG(42), 8)
+	r := NewRNG(42)
+	st := r.State()
+	var v uint64
+	for i := 0; i < 5; i++ {
+		if st, v = st.Next(); v != want[i] {
+			t.Fatalf("local draw %d = %#x, want %#x", i, v, want[i])
+		}
+	}
+	if v := r.Uint64(); v != want[0] {
+		t.Fatalf("a local copy advanced the RNG: %#x, want %#x", v, want[0])
+	}
+	r.SetState(st)
+	if got := sequence(r, 3); !equalSeq(got, want[5:]) {
+		t.Fatalf("after SetState %v, want %v", got, want[5:])
+	}
+}
