@@ -230,8 +230,17 @@ func (g *genFlags) config() (core.Config, error) {
 		return core.Config{}, usagef("unknown tree shape %q", *g.tree)
 	}
 	cfg.TreeShape = shape
-	if *g.mu < 0 || *g.sigma < 0 {
-		return core.Config{}, usagef("-size-mu and -size-sigma must be positive (0 keeps the default)")
+	// Written so that NaN fails them too.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-size-mu", *g.mu}, {"-size-sigma", *g.sigma}} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return core.Config{}, usagef("%s %v: must be finite and not negative (0 keeps the default)", f.name, f.v)
+		}
+	}
+	if !(*g.layout >= 0 && *g.layout <= 1) {
+		return core.Config{}, usagef("-layout %v: the layout score must be in [0,1]", *g.layout)
 	}
 	if *g.mu > 0 || *g.sigma > 0 {
 		cfg.Mode = core.ModeUserSpecified
@@ -243,6 +252,9 @@ func (g *genFlags) config() (core.Config, error) {
 			bodySigma = *g.sigma
 		}
 		cfg.FileSizeDist = userFileSizeDist(bodyMu, bodySigma)
+		if mean := cfg.FileSizeDist.Mean(); math.IsInf(mean, 0) || math.IsNaN(mean) {
+			return core.Config{}, usagef("-size-mu %v -size-sigma %v: the file-size body's mean, exp(mu + sigma^2/2), is not a finite number of bytes", bodyMu, bodySigma)
+		}
 	}
 	// What the flags alone get wrong is a usage error, raised before any work.
 	if err := cfg.Validate(); err != nil {

@@ -634,6 +634,29 @@ func TestMainExitCodes(t *testing.T) {
 			t.Errorf("Main(%q) = %d, want 2 with no output and an error naming %q (stdout: %s, stderr: %s)", args, got, size, stdout.String(), stderr.String())
 		}
 	}
+	// A size-model or layout flag that is not a finite number in range is a
+	// usage error naming the flag. NaN used to pass both bounds: as -size-mu
+	// or -size-sigma it kept the default model, as -layout it failed only
+	// when the report was written. A mean past int64 used to be reported by
+	// the resolver as a negative target.
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-size-mu", []string{"-files", "100", "-size-mu", "NaN"}},
+		{"-size-sigma", []string{"-files", "100", "-size-sigma", "NaN"}},
+		{"-layout", []string{"-files", "100", "-layout", "NaN", "-report", filepath.Join(stray, "r.json")}},
+		{"-size-mu", []string{"-files", "100", "-size-mu", "Inf"}},
+		{"-size-mu", []string{"-files", "100", "-size-mu", "1e308"}},
+		{"-size-sigma", []string{"-files", "100", "-size-sigma", "-Inf"}},
+		{"-size-sigma", []string{"plan", "-files", "10", "-size-sigma", "1e200", "-plan", filepath.Join(stray, "p.json")}},
+		{"-layout", []string{"distrun", "-files", "10", "-layout", "NaN", "-out", filepath.Join(stray, "dist")}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := Main(c.args, &stdout, &stderr); got != 2 || stdout.Len() > 0 || !strings.Contains(stderr.String(), c.flag+" ") {
+			t.Errorf("Main(%q) = %d, want 2 with no output and an error naming %s (stdout: %s, stderr: %s)", c.args, got, c.flag, stdout.String(), stderr.String())
+		}
+	}
 	if left, _ := os.ReadDir(stray); len(left) > 0 {
 		t.Errorf("a rejected command left %s behind", left[0].Name())
 	}

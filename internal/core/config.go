@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"impressions/internal/content"
 	"impressions/internal/dataset"
@@ -173,10 +174,7 @@ func (c Config) Normalize() (Config, error) {
 	if out.FSSizeBytes <= 0 && out.NumFiles <= 0 {
 		return Config{}, ErrEmptyConfig
 	}
-	meanSize := out.FileSizeDist.Mean()
-	if meanSize <= 0 {
-		meanSize = 256 * 1024
-	}
+	meanSize := meanFileSize(out.FileSizeDist)
 	if out.NumFiles <= 0 {
 		out.NumFiles = int(float64(out.FSSizeBytes) / meanSize)
 		if out.NumFiles < 1 {
@@ -201,6 +199,20 @@ func (c Config) Normalize() (Config, error) {
 	return out, nil
 }
 
+// meanFileSize is the mean file size Normalize derives a missing count or
+// size from: the size model's mean (the default model's when d is nil), or
+// 256 KiB when that is zero or negative.
+func meanFileSize(d stats.Distribution) float64 {
+	if d == nil {
+		d = DefaultFileSizeDistribution()
+	}
+	m := d.Mean()
+	if m <= 0 {
+		m = 256 * 1024
+	}
+	return m
+}
+
 // Validate reports configuration errors that Normalize cannot repair. Every
 // failure wraps fsimage.ErrInvalidSpec, so callers embedding generation (the
 // HTTP daemon in particular) can classify bad input with errors.Is.
@@ -214,11 +226,25 @@ func (c Config) Validate() error {
 	if c.NumDirs < 0 {
 		return fmt.Errorf("core: negative directory count %d (%w)", c.NumDirs, fsimage.ErrInvalidSpec)
 	}
-	if c.LayoutScore < 0 || c.LayoutScore > 1 {
+	// Written so that NaN fails them too.
+	if !(c.LayoutScore >= 0 && c.LayoutScore <= 1) {
 		return fmt.Errorf("core: layout score %.3f outside [0,1] (%w)", c.LayoutScore, fsimage.ErrInvalidSpec)
 	}
-	if c.Beta < 0 || c.Beta >= 1 {
+	if !(c.Beta >= 0 && c.Beta < 1) {
 		return fmt.Errorf("core: beta %.3f outside [0,1) (%w)", c.Beta, fsimage.ErrInvalidSpec)
+	}
+	// Normalize derives the size from the file count, or the count from the
+	// size, through the mean file size. Go leaves a float-to-integer
+	// conversion out of range implementation-defined, so a derived value
+	// that is not finite or does not fit is refused here.
+	if (c.FSSizeBytes <= 0) != (c.NumFiles <= 0) {
+		mean := meanFileSize(c.FileSizeDist)
+		if size := float64(c.NumFiles) * mean; c.FSSizeBytes <= 0 && !(size < math.MaxInt64) {
+			return fmt.Errorf("core: %d files at a mean size of %g bytes make an image size past int64 (%w)", c.NumFiles, mean, fsimage.ErrInvalidSpec)
+		}
+		if files := float64(c.FSSizeBytes) / mean; c.NumFiles <= 0 && !(files < math.MaxInt) {
+			return fmt.Errorf("core: %d bytes at a mean file size of %g bytes make a file count past int (%w)", c.FSSizeBytes, mean, fsimage.ErrInvalidSpec)
+		}
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: negative parallelism %d (%w)", c.Parallelism, fsimage.ErrInvalidSpec)

@@ -10,6 +10,7 @@ import (
 	"impressions/internal/dataset"
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
+	"impressions/internal/stats"
 )
 
 func TestGenerateDefaultsSmallImage(t *testing.T) {
@@ -127,6 +128,33 @@ func TestNewGeneratorRejectsCountsPastInt32(t *testing.T) {
 	}
 	if _, err := NewGenerator(Config{NumFiles: math.MaxInt32, NumDirs: math.MaxInt32}); err != nil {
 		t.Errorf("the largest image: %v", err)
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN passes a pair of range comparisons, and
+// Go leaves a float-to-integer conversion out of range implementation-
+// defined, so a non-finite score or beta, and a size or file count derived
+// past its integer type, are invalid specs, said before any work.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	huge := stats.NewLognormal(1e3, 1) // a mean past any int64
+	cases := map[string]Config{
+		"layout NaN":        {NumFiles: 10, LayoutScore: math.NaN()},
+		"beta NaN":          {NumFiles: 10, Beta: math.NaN()},
+		"beta -Inf":         {NumFiles: 10, Beta: math.Inf(-1)},
+		"size derived past": {NumFiles: 100, FileSizeDist: huge},
+		"size derived Inf":  {NumFiles: 100, FileSizeDist: stats.NewLognormal(math.Inf(1), 1)},
+		"files derived NaN": {FSSizeBytes: 1 << 20, FileSizeDist: stats.NewPareto(1, 1024)},
+		"size derived NaN":  {NumFiles: 100, FileSizeDist: stats.NewPareto(0.5, 1024)},
+		"size derived 2^64": {NumFiles: 4, FileSizeDist: stats.NewLognormal(math.Log(1<<62)-0.5, 1)},
+	}
+	for name, cfg := range cases {
+		if err := cfg.Validate(); !errors.Is(err, fsimage.ErrInvalidSpec) {
+			t.Errorf("%s: got %v, want ErrInvalidSpec", name, err)
+		}
+	}
+	// A huge model is fine once the size is given: no size is derived.
+	if err := (Config{NumFiles: 100, FSSizeBytes: 1 << 30, FileSizeDist: huge}).Validate(); err != nil {
+		t.Errorf("given size: %v", err)
 	}
 }
 
