@@ -230,8 +230,10 @@ mem-check:
 # (whatever `go test -list '^Fuzz'` finds: the tar header, stitcher and
 # squashfs extractor in internal/imgfmt, the chunk codec and decoder in
 # internal/fsimage, the shard document, manifest and journal decoders in
-# internal/distribute, and the radix sort against sort.Float64s in
-# internal/stats) for FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in
+# internal/distribute, the radix sort against sort.Float64s in
+# internal/stats, and the text and binary content kernels against their
+# reference loops in internal/content: FuzzTextFill, FuzzBinaryFill) for
+# FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in
 # `go test`; this is the ten seconds of new inputs per target on top. The
 # minimizer is off (it stalls on the stitcher's tens-of-KiB inputs) and the
 # cache of interesting inputs lives outside the tree; a finding is written
@@ -266,6 +268,7 @@ lint:
 	GOOS=windows $(GO) build $$($(GO) list ./... | grep -v '/cmd/impressions$$')
 	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test -short ./internal/content ./internal/imgfmt
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) build -o bin/impressionsvet ./cmd/impressionsvet
 	$(GO) vet -vettool=$(abspath bin/impressionsvet) ./...
