@@ -16,6 +16,7 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=3 -timeout 30m ./internal/fleet/... ./internal/serve/... ./cmd/impressions/...
+	$(GO) test -race -count=3 -timeout 30m -run 'FragmentSource|FragmentsCarry' ./internal/distribute
 
 # Full benchmark suite (paper tables/figures + micro + parallel engine).
 bench:

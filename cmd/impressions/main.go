@@ -651,7 +651,7 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 		idleExit     = fs.Duration("idle-exit", 0, "fleet mode: exit cleanly after this long without work (0 = run until signalled)")
 		failAfter    = fs.Int("fail-after-files", 0, "fault injection: SIGKILL this process after writing N files of a shard")
 	)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseAllFlags(fs, args); err != nil {
 		return err
 	}
 	format := strings.ToLower(*formatFlag)

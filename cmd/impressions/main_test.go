@@ -575,6 +575,7 @@ func TestMainExitCodes(t *testing.T) {
 		{"plan stray argument", []string{"plan", "-files", "10", "-plan", filepath.Join(stray, "p.json"), "stray"}, 2},
 		{"distrun stray argument", []string{"distrun", "-files", "10", "-out", filepath.Join(stray, "dist"), "stray"}, 2},
 		{"fleetrun stray argument", []string{"fleetrun", "-files", "10", "stray"}, 2},
+		{"worker stray argument", []string{"worker", "-plan", filepath.Join(stray, "p.json"), "-shard", "0", "-out", filepath.Join(stray, "w"), "-manifest", filepath.Join(stray, "m.json"), "stray", "-metadata-only"}, 2},
 		// A flag value no run could honour is a usage error too, wherever the
 		// generation flags are taken.
 		{"negative size-sigma", []string{"-files", "30", "-size-sigma", "-2"}, 2},

@@ -99,8 +99,10 @@ func Merge(src PlanSource, manifests []*Manifest) (*MergeResult, error) {
 }
 
 // FragmentSource replays a plan from its k fragment documents, which open
-// returns readers for, holding O(dirs + k·chunk) memory — no node in the
-// pipeline ever materializes the image.
+// returns readers for, as a k-way merge of their file streams holding
+// O(k·chunk) memory and no tree: the consumer's record check holds the one
+// tree of the replay, and no node in the pipeline ever materializes the
+// image.
 func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadCloser, error)) PlanSource {
 	return distribute.FragmentSource(ctx, k, open)
 }

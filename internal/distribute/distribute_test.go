@@ -66,6 +66,25 @@ func planRoundTrip(tb testing.TB, cfg core.Config, shards int) *testPlan {
 // source replays the plan's fragments.
 func (p *testPlan) source() PlanSource { return fragmentSource(context.Background(), p.frags) }
 
+// under replays the plan's records under another header.
+func (p *testPlan) under(hdr *Plan) PlanSource {
+	return func(open func(*Plan) (PlanSink, error)) error {
+		sink, err := open(hdr)
+		if err != nil {
+			return err
+		}
+		return p.source()(func(*Plan) (PlanSink, error) { return sink, nil })
+	}
+}
+
+// retagged is a PlanSink that hands every file on as shard's.
+type retagged struct {
+	PlanSink
+	shard int
+}
+
+func (r retagged) AddFile(f fsimage.File, _ int) error { return r.PlanSink.AddFile(f, r.shard) }
+
 // decode decodes one shard's fragment, refusing a shard the plan does not
 // have as a worker does.
 func (p *testPlan) decode(shard int) (*ShardView, error) {
@@ -327,15 +346,7 @@ func TestMergeRejectsCorruptPlan(t *testing.T) {
 	}
 
 	// The fragments' own records under an edited header.
-	under := func(hdr *Plan) PlanSource {
-		return func(open func(*Plan) (fsimage.RecordSink, error)) error {
-			sink, err := open(hdr)
-			if err != nil {
-				return err
-			}
-			return p.source()(func(*Plan) (fsimage.RecordSink, error) { return sink, nil })
-		}
-	}
+	under := p.under
 	if err := merge(under(p.Plan)); err != nil {
 		t.Fatalf("Merge of the records under their own header: %v", err)
 	}
@@ -348,6 +359,18 @@ func TestMergeRejectsCorruptPlan(t *testing.T) {
 	future.FormatVersion = FormatVersion + 1
 	if err := merge(under(&future)); !errors.Is(err, fsimage.ErrPlanVersion) {
 		t.Errorf("Merge under an unknown format version: got %v, want ErrPlanVersion", err)
+	}
+
+	// Every file handed on as shard 0's: the records are the plan's, but
+	// shard 1's stream would carry files of shard 0.
+	retag := func(open func(*Plan) (PlanSink, error)) error {
+		return p.source()(func(hdr *Plan) (PlanSink, error) {
+			sink, err := open(hdr)
+			return retagged{sink, 0}, err
+		})
+	}
+	if err := merge(retag); !errors.Is(err, fsimage.ErrManifestIntegrity) {
+		t.Errorf("Merge of files carried by another shard's stream: got %v, want ErrManifestIntegrity", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package distribute
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -83,7 +84,9 @@ func (d *docWriter) Close(chains []string) error {
 // into that sink, verifies the chunk count against the trailer and the
 // chain the chunks make against the trailer's entry for the shard in a list
 // of one chain per shard, requires the input to end after the closing
-// brace, and only then seals the header with the trailer's chains.
+// brace, and only then seals the header with the trailer's chains. It
+// returns the chain of the directory section, equal in every fragment of a
+// plan: the chain before the first chunk of files.
 //
 // Whatever keeps the input from reading as a document of this shape — bad
 // JSON, a misplaced or missing member, a failed hash, an early or late end —
@@ -92,7 +95,7 @@ func (d *docWriter) Close(chains []string) error {
 // as it is: the record sinks of this package and fsimage type their own
 // rejections, and a sink's failed write or cancelled context is not a
 // verdict on the document.
-func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSink, error)) error {
+func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSink, error)) (string, error) {
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 64*1024))
 	damaged := func(format string, a ...any) error {
 		return fmt.Errorf("distribute: shard document: %s (%w)", fmt.Sprintf(format, a...), fsimage.ErrManifestIntegrity)
@@ -114,77 +117,82 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 	}
 
 	if err := next(json.Delim('{')); err != nil {
-		return err
+		return "", err
 	}
 	if err := next("view"); err != nil {
-		return err
+		return "", err
 	}
 	var hdr shardWireHeader
 	if err := value("view header", &hdr); err != nil {
-		return err
+		return "", err
 	}
 	if hdr.FormatVersion != FormatVersion {
-		return fmt.Errorf("distribute: shard document format v%d, this build speaks v%d (%w)", hdr.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
+		return "", fmt.Errorf("distribute: shard document format v%d, this build speaks v%d (%w)", hdr.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
 	}
 	p := hdr.Plan
 	if p == nil {
-		return damaged("the view carries no plan header")
+		return "", damaged("the view carries no plan header")
 	}
 	if err := checkHeader(p); err != nil {
-		return err
+		return "", err
 	}
 	sink, err := open(p, hdr.Shard)
 	if err != nil {
-		return err
+		return "", err
 	}
 
 	if err := next("records"); err != nil {
-		return err
+		return "", err
 	}
 	if err := next(json.Delim('[')); err != nil {
-		return err
+		return "", err
 	}
 	cdec := fsimage.NewChunkDecoder(sink)
 	var c fsimage.Chunk
+	var dirChain string
 	for dec.More() {
 		c = fsimage.Chunk{}
 		if err := dec.Decode(&c); err != nil {
-			return damaged("decoding chunk %d: %v", cdec.Chunks(), err)
+			return "", damaged("decoding chunk %d: %v", cdec.Chunks(), err)
+		}
+		if dirChain == "" && len(c.Files) > 0 {
+			dirChain = cdec.ChainHash()
 		}
 		if err := cdec.AddChunk(&c); err != nil {
-			return err
+			return "", err
 		}
 	}
 	if err := next(json.Delim(']')); err != nil {
-		return err
+		return "", err
 	}
 	if err := next("trailer"); err != nil {
-		return err
+		return "", err
 	}
 	var trailer struct {
 		Chunks *int     `json:"chunks"`
 		Chains []string `json:"chains"`
 	}
 	if err := value("trailer", &trailer); err != nil {
-		return err
+		return "", err
 	}
 	if err := next(json.Delim('}')); err != nil {
-		return err
+		return "", err
 	}
 	if tok, err := dec.Token(); err != io.EOF {
-		return damaged("input goes on after the closing brace (%v, %v)", tok, err)
+		return "", damaged("input goes on after the closing brace (%v, %v)", tok, err)
 	}
 	if n := cdec.Chunks(); trailer.Chunks == nil || *trailer.Chunks != n {
-		return damaged("the trailer does not promise the %d chunks the stream carried — truncated?", n)
+		return "", damaged("the trailer does not promise the %d chunks the stream carried — truncated?", n)
 	}
 	if len(trailer.Chains) != len(p.Shards) {
-		return damaged("the trailer seals %d fragments, the plan has %d shards", len(trailer.Chains), len(p.Shards))
+		return "", damaged("the trailer seals %d fragments, the plan has %d shards", len(trailer.Chains), len(p.Shards))
 	}
-	if chain := cdec.ChainHash(); hdr.Shard < 0 || hdr.Shard >= len(p.Shards) || trailer.Chains[hdr.Shard] != chain {
-		return damaged("chain hash mismatch: the chunks chain to %s, not to the trailer's chain of shard %d", chain, hdr.Shard)
+	chain := cdec.ChainHash()
+	if hdr.Shard < 0 || hdr.Shard >= len(p.Shards) || trailer.Chains[hdr.Shard] != chain {
+		return "", damaged("chain hash mismatch: the chunks chain to %s, not to the trailer's chain of shard %d", chain, hdr.Shard)
 	}
 	p.Chains = trailer.Chains
-	return nil
+	return cmp.Or(dirChain, chain), nil
 }
 
 // checkHeader is the one check of a plan header, run on every header a

@@ -17,8 +17,17 @@ import (
 // and returns when the stream has ended. By then the header it handed over
 // is sealed — a source that reads the plan's chains from its fragments'
 // trailers has filled them in. FragmentSource (and FragmentIndex.Source over
-// it) and ResolvedPlan.Source are the two.
-type PlanSource func(open func(hdr *Plan) (fsimage.RecordSink, error)) error
+// it) and ResolvedPlan.Source are the two; every consumer streams them
+// into the record check of the whole plan (checkPlan).
+type PlanSource func(open func(hdr *Plan) (PlanSink, error)) error
+
+// PlanSink takes a plan's record stream: every directory, then every file,
+// each with the shard whose stream carried it — a fragment's shard, or the
+// one the partition gives it — which the record check holds it to.
+type PlanSink interface {
+	AddDir(fsimage.DirRecord) error
+	AddFile(f fsimage.File, shard int) error
+}
 
 // MergeResult is what Merge finds: one grade per shard and, once every
 // shard has verified, the merged report and the canonical digest.
@@ -216,7 +225,7 @@ func Merge(src PlanSource, manifests []*Manifest) (*MergeResult, error) {
 			}
 		}
 		m.fold = fsimage.NewDigestFold(c.hdr.Dirs, c.hdr.Files, c.hdr.Bytes)
-		c.onTree = func(_ *Plan, tree *namespace.Tree) error {
+		c.onTree = func(tree *namespace.Tree) error {
 			for id := range tree.Len() {
 				m.fold.AddDir(tree, id)
 			}
@@ -234,12 +243,12 @@ func Merge(src PlanSource, manifests []*Manifest) (*MergeResult, error) {
 // the check.
 func checkPlan(src PlanSource, open func(*recordCheck) error) error {
 	var c *recordCheck
-	if err := src(func(hdr *Plan) (fsimage.RecordSink, error) {
+	if err := src(func(hdr *Plan) (PlanSink, error) {
 		if err := checkHeader(hdr); err != nil {
 			return nil, err
 		}
 		c = newRecordCheck(hdr, -1)
-		return c.ts, open(c)
+		return c, open(c)
 	}); err != nil {
 		return err
 	}

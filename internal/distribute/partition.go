@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"path/filepath"
 	"slices"
 
@@ -25,11 +24,13 @@ import (
 // 10⁸-file plan builds in O(dirs) heap.
 //
 // FragmentSource replays the K fragment documents as the whole plan's record
-// stream, so Merge verifies a run, and the stitcher rebuilds its archive,
-// holding fragment 0's tree and O(K × chunk) buffers: the other fragments are
-// held to that tree and to fragment 0's chains, not to trees of their own. A
-// fragment index names the fragments and the plan they make up; OpenPlanFile
-// opens one at its path.
+// stream, so Merge verifies a run, and the stitcher rebuilds its archive: a
+// K-way merge of the fragments' file streams behind fragment 0's
+// directories, holding O(K × chunk) buffers and no tree. The record check
+// its consumer runs is the one that holds the stream to the plan; the
+// replay holds the other fragments to fragment 0's plan, directory chain and
+// chains. A fragment index names the fragments and the plan they make up;
+// OpenPlanFile opens one at its path.
 
 // FragmentIndexVersion is the fragment-index wire version.
 const FragmentIndexVersion = 1
@@ -114,9 +115,9 @@ func (ix *FragmentIndex) check(hdr *Plan) error {
 // ErrManifestIntegrity.
 func (ix *FragmentIndex) Source(ctx context.Context, open func(shard int) (io.ReadCloser, error)) PlanSource {
 	src := FragmentSource(ctx, ix.Shards, open)
-	return func(openSink func(*Plan) (fsimage.RecordSink, error)) error {
+	return func(openSink func(*Plan) (PlanSink, error)) error {
 		var hdr *Plan
-		if err := src(func(h *Plan) (fsimage.RecordSink, error) {
+		if err := src(func(h *Plan) (PlanSink, error) {
 			hdr = h
 			return openSink(h)
 		}); err != nil {
@@ -142,22 +143,27 @@ func FragmentName(planBase string, shard int) string {
 // writes. The encoders share the build's sealer, so the chunks in flight
 // are bounded by its goroutines, not by K.
 type fragmentRouter struct {
-	ctx    context.Context
+	cancelPoll
 	part   *namespace.Partition
 	docs   []*docWriter
 	dirs   *fsimage.ChunkEncoder // the directory section; nil once the files began
 	hashes []string              // its chunk hashes
-	n      int
 }
 
-func (r *fragmentRouter) poll() error {
+// cancelPoll checks a record stream's context every 4096 records.
+type cancelPoll struct {
+	ctx context.Context
+	n   int
+}
+
+func (p *cancelPoll) poll() error {
 	const cancelCheckStride = 4096
-	if r.n%cancelCheckStride == 0 {
-		if err := r.ctx.Err(); err != nil {
+	if p.n%cancelCheckStride == 0 {
+		if err := p.ctx.Err(); err != nil {
 			return err
 		}
 	}
-	r.n++
+	p.n++
 	return nil
 }
 
@@ -212,7 +218,7 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 // document per writer (writers[s] receives fragment s), seals the plan with
 // their chains and writes every trailer.
 func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.ChunkSealer, writers []io.WriteCloser) error {
-	router := &fragmentRouter{ctx: ctx, part: rp.part, docs: make([]*docWriter, len(writers))}
+	router := &fragmentRouter{cancelPoll: cancelPoll{ctx: ctx}, part: rp.part, docs: make([]*docWriter, len(writers))}
 	router.dirs = sealer.Encoder(rp.Plan.ChunkSize, true, router.emitDirs)
 	for s, w := range writers {
 		var err error
@@ -302,139 +308,79 @@ func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (i
 	return rp.Plan, nil
 }
 
-// fragmentBase is what fragment 0 lends the replay and the other fragments'
-// checks, published the moment its directory section is in, which for a
-// fragment without files is only after its trailer: an unsealed copy of the
-// plan header it binds, which the replay seals once every fragment is in,
-// that header's fingerprint as its document opened, before any seal, and
-// the tree and partition its record check rebuilt.
-type fragmentBase struct {
-	ready chan struct{} // closed once the fields below are set, or fragment 0 failed first
-	hdr   *Plan
-	fp    string
-	tree  *namespace.Tree
-	part  *namespace.Partition
+// fragmentStream is one fragment's decoding goroutine as the replay sees
+// it, and the RecordSink the goroutine decodes the fragment into. Only
+// fragment 0's directory records reach the replay; the other fragments'
+// are dropped, their directory chain vouching for them.
+type fragmentStream struct {
+	head    chan *Plan             // the header as the document opened, before any seal; closed without one if the decoder failed first
+	dirs    chan fsimage.DirRecord // fragment 0's directory records, closed as its files begin; nil for the others
+	files   chan fsimage.File
+	done    chan error      // the verdict, sent before files is closed
+	abort   <-chan struct{} // closed once the replay returns
+	inFiles bool            // dirs is closed
+	// Set before done reports: the chain of the fragment's directory
+	// section and the chains it seals the plan with.
+	dirChain string
+	chains   []string
 }
 
-// fragmentCheck holds a fragment after the first to fragment 0 without a
-// tree of its own: it must bind fragment 0's plan, its directory records
-// must be fragment 0's, field for field, and each of its files must lie in
-// its shard of fragment 0's partition. Everything else about the records —
-// dense ascending IDs, names, depths, sizes, every shard's tallies — is the
-// merged stream's to bear out, in the record check of the whole plan every
-// consumer of a PlanSource runs.
-type fragmentCheck struct {
-	fp     string // the fingerprint of its header as the document opened, before any seal
-	shard  int
-	base   *fragmentBase
-	wait   func() error // returns once base is published
-	held   bool         // base is published and binds hdr's plan
-	dirs   int          // the directory records held to base's
-	files  bool         // the file section began
-	onFile func(fsimage.File) error
-}
-
-// hold waits for fragment 0, once, and holds the plan to its plan. Both
-// fingerprints were taken before any seal: the chains are the trailers' to
-// compare.
-func (c *fragmentCheck) hold() error {
-	if c.held {
-		return nil
+// decode reads fragment s, which must embed shard s, into the stream.
+func (fs *fragmentStream) decode(open func(shard int) (io.ReadCloser, error), s int) error {
+	defer close(fs.head)
+	defer fs.endDirs()
+	rc, err := open(s)
+	if err != nil {
+		return fmt.Errorf("distribute: opening fragment %d: %w", s, err)
 	}
-	c.held = true
-	if err := c.wait(); err != nil {
-		return err
-	}
-	if got, want := c.fp, c.base.fp; got != want {
-		return fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", c.shard, got, want, fsimage.ErrManifestIntegrity)
-	}
-	return nil
-}
-
-func (c *fragmentCheck) AddDir(d fsimage.DirRecord) error {
-	if err := c.hold(); err != nil {
-		return err
-	}
-	if t := c.base.tree; c.dirs < t.Len() {
-		x := &t.Dirs[c.dirs]
-		if d.ID == x.ID && d.Parent == x.Parent && d.Name == x.Name && d.Special == x.Special && math.Float64bits(d.Bias) == math.Float64bits(x.Bias) {
-			c.dirs++
-			return nil
-		}
-	}
-	return fmt.Errorf("distribute: fragment %d's directory record %d differs from fragment 0's (%w)", c.shard, d.ID, fsimage.ErrManifestIntegrity)
-}
-
-// endDirs holds the completed directory section to fragment 0's.
-func (c *fragmentCheck) endDirs() error {
-	if err := c.hold(); err != nil || c.files {
-		return err
-	}
-	c.files = true
-	if c.dirs != c.base.tree.Len() {
-		return fmt.Errorf("distribute: fragment %d carries %d directories, fragment 0 %d (%w)", c.shard, c.dirs, c.base.tree.Len(), fsimage.ErrManifestIntegrity)
-	}
-	return nil
-}
-
-func (c *fragmentCheck) AddFile(f fsimage.File) error {
-	if err := c.endDirs(); err != nil {
-		return err
-	}
-	if f.DirID < 0 || f.DirID >= c.dirs || c.base.part.ShardOf(f.DirID) != c.shard {
-		return fmt.Errorf("distribute: fragment %d carries file %d of directory %d, which is not its shard's (%w)", c.shard, f.ID, f.DirID, fsimage.ErrManifestIntegrity)
-	}
-	return c.onFile(f)
-}
-
-// decodeFragment reads fragment s of a replay, which must embed shard s, and
-// hands its file records to send: fragment 0 through a record check, which
-// publishes base when its directories are in, every other fragment through a
-// fragmentCheck against base. Each fingerprints its header as the document
-// opens, before readDocument seals it. It returns the chains the fragment
-// seals its plan with.
-func decodeFragment(r io.Reader, s int, base *fragmentBase, wait func() error, send func(fsimage.File) error) ([]string, error) {
-	var (
-		sealed *Plan
-		finish func() error
-	)
-	if err := readDocument(r, func(hdr *Plan, shard int) (fsimage.RecordSink, error) {
-		sealed = hdr
+	defer rc.Close()
+	var sealed *Plan
+	fs.dirChain, err = readDocument(rc, func(hdr *Plan, shard int) (fsimage.RecordSink, error) {
 		if err := hdr.checkShard(shard); err != nil {
 			return nil, err
 		}
 		if shard != s {
 			return nil, fmt.Errorf("distribute: fragment %d embeds shard %d (%w)", s, shard, fsimage.ErrManifestIntegrity)
 		}
-		fp := hdr.Fingerprint()
-		if s > 0 {
-			c := &fragmentCheck{fp: fp, shard: s, base: base, wait: wait, onFile: send}
-			finish = c.endDirs
-			return c, nil
-		}
-		c := newRecordCheck(hdr, 0)
-		c.onFile = func(f fsimage.File, _ int) error { return send(f) }
-		c.onTree = func(hdr *Plan, tree *namespace.Tree) error {
-			replayed := *hdr
-			replayed.Chains = nil
-			base.hdr, base.fp, base.tree, base.part = &replayed, fp, tree, c.part
-			close(base.ready)
-			return nil
-		}
-		finish = c.finish
-		return c.ts, nil
-	}); err != nil {
-		return nil, err
+		sealed = hdr
+		unsealed := *hdr
+		fs.head <- &unsealed
+		return fs, nil
+	})
+	if err != nil {
+		return err
 	}
-	return sealed.Chains, finish()
+	fs.chains = sealed.Chains
+	return nil
 }
 
-// fragmentStream is one decoding goroutine's channel bundle, and the chains
-// its fragment seals the plan with, set before done reports.
-type fragmentStream struct {
-	files  chan fsimage.File
-	done   chan error
-	chains []string
+func (fs *fragmentStream) AddDir(d fsimage.DirRecord) error {
+	if fs.dirs == nil {
+		return nil
+	}
+	return send(fs.dirs, d, fs.abort)
+}
+
+func (fs *fragmentStream) AddFile(f fsimage.File) error {
+	fs.endDirs()
+	return send(fs.files, f, fs.abort)
+}
+
+func (fs *fragmentStream) endDirs() {
+	if fs.dirs != nil && !fs.inFiles {
+		close(fs.dirs)
+		fs.inFiles = true
+	}
+}
+
+// send hands v to ch, unless the replay returns first.
+func send[T any](ch chan<- T, v T, abort <-chan struct{}) error {
+	select {
+	case ch <- v:
+		return nil
+	case <-abort:
+		return fmt.Errorf("distribute: fragment replay aborted")
+	}
 }
 
 // fragmentFault is what a replay reports when the merged stream fails the
@@ -454,107 +400,94 @@ func fragmentFault(streams []*fragmentStream, has []bool, err error) error {
 }
 
 // FragmentSource replays a plan from its k fragment documents, which open
-// returns readers for, as the whole plan's record stream. One goroutine
-// decodes each fragment and holds it to its own row of the shard table.
-// Fragment 0's header and directory tree open the stream the moment its
-// directories are in, and the k file streams follow merged by ascending
-// file ID (shards partition the ID space; each stream ascends). Every other
-// fragment must bind fragment 0's plan and carry its directories, which it
-// compares with fragment 0's tree as they stream past, and its files are
-// placed in fragment 0's partition. Once every fragment is decoded, each
-// must seal the plan with fragment 0's chains — each fragment's decoder has
-// checked its own entry — which then seal the header the sink was handed.
-// Memory is O(dirs + k·chunk + k²): fragment 0's tree and partition, beside
-// the one the sink rebuilds, and every fragment's chain list.
+// returns readers for, as the whole plan's record stream: a k-way merge that
+// checks no record itself, the sink's record check (checkPlan) holding the
+// stream to the header. One goroutine decodes each fragment and checks what
+// only the documents show: fragment s embeds shard s, every chunk's hash,
+// and its own chain against its trailer's entry. Every fragment must bind
+// fragment 0's plan; the sink then takes fragment 0's header and directory
+// records, and the k file streams merged by ascending file ID (shards
+// partition the ID space; each stream ascends), each file with the shard of
+// the fragment that carried it. The other fragments' directory records are
+// dropped: once every fragment is decoded, each one's directory section
+// must chain to fragment 0's, and each must seal the plan with fragment 0's
+// chains, which then seal the header the sink was handed. The replay polls
+// ctx every 4096 records. Memory is O(k·chunk + k²) beside the sink: a
+// chunk in decoding per fragment, and every fragment's chain list.
 func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadCloser, error)) PlanSource {
-	return func(openSink func(*Plan) (fsimage.RecordSink, error)) error {
+	return func(openSink func(*Plan) (PlanSink, error)) error {
 		if k < 1 {
 			return fmt.Errorf("distribute: no fragments to replay (%w)", fsimage.ErrInvalidSpec)
 		}
-		base := &fragmentBase{ready: make(chan struct{})}
 		abort := make(chan struct{})
 		defer close(abort)
-		aborted := func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("distribute: fragment replay aborted")
-		}
-		wait := func() error {
-			select {
-			case <-base.ready:
-				if base.hdr != nil {
-					return nil
-				}
-			case <-abort:
-			}
-			return aborted()
-		}
+		// A stream buffers 256 records, so each decoder works ahead of the
+		// merge while it waits on another fragment.
 		streams := make([]*fragmentStream, k)
-		for s := 0; s < k; s++ {
-			fs := &fragmentStream{files: make(chan fsimage.File, 256), done: make(chan error, 1)}
+		for s := range streams {
+			fs := &fragmentStream{head: make(chan *Plan, 1), files: make(chan fsimage.File, 256), done: make(chan error, 1), abort: abort}
+			if s == 0 {
+				fs.dirs = make(chan fsimage.DirRecord, 256)
+			}
 			streams[s] = fs
-			go func(s int) {
+			go func() {
 				defer close(fs.files)
-				if s == 0 {
-					defer func() {
-						if base.hdr == nil {
-							close(base.ready)
-						}
-					}()
-				}
-				rc, err := open(s)
-				if err != nil {
-					fs.done <- fmt.Errorf("distribute: opening fragment %d: %w", s, err)
-					return
-				}
-				defer rc.Close()
-				fs.chains, err = decodeFragment(rc, s, base, wait, func(f fsimage.File) error {
-					select {
-					case fs.files <- f:
-						return nil
-					case <-abort:
-						return aborted()
-					}
-				})
-				fs.done <- err
-			}(s)
+				fs.done <- fs.decode(open, s)
+			}()
 		}
 
-		// Wait for fragment 0's tree, or its failure.
-		select {
-		case <-base.ready:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if base.hdr == nil {
-			return <-streams[0].done
-		}
-		hdr := base.hdr
-		if len(hdr.Shards) != k {
-			return fmt.Errorf("distribute: the plan has %d shards, the replay was handed %d fragments (%w)", len(hdr.Shards), k, fsimage.ErrManifestIntegrity)
+		// Every fragment must bind fragment 0's plan. The fingerprints are
+		// taken before any seal: the chains are the trailers' to compare.
+		var (
+			hdr *Plan
+			fp  string
+		)
+		for s, fs := range streams {
+			var h *Plan // nil once head is closed without one
+			select {
+			case h = <-fs.head:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			switch {
+			case h == nil:
+				return <-fs.done
+			case s == 0 && len(h.Shards) != k:
+				return fmt.Errorf("distribute: the plan has %d shards, the replay was handed %d fragments (%w)", len(h.Shards), k, fsimage.ErrManifestIntegrity)
+			case s == 0:
+				hdr, fp = h, h.Fingerprint()
+			case h.Fingerprint() != fp:
+				return fmt.Errorf("distribute: fragment %d binds plan %.12s, fragment 0 binds %.12s (%w)", s, h.Fingerprint(), fp, fsimage.ErrManifestIntegrity)
+			}
 		}
 		sink, err := openSink(hdr)
 		if err != nil {
 			return err
 		}
-		if err := (&fsimage.Image{Tree: base.tree}).StreamRecords(sink); err != nil {
-			return err
+		cancel := cancelPoll{ctx: ctx}
+		for d := range streams[0].dirs {
+			if err := cancel.poll(); err != nil {
+				return err
+			}
+			if err := sink.AddDir(d); err != nil {
+				return err
+			}
 		}
 
-		// K-way merge by ascending file ID. heads[s] holds shard s's next file.
+		// The k-way merge by ascending file ID. heads[s] holds shard s's next
+		// file.
 		heads := make([]fsimage.File, k)
 		has := make([]bool, k)
 		next := func(s int) {
 			f, ok := <-streams[s].files
 			heads[s], has[s] = f, ok
 		}
-		for s := 0; s < k; s++ {
+		for s := range k {
 			next(s)
 		}
 		for {
 			best := -1
-			for s := 0; s < k; s++ {
+			for s := range k {
 				if has[s] && (best < 0 || heads[s].ID < heads[best].ID) {
 					best = s
 				}
@@ -562,7 +495,10 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 			if best < 0 {
 				break
 			}
-			if err := sink.AddFile(heads[best]); err != nil {
+			if err := cancel.poll(); err != nil {
+				return err
+			}
+			if err := sink.AddFile(heads[best], best); err != nil {
 				return fragmentFault(streams, has, err)
 			}
 			next(best)
@@ -570,12 +506,15 @@ func FragmentSource(ctx context.Context, k int, open func(shard int) (io.ReadClo
 
 		// All channels drained, so every decoder finished and holds its
 		// verdict.
-		for s := 0; s < k; s++ {
-			if err := <-streams[s].done; err != nil {
+		for _, fs := range streams {
+			if err := <-fs.done; err != nil {
 				return err
 			}
 		}
 		for s := 1; s < k; s++ {
+			if streams[s].dirChain != streams[0].dirChain {
+				return fmt.Errorf("distribute: fragment %d carries other directories than fragment 0 (%w)", s, fsimage.ErrManifestIntegrity)
+			}
 			if !slices.Equal(streams[s].chains, streams[0].chains) {
 				return fmt.Errorf("distribute: fragment %d seals its plan with other chains than fragment 0 (%w)", s, fsimage.ErrManifestIntegrity)
 			}

@@ -131,7 +131,7 @@ func TestFragmentsCarryFragmentZerosTree(t *testing.T) {
 			}
 		}
 		// Its neighbours sealed under its chains: the set agrees on its
-		// seal, and only the directory check stands in the way.
+		// seal, and only its directory chain stands in the way.
 		chains := chainsIn(t, doc)
 		set := [][]byte{sealedUnder(p.frags[0], chains), doc, sealedUnder(p.frags[2], chains)}
 		_, err := Merge(fragmentSource(context.Background(), set), nil)
@@ -146,6 +146,41 @@ func fragmentSource(ctx context.Context, frags [][]byte) PlanSource {
 	return FragmentSource(ctx, len(frags), func(shard int) (io.ReadCloser, error) {
 		return io.NopCloser(bytes.NewReader(frags[shard])), nil
 	})
+}
+
+// fileCounter is a PlanSink that counts the files it is handed.
+type fileCounter struct{ files int }
+
+func (c *fileCounter) AddDir(fsimage.DirRecord) error  { return nil }
+func (c *fileCounter) AddFile(fsimage.File, int) error { c.files++; return nil }
+
+// TestFragmentSourceHonorsContext: a replay whose context is cancelled as
+// its sink opens stops with the context's error instead of streaming the
+// plan on, alone and under Merge.
+func TestFragmentSourceHonorsContext(t *testing.T) {
+	p := planRoundTrip(t, testConfig(), 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	var sink fileCounter
+	err := fragmentSource(ctx, p.frags)(func(*Plan) (PlanSink, error) {
+		cancel()
+		return &sink, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("FragmentSource: got %v after %d of %d files, want context.Canceled", err, sink.files, p.Plan.Files)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	src := fragmentSource(ctx, p.frags)
+	_, err = Merge(func(open func(*Plan) (PlanSink, error)) error {
+		return src(func(hdr *Plan) (PlanSink, error) {
+			cancel()
+			return open(hdr)
+		})
+	}, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("Merge: got %v, want context.Canceled", err)
+	}
 }
 
 // runFragmentPipeline executes every fragment through the real worker path
@@ -570,12 +605,13 @@ func (c closeSignal) Close() error {
 }
 
 // TestFragmentSourceSmallFragmentZero: a fragment 0 of at most 256 file
-// records fits the replay's file channel whole, so its decoder can hand over
-// the tree, stream every file and report done before the replay looks at
-// either; the replay must still take the tree. The gated context holds the
-// replay, as it enters its first wait, until fragment 0's decoder has
-// finished (it closes its reader after reporting done), so every round is
-// that case — a replay that then picks at random loses half of them.
+// records fits the replay's file channel whole (and its 24 directories the
+// directory channel), so its decoder can hand over its header, stream every
+// record and finish before the replay looks at any of them; the replay must
+// still take them all. The gated context holds the replay, as it enters its
+// first wait, until fragment 0's decoder has read its document to the end
+// and closed its reader, so every round is that case — a replay that then
+// picks at random loses half of them.
 func TestFragmentSourceSmallFragmentZero(t *testing.T) {
 	cfg := core.Config{NumFiles: 120, NumDirs: 24, FSSizeBytes: 120 * 1024, Seed: 77, Parallelism: 1}
 	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 2, ChunkSize: 64})

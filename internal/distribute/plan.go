@@ -56,16 +56,18 @@
 // header to this build (format version, digest algorithm, content kind,
 // stream keys — ErrPlanVersion) and to itself (counts, shard table, sums —
 // ErrManifestIntegrity); recordCheck holds the record stream to that header
-// (canonical records, rebuilt partition, every shard's expectations) under
-// the retention policies of DecodeShardView and FragmentSource's fragment
-// 0, and of Merge, ManifestCheck and StitchPlanTar, whose digest fold and
-// stitcher read the tree and the partition the check rebuilt
-// (FragmentSource holds every other fragment to fragment 0's tree,
-// partition and chain list, and leaves the rest to the merged stream's
-// check); checkManifest and checkEntry hold a manifest to the plan. Asking
-// for a shard the plan does not have is ErrInvalidSpec; nothing else a
-// damaged artifact can cause is untyped, and no count a document states is
-// allocated before the records that bear it out have arrived.
+// (canonical records, rebuilt partition, each file in the shard whose
+// stream carried it, every shard's expectations) under the retention
+// policies of DecodeShardView and of every PlanSource consumer — Merge,
+// ManifestCheck, StitchPlanTar and WritePlanTar, through checkPlan — whose
+// digest fold and stitcher read the tree and the partition the check
+// rebuilt (FragmentSource checks no record: it merges the fragments'
+// streams, and holds every other fragment to fragment 0's plan, directory
+// chain and chain list); checkManifest and checkEntry hold a manifest to
+// the plan. Asking for a shard the plan does not have is ErrInvalidSpec;
+// nothing else a damaged artifact can cause is untyped, and no count a
+// document states is allocated before the records that bear it out have
+// arrived.
 //
 // The headline invariant, enforced by tests and CI: for a fixed seed,
 // plan → K workers → merge produces an image byte-identical to a

@@ -91,7 +91,7 @@ func (pf *PlanFile) View(shard int) (*ShardView, error) {
 // document holds one shard, not a plan: replaying it is ErrInvalidSpec.
 func (pf *PlanFile) Source(ctx context.Context) PlanSource {
 	if pf.index == nil {
-		return func(func(*Plan) (fsimage.RecordSink, error)) error {
+		return func(func(*Plan) (PlanSink, error)) error {
 			return fmt.Errorf("distribute: %s is one shard's document, not a whole plan (%w)", pf.path, fsimage.ErrInvalidSpec)
 		}
 	}

@@ -110,17 +110,28 @@ func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
 }
 
 // Source replays the plan from the columns: the records its fragments
-// carry, without a document in between, as often as it is asked to. The
-// header it hands over is sealed once WriteFragments has written them.
+// carry, each file with the shard the partition gives it, without a
+// document in between, as often as it is asked to. The header it hands over
+// is sealed once WriteFragments has written them.
 func (rp *ResolvedPlan) Source() PlanSource {
-	return func(open func(*Plan) (fsimage.RecordSink, error)) error {
+	return func(open func(*Plan) (PlanSink, error)) error {
 		sink, err := open(rp.Plan)
 		if err != nil {
 			return err
 		}
-		return rp.Meta.StreamRecords(sink)
+		return rp.Meta.StreamRecords(shardTagger{sink, rp.part})
 	}
 }
+
+// shardTagger hands a record stream on to a PlanSink, each file with its
+// shard of part.
+type shardTagger struct {
+	sink PlanSink
+	part *namespace.Partition
+}
+
+func (t shardTagger) AddDir(d fsimage.DirRecord) error { return t.sink.AddDir(d) }
+func (t shardTagger) AddFile(f fsimage.File) error     { return t.sink.AddFile(f, t.part.ShardOf(f.DirID)) }
 
 // Close releases the metadata columns.
 func (rp *ResolvedPlan) Close() error { return rp.Meta.Close() }

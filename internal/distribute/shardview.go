@@ -26,19 +26,22 @@ type ShardView struct {
 }
 
 // recordCheck is the one validator of a record stream against a plan
-// header, behind DecodeShardView, FragmentSource's fragment 0, Merge,
-// ManifestCheck and StitchPlanTar. Its RecordSink is ts, a TreeSink: that
-// rebuilds the compact tree and holds every record to the canonical-stream
-// rules, and hands each file to addFile, which rebuilds the partition once
-// the directories are in, tallies every shard, and keeps what the policy
-// says:
+// header, behind DecodeShardView and, through checkPlan, behind every
+// consumer of a PlanSource: Merge, ManifestCheck, StitchPlanTar and
+// WritePlanTar. Its TreeSink ts rebuilds the compact tree and holds every
+// record to the canonical-stream rules, and hands each file to addFile,
+// which rebuilds the partition once the directories are in, holds the file
+// to the shard whose stream carried it, tallies every shard, and keeps what
+// the policy says:
 //
-//   - shard document (shard >= 0): every file must belong to shard, IDs
-//     ascend but skip; records are retained, or handed to onFile;
-//   - whole-plan stream (shard = -1: Merge, ManifestCheck, StitchPlanTar):
-//     every file goes to onFile with its shard, and nothing is retained.
-//     The tree onTree is handed is the one its consumers write and fold
-//     over: they hold none of their own.
+//   - shard document (shard >= 0): readDocument feeds ts, and every file is
+//     carried by shard; IDs ascend but skip; records are retained, or
+//     handed to onFile;
+//   - whole-plan stream (shard = -1): the check is the source's PlanSink,
+//     each file carried by the shard its source names, and every file goes
+//     to onFile with that shard; nothing is retained. The tree onTree is
+//     handed is the one the consumers write and fold over: they hold none
+//     of their own.
 //
 // finish compares the tallies with the shard table's expectations.
 type recordCheck struct {
@@ -48,21 +51,40 @@ type recordCheck struct {
 	part  *namespace.Partition
 	acc   *namespace.ShardAccumulator
 	files []fsimage.File
+	// carrier is the shard whose stream carries the file in flight: the
+	// document's, or the one AddFile was handed.
+	carrier int
+	// onDir, when non-nil, takes each validated directory record.
+	onDir func(fsimage.DirRecord) error
 	// onFile, when non-nil, takes the validated file records the policy
 	// hands on, with their shard, instead of files, so a consumer processes
 	// an arbitrarily large stream with O(dirs) state here.
 	onFile func(f fsimage.File, shard int) error
 	// onTree, when non-nil, fires once, when the directory stream is
 	// complete and the partition verified — before the first file record is
-	// delivered — with the plan header and the tree.
-	onTree func(hdr *Plan, tree *namespace.Tree) error
+	// delivered — with the tree.
+	onTree func(tree *namespace.Tree) error
 }
 
 func newRecordCheck(hdr *Plan, shard int) *recordCheck {
-	c := &recordCheck{hdr: hdr, shard: shard}
+	c := &recordCheck{hdr: hdr, shard: shard, carrier: shard}
 	c.ts = fsimage.NewTreeSink(c.addFile)
 	c.ts.Sparse = shard >= 0
 	return c
+}
+
+// AddDir makes the check the PlanSink of a whole plan's source.
+func (c *recordCheck) AddDir(d fsimage.DirRecord) error {
+	if err := c.ts.AddDir(d); err != nil || c.onDir == nil {
+		return err
+	}
+	return c.onDir(d)
+}
+
+// AddFile takes the next file record with the shard whose stream carried it.
+func (c *recordCheck) AddFile(f fsimage.File, shard int) error {
+	c.carrier = shard
+	return c.ts.AddFile(f)
 }
 
 // ensurePartition rebuilds the partition once the directory stream is
@@ -81,7 +103,7 @@ func (c *recordCheck) ensurePartition() error {
 	}
 	c.part, c.acc = part, namespace.NewShardAccumulator(part)
 	if c.onTree != nil {
-		return c.onTree(c.hdr, c.ts.Tree())
+		return c.onTree(c.ts.Tree())
 	}
 	return nil
 }
@@ -96,8 +118,8 @@ func (c *recordCheck) addFile(f fsimage.File) error {
 	}
 	c.acc.Add(f.DirID, f.Size)
 	s := c.part.ShardOf(f.DirID)
-	if c.shard >= 0 && s != c.shard {
-		return fmt.Errorf("distribute: file %d belongs to shard %d, document claims shard %d (%w)", f.ID, s, c.shard, fsimage.ErrManifestIntegrity)
+	if s != c.carrier {
+		return fmt.Errorf("distribute: file %d belongs to shard %d, the stream of shard %d carries it (%w)", f.ID, s, c.carrier, fsimage.ErrManifestIntegrity)
 	}
 	if c.onFile != nil {
 		return c.onFile(f, s)
@@ -136,7 +158,7 @@ func (c *recordCheck) finish() error {
 // fingerprint is the plan's and manifests bind to it.
 func DecodeShardView(r io.Reader) (*ShardView, error) {
 	var c *recordCheck
-	if err := readDocument(r, func(hdr *Plan, shard int) (fsimage.RecordSink, error) {
+	if _, err := readDocument(r, func(hdr *Plan, shard int) (fsimage.RecordSink, error) {
 		if err := hdr.checkShard(shard); err != nil {
 			return nil, err
 		}

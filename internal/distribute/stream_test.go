@@ -78,11 +78,12 @@ func liveHeapPeak(t *testing.T, fn func()) uint64 {
 
 // TestMergeMemoryBound: the one merge holds the tree, the partition and a
 // chunk of records per fragment beside the manifests it is handed, never the
-// plan's file records, and no tree per fragment. It merges SMALL(300000) — the
-// benchmark's small-file shape at 300k files in 30k directories, 28 MB of
-// fragments — as 2 and as 8 fragments against sealed manifests built from
-// their records, and bounds the peak live heap beyond them (liveHeapPeak's
-// baseline is taken with the manifests and the fragments loaded).
+// plan's file records, and no tree of the replay's own. It merges
+// SMALL(300000) — the benchmark's small-file shape at 300k files in 30k
+// directories, 28 MB of fragments — as 2 and as 8 fragments against sealed
+// manifests built from their records, and bounds the peak live heap beyond
+// them (liveHeapPeak's baseline is taken with the manifests and the
+// fragments loaded).
 func TestMergeMemoryBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory ceilings are not meaningful under the race detector")
@@ -109,18 +110,20 @@ func TestMergeMemoryBound(t *testing.T) {
 			m.Seal()
 			manifests[s] = m
 		}
-		// Measured on a 2-core container (Go 1.24): a merge that retained this
+		// Measured on 2 cores (Go 1.24): a merge that retained this
 		// plan's file records peaked at 47.5 to 48.3 MB of heap beyond the
-		// manifests; this merge at 12.3 to 15.3 MB of live heap at K=2 (two
-		// trees and partitions, fragment 0's and the check's, and each
-		// fragment's chunk in decoding) and at 23.3 to 28.6 MB at K=8. A merge
-		// whose every fragment decoder rebuilt its tree peaked at 17.6 to 23.8
-		// MB at K=2 and at 53.3 to 59.0 MB at K=8. The cap is 24 MiB for two
-		// fragments and 3.5 MiB more for each fragment beyond: a chunk's JSON
-		// text and records in decoding, at the default 8192 records a chunk,
-		// where a tree and partition of these 30k directories would add 5 MB
-		// more.
-		cap := uint64(24<<20 + (k-2)*7<<19)
+		// manifests; a replay that rebuilt fragment 0's tree and partition
+		// beside the check's at 12.6 to 16.6 MB at K=2 and 23.6 to 33.8 MB at
+		// K=8; this merge, whose record check holds the replay's one tree
+		// and partition, at 8.4 to 10.0 MB at K=2 and 20.4 to 22.8 MB at
+		// K=8, each fragment's chunk in decoding making up the difference. A
+		// merge whose every fragment decoder rebuilt its tree peaked at 17.6
+		// to 23.8 MB at K=2 and at 53.3 to 59.0 MB at K=8. The cap is 16 MiB
+		// for two fragments and 3.5 MiB more for each fragment beyond: a
+		// chunk's JSON text and records in decoding, at the default 8192
+		// records a chunk, where a tree and partition of these 30k
+		// directories would add 5 MB more.
+		cap := uint64(16<<20 + (k-2)*7<<19)
 		var (
 			res *MergeResult
 			err error
@@ -139,7 +142,7 @@ func TestMergeMemoryBound(t *testing.T) {
 		}
 		t.Logf("300k-file merge of %d fragments: peak live heap %.1f MB beyond the manifests (cap %.1f MB)", k, float64(peak)/(1<<20), float64(cap)/(1<<20))
 		if peak > cap {
-			t.Errorf("the merge of %d fragments peaked at %.1f MB of live heap beyond its manifests, cap is %.1f MB — something is retaining the plan's file records or a tree per fragment",
+			t.Errorf("the merge of %d fragments peaked at %.1f MB of live heap beyond its manifests, cap is %.1f MB — something is retaining the plan's file records or a second tree",
 				k, float64(peak)/(1<<20), float64(cap)/(1<<20))
 		}
 	}

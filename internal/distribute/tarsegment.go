@@ -51,7 +51,7 @@ func StitchPlanTar(src PlanSource, segments []io.Reader, w io.Writer, opts imgfm
 			return fmt.Errorf("distribute: %d segments for a plan of %d shards (%w)", len(segments), len(hdr.Shards), fsimage.ErrInvalidSpec)
 		}
 		opts.Seed = hdr.Seed
-		c.onTree = func(_ *Plan, tree *namespace.Tree) error {
+		c.onTree = func(tree *namespace.Tree) error {
 			st = imgfmt.NewStitcher(w, tree, segments, opts)
 			for id := range tree.Len() {
 				if err := st.AddDir(id, c.part.ShardOf(id)); err != nil {
@@ -68,12 +68,13 @@ func StitchPlanTar(src PlanSource, segments []io.Reader, w io.Writer, opts imgfm
 	return hdr, st.Close()
 }
 
-// WritePlanTar regenerates the full image of the plan src replays as one
-// monolithic tar on w and returns the plan and the canonical image digest
-// (empty with MetadataOnly — there is no content to attest). registry, when
-// non-nil, supplies the content registry for the plan's kind (the daemon
-// passes its warm cache); otherwise a fresh registry is built.
-// opts.Parallelism workers generate the content.
+// WritePlanTar regenerates the full image of the plan src replays, through
+// the record check, as one monolithic tar on w and returns the plan and the
+// canonical image digest (empty with MetadataOnly — there is no content to
+// attest). A plan the check refuses is an error, whatever the archive got
+// before. registry, when non-nil, supplies the content registry for the
+// plan's kind (the daemon passes its warm cache); otherwise a fresh registry
+// is built. opts.Parallelism workers generate the content.
 func WritePlanTar(src PlanSource, w io.Writer, opts imgfmt.Options, registry func(kind string) *content.Registry) (*Plan, string, error) {
 	// A plan that fails to replay mid-stream is an error the sink never sees;
 	// cancelling its context on the way out is what releases its content
@@ -86,23 +87,24 @@ func WritePlanTar(src PlanSource, w io.Writer, opts imgfmt.Options, registry fun
 		sink *imgfmt.TarSink
 		fold *fsimage.DigestFold
 	)
-	err := src(func(hdr *Plan) (fsimage.RecordSink, error) {
-		p = hdr
+	if err := checkPlan(src, func(c *recordCheck) error {
+		p = c.hdr
 		if registry != nil {
-			opts.Registry = registry(hdr.ContentKind)
+			opts.Registry = registry(p.ContentKind)
 		} else if opts.Registry == nil {
-			opts.Registry = content.NewRegistry(content.Kind(hdr.ContentKind))
+			opts.Registry = content.NewRegistry(content.Kind(p.ContentKind))
 		}
-		opts.Seed = hdr.Seed
+		opts.Seed = p.Seed
 		if !opts.MetadataOnly {
 			// The canonical digest is folded in the sink's write pass.
-			fold = fsimage.NewDigestFold(hdr.Dirs, hdr.Files, hdr.Bytes)
+			fold = fsimage.NewDigestFold(p.Dirs, p.Files, p.Bytes)
 			imgfmt.FoldDigest(&opts, fold)
 		}
 		sink = imgfmt.NewTarSink(w, opts)
-		return sink, nil
-	})
-	if err != nil {
+		c.onDir = sink.AddDir
+		c.onFile = func(f fsimage.File, _ int) error { return sink.AddFile(f) }
+		return nil
+	}); err != nil {
 		return nil, "", err
 	}
 	if err := sink.Close(); err != nil {

@@ -3,8 +3,10 @@ package distribute
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 
 	"impressions/internal/fsimage"
@@ -128,4 +130,21 @@ func TestWritePlanTarReleasesWorkersOnBadPlan(t *testing.T) {
 	}
 	// The workers are cancelled, not joined, on this path.
 	checkGoroutines(t, baseline)
+}
+
+// TestWritePlanTarChecksTheShardTable: WritePlanTar holds the plan to its
+// shard table as Merge does. One file's expectation moved from shard 1 to
+// shard 2 keeps every sum of the header, and both refuse it.
+func TestWritePlanTarChecksTheShardTable(t *testing.T) {
+	p := planRoundTrip(t, testConfig(), 3)
+	moved := *p.Plan
+	moved.Shards = slices.Clone(p.Plan.Shards)
+	moved.Shards[1].Files--
+	moved.Shards[2].Files++
+	if _, err := Merge(p.under(&moved), nil); !errors.Is(err, fsimage.ErrManifestIntegrity) {
+		t.Errorf("Merge: got %v, want ErrManifestIntegrity", err)
+	}
+	if _, digest, err := WritePlanTar(p.under(&moved), io.Discard, imgfmt.Options{}, nil); !errors.Is(err, fsimage.ErrManifestIntegrity) {
+		t.Errorf("WritePlanTar: got digest %q and %v, want ErrManifestIntegrity", digest, err)
+	}
 }

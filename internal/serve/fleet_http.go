@@ -16,7 +16,6 @@ import (
 
 	"impressions/internal/distribute"
 	"impressions/internal/fleet"
-	"impressions/internal/fsimage"
 )
 
 // maxManifestBody bounds an uploaded shard manifest (64 MiB — a manifest
@@ -121,7 +120,7 @@ func (s *Server) createRun(ctx context.Context, req PlanRequest) (st fleet.RunSt
 // a context of its own — the request that created the run is gone by the
 // merge. An entry evicted in the meantime is rebuilt through buildOrFetch.
 func (s *Server) runSource(fp string, req PlanRequest) distribute.PlanSource {
-	return func(open func(*distribute.Plan) (fsimage.RecordSink, error)) error {
+	return func(open func(*distribute.Plan) (distribute.PlanSink, error)) error {
 		ctx := context.Background()
 		if s.opts.RequestTimeout > 0 {
 			var cancel context.CancelFunc

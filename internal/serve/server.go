@@ -391,7 +391,7 @@ func (s *Server) withStored(ctx context.Context, key string, fn func(PlanEntry) 
 
 // entrySource replays a stored plan: its fragments, held to its index.
 func entrySource(ctx context.Context, entry PlanEntry) distribute.PlanSource {
-	return func(open func(*distribute.Plan) (fsimage.RecordSink, error)) error {
+	return func(open func(*distribute.Plan) (distribute.PlanSink, error)) error {
 		rc, _, err := entry.Open(IndexPart)
 		if err != nil {
 			return err
