@@ -13,6 +13,8 @@ test:
 
 # The experiment suite (internal/bench) regenerates every paper figure and
 # needs more than the default 10m under the race detector on small machines.
+# The supervisor packages and the fragment replay run three more times: a
+# race there shows only on some interleavings. The CI test job runs this.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=3 -timeout 30m ./internal/fleet/... ./internal/serve/... ./cmd/impressions/...
@@ -26,7 +28,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Local mirror of the CI distributed-determinism job: a plan executed by 4
+# The CI distributed-determinism job runs this and dist-fault-check: a plan executed by 4
 # worker processes (at -j 1, 2, 4 and 8) and merged must be byte-identical to
 # a single-process run at -j 1 and at -j 4 (same canonical digest, same
 # on-disk bytes). The plan — a fragment index and four fragments — is built
@@ -34,7 +36,9 @@ bench-smoke:
 # inline, and at -j 4, where three goroutines seal them, each on the heap and
 # with -spill (whose placement runs one worker per depth level at -j 4). The
 # index and every fragment are compared; the workers read their fragments
-# through the index, and `merge -plan` of the index prints the digest.
+# through the index, and `merge -plan` of the index prints the digest. Last,
+# `distrun` of the same spec (4 worker processes under the in-process
+# scheduler) must print the same digest and write the same tree.
 dist-check:
 	@rm -rf /tmp/impressions-dist-check && mkdir -p /tmp/impressions-dist-check
 	$(GO) build -o /tmp/impressions-dist-check/impressions ./cmd/impressions
@@ -52,9 +56,11 @@ dist-check:
 	for p in $$pids; do wait "$$p"; done; \
 	./impressions merge -plan plan/plan.json -print-digest manifest-*.json > merged.digest; \
 	cmp single.digest merged.digest; diff -r single merged; \
-	echo "dist-check: OK (index and fragments identical at -j 1 and -j 4, on the heap and spilled; digests and trees identical)"
+	./impressions distrun -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -shards 4 -out distrun-out | grep '^image digest:' > distrun.digest; \
+	cmp single.digest distrun.digest; diff -r single distrun-out; \
+	echo "dist-check: OK (index and fragments identical at -j 1 and -j 4, on the heap and spilled; merge and distrun digests and trees identical)"
 
-# Local mirror of the CI fault-injection step: plan → 4 workers, one killed
+# The fault-injection half of the CI distributed-determinism job: plan → 4 workers, one killed
 # mid-write (its manifest discarded so the outcome is timing-independent) →
 # `merge -partial` names the outstanding shard and its re-run command →
 # resuming exactly as instructed → digest and tree byte-identical to the

@@ -115,6 +115,16 @@ type RecordSink = fsimage.RecordSink
 // a RecordSink; *Image implements it.
 type RecordSource = fsimage.RecordSource
 
+// ImageStats is the one-pass statistics accumulator: files and bytes by
+// size, files and directories by depth, directories by subdirectory and
+// file count, mean bytes by depth, and extension shares. Image.Stats
+// replays a retained image into one; as a RecordSink it also takes a
+// generation's stream.
+type ImageStats = fsimage.ImageStats
+
+// StatsConfig sizes an ImageStats' bins; zero fields take the defaults.
+type StatsConfig = fsimage.StatsConfig
+
 // Accuracy holds per-parameter agreement between a generated image and the
 // desired dataset curves (the Table 3 metrics).
 type Accuracy = core.Accuracy
@@ -183,9 +193,12 @@ func GenerateStreamContext(ctx context.Context, cfg Config, sink RecordSink) (Re
 func NewGenerator(cfg Config) (*core.Generator, error) { return core.NewGenerator(cfg) }
 
 // MeasureAccuracy compares a generated image against the desired curves of
-// the default dataset, returning per-parameter MDCC values (Table 3).
+// the default dataset, returning per-parameter MDCC values (Table 3). Both
+// files-by-depth fields, against the plain and the special-directory curve,
+// are always filled; useSpecial is unused until the accuracy measurement
+// gives it a meaning (ROADMAP item 6(a)).
 func MeasureAccuracy(img *Image, useSpecial bool) Accuracy {
-	return core.MeasureAccuracy(img, dataset.Default(), useSpecial)
+	return core.MeasureAccuracy(img, dataset.Default())
 }
 
 // ScanDirectory walks a real directory tree and returns it as an Image, so

@@ -8,6 +8,7 @@ import (
 
 	"impressions"
 	"impressions/internal/content"
+	"impressions/internal/fsimage"
 	"impressions/internal/search"
 	"impressions/internal/workload"
 )
@@ -119,7 +120,7 @@ func TestMaterializedContentMatchesExtensions(t *testing.T) {
 		if f.Ext != "jpg" || f.Size < 4 {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(res.Image.FilePath(f))))
+		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(string(fsimage.AppendFilePath(nil, res.Image.Tree, f)))))
 		if err != nil {
 			t.Fatal(err)
 		}

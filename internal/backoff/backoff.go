@@ -1,5 +1,5 @@
-// Package backoff provides the jitter source behind retry backoff in the
-// fleet scheduler and the serve client.
+// Package backoff provides the retry delay, and the jitter source behind
+// it, for the fleet scheduler and the serve client.
 //
 // Backoff jitter wants unpredictability across processes (decorrelating a
 // fleet of retrying clients), not reproducibility — but it must not come
@@ -42,4 +42,26 @@ func NewJitter() Jitter {
 		defer mu.Unlock()
 		return src.Int63n(n)
 	}
+}
+
+// Delay returns the jittered delay before retry number attempt (1 for the
+// first): uniform in [d/2, d], where d = min(max, base·2^(attempt−1)). The
+// doubling stops at max, so no attempt count overflows it. The bottom half
+// is never jittered away: a fleet of retrying clients is decorrelated
+// without any of them retrying sooner than half the nominal delay.
+func Delay(base, max time.Duration, attempt int, j Jitter) time.Duration {
+	d := base
+	for i := 1; i < attempt && d > 0 && d < max; i++ {
+		if d > max/2 {
+			d = max
+			break
+		}
+		d *= 2
+	}
+	d = min(d, max)
+	if d < 0 {
+		d = 0
+	}
+	half := d / 2
+	return half + time.Duration(j(int64(half)+1))
 }

@@ -1,8 +1,10 @@
 package backoff
 
 import (
+	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestJitterStaysInRange: the contract is a value in [0, n), at the smallest
@@ -59,4 +61,41 @@ func TestJitterIsSafeForConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDelay: the delay is d = min(max, base·2^(attempt−1)) jittered in
+// [d/2, d], at attempts whose doubling overflows int64 as well as at the
+// ones that do not.
+func TestDelay(t *testing.T) {
+	const maxD = time.Duration(math.MaxInt64)
+	for _, tc := range []struct {
+		base, max time.Duration
+		attempt   int
+		want      time.Duration // d
+	}{
+		{time.Nanosecond, maxD, 1, 1},
+		{time.Nanosecond, maxD, 2, 2},
+		{time.Nanosecond, maxD, 37, 1 << 36},
+		{time.Nanosecond, maxD, 63, 1 << 62},
+		{time.Nanosecond, maxD, 64, maxD},
+		{time.Nanosecond, maxD, 1000, maxD},
+		{3, maxD, 63, maxD},
+		{time.Nanosecond, time.Nanosecond, 64, 1},
+		{100 * time.Millisecond, 2 * time.Second, 1, 100 * time.Millisecond},
+		{100 * time.Millisecond, 2 * time.Second, 2, 200 * time.Millisecond},
+		{100 * time.Millisecond, 2 * time.Second, 37, 2 * time.Second},
+		{100 * time.Millisecond, 2 * time.Second, 63, 2 * time.Second},
+		{100 * time.Millisecond, 2 * time.Second, 64, 2 * time.Second},
+		{100 * time.Millisecond, 2 * time.Second, 1000, 2 * time.Second},
+		{100 * time.Millisecond, 2 * time.Second, 0, 100 * time.Millisecond},
+	} {
+		var bound int64
+		low := Delay(tc.base, tc.max, tc.attempt, func(n int64) int64 { bound = n; return 0 })
+		high := Delay(tc.base, tc.max, tc.attempt, func(n int64) int64 { return n - 1 })
+		half := tc.want / 2
+		if bound != int64(half)+1 || low != half || high != 2*half {
+			t.Errorf("Delay(%v, %v, %d): jitter bound %d, range [%v, %v], want %d and [%v, %v]",
+				tc.base, tc.max, tc.attempt, bound, low, high, int64(half)+1, half, 2*half)
+		}
+	}
 }

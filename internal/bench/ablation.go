@@ -109,7 +109,7 @@ func (a Ablation) depthModel(w io.Writer, opts Options) error {
 		if err != nil {
 			return 0, err
 		}
-		acc := core.MeasureAccuracy(res.Image, gen.Dataset(), false)
+		acc := core.MeasureAccuracy(res.Image, gen.Dataset())
 		return acc.BytesWithDepthMB, nil
 	}
 	multiplicative, err := measure(false)

@@ -35,42 +35,43 @@ func (f Fig2) Run(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
+	st := img.Stats(fig2Stats)
 
 	// (a) Directories by namespace depth.
 	desDirs, desSubdirs := ds.NamespaceCurvesFor(img.DirCount())
-	genDirs := img.DirsByDepthHistogram(dataset.DepthBins).Normalize()
+	genDirs := st.DirsByDepth().Normalize()
 	printDepthSeries(w, "(a) directories by namespace depth (% of dirs)", desDirs.Normalize(), genDirs)
 
 	// (b) Directories by subdirectory count (cumulative, as the paper plots).
-	genSub := cumulative(img.DirsBySubdirHistogram(17).Normalize())
+	genSub := cumulative(st.DirsBySubdir().Normalize())
 	desSub := cumulative(desSubdirs.Normalize()[:17])
 	printSeriesWithLabels(w, "(b) directories by subdirectory count (cumulative %)", countLabels(17), desSub, genSub)
 
 	// (c) Files by size.
-	genSize := img.FilesBySizeHistogram(dataset.SizeMaxExp)
+	genSize := st.FilesBySize()
 	desSize := ds.FilesBySize()
 	printSizeSeries(w, "(c) files by size (% of files)", desSize, genSize)
 
 	// (d) Bytes by containing file size.
-	genBytes := img.BytesBySizeHistogram(dataset.SizeMaxExp)
+	genBytes := st.BytesBySize()
 	desBytes := ds.BytesByFileSize()
 	printSizeSeries(w, "(d) bytes by containing file size (% of bytes)", desBytes, genBytes)
 
 	// (e) Top extensions by count.
 	names := ds.ExtensionsByCount().Names()
 	named := names[:len(names)-1]
-	genExt := img.ExtensionFractions(named)
+	genExt := st.ExtensionFractions(named)
 	desExt := ds.ExtensionsByCount().Probs()
 	printSeriesWithLabels(w, "(e) top extensions by count (fraction of files)",
 		append(append([]string{}, named...), "others"), desExt, genExt)
 
 	// (f) Files by namespace depth.
-	genDepth := img.FilesByDepthHistogram(dataset.DepthBins).Normalize()
+	genDepth := st.FilesByDepth().Normalize()
 	desDepth := ds.FilesByDepth().Normalize()
 	printDepthSeries(w, "(f) files by namespace depth (% of files)", desDepth, genDepth)
 
 	// (g) Mean bytes per file by depth.
-	genMean := img.MeanBytesByDepth(dataset.DepthBins)
+	genMean := st.MeanBytesByDepth()
 	desMean := ds.MeanBytesByDepth()
 	printDepthSeries(w, "(g) mean bytes per file by namespace depth (bytes)", desMean, genMean)
 
@@ -79,11 +80,15 @@ func (f Fig2) Run(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	genSpecial := imgSpecial.FilesByDepthHistogram(dataset.DepthBins).Normalize()
+	genSpecial := imgSpecial.Stats(fig2Stats).FilesByDepth().Normalize()
 	desSpecial := ds.FilesByDepthWithSpecial().Normalize()
 	printDepthSeries(w, "(h) files by depth with special directories (% of files)", desSpecial, genSpecial)
 	return nil
 }
+
+// fig2Stats bins every panel: one replay of each image feeds all of them.
+// Panel (b) plots subdirectory counts 0..16.
+var fig2Stats = fsimage.StatsConfig{SizeMaxExp: dataset.SizeMaxExp, DepthBins: dataset.DepthBins, CountBins: 17}
 
 // GenerateImage produces the default image (without special directories) and
 // the dataset whose desired curves it is compared against.

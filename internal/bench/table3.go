@@ -91,7 +91,7 @@ func (t3 Table3) Measure(opts Options) ([]Table3Row, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		acc := core.MeasureAccuracy(res.Image, gen.Dataset(), true)
+		acc := core.MeasureAccuracy(res.Image, gen.Dataset())
 		m := acc.AsMap()
 		// Rename the keys to the Table 3 wording used in `paper`.
 		m["bytes with depth"] = acc.BytesWithDepthMB

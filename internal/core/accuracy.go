@@ -52,11 +52,10 @@ func (a Accuracy) AsMap() map[string]float64 {
 
 // MeasureAccuracy compares a generated image against the desired curves of
 // the dataset, returning per-parameter MDCC values (and the mean-bytes
-// difference for bytes-with-depth). The useSpecial flag selects which desired
-// files-by-depth curve applies to the image (with or without special
-// directories); both fields of the result are filled from the matching curve
-// so callers can report either one.
-func MeasureAccuracy(img *fsimage.Image, ds *dataset.Dataset, useSpecial bool) Accuracy {
+// difference for bytes-with-depth). Files by depth is read against both
+// desired curves, without special directories (FilesWithDepth) and with
+// them (FilesWithDepthSpec), so callers can report either one.
+func MeasureAccuracy(img *fsimage.Image, ds *dataset.Dataset) Accuracy {
 	var acc Accuracy
 
 	// One streaming pass accumulates every distribution the eight metrics
@@ -93,15 +92,10 @@ func MeasureAccuracy(img *fsimage.Image, ds *dataset.Dataset, useSpecial bool) A
 	desExt := ds.ExtensionsByCount().Probs()
 	acc.ExtensionPopularity = mustMDCC(genExt, desExt)
 
-	// Files by namespace depth (against the plain or special desired curve).
+	// Files by namespace depth, against the plain and the special curve.
 	genDepth := st.FilesByDepth().Normalize()
-	if useSpecial {
-		acc.FilesWithDepthSpec = mustMDCC(genDepth, ds.FilesByDepthWithSpecial().Normalize())
-		acc.FilesWithDepth = mustMDCC(genDepth, ds.FilesByDepth().Normalize())
-	} else {
-		acc.FilesWithDepth = mustMDCC(genDepth, ds.FilesByDepth().Normalize())
-		acc.FilesWithDepthSpec = mustMDCC(genDepth, ds.FilesByDepthWithSpecial().Normalize())
-	}
+	acc.FilesWithDepth = mustMDCC(genDepth, ds.FilesByDepth().Normalize())
+	acc.FilesWithDepthSpec = mustMDCC(genDepth, ds.FilesByDepthWithSpecial().Normalize())
 
 	// Bytes with depth: average difference in mean bytes per file (MB).
 	genMean := st.MeanBytesByDepth()

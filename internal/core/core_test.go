@@ -281,7 +281,7 @@ func TestMeasureAccuracyReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	acc := MeasureAccuracy(res.Image, gen.Dataset(), false)
+	acc := MeasureAccuracy(res.Image, gen.Dataset())
 	checks := map[string]float64{
 		"dirs with depth":    acc.DirsWithDepth,
 		"dirs with subdirs":  acc.DirsWithSubdirs,

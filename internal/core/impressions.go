@@ -82,16 +82,21 @@ func (g *Generator) GenerateContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	// Materializing the retained image is part of the placement phase's
-	// accounting (it is where the file records spring into existence).
+	// accounting (it is where the file records spring into existence). One
+	// replay through a TreeSink validates the records and retains them; the
+	// image keeps the generator's tree.
 	start := clock.Now()
-	img, err := m.Image()
+	img := fsimage.New(m.tree)
+	img.Spec = m.spec
+	img.Files = make([]fsimage.File, 0, m.FileCount())
+	err = m.StreamRecords(fsimage.NewTreeSink(func(f fsimage.File) error {
+		img.Files = append(img.Files, f)
+		return nil
+	}))
 	if err != nil {
-		return nil, err
-	}
-	m.phases["file and bytes with depth"] += seconds(start)
-	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("core: generated image failed validation: %w", err)
 	}
+	m.phases["file and bytes with depth"] += seconds(start)
 	res := &Result{Image: img}
 	if res.Report, res.Disk, err = m.Report(); err != nil {
 		return nil, err

@@ -21,10 +21,10 @@ import (
 // produce — the in-memory fsimage.Image is just one way to consume it.
 // Holding columns instead of fsimage.File structs keeps the metadata pass
 // free of per-file name allocations and lets consumers choose between
-// retaining the image (Image), streaming its records into any
-// fsimage.RecordSink (StreamRecords), or walking the placements without
-// materializing records at all (EachPlacement) — the planner's route to
-// per-shard accumulators with O(chunk) live records.
+// retaining the image (Generator.GenerateContext), streaming its records
+// into any fsimage.RecordSink (StreamRecords), or walking the placements
+// without materializing records at all (EachPlacement) — the planner's
+// route to per-shard accumulators with O(chunk) live records.
 type Metadata struct {
 	tree     *namespace.Tree
 	store    *columnStore
@@ -130,23 +130,6 @@ func (m *Metadata) streamRecords(ctx context.Context, sink fsimage.RecordSink) e
 		}
 	}
 	return m.eachFile(ctx, sink.AddFile)
-}
-
-// Image materializes the metadata as a retained in-memory image sharing the
-// tree. This is the retained-sink path Generate takes; large-scale pipelines
-// stream instead.
-func (m *Metadata) Image() (*fsimage.Image, error) {
-	img := fsimage.New(m.tree)
-	img.Files = make([]fsimage.File, m.FileCount())
-	img.Spec = m.spec
-	err := m.eachFile(context.Background(), func(f fsimage.File) error {
-		img.Files[f.ID] = f
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return img, nil
 }
 
 // ResolveMetadataContext runs the metadata pipeline — directory skeleton,

@@ -55,14 +55,15 @@ func TestParallelismDeterminism(t *testing.T) {
 					t.Fatalf("%s seed %d: spec differs between parallelism 1 and %d:\n%+v\nvs\n%+v",
 						name, seed, level, refSpec, gotSpec)
 				}
-				a, b := ref.Image, got.Image
-				if !reflect.DeepEqual(a.FilesBySizeHistogram(40).Counts, b.FilesBySizeHistogram(40).Counts) {
+				statsCfg := fsimage.StatsConfig{SizeMaxExp: 40, DepthBins: 20, CountBins: 32}
+				a, b := ref.Image.Stats(statsCfg), got.Image.Stats(statsCfg)
+				if !reflect.DeepEqual(a.FilesBySize().Counts, b.FilesBySize().Counts) {
 					t.Fatalf("%s seed %d: files-by-size histogram differs at parallelism %d", name, seed, level)
 				}
-				if !reflect.DeepEqual(a.FilesByDepthHistogram(20).Counts, b.FilesByDepthHistogram(20).Counts) {
+				if !reflect.DeepEqual(a.FilesByDepth().Counts, b.FilesByDepth().Counts) {
 					t.Fatalf("%s seed %d: files-by-depth histogram differs at parallelism %d", name, seed, level)
 				}
-				if !reflect.DeepEqual(a.DirsByFileCountHistogram(32).Counts, b.DirsByFileCountHistogram(32).Counts) {
+				if !reflect.DeepEqual(a.DirsByFileCount().Counts, b.DirsByFileCount().Counts) {
 					t.Fatalf("%s seed %d: dirs-by-file-count histogram differs at parallelism %d", name, seed, level)
 				}
 			}

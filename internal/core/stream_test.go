@@ -104,11 +104,12 @@ func TestGenerateStreamMatchesRetained(t *testing.T) {
 				t.Errorf("seed %d P%d: streamed digest %s != retained %s", seed, par, gotDigest, wantDigest)
 			}
 
-			// Streaming statistics equal the retained histogram methods.
+			// Streaming statistics equal the retained image's.
+			retained := res.Image.Stats(fsimage.StatsConfig{SizeMaxExp: 34, DepthBins: 16, CountBins: 32})
 			if statsSink.FileCount() != res.Image.FileCount() || statsSink.TotalBytes() != res.Image.TotalBytes() {
 				t.Errorf("seed %d P%d: stats totals diverge", seed, par)
 			}
-			wantHist := res.Image.FilesBySizeHistogram(34).Counts
+			wantHist := retained.FilesBySize().Counts
 			gotHist := statsSink.FilesBySize().Counts
 			for i := range wantHist {
 				if wantHist[i] != gotHist[i] {
@@ -116,7 +117,7 @@ func TestGenerateStreamMatchesRetained(t *testing.T) {
 					break
 				}
 			}
-			wantDepth := res.Image.FilesByDepthHistogram(16).Counts
+			wantDepth := retained.FilesByDepth().Counts
 			gotDepth := statsSink.FilesByDepth().Counts
 			for i := range wantDepth {
 				if wantDepth[i] != gotDepth[i] {

@@ -527,17 +527,7 @@ func (s *Scheduler) requeueLocked(r *run, shard int, reason string) {
 // backoff returns the capped exponential re-queue delay with jitter in
 // [d/2, d] for the given completed attempt count.
 func (s *Scheduler) backoff(attempt int) time.Duration {
-	d := s.opts.BackoffBase
-	for i := 1; i < attempt && d < s.opts.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > s.opts.BackoffMax {
-		d = s.opts.BackoffMax
-	}
-	// Full-bottom-half jitter decorrelates a fleet of retrying shards
-	// without ever retrying sooner than half the nominal delay.
-	half := d / 2
-	return half + time.Duration(s.opts.Jitter(int64(half)+1))
+	return backoff.Delay(s.opts.BackoffBase, s.opts.BackoffMax, attempt, s.opts.Jitter)
 }
 
 // SetContext sets the lifecycle context inline executions inherit (Loop

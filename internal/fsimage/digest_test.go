@@ -47,9 +47,9 @@ func TestContentDigestsMatchMaterializedBytes(t *testing.T) {
 		t.Fatalf("Materialize: %v", err)
 	}
 	for _, f := range img.Files {
-		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(img.FilePath(f))))
+		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(filePath(img, f))))
 		if err != nil {
-			t.Fatalf("reading %s: %v", img.FilePath(f), err)
+			t.Fatalf("reading %s: %v", filePath(img, f), err)
 		}
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != digests[f.ID] {
@@ -134,7 +134,7 @@ func TestHashTreeDetectsDifferences(t *testing.T) {
 	var victim string
 	for _, f := range img.Files {
 		if f.Size > 0 {
-			victim = filepath.Join(b, filepath.FromSlash(img.FilePath(f)))
+			victim = filepath.Join(b, filepath.FromSlash(filePath(img, f)))
 			break
 		}
 	}

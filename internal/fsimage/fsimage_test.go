@@ -2,6 +2,7 @@ package fsimage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,9 @@ import (
 	"impressions/internal/namespace"
 	"impressions/internal/stats"
 )
+
+// filePath is the slash-separated path of a file under the image root.
+func filePath(img *Image, f File) string { return string(AppendFilePath(nil, img.Tree, f)) }
 
 // buildTestImage constructs a small deterministic image for tests.
 func buildTestImage(t testing.TB) *Image {
@@ -53,34 +57,33 @@ func TestImageBasics(t *testing.T) {
 	if err := img.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
-	if img.FilesWithExtension("txt") != 1 {
-		t.Errorf("FilesWithExtension(txt) = %d", img.FilesWithExtension("txt"))
-	}
 	if img.Summary() == "" {
 		t.Error("empty summary")
 	}
 }
 
+// TestImageValidateCatchesCorruption: Validate holds a retained image to the
+// stream rules TreeSink enforces, so every damage is ErrManifestIntegrity.
 func TestImageValidateCatchesCorruption(t *testing.T) {
-	img := buildTestImage(t)
-	img.Files[0].DirID = 9999
-	if err := img.Validate(); err == nil {
-		t.Error("expected validation error for bad DirID")
-	}
-	img = buildTestImage(t)
-	img.Files[0].Size = -1
-	if err := img.Validate(); err == nil {
-		t.Error("expected validation error for negative size")
-	}
-	img = buildTestImage(t)
-	img.Files[0].Depth = 99
-	if err := img.Validate(); err == nil {
-		t.Error("expected validation error for inconsistent depth")
-	}
-	img = buildTestImage(t)
-	img.Files[0].Name = "a/b"
-	if err := img.Validate(); err == nil {
-		t.Error("expected validation error for a name containing a separator")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(img *Image)
+	}{
+		{"unknown directory", func(img *Image) { img.Files[0].DirID = 9999 }},
+		{"negative size", func(img *Image) { img.Files[0].Size = -1 }},
+		{"inconsistent depth", func(img *Image) { img.Files[0].Depth = 99 }},
+		{"file name with a separator", func(img *Image) { img.Files[0].Name = "a/b" }},
+		{"file named .", func(img *Image) { img.Files[0].Name = "." }},
+		{"file named ..", func(img *Image) { img.Files[0].Name = ".." }},
+		{"file IDs that skip", func(img *Image) { img.Files = append(img.Files[:1], img.Files[2:]...) }},
+		{"directory whose parent comes after it", func(img *Image) { img.Tree.Dirs[1].Parent = 2 }},
+		{"directory name with a separator", func(img *Image) { img.Tree.Dirs[1].Name = "a/b" }},
+	} {
+		img := buildTestImage(t)
+		tc.corrupt(img)
+		if err := img.Validate(); !errors.Is(err, ErrManifestIntegrity) {
+			t.Errorf("%s: Validate = %v, want ErrManifestIntegrity", tc.name, err)
+		}
 	}
 }
 
@@ -104,25 +107,26 @@ func TestExtensionOfAndMakeFileName(t *testing.T) {
 
 func TestHistogramsConsistent(t *testing.T) {
 	img := buildTestImage(t)
-	if total := img.FilesBySizeHistogram(37).Total(); total != 10 {
+	st := img.Stats(StatsConfig{SizeMaxExp: 37, DepthBins: 17, CountBins: 65})
+	if total := st.FilesBySize().Total(); total != 10 {
 		t.Errorf("files-by-size total %g", total)
 	}
-	if total := img.BytesBySizeHistogram(37).Total(); total != float64(img.TotalBytes()) {
+	if total := st.BytesBySize().Total(); total != float64(img.TotalBytes()) {
 		t.Errorf("bytes-by-size total %g, want %d", total, img.TotalBytes())
 	}
-	if total := img.FilesByDepthHistogram(17).Total(); total != 10 {
+	if total := st.FilesByDepth().Total(); total != 10 {
 		t.Errorf("files-by-depth total %g", total)
 	}
-	if total := img.DirsByDepthHistogram(17).Total(); total != 20 {
+	if total := st.DirsByDepth().Total(); total != 20 {
 		t.Errorf("dirs-by-depth total %g", total)
 	}
-	if total := img.DirsBySubdirHistogram(65).Total(); total != 20 {
+	if total := st.DirsBySubdir().Total(); total != 20 {
 		t.Errorf("dirs-by-subdir total %g", total)
 	}
-	if total := img.DirsByFileCountHistogram(65).Total(); total != 20 {
+	if total := st.DirsByFileCount().Total(); total != 20 {
 		t.Errorf("dirs-by-filecount total %g", total)
 	}
-	mean := img.MeanBytesByDepth(17)
+	mean := st.MeanBytesByDepth()
 	for d, v := range mean {
 		if v < 0 {
 			t.Errorf("negative mean bytes at depth %d", d)
@@ -132,7 +136,7 @@ func TestHistogramsConsistent(t *testing.T) {
 
 func TestTopExtensions(t *testing.T) {
 	img := buildTestImage(t)
-	top := img.TopExtensions(3)
+	top := img.Stats(StatsConfig{}).TopExtensions(3)
 	if len(top) != 4 {
 		t.Fatalf("expected 3 + others, got %d", len(top))
 	}
@@ -150,7 +154,7 @@ func TestTopExtensions(t *testing.T) {
 
 func TestExtensionFractions(t *testing.T) {
 	img := buildTestImage(t)
-	fracs := img.ExtensionFractions([]string{"txt", "jpg", "null"})
+	fracs := img.Stats(StatsConfig{}).ExtensionFractions([]string{"txt", "jpg", "null"})
 	if len(fracs) != 4 {
 		t.Fatalf("got %d fractions", len(fracs))
 	}
@@ -175,7 +179,7 @@ func TestMaterializeAndScanRoundTrip(t *testing.T) {
 	// Spot-check one file's size and magic bytes.
 	for _, f := range img.Files {
 		if f.Ext == "jpg" {
-			p := filepath.Join(root, filepath.FromSlash(img.FilePath(f)))
+			p := filepath.Join(root, filepath.FromSlash(filePath(img, f)))
 			data, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
@@ -215,7 +219,7 @@ func TestMaterializeMetadataOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := img.Files[3] // 64 KiB dll
-	p := filepath.Join(root, filepath.FromSlash(img.FilePath(f)))
+	p := filepath.Join(root, filepath.FromSlash(filePath(img, f)))
 	info, err := os.Stat(p)
 	if err != nil {
 		t.Fatal(err)
@@ -235,11 +239,11 @@ func TestMaterializeDeterministicContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := img.Files[0]
-	a, err := os.ReadFile(filepath.Join(rootA, filepath.FromSlash(img.FilePath(f))))
+	a, err := os.ReadFile(filepath.Join(rootA, filepath.FromSlash(filePath(img, f))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(rootB, filepath.FromSlash(img.FilePath(f))))
+	b, err := os.ReadFile(filepath.Join(rootB, filepath.FromSlash(filePath(img, f))))
 	if err != nil {
 		t.Fatal(err)
 	}

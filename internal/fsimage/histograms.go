@@ -40,9 +40,9 @@ func (c StatsConfig) withDefaults() StatsConfig {
 // reporting paths care about — files/bytes by size, files and directories by
 // depth, directories by subdirectory and file count, mean bytes per depth,
 // and per-extension shares — in one pass, holding O(dirs) state and no file
-// records. The retained Image's histogram methods are thin wrappers that
-// replay the image through an ImageStats, so the streamed and in-memory
-// paths compute identical values by construction.
+// records. A retained Image is read the same way: Image.Stats replays it
+// into one ImageStats, so the streamed and in-memory paths compute identical
+// values by construction.
 type ImageStats struct {
 	cfg StatsConfig
 
@@ -116,8 +116,7 @@ func (s *ImageStats) AddDir(d DirRecord) error {
 // deliberately best-effort about the record's directory reference: a stats
 // pass must tolerate whatever an Image holds (structural validation is
 // TreeSink's job), so an out-of-range DirID only skips the per-directory
-// counter, exactly as the pre-streaming histogram methods — which never
-// read DirID — behaved.
+// counter; every other distribution reads the record's own fields.
 func (s *ImageStats) AddFile(f File) error {
 	s.files++
 	s.totalBytes += f.Size
@@ -201,8 +200,18 @@ func (s *ImageStats) MeanBytesByDepth() []float64 {
 	return out
 }
 
+// ExtensionShare summarizes the share of files and bytes per extension.
+type ExtensionShare struct {
+	Ext       string
+	Files     int
+	Bytes     int64
+	FileFrac  float64
+	BytesFrac float64
+}
+
 // TopExtensions returns the top n extensions by file count, with an "others"
 // aggregate appended covering the remainder (the Figure 2(e) view).
+// Extensions are lower-cased and "" is reported as "null".
 func (s *ImageStats) TopExtensions(n int) []ExtensionShare {
 	shares := make([]ExtensionShare, 0, len(s.extFiles))
 	for ext, files := range s.extFiles {
@@ -281,9 +290,9 @@ func (s *ImageStats) ExtensionFractions(names []string) []float64 {
 	return out
 }
 
-// stats replays the image through a fresh accumulator; the retained
-// histogram methods below are all views over it.
-func (img *Image) stats(cfg StatsConfig) *ImageStats {
+// Stats folds the whole image into a fresh accumulator with the given bin
+// sizing in one replay: the one way to read a retained image's statistics.
+func (img *Image) Stats(cfg StatsConfig) *ImageStats {
 	st := NewImageStats(cfg)
 	// Replaying a validated in-memory image cannot fail the accumulator's
 	// structural checks.
@@ -291,70 +300,4 @@ func (img *Image) stats(cfg StatsConfig) *ImageStats {
 		panic(fmt.Sprintf("fsimage: streaming retained image into stats: %v", err))
 	}
 	return st
-}
-
-// Stats folds the whole image into a streaming accumulator with the given
-// bin sizing — the retained-image entry point to ImageStats.
-func (img *Image) Stats(cfg StatsConfig) *ImageStats { return img.stats(cfg) }
-
-// FilesBySizeHistogram returns the image's files-by-size histogram using
-// power-of-two bins up to 2^maxExp.
-func (img *Image) FilesBySizeHistogram(maxExp int) *stats.Histogram {
-	return img.stats(StatsConfig{SizeMaxExp: maxExp}).FilesBySize()
-}
-
-// BytesBySizeHistogram returns the bytes-by-containing-file-size histogram
-// (each file weighted by its size).
-func (img *Image) BytesBySizeHistogram(maxExp int) *stats.Histogram {
-	return img.stats(StatsConfig{SizeMaxExp: maxExp}).BytesBySize()
-}
-
-// FilesByDepthHistogram returns per-depth file counts with unit bins
-// 0..maxBins-1 (deeper files pooled into the last bin).
-func (img *Image) FilesByDepthHistogram(maxBins int) *stats.Histogram {
-	return img.stats(StatsConfig{DepthBins: maxBins}).FilesByDepth()
-}
-
-// DirsByDepthHistogram returns per-depth directory counts.
-func (img *Image) DirsByDepthHistogram(maxBins int) *stats.Histogram {
-	return img.stats(StatsConfig{DepthBins: maxBins}).DirsByDepth()
-}
-
-// DirsBySubdirHistogram returns directory counts by subdirectory count.
-func (img *Image) DirsBySubdirHistogram(maxBins int) *stats.Histogram {
-	return img.stats(StatsConfig{CountBins: maxBins}).DirsBySubdir()
-}
-
-// DirsByFileCountHistogram returns directory counts by contained-file count.
-func (img *Image) DirsByFileCountHistogram(maxBins int) *stats.Histogram {
-	return img.stats(StatsConfig{CountBins: maxBins}).DirsByFileCount()
-}
-
-// MeanBytesByDepth returns the mean file size at each file depth
-// (0..maxBins-1); depths without files report zero.
-func (img *Image) MeanBytesByDepth(maxBins int) []float64 {
-	return img.stats(StatsConfig{DepthBins: maxBins}).MeanBytesByDepth()
-}
-
-// ExtensionShare summarizes the share of files and bytes per extension.
-type ExtensionShare struct {
-	Ext       string
-	Files     int
-	Bytes     int64
-	FileFrac  float64
-	BytesFrac float64
-}
-
-// TopExtensions returns the top n extensions by file count, with an "others"
-// aggregate appended covering the remainder. Extensions are lower-cased and
-// "" is reported as "null", matching the paper's Figure 2(e).
-func (img *Image) TopExtensions(n int) []ExtensionShare {
-	return img.stats(StatsConfig{}).TopExtensions(n)
-}
-
-// ExtensionFractions returns the fraction of files carrying each of the named
-// extensions, in order, with any remaining mass reported under "others" as
-// the final element. Extension "null" matches files with no extension.
-func (img *Image) ExtensionFractions(names []string) []float64 {
-	return img.stats(StatsConfig{}).ExtensionFractions(names)
 }

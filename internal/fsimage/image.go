@@ -112,12 +112,6 @@ func (img *Image) MeanFileSize() float64 {
 	return float64(img.TotalBytes()) / float64(len(img.Files))
 }
 
-// FilePath returns the slash-separated path of the file relative to the image
-// root.
-func (img *Image) FilePath(f File) string {
-	return string(AppendFilePath(nil, img.Tree, f))
-}
-
 // MaxFileDepth returns the deepest file depth in the image.
 func (img *Image) MaxFileDepth() int {
 	max := 0
@@ -129,43 +123,17 @@ func (img *Image) MaxFileDepth() int {
 	return max
 }
 
-// FilesWithExtension returns the number of files carrying the given extension
-// (case-insensitive, no dot).
-func (img *Image) FilesWithExtension(ext string) int {
-	ext = strings.ToLower(ext)
-	n := 0
-	for _, f := range img.Files {
-		if strings.ToLower(f.Ext) == ext {
-			n++
-		}
-	}
-	return n
-}
-
-// Validate checks internal consistency of the image: every file references an
-// existing directory, depths are consistent with the tree, and sizes are
-// non-negative.
+// Validate checks that the image is a canonical record stream by replaying
+// it into a TreeSink, the one implementation of the stream rules: dense
+// ascending directory and file IDs, parents before children, known
+// directories, non-negative sizes, depths that match the tree, and names
+// that stay inside their directory. Every rejection after the nil-tree
+// check wraps ErrManifestIntegrity.
 func (img *Image) Validate() error {
 	if img.Tree == nil {
 		return fmt.Errorf("fsimage: image has no directory tree")
 	}
-	for _, f := range img.Files {
-		if f.DirID < 0 || f.DirID >= img.Tree.Len() {
-			return fmt.Errorf("fsimage: file %q references unknown directory %d", f.Name, f.DirID)
-		}
-		if f.Size < 0 {
-			return fmt.Errorf("fsimage: file %q has negative size %d", f.Name, f.Size)
-		}
-		wantDepth := img.Tree.Dirs[f.DirID].Depth + 1
-		if f.Depth != wantDepth {
-			return fmt.Errorf("fsimage: file %q depth %d does not match directory depth %d (%w)",
-				f.Name, f.Depth, wantDepth, ErrInvalidSpec)
-		}
-		if f.Name == "" || strings.ContainsAny(f.Name, "/\x00") {
-			return fmt.Errorf("fsimage: file %d has invalid name %q", f.ID, f.Name)
-		}
-	}
-	return nil
+	return img.StreamRecords(NewTreeSink(nil))
 }
 
 // ExtensionOf extracts the extension (without dot, lower-cased) from a file

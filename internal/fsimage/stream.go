@@ -63,7 +63,8 @@ func (img *Image) StreamRecords(sink RecordSink) error {
 // non-negative sizes, consistent depths, legal names — and hands each file
 // record to an optional callback instead of retaining it. A stream that is
 // not canonical is a damaged artifact: every rejection wraps
-// ErrManifestIntegrity.
+// ErrManifestIntegrity. It is the one implementation of these rules:
+// Image.Validate is a replay into a TreeSink.
 type TreeSink struct {
 	// OnFile, when non-nil, observes every validated file record.
 	OnFile func(File) error

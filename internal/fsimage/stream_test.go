@@ -201,10 +201,8 @@ func TestDigestBuilderRejectsWrongTotals(t *testing.T) {
 	}
 }
 
-// TestImageStatsMatchesRetainedHistograms: the retained histogram methods
-// are wrappers over the streaming accumulator; cross-check a streamed
-// accumulator against them anyway, so a future divergence of either path
-// fails here.
+// TestImageStatsMatchesRetainedHistograms: a streamed accumulator counts
+// the files, directories, bytes and deepest file the retained image holds.
 func TestImageStatsMatchesRetainedHistograms(t *testing.T) {
 	img := buildTestImage(t)
 	st := NewImageStats(StatsConfig{SizeMaxExp: 30, DepthBins: 16, CountBins: 24})
@@ -218,37 +216,6 @@ func TestImageStatsMatchesRetainedHistograms(t *testing.T) {
 	if st.MaxFileDepth() != img.MaxFileDepth() {
 		t.Errorf("max depth %d != %d", st.MaxFileDepth(), img.MaxFileDepth())
 	}
-	compare := func(name string, a, b []float64) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d bins vs %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("%s bin %d: %g vs %g", name, i, a[i], b[i])
-			}
-		}
-	}
-	compare("files by size", st.FilesBySize().Counts, img.FilesBySizeHistogram(30).Counts)
-	compare("bytes by size", st.BytesBySize().Counts, img.BytesBySizeHistogram(30).Counts)
-	compare("files by depth", st.FilesByDepth().Counts, img.FilesByDepthHistogram(16).Counts)
-	compare("dirs by depth", st.DirsByDepth().Counts, img.DirsByDepthHistogram(16).Counts)
-	compare("dirs by subdir", st.DirsBySubdir().Counts, img.DirsBySubdirHistogram(24).Counts)
-	compare("dirs by file count", st.DirsByFileCount().Counts, img.DirsByFileCountHistogram(24).Counts)
-	compare("mean bytes by depth", st.MeanBytesByDepth(), img.MeanBytesByDepth(16))
-
-	wantTop := img.TopExtensions(3)
-	gotTop := st.TopExtensions(3)
-	if len(wantTop) != len(gotTop) {
-		t.Fatalf("top extensions: %d vs %d entries", len(gotTop), len(wantTop))
-	}
-	for i := range wantTop {
-		if wantTop[i] != gotTop[i] {
-			t.Errorf("top extension %d: %+v vs %+v", i, gotTop[i], wantTop[i])
-		}
-	}
-	compare("extension fractions", st.ExtensionFractions([]string{"txt", "null", "jpg"}),
-		img.ExtensionFractions([]string{"txt", "null", "jpg"}))
 }
 
 // batchTestImage is buildTestImage's tree holding n small files, dealt
@@ -358,7 +325,7 @@ func TestMaterializeSinkCancellation(t *testing.T) {
 						return nil
 					}
 					// A directory where the file should go: creating it fails.
-					return os.MkdirAll(filepath.Join(root, filepath.FromSlash(img.FilePath(blocked))), 0o755)
+					return os.MkdirAll(filepath.Join(root, filepath.FromSlash(filePath(img, blocked))), 0o755)
 				}})
 				if err == nil {
 					err = sink.Close()
@@ -369,16 +336,16 @@ func TestMaterializeSinkCancellation(t *testing.T) {
 				if fault == "write" && (err == nil || !strings.Contains(err.Error(), blocked.Name)) {
 					t.Fatalf("%s: got %v, want the failed creation of %s", label, err, blocked.Name)
 				}
-				if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(img.FilePath(img.Files[0])))); err != nil {
+				if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, img.Files[0])))); err != nil {
 					t.Errorf("%s: the first batch was not written: %v", label, err)
 				}
 				if last := img.Files[n-1]; n > 2*materializeBatch {
-					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(img.FilePath(last)))); err == nil {
+					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, last)))); err == nil {
 						t.Errorf("%s: %s of the last batch was written after the stream failed", label, last.Name)
 					}
 				}
 				if fault == "cancel" {
-					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(img.FilePath(blocked)))); err == nil {
+					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, blocked)))); err == nil {
 						t.Errorf("%s: %s was written after the cancellation", label, blocked.Name)
 					}
 				}

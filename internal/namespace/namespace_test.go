@@ -197,14 +197,12 @@ func TestPlacerDepthFollowsPoisson(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		placer.Place(4096)
 	}
-	hist := FileDepthHistogram(tree, 17)
-	total := 0.0
-	weighted := 0.0
-	for d, c := range hist {
-		total += c
-		weighted += float64(d) * c
+	total, weighted := 0, 0
+	for _, d := range tree.Dirs {
+		total += d.FileCount
+		weighted += (d.Depth + 1) * d.FileCount // a file sits one below its directory
 	}
-	meanDepth := weighted / total
+	meanDepth := float64(weighted) / float64(total)
 	// The placer restricts depths to those with existing parents, so the mean
 	// is a bit below lambda; it should still be in a sensible band.
 	if meanDepth < 3.5 || meanDepth > 8.5 {
@@ -343,16 +341,6 @@ func TestChooseDepthMatchesReference(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestMeanBytesPerFileByDepth(t *testing.T) {
-	tree := GenerateTree(nil, 3, ShapeFlat)
-	tree.Dirs[1].FileCount = 2
-	tree.Dirs[1].Bytes = 2048
-	out := MeanBytesPerFileByDepth(tree, 5)
-	if out[2] != 1024 {
-		t.Errorf("mean bytes at depth 2 = %g, want 1024", out[2])
 	}
 }
 

@@ -284,46 +284,3 @@ func (p *Placer) ChooseParentAt(dirDepth int, rng *stats.RNG) int {
 	}
 	return candidates[idx]
 }
-
-// FileDepthHistogram returns per-depth file counts accumulated in the tree
-// (bins 0..maxBins-1, deeper files pooled into the last bin). A file's depth
-// is its parent directory depth + 1.
-func FileDepthHistogram(t *Tree, maxBins int) []float64 {
-	out := make([]float64, maxBins)
-	for _, d := range t.Dirs {
-		if d.FileCount == 0 {
-			continue
-		}
-		bin := d.Depth + 1
-		if bin >= maxBins {
-			bin = maxBins - 1
-		}
-		out[bin] += float64(d.FileCount)
-	}
-	return out
-}
-
-// MeanBytesPerFileByDepth returns the mean file size at each file depth
-// (0..maxBins-1) accumulated in the tree; depths with no files report zero.
-func MeanBytesPerFileByDepth(t *Tree, maxBins int) []float64 {
-	bytes := make([]float64, maxBins)
-	files := make([]float64, maxBins)
-	for _, d := range t.Dirs {
-		if d.FileCount == 0 {
-			continue
-		}
-		bin := d.Depth + 1
-		if bin >= maxBins {
-			bin = maxBins - 1
-		}
-		bytes[bin] += float64(d.Bytes)
-		files[bin] += float64(d.FileCount)
-	}
-	out := make([]float64, maxBins)
-	for i := range out {
-		if files[i] > 0 {
-			out[i] = bytes[i] / files[i]
-		}
-	}
-	return out
-}

@@ -219,17 +219,12 @@ func (c *Client) doIdempotent(ctx context.Context, method, path string, body any
 		if ctx.Err() != nil || attempt >= retries {
 			return nil, lastErr
 		}
-		delay := base << attempt
-		if delay > maxDelay {
-			delay = maxDelay
-		}
 		// Jitter in [delay/2, delay] decorrelates a fleet of retrying
 		// clients hammering a recovering daemon.
-		delay = delay/2 + time.Duration(c.jitter(int64(delay/2)+1))
 		select {
 		case <-ctx.Done():
 			return nil, lastErr
-		case <-time.After(delay):
+		case <-time.After(backoff.Delay(base, maxDelay, attempt+1, c.jitter)):
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -594,5 +595,34 @@ func TestClientRetriesTransient(t *testing.T) {
 	dead := &Client{Base: "http://127.0.0.1:1", Retries: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond}
 	if _, err := dead.Stats(ctx); err == nil {
 		t.Fatal("Stats against a dead server: want an error")
+	}
+}
+
+// TestClientRetryDelayStaysPositive: 64 retries of a refused connection at a
+// 1 ns base take the doubling past 2^63 ns. Every jitter draw must still get
+// a positive bound (the default jitter panics on any other), and the call
+// must end with the dial error.
+func TestClientRetryDelayStaysPositive(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	var bounds []int64
+	c := &Client{Base: "http://" + addr, Retries: 64, RetryBase: time.Nanosecond, RetryMax: time.Nanosecond,
+		Jitter: func(n int64) int64 { bounds = append(bounds, n); return 0 }}
+	_, err = c.Stats(context.Background())
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) || opErr.Op != "dial" {
+		t.Fatalf("Stats against a closed port: %v, want the dial error", err)
+	}
+	if len(bounds) != 64 {
+		t.Fatalf("%d jitter draws, want one per retry (64)", len(bounds))
+	}
+	for i, n := range bounds {
+		if n < 1 {
+			t.Errorf("retry %d: jitter bound %d, want 1 or more", i+1, n)
+		}
 	}
 }
