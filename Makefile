@@ -275,7 +275,7 @@ lint:
 	GOOS=windows $(GO) build $$($(GO) list ./... | grep -v '/cmd/impressions$$')
 	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test -short ./internal/content ./internal/imgfmt
+	GOARCH=386 $(GO) test -short ./internal/content ./internal/imgfmt ./internal/stats/... ./internal/search ./internal/workload ./internal/disk
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) build -o bin/impressionsvet ./cmd/impressionsvet
 	$(GO) vet -vettool=$(abspath bin/impressionsvet) ./...

@@ -8,13 +8,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
+	"math"
 
 	"impressions"
 	"impressions/internal/dataset"
 	"impressions/internal/stats"
-	"impressions/internal/stats/fit"
 	"impressions/internal/stats/gof"
 	"impressions/internal/stats/interp"
 )
@@ -55,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	samples := sampleFromBins(fracs, 20000)
-	model, err := fit.Lognormal(samples)
+	model, err := fitLognormal(samples)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,4 +94,25 @@ func sampleFromBins(fracs []float64, n int) []float64 {
 		}
 	}
 	return out
+}
+
+// fitLognormal fits a lognormal distribution to positive samples by maximum
+// likelihood (mean and standard deviation of the log-transformed data).
+// Non-positive samples are ignored; at least two positive samples are
+// required.
+func fitLognormal(samples []float64) (stats.Lognormal, error) {
+	logs := make([]float64, 0, len(samples))
+	for _, v := range samples {
+		if v > 0 {
+			logs = append(logs, math.Log(v))
+		}
+	}
+	if len(logs) < 2 {
+		return stats.Lognormal{}, errors.New("whatif: need at least two positive samples")
+	}
+	sigma := stats.StdDev(logs)
+	if sigma <= 0 || math.IsNaN(sigma) {
+		return stats.Lognormal{}, errors.New("whatif: degenerate lognormal (zero variance)")
+	}
+	return stats.NewLognormal(stats.Mean(logs), sigma), nil
 }

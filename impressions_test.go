@@ -96,10 +96,6 @@ func TestEndToEndFindAndSearch(t *testing.T) {
 	if find.DirsVisited != res.Image.DirCount() {
 		t.Errorf("find visited %d dirs", find.DirsVisited)
 	}
-	grep := workload.Grep(res.Image, workload.GrepConfig{Disk: res.Disk})
-	if grep.BytesRead != res.Image.TotalBytes() {
-		t.Errorf("grep read %d bytes", grep.BytesRead)
-	}
 	idx := search.NewEngine(search.BeaglePolicy()).Index(res.Image, content.NewRegistry(content.KindDefault), 11)
 	if idx.IndexedFiles+idx.AttributeOnlyFiles != res.Image.FileCount() {
 		t.Error("search crawl missed files")

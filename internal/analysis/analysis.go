@@ -94,7 +94,7 @@ func (d Diagnostic) String(fset *token.FileSet) string {
 // deterministicPkgs lists the package path suffixes (under any module root,
 // so analysistest fixtures can mimic them) whose code sits on
 // record-emitting paths and must be a pure function of spec and seed.
-// Subpackages (e.g. internal/stats/fit) inherit the classification.
+// Subpackages (e.g. internal/stats/interp) inherit the classification.
 var deterministicPkgs = []string{
 	"internal/core",
 	"internal/namespace",
@@ -123,14 +123,6 @@ func IsDeterministicPkg(path string) bool {
 		}
 	}
 	return false
-}
-
-// DeterministicPkgs returns the protected package-path suffixes, for docs
-// and the vet meta-test.
-func DeterministicPkgs() []string {
-	out := make([]string, len(deterministicPkgs))
-	copy(out, deterministicPkgs)
-	return out
 }
 
 // All returns the full analyzer suite in stable order.

@@ -86,13 +86,13 @@ func TestRegistriesAreIndependent(t *testing.T) {
 	b := NewRegistry(KindDefault)
 	refA := generateBytes(t, a, "txt", 4096, stats.NewRNG(5))
 	// Mutate b's text model; a must be unaffected.
-	b.SetTextModel(NewSingleWordModel("zzz"))
+	b.Register(NewTextGenerator(NewSingleWordModel("zzz")), "txt")
 	againA := generateBytes(t, a, "txt", 4096, stats.NewRNG(5))
 	if !bytes.Equal(refA, againA) {
 		t.Fatal("mutating one registry changed another registry's output")
 	}
 	fromB := generateBytes(t, b, "txt", 4096, stats.NewRNG(5))
 	if bytes.Equal(refA, fromB) {
-		t.Fatal("SetTextModel had no effect on the mutated registry")
+		t.Fatal("Register had no effect on the mutated registry")
 	}
 }

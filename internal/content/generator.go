@@ -255,59 +255,6 @@ func (ZeroGenerator) Generate(w io.Writer, size int64, rng *stats.RNG) error {
 // Name implements Generator.
 func (ZeroGenerator) Name() string { return "zero" }
 
-// SimilarityGenerator wraps another generator and re-emits a shared "seed
-// block" for a controllable fraction of the content, producing a corpus with
-// a specified degree of content similarity across files. The paper calls this
-// out as the natural extension for evaluating content-addressable storage.
-type SimilarityGenerator struct {
-	// Base produces the unique portion of each file.
-	Base Generator
-	// SharedFraction in [0,1] is the fraction of each file's bytes that come
-	// from the shared block (identical across all files using this
-	// generator).
-	SharedFraction float64
-	shared         []byte
-}
-
-// NewSimilarityGenerator builds a similarity-controlled generator. The shared
-// block is derived deterministically from sharedSeed.
-func NewSimilarityGenerator(base Generator, sharedFraction float64, sharedSeed int64) *SimilarityGenerator {
-	if sharedFraction < 0 {
-		sharedFraction = 0
-	}
-	if sharedFraction > 1 {
-		sharedFraction = 1
-	}
-	shared := make([]byte, 64*1024)
-	fillRandom(shared, stats.NewRNG(sharedSeed))
-	return &SimilarityGenerator{Base: base, SharedFraction: sharedFraction, shared: shared}
-}
-
-// Generate implements Generator.
-func (g *SimilarityGenerator) Generate(w io.Writer, size int64, rng *stats.RNG) error {
-	sharedBytes := int64(float64(size) * g.SharedFraction)
-	var written int64
-	for written < sharedBytes {
-		n := int64(len(g.shared))
-		if sharedBytes-written < n {
-			n = sharedBytes - written
-		}
-		if _, err := w.Write(g.shared[:n]); err != nil {
-			return fmt.Errorf("content: writing shared block: %w", err)
-		}
-		written += n
-	}
-	if size-written > 0 {
-		return g.Base.Generate(w, size-written, rng)
-	}
-	return nil
-}
-
-// Name implements Generator.
-func (g *SimilarityGenerator) Name() string {
-	return fmt.Sprintf("similarity(%.0f%%,%s)", g.SharedFraction*100, g.Base.Name())
-}
-
 // fillRandom fills buf with deterministic pseudo-random bytes from rng: each
 // draw is eight little-endian bytes, and a tail of fewer than eight takes the
 // low bytes of one more draw. Four draws per iteration run side by side,

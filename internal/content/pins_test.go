@@ -85,10 +85,6 @@ func TestGeneratorPins(t *testing.T) {
 			"6ba721762c749b14630b772ae5798a3bf749d37b4dc992d7a4cc932370901591"},
 		{"zero", ZeroGenerator{},
 			"483d8b5c249378b39d15b6bf70b50cc769b85f123b58e4e463c38dbbf5b7c602"},
-		{"similarity-binary", NewSimilarityGenerator(BinaryGenerator{}, 0.3, 5),
-			"3dab236807b0efd7818c3d8dae6aa4a5cce2414c76333adecfa1a56abe5e6b6e"},
-		{"similarity-text", NewSimilarityGenerator(NewTextGenerator(NewHybridModel(0.2)), 0.6, 11),
-			"2228538d92c05e43947e6582c4ad1f147e42658c657b2b82f541a7d763d874e9"},
 	}
 	for _, c := range cases {
 		if got := generatorPin(t, c.gen); got != c.want {

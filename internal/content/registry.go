@@ -100,17 +100,3 @@ func (r *Registry) Generate(w interface {
 }, ext string, size int64, rng *stats.RNG) error {
 	return r.ForExtension(ext).Generate(w, size, rng)
 }
-
-// SetTextModel overrides the word model used for text-like files in the
-// default policy (e.g. switching between single-word and hybrid models while
-// keeping typed binary formats).
-func (r *Registry) SetTextModel(model WordModel) {
-	r.textGen = NewTextGenerator(model)
-}
-
-// IsTextExtension reports whether the policy treats the extension as
-// human-readable text.
-func (r *Registry) IsTextExtension(ext string) bool {
-	ext = strings.ToLower(strings.TrimPrefix(ext, "."))
-	return r.textExts[ext] || ext == ""
-}

@@ -74,20 +74,7 @@ type PopularityModel struct {
 // NewPopularityModel returns a word-popularity model over the built-in list
 // with Zipf exponent s (1.0 is the classical Zipf law; the paper's model).
 func NewPopularityModel(s float64) *PopularityModel {
-	return newPopularityModel(popularWords, s)
-}
-
-// NewPopularityModelWithWords builds a popularity model over a caller-
-// supplied ranked word list.
-func NewPopularityModelWithWords(words []string, s float64) *PopularityModel {
-	if len(words) == 0 {
-		words = popularWords
-	}
-	return newPopularityModel(words, s)
-}
-
-func newPopularityModel(words []string, s float64) *PopularityModel {
-	return &PopularityModel{words: words, zipf: stats.NewZipf(s, len(words))}
+	return &PopularityModel{words: popularWords, zipf: stats.NewZipf(s, len(popularWords))}
 }
 
 // Word returns a word with Zipf-distributed rank.

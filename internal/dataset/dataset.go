@@ -21,7 +21,7 @@
 // once per Dataset and safely under concurrent callers. They come from the
 // same seed and stream labels either way, so when they are built does not
 // change them. DirsByDepthFor, DirsBySubdirCountFor and NamespaceCurvesFor
-// build their curves on every call; Profile and Profiles build theirs too.
+// build their curves on every call; Profile builds its own too.
 package dataset
 
 import (
@@ -49,17 +49,13 @@ type Dataset struct {
 	curvesOnce sync.Once
 	built      curves // read through d.curves()
 
-	meanBytesDepth  []float64
-	extByCount      stats.Categorical
-	extByBytes      stats.Categorical
-	specialDirs     []SpecialDirectory
-	fileSizeModel   stats.Hybrid
-	bytesSizeModel  stats.Mixture
-	fileDepthModel  stats.Poisson
-	dirFilesModel   stats.InversePolynomial
-	sampleCount     int
-	dirSampleCount  int
-	referenceFSSize float64
+	meanBytesDepth []float64
+	extByCount     stats.Categorical
+	specialDirs    []SpecialDirectory
+	fileSizeModel  stats.Hybrid
+	fileDepthModel stats.Poisson
+	sampleCount    int
+	dirSampleCount int
 }
 
 // curves are the six desired curves drawn by Monte Carlo from the models.
@@ -92,7 +88,6 @@ type Option func(*config)
 type config struct {
 	samples    int
 	dirSamples int
-	fsSize     float64
 }
 
 // WithSampleCount sets how many file samples back the desired curves
@@ -115,35 +110,21 @@ func WithDirectorySampleCount(n int) Option {
 	}
 }
 
-// WithFileSystemSize sets the reference file-system size in bytes used by the
-// size-dependent profiles (default 100 GB).
-func WithFileSystemSize(bytes float64) Option {
-	return func(c *config) {
-		if bytes > 0 {
-			c.fsSize = bytes
-		}
-	}
-}
-
 // New builds the synthetic desired dataset deterministically from seed. The
 // Monte Carlo curves are left for their first accessor.
 func New(seed int64, opts ...Option) *Dataset {
-	cfg := config{samples: 200000, dirSamples: 20000, fsSize: 100 << 30}
+	cfg := config{samples: 200000, dirSamples: 20000}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	d := &Dataset{
-		seed:            seed,
-		sampleCount:     cfg.samples,
-		dirSampleCount:  cfg.dirSamples,
-		referenceFSSize: cfg.fsSize,
+		seed:           seed,
+		sampleCount:    cfg.samples,
+		dirSampleCount: cfg.dirSamples,
 	}
 	d.fileSizeModel = DefaultFileSizeModel()
-	d.bytesSizeModel = DefaultBytesBySizeModel()
 	d.fileDepthModel = stats.NewPoisson(6.49)
-	d.dirFilesModel = stats.NewInversePolynomial(2, 2.36, 4096)
 	d.extByCount = DefaultExtensionsByCount()
-	d.extByBytes = DefaultExtensionsByBytes()
 	d.specialDirs = DefaultSpecialDirectories()
 	d.meanBytesDepth = make([]float64, DepthBins)
 	for depth := range d.meanBytesDepth {
@@ -214,22 +195,6 @@ func DefaultExtensionsByCount() stats.Categorical {
 		0.039, 0.047, 0.031, 0.051, 0.062, 0.054, 0.052, 0.092, 0.046,
 		0.019, 0.014, 0.012, 0.010, 0.011, 0.009, 0.008, 0.006, 0.010, 0.012, 0.006,
 		0.411,
-	}
-	return stats.NewCategorical(names, weights)
-}
-
-// DefaultExtensionsByBytes returns the percentile table of the top file
-// extensions by contained bytes.
-func DefaultExtensionsByBytes() stats.Categorical {
-	names := []string{
-		"dll", "exe", "pdb", "lib", "pst", "vhd", "mp3", "wav", "jpg", "gif",
-		"htm", "cpp", "h", "txt", "null", "doc", "obj", "log", "zip", "cab",
-		"others",
-	}
-	weights := []float64{
-		0.090, 0.070, 0.060, 0.050, 0.055, 0.045, 0.040, 0.030, 0.025, 0.012,
-		0.010, 0.012, 0.008, 0.008, 0.030, 0.012, 0.015, 0.008, 0.030, 0.020,
-		0.370,
 	}
 	return stats.NewCategorical(names, weights)
 }
@@ -329,11 +294,11 @@ func (d *Dataset) NamespaceCurvesFor(nDirs int) (byDepth, bySubdirs *stats.Histo
 // bytes-by-containing-size weights each file by its size. Deriving both views
 // from the same model keeps the desired curves mutually consistent, exactly
 // as they are in a real metadata snapshot (the Table 2 mixture-of-lognormals
-// remains available via BytesBySizeModel as the parametric description of
-// the byte view). The lognormal body is sampled; the Pareto tail's
-// contribution is added analytically so the "desired" curves represent the
-// population (the paper's 60,000-machine dataset) rather than one noisy
-// realization — with k<1 a sampled tail would be dominated by its
+// remains available via DefaultBytesBySizeModel as the parametric
+// description of the byte view). The lognormal body is sampled; the Pareto
+// tail's contribution is added analytically so the "desired" curves
+// represent the population (the paper's 60,000-machine dataset) rather than
+// one noisy realization — with k<1 a sampled tail would be dominated by its
 // single largest draw.
 func sizeCurves(rng *stats.RNG, n int, model stats.Hybrid) (hCount, hBytes *stats.Histogram) {
 	hCount = stats.NewPowerOfTwoHistogram(SizeMaxExp)
@@ -463,9 +428,6 @@ func meanBytesAtDepth(depth int) float64 {
 	return v
 }
 
-// MeanBytesAtDepth exposes the desired mean-bytes-per-file value for a depth.
-func (d *Dataset) MeanBytesAtDepth(depth int) float64 { return meanBytesAtDepth(depth) }
-
 // DirsByDepth returns the desired directories-by-namespace-depth histogram.
 func (d *Dataset) DirsByDepth() *stats.Histogram { return d.curves().dirsByDepth.Clone() }
 
@@ -497,26 +459,10 @@ func (d *Dataset) MeanBytesByDepth() []float64 {
 // ExtensionsByCount returns the desired extension-popularity table by count.
 func (d *Dataset) ExtensionsByCount() stats.Categorical { return d.extByCount }
 
-// ExtensionsByBytes returns the desired extension-popularity table by bytes.
-func (d *Dataset) ExtensionsByBytes() stats.Categorical { return d.extByBytes }
-
 // SpecialDirectories returns the special-directory configuration.
 func (d *Dataset) SpecialDirectories() []SpecialDirectory {
 	return append([]SpecialDirectory(nil), d.specialDirs...)
 }
-
-// FileSizeModel returns the parametric file-size-by-count model.
-func (d *Dataset) FileSizeModel() stats.Hybrid { return d.fileSizeModel }
-
-// BytesBySizeModel returns the parametric bytes-by-size mixture model.
-func (d *Dataset) BytesBySizeModel() stats.Mixture { return d.bytesSizeModel }
-
-// FileDepthModel returns the Poisson file-depth model.
-func (d *Dataset) FileDepthModel() stats.Poisson { return d.fileDepthModel }
-
-// DirectoryFileCountModel returns the inverse-polynomial model of directory
-// sizes in files.
-func (d *Dataset) DirectoryFileCountModel() stats.InversePolynomial { return d.dirFilesModel }
 
 // String summarizes the dataset.
 func (d *Dataset) String() string {

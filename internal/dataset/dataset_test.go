@@ -106,19 +106,15 @@ func TestBytesBySizeBimodal(t *testing.T) {
 
 func TestExtensionTables(t *testing.T) {
 	byCount := DefaultExtensionsByCount()
-	byBytes := DefaultExtensionsByBytes()
-	for _, table := range []stats.Categorical{byCount, byBytes} {
-		probs := table.Probs()
-		sum := 0.0
-		for _, p := range probs {
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("extension probabilities sum to %g", sum)
-		}
-		if table.Len() != 21 {
-			t.Errorf("expected top-20 extensions plus others, got %d", table.Len())
-		}
+	sum := 0.0
+	for _, p := range byCount.Probs() {
+		sum += p
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("extension probabilities sum to %g", sum)
+	}
+	if byCount.Len() != 21 {
+		t.Errorf("expected top-20 extensions plus others, got %d", byCount.Len())
 	}
 	// The named extensions (excluding others) should cover roughly half of
 	// all files, as the paper states.
@@ -223,18 +219,10 @@ func TestProfilesTrendWithFSSize(t *testing.T) {
 	}
 }
 
-func TestProfilesSortedAndDeterministic(t *testing.T) {
+func TestProfileDeterministic(t *testing.T) {
 	d := New(3, WithSampleCount(40000), WithDirectorySampleCount(500))
-	ps := d.Profiles([]float64{100, 10, 50})
-	if len(ps) != 3 {
-		t.Fatalf("got %d profiles", len(ps))
-	}
-	if ps[0].FSSizeBytes > ps[1].FSSizeBytes || ps[1].FSSizeBytes > ps[2].FSSizeBytes {
-		t.Error("profiles should be sorted by size")
-	}
-	again := d.Profile(50 * GB)
-	a := ps[1].FilesBySize.Normalize()
-	b := again.FilesBySize.Normalize()
+	a := d.Profile(50 * GB).FilesBySize.Normalize()
+	b := d.Profile(50 * GB).FilesBySize.Normalize()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("profile for the same size is not deterministic")

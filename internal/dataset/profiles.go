@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"sort"
 
 	"impressions/internal/stats"
 )
@@ -53,18 +52,6 @@ func (d *Dataset) Profile(fsSizeBytes float64) SizeProfile {
 	}
 	hCount, hBytes := sizeCurves(rng, n, countModel)
 	return SizeProfile{FSSizeBytes: fsSizeBytes, FilesBySize: hCount, BytesBySize: hBytes}
-}
-
-// Profiles returns profiles for the given file-system sizes in GB, sorted by
-// size.
-func (d *Dataset) Profiles(sizesGB []float64) []SizeProfile {
-	sorted := append([]float64(nil), sizesGB...)
-	sort.Float64s(sorted)
-	out := make([]SizeProfile, len(sorted))
-	for i, s := range sorted {
-		out[i] = d.Profile(s * GB)
-	}
-	return out
 }
 
 // sizeShift maps a file-system size to the additive shift applied to the

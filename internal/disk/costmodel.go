@@ -1,9 +1,9 @@
 package disk
 
 // CostModel converts simulated disk accesses into time, so workload
-// simulators (find, grep, desktop-search crawls) can report relative
-// performance that reflects seeks versus sequential transfer, which is what
-// Figure 1 of the paper measures on a real disk.
+// simulators (find, desktop-search crawls) can report relative performance
+// that reflects seeks versus sequential transfer, which is what Figure 1 of
+// the paper measures on a real disk.
 //
 // The defaults approximate a 7200 RPM SATA disk of the paper's era: ~8 ms
 // average seek (including rotational latency) and ~60 MB/s sequential
@@ -28,27 +28,6 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// ReadFileCost returns the simulated time in milliseconds to read the whole
-// file with the given ID from disk.
-func (c CostModel) ReadFileCost(d *Disk, id FileID) float64 {
-	extents := d.Extents(id)
-	if extents == nil {
-		return 0
-	}
-	cost := 0.0
-	for _, e := range extents {
-		cost += c.SeekMs + float64(e.Length)*c.TransferMsPerBlock
-	}
-	return cost
-}
-
-// ReadBytesCost returns the simulated time to sequentially read n bytes that
-// are laid out in a single extent.
-func (c CostModel) ReadBytesCost(d *Disk, n int64) float64 {
-	blocks := d.BlocksFor(n)
-	return c.SeekMs + float64(blocks)*c.TransferMsPerBlock
-}
-
 // ReadBytesCostApprox returns the simulated time to read n contiguous bytes
 // assuming the default block size, without needing a Disk instance.
 func (c CostModel) ReadBytesCostApprox(n int64) float64 {
@@ -57,10 +36,4 @@ func (c CostModel) ReadBytesCostApprox(n int64) float64 {
 		blocks = 1
 	}
 	return c.SeekMs + float64(blocks)*c.TransferMsPerBlock
-}
-
-// MetadataCost returns the simulated time for n metadata lookups that miss
-// the cache.
-func (c CostModel) MetadataCost(n int64) float64 {
-	return float64(n) * c.MetadataMs
 }

@@ -83,17 +83,11 @@ func (d *Disk) SeekCursor(block int64) {
 	d.cursor = block
 }
 
-// Cursor returns the current next-fit cursor position.
-func (d *Disk) Cursor() int64 { return d.cursor }
-
 // TotalBlocks returns the number of blocks on the device.
 func (d *Disk) TotalBlocks() int64 { return d.totalBlocks }
 
 // FreeBlocks returns the number of unallocated blocks.
 func (d *Disk) FreeBlocks() int64 { return d.freeBlocks }
-
-// UsedBytes returns the number of allocated bytes.
-func (d *Disk) UsedBytes() int64 { return (d.totalBlocks - d.freeBlocks) * d.blockSize }
 
 // BlocksFor returns the number of blocks needed for a file of size bytes
 // (at least one block, as in real file systems other than those with inline
@@ -198,32 +192,6 @@ func (d *Disk) allocate(need int64) ([]Extent, error) {
 	return extents, nil
 }
 
-// LayoutScoreFile returns the layout score of a single file: the fraction of
-// its blocks that are laid out adjacent to the preceding block (a one-block
-// file scores 1.0). This is the metric of Smith and Seltzer used by §3.7.
-func (d *Disk) LayoutScoreFile(id FileID) (float64, error) {
-	extents, ok := d.files[id]
-	if !ok {
-		return 0, ErrUnknownFile
-	}
-	total := int64(0)
-	contiguous := int64(0)
-	var prevEnd int64 = -2
-	for _, e := range extents {
-		for b := e.Start; b < e.Start+e.Length; b++ {
-			if total > 0 && b == prevEnd+1 {
-				contiguous++
-			}
-			prevEnd = b
-			total++
-		}
-	}
-	if total <= 1 {
-		return 1, nil
-	}
-	return float64(contiguous) / float64(total-1), nil
-}
-
 // LayoutScore returns the aggregate layout score of the disk: the fraction of
 // all block transitions (within files with more than one block) that are
 // physically contiguous. An empty disk or one holding only single-block files
@@ -256,14 +224,4 @@ func (d *Disk) LayoutScore() float64 {
 		return 1
 	}
 	return float64(contiguous) / float64(transitions)
-}
-
-// SeekCount returns the number of non-contiguous transitions (seeks) required
-// to read the whole file sequentially, including the initial seek.
-func (d *Disk) SeekCount(id FileID) int64 {
-	extents, ok := d.files[id]
-	if !ok {
-		return 0
-	}
-	return int64(len(extents))
 }

@@ -51,9 +51,8 @@ func TestDiskZeroSizeFileUsesOneBlock(t *testing.T) {
 	if d.FreeBlocks() != d.TotalBlocks()-1 {
 		t.Errorf("zero-size file should use one block")
 	}
-	score, err := d.LayoutScoreFile(5)
-	if err != nil || score != 1 {
-		t.Errorf("single-block file layout score %g, %v", score, err)
+	if score := d.LayoutScore(); score != 1 {
+		t.Errorf("single-block file layout score %g, want 1", score)
 	}
 }
 
@@ -101,23 +100,8 @@ func TestDiskFragmentedLayoutScore(t *testing.T) {
 	if got := len(d.Extents(1000)); got < 2 {
 		t.Fatalf("file should be fragmented across holes, extents=%d", got)
 	}
-	score, err := d.LayoutScoreFile(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if score >= 1 {
-		t.Errorf("fragmented file layout score %g, want < 1", score)
-	}
 	if agg := d.LayoutScore(); agg >= 1 {
 		t.Errorf("aggregate layout score %g, want < 1", agg)
-	}
-}
-
-func TestDiskUsedBytes(t *testing.T) {
-	d := New(1 << 20)
-	_ = d.Create(1, 3*4096)
-	if d.UsedBytes() != 3*4096 {
-		t.Errorf("used bytes %d", d.UsedBytes())
 	}
 }
 
@@ -134,11 +118,11 @@ func TestBlocksFor(t *testing.T) {
 func TestSeekCursorBounds(t *testing.T) {
 	d := New(1 << 20)
 	d.SeekCursor(-5)
-	if d.Cursor() != 0 {
+	if d.cursor != 0 {
 		t.Error("negative cursor should clamp to 0")
 	}
 	d.SeekCursor(d.TotalBlocks() + 10)
-	if d.Cursor() != 0 {
+	if d.cursor != 0 {
 		t.Error("out-of-range cursor should wrap to 0")
 	}
 }
@@ -201,43 +185,12 @@ func TestFragmenterTargetsOrdering(t *testing.T) {
 	}
 }
 
-func TestCostModelReadFile(t *testing.T) {
-	d := New(16 << 20)
-	_ = d.Create(1, 100*4096)
-	cm := DefaultCostModel()
-	contiguous := cm.ReadFileCost(d, 1)
-	if contiguous <= 0 {
-		t.Fatal("read cost should be positive")
-	}
-	// Fragment a second file and confirm it costs more to read than a
-	// contiguous file of the same size.
-	d2 := New(16 << 20)
-	for i := 0; i < 200; i++ {
-		_ = d2.Create(FileID(i), 4096)
-	}
-	for i := 0; i < 200; i += 2 {
-		_ = d2.Delete(FileID(i))
-	}
-	d2.SeekCursor(0)
-	_ = d2.Create(1000, 100*4096)
-	fragmented := cm.ReadFileCost(d2, 1000)
-	if fragmented <= contiguous {
-		t.Errorf("fragmented read cost %.2f should exceed contiguous %.2f", fragmented, contiguous)
-	}
-	if cm.ReadFileCost(d, 999) != 0 {
-		t.Error("unknown file should cost 0")
-	}
-}
-
 func TestCostModelApprox(t *testing.T) {
 	cm := DefaultCostModel()
 	small := cm.ReadBytesCostApprox(100)
 	large := cm.ReadBytesCostApprox(10 << 20)
 	if small <= 0 || large <= small {
 		t.Errorf("approx costs: small=%.3f large=%.3f", small, large)
-	}
-	if cm.MetadataCost(10) != 10*cm.MetadataMs {
-		t.Error("metadata cost mismatch")
 	}
 }
 

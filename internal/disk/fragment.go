@@ -130,6 +130,3 @@ func (f *Fragmenter) Cleanup() {
 	}
 	f.tempLive = f.tempLive[:0]
 }
-
-// AchievedScore measures the current layout score of the underlying disk.
-func (f *Fragmenter) AchievedScore() float64 { return f.disk.LayoutScore() }

@@ -8,11 +8,7 @@
 // 8 can be reproduced without the closed-source originals (see DESIGN.md §1).
 package search
 
-import (
-	"sort"
-
-	"impressions/internal/stats"
-)
+import "impressions/internal/stats"
 
 // InvertedIndex is a term -> postings-count index with enough bookkeeping to
 // estimate its serialized size. It deliberately models only what the case
@@ -24,7 +20,6 @@ type InvertedIndex struct {
 	// map reads keyed by string(bytes) without materializing the string, so
 	// only the first occurrence of each distinct term allocates.
 	postings map[string]*int64
-	docs     int64 // number of documents added
 	// positional indicates term positions are stored (larger postings).
 	positional bool
 	// bytesPerPosting is the estimated serialized size of one posting entry.
@@ -83,7 +78,6 @@ func (ix *InvertedIndex) AddTermBytes(b []byte) {
 
 // AddDocument records per-document attribute overhead (file name, metadata).
 func (ix *InvertedIndex) AddDocument(attrBytes int64) {
-	ix.docs++
 	ix.attributeBytes += attrBytes
 }
 
@@ -92,9 +86,6 @@ func (ix *InvertedIndex) AddCache(n int64) { ix.cacheBytes += n }
 
 // Terms returns the number of distinct terms.
 func (ix *InvertedIndex) Terms() int { return len(ix.postings) }
-
-// Documents returns the number of documents added.
-func (ix *InvertedIndex) Documents() int64 { return ix.docs }
 
 // Postings returns the total number of postings.
 func (ix *InvertedIndex) Postings() int64 {
@@ -114,32 +105,6 @@ func (ix *InvertedIndex) SizeBytes() int64 {
 	}
 	postings := int64(float64(ix.Postings()) * ix.bytesPerPosting)
 	return dict + postings + ix.attributeBytes + ix.cacheBytes
-}
-
-// TopTerms returns the n most frequent terms (for tests and debugging).
-func (ix *InvertedIndex) TopTerms(n int) []string {
-	type tc struct {
-		term  string
-		count int64
-	}
-	all := make([]tc, 0, len(ix.postings))
-	for t, c := range ix.postings {
-		all = append(all, tc{t, *c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].term < all[j].term
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].term
-	}
-	return out
 }
 
 // tokenizingWriter feeds written bytes through a simple whitespace/punctuation

@@ -104,14 +104,15 @@ func TestLognormalPanicsOnBadSigma(t *testing.T) {
 }
 
 func TestNormQuantileRoundTrip(t *testing.T) {
+	normCDF := func(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
 	for _, p := range []float64{0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999} {
-		x := NormQuantile(p)
-		if math.Abs(NormCDF(x)-p) > 1e-8 {
-			t.Errorf("NormCDF(NormQuantile(%g)) = %g", p, NormCDF(x))
+		x := normQuantile(p)
+		if math.Abs(normCDF(x)-p) > 1e-8 {
+			t.Errorf("normCDF(normQuantile(%g)) = %g", p, normCDF(x))
 		}
 	}
-	if NormQuantile(0.5) != 0 && math.Abs(NormQuantile(0.5)) > 1e-12 {
-		t.Errorf("NormQuantile(0.5) = %g, want 0", NormQuantile(0.5))
+	if normQuantile(0.5) != 0 && math.Abs(normQuantile(0.5)) > 1e-12 {
+		t.Errorf("normQuantile(0.5) = %g, want 0", normQuantile(0.5))
 	}
 }
 
@@ -227,12 +228,12 @@ func TestMixturePanicsOnEmpty(t *testing.T) {
 func TestPoissonMomentsSmallLambda(t *testing.T) {
 	p := NewPoisson(6.49)
 	rng := NewRNG(5)
-	samples := SampleIntsN(p, rng, 100000)
+	const n = 100000
 	sum := 0.0
-	for _, s := range samples {
-		sum += float64(s)
+	for i := 0; i < n; i++ {
+		sum += float64(p.SampleInt(rng))
 	}
-	mean := sum / float64(len(samples))
+	mean := sum / n
 	if math.Abs(mean-6.49) > 0.1 {
 		t.Errorf("sample mean %g too far from lambda 6.49", mean)
 	}
@@ -241,13 +242,13 @@ func TestPoissonMomentsSmallLambda(t *testing.T) {
 func TestPoissonLargeLambdaSampler(t *testing.T) {
 	p := NewPoisson(200)
 	rng := NewRNG(5)
-	samples := SampleIntsN(p, rng, 50000)
+	const n = 50000
 	sum, sumSq := 0.0, 0.0
-	for _, s := range samples {
-		sum += float64(s)
-		sumSq += float64(s) * float64(s)
+	for i := 0; i < n; i++ {
+		s := float64(p.SampleInt(rng))
+		sum += s
+		sumSq += s * s
 	}
-	n := float64(len(samples))
 	mean := sum / n
 	variance := sumSq/n - mean*mean
 	if math.Abs(mean-200) > 2 {
@@ -355,35 +356,13 @@ func TestCategoricalSampling(t *testing.T) {
 	counts := map[string]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		counts[c.SampleName(rng)]++
+		counts[c.names[c.SampleIndex(rng)]]++
 	}
 	if frac := float64(counts["c"]) / n; math.Abs(frac-0.7) > 0.02 {
 		t.Errorf("category c frequency %.3f, want ~0.7", frac)
 	}
 	if counts["a"] == 0 || counts["b"] == 0 {
 		t.Error("all categories should be sampled")
-	}
-}
-
-func TestInverseCDFSample(t *testing.T) {
-	// Sample from a uniform [0, 10] via its CDF and check the mean.
-	cdf := func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		if x > 10 {
-			return 1
-		}
-		return x / 10
-	}
-	rng := NewRNG(31)
-	sum := 0.0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += InverseCDFSample(cdf, 0, 10, rng)
-	}
-	if mean := sum / n; math.Abs(mean-5) > 0.1 {
-		t.Errorf("inverse-CDF uniform mean %g, want ~5", mean)
 	}
 }
 

@@ -122,11 +122,6 @@ func NewCategorical(names []string, weights []float64) Categorical {
 	return c
 }
 
-// SampleName returns a category name drawn according to the weights.
-func (c Categorical) SampleName(rng *RNG) string {
-	return c.names[c.SampleIndex(rng)]
-}
-
 // SampleIndex returns a category index drawn according to the weights in O(1).
 func (c Categorical) SampleIndex(rng *RNG) int {
 	return c.alias.Sample(rng)

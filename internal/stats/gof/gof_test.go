@@ -154,32 +154,6 @@ func TestChiSquareSurvivalKnownValues(t *testing.T) {
 	}
 }
 
-func TestAndersonDarlingAcceptsCorrectModel(t *testing.T) {
-	rng := stats.NewRNG(7)
-	l := stats.NewLognormal(9.48, 2.46)
-	sample := stats.SampleN(l, rng, 1000)
-	res, err := AndersonDarling(sample, l.CDF, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed {
-		t.Errorf("correct model should pass AD test (A2=%.3f, crit=%.3f)", res.A2, res.Critical)
-	}
-}
-
-func TestAndersonDarlingRejectsWrongModel(t *testing.T) {
-	rng := stats.NewRNG(7)
-	sample := stats.SampleN(stats.NewLognormal(9.48, 2.46), rng, 1000)
-	wrong := stats.NewLognormal(6, 1)
-	res, err := AndersonDarling(sample, wrong.CDF, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passed {
-		t.Errorf("wrong model should fail AD test (A2=%.3f)", res.A2)
-	}
-}
-
 func TestMDCCIdenticalCurvesIsZero(t *testing.T) {
 	a := []float64{0.1, 0.2, 0.3, 0.4}
 	d, err := MDCC(a, a)
@@ -232,57 +206,6 @@ func TestMeanAbsDiff(t *testing.T) {
 	}
 	if math.Abs(d-1) > 1e-12 {
 		t.Errorf("MeanAbsDiff = %g, want 1", d)
-	}
-}
-
-func TestMeanCI(t *testing.T) {
-	sample := []float64{10, 12, 9, 11, 10, 10, 11, 9}
-	ci, err := MeanCI(sample, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Lower > ci.Mean || ci.Upper < ci.Mean {
-		t.Errorf("CI [%g,%g] does not contain the mean %g", ci.Lower, ci.Upper, ci.Mean)
-	}
-	wide, _ := MeanCI(sample, 0.99)
-	if wide.Upper-wide.Lower <= ci.Upper-ci.Lower {
-		t.Error("99% CI should be wider than 95% CI")
-	}
-}
-
-func TestStandardError(t *testing.T) {
-	se, err := StandardError([]float64{2, 4, 6, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(20.0/3.0) / 2
-	if math.Abs(se-want) > 1e-12 {
-		t.Errorf("StandardError = %g, want %g", se, want)
-	}
-	if _, err := StandardError(nil); err == nil {
-		t.Error("expected error for empty sample")
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	rng := stats.NewRNG(13)
-	sample := stats.SampleN(stats.NewLognormal(3, 0.5), rng, 500)
-	mean := func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	ci, err := BootstrapCI(sample, 0.9, 500, mean, rng.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Lower >= ci.Upper {
-		t.Errorf("bootstrap CI [%g,%g] is degenerate", ci.Lower, ci.Upper)
-	}
-	if ci.Mean < ci.Lower-1e-9 || ci.Mean > ci.Upper+1e-9 {
-		t.Errorf("bootstrap CI [%g,%g] excludes the point estimate %g", ci.Lower, ci.Upper, ci.Mean)
 	}
 }
 

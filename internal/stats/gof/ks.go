@@ -1,9 +1,7 @@
-// Package gof implements the goodness-of-fit and error-estimation statistics
-// Impressions relies on to guarantee the accuracy of generated file-system
-// images (§3.2 of the paper): the Kolmogorov-Smirnov test (one- and
-// two-sample), the Chi-Square test, the Anderson-Darling test, MDCC (Maximum
-// Displacement of the Cumulative Curves), confidence intervals, and standard
-// error.
+// Package gof implements the goodness-of-fit statistics Impressions relies on
+// to guarantee the accuracy of generated file-system images (§3.2 of the
+// paper): the Kolmogorov-Smirnov test (one- and two-sample), the Chi-Square
+// test and MDCC (Maximum Displacement of the Cumulative Curves).
 package gof
 
 import (

@@ -100,13 +100,6 @@ func (h *Histogram) AddWeighted(v, weight float64) {
 	h.Counts[h.binIndex(v)] += weight
 }
 
-// AddAll adds every value in vs with weight 1.
-func (h *Histogram) AddAll(vs []float64) {
-	for _, v := range vs {
-		h.Add(v)
-	}
-}
-
 // Total returns the sum of all bin counts.
 func (h *Histogram) Total() float64 {
 	t := 0.0

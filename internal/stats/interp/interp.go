@@ -160,37 +160,3 @@ func normalize(xs []float64) {
 		xs[i] /= total
 	}
 }
-
-// PiecewiseLinear interpolates y at x over the reference points (xs, ys),
-// which must be sorted by xs. Values outside the range are linearly
-// extrapolated from the nearest two points.
-func PiecewiseLinear(xs, ys []float64, x float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("interp: x and y lengths differ")
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmptyCurveSet
-	}
-	if len(xs) == 1 {
-		return ys[0], nil
-	}
-	n := len(xs)
-	var i int
-	switch {
-	case x <= xs[0]:
-		i = 0
-	case x >= xs[n-1]:
-		i = n - 2
-	default:
-		i = sort.SearchFloat64s(xs, x) - 1
-		if i < 0 {
-			i = 0
-		}
-	}
-	x0, x1 := xs[i], xs[i+1]
-	y0, y1 := ys[i], ys[i+1]
-	if x1 == x0 {
-		return y0, nil
-	}
-	return y0 + (y1-y0)*(x-x0)/(x1-x0), nil
-}

@@ -131,37 +131,3 @@ func TestInterpolateHistogramScaling(t *testing.T) {
 		t.Errorf("interpolated histogram total %g, want 500", h.Total())
 	}
 }
-
-func TestPiecewiseLinear(t *testing.T) {
-	xs := []float64{0, 10, 20}
-	ys := []float64{0, 100, 50}
-	cases := map[float64]float64{
-		5:  50,
-		10: 100,
-		15: 75,
-		25: 25,  // extrapolated beyond the last segment
-		-5: -50, // extrapolated before the first segment
-	}
-	for x, want := range cases {
-		got, err := PiecewiseLinear(xs, ys, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("PiecewiseLinear(%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
-func TestPiecewiseLinearErrors(t *testing.T) {
-	if _, err := PiecewiseLinear([]float64{1}, []float64{1, 2}, 0); err == nil {
-		t.Error("expected length-mismatch error")
-	}
-	if _, err := PiecewiseLinear(nil, nil, 0); err == nil {
-		t.Error("expected empty error")
-	}
-	v, err := PiecewiseLinear([]float64{5}, []float64{42}, 17)
-	if err != nil || v != 42 {
-		t.Errorf("single-point interpolation = %g, %v", v, err)
-	}
-}

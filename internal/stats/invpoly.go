@@ -95,7 +95,7 @@ func (ip InversePolynomial) Mean() float64 {
 	return mean
 }
 
-// Name implements DiscreteDistribution.
+// Name returns a short identifier used in reproducibility reports.
 func (ip InversePolynomial) Name() string {
 	return fmt.Sprintf("inverse-polynomial(degree=%.3g,offset=%.3g)", ip.Degree, ip.Offset)
 }

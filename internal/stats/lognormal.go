@@ -121,10 +121,3 @@ func normQuantile(p float64) float64 {
 	x = x - u/(1+x*u/2)
 	return x
 }
-
-// NormQuantile exposes the standard normal inverse CDF for other packages
-// (confidence intervals, fitting).
-func NormQuantile(p float64) float64 { return normQuantile(p) }
-
-// NormCDF returns the standard normal CDF at x.
-func NormCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }

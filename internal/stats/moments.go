@@ -44,14 +44,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// StdError returns the standard error of the mean of xs.
-func StdError(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // Median returns the median of xs (NaN if empty). The input is not modified.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
@@ -78,37 +70,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// MinMax returns the minimum and maximum of xs (NaN, NaN if empty).
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// GeometricMean returns the geometric mean of xs; all values must be
-// positive, otherwise NaN is returned.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sumLog := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		sumLog += math.Log(x)
-	}
-	return math.Exp(sumLog / float64(len(xs)))
 }

@@ -8,10 +8,7 @@
 // core design goal of the Impressions framework (§3.1 of the paper).
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // RNG is a deterministic random number generator used throughout Impressions.
 // It carries an explicit seed so that images are reproducible: the seed is
@@ -199,14 +196,6 @@ type Distribution interface {
 	Name() string
 }
 
-// DiscreteDistribution is a distribution over non-negative integers.
-type DiscreteDistribution interface {
-	SampleInt(rng *RNG) int
-	PMF(k int) float64
-	Mean() float64
-	Name() string
-}
-
 // SampleN draws n independent samples from d.
 func SampleN(d Distribution, rng *RNG, n int) []float64 {
 	out := make([]float64, n)
@@ -214,29 +203,4 @@ func SampleN(d Distribution, rng *RNG, n int) []float64 {
 		out[i] = d.Sample(rng)
 	}
 	return out
-}
-
-// SampleIntsN draws n independent integer samples from d.
-func SampleIntsN(d DiscreteDistribution, rng *RNG, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.SampleInt(rng)
-	}
-	return out
-}
-
-// InverseCDFSample samples from an arbitrary distribution given only its CDF
-// using bisection on the interval [lo, hi]. It is the Monte Carlo fallback the
-// paper mentions for distributions with no closed-form sampler.
-func InverseCDFSample(cdf func(float64) float64, lo, hi float64, rng *RNG) float64 {
-	u := rng.Float64()
-	for i := 0; i < 200 && hi-lo > 1e-9*(1+math.Abs(hi)); i++ {
-		mid := lo + (hi-lo)/2
-		if cdf(mid) < u {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2
 }

@@ -69,5 +69,5 @@ func (z Zipf) Mean() float64 {
 	return mean
 }
 
-// Name implements DiscreteDistribution.
+// Name returns a short identifier used in reproducibility reports.
 func (z Zipf) Name() string { return fmt.Sprintf("zipf(s=%.3g,n=%d)", z.S, z.N) }

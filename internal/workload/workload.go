@@ -1,9 +1,8 @@
-// Package workload simulates simple file-system workloads (the UNIX find and
-// grep utilities) over generated images, with a disk cost model, an optional
-// buffer cache, and sensitivity to on-disk layout. These simulators are the
-// substrate for reproducing Figure 1 of the paper, which shows that namespace
-// structure (flat vs deep trees) affects a find traversal as much as
-// fragmentation does.
+// Package workload simulates the UNIX find utility over generated images,
+// with a disk cost model, an optional buffer cache, and sensitivity to
+// on-disk layout. The simulator is the substrate for reproducing Figure 1 of
+// the paper, which shows that namespace structure (flat vs deep trees)
+// affects a find traversal as much as fragmentation does.
 package workload
 
 import (
@@ -19,10 +18,6 @@ type Result struct {
 	DirsVisited int
 	// EntriesScanned is the number of directory entries examined.
 	EntriesScanned int
-	// FilesRead is the number of files whose content was read (grep only).
-	FilesRead int
-	// BytesRead is the number of content bytes read (grep only).
-	BytesRead int64
 	// Seeks is the number of simulated disk seeks charged.
 	Seeks float64
 }
@@ -127,64 +122,6 @@ func Find(img *fsimage.Image, cfg FindConfig) Result {
 		for i := len(kids) - 1; i >= 0; i-- {
 			stack = append(stack, kids[i])
 		}
-	}
-	return res
-}
-
-// GrepConfig configures the grep (content scan) simulator.
-type GrepConfig struct {
-	// Cost is the disk cost model.
-	Cost disk.CostModel
-	// Cached serves all content from the buffer cache.
-	Cached bool
-	// Disk, when non-nil, supplies per-file extent maps so fragmentation
-	// determines the number of seeks per file. When nil, each file costs one
-	// seek plus sequential transfer.
-	Disk *disk.Disk
-	// CPUPerByteMs is the in-memory scan cost per byte.
-	CPUPerByteMs float64
-	// BinaryExtensions lists extensions grep skips after reading the first
-	// block (as grep -I would); nil scans everything.
-	BinaryExtensions map[string]bool
-}
-
-func (c *GrepConfig) normalize() {
-	if c.Cost == (disk.CostModel{}) {
-		c.Cost = disk.DefaultCostModel()
-	}
-	if c.CPUPerByteMs <= 0 {
-		c.CPUPerByteMs = 0.0000012
-	}
-}
-
-// Grep simulates "grep -r keyword /" over the image: every file's content is
-// read from disk (or the cache) and scanned.
-func Grep(img *fsimage.Image, cfg GrepConfig) Result {
-	cfg.normalize()
-	// Charge the directory traversal first: grep -r walks the tree too.
-	res := Find(img, FindConfig{Cost: cfg.Cost, Cached: cfg.Cached})
-
-	for _, f := range img.Files {
-		bytes := f.Size
-		skipAfterFirstBlock := cfg.BinaryExtensions != nil && cfg.BinaryExtensions[f.Ext]
-		if skipAfterFirstBlock && bytes > 4096 {
-			bytes = 4096
-		}
-		res.FilesRead++
-		res.BytesRead += bytes
-		if cfg.Cached {
-			res.TimeMs += float64(bytes) * cfg.CPUPerByteMs
-			continue
-		}
-		if cfg.Disk != nil {
-			res.TimeMs += cfg.Cost.ReadFileCost(cfg.Disk, disk.FileID(f.ID))
-			res.Seeks += float64(cfg.Disk.SeekCount(disk.FileID(f.ID)))
-		} else {
-			blocks := float64((bytes + disk.DefaultBlockSize - 1) / disk.DefaultBlockSize)
-			res.TimeMs += cfg.Cost.SeekMs + blocks*cfg.Cost.TransferMsPerBlock
-			res.Seeks++
-		}
-		res.TimeMs += float64(bytes) * cfg.CPUPerByteMs
 	}
 	return res
 }

@@ -90,53 +90,6 @@ func TestFindFragmentationMatters(t *testing.T) {
 	}
 }
 
-func TestGrepReadsAllContent(t *testing.T) {
-	res := generate(t, namespace.ShapeGenerative, 1.0)
-	out := Grep(res.Image, GrepConfig{Disk: res.Disk})
-	if out.FilesRead != res.Image.FileCount() {
-		t.Errorf("read %d files, want %d", out.FilesRead, res.Image.FileCount())
-	}
-	if out.BytesRead != res.Image.TotalBytes() {
-		t.Errorf("read %d bytes, want %d", out.BytesRead, res.Image.TotalBytes())
-	}
-	if out.TimeMs <= 0 {
-		t.Error("grep time should be positive")
-	}
-}
-
-func TestGrepCachedFaster(t *testing.T) {
-	res := generate(t, namespace.ShapeGenerative, 1.0)
-	cold := Grep(res.Image, GrepConfig{Disk: res.Disk})
-	warm := Grep(res.Image, GrepConfig{Cached: true})
-	if warm.TimeMs >= cold.TimeMs {
-		t.Errorf("cached grep (%.2fms) should beat cold grep (%.2fms)", warm.TimeMs, cold.TimeMs)
-	}
-}
-
-func TestGrepFragmentationMatters(t *testing.T) {
-	clean := generate(t, namespace.ShapeGenerative, 1.0)
-	frag := generate(t, namespace.ShapeGenerative, 0.7)
-	cleanRun := Grep(clean.Image, GrepConfig{Disk: clean.Disk})
-	fragRun := Grep(frag.Image, GrepConfig{Disk: frag.Disk})
-	if fragRun.Seeks <= cleanRun.Seeks {
-		t.Errorf("fragmented image should need more seeks: %.0f vs %.0f", fragRun.Seeks, cleanRun.Seeks)
-	}
-	if fragRun.TimeMs <= cleanRun.TimeMs {
-		t.Errorf("fragmented grep (%.2fms) should be slower than clean (%.2fms)", fragRun.TimeMs, cleanRun.TimeMs)
-	}
-}
-
-func TestGrepSkipsBinaryTails(t *testing.T) {
-	res := generate(t, namespace.ShapeGenerative, 1.0)
-	all := Grep(res.Image, GrepConfig{Disk: res.Disk})
-	skip := Grep(res.Image, GrepConfig{Disk: res.Disk, BinaryExtensions: map[string]bool{
-		"dll": true, "exe": true, "jpg": true, "gif": true, "mp3": true, "zip": true,
-	}})
-	if skip.BytesRead >= all.BytesRead {
-		t.Errorf("binary-skipping grep should read fewer bytes: %d vs %d", skip.BytesRead, all.BytesRead)
-	}
-}
-
 func TestFindWithoutDiskStillWorks(t *testing.T) {
 	cfg := core.Config{NumFiles: 100, NumDirs: 20, FSSizeBytes: 8 << 20, Seed: 5}
 	res, err := core.GenerateImage(cfg)
