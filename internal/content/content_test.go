@@ -267,6 +267,19 @@ func TestRegistryUniformPolicies(t *testing.T) {
 	}
 }
 
+func TestKindKnown(t *testing.T) {
+	for _, k := range []Kind{KindDefault, KindTextSingleWord, KindTextModel, KindImage, KindBinary, KindZero} {
+		if !k.Known() {
+			t.Errorf("kind %q should be known", k)
+		}
+	}
+	for _, k := range []Kind{"", "text", "Default", "jpeg"} {
+		if k.Known() {
+			t.Errorf("kind %q should not be known", k)
+		}
+	}
+}
+
 func TestCountingWriter(t *testing.T) {
 	var cw CountingWriter
 	if err := (ZeroGenerator{}).Generate(&cw, 12345, stats.NewRNG(1)); err != nil {

@@ -150,6 +150,27 @@ func TestSpecialDirectories(t *testing.T) {
 	}
 }
 
+func TestDatasetTablesAreTheDefaults(t *testing.T) {
+	d := New(1)
+	got, want := d.ExtensionsByCount().Names(), DefaultExtensionsByCount().Names()
+	if len(got) != len(want) {
+		t.Fatalf("extension table has %d names, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("extension %d is %q, want %q", i, got[i], want[i])
+		}
+	}
+	specials := d.SpecialDirectories()
+	if len(specials) != len(DefaultSpecialDirectories()) {
+		t.Fatalf("%d special directories, want the %d defaults", len(specials), len(DefaultSpecialDirectories()))
+	}
+	specials[0].Bias = 0
+	if d.SpecialDirectories()[0].Bias != DefaultSpecialDirectories()[0].Bias {
+		t.Error("SpecialDirectories must return a copy")
+	}
+}
+
 func TestMeanBytesByDepthDecreasing(t *testing.T) {
 	d := Default()
 	mean := d.MeanBytesByDepth()

@@ -105,6 +105,46 @@ func TestDiskFragmentedLayoutScore(t *testing.T) {
 	}
 }
 
+func TestDiskUsedBytes(t *testing.T) {
+	d := New(1 << 20)
+	_ = d.Create(1, 3*4096)
+	if used := (d.TotalBlocks() - d.FreeBlocks()) * d.BlockSize(); used != 3*4096 {
+		t.Errorf("used bytes %d", used)
+	}
+}
+
+func TestNewWithBlockSize(t *testing.T) {
+	d := NewWithBlockSize(1<<20, 512)
+	if d.BlockSize() != 512 || d.TotalBlocks() != 2048 {
+		t.Fatalf("block size %d, total blocks %d; want 512, 2048", d.BlockSize(), d.TotalBlocks())
+	}
+	if err := d.Create(1, 3*4096); err != nil {
+		t.Fatal(err)
+	}
+	if d.FreeBlocks() != 2048-24 {
+		t.Errorf("free blocks %d, want %d", d.FreeBlocks(), 2048-24)
+	}
+	if got := NewWithBlockSize(1<<20, 0).BlockSize(); got != DefaultBlockSize {
+		t.Errorf("non-positive block size gave %d, want the default", got)
+	}
+	if got := NewWithBlockSize(100, 4096).TotalBlocks(); got != 1 {
+		t.Errorf("a disk smaller than a block has %d blocks, want 1", got)
+	}
+}
+
+func TestExtentsReturnsACopy(t *testing.T) {
+	d := New(1 << 20)
+	_ = d.Create(1, 2*4096)
+	ext := d.Extents(1)
+	ext[0].Length = 99
+	if got := d.Extents(1)[0].Length; got != 2 {
+		t.Errorf("editing the returned extents changed the disk: length %d", got)
+	}
+	if d.Extents(7) != nil {
+		t.Error("unknown file should have nil extents")
+	}
+}
+
 func TestBlocksFor(t *testing.T) {
 	d := New(1 << 20)
 	cases := map[int64]int64{0: 1, 1: 1, 4096: 1, 4097: 2, 8192: 2, 10000: 3}
@@ -146,6 +186,15 @@ func TestFragmenterReachesTargetScore(t *testing.T) {
 	}
 	if d.FileCount() != 3000 {
 		t.Errorf("temporary files leaked: %d files on disk", d.FileCount())
+	}
+}
+
+func TestFragmenterClampsTarget(t *testing.T) {
+	d := New(1 << 20)
+	for target, want := range map[float64]float64{-0.5: 0, 0: 0, 0.7: 0.7, 1: 1, 1.5: 1} {
+		if got := NewFragmenter(d, target, stats.NewRNG(1)).Target(); got != want {
+			t.Errorf("target %g became %g, want %g", target, got, want)
+		}
 	}
 }
 

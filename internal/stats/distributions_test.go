@@ -94,6 +94,33 @@ func TestLognormalCDFQuantileInverse(t *testing.T) {
 	}
 }
 
+func TestLognormalVarianceMatchesSamples(t *testing.T) {
+	l := NewLognormal(2, 0.5)
+	want := (math.Exp(0.25) - 1) * math.Exp(4.25)
+	if math.Abs(l.Variance()-want) > 1e-9*want {
+		t.Errorf("Variance() = %g, want %g", l.Variance(), want)
+	}
+	samples := SampleN(l, NewRNG(7), 200000)
+	if v := Variance(samples); math.Abs(v-want)/want > 0.05 {
+		t.Errorf("sample variance %g too far from %g", v, want)
+	}
+}
+
+func TestLognormalPDFIsCDFDerivative(t *testing.T) {
+	l := NewLognormal(9.48, 2.46)
+	for _, p := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
+		x := l.Quantile(p)
+		h := x * 1e-5
+		slope := (l.CDF(x+h) - l.CDF(x-h)) / (2 * h)
+		if math.Abs(slope-l.PDF(x)) > 1e-4*l.PDF(x) {
+			t.Errorf("PDF(%g) = %g, CDF slope %g", x, l.PDF(x), slope)
+		}
+	}
+	if l.PDF(0) != 0 || l.PDF(-1) != 0 {
+		t.Error("PDF outside the support must be 0")
+	}
+}
+
 func TestLognormalPanicsOnBadSigma(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -188,6 +215,35 @@ func TestHybridMeanFinite(t *testing.T) {
 	}
 }
 
+func TestHybridWithCapBoundsSamples(t *testing.T) {
+	const limit = 1 << 30
+	h := NewHybrid(NewLognormal(9.48, 2.46), NewPareto(0.91, 512<<20), 0.5)
+	capped := h.WithCap(limit)
+	if h.Cap != 0 || capped.Cap != limit {
+		t.Fatalf("WithCap should return a capped copy: original cap %g, copy cap %g", h.Cap, capped.Cap)
+	}
+	rng, uncappedRNG := NewRNG(13), NewRNG(13)
+	tail, over := 0, 0
+	for i := 0; i < 10000; i++ {
+		v := capped.Sample(rng)
+		if v > limit {
+			t.Fatalf("capped sample %g exceeds cap", v)
+		}
+		if v >= 512<<20 {
+			tail++
+		}
+		if h.Sample(uncappedRNG) > limit {
+			over++
+		}
+	}
+	if tail == 0 {
+		t.Error("capped hybrid never drew from its tail")
+	}
+	if over == 0 {
+		t.Error("uncapped hybrid should exceed the cap with this tail")
+	}
+}
+
 func TestMixtureWeightsNormalized(t *testing.T) {
 	m := NewLognormalMixture([]float64{3, 1}, []float64{14.83, 20.93}, []float64{2.35, 1.48})
 	total := 0.0
@@ -213,6 +269,17 @@ func TestMixtureCDFIsWeightedAverage(t *testing.T) {
 	want := 0.3*a.CDF(x) + 0.7*b.CDF(x)
 	if math.Abs(m.CDF(x)-want) > 1e-12 {
 		t.Errorf("mixture CDF %g, want %g", m.CDF(x), want)
+	}
+}
+
+func TestMixtureSampleMeanMatches(t *testing.T) {
+	m := NewLognormalMixture([]float64{1, 3}, []float64{0, 2}, []float64{0.5, 0.5})
+	want := 0.25*math.Exp(0.125) + 0.75*math.Exp(2.125)
+	if math.Abs(m.Mean()-want) > 1e-9 {
+		t.Errorf("Mean() = %g, want %g", m.Mean(), want)
+	}
+	if got := Mean(SampleN(m, NewRNG(19), 200000)); math.Abs(got-want)/want > 0.02 {
+		t.Errorf("sample mean %g too far from %g", got, want)
 	}
 }
 
@@ -299,6 +366,26 @@ func TestInversePolynomialWeights(t *testing.T) {
 	}
 }
 
+func TestInversePolynomialMeanMatchesSamples(t *testing.T) {
+	ip := NewInversePolynomial(2, 2.36, 100)
+	want := 0.0
+	for k := 0; k <= 100; k++ {
+		want += float64(k) * ip.PMF(k)
+	}
+	if math.Abs(ip.Mean()-want) > 1e-9 {
+		t.Errorf("Mean() = %g, want %g", ip.Mean(), want)
+	}
+	rng := NewRNG(29)
+	const n = 200000
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += float64(ip.SampleInt(rng))
+	}
+	if got := sum / n; math.Abs(got-want)/want > 0.03 {
+		t.Errorf("sample mean %g too far from %g", got, want)
+	}
+}
+
 func TestZipfRankOrdering(t *testing.T) {
 	z := NewZipf(1.0, 50)
 	if z.PMF(1) <= z.PMF(2) {
@@ -341,6 +428,31 @@ func TestEmpiricalDistribution(t *testing.T) {
 		if v < 1 || v > 5 {
 			t.Fatalf("sample %g outside observed range", v)
 		}
+	}
+}
+
+func TestEmpiricalQuantileAndValues(t *testing.T) {
+	e := NewEmpirical([]float64{5, 1, 3, 2, 4}, "test")
+	for q, want := range map[float64]float64{-1: 1, 0: 1, 0.5: 3, 0.99: 5, 1: 5, 2: 5} {
+		if got := e.Quantile(q); got != want {
+			t.Errorf("Quantile(%g) = %g, want %g", q, got, want)
+		}
+	}
+	vals := e.Values()
+	for i, want := range []float64{1, 2, 3, 4, 5} {
+		if vals[i] != want {
+			t.Fatalf("Values() = %v, want sorted observations", vals)
+		}
+	}
+	vals[0] = 100
+	if e.Quantile(0) != 1 {
+		t.Error("Values() must return a copy")
+	}
+	if e.Name() != "test(n=5)" {
+		t.Errorf("Name() = %q", e.Name())
+	}
+	if NewEmpirical([]float64{1}, "").Name() != "empirical(n=1)" {
+		t.Error("an empty label should default to empirical")
 	}
 }
 

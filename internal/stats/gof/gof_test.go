@@ -87,6 +87,61 @@ func TestKSEmptySample(t *testing.T) {
 	}
 }
 
+// samplerCases pairs each file-size sampler the generator draws from (the
+// Table 2 models and a user-supplied empirical set) with the CDF of a nearby
+// model that is wrong: a shifted body, a lighter tail, a missing tail or a
+// missing mode.
+func samplerCases() []struct {
+	name  string
+	dist  stats.Distribution
+	wrong func(float64) float64
+} {
+	body := stats.NewLognormal(9.48, 2.46)
+	observed := stats.NewEmpirical(stats.SampleN(stats.NewLognormal(5, 1), stats.NewRNG(3), 500), "")
+	return []struct {
+		name  string
+		dist  stats.Distribution
+		wrong func(float64) float64
+	}{
+		{"lognormal", body, stats.NewLognormal(9.98, 2.46).CDF},
+		{"pareto", stats.NewPareto(0.91, 512<<20), stats.NewPareto(1.3, 512<<20).CDF},
+		{"hybrid", stats.NewHybrid(body, stats.NewPareto(0.91, 1<<20), 0.9), body.CDF},
+		{"mixture", stats.NewLognormalMixture([]float64{0.76, 0.24}, []float64{14.83, 20.93}, []float64{2.35, 1.48}),
+			stats.NewLognormal(14.83, 2.35).CDF},
+		{"empirical", observed, func(x float64) float64 { return observed.CDF(x / 1.5) }},
+	}
+}
+
+func TestKSOneSampleAcceptsEachSampler(t *testing.T) {
+	for _, tc := range samplerCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			sample := stats.SampleN(tc.dist, stats.NewRNG(7), 2000)
+			res, err := KSOneSample(sample, tc.dist.CDF, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Passed {
+				t.Errorf("%s sample should pass against its own CDF (D=%.4f, crit=%.4f)", tc.dist.Name(), res.D, res.Critical)
+			}
+		})
+	}
+}
+
+func TestKSOneSampleRejectsEachWrongModel(t *testing.T) {
+	for _, tc := range samplerCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			sample := stats.SampleN(tc.dist, stats.NewRNG(7), 2000)
+			res, err := KSOneSample(sample, tc.wrong, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Passed {
+				t.Errorf("%s sample should fail against the wrong model (D=%.4f, crit=%.4f)", tc.dist.Name(), res.D, res.Critical)
+			}
+		})
+	}
+}
+
 func TestKSStatisticCDFs(t *testing.T) {
 	a := []float64{0.1, 0.5, 1.0}
 	b := []float64{0.2, 0.4, 1.0}

@@ -98,6 +98,48 @@ func TestHistogramCloneIndependent(t *testing.T) {
 	}
 }
 
+func TestHistogramResetKeepsEdges(t *testing.T) {
+	h := NewPowerOfTwoHistogram(4)
+	for _, v := range []float64{0, 3, 9, 100} {
+		h.Add(v)
+	}
+	h.Reset()
+	if h.Total() != 0 {
+		t.Errorf("total after Reset = %g, want 0", h.Total())
+	}
+	if h.Bins() != 5 || !SameEdges(h, NewPowerOfTwoHistogram(4)) {
+		t.Errorf("Reset changed the bins: %v", h.Edges)
+	}
+}
+
+func TestHistogramBinLabelsAndString(t *testing.T) {
+	h := NewPowerOfTwoHistogram(12)
+	h.Add(0.5)
+	h.AddWeighted(3000, 3)
+	if got := h.BinLabel(h.Bins() - 1); got != "2K" {
+		t.Errorf("last bin label %q, want 2K", got)
+	}
+	if h.BinLabel(-1) != "?" || h.BinLabel(h.Bins()) != "?" {
+		t.Error("out-of-range bins should be labelled ?")
+	}
+	if got := h.String(); got != "0:0.2500 2K:0.7500" {
+		t.Errorf("String() = %q", got)
+	}
+}
+
+func TestUnitEdges(t *testing.T) {
+	h := NewHistogram(UnitEdges(3))
+	if h.Bins() != 3 {
+		t.Fatalf("UnitEdges(3) gives %d bins, want 3", h.Bins())
+	}
+	for _, depth := range []float64{0, 1, 1, 2, 7} {
+		h.Add(depth)
+	}
+	if want := []float64{1, 2, 2}; h.Counts[0] != want[0] || h.Counts[1] != want[1] || h.Counts[2] != want[2] {
+		t.Errorf("depth counts %v, want %v", h.Counts, want)
+	}
+}
+
 func TestHistogramPanicsOnBadEdges(t *testing.T) {
 	for _, edges := range [][]float64{{1}, {1, 1}, {2, 1}} {
 		func() {

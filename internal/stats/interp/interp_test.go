@@ -102,6 +102,23 @@ func TestCurveSetErrors(t *testing.T) {
 	}
 }
 
+func TestCurveSetLenAndRange(t *testing.T) {
+	cs := NewCurveSet()
+	if cs.Len() != 0 || !cs.IsExtrapolation(10) {
+		t.Error("an empty curve set has no range, so every key extrapolates")
+	}
+	_ = cs.Add(20, buildCurve(0.3))
+	_ = cs.Add(10, buildCurve(0.2))
+	if cs.Len() != 2 {
+		t.Errorf("Len() = %d, want 2", cs.Len())
+	}
+	for key, want := range map[float64]bool{5: true, 10: false, 15: false, 20: false, 25: true} {
+		if got := cs.IsExtrapolation(key); got != want {
+			t.Errorf("IsExtrapolation(%g) = %v, want %v", key, got, want)
+		}
+	}
+}
+
 func TestCurveSetAtAndKeys(t *testing.T) {
 	cs := NewCurveSet()
 	_ = cs.Add(30, buildCurve(0.6))
