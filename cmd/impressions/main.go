@@ -647,7 +647,6 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 		metadataOnly = fs.Bool("metadata-only", false, "create files with correct sizes but no content")
 		jobs         = fs.Int("j", 0, "concurrent file writers within this worker; with -format tar, the workers generating and hashing file content behind the one segment writer (0 = all CPUs, 1 = one worker); output is byte-identical at any level")
 		workDir      = fs.String("work", "", "directory for shard journals: the shard is written a sealed batch at a time and a re-run resumes after the last one (with -join the default is -out, otherwise no journal); keep it stable across restarts")
-		batchFiles   = fs.Int("batch-files", 0, "files per sealed journal batch (0 = default)")
 		idleExit     = fs.Duration("idle-exit", 0, "fleet mode: exit cleanly after this long without work (0 = run until signalled)")
 		failAfter    = fs.Int("fail-after-files", 0, "fault injection: SIGKILL this process after writing N files of a shard")
 	)
@@ -658,7 +657,7 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	if format != "dir" && format != "" && format != "tar" {
 		return usagef("worker: unknown -format %q (want dir or tar)", *formatFlag)
 	}
-	wopts := distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs, BatchFiles: *batchFiles, FailAfterFiles: *failAfter}
+	wopts := distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs, FailAfterFiles: *failAfter}
 	if *joinFlag != "" {
 		if *planFlag != "" || *fromFlag != "" {
 			return usagef("worker: -join is exclusive with -plan/-from")
@@ -676,6 +675,9 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	}
 	if *outFlag == "" || *manifestFlag == "" {
 		return usagef("worker: -out and -manifest are required")
+	}
+	if format == "tar" && (*workDir != "" || *failAfter > 0) {
+		return usagef("worker: -work and -fail-after-files need -format dir (a tar segment has no journal)")
 	}
 	view, err := workerView(*planFlag, *fromFlag, *shardFlag)
 	if errors.Is(err, fsimage.ErrInvalidSpec) {

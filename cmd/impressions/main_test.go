@@ -558,6 +558,9 @@ func TestMainExitCodes(t *testing.T) {
 		{"worker join+plan conflict", []string{"worker", "-join", "http://127.0.0.1:1", "-plan", "p.json", "-out", t.TempDir()}, 2},
 		{"worker join+from conflict", []string{"worker", "-join", "http://127.0.0.1:1", "-from", "http://x/v1/plans/f/shards/0", "-out", t.TempDir()}, 2},
 		{"worker join missing out", []string{"worker", "-join", "http://127.0.0.1:1"}, 2},
+		// A tar segment keeps no journal: refused before the plan is opened.
+		{"worker tar -work", []string{"worker", "-plan", filepath.Join(stray, "p.json"), "-shard", "0", "-format", "tar", "-out", filepath.Join(stray, "seg.tar"), "-manifest", filepath.Join(stray, "m.json"), "-work", filepath.Join(stray, "work")}, 2},
+		{"worker tar -fail-after-files", []string{"worker", "-plan", filepath.Join(stray, "p.json"), "-shard", "0", "-format", "tar", "-out", filepath.Join(stray, "seg.tar"), "-manifest", filepath.Join(stray, "m.json"), "-fail-after-files", "5"}, 2},
 		{"worker plan+from conflict", []string{"worker", "-plan", "p.json", "-from", "http://x/v1/plans/f/shards/0", "-out", t.TempDir(), "-manifest", "m.json"}, 2},
 		{"fleetrun bad flag", []string{"fleetrun", "-no-such-flag"}, 2},
 		{"fleetrun bad size", []string{"fleetrun", "-size", "notasize"}, 2},

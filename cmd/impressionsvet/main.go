@@ -1,140 +1,55 @@
-// Command impressionsvet is the determinism-contract checker: a
-// multichecker over the five project analyzers in internal/analysis
-// (detclock, detmap, rngderive, errwrapsentinel, ctxflow).
+// Command impressionsvet is the determinism-contract checker. It runs the
+// five project analyzers of internal/analysis (detclock, detmap, rngderive,
+// errwrapsentinel, ctxflow) over every package of the module that contains
+// the working directory, loaded from source:
 //
-// Two modes, one binary:
+//	impressionsvet
 //
-//	impressionsvet [-c analyzers] [packages]
-//	    Standalone: loads the named packages (default: every package of
-//	    the enclosing module) from source and prints findings. Exit code
-//	    2 when findings exist.
-//
-//	go vet -vettool=$(pwd)/bin/impressionsvet ./...
-//	    Vet-tool: speaks the go command's unitchecker protocol (a
-//	    JSON *.cfg file per package), so findings integrate with go vet's
-//	    caching, package graph, and output.
+// Findings go to stderr as "file:line:col: message [analyzer]", and the
+// exit code is 2 when there are any. The command takes no arguments: any
+// argument or unknown flag exits 1, so exit 2 always means findings. -h
+// lists the analyzers. `make lint` runs it; TestModuleIsClean runs the same
+// analysis.CheckModule.
 //
 // The analyzers skip _test.go files; see the README "Determinism contract"
 // section for the rules and the suppression annotation.
 package main
 
 import (
-	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"impressions/internal/analysis"
 )
 
-// printVersion answers the go command's `-V=full` probe. The line must
-// start with the tool's own executable path and, for a "devel" version,
-// end in a buildID whose content part identifies this binary — go caches
-// vet results keyed on it, so it is a hash of the executable itself.
-func printVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		fatal(err)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s version devel determinism-contract buildID=%02x\n", exe, h.Sum(nil))
-}
-
 func main() {
-	// The go command probes vet tools before use: `-V=full` must print a
-	// version line, `-flags` the supported flag set. Handle both before
-	// normal flag parsing so unknown probe orderings stay safe.
-	if len(os.Args) == 2 {
-		switch os.Args[1] {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			// JSON flag definitions, as the unitchecker protocol expects.
-			fmt.Println(`[{"Name":"c","Bool":false,"Usage":"comma-separated analyzers to run (default: all)"}]`)
-			return
-		}
-	}
-
-	only := flag.String("c", "", "comma-separated analyzers to run (default: all)")
-	list := flag.Bool("list", false, "list analyzers and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: impressionsvet [-c analyzers] [packages | vet.cfg]\n\nanalyzers:\n")
+	fs := flag.NewFlagSet("impressionsvet", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(os.Stderr, "usage: impressionsvet\n\nchecks every package of the module containing the working directory with:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
 	}
-	flag.Parse()
-
-	if *list {
-		for _, a := range analysis.All() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
+	if err := fs.Parse(os.Args[1:]); errors.Is(err, flag.ErrHelp) {
 		return
+	} else if err != nil {
+		os.Exit(1)
 	}
-
-	analyzers, err := analysis.ByName(*only)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "impressionsvet: takes no arguments, got %q\n", fs.Args())
+		os.Exit(1)
+	}
+	findings, _, err := analysis.CheckModule(".")
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "impressionsvet:", err)
+		os.Exit(1)
 	}
-
-	args := flag.Args()
-	// Unitchecker mode: the go command passes exactly one *.cfg path.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnitchecker(args[0], analyzers)
-		return
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
 	}
-	runStandalone(args, analyzers)
-}
-
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer) {
-	wd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	loader, err := analysis.NewLoader(wd)
-	if err != nil {
-		fatal(err)
-	}
-	var paths []string
-	expand := len(patterns) == 0
-	for _, p := range patterns {
-		if p == "./..." || p == "all" {
-			expand = true
-			continue
-		}
-		paths = append(paths, strings.TrimPrefix(p, "./"))
-	}
-	if expand {
-		all, err := loader.ModulePackages()
-		if err != nil {
-			fatal(err)
-		}
-		paths = append(paths, all...)
-	}
-	diags, err := analysis.Run(loader, paths, analyzers)
-	if err != nil {
-		fatal(err)
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d.String(loader.Fset))
-	}
-	if len(diags) > 0 {
+	if len(findings) > 0 {
 		os.Exit(2)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "impressionsvet:", err)
-	os.Exit(1)
 }

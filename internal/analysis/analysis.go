@@ -1,7 +1,8 @@
 // Package analysis is the compile-time enforcement of the determinism
 // contract: a small, dependency-free re-implementation of the
-// golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass, Diagnostic)
-// plus the five project-specific analyzers behind cmd/impressionsvet.
+// golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass, Diagnostic),
+// the five project-specific analyzers, and CheckModule, the one driver that
+// cmd/impressionsvet and TestModuleIsClean both run.
 //
 // Every headline property of this repo — byte-identical images at any
 // parallelism, across fleets, and on resume — rests on invariants that
@@ -40,10 +41,10 @@ import (
 // so the checks read idiomatically and could be ported to the upstream
 // framework without structural change.
 type Analyzer struct {
-	// Name is the analyzer's identifier, used in diagnostics, analysistest
-	// want-comments, and per-analyzer selection flags.
+	// Name is the analyzer's identifier, printed after each of its findings
+	// and in `impressionsvet -h`.
 	Name string
-	// Doc is the one-paragraph description shown by `impressionsvet -help`.
+	// Doc is the one-line description shown by `impressionsvet -h`.
 	Doc string
 	// Run performs the check over one package and reports findings through
 	// pass.Report.
@@ -128,28 +129,6 @@ func IsDeterministicPkg(path string) bool {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{DetClock, DetMap, RNGDerive, ErrWrapSentinel, CtxFlow}
-}
-
-// ByName resolves a comma-separated analyzer list ("detclock,detmap");
-// empty selects the whole suite.
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // pkgFunc resolves a selector expression like `time.Now` to its package

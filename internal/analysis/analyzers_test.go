@@ -69,19 +69,3 @@ func TestCtxFlow(t *testing.T) {
 		"ctxfix",
 	)
 }
-
-func TestByName(t *testing.T) {
-	got, err := analysis.ByName("detclock, ctxflow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != "detclock" || got[1].Name != "ctxflow" {
-		t.Fatalf("ByName returned %v", got)
-	}
-	if _, err := analysis.ByName("nosuch"); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer")
-	}
-	if all, err := analysis.ByName(""); err != nil || len(all) != 5 {
-		t.Fatalf("empty selection should return the full suite, got %d (%v)", len(all), err)
-	}
-}

@@ -6,30 +6,22 @@ import (
 	"impressions/internal/analysis"
 )
 
-// TestModuleIsClean is the meta-test behind `make lint`: the whole module,
-// loaded from source, must produce zero findings from the full suite. Any
-// regression against the determinism contract fails here (and in CI's lint
-// job) before it can reach a digest test.
+// TestModuleIsClean is `make lint`'s determinism-contract step run as a
+// test: the same CheckModule over the whole module, which must produce zero
+// findings. Any regression against the determinism contract fails here
+// (and in CI's lint job) before it can reach a digest test.
 func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the entire module; skipped in -short")
 	}
-	l, err := analysis.NewLoader(".")
+	findings, pkgs, err := analysis.CheckModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := l.ModulePackages()
-	if err != nil {
-		t.Fatal(err)
+	if len(pkgs) < 10 {
+		t.Fatalf("module enumeration looks broken: only %d packages: %v", len(pkgs), pkgs)
 	}
-	if len(paths) < 10 {
-		t.Fatalf("module enumeration looks broken: only %d packages: %v", len(paths), paths)
-	}
-	diags, err := analysis.Run(l, paths, analysis.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("determinism contract violation: %s", d.String(l.Fset))
+	for _, f := range findings {
+		t.Errorf("determinism contract violation: %s", f)
 	}
 }

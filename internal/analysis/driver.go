@@ -57,20 +57,33 @@ func RunPackage(p *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// Run loads and analyzes the given package paths with one loader, returning
-// all findings in path order.
-func Run(l *Loader, paths []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, path := range paths {
+// CheckModule is the determinism-contract check behind cmd/impressionsvet
+// and TestModuleIsClean: it loads every package of the module containing
+// dir from source, runs All() over each, and returns the findings rendered
+// as "file:line:col: message [analyzer]" in package then position order,
+// with the import paths of the packages it checked.
+func CheckModule(dir string) (findings, pkgs []string, err error) {
+	root, modPath, err := findModule(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	l := newLoader()
+	l.modRoot, l.modPath = root, modPath
+	if pkgs, err = l.modulePackages(); err != nil {
+		return nil, nil, err
+	}
+	for _, path := range pkgs {
 		p, err := l.Load(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		ds, err := RunPackage(p, analyzers)
+		diags, err := RunPackage(p, All())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		diags = append(diags, ds...)
+		for _, d := range diags {
+			findings = append(findings, d.String(l.Fset))
+		}
 	}
-	return diags, nil
+	return findings, pkgs, nil
 }

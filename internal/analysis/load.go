@@ -17,8 +17,6 @@ import (
 type Package struct {
 	// Path is the canonical import path.
 	Path string
-	// Dir is the directory the sources were read from.
-	Dir string
 	// Files holds the non-test syntax trees, parsed with comments.
 	Files []*ast.File
 	Types *types.Package
@@ -34,7 +32,8 @@ type Package struct {
 // module being analyzed, then GOROOT (with the std vendor fallback).
 //
 // Type-checking the transitive std closure from source costs ~1.5s for the
-// whole module and is cached per Loader, so reuse one Loader per run.
+// whole module and is cached per Loader, so CheckModule uses one Loader for
+// every package.
 type Loader struct {
 	Fset *token.FileSet
 	ctxt build.Context
@@ -44,31 +43,9 @@ type Loader struct {
 
 	overlayRoot string // fixture tree laid out as <root>/<import path>/ ("")
 
-	// importMap maps source-level import paths to canonical unit IDs (the
-	// unitchecker protocol). An ID containing " [" names a test-augmented
-	// variant: that package is loaded with its internal _test.go files so
-	// external test packages type-check.
-	importMap map[string]string
-
 	loaded  map[string]*Package
 	loading map[string]bool
 	info    *types.Info
-}
-
-// SetImportMap installs the unitchecker import map (source import path ->
-// canonical unit ID) for dependency resolution.
-func (l *Loader) SetImportMap(m map[string]string) { l.importMap = m }
-
-// NewLoader returns a loader rooted at the module containing dir (found by
-// walking up to go.mod). dir may be the module root itself.
-func NewLoader(dir string) (*Loader, error) {
-	root, modPath, err := findModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	l := newLoader()
-	l.modRoot, l.modPath = root, modPath
-	return l, nil
 }
 
 // NewFixtureLoader returns a loader that resolves import paths inside the
@@ -218,14 +195,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %w", path, err)
 	}
-	names := bp.GoFiles
-	// A test-augmented canonical ID ("pkg [pkg.test]") means importers see
-	// the package with its internal test files compiled in (unitchecker
-	// protocol, external test packages).
-	if canon, ok := l.importMap[path]; ok && strings.Contains(canon, " [") {
-		names = append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...)
-	}
-	files, err := l.parseFiles(dir, names, parser.ParseComments|parser.SkipObjectResolution)
+	files, err := l.parseFiles(dir, bp.GoFiles, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
@@ -233,41 +203,14 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: l.info, Fset: l.Fset}
+	p := &Package{Path: path, Files: files, Types: tpkg, Info: l.info, Fset: l.Fset}
 	l.loaded[path] = p
 	return p, nil
 }
 
-// LoadFiles type-checks one package from an explicit file list (the
-// unitchecker path, where the go command names the files). Test files in
-// the list are parsed and type-checked so the package is complete, but the
-// driver's analyzers skip them.
-func (l *Loader) LoadFiles(path string, filenames []string) (*Package, error) {
-	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	tpkg, err := l.check(path, files, l.info)
-	if err != nil {
-		return nil, err
-	}
-	dir := ""
-	if len(filenames) > 0 {
-		dir = filepath.Dir(filenames[0])
-	}
-	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: l.info, Fset: l.Fset}, nil
-}
-
-// ModulePackages enumerates every package in the loader's module (skipping
+// modulePackages enumerates every package in the loader's module (skipping
 // testdata, hidden, and vendor directories), in stable path order.
-func (l *Loader) ModulePackages() ([]string, error) {
-	if l.modRoot == "" {
-		return nil, fmt.Errorf("analysis: loader has no module root")
-	}
+func (l *Loader) modulePackages() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(l.modRoot, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
