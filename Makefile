@@ -237,7 +237,9 @@ mem-check:
 # (whatever `go test -list '^Fuzz'` finds: the tar header, stitcher and
 # squashfs extractor in internal/imgfmt, the chunk codec and decoder in
 # internal/fsimage, the shard document, manifest and journal decoders in
-# internal/distribute, the radix sort against sort.Float64s in
+# internal/distribute, and there too the fragment and manifest readers
+# against the encoding/json decoders they replaced (FuzzDocumentReader,
+# FuzzManifestReader), the radix sort against sort.Float64s in
 # internal/stats, and the text and binary content kernels against their
 # reference loops in internal/content: FuzzTextFill, FuzzBinaryFill) for
 # FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in

@@ -9,6 +9,7 @@ import (
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
+	"impressions/internal/jsonscan"
 	"impressions/internal/stats"
 )
 
@@ -77,10 +78,12 @@ func (d *docWriter) Close(chains []string) error {
 	return nil
 }
 
-// readDocument is the one reader of shard documents. It walks the envelope,
-// decodes the view and holds its plan header to checkHeader, asks open for
+// readDocument is the one reader of shard documents. It walks the envelope
+// with a jsonscan.Scanner (the members exact and in order), decodes the view
+// with encoding/json and holds its plan header to checkHeader, asks open for
 // the sink the records go to (once, with the checked header and the shard
-// the document embeds), verifies every chunk's hash and replays its records
+// the document embeds), reads every chunk with an fsimage.ChunkReader and
+// hands it to a ChunkDecoder, which verifies its hash and replays its records
 // into that sink, verifies the chunk count against the trailer and the
 // chain the chunks make against the trailer's entry for the shard in a list
 // of one chain per shard, requires the input to end after the closing
@@ -96,30 +99,47 @@ func (d *docWriter) Close(chains []string) error {
 // rejections, and a sink's failed write or cancelled context is not a
 // verdict on the document.
 func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSink, error)) (string, error) {
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 64*1024))
+	s := jsonscan.New(bufio.NewReaderSize(r, 64*1024))
 	damaged := func(format string, a ...any) error {
 		return fmt.Errorf("distribute: shard document: %s (%w)", fmt.Sprintf(format, a...), fsimage.ErrManifestIntegrity)
 	}
-	// next requires the next token to be want: a delimiter or a member key.
-	next := func(want json.Token) error {
-		if tok, err := dec.Token(); err != nil {
-			return damaged("expected %q: %v", fmt.Sprint(want), err)
-		} else if tok != want {
-			return damaged("expected %q, got %q", fmt.Sprint(want), fmt.Sprint(tok))
+	// delim requires the next token to be the delimiter c.
+	delim := func(c byte) error {
+		if err := s.Expect(c); err != nil {
+			return damaged("%v", err)
+		}
+		return nil
+	}
+	// member requires the next member of the envelope to be named name:
+	// the comma before it unless it is the first, and its key.
+	member := func(name string, first bool) error {
+		if !first {
+			if err := delim(','); err != nil {
+				return err
+			}
+		}
+		if key, err := s.Key(); err != nil {
+			return damaged("expected %q: %v", name, err)
+		} else if string(key) != name {
+			return damaged("expected %q, got %q", name, key)
 		}
 		return nil
 	}
 	value := func(what string, v any) error {
-		if err := dec.Decode(v); err != nil {
+		raw, err := s.Raw()
+		if err == nil {
+			err = json.Unmarshal(raw, v)
+		}
+		if err != nil {
 			return damaged("decoding %s: %v", what, err)
 		}
 		return nil
 	}
 
-	if err := next(json.Delim('{')); err != nil {
+	if err := delim('{'); err != nil {
 		return "", err
 	}
-	if err := next("view"); err != nil {
+	if err := member("view", true); err != nil {
 		return "", err
 	}
 	var hdr shardWireHeader
@@ -141,31 +161,35 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 		return "", err
 	}
 
-	if err := next("records"); err != nil {
+	if err := member("records", false); err != nil {
 		return "", err
 	}
-	if err := next(json.Delim('[')); err != nil {
+	if err := delim('['); err != nil {
 		return "", err
 	}
 	cdec := fsimage.NewChunkDecoder(sink)
-	var c fsimage.Chunk
+	chunks := fsimage.NewChunkReader(s)
 	var dirChain string
-	for dec.More() {
-		c = fsimage.Chunk{}
-		if err := dec.Decode(&c); err != nil {
+	for first := true; ; first = false {
+		more, err := s.Next(']', first)
+		if err != nil {
+			return "", damaged("%v", err)
+		}
+		if !more {
+			break
+		}
+		c, err := chunks.Read()
+		if err != nil {
 			return "", damaged("decoding chunk %d: %v", cdec.Chunks(), err)
 		}
 		if dirChain == "" && len(c.Files) > 0 {
 			dirChain = cdec.ChainHash()
 		}
-		if err := cdec.AddChunk(&c); err != nil {
+		if err := cdec.AddChunk(c); err != nil {
 			return "", err
 		}
 	}
-	if err := next(json.Delim(']')); err != nil {
-		return "", err
-	}
-	if err := next("trailer"); err != nil {
+	if err := member("trailer", false); err != nil {
 		return "", err
 	}
 	var trailer struct {
@@ -175,11 +199,11 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 	if err := value("trailer", &trailer); err != nil {
 		return "", err
 	}
-	if err := next(json.Delim('}')); err != nil {
+	if err := delim('}'); err != nil {
 		return "", err
 	}
-	if tok, err := dec.Token(); err != io.EOF {
-		return "", damaged("input goes on after the closing brace (%v, %v)", tok, err)
+	if err := s.End(); err != nil {
+		return "", damaged("input goes on after the closing brace: %v", err)
 	}
 	if n := cdec.Chunks(); trailer.Chunks == nil || *trailer.Chunks != n {
 		return "", damaged("the trailer does not promise the %d chunks the stream carried — truncated?", n)

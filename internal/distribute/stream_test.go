@@ -3,7 +3,6 @@ package distribute
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"runtime/metrics"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"impressions/internal/core"
-	"impressions/internal/stats"
 )
 
 // TestWorkerDecodesOnlyItsShard is the worker-memory regression test: a
@@ -91,24 +89,15 @@ func TestMergeMemoryBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("300k-file merge skipped in -short")
 	}
-	cfg := core.Config{NumFiles: 300_000, NumDirs: 30_000, FSSizeBytes: 344_064_000, Seed: 20090225, Parallelism: 1, Mode: core.ModeUserSpecified,
-		FileSizeDist: stats.NewHybrid(stats.NewLognormal(6.9, 0.5), stats.NewPareto(core.DefaultParetoK, core.DefaultParetoXm), core.DefaultFileSizeBodyWeight)}
 	for _, k := range []int{2, 8} {
-		plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: k})
+		plan, frags := fragmentBuffers(t, PlanRequest{Config: smallConfig(300_000), MaxShards: k})
 		manifests := make([]*Manifest, len(plan.Shards))
 		for s := range manifests {
 			v, err := DecodeShardView(bytes.NewReader(frags[s]))
 			if err != nil {
 				t.Fatalf("K=%d DecodeShardView(%d): %v", k, s, err)
 			}
-			m := &Manifest{FormatVersion: FormatVersion, PlanFingerprint: plan.Fingerprint(), Shard: s, Dirs: len(v.Dirs), Files: len(v.Files),
-				ContentHashed: true, FileDigests: make([]FileDigest, len(v.Files))}
-			for i, f := range v.Files {
-				m.Bytes += f.Size
-				m.FileDigests[i] = FileDigest{ID: f.ID, Size: f.Size, SHA256: fmt.Sprintf("%064x", f.ID)}
-			}
-			m.Seal()
-			manifests[s] = m
+			manifests[s] = hashedManifest(v)
 		}
 		// Measured on 2 cores (Go 1.24): a merge that retained this
 		// plan's file records peaked at 47.5 to 48.3 MB of heap beyond the
@@ -116,14 +105,17 @@ func TestMergeMemoryBound(t *testing.T) {
 		// beside the check's at 12.6 to 16.6 MB at K=2 and 23.6 to 33.8 MB at
 		// K=8; this merge, whose record check holds the replay's one tree
 		// and partition, at 8.4 to 10.0 MB at K=2 and 20.4 to 22.8 MB at
-		// K=8, each fragment's chunk in decoding making up the difference. A
-		// merge whose every fragment decoder rebuilt its tree peaked at 17.6
-		// to 23.8 MB at K=2 and at 53.3 to 59.0 MB at K=8. The cap is 16 MiB
-		// for two fragments and 3.5 MiB more for each fragment beyond: a
-		// chunk's JSON text and records in decoding, at the default 8192
-		// records a chunk, where a tree and partition of these 30k
+		// K=8 while encoding/json decoded its chunks (9.2 to 11.3 and 21.0
+		// to 23.4 MB measured again beside the next), and at 7.5 to 10.1 MB
+		// and 18.0 to 20.7 MB since fsimage.ChunkReader reads them into
+		// reused record arrays, each fragment's chunk in decoding making up
+		// the difference. A merge whose every fragment decoder rebuilt its
+		// tree peaked at 17.6 to 23.8 MB at K=2 and at 53.3 to 59.0 MB at
+		// K=8. The cap is 14 MiB for two fragments and 2 MiB more for each
+		// fragment beyond: a chunk of records in decoding, at the default
+		// 8192 records a chunk, where a tree and partition of these 30k
 		// directories would add 5 MB more.
-		cap := uint64(16<<20 + (k-2)*7<<19)
+		cap := uint64(14<<20 + (k-2)*2<<20)
 		var (
 			res *MergeResult
 			err error

@@ -1,6 +1,7 @@
 package distribute
 
 import (
+	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -12,6 +13,7 @@ import (
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
+	"impressions/internal/jsonscan"
 )
 
 // FileDigest records one written file in a shard manifest.
@@ -109,18 +111,72 @@ func (m *Manifest) Encode(w io.Writer) error {
 	return nil
 }
 
-// DecodeManifest reads a manifest previously written by Encode.
+// DecodeManifest reads a manifest previously written by Encode: one object
+// that must be all of r, decided as json.Unmarshal decides it into a zero
+// Manifest. Input that does not parse, stops early or goes on after the
+// object is a damaged artifact.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
+	s := jsonscan.New(bufio.NewReaderSize(r, 64*1024))
 	var m Manifest
-	if err := decodeJSONArtifact(r, "manifest", &m); err != nil {
-		return nil, err
+	if err := m.read(s); err != nil {
+		return nil, fmt.Errorf("distribute: decoding manifest: %v (%w)", err, fsimage.ErrManifestIntegrity)
+	}
+	if err := s.End(); err != nil {
+		return nil, fmt.Errorf("distribute: decoding manifest: input goes on after the object: %v (%w)", err, fsimage.ErrManifestIntegrity)
 	}
 	return &m, nil
 }
 
-// decodeJSONArtifact reads a single-object artifact (a manifest, a fragment
-// index) that must be all of r: input that does not parse, stops early or
-// goes on after the object is a damaged artifact.
+// read decodes the next value into m, its file digests into a slice that
+// grows as they arrive.
+func (m *Manifest) read(s *jsonscan.Scanner) error {
+	if null, err := s.Null(); null || err != nil {
+		return err
+	}
+	var digests jsonscan.Array[FileDigest]
+	return s.Object(func(key []byte) (err error) {
+		switch {
+		case jsonscan.Match(key, "format_version"):
+			return s.Int(&m.FormatVersion)
+		case jsonscan.Match(key, "plan_fingerprint"):
+			return s.String(&m.PlanFingerprint)
+		case jsonscan.Match(key, "shard"):
+			return s.Int(&m.Shard)
+		case jsonscan.Match(key, "dirs"):
+			return s.Int(&m.Dirs)
+		case jsonscan.Match(key, "files"):
+			return s.Int(&m.Files)
+		case jsonscan.Match(key, "bytes"):
+			return s.Int64(&m.Bytes)
+		case jsonscan.Match(key, "content_hashed"):
+			return s.Bool(&m.ContentHashed)
+		case jsonscan.Match(key, "file_digests"):
+			m.FileDigests, err = digests.Decode(s, readFileDigest)
+			return err
+		case jsonscan.Match(key, "manifest_sha256"):
+			return s.String(&m.ManifestSHA256)
+		}
+		return s.Skip(1)
+	})
+}
+
+func readFileDigest(s *jsonscan.Scanner, fd *FileDigest) error {
+	return s.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Match(key, "id"):
+			return s.Int(&fd.ID)
+		case jsonscan.Match(key, "size"):
+			return s.Int64(&fd.Size)
+		case jsonscan.Match(key, "sha256"):
+			return s.String(&fd.SHA256)
+		}
+		return s.Skip(3) // in the entry, in file_digests, in the manifest
+	})
+}
+
+// decodeJSONArtifact reads a fragment index, which must be all of r: input
+// that does not parse, stops early or goes on after the object is a damaged
+// artifact.
 func decodeJSONArtifact(r io.Reader, what string, v any) error {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(v); err != nil {

@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+
+	"impressions/internal/jsonscan"
 )
 
 // The chunked metadata stream is how large images travel inside plan files
@@ -145,8 +147,7 @@ func (c *Chunk) recordsHash(buf []byte) (string, []byte) {
 // JSON copies through verbatim (appendQuoted) are appended directly; any
 // other string and a non-zero Bias are rendered by encoding/json itself, so
 // its escaping and float rules are never restated here. Like json.Marshal
-// it fails on an infinite or NaN Bias. Decoding stays with encoding/json:
-// it is the side that faces bytes this program did not write.
+// it fails on an infinite or NaN Bias. ChunkReader reads it back.
 func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(c.Index), 10)
@@ -203,6 +204,97 @@ func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"sha256":`...)
 	dst = appendQuoted(dst, c.SHA256, appendStdlibJSONString)
 	return append(dst, '}'), nil
+}
+
+// ChunkReader reads chunks in the wire form AppendJSON writes, off a
+// jsonscan.Scanner, into one Chunk whose record slices it reuses from chunk
+// to chunk: they grow only as records arrive, to the largest chunk read.
+// It decides every input as json.Unmarshal decides it into a zero Chunk —
+// members in any order, names matched under case folding, unknown members
+// skipped, a repeated member decoded again over the last, null leaving a
+// field as it is (a record slice nil) — and checks nothing
+// encoding/json would not: the hash and the order are ChunkDecoder.AddChunk's.
+type ChunkReader struct {
+	s     *jsonscan.Scanner
+	c     Chunk
+	dirs  jsonscan.Array[DirRecord]
+	files jsonscan.Array[File]
+}
+
+// NewChunkReader returns a reader of the chunks s scans.
+func NewChunkReader(s *jsonscan.Scanner) *ChunkReader { return &ChunkReader{s: s} }
+
+// Read decodes the next value as a chunk. The chunk and its records are
+// the reader's, overwritten by the next Read.
+func (r *ChunkReader) Read() (*Chunk, error) {
+	s := r.s
+	r.c = Chunk{}
+	r.dirs.Reset()
+	r.files.Reset()
+	if null, err := s.Null(); null || err != nil {
+		return &r.c, err
+	}
+	err := s.Object(func(key []byte) (err error) {
+		switch {
+		case jsonscan.Match(key, "index"):
+			return s.Int(&r.c.Index)
+		case jsonscan.Match(key, "dirs"):
+			r.c.Dirs, err = r.dirs.Decode(s, readDirRecord)
+			return err
+		case jsonscan.Match(key, "files"):
+			r.c.Files, err = r.files.Decode(s, readFile)
+			return err
+		case jsonscan.Match(key, "sha256"):
+			return s.String(&r.c.SHA256)
+		}
+		return s.Skip(1)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &r.c, nil
+}
+
+// recordDepth is how deep a record's member values lie in a chunk: in the
+// record, in its array, in the chunk.
+const recordDepth = 3
+
+func readDirRecord(s *jsonscan.Scanner, d *DirRecord) error {
+	return s.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Match(key, "id"):
+			return s.Int(&d.ID)
+		case jsonscan.Match(key, "parent"):
+			return s.Int(&d.Parent)
+		case jsonscan.Match(key, "name"):
+			return s.String(&d.Name)
+		case jsonscan.Match(key, "special"):
+			return s.Bool(&d.Special)
+		case jsonscan.Match(key, "bias"):
+			return s.Float64(&d.Bias)
+		}
+		return s.Skip(recordDepth)
+	})
+}
+
+func readFile(s *jsonscan.Scanner, f *File) error {
+	return s.Object(func(key []byte) error {
+		switch {
+		case jsonscan.Match(key, "ID"):
+			return s.Int(&f.ID)
+		case jsonscan.Match(key, "Name"):
+			return s.String(&f.Name)
+		case jsonscan.Match(key, "Ext"):
+			return s.String(&f.Ext)
+		case jsonscan.Match(key, "Size"):
+			return s.Int64(&f.Size)
+		case jsonscan.Match(key, "DirID"):
+			return s.Int(&f.DirID)
+		case jsonscan.Match(key, "Depth"):
+			return s.Int(&f.Depth)
+		}
+		return s.Skip(recordDepth)
+	})
 }
 
 // appendQuoted appends s between double quotes as it stands when it is

@@ -1,11 +1,15 @@
 package fsimage
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"impressions/internal/jsonscan"
 )
 
 // encodeChunkStream renders an image's chunk stream as a JSON array — the
@@ -34,10 +38,32 @@ func encodeChunkStream(t testing.TB, img *Image, chunkSize int) []byte {
 	return buf.Bytes()
 }
 
-// decodeChunkStream replays a serialized chunk array through a ChunkDecoder
-// into the retained sink, exactly as the plan decoder does, and returns the
-// first error (nil when the stream verifies end to end).
-func decodeChunkStream(data []byte) error {
+// readChunkStream reads a serialized chunk array with a ChunkReader, as the
+// plan decoder reads one, handing each chunk to add; it returns the first
+// error.
+func readChunkStream(data []byte, add func(*Chunk) error) error {
+	s := jsonscan.New(bufio.NewReader(bytes.NewReader(data)))
+	if err := s.Expect('['); err != nil {
+		return err
+	}
+	r := NewChunkReader(s)
+	for first := true; ; first = false {
+		if more, err := s.Next(']', first); err != nil || !more {
+			return err
+		}
+		c, err := r.Read()
+		if err != nil {
+			return err
+		}
+		if err := add(c); err != nil {
+			return err
+		}
+	}
+}
+
+// oracleChunkStream reads a serialized chunk array with encoding/json, as
+// the plan decoder read one before ChunkReader, handing each chunk to add.
+func oracleChunkStream(data []byte, add func(*Chunk) error) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	tok, err := dec.Token()
 	if err != nil {
@@ -46,21 +72,28 @@ func decodeChunkStream(data []byte) error {
 	if d, ok := tok.(json.Delim); !ok || d != '[' {
 		return errors.New("not a chunk array") // a well-formed object is no stream either
 	}
-	sink := newCollector()
-	b := NewChunkDecoder(sink)
 	for dec.More() {
 		var c Chunk
 		if err := dec.Decode(&c); err != nil {
 			return err
 		}
-		if err := b.AddChunk(&c); err != nil {
+		if err := add(&c); err != nil {
 			return err
 		}
 	}
-	if _, err := dec.Token(); err != nil {
+	_, err = dec.Token()
+	return err
+}
+
+// decodeChunkStream replays a serialized chunk array through a ChunkDecoder
+// into the retained sink, exactly as the plan decoder does, and returns the
+// first error (nil when the stream verifies end to end).
+func decodeChunkStream(data []byte) error {
+	sink := newCollector()
+	if err := readChunkStream(data, NewChunkDecoder(sink).AddChunk); err != nil {
 		return err
 	}
-	_, err = sink.image(Spec{})
+	_, err := sink.image(Spec{})
 	return err
 }
 
@@ -176,8 +209,10 @@ func TestDecodeChunksRejectsMalformedChains(t *testing.T) {
 
 // FuzzDecodeChunks hammers the hash-guarded chunk decoder with arbitrary
 // byte streams seeded from a valid stream and the malformed-chain corpus.
-// The decoder may reject (it almost always must) but may never panic, and
-// anything it accepts must re-encode to a consistent image.
+// ChunkReader must read every chunk encoding/json reads, to the same
+// records, and fail where it fails; the decoder may reject (it almost
+// always must) but may never panic, and anything it accepts must re-encode
+// to a consistent image.
 func FuzzDecodeChunks(f *testing.F) {
 	img := buildTestImage(f)
 	valid := encodeChunkStream(f, img, 4)
@@ -187,31 +222,42 @@ func FuzzDecodeChunks(f *testing.F) {
 	}
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`[{"index":0,"dirs":[{"id":0,"parent":-1,"name":""}],"sha256":"zz"}]`))
+	f.Add([]byte(`[{"INDEX":0,"dirs":[{"id":1,"name":"a","x":[{}]},{"id":2}],"Dirs":[{"parent":3}],"files":null,"sha256":null},null]`))
+	f.Add([]byte(`[{"index":0,"dirs":[{"id":1},],"sha256":""}]`))
+	f.Add([]byte(`[{"index":00,"sha256":""}]`))
+	f.Add([]byte(`[{"index":0,"files":[{"ID":1,"Size":1e3}]}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		err := decodeChunkStream(data)
-		if err != nil {
+		var got, want []Chunk
+		keep := func(into *[]Chunk) func(*Chunk) error {
+			return func(c *Chunk) error {
+				*into = append(*into, Chunk{Index: c.Index, Dirs: slices.Clone(c.Dirs), Files: slices.Clone(c.Files), SHA256: c.SHA256})
+				return nil
+			}
+		}
+		gotErr, wantErr := readChunkStream(data, keep(&got)), oracleChunkStream(data, keep(&want))
+		if (gotErr == nil) != (wantErr == nil) || len(got) != len(want) {
+			t.Fatalf("ChunkReader read %d chunks, then %v; encoding/json %d, then %v", len(got), gotErr, len(want), wantErr)
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Index != w.Index || g.SHA256 != w.SHA256 || !slices.Equal(g.Dirs, w.Dirs) || !slices.Equal(g.Files, w.Files) {
+				t.Fatalf("chunk %d: ChunkReader read %+v, encoding/json %+v", i, g, w)
+			}
+		}
+		if decodeChunkStream(data) != nil {
 			return // rejection is the expected outcome for damaged input
 		}
-		// Accepted input must describe a valid image; re-encoding it must
-		// not fail.
-		dec := json.NewDecoder(bytes.NewReader(data))
-		if _, terr := dec.Token(); terr != nil {
-			t.Fatalf("accepted stream unreadable: %v", terr)
-		}
+		// Accepted input must describe a valid image.
 		sink := newCollector()
 		b := NewChunkDecoder(sink)
-		for dec.More() {
-			var c Chunk
-			if derr := dec.Decode(&c); derr != nil {
-				t.Fatalf("accepted stream re-decode: %v", derr)
-			}
-			if aerr := b.AddChunk(&c); aerr != nil {
-				t.Fatalf("accepted stream re-apply: %v", aerr)
+		for i := range got {
+			if err := b.AddChunk(&got[i]); err != nil {
+				t.Fatalf("accepted stream re-apply: %v", err)
 			}
 		}
-		rebuilt, ferr := sink.image(Spec{})
-		if ferr != nil {
-			t.Fatalf("accepted stream finish: %v", ferr)
+		rebuilt, err := sink.image(Spec{})
+		if err != nil {
+			t.Fatalf("accepted stream finish: %v", err)
 		}
 		if rebuilt.Validate() != nil {
 			t.Fatalf("accepted stream built an invalid image")

@@ -22,8 +22,11 @@
 // strings straight through and handing any other string, and any non-zero
 // float, to strconv.AppendQuote and encoding/json, whose output the fast
 // path reproduces byte for byte (FuzzChunkCodec holds both to the fmt and
-// json.Marshal renderings they replaced). The decoder side is
-// encoding/json: it reads bytes this program did not write.
+// json.Marshal renderings they replaced). The decoder side mirrors it:
+// ChunkReader parses chunks off a jsonscan.Scanner into reused record
+// arrays, copying plain strings straight out and handing any other to
+// encoding/json, and decides every input as encoding/json did
+// (FuzzDecodeChunks holds it to that decoder).
 package fsimage
 
 import (
