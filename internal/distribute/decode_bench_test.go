@@ -2,7 +2,10 @@ package distribute
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"impressions/internal/core"
@@ -34,15 +37,21 @@ func hashedManifest(v *ShardView) *Manifest {
 func smallK2(b *testing.B) (fragment, manifest []byte) {
 	b.Helper()
 	_, frags := fragmentBuffers(b, PlanRequest{Config: smallConfig(30_000), MaxShards: 2})
-	v, err := DecodeShardView(bytes.NewReader(frags[1]))
-	if err != nil {
-		b.Fatal(err)
-	}
 	var doc bytes.Buffer
-	if err := hashedManifest(v).Encode(&doc); err != nil {
+	if err := hashedManifest(smallView(b, frags[1])).Encode(&doc); err != nil {
 		b.Fatal(err)
 	}
 	return frags[1], doc.Bytes()
+}
+
+// smallView decodes one fragment of smallK2's plan.
+func smallView(b *testing.B, frag []byte) *ShardView {
+	b.Helper()
+	v, err := DecodeShardView(bytes.NewReader(frag))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
 }
 
 // BenchmarkDecodeShardView is a worker reading its fragment of
@@ -69,5 +78,32 @@ func BenchmarkDecodeManifest(b *testing.B) {
 		if _, err := DecodeManifest(bytes.NewReader(doc)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWriteShard is a worker of distrun_k2 writing its shard: shard 0
+// of SMALL(30000) planned at K = 2 (about 15,000 files in 1,500
+// directories), executed journaled at Parallelism 1 into an empty
+// directory. The tree is removed off the clock; run it with TMPDIR on a
+// tmpfs, or it measures the disk.
+func BenchmarkWriteShard(b *testing.B) {
+	_, frags := fragmentBuffers(b, PlanRequest{Config: smallConfig(30_000), MaxShards: 2})
+	v := smallView(b, frags[0])
+	base := b.TempDir()
+	out, journal := filepath.Join(base, "out"), filepath.Join(base, "journal")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Execute(context.Background(), v, DirTarget(out), WorkerOptions{Parallelism: 1, JournalPath: journal}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := os.RemoveAll(out); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.Remove(journal); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -29,6 +29,9 @@ import (
 // open descriptor (the writer's are raw: no finalizer would close a leaked
 // one). Where the outcome is deterministic the suite also counts the files
 // left on disk: a failed or cancelled write must stop the files behind it.
+// On Linux a worker holds a descriptor on the directory whose run of files
+// it is writing, so two faults land inside a run: at its second file, and
+// a cancellation in its middle.
 //
 // The faults are ones a process running as root cannot talk its way past
 // (an unwritable directory is writable to root): a regular file where a
@@ -42,8 +45,8 @@ import (
 // vfsWriter is one way of writing a shard's files under root.
 type vfsWriter struct {
 	name string
-	// ordered says the whole shard goes through one MaterializeShardRecords
-	// call, so at Parallelism 1 the files land in writeOrder.
+	// ordered says the shard's files go in the directory order, so at
+	// Parallelism 1 they land in writeOrder.
 	ordered bool
 	run     func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (gotResult bool, err error)
 }
@@ -63,15 +66,14 @@ func vfsWriters(t *testing.T) []vfsWriter {
 		{name: "Execute dir", ordered: true, run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
 			return execute(ctx, v, root, WorkerOptions{Parallelism: j, MetadataOnly: metadataOnly})
 		}},
-		{name: "Execute dir journaled", run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
+		{name: "Execute dir journaled", ordered: true, run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
 			return execute(ctx, v, root, WorkerOptions{Parallelism: j, MetadataOnly: metadataOnly, JournalPath: filepath.Join(t.TempDir(), "journal"), BatchFiles: 8})
 		}},
 	}
 }
 
-// writeOrder returns the indices of files in the order one
-// MaterializeShardRecords call writes them at Parallelism 1: by directory,
-// then by position.
+// writeOrder returns the indices of files in the order the VFS writer
+// writes them at Parallelism 1: by directory, then by position.
 func writeOrder(files []fsimage.File) []int {
 	order := make([]int, len(files))
 	for k := range order {
@@ -129,6 +131,28 @@ func TestVFSWriteFailures(t *testing.T) {
 			largest = p
 		}
 	}
+	// Positions in the write order of the second file of the first
+	// directory run of three or more files, and of the largest file with
+	// files of its run on both sides (large, so the writer is still inside
+	// it when the cancellation comes): a fault at either meets a worker
+	// holding that directory's descriptor mid-run.
+	second, middle := -1, -1
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		dir := pristine.Files[order[lo]].DirID
+		for hi = lo + 1; hi < len(order) && pristine.Files[order[hi]].DirID == dir; hi++ {
+		}
+		if hi-lo >= 3 && second < 0 {
+			second = lo + 1
+		}
+		for p := lo + 1; p < hi-1; p++ {
+			if middle < 0 || pristine.Files[order[p]].Size > pristine.Files[order[middle]].Size {
+				middle = p
+			}
+		}
+	}
+	if second < 0 {
+		t.Fatal("the shard has no directory run of three files")
+	}
 
 	type fault struct {
 		name         string
@@ -176,8 +200,12 @@ func TestVFSWriteFailures(t *testing.T) {
 		if metadataOnly {
 			cause, what = syscall.EINVAL, "metadata-only EINVAL"
 		}
-		for _, p := range fivePositions(len(order)) {
-			faults = append(faults, fault{name: fmt.Sprintf("%s from /dev/full at file %d", what, p), metadataOnly: metadataOnly, arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
+		for _, p := range append(fivePositions(len(order)), second) {
+			name := fmt.Sprintf("%s from /dev/full at file %d", what, p)
+			if p == second {
+				name = fmt.Sprintf("%s from /dev/full at the second file of a directory run (file %d)", what, p)
+			}
+			faults = append(faults, fault{name: name, metadataOnly: metadataOnly, arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
 				if _, err := os.Stat("/dev/full"); err != nil {
 					t.Skipf("no /dev/full here: %v", err)
 				}
@@ -197,12 +225,13 @@ func TestVFSWriteFailures(t *testing.T) {
 			}})
 		}
 	}
-	faults = append(faults,
-		fault{name: "cancelled inside the largest file", arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
-			// A FIFO in the file's place: the writer blocks opening it until
-			// this side opens it too, which is how the test knows the writer
-			// is inside that file. Cancel then, and only then let it finish.
-			f := v.Files[order[largest]]
+	// cancelledInside puts a FIFO in the place of the file at position p:
+	// the writer blocks opening it until this side opens it too, which is
+	// how the test knows the writer is inside that file. It cancels then,
+	// and only then lets the writer finish.
+	cancelledInside := func(p int) func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
+		return func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
+			f := v.Files[order[p]]
 			fifo := filepath.Join(root, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name)
 			if err := os.MkdirAll(filepath.Dir(fifo), 0o755); err != nil {
 				t.Fatal(err)
@@ -221,12 +250,16 @@ func TestVFSWriteFailures(t *testing.T) {
 				}
 				drained <- err
 			}()
-			return ctx, context.Canceled, largest, func(error) {
+			return ctx, context.Canceled, p, func(error) {
 				if err := <-drained; err != nil {
 					t.Errorf("draining the FIFO: %v", err)
 				}
 			}
-		}},
+		}
+	}
+	faults = append(faults,
+		fault{name: "cancelled inside the largest file", arm: cancelledInside(largest)},
+		fault{name: "cancelled in the middle of a directory run", arm: cancelledInside(middle)},
 		fault{name: "cancelled before the first file", arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -273,21 +306,22 @@ func TestVFSWriteFailures(t *testing.T) {
 // TestJournaledFailureMidBatch: a write failing inside batch b leaves a
 // journal covering exactly the b sealed batches before it — nothing of the
 // failed batch, although some of its files are on disk — and a second
-// execution resumes from there to the pinned manifest.
+// execution resumes from there to the pinned manifest. Batches are runs of
+// the shard's directory order.
 func TestJournaledFailureMidBatch(t *testing.T) {
 	const batch = 8
 	pristine := goldenShard(t)
+	order := fsimage.DirOrder(pristine.Files)
 	for _, j := range []int{1, 4} {
 		for _, b := range []int{0, 5, len(pristine.Files) / batch} {
 			t.Run(fmt.Sprintf("j=%d batch %d", j, b), func(t *testing.T) {
 				root, journal := t.TempDir(), filepath.Join(t.TempDir(), "journal")
 				opts := WorkerOptions{Parallelism: j, JournalPath: journal, BatchFiles: batch}
 				spoiled := withFiles(pristine)
-				// The batch's last file in write order, so the rest of it
-				// is written before the failure at Parallelism 1.
+				// The batch's last file, so the rest of it is written before
+				// the failure at Parallelism 1.
 				lo, hi := b*batch, min((b+1)*batch, len(pristine.Files))
-				inBatch := writeOrder(pristine.Files[lo:hi])
-				spoiled.Files[lo+inBatch[len(inBatch)-1]].Name = strings.Repeat("x", 300)
+				spoiled.Files[order.Index(hi-1)].Name = strings.Repeat("x", 300)
 
 				baseline := runtime.NumGoroutine()
 				res, err := Execute(context.Background(), spoiled, DirTarget(root), opts)

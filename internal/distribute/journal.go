@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"impressions/internal/fsimage"
 )
@@ -18,26 +19,31 @@ import (
 // a worker executing a shard flushes sealed batches of per-file content
 // digests to an append-only journal as the content pass runs, so a
 // preempted worker resumes from the last sealed batch instead of
-// regenerating the whole shard. The journal is the mid-shard analogue of the sealed manifest —
+// regenerating the whole shard. Batches follow the order the shard is
+// written in, by directory (fsimage.DirOrder), so a resume point is a prefix
+// of that order. The journal is the mid-shard analogue of the sealed manifest —
 // every batch is fingerprint-bound and chained to its predecessor, so a
 // stale, torn, or foreign journal is detected and discarded, never trusted.
 
-// JournalVersion is the shard-journal wire version.
-const JournalVersion = 1
+// JournalVersion is the shard-journal wire version. Version 2 indexes
+// batches by the shard's directory order (fsimage.DirOrder of
+// ShardView.Files); a version 1 journal indexed the file list itself, so it
+// is refused and the shard restarts.
+const JournalVersion = 2
 
 // journalChainSeed anchors the batch seal chain.
-const journalChainSeed = "impressions-journal-v1"
+const journalChainSeed = "impressions-journal-v2"
 
 // JournalBatch is one sealed entry of a shard journal: the content digests
-// (and byte count) of a contiguous run of the shard's files, in shard file
-// order. Start indexes into the shard's file list (ShardView.Files), not
-// image file IDs, so contiguity is trivial to verify.
+// (and byte count) of a contiguous run of the shard's files in its
+// directory order, fsimage.DirOrder(ShardView.Files). Start indexes into
+// that order, not image file IDs, so contiguity is trivial to verify.
 type JournalBatch struct {
 	FormatVersion   int    `json:"format_version"`
 	PlanFingerprint string `json:"plan_fingerprint"`
 	Shard           int    `json:"shard"`
-	// Start is the index (in the shard's file list) of the batch's first
-	// file; a valid journal's batches are contiguous from 0.
+	// Start is the position (in the shard's directory order) of the batch's
+	// first file; a valid journal's batches are contiguous from 0.
 	Start int `json:"start"`
 	// Digests holds the SHA-256 (hex) of each file's written content.
 	Digests []string `json:"digests"`
@@ -48,14 +54,27 @@ type JournalBatch struct {
 	Seal string `json:"seal"`
 }
 
-// sealBatch computes a batch's chain seal over the previous one's.
+// sealBatch computes a batch's chain seal over the previous one's: the
+// SHA-256 of the previous seal, a header line and one line per digest.
 func sealBatch(prev string, b *JournalBatch) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nv%d plan:%s shard:%d start:%d bytes:%d\n", prev, b.FormatVersion, b.PlanFingerprint, b.Shard, b.Start, b.Bytes)
+	buf := make([]byte, 0, len(prev)+len(b.PlanFingerprint)+96+65*len(b.Digests))
+	buf = append(buf, prev...)
+	buf = append(buf, "\nv"...)
+	buf = strconv.AppendInt(buf, int64(b.FormatVersion), 10)
+	buf = append(buf, " plan:"...)
+	buf = append(buf, b.PlanFingerprint...)
+	buf = append(buf, " shard:"...)
+	buf = strconv.AppendInt(buf, int64(b.Shard), 10)
+	buf = append(buf, " start:"...)
+	buf = strconv.AppendInt(buf, int64(b.Start), 10)
+	buf = append(buf, " bytes:"...)
+	buf = strconv.AppendInt(buf, b.Bytes, 10)
+	buf = append(buf, '\n')
 	for _, d := range b.Digests {
-		fmt.Fprintf(h, "%s\n", d)
+		buf = append(append(buf, d...), '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // ShardJournal appends sealed digest batches for one shard execution to a
@@ -71,7 +90,7 @@ type ShardJournal struct {
 // journalRecovery is what loading a journal yields: the files already
 // proven done and the chain state appends continue from.
 type journalRecovery struct {
-	digests  []string // per shard-file-index, contiguous from 0
+	digests  []string // in directory order, contiguous from 0
 	bytes    int64
 	lastSeal string
 	// size is the length of the verified prefix of the file: what follows it
@@ -198,7 +217,9 @@ func (j *ShardJournal) Append(digests []string, bytes int64) error {
 func (j *ShardJournal) Close() error { return j.f.Close() }
 
 // DefaultJournalBatch is the files-per-batch flush granularity of journaled
-// shard execution.
+// shard execution. A batch is a contiguous run of the shard's directory
+// order, so at SMALL's ten files per directory it spans a few dozen
+// directories, each opened once.
 const DefaultJournalBatch = 256
 
 // JournalFile names the journal of one shard of one plan under workDir. A
@@ -212,18 +233,19 @@ func JournalFile(workDir, fingerprint string, shard int) string {
 
 // recoverJournal returns what the journal at path proves done for this
 // shard under outRoot, trusting it only as far as the disk agrees: every
-// resumed file must exist, regular, at its planned size (a stat pass, not a
+// resumed file — a prefix of order, the shard's directory order — must
+// exist, regular, at its planned size (a stat pass in that order, not a
 // re-hash — the seal chain plus fingerprint binding covers content), and
 // must have been written in the content mode this execution runs in — a
 // metadata-only run seals empty digests over sized, empty files, which are
 // exactly what the stat pass accepts. A journal that cannot be trusted is
 // deleted, not argued with: the recovery is then empty and the shard
 // restarts from scratch.
-func recoverJournal(path string, v *ShardView, outRoot string, metadataOnly bool) *journalRecovery {
+func recoverJournal(path string, v *ShardView, order fsimage.FileOrder, outRoot string, metadataOnly bool) *journalRecovery {
 	rec, err := loadJournal(path, v.Plan.Fingerprint(), v.Shard)
-	trusted := err == nil && len(rec.digests) <= len(v.Files)
+	trusted := err == nil && len(rec.digests) <= len(order)
 	for i := 0; trusted && i < len(rec.digests); i++ {
-		f := v.Files[i]
+		f := v.Files[order.Index(i)]
 		info, serr := os.Stat(filepath.Join(outRoot, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name))
 		trusted = serr == nil && info.Mode().IsRegular() && info.Size() == f.Size && (rec.digests[i] == "") == metadataOnly
 	}

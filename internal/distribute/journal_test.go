@@ -207,8 +207,9 @@ func TestIncrementalMissingResumedFile(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal")
 	view := crashShard(t, p, 0, outRoot, journal, 20)
 
-	// Delete one file the journal claims is done.
-	victim := filepath.Join(outRoot, view.Tree.Path(view.Files[0].DirID), view.Files[0].Name)
+	// Delete one file the journal claims is done: the first it sealed.
+	first := view.Files[fsimage.DirOrder(view.Files).Index(0)]
+	victim := filepath.Join(outRoot, view.Tree.Path(first.DirID), first.Name)
 	if err := os.Remove(victim); err != nil {
 		t.Fatalf("removing %s: %v", victim, err)
 	}
@@ -286,6 +287,122 @@ func TestJournalFromOtherContentMode(t *testing.T) {
 			}
 			if got != want {
 				t.Error("the tree still holds the first mode's file contents")
+			}
+		})
+	}
+}
+
+// TestResumeInDirectoryOrder: journal positions index the shard's directory
+// order. A crash in the middle of one directory's run of files, or exactly
+// on a batch boundary, leaves on disk the files of the sealed prefix of
+// that order and no other, and the execution resuming from it skips them
+// and seals the pinned manifest.
+func TestResumeInDirectoryOrder(t *testing.T) {
+	const batch = 8
+	pristine := goldenShard(t)
+	order := fsimage.DirOrder(pristine.Files)
+	// A crash point on no batch boundary with two files of one directory's
+	// run before it and two after.
+	midRun := -1
+	for p := batch + 2; p+1 < len(order) && midRun < 0; p++ {
+		dir := pristine.Files[order.Index(p)].DirID
+		if p%batch != 0 && pristine.Files[order.Index(p-2)].DirID == dir && pristine.Files[order.Index(p+1)].DirID == dir {
+			midRun = p
+		}
+	}
+	if midRun < 0 {
+		t.Fatal("no directory run spans a crash point")
+	}
+	for _, c := range []struct {
+		name  string
+		crash int
+	}{
+		{fmt.Sprintf("mid-run at file %d", midRun), midRun},
+		{"on the boundary of batch 2", 2 * batch},
+	} {
+		for _, j := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s j=%d", c.name, j), func(t *testing.T) {
+				root, journal := t.TempDir(), filepath.Join(t.TempDir(), "journal")
+				opts := WorkerOptions{Parallelism: j, JournalPath: journal, BatchFiles: batch, FailAfterFiles: c.crash}
+				if _, err := Execute(context.Background(), pristine, DirTarget(root), opts); !errors.Is(err, ErrSimulatedCrash) {
+					t.Fatalf("injected crash: got %v, want ErrSimulatedCrash", err)
+				}
+				rec, err := loadJournal(journal, pristine.Plan.Fingerprint(), pristine.Shard)
+				if err != nil || len(rec.digests) != c.crash {
+					t.Fatalf("the crashed run's journal proves %v files (%v), want %d", rec, err, c.crash)
+				}
+				if n := regularFiles(t, root); n != c.crash {
+					t.Errorf("%d files on disk, want the %d the journal proves", n, c.crash)
+				}
+				for i := range c.crash {
+					f := pristine.Files[order.Index(i)]
+					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(pristine.Tree.Path(f.DirID)), f.Name)); err != nil {
+						t.Errorf("file %d of the directory order, proven by the journal: %v", i, err)
+					}
+				}
+				opts.FailAfterFiles = 0
+				res, err := Execute(context.Background(), pristine, DirTarget(root), opts)
+				if err != nil {
+					t.Fatalf("resumed execution: %v", err)
+				}
+				if res.ResumedFiles != c.crash || res.Manifest.ManifestSHA256 != goldenManifests[1] {
+					t.Errorf("resumed %d files to manifest %s, want %d and %s", res.ResumedFiles, res.Manifest.ManifestSHA256, c.crash, goldenManifests[1])
+				}
+			})
+		}
+	}
+}
+
+// goldenJournalV1 is the SHA-256 of testdata/journal-v1-shard1.jsonl: the
+// journal a JournalVersion 1 build left when FailAfterFiles stopped
+// goldenShard at 20 files, in batches of 8 — that build's goldenJournals[1].
+const goldenJournalV1 = "3f0d0d4abe6159dc7a767510b4e3576464fc0cbe1134339a34ba795c17182435"
+
+// TestJournalV1Refused: a version 1 journal indexes the shard's file list,
+// not its directory order, so it is refused and deleted, and the shard
+// restarts to the pinned manifest — though every file it names is on disk
+// at its size, so the version alone refuses it.
+func TestJournalV1Refused(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "journal-v1-shard1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(v1); got != goldenJournalV1 {
+		t.Fatalf("the version 1 journal hashes to %s, pinned %s", got, goldenJournalV1)
+	}
+	pristine := goldenShard(t)
+	for _, j := range []int{1, 4} {
+		t.Run(fmt.Sprintf("j=%d", j), func(t *testing.T) {
+			root, journal := t.TempDir(), filepath.Join(t.TempDir(), "journal")
+			if _, err := Execute(context.Background(), pristine, DirTarget(root), WorkerOptions{Parallelism: j}); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(journal, v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := loadJournal(journal, pristine.Plan.Fingerprint(), pristine.Shard); !errors.Is(err, fsimage.ErrPlanVersion) {
+				t.Fatalf("loading the version 1 journal: got %v, want ErrPlanVersion", err)
+			}
+			if rec := recoverJournal(journal, pristine, fsimage.DirOrder(pristine.Files), root, false); len(rec.digests) != 0 {
+				t.Fatalf("the version 1 journal proved %d files", len(rec.digests))
+			}
+			if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("the refused journal was not deleted: %v", err)
+			}
+
+			if err := os.WriteFile(journal, v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Execute(context.Background(), pristine, DirTarget(root), WorkerOptions{Parallelism: j, JournalPath: journal, BatchFiles: 8})
+			if err != nil {
+				t.Fatalf("execution over the version 1 journal: %v", err)
+			}
+			if res.ResumedFiles != 0 || res.Manifest.ManifestSHA256 != goldenManifests[1] {
+				t.Errorf("resumed %d files to manifest %s, want none and %s", res.ResumedFiles, res.Manifest.ManifestSHA256, goldenManifests[1])
+			}
+			// What the execution left is its own journal, version 2 throughout.
+			if rec, err := loadJournal(journal, pristine.Plan.Fingerprint(), pristine.Shard); err != nil || len(rec.digests) != len(pristine.Files) {
+				t.Errorf("the journal after the restart: %v, want all %d files of version 2", err, len(pristine.Files))
 			}
 		})
 	}

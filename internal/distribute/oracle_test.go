@@ -234,8 +234,9 @@ func FuzzDocumentReader(f *testing.F) {
 }
 
 // FuzzManifestReader: DecodeManifest and its encoding/json oracle on
-// arbitrary bytes. Seeds are FuzzManifest's, its committed corpus among
-// them.
+// arbitrary bytes, and Encode and json.Encoder on every manifest the oracle
+// decodes: the same bytes. Seeds are FuzzManifest's, its committed corpus
+// among them.
 func FuzzManifestReader(f *testing.F) {
 	p := planRoundTrip(f, testConfig(), 2)
 	for _, opts := range []WorkerOptions{{}, {MetadataOnly: true}} {
@@ -262,6 +263,19 @@ func FuzzManifestReader(f *testing.F) {
 		sameVerdict(t, gotErr, wantErr)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("the reader decodes %+v; encoding/json %+v", got, want)
+		}
+		if want == nil {
+			return
+		}
+		var enc, oracle bytes.Buffer
+		if err := want.Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewEncoder(&oracle).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), oracle.Bytes()) {
+			t.Fatalf("Encode writes\n%q\njson.Encoder\n%q", enc.Bytes(), oracle.Bytes())
 		}
 	})
 }

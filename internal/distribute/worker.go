@@ -103,12 +103,59 @@ func (m *Manifest) VerifySelf() error {
 	return nil
 }
 
-// Encode writes the manifest as JSON.
+// Encode writes the manifest as JSON in one write, byte for byte what
+// json.NewEncoder(w).Encode(m) writes, trailing newline included
+// (FuzzManifestReader holds it to that).
 func (m *Manifest) Encode(w io.Writer) error {
-	if err := json.NewEncoder(w).Encode(m); err != nil {
+	if _, err := w.Write(m.appendJSON(make([]byte, 0, 512+112*len(m.FileDigests)))); err != nil {
 		return fmt.Errorf("distribute: encoding manifest: %w", err)
 	}
 	return nil
+}
+
+// appendJSON appends the manifest's JSON line, the writing counterpart of
+// read: integers and booleans appended directly, strings through
+// fsimage.AppendJSONString, a nil FileDigests as null and an empty SHA256
+// left out, as encoding/json renders them.
+func (m *Manifest) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"format_version":`...)
+	dst = strconv.AppendInt(dst, int64(m.FormatVersion), 10)
+	dst = append(dst, `,"plan_fingerprint":`...)
+	dst = fsimage.AppendJSONString(dst, m.PlanFingerprint)
+	dst = append(dst, `,"shard":`...)
+	dst = strconv.AppendInt(dst, int64(m.Shard), 10)
+	dst = append(dst, `,"dirs":`...)
+	dst = strconv.AppendInt(dst, int64(m.Dirs), 10)
+	dst = append(dst, `,"files":`...)
+	dst = strconv.AppendInt(dst, int64(m.Files), 10)
+	dst = append(dst, `,"bytes":`...)
+	dst = strconv.AppendInt(dst, m.Bytes, 10)
+	dst = append(dst, `,"content_hashed":`...)
+	dst = strconv.AppendBool(dst, m.ContentHashed)
+	dst = append(dst, `,"file_digests":`...)
+	if m.FileDigests == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, fd := range m.FileDigests {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"id":`...)
+			dst = strconv.AppendInt(dst, int64(fd.ID), 10)
+			dst = append(dst, `,"size":`...)
+			dst = strconv.AppendInt(dst, fd.Size, 10)
+			if fd.SHA256 != "" {
+				dst = append(dst, `,"sha256":`...)
+				dst = fsimage.AppendJSONString(dst, fd.SHA256)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"manifest_sha256":`...)
+	dst = fsimage.AppendJSONString(dst, m.ManifestSHA256)
+	return append(dst, "}\n"...)
 }
 
 // DecodeManifest reads a manifest previously written by Encode: one object
@@ -301,10 +348,11 @@ func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOption
 
 // writeDir materializes the shard under outRoot through the VFS writer,
 // fills digests and returns the bytes the shard holds and how many files a
-// journal let it skip. Without a journal the files go in one batch; with
-// one they go BatchFiles at a time in shard file order — a resume point is
-// a prefix of that order — and each batch is sealed into the journal before
-// the next starts.
+// journal let it skip. The files go in the shard's directory order
+// (fsimage.DirOrder), computed once: without a journal in one batch, with
+// one BatchFiles at a time — contiguous runs of that order, so a resume
+// point is a prefix of it — each sealed into the journal before the next
+// starts. Digests stay in their slots of the shard's file list.
 func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOptions, digests []string) (written int64, resumed int, err error) {
 	mopts := fsimage.MaterializeOptions{
 		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
@@ -315,40 +363,48 @@ func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOpti
 	}
 	// The directory pass is idempotent MkdirAll; run it every attempt so a
 	// resume against a cleaned output root recreates the skeleton.
-	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, mopts); err != nil {
+	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, nil, mopts); err != nil {
 		return 0, 0, err
 	}
+	order := fsimage.DirOrder(v.Files)
 	var journal *ShardJournal
-	batch := len(v.Files)
+	batch := len(order)
 	if opts.JournalPath != "" {
-		rec := recoverJournal(opts.JournalPath, v, outRoot, opts.MetadataOnly)
+		rec := recoverJournal(opts.JournalPath, v, order, outRoot, opts.MetadataOnly)
 		if journal, err = openJournal(opts.JournalPath, v.Plan.Fingerprint(), v.Shard, rec); err != nil {
 			return 0, 0, err
 		}
 		defer journal.Close()
-		copy(digests, rec.digests)
+		for i, d := range rec.digests {
+			digests[order.Index(i)] = d
+		}
 		written, resumed = rec.bytes, len(rec.digests)
 		if batch = opts.BatchFiles; batch <= 0 {
 			batch = DefaultJournalBatch
 		}
 	}
-	for lo, hi := resumed, 0; lo < len(v.Files); lo = hi {
-		hi = min(lo+batch, len(v.Files))
+	mopts.Digests = digests
+	var sealed []string // a batch's digests in directory order, for the journal
+	for lo, hi := resumed, 0; lo < len(order); lo = hi {
+		hi = min(lo+batch, len(order))
 		if opts.FailAfterFiles > 0 {
 			hi = min(hi, resumed+opts.FailAfterFiles)
 		}
-		mopts.Digests = digests[lo:hi]
-		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files[lo:hi], mopts)
+		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files, order[lo:hi], mopts)
 		if err != nil {
 			return 0, 0, err
 		}
 		if journal != nil {
-			if err := journal.Append(digests[lo:hi], n); err != nil {
+			sealed = sealed[:0]
+			for i := lo; i < hi; i++ {
+				sealed = append(sealed, digests[order.Index(i)])
+			}
+			if err := journal.Append(sealed, n); err != nil {
 				return 0, 0, err
 			}
 		}
 		written += n
-		if opts.FailAfterFiles > 0 && hi == resumed+opts.FailAfterFiles && hi < len(v.Files) {
+		if opts.FailAfterFiles > 0 && hi == resumed+opts.FailAfterFiles && hi < len(order) {
 			return 0, 0, ErrSimulatedCrash
 		}
 	}

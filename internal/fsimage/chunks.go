@@ -144,9 +144,9 @@ func (c *Chunk) recordsHash(buf []byte) (string, []byte) {
 
 // AppendJSON appends the chunk's wire form, byte for byte what
 // json.Marshal(c) returns, to dst. Integers, booleans and the strings that
-// JSON copies through verbatim (appendQuoted) are appended directly; any
-// other string and a non-zero Bias are rendered by encoding/json itself, so
-// its escaping and float rules are never restated here. Like json.Marshal
+// JSON copies through verbatim (AppendJSONString) are appended directly;
+// any other string and a non-zero Bias are rendered by encoding/json
+// itself, so its escaping and float rules are never restated here. Like json.Marshal
 // it fails on an infinite or NaN Bias. ChunkReader reads it back.
 func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"index":`...)
@@ -163,7 +163,7 @@ func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 			dst = append(dst, `,"parent":`...)
 			dst = strconv.AppendInt(dst, int64(d.Parent), 10)
 			dst = append(dst, `,"name":`...)
-			dst = appendQuoted(dst, d.Name, appendStdlibJSONString)
+			dst = AppendJSONString(dst, d.Name)
 			if d.Special {
 				dst = append(dst, `,"special":true`...)
 			}
@@ -188,9 +188,9 @@ func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 			dst = append(dst, `{"ID":`...)
 			dst = strconv.AppendInt(dst, int64(f.ID), 10)
 			dst = append(dst, `,"Name":`...)
-			dst = appendQuoted(dst, f.Name, appendStdlibJSONString)
+			dst = AppendJSONString(dst, f.Name)
 			dst = append(dst, `,"Ext":`...)
-			dst = appendQuoted(dst, f.Ext, appendStdlibJSONString)
+			dst = AppendJSONString(dst, f.Ext)
 			dst = append(dst, `,"Size":`...)
 			dst = strconv.AppendInt(dst, f.Size, 10)
 			dst = append(dst, `,"DirID":`...)
@@ -202,7 +202,7 @@ func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"sha256":`...)
-	dst = appendQuoted(dst, c.SHA256, appendStdlibJSONString)
+	dst = AppendJSONString(dst, c.SHA256)
 	return append(dst, '}'), nil
 }
 
@@ -311,6 +311,12 @@ func appendQuoted(dst []byte, s string, render func([]byte, string) []byte) []by
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"')
+}
+
+// AppendJSONString appends s as json.Marshal renders it: copied between
+// quotes when appendQuoted can, by encoding/json otherwise.
+func AppendJSONString(dst []byte, s string) []byte {
+	return appendQuoted(dst, s, appendStdlibJSONString)
 }
 
 // appendStdlibJSONString appends json.Marshal(s).

@@ -74,7 +74,7 @@ func TestMaterializeShardCollectsDigests(t *testing.T) {
 	}
 	for _, j := range []int{1, 4} {
 		opts.Parallelism, opts.Digests = j, make([]string, len(img.Files))
-		n, err := MaterializeShardRecords(t.TempDir(), img.Tree, dirs, img.Files, opts)
+		n, err := MaterializeShardRecords(t.TempDir(), img.Tree, dirs, img.Files, DirOrder(img.Files), opts)
 		if err != nil {
 			t.Fatalf("j=%d: MaterializeShardRecords: %v", j, err)
 		}

@@ -273,14 +273,14 @@ func TestMaterializeAllocsPerFile(t *testing.T) {
 	}
 	root := t.TempDir()
 	opts := MaterializeOptions{Seed: 1, Parallelism: 1}
-	if _, err := MaterializeShardRecords(root, tree, dirs, nil, opts); err != nil {
+	if _, err := MaterializeShardRecords(root, tree, dirs, nil, nil, opts); err != nil {
 		t.Fatal(err)
 	}
 	opts = opts.withDefaults(1) // the registry is built once, not per run
 	opts.Digests = make([]string, nFiles)
 	var err error
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, werr := MaterializeShardRecords(root, tree, nil, files, opts); werr != nil {
+		if _, werr := MaterializeShardRecords(root, tree, nil, files, DirOrder(files), opts); werr != nil {
 			err = werr
 		}
 	})

@@ -98,33 +98,60 @@ func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, erro
 	for i := range dirs {
 		dirs[i] = i
 	}
-	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, opts.withDefaults(img.Spec.Seed))
+	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, DirOrder(img.Files), opts.withDefaults(img.Spec.Seed))
 }
+
+// FileOrder is an order in which to write a slice of file records: one key
+// per file, DirID<<32 | the file's index in the slice.
+type FileOrder []uint64
+
+// DirOrder returns the order MaterializeShardRecords writes files in: by
+// directory and, within one, by position, so each directory's files are one
+// run. It is a sort of one key per file; a counting sort would cost O(dirs)
+// per MaterializeSink batch.
+func DirOrder(files []File) FileOrder {
+	order := make(FileOrder, len(files))
+	for k, f := range files {
+		order[k] = uint64(f.DirID)<<32 | uint64(k)
+	}
+	slices.Sort(order)
+	return order
+}
+
+// Index returns the index in the file slice of the i-th file of the order.
+func (o FileOrder) Index(i int) int { return int(uint32(o[i])) }
 
 // MaterializeShardRecords is the VFS writer: it creates the given
 // directories (tree IDs, ascending so parents precede children; a missing
-// ancestor is created on the way) in one serial pass, then writes the file
-// records with opts.Parallelism workers. Image.Materialize, every directory
-// target of the distributed executor and each of its journal batches are
-// calls to it. The root itself is created if missing. opts.Seed is used as
-// given — callers without an image pass the plan or spec seed.
+// ancestor is created on the way) in one serial pass, then writes the files
+// of order — a DirOrder of files, or a contiguous run of one — with
+// opts.Parallelism workers. Image.Materialize, every MaterializeSink batch,
+// every directory target of the distributed executor and each of its
+// journal batches are calls to it. The root itself is created if missing.
+// opts.Seed is used as given — callers without an image pass the plan or
+// spec seed.
 //
-// Files are written ordered by directory, so a worker's run of files
-// shares a path prefix and two workers seldom contend for one directory.
-// Each file's bytes come from its own stream, keyed by the seed and the
-// file ID alone, and opts.Digests slots are positional, so the tree and
-// the digests are identical at every parallelism. The first failed write
-// stops every worker at its next chunk of files, the context's cancellation
-// at its next file, and is the error returned; files already written stay in
-// place.
+// Each worker takes a chunk of the order, so its files come as runs of one
+// directory and two workers seldom contend for one. On Linux a worker opens
+// a directory once per run (O_RDONLY|O_DIRECTORY|O_CLOEXEC: the syscall
+// package has no O_PATH) and creates the run's files with openat(2) against
+// that descriptor, so no create walks the path from the root; the
+// descriptor is closed when the run ends and on every failure. Elsewhere
+// each file is opened by its full path. Each file's bytes come from its own
+// stream, keyed by the seed and the file ID alone, and opts.Digests slots
+// are positional in files, so the tree and the digests are identical at
+// every parallelism and in every order. The first failed write stops every
+// worker at its next chunk of files, the context's cancellation at its next
+// file, and is the error returned; files already written stay in place.
 //
 // Each directory is one mkdir(2) unless it cannot be (then MkdirAll's
-// checks run); each file is one raw descriptor from syscall.Open with
-// O_CLOEXEC, written through a pooled buffer whose write(2)s are retried on
-// EINTR and after short writes (Ftruncate'd instead under MetadataOnly), and
-// closed on every path, its close error checked. No *os.File is made, so
-// nothing but this function closes a descriptor it opened.
-func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, opts MaterializeOptions) (int64, error) {
+// checks run); each file is one raw descriptor opened with O_CLOEXEC,
+// written through a pooled buffer whose write(2)s are retried on EINTR and
+// after short writes (Ftruncate'd instead under MetadataOnly), and closed on
+// every path, its close error checked. No *os.File is made, so nothing but
+// this function closes a descriptor it opened. A file's path is built only
+// for the error that names it.
+func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, order FileOrder, opts MaterializeOptions) (int64, error) {
 	opts = opts.withDefaults(opts.Seed)
 	if opts.Digests != nil && len(opts.Digests) != len(files) {
 		return 0, fmt.Errorf("fsimage: digest slice has length %d, want %d", len(opts.Digests), len(files))
@@ -147,38 +174,31 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 			}
 		}
 	}
-	// Sorting directory<<32|position orders the files by directory and, within
-	// one, by position; a counting sort would cost O(dirs) per journal batch.
-	order := make([]uint64, len(files))
-	for k, f := range files {
-		order[k] = uint64(f.DirID)<<32 | uint64(k)
-	}
-	slices.Sort(order)
 
 	ctx := opts.ctx()
 	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	var written atomic.Int64
 	err := parallel.RunChunks(ctx, opts.Parallelism, len(order), func(lo, hi int) error {
 		var (
-			path []byte
-			sum  hash.Hash // taps the content when digests are wanted
-			n    int64
+			c   = newFileCreator(root, tree)
+			sum hash.Hash // taps the content when digests are wanted
+			n   int64
 		)
 		if opts.Digests != nil && !opts.MetadataOnly {
 			sum = sha256.New()
 		}
 		defer func() { written.Add(n) }()
-		for _, key := range order[lo:hi] {
+		defer c.close()
+		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			k := int(uint32(key))
+			k := order.Index(i)
 			f := files[k]
-			path = appendEntryPath(path, root, tree, f.DirID, f.Name)
 			// Each file owns a stream keyed by its ID: content depends only on
 			// the seed and the file, never on write order or worker identity.
-			if err := writeFile(string(path), f, opts, baseRNG.SplitN(uint64(f.ID)), sum); err != nil {
-				return err
+			if step, err := c.write(f, opts, baseRNG.SplitN(uint64(f.ID)), sum); err != nil {
+				return fmt.Errorf("fsimage: %s %q: %w", step, appendEntryPath(nil, root, tree, f.DirID, f.Name), err)
 			}
 			if sum != nil {
 				opts.Digests[k] = hex.EncodeToString(sum.Sum(nil))
@@ -298,7 +318,7 @@ func (s *MaterializeSink) flush() error {
 	if s.fold != nil {
 		opts.Digests = make([]string, len(batch))
 	}
-	n, err := MaterializeShardRecords(s.root, s.tree, dirs, batch, opts)
+	n, err := MaterializeShardRecords(s.root, s.tree, dirs, batch, DirOrder(batch), opts)
 	s.written += n
 	if err != nil || s.fold == nil {
 		return err
@@ -316,72 +336,56 @@ func (s *MaterializeSink) Written() int64 { return s.written }
 // descriptor out of any process started while it is open.
 const openFlags = syscall.O_CREAT | syscall.O_WRONLY | syscall.O_TRUNC | syscall.O_CLOEXEC
 
-// writeFile creates one file through a raw descriptor — no *os.File, so no
-// poller registration and no finalizer — and closes it on every path.
-func writeFile(path string, f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) error {
-	fd, err := syscall.Open(path, openFlags, filePerm)
-	for err == syscall.EINTR {
-		fd, err = syscall.Open(path, openFlags, filePerm)
-	}
-	if err != nil {
-		return fmt.Errorf("fsimage: creating file %q: %w", path, err)
-	}
-	switch {
-	case opts.MetadataOnly && f.Size > 0:
-		err = syscall.Ftruncate(fd, f.Size)
-		for err == syscall.EINTR {
-			err = syscall.Ftruncate(fd, f.Size)
-		}
-		if err != nil {
-			err = fmt.Errorf("fsimage: truncating %q: %w", path, err)
-		}
-	case !opts.MetadataOnly:
-		err = writeContent(fd, path, f, opts, rng, sum)
-	}
-	if cerr := syscall.Close(fd); cerr != nil && err == nil {
-		err = fmt.Errorf("fsimage: closing %q: %w", path, cerr)
-	}
-	return err
-}
-
-// writeContent generates the file's content onto fd through a pooled
-// fdWriter and flushes it.
-func writeContent[FD any](fd FD, path string, f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) error {
+// writeFile fills the file just created on fd — its content, or under
+// MetadataOnly its size — through a pooled fdWriter, and closes fd on every
+// path. A failure comes back with the step that failed; the caller names
+// the file.
+func writeFile[FD any](fd FD, f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) (step string, err error) {
 	w := writerPool.Get().(*fdWriter[FD])
 	defer writerPool.Put(w)
 	w.fd = fd
-	w.buf.Reset(w) // clears what a failed file left buffered
-	var dst io.Writer = w.buf
-	if sum != nil {
-		// The hash taps the generator's output directly, before buffering, so
-		// it observes exactly the bytes that reach the file.
-		dst = io.MultiWriter(w.buf, sum)
+	switch {
+	case opts.MetadataOnly && f.Size > 0:
+		step, err = "truncating", w.truncate(fd, f.Size)
+		for err == syscall.EINTR {
+			err = w.truncate(fd, f.Size)
+		}
+	case !opts.MetadataOnly:
+		w.buf.Reset(w) // clears what a failed file left buffered
+		var dst io.Writer = w.buf
+		if sum != nil {
+			// The hash taps the generator's output directly, before
+			// buffering, so it observes exactly the bytes that reach the file.
+			dst = io.MultiWriter(w.buf, sum)
+		}
+		if step, err = "writing content for", opts.Registry.ForExtension(f.Ext).Generate(dst, f.Size, rng); err == nil {
+			step, err = "flushing", w.buf.Flush()
+		}
 	}
-	if err := opts.Registry.ForExtension(f.Ext).Generate(dst, f.Size, rng); err != nil {
-		return fmt.Errorf("fsimage: writing content for %q: %w", path, err)
+	if cerr := w.close(fd); cerr != nil && err == nil {
+		step, err = "closing", cerr
 	}
-	if err := w.buf.Flush(); err != nil {
-		return fmt.Errorf("fsimage: flushing %q: %w", path, err)
-	}
-	return nil
+	return step, err
 }
 
 // writerPool recycles fdWriters and their 64 KB buffers, so concurrent shard
 // workers stop allocating either for every file.
-var writerPool = sync.Pool{New: func() any { return newFDWriter(syscall.Write) }}
+var writerPool = sync.Pool{New: func() any { return newFDWriter(syscall.Write, syscall.Ftruncate, syscall.Close) }}
 
 // fdWriter is an io.Writer over a raw descriptor, with the buffer that
-// flushes into it. FD is whatever syscall.Open returns — an int on Unix, a
-// Handle on Windows — so one definition serves every platform without a
-// build tag.
+// flushes into it and the calls that finish the file. FD is whatever
+// syscall.Open returns — an int on Unix, a Handle on Windows — so one
+// definition serves every platform without a build tag.
 type fdWriter[FD any] struct {
-	fd    FD
-	write func(FD, []byte) (int, error) // syscall.Write
-	buf   *bufio.Writer
+	fd       FD
+	write    func(FD, []byte) (int, error) // syscall.Write
+	truncate func(FD, int64) error         // syscall.Ftruncate
+	close    func(FD) error                // syscall.Close
+	buf      *bufio.Writer
 }
 
-func newFDWriter[FD any](write func(FD, []byte) (int, error)) *fdWriter[FD] {
-	w := &fdWriter[FD]{write: write}
+func newFDWriter[FD any](write func(FD, []byte) (int, error), truncate func(FD, int64) error, close func(FD) error) *fdWriter[FD] {
+	w := &fdWriter[FD]{write: write, truncate: truncate, close: close}
 	w.buf = bufio.NewWriterSize(w, 64*1024)
 	return w
 }
