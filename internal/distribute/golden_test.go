@@ -36,7 +36,10 @@ const (
 
 // goldenManifests are the ManifestSHA256 of shards 0-2 (29, 179 and 192
 // files); goldenJournals the SHA-256 of each shard's journal after a run at
-// BatchFiles 8 that FailAfterFiles stopped at 20 files.
+// BatchFiles 8 that FailAfterFiles stopped at 20 files. The journals were
+// pinned again at JournalVersion 2, whose positions index each shard's
+// directory order; the version 1 journal of shard 1 is kept as
+// testdata/journal-v1-shard1.jsonl (goldenJournalV1).
 var (
 	goldenManifests = [3]string{
 		"0525cda7c678cbd2773b00410f55b2aa349ed29f00a678bc046c85cb02e669ec",
@@ -44,9 +47,9 @@ var (
 		"d34e0f9b613c0504678cb5eb5a4593cbcf34c0862e0fdd8422d79038b5a4bc56",
 	}
 	goldenJournals = [3]string{
-		"d8128dcfbb3a12ea08feac372b5af118e28d8705bc88823eafa0b12f8ed333a3",
-		"3f0d0d4abe6159dc7a767510b4e3576464fc0cbe1134339a34ba795c17182435",
-		"87dd929f7c1513252caffa509116c69eec0c1dd575283ad9dd7645e6944742de",
+		"258c5a004c61f3c7817eeb5c87d7d2e2dcdbd884f0717ac0554b0228676aa49d",
+		"0cb5438ae83057ef1b03af61943d43705ac13dd41b8ca14c1c8c8492eeff41b9",
+		"fe5a9cad93e9bcf00b7766432f9119cc199b21597407411d78342fe53e678a92",
 	}
 )
 
