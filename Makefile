@@ -265,7 +265,9 @@ fuzz-smoke:
 # and govulncheck run when installed (CI installs pinned versions; local
 # runs skip them rather than forcing a download). The cross-builds cover the
 # platforms the test matrix does not run: the VFS writer calls syscall
-# directly, cmd/impressions does not build on windows (syscall.Kill), and
+# directly, with openat(2) on Linux and full-path opens elsewhere (the
+# darwin and windows vets cover that second writer, which no Linux run
+# executes), cmd/impressions does not build on windows (syscall.Kill), and
 # 386 is the 32-bit int every constant comparison must fit, which the 386
 # vet holds the test files to as well.
 lint:
@@ -276,6 +278,8 @@ lint:
 	GOOS=darwin $(GO) build ./...
 	GOOS=freebsd $(GO) build ./...
 	GOOS=windows $(GO) build $$($(GO) list ./... | grep -v '/cmd/impressions$$')
+	GOOS=darwin $(GO) vet ./internal/fsimage ./internal/distribute
+	GOOS=windows $(GO) vet ./internal/fsimage
 	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test -short ./internal/content ./internal/imgfmt ./internal/stats/... ./internal/search ./internal/workload ./internal/disk

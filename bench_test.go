@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"syscall"
 	"testing"
 
 	"impressions"
@@ -556,10 +555,13 @@ func BenchmarkMaterializeVFSSmallFiles(b *testing.B) {
 
 // BenchmarkVFSFloor is the kernel floor under BenchmarkMaterializeVFSSmallFiles:
 // the same image's directories made with one mkdir each, then its files —
-// by directory, as the writer goes — with one open, write and close each of
-// a constant buffer of the file's size, at runtime.NumCPU() goroutines. No
-// content, no hash, no bookkeeping (the paths are joined off the clock), so
-// the writer's time over this one is what the writer adds to the kernel.
+// by directory, as the writer goes, in one contiguous range per goroutine
+// at runtime.NumCPU() goroutines — each with one open, write and close of a
+// constant buffer of the file's size. On Linux a range opens each
+// directory once per run and creates the run's files with openat(2), as
+// the writer does (floorRange). No content, no hash, no bookkeeping (the
+// directory paths are joined off the clock), so the writer's time over
+// this one is what the writer adds to the kernel.
 func BenchmarkVFSFloor(b *testing.B) {
 	img := sinkBenchImage(b)
 	order := make([]int, len(img.Files))
@@ -580,10 +582,6 @@ func BenchmarkVFSFloor(b *testing.B) {
 		for id := range dirs {
 			dirs[id] = filepath.Join(root, filepath.FromSlash(img.Tree.Path(id)))
 		}
-		paths := make([]string, len(order))
-		for k, idx := range order {
-			paths[k] = filepath.Join(dirs[img.Files[idx].DirID], img.Files[idx].Name)
-		}
 		b.StartTimer()
 		for _, d := range dirs {
 			if err := os.Mkdir(d, 0o755); err != nil {
@@ -597,9 +595,7 @@ func BenchmarkVFSFloor(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for k := lo; k < hi && errs[w] == nil; k++ {
-					errs[w] = floorFile(paths[k], buf[:img.Files[order[k]].Size])
-				}
+				errs[w] = floorRange(dirs, img.Files, order[lo:hi], buf)
 			}()
 		}
 		wg.Wait()
@@ -608,20 +604,4 @@ func BenchmarkVFSFloor(b *testing.B) {
 		}
 	}
 	b.SetBytes(img.TotalBytes())
-}
-
-// floorFile is one file of BenchmarkVFSFloor: open, one write, close.
-func floorFile(path string, data []byte) error {
-	fd, err := syscall.Open(path, syscall.O_CREAT|syscall.O_WRONLY|syscall.O_TRUNC|syscall.O_CLOEXEC, 0o644)
-	if err != nil {
-		return err
-	}
-	n, err := syscall.Write(fd, data)
-	if err == nil && n != len(data) {
-		err = io.ErrShortWrite
-	}
-	if cerr := syscall.Close(fd); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -5,9 +5,12 @@
 // directory tree back into an image, and serialize images to JSON.
 //
 // There is one VFS writer, MaterializeShardRecords, over a slice of file
-// records: Image.Materialize and the distributed executor's directory
-// target are calls to it, and so is every batch of MaterializeSink, the
-// streamed writer that holds 4096 records of an image too large to retain.
+// records and a directory order of them (DirOrder): Image.Materialize and
+// the distributed executor's directory target, each of its journal batches
+// a run of that order, are calls to it, and so is every batch of
+// MaterializeSink, the streamed writer that holds 4096 records of an image
+// too large to retain. On Linux it creates each directory's run of files
+// with openat(2) against one descriptor on the directory.
 // ContentDigests/Digest is the hash-only oracle the writers are tested
 // against. The canonical digest has one fold, DigestFold, which holds no
 // tree: whoever feeds it formats the lines over the tree it already has —
