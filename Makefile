@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check bench-pipeline-check fuzz-smoke
+.PHONY: build test race bench bench-smoke lint fmt ci dist-check dist-fault-check mem-check serve-check fleet-fault-check image-sink-check bench-pipeline-check fuzz-smoke loc
 
 build:
 	$(GO) build ./...
@@ -293,5 +293,14 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# Lines of Go outside bench/pipeline/ (the benchmark's own module), non-test
+# and test apart: the measure the ROADMAP's line counts are taken with.
+loc:
+	@for kind in non-test test; do \
+		if [ $$kind = test ]; then sel=; else sel=-not; fi; \
+		n=$$(find . \( -path ./.git -o -path ./bench/pipeline \) -prune -o -name '*.go' $$sel -name '*_test.go' -print0 | xargs -0 cat | wc -l); \
+		echo "$$kind Go outside bench/pipeline/: $$n lines"; \
+	done
 
 ci: build lint race bench-smoke

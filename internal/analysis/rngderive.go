@@ -10,8 +10,8 @@ import (
 //
 // Child streams must be pure functions of (parent seed, stable key) through
 // the frozen wire contract — stats.DeriveSeed / DeriveSeedKey /
-// DeriveSeedIndex, or the RNG methods Fork / SplitStream / SplitN /
-// StreamKey.Apply. Ad-hoc arithmetic on raw seeds (`seed+i`, `seed^shard`,
+// DeriveSeedIndex, or the RNG methods Fork / SplitStream / SplitN.
+// Ad-hoc arithmetic on raw seeds (`seed+i`, `seed^shard`,
 // `seed*31+worker`) produces correlated lagged streams, breaks the
 // cross-process plan wire format, and is invisible to digest tests until a
 // collision flips bytes. The analyzer flags any RNG or source constructor

@@ -13,7 +13,7 @@ import (
 func generateBytes(t *testing.T, r *Registry, ext string, size int64, rng *stats.RNG) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := r.Generate(&buf, ext, size, rng); err != nil {
+	if err := r.ForExtension(ext).Generate(&buf, size, rng); err != nil {
 		t.Fatalf("generate %q: %v", ext, err)
 	}
 	return buf.Bytes()

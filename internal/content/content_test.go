@@ -15,7 +15,7 @@ func TestPopularityModelEmitsKnownWords(t *testing.T) {
 	rng := stats.NewRNG(1)
 	counts := map[string]int{}
 	for i := 0; i < 20000; i++ {
-		counts[m.Word(rng)]++
+		counts[string(m.AppendWord(nil, rng))]++
 	}
 	if counts["the"] == 0 {
 		t.Fatal("most popular word never emitted")
@@ -34,7 +34,7 @@ func TestLengthModelWordShapes(t *testing.T) {
 	rng := stats.NewRNG(2)
 	totalLen := 0
 	for i := 0; i < 5000; i++ {
-		w := m.Word(rng)
+		w := m.AppendWord(nil, rng)
 		if len(w) == 0 || len(w) > 24 {
 			t.Fatalf("word %q has unreasonable length", w)
 		}
@@ -60,7 +60,7 @@ func TestHybridModelMixesSources(t *testing.T) {
 	}
 	fromList, synthetic := 0, 0
 	for i := 0; i < 5000; i++ {
-		if known[m.Word(rng)] {
+		if known[string(m.AppendWord(nil, rng))] {
 			fromList++
 		} else {
 			synthetic++
@@ -74,7 +74,7 @@ func TestHybridModelMixesSources(t *testing.T) {
 func TestSingleWordModel(t *testing.T) {
 	m := NewSingleWordModel("")
 	rng := stats.NewRNG(4)
-	if m.Word(rng) != "impressions" || m.Word(rng) != "impressions" {
+	if string(m.AppendWord(nil, rng)) != "impressions" || string(m.AppendWord(nil, rng)) != "impressions" {
 		t.Error("single-word model should always emit the same word")
 	}
 }
@@ -401,6 +401,17 @@ func TestTextGeneratorSteadyStateAllocs(t *testing.T) {
 	// the occasional refill indicates a per-word or per-block regression.
 	if allocs > 1 {
 		t.Errorf("steady-state Generate performs %.1f allocs per call, want ~0", allocs)
+	}
+}
+
+// TestPopularWordsFitFusedPacking: the hybrid model packs " word" into a
+// 16-byte slot and keeps each word's length in a byte, so every built-in
+// popular word must be 1 to 15 bytes long.
+func TestPopularWordsFitFusedPacking(t *testing.T) {
+	for i, w := range popularWords {
+		if len(w) == 0 || len(w) >= 16 {
+			t.Errorf("popular word %d %q is %d bytes; the fused packing holds 1 to 15", i, w, len(w))
+		}
 	}
 }
 

@@ -91,30 +91,16 @@ const TextLineWidth = 72
 
 // TextGenerator writes text produced by a WordModel, wrapping lines at
 // TextLineWidth characters. Generation is block-based: words are appended
-// into a pooled 32 KB buffer (via the model's WordAppender fast path when it
-// has one) and line-wrapping decisions are amortized over whole blocks, so
-// steady-state text generation performs zero allocations.
+// into a pooled 32 KB buffer — by the model's own block filler when it has
+// one (HybridModel), else one AppendWord call at a time — and line-wrapping
+// decisions are amortized over whole blocks, so steady-state text
+// generation performs zero allocations.
 type TextGenerator struct {
 	Model WordModel
 }
 
 // NewTextGenerator returns a text generator over the given word model.
 func NewTextGenerator(model WordModel) *TextGenerator { return &TextGenerator{Model: model} }
-
-// appenderFor returns the model's allocation-free appender, or a per-word
-// string adapter for external models that only implement WordModel.
-func appenderFor(m WordModel) WordAppender {
-	if a, ok := m.(WordAppender); ok {
-		return a
-	}
-	return stringWordAdapter{m}
-}
-
-type stringWordAdapter struct{ m WordModel }
-
-func (a stringWordAdapter) AppendWord(dst []byte, rng *stats.RNG) []byte {
-	return append(dst, a.m.Word(rng)...)
-}
 
 // blockFiller is implemented by models that can fill a whole wrapped-text
 // block themselves, eliminating the per-word call from the generate loop.
@@ -127,13 +113,13 @@ type blockFiller interface {
 
 // fillBlockGeneric fills a block one AppendWord call at a time; it is the
 // path for models without a fused fillBlock.
-func fillBlockGeneric(app WordAppender, buf []byte, limit, lineLen int, rng *stats.RNG) ([]byte, int) {
+func fillBlockGeneric(m WordModel, buf []byte, limit, lineLen int, rng *stats.RNG) ([]byte, int) {
 	for len(buf) < limit {
 		wordStart := len(buf)
 		if lineLen > 0 {
 			buf = append(buf, ' ') // provisional; may become '\n'
 		}
-		buf = app.AppendWord(buf, rng)
+		buf = m.AppendWord(buf, rng)
 		if len(buf) == wordStart {
 			// Degenerate model emitting empty words: force progress.
 			buf = append(buf, ' ')
@@ -163,10 +149,6 @@ func (g *TextGenerator) Generate(w io.Writer, size int64, rng *stats.RNG) error 
 		return nil
 	}
 	filler, fused := g.Model.(blockFiller)
-	var app WordAppender
-	if !fused {
-		app = appenderFor(g.Model)
-	}
 	bp := getBlock()
 	buf := *bp
 	lineLen := 0 // length of the current (unterminated) line across blocks
@@ -182,7 +164,7 @@ func (g *TextGenerator) Generate(w io.Writer, size int64, rng *stats.RNG) error 
 		if fused {
 			buf, lineLen = filler.fillBlock(buf, limit, lineLen, rng)
 		} else {
-			buf, lineLen = fillBlockGeneric(app, buf, limit, lineLen, rng)
+			buf, lineLen = fillBlockGeneric(g.Model, buf, limit, lineLen, rng)
 		}
 		emit := buf
 		if need := size - written; int64(len(emit)) > need {

@@ -46,12 +46,12 @@ func oracleFillBlock(m *HybridModel, buf []byte, limit, lineLen int, rng *stats.
 		if idx < m.vocab {
 			wordLen = int(m.wordLens[idx])
 			if lineLen == 0 {
-				buf = append(buf, m.Popularity.words[idx]...)
+				buf = append(buf, m.words[idx]...)
 				lineLen = wordLen
 				continue
 			}
 			buf = append(buf, ' ')
-			buf = append(buf, m.Popularity.words[idx]...)
+			buf = append(buf, m.words[idx]...)
 		} else {
 			wordLen = idx - m.vocab + 1
 			if lineLen == 0 {

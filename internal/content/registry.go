@@ -1,10 +1,6 @@
 package content
 
-import (
-	"strings"
-
-	"impressions/internal/stats"
-)
+import "strings"
 
 // Registry maps file extensions to content generators and supplies the
 // fallback generators for text-like and unknown extensions. A Registry is the
@@ -92,11 +88,4 @@ func (r *Registry) ForExtension(ext string) Generator {
 		return r.textGen
 	}
 	return r.defaultGen
-}
-
-// Generate writes size bytes of content appropriate for the extension.
-func (r *Registry) Generate(w interface {
-	Write(p []byte) (int, error)
-}, ext string, size int64, rng *stats.RNG) error {
-	return r.ForExtension(ext).Generate(w, size, rng)
 }

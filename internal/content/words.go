@@ -44,24 +44,15 @@ var popularWords = []string{
 	"letter", "mother", "answer", "found", "study", "still", "learn", "should", "america", "world",
 }
 
-// WordModel samples words for generated text content.
+// WordModel samples words for generated text content. The next word is
+// appended to dst rather than returned as a string, so TextGenerator fills
+// content blocks without any per-word allocation.
 type WordModel interface {
-	// Word returns the next word to emit.
-	Word(rng *stats.RNG) string
-	// Name identifies the model in reproducibility reports.
-	Name() string
-}
-
-// WordAppender is the allocation-free fast path of a word model: the next
-// word is appended directly to dst instead of being returned as a string.
-// All built-in models implement it; TextGenerator uses it to fill content
-// blocks without any per-word allocation. External WordModel implementations
-// that do not implement WordAppender are adapted via Word (one string
-// allocation per word).
-type WordAppender interface {
 	// AppendWord appends the next word's bytes to dst and returns the
 	// extended slice.
 	AppendWord(dst []byte, rng *stats.RNG) []byte
+	// Name identifies the model in reproducibility reports.
+	Name() string
 }
 
 // PopularityModel draws words from the popular-word list with Zipf-weighted
@@ -77,19 +68,9 @@ func NewPopularityModel(s float64) *PopularityModel {
 	return &PopularityModel{words: popularWords, zipf: stats.NewZipf(s, len(popularWords))}
 }
 
-// Word returns a word with Zipf-distributed rank.
-func (m *PopularityModel) Word(rng *stats.RNG) string {
-	return m.words[m.zipf.SampleInt(rng)-1]
-}
-
-// AppendWord implements WordAppender without allocating.
+// AppendWord appends a word with Zipf-distributed rank.
 func (m *PopularityModel) AppendWord(dst []byte, rng *stats.RNG) []byte {
-	return m.appendWordU(dst, rng.Float64())
-}
-
-// appendWordU appends the word selected by an externally-drawn uniform.
-func (m *PopularityModel) appendWordU(dst []byte, u float64) []byte {
-	return append(dst, m.words[m.zipf.SampleIntU(u)-1]...)
+	return append(dst, m.words[m.zipf.SampleIntU(rng.Float64())-1]...)
 }
 
 // Name implements WordModel.
@@ -145,20 +126,10 @@ func lengthWeights() []float64 {
 	return weights
 }
 
-// Word returns a synthetic word with model-distributed length.
-func (m *LengthModel) Word(rng *stats.RNG) string {
-	return string(m.AppendWord(nil, rng))
-}
-
-// AppendWord implements WordAppender without allocating.
+// AppendWord appends a synthetic word with model-distributed length: one
+// draw picks the length, fresh draws the letters.
 func (m *LengthModel) AppendWord(dst []byte, rng *stats.RNG) []byte {
-	return m.appendWordU(dst, rng.Float64(), rng)
-}
-
-// appendWordU draws the word length from an externally-drawn uniform; the
-// letters come from fresh rng draws.
-func (m *LengthModel) appendWordU(dst []byte, u float64, rng *stats.RNG) []byte {
-	return appendLetters(dst, m.lengths.SampleU(u)+1, rng)
+	return appendLetters(dst, m.lengths.SampleU(rng.Float64())+1, rng)
 }
 
 // Name implements WordModel.
@@ -251,25 +222,19 @@ func appendLetters(dst []byte, length int, rng *stats.RNG) []byte {
 
 // HybridModel combines the popularity model for the body of common words with
 // the length model for the long tail, as §3.6 describes: maintaining an
-// exhaustive word list is slow, so the tail is synthesized instead. TailProb
-// is the probability that any given word comes from the tail.
+// exhaustive word list is slow, so the tail is synthesized instead.
 //
-// Models built by NewHybridModel fuse the body/tail selection, the body word
-// choice, and the tail word-length choice into one combined alias table, so
-// each word costs a single uniform draw (plus letter bits for tail words).
-// The public fields are treated as read-only after construction. Hand-built
-// literals (not recommended) skip the fused path and must populate both
-// Popularity and Length themselves.
+// One combined alias table fuses the body/tail selection, the body word
+// choice and the tail word-length choice, so each word costs a single
+// uniform draw (plus letter bits for tail words). Build it with
+// NewHybridModel.
 type HybridModel struct {
-	Popularity *PopularityModel
-	Length     *LengthModel
-	TailProb   float64
-
+	// words is the popular-word list, in rank order.
+	words []string
 	// combined indexes [0, vocab) onto popular words and [vocab, vocab+24)
-	// onto tail word lengths 1..24, pre-weighted by 1-TailProb and TailProb.
+	// onto tail word lengths 1..24, pre-weighted by 1-tailProb and tailProb.
 	combined stats.AliasTable
 	vocab    int
-	fused    bool
 	// wordsFixed packs " word" at a fixed 16-byte stride so the block filler
 	// emits a body word as one constant-size copy (two SSE moves) instead of
 	// a string-header load plus a memmove call. wordLens[i] is the length of
@@ -288,23 +253,16 @@ const wordReach = 1 + MaxSyntheticWordLength + letterSlack
 const _ uint = blockSlack - wordReach // blockSlack >= wordReach
 
 // NewHybridModel builds the hybrid word model with the given tail
-// probability (the paper lets users pick the blend; 0.2 is the default).
+// probability, the chance that any given word comes from the tail (the
+// paper lets users pick the blend; 0.2 is the default). Every popular word
+// is 1 to 15 bytes long, so " word" fits one 16-byte slot.
 func NewHybridModel(tailProb float64) *HybridModel {
-	if tailProb < 0 {
-		tailProb = 0
-	}
-	if tailProb > 1 {
-		tailProb = 1
-	}
-	m := &HybridModel{
-		Popularity: NewPopularityModel(1.0),
-		Length:     NewLengthModel(),
-		TailProb:   tailProb,
-	}
-	m.vocab = m.Popularity.Vocabulary()
+	tailProb = min(max(tailProb, 0), 1)
+	pop := NewPopularityModel(1.0)
+	m := &HybridModel{words: pop.words, vocab: pop.Vocabulary()}
 	weights := make([]float64, m.vocab+MaxSyntheticWordLength)
 	for i := 0; i < m.vocab; i++ {
-		weights[i] = (1 - tailProb) * m.Popularity.zipf.PMF(i+1)
+		weights[i] = (1 - tailProb) * pop.zipf.PMF(i+1)
 	}
 	lw := lengthWeights()
 	lwTotal := 0.0
@@ -315,19 +273,12 @@ func NewHybridModel(tailProb float64) *HybridModel {
 		weights[m.vocab+k] = tailProb * w / lwTotal
 	}
 	m.combined = stats.NewAliasTable(weights)
-	m.fused = true
 	m.wordsFixed = make([][16]byte, m.vocab)
 	m.wordLens = make([]uint8, len(weights))
 	for k := range MaxSyntheticWordLength {
 		m.wordLens[m.vocab+k] = uint8(k + 1)
 	}
-	for i, w := range m.Popularity.words {
-		if len(w) >= 16 || len(w) == 0 {
-			// A word list this packing cannot hold: keep correctness via the
-			// unfused path.
-			m.fused = false
-			break
-		}
+	for i, w := range m.words {
 		m.wordsFixed[i][0] = ' '
 		copy(m.wordsFixed[i][1:], w)
 		m.wordLens[i] = uint8(len(w))
@@ -335,24 +286,12 @@ func NewHybridModel(tailProb float64) *HybridModel {
 	return m
 }
 
-// Word returns the next word from either the popularity body or the
-// synthesized tail.
-func (m *HybridModel) Word(rng *stats.RNG) string {
-	return string(m.AppendWord(nil, rng))
-}
-
-// AppendWord implements WordAppender without allocating: one alias draw picks
-// the word (or tail length) directly.
+// AppendWord appends the next word from either the popularity body or the
+// synthesized tail: one alias draw picks the word (or tail length) directly.
 func (m *HybridModel) AppendWord(dst []byte, rng *stats.RNG) []byte {
-	if !m.fused {
-		if rng.Float64() < m.TailProb {
-			return m.Length.AppendWord(dst, rng)
-		}
-		return m.Popularity.AppendWord(dst, rng)
-	}
 	idx := m.combined.Sample(rng)
 	if idx < m.vocab {
-		return append(dst, m.Popularity.words[idx]...)
+		return append(dst, m.words[idx]...)
 	}
 	return appendLetters(dst, idx-m.vocab+1, rng)
 }
@@ -366,9 +305,6 @@ func (m *HybridModel) AppendWord(dst []byte, rng *stats.RNG) []byte {
 // block. A line only exceeds TextLineWidth when a single word is longer than
 // the width, which no built-in word source is.
 func (m *HybridModel) fillBlock(buf []byte, limit, lineLen int, rng *stats.RNG) ([]byte, int) {
-	if !m.fused {
-		return fillBlockGeneric(m, buf, limit, lineLen, rng)
-	}
 	pos := len(buf)
 	if pos >= limit {
 		return buf, lineLen
@@ -387,7 +323,7 @@ func (m *HybridModel) fillBlock(buf []byte, limit, lineLen int, rng *stats.RNG) 
 		idx := stats.PickColumn(cols, shift, v)
 		lineLen = int(lens[idx])
 		if idx < vocab {
-			copy(b[pos:], m.Popularity.words[idx])
+			copy(b[pos:], m.words[idx])
 		} else {
 			st = putLetters(b, pos, lineLen, st)
 		}
@@ -430,10 +366,7 @@ func NewSingleWordModel(word string) *SingleWordModel {
 	return &SingleWordModel{TheWord: word}
 }
 
-// Word returns the fixed word.
-func (m *SingleWordModel) Word(*stats.RNG) string { return m.TheWord }
-
-// AppendWord implements WordAppender without allocating.
+// AppendWord appends the fixed word.
 func (m *SingleWordModel) AppendWord(dst []byte, _ *stats.RNG) []byte {
 	return append(dst, m.TheWord...)
 }

@@ -29,6 +29,7 @@ import (
 	"math"
 	"sync"
 
+	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 	"impressions/internal/stats"
 )
@@ -230,9 +231,11 @@ func (d *Dataset) buildCurves() {
 
 // namespaceCurves runs the generative model of Agrawal et al. (parent chosen
 // with probability proportional to C(parent)+2) for nDirs directories and
-// returns the dirs-by-depth and dirs-by-subdir-count histograms. The model is
-// the namespace package's generative tree builder; the "desired" curves are
-// by definition the distributions that model produces (the paper fits the
+// returns the dirs-by-depth and dirs-by-subdir-count histograms, binned by
+// the fsimage.ImageStats accumulator that core.MeasureAccuracy reads an
+// image with, at the same DepthBins and 65 count bins. The model is the
+// namespace package's generative tree builder; the "desired" curves are by
+// definition the distributions that model produces (the paper fits the
 // model to the Windows dataset and then uses it as ground truth), so reusing
 // the builder here introduces no circularity beyond what the paper itself
 // does.
@@ -241,11 +244,8 @@ func namespaceCurves(rng *stats.RNG, nDirs int) (byDepth, bySubdirs *stats.Histo
 		nDirs = 1
 	}
 	tree := namespace.GenerateTree(rng, nDirs, namespace.ShapeGenerative)
-	hDepth := stats.NewHistogram(stats.UnitEdges(DepthBins))
-	copy(hDepth.Counts, tree.DepthHistogramCounts(DepthBins))
-	hSub := stats.NewHistogram(stats.UnitEdges(65))
-	copy(hSub.Counts, tree.SubdirCountHistogram(65))
-	return hDepth, hSub
+	st := fsimage.New(tree).Stats(fsimage.StatsConfig{DepthBins: DepthBins, CountBins: 65})
+	return st.DirsByDepth(), st.DirsBySubdir()
 }
 
 // DirsByDepthFor returns the desired directories-by-depth curve for a file

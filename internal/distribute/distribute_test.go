@@ -392,7 +392,7 @@ func TestExecuteShardValidation(t *testing.T) {
 	}
 	v.Plan.Shards[0].StreamKey = "not a key"
 	if _, err := executeView(v, DirTarget(t.TempDir()), WorkerOptions{}); err == nil {
-		t.Error("unparseable stream key should fail")
+		t.Error("unknown stream key should fail")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
 	"impressions/internal/jsonscan"
-	"impressions/internal/stats"
 )
 
 // shardWireHeader is the "view" object of a shard document.
@@ -265,19 +264,13 @@ func checkHeader(p *Plan) error {
 	return nil
 }
 
-// validateShardStreamKey checks that this build derives the content stream
-// the plan's shard records: the plan's key is authoritative, and a worker
-// must refuse it rather than silently write bytes from a different stream.
+// validateShardStreamKey checks that the plan's shard names the content
+// stream this build derives: a worker must refuse any other tag rather than
+// silently write bytes from a different stream.
 func validateShardStreamKey(p *Plan, shard int) error {
-	sp := p.Shards[shard]
-	key, err := stats.ParseStreamKey(sp.StreamKey)
-	if err != nil {
-		return fmt.Errorf("distribute: shard %d stream key: %v (%w)", shard, err, fsimage.ErrPlanVersion)
-	}
-	want := stats.DeriveSeed(p.Seed, fsimage.MaterializeStreamLabel)
-	if got := key.Apply(p.Seed); got != want {
-		return fmt.Errorf("distribute: shard %d stream key %q derives seed %d; this build's content stream derives %d — plan is from an incompatible version (%w)",
-			shard, sp.StreamKey, got, want, fsimage.ErrPlanVersion)
+	if key := p.Shards[shard].StreamKey; key != contentStreamKey {
+		return fmt.Errorf("distribute: shard %d stream key %q is not this build's content stream %q — plan is from an incompatible version (%w)",
+			shard, key, contentStreamKey, fsimage.ErrPlanVersion)
 	}
 	return nil
 }

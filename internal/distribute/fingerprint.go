@@ -17,24 +17,33 @@ const specFingerprintVersion = 1
 
 // NormalizeSpec canonicalizes an image spec exactly the way the planner
 // would interpret it: the spec is lowered to a Config (core.ConfigFromSpec),
-// plan-only knobs are forced the way resolvePlanMetadata forces them
-// (no disk simulation, perfect layout — plans describe images, not aged
-// disks), the config is validated and defaulted, and the generator's own
-// reproducibility spec is read back. Two differently-written specs that
-// resolve to the same generation inputs normalize to the same value, which
-// is what makes SpecFingerprint a usable content address.
+// handed to planGenerator as PlanRequest.Resolve hands its Config, and the
+// generator's own reproducibility spec is read back. Two differently-written
+// specs that resolve to the same generation inputs normalize to the same
+// value, which is what makes SpecFingerprint a usable content address.
 func NormalizeSpec(spec fsimage.Spec) (fsimage.Spec, error) {
 	cfg, err := core.ConfigFromSpec(spec)
 	if err != nil {
 		return fsimage.Spec{}, err
 	}
+	gen, err := planGenerator(cfg)
+	if err != nil {
+		return fsimage.Spec{}, err
+	}
+	return gen.Spec(), nil
+}
+
+// planGenerator validates and defaults a plan's Config into its generator,
+// with the plan-only settings forced: no disk simulation and a perfect
+// layout, because plans describe images, not aged disks.
+func planGenerator(cfg core.Config) (*core.Generator, error) {
 	cfg.SimulateDisk = false
 	cfg.LayoutScore = 1.0
 	gen, err := core.NewGenerator(cfg)
 	if err != nil {
-		return fsimage.Spec{}, fmt.Errorf("distribute: %w", err)
+		return nil, fmt.Errorf("distribute: %w", err)
 	}
-	return gen.Spec(), nil
+	return gen, nil
 }
 
 // SpecFingerprint returns the content address (SHA-256, hex) of the plan a

@@ -128,8 +128,8 @@ func handBuiltView() *ShardView {
 		FormatVersion: FormatVersion, Seed: 7, ContentKind: "default", DigestAlgo: fsimage.DigestVersion,
 		Files: 5, Dirs: tree.Len(), Bytes: 1<<40 + 19 + 100, ChunkSize: 3,
 		Shards: []ShardPlan{
-			{Index: 0, StreamKey: contentStreamKey().String(), Roots: []int{2}, Dirs: 3, Files: 4, Bytes: 1<<40 + 19},
-			{Index: 1, StreamKey: contentStreamKey().String(), Roots: []int{1}, Dirs: 1, Files: 1, Bytes: 100},
+			{Index: 0, StreamKey: contentStreamKey, Roots: []int{2}, Dirs: 3, Files: 4, Bytes: 1<<40 + 19},
+			{Index: 1, StreamKey: contentStreamKey, Roots: []int{1}, Dirs: 1, Files: 1, Bytes: 100},
 		},
 		// Shard 0's own chain is the one its records make, which the
 		// writer puts in its place.

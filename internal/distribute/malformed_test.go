@@ -95,8 +95,8 @@ const shardEntry = `"dirs":(\d+),"files":(\d+),"bytes":(\d+)\}`
 func emptyImageDoc() string {
 	hdr := `"format_version":4,"seed":1,"content_kind":"default","digest_algo":"` + fsimage.DigestVersion +
 		`","files":0,"dirs":0,"bytes":0,"spec":{},"chunk_size":64,"shards":[{"index":0,"stream_key":"` +
-		contentStreamKey().String() + `","roots":[],"dirs":0,"files":0,"bytes":0},{"index":1,"stream_key":"` +
-		contentStreamKey().String() + `","roots":[],"dirs":0,"files":0,"bytes":0}]`
+		contentStreamKey + `","roots":[],"dirs":0,"files":0,"bytes":0},{"index":1,"stream_key":"` +
+		contentStreamKey + `","roots":[],"dirs":0,"files":0,"bytes":0}]`
 	chain := fsimage.NewChunkHashChain().Sum()
 	return `{"view":{"format_version":4,"shard":1,"plan":{` + hdr +
 		`}},"records":[],"trailer":{"chunks":0,"chains":["` + chain + `","` + chain + `"]}}`
@@ -167,6 +167,7 @@ func malformedCases() []malformedCase {
 		row("content_kind bogus", swap(`"content_kind":"default","digest_algo"`, `"content_kind":"bogus","digest_algo"`), version),
 		row("stream_key zzz", swap(`"stream_key":"fork:materialize"`, `"stream_key":"zzz"`), version),
 		row("stream_key of another stream", swap(`"stream_key":"fork:materialize"`, `"stream_key":"fork:somethingelse"`), version),
+		row("stream_key escaped", swap(`"stream_key":"fork:materialize"`, `"stream_key":"fork:%6Daterialize"`), version),
 
 		// Header totals.
 		row("files 10^12", swap(`"files":400,"dirs":80`, `"files":1000000000000,"dirs":80`), integrity),

@@ -73,7 +73,7 @@
 // plan → K workers → merge produces an image byte-identical to a
 // single-process run, for any K — even across worker failures, retries and
 // resumed runs. This holds because every RNG stream is a pure function of
-// the master seed and a stable key (see stats.StreamKey), never of process
+// the master seed and a stable key (see stats.DeriveSeed), never of process
 // or worker identity, and because a shard's output is only trusted once its
 // sealed manifest verifies against the plan fingerprint.
 package distribute
@@ -86,7 +86,6 @@ import (
 	"os"
 
 	"impressions/internal/fsimage"
-	"impressions/internal/stats"
 )
 
 // FormatVersion is the plan/manifest wire-format version. Workers refuse
@@ -103,9 +102,11 @@ const FormatVersion = 4
 type ShardPlan struct {
 	// Index is the shard's position in Plan.Shards.
 	Index int `json:"index"`
-	// StreamKey is the stable RNG stream key (stats.StreamKey textual form)
-	// of the content stream root; per-file streams are idx:<fileID> children
-	// of it. Workers validate it instead of assuming this build's constant.
+	// StreamKey tags the shard's content stream: always contentStreamKey,
+	// "fork:materialize", the plan seed's Fork(fsimage.MaterializeStreamLabel)
+	// stream, whose SplitN(fileID) children fill the files. A worker refuses
+	// any other tag (ErrPlanVersion) rather than write bytes from a stream
+	// this build does not derive.
 	StreamKey string `json:"stream_key"`
 	// Roots lists the cut-set subtree roots owned by this shard. Roots may
 	// sit at any depth (the balanced partitioner cuts dominant subtrees
@@ -149,12 +150,9 @@ type Plan struct {
 	Chains []string `json:"-"`
 }
 
-// contentStreamKey is the stream key every shard records for the content
-// pass. It is data, not just code: workers apply/validate what the plan
-// says rather than assuming their own constant.
-func contentStreamKey() stats.StreamKey {
-	return stats.StreamKey{stats.ForkStep(fsimage.MaterializeStreamLabel)}
-}
+// contentStreamKey is the stream tag every shard records for the content
+// pass.
+const contentStreamKey = "fork:" + fsimage.MaterializeStreamLabel
 
 // loadFile decodes the artifact in the file at path.
 func loadFile[T any](path string, decode func(io.Reader) (*T, error)) (*T, error) {

@@ -48,25 +48,22 @@ type ResolvedPlan struct {
 	parallelism int
 }
 
-// Resolve runs the request's metadata pass, with disk simulation forced off
-// (plans describe images; the expensive content pass is the workers'), and
-// partitions the namespace into balanced subtree shards: oversized subtrees
-// are cut at deeper levels, so one worker per shard holds even when the
-// generative model concentrates the namespace under a few top-level
-// directories. The partition comes from the compact tree, the per-shard
-// file and byte expectations from a streaming accumulator over the placement
-// columns: no file record is materialized. The metadata pass honors ctx. The
-// caller Closes the result.
+// Resolve runs the request's metadata pass on planGenerator (disk
+// simulation off: plans describe images; the expensive content pass is the
+// workers'), and partitions the namespace into balanced subtree shards:
+// oversized subtrees are cut at deeper levels, so one worker per shard holds
+// even when the generative model concentrates the namespace under a few
+// top-level directories. The partition comes from the compact tree, the
+// per-shard file and byte expectations from a streaming accumulator over the
+// placement columns: no file record is materialized. The metadata pass
+// honors ctx. The caller Closes the result.
 func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
 	if r.MaxShards < 1 {
 		return nil, fmt.Errorf("distribute: shard count %d < 1 (%w)", r.MaxShards, fsimage.ErrInvalidSpec)
 	}
-	cfg := r.Config
-	cfg.SimulateDisk = false
-	cfg.LayoutScore = 1.0
-	gen, err := core.NewGenerator(cfg)
+	gen, err := planGenerator(r.Config)
 	if err != nil {
-		return nil, fmt.Errorf("distribute: %w", err)
+		return nil, err
 	}
 	m, err := gen.ResolveMetadataContext(ctx)
 	if err != nil {
@@ -82,12 +79,11 @@ func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
 		m.Close()
 		return nil, fmt.Errorf("distribute: accumulating shard expectations: %w", err)
 	}
-	key := contentStreamKey().String()
 	shards := make([]ShardPlan, part.Len())
 	for s := range shards {
 		shards[s] = ShardPlan{
 			Index:     s,
-			StreamKey: key,
+			StreamKey: contentStreamKey,
 			Roots:     part.ShardRoots(s),
 			Dirs:      len(part.Shards[s]),
 			Files:     acc.Files(s),
@@ -106,7 +102,7 @@ func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
 		Spec:          spec,
 		ChunkSize:     chunkSize,
 		Shards:        shards,
-	}, Meta: m, part: part, parallelism: cfg.Parallelism}, nil
+	}, Meta: m, part: part, parallelism: r.Config.Parallelism}, nil
 }
 
 // Source replays the plan from the columns: the records its fragments

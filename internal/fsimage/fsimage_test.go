@@ -132,6 +132,16 @@ func TestHistogramsConsistent(t *testing.T) {
 			t.Errorf("negative mean bytes at depth %d", d)
 		}
 	}
+
+	// A chain of 101 directories: depths 16 through 100 pool into the last
+	// of 17 depth bins.
+	deep := New(namespace.GenerateTree(nil, 101, namespace.ShapeDeep)).Stats(StatsConfig{SizeMaxExp: 37, DepthBins: 17, CountBins: 65})
+	if total := deep.DirsByDepth().Total(); total != 101 {
+		t.Errorf("deep tree: dirs-by-depth total %g, want 101", total)
+	}
+	if last := deep.DirsByDepth().Counts[16]; last != 101-16 {
+		t.Errorf("deep tree: last depth bin %g, want %d", last, 101-16)
+	}
 }
 
 func TestTopExtensions(t *testing.T) {

@@ -137,22 +137,6 @@ func TestMarkSpecialSanitizesNames(t *testing.T) {
 	}
 }
 
-func TestDepthHistogramCounts(t *testing.T) {
-	tree := GenerateTree(nil, 101, ShapeDeep)
-	counts := tree.DepthHistogramCounts(17)
-	total := 0.0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 101 {
-		t.Errorf("histogram total %g, want 101", total)
-	}
-	// Depths 17..100 are pooled into the last bin.
-	if counts[16] != 101-16 {
-		t.Errorf("last bin %g, want %d", counts[16], 101-16)
-	}
-}
-
 func TestPlacerPlacesAllFiles(t *testing.T) {
 	rng := stats.NewRNG(4)
 	tree := GenerateTree(rng, 200, ShapeGenerative)

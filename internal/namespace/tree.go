@@ -317,35 +317,6 @@ func (t *Tree) SpecialDirs() []int {
 	return out
 }
 
-// DepthHistogramCounts returns the count of directories at each depth from 0
-// through maxBins-1; deeper directories are accumulated into the last bin.
-func (t *Tree) DepthHistogramCounts(maxBins int) []float64 {
-	out := make([]float64, maxBins)
-	for _, d := range t.Dirs {
-		bin := d.Depth
-		if bin >= maxBins {
-			bin = maxBins - 1
-		}
-		out[bin]++
-	}
-	return out
-}
-
-// SubdirCountHistogram returns the count of directories having each
-// subdirectory count from 0 through maxBins-1 (larger counts accumulate into
-// the last bin).
-func (t *Tree) SubdirCountHistogram(maxBins int) []float64 {
-	out := make([]float64, maxBins)
-	for _, d := range t.Dirs {
-		bin := d.SubdirCount
-		if bin >= maxBins {
-			bin = maxBins - 1
-		}
-		out[bin]++
-	}
-	return out
-}
-
 // sanitizeName makes a configured directory name one entry of its parent:
 // '/' and NUL become '_', and so do the dots of "." and "..", which name
 // the directory itself and its parent.

@@ -408,12 +408,10 @@ func entrySource(ctx context.Context, entry PlanEntry) distribute.PlanSource {
 	}
 }
 
-// planRequest lowers a request to the planner's (matching the normalization
-// SpecFingerprint applies).
+// planRequest lowers a request to the planner's; PlanRequest.Resolve forces
+// the plan-only settings SpecFingerprint normalizes by.
 func planRequest(req PlanRequest) (distribute.PlanRequest, error) {
 	cfg, err := core.ConfigFromSpec(req.Spec)
-	cfg.SimulateDisk = false
-	cfg.LayoutScore = 1.0
 	return distribute.PlanRequest{Config: cfg, MaxShards: req.Shards, ChunkSize: req.ChunkSize}, err
 }
 

@@ -397,7 +397,7 @@ func TestZipfRankOrdering(t *testing.T) {
 	rng := NewRNG(23)
 	counts := make([]int, 51)
 	for i := 0; i < 50000; i++ {
-		counts[z.SampleInt(rng)]++
+		counts[z.SampleIntU(rng.Float64())]++
 	}
 	if counts[1] <= counts[10] {
 		t.Errorf("rank 1 sampled %d times, rank 10 %d times; expected Zipf ordering", counts[1], counts[10])

@@ -1,22 +1,17 @@
 package stats
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
-
 // This file defines the *stable wire contract* for RNG stream derivation.
 //
 // Every derived stream in Impressions — a phase fork, a shard stream, a
 // per-file content stream — is a pure function of the parent seed and a
-// stable key, never of scheduling or worker identity. The distributed
-// pipeline (internal/distribute) serializes those keys into plan files so
-// that a worker on another machine (or another build of this code)
-// reconstructs exactly the same streams. The three derivation functions
-// below and the StreamKey textual encoding are therefore frozen: changing
-// any of them breaks cross-process and cross-version reproducibility, and
-// the golden-value tests in streamkey_test.go will fail loudly.
+// stable key, never of scheduling or worker identity, so a worker on another
+// machine (or another build of this code) reconstructs exactly the streams
+// a single process would. The three derivation functions below are
+// therefore frozen: changing any of them breaks cross-process and
+// cross-version reproducibility, and the golden-value tests in
+// streamkey_test.go will fail loudly. A plan names its shards' content
+// stream by the tag "fork:materialize" (Fork(fsimage.MaterializeStreamLabel)
+// of the plan seed), which workers hold to this build's constant.
 
 // DeriveSeed returns the child seed Fork(label) derives from a parent seed:
 // the parent seed XORed with the 64-bit FNV-1a hash of the label.
@@ -39,158 +34,4 @@ const splitIndexPhi = 0x632be59bd9b4e019
 // child stream of a parent seed.
 func DeriveSeedIndex(parent int64, i uint64) int64 {
 	return int64(splitmix64(uint64(parent) ^ splitmix64(i+splitIndexPhi)))
-}
-
-// StepKind identifies one derivation step of a StreamKey.
-type StepKind uint8
-
-const (
-	// StepFork derives via DeriveSeed (RNG.Fork).
-	StepFork StepKind = iota
-	// StepKey derives via DeriveSeedKey (RNG.SplitStream).
-	StepKey
-	// StepIndex derives via DeriveSeedIndex (RNG.SplitN).
-	StepIndex
-)
-
-// StreamStep is one step in a stream-key derivation chain.
-type StreamStep struct {
-	Kind  StepKind
-	Label string // for StepFork / StepKey
-	Index uint64 // for StepIndex
-}
-
-// StreamKey is a serializable chain of stream derivations. Applying it to a
-// master seed reproduces the seed of the RNG obtained by the equivalent
-// chain of Fork / SplitStream / SplitN calls. The textual form joins steps
-// with '/': "fork:materialize/idx:42" is Fork("materialize").SplitN(42).
-// Labels are escaped so arbitrary strings round-trip.
-type StreamKey []StreamStep
-
-// ForkStep returns a StepFork step.
-func ForkStep(label string) StreamStep { return StreamStep{Kind: StepFork, Label: label} }
-
-// KeyStep returns a StepKey step.
-func KeyStep(label string) StreamStep { return StreamStep{Kind: StepKey, Label: label} }
-
-// IndexStep returns a StepIndex step.
-func IndexStep(i uint64) StreamStep { return StreamStep{Kind: StepIndex, Index: i} }
-
-// Apply derives the final child seed from a master seed by running every
-// step in order.
-func (k StreamKey) Apply(seed int64) int64 {
-	for _, s := range k {
-		switch s.Kind {
-		case StepFork:
-			seed = DeriveSeed(seed, s.Label)
-		case StepKey:
-			seed = DeriveSeedKey(seed, s.Label)
-		case StepIndex:
-			seed = DeriveSeedIndex(seed, s.Index)
-		}
-	}
-	return seed
-}
-
-// RNG returns the RNG at the end of the derivation chain started from the
-// given master seed.
-func (k StreamKey) RNG(seed int64) *RNG { return NewRNG(k.Apply(seed)) }
-
-// String renders the key in its canonical textual form.
-func (k StreamKey) String() string {
-	var b strings.Builder
-	for i, s := range k {
-		if i > 0 {
-			b.WriteByte('/')
-		}
-		switch s.Kind {
-		case StepFork:
-			b.WriteString("fork:")
-			b.WriteString(escapeLabel(s.Label))
-		case StepKey:
-			b.WriteString("key:")
-			b.WriteString(escapeLabel(s.Label))
-		case StepIndex:
-			b.WriteString("idx:")
-			b.WriteString(strconv.FormatUint(s.Index, 10))
-		}
-	}
-	return b.String()
-}
-
-// ParseStreamKey parses the textual form produced by String.
-func ParseStreamKey(s string) (StreamKey, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, "/")
-	key := make(StreamKey, 0, len(parts))
-	for _, p := range parts {
-		kind, rest, ok := strings.Cut(p, ":")
-		if !ok {
-			return nil, fmt.Errorf("stats: stream-key step %q has no kind prefix", p)
-		}
-		switch kind {
-		case "fork", "key":
-			label, err := unescapeLabel(rest)
-			if err != nil {
-				return nil, fmt.Errorf("stats: stream-key step %q: %w", p, err)
-			}
-			k := StepFork
-			if kind == "key" {
-				k = StepKey
-			}
-			key = append(key, StreamStep{Kind: k, Label: label})
-		case "idx":
-			i, err := strconv.ParseUint(rest, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("stats: stream-key step %q: bad index: %w", p, err)
-			}
-			key = append(key, StreamStep{Kind: StepIndex, Index: i})
-		default:
-			return nil, fmt.Errorf("stats: stream-key step %q has unknown kind %q", p, kind)
-		}
-	}
-	return key, nil
-}
-
-// escapeLabel percent-encodes the characters that carry structure in the
-// textual form ('/', ':', '%') so arbitrary labels round-trip.
-func escapeLabel(s string) string {
-	if !strings.ContainsAny(s, "/:%") {
-		return s
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '/', ':', '%':
-			fmt.Fprintf(&b, "%%%02X", c)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
-func unescapeLabel(s string) (string, error) {
-	if !strings.Contains(s, "%") {
-		return s, nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] != '%' {
-			b.WriteByte(s[i])
-			continue
-		}
-		if i+2 >= len(s) {
-			return "", fmt.Errorf("truncated escape in %q", s)
-		}
-		v, err := strconv.ParseUint(s[i+1:i+3], 16, 8)
-		if err != nil {
-			return "", fmt.Errorf("bad escape in %q: %w", s, err)
-		}
-		b.WriteByte(byte(v))
-		i += 2
-	}
-	return b.String(), nil
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestStreamKeyGoldenValues freezes the stream-derivation wire contract.
 // These constants were computed once and must never change: plan files
@@ -19,7 +16,7 @@ func TestStreamKeyGoldenValues(t *testing.T) {
 		{"DeriveSeed(12345, materialize)", DeriveSeed(12345, "materialize"), -6244051659929340579},
 		{"DeriveSeedKey(12345, shard-7)", DeriveSeedKey(12345, "shard-7"), -1545897767454643603},
 		{"DeriveSeedIndex(12345, 42)", DeriveSeedIndex(12345, 42), -7150689837974186015},
-		{"chain fork:materialize/idx:42", StreamKey{ForkStep("materialize"), IndexStep(42)}.Apply(12345), 1470868729863677072},
+		{"Fork(materialize).SplitN(42)", NewRNG(12345).Fork("materialize").SplitN(42).Seed(), 1470868729863677072},
 	}
 	for _, c := range cases {
 		if c.got != c.want {
@@ -28,59 +25,30 @@ func TestStreamKeyGoldenValues(t *testing.T) {
 	}
 }
 
-// TestStreamKeyMatchesRNGMethods asserts that applying a StreamKey is
-// exactly equivalent to the corresponding chain of RNG method calls, for
-// every step kind.
+// TestStreamKeyMatchesRNGMethods asserts that each RNG derivation method
+// seeds its child with its Derive function, and that the child draws the
+// stream NewRNG gives that seed.
 func TestStreamKeyMatchesRNGMethods(t *testing.T) {
 	const seed = 987654321
 	root := NewRNG(seed)
-
-	viaMethods := root.Fork("materialize").SplitN(17).SplitStream("x/y:z")
-	key := StreamKey{ForkStep("materialize"), IndexStep(17), KeyStep("x/y:z")}
-	if got, want := key.Apply(seed), viaMethods.Seed(); got != want {
-		t.Fatalf("StreamKey.Apply = %d, want %d (RNG method chain)", got, want)
+	cases := []struct {
+		name  string
+		child *RNG
+		want  int64
+	}{
+		{"Fork", root.Fork("materialize"), DeriveSeed(seed, "materialize")},
+		{"SplitStream", root.SplitStream("x/y:z"), DeriveSeedKey(seed, "x/y:z")},
+		{"SplitN", root.SplitN(17), DeriveSeedIndex(seed, 17)},
 	}
-	// The derived RNG must produce the same draws.
-	a, b := key.RNG(seed), viaMethods
-	for i := 0; i < 16; i++ {
-		if av, bv := a.Uint64(), b.Uint64(); av != bv {
-			t.Fatalf("draw %d differs: %d vs %d", i, av, bv)
+	for _, c := range cases {
+		if got := c.child.Seed(); got != c.want {
+			t.Fatalf("%s seeds %d, its Derive function %d", c.name, got, c.want)
 		}
-	}
-}
-
-// TestStreamKeyRoundTrip checks String/ParseStreamKey round-trips,
-// including labels containing the structural characters.
-func TestStreamKeyRoundTrip(t *testing.T) {
-	keys := []StreamKey{
-		nil,
-		{ForkStep("materialize")},
-		{ForkStep("placement/depth"), IndexStep(3)},
-		{KeyStep("a:b/c%d"), IndexStep(0), ForkStep("")},
-		{IndexStep(18446744073709551615)},
-	}
-	for _, k := range keys {
-		s := k.String()
-		parsed, err := ParseStreamKey(s)
-		if err != nil {
-			t.Fatalf("ParseStreamKey(%q): %v", s, err)
-		}
-		if len(parsed) == 0 && len(k) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(parsed, k) {
-			t.Fatalf("round-trip %q: got %#v want %#v", s, parsed, k)
-		}
-		if parsed.Apply(55) != k.Apply(55) {
-			t.Fatalf("round-trip %q: derived seeds differ", s)
-		}
-	}
-}
-
-func TestStreamKeyParseErrors(t *testing.T) {
-	for _, bad := range []string{"fork", "idx:notanumber", "weird:x", "fork:a%2", "fork:a%zz", "idx:-1"} {
-		if _, err := ParseStreamKey(bad); err == nil {
-			t.Errorf("ParseStreamKey(%q) should fail", bad)
+		fresh := NewRNG(c.want)
+		for i := 0; i < 16; i++ {
+			if av, bv := c.child.Uint64(), fresh.Uint64(); av != bv {
+				t.Fatalf("%s: draw %d differs: %d vs %d", c.name, i, av, bv)
+			}
 		}
 	}
 }

@@ -42,11 +42,6 @@ func NewZipf(s float64, n int) Zipf {
 	return z
 }
 
-// SampleInt returns a rank in [1, N] in O(1).
-func (z *Zipf) SampleInt(rng *RNG) int {
-	return z.alias.Sample(rng) + 1
-}
-
 // SampleIntU maps one externally-drawn uniform in [0,1) to a rank in [1, N].
 func (z *Zipf) SampleIntU(u float64) int {
 	return z.alias.SampleU(u) + 1
