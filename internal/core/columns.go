@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
+	"impressions/internal/namespace"
 	"impressions/internal/parallel"
 )
 
@@ -306,4 +309,187 @@ func scanFiles(ctx context.Context, sizes *column[float64], exts *column[uint32]
 		}
 	}
 	return nil
+}
+
+// The renumbering. Placement leaves each file its directory in draw order;
+// the canonical order is directory-major — by directory ID, then by draw —
+// and a file's ID is its position in it, so every consumer gets each
+// directory's files as one run. The counts placement left in the tree give
+// each directory's first position. The columns are then moved by a counting
+// sort over regions of whole shards, in two passes that hold one shard per
+// region and one region, never a column:
+//
+//  1. (fused into placement's ordered pass) in draw order, each file takes
+//     its directory's next position and goes to the next free slot of the
+//     region that holds that position, so a region's slots fill in draw
+//     order;
+//  2. region by region, each value moves from its slot to its position,
+//     found again by the same per-directory cursor.
+//
+// Regions are √shards shards wide (16 at least), so both the slots in
+// hand and the region grow as the square root of the file count.
+
+// renumbering moves the per-file columns of one pass into directory-major
+// order.
+type renumbering struct {
+	m       *Metadata
+	next    []int // per directory: the position of its next file
+	sizes   *regions[float64]
+	exts    *regions[uint32]
+	parents *regions[int32]
+	to      []int32
+}
+
+func newRenumbering(m *Metadata) (*renumbering, error) {
+	n := m.sizes.n
+	size := max(16, int(math.Sqrt(float64(parallel.Shards(n))))) * parallel.DefaultShardSize
+	r := &renumbering{m: m, next: dirStarts(m.tree)}
+	var err error
+	if r.sizes, err = newRegions[float64](m.store, "sizes-by-dir.f64", n, size); err != nil {
+		return nil, err
+	}
+	if r.exts, err = newRegions[uint32](m.store, "exts-by-dir.u32", n, size); err != nil {
+		return nil, err
+	}
+	r.parents, err = newRegions[int32](m.store, "parents-by-dir.i32", n, size)
+	return r, err
+}
+
+// dirStarts returns each directory's first position in directory-major
+// order.
+func dirStarts(tree *namespace.Tree) []int {
+	starts := make([]int, tree.Len())
+	pos := 0
+	for d := range tree.Dirs {
+		starts[d] = pos
+		pos += tree.Dirs[d].FileCount
+	}
+	return starts
+}
+
+// put takes the next file in draw order (pass 1).
+func (r *renumbering) put(size float64, ext uint32, dir int32) error {
+	pos := r.next[dir]
+	r.next[dir]++
+	if err := r.sizes.put(pos, size); err != nil {
+		return err
+	}
+	if err := r.exts.put(pos, ext); err != nil {
+		return err
+	}
+	return r.parents.put(pos, dir)
+}
+
+// finish sorts every region (pass 2) and makes the sorted columns the pass's.
+func (r *renumbering) finish(ctx context.Context) error {
+	next := dirStarts(r.m.tree)
+	for b := range r.parents.fill {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		dirs, err := r.parents.load(b)
+		if err != nil {
+			return err
+		}
+		lo := b * r.parents.size
+		r.to = r.to[:0]
+		for _, d := range dirs {
+			r.to = append(r.to, int32(next[d]-lo))
+			next[d]++
+		}
+		if err := r.parents.scatter(b, dirs, r.to); err != nil {
+			return err
+		}
+		if err := move(r.sizes, b, r.to); err != nil {
+			return err
+		}
+		if err := move(r.exts, b, r.to); err != nil {
+			return err
+		}
+	}
+	r.m.sizes, r.m.exts, r.m.parents = r.sizes.c, r.exts.c, r.parents.c
+	return nil
+}
+
+// regions is a column written by region of whole shards, each region's
+// slots in the order put takes them.
+type regions[T value] struct {
+	c        *column[T]
+	size     int   // values per region
+	cur      [][]T // per region: the shard being filled
+	fill     []int // per region: the slots taken
+	src, dst []T   // pass 2's region in hand
+}
+
+func newRegions[T value](st *columnStore, name string, n, size int) (*regions[T], error) {
+	c, err := newColumn[T](st, name, n)
+	if err != nil {
+		return nil, err
+	}
+	k := (n + size - 1) / size
+	return &regions[T]{c: c, size: size, cur: make([][]T, k), fill: make([]int, k)}, nil
+}
+
+// put writes v to the next free slot of the region holding position pos,
+// and stores the slot's shard once it is full.
+func (r *regions[T]) put(pos int, v T) error {
+	b := pos / r.size
+	i := b*r.size + r.fill[b]
+	r.fill[b]++
+	s, k := i/parallel.DefaultShardSize, i%parallel.DefaultShardSize
+	if k == 0 {
+		r.cur[b] = r.c.shard(s, r.cur[b])
+	}
+	r.cur[b][k] = v
+	if k == len(r.cur[b])-1 {
+		return r.c.store(s, r.cur[b])
+	}
+	return nil
+}
+
+// shards returns the shard range of region b.
+func (r *regions[T]) shards(b int) (first, end int) {
+	per := r.size / parallel.DefaultShardSize
+	return b * per, min((b+1)*per, parallel.Shards(r.c.n))
+}
+
+// load returns a copy of region b's values.
+func (r *regions[T]) load(b int) ([]T, error) {
+	r.src = r.src[:0]
+	var vals []T
+	for first, end := r.shards(b); first < end; first++ {
+		var err error
+		if vals, err = r.c.load(first, vals); err != nil {
+			return nil, err
+		}
+		r.src = append(r.src, vals...)
+	}
+	return r.src, nil
+}
+
+// scatter stores region b with src[j] at position to[j] within it.
+func (r *regions[T]) scatter(b int, src []T, to []int32) error {
+	r.dst = slices.Grow(r.dst[:0], len(src))[:len(src)]
+	for j, v := range src {
+		r.dst[to[j]] = v
+	}
+	var vals []T
+	first, end := r.shards(b)
+	for s := first; s < end; s++ {
+		vals = r.c.shard(s, vals)
+		copy(vals, r.dst[(s-first)*parallel.DefaultShardSize:])
+		if err := r.c.store(s, vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// move sorts region b of r by to.
+func move[T value](r *regions[T], b int, to []int32) error {
+	src, err := r.load(b)
+	if err != nil {
+		return err
+	}
+	return r.scatter(b, src, to)
 }

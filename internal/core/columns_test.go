@@ -109,8 +109,10 @@ type fault struct {
 // writes the sizes column, the extension draw writes the codes, the depth
 // pass is the first to write parents (one write per shard, four here) and
 // the commit loop the first to read them, the parent pass is the first to
-// read the depth lists, the ordered pass writes parents again, and only a
-// replay reads the codes.
+// read the depth lists, the ordered pass is the first to read the codes and
+// writes the renumbering's slots, whose one region (four shards here) its
+// second pass reads and writes back, and only a replay reads the sorted
+// codes after that.
 var faultStages = []fault{
 	{stage: "sizes", column: "sizes.f64", write: true, at: 2},
 	{stage: "sizes, summing the draw", column: "sizes.f64", at: 1},
@@ -118,8 +120,11 @@ var faultStages = []fault{
 	{stage: "depth pass", column: "parents.i32", write: true, at: 1},
 	{stage: "commit", column: "parents.i32", at: 2},
 	{stage: "parent pass, reading a level", column: "depth-", at: 1},
-	{stage: "ordered pass, writing a block", column: "parents.i32", write: true, at: 5},
-	{stage: "replay", column: "exts.u32", at: 2},
+	{stage: "ordered pass, reading the codes", column: "exts.u32", at: 2},
+	{stage: "ordered pass, filling a slot", column: "parents-by-dir.i32", write: true, at: 2},
+	{stage: "renumbering, reading a region", column: "sizes-by-dir.f64", at: 3},
+	{stage: "renumbering, writing a region", column: "exts-by-dir.u32", write: true, at: 6},
+	{stage: "replay", column: "exts-by-dir.u32", at: 6},
 }
 
 // faultyFiles opens column files that count their calls and, at the fault,

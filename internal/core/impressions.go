@@ -225,15 +225,18 @@ func (m *Metadata) extFor(code uint32) string {
 //     each size from the level's own list and writes the parent drawn for
 //     it in its place; it holds no block of the file columns.
 //  4. Ordered pass — in index order, each file still marked with a depth
-//     takes the next parent of that depth's list.
+//     takes the next parent of that depth's list, and every file the next
+//     position of its directory: the renumbering (columns.go) that makes
+//     the canonical order directory-major.
 //
 // Shard boundaries, depth grouping (ascending file index), and every RNG
 // stream are functions of the seed and stable shard/depth keys — never of
 // worker count, scheduling or where the columns live — so any parallelism
 // level produces the identical image, on the heap or spilled.
 //
-// placeFiles fills m's parents column and emits no records — a file's record
-// (name, depth, extension) is derived from the columns at consumption time.
+// placeFiles fills m's parents column, renumbers the columns
+// directory-major and emits no records — a file's record (name, depth,
+// extension) is derived from the columns at consumption time.
 // It also totals the rounded sizes, which the commit loop passes anyway.
 // Cancellation is polled per shard and per depth level; on cancellation the
 // caller discards the partially filled columns, so an aborted run never
@@ -326,21 +329,29 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 	for d, level := range levels {
 		readers[d].c = level
 	}
-	return parents.rewrite(func(par []int32) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	rn, err := newRenumbering(m)
+	if err != nil {
+		return err
+	}
+	err = scanFiles(ctx, sizes, m.exts, parents, func(_ int, sz []float64, ex []uint32, par []int32) error {
 		for k, p := range par {
 			if p < 0 {
 				dirID, err := readers[-p].next()
 				if err != nil {
 					return err
 				}
-				par[k] = int32(dirID)
+				p = int32(dirID)
+			}
+			if err := rn.put(sz[k], ex[k], p); err != nil {
+				return err
 			}
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	return rn.finish(ctx)
 }
 
 func normalizeExt(ext string) string {

@@ -86,3 +86,67 @@ func TestPlacedMultisetPinned(t *testing.T) {
 		}
 	}
 }
+
+// dirMajorSink checks, without a TreeSink, that a replay is directory-major:
+// dense IDs in order and directory IDs that never decrease.
+type dirMajorSink struct {
+	t       *testing.T
+	files   int
+	lastDir int
+	runs    int
+}
+
+func (s *dirMajorSink) AddDir(fsimage.DirRecord) error { return nil }
+
+func (s *dirMajorSink) AddFile(f fsimage.File) error {
+	if f.ID != s.files {
+		s.t.Fatalf("file %d arrived as file %d", f.ID, s.files)
+	}
+	if f.DirID < s.lastDir {
+		s.t.Fatalf("file %d is in directory %d, after a file in directory %d", f.ID, f.DirID, s.lastDir)
+	}
+	if f.DirID != s.lastDir || s.files == 0 {
+		s.runs++
+	}
+	s.files, s.lastDir = s.files+1, f.DirID
+	return nil
+}
+
+// TestReplayIsDirectoryMajor: the renumbered columns replay each
+// directory's files as one run, at two seeds, on the heap and spilled, over
+// enough files to fill several of the renumbering's regions.
+func TestReplayIsDirectoryMajor(t *testing.T) {
+	for _, seed := range []int64{20090225, 314159} {
+		for _, spilled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed=%d/spill=%v", seed, spilled), func(t *testing.T) {
+				cfg := goldenCount(200_000)
+				cfg.NumDirs, cfg.Seed, cfg.Parallelism = 2000, seed, 2
+				if spilled {
+					cfg.SpillDir = t.TempDir()
+				}
+				gen, err := NewGenerator(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := gen.ResolveMetadataContext(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				sink := &dirMajorSink{t: t}
+				if err := m.StreamRecords(sink); err != nil {
+					t.Fatal(err)
+				}
+				occupied := 0
+				for _, d := range m.Tree().Dirs {
+					if d.FileCount > 0 {
+						occupied++
+					}
+				}
+				if sink.files != cfg.NumFiles || sink.runs != occupied {
+					t.Errorf("%d files in %d runs, want %d in one run per occupied directory (%d)", sink.files, sink.runs, cfg.NumFiles, occupied)
+				}
+			})
+		}
+	}
+}

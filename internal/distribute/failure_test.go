@@ -311,7 +311,6 @@ func TestVFSWriteFailures(t *testing.T) {
 func TestJournaledFailureMidBatch(t *testing.T) {
 	const batch = 8
 	pristine := goldenShard(t)
-	order := fsimage.DirOrder(pristine.Files)
 	for _, j := range []int{1, 4} {
 		for _, b := range []int{0, 5, len(pristine.Files) / batch} {
 			t.Run(fmt.Sprintf("j=%d batch %d", j, b), func(t *testing.T) {
@@ -321,7 +320,7 @@ func TestJournaledFailureMidBatch(t *testing.T) {
 				// The batch's last file, so the rest of it is written before
 				// the failure at Parallelism 1.
 				lo, hi := b*batch, min((b+1)*batch, len(pristine.Files))
-				spoiled.Files[order.Index(hi-1)].Name = strings.Repeat("x", 300)
+				spoiled.Files[hi-1].Name = strings.Repeat("x", 300)
 
 				baseline := runtime.NumGoroutine()
 				res, err := Execute(context.Background(), spoiled, DirTarget(root), opts)

@@ -120,9 +120,9 @@ func handBuiltView() *ShardView {
 	}
 	files := []fsimage.File{
 		{ID: 0, Name: "file00000000.txt", Ext: "txt", Size: 12, DirID: 0, Depth: 1},
-		{ID: 1, Name: "it's.r&d", Ext: "r&d", Size: 0, DirID: 2, Depth: 2},
-		{ID: 3, Name: "naïve.tx't", Ext: "tx't", Size: 1 << 40, DirID: 3, Depth: 3},
-		{ID: 4, Name: "snow☃", Ext: "", Size: 7, DirID: 0, Depth: 1},
+		{ID: 1, Name: "snow☃", Ext: "", Size: 7, DirID: 0, Depth: 1},
+		{ID: 3, Name: "it's.r&d", Ext: "r&d", Size: 0, DirID: 2, Depth: 2},
+		{ID: 4, Name: "naïve.tx't", Ext: "tx't", Size: 1 << 40, DirID: 3, Depth: 3},
 	}
 	plan := &Plan{
 		FormatVersion: FormatVersion, Seed: 7, ContentKind: "default", DigestAlgo: fsimage.DigestVersion,

@@ -19,16 +19,19 @@ import (
 // a worker executing a shard flushes sealed batches of per-file content
 // digests to an append-only journal as the content pass runs, so a
 // preempted worker resumes from the last sealed batch instead of
-// regenerating the whole shard. Batches follow the order the shard is
-// written in, by directory (fsimage.DirOrder), so a resume point is a prefix
-// of that order. The journal is the mid-shard analogue of the sealed manifest —
+// regenerating the whole shard. Batches follow the shard's file list, which
+// is in canonical, directory-major order, so a resume point is a prefix of
+// it. The journal is the mid-shard analogue of the sealed manifest —
 // every batch is fingerprint-bound and chained to its predecessor, so a
 // stale, torn, or foreign journal is detected and discarded, never trusted.
 
 // JournalVersion is the shard-journal wire version. Version 2 indexes
-// batches by the shard's directory order (fsimage.DirOrder of
-// ShardView.Files); a version 1 journal indexed the file list itself, so it
-// is refused and the shard restarts.
+// batches by the shard's directory order. Since plan format 5 that is the
+// file list itself (ShardView.Files), whose canonical order is
+// directory-major, so the meaning and the bytes of a version 2 journal are
+// unchanged; a journal of an older plan names another fingerprint and is
+// refused by it. A version 1 journal indexed the file list of a plan whose
+// order was not directory-major, so it is refused and the shard restarts.
 const JournalVersion = 2
 
 // journalChainSeed anchors the batch seal chain.
@@ -36,13 +39,13 @@ const journalChainSeed = "impressions-journal-v2"
 
 // JournalBatch is one sealed entry of a shard journal: the content digests
 // (and byte count) of a contiguous run of the shard's files in its
-// directory order, fsimage.DirOrder(ShardView.Files). Start indexes into
-// that order, not image file IDs, so contiguity is trivial to verify.
+// directory order, ShardView.Files. Start indexes into that list, not image
+// file IDs, so contiguity is trivial to verify.
 type JournalBatch struct {
 	FormatVersion   int    `json:"format_version"`
 	PlanFingerprint string `json:"plan_fingerprint"`
 	Shard           int    `json:"shard"`
-	// Start is the position (in the shard's directory order) of the batch's
+	// Start is the position (in the shard's file list) of the batch's
 	// first file; a valid journal's batches are contiguous from 0.
 	Start int `json:"start"`
 	// Digests holds the SHA-256 (hex) of each file's written content.
@@ -233,19 +236,18 @@ func JournalFile(workDir, fingerprint string, shard int) string {
 
 // recoverJournal returns what the journal at path proves done for this
 // shard under outRoot, trusting it only as far as the disk agrees: every
-// resumed file — a prefix of order, the shard's directory order — must
-// exist, regular, at its planned size (a stat pass in that order, not a
+// resumed file — a prefix of the shard's file list — must exist, regular, at its planned size (a stat pass in that order, not a
 // re-hash — the seal chain plus fingerprint binding covers content), and
 // must have been written in the content mode this execution runs in — a
 // metadata-only run seals empty digests over sized, empty files, which are
 // exactly what the stat pass accepts. A journal that cannot be trusted is
 // deleted, not argued with: the recovery is then empty and the shard
 // restarts from scratch.
-func recoverJournal(path string, v *ShardView, order fsimage.FileOrder, outRoot string, metadataOnly bool) *journalRecovery {
+func recoverJournal(path string, v *ShardView, outRoot string, metadataOnly bool) *journalRecovery {
 	rec, err := loadJournal(path, v.Plan.Fingerprint(), v.Shard)
-	trusted := err == nil && len(rec.digests) <= len(order)
+	trusted := err == nil && len(rec.digests) <= len(v.Files)
 	for i := 0; trusted && i < len(rec.digests); i++ {
-		f := v.Files[order.Index(i)]
+		f := v.Files[i]
 		info, serr := os.Stat(filepath.Join(outRoot, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name))
 		trusted = serr == nil && info.Mode().IsRegular() && info.Size() == f.Size && (rec.digests[i] == "") == metadataOnly
 	}

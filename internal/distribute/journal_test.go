@@ -208,7 +208,7 @@ func TestIncrementalMissingResumedFile(t *testing.T) {
 	view := crashShard(t, p, 0, outRoot, journal, 20)
 
 	// Delete one file the journal claims is done: the first it sealed.
-	first := view.Files[fsimage.DirOrder(view.Files).Index(0)]
+	first := view.Files[0]
 	victim := filepath.Join(outRoot, view.Tree.Path(first.DirID), first.Name)
 	if err := os.Remove(victim); err != nil {
 		t.Fatalf("removing %s: %v", victim, err)
@@ -300,13 +300,12 @@ func TestJournalFromOtherContentMode(t *testing.T) {
 func TestResumeInDirectoryOrder(t *testing.T) {
 	const batch = 8
 	pristine := goldenShard(t)
-	order := fsimage.DirOrder(pristine.Files)
 	// A crash point on no batch boundary with two files of one directory's
 	// run before it and two after.
 	midRun := -1
-	for p := batch + 2; p+1 < len(order) && midRun < 0; p++ {
-		dir := pristine.Files[order.Index(p)].DirID
-		if p%batch != 0 && pristine.Files[order.Index(p-2)].DirID == dir && pristine.Files[order.Index(p+1)].DirID == dir {
+	for p := batch + 2; p+1 < len(pristine.Files) && midRun < 0; p++ {
+		dir := pristine.Files[p].DirID
+		if p%batch != 0 && pristine.Files[p-2].DirID == dir && pristine.Files[p+1].DirID == dir {
 			midRun = p
 		}
 	}
@@ -335,7 +334,7 @@ func TestResumeInDirectoryOrder(t *testing.T) {
 					t.Errorf("%d files on disk, want the %d the journal proves", n, c.crash)
 				}
 				for i := range c.crash {
-					f := pristine.Files[order.Index(i)]
+					f := pristine.Files[i]
 					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(pristine.Tree.Path(f.DirID)), f.Name)); err != nil {
 						t.Errorf("file %d of the directory order, proven by the journal: %v", i, err)
 					}
@@ -383,7 +382,7 @@ func TestJournalV1Refused(t *testing.T) {
 			if _, err := loadJournal(journal, pristine.Plan.Fingerprint(), pristine.Shard); !errors.Is(err, fsimage.ErrPlanVersion) {
 				t.Fatalf("loading the version 1 journal: got %v, want ErrPlanVersion", err)
 			}
-			if rec := recoverJournal(journal, pristine, fsimage.DirOrder(pristine.Files), root, false); len(rec.digests) != 0 {
+			if rec := recoverJournal(journal, pristine, root, false); len(rec.digests) != 0 {
 				t.Fatalf("the version 1 journal proved %d files", len(rec.digests))
 			}
 			if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {

@@ -93,12 +93,12 @@ const shardEntry = `"dirs":(\d+),"files":(\d+),"bytes":(\d+)\}`
 // every count is zero, the stream is empty and the trailer seals it
 // correctly.
 func emptyImageDoc() string {
-	hdr := `"format_version":4,"seed":1,"content_kind":"default","digest_algo":"` + fsimage.DigestVersion +
+	hdr := `"format_version":5,"seed":1,"content_kind":"default","digest_algo":"` + fsimage.DigestVersion +
 		`","files":0,"dirs":0,"bytes":0,"spec":{},"chunk_size":64,"shards":[{"index":0,"stream_key":"` +
 		contentStreamKey + `","roots":[],"dirs":0,"files":0,"bytes":0},{"index":1,"stream_key":"` +
 		contentStreamKey + `","roots":[],"dirs":0,"files":0,"bytes":0}]`
 	chain := fsimage.NewChunkHashChain().Sum()
-	return `{"view":{"format_version":4,"shard":1,"plan":{` + hdr +
+	return `{"view":{"format_version":5,"shard":1,"plan":{` + hdr +
 		`}},"records":[],"trailer":{"chunks":0,"chains":["` + chain + `","` + chain + `"]}}`
 }
 
@@ -128,7 +128,7 @@ func otherHex(quoted string) string {
 // asVersion3 rewrites the document into the shape format version 3 wrote:
 // the whole stream's seal in the view, one chain in the trailer.
 func asVersion3(doc string) string {
-	doc = swap(`{"view":{"format_version":4,"shard":1,"plan":{"format_version":4`,
+	doc = swap(`{"view":{"format_version":5,"shard":1,"plan":{"format_version":5`,
 		`{"view":{"format_version":3,"shard":1,"plan_chunks":9,"image_sha256":"`+strings.Repeat("0", 64)+`","plan":{"format_version":3`)(doc)
 	return trailerChains(func(e []string) string { return `,"records_sha256":` + e[1] })(doc)
 }
@@ -152,7 +152,7 @@ func malformedCases() []malformedCase {
 		row("empty input", constant(""), integrity),
 		row("not JSON", constant("hello"), integrity),
 		row("a JSON array", constant("[1,2]"), integrity),
-		row("a JSON object without the envelope", constant(`{"format_version":4,"seed":1}`), integrity),
+		row("a JSON object without the envelope", constant(`{"format_version":5,"seed":1}`), integrity),
 		row("truncated inside the header", func(doc string) string { return doc[:100] }, integrity),
 		row("truncated inside the stream", func(doc string) string { return doc[:len(doc)/2] }, integrity),
 		row("truncated before the trailer", func(doc string) string { return doc[:strings.LastIndex(doc, `"trailer"`)-10] }, integrity),
@@ -160,8 +160,8 @@ func malformedCases() []malformedCase {
 		row("a second value after the closing brace", func(doc string) string { return doc + "{}\n" }, integrity),
 
 		// Version skew: the artifact is whole, this build cannot execute it.
-		row("format_version 2", swap(`"plan":{"format_version":4`, `"plan":{"format_version":2`), version),
-		row("shard document format_version 2", swap(`{"view":{"format_version":4`, `{"view":{"format_version":2`), version),
+		row("format_version 2", swap(`"plan":{"format_version":5`, `"plan":{"format_version":2`), version),
+		row("shard document format_version 2", swap(`{"view":{"format_version":5`, `{"view":{"format_version":2`), version),
 		row("a version 3 fragment", asVersion3, version),
 		row("digest_algo x", swap(`"digest_algo":"`+fsimage.DigestVersion+`"`, `"digest_algo":"x"`), version),
 		row("content_kind bogus", swap(`"content_kind":"default","digest_algo"`, `"content_kind":"bogus","digest_algo"`), version),
@@ -274,6 +274,12 @@ var forgedCases = []struct {
 	{"a file at the wrong depth", func(l *records, mid int) { l.files[mid].Depth++ }},
 	{"a file in an unknown directory", func(l *records, mid int) { l.files[mid].DirID = 9999 }},
 	{"a file in directory -1", func(l *records, mid int) { l.files[mid].DirID = -1 }},
+	{"a file that steps back a directory", func(l *records, mid int) {
+		// The last file moves into the first one's directory, of the same
+		// shard and an earlier ID than its own.
+		last, first := &l.files[len(l.files)-1], l.files[0]
+		last.DirID, last.Depth = first.DirID, first.Depth
+	}},
 	{"a file named a/b", func(l *records, mid int) { l.files[mid].Name = "a/b" }},
 	{"a file without a name", func(l *records, mid int) { l.files[mid].Name = "" }},
 	{"a file named ..", func(l *records, mid int) { l.files[mid].Name = ".." }},

@@ -348,11 +348,11 @@ func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOption
 
 // writeDir materializes the shard under outRoot through the VFS writer,
 // fills digests and returns the bytes the shard holds and how many files a
-// journal let it skip. The files go in the shard's directory order
-// (fsimage.DirOrder), computed once: without a journal in one batch, with
-// one BatchFiles at a time — contiguous runs of that order, so a resume
-// point is a prefix of it — each sealed into the journal before the next
-// starts. Digests stay in their slots of the shard's file list.
+// journal let it skip. The files go in the shard's order, which is
+// directory-major as the canonical order is: without a journal in one
+// batch, with one BatchFiles at a time — contiguous runs of the file list,
+// so a resume point is a prefix of it — each sealed into the journal before
+// the next starts.
 func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOptions, digests []string) (written int64, resumed int, err error) {
 	mopts := fsimage.MaterializeOptions{
 		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
@@ -363,48 +363,40 @@ func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOpti
 	}
 	// The directory pass is idempotent MkdirAll; run it every attempt so a
 	// resume against a cleaned output root recreates the skeleton.
-	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, nil, mopts); err != nil {
+	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, mopts); err != nil {
 		return 0, 0, err
 	}
-	order := fsimage.DirOrder(v.Files)
 	var journal *ShardJournal
-	batch := len(order)
+	batch := len(v.Files)
 	if opts.JournalPath != "" {
-		rec := recoverJournal(opts.JournalPath, v, order, outRoot, opts.MetadataOnly)
+		rec := recoverJournal(opts.JournalPath, v, outRoot, opts.MetadataOnly)
 		if journal, err = openJournal(opts.JournalPath, v.Plan.Fingerprint(), v.Shard, rec); err != nil {
 			return 0, 0, err
 		}
 		defer journal.Close()
-		for i, d := range rec.digests {
-			digests[order.Index(i)] = d
-		}
+		copy(digests, rec.digests)
 		written, resumed = rec.bytes, len(rec.digests)
 		if batch = opts.BatchFiles; batch <= 0 {
 			batch = DefaultJournalBatch
 		}
 	}
-	mopts.Digests = digests
-	var sealed []string // a batch's digests in directory order, for the journal
-	for lo, hi := resumed, 0; lo < len(order); lo = hi {
-		hi = min(lo+batch, len(order))
+	for lo, hi := resumed, 0; lo < len(v.Files); lo = hi {
+		hi = min(lo+batch, len(v.Files))
 		if opts.FailAfterFiles > 0 {
 			hi = min(hi, resumed+opts.FailAfterFiles)
 		}
-		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files, order[lo:hi], mopts)
+		mopts.Digests = digests[lo:hi]
+		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files[lo:hi], mopts)
 		if err != nil {
 			return 0, 0, err
 		}
 		if journal != nil {
-			sealed = sealed[:0]
-			for i := lo; i < hi; i++ {
-				sealed = append(sealed, digests[order.Index(i)])
-			}
-			if err := journal.Append(sealed, n); err != nil {
+			if err := journal.Append(digests[lo:hi], n); err != nil {
 				return 0, 0, err
 			}
 		}
 		written += n
-		if opts.FailAfterFiles > 0 && hi == resumed+opts.FailAfterFiles && hi < len(order) {
+		if opts.FailAfterFiles > 0 && hi == resumed+opts.FailAfterFiles && hi < len(v.Files) {
 			return 0, 0, ErrSimulatedCrash
 		}
 	}

@@ -22,7 +22,7 @@ func digestTestImage(t *testing.T) *Image {
 	img.Spec.Seed = 11
 	exts := []string{"txt", "jpg", "dll", "", "html"}
 	for i := 0; i < 120; i++ {
-		dirID := i % tree.Len()
+		dirID := i * tree.Len() / 120
 		size := int64(i * 97 % 5000)
 		ext := exts[i%len(exts)]
 		name := MakeFileName(i, ext)
@@ -74,7 +74,7 @@ func TestMaterializeShardCollectsDigests(t *testing.T) {
 	}
 	for _, j := range []int{1, 4} {
 		opts.Parallelism, opts.Digests = j, make([]string, len(img.Files))
-		n, err := MaterializeShardRecords(t.TempDir(), img.Tree, dirs, img.Files, DirOrder(img.Files), opts)
+		n, err := MaterializeShardRecords(t.TempDir(), img.Tree, dirs, img.Files, opts)
 		if err != nil {
 			t.Fatalf("j=%d: MaterializeShardRecords: %v", j, err)
 		}

@@ -2,9 +2,11 @@ package fsimage
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,9 +31,15 @@ func buildTestImage(t testing.TB) *Image {
 	}, rng.Fork("placer"))
 	sizes := []int64{100, 2048, 0, 65536, 4096, 123, 999999, 512, 3, 80000}
 	exts := []string{"txt", "jpg", "", "dll", "htm", "cpp", "mp3", "gif", "h", "pdf"}
+	placed := make([]namespace.Placement, len(sizes))
 	for i, size := range sizes {
-		p := placer.Place(size)
-		img.AddFile(MakeFileName(i, exts[i]), exts[i], size, p.DirID, p.FileDepth)
+		placed[i] = placer.Place(size)
+	}
+	// Number the files directory-major, as the canonical order is.
+	order := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(placed[a].DirID, placed[b].DirID) })
+	for i, k := range order {
+		img.AddFile(MakeFileName(i, exts[k]), exts[k], sizes[k], placed[k].DirID, placed[k].FileDepth)
 	}
 	return img
 }
@@ -76,6 +84,10 @@ func TestImageValidateCatchesCorruption(t *testing.T) {
 		{"file named .", func(img *Image) { img.Files[0].Name = "." }},
 		{"file named ..", func(img *Image) { img.Files[0].Name = ".." }},
 		{"file IDs that skip", func(img *Image) { img.Files = append(img.Files[:1], img.Files[2:]...) }},
+		{"file whose directory steps back", func(img *Image) {
+			last, first := &img.Files[len(img.Files)-1], img.Files[0]
+			last.DirID, last.Depth = first.DirID, first.Depth
+		}},
 		{"directory whose parent comes after it", func(img *Image) { img.Tree.Dirs[1].Parent = 2 }},
 		{"directory name with a separator", func(img *Image) { img.Tree.Dirs[1].Name = "a/b" }},
 	} {
@@ -275,7 +287,7 @@ func TestMaterializeAllocsPerFile(t *testing.T) {
 	files := make([]File, nFiles)
 	for i := range files {
 		ext := exts[i%len(exts)]
-		files[i] = File{ID: i, Name: MakeFileName(i, ext), Ext: ext, Size: 1100, DirID: i % nDirs}
+		files[i] = File{ID: i, Name: MakeFileName(i, ext), Ext: ext, Size: 1100, DirID: i * nDirs / nFiles}
 	}
 	dirs := make([]int, nDirs)
 	for i := range dirs {
@@ -283,14 +295,14 @@ func TestMaterializeAllocsPerFile(t *testing.T) {
 	}
 	root := t.TempDir()
 	opts := MaterializeOptions{Seed: 1, Parallelism: 1}
-	if _, err := MaterializeShardRecords(root, tree, dirs, nil, nil, opts); err != nil {
+	if _, err := MaterializeShardRecords(root, tree, dirs, nil, opts); err != nil {
 		t.Fatal(err)
 	}
 	opts = opts.withDefaults(1) // the registry is built once, not per run
 	opts.Digests = make([]string, nFiles)
 	var err error
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, werr := MaterializeShardRecords(root, tree, nil, files, DirOrder(files), opts); werr != nil {
+		if _, werr := MaterializeShardRecords(root, tree, nil, files, opts); werr != nil {
 			err = werr
 		}
 	})
@@ -345,6 +357,35 @@ func TestScanSkipsIrregularEntries(t *testing.T) {
 	}
 	if res.Irregular != len(links) {
 		t.Errorf("scan reported %d irregular entries, want %d", res.Irregular, len(links))
+	}
+}
+
+// TestScanNumbersFilesByDirectory: a/b/y sorts before a/x by path, but a
+// scan numbers each directory's files together, so the scanned image is
+// canonical and validates.
+func TestScanNumbersFilesByDirectory(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "a", "b"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range []string{"a/x", "a/b/y", "a/b/z", "a/w", "top"} {
+		if err := os.WriteFile(filepath.Join(root, filepath.FromSlash(rel)), []byte(rel), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := Scan(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := img.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	var got []string
+	for _, f := range img.Files {
+		got = append(got, filePath(img, f))
+	}
+	if want := []string{"top", "a/w", "a/x", "a/b/y", "a/b/z"}; !slices.Equal(got, want) {
+		t.Errorf("scanned files in order %q, want %q", got, want)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -98,40 +97,20 @@ func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, erro
 	for i := range dirs {
 		dirs[i] = i
 	}
-	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, DirOrder(img.Files), opts.withDefaults(img.Spec.Seed))
+	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, opts.withDefaults(img.Spec.Seed))
 }
-
-// FileOrder is an order in which to write a slice of file records: one key
-// per file, DirID<<32 | the file's index in the slice.
-type FileOrder []uint64
-
-// DirOrder returns the order MaterializeShardRecords writes files in: by
-// directory and, within one, by position, so each directory's files are one
-// run. It is a sort of one key per file; a counting sort would cost O(dirs)
-// per MaterializeSink batch.
-func DirOrder(files []File) FileOrder {
-	order := make(FileOrder, len(files))
-	for k, f := range files {
-		order[k] = uint64(f.DirID)<<32 | uint64(k)
-	}
-	slices.Sort(order)
-	return order
-}
-
-// Index returns the index in the file slice of the i-th file of the order.
-func (o FileOrder) Index(i int) int { return int(uint32(o[i])) }
 
 // MaterializeShardRecords is the VFS writer: it creates the given
 // directories (tree IDs, ascending so parents precede children; a missing
-// ancestor is created on the way) in one serial pass, then writes the files
-// of order — a DirOrder of files, or a contiguous run of one — with
-// opts.Parallelism workers. Image.Materialize, every MaterializeSink batch,
+// ancestor is created on the way) in one serial pass, then writes files in
+// the order given — canonical order, or a run of it, so each directory's
+// files come together — with opts.Parallelism workers. Image.Materialize, every MaterializeSink batch,
 // every directory target of the distributed executor and each of its
 // journal batches are calls to it. The root itself is created if missing.
 // opts.Seed is used as given — callers without an image pass the plan or
 // spec seed.
 //
-// Each worker takes a chunk of the order, so its files come as runs of one
+// Each worker takes a chunk of files, so its files come as runs of one
 // directory and two workers seldom contend for one. On Linux a worker opens
 // a directory once per run (O_RDONLY|O_DIRECTORY|O_CLOEXEC: the syscall
 // package has no O_PATH) and creates the run's files with openat(2) against
@@ -151,7 +130,7 @@ func (o FileOrder) Index(i int) int { return int(uint32(o[i])) }
 // every path, its close error checked. No *os.File is made, so nothing but
 // this function closes a descriptor it opened. A file's path is built only
 // for the error that names it.
-func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, order FileOrder, opts MaterializeOptions) (int64, error) {
+func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, opts MaterializeOptions) (int64, error) {
 	opts = opts.withDefaults(opts.Seed)
 	if opts.Digests != nil && len(opts.Digests) != len(files) {
 		return 0, fmt.Errorf("fsimage: digest slice has length %d, want %d", len(opts.Digests), len(files))
@@ -178,7 +157,7 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 	ctx := opts.ctx()
 	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	var written atomic.Int64
-	err := parallel.RunChunks(ctx, opts.Parallelism, len(order), func(lo, hi int) error {
+	err := parallel.RunChunks(ctx, opts.Parallelism, len(files), func(lo, hi int) error {
 		var (
 			c   = newFileCreator(root, tree)
 			sum hash.Hash // taps the content when digests are wanted
@@ -193,15 +172,14 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			k := order.Index(i)
-			f := files[k]
+			f := files[i]
 			// Each file owns a stream keyed by its ID: content depends only on
 			// the seed and the file, never on write order or worker identity.
 			if step, err := c.write(f, opts, baseRNG.SplitN(uint64(f.ID)), sum); err != nil {
 				return fmt.Errorf("fsimage: %s %q: %w", step, appendEntryPath(nil, root, tree, f.DirID, f.Name), err)
 			}
 			if sum != nil {
-				opts.Digests[k] = hex.EncodeToString(sum.Sum(nil))
+				opts.Digests[i] = hex.EncodeToString(sum.Sum(nil))
 				sum.Reset()
 			}
 			n += f.Size
@@ -318,7 +296,7 @@ func (s *MaterializeSink) flush() error {
 	if s.fold != nil {
 		opts.Digests = make([]string, len(batch))
 	}
-	n, err := MaterializeShardRecords(s.root, s.tree, dirs, batch, DirOrder(batch), opts)
+	n, err := MaterializeShardRecords(s.root, s.tree, dirs, batch, opts)
 	s.written += n
 	if err != nil || s.fold == nil {
 		return err

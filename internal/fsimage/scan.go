@@ -1,11 +1,12 @@
 package fsimage
 
 import (
+	"cmp"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"impressions/internal/namespace"
 )
@@ -51,7 +52,8 @@ func ScanTree(root string) (*ScanResult, error) {
 
 	// Collect entries in deterministic order: WalkDir visits lexically.
 	type pendingFile struct {
-		rel  string
+		dir  int
+		name string
 		size int64
 	}
 	var files []pendingFile
@@ -68,12 +70,11 @@ func ScanTree(root string) (*ScanResult, error) {
 			return nil
 		}
 		rel = filepath.ToSlash(rel)
+		parentID, ok := dirIDs[parentOf(rel)]
+		if !ok {
+			return fmt.Errorf("fsimage: scan saw %q before its parent", rel)
+		}
 		if d.IsDir() {
-			parentRel := parentOf(rel)
-			parentID, ok := dirIDs[parentRel]
-			if !ok {
-				return fmt.Errorf("fsimage: scan saw %q before its parent", rel)
-			}
 			id := tree.AddDir(parentID)
 			tree.Dirs[id].Name = d.Name()
 			dirIDs[rel] = id
@@ -90,25 +91,20 @@ func ScanTree(root string) (*ScanResult, error) {
 		if ierr != nil {
 			return ierr
 		}
-		files = append(files, pendingFile{rel: rel, size: fi.Size()})
+		files = append(files, pendingFile{dir: parentID, name: d.Name(), size: fi.Size()})
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fsimage: scanning %q: %w", root, err)
 	}
 
-	sort.Slice(files, func(i, j int) bool { return files[i].rel < files[j].rel })
+	// The canonical order is directory-major; WalkDir met each directory's
+	// files by name.
+	slices.SortStableFunc(files, func(a, b pendingFile) int { return cmp.Compare(a.dir, b.dir) })
 	for _, pf := range files {
-		parentRel := parentOf(pf.rel)
-		parentID, ok := dirIDs[parentRel]
-		if !ok {
-			return nil, fmt.Errorf("fsimage: file %q has no scanned parent", pf.rel)
-		}
-		name := filepath.Base(pf.rel)
-		depth := tree.Dirs[parentID].Depth + 1
-		img.AddFile(name, ExtensionOf(name), pf.size, parentID, depth)
-		tree.Dirs[parentID].FileCount++
-		tree.Dirs[parentID].Bytes += pf.size
+		img.AddFile(pf.name, ExtensionOf(pf.name), pf.size, pf.dir, tree.Dirs[pf.dir].Depth+1)
+		tree.Dirs[pf.dir].FileCount++
+		tree.Dirs[pf.dir].Bytes += pf.size
 	}
 	return &ScanResult{Image: img, Irregular: irregular}, nil
 }

@@ -10,7 +10,8 @@ import (
 // The streaming record API decouples producing an image's metadata from
 // retaining it. An image is, on the wire and in every consumer that doesn't
 // need random access, just a canonical record stream: every directory
-// (DirRecord) in ID order, then every file (File) in ID order. Producers
+// (DirRecord) in ID order, then every file (File) in ID order, which is
+// directory-major: a directory's files are one run of IDs. Producers
 // push that stream into one RecordSink; what the sink does with it — buffer
 // it into chunks (ChunkEncoder), fold it into the canonical digest
 // (DigestBuilder), accumulate histograms (ImageStats), or write it to disk
@@ -25,7 +26,8 @@ import (
 
 // RecordSink consumes an image metadata stream in canonical order: every
 // directory record in ascending ID order (the root first), then every file
-// record in ascending ID order. A sink returning an error aborts the stream.
+// record in ascending ID order, their directory IDs never decreasing. A sink
+// returning an error aborts the stream.
 type RecordSink interface {
 	AddDir(DirRecord) error
 	AddFile(File) error
@@ -60,7 +62,8 @@ func (img *Image) StreamRecords(sink RecordSink) error {
 // themselves: it rebuilds the directory tree (O(dirs), with per-directory
 // file counters restored as file records pass by), validates that the
 // stream is canonical — dense ascending IDs, known parents, the root first,
-// non-negative sizes, consistent depths, legal names — and hands each file
+// file directories that never decrease, non-negative sizes, consistent
+// depths, legal names — and hands each file
 // record to an optional callback instead of retaining it. A stream that is
 // not canonical is a damaged artifact: every rejection wraps
 // ErrManifestIntegrity. It is the one implementation of these rules:
@@ -74,6 +77,7 @@ type TreeSink struct {
 
 	tree       *namespace.Tree
 	nextFileID int
+	lastDir    int
 	files      int
 	totalBytes int64
 }
@@ -127,6 +131,9 @@ func (s *TreeSink) AddFile(f File) error {
 	if f.DirID < 0 || f.DirID >= s.tree.Len() {
 		return fmt.Errorf("fsimage: file %d references unknown directory %d (%w)", f.ID, f.DirID, ErrManifestIntegrity)
 	}
+	if f.DirID < s.lastDir {
+		return fmt.Errorf("fsimage: file %d in directory %d follows a file in directory %d (%w)", f.ID, f.DirID, s.lastDir, ErrManifestIntegrity)
+	}
 	if f.Size < 0 {
 		return fmt.Errorf("fsimage: file %q has negative size %d (%w)", f.Name, f.Size, ErrManifestIntegrity)
 	}
@@ -136,7 +143,7 @@ func (s *TreeSink) AddFile(f File) error {
 	if !EntryName(f.Name) {
 		return fmt.Errorf("fsimage: file %d has invalid name %q (%w)", f.ID, f.Name, ErrManifestIntegrity)
 	}
-	s.nextFileID = f.ID + 1
+	s.nextFileID, s.lastDir = f.ID+1, f.DirID
 	s.files++
 	s.totalBytes += f.Size
 	s.tree.Dirs[f.DirID].FileCount++

@@ -218,15 +218,15 @@ func TestImageStatsMatchesRetainedHistograms(t *testing.T) {
 	}
 }
 
-// batchTestImage is buildTestImage's tree holding n small files, dealt
-// round the directories so every batch of the sink touches all of them.
+// batchTestImage is buildTestImage's tree holding n small files spread
+// evenly over its directories, directory-major.
 func batchTestImage(t testing.TB, n int) *Image {
 	t.Helper()
 	img := buildTestImage(t)
 	img.Files = nil
 	exts := []string{"txt", "jpg", "", "dll", "htm"}
 	for i := 0; i < n; i++ {
-		dir := i % img.Tree.Len()
+		dir := i * img.Tree.Len() / n
 		img.AddFile(MakeFileName(i, exts[i%len(exts)]), exts[i%len(exts)], int64(i%7)*11, dir, img.Tree.Dirs[dir].Depth+1)
 	}
 	return img

@@ -42,8 +42,8 @@ const (
 // files (so several idle, several block on their chunks).
 var parallelisms = []int{1, 2, 8}
 
-// imageBuilder appends files to an image the way sinkTestImage does,
-// spreading them over the tree.
+// imageBuilder appends files to an image; image spreads them over the
+// tree, directory-major as the canonical order is.
 type imageBuilder struct {
 	img  *fsimage.Image
 	exts []string
@@ -59,12 +59,21 @@ func newImageBuilder(seed int64) *imageBuilder {
 func (b *imageBuilder) add(size int64) { b.addExt(b.exts[len(b.img.Files)%len(b.exts)], size) }
 
 func (b *imageBuilder) addExt(ext string, size int64) {
+	b.img.AddFile(fsimage.MakeFileName(len(b.img.Files), ext), ext, size, 0, 1)
+}
+
+// image returns the image, its files dealt over the tree's directories in
+// order.
+func (b *imageBuilder) image() *fsimage.Image {
 	tree := b.img.Tree
-	i := len(b.img.Files)
-	dir := i * 7 % tree.Len()
-	b.img.AddFile(fsimage.MakeFileName(i, ext), ext, size, dir, tree.Dirs[dir].Depth+1)
-	tree.Dirs[dir].FileCount++
-	tree.Dirs[dir].Bytes += size
+	for i := range b.img.Files {
+		f := &b.img.Files[i]
+		f.DirID = i * tree.Len() / len(b.img.Files)
+		f.Depth = tree.Dirs[f.DirID].Depth + 1
+		tree.Dirs[f.DirID].FileCount++
+		tree.Dirs[f.DirID].Bytes += f.Size
+	}
+	return b.img
 }
 
 // tiny adds n files of 0 to 699 bytes.
@@ -105,7 +114,7 @@ func edgeImage() *fsimage.Image {
 	b.tiny(400)
 	b.add(chunk - 1)
 	b.add(2)
-	return b.img
+	return b.image()
 }
 
 // longNameImage aims entry names at the tar header's edges: a chain of
@@ -137,11 +146,14 @@ func longNameImage() *fsimage.Image {
 	}
 	accented := addDir(0, "données")
 	dirs = append(dirs, accented, addDir(accented, "plain"))
+	// Directories are numbered in the order dirs lists them.
 	for i, dir := range dirs {
 		addFile(dir, "txt", 0)
 		addFile(dir, "jpg", int64(300+i*211))
+		if i == 1 {
+			addFile(dir, strings.Repeat("e", 110), 77)
+		}
 	}
-	addFile(dirs[1], strings.Repeat("e", 110), 77)
 	return img
 }
 
@@ -369,7 +381,7 @@ func TestSquashfsIdenticalAtAnyParallelism(t *testing.T) {
 func TestDigestFoldMatchesCombineDigest(t *testing.T) {
 	t.Run("sinkTestImage", func(t *testing.T) { testDigestFold(t, sinkTestImage(t, 11)) })
 	t.Run("longNameImage", func(t *testing.T) { testDigestFold(t, longNameImage()) })
-	t.Run("no files", func(t *testing.T) { testDigestFold(t, newImageBuilder(5).img) })
+	t.Run("no files", func(t *testing.T) { testDigestFold(t, newImageBuilder(5).image()) })
 }
 
 func testDigestFold(t *testing.T, img *fsimage.Image) {
@@ -607,13 +619,14 @@ func TestSinksSurfaceGeneratorFailures(t *testing.T) {
 		b.tiny(50)
 		b.addExt("broken", broken.size)
 		b.tiny(600)
+		img := b.image()
 		registry := content.NewRegistry(content.KindDefault)
 		registry.Register(broken.gen, "broken")
 		for _, kind := range sinkKinds {
 			for _, j := range []int{1, 4} {
 				label := fmt.Sprintf("%s j=%d: %s", kind.name, j, broken.name)
 				baseline := runtime.NumGoroutine()
-				err := kind.write(&limitedWriter{limit: -1}, b.img, imgfmt.Options{
+				err := kind.write(&limitedWriter{limit: -1}, img, imgfmt.Options{
 					Registry: registry, Seed: 11, Parallelism: j, OnDigest: func(fsimage.File, string) {},
 				})
 				if broken.gen.err != nil && !errors.Is(err, errGenerator) || err == nil {

@@ -28,7 +28,7 @@ func sinkTestImage(t *testing.T, seed int64) *fsimage.Image {
 	img.Spec.Seed = seed
 	exts := []string{"txt", "jpg", "dll", "", "html", "pdf"}
 	for i := 0; i < 150; i++ {
-		dirID := int(seed+int64(i)*7) % tree.Len()
+		dirID := i * tree.Len() / 150
 		size := int64(i * 131 % 9000)
 		switch {
 		case i%17 == 0:

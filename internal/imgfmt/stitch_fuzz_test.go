@@ -21,7 +21,7 @@ func stitchPlan() *fsimage.Image {
 	b.tiny(40)
 	b.add(3000)
 	b.addExt("données", 10) // a PAX entry in some segment
-	return b.img
+	return b.image()
 }
 
 // FuzzStitcher feeds the stitcher three segments that are no longer the
