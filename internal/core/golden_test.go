@@ -14,6 +14,9 @@ import (
 // before the pass was rewritten over one column store (PR 18's tree), where
 // the in-memory and the spilled pass were two implementations compared only
 // with each other — a comparison that a change made to both alike passes.
+// The chains were taken again when the canonical file order became
+// directory-major (plan format 5), which renames every file; the placed
+// multisets (multiset_test.go) held across that change.
 // Each pin is required of both backings at Parallelism 1 and 4. A value here
 // changes only when what a spec emits is meant to change.
 
@@ -60,51 +63,51 @@ var goldenMetadata = []struct {
 		// count, so the column keeps the raw draw.
 		name: "raw draw inside the tolerance", shape: shapeRawDraw,
 		cfg:   goldenWith(func(c *Config) { c.FSSizeBytes = 2_138_609_562 }),
-		chain: "9ef08f0cb9b43c136062461baccf00bc07c1d5dc51da07370e0406f033d7fc02", totalBytes: 2_138_609_541, oversamples: 0,
+		chain: "ab003735435ec6dddf5c0424ba44d53a3188c55988698043b6a47990baf7d120", totalBytes: 2_138_609_541, oversamples: 0,
 	},
 	{
 		// The benchmark's SMALL(30000): a Pareto draw in the pool, an
 		// N-subset without it a few oversamples later.
 		name: "converged after oversampling", shape: shapeOversampled,
 		cfg:   Config{NumFiles: 30000, NumDirs: 3000, FSSizeBytes: 34406400, FileSizeDist: smallModel(), Seed: 20090225},
-		chain: "fff61c9d24dbabbf66b12236b9cbf014aa0217f0691313e425dd82a8c80b1b54", totalBytes: 33_821_426, oversamples: 2,
+		chain: "38331c538db88023e65d11436bd2b6ec18f6ac6e666d32e3b3d2111273ff0ccc", totalBytes: 33_821_426, oversamples: 2,
 	},
 	{
 		// The benchmark's meta shape: no size, so the target is N × a mean
 		// the sample never reaches and the column is the fallback sample.
 		name: "never converged", shape: shapeFallback,
 		cfg:   Config{NumFiles: 20000, Seed: 20090225},
-		chain: "ed2655594c6dec4ae9b8248346cbcf6377bc59eb0f1891b96d1fcf74d05dae6f", totalBytes: 13_472_809_856, oversamples: 20000,
+		chain: "e1bff5d5f90ff7d8f7c41f15e9c862d855930eae7f1a8318de8a149fa5055816", totalBytes: 13_472_809_856, oversamples: 20000,
 	},
 	{
 		name: "special directories", shape: shapeFallback,
 		cfg:   goldenWith(func(c *Config) { c.UseSpecialDirectories = true }),
-		chain: "9ab5b12919047371d7e568b5a088423e817f89ec42b8298ab04a21b999f1c2e8", totalBytes: 1_257_887_934, oversamples: 5000,
+		chain: "eab4ef617f0baf6a2aaecb454ed872e3a12757fe325f57eab007e558150aaa56", totalBytes: 1_257_887_934, oversamples: 5000,
 	},
 	{
 		name: "deep tree", shape: shapeFallback,
 		cfg:   goldenWith(func(c *Config) { c.TreeShape = namespace.ShapeDeep }),
-		chain: "369b94e373a7840002c096b3f88e6017c5eb04f5cab403e6c4c96b736682298d", totalBytes: 1_257_887_934, oversamples: 5000,
+		chain: "ca67fdaa1a4084b8924ca0d6238a173eedbab8960db9c577bc18c1f9ca729b7b", totalBytes: 1_257_887_934, oversamples: 5000,
 	},
 	{
 		name: "flat tree", shape: shapeFallback,
 		cfg:   goldenWith(func(c *Config) { c.TreeShape = namespace.ShapeFlat }),
-		chain: "d113a71efa5222e42ca567c6beec4830406bd11239898f87e93b7cea273575c3", totalBytes: 1_257_887_934, oversamples: 5000,
+		chain: "928f8a6adec488b789027798bbe6441393b47e0e7873c0971c457b6b2e4554b7", totalBytes: 1_257_887_934, oversamples: 5000,
 	},
 	{
 		name: "no size-depth coupling", shape: shapeFallback,
 		cfg:   goldenWith(func(c *Config) { c.DisableSizeDepthCoupling = true }),
-		chain: "7dd384b630396a8e4dcd56d4db645d458fe698c82c5b5430121235180faee688", totalBytes: 1_257_887_934, oversamples: 5000,
+		chain: "b94f32a8c0d4f4e756152b18561d1462c364c767d088fda58ce8f01328e23ed2", totalBytes: 1_257_887_934, oversamples: 5000,
 	},
 	// File counts that end the columns on a lone value, just short of, on
 	// and just past a shard edge, and one value into a third shard; all but
 	// the first keep the raw draw, the path that fills the column shard by
 	// shard.
 	{name: "1 file", shape: shapeOversampled, cfg: goldenCount(1), chain: "31da8812b769cfe08b923b8347efb85dbef874bd6f6c942e568f7b3d285503bc", totalBytes: 1145, oversamples: 1},
-	{name: "4095 files", shape: shapeRawDraw, cfg: goldenCount(4095), chain: "5c5df533047543cc6793e37f84855d7502684db04808bffd2dee482b90fb9c7f", totalBytes: 4_636_376, oversamples: 0},
-	{name: "4096 files", shape: shapeRawDraw, cfg: goldenCount(4096), chain: "e79133748f53543bd127b0df0493fa43f4254f47220b236a6d37a9e330d9228a", totalBytes: 4_637_439, oversamples: 0},
-	{name: "4097 files", shape: shapeRawDraw, cfg: goldenCount(4097), chain: "9e4c0995d458fe5d7bc539582eb187b05302a5a41c16b4a84cfaf0b19288b11e", totalBytes: 4_638_463, oversamples: 0},
-	{name: "8193 files", shape: shapeRawDraw, cfg: goldenCount(8193), chain: "efd800ae9258e0d934677d77ad8f8159e05e89d2cd5e1fe8d42e5179579e79d3", totalBytes: 9_216_920, oversamples: 0},
+	{name: "4095 files", shape: shapeRawDraw, cfg: goldenCount(4095), chain: "9bd8a1ac63cc120c3e57e1f5f5f9963742f4d2c40395a1f80321223390d14883", totalBytes: 4_636_376, oversamples: 0},
+	{name: "4096 files", shape: shapeRawDraw, cfg: goldenCount(4096), chain: "29ed966e36f9f08c468dc432ca8d7d8a9f44da93c23cb0db8563b34a1101bada", totalBytes: 4_637_439, oversamples: 0},
+	{name: "4097 files", shape: shapeRawDraw, cfg: goldenCount(4097), chain: "5e703a98061fc817ecf33f2590613c7c37cc79b2bc23a765e6db34235c47658b", totalBytes: 4_638_463, oversamples: 0},
+	{name: "8193 files", shape: shapeRawDraw, cfg: goldenCount(8193), chain: "45a22e7775296e372c46219c7e1ca12ef3b5435705ed578d2a61981c117e26aa", totalBytes: 9_216_920, oversamples: 0},
 }
 
 func goldenCount(n int) Config {

@@ -26,30 +26,33 @@ import (
 // changes only with a deliberate wire or format version bump: the fragment,
 // manifest and journal pins were taken again at format version 4, whose
 // fragments seal the plan with their chains, and no record, digest or tree
-// hash moved.
+// hash moved; every pin here was taken again at format version 5, whose
+// canonical file order is directory-major, so every file's name and content
+// stream moved.
 const (
-	goldenTreeHash  = "c4f805b79830c5052e014b78b49f5d6bae5f2e773f9f35a166c958aa36d8e8b5" // fsimage.HashTree of the materialized image
-	goldenDigest    = "f34a234e883884de49f65e5956a78b437dbe8562b2d3ce46190a7e6bcb9be587" // canonical image digest
-	goldenFragment1 = "4d8d271cd44991a6166bd2980bd33c8dfdb6bb70fd9bef3a767409ad60124b7a" // PartitionPlan, fragment 1
-	goldenShardDoc2 = "0f5b5034a72d9f8959be496a23fba5c5665f5cd439022a8dd02157bf9e8a34be" // PartitionPlan, fragment 2 (first pinned as a shard document sliced out of the plan)
+	goldenTreeHash  = "66f925fc468b0091f7f506e7a4c1f3ff2cc645ebd6b0caf3d4bda39b07bee988" // fsimage.HashTree of the materialized image
+	goldenDigest    = "8516c0a3d8cb09eac76b028d09d8ec2db883830419698d6ded8b826d26bf5965" // canonical image digest
+	goldenFragment1 = "d4ab6a76c228d9135726bb640cb7c8fe4a654cd236203c6682ec38f573121c43" // PartitionPlan, fragment 1
+	goldenShardDoc2 = "c7c4908272b1dcffe09d14b903578666d838f8b3f9c84427e3b7b7b745244493" // PartitionPlan, fragment 2 (first pinned as a shard document sliced out of the plan)
 )
 
 // goldenManifests are the ManifestSHA256 of shards 0-2 (29, 179 and 192
 // files); goldenJournals the SHA-256 of each shard's journal after a run at
 // BatchFiles 8 that FailAfterFiles stopped at 20 files. The journals were
 // pinned again at JournalVersion 2, whose positions index each shard's
-// directory order; the version 1 journal of shard 1 is kept as
+// directory order — since format version 5 its file list; the version 1
+// journal of shard 1 is kept as
 // testdata/journal-v1-shard1.jsonl (goldenJournalV1).
 var (
 	goldenManifests = [3]string{
-		"0525cda7c678cbd2773b00410f55b2aa349ed29f00a678bc046c85cb02e669ec",
-		"8026ff2ffa169d6acd7979a3b738f599dfb2ebec110b7a6b109dde81c77b75c1",
-		"d34e0f9b613c0504678cb5eb5a4593cbcf34c0862e0fdd8422d79038b5a4bc56",
+		"c1bf24b6144551d611fdcd0686acbc537e515cecebc7a1d9ec6d98372459d28d",
+		"11260190add1bf28b63e440c8d6cd6599b1f748630cc0a9952fb7eb85bd24e23",
+		"37b17af4754b67ffce9f997bd21883a660fa371b2b6278cb03b8ac7bec5ba554",
 	}
 	goldenJournals = [3]string{
-		"258c5a004c61f3c7817eeb5c87d7d2e2dcdbd884f0717ac0554b0228676aa49d",
-		"0cb5438ae83057ef1b03af61943d43705ac13dd41b8ca14c1c8c8492eeff41b9",
-		"fe5a9cad93e9bcf00b7766432f9119cc199b21597407411d78342fe53e678a92",
+		"452fd58e3f38e00e0e6167a0b74f3ee7b5e8b505ebfa49eadac93677ed805467",
+		"e16fae936cd735e841db92e127d7833c54300636863ad6c397106972b2418102",
+		"2959f269da5986de80bfa13db8acd966f13d1abc430a9463d637f643a3ab1080",
 	}
 )
 
@@ -94,10 +97,10 @@ func escapeConfig() core.Config {
 
 // Golden pins for escapeConfig() as a 3-shard plan with 64-record chunks,
 // taken at the commit before the chunk codec stopped going through fmt and
-// encoding/json (PR 17's tree).
+// encoding/json (PR 17's tree), and again at format version 5.
 const (
-	goldenEscapeFragment1 = "2e97e39c951dd461985341830129569f39037ba79631f47173d452547e595475" // PartitionPlan, fragment 1
-	goldenEscapeShardDoc2 = "5e90ece4b877d134e1eaca8388340ec8d1acfbca3eb6873a9547b1699d1665d5" // PartitionPlan, fragment 2 (first pinned as a sliced shard document)
+	goldenEscapeFragment1 = "7abf65e715b90004f365d48363ba88addadd40caa52817ea7408176bfba05692" // PartitionPlan, fragment 1
+	goldenEscapeShardDoc2 = "1291faf2656f61b4377729b643367ed92847ea4a33de282d5d6eebca6ba63df3" // PartitionPlan, fragment 2 (first pinned as a sliced shard document)
 )
 
 // handBuiltView is a shard view no generator produces: generated file names

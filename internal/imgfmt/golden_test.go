@@ -18,8 +18,10 @@ import (
 // segments and their stitched archive, the squashfs image, and the
 // canonical image digest. The values were taken from the writers as they
 // stood before the worker-side framing of PR 16 (archive/tar wrote every
-// header then). A change that moves one of them is a format change: it
-// needs a deliberate version bump and new pins, never a quiet update here.
+// header then), and taken again when the canonical file order became
+// directory-major (plan format 5), which both images now follow. A change
+// that moves one of them is a format change: it needs a deliberate version
+// bump and new pins, never a quiet update here.
 func TestGoldenImageBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -27,22 +29,22 @@ func TestGoldenImageBytes(t *testing.T) {
 		want map[string]string
 	}{
 		{"sinkTestImage(11)", sinkTestImage(t, 11), map[string]string{
-			"tar":      "27e0cd397aef2dd70af4b80f7cb863bc3e7da82edc670ba81082ba844db5081e",
-			"segment0": "041d4d5b3aebd45dda63a8486ad756717daabf34676bdf70268af9d2543ea433",
-			"segment1": "82c63f3c1b278554f785c844da2794c8367dae93873e717aa99a862074ca73f2",
-			"segment2": "b16000556c0d691e2f9196cd16f1c77867db0ebea05608f72251e2ce9cd5faf9",
-			"stitched": "27e0cd397aef2dd70af4b80f7cb863bc3e7da82edc670ba81082ba844db5081e",
-			"squashfs": "0663ce529e6c91658525ddbdd9cd013b32f5c40c521545e040eba9901d3dddc5",
-			"digest":   "c7529d1da5d13eb30f72a1055bed59273f85904636ff76d8cbbc720e6588e5ca",
+			"tar":      "7cd57d28acf74961f85874d15fb96eb1cadf3994f00ebe086751e924cd79debc",
+			"segment0": "43d34f57e98b6416b497e8115fede914a40cec6f84fcba678d600fbb80ee8f8f",
+			"segment1": "e2e7f504b0e798b740eb5df5f05156469d45652da841656cfb87803780460293",
+			"segment2": "6a2ec23957fcb38068cf39e767f4481039bf8a9649f7359ba8fe996d6fa4fda2",
+			"stitched": "7cd57d28acf74961f85874d15fb96eb1cadf3994f00ebe086751e924cd79debc",
+			"squashfs": "b1dab352a332b17754e367210298bf118cf3026d8f05ec6eb4f563072019139d",
+			"digest":   "35cb7a9ea82a91dd4b55c5339165b52114071cff5f911cedd45f686639c9166f",
 		}},
 		{"longNameImage", longNameImage(), map[string]string{
-			"tar":      "17b70a8b1f7c7d3f97f9ed186e3dbdc5a173623b92b78b110d2de5cb426ca617",
+			"tar":      "1d413683fe3a60243e66d7f1cba1f599d24e31b42b913c64fc7fb4f5785da595",
 			"segment0": "3bfaa6a23a09192226417dfa9265d0e51a3f98019bbcb3e36ab09b5f35c58070",
-			"segment1": "b228458aa9e84cd92ae45da076a13cfdeeac6f4b51ba35f3e227a5d1438dbfde",
-			"segment2": "7b3285199d95e35548d24cc774f101cc705e643d14f99064e280484040384f2e",
-			"stitched": "17b70a8b1f7c7d3f97f9ed186e3dbdc5a173623b92b78b110d2de5cb426ca617",
-			"squashfs": "a62e92f985f44bb02e2222f6f92fb7bc8853cd2eb54a628242e2eae2076f5baa",
-			"digest":   "4610e02ded8a4207078eef23cf07e116ef31061ae4fd9036db899d01c441058c",
+			"segment1": "42586c7f9af16c51ccdb06049321154a47ad87db0e77bed0835d17543be04217",
+			"segment2": "8f0e99c1206b509249fe963badf2eb3a0c44025fa7d8014a59a102d72bff1516",
+			"stitched": "1d413683fe3a60243e66d7f1cba1f599d24e31b42b913c64fc7fb4f5785da595",
+			"squashfs": "44885ddd92b367a03778a7d43b7b16b75d1164c698d8102bb4e7166cca561a1e",
+			"digest":   "f46abb97168c3204fdd8a6c9d09ab0e917dc93155fd07f93440d0630b2f4ca67",
 		}},
 	} {
 		got := goldenSums(t, tc.img)
