@@ -116,7 +116,7 @@ func TestMaterializedContentMatchesExtensions(t *testing.T) {
 		if f.Ext != "jpg" || f.Size < 4 {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(string(fsimage.AppendFilePath(nil, res.Image.Tree, f)))))
+		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(string(new(fsimage.FilePath).Append(res.Image.Tree, f)))))
 		if err != nil {
 			t.Fatal(err)
 		}

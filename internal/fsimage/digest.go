@@ -125,7 +125,7 @@ type DigestFold struct {
 	dirs      int
 	files     int
 	bytes     int64
-	path      []byte // reused per line
+	path      FilePath
 	line      []byte
 }
 
@@ -146,8 +146,7 @@ func (b *DigestFold) AddDir(tree *namespace.Tree, id int) {
 
 // AddFile folds the line of the next file, in tree, of content hash sum.
 func (b *DigestFold) AddFile(tree *namespace.Tree, f File, sum string) {
-	b.path = AppendFilePath(b.path[:0], tree, f)
-	b.line = AppendFileLine(b.line[:0], b.path, f.Size, sum)
+	b.line = AppendFileLine(b.line[:0], b.path.Append(tree, f), f.Size, sum)
 	b.AddFileLines(b.line, 1, f.Size)
 }
 

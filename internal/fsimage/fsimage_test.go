@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"errors"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -16,7 +17,7 @@ import (
 )
 
 // filePath is the slash-separated path of a file under the image root.
-func filePath(img *Image, f File) string { return string(AppendFilePath(nil, img.Tree, f)) }
+func filePath(img *Image, f File) string { return string(new(FilePath).Append(img.Tree, f)) }
 
 // buildTestImage constructs a small deterministic image for tests.
 func buildTestImage(t testing.TB) *Image {
@@ -42,6 +43,23 @@ func buildTestImage(t testing.TB) *Image {
 		img.AddFile(MakeFileName(i, exts[k]), exts[k], sizes[k], placed[k].DirID, placed[k].FileDepth)
 	}
 	return img
+}
+
+// TestFilePathFollowsDirectoryAndTree: one FilePath renders every file of
+// two images, alternating between them and between directories, root files
+// included, as the path joined from the tree's directory path and the name.
+func TestFilePathFollowsDirectoryAndTree(t *testing.T) {
+	a, b := buildTestImage(t), batchTestImage(t, 40)
+	var p FilePath
+	for i := range 40 {
+		for _, img := range []*Image{a, b, b} {
+			f := img.Files[i%len(img.Files)]
+			want := path.Join(img.Tree.Path(f.DirID), f.Name)
+			if got := string(p.Append(img.Tree, f)); got != want {
+				t.Fatalf("file %d of a %d-file image: %q, want %q", f.ID, len(img.Files), got, want)
+			}
+		}
+	}
 }
 
 func TestImageBasics(t *testing.T) {

@@ -189,15 +189,29 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 	return written.Load(), err
 }
 
-// AppendFilePath appends the slash-separated path of a file record relative
-// to the tree root: the name the file has in the canonical digest and in
-// every archive format.
-func AppendFilePath(dst []byte, tree *namespace.Tree, f File) []byte {
-	base := len(dst)
-	if dst = tree.AppendPath(dst, f.DirID); len(dst) > base {
-		dst = append(dst, '/')
+// FilePath renders the slash-separated path of file records relative to the
+// tree root — the name a file has in the canonical digest and in every
+// archive format — in one reused buffer. It renders a directory's part only
+// when the directory changes, which in canonical order is once per
+// directory. The zero value is ready to use.
+type FilePath struct {
+	tree *namespace.Tree
+	dir  int
+	buf  []byte
+	n    int // the length of the directory's part, its slash included
+}
+
+// Append returns f's path in tree, valid until the next call.
+func (p *FilePath) Append(tree *namespace.Tree, f File) []byte {
+	if tree != p.tree || f.DirID != p.dir {
+		p.tree, p.dir = tree, f.DirID
+		if p.buf = tree.AppendPath(p.buf[:0], f.DirID); len(p.buf) > 0 {
+			p.buf = append(p.buf, '/')
+		}
+		p.n = len(p.buf)
 	}
-	return append(dst, f.Name...)
+	p.buf = append(p.buf[:p.n], f.Name...)
+	return p.buf
 }
 
 // appendEntryPath resets dst to the on-disk path of one image entry — root,

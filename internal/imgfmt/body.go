@@ -406,7 +406,7 @@ func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) bool {
 // with MetadataOnly), padding.
 func (e *bodyEngine) frame(c *chunker, f fsimage.File) error {
 	if e.headers != nil || e.opts.fold != nil {
-		c.path = fsimage.AppendFilePath(c.path[:0], e.tree, f)
+		c.path = c.paths.Append(e.tree, f)
 	}
 	if e.headers != nil {
 		var err error
@@ -464,9 +464,10 @@ type chunker struct {
 	// buf[lo:hi] is marked (hi is 0 when nothing is).
 	lo, hi int
 
-	// Scratch, reused from file to file: the entry's path and header, its
-	// SHA-256 and that in hex.
+	// Scratch, reused from file to file: the entry's path (rendered in
+	// paths) and header, its SHA-256 and that in hex.
 	path, hdr []byte
+	paths     fsimage.FilePath
 	sum       [sha256.Size]byte
 	hex       [2 * sha256.Size]byte
 }

@@ -23,8 +23,10 @@ type tarWriter struct {
 	// tree is the full image tree entry names are built from; the owner
 	// sets it before the first header (TarSink as it grows).
 	tree *namespace.Tree
-	// name and hdr hold the entry being written, reused from one to the next.
-	name, hdr []byte
+	// dir, file and hdr render the entry being written, reused from one to
+	// the next.
+	dir, hdr []byte
+	file     fsimage.FilePath
 }
 
 func newTarWriter(w io.Writer, opts Options) *tarWriter {
@@ -42,14 +44,14 @@ func (t *tarWriter) bodies(opts Options) *bodyEngine {
 	return e
 }
 
-// writeHeader emits the header of the entry named t.name.
-func (t *tarWriter) writeHeader(tpl *tarTemplate, size int64) error {
+// writeHeader emits the header of the entry named name.
+func (t *tarWriter) writeHeader(tpl *tarTemplate, name []byte, size int64) error {
 	var err error
-	if t.hdr, err = tpl.append(t.hdr[:0], t.name, size); err != nil {
+	if t.hdr, err = tpl.append(t.hdr[:0], name, size); err != nil {
 		return err
 	}
 	if _, err := t.bw.Write(t.hdr); err != nil {
-		return fmt.Errorf("imgfmt: writing tar header for %q: %w", t.name, err)
+		return fmt.Errorf("imgfmt: writing tar header for %q: %w", name, err)
 	}
 	return nil
 }
@@ -64,8 +66,8 @@ func (t *tarWriter) writeDirHeader(id int) ([]byte, error) {
 	if id == 0 {
 		return nil, nil
 	}
-	t.name = append(t.tree.AppendPath(t.name[:0], id), '/')
-	return t.name, t.writeHeader(&t.headers.dir, 0)
+	t.dir = append(t.tree.AppendPath(t.dir[:0], id), '/')
+	return t.dir, t.writeHeader(&t.headers.dir, t.dir, 0)
 }
 
 // writeFileHeader emits one file entry's header and returns the entry name,
@@ -75,8 +77,8 @@ func (t *tarWriter) writeFileHeader(f fsimage.File) ([]byte, error) {
 	if err := t.ctx.Err(); err != nil {
 		return nil, err
 	}
-	t.name = fsimage.AppendFilePath(t.name[:0], t.tree, f)
-	return t.name, t.writeHeader(&t.headers.file, f.Size)
+	name := t.file.Append(t.tree, f)
+	return name, t.writeHeader(&t.headers.file, name, f.Size)
 }
 
 // finish flushes the stream behind trailer zero bytes: the two blocks that
