@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"impressions/internal/fsimage"
@@ -56,6 +57,39 @@ func TestGoldenImageBytes(t *testing.T) {
 				t.Errorf("%s: %s is %s, pinned %s", tc.name, key, got[key], tc.want[key])
 			}
 		}
+	}
+}
+
+// TestSquashfsListingSizes holds the listing size Close computes from name
+// lengths and header runs to the listing it renders, for every directory
+// of the golden images and of edgeImage, whose 1,200 files break listings
+// at metadata block edges.
+func TestSquashfsListingSizes(t *testing.T) {
+	for name, img := range map[string]*fsimage.Image{
+		"sinkTestImage(11)": sinkTestImage(t, 11), "longNameImage": longNameImage(), "edgeImage": edgeImage(),
+	} {
+		out, err := os.Create(filepath.Join(t.TempDir(), "image.squashfs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq, err := imgfmt.NewSquashfsSink(out, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := img.StreamRecords(sq); err != nil {
+			t.Fatalf("%s: StreamRecords: %v", name, err)
+		}
+		computed, rendered, err := imgfmt.ListingSizes(sq)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(computed) != img.DirCount() || !slices.Equal(computed, rendered) {
+			t.Errorf("%s: computed listing sizes %v, rendered %v", name, computed, rendered)
+		}
+		if err := sq.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		out.Close()
 	}
 }
 

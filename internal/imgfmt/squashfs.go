@@ -271,40 +271,58 @@ func (s *SquashfsSink) appendChildName(dst []byte, code int32) []byte {
 	return s.appendFileName(dst, int(code-1))
 }
 
-// writeListing emits dir's listing to out and returns its byte size.
-// Entry runs break into a fresh header whenever squashfs requires it:
-// 256 entries, a child inode in a different metadata block, or a
-// signed-16-bit inode-delta overflow.
-func (s *SquashfsSink) writeListing(dir int, order childOrder, layout inodeLayout, out io.Writer) (int64, error) {
+// listingRun returns how many entries from seg[i] on one listing header
+// covers — the longest run sharing the metadata block of their inodes, at
+// most 256 and within a signed-16-bit inode delta of the first — with that
+// block and the first entry's inode number. Entry runs break into a fresh
+// header wherever squashfs requires it.
+func (s *SquashfsSink) listingRun(seg []int32, i int, layout inodeLayout) (n int, block, base uint32) {
+	block, _ = metaRef(s.childInodeU(seg[i], layout))
+	base = s.childInodeNumber(seg[i])
+	for ; i+n < len(seg) && n < 256; n++ {
+		blk, _ := metaRef(s.childInodeU(seg[i+n], layout))
+		delta := int64(s.childInodeNumber(seg[i+n])) - int64(base)
+		if blk != block || delta < -32768 || delta > 32767 {
+			break
+		}
+	}
+	return n, block, base
+}
+
+// listingSize returns the byte size of dir's listing, from its header runs
+// and its entries' name lengths, without rendering it.
+func (s *SquashfsSink) listingSize(dir int, order childOrder, layout inodeLayout) int64 {
 	seg := order.entries[order.start[dir]:order.start[dir+1]]
-	var written int64
+	var size int64
+	for i := 0; i < len(seg); {
+		n, _, _ := s.listingRun(seg, i, layout)
+		size += squashfsDirHeaderSize + int64(n)*squashfsDirEntrySize
+		for _, code := range seg[i : i+n] {
+			if code < 0 {
+				size += int64(len(s.ts.Tree().Dirs[-code-1].Name))
+			} else {
+				digits := len(strconv.AppendInt(s.scratch[:0], int64(code-1), 10))
+				size += int64(len("file") + max(8, digits) + len(s.suffixes[s.fileSuffix[code-1]]))
+			}
+		}
+		i += n
+	}
+	return size
+}
+
+// writeListing emits dir's listing to out.
+func (s *SquashfsSink) writeListing(dir int, order childOrder, layout inodeLayout, out io.Writer) error {
+	seg := order.entries[order.start[dir]:order.start[dir+1]]
 	buf := s.scratch[:0]
 	for i := 0; i < len(seg); {
-		// Open a header at seg[i]: it covers the longest run of entries
-		// sharing the metadata block of their inode and staying within the
-		// count and delta limits.
-		firstBlock, _ := metaRef(s.childInodeU(seg[i], layout))
-		baseInode := s.childInodeNumber(seg[i])
-		n := 0
-		for i+n < len(seg) && n < 256 {
-			blk, _ := metaRef(s.childInodeU(seg[i+n], layout))
-			if blk != firstBlock {
-				break
-			}
-			delta := int64(s.childInodeNumber(seg[i+n])) - int64(baseInode)
-			if delta < -32768 || delta > 32767 {
-				break
-			}
-			n++
-		}
+		n, firstBlock, baseInode := s.listingRun(seg, i, layout)
 		buf = buf[:0]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(n-1))
 		buf = binary.LittleEndian.AppendUint32(buf, firstBlock)
 		buf = binary.LittleEndian.AppendUint32(buf, baseInode)
 		if _, err := out.Write(buf); err != nil {
-			return written, err
+			return err
 		}
-		written += squashfsDirHeaderSize
 		for k := 0; k < n; k++ {
 			code := seg[i+k]
 			_, off := metaRef(s.childInodeU(code, layout))
@@ -320,16 +338,15 @@ func (s *SquashfsSink) writeListing(dir int, order childOrder, layout inodeLayou
 			buf = binary.LittleEndian.AppendUint16(buf, etype)
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.nameBuf)-1))
 			if _, err := out.Write(buf); err != nil {
-				return written, err
+				return err
 			}
 			if _, err := out.Write(s.nameBuf); err != nil {
-				return written, err
+				return err
 			}
-			written += squashfsDirEntrySize + int64(len(s.nameBuf))
 		}
 		i += n
 	}
-	return written, nil
+	return nil
 }
 
 func (s *SquashfsSink) childInodeU(code int32, layout inodeLayout) int64 {
@@ -346,13 +363,6 @@ func (s *SquashfsSink) childInodeNumber(code int32) uint32 {
 		return uint32(-code)
 	}
 	return uint32(s.ts.Tree().Len() + int(code))
-}
-
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
 }
 
 // metaWriter packs a metadata stream into 8192-byte uncompressed metadata
@@ -417,20 +427,16 @@ func (s *SquashfsSink) Close() error {
 	layout := s.layoutInodes(dirCount)
 	order := s.orderChildren()
 
-	// Pass 1: size every directory listing to learn its position in the
-	// directory table before the inode table (which references those
-	// positions) is written.
+	// Size every directory listing to learn its position in the directory
+	// table before the inode table (which references those positions) is
+	// written.
 	listStart := make([]int64, dirCount)
 	listSize := make([]int64, dirCount)
 	var cursor int64
 	for d := 0; d < dirCount; d++ {
 		listStart[d] = cursor
-		var cw countingWriter
-		if _, err := s.writeListing(d, order, layout, &cw); err != nil {
-			return err
-		}
-		listSize[d] = cw.n
-		cursor += cw.n
+		listSize[d] = s.listingSize(d, order, layout)
+		cursor += listSize[d]
 	}
 
 	// Subdir counts drive nlink.
@@ -508,14 +514,14 @@ func (s *SquashfsSink) Close() error {
 		return err
 	}
 
-	// Directory table (pass 2: real bytes this time).
+	// Directory table.
 	dirTableStart := s.offset
 	mw = &metaWriter{out: s}
 	for d := 0; d < dirCount; d++ {
 		if mw.u != listStart[d] {
-			return fmt.Errorf("imgfmt: internal error: listing %d at offset %d, sizing pass said %d", d, mw.u, listStart[d])
+			return fmt.Errorf("imgfmt: internal error: listing %d at offset %d, its sizes said %d", d, mw.u, listStart[d])
 		}
-		if _, err := s.writeListing(d, order, layout, mw); err != nil {
+		if err := s.writeListing(d, order, layout, mw); err != nil {
 			return err
 		}
 	}
