@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,7 +12,6 @@ import (
 	"slices"
 	"sync"
 
-	"impressions/internal/namespace"
 	"impressions/internal/parallel"
 )
 
@@ -205,34 +205,16 @@ func (c *column[T]) flush() error {
 	return err
 }
 
-// each visits the shards in index order.
-func (c *column[T]) each(visit func(vals []T) error) error {
+// each visits the shards in index order; a visit that changes shard s's
+// values stores them.
+func (c *column[T]) each(visit func(s int, vals []T) error) error {
 	var vals []T
 	for s := 0; s < parallel.Shards(c.n); s++ {
 		var err error
 		if vals, err = c.load(s, vals); err != nil {
 			return err
 		}
-		if err := visit(vals); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rewrite visits the shards in index order and stores each as visit leaves
-// it.
-func (c *column[T]) rewrite(visit func(vals []T) error) error {
-	var vals []T
-	for s := 0; s < parallel.Shards(c.n); s++ {
-		var err error
-		if vals, err = c.load(s, vals); err != nil {
-			return err
-		}
-		if err := visit(vals); err != nil {
-			return err
-		}
-		if err := c.store(s, vals); err != nil {
+		if err := visit(s, vals); err != nil {
 			return err
 		}
 	}
@@ -272,7 +254,7 @@ func (p poolColumn) Draw(s int, fill func([]float64)) error {
 }
 
 func (p poolColumn) Scan(visit func([]float64)) error {
-	return p.each(func(vals []float64) error {
+	return p.each(func(_ int, vals []float64) error {
 		visit(vals)
 		return nil
 	})
@@ -284,212 +266,97 @@ func (p poolColumn) Scan(visit func([]float64)) error {
 func scanFiles(ctx context.Context, sizes *column[float64], exts *column[uint32], parents *column[int32],
 	visit func(lo int, sizes []float64, exts []uint32, parents []int32) error) error {
 	var (
-		sz  []float64
 		ex  []uint32
 		par []int32
-		err error
 	)
-	for s := 0; s < parallel.Shards(sizes.n); s++ {
-		if err = ctx.Err(); err != nil {
+	return sizes.each(func(s int, sz []float64) error {
+		err := ctx.Err()
+		if err == nil && exts != nil {
+			ex, err = exts.load(s, ex)
+		}
+		if err == nil {
+			par, err = parents.load(s, par)
+		}
+		if err != nil {
 			return err
 		}
-		if sz, err = sizes.load(s, sz); err != nil {
-			return err
-		}
-		if exts != nil {
-			if ex, err = exts.load(s, ex); err != nil {
-				return err
-			}
-		}
-		if par, err = parents.load(s, par); err != nil {
-			return err
-		}
-		if err = visit(s*parallel.DefaultShardSize, sz, ex, par); err != nil {
+		return visit(s*parallel.DefaultShardSize, sz, ex, par)
+	})
+}
+
+// storeAt writes vals over the column from index lo, a shard boundary.
+func (c *column[T]) storeAt(lo int, vals []T) error {
+	var buf []T
+	for k := 0; k < len(vals); k += parallel.DefaultShardSize {
+		buf = c.shard((lo+k)/parallel.DefaultShardSize, buf)
+		copy(buf, vals[k:])
+		if err := c.store((lo+k)/parallel.DefaultShardSize, buf); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// The renumbering. Placement leaves each file its directory in draw order;
-// the canonical order is directory-major — by directory ID, then by draw —
-// and a file's ID is its position in it, so every consumer gets each
-// directory's files as one run. The counts placement left in the tree give
-// each directory's first position. The columns are then moved by a counting
-// sort over regions of whole shards, in two passes that hold one shard per
-// region and one region, never a column:
-//
-//  1. (fused into placement's ordered pass) in draw order, each file takes
-//     its directory's next position and goes to the next free slot of the
-//     region that holds that position, so a region's slots fill in draw
-//     order;
-//  2. region by region, each value moves from its slot to its position,
-//     found again by the same per-directory cursor.
-//
-// Regions are √shards shards wide (16 at least), so both the slots in
-// hand and the region grow as the square root of the file count.
-
-// renumbering moves the per-file columns of one pass into directory-major
-// order.
+// renumbering moves the per-file columns into the canonical order,
+// directory-major: by directory, then by draw, so a file's ID is its
+// position in it. Placement's ordered pass puts every file, in draw order,
+// on the list of the region of whole shards holding its position; finish
+// sorts a region at a time in memory and writes it over the columns. A
+// region is √shards shards (16 at least): a spilled pass holds one list
+// tail per region and one region.
 type renumbering struct {
-	m       *Metadata
-	next    []int // per directory: the position of its next file
-	sizes   *regions[float64]
-	exts    *regions[uint32]
-	parents *regions[int32]
-	to      []int32
+	region      int              // files per region
+	next, again []int            // per directory, in each pass: the position of its next file
+	lists       []*column[int64] // per region, per file: its size's bits, then directory<<32 | extension code
 }
 
 func newRenumbering(m *Metadata) (*renumbering, error) {
 	n := m.sizes.n
-	size := max(16, int(math.Sqrt(float64(parallel.Shards(n))))) * parallel.DefaultShardSize
-	r := &renumbering{m: m, next: dirStarts(m.tree)}
-	var err error
-	if r.sizes, err = newRegions[float64](m.store, "sizes-by-dir.f64", n, size); err != nil {
-		return nil, err
+	r := &renumbering{region: max(16, int(math.Sqrt(float64(parallel.Shards(n))))) * parallel.DefaultShardSize, next: make([]int, m.tree.Len())}
+	for d, pos := 0, 0; d < len(r.next); d++ {
+		r.next[d], pos = pos, pos+m.tree.Dirs[d].FileCount
 	}
-	if r.exts, err = newRegions[uint32](m.store, "exts-by-dir.u32", n, size); err != nil {
-		return nil, err
-	}
-	r.parents, err = newRegions[int32](m.store, "parents-by-dir.i32", n, size)
-	return r, err
-}
-
-// dirStarts returns each directory's first position in directory-major
-// order.
-func dirStarts(tree *namespace.Tree) []int {
-	starts := make([]int, tree.Len())
-	pos := 0
-	for d := range tree.Dirs {
-		starts[d] = pos
-		pos += tree.Dirs[d].FileCount
-	}
-	return starts
-}
-
-// put takes the next file in draw order (pass 1).
-func (r *renumbering) put(size float64, ext uint32, dir int32) error {
-	pos := r.next[dir]
-	r.next[dir]++
-	if err := r.sizes.put(pos, size); err != nil {
-		return err
-	}
-	if err := r.exts.put(pos, ext); err != nil {
-		return err
-	}
-	return r.parents.put(pos, dir)
-}
-
-// finish sorts every region (pass 2) and makes the sorted columns the pass's.
-func (r *renumbering) finish(ctx context.Context) error {
-	next := dirStarts(r.m.tree)
-	for b := range r.parents.fill {
-		if err := ctx.Err(); err != nil {
-			return err
+	r.again = slices.Clone(r.next)
+	for lo := 0; lo < n; lo += r.region {
+		l, err := newList[int64](m.store, fmt.Sprintf("region-%d.i64", lo/r.region), 2*min(r.region, n-lo))
+		if err != nil {
+			return nil, err
 		}
-		dirs, err := r.parents.load(b)
+		r.lists = append(r.lists, l)
+	}
+	return r, nil
+}
+
+// put takes the next file in draw order.
+func (r *renumbering) put(size float64, ext uint32, dir int32) error {
+	l := r.lists[r.next[dir]/r.region]
+	r.next[dir]++
+	return errors.Join(l.append(int64(math.Float64bits(size))), l.append(int64(dir)<<32|int64(ext)))
+}
+
+// finish writes the columns of m in directory-major order.
+func (r *renumbering) finish(ctx context.Context, m *Metadata) error {
+	n := min(m.sizes.n, r.region)
+	sizes, exts, parents := make([]float64, n), make([]uint32, n), make([]int32, n)
+	for b, l := range r.lists {
+		err := errors.Join(ctx.Err(), l.flush())
+		if err == nil {
+			err = l.each(func(_ int, vals []int64) error {
+				for k := 0; k < len(vals); k += 2 {
+					dir := vals[k+1] >> 32
+					pos := r.again[dir] - b*r.region
+					r.again[dir]++
+					sizes[pos], exts[pos], parents[pos] = math.Float64frombits(uint64(vals[k])), uint32(vals[k+1]), int32(dir)
+				}
+				return nil
+			})
+		}
+		if n = l.n / 2; err == nil {
+			err = errors.Join(m.sizes.storeAt(b*r.region, sizes[:n]), m.exts.storeAt(b*r.region, exts[:n]), m.parents.storeAt(b*r.region, parents[:n]))
+		}
 		if err != nil {
 			return err
 		}
-		lo := b * r.parents.size
-		r.to = r.to[:0]
-		for _, d := range dirs {
-			r.to = append(r.to, int32(next[d]-lo))
-			next[d]++
-		}
-		if err := r.parents.scatter(b, dirs, r.to); err != nil {
-			return err
-		}
-		if err := move(r.sizes, b, r.to); err != nil {
-			return err
-		}
-		if err := move(r.exts, b, r.to); err != nil {
-			return err
-		}
-	}
-	r.m.sizes, r.m.exts, r.m.parents = r.sizes.c, r.exts.c, r.parents.c
-	return nil
-}
-
-// regions is a column written by region of whole shards, each region's
-// slots in the order put takes them.
-type regions[T value] struct {
-	c        *column[T]
-	size     int   // values per region
-	cur      [][]T // per region: the shard being filled
-	fill     []int // per region: the slots taken
-	src, dst []T   // pass 2's region in hand
-}
-
-func newRegions[T value](st *columnStore, name string, n, size int) (*regions[T], error) {
-	c, err := newColumn[T](st, name, n)
-	if err != nil {
-		return nil, err
-	}
-	k := (n + size - 1) / size
-	return &regions[T]{c: c, size: size, cur: make([][]T, k), fill: make([]int, k)}, nil
-}
-
-// put writes v to the next free slot of the region holding position pos,
-// and stores the slot's shard once it is full.
-func (r *regions[T]) put(pos int, v T) error {
-	b := pos / r.size
-	i := b*r.size + r.fill[b]
-	r.fill[b]++
-	s, k := i/parallel.DefaultShardSize, i%parallel.DefaultShardSize
-	if k == 0 {
-		r.cur[b] = r.c.shard(s, r.cur[b])
-	}
-	r.cur[b][k] = v
-	if k == len(r.cur[b])-1 {
-		return r.c.store(s, r.cur[b])
 	}
 	return nil
-}
-
-// shards returns the shard range of region b.
-func (r *regions[T]) shards(b int) (first, end int) {
-	per := r.size / parallel.DefaultShardSize
-	return b * per, min((b+1)*per, parallel.Shards(r.c.n))
-}
-
-// load returns a copy of region b's values.
-func (r *regions[T]) load(b int) ([]T, error) {
-	r.src = r.src[:0]
-	var vals []T
-	for first, end := r.shards(b); first < end; first++ {
-		var err error
-		if vals, err = r.c.load(first, vals); err != nil {
-			return nil, err
-		}
-		r.src = append(r.src, vals...)
-	}
-	return r.src, nil
-}
-
-// scatter stores region b with src[j] at position to[j] within it.
-func (r *regions[T]) scatter(b int, src []T, to []int32) error {
-	r.dst = slices.Grow(r.dst[:0], len(src))[:len(src)]
-	for j, v := range src {
-		r.dst[to[j]] = v
-	}
-	var vals []T
-	first, end := r.shards(b)
-	for s := first; s < end; s++ {
-		vals = r.c.shard(s, vals)
-		copy(vals, r.dst[(s-first)*parallel.DefaultShardSize:])
-		if err := r.c.store(s, vals); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// move sorts region b of r by to.
-func move[T value](r *regions[T], b int, to []int32) error {
-	src, err := r.load(b)
-	if err != nil {
-		return err
-	}
-	return r.scatter(b, src, to)
 }

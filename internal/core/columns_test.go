@@ -55,11 +55,11 @@ func TestColumnBackingsAgree(t *testing.T) {
 			if err := list.flush(); err != nil {
 				t.Fatal(err)
 			}
-			if err := list.rewrite(func(vals []int32) error {
+			if err := list.each(func(s int, vals []int32) error {
 				for k := range vals {
 					vals[k] *= 3
 				}
-				return nil
+				return list.store(s, vals)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestColumnBackingsAgree(t *testing.T) {
 				if c.n != n {
 					t.Errorf("n=%d spill=%q: column %s holds %d values", n, spill, c.name, c.n)
 				}
-				err := c.each(func(vals []int32) error {
+				err := c.each(func(_ int, vals []int32) error {
 					read[b] = append(read[b], vals...)
 					return nil
 				})
@@ -110,9 +110,9 @@ type fault struct {
 // pass is the first to write parents (one write per shard, four here) and
 // the commit loop the first to read them, the parent pass is the first to
 // read the depth lists, the ordered pass is the first to read the codes and
-// writes the renumbering's slots, whose one region (four shards here) its
-// second pass reads and writes back, and only a replay reads the sorted
-// codes after that.
+// fills the renumbering's one region list (seven shards here), which the
+// renumbering then reads to write the sizes and codes and the parents over
+// (four shards each), and only a replay reads the codes after that.
 var faultStages = []fault{
 	{stage: "sizes", column: "sizes.f64", write: true, at: 2},
 	{stage: "sizes, summing the draw", column: "sizes.f64", at: 1},
@@ -121,10 +121,11 @@ var faultStages = []fault{
 	{stage: "commit", column: "parents.i32", at: 2},
 	{stage: "parent pass, reading a level", column: "depth-", at: 1},
 	{stage: "ordered pass, reading the codes", column: "exts.u32", at: 2},
-	{stage: "ordered pass, filling a slot", column: "parents-by-dir.i32", write: true, at: 2},
-	{stage: "renumbering, reading a region", column: "sizes-by-dir.f64", at: 3},
-	{stage: "renumbering, writing a region", column: "exts-by-dir.u32", write: true, at: 6},
-	{stage: "replay", column: "exts-by-dir.u32", at: 6},
+	{stage: "ordered pass, filling a region", column: "region-", write: true, at: 2},
+	{stage: "renumbering, reading a region", column: "region-", at: 3},
+	{stage: "renumbering, writing the codes", column: "exts.u32", write: true, at: 6},
+	{stage: "renumbering, writing the parents", column: "parents.i32", write: true, at: 5},
+	{stage: "replay", column: "exts.u32", at: 6},
 }
 
 // faultyFiles opens column files that count their calls and, at the fault,

@@ -138,14 +138,8 @@ func (g *Generator) resolveSizes(rng *stats.RNG, sizes *column[float64]) (constr
 	if values == nil {
 		return result, nil // the column holds the draw that met the constraint
 	}
-	var shard []float64
-	for s := 0; s < parallel.Shards(sizes.n); s++ {
-		lo, hi := parallel.Bounds(sizes.n, s)
-		shard = sizes.shard(s, shard)
-		copy(shard, values[lo:hi])
-		if err := sizes.store(s, shard); err != nil {
-			return constraint.Result{}, err
-		}
+	if err := sizes.storeAt(0, values); err != nil {
+		return constraint.Result{}, err
 	}
 	return result, nil
 }
@@ -225,18 +219,17 @@ func (m *Metadata) extFor(code uint32) string {
 //     each size from the level's own list and writes the parent drawn for
 //     it in its place; it holds no block of the file columns.
 //  4. Ordered pass — in index order, each file still marked with a depth
-//     takes the next parent of that depth's list, and every file the next
-//     position of its directory: the renumbering (columns.go) that makes
-//     the canonical order directory-major.
+//     takes the next parent of that depth's list, and every file goes to
+//     the renumbering (columns.go), which numbers files directory-major.
 //
 // Shard boundaries, depth grouping (ascending file index), and every RNG
 // stream are functions of the seed and stable shard/depth keys — never of
 // worker count, scheduling or where the columns live — so any parallelism
 // level produces the identical image, on the heap or spilled.
 //
-// placeFiles fills m's parents column, renumbers the columns
-// directory-major and emits no records — a file's record (name, depth,
-// extension) is derived from the columns at consumption time.
+// placeFiles fills m's parents column, renumbers the columns and emits no
+// records — a file's record (name, depth, extension) is derived from the
+// columns at consumption time.
 // It also totals the rounded sizes, which the commit loop passes anyway.
 // Cancellation is polled per shard and per depth level; on cancellation the
 // caller discards the partially filled columns, so an aborted run never
@@ -312,13 +305,13 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 			return err
 		}
 		drng := parentStream.SplitN(uint64(d))
-		return level.rewrite(func(vals []int64) error {
+		return level.each(func(s int, vals []int64) error {
 			for k, size := range vals {
 				dirID := placer.ChooseParentAt(d-1, drng)
 				placer.Commit(dirID, size)
 				vals[k] = int64(dirID)
 			}
-			return nil
+			return level.store(s, vals)
 		})
 	})
 	if err != nil {
@@ -330,28 +323,27 @@ func (g *Generator) placeFiles(ctx context.Context, m *Metadata, rng *stats.RNG)
 		readers[d].c = level
 	}
 	rn, err := newRenumbering(m)
-	if err != nil {
-		return err
-	}
-	err = scanFiles(ctx, sizes, m.exts, parents, func(_ int, sz []float64, ex []uint32, par []int32) error {
-		for k, p := range par {
-			if p < 0 {
-				dirID, err := readers[-p].next()
-				if err != nil {
+	if err == nil {
+		err = scanFiles(ctx, sizes, m.exts, parents, func(_ int, sz []float64, ex []uint32, par []int32) error {
+			for k, p := range par {
+				if p < 0 {
+					dirID, err := readers[-p].next()
+					if err != nil {
+						return err
+					}
+					p = int32(dirID)
+				}
+				if err := rn.put(sz[k], ex[k], p); err != nil {
 					return err
 				}
-				p = int32(dirID)
 			}
-			if err := rn.put(sz[k], ex[k], p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 	if err != nil {
 		return err
 	}
-	return rn.finish(ctx)
+	return rn.finish(ctx, m)
 }
 
 func normalizeExt(ext string) string {
