@@ -182,7 +182,8 @@ fleet-fault-check:
 
 # Local mirror of the CI image-sink job: the direct tar sink must agree
 # with the VFS path (same canonical digest), the archive must be readable
-# by system tar, both sinks must write the same bytes at -j 1 and -j 4 (the
+# by system tar and directory-local (each directory's files one run of
+# entries), both sinks must write the same bytes at -j 1 and -j 4 (the
 # content workers behind them change nothing but the time), the squashfs
 # run must print the tar run's digest, and a plan executed by 3 tar-segment
 # workers (at -j 1, 2 and 4) and stitched must be byte-identical to the
@@ -198,7 +199,8 @@ image-sink-check:
 	cmp single.tar single-j4.tar; cmp tar.digest tar-j4.digest; \
 	./impressions $$spec -digest -out vfs | grep '^image digest:' > vfs.digest; \
 	cmp tar.digest vfs.digest; \
-	tar -tf single.tar > /dev/null; \
+	tar -tf single.tar | grep -v '/$$' | sed 's#/[^/]*$$##; t; s#.*#.#' | uniq | sort | uniq -d > split-dirs; \
+	if [ -s split-dirs ]; then echo "image-sink-check: the tar splits the files of these directories:"; cat split-dirs; exit 1; fi; \
 	./impressions plan $$spec -shards 3 -plan plan.json; \
 	pids=""; for s in 0 1 2; do ./impressions worker -plan plan.json -shard $$s -j $$((1 << s)) -format tar -out seg$$s.tar -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
 	for p in $$pids; do wait "$$p"; done; \
@@ -212,7 +214,7 @@ image-sink-check:
 	./impressions $$spec -j 1 -format squashfs -out image.squashfs -digest | grep '^image digest:' > squashfs.digest; \
 	./impressions $$spec -j 4 -format squashfs -out image-j4.squashfs; \
 	cmp image.squashfs image-j4.squashfs; cmp tar.digest squashfs.digest; \
-	echo "image-sink-check: OK (tar digest matches VFS and squashfs; -j 1 and -j 4 byte-identical; 3-worker stitch byte-identical; swapped segments refused)"
+	echo "image-sink-check: OK (tar digest matches VFS and squashfs; tar directory-local; -j 1 and -j 4 byte-identical; 3-worker stitch byte-identical; swapped segments refused)"
 
 # Local mirror of the CI bench-pipeline job. bench/pipeline is a Go module of
 # its own, so `go vet ./...` and `go test ./...` from the root never see it:

@@ -26,12 +26,9 @@ import (
 // stale, torn, or foreign journal is detected and discarded, never trusted.
 
 // JournalVersion is the shard-journal wire version. Version 2 indexes
-// batches by the shard's directory order. Since plan format 5 that is the
-// file list itself (ShardView.Files), whose canonical order is
-// directory-major, so the meaning and the bytes of a version 2 journal are
-// unchanged; a journal of an older plan names another fingerprint and is
-// refused by it. A version 1 journal indexed the file list of a plan whose
-// order was not directory-major, so it is refused and the shard restarts.
+// batches by the shard's directory order, which since plan format 5 is its
+// file list (ShardView.Files); a version 1 journal indexed a file list that
+// was not in directory order, so it is refused and the shard restarts.
 const JournalVersion = 2
 
 // journalChainSeed anchors the batch seal chain.
@@ -236,7 +233,8 @@ func JournalFile(workDir, fingerprint string, shard int) string {
 
 // recoverJournal returns what the journal at path proves done for this
 // shard under outRoot, trusting it only as far as the disk agrees: every
-// resumed file — a prefix of the shard's file list — must exist, regular, at its planned size (a stat pass in that order, not a
+// resumed file — a prefix of the shard's file list — must exist, regular,
+// at its planned size (a stat pass in that order, not a
 // re-hash — the seal chain plus fingerprint binding covers content), and
 // must have been written in the content mode this execution runs in — a
 // metadata-only run seals empty digests over sized, empty files, which are

@@ -96,8 +96,7 @@ import (
 // version 4 seals the plan with the fragments' own chain hashes, in every
 // fragment's trailer, instead of one chain over the whole record stream in
 // its header, so one pass writes every fragment; version 5 numbers the files
-// directory-major, so every name, content stream and digest moved and a
-// fragment whose files step back a directory is damaged.
+// directory-major.
 const FormatVersion = 5
 
 // ShardPlan describes one shard of the partitioned namespace.

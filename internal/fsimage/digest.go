@@ -64,7 +64,8 @@ func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 }
 
 // Digest computes the canonical SHA-256 of the image: directory paths in ID
-// order, then every file's path, size and content hash in ID order. Two
+// order, then every file's path, size and content hash in ID order, which
+// is directory-major. Two
 // images with equal digests materialize to byte-identical trees. It is
 // computed without touching disk; the distributed merge step reproduces the
 // same value from shard manifests through a DigestFold.
@@ -116,7 +117,8 @@ func AppendFileLine[S string | []byte](dst, path []byte, size int64, hexSum S) [
 // promised totals are part of the header, so they must be known up front
 // (plan headers and images both carry them); Sum fails if the fold did not
 // take exactly those totals. Directories go in ID order, then files in ID
-// order.
+// order; the files of one directory come as one run, so its path is
+// rendered once per run (FilePath).
 type DigestFold struct {
 	h         hash.Hash
 	wantDirs  int

@@ -4,16 +4,14 @@
 // machinery to materialize an image onto a real file system, scan a real
 // directory tree back into an image, and serialize images to JSON.
 //
-// The canonical file order is directory-major: the metadata pass numbers
-// files by directory, then by draw, so a file's ID is its position in that
-// order and every slice of the stream holds each directory's files as one
-// run. There is one VFS writer, MaterializeShardRecords, over a slice of file
-// records in that order: Image.Materialize and the distributed executor's
-// directory target, each of its journal batches a run of the slice, are
-// calls to it, and so is every batch of MaterializeSink, the streamed writer
-// that holds 4096 records of an image too large to retain. On Linux it
-// creates each directory's run of files with openat(2) against one
-// descriptor on the directory.
+// File IDs are directory-major (by directory, then by draw), so any slice
+// of the canonical stream holds each directory's files as one run. There is
+// one VFS writer, MaterializeShardRecords, over such a slice: Image.Materialize
+// and the distributed executor's directory target, each of its journal
+// batches a run of the slice, are calls to it, and so is every batch of
+// MaterializeSink, the streamed writer that holds 4096 records of an image
+// too large to retain. On Linux it creates each directory's run of files
+// with openat(2) against one descriptor on the directory.
 // ContentDigests/Digest is the hash-only oracle the writers are tested
 // against. The canonical digest has one fold, DigestFold, which holds no
 // tree: whoever feeds it formats the lines over the tree it already has —

@@ -104,9 +104,10 @@ func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, erro
 // directories (tree IDs, ascending so parents precede children; a missing
 // ancestor is created on the way) in one serial pass, then writes files in
 // the order given — canonical order, or a run of it, so each directory's
-// files come together — with opts.Parallelism workers. Image.Materialize, every MaterializeSink batch,
-// every directory target of the distributed executor and each of its
-// journal batches are calls to it. The root itself is created if missing.
+// files come together — with opts.Parallelism workers. Image.Materialize,
+// every MaterializeSink batch, every directory target of the distributed
+// executor and each of its journal batches are calls to it. The root itself
+// is created if missing.
 // opts.Seed is used as given — callers without an image pass the plan or
 // spec seed.
 //
@@ -195,10 +196,9 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 // when the directory changes, which in canonical order is once per
 // directory. The zero value is ready to use.
 type FilePath struct {
-	tree *namespace.Tree
-	dir  int
-	buf  []byte
-	n    int // the length of the directory's part, its slash included
+	tree   *namespace.Tree
+	dir, n int // n: the length of dir's part of buf, its slash included
+	buf    []byte
 }
 
 // Append returns f's path in tree, valid until the next call.

@@ -11,7 +11,7 @@ import (
 // retaining it. An image is, on the wire and in every consumer that doesn't
 // need random access, just a canonical record stream: every directory
 // (DirRecord) in ID order, then every file (File) in ID order, which is
-// directory-major: a directory's files are one run of IDs. Producers
+// directory-major. Producers
 // push that stream into one RecordSink; what the sink does with it — buffer
 // it into chunks (ChunkEncoder), fold it into the canonical digest
 // (DigestBuilder), accumulate histograms (ImageStats), or write it to disk
@@ -63,11 +63,10 @@ func (img *Image) StreamRecords(sink RecordSink) error {
 // file counters restored as file records pass by), validates that the
 // stream is canonical — dense ascending IDs, known parents, the root first,
 // file directories that never decrease, non-negative sizes, consistent
-// depths, legal names — and hands each file
-// record to an optional callback instead of retaining it. A stream that is
-// not canonical is a damaged artifact: every rejection wraps
-// ErrManifestIntegrity. It is the one implementation of these rules:
-// Image.Validate is a replay into a TreeSink.
+// depths, legal names — and hands each file record to an optional callback
+// instead of retaining it. A stream that is not canonical is a damaged
+// artifact: every rejection wraps ErrManifestIntegrity. It is the one
+// implementation of these rules: Image.Validate is a replay into a TreeSink.
 type TreeSink struct {
 	// OnFile, when non-nil, observes every validated file record.
 	OnFile func(File) error

@@ -290,7 +290,7 @@ func (s *SquashfsSink) listingRun(seg []int32, i int, layout inodeLayout) (n int
 }
 
 // listingSize returns the byte size of dir's listing, from its header runs
-// and its entries' name lengths, without rendering it.
+// and its entries' name lengths, without rendering the listing.
 func (s *SquashfsSink) listingSize(dir int, order childOrder, layout inodeLayout) int64 {
 	seg := order.entries[order.start[dir]:order.start[dir+1]]
 	var size int64
@@ -298,12 +298,8 @@ func (s *SquashfsSink) listingSize(dir int, order childOrder, layout inodeLayout
 		n, _, _ := s.listingRun(seg, i, layout)
 		size += squashfsDirHeaderSize + int64(n)*squashfsDirEntrySize
 		for _, code := range seg[i : i+n] {
-			if code < 0 {
-				size += int64(len(s.ts.Tree().Dirs[-code-1].Name))
-			} else {
-				digits := len(strconv.AppendInt(s.scratch[:0], int64(code-1), 10))
-				size += int64(len("file") + max(8, digits) + len(s.suffixes[s.fileSuffix[code-1]]))
-			}
+			s.nameBuf = s.appendChildName(s.nameBuf[:0], code)
+			size += int64(len(s.nameBuf))
 		}
 		i += n
 	}
