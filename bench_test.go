@@ -1,14 +1,12 @@
 package impressions_test
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -555,7 +553,7 @@ func BenchmarkMaterializeVFSSmallFiles(b *testing.B) {
 
 // BenchmarkVFSFloor is the kernel floor under BenchmarkMaterializeVFSSmallFiles:
 // the same image's directories made with one mkdir each, then its files —
-// by directory, as the writer goes, in one contiguous range per goroutine
+// in canonical order, by directory, in one contiguous range per goroutine
 // at runtime.NumCPU() goroutines — each with one open, write and close of a
 // constant buffer of the file's size. On Linux a range opens each
 // directory once per run and creates the run's files with openat(2), as
@@ -564,13 +562,10 @@ func BenchmarkMaterializeVFSSmallFiles(b *testing.B) {
 // this one is what the writer adds to the kernel.
 func BenchmarkVFSFloor(b *testing.B) {
 	img := sinkBenchImage(b)
-	order := make([]int, len(img.Files))
 	var largest int64
-	for k, f := range img.Files {
-		order[k] = k
+	for _, f := range img.Files {
 		largest = max(largest, f.Size)
 	}
-	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(img.Files[x].DirID, img.Files[y].DirID) })
 	buf := make([]byte, largest)
 	base := b.TempDir()
 	workers := runtime.NumCPU()
@@ -591,11 +586,11 @@ func BenchmarkVFSFloor(b *testing.B) {
 		errs := make([]error, workers)
 		var wg sync.WaitGroup
 		for w := range workers {
-			lo, hi := w*len(order)/workers, (w+1)*len(order)/workers
+			lo, hi := w*len(img.Files)/workers, (w+1)*len(img.Files)/workers
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[w] = floorRange(dirs, img.Files, order[lo:hi], buf)
+				errs[w] = floorRange(dirs, img.Files[lo:hi], buf)
 			}()
 		}
 		wg.Wait()

@@ -4,7 +4,6 @@ package distribute
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -45,10 +44,7 @@ import (
 // vfsWriter is one way of writing a shard's files under root.
 type vfsWriter struct {
 	name string
-	// ordered says the shard's files go in the directory order, so at
-	// Parallelism 1 they land in writeOrder.
-	ordered bool
-	run     func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (gotResult bool, err error)
+	run  func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (gotResult bool, err error)
 }
 
 func vfsWriters(t *testing.T) []vfsWriter {
@@ -57,30 +53,19 @@ func vfsWriters(t *testing.T) []vfsWriter {
 		return res != nil, err
 	}
 	return []vfsWriter{
-		{name: "Image.Materialize", ordered: true, run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
+		{name: "Image.Materialize", run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
 			img := &fsimage.Image{Tree: v.Tree, Files: v.Files}
 			_, err := img.Materialize(root, fsimage.MaterializeOptions{
 				Registry: content.NewRegistry(content.Kind(v.Plan.ContentKind)), Seed: v.Plan.Seed, Parallelism: j, Context: ctx, MetadataOnly: metadataOnly})
 			return false, err
 		}},
-		{name: "Execute dir", ordered: true, run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
+		{name: "Execute dir", run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
 			return execute(ctx, v, root, WorkerOptions{Parallelism: j, MetadataOnly: metadataOnly})
 		}},
-		{name: "Execute dir journaled", ordered: true, run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
+		{name: "Execute dir journaled", run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
 			return execute(ctx, v, root, WorkerOptions{Parallelism: j, MetadataOnly: metadataOnly, JournalPath: filepath.Join(t.TempDir(), "journal"), BatchFiles: 8})
 		}},
 	}
-}
-
-// writeOrder returns the indices of files in the order the VFS writer
-// writes them at Parallelism 1: by directory, then by position.
-func writeOrder(files []fsimage.File) []int {
-	order := make([]int, len(files))
-	for k := range order {
-		order[k] = k
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(files[a].DirID, files[b].DirID) })
-	return order
 }
 
 // withFiles returns a copy of the view over a private copy of its files, so
@@ -124,28 +109,28 @@ func fivePositions(n int) []int {
 
 func TestVFSWriteFailures(t *testing.T) {
 	pristine := goldenShard(t)
-	order := writeOrder(pristine.Files)
-	largest := 0 // position in the write order of the largest file
-	for p, k := range order {
-		if pristine.Files[k].Size > pristine.Files[order[largest]].Size {
+	files := pristine.Files // in canonical order, the order the writer takes
+	largest := 0            // position of the largest file
+	for p, f := range files {
+		if f.Size > files[largest].Size {
 			largest = p
 		}
 	}
-	// Positions in the write order of the second file of the first
+	// Positions of the second file of the first
 	// directory run of three or more files, and of the largest file with
 	// files of its run on both sides (large, so the writer is still inside
 	// it when the cancellation comes): a fault at either meets a worker
 	// holding that directory's descriptor mid-run.
 	second, middle := -1, -1
-	for lo, hi := 0, 0; lo < len(order); lo = hi {
-		dir := pristine.Files[order[lo]].DirID
-		for hi = lo + 1; hi < len(order) && pristine.Files[order[hi]].DirID == dir; hi++ {
+	for lo, hi := 0, 0; lo < len(files); lo = hi {
+		dir := files[lo].DirID
+		for hi = lo + 1; hi < len(files) && files[hi].DirID == dir; hi++ {
 		}
 		if hi-lo >= 3 && second < 0 {
 			second = lo + 1
 		}
 		for p := lo + 1; p < hi-1; p++ {
-			if middle < 0 || pristine.Files[order[p]].Size > pristine.Files[order[middle]].Size {
+			if middle < 0 || files[p].Size > files[middle].Size {
 				middle = p
 			}
 		}
@@ -159,7 +144,7 @@ func TestVFSWriteFailures(t *testing.T) {
 		metadataOnly bool
 		// arm prepares root and the (private) view, and returns the context
 		// to run under, the error the run must return, how many regular
-		// files an ordered writer leaves at Parallelism 1 (-1: not
+		// files a writer leaves at Parallelism 1 (-1: not
 		// checked), and a function to call with the run's error once it
 		// has returned.
 		arm func(t *testing.T, v *ShardView, root string) (ctx context.Context, cause error, left int, after func(error))
@@ -187,9 +172,9 @@ func TestVFSWriteFailures(t *testing.T) {
 			}
 		}})
 	}
-	for _, p := range fivePositions(len(order)) {
+	for _, p := range fivePositions(len(files)) {
 		faults = append(faults, fault{name: fmt.Sprintf("ENAMETOOLONG at file %d", p), arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
-			v.Files[order[p]].Name = strings.Repeat("x", 300)
+			v.Files[p].Name = strings.Repeat("x", 300)
 			return context.Background(), syscall.ENAMETOOLONG, p, func(error) {}
 		}})
 	}
@@ -200,7 +185,7 @@ func TestVFSWriteFailures(t *testing.T) {
 		if metadataOnly {
 			cause, what = syscall.EINVAL, "metadata-only EINVAL"
 		}
-		for _, p := range append(fivePositions(len(order)), second) {
+		for _, p := range append(fivePositions(len(files)), second) {
 			name := fmt.Sprintf("%s from /dev/full at file %d", what, p)
 			if p == second {
 				name = fmt.Sprintf("%s from /dev/full at the second file of a directory run (file %d)", what, p)
@@ -209,7 +194,7 @@ func TestVFSWriteFailures(t *testing.T) {
 				if _, err := os.Stat("/dev/full"); err != nil {
 					t.Skipf("no /dev/full here: %v", err)
 				}
-				f := v.Files[order[p]]
+				f := v.Files[p]
 				link := filepath.Join(root, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name)
 				if err := os.MkdirAll(filepath.Dir(link), 0o755); err != nil {
 					t.Fatal(err)
@@ -231,7 +216,7 @@ func TestVFSWriteFailures(t *testing.T) {
 	// and only then lets the writer finish.
 	cancelledInside := func(p int) func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
 		return func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
-			f := v.Files[order[p]]
+			f := v.Files[p]
 			fifo := filepath.Join(root, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name)
 			if err := os.MkdirAll(filepath.Dir(fifo), 0o755); err != nil {
 				t.Fatal(err)
@@ -288,7 +273,7 @@ func TestVFSWriteFailures(t *testing.T) {
 					if gotResult {
 						t.Error("a failed execution returned a result")
 					}
-					if w.ordered && j == 1 && left >= 0 {
+					if j == 1 && left >= 0 {
 						if n := regularFiles(t, root); n != left {
 							t.Errorf("%d regular files left, want %d: the files behind the fault must not be started", n, left)
 						}

@@ -7,19 +7,18 @@ import (
 	"impressions/internal/fsimage"
 )
 
-// floorRange creates files[k] for each k of order, a range of the
-// directory order, under dirs[DirID], each holding the first Size bytes of
-// buf: one descriptor per directory's run of files, and each file created
-// with openat(2) against it, as the VFS writer does on Linux.
-func floorRange(dirs []string, files []fsimage.File, order []int, buf []byte) error {
+// floorRange creates files, a range of the canonical order, under
+// dirs[DirID], each holding the first Size bytes of buf: one descriptor per
+// directory's run of files, and each file created with openat(2) against
+// it, as the VFS writer does on Linux.
+func floorRange(dirs []string, files []fsimage.File, buf []byte) error {
 	dir, dirFD := -1, -1
 	defer func() {
 		if dir >= 0 {
 			syscall.Close(dirFD)
 		}
 	}()
-	for _, k := range order {
-		f := files[k]
+	for _, f := range files {
 		if f.DirID != dir {
 			if dir >= 0 {
 				syscall.Close(dirFD)

@@ -10,12 +10,11 @@ import (
 	"impressions/internal/fsimage"
 )
 
-// floorRange creates files[k] for each k of order, a range of the
-// directory order, under dirs[DirID], each holding the first Size bytes of
-// buf and opened by its full path, as the VFS writer does off Linux.
-func floorRange(dirs []string, files []fsimage.File, order []int, buf []byte) error {
-	for _, k := range order {
-		f := files[k]
+// floorRange creates files, a range of the canonical order, under
+// dirs[DirID], each holding the first Size bytes of buf and opened by its
+// full path, as the VFS writer does off Linux.
+func floorRange(dirs []string, files []fsimage.File, buf []byte) error {
+	for _, f := range files {
 		if err := floorFile(filepath.Join(dirs[f.DirID], f.Name), buf[:f.Size]); err != nil {
 			return err
 		}
