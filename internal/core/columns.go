@@ -351,8 +351,8 @@ func (r *renumbering) finish(ctx context.Context, m *Metadata) error {
 				return nil
 			})
 		}
-		if n = l.n / 2; err == nil {
-			err = errors.Join(m.sizes.storeAt(b*r.region, sizes[:n]), m.exts.storeAt(b*r.region, exts[:n]), m.parents.storeAt(b*r.region, parents[:n]))
+		if files := l.n / 2; err == nil {
+			err = errors.Join(m.sizes.storeAt(b*r.region, sizes[:files]), m.exts.storeAt(b*r.region, exts[:files]), m.parents.storeAt(b*r.region, parents[:files]))
 		}
 		if err != nil {
 			return err

@@ -271,7 +271,7 @@ func (s *SquashfsSink) appendChildName(dst []byte, code int32) []byte {
 	return s.appendFileName(dst, int(code-1))
 }
 
-// listingRun returns how many entries from seg[i] on one listing header
+// listingRun returns how many entries, from seg[i] on, one listing header
 // covers — the longest run sharing the metadata block of their inodes, at
 // most 256 and within a signed-16-bit inode delta of the first — with that
 // block and the first entry's inode number. Entry runs break into a fresh
