@@ -322,7 +322,7 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	opts := imgfmt.Options{
+	opts := fsimage.MaterializeOptions{
 		Registry:     content.NewRegistry(cfg.ContentKind),
 		Seed:         m.Spec().Seed,
 		MetadataOnly: *metadataOnly,
@@ -365,10 +365,9 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 // written sequentially (no per-file syscalls, no mkfs, no root). With
 // wantDigest the canonical image digest is folded in the same pass and
 // returned. The sink's line is printed once the image is whole.
-func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, wantDigest bool, stdout io.Writer) (string, error) {
-	var fold *fsimage.DigestFold
+func streamImage(m *core.Metadata, format, out string, opts fsimage.MaterializeOptions, wantDigest bool, stdout io.Writer) (string, error) {
 	if wantDigest {
-		fold = fsimage.NewDigestFold(m.DirCount(), m.FileCount(), m.TotalBytes())
+		opts.Fold = fsimage.NewDigestFold(m.DirCount(), m.FileCount(), m.TotalBytes())
 	}
 	var written int64
 	stream := func(sink interface {
@@ -389,11 +388,8 @@ func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, want
 		// The metadata holds the tree the records are of; the sink writes
 		// under it, and folds the digest over it.
 		wrote = "materialized %d bytes under %s\n"
-		err = stream(fsimage.NewMaterializeSink(out, m.Tree(), fsimage.MaterializeOptions{
-			Registry: opts.Registry, Seed: opts.Seed, MetadataOnly: opts.MetadataOnly, Parallelism: opts.Parallelism,
-		}, fold))
+		err = stream(fsimage.NewMaterializeSink(out, m.Tree(), opts))
 	} else {
-		imgfmt.FoldDigest(&opts, fold)
 		err = createFile(out, func(f *os.File) error {
 			if format != "squashfs" {
 				return stream(imgfmt.NewTarSink(f, opts))
@@ -409,8 +405,8 @@ func streamImage(m *core.Metadata, format, out string, opts imgfmt.Options, want
 		return "", err
 	}
 	fmt.Fprintf(stdout, wrote, written, out)
-	if fold != nil {
-		return fold.Sum()
+	if opts.Fold != nil {
+		return opts.Fold.Sum()
 	}
 	return "", nil
 }

@@ -99,7 +99,9 @@ type Spec = fsimage.Spec
 // Report is the reproducibility and accuracy report produced with each image.
 type Report = fsimage.Report
 
-// MaterializeOptions controls writing an image to a real file system.
+// MaterializeOptions configures every image writer — a real file system
+// (Image.Materialize) or an archive — and what it reports: each file's
+// content hash (OnDigest) and the canonical image digest (Fold).
 type MaterializeOptions = fsimage.MaterializeOptions
 
 // RecordSink consumes an image's metadata stream (directories in ID order,

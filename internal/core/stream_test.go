@@ -72,7 +72,7 @@ func TestGenerateStreamMatchesRetained(t *testing.T) {
 			}
 			streamRoot := t.TempDir()
 			matSink := fsimage.NewMaterializeSink(streamRoot, streamed.Tree, fsimage.MaterializeOptions{
-				Registry: content.NewRegistry(content.KindDefault), Seed: seed}, nil)
+				Registry: content.NewRegistry(content.KindDefault), Seed: seed})
 			if err := streamed.StreamRecords(matSink); err != nil {
 				t.Fatalf("seed %d P%d: stream materialize: %v", seed, par, err)
 			}

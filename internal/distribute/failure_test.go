@@ -55,9 +55,15 @@ func vfsWriters(t *testing.T) []vfsWriter {
 	return []vfsWriter{
 		{name: "Image.Materialize", run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
 			img := &fsimage.Image{Tree: v.Tree, Files: v.Files}
+			// A failed write reports nothing: a digest OnDigest observed, or
+			// a line folded (which a fold promising nothing refuses), is a
+			// result.
+			reported, fold := 0, fsimage.NewDigestFold(0, 0, 0)
 			_, err := img.Materialize(root, fsimage.MaterializeOptions{
-				Registry: content.NewRegistry(content.Kind(v.Plan.ContentKind)), Seed: v.Plan.Seed, Parallelism: j, Context: ctx, MetadataOnly: metadataOnly})
-			return false, err
+				Registry: content.NewRegistry(content.Kind(v.Plan.ContentKind)), Seed: v.Plan.Seed, Parallelism: j, Context: ctx, MetadataOnly: metadataOnly,
+				OnDigest: func(fsimage.File, string) { reported++ }, Fold: fold})
+			_, ferr := fold.Sum()
+			return reported > 0 || ferr != nil, err
 		}},
 		{name: "Execute dir", run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
 			return execute(ctx, v, root, WorkerOptions{Parallelism: j, MetadataOnly: metadataOnly})

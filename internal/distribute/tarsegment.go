@@ -12,26 +12,6 @@ import (
 	"impressions/internal/namespace"
 )
 
-// writeTarSegment is Execute's tar target: the same shard contract as the
-// directory target, but the shard is serialized as a tar segment
-// (sequential writes into one file or pipe) instead of O(shard) files
-// through the VFS. The segment is written sequentially, its file content
-// generated and hashed by opts.Parallelism workers ahead of the writer; the
-// bytes and the digests are identical at every value.
-func writeTarSegment(ctx context.Context, v *ShardView, w io.Writer, opts WorkerOptions, digests []string) (int64, error) {
-	next := 0
-	return imgfmt.WriteSegment(w, v.Tree, v.Dirs, v.Files, imgfmt.Options{
-		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
-		Seed:         v.Plan.Seed,
-		MetadataOnly: opts.MetadataOnly,
-		Parallelism:  opts.Parallelism,
-		Context:      ctx,
-		// OnDigest reports v.Files in order, one call each (none with
-		// MetadataOnly), so counting fills the shard-local digest slots.
-		OnDigest: func(_ fsimage.File, sum string) { digests[next] = sum; next++ },
-	})
-}
-
 // StitchPlanTar replays a plan from src through the record check and merges
 // per-shard tar segments (one reader per shard, in shard order) into the
 // monolithic archive on w — byte-identical to a single-process tar
@@ -98,7 +78,7 @@ func WritePlanTar(src PlanSource, w io.Writer, opts imgfmt.Options, registry fun
 		if !opts.MetadataOnly {
 			// The canonical digest is folded in the sink's write pass.
 			fold = fsimage.NewDigestFold(p.Dirs, p.Files, p.Bytes)
-			imgfmt.FoldDigest(&opts, fold)
+			opts.Fold = fold
 		}
 		sink = imgfmt.NewTarSink(w, opts)
 		c.onDir = sink.AddDir

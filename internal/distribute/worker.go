@@ -13,6 +13,7 @@ import (
 
 	"impressions/internal/content"
 	"impressions/internal/fsimage"
+	"impressions/internal/imgfmt"
 	"impressions/internal/jsonscan"
 )
 
@@ -309,7 +310,19 @@ func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOption
 	}
 	// Digest slots are per shard record, so a pruned worker's buffers scale
 	// with its shard, never the image. They stay empty with MetadataOnly.
+	// Both targets report v.Files in order, one OnDigest call each, so a
+	// counter fills them; a journal resume replays the prefix it proves
+	// through the same call.
 	digests := make([]string, len(v.Files))
+	next := 0
+	mopts := fsimage.MaterializeOptions{
+		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
+		Seed:         v.Plan.Seed,
+		MetadataOnly: opts.MetadataOnly,
+		Parallelism:  opts.Parallelism,
+		Context:      ctx,
+		OnDigest:     func(_ fsimage.File, sum string) { digests[next] = sum; next++ },
+	}
 	var (
 		written int64
 		resumed int
@@ -317,13 +330,15 @@ func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOption
 	)
 	switch {
 	case target.dir != "":
-		written, resumed, err = writeDir(ctx, v, target.dir, opts, digests)
+		written, resumed, err = writeDir(v, target.dir, mopts, opts, digests)
 	case target.tar == nil:
 		err = errors.New("no target")
 	case opts.JournalPath != "" || opts.FailAfterFiles > 0:
 		err = errors.New("JournalPath and FailAfterFiles need a directory target")
 	default:
-		written, err = writeTarSegment(ctx, v, target.tar, opts, digests)
+		// The segment is written sequentially, its content generated and
+		// hashed by opts.Parallelism workers ahead of the writer.
+		written, err = imgfmt.WriteSegment(target.tar, v.Tree, v.Dirs, v.Files, mopts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("distribute: shard %d: %w", v.Shard, err)
@@ -347,20 +362,13 @@ func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOption
 }
 
 // writeDir materializes the shard under outRoot through the VFS writer,
-// fills digests and returns the bytes the shard holds and how many files a
-// journal let it skip. The files go in the shard's order, which is
-// directory-major as the canonical order is: without a journal in one
-// batch, with one BatchFiles at a time — contiguous runs of the file list,
-// so a resume point is a prefix of it — each sealed into the journal before
-// the next starts.
-func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOptions, digests []string) (written int64, resumed int, err error) {
-	mopts := fsimage.MaterializeOptions{
-		Registry:     content.NewRegistry(content.Kind(v.Plan.ContentKind)),
-		Seed:         v.Plan.Seed,
-		MetadataOnly: opts.MetadataOnly,
-		Parallelism:  opts.Parallelism,
-		Context:      ctx,
-	}
+// whose mopts.OnDigest fills digests, and returns the bytes the shard holds
+// and how many files a journal let it skip. The files go in the
+// shard's order, which is directory-major as the canonical order is: without
+// a journal in one batch, with one BatchFiles at a time — contiguous runs of
+// the file list, so a resume point is a prefix of it — each sealed into the
+// journal before the next starts.
+func writeDir(v *ShardView, outRoot string, mopts fsimage.MaterializeOptions, opts WorkerOptions, digests []string) (written int64, resumed int, err error) {
 	// The directory pass is idempotent MkdirAll; run it every attempt so a
 	// resume against a cleaned output root recreates the skeleton.
 	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, mopts); err != nil {
@@ -374,7 +382,9 @@ func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOpti
 			return 0, 0, err
 		}
 		defer journal.Close()
-		copy(digests, rec.digests)
+		for i, sum := range rec.digests {
+			mopts.OnDigest(v.Files[i], sum)
+		}
 		written, resumed = rec.bytes, len(rec.digests)
 		if batch = opts.BatchFiles; batch <= 0 {
 			batch = DefaultJournalBatch
@@ -385,7 +395,6 @@ func writeDir(ctx context.Context, v *ShardView, outRoot string, opts WorkerOpti
 		if opts.FailAfterFiles > 0 {
 			hi = min(hi, resumed+opts.FailAfterFiles)
 		}
-		mopts.Digests = digests[lo:hi]
 		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files[lo:hi], mopts)
 		if err != nil {
 			return 0, 0, err

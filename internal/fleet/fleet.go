@@ -108,46 +108,46 @@ type Options struct {
 	Logf func(format string, a ...any)
 }
 
-func (o Options) withDefaults() Options {
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 2 * time.Second
+func (opts Options) withDefaults() Options {
+	if opts.HeartbeatInterval <= 0 {
+		opts.HeartbeatInterval = 2 * time.Second
 	}
-	if o.HeartbeatMisses <= 0 {
-		o.HeartbeatMisses = 3
+	if opts.HeartbeatMisses <= 0 {
+		opts.HeartbeatMisses = 3
 	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = 2 * time.Minute
+	if opts.LeaseTTL <= 0 {
+		opts.LeaseTTL = 2 * time.Minute
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 5
+	if opts.MaxAttempts <= 0 {
+		opts.MaxAttempts = 5
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 500 * time.Millisecond
+	if opts.BackoffBase <= 0 {
+		opts.BackoffBase = 500 * time.Millisecond
 	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 15 * time.Second
+	if opts.BackoffMax <= 0 {
+		opts.BackoffMax = 15 * time.Second
 	}
-	if o.InlineGrace == 0 {
-		o.InlineGrace = 5 * time.Second
+	if opts.InlineGrace == 0 {
+		opts.InlineGrace = 5 * time.Second
 	}
-	if o.MaxRuns <= 0 {
-		o.MaxRuns = 8
+	if opts.MaxRuns <= 0 {
+		opts.MaxRuns = 8
 	}
-	if o.WorkerCommand == nil {
-		o.WorkerCommand = func(fp string, shard int) string {
+	if opts.WorkerCommand == nil {
+		opts.WorkerCommand = func(fp string, shard int) string {
 			return fmt.Sprintf("impressions worker -plan plan.json -shard %d -out <out> -manifest manifest-%d.json", shard, shard)
 		}
 	}
-	if o.Clock == nil {
-		o.Clock = time.Now
+	if opts.Clock == nil {
+		opts.Clock = time.Now
 	}
-	if o.Jitter == nil {
-		o.Jitter = backoff.NewJitter()
+	if opts.Jitter == nil {
+		opts.Jitter = backoff.NewJitter()
 	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
+	if opts.Logf == nil {
+		opts.Logf = func(string, ...any) {}
 	}
-	return o
+	return opts
 }
 
 type workerState struct {

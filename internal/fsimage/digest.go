@@ -35,13 +35,13 @@ const MaterializeStreamLabel = "materialize"
 // Materialize uses, so digests[i] is the hash of the bytes Materialize would
 // write for file i.
 func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
-	opts = opts.withDefaults(img.Spec.Seed)
+	opts = opts.WithDefaults(img.Spec.Seed)
 	digests := make([]string, len(img.Files))
 	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	// Chunks scale with the worker count (per-file streams are ID-keyed, so
 	// boundaries are free to move); a fixed 4096-file chunk would hash any
 	// smaller image serially.
-	ctx := opts.ctx()
+	ctx := opts.Context
 	err := parallel.RunChunks(ctx, opts.Parallelism, len(img.Files), func(lo, hi int) error {
 		h := sha256.New()
 		for _, f := range img.Files[lo:hi] {

@@ -59,8 +59,9 @@ func TestContentDigestsMatchMaterializedBytes(t *testing.T) {
 }
 
 // TestMaterializeShardCollectsDigests asserts the digests the VFS writer
-// collects while writing equal the oracle's at every parallelism, slot for
-// slot, and that the written byte count matches.
+// reports to OnDigest while writing equal the oracle's at every
+// parallelism, file for file in the order given, and that the written byte
+// count matches.
 func TestMaterializeShardCollectsDigests(t *testing.T) {
 	img := digestTestImage(t)
 	opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: 11}
@@ -73,7 +74,14 @@ func TestMaterializeShardCollectsDigests(t *testing.T) {
 		dirs[i] = i
 	}
 	for _, j := range []int{1, 4} {
-		opts.Parallelism, opts.Digests = j, make([]string, len(img.Files))
+		var got []string
+		opts.Parallelism = j
+		opts.OnDigest = func(f File, sum string) {
+			if f != img.Files[len(got)] {
+				t.Fatalf("j=%d: file %d reported in the place of file %d", j, f.ID, len(got))
+			}
+			got = append(got, sum)
+		}
 		n, err := MaterializeShardRecords(t.TempDir(), img.Tree, dirs, img.Files, opts)
 		if err != nil {
 			t.Fatalf("j=%d: MaterializeShardRecords: %v", j, err)
@@ -81,9 +89,12 @@ func TestMaterializeShardCollectsDigests(t *testing.T) {
 		if n != img.TotalBytes() {
 			t.Fatalf("j=%d: wrote %d bytes, want %d", j, n, img.TotalBytes())
 		}
+		if len(got) != len(want) {
+			t.Fatalf("j=%d: %d digests reported for %d files", j, len(got), len(want))
+		}
 		for i := range want {
-			if want[i] != opts.Digests[i] {
-				t.Fatalf("j=%d file %d: collected digest %s != computed %s", j, i, opts.Digests[i], want[i])
+			if want[i] != got[i] {
+				t.Fatalf("j=%d file %d: collected digest %s != computed %s", j, i, got[i], want[i])
 			}
 		}
 	}

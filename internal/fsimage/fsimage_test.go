@@ -316,8 +316,9 @@ func TestMaterializeAllocsPerFile(t *testing.T) {
 	if _, err := MaterializeShardRecords(root, tree, dirs, nil, opts); err != nil {
 		t.Fatal(err)
 	}
-	opts = opts.withDefaults(1) // the registry is built once, not per run
-	opts.Digests = make([]string, nFiles)
+	opts = opts.WithDefaults(1) // the registry is built once, not per run
+	digests := make([]string, nFiles)
+	opts.OnDigest = func(f File, sum string) { digests[f.ID] = sum }
 	var err error
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, werr := MaterializeShardRecords(root, tree, nil, files, opts); werr != nil {

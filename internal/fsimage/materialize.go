@@ -27,49 +27,50 @@ const (
 	filePerm = 0o644
 )
 
-// MaterializeOptions controls how an image is written to a real file system.
+// MaterializeOptions configures every image writer: the VFS writer
+// (Image.Materialize, MaterializeShardRecords, MaterializeSink) and the
+// archive sinks of package imgfmt, whose Options is this type. The zero
+// value is usable.
 type MaterializeOptions struct {
 	// Registry supplies per-extension content generators. If nil, the default
 	// content policy is used.
 	Registry *content.Registry
 	// Seed drives content generation; the same seed regenerates identical
-	// content. If zero, the image spec's seed is used.
+	// content. If zero, the image spec's seed is used; writers without an
+	// image take it as given, so their callers pass the plan or spec seed.
 	Seed int64
-	// MetadataOnly creates directories and empty (truncated to size) files
-	// without writing content, which is much faster and sufficient for
-	// metadata-only studies.
+	// MetadataOnly writes no content: a VFS file is truncated to its size, an
+	// archive entry keeps its full size in zeros. It is much faster and
+	// sufficient for metadata-only studies. Nothing is hashed, so OnDigest
+	// and Fold get nothing.
 	MetadataOnly bool
-	// Parallelism is the number of workers writing files; 0 selects
-	// runtime.NumCPU(), 1 writes them inline. Every file's content is drawn
-	// from a stream derived from the seed and the file's ID, so the written
-	// bytes are identical at every parallelism level.
+	// Parallelism is the number of workers generating (and for the VFS
+	// writer writing) files; 0 selects runtime.NumCPU(), 1 is one worker.
+	// Every file's content is drawn from a stream derived from the seed and
+	// the file's ID, so the written bytes, the OnDigest sequence and the
+	// folded digest are identical at every parallelism level.
 	Parallelism int
-	// Digests, when non-nil, must have one slot per file written
-	// (Image.FileCount() for Materialize, where a slot's index is the file's
-	// ID); the SHA-256 (hex) of each file's content is stored in its slot
-	// during the write, saving a second content-generation pass when both the
-	// image and its digest are wanted. Slots stay empty with MetadataOnly.
-	// Workers write disjoint slots, so no synchronization is needed.
-	Digests []string
-	// Context, when non-nil, cancels the materialization: the workers poll it
-	// between files and stop with its error. Written files are left in place,
-	// so callers that need a clean tree should write into a staging
-	// directory. A nil Context never cancels.
+	// Context, when non-nil, cancels the write: the workers poll it between
+	// files and stop with its error. What is written stays in place, so
+	// callers that need a clean tree write into a staging directory. A nil
+	// Context never cancels.
 	Context context.Context
+	// OnDigest, when non-nil, observes each file's content SHA-256 (hex):
+	// once per file, in the order the files were given, on the goroutine
+	// that calls the writer (so it needs no locking), once the file's bytes
+	// are written — for a sink possibly during a later AddFile, always
+	// before Close returns. After a failure no further calls are made.
+	OnDigest func(f File, sha256 string)
+	// Fold, when non-nil, folds the canonical image digest in the write
+	// pass: each directory the writer is given (the root included), then
+	// each file's line beside its content hash, under the same rules as
+	// OnDigest. Its Sum succeeds once one writer has fed it the whole image.
+	Fold *DigestFold
 }
 
-// ctx returns the cancellation context, defaulting to context.Background().
-func (opts MaterializeOptions) ctx() context.Context {
-	if opts.Context == nil {
-		return context.Background()
-	}
-	return opts.Context
-}
-
-// withDefaults fills in the option defaults; a zero Seed falls back to
-// fallbackSeed (callers without an image pass the plan or spec seed
-// explicitly).
-func (opts MaterializeOptions) withDefaults(fallbackSeed int64) MaterializeOptions {
+// WithDefaults fills in the option defaults; a zero Seed falls back to
+// fallbackSeed (writers without an image pass opts.Seed).
+func (opts MaterializeOptions) WithDefaults(fallbackSeed int64) MaterializeOptions {
 	if opts.Registry == nil {
 		opts.Registry = content.NewRegistry(content.KindDefault)
 	}
@@ -78,6 +79,9 @@ func (opts MaterializeOptions) withDefaults(fallbackSeed int64) MaterializeOptio
 	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.NumCPU()
+	}
+	if opts.Context == nil {
+		opts.Context = context.Background()
 	}
 	return opts
 }
@@ -97,7 +101,7 @@ func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, erro
 	for i := range dirs {
 		dirs[i] = i
 	}
-	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, opts.withDefaults(img.Spec.Seed))
+	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, opts.WithDefaults(img.Spec.Seed))
 }
 
 // MaterializeShardRecords is the VFS writer: it creates the given
@@ -118,11 +122,16 @@ func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, erro
 // that descriptor, so no create walks the path from the root; the
 // descriptor is closed when the run ends and on every failure. Elsewhere
 // each file is opened by its full path. Each file's bytes come from its own
-// stream, keyed by the seed and the file ID alone, and opts.Digests slots
-// are positional in files, so the tree and the digests are identical at
-// every parallelism and in every order. The first failed write stops every
-// worker at its next chunk of files, the context's cancellation at its next
-// file, and is the error returned; files already written stay in place.
+// stream, keyed by the seed and the file ID alone, so the tree is identical
+// at every parallelism and in every order. The first failed write stops
+// every worker at its next chunk of files, the context's cancellation at
+// its next file, and is the error returned; files already written stay in
+// place.
+//
+// With opts.OnDigest or opts.Fold the workers hash each file as they write
+// it, into a slot per file. Once every file of the call is on disk,
+// opts.Fold takes the given directories, then each file beside its hash in
+// the order given, as opts.OnDigest does. A failed call reports nothing.
 //
 // Each directory is one mkdir(2) unless it cannot be (then MkdirAll's
 // checks run); each file is one raw descriptor opened with O_CLOEXEC,
@@ -132,10 +141,7 @@ func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, erro
 // this function closes a descriptor it opened. A file's path is built only
 // for the error that names it.
 func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, opts MaterializeOptions) (int64, error) {
-	opts = opts.withDefaults(opts.Seed)
-	if opts.Digests != nil && len(opts.Digests) != len(files) {
-		return 0, fmt.Errorf("fsimage: digest slice has length %d, want %d", len(opts.Digests), len(files))
-	}
+	opts = opts.WithDefaults(opts.Seed)
 	if err := os.MkdirAll(root, dirPerm); err != nil {
 		return 0, fmt.Errorf("fsimage: creating root %q: %w", root, err)
 	}
@@ -155,16 +161,21 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 		}
 	}
 
-	ctx := opts.ctx()
+	var sums []string // each file's content hash, positional in files
+	if (opts.OnDigest != nil || opts.Fold != nil) && !opts.MetadataOnly {
+		sums = make([]string, len(files))
+	}
+	ctx := opts.Context
 	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	var written atomic.Int64
 	err := parallel.RunChunks(ctx, opts.Parallelism, len(files), func(lo, hi int) error {
 		var (
 			c   = newFileCreator(root, tree)
 			sum hash.Hash // taps the content when digests are wanted
+			raw [sha256.Size]byte
 			n   int64
 		)
-		if opts.Digests != nil && !opts.MetadataOnly {
+		if sums != nil {
 			sum = sha256.New()
 		}
 		defer func() { written.Add(n) }()
@@ -180,14 +191,30 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 				return fmt.Errorf("fsimage: %s %q: %w", step, appendEntryPath(nil, root, tree, f.DirID, f.Name), err)
 			}
 			if sum != nil {
-				opts.Digests[i] = hex.EncodeToString(sum.Sum(nil))
+				sums[i] = hex.EncodeToString(sum.Sum(raw[:0]))
 				sum.Reset()
 			}
 			n += f.Size
 		}
 		return nil
 	})
-	return written.Load(), err
+	if err != nil || sums == nil {
+		return written.Load(), err
+	}
+	if opts.Fold != nil {
+		for _, id := range dirs {
+			opts.Fold.AddDir(tree, id)
+		}
+	}
+	for i, f := range files {
+		if opts.OnDigest != nil {
+			opts.OnDigest(f, sums[i])
+		}
+		if opts.Fold != nil {
+			opts.Fold.AddFile(tree, f, sums[i])
+		}
+	}
+	return written.Load(), nil
 }
 
 // FilePath renders the slash-separated path of file records relative to the
@@ -252,15 +279,13 @@ const materializeBatch = parallel.DefaultShardSize
 // records it is streamed, which its caller already holds — and one batch of
 // records. It trusts those records to be the tree's: a stream of foreign
 // bytes is validated (a TreeSink) before it reaches a writer. The tree it
-// writes is Image.Materialize's: content streams are keyed by file ID alone.
+// writes is Image.Materialize's: content streams are keyed by file ID alone,
+// and opts.OnDigest and opts.Fold take each batch as MaterializeShardRecords
+// reports it.
 type MaterializeSink struct {
-	tree *namespace.Tree
-	root string
-	opts MaterializeOptions
-	// fold, when non-nil, takes each directory's line of the canonical
-	// digest as it streams, and each batch's file lines once the batch is on
-	// disk.
-	fold     *DigestFold
+	tree     *namespace.Tree
+	root     string
+	opts     MaterializeOptions
 	dirs     int // directory records taken
 	dirsMade int
 	batch    []File
@@ -269,18 +294,14 @@ type MaterializeSink struct {
 
 // NewMaterializeSink starts a streaming materialization under root of the
 // records of tree. opts.Seed must carry the content seed (there is no image
-// to default from). fold may be nil; otherwise opts must not be
-// MetadataOnly: without content there is nothing to attest.
-func NewMaterializeSink(root string, tree *namespace.Tree, opts MaterializeOptions, fold *DigestFold) *MaterializeSink {
-	return &MaterializeSink{tree: tree, root: root, opts: opts, fold: fold}
+// to default from).
+func NewMaterializeSink(root string, tree *namespace.Tree, opts MaterializeOptions) *MaterializeSink {
+	return &MaterializeSink{tree: tree, root: root, opts: opts}
 }
 
 // AddDir takes the next directory, the tree's next.
-func (s *MaterializeSink) AddDir(d DirRecord) error {
+func (s *MaterializeSink) AddDir(DirRecord) error {
 	s.dirs++
-	if s.fold != nil {
-		s.fold.AddDir(s.tree, d.ID)
-	}
 	return nil
 }
 
@@ -305,20 +326,10 @@ func (s *MaterializeSink) flush() error {
 		dirs[i] = s.dirsMade + i
 	}
 	s.dirsMade += len(dirs)
-	batch, opts := s.batch, s.opts
+	n, err := MaterializeShardRecords(s.root, s.tree, dirs, s.batch, s.opts)
 	s.batch = s.batch[:0]
-	if s.fold != nil {
-		opts.Digests = make([]string, len(batch))
-	}
-	n, err := MaterializeShardRecords(s.root, s.tree, dirs, batch, opts)
 	s.written += n
-	if err != nil || s.fold == nil {
-		return err
-	}
-	for k, f := range batch {
-		s.fold.AddFile(s.tree, f, opts.Digests[k])
-	}
-	return nil
+	return err
 }
 
 // Written returns the bytes written so far.

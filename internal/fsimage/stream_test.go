@@ -163,7 +163,7 @@ func TestDigestBuilderMatchesCombineDigest(t *testing.T) {
 		t.Fatalf("Digest: %v", err)
 	}
 	// Streaming path: hash each file's content inline as its record passes.
-	opts = opts.withDefaults(img.Spec.Seed)
+	opts = opts.WithDefaults(img.Spec.Seed)
 	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
 	h := sha256.New()
 	b := NewDigestBuilder(img.DirCount(), img.FileCount(), img.TotalBytes(), func(f File) (string, error) {
@@ -238,14 +238,14 @@ var sinkBatchCounts = []int{0, 1, materializeBatch - 1, materializeBatch, materi
 
 // TestMaterializeSinkMatchesMaterialize: at every batch boundary and at
 // Parallelism 1 and 4, streaming records to disk writes the byte-identical
-// tree the retained Materialize writes, and hands the fold the per-file
-// digests Materialize's Digests table holds, in ID order.
+// tree the retained Materialize writes, and its Fold takes the per-file
+// digests Materialize reports to OnDigest, in ID order.
 func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
 	for _, n := range sinkBatchCounts {
 		img := batchTestImage(t, n)
 		opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed}
-		retained := opts
-		retained.Digests = make([]string, n)
+		retained, digests := opts, make([]string, n)
+		retained.OnDigest = func(f File, sum string) { digests[f.ID] = sum }
 		retainedRoot := t.TempDir()
 		wantWritten, err := img.Materialize(retainedRoot, retained)
 		if err != nil {
@@ -255,7 +255,7 @@ func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantDigest, err := CombineDigest(img, retained.Digests)
+		wantDigest, err := CombineDigest(img, digests)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,8 @@ func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
 			opts.Parallelism = par
 			streamRoot := t.TempDir()
 			fold := NewDigestFold(img.DirCount(), n, img.TotalBytes())
-			sink := NewMaterializeSink(streamRoot, img.Tree, opts, fold)
+			opts.Fold = fold
+			sink := NewMaterializeSink(streamRoot, img.Tree, opts)
 			if err := img.StreamRecords(sink); err != nil {
 				t.Fatalf("n=%d P%d: stream materialize: %v", n, par, err)
 			}
@@ -315,7 +316,7 @@ func TestMaterializeSinkCancellation(t *testing.T) {
 				defer cancel()
 				sink := NewMaterializeSink(root, img.Tree, MaterializeOptions{
 					Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed, Parallelism: par, Context: ctx,
-				}, nil)
+				})
 				err := img.StreamRecords(faultAfter{sink, func(f File) error {
 					if f.ID != materializeBatch-1 {
 						return nil

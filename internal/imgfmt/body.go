@@ -113,7 +113,7 @@ type bodyEngine struct {
 	ctx     context.Context // the caller's, Options.Context
 	baseRNG *stats.RNG
 	// hashing says the files' SHA-256 are wanted, by opts.OnDigest or
-	// opts.fold (neither is set with MetadataOnly).
+	// opts.Fold (neither is set with MetadataOnly).
 	hashing bool
 	// headers frames every file as a tar entry; nil (squashfs) leaves the
 	// bodies bare.
@@ -146,13 +146,13 @@ type bodyEngine struct {
 func newBodyEngine(opts Options, write func([]byte) error) *bodyEngine {
 	if opts.MetadataOnly {
 		// Zeros are not content: nobody is told their hashes.
-		opts.OnDigest, opts.fold = nil, nil
+		opts.OnDigest, opts.Fold = nil, nil
 	}
 	return &bodyEngine{
 		opts:    opts,
-		ctx:     opts.ctx(),
+		ctx:     opts.Context,
 		baseRNG: stats.NewRNG(opts.Seed).Fork(fsimage.MaterializeStreamLabel),
-		hashing: opts.OnDigest != nil || opts.fold != nil,
+		hashing: opts.OnDigest != nil || opts.Fold != nil,
 		write:   write,
 	}
 }
@@ -162,8 +162,8 @@ func newBodyEngine(opts Options, write func([]byte) error) *bodyEngine {
 // attached fold takes the directory's line of the canonical digest here.
 func (e *bodyEngine) addDir(tree *namespace.Tree, id int) {
 	e.tree = tree
-	if e.opts.fold != nil {
-		e.opts.fold.AddDir(tree, id)
+	if e.opts.Fold != nil {
+		e.opts.Fold.AddDir(tree, id)
 	}
 }
 
@@ -290,8 +290,8 @@ func (e *bodyEngine) drain(r *bodyRun) error {
 	}
 	e.written += bytes
 	if !callerHashed {
-		if e.opts.fold != nil {
-			e.opts.fold.AddFileLines(r.lines, len(r.files), bytes)
+		if e.opts.Fold != nil {
+			e.opts.Fold.AddFileLines(r.lines, len(r.files), bytes)
 		}
 		return nil
 	}
@@ -301,8 +301,8 @@ func (e *bodyEngine) drain(r *bodyRun) error {
 	if e.opts.OnDigest != nil {
 		e.opts.OnDigest(f, sum)
 	}
-	if e.opts.fold != nil {
-		e.opts.fold.AddFile(e.tree, f, sum)
+	if e.opts.Fold != nil {
+		e.opts.Fold.AddFile(e.tree, f, sum)
 	}
 	return nil
 }
@@ -389,7 +389,7 @@ func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) bool {
 			if e.opts.OnDigest != nil {
 				copy(r.sums[i][:], sum)
 			}
-			if e.opts.fold != nil {
+			if e.opts.Fold != nil {
 				hex.Encode(c.hex[:], sum)
 				lines = fsimage.AppendFileLine(lines, c.path, f.Size, c.hex[:])
 			}
@@ -405,7 +405,7 @@ func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) bool {
 // into an image: header, content from the file's own ID-keyed stream (zeros
 // with MetadataOnly), padding.
 func (e *bodyEngine) frame(c *chunker, f fsimage.File) error {
-	if e.headers != nil || e.opts.fold != nil {
+	if e.headers != nil || e.opts.Fold != nil {
 		c.path = c.paths.Append(e.tree, f)
 	}
 	if e.headers != nil {

@@ -392,9 +392,8 @@ func testDigestFold(t *testing.T, img *fsimage.Image) {
 	}
 	for _, kind := range []string{"tar", "squashfs"} {
 		log := &digestLog{}
-		opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: 2, OnDigest: log.hook()}
 		fold := fsimage.NewDigestFold(img.DirCount(), img.FileCount(), img.TotalBytes())
-		imgfmt.FoldDigest(&opts, fold)
+		opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: 2, OnDigest: log.hook(), Fold: fold}
 		var sink interface {
 			fsimage.RecordSink
 			Close() error

@@ -104,7 +104,7 @@ func goldenSums(t *testing.T, img *fsimage.Image) map[string]string {
 
 	foldOpts := opts
 	fold := fsimage.NewDigestFold(img.DirCount(), img.FileCount(), img.TotalBytes())
-	imgfmt.FoldDigest(&foldOpts, fold)
+	foldOpts.Fold = fold
 	var tarBuf bytes.Buffer
 	sink := imgfmt.NewTarSink(&tarBuf, foldOpts)
 	if err := img.StreamRecords(sink); err != nil {

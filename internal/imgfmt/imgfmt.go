@@ -10,10 +10,18 @@
 // costs per entry happens in the workers — the tar header, the content and
 // its hash, the padding, the file's line of the canonical digest — so the
 // writer is a copy loop, one write per 128 KiB chunk of finished entries,
-// and is not what bounds -j on ~1 KB files. A digest fold attached with
-// FoldDigest takes the directories' lines from the tree the sink rebuilds
-// to name its entries, and the files' from the workers: a digest costs no
-// tree of its own. Two backends ship:
+// and is not what bounds -j on ~1 KB files. A digest fold set as opts.Fold
+// takes the directories' lines from the tree the sink rebuilds to name its
+// entries, and the files' from the workers: a digest costs no tree of its
+// own. Use it as
+//
+//	fold := fsimage.NewDigestFold(dirs, files, bytes)
+//	opts.Fold = fold
+//	sink := imgfmt.NewTarSink(w, opts)
+//	err := src.StreamRecords(sink)
+//	... sink.Close(), then fold.Sum()
+//
+// Two backends ship:
 //
 //   - TarSink streams a POSIX tar whose bytes are a pure function of (spec,
 //     seed): entry order is the canonical record order (directories in ID
@@ -48,12 +56,9 @@
 package imgfmt
 
 import (
-	"context"
 	"io"
-	"runtime"
 	"time"
 
-	"impressions/internal/content"
 	"impressions/internal/fsimage"
 )
 
@@ -72,64 +77,13 @@ const (
 // the FAST '09 week.
 var DefaultModTime = time.Unix(1233878400, 0).UTC()
 
-// Options configures the content engine behind an image file. The zero value
-// is usable; every field has the same default the VFS materializer uses.
-type Options struct {
-	// Registry supplies per-extension content generators (nil: the default
-	// content policy).
-	Registry *content.Registry
-	// Seed drives content generation. Sinks have no image to default from,
-	// so callers pass the plan or spec seed explicitly.
-	Seed int64
-	// MetadataOnly writes zero bytes instead of generated content. Entries
-	// keep their full size (the archive counterpart of a truncated VFS
-	// file), and no content digests are produced.
-	MetadataOnly bool
-	// Parallelism is the number of workers generating and hashing file
-	// content ahead of the writer (0: runtime.NumCPU(), as
-	// fsimage.MaterializeOptions has it; 1: one worker). Every file's
-	// content comes from a stream keyed by its ID, so the image bytes and
-	// the OnDigest sequence are identical at every value. Entries in flight
-	// are capped at 512 KiB per worker, whatever the file sizes and counts.
-	Parallelism int
-	// Context, when non-nil, cancels the serialization: the per-record
-	// loops and the workers watch it and abort with its error, leaving a
-	// truncated image.
-	Context context.Context
-	// OnDigest, when non-nil, observes each file's content SHA-256 (hex) —
-	// the same tap the VFS materializer offers, so archive workers seal
-	// ordinary manifests. Not called with MetadataOnly. The contract: once
-	// per file, in stream order, on the goroutine that calls the sink's
-	// AddFile and Close (never concurrently, so it needs no locking), and
-	// after the file's bytes have been written. Because content is
-	// generated ahead of the writer the call may come during a later
-	// AddFile than the one that submitted the file, but always before Close
-	// returns; after a failed AddFile or Close no further calls are made.
-	OnDigest func(f fsimage.File, sha256 string)
-
-	// fold is the digest FoldDigest attached, which the sink feeds as it
-	// writes.
-	fold *fsimage.DigestFold
-}
-
-// ctx returns the cancellation context, defaulting to context.Background().
-func (o Options) ctx() context.Context {
-	if o.Context == nil {
-		return context.Background()
-	}
-	return o.Context
-}
-
-// withDefaults fills in the option defaults.
-func (o Options) withDefaults() Options {
-	if o.Registry == nil {
-		o.Registry = content.NewRegistry(content.KindDefault)
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.NumCPU()
-	}
-	return o
-}
+// Options configures the content engine behind an image file. It is
+// fsimage.MaterializeOptions, the one options type of every image writer:
+// the zero value is usable and every field means what it means to the VFS
+// writer. The sinks take opts.Seed as given (they have no image to default
+// from), cap entries in flight at 512 KiB per worker whatever the file sizes
+// and counts, and on cancellation leave a truncated image.
+type Options = fsimage.MaterializeOptions
 
 // fullWriter holds the sinks' destination to the io.Writer contract: a
 // write that comes up short without an error becomes io.ErrShortWrite
@@ -144,21 +98,6 @@ func (f fullWriter) Write(p []byte) (int, error) {
 	}
 	return n, err
 }
-
-// FoldDigest attaches fold to opts, for the one sink then made from them: the
-// sink folds the canonical image digest (fsimage.DigestVersion) during its
-// write pass instead of from a retained per-file digest table — each
-// directory's line from the tree the sink rebuilds, each file's line from
-// its workers, beside the file's content hash. opts.OnDigest is left as it
-// is, and still runs. opts must not be MetadataOnly: without content there
-// is nothing to attest. Use it as
-//
-//	fold := fsimage.NewDigestFold(dirs, files, bytes)
-//	imgfmt.FoldDigest(&opts, fold)
-//	sink := imgfmt.NewTarSink(w, opts)
-//	err := src.StreamRecords(sink)
-//	... sink.Close(), then fold.Sum()
-func FoldDigest(opts *Options, fold *fsimage.DigestFold) { opts.fold = fold }
 
 // Source is an image's record stream with its totals: a metadata pass
 // (core.Metadata), replayed, or a retained image.
@@ -175,8 +114,7 @@ type Source interface {
 // digest folded in the same pass. It is the route of `impressions -digest`
 // and of the daemon's POST /v1/generate.
 func Digest(src Source, opts Options) (string, error) {
-	fold := fsimage.NewDigestFold(src.DirCount(), src.FileCount(), src.TotalBytes())
-	FoldDigest(&opts, fold)
+	opts.Fold = fsimage.NewDigestFold(src.DirCount(), src.FileCount(), src.TotalBytes())
 	sink := NewTarSink(io.Discard, opts)
 	if err := src.StreamRecords(sink); err != nil {
 		return "", err
@@ -184,5 +122,5 @@ func Digest(src Source, opts Options) (string, error) {
 	if err := sink.Close(); err != nil {
 		return "", err
 	}
-	return fold.Sum()
+	return opts.Fold.Sum()
 }

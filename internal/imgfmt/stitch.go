@@ -36,7 +36,7 @@ type Stitcher struct {
 // catches topology mismatches, and opts mismatches only alter fixed
 // metadata, never sizes.
 func NewStitcher(w io.Writer, tree *namespace.Tree, segments []io.Reader, opts Options) *Stitcher {
-	s := &Stitcher{t: newTarWriter(w, opts.withDefaults()), segs: make([]*tar.Reader, len(segments))}
+	s := &Stitcher{t: newTarWriter(w, opts.WithDefaults(opts.Seed)), segs: make([]*tar.Reader, len(segments))}
 	s.t.tree = tree
 	for i, r := range segments {
 		s.segs[i] = tar.NewReader(bufio.NewReaderSize(r, 64*1024))

@@ -32,7 +32,7 @@ type tarWriter struct {
 func newTarWriter(w io.Writer, opts Options) *tarWriter {
 	return &tarWriter{
 		bw:      bufio.NewWriterSize(fullWriter{w}, 64*1024),
-		ctx:     opts.ctx(),
+		ctx:     opts.Context,
 		headers: newTarHeaders(),
 	}
 }
@@ -112,7 +112,7 @@ type TarSink struct {
 // NewTarSink starts a tar serialization onto w. opts.Seed must carry the
 // content seed (there is no image to default from).
 func NewTarSink(w io.Writer, opts Options) *TarSink {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults(opts.Seed)
 	t := newTarWriter(w, opts)
 	return &TarSink{t: t, body: t.bodies(opts)}
 }
@@ -162,7 +162,7 @@ func (s *TarSink) Written() int64 { return s.body.written }
 // (shard paths reach through ancestors owned by other shards). Returns the
 // content bytes written.
 func WriteSegment(w io.Writer, tree *namespace.Tree, dirs []int, files []fsimage.File, opts Options) (int64, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults(opts.Seed)
 	t := newTarWriter(w, opts)
 	t.tree = tree
 	for _, id := range dirs {

@@ -49,23 +49,23 @@ type Options struct {
 	PublicURL string
 }
 
-func (o Options) withDefaults() Options {
-	if o.Store == nil {
-		o.Store = NewMemStore(0)
+func (opts Options) withDefaults() Options {
+	if opts.Store == nil {
+		opts.Store = NewMemStore(0)
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 5 * time.Minute
+	if opts.RequestTimeout == 0 {
+		opts.RequestTimeout = 5 * time.Minute
 	}
-	if o.MaxInlineFiles <= 0 {
-		o.MaxInlineFiles = 200000
+	if opts.MaxInlineFiles <= 0 {
+		opts.MaxInlineFiles = 200000
 	}
-	if o.MaxShards <= 0 {
-		o.MaxShards = 256
+	if opts.MaxShards <= 0 {
+		opts.MaxShards = 256
 	}
-	return o
+	return opts
 }
 
 // Server is the generation service: an http.Handler exposing plan building
