@@ -70,15 +70,14 @@ type SquashfsSink struct {
 	offset int64 // disk bytes emitted so far
 	// dataEnd is where the next file's data will start: the data area is
 	// the file bodies back to back behind the superblock, so a start offset
-	// is a running sum, known when the file is queued.
+	// is a running sum of the sizes before it.
 	dataEnd int64
 
-	// Per-file integer columns (names are regenerated from the ID and the
-	// interned name suffix, sizes drive the block lists, starts locate the
-	// data blocks).
+	// Per-file integer columns: names are regenerated from the ID and the
+	// interned name suffix, sizes drive the block lists and the data
+	// offsets. A directory's files are a range of IDs (the canonical order
+	// is directory-major), which the FileCounts ts restores delimit.
 	fileSize   []int64
-	fileDir    []int32
-	fileStart  []int64
 	fileSuffix []int32
 	suffixes   []string
 	suffixIdx  map[string]int32
@@ -91,7 +90,7 @@ type SquashfsSink struct {
 // positioned at offset 0 (the superblock placeholder is written
 // immediately; Close seeks back to patch it).
 func NewSquashfsSink(w io.WriteSeeker, opts Options) (*SquashfsSink, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults(opts.Seed)
 	s := &SquashfsSink{
 		w:    w,
 		bw:   bufio.NewWriterSize(fullWriter{w}, 64*1024),
@@ -120,7 +119,7 @@ func (s *SquashfsSink) write(p []byte) error {
 // AddDir records the directory; squashfs directories produce no data
 // blocks, so nothing is written until Close.
 func (s *SquashfsSink) AddDir(d fsimage.DirRecord) error {
-	if err := s.opts.ctx().Err(); err != nil {
+	if err := s.opts.Context.Err(); err != nil {
 		return s.body.fail(err)
 	}
 	if err := s.ts.AddDir(d); err != nil {
@@ -143,7 +142,7 @@ func (s *SquashfsSink) appendFileName(dst []byte, id int) []byte {
 }
 
 // AddFile queues the file's content for the data area and retains only
-// integer columns (size, directory, start offset, name-suffix index).
+// integer columns (size, name-suffix index).
 func (s *SquashfsSink) AddFile(f fsimage.File) error {
 	if err := s.ts.AddFile(f); err != nil {
 		return s.body.fail(err)
@@ -168,8 +167,6 @@ func (s *SquashfsSink) AddFile(f fsimage.File) error {
 		s.suffixIdx[suffix] = idx
 	}
 	s.fileSize = append(s.fileSize, f.Size)
-	s.fileDir = append(s.fileDir, int32(f.DirID))
-	s.fileStart = append(s.fileStart, s.dataEnd)
 	s.fileSuffix = append(s.fileSuffix, idx)
 	s.dataEnd += f.Size
 	return s.body.add(f)
@@ -230,8 +227,8 @@ func (s *SquashfsSink) orderChildren() childOrder {
 	for id := 1; id < dirCount; id++ {
 		counts[tree.Dirs[id].Parent+1]++
 	}
-	for _, d := range s.fileDir {
-		counts[d+1]++
+	for d := range dirCount {
+		counts[d+1] += int32(tree.Dirs[d].FileCount)
 	}
 	start := make([]int32, dirCount+1)
 	for i := 1; i <= dirCount; i++ {
@@ -245,9 +242,15 @@ func (s *SquashfsSink) orderChildren() childOrder {
 		entries[cursor[p]] = int32(-(id + 1))
 		cursor[p]++
 	}
-	for i, d := range s.fileDir {
-		entries[cursor[d]] = int32(i + 1)
-		cursor[d]++
+	// A directory's files are the next FileCount IDs: the order is
+	// directory-major.
+	var id int32
+	for d := range dirCount {
+		for range tree.Dirs[d].FileCount {
+			entries[cursor[d]] = id + 1
+			cursor[d]++
+			id++
+		}
 	}
 	// Sort each directory's children by name. Subdirs land first in the
 	// bucket and files second, both already in ID order; the final listing
@@ -476,6 +479,7 @@ func (s *SquashfsSink) Close() error {
 			return err
 		}
 	}
+	dataStart := int64(squashfsSuperSize) // file i's, a running sum of the sizes before it
 	for i := 0; i < fileCount; i++ {
 		if mw.u != layout.fileU[i] {
 			return fmt.Errorf("imgfmt: internal error: file inode %d at offset %d, layout says %d", i, mw.u, layout.fileU[i])
@@ -488,7 +492,7 @@ func (s *SquashfsSink) Close() error {
 		buf = binary.LittleEndian.AppendUint16(buf, 0)
 		buf = binary.LittleEndian.AppendUint32(buf, mtime)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(dirCount+1+i))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.fileStart[i]))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(dataStart))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(size))
 		buf = binary.LittleEndian.AppendUint64(buf, 0) // sparse
 		buf = binary.LittleEndian.AppendUint32(buf, 1) // nlink
@@ -505,6 +509,7 @@ func (s *SquashfsSink) Close() error {
 		if _, err := mw.Write(buf); err != nil {
 			return err
 		}
+		dataStart += size
 	}
 	if err := mw.flush(); err != nil {
 		return err
