@@ -53,20 +53,6 @@ func (cs *CurveSet) Add(key float64, h *stats.Histogram) error {
 // Len returns the number of reference curves.
 func (cs *CurveSet) Len() int { return len(cs.keys) }
 
-// Keys returns the sorted keys.
-func (cs *CurveSet) Keys() []float64 { return append([]float64(nil), cs.keys...) }
-
-// At returns the normalized fractions of the curve stored at key, or nil if
-// the key has no exact entry.
-func (cs *CurveSet) At(key float64) []float64 {
-	for i, k := range cs.keys {
-		if k == key {
-			return cs.curves[i].Normalize()
-		}
-	}
-	return nil
-}
-
 // Interpolate produces the normalized per-bin fractions for the target key.
 // If the target lies within the observed key range, each bin is piecewise-
 // linearly interpolated between the bracketing curves; if it lies outside,

@@ -119,20 +119,21 @@ func TestCurveSetLenAndRange(t *testing.T) {
 	}
 }
 
-func TestCurveSetAtAndKeys(t *testing.T) {
+// TestCurveSetObservedKeys: curves added out of key order are kept sorted,
+// and interpolating at an observed key returns that key's curve normalized.
+func TestCurveSetObservedKeys(t *testing.T) {
 	cs := NewCurveSet()
 	_ = cs.Add(30, buildCurve(0.6))
 	_ = cs.Add(10, buildCurve(0.2))
-	keys := cs.Keys()
-	if len(keys) != 2 || keys[0] != 10 || keys[1] != 30 {
-		t.Errorf("keys not sorted: %v", keys)
+	_ = cs.Add(20, buildCurve(0.5))
+	if cs.Len() != 3 {
+		t.Errorf("Len() = %d, want 3", cs.Len())
 	}
-	at := cs.At(10)
-	if at == nil || math.Abs(at[0]-0.2) > 1e-9 {
-		t.Errorf("At(10) = %v", at)
-	}
-	if cs.At(99) != nil {
-		t.Error("At(unknown key) should be nil")
+	for key, want := range map[float64]float64{10: 0.2, 20: 0.5, 30: 0.6} {
+		fracs, err := cs.Interpolate(key)
+		if err != nil || math.Abs(fracs[0]-want) > 1e-9 || math.Abs(fracs[1]-(1-want)/3) > 1e-9 {
+			t.Errorf("Interpolate(%g) = %v (%v), want the stored curve with first bin %g", key, fracs, err, want)
+		}
 	}
 }
 
