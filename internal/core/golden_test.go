@@ -45,8 +45,11 @@ func goldenWith(adjust func(*Config)) Config {
 
 // smallModel is the benchmark's SMALL file-size model (-size-mu 6.9
 // -size-sigma 0.5).
-func smallModel() stats.Distribution {
-	return stats.NewHybrid(stats.NewLognormal(6.9, 0.5), stats.NewPareto(DefaultParetoK, DefaultParetoXm), DefaultFileSizeBodyWeight)
+func smallModel() stats.Distribution { return sizeModel(6.9, 0.5) }
+
+// sizeModel is the size model of -size-mu mu -size-sigma sigma.
+func sizeModel(mu, sigma float64) stats.Distribution {
+	return stats.NewHybrid(stats.NewLognormal(mu, sigma), stats.NewPareto(DefaultParetoK, DefaultParetoXm), DefaultFileSizeBodyWeight)
 }
 
 var goldenMetadata = []struct {
@@ -78,6 +81,13 @@ var goldenMetadata = []struct {
 		name: "never converged", shape: shapeFallback,
 		cfg:   Config{NumFiles: 20000, Seed: 20090225},
 		chain: "e1bff5d5f90ff7d8f7c41f15e9c862d855930eae7f1a8318de8a149fa5055816", totalBytes: 13_472_809_856, oversamples: 20000,
+	},
+	{
+		// make dist-check's spec: no size either, on a lognormal body of
+		// its own.
+		name: "dist-check spec", shape: shapeFallback,
+		cfg:   Config{NumFiles: 3000, NumDirs: 600, FileSizeDist: sizeModel(8, 1.2), Seed: 20090225},
+		chain: "1315c05bb843f955e5ca4e76cda721d3b5df626b6a34ff386192799c22b56995", totalBytes: 18_100_509, oversamples: 3000,
 	},
 	{
 		name: "special directories", shape: shapeFallback,
