@@ -958,13 +958,16 @@ var updatePins = flag.Bool("update-pins", false, "rewrite testdata/generate-*.js
 
 // TestGenerateEndpointPins holds POST /v1/generate to the answers it gave
 // before it stopped retaining the image: digest, report totals, accuracy and
-// the normalized spec, for a default spec and one with a simulated disk.
+// the normalized spec, for a default spec, one with a simulated disk and one
+// that requests no size.
 func TestGenerateEndpointPins(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	layout := testSpec(2)
 	layout.LayoutScore = 0.8
 	layout.ContentKind = "text-1word"
-	for name, spec := range map[string]fsimage.Spec{"default": testSpec(1234), "layout": layout} {
+	unsized := testSpec(1234)
+	unsized.FSSizeBytes = 0
+	for name, spec := range map[string]fsimage.Spec{"default": testSpec(1234), "layout": layout, "unconstrained": unsized} {
 		got, err := c.Generate(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: Generate: %v", name, err)
