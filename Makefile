@@ -39,6 +39,11 @@ bench-smoke:
 # through the index, and `merge -plan` of the index prints the digest. Last,
 # `distrun` of the same spec (4 worker processes under the in-process
 # scheduler) must print the same digest and write the same tree.
+# That spec requests no size, so its sizes are the first pool drawn; the
+# same four builds of SIZED_SPEC (dir_small's spec at 30k files, whose
+# resolver oversamples twice) hold the resolved path to the same identity.
+SIZED_SPEC = -files 30000 -dirs 3000 -size 34406400 -size-mu 6.9 -size-sigma 0.5 -seed 20090225
+
 dist-check:
 	@rm -rf /tmp/impressions-dist-check && mkdir -p /tmp/impressions-dist-check
 	$(GO) build -o /tmp/impressions-dist-check/impressions ./cmd/impressions
@@ -52,13 +57,19 @@ dist-check:
 	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -plan plan-j4/plan.json; \
 	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -spill plan-j4-spill -plan plan-j4-spill/plan.json; \
 	for other in plan-spill plan-j4 plan-j4-spill; do cmp plan/plan.json $$other/plan.json; for s in 0 1 2 3; do cmp plan/plan.json.frag$$s $$other/plan.json.frag$$s; done; done; \
+	mkdir -p sized sized-spill sized-j4 sized-j4-spill; \
+	./impressions plan $(SIZED_SPEC) -j 1 -shards 4 -plan sized/plan.json; \
+	./impressions plan $(SIZED_SPEC) -j 1 -shards 4 -spill sized-spill -plan sized-spill/plan.json; \
+	./impressions plan $(SIZED_SPEC) -j 4 -shards 4 -plan sized-j4/plan.json; \
+	./impressions plan $(SIZED_SPEC) -j 4 -shards 4 -spill sized-j4-spill -plan sized-j4-spill/plan.json; \
+	for other in sized-spill sized-j4 sized-j4-spill; do cmp sized/plan.json $$other/plan.json; for s in 0 1 2 3; do cmp sized/plan.json.frag$$s $$other/plan.json.frag$$s; done; done; \
 	pids=""; for s in 0 1 2 3; do ./impressions worker -plan plan/plan.json -shard $$s -j $$((1 << s)) -out merged -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
 	for p in $$pids; do wait "$$p"; done; \
 	./impressions merge -plan plan/plan.json -print-digest manifest-*.json > merged.digest; \
 	cmp single.digest merged.digest; diff -r single merged; \
 	./impressions distrun -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -shards 4 -out distrun-out | grep '^image digest:' > distrun.digest; \
 	cmp single.digest distrun.digest; diff -r single distrun-out; \
-	echo "dist-check: OK (index and fragments identical at -j 1 and -j 4, on the heap and spilled; merge and distrun digests and trees identical)"
+	echo "dist-check: OK (index and fragments identical at -j 1 and -j 4, on the heap and spilled, with and without a size; merge and distrun digests and trees identical)"
 
 # The fault-injection half of the CI distributed-determinism job: plan → 4 workers, one killed
 # mid-write (its manifest discarded so the outcome is timing-independent) →

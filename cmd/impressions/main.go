@@ -317,6 +317,7 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	warnSizeMissed(stderr, m)
 	fmt.Fprintln(stdout, m.Summary())
 	if _, err := report.WriteTo(stdout); err != nil {
 		return err
@@ -358,6 +359,15 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "wrote reproducibility report to %s\n", *reportFlag)
 	}
 	return nil
+}
+
+// warnSizeMissed prints one line on stderr when the files miss the size the
+// flags asked for. The command goes on and exits 0: the report carries the
+// sum error too.
+func warnSizeMissed(stderr io.Writer, m *core.Metadata) {
+	if msg := m.SizeMissed(); msg != "" {
+		fmt.Fprintln(stderr, "impressions: warning:", msg)
+	}
 }
 
 // streamImage replays the metadata once into the sink format and out name: a
@@ -526,6 +536,7 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	warnSizeMissed(stderr, rp.Meta)
 	err = writePlanFiles(ctx, rp, *planFlag)
 	rp.Close()
 	if err != nil {
@@ -1040,6 +1051,7 @@ func runDistrun(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	defer resolved.Close()
+	warnSizeMissed(stderr, resolved.Meta)
 	plan := resolved.Plan
 	// The plan is deterministic from the flags, so rewriting it on resume is
 	// idempotent; journals a work dir holds from other flags are bound to

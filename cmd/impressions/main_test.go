@@ -138,6 +138,30 @@ func TestPlanStreamWritesIdenticalPlan(t *testing.T) {
 	}
 }
 
+// TestPlanWarnsOfAMissedSize: a plan whose requested size the resolver
+// cannot meet says so in one stderr line, requested against produced, and
+// still exits 0; one that meets its size, or requests none, says nothing.
+func TestPlanWarnsOfAMissedSize(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-files", "3000", "-dirs", "300", "-size", "80MB", "-seed", "7"},
+			"impressions: warning: requested size 83886080 bytes not met: produced 811288235 bytes, error 867.13% (beta 0.05)\n"},
+		{[]string{"-files", "3000", "-dirs", "300", "-size", "3440640", "-size-mu", "6.9", "-size-sigma", "0.5", "-seed", "7"}, ""},
+		{[]string{"-files", "3000", "-dirs", "300", "-seed", "7"}, ""},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append(append([]string{"plan"}, c.args...), "-plan", filepath.Join(t.TempDir(), "plan.json"))
+		if code := Main(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("Main(%q) = %d\n%s", args, code, stderr.String())
+		}
+		if stderr.String() != c.want {
+			t.Errorf("%q printed on stderr\n%q\nwant\n%q", args, stderr.String(), c.want)
+		}
+	}
+}
+
 // TestFailedPlanLeavesNothing: a plan build that fails removes what it
 // created — the fragments opened before one could not be — so no torn
 // document is left for a worker to find, and one that fails in the metadata
@@ -1573,6 +1597,9 @@ func TestGeneratePins(t *testing.T) {
 					}
 					if err := json.Unmarshal(data, &report); err != nil {
 						t.Fatalf("report.json: %v", err)
+					}
+					if has := bytes.Contains(data, []byte(`"sum_error"`)); has != slices.Contains(spec.args, "-size") {
+						t.Errorf("report.json carries a sum_error: %v; the spec passes -size: %v", has, !has)
 					}
 					specJSON, err := json.Marshal(report.Spec)
 					if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"impressions/internal/parallel"
 	"impressions/internal/stats"
+	"impressions/internal/stats/gof"
 )
 
 // Golden pins for Resolve. The values were taken at the commit before the
@@ -209,6 +210,64 @@ func TestGoldenResolve(t *testing.T) {
 				}
 				if res.OversampleRate != float64(res.Oversamples)/float64(pin.problem.N) {
 					t.Errorf("OversampleRate = %v with %d oversamples of N = %d", res.OversampleRate, res.Oversamples, pin.problem.N)
+				}
+			})
+		}
+	}
+}
+
+// TestResolveWithoutTargetSum: a problem with no sum constraint returns the
+// pool that the same problem with its target on that pool's sum keeps on the
+// fast path — the same values, and the resolver's RNG left at the same place
+// — at one and at four workers, on the heap and in caller storage, which it
+// never reads back.
+func TestResolveWithoutTargetSum(t *testing.T) {
+	const n, seed = 2*4096 + 5, 7 // three shards, the last a short one
+	for _, away := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("storage=%v/j%d", away, workers), func(t *testing.T) {
+				resolve := func(target float64) (Result, []float64, uint64, int) {
+					r := NewResolver(stats.NewRNG(seed))
+					r.SetParallelism(workers)
+					pool := &awayPool{n: n, shards: make([][]float64, parallel.Shards(n))}
+					if away {
+						r.SetPoolStorage(pool)
+					}
+					res, err := r.Resolve(Problem{N: n, TargetSum: target, Dist: paperDist()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					values := res.Values
+					if away {
+						for _, shard := range pool.shards {
+							values = append(values, shard...)
+						}
+					}
+					return res, values, r.rng.Uint64(), pool.scans
+				}
+				free, freeValues, freeNext, freeScans := resolve(0)
+				sum := 0.0
+				for _, v := range freeValues {
+					sum += v
+				}
+				if !free.Converged || free.Oversamples != 0 || free.Restarts != 0 || free.OversampleRate != 0 {
+					t.Errorf("no target: converged %v after %d oversamples and %d restarts", free.Converged, free.Oversamples, free.Restarts)
+				}
+				if free.Sum != 0 || free.InitialBeta != 0 || free.FinalBeta != 0 || free.KS != (gof.KSResult{}) || free.Trace != nil {
+					t.Errorf("no target: sum %v, betas %v, %v, K-S %+v, trace %v; want all zero", free.Sum, free.InitialBeta, free.FinalBeta, free.KS, free.Trace)
+				}
+				if freeScans != 0 || (away && free.Values != nil) {
+					t.Errorf("no target: storage scanned %d times, %d values held", freeScans, len(free.Values))
+				}
+				fast, fastValues, fastNext, _ := resolve(sum)
+				if !fast.Converged || fast.Oversamples != 0 || fast.Restarts != 0 {
+					t.Fatalf("target on the pool's sum left the fast path: converged %v after %d oversamples", fast.Converged, fast.Oversamples)
+				}
+				if valuesSHA256(freeValues) != valuesSHA256(fastValues) || len(freeValues) != n {
+					t.Errorf("no target drew %d values that differ from the fast path's %d", len(freeValues), len(fastValues))
+				}
+				if freeNext != fastNext {
+					t.Errorf("next RNG draw %d without a target, %d on the fast path", freeNext, fastNext)
 				}
 			})
 		}

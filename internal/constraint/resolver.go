@@ -28,6 +28,10 @@
 // reaches costs an attempt its draws and little else, and every Result is
 // what the search alone would return. The package alone draws the pool and
 // tests the tolerance; a caller may only say where it is kept (PoolStorage).
+//
+// A TargetSum of 0 is no sum constraint: Resolve draws the first pool and
+// returns it, with no oversampling, no K-S test and no pass over the pool.
+// It is the step-1 draw a problem whose first pool passes would keep.
 package constraint
 
 import (
@@ -46,7 +50,8 @@ import (
 type Problem struct {
 	// N is the required number of samples (files).
 	N int
-	// TargetSum is the desired sum of all samples (file-system used space).
+	// TargetSum is the desired sum of all samples (file-system used space);
+	// 0 asks for none.
 	TargetSum float64
 	// Dist is the distribution file sizes are drawn from (D3 in the paper).
 	Dist stats.Distribution
@@ -73,11 +78,14 @@ type Problem struct {
 type Result struct {
 	// Values are the N resolved samples.
 	Values []float64
-	// Sum is the achieved sum of Values.
+	// Sum is the achieved sum of Values, 0 (not taken) without a sum
+	// constraint.
 	Sum float64
-	// InitialBeta is the relative error of the very first N-sample draw.
+	// InitialBeta is the relative error of the very first N-sample draw,
+	// 0 without a sum constraint.
 	InitialBeta float64
-	// FinalBeta is the achieved relative error |Sum-TargetSum|/TargetSum.
+	// FinalBeta is the achieved relative error |Sum-TargetSum|/TargetSum,
+	// 0 without a sum constraint.
 	FinalBeta float64
 	// Oversamples is the number of extra samples drawn (α).
 	Oversamples int
@@ -133,10 +141,21 @@ type PoolStorage interface {
 }
 
 // SetPoolStorage makes Resolve draw each attempt's pool into s. When a draw
-// already meets the sum constraint, Resolve returns without having held it:
+// already meets the sum constraint, or there is none, Resolve returns
+// without having held it:
 // the values are in s, Result.Values and Result.KS stay zero. Otherwise it
 // reads the pool back whole and carries on as it does on its own heap.
 func (r *Resolver) SetPoolStorage(s PoolStorage) { r.storage = s }
+
+// poolStore returns where a pool of n draws goes: the caller's storage and
+// a nil slice, or a new slice on the heap and the storage over it.
+func (r *Resolver) poolStore(n int) ([]float64, PoolStorage) {
+	if r.storage != nil {
+		return nil, r.storage
+	}
+	pool := make([]float64, n)
+	return pool, heapPool(pool)
+}
 
 // heapPool is the storage of a pool the resolver keeps itself.
 type heapPool []float64
@@ -152,16 +171,15 @@ func (h heapPool) Scan(visit func([]float64)) error {
 	return nil
 }
 
-// samplePool draws an n-element pool into store and returns its sum, taken
-// left to right. The shard base is seeded by one draw from the resolver's
-// main stream, so every attempt — across restarts and successive Resolve
-// calls — gets a genuinely fresh pool (the restart mechanism exists to
-// replace an unlucky initial draw). Shard s then comes from the derived
-// stream SplitN(s) of that base, so concurrent workers never contend and the
-// result is independent of scheduling.
-func (r *Resolver) samplePool(d stats.Distribution, n int, store PoolStorage) (float64, error) {
+// drawPool draws an n-element pool into store. The shard base is seeded by one draw from the resolver's main stream, so
+// every attempt — across restarts and successive Resolve calls — gets a
+// genuinely fresh pool (the restart mechanism exists to replace an unlucky
+// initial draw). Shard s then comes from the derived stream SplitN(s) of
+// that base, so concurrent workers never contend and the result is
+// independent of scheduling.
+func (r *Resolver) drawPool(d stats.Distribution, n int, store PoolStorage) error {
 	base := stats.NewRNG(int64(r.rng.Uint64())).SplitStream("pool")
-	err := parallel.Run(context.Background(), r.workers, parallel.Shards(n), func(s int) error {
+	return parallel.Run(context.Background(), r.workers, parallel.Shards(n), func(s int) error {
 		return store.Draw(s, func(shard []float64) {
 			srng := base.SplitN(uint64(s))
 			for i := range shard {
@@ -169,16 +187,31 @@ func (r *Resolver) samplePool(d stats.Distribution, n int, store PoolStorage) (f
 			}
 		})
 	})
-	if err != nil {
+}
+
+// samplePool is drawPool for an attempt at a sum: it returns the pool's
+// sum, taken left to right.
+func (r *Resolver) samplePool(d stats.Distribution, n int, store PoolStorage) (float64, error) {
+	if err := r.drawPool(d, n, store); err != nil {
 		return 0, err
 	}
 	sum := 0.0
-	err = store.Scan(func(shard []float64) {
+	err := store.Scan(func(shard []float64) {
 		for _, v := range shard {
 			sum += v
 		}
 	})
 	return sum, err
+}
+
+// drawOnly resolves a problem without a sum constraint: its first pool, as
+// an attempt would draw it, is the result.
+func (r *Resolver) drawOnly(p Problem) (Result, error) {
+	pool, store := r.poolStore(p.N)
+	if err := r.drawPool(p.Dist, p.N, store); err != nil {
+		return Result{}, err
+	}
+	return Result{Values: pool, Converged: true}, nil
 }
 
 // Resolve solves the problem, returning the resolved samples and convergence
@@ -190,8 +223,11 @@ func (r *Resolver) Resolve(p Problem) (Result, error) {
 	if p.N <= 0 {
 		return Result{}, fmt.Errorf("constraint: invalid sample count %d", p.N)
 	}
-	if p.TargetSum <= 0 {
+	switch {
+	case !(p.TargetSum >= 0): // NaN too
 		return Result{}, fmt.Errorf("constraint: invalid target sum %g", p.TargetSum)
+	case p.TargetSum == 0:
+		return r.drawOnly(p)
 	}
 	applyDefaults(&p)
 
@@ -260,12 +296,7 @@ func applyDefaults(p *Problem) {
 // or, when the reach bound alone already puts that past futilityGapFrac, the
 // bound's smaller figure, which classifies the attempt the same way.
 func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac float64, err error) {
-	var pool []float64 // nil while the caller's storage holds the draw
-	store := r.storage
-	if store == nil {
-		pool = make([]float64, p.N)
-		store = heapPool(pool)
-	}
+	pool, store := r.poolStore(p.N)
 	initialSum, err := r.samplePool(p.Dist, p.N, store)
 	if err != nil {
 		return false, 0, err

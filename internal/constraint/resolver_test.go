@@ -130,8 +130,10 @@ func TestResolveErrors(t *testing.T) {
 	if _, err := r.Resolve(Problem{N: 0, TargetSum: 100, Dist: paperDist()}); err == nil {
 		t.Error("expected error for zero N")
 	}
-	if _, err := r.Resolve(Problem{N: 10, TargetSum: 0, Dist: paperDist()}); err == nil {
-		t.Error("expected error for zero target sum")
+	for _, target := range []float64{-1, math.NaN()} {
+		if _, err := r.Resolve(Problem{N: 10, TargetSum: target, Dist: paperDist()}); err == nil {
+			t.Errorf("expected error for target sum %v", target)
+		}
 	}
 }
 

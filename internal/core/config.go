@@ -35,8 +35,9 @@ type Config struct {
 	// Seed is the master random seed; 0 selects DefaultSeed.
 	Seed int64
 
-	// FSSizeBytes is the desired total used space. If zero it is derived
-	// from NumFiles and the mean of the file-size distribution.
+	// FSSizeBytes is the desired total used space, the sum the size
+	// resolver holds the files to (§3.4). Zero requests none: the sizes are
+	// NumFiles draws of FileSizeDist, and nothing is resolved.
 	FSSizeBytes int64
 	// NumFiles is the desired number of files. If zero it is derived from
 	// FSSizeBytes and the mean of the file-size distribution.
@@ -78,7 +79,8 @@ type Config struct {
 	// simulators).
 	SimulateDisk bool
 	// DiskCapacityBytes sets the simulated disk capacity; 0 selects twice the
-	// file-system size.
+	// file-system size, or twice NumFiles × the mean file size when no size
+	// was requested (at least 64 MiB).
 	DiskCapacityBytes int64
 
 	// Beta is the allowed relative error between requested and achieved total
@@ -181,9 +183,6 @@ func (c Config) Normalize() (Config, error) {
 			out.NumFiles = 1
 		}
 	}
-	if out.FSSizeBytes <= 0 {
-		out.FSSizeBytes = int64(float64(out.NumFiles) * meanSize)
-	}
 	if out.NumDirs <= 0 {
 		out.NumDirs = out.NumFiles / out.FilesPerDir
 		if out.NumDirs < 1 {
@@ -191,10 +190,11 @@ func (c Config) Normalize() (Config, error) {
 		}
 	}
 	if out.DiskCapacityBytes <= 0 {
-		out.DiskCapacityBytes = out.FSSizeBytes * 2
-		if out.DiskCapacityBytes < 64*1024*1024 {
-			out.DiskCapacityBytes = 64 * 1024 * 1024
+		size := out.FSSizeBytes
+		if size <= 0 {
+			size = int64(float64(out.NumFiles) * meanSize)
 		}
+		out.DiskCapacityBytes = max(size*2, 64*1024*1024)
 	}
 	return out, nil
 }
@@ -233,8 +233,8 @@ func (c Config) Validate() error {
 	if !(c.Beta >= 0 && c.Beta < 1) {
 		return fmt.Errorf("core: beta %.3f outside [0,1) (%w)", c.Beta, fsimage.ErrInvalidSpec)
 	}
-	// Normalize derives the size from the file count, or the count from the
-	// size, through the mean file size. Go leaves a float-to-integer
+	// Normalize derives the disk capacity from the file count, or the count
+	// from the size, through the mean file size. Go leaves a float-to-integer
 	// conversion out of range implementation-defined, so a derived value
 	// that is not finite or does not fit is refused here.
 	if (c.FSSizeBytes <= 0) != (c.NumFiles <= 0) {

@@ -28,6 +28,7 @@ const (
 	shapeRawDraw     goldenShape = iota // attempt 0's raw draw is inside the tolerance
 	shapeOversampled                    // converged after oversampling
 	shapeFallback                       // never converged: the raw fallback sample
+	shapeNoSize                         // no size requested: the first pool, unresolved
 )
 
 // goldenBase asks the default size model for 2 KB a file, which it cannot
@@ -76,18 +77,18 @@ var goldenMetadata = []struct {
 		chain: "38331c538db88023e65d11436bd2b6ec18f6ac6e666d32e3b3d2111273ff0ccc", totalBytes: 33_821_426, oversamples: 2,
 	},
 	{
-		// The benchmark's meta shape: no size, so the target is N × a mean
-		// the sample never reaches and the column is the fallback sample.
-		name: "never converged", shape: shapeFallback,
+		// The benchmark's meta shape: no size, so the column is the first
+		// pool drawn.
+		name: "no size requested", shape: shapeNoSize,
 		cfg:   Config{NumFiles: 20000, Seed: 20090225},
-		chain: "e1bff5d5f90ff7d8f7c41f15e9c862d855930eae7f1a8318de8a149fa5055816", totalBytes: 13_472_809_856, oversamples: 20000,
+		chain: "1b8cfaf1515df91677c6d4bcf89edfd89796e6aa998ef38b56822dad61964caf", totalBytes: 7_119_284_183, oversamples: 0,
 	},
 	{
 		// make dist-check's spec: no size either, on a lognormal body of
 		// its own.
-		name: "dist-check spec", shape: shapeFallback,
+		name: "dist-check spec", shape: shapeNoSize,
 		cfg:   Config{NumFiles: 3000, NumDirs: 600, FileSizeDist: sizeModel(8, 1.2), Seed: 20090225},
-		chain: "1315c05bb843f955e5ca4e76cda721d3b5df626b6a34ff386192799c22b56995", totalBytes: 18_100_509, oversamples: 3000,
+		chain: "92259ce55d6febbd01860ceac1823ac31e99841627d8171b8253e2842eb8efe0", totalBytes: 18_158_445, oversamples: 0,
 	},
 	{
 		name: "special directories", shape: shapeFallback,
@@ -177,6 +178,10 @@ func TestGoldenMetadata(t *testing.T) {
 					case shapeFallback:
 						if c.Converged {
 							t.Error("converged; the case is the fallback sample")
+						}
+					case shapeNoSize:
+						if !c.Converged || c.Oversamples != 0 || c.InitialBeta != 0 || c.FinalBeta != 0 {
+							t.Errorf("not the first pool: converged %v after %d oversamples, betas %v and %v", c.Converged, c.Oversamples, c.InitialBeta, c.FinalBeta)
 						}
 					}
 				})

@@ -107,10 +107,10 @@ func (g *Generator) GenerateContext(ctx context.Context) (*Result, error) {
 // resolveSizes draws the file-size sample under the N / S constraints into
 // the sizes column, which keeps the raw values: readers round them with
 // roundSize. The resolver draws a pool straight into the column and, when
-// the draw already meets the constraint — every well-sized config — never
-// holds it; otherwise it works on the heap and its result is written over
-// the column, the documented O(files) corner of a spilled pass (targets far
-// from the distribution's expected sum).
+// no size was requested or the draw already meets it — every well-sized
+// config — never holds it; otherwise it works on the heap and its result is
+// written over the column, the documented O(files) corner of a spilled pass
+// (targets far from the distribution's expected sum).
 func (g *Generator) resolveSizes(rng *stats.RNG, sizes *column[float64]) (constraint.Result, error) {
 	cfg := g.cfg
 	resolver := constraint.NewResolver(rng)

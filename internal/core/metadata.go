@@ -233,10 +233,28 @@ func (m *Metadata) Report() (fsimage.Report, *disk.Disk, error) {
 		m.phases["on-disk layout"] = seconds(start)
 	}
 	r.GeneratedAt = clock.Now()
-	if m.cfg.FSSizeBytes > 0 {
-		r.SumError = math.Abs(float64(m.totalBytes-m.cfg.FSSizeBytes)) / float64(m.cfg.FSSizeBytes)
-	}
+	r.SumError = m.sumError()
 	return r, d, nil
+}
+
+// sumError is the relative error of the files' total against the requested
+// size, 0 when none was requested.
+func (m *Metadata) sumError() float64 {
+	if m.cfg.FSSizeBytes <= 0 {
+		return 0
+	}
+	return math.Abs(float64(m.totalBytes-m.cfg.FSSizeBytes)) / float64(m.cfg.FSSizeBytes)
+}
+
+// SizeMissed describes a requested size the files miss: the resolver did not
+// converge, and the raw sample stands in for its result (§3.4 allows that,
+// not silence). It is "" when no size was requested or the files meet it.
+func (m *Metadata) SizeMissed() string {
+	if m.convergence.Converged {
+		return ""
+	}
+	return fmt.Sprintf("requested size %d bytes not met: produced %d bytes, error %.2f%% (beta %.2f)",
+		m.cfg.FSSizeBytes, m.totalBytes, m.sumError()*100, m.cfg.Beta)
 }
 
 // simulateDisk allocates every file on a simulated block device, in ID

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"impressions/internal/fsimage"
+	"impressions/internal/stats"
 )
 
 // The multiset pins hash what a metadata pass places — each file's
@@ -145,6 +147,64 @@ func TestReplayIsDirectoryMajor(t *testing.T) {
 				}
 				if sink.files != cfg.NumFiles || sink.runs != occupied {
 					t.Errorf("%d files in %d runs, want %d in one run per occupied directory (%d)", sink.files, sink.runs, cfg.NumFiles, occupied)
+				}
+			})
+		}
+	}
+}
+
+// countingDist counts its draws; the metadata pass draws concurrently.
+type countingDist struct {
+	stats.Distribution
+	draws *atomic.Int64
+}
+
+func (d countingDist) Sample(rng *stats.RNG) float64 {
+	d.draws.Add(1)
+	return d.Distribution.Sample(rng)
+}
+
+// TestNoSizePlacesTheRawDraw: a config without a size places what the same
+// config places when its size sits on the raw draw's sum — the resolver's
+// fast path keeps the very pool the unconstrained pass keeps — at one and
+// four workers, on the heap and spilled; and the unconstrained pass draws
+// each file's size once.
+func TestNoSizePlacesTheRawDraw(t *testing.T) {
+	for _, spilled := range []bool{false, true} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("spill=%v/j%d", spilled, par), func(t *testing.T) {
+				resolve := func(cfg Config) (*Metadata, string) {
+					cfg.Parallelism = par
+					if spilled {
+						cfg.SpillDir = t.TempDir()
+					}
+					gen, err := NewGenerator(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := gen.ResolveMetadataContext(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { m.Close() })
+					return m, placedMultiset(t, m)
+				}
+				var draws atomic.Int64
+				cfg := Config{NumFiles: 2*4096 + 5, NumDirs: 800, FileSizeDist: countingDist{smallModel(), &draws}, Seed: 20090225}
+				free, freeSet := resolve(cfg)
+				if n := draws.Load(); n != int64(cfg.NumFiles) {
+					t.Errorf("the pass without a size drew %d sizes for %d files", n, cfg.NumFiles)
+				}
+				if free.Spec().FSSizeBytes != 0 || free.cfg.FSSizeBytes != 0 {
+					t.Errorf("a size of %d bytes was made up", free.cfg.FSSizeBytes)
+				}
+				cfg.FSSizeBytes = free.TotalBytes()
+				sized, sizedSet := resolve(cfg)
+				if c := sized.convergence; !c.Converged || c.Oversamples != 0 {
+					t.Fatalf("a size on the raw draw's sum left the fast path: converged %v after %d oversamples", c.Converged, c.Oversamples)
+				}
+				if freeSet != sizedSet {
+					t.Errorf("placed multiset %s without a size, %s with the raw draw's", freeSet, sizedSet)
 				}
 			})
 		}

@@ -23,9 +23,9 @@ func testConfig() core.Config {
 }
 
 // singleProcessReference generates and materializes the reference image in
-// one process, returning the image, its canonical digest, and the tree hash
-// of the materialized root.
-func singleProcessReference(t *testing.T, cfg core.Config) (*fsimage.Image, string, string) {
+// one process, returning the image with its report, its canonical digest,
+// and the tree hash of the materialized root.
+func singleProcessReference(t *testing.T, cfg core.Config) (*core.Result, string, string) {
 	t.Helper()
 	res, err := core.GenerateImage(cfg)
 	if err != nil {
@@ -44,7 +44,7 @@ func singleProcessReference(t *testing.T, cfg core.Config) (*fsimage.Image, stri
 	if err != nil {
 		t.Fatalf("HashTree: %v", err)
 	}
-	return res.Image, digest, treeHash
+	return res, digest, treeHash
 }
 
 // testPlan is a plan as the package's tests hold one: its fragments and its
@@ -176,7 +176,8 @@ func runManifests(t *testing.T, p *testPlan, outRoot string) []*Manifest {
 // K ∈ {1, 2, 4}.
 func TestPlanWorkerMergeMatchesSingleProcess(t *testing.T) {
 	cfg := testConfig()
-	refImg, refDigest, refTreeHash := singleProcessReference(t, cfg)
+	ref, refDigest, refTreeHash := singleProcessReference(t, cfg)
+	refImg := ref.Image
 
 	for _, k := range []int{1, 2, 4} {
 		p := planRoundTrip(t, cfg, k)

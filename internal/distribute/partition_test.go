@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -77,6 +78,7 @@ var fragmentCases = []struct {
 		}},
 	{"fragment 0 without files", func(c *core.Config) { c.NumDirs, c.NumFiles, c.FSSizeBytes = 64, 1, 2048 },
 		func(p *Plan) bool { return p.Shards[0].Files == 0 || len(p.Shards) < 4 }},
+	{"no size", func(c *core.Config) { c.FSSizeBytes = 0 }, func(p *Plan) bool { return p.Spec.FSSizeBytes == 0 }},
 }
 
 // TestPartitionPlanFragmentsMatchPlainEncoding is the fragment format
@@ -212,12 +214,13 @@ func runFragmentPipeline(t *testing.T, frags [][]byte) (*MergeResult, string, er
 // for distributed planning: for every image of fragmentCases and K ∈ {1, 2,
 // 4}, the fragments replay through FragmentSource with the fingerprint their
 // build sealed, and fragments → workers → fragment merge reproduce the
-// single-process digest and a byte-identical tree (the diff -r equivalence).
+// single-process digest, a byte-identical tree (the diff -r equivalence) and
+// the same spec and sum error in the report.
 func TestPartitionedPipelineMatchesSingleProcess(t *testing.T) {
 	for _, fc := range fragmentCases {
 		name, cfg := fc.name, testConfig()
 		fc.adjust(&cfg)
-		_, refDigest, refTreeHash := singleProcessReference(t, cfg)
+		ref, refDigest, refTreeHash := singleProcessReference(t, cfg)
 		for _, k := range []int{1, 2, 4} {
 			plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: k, ChunkSize: 64})
 			if !fc.holds(plan) {
@@ -239,6 +242,9 @@ func TestPartitionedPipelineMatchesSingleProcess(t *testing.T) {
 			}
 			if res.Report.ActualFiles != plan.Files {
 				t.Errorf("%s K=%d merge reports %d files, want %d", name, k, res.Report.ActualFiles, plan.Files)
+			}
+			if got, want := res.Report, ref.Report; got.SumError != want.SumError || !reflect.DeepEqual(got.Spec, want.Spec) {
+				t.Errorf("%s K=%d merge reports sum error %v of spec %+v, the single process %v of %+v", name, k, got.SumError, got.Spec, want.SumError, want.Spec)
 			}
 			treeHash, err := fsimage.HashTree(outRoot)
 			if err != nil {
@@ -276,8 +282,9 @@ func rawDrawSum(t *testing.T, cfg core.Config) float64 {
 // builder: the PartitionPlan fragments, built at Parallelism 1, 2 and 4 — where the chunk sealer runs inline, on one
 // goroutine and on three — over columns on the heap and spilled to files,
 // must all equal the heap build at Parallelism 1. The images: where the
-// resolver keeps its raw draw (target placed on the raw draw sum) and on
-// the documented O(N) fallback (target far from it); a 1-file image; file
+// resolver keeps its raw draw (target placed on the raw draw sum), on
+// the documented O(N) fallback (target far from it) and with no target; a
+// 1-file image; file
 // counts that end the columns just short of, on, and just past an edge of
 // the 4096-value blocks they are loaded and stored in, so that depth levels
 // place files on both sides of one; and the two placement cases, special
@@ -286,7 +293,9 @@ func rawDrawSum(t *testing.T, cfg core.Config) float64 {
 func TestSpilledPlanMatchesInMemory(t *testing.T) {
 	fast := testConfig()
 	fast.FSSizeBytes = int64(rawDrawSum(t, fast))
-	cases := map[string]core.Config{"fastpath": fast, "fallback": testConfig()}
+	free := testConfig()
+	free.FSSizeBytes = 0
+	cases := map[string]core.Config{"fastpath": fast, "fallback": testConfig(), "no size": free}
 	for _, n := range []int{1, 4095, 4096, 4097, 2*4096 + 1} {
 		cfg := testConfig()
 		cfg.NumFiles, cfg.FSSizeBytes = n, int64(n)*2048
@@ -515,10 +524,9 @@ func TestFragmentIndexRoundTrip(t *testing.T) {
 // build made concrete: a 10,000,000-file plan built as 8 spilled fragments
 // must hold its peak live heap under 128 MB, a cap the 10M retained file
 // records alone would blow through by an order of magnitude.
-// The target sum sits on the measured raw-draw sum for this seed, so the
-// resolver keeps the draw it made into the sizes column and never holds it
-// (the spill contract's O(dirs) regime); a regression onto any O(files)
-// column blows the cap.
+// No size is requested, so the resolver draws into the sizes column and
+// never holds the draw (the spill contract's O(dirs) regime); a regression
+// onto any O(files) column blows the cap.
 // Extrapolation: live heap is dirs-dominated (~200k dirs here), so 10⁸
 // files at the same dir count fits the same cap, and 10⁹ needs only the
 // dir tree to grow.
@@ -529,9 +537,7 @@ func TestPartitionedPlanBuildMemoryBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10M-file build skipped in -short")
 	}
-	// FSSizeBytes pins the target onto the raw-draw sum measured for this
-	// exact (NumFiles, Seed) pair; see rawDrawSum.
-	cfg := core.Config{NumFiles: 10_000_000, NumDirs: 200_000, FSSizeBytes: 3_605_134_771_990, Seed: 20090225, Parallelism: 1}
+	cfg := core.Config{NumFiles: 10_000_000, NumDirs: 200_000, Seed: 20090225, Parallelism: 1}
 	const memCap = 128 << 20
 	peak := spilledPartitionPeak(t, cfg)
 	t.Logf("10M-file partitioned plan build: peak live heap %.1f MB (cap %.0f MB)", float64(peak)/(1<<20), float64(memCap)/(1<<20))
@@ -545,7 +551,6 @@ func TestPartitionedPlanBuildMemoryBound(t *testing.T) {
 	// O(files). With few directories under many files, a column or a work
 	// list kept per worker would show.
 	small := core.Config{NumFiles: 2_000_000, NumDirs: 20_000, Seed: 20090225}
-	small.FSSizeBytes = int64(rawDrawSum(t, small))
 	var peaks [2]float64
 	for i, par := range []int{1, 4} {
 		small.Parallelism = par

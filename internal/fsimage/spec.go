@@ -17,7 +17,8 @@ import (
 type Spec struct {
 	// Seed is the master random seed.
 	Seed int64 `json:"seed"`
-	// FSSizeBytes is the requested total file size (used space).
+	// FSSizeBytes is the requested total file size (used space); 0 when no
+	// size was requested.
 	FSSizeBytes int64 `json:"fs_size_bytes"`
 	// NumFiles is the requested (or derived) number of files.
 	NumFiles int `json:"num_files"`
@@ -49,8 +50,8 @@ type Report struct {
 	ActualDirs  int   `json:"actual_dirs"`
 	ActualBytes int64 `json:"actual_bytes"`
 	// SumError is the relative error between requested and achieved total
-	// size.
-	SumError float64 `json:"sum_error"`
+	// size; absent when no size was requested.
+	SumError float64 `json:"sum_error,omitempty"`
 	// AchievedLayoutScore is the measured layout score of the simulated disk.
 	AchievedLayoutScore float64 `json:"achieved_layout_score"`
 	// Oversamples reports the constraint-resolution oversampling count.
@@ -68,9 +69,14 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintf(&b, "Impressions image report\n")
 	fmt.Fprintf(&b, "  generated at:        %s\n", r.GeneratedAt.Format(time.RFC3339))
 	fmt.Fprintf(&b, "  seed:                %d\n", r.Spec.Seed)
-	fmt.Fprintf(&b, "  requested size:      %d bytes\n", r.Spec.FSSizeBytes)
+	requested, sumError := "none", ""
+	if r.Spec.FSSizeBytes > 0 {
+		requested = fmt.Sprintf("%d bytes", r.Spec.FSSizeBytes)
+		sumError = fmt.Sprintf(" (error %.2f%%)", r.SumError*100)
+	}
+	fmt.Fprintf(&b, "  requested size:      %s\n", requested)
 	fmt.Fprintf(&b, "  files / dirs:        %d / %d\n", r.ActualFiles, r.ActualDirs)
-	fmt.Fprintf(&b, "  total bytes:         %d (error %.2f%%)\n", r.ActualBytes, r.SumError*100)
+	fmt.Fprintf(&b, "  total bytes:         %d%s\n", r.ActualBytes, sumError)
 	fmt.Fprintf(&b, "  tree shape:          %s\n", r.Spec.TreeShape)
 	fmt.Fprintf(&b, "  content:             %s\n", r.Spec.ContentKind)
 	fmt.Fprintf(&b, "  layout score:        requested %.3f, achieved %.3f\n",
