@@ -165,7 +165,7 @@ func (d countingDist) Sample(rng *stats.RNG) float64 {
 }
 
 // TestNoSizePlacesTheRawDraw: a config without a size places what the same
-// config places when its size sits on the raw draw's sum — the resolver's
+// config places when its size is the raw draw's own total — the resolver's
 // fast path keeps the very pool the unconstrained pass keeps — at one and
 // four workers, on the heap and spilled; and the unconstrained pass draws
 // each file's size once.
@@ -201,7 +201,7 @@ func TestNoSizePlacesTheRawDraw(t *testing.T) {
 				cfg.FSSizeBytes = free.TotalBytes()
 				sized, sizedSet := resolve(cfg)
 				if c := sized.convergence; !c.Converged || c.Oversamples != 0 {
-					t.Fatalf("a size on the raw draw's sum left the fast path: converged %v after %d oversamples", c.Converged, c.Oversamples)
+					t.Fatalf("a size at the raw draw's total left the fast path: converged %v after %d oversamples", c.Converged, c.Oversamples)
 				}
 				if freeSet != sizedSet {
 					t.Errorf("placed multiset %s without a size, %s with the raw draw's", freeSet, sizedSet)
