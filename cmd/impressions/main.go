@@ -313,7 +313,7 @@ func runGenerate(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer m.Close()
-	report, _, err := m.Report()
+	report, err := m.Report()
 	if err != nil {
 		return err
 	}

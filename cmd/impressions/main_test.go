@@ -685,6 +685,18 @@ func TestMainExitCodes(t *testing.T) {
 			t.Errorf("Main(%q) = %d, want 2 with no output and an error naming %s (stdout: %s, stderr: %s)", c.args, got, c.flag, stdout.String(), stderr.String())
 		}
 	}
+	// A size model whose files pass int64 bytes is a usage error naming the
+	// spec, with a -size as without one. With one it used to be resolved: each
+	// e^700 draw became MinInt64 bytes, and the run reported 0 bytes.
+	for _, args := range [][]string{
+		{"-files", "10", "-dirs", "2", "-size", "1GB", "-size-mu", "700", "-size-sigma", "0.1"},
+		{"-files", "10", "-dirs", "2", "-size-mu", "700", "-size-sigma", "0.1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := Main(args, &stdout, &stderr); got != 2 || stdout.Len() > 0 || !strings.Contains(stderr.String(), "10 files at a mean size of") {
+			t.Errorf("Main(%q) = %d, want 2 with no output and an error naming the 10 files and their mean (stdout: %s, stderr: %s)", args, got, stdout.String(), stderr.String())
+		}
+	}
 	if left, _ := os.ReadDir(stray); len(left) > 0 {
 		t.Errorf("a rejected command left %s behind", left[0].Name())
 	}

@@ -3,10 +3,11 @@
 // Benchmarking" (Agrawal, Arpaci-Dusseau, Arpaci-Dusseau; FAST 2009).
 //
 // Impressions generates statistically accurate file-system images — directory
-// trees, file metadata (sizes, depths, extensions), file content, and on-disk
-// layout — from a set of empirical distributions that the user can override
-// individually. Every image is exactly reproducible from its reported
-// specification (distributions, parameter values, and random seeds).
+// trees, file metadata (sizes, depths, extensions) and file content — from a
+// set of empirical distributions that the user can override individually,
+// and ages a simulated disk toward a target layout score (§3.7) when asked.
+// Every image is exactly reproducible from its reported specification
+// (distributions, parameter values, and random seeds).
 //
 // # Quick start
 //
@@ -86,8 +87,9 @@ var (
 // alias of the core configuration; see internal/core for field documentation.
 type Config = core.Config
 
-// Result bundles the generated image, the reproducibility report, and the
-// simulated disk (when disk simulation was requested).
+// Result bundles the generated image and the reproducibility report. Below
+// a LayoutScore of 1 the report's AchievedLayoutScore is measured on a
+// simulated disk the files are allocated on; no disk is handed back.
 type Result = core.Result
 
 // Image is an in-memory file-system image.

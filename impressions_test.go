@@ -89,8 +89,8 @@ func TestEndToEndFindAndSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Disk == nil {
-		t.Fatal("expected simulated disk")
+	if res.Report.AchievedLayoutScore >= 1 {
+		t.Fatalf("achieved layout score %v, want the simulated disk fragmented", res.Report.AchievedLayoutScore)
 	}
 	find := workload.Find(res.Image, workload.FindConfig{})
 	if find.DirsVisited != res.Image.DirCount() {

@@ -72,16 +72,11 @@ type Config struct {
 	ContentKind content.Kind
 
 	// LayoutScore is the target on-disk layout score in [0,1]; 0 selects the
-	// default of 1.0 (perfect layout). Values below 1 enable the fragmenter.
+	// default of 1.0 (perfect layout). Below 1, the report's achieved score
+	// is measured by allocating every file on a simulated block device while
+	// the fragmenter (§3.7) ages it; at 1 nothing is simulated, since a fresh
+	// next-fit device scores exactly 1.
 	LayoutScore float64
-	// SimulateDisk builds the simulated block device and allocates every file
-	// on it (required for layout scores below 1 and for the workload
-	// simulators).
-	SimulateDisk bool
-	// DiskCapacityBytes sets the simulated disk capacity; 0 selects twice the
-	// file-system size, or twice NumFiles × the mean file size when no size
-	// was requested (at least 64 MiB).
-	DiskCapacityBytes int64
 
 	// Beta is the allowed relative error between requested and achieved total
 	// size (0 selects 0.05); Lambda is the maximum oversampling factor
@@ -154,9 +149,6 @@ func (c Config) Normalize() (Config, error) {
 	if out.LayoutScore > 1 {
 		out.LayoutScore = 1
 	}
-	if out.LayoutScore < 1 {
-		out.SimulateDisk = true
-	}
 	if out.Beta <= 0 {
 		out.Beta = 0.05
 	}
@@ -188,13 +180,6 @@ func (c Config) Normalize() (Config, error) {
 		if out.NumDirs < 1 {
 			out.NumDirs = 1
 		}
-	}
-	if out.DiskCapacityBytes <= 0 {
-		size := out.FSSizeBytes
-		if size <= 0 {
-			size = int64(float64(out.NumFiles) * meanSize)
-		}
-		out.DiskCapacityBytes = max(size*2, 64*1024*1024)
 	}
 	return out, nil
 }
@@ -233,18 +218,18 @@ func (c Config) Validate() error {
 	if !(c.Beta >= 0 && c.Beta < 1) {
 		return fmt.Errorf("core: beta %.3f outside [0,1) (%w)", c.Beta, fsimage.ErrInvalidSpec)
 	}
-	// Normalize derives the disk capacity from the file count, or the count
-	// from the size, through the mean file size. Go leaves a float-to-integer
-	// conversion out of range implementation-defined, so a derived value
-	// that is not finite or does not fit is refused here.
-	if (c.FSSizeBytes <= 0) != (c.NumFiles <= 0) {
-		mean := meanFileSize(c.FileSizeDist)
-		if size := float64(c.NumFiles) * mean; c.FSSizeBytes <= 0 && !(size < math.MaxInt64) {
-			return fmt.Errorf("core: %d files at a mean size of %g bytes make an image size past int64 (%w)", c.NumFiles, mean, fsimage.ErrInvalidSpec)
-		}
-		if files := float64(c.FSSizeBytes) / mean; c.NumFiles <= 0 && !(files < math.MaxInt) {
-			return fmt.Errorf("core: %d bytes at a mean file size of %g bytes make a file count past int (%w)", c.FSSizeBytes, mean, fsimage.ErrInvalidSpec)
-		}
+	// Sizes are drawn as floats and held as int64 bytes, and Normalize
+	// derives a missing file count from the size through the mean file size.
+	// Go leaves a float-to-integer conversion out of range
+	// implementation-defined (MinInt64 on amd64), so a size model whose
+	// files would not fit, with or without a requested size, and a derived
+	// count that is not finite or does not fit are refused here.
+	mean := meanFileSize(c.FileSizeDist)
+	if size := float64(c.NumFiles) * mean; c.NumFiles > 0 && !(size < math.MaxInt64) {
+		return fmt.Errorf("core: %d files at a mean size of %g bytes make an image size past int64 (%w)", c.NumFiles, mean, fsimage.ErrInvalidSpec)
+	}
+	if files := float64(c.FSSizeBytes) / mean; c.NumFiles <= 0 && c.FSSizeBytes > 0 && !(files < math.MaxInt) {
+		return fmt.Errorf("core: %d bytes at a mean file size of %g bytes make a file count past int (%w)", c.FSSizeBytes, mean, fsimage.ErrInvalidSpec)
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: negative parallelism %d (%w)", c.Parallelism, fsimage.ErrInvalidSpec)

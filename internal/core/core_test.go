@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -133,8 +134,9 @@ func TestNewGeneratorRejectsCountsPastInt32(t *testing.T) {
 
 // TestValidateRejectsNonFinite: NaN passes a pair of range comparisons, and
 // Go leaves a float-to-integer conversion out of range implementation-
-// defined, so a non-finite score or beta, and a size or file count derived
-// past its integer type, are invalid specs, said before any work.
+// defined, so a non-finite score or beta, a size model whose files pass
+// int64 bytes (with a size given or not) and a file count derived past int
+// are invalid specs, said before any work.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	huge := stats.NewLognormal(1e3, 1) // a mean past any int64
 	cases := map[string]Config{
@@ -146,15 +148,14 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		"files derived NaN": {FSSizeBytes: 1 << 20, FileSizeDist: stats.NewPareto(1, 1024)},
 		"size derived NaN":  {NumFiles: 100, FileSizeDist: stats.NewPareto(0.5, 1024)},
 		"size derived 2^64": {NumFiles: 4, FileSizeDist: stats.NewLognormal(math.Log(1<<62)-0.5, 1)},
+		// A given size used to let the model through, and each draw became
+		// MinInt64 bytes.
+		"size given, files past": {NumFiles: 100, FSSizeBytes: 1 << 30, FileSizeDist: huge},
 	}
 	for name, cfg := range cases {
 		if err := cfg.Validate(); !errors.Is(err, fsimage.ErrInvalidSpec) {
 			t.Errorf("%s: got %v, want ErrInvalidSpec", name, err)
 		}
-	}
-	// A huge model is fine once the size is given: no size is derived.
-	if err := (Config{NumFiles: 100, FSSizeBytes: 1 << 30, FileSizeDist: huge}).Validate(); err != nil {
-		t.Errorf("given size: %v", err)
 	}
 }
 
@@ -201,9 +202,6 @@ func TestGenerateWithLayoutScore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateImage: %v", err)
 	}
-	if res.Disk == nil {
-		t.Fatal("expected simulated disk when layout score < 1")
-	}
 	score := res.Report.AchievedLayoutScore
 	if score >= 0.999 {
 		t.Errorf("achieved layout score %.3f; expected fragmentation below 1.0", score)
@@ -213,14 +211,27 @@ func TestGenerateWithLayoutScore(t *testing.T) {
 	}
 }
 
-func TestGeneratePerfectLayout(t *testing.T) {
-	cfg := Config{NumFiles: 200, NumDirs: 40, FSSizeBytes: 16 << 20, SimulateDisk: true, Seed: 9}
-	res, err := GenerateImage(cfg)
+// TestLayoutOfManySmallFiles ages 20,000 files of ~1.1 KB toward 0.9: the
+// simulated disk grows as it allocates, where a device sized from the
+// requested bytes ran out of blocks before the last file.
+func TestLayoutOfManySmallFiles(t *testing.T) {
+	cfg := Config{NumFiles: 20000, NumDirs: 2000, FSSizeBytes: 22 << 20,
+		FileSizeDist: stats.NewLognormal(6.9, 0.5), LayoutScore: 0.9, Seed: 9}
+	gen, err := NewGenerator(cfg)
 	if err != nil {
-		t.Fatalf("GenerateImage: %v", err)
+		t.Fatal(err)
 	}
-	if res.Report.AchievedLayoutScore < 0.99 {
-		t.Errorf("perfect-layout run scored %.3f, want ~1.0", res.Report.AchievedLayoutScore)
+	m, err := gen.ResolveMetadataContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	report, err := m.Report()
+	if err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	if score := report.AchievedLayoutScore; !(score >= 0 && score < 1) {
+		t.Errorf("achieved layout score %v, want fragmentation in [0,1)", score)
 	}
 }
 

@@ -151,7 +151,7 @@ func TestGoldenMetadata(t *testing.T) {
 					if err := enc.Close(); err != nil {
 						t.Fatal(err)
 					}
-					report, _, err := m.Report()
+					report, err := m.Report()
 					if err != nil {
 						t.Fatal(err)
 					}

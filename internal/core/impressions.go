@@ -10,20 +10,17 @@ import (
 	"impressions/internal/clock"
 	"impressions/internal/constraint"
 	"impressions/internal/dataset"
-	"impressions/internal/disk"
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 	"impressions/internal/parallel"
 	"impressions/internal/stats"
 )
 
-// Result bundles everything one generation run produces: the image, the
-// reproducibility report, and (when disk simulation is enabled) the simulated
-// disk holding the image's blocks.
+// Result bundles everything one generation run produces: the image and the
+// reproducibility report, whose AchievedLayoutScore is the simulated disk's.
 type Result struct {
 	Image  *fsimage.Image
 	Report fsimage.Report
-	Disk   *disk.Disk
 }
 
 // Generator generates file-system images from a Config. A Generator is
@@ -59,10 +56,10 @@ func NewGenerator(cfg Config) (*Generator, error) {
 // Config returns the normalized configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
-// Generate runs the full pipeline and returns the generated image, report,
-// and optional simulated disk. It is the retained consumer of the columnar
-// metadata pass (ResolveMetadata): the records are materialized into an
-// in-memory image for the library API. Pipelines that must not hold the
+// Generate runs the full pipeline and returns the generated image and its
+// report. It is the retained consumer of the columnar metadata pass
+// (ResolveMetadata): the records are materialized into an in-memory image for
+// the library API. Pipelines that must not hold the
 // image use GenerateStream instead.
 func (g *Generator) Generate() (*Result, error) {
 	return g.GenerateContext(context.Background())
@@ -98,7 +95,7 @@ func (g *Generator) GenerateContext(ctx context.Context) (*Result, error) {
 	}
 	m.phases["file and bytes with depth"] += seconds(start)
 	res := &Result{Image: img}
-	if res.Report, res.Disk, err = m.Report(); err != nil {
+	if res.Report, err = m.Report(); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -209,10 +209,9 @@ func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, erro
 	return m, nil
 }
 
-// Report runs phase 5, the optional on-disk layout simulation (§3.7), and
-// assembles the reproducibility report. The simulated disk is nil unless the
-// configuration asked for one.
-func (m *Metadata) Report() (fsimage.Report, *disk.Disk, error) {
+// Report runs phase 5, the on-disk layout simulation (§3.7) of a layout
+// score below 1, and assembles the reproducibility report.
+func (m *Metadata) Report() (fsimage.Report, error) {
 	r := fsimage.Report{
 		Spec:                m.spec,
 		ActualFiles:         m.FileCount(),
@@ -222,19 +221,17 @@ func (m *Metadata) Report() (fsimage.Report, *disk.Disk, error) {
 		Oversamples:         m.convergence.Oversamples,
 		PhaseTimes:          m.phases,
 	}
-	var d *disk.Disk
-	if m.cfg.SimulateDisk {
+	if m.cfg.LayoutScore < 1 {
 		start := clock.Now()
 		var err error
-		if d, err = m.simulateDisk(); err != nil {
-			return fsimage.Report{}, nil, err
+		if r.AchievedLayoutScore, err = m.simulateDisk(); err != nil {
+			return fsimage.Report{}, err
 		}
-		r.AchievedLayoutScore = d.LayoutScore()
 		m.phases["on-disk layout"] = seconds(start)
 	}
 	r.GeneratedAt = clock.Now()
 	r.SumError = m.sumError()
-	return r, d, nil
+	return r, nil
 }
 
 // sumError is the relative error of the files' total against the requested
@@ -258,19 +255,17 @@ func (m *Metadata) SizeMissed() string {
 }
 
 // simulateDisk allocates every file on a simulated block device, in ID
-// order, fragmenting towards the configured layout score. The disk stream is
-// forked from a fresh master RNG exactly as the metadata streams are.
-func (m *Metadata) simulateDisk() (*disk.Disk, error) {
-	d := disk.New(max(m.cfg.DiskCapacityBytes, m.totalBytes*2))
+// order, fragmenting towards the configured layout score, and returns the
+// score the device reaches. The disk stream is forked from a fresh master
+// RNG exactly as the metadata streams are.
+func (m *Metadata) simulateDisk() (float64, error) {
+	d := disk.New()
 	frag := disk.NewFragmenter(d, m.cfg.LayoutScore, stats.NewRNG(m.cfg.Seed).Fork("disk"))
 	err := m.EachPlacement(func(id, _ int, size int64) error {
-		if err := frag.CreateFile(disk.FileID(id), size); err != nil {
-			return fmt.Errorf("core: allocating file %d on simulated disk: %w", id, err)
-		}
-		return nil
+		return frag.CreateFile(disk.FileID(id), size)
 	})
 	frag.Cleanup()
-	return d, err
+	return d.LayoutScore(), err
 }
 
 // GenerateStream runs the metadata pipeline and emits the resulting records
@@ -295,6 +290,5 @@ func (g *Generator) GenerateStreamContext(ctx context.Context, sink fsimage.Reco
 	if err := m.streamRecords(ctx, sink); err != nil {
 		return fsimage.Report{}, err
 	}
-	report, _, err := m.Report()
-	return report, err
+	return m.Report()
 }

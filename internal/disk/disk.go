@@ -7,13 +7,15 @@
 //
 // The real Impressions tool measures layout on ext2/ext3 through debugfs and
 // FIBMAP; this package replaces the physical disk with a simulated block
-// device so layout effects are reproducible anywhere (see DESIGN.md §1).
+// device so layout effects are reproducible on any machine and without
+// root. The device has no capacity: it grows as next-fit allocation
+// reaches its end, so no run fails for want of space and no block position
+// depends on a size chosen up front.
 package disk
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // DefaultBlockSize is the simulated file-system block size in bytes.
@@ -28,66 +30,42 @@ type Extent struct {
 	Length int64
 }
 
-// Disk is a simulated block device with a next-fit extent allocator.
+// Disk is a simulated block device with a next-fit extent allocator. It
+// keeps the layout score's two counts as files come and go, so reading the
+// score costs nothing.
 type Disk struct {
-	blockSize   int64
-	totalBlocks int64
-	freeBlocks  int64
-	bitmap      []bool // true = allocated
-	cursor      int64  // next-fit starting position
-	files       map[FileID][]Extent
+	blockSize int64
+	bitmap    []bool // true = allocated; grows on demand
+	cursor    int64  // next-fit starting position
+	files     map[FileID][]Extent
+	// transitions and contiguous sum layoutCounts over the live files.
+	transitions, contiguous int64
 }
-
-// ErrNoSpace is returned when an allocation cannot be satisfied.
-var ErrNoSpace = errors.New("disk: no space left on simulated device")
 
 // ErrUnknownFile is returned when an operation references a file that has no
 // allocation on the disk.
 var ErrUnknownFile = errors.New("disk: unknown file")
 
-// New creates a simulated disk of the given capacity in bytes using the
-// default 4 KB block size.
-func New(capacityBytes int64) *Disk { return NewWithBlockSize(capacityBytes, DefaultBlockSize) }
+// New creates an empty simulated disk with the default 4 KB block size.
+func New() *Disk { return NewWithBlockSize(DefaultBlockSize) }
 
-// NewWithBlockSize creates a simulated disk with an explicit block size.
-func NewWithBlockSize(capacityBytes, blockSize int64) *Disk {
+// NewWithBlockSize creates an empty simulated disk with an explicit block
+// size; a non-positive size selects the default.
+func NewWithBlockSize(blockSize int64) *Disk {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	blocks := capacityBytes / blockSize
-	if blocks < 1 {
-		blocks = 1
-	}
-	return &Disk{
-		blockSize:   blockSize,
-		totalBlocks: blocks,
-		freeBlocks:  blocks,
-		bitmap:      make([]bool, blocks),
-		files:       make(map[FileID][]Extent),
-	}
+	return &Disk{blockSize: blockSize, files: make(map[FileID][]Extent)}
 }
 
 // BlockSize returns the block size in bytes.
 func (d *Disk) BlockSize() int64 { return d.blockSize }
 
-// SeekCursor moves the next-fit allocation cursor to the given block, so the
-// next allocation starts searching there. The fragmenter uses this to force
-// subsequent allocations into freshly punched holes.
-func (d *Disk) SeekCursor(block int64) {
-	if block < 0 {
-		block = 0
-	}
-	if block >= d.totalBlocks {
-		block = 0
-	}
-	d.cursor = block
-}
-
-// TotalBlocks returns the number of blocks on the device.
-func (d *Disk) TotalBlocks() int64 { return d.totalBlocks }
-
-// FreeBlocks returns the number of unallocated blocks.
-func (d *Disk) FreeBlocks() int64 { return d.freeBlocks }
+// SeekCursor moves the next-fit allocation cursor to the given block
+// (negative positions clamp to 0), so the next allocation starts searching
+// there. The fragmenter uses this to force subsequent allocations into
+// freshly punched holes.
+func (d *Disk) SeekCursor(block int64) { d.cursor = max(block, 0) }
 
 // BlocksFor returns the number of blocks needed for a file of size bytes
 // (at least one block, as in real file systems other than those with inline
@@ -100,21 +78,17 @@ func (d *Disk) BlocksFor(size int64) int64 {
 }
 
 // Create allocates blocks for a file of the given size using next-fit extent
-// allocation and records its block map. It returns ErrNoSpace if the disk is
-// full and an error if the file already exists.
+// allocation and records its block map. It fails only if the file already
+// exists.
 func (d *Disk) Create(id FileID, size int64) error {
 	if _, exists := d.files[id]; exists {
 		return fmt.Errorf("disk: file %d already exists", id)
 	}
-	need := d.BlocksFor(size)
-	if need > d.freeBlocks {
-		return ErrNoSpace
-	}
-	extents, err := d.allocate(need)
-	if err != nil {
-		return err
-	}
+	extents := d.allocate(d.BlocksFor(size))
 	d.files[id] = extents
+	t, c := layoutCounts(extents)
+	d.transitions += t
+	d.contiguous += c
 	return nil
 }
 
@@ -125,13 +99,11 @@ func (d *Disk) Delete(id FileID) error {
 		return ErrUnknownFile
 	}
 	for _, e := range extents {
-		for b := e.Start; b < e.Start+e.Length; b++ {
-			if d.bitmap[b] {
-				d.bitmap[b] = false
-				d.freeBlocks++
-			}
-		}
+		clear(d.bitmap[e.Start : e.Start+e.Length])
 	}
+	t, c := layoutCounts(extents)
+	d.transitions -= t
+	d.contiguous -= c
 	delete(d.files, id)
 	return nil
 }
@@ -148,48 +120,45 @@ func (d *Disk) Extents(id FileID) []Extent {
 // FileCount returns the number of files currently allocated.
 func (d *Disk) FileCount() int { return len(d.files) }
 
-// allocate finds `need` blocks starting the search at the next-fit cursor,
-// grabbing contiguous runs greedily. Fragmented allocations produce multiple
-// extents.
-func (d *Disk) allocate(need int64) ([]Extent, error) {
+// allocate takes `need` free blocks, searching forward from the next-fit
+// cursor and grabbing contiguous runs greedily; fragmented allocations
+// produce multiple extents. Past the end of the bitmap every block is free,
+// so the search never wraps: it doubles the bitmap instead.
+func (d *Disk) allocate(need int64) []Extent {
 	var extents []Extent
-	remaining := need
-	scanned := int64(0)
 	pos := d.cursor
 	var current *Extent
-	for remaining > 0 && scanned < d.totalBlocks {
-		if !d.bitmap[pos] {
-			d.bitmap[pos] = true
-			d.freeBlocks--
-			remaining--
-			if current != nil && current.Start+current.Length == pos {
-				current.Length++
-			} else {
-				extents = append(extents, Extent{Start: pos, Length: 1})
-				current = &extents[len(extents)-1]
-			}
+	for ; need > 0; pos++ {
+		if n := int64(len(d.bitmap)); pos >= n {
+			d.bitmap = append(d.bitmap, make([]bool, max(n, pos+need-n))...)
+		}
+		if d.bitmap[pos] {
+			current = nil
+			continue
+		}
+		d.bitmap[pos] = true
+		need--
+		if current != nil && current.Start+current.Length == pos {
+			current.Length++
 		} else {
-			current = nil
+			extents = append(extents, Extent{Start: pos, Length: 1})
+			current = &extents[len(extents)-1]
 		}
-		pos++
-		if pos == d.totalBlocks {
-			pos = 0
-			current = nil
-		}
-		scanned++
-	}
-	if remaining > 0 {
-		// Roll back the partial allocation.
-		for _, e := range extents {
-			for b := e.Start; b < e.Start+e.Length; b++ {
-				d.bitmap[b] = false
-				d.freeBlocks++
-			}
-		}
-		return nil, ErrNoSpace
 	}
 	d.cursor = pos
-	return extents, nil
+	return extents
+}
+
+// layoutCounts returns a file's share of the layout score: its block
+// transitions (one fewer than its blocks) and how many of them are
+// physically contiguous, all but one per extent boundary, since allocate
+// never leaves two extents of a file adjacent.
+func layoutCounts(extents []Extent) (transitions, contiguous int64) {
+	var blocks int64
+	for _, e := range extents {
+		blocks += e.Length
+	}
+	return blocks - 1, blocks - int64(len(extents))
 }
 
 // LayoutScore returns the aggregate layout score of the disk: the fraction of
@@ -197,31 +166,8 @@ func (d *Disk) allocate(need int64) ([]Extent, error) {
 // physically contiguous. An empty disk or one holding only single-block files
 // scores 1.0.
 func (d *Disk) LayoutScore() float64 {
-	var transitions, contiguous int64
-	ids := make([]FileID, 0, len(d.files))
-	for id := range d.files {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		extents := d.files[id]
-		var prevEnd int64 = -2
-		first := true
-		for _, e := range extents {
-			for b := e.Start; b < e.Start+e.Length; b++ {
-				if !first {
-					transitions++
-					if b == prevEnd+1 {
-						contiguous++
-					}
-				}
-				first = false
-				prevEnd = b
-			}
-		}
-	}
-	if transitions == 0 {
+	if d.transitions == 0 {
 		return 1
 	}
-	return float64(contiguous) / float64(transitions)
+	return float64(d.contiguous) / float64(d.transitions)
 }

@@ -8,16 +8,51 @@ import (
 	"impressions/internal/stats"
 )
 
-func TestDiskCreateDelete(t *testing.T) {
-	d := New(1 << 20) // 256 blocks
-	if d.TotalBlocks() != 256 {
-		t.Fatalf("total blocks %d, want 256", d.TotalBlocks())
+// allocatedBlocks counts the blocks the bitmap marks allocated.
+func allocatedBlocks(d *Disk) int64 {
+	var n int64
+	for _, used := range d.bitmap {
+		if used {
+			n++
+		}
 	}
+	return n
+}
+
+// walkLayoutScore is the layout score recomputed from scratch: a walk over
+// every block of every file, as the disk computed it before it kept the
+// counts as it goes. It is the oracle of the running score.
+func walkLayoutScore(d *Disk) float64 {
+	var transitions, contiguous int64
+	for _, extents := range d.files {
+		var prevEnd int64 = -2
+		first := true
+		for _, e := range extents {
+			for b := e.Start; b < e.Start+e.Length; b++ {
+				if !first {
+					transitions++
+					if b == prevEnd+1 {
+						contiguous++
+					}
+				}
+				first = false
+				prevEnd = b
+			}
+		}
+	}
+	if transitions == 0 {
+		return 1
+	}
+	return float64(contiguous) / float64(transitions)
+}
+
+func TestDiskCreateDelete(t *testing.T) {
+	d := New()
 	if err := d.Create(1, 10*4096); err != nil {
 		t.Fatal(err)
 	}
-	if d.FreeBlocks() != 246 {
-		t.Errorf("free blocks %d, want 246", d.FreeBlocks())
+	if got := allocatedBlocks(d); got != 10 {
+		t.Errorf("allocated blocks %d, want 10", got)
 	}
 	if got := len(d.Extents(1)); got != 1 {
 		t.Errorf("fresh allocation should be one extent, got %d", got)
@@ -25,8 +60,8 @@ func TestDiskCreateDelete(t *testing.T) {
 	if err := d.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if d.FreeBlocks() != 256 {
-		t.Errorf("free blocks after delete %d, want 256", d.FreeBlocks())
+	if got := allocatedBlocks(d); got != 0 {
+		t.Errorf("allocated blocks after delete %d, want 0", got)
 	}
 	if err := d.Delete(1); !errors.Is(err, ErrUnknownFile) {
 		t.Errorf("double delete error = %v, want ErrUnknownFile", err)
@@ -34,7 +69,7 @@ func TestDiskCreateDelete(t *testing.T) {
 }
 
 func TestDiskDuplicateCreate(t *testing.T) {
-	d := New(1 << 20)
+	d := New()
 	if err := d.Create(1, 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +79,11 @@ func TestDiskDuplicateCreate(t *testing.T) {
 }
 
 func TestDiskZeroSizeFileUsesOneBlock(t *testing.T) {
-	d := New(1 << 20)
+	d := New()
 	if err := d.Create(5, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.FreeBlocks() != d.TotalBlocks()-1 {
+	if allocatedBlocks(d) != 1 {
 		t.Errorf("zero-size file should use one block")
 	}
 	if score := d.LayoutScore(); score != 1 {
@@ -56,19 +91,33 @@ func TestDiskZeroSizeFileUsesOneBlock(t *testing.T) {
 	}
 }
 
-func TestDiskNoSpace(t *testing.T) {
-	d := New(64 * 1024) // 16 blocks
-	if err := d.Create(1, 20*4096); !errors.Is(err, ErrNoSpace) {
-		t.Errorf("expected ErrNoSpace, got %v", err)
+// TestDiskGrowsWithoutWrapping holds the device to next-fit on an unbounded
+// bitmap: files land back to back from block 0 however far they reach, and
+// a cursor sought past the end allocates right there.
+func TestDiskGrowsWithoutWrapping(t *testing.T) {
+	d := New()
+	for i := int64(0); i < 100; i++ {
+		if err := d.Create(FileID(i), 37*4096); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.Extents(FileID(i)), []Extent{{Start: i * 37, Length: 37}}; len(got) != 1 || got[0] != want[0] {
+			t.Fatalf("file %d has extents %v, want %v", i, got, want)
+		}
 	}
-	// A failed allocation must not leak blocks.
-	if d.FreeBlocks() != d.TotalBlocks() {
-		t.Errorf("failed allocation leaked blocks: %d free of %d", d.FreeBlocks(), d.TotalBlocks())
+	d.SeekCursor(1 << 20)
+	if err := d.Create(100, 3*4096); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Extents(100); len(got) != 1 || got[0] != (Extent{Start: 1 << 20, Length: 3}) {
+		t.Errorf("allocation past the end has extents %v, want one at block %d", got, 1<<20)
+	}
+	if got := allocatedBlocks(d); got != 100*37+3 {
+		t.Errorf("allocated blocks %d, want %d", got, 100*37+3)
 	}
 }
 
 func TestDiskPerfectLayoutScore(t *testing.T) {
-	d := New(4 << 20)
+	d := New()
 	for i := 0; i < 20; i++ {
 		if err := d.Create(FileID(i), 8*4096); err != nil {
 			t.Fatal(err)
@@ -80,7 +129,7 @@ func TestDiskPerfectLayoutScore(t *testing.T) {
 }
 
 func TestDiskFragmentedLayoutScore(t *testing.T) {
-	d := New(4 << 20)
+	d := New()
 	// Allocate interleaved files, delete every other one, then allocate a
 	// large file that must be split across the holes.
 	for i := 0; i < 40; i++ {
@@ -106,34 +155,31 @@ func TestDiskFragmentedLayoutScore(t *testing.T) {
 }
 
 func TestDiskUsedBytes(t *testing.T) {
-	d := New(1 << 20)
+	d := New()
 	_ = d.Create(1, 3*4096)
-	if used := (d.TotalBlocks() - d.FreeBlocks()) * d.BlockSize(); used != 3*4096 {
+	if used := allocatedBlocks(d) * d.BlockSize(); used != 3*4096 {
 		t.Errorf("used bytes %d", used)
 	}
 }
 
 func TestNewWithBlockSize(t *testing.T) {
-	d := NewWithBlockSize(1<<20, 512)
-	if d.BlockSize() != 512 || d.TotalBlocks() != 2048 {
-		t.Fatalf("block size %d, total blocks %d; want 512, 2048", d.BlockSize(), d.TotalBlocks())
+	d := NewWithBlockSize(512)
+	if d.BlockSize() != 512 {
+		t.Fatalf("block size %d, want 512", d.BlockSize())
 	}
 	if err := d.Create(1, 3*4096); err != nil {
 		t.Fatal(err)
 	}
-	if d.FreeBlocks() != 2048-24 {
-		t.Errorf("free blocks %d, want %d", d.FreeBlocks(), 2048-24)
+	if got := allocatedBlocks(d); got != 24 {
+		t.Errorf("allocated blocks %d, want 24", got)
 	}
-	if got := NewWithBlockSize(1<<20, 0).BlockSize(); got != DefaultBlockSize {
+	if got := NewWithBlockSize(0).BlockSize(); got != DefaultBlockSize {
 		t.Errorf("non-positive block size gave %d, want the default", got)
-	}
-	if got := NewWithBlockSize(100, 4096).TotalBlocks(); got != 1 {
-		t.Errorf("a disk smaller than a block has %d blocks, want 1", got)
 	}
 }
 
 func TestExtentsReturnsACopy(t *testing.T) {
-	d := New(1 << 20)
+	d := New()
 	_ = d.Create(1, 2*4096)
 	ext := d.Extents(1)
 	ext[0].Length = 99
@@ -146,7 +192,7 @@ func TestExtentsReturnsACopy(t *testing.T) {
 }
 
 func TestBlocksFor(t *testing.T) {
-	d := New(1 << 20)
+	d := New()
 	cases := map[int64]int64{0: 1, 1: 1, 4096: 1, 4097: 2, 8192: 2, 10000: 3}
 	for size, want := range cases {
 		if got := d.BlocksFor(size); got != want {
@@ -156,20 +202,16 @@ func TestBlocksFor(t *testing.T) {
 }
 
 func TestSeekCursorBounds(t *testing.T) {
-	d := New(1 << 20)
+	d := New()
 	d.SeekCursor(-5)
 	if d.cursor != 0 {
 		t.Error("negative cursor should clamp to 0")
-	}
-	d.SeekCursor(d.TotalBlocks() + 10)
-	if d.cursor != 0 {
-		t.Error("out-of-range cursor should wrap to 0")
 	}
 }
 
 func TestFragmenterReachesTargetScore(t *testing.T) {
 	rng := stats.NewRNG(1)
-	d := New(512 << 20)
+	d := New()
 	frag := NewFragmenter(d, 0.8, rng)
 	for i := 0; i < 3000; i++ {
 		if err := frag.CreateFile(FileID(i), 32*1024); err != nil {
@@ -190,7 +232,7 @@ func TestFragmenterReachesTargetScore(t *testing.T) {
 }
 
 func TestFragmenterClampsTarget(t *testing.T) {
-	d := New(1 << 20)
+	d := New()
 	for target, want := range map[float64]float64{-0.5: 0, 0: 0, 0.7: 0.7, 1: 1, 1.5: 1} {
 		if got := NewFragmenter(d, target, stats.NewRNG(1)).Target(); got != want {
 			t.Errorf("target %g became %g, want %g", target, got, want)
@@ -200,7 +242,7 @@ func TestFragmenterClampsTarget(t *testing.T) {
 
 func TestFragmenterTargetOneIsNoop(t *testing.T) {
 	rng := stats.NewRNG(2)
-	d := New(64 << 20)
+	d := New()
 	frag := NewFragmenter(d, 1.0, rng)
 	for i := 0; i < 500; i++ {
 		if err := frag.CreateFile(FileID(i), 16*1024); err != nil {
@@ -217,7 +259,7 @@ func TestFragmenterTargetsOrdering(t *testing.T) {
 	// Lower targets should produce lower (or equal) measured scores.
 	measure := func(target float64) float64 {
 		rng := stats.NewRNG(3)
-		d := New(256 << 20)
+		d := New()
 		frag := NewFragmenter(d, target, rng)
 		for i := 0; i < 1500; i++ {
 			if err := frag.CreateFile(FileID(i), 48*1024); err != nil {
@@ -243,15 +285,20 @@ func TestCostModelApprox(t *testing.T) {
 	}
 }
 
-// Property: the layout score is always within [0,1] and all blocks are
-// conserved across arbitrary create/delete sequences.
+// Property: across arbitrary create/delete sequences, regular and through a
+// fragmenter (whose temporaries come and go inside CreateFile and Cleanup),
+// the running layout score equals the block walk after every step, stays in
+// [0,1], and the bitmap marks exactly the blocks the files hold.
 func TestQuickDiskInvariants(t *testing.T) {
-	f := func(ops []uint16, seed int64) bool {
-		d := New(8 << 20) // 2048 blocks
+	f := func(ops []uint16, seed int64, target uint8) bool {
+		d := New()
+		frag := NewFragmenter(d, float64(target)/255, stats.NewRNG(seed))
 		live := map[FileID]bool{}
 		next := FileID(0)
 		for _, op := range ops {
-			if op%3 == 0 && len(live) > 0 {
+			size := int64(op%64+1) * 1024
+			switch {
+			case op%3 == 0 && len(live) > 0:
 				// Delete an arbitrary live file.
 				for id := range live {
 					if err := d.Delete(id); err != nil {
@@ -260,26 +307,36 @@ func TestQuickDiskInvariants(t *testing.T) {
 					delete(live, id)
 					break
 				}
-			} else {
-				size := int64(op%64+1) * 1024
-				if err := d.Create(next, size); err == nil {
-					live[next] = true
+			case op%7 == 1:
+				frag.Cleanup()
+			case op%2 == 0:
+				if err := frag.CreateFile(next, size*4); err != nil {
+					return false
 				}
+				live[next] = true
+				next++
+			default:
+				if err := d.Create(next, size); err != nil {
+					return false
+				}
+				live[next] = true
 				next++
 			}
-		}
-		score := d.LayoutScore()
-		if score < 0 || score > 1 {
-			return false
-		}
-		// Free + allocated blocks must equal the device size.
-		var used int64
-		for id := range live {
-			for _, e := range d.Extents(id) {
-				used += e.Length
+			score := d.LayoutScore()
+			if score != walkLayoutScore(d) || score < 0 || score > 1 {
+				return false
+			}
+			var held int64
+			for _, extents := range d.files {
+				for _, e := range extents {
+					held += e.Length
+				}
+			}
+			if held != allocatedBlocks(d) {
+				return false
 			}
 		}
-		return used+d.FreeBlocks() == d.TotalBlocks()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -91,30 +91,22 @@ func (f *Fragmenter) interleave(size int64) {
 		pairs = 256
 	}
 	holeSize := f.disk.BlockSize() // one block per hole
-	var firstHole int64 = -1
-	var batch []FileID
-	for i := 0; i < pairs*2; i++ {
-		id := f.nextTempID
+	batch := make([]FileID, pairs*2)
+	for i := range batch {
+		batch[i] = f.nextTempID
 		f.nextTempID--
-		if err := f.disk.Create(id, holeSize); err != nil {
-			break
-		}
-		batch = append(batch, id)
+		_ = f.disk.Create(batch[i], holeSize) // a fresh ID: it cannot fail
 	}
+	firstHole := f.disk.files[batch[0]][0].Start
 	for i, id := range batch {
 		if i%2 == 0 {
-			if ext := f.disk.Extents(id); len(ext) > 0 && firstHole < 0 {
-				firstHole = ext[0].Start
-			}
 			_ = f.disk.Delete(id)
 		} else {
 			f.tempLive = append(f.tempLive, id)
 		}
 	}
-	if firstHole >= 0 {
-		f.disk.SeekCursor(firstHole)
-	}
-	// Bound the number of live temporaries so the disk does not fill up; the
+	f.disk.SeekCursor(firstHole)
+	// Bound the number of live temporaries so the block map stays small; the
 	// oldest ones are far behind the cursor and no longer affect layout.
 	for len(f.tempLive) > 4096 {
 		_ = f.disk.Delete(f.tempLive[0])

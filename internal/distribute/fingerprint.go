@@ -34,10 +34,9 @@ func NormalizeSpec(spec fsimage.Spec) (fsimage.Spec, error) {
 }
 
 // planGenerator validates and defaults a plan's Config into its generator,
-// with the plan-only settings forced: no disk simulation and a perfect
-// layout, because plans describe images, not aged disks.
+// with a perfect layout forced (so no disk is simulated), because plans
+// describe images, not aged disks.
 func planGenerator(cfg core.Config) (*core.Generator, error) {
-	cfg.SimulateDisk = false
 	cfg.LayoutScore = 1.0
 	gen, err := core.NewGenerator(cfg)
 	if err != nil {

@@ -70,7 +70,6 @@ func TestShardDocumentStaysUnderOut(t *testing.T) {
 // changes the plan (seed, sharding, chunking) changes it.
 func TestSpecFingerprintNormalizes(t *testing.T) {
 	cfg := testConfig()
-	cfg.SimulateDisk = true // normalization must force this off
 	gen, err := core.NewGenerator(cfg)
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)

@@ -508,7 +508,7 @@ func (s *Server) generate(ctx context.Context, spec fsimage.Spec) (resp Generate
 		return resp, err
 	}
 	defer m.Close()
-	if resp.Report, _, err = m.Report(); err != nil {
+	if resp.Report, err = m.Report(); err != nil {
 		return resp, err
 	}
 	resp.Digest, err = imgfmt.Digest(m, imgfmt.Options{Registry: s.registry(spec.ContentKind), Seed: spec.Seed, Context: ctx})

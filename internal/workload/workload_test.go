@@ -21,9 +21,6 @@ func generate(t *testing.T, shape namespace.TreeShape, layout float64) *core.Res
 		LayoutScore: layout,
 		Seed:        77,
 	}
-	if layout >= 1 {
-		cfg.SimulateDisk = true
-	}
 	res, err := core.GenerateImage(cfg)
 	if err != nil {
 		t.Fatalf("GenerateImage: %v", err)
