@@ -200,7 +200,10 @@ fleet-fault-check:
 # run must print the tar run's digest, and a plan executed by 3 tar-segment
 # workers (at -j 1, 2 and 4) and stitched must be byte-identical to the
 # single-process tar of the same spec. A stitch handed its segments in the
-# wrong order must fail and leave no archive behind.
+# wrong order must fail and leave no archive behind. Aging the simulated disk
+# (-layout 0.8) must not move the digest, since layout never moves a byte,
+# and 20,000 files of ~1.1 KB aged toward 0.9 must generate (a disk sized from
+# the requested bytes used to run out of blocks there).
 image-sink-check:
 	@rm -rf /tmp/impressions-image-check && mkdir -p /tmp/impressions-image-check
 	$(GO) build -o /tmp/impressions-image-check/impressions ./cmd/impressions
@@ -210,6 +213,8 @@ image-sink-check:
 	./impressions $$spec -j 4 -format tar -out single-j4.tar -digest | grep '^image digest:' > tar-j4.digest; \
 	cmp single.tar single-j4.tar; cmp tar.digest tar-j4.digest; \
 	for j in 1 4; do ./impressions $$spec -j $$j -digest -out vfs-j$$j | grep '^image digest:' > vfs-j$$j.digest; cmp tar.digest vfs-j$$j.digest; done; \
+	./impressions $$spec -layout 0.8 -digest | grep '^image digest:' > layout.digest; cmp tar.digest layout.digest; \
+	./impressions -files 20000 -dirs 2000 -size 22MB -size-mu 6.9 -size-sigma 0.5 -layout 0.9 > /dev/null; \
 	tar -tf single.tar | grep -v '/$$' | sed 's#/[^/]*$$##; t; s#.*#.#' | uniq | sort | uniq -d > split-dirs; \
 	if [ -s split-dirs ]; then echo "image-sink-check: the tar splits the files of these directories:"; cat split-dirs; exit 1; fi; \
 	./impressions plan $$spec -shards 3 -plan plan.json; \
@@ -225,7 +230,7 @@ image-sink-check:
 	./impressions $$spec -j 1 -format squashfs -out image.squashfs -digest | grep '^image digest:' > squashfs.digest; \
 	./impressions $$spec -j 4 -format squashfs -out image-j4.squashfs; \
 	cmp image.squashfs image-j4.squashfs; cmp tar.digest squashfs.digest; \
-	echo "image-sink-check: OK (tar digest matches VFS at -j 1 and -j 4 and squashfs; tar directory-local; -j 1 and -j 4 byte-identical; 3-worker stitch byte-identical; swapped segments refused)"
+	echo "image-sink-check: OK (tar digest matches VFS at -j 1 and -j 4, squashfs and -layout 0.8; small files age toward -layout 0.9; tar directory-local; -j 1 and -j 4 byte-identical; 3-worker stitch byte-identical; swapped segments refused)"
 
 # Local mirror of the CI bench-pipeline job. bench/pipeline is a Go module of
 # its own, so `go vet ./...` and `go test ./...` from the root never see it:

@@ -1,9 +1,9 @@
 // Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (Figures 1-8, Tables 3-6) plus the
-// ablation studies called out in DESIGN.md. Each experiment is a
-// self-contained Experiment value that prints the same rows or series the
-// paper reports; the benchrunner command and the repository-level Go
-// benchmarks both drive this package.
+// figure of the paper's evaluation (Figures 1-8, Tables 3-6) plus ablation
+// studies of the design choices the paper calls out (Ablation). Each
+// experiment is a self-contained Experiment value that prints the same rows
+// or series the paper reports; the benchrunner command and the
+// repository-level Go benchmarks both drive this package.
 package bench
 
 import (

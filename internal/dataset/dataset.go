@@ -10,7 +10,8 @@
 // bytes, Poisson depth, the generative directory model, percentile extension
 // popularity), with a large sample count and a dedicated seed so the curves
 // are smooth, deterministic, and independent of the generation pipeline under
-// test. See DESIGN.md §1 for the substitution rationale.
+// test. An accuracy figure therefore measures agreement with Table 2's
+// models, not with the original snapshots.
 //
 // New builds only the analytic parts: the parametric models, the extension
 // tables, the special directories and MeanBytesByDepth, which is all that

@@ -5,7 +5,8 @@
 // per-type size cutoffs, filter sets), tokenize generated content into a real
 // inverted index, and report index size and simulated indexing time. The
 // engines exist so that the image-sensitivity experiments of Figures 6, 7 and
-// 8 can be reproduced without the closed-source originals (see DESIGN.md §1).
+// 8 can be reproduced without the originals: Google Desktop for Linux was
+// closed-source and is discontinued, and Beagle is no longer maintained.
 package search
 
 import "impressions/internal/stats"
