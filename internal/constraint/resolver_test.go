@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -216,6 +217,45 @@ func TestBoundsTrackerMatchesBoundSums(t *testing.T) {
 	if math.Abs(tracker.minSum-wantMin) > 1e-6*wantMin || math.Abs(tracker.maxSum-wantMax) > 1e-6*wantMax {
 		t.Fatalf("tracker bounds (%g, %g) diverge from boundSums (%g, %g)",
 			tracker.minSum, tracker.maxSum, wantMin, wantMax)
+	}
+}
+
+// TestRecordedConvergenceMatchesUnrecorded: recording the convergence path
+// must not steer it. Whatever the target's position (far above reach, just
+// above, inside or below), a resolver with RecordConvergence(true) returns
+// the same Result as one without, the Trace aside, and leaves its RNG at the
+// same draw.
+func TestRecordedConvergenceMatchesUnrecorded(t *testing.T) {
+	signed := stats.NewEmpirical([]float64{-40, -5, 0, 3, 12, 30, 75}, "signed")
+	heavy := stats.NewHybrid(stats.NewLognormal(9.48, 2.46), stats.NewPareto(0.91, 512<<20), 0.999).WithCap(8 << 30)
+	for name, dist := range map[string]stats.Distribution{"lognormal": paperDist(), "heavy tail": heavy, "signed": signed} {
+		mean := dist.Mean()
+		for _, factor := range []float64{0.001, 0.5, 1, 1.6, 2.0, 2.2, 2.4, 2.8, 4, 50} {
+			for seed := int64(1); seed <= 6; seed++ {
+				p := Problem{N: 300, TargetSum: factor * 300 * mean, Dist: dist, MaxRestarts: 3, SkipKS: name == "signed"}
+				plainRNG, recordedRNG := stats.NewRNG(seed), stats.NewRNG(seed)
+				plain, err := NewResolver(plainRNG).Resolve(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recording := NewResolver(recordedRNG)
+				recording.RecordConvergence(true)
+				recorded, err := recording.Resolve(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recorded.Trace) == 0 {
+					t.Errorf("%s, target %g x mean, seed %d: recording resolver left no trace", name, factor, seed)
+				}
+				recorded.Trace = nil
+				if !reflect.DeepEqual(plain, recorded) {
+					t.Errorf("%s, target %g x mean, seed %d: unrecorded resolver returned\n%+v\nrecorded\n%+v", name, factor, seed, plain, recorded)
+				}
+				if plainRNG.Uint64() != recordedRNG.Uint64() {
+					t.Errorf("%s, target %g x mean, seed %d: the resolvers left their RNGs at different draws", name, factor, seed)
+				}
+			}
+		}
 	}
 }
 

@@ -211,6 +211,22 @@ func TestGenerateWithLayoutScore(t *testing.T) {
 	}
 }
 
+// TestGeneratePerfectLayout: a layout score of 1, the default, builds no
+// simulated disk, so the report says 1 and times no on-disk layout phase.
+func TestGeneratePerfectLayout(t *testing.T) {
+	cfg := Config{NumFiles: 200, NumDirs: 40, FSSizeBytes: 16 << 20, Seed: 9}
+	res, err := GenerateImage(cfg)
+	if err != nil {
+		t.Fatalf("GenerateImage: %v", err)
+	}
+	if res.Report.AchievedLayoutScore != 1 {
+		t.Errorf("perfect-layout run scored %v, want 1", res.Report.AchievedLayoutScore)
+	}
+	if _, ran := res.Report.PhaseTimes["on-disk layout"]; ran {
+		t.Error("perfect-layout run simulated the disk")
+	}
+}
+
 // TestLayoutOfManySmallFiles ages 20,000 files of ~1.1 KB toward 0.9: the
 // simulated disk grows as it allocates, where a device sized from the
 // requested bytes ran out of blocks before the last file.
