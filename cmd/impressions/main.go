@@ -243,7 +243,6 @@ func (g *genFlags) config() (core.Config, error) {
 		return core.Config{}, usagef("-layout %v: the layout score must be in [0,1]", *g.layout)
 	}
 	if *g.mu > 0 || *g.sigma > 0 {
-		cfg.Mode = core.ModeUserSpecified
 		bodyMu, bodySigma := core.DefaultFileSizeMu, core.DefaultFileSizeSigma
 		if *g.mu > 0 {
 			bodyMu = *g.mu

@@ -76,11 +76,16 @@ func (f Fig8) Run(w io.Writer, opts Options) error {
 	return nil
 }
 
-// Measure indexes every variant x content combination.
+// Measure generates one image and indexes it with every variant under each
+// content policy; only the registry varies between the policies.
 func (f Fig8) Measure(opts Options) ([]Fig8Cell, error) {
 	files, dirs := 20000, 4000
 	if opts.Quick {
 		files, dirs = 800, 160
+	}
+	res, err := core.GenerateImage(core.Config{NumFiles: files, NumDirs: dirs, Seed: opts.Seed})
+	if err != nil {
+		return nil, err
 	}
 	contents := []struct {
 		label string
@@ -101,15 +106,6 @@ func (f Fig8) Measure(opts Options) ([]Fig8Cell, error) {
 	}
 	var raws []raw
 	for _, c := range contents {
-		res, err := core.GenerateImage(core.Config{
-			NumFiles:    files,
-			NumDirs:     dirs,
-			Seed:        opts.Seed,
-			ContentKind: c.kind,
-		})
-		if err != nil {
-			return nil, err
-		}
 		registry := content.NewRegistry(c.kind)
 		for _, v := range variants {
 			engine := search.NewEngineVariant(search.BeaglePolicy(), v)

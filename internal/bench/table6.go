@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -16,8 +17,11 @@ import (
 // file-system images, broken down by generation phase — directory structure,
 // file size resolution, extension assignment, file placement, content
 // generation, and on-disk file/directory creation — plus the extra cost of
-// the hybrid word model and of creating a fragmented (layout score 0.98)
-// image.
+// the hybrid word model and of a fragmented (layout score 0.98) layout.
+// Each image is one run of the product's metadata pass: five phases come
+// from its report (Image1 is generated at layout score 0.98, so its
+// simulated disk's phase is the layout extra), and two stopwatches time
+// content generation and on-disk creation.
 //
 // Image1 is 4.55 GB with 20000 files and 4000 directories; Image2 is 12 GB
 // with 52000 files and 4000 directories (the paper's configurations). In
@@ -102,76 +106,84 @@ func (t6 Table6) Measure(opts Options) ([]Table6Column, int, error) {
 		scale = 50
 	}
 	configs := []struct {
-		label string
-		bytes int64
-		files int
-		dirs  int
+		label  string
+		bytes  int64
+		files  int
+		dirs   int
+		layout float64 // Image1 carries the fragmented-layout extra
 	}{
-		{"Image1", 4659 << 20 /* 4.55 GB */, 20000, 4000},
-		{"Image2", 12 << 30, 52000, 4000},
+		{"Image1", 4659 << 20 /* 4.55 GB */, 20000, 4000, 0.98},
+		{"Image2", 12 << 30, 52000, 4000, 1},
 	}
 	var out []Table6Column
-	for _, cfg := range configs {
-		col, err := t6.measureOne(opts, cfg.label, cfg.bytes/int64(scale), cfg.files/scale, cfg.dirs/scale)
+	for i, c := range configs {
+		col, err := t6.measureOne(c.label, core.Config{
+			FSSizeBytes: c.bytes / int64(scale),
+			NumFiles:    c.files / scale,
+			NumDirs:     c.dirs / scale,
+			Seed:        opts.Seed,
+			LayoutScore: c.layout,
+		}, i == 0)
 		if err != nil {
 			return nil, 0, err
 		}
 		out = append(out, col)
 	}
-	// Extras for Image1: hybrid word model content and a fragmented layout.
-	img1 := configs[0]
-	hybridExtra, layoutExtra, err := t6.measureExtras(opts, img1.bytes/int64(scale), img1.files/scale, img1.dirs/scale)
-	if err != nil {
-		return nil, 0, err
-	}
-	out[0].HybridExtra = hybridExtra
-	out[0].LayoutExtra = layoutExtra
 	return out, scale, nil
 }
 
-func (t6 Table6) measureOne(opts Options, label string, bytes int64, files, dirs int) (Table6Column, error) {
-	col := Table6Column{Label: label, FSBytes: bytes, Files: files, Dirs: dirs, PhaseTimes: map[string]float64{}}
-
-	res, err := core.GenerateImage(core.Config{
-		FSSizeBytes: bytes,
-		NumFiles:    files,
-		NumDirs:     dirs,
-		Seed:        opts.Seed,
-	})
+// measureOne runs the product's metadata pass for cfg once, copies its
+// phase timings, and times content generation and on-disk creation from
+// it; with extras it also times the hybrid word model's content.
+func (t6 Table6) measureOne(label string, cfg core.Config, extras bool) (Table6Column, error) {
+	col := Table6Column{Label: label, FSBytes: cfg.FSSizeBytes, Files: cfg.NumFiles, Dirs: cfg.NumDirs, PhaseTimes: map[string]float64{}}
+	g, err := core.NewGenerator(cfg)
 	if err != nil {
 		return col, err
 	}
-	// Copy the pipeline's own phase timings into the Table 6 wording.
-	col.PhaseTimes["directory structure"] = res.Report.PhaseTimes["directory structure"]
-	col.PhaseTimes["file sizes distribution"] = res.Report.PhaseTimes["file sizes distribution"]
-	col.PhaseTimes["popular extensions"] = res.Report.PhaseTimes["popular extensions"]
-	col.PhaseTimes["file and bytes with depth"] = res.Report.PhaseTimes["file and bytes with depth"]
+	m, err := g.ResolveMetadataContext(context.Background())
+	if err != nil {
+		return col, err
+	}
+	defer m.Close()
+	report, err := m.Report()
+	if err != nil {
+		return col, err
+	}
+	// Copy the pipeline's own phase timings into the Table 6 wording. The
+	// simulated disk's phase, which runs only below layout score 1, is the
+	// fragmented layout's extra cost.
+	for _, phase := range []string{"directory structure", "file sizes distribution", "popular extensions", "file and bytes with depth"} {
+		col.PhaseTimes[phase] = report.PhaseTimes[phase]
+	}
+	col.LayoutExtra = report.PhaseTimes["on-disk layout"]
 
 	// Content generation with the single-word model, counted without touching
 	// the disk (the paper's "File content (Single-word)" row).
+	seed := g.Config().Seed
 	singleWord := content.NewRegistry(content.KindTextSingleWord)
-	start := time.Now()
-	rng := stats.NewRNG(opts.Seed).Fork("table6/content")
-	var cw content.CountingWriter
-	for _, f := range res.Image.Files {
-		if err := singleWord.ForExtension(f.Ext).Generate(&cw, f.Size, rng); err != nil {
+	if col.PhaseTimes["file content (single-word)"], err = contentSeconds(m, singleWord, seed); err != nil {
+		return col, err
+	}
+	if extras {
+		if col.HybridExtra, err = contentSeconds(m, content.NewRegistry(content.KindTextModel), seed); err != nil {
 			return col, err
 		}
 	}
-	col.PhaseTimes["file content (single-word)"] = time.Since(start).Seconds()
 
-	// On-disk creation: materialize the image (default content) into a
-	// scratch directory and remove it afterwards.
+	// On-disk creation: stream the records into the writer `impressions
+	// -out` uses, under a scratch directory removed afterwards.
 	root, err := os.MkdirTemp("", "impressions-table6-")
 	if err != nil {
 		return col, err
 	}
 	defer os.RemoveAll(root)
-	start = time.Now()
-	if _, err := res.Image.Materialize(root, fsimage.MaterializeOptions{
-		Registry: content.NewRegistry(content.KindTextSingleWord),
-		Seed:     opts.Seed,
-	}); err != nil {
+	start := time.Now()
+	sink := fsimage.NewMaterializeSink(root, m.Tree(), fsimage.MaterializeOptions{Registry: singleWord, Seed: seed})
+	if err = m.StreamRecords(sink); err == nil {
+		err = sink.Close()
+	}
+	if err != nil {
 		return col, err
 	}
 	col.PhaseTimes["on-disk file/dir creation"] = time.Since(start).Seconds()
@@ -182,34 +194,15 @@ func (t6 Table6) measureOne(opts Options, label string, bytes int64, files, dirs
 	return col, nil
 }
 
-// measureExtras times the hybrid-word-model content generation and the
-// fragmented-image generation for the Image1 configuration.
-func (t6 Table6) measureExtras(opts Options, bytes int64, files, dirs int) (hybridExtra, layoutExtra float64, err error) {
-	res, err := core.GenerateImage(core.Config{
-		FSSizeBytes: bytes, NumFiles: files, NumDirs: dirs, Seed: opts.Seed,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	hybrid := content.NewRegistry(content.KindTextModel)
-	rng := stats.NewRNG(opts.Seed).Fork("table6/hybrid")
-	start := time.Now()
+// contentSeconds times generating every file's content with registry, each
+// from its own stream — the bytes the image holds under that policy —
+// without touching the disk.
+func contentSeconds(m *core.Metadata, registry *content.Registry, seed int64) (float64, error) {
+	streams := fsimage.NewContentStreams(seed)
 	var cw content.CountingWriter
-	for _, f := range res.Image.Files {
-		if err := hybrid.ForExtension(f.Ext).Generate(&cw, f.Size, rng); err != nil {
-			return 0, 0, err
-		}
-	}
-	hybridExtra = time.Since(start).Seconds()
-
-	start = time.Now()
-	_, err = core.GenerateImage(core.Config{
-		FSSizeBytes: bytes, NumFiles: files, NumDirs: dirs, Seed: opts.Seed,
-		LayoutScore: 0.98,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	layoutExtra = time.Since(start).Seconds()
-	return hybridExtra, layoutExtra, nil
+	start := time.Now()
+	err := m.StreamRecords(fsimage.NewTreeSink(func(f fsimage.File) error {
+		return registry.ForExtension(f.Ext).Generate(&cw, f.Size, streams.File(f.ID))
+	}))
+	return time.Since(start).Seconds(), err
 }

@@ -29,7 +29,8 @@ const (
 // valid automated-mode configuration; every other field has a sensible
 // Table 2 default applied by Normalize.
 type Config struct {
-	// Mode is informational (recorded in the report).
+	// Mode is informational: it names how much the caller specified, and
+	// nothing reads it — neither the pipeline nor the spec nor the report.
 	Mode Mode
 
 	// Seed is the master random seed; 0 selects DefaultSeed.
@@ -88,10 +89,6 @@ type Config struct {
 	// mean bytes per depth, ...). Nil selects dataset.Default().
 	Dataset *dataset.Dataset
 
-	// FilesPerDir overrides the files-per-directory ratio used when NumDirs
-	// is derived (0 selects 5, matching Table 6's 20000 files / 4000 dirs).
-	FilesPerDir int
-
 	// Parallelism is the number of workers used for the sharded phases of the
 	// pipeline (metadata assignment and, by default, materialization).
 	// 0 selects runtime.NumCPU(); 1 forces the serial reference path. The
@@ -122,9 +119,6 @@ var ErrEmptyConfig = fmt.Errorf("core: config needs FSSizeBytes or NumFiles (%w)
 // the receiver is not modified.
 func (c Config) Normalize() (Config, error) {
 	out := c
-	if out.Mode == "" {
-		out.Mode = ModeAutomated
-	}
 	if out.Seed == 0 {
 		out.Seed = DefaultSeed
 	}
@@ -158,9 +152,6 @@ func (c Config) Normalize() (Config, error) {
 	if out.Dataset == nil {
 		out.Dataset = dataset.Default()
 	}
-	if out.FilesPerDir <= 0 {
-		out.FilesPerDir = DefaultFilesPerDir
-	}
 	if out.SpecialDirectories == nil {
 		out.SpecialDirectories = DefaultSpecialDirectories()
 	}
@@ -176,7 +167,7 @@ func (c Config) Normalize() (Config, error) {
 		}
 	}
 	if out.NumDirs <= 0 {
-		out.NumDirs = out.NumFiles / out.FilesPerDir
+		out.NumDirs = out.NumFiles / DefaultFilesPerDir
 		if out.NumDirs < 1 {
 			out.NumDirs = 1
 		}

@@ -22,16 +22,16 @@ import (
 // Default parameter values from Table 2 of the paper.
 const (
 	// DefaultFileSizeBodyWeight is α1 of the hybrid file-size model.
-	DefaultFileSizeBodyWeight = 0.99994
+	DefaultFileSizeBodyWeight = dataset.FileSizeBodyWeight
 	// DefaultFileSizeMu and DefaultFileSizeSigma parameterize the lognormal
 	// body of file sizes by count.
-	DefaultFileSizeMu    = 9.48
-	DefaultFileSizeSigma = 2.46
+	DefaultFileSizeMu    = dataset.FileSizeMu
+	DefaultFileSizeSigma = dataset.FileSizeSigma
 	// DefaultParetoK and DefaultParetoXm parameterize the Pareto tail.
-	DefaultParetoK  = 0.91
-	DefaultParetoXm = 512 * 1024 * 1024
+	DefaultParetoK  = dataset.ParetoK
+	DefaultParetoXm = dataset.ParetoXm
 	// DefaultFileDepthLambda is the Poisson rate for file count with depth.
-	DefaultFileDepthLambda = 6.49
+	DefaultFileDepthLambda = dataset.FileDepthLambda
 	// DefaultDirFilesDegree and DefaultDirFilesOffset parameterize the
 	// inverse-polynomial distribution of directory sizes in files.
 	DefaultDirFilesDegree = 2.0
@@ -45,11 +45,7 @@ const (
 // DefaultFileSizeDistribution returns the Table 2 hybrid model for file sizes
 // by count, capped at the dataset's maximum observed file size.
 func DefaultFileSizeDistribution() stats.Hybrid {
-	return stats.NewHybrid(
-		stats.NewLognormal(DefaultFileSizeMu, DefaultFileSizeSigma),
-		stats.NewPareto(DefaultParetoK, DefaultParetoXm),
-		DefaultFileSizeBodyWeight,
-	).WithCap(dataset.MaxFileSizeBytes)
+	return dataset.DefaultFileSizeModel()
 }
 
 // DefaultBytesBySizeDistribution returns the Table 2 mixture-of-lognormals

@@ -125,7 +125,7 @@ func New(seed int64, opts ...Option) *Dataset {
 		dirSampleCount: cfg.dirSamples,
 	}
 	d.fileSizeModel = DefaultFileSizeModel()
-	d.fileDepthModel = stats.NewPoisson(6.49)
+	d.fileDepthModel = stats.NewPoisson(FileDepthLambda)
 	d.extByCount = DefaultExtensionsByCount()
 	d.specialDirs = DefaultSpecialDirectories()
 	d.meanBytesDepth = make([]float64, DepthBins)
@@ -159,14 +159,32 @@ func (d *Dataset) Seed() int64 { return d.seed }
 // single astronomically large sample).
 const MaxFileSizeBytes = 8 << 30
 
-// DefaultFileSizeModel returns the Table 2 hybrid file-size-by-count model:
-// lognormal body (α1=0.99994, µ=9.48, σ=2.46) with a Pareto tail
-// (k=0.91, Xm=512 MB), capped at MaxFileSizeBytes.
-func DefaultFileSizeModel() stats.Hybrid {
+// The Table 2 hybrid model of file size by count: a lognormal body of
+// weight FileSizeBodyWeight (α1) with log-space mean FileSizeMu and
+// deviation FileSizeSigma, and a Pareto tail of shape ParetoK and scale
+// ParetoXm bytes. These are the one place the values are written.
+const (
+	FileSizeBodyWeight = 0.99994
+	FileSizeMu         = 9.48
+	FileSizeSigma      = 2.46
+	ParetoK            = 0.91
+	ParetoXm           = 512 * 1024 * 1024
+)
+
+// FileDepthLambda is the Table 2 Poisson rate of file count with depth.
+const FileDepthLambda = 6.49
+
+// DefaultFileSizeModel returns the Table 2 hybrid file-size-by-count model,
+// capped at MaxFileSizeBytes.
+func DefaultFileSizeModel() stats.Hybrid { return fileSizeModel(0) }
+
+// fileSizeModel is the Table 2 hybrid model with its lognormal body's
+// log-space mean shifted by muShift.
+func fileSizeModel(muShift float64) stats.Hybrid {
 	return stats.NewHybrid(
-		stats.NewLognormal(9.48, 2.46),
-		stats.NewPareto(0.91, 512*1024*1024),
-		0.99994,
+		stats.NewLognormal(FileSizeMu+muShift, FileSizeSigma),
+		stats.NewPareto(ParetoK, ParetoXm),
+		FileSizeBodyWeight,
 	).WithCap(MaxFileSizeBytes)
 }
 

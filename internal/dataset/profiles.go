@@ -40,11 +40,7 @@ func (d *Dataset) Profile(fsSizeBytes float64) SizeProfile {
 	rng = rng.Fork(formatSizeKey(fsSizeBytes))
 
 	shift := sizeShift(fsSizeBytes)
-	countModel := stats.NewHybrid(
-		stats.NewLognormal(9.48+shift, 2.46),
-		stats.NewPareto(0.91, 512*1024*1024),
-		0.99994,
-	).WithCap(MaxFileSizeBytes)
+	countModel := fileSizeModel(shift)
 
 	n := d.sampleCount / 4
 	if n < 20000 {

@@ -29,6 +29,22 @@ const DigestVersion = "impressions-image-digest-v1"
 // Exported so the distributed plan can record the stream key explicitly.
 const MaterializeStreamLabel = "materialize"
 
+// ContentStreams derives every file's content stream: the one derivation
+// that every reader of a file's bytes goes through — the VFS writer, the
+// archive sinks' body engine, the hash oracle (ContentDigests), the search
+// indexer and the Table 6 experiment — so each sees the bytes the image
+// holds. It is safe for concurrent use.
+type ContentStreams struct{ base *stats.RNG }
+
+// NewContentStreams forks the content stream of seed once; File splits it.
+func NewContentStreams(seed int64) ContentStreams {
+	return ContentStreams{stats.NewRNG(seed).Fork(MaterializeStreamLabel)}
+}
+
+// File returns the content stream of file id, a function of the seed and the
+// ID alone, never of write order, worker, process or shard.
+func (s ContentStreams) File(id int) *stats.RNG { return s.base.SplitN(uint64(id)) }
+
 // ContentDigests returns the SHA-256 (hex) of every file's generated
 // content, indexed by file ID, without touching disk: each file's generator
 // writes straight into a hash. The per-file RNG streams are exactly the ones
@@ -37,7 +53,7 @@ const MaterializeStreamLabel = "materialize"
 func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 	opts = opts.WithDefaults(img.Spec.Seed)
 	digests := make([]string, len(img.Files))
-	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
+	streams := NewContentStreams(opts.Seed)
 	// Chunks scale with the worker count (per-file streams are ID-keyed, so
 	// boundaries are free to move); a fixed 4096-file chunk would hash any
 	// smaller image serially.
@@ -49,8 +65,7 @@ func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 				return err
 			}
 			h.Reset()
-			rng := baseRNG.SplitN(uint64(f.ID))
-			if err := opts.Registry.ForExtension(f.Ext).Generate(h, f.Size, rng); err != nil {
+			if err := opts.Registry.ForExtension(f.Ext).Generate(h, f.Size, streams.File(f.ID)); err != nil {
 				return fmt.Errorf("fsimage: hashing content of file %d: %w", f.ID, err)
 			}
 			digests[f.ID] = hex.EncodeToString(h.Sum(nil))

@@ -166,7 +166,7 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 		sums = make([]string, len(files))
 	}
 	ctx := opts.Context
-	baseRNG := stats.NewRNG(opts.Seed).Fork(MaterializeStreamLabel)
+	streams := NewContentStreams(opts.Seed)
 	var written atomic.Int64
 	err := parallel.RunChunks(ctx, opts.Parallelism, len(files), func(lo, hi int) error {
 		var (
@@ -185,9 +185,7 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 				return err
 			}
 			f := files[i]
-			// Each file owns a stream keyed by its ID: content depends only on
-			// the seed and the file, never on write order or worker identity.
-			if step, err := c.write(f, opts, baseRNG.SplitN(uint64(f.ID)), sum); err != nil {
+			if step, err := c.write(f, opts, streams.File(f.ID), sum); err != nil {
 				return fmt.Errorf("fsimage: %s %q: %w", step, appendEntryPath(nil, root, tree, f.DirID, f.Name), err)
 			}
 			if sum != nil {

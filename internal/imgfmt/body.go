@@ -12,7 +12,6 @@ import (
 
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
-	"impressions/internal/stats"
 )
 
 // The body engine is the one place file entries are framed, generated and
@@ -25,8 +24,8 @@ import (
 //   - Options.Parallelism workers take runs off the queue. A worker writes
 //     each file of its run as the image holds it — for tar the header, the
 //     body, the zeros up to the next block; for squashfs the body alone —
-//     into chunks it owns, the body from the frozen per-file stream
-//     (baseRNG.SplitN(fileID)) and hashed as it goes, and passes every full
+//     into chunks it owns, the body from the file's content stream
+//     (fsimage.ContentStreams) and hashed as it goes, and passes every full
 //     chunk to the run's channel. With a fsimage.DigestFold attached it also
 //     formats the file's line of the canonical digest, from the path the
 //     header was built from; the directories' lines the engine folds as the
@@ -111,7 +110,7 @@ type bodyChunk struct {
 type bodyEngine struct {
 	opts    Options
 	ctx     context.Context // the caller's, Options.Context
-	baseRNG *stats.RNG
+	streams fsimage.ContentStreams
 	// hashing says the files' SHA-256 are wanted, by opts.OnDigest or
 	// opts.Fold (neither is set with MetadataOnly).
 	hashing bool
@@ -151,7 +150,7 @@ func newBodyEngine(opts Options, write func([]byte) error) *bodyEngine {
 	return &bodyEngine{
 		opts:    opts,
 		ctx:     opts.Context,
-		baseRNG: stats.NewRNG(opts.Seed).Fork(fsimage.MaterializeStreamLabel),
+		streams: fsimage.NewContentStreams(opts.Seed),
 		hashing: opts.OnDigest != nil || opts.Fold != nil,
 		write:   write,
 	}
@@ -430,11 +429,8 @@ func (e *bodyEngine) frame(c *chunker, f fsimage.File) error {
 			}
 		}
 	} else {
-		// Each file owns a stream keyed by its ID: bytes depend only on the
-		// seed and the file, never on which worker, process or shard writes
-		// them.
 		gen := e.opts.Registry.ForExtension(f.Ext)
-		err := gen.Generate(c, f.Size, e.baseRNG.SplitN(uint64(f.ID)))
+		err := gen.Generate(c, f.Size, e.streams.File(f.ID))
 		if err == nil && c.left != 0 {
 			err = fmt.Errorf("generator %s stopped %d bytes short", gen.Name(), c.left)
 		}

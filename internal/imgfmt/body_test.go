@@ -175,7 +175,7 @@ func referenceTar(t *testing.T, img *fsimage.Image) ([]byte, []string) {
 		header(tar.Header{Typeflag: tar.TypeDir, Name: img.Tree.Path(id) + "/", Mode: 0o755})
 	}
 	registry := content.NewRegistry(content.KindDefault)
-	base := stats.NewRNG(img.Spec.Seed).Fork(fsimage.MaterializeStreamLabel)
+	streams := fsimage.NewContentStreams(img.Spec.Seed)
 	sums := make([]string, 0, len(img.Files))
 	for _, f := range img.Files {
 		name := f.Name
@@ -184,7 +184,7 @@ func referenceTar(t *testing.T, img *fsimage.Image) ([]byte, []string) {
 		}
 		header(tar.Header{Typeflag: tar.TypeReg, Name: name, Size: f.Size, Mode: 0o644})
 		h := sha256.New()
-		if err := registry.ForExtension(f.Ext).Generate(io.MultiWriter(tw, h), f.Size, base.SplitN(uint64(f.ID))); err != nil {
+		if err := registry.ForExtension(f.Ext).Generate(io.MultiWriter(tw, h), f.Size, streams.File(f.ID)); err != nil {
 			t.Fatalf("reference content of file %d: %v", f.ID, err)
 		}
 		sums = append(sums, hex.EncodeToString(h.Sum(nil)))

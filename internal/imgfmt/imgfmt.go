@@ -49,10 +49,10 @@
 //     matching in-repo reader used by tests (and anyone without mount
 //     privileges) to walk the produced image.
 //
-// Determinism: per-file content streams are the frozen materialize
-// contract — stats.NewRNG(seed).Fork(fsimage.MaterializeStreamLabel).
-// SplitN(fileID) — so a tar body, a squashfs data block, a VFS file, and a
-// digest pass all see the same bytes for the same file.
+// Determinism: every file's content comes from its stream in
+// fsimage.ContentStreams, the frozen materialize contract, so a tar body, a
+// squashfs data block, a VFS file, a digest pass, the search indexer's crawl
+// and the Table 6 experiment all see the same bytes for the same file.
 package imgfmt
 
 import (

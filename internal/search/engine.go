@@ -247,9 +247,10 @@ func NewEngineVariant(policy Policy, v Variant) *Engine {
 func (e *Engine) Policy() Policy { return e.policy }
 
 // Index crawls the image, generating content on the fly with the registry and
-// indexing it according to the policy. The contentSeed must match the seed
-// the image was (or would be) materialized with so the indexed content is the
-// same content a real crawl would see.
+// indexing it according to the policy. Each file's text is drawn from its
+// stream in fsimage.ContentStreams under contentSeed, so with the seed and
+// registry the image was (or would be) materialized with, the indexed content
+// is the content a real crawl would see, whatever the engine or variant.
 func (e *Engine) Index(img *fsimage.Image, registry *content.Registry, contentSeed int64) IndexResult {
 	if registry == nil {
 		registry = content.NewRegistry(content.KindDefault)
@@ -261,7 +262,7 @@ func (e *Engine) Index(img *fsimage.Image, registry *content.Registry, contentSe
 		FSBytes:         img.TotalBytes(),
 	}
 	ix := NewInvertedIndex(e.policy.PositionalPostings)
-	rng := sampleRNG(contentSeed, e.policy.Name+string(e.variant))
+	streams := fsimage.NewContentStreams(contentSeed)
 	// One tokenizer serves every text document in the crawl; content
 	// generators stream into it block-by-block from the shared scratch pool,
 	// so per-file indexing allocates nothing beyond new distinct terms.
@@ -321,7 +322,7 @@ func (e *Engine) Index(img *fsimage.Image, registry *content.Registry, contentSe
 		case ClassText, ClassScript:
 			tw.reset()
 			gen := registry.ForExtension(f.Ext)
-			if err := gen.Generate(tw, f.Size, rng); err == nil {
+			if err := gen.Generate(tw, f.Size, streams.File(f.ID)); err == nil {
 				tw.Flush()
 			}
 			res.TimeMs += e.cost.ReadBytesCostApprox(f.Size) + float64(f.Size)*e.cpuPerByteMs

@@ -9,8 +9,6 @@
 // closed-source and is discontinued, and Beagle is no longer maintained.
 package search
 
-import "impressions/internal/stats"
-
 // InvertedIndex is a term -> postings-count index with enough bookkeeping to
 // estimate its serialized size. It deliberately models only what the case
 // study measures: how index size responds to file content and indexing
@@ -160,9 +158,4 @@ func toLower(b byte) byte {
 		return b + 'a' - 'A'
 	}
 	return b
-}
-
-// sampleRNG is a tiny helper giving engines their own deterministic stream.
-func sampleRNG(seed int64, label string) *stats.RNG {
-	return stats.NewRNG(seed).Fork("search/" + label)
 }

@@ -246,7 +246,7 @@ func TestInotifyWatchLimitTriggersManualCrawl(t *testing.T) {
 	// Beagle resorts to manually crawling directories once their count
 	// exceeds the kernel's default 8192 inotify watches (§4.1 of the paper).
 	res, err := core.GenerateImage(core.Config{
-		NumFiles: 2000, NumDirs: 9000, Seed: 3, FilesPerDir: 1,
+		NumFiles: 2000, NumDirs: 9000, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,5 +272,29 @@ func TestInotifyWatchLimitTriggersManualCrawl(t *testing.T) {
 	if big.TimeMs <= noCrawl.TimeMs {
 		t.Errorf("manual crawl (%.1fms) should cost more than watch-based crawl (%.1fms)",
 			big.TimeMs, noCrawl.TimeMs)
+	}
+}
+
+// TestVariantsIndexTheImageBytes: every engine and variant reads a file's
+// text from the file's own content stream, so Beagle's Original and
+// TextCache variants, which decide alike for text, index the same terms from
+// one image.
+func TestVariantsIndexTheImageBytes(t *testing.T) {
+	const seed = 20090225
+	res, err := core.GenerateImage(core.Config{
+		NumFiles: 800, NumDirs: 160, FSSizeBytes: 40 << 20, Seed: seed,
+		ContentKind: content.KindTextModel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := content.NewRegistry(content.KindTextModel)
+	original := NewEngineVariant(BeaglePolicy(), VariantOriginal).Index(res.Image, reg, seed)
+	textCache := NewEngineVariant(BeaglePolicy(), VariantTextCache).Index(res.Image, reg, seed)
+	if original.IndexedFiles != textCache.IndexedFiles {
+		t.Fatalf("Original indexed %d files, TextCache %d", original.IndexedFiles, textCache.IndexedFiles)
+	}
+	if original.Terms != textCache.Terms {
+		t.Errorf("Original read %d terms, TextCache %d from the same image", original.Terms, textCache.Terms)
 	}
 }
