@@ -241,13 +241,14 @@ bench-pipeline-check:
 	cd bench/pipeline && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) run -C bench/pipeline . -scale 0.02 -reps 1 -workload tar_small
 
-# Local mirror of the CI memory-bound job: a 10M-file plan build (spilled,
-# 8 fragments) must hold peak live heap under a hard cap
-# (TestPartitionedPlanBuildMemoryBound), the merge of a 300k-file plan, as 2
-# and as 8 fragments, must hold none of its file records and no tree per
-# fragment (TestMergeMemoryBound), and the
-# single-process command must replay 300k files into the tar sink and into a
-# directory without holding their records (TestGenerateMemoryBound).
+# Local mirror of the CI memory-bound job: a plan build (spilled, 8
+# fragments) must peak at the same live heap at 250k and at 1M files
+# (TestPartitionedPlanBuildMemoryBound), the merge of a 300k-file plan as 8
+# fragments must hold none of its file records and no tree per fragment
+# (TestMergeMemoryBound), and the single-process command must
+# replay N and 4N files into the tar sink and into a directory at the same
+# heap, and grow by no more per file than its metadata pass did
+# (TestGenerateMemoryBound). Tier-1 runs the same three tests.
 mem-check:
 	$(GO) test ./internal/distribute ./cmd/impressions -run 'TestPartitionedPlanBuildMemoryBound|TestMergeMemoryBound|TestGenerateMemoryBound' -v -timeout 15m
 

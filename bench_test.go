@@ -138,7 +138,7 @@ func BenchmarkFig6Assumptions(b *testing.B) {
 // for both engines.
 func BenchmarkFig7IndexSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.NewFig7().Measure(benchOpts()); err != nil {
+		if err := bench.NewFig7().Run(io.Discard, benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func BenchmarkFig7IndexSize(b *testing.B) {
 // content types.
 func BenchmarkFig8BeagleVariants(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.NewFig8().Measure(benchOpts()); err != nil {
+		if err := bench.NewFig8().Run(io.Discard, benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}

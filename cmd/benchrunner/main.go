@@ -1,7 +1,8 @@
 // Command benchrunner regenerates the paper's tables and figures using the
 // experiment harness in internal/bench. Each experiment prints the same rows
 // or series the paper reports, so its output can be compared side by side
-// with the published results (see EXPERIMENTS.md).
+// with the published results; where the paper states a number or a shape to
+// compare with, the experiment prints it on a line that begins "paper".
 //
 // Usage:
 //

@@ -1539,6 +1539,9 @@ var (
 // HashTree of the directory, and the -report JSON's spec, totals, achieved
 // layout score and phase names. The golden files were written at the commit
 // before runGenerate stopped retaining the image and must not change with it.
+// Writing small's 5000 files to a directory is most of the test's time, so
+// each of those modes runs at one -j: the content at -j 4, the sizes alone
+// at -j 1; default's tree holds both modes at both.
 func TestGeneratePins(t *testing.T) {
 	specs := []struct {
 		name  string
@@ -1569,8 +1572,15 @@ func TestGeneratePins(t *testing.T) {
 			if spec.modes != "" && !slices.Contains(strings.Fields(spec.modes), mode.name) {
 				continue
 			}
+			update := *updatePins // the first -j run writes the golden, the other must match it
 			for _, j := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/j=%d", spec.name, mode.name, j), func(t *testing.T) {
+				name := fmt.Sprintf("%s/%s/j=%d", spec.name, mode.name, j)
+				if name == "small/dir/j=1" || name == "small/dir-metadata-only/j=4" {
+					continue
+				}
+				write := update
+				update = false
+				t.Run(name, func(t *testing.T) {
 					dir := t.TempDir()
 					args := append(append([]string{}, spec.args...), "-j", strconv.Itoa(j))
 					for _, a := range append(mode.args, "-report", "$T/report.json") {
@@ -1628,7 +1638,7 @@ func TestGeneratePins(t *testing.T) {
 
 					// One golden per spec and mode: -j must not show anywhere.
 					golden := filepath.Join("testdata", "generate", spec.name+"-"+mode.name+".golden")
-					if *updatePins && j == 1 {
+					if write {
 						if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 							t.Fatal(err)
 						}
@@ -1827,61 +1837,62 @@ func TestDistributedPins(t *testing.T) {
 // command holds the columns, the directory tree and a sink's window, never
 // the image's file records. The replay sampler starts when the summary line
 // is printed — from there on the run replays the metadata into the sink —
-// and a second sampler, started before Main, watches the whole command,
-// the heap-backed metadata pass included; both peaks are taken over the
-// heap before the run.
+// and its peak over the heap at that point, columns and tree included, must
+// be the same at N and at 4N files under the same directories, give or take
+// a fixed slack. A second sampler, started before Main, watches the whole
+// command. Its metadata pass holds the columns on the heap, so it grows with
+// the files, but by no more per file than it did; the pass is the same for
+// every sink, and the tar run, whose N is the larger, bounds it.
 func TestGenerateMemoryBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory ceilings are not meaningful under the race detector")
 	}
-	if testing.Short() {
-		t.Skip("300k-file runs skipped in -short")
-	}
-	spec := []string{"-files", "300000", "-dirs", "3000", "-size", "344064000", "-size-mu", "6.9", "-size-sigma", "0.5", "-seed", "20090225", "-j", "2", "-metadata-only"}
+	// Measured here (2 cores, Go 1.24): the replay peaks 0 to 0.7 MB apart
+	// at N and 4N onto either sink; one that kept every file record it
+	// replayed, 4.4 to 4.7 MB apart onto the directory and over 50 MB onto
+	// the tar sink. The whole command grows onto the tar sink by its columns
+	// and the metadata pass's work arrays, 65 to 76 B a file; the bound is 96.
+	const slack, wholePerFile = 3 << 20, 96
 	// The sampler reads HeapAlloc, garbage included: collect often enough
 	// that the peak is the live heap and not the collector's pacing.
 	defer debug.SetGCPercent(debug.SetGCPercent(10))
-	for name, out := range map[string][]string{
-		"tar": {"-format", "tar", "-out", os.DevNull},
-		"dir": {"-out", filepath.Join(t.TempDir(), "out")},
+	for _, c := range []struct {
+		name    string
+		n, dirs int // N files, enough for the 20 ms sampler to see the replay, under dirs directories
+		out     func() []string
+	}{
+		{"tar", 100_000, 3000, func() []string { return []string{"-format", "tar", "-out", os.DevNull} }},
+		{"dir", 10_000, 300, func() []string { return []string{"-out", t.TempDir()} }},
 	} {
-		// Measured here (2 cores, Go 1.24): 6.6 to 7.5 MB on either output, of
-		// which the three columns are 4.8; at the parent commit, which replayed
-		// a retained image, 25.1 MB onto the tar sink and 28.8 to 29.2 MB onto
-		// the directory. The cap leaves 1.7x over the one and 1.9x under the other.
-		const cap = 13 << 20
-		// Measured here over the whole command (2 cores, Go 1.24): 19.2 to
-		// 21.5 MB on either output, run to run (the 20 ms sampler meets a
-		// different phase's peak), the same before the file order became
-		// directory-major. By phase, size resolution peaks at 19.2 MB,
-		// extensions at 20.4 MB and the renumbering at 12.9 MB. The cap is
-		// 1.27x the 20.4 MB of the extensions, 1.21x the highest run.
-		const wholeCap = 26 << 20
-		whole := startMemSampler()
-		var sampler *memSampler
-		stdout := writerFunc(func(p []byte) (int, error) {
-			if sampler == nil {
-				sampler = startMemSampler()
+		name, n := c.name, c.n
+		var replay, whole [2]uint64
+		for i, files := range []int{n, 4 * n} {
+			spec := []string{"-files", strconv.Itoa(files), "-dirs", strconv.Itoa(c.dirs), "-size", strconv.Itoa(files * 1147), "-size-mu", "6.9", "-size-sigma", "0.5", "-seed", "20090225", "-j", "2", "-metadata-only"}
+			wholeSampler := startMemSampler()
+			var sampler *memSampler
+			stdout := writerFunc(func(p []byte) (int, error) {
+				if sampler == nil {
+					sampler = startMemSampler()
+				}
+				return len(p), nil
+			})
+			var stderr bytes.Buffer
+			code := Main(append(spec, c.out()...), stdout, &stderr)
+			whole[i], _, _ = wholeSampler.stop()
+			if code != 0 || sampler == nil {
+				t.Fatalf("%s: exit %d: %s", name, code, stderr.String())
 			}
-			return len(p), nil
-		})
-		var stderr bytes.Buffer
-		code := Main(append(append([]string{}, spec...), out...), stdout, &stderr)
-		wholePeak, _, _ := whole.stop()
-		if code != 0 || sampler == nil {
-			t.Fatalf("%s: exit %d: %s", name, code, stderr.String())
+			replay[i], _, _ = sampler.stop()
 		}
-		peak, _, _ := sampler.stop()
-		peak += sampler.baseline - min(sampler.baseline, whole.baseline)
-		t.Logf("%s: replaying 300k files peaked at %.1f MB of heap (cap %d MB), the whole command at %.1f MB (cap %d MB)",
-			name, float64(peak)/(1<<20), cap>>20, float64(wholePeak)/(1<<20), wholeCap>>20)
-		if peak > cap {
-			t.Errorf("%s: replaying 300k files peaked at %.1f MB of heap, cap is %d MB — something is retaining the file records",
-				name, float64(peak)/(1<<20), cap>>20)
+		t.Logf("%s: replaying %d and %d files peaked at %.1f and %.1f MB over the heap it began with (slack %d MB); the whole command at %.1f and %.1f MB",
+			name, n, 4*n, float64(replay[0])/(1<<20), float64(replay[1])/(1<<20), slack>>20, float64(whole[0])/(1<<20), float64(whole[1])/(1<<20))
+		if replay[1] > replay[0]+slack {
+			t.Errorf("%s: replaying %d files peaked at %.1f MB of heap, %d files at %.1f MB: more than %d MB apart — something is retaining the file records",
+				name, n, float64(replay[0])/(1<<20), 4*n, float64(replay[1])/(1<<20), slack>>20)
 		}
-		if wholePeak > wholeCap {
-			t.Errorf("%s: the whole command peaked at %.1f MB of heap, cap is %d MB — the metadata pass holds more than it did",
-				name, float64(wholePeak)/(1<<20), wholeCap>>20)
+		if grow := (float64(whole[1]) - float64(whole[0])) / float64(3*n); name == "tar" && grow > wholePerFile {
+			t.Errorf("%s: the whole command grew by %.0f B a file from %d to %d files, bound %d B — the metadata pass holds more than it did",
+				name, grow, n, 4*n, wholePerFile)
 		}
 	}
 }

@@ -50,12 +50,14 @@ func (f Fig2) Run(w io.Writer, opts Options) error {
 	// (c) Files by size.
 	genSize := st.FilesBySize()
 	desSize := ds.FilesBySize()
-	printSizeSeries(w, "(c) files by size (% of files)", desSize, genSize)
+	fmt.Fprintln(w, "(c) files by size (% of files)")
+	printSizeSeries(w, "D (desired)", desSize, "G (generated)", genSize, 1e-4)
 
 	// (d) Bytes by containing file size.
 	genBytes := st.BytesBySize()
 	desBytes := ds.BytesByFileSize()
-	printSizeSeries(w, "(d) bytes by containing file size (% of bytes)", desBytes, genBytes)
+	fmt.Fprintln(w, "(d) bytes by containing file size (% of bytes)")
+	printSizeSeries(w, "D (desired)", desBytes, "G (generated)", genBytes, 1e-4)
 
 	// (e) Top extensions by count.
 	names := ds.ExtensionsByCount().Names()
@@ -171,24 +173,20 @@ func printSeriesWithLabels(w io.Writer, title string, labels []string, desired, 
 	}, []string{"D (desired)", "G (generated)"})
 }
 
-// printSizeSeries prints only the non-empty power-of-two bins to keep the
-// output readable.
-func printSizeSeries(w io.Writer, title string, desired, generated *stats.Histogram) {
-	fmt.Fprintln(w, title)
-	df := desired.Normalize()
-	gf := generated.Normalize()
+// printSizeSeries prints two size histograms, each normalized to its total,
+// as the columns aName and bName, over the power-of-two bins where either
+// holds at least floor: the empty bins would bury the rest.
+func printSizeSeries(w io.Writer, aName string, a *stats.Histogram, bName string, b *stats.Histogram, floor float64) {
+	af, bf := a.Normalize(), b.Normalize()
 	var labels []string
-	var dvals, gvals []float64
-	for i := range df {
-		if df[i] < 1e-4 && gf[i] < 1e-4 {
+	var avals, bvals []float64
+	for i := range af {
+		if af[i] < floor && bf[i] < floor {
 			continue
 		}
-		labels = append(labels, desired.BinLabel(i))
-		dvals = append(dvals, df[i])
-		gvals = append(gvals, gf[i])
+		labels = append(labels, a.BinLabel(i))
+		avals = append(avals, af[i])
+		bvals = append(bvals, bf[i])
 	}
-	series(w, "size bin", labels, map[string][]float64{
-		"D (desired)":   dvals,
-		"G (generated)": gvals,
-	}, []string{"D (desired)", "G (generated)"})
+	series(w, "size bin", labels, map[string][]float64{aName: avals, bName: bvals}, []string{aName, bName})
 }

@@ -99,29 +99,10 @@ func (f Fig3) Run(w io.Writer, opts Options) error {
 		consBytes.AddWeighted(v, v)
 	}
 	fmt.Fprintln(w, "(b) original (O) vs constrained (C) distribution of files by size")
-	printSizeSeriesOC(w, origCount, consCount)
+	printSizeSeries(w, "O", origCount, "C", consCount, 1e-3)
 	fmt.Fprintln(w, "(c) original (O) vs constrained (C) distribution of bytes by file size")
-	printSizeSeriesOC(w, origBytes, consBytes)
+	printSizeSeries(w, "O", origBytes, "C", consBytes, 1e-3)
 	return nil
-}
-
-func printSizeSeriesOC(w io.Writer, orig, cons *stats.Histogram) {
-	of := orig.Normalize()
-	cf := cons.Normalize()
-	var labels []string
-	var ovals, cvals []float64
-	for i := range of {
-		if of[i] < 1e-3 && cf[i] < 1e-3 {
-			continue
-		}
-		labels = append(labels, orig.BinLabel(i))
-		ovals = append(ovals, of[i])
-		cvals = append(cvals, cf[i])
-	}
-	series(w, "size bin", labels, map[string][]float64{
-		"O": ovals,
-		"C": cvals,
-	}, []string{"O", "C"})
 }
 
 // Table4 reproduces Table 4: the summary of resolving multiple constraints

@@ -48,7 +48,7 @@ func (f Fig5) Run(w io.Writer, opts Options) error {
 
 	for _, c := range curves {
 		fmt.Fprintf(w, "%s\n", c.title)
-		printSizeSeriesRI(w, c.labelGen, c.real, c.generated)
+		printSizeSeries(w, "R", c.real, c.labelGen, c.generated, 1e-3)
 	}
 
 	fmt.Fprintln(w, "Table 5: goodness-of-fit of interpolated/extrapolated curves")
@@ -149,23 +149,4 @@ func (f Fig5) Measure(opts Options) ([]Fig5Row, []fig5Curve, error) {
 		}
 	}
 	return rows, curves, nil
-}
-
-func printSizeSeriesRI(w io.Writer, genLabel string, real, generated *stats.Histogram) {
-	rf := real.Normalize()
-	gf := generated.Normalize()
-	var labels []string
-	var rvals, gvals []float64
-	for i := range rf {
-		if rf[i] < 1e-3 && gf[i] < 1e-3 {
-			continue
-		}
-		labels = append(labels, real.BinLabel(i))
-		rvals = append(rvals, rf[i])
-		gvals = append(gvals, gf[i])
-	}
-	series(w, "size bin", labels, map[string][]float64{
-		"R":      rvals,
-		genLabel: gvals,
-	}, []string{"R", genLabel})
 }

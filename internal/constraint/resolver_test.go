@@ -17,7 +17,8 @@ import (
 // about 72 million, so the paper's literal 30000/60000/90000-byte targets are
 // unreachable; the reproduction keeps the distribution and expresses targets
 // as {0.5, 1.0, 1.5} times the expected sum, preserving the structure of the
-// paper's experiment (see EXPERIMENTS.md).
+// paper's experiment: targets below, at and above what the distribution
+// gives unaided.
 func paperDist() stats.Distribution { return stats.NewLognormal(8.16, 2.46) }
 
 // expectedSum returns n times the distribution's mean, the "expected sum" the

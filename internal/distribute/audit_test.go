@@ -69,7 +69,7 @@ func TestMergeGradesShards(t *testing.T) {
 	if res.Verified() != len(all) {
 		t.Fatalf("full set should verify: %+v", res.Statuses)
 	}
-	_, refDigest, _ := singleProcessReference(t, cfg)
+	_, refDigest := singleProcessReference(t, cfg)
 	if res.Digest != refDigest {
 		t.Errorf("resumed merge digest %s != single-process %s", res.Digest, refDigest)
 	}

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,14 +67,23 @@ func goldenShard(tb testing.TB) *ShardView {
 	return planRoundTrip(tb, testConfig(), 3).view(tb, 1)
 }
 
-// TestGoldenWireDocuments pins the bytes of two of the plan's fragments.
+// TestGoldenWireDocuments pins the bytes of two of the plan's fragments,
+// built with the columns on the heap and the chunk sealer inline (-j 1), and
+// spilled with three sealing goroutines (-j 4): every backing and sealer
+// must write the pinned bytes.
 func TestGoldenWireDocuments(t *testing.T) {
-	_, frags := fragmentBuffers(t, PlanRequest{Config: testConfig(), MaxShards: 3, ChunkSize: 64})
-	if got := sha256Hex(frags[1]); got != goldenFragment1 {
-		t.Errorf("fragment 1 hashes to %s, pinned %s", got, goldenFragment1)
-	}
-	if got := sha256Hex(frags[2]); got != goldenShardDoc2 {
-		t.Errorf("fragment 2 hashes to %s, pinned %s", got, goldenShardDoc2)
+	for _, par := range []int{1, 4} {
+		cfg := testConfig()
+		if cfg.Parallelism = par; par > 1 {
+			cfg.SpillDir = t.TempDir()
+		}
+		_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
+		if got := sha256Hex(frags[1]); got != goldenFragment1 {
+			t.Errorf("-j %d: fragment 1 hashes to %s, pinned %s", par, got, goldenFragment1)
+		}
+		if got := sha256Hex(frags[2]); got != goldenShardDoc2 {
+			t.Errorf("-j %d: fragment 2 hashes to %s, pinned %s", par, got, goldenShardDoc2)
+		}
 	}
 }
 
@@ -196,12 +204,18 @@ func TestGoldenMaterializedTree(t *testing.T) {
 }
 
 // TestExecuteTargetsGolden is the one equivalence table of the executor:
-// every target of Execute, at Parallelism 1 and 4, must seal the pinned
-// manifest for every shard; the manifests must merge to the pinned image
-// digest; and every directory target must leave the pinned tree. The
-// resumed rows first crash each shard 20 files in — the journal a crashed
-// run leaves is pinned too, so a journal written before this table existed
-// resumes the same way — and then finish it from the journal.
+// every target of Execute must seal the pinned manifest for every shard;
+// the manifests must merge to the pinned image digest; and every directory
+// target must leave the pinned tree. The resumed row first crashes each
+// shard 20 files in — the journal a crashed run leaves is pinned too, so a
+// journal written before this table existed resumes the same way — and
+// then finishes it from the journal, journaling every batch it writes. Each
+// row runs at one Parallelism: the writers under the targets are held to
+// their bytes at -j 1 and -j 4 elsewhere (TestGoldenMaterializedTree, the
+// journaled resumes of TestJournaledFailureMidBatch, internal/imgfmt's
+// parallelism tests, TestTarWorkerIdenticalAtAnyParallelism), so the rows
+// alternate between the two. A tar segment written to io.Discard is the
+// same target as one written to a buffer.
 func TestExecuteTargetsGolden(t *testing.T) {
 	p := planRoundTrip(t, testConfig(), 3)
 	if len(p.Plan.Shards) != len(goldenManifests) {
@@ -209,65 +223,62 @@ func TestExecuteTargetsGolden(t *testing.T) {
 	}
 	type row struct {
 		name    string
+		j       int
 		target  func(outRoot string) Target
 		tree    bool // a directory target: the tree it leaves is checked too
 		journal bool
 		crash   bool // crash 20 files in, check the journal, resume
 	}
 	rows := []row{
-		{name: "dir", target: DirTarget, tree: true},
-		{name: "dir journaled", target: DirTarget, tree: true, journal: true},
-		{name: "dir resumed", target: DirTarget, tree: true, journal: true, crash: true},
-		{name: "tar segment", target: func(string) Target { return TarTarget(&bytes.Buffer{}) }},
-		{name: "discard", target: func(string) Target { return TarTarget(io.Discard) }},
+		{name: "dir", j: 1, target: DirTarget, tree: true},
+		{name: "dir resumed", j: 4, target: DirTarget, tree: true, journal: true, crash: true},
+		{name: "tar segment", j: 4, target: func(string) Target { return TarTarget(&bytes.Buffer{}) }},
 	}
 	for _, r := range rows {
-		for _, j := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s j=%d", r.name, j), func(t *testing.T) {
-				outRoot, work := t.TempDir(), t.TempDir()
-				manifests := make([]*Manifest, len(p.Plan.Shards))
-				for s := range p.Plan.Shards {
-					view := p.view(t, s)
-					opts, target, wantResumed := WorkerOptions{Parallelism: j}, r.target(outRoot), 0
-					if r.journal {
-						opts.JournalPath, opts.BatchFiles = filepath.Join(work, fmt.Sprintf("journal-%d", s)), 8
+		t.Run(fmt.Sprintf("%s j=%d", r.name, r.j), func(t *testing.T) {
+			outRoot, work := t.TempDir(), t.TempDir()
+			manifests := make([]*Manifest, len(p.Plan.Shards))
+			for s := range p.Plan.Shards {
+				view := p.view(t, s)
+				opts, target, wantResumed := WorkerOptions{Parallelism: r.j}, r.target(outRoot), 0
+				if r.journal {
+					opts.JournalPath, opts.BatchFiles = filepath.Join(work, fmt.Sprintf("journal-%d", s)), 8
+				}
+				if r.crash {
+					opts.FailAfterFiles = 20
+					if _, err := Execute(context.Background(), view, target, opts); !errors.Is(err, ErrSimulatedCrash) {
+						t.Fatalf("shard %d: injected crash: got %v, want ErrSimulatedCrash", s, err)
 					}
-					if r.crash {
-						opts.FailAfterFiles = 20
-						if _, err := Execute(context.Background(), view, target, opts); !errors.Is(err, ErrSimulatedCrash) {
-							t.Fatalf("shard %d: injected crash: got %v, want ErrSimulatedCrash", s, err)
-						}
-						raw, err := os.ReadFile(opts.JournalPath)
-						if err != nil {
-							t.Fatalf("shard %d: reading journal: %v", s, err)
-						}
-						if got := sha256Hex(raw); got != goldenJournals[s] {
-							t.Errorf("shard %d: crashed run's journal hashes to %s, pinned %s", s, got, goldenJournals[s])
-						}
-						opts.FailAfterFiles, wantResumed = 0, 20
-					}
-					res, err := Execute(context.Background(), view, target, opts)
+					raw, err := os.ReadFile(opts.JournalPath)
 					if err != nil {
-						t.Fatalf("Execute(%d): %v", s, err)
+						t.Fatalf("shard %d: reading journal: %v", s, err)
 					}
-					if res.ResumedFiles != wantResumed || res.ResumedFiles+res.WrittenFiles != len(view.Files) {
-						t.Errorf("shard %d: resumed %d and wrote %d of %d files, want %d resumed", s, res.ResumedFiles, res.WrittenFiles, len(view.Files), wantResumed)
+					if got := sha256Hex(raw); got != goldenJournals[s] {
+						t.Errorf("shard %d: crashed run's journal hashes to %s, pinned %s", s, got, goldenJournals[s])
 					}
-					if res.Manifest.ManifestSHA256 != goldenManifests[s] {
-						t.Errorf("shard %d: manifest %s, pinned %s", s, res.Manifest.ManifestSHA256, goldenManifests[s])
-					}
-					manifests[s] = res.Manifest
+					opts.FailAfterFiles, wantResumed = 0, 20
 				}
-				if merged := p.merge(t, manifests); merged.Digest != goldenDigest {
-					t.Errorf("merged digest %s, pinned %s", merged.Digest, goldenDigest)
+				res, err := Execute(context.Background(), view, target, opts)
+				if err != nil {
+					t.Fatalf("Execute(%d): %v", s, err)
 				}
-				if !r.tree {
-					return
+				if res.ResumedFiles != wantResumed || res.ResumedFiles+res.WrittenFiles != len(view.Files) {
+					t.Errorf("shard %d: resumed %d and wrote %d of %d files, want %d resumed", s, res.ResumedFiles, res.WrittenFiles, len(view.Files), wantResumed)
 				}
-				if got, err := fsimage.HashTree(outRoot); err != nil || got != goldenTreeHash {
-					t.Errorf("tree hashes to %s (%v), pinned %s", got, err, goldenTreeHash)
+				if res.Manifest.ManifestSHA256 != goldenManifests[s] {
+					t.Errorf("shard %d: manifest %s, pinned %s", s, res.Manifest.ManifestSHA256, goldenManifests[s])
 				}
-			})
-		}
+				manifests[s] = res.Manifest
+			}
+			if merged := p.merge(t, manifests); merged.Digest != goldenDigest {
+				t.Errorf("merged digest %s, pinned %s", merged.Digest, goldenDigest)
+			}
+			if !r.tree {
+				return
+			}
+			if got, err := fsimage.HashTree(outRoot); err != nil || got != goldenTreeHash {
+				t.Errorf("tree hashes to %s (%v), pinned %s", got, err, goldenTreeHash)
+			}
+		})
 	}
 }

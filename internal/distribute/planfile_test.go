@@ -81,7 +81,7 @@ func TestOpenPlanFileShapes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	if _, digest, _ := singleProcessReference(t, testConfig()); res.Digest != digest {
+	if _, digest := singleProcessReference(t, testConfig()); res.Digest != digest {
 		t.Errorf("the index merged to %s, the single-process run digests %s", res.Digest, digest)
 	}
 }

@@ -78,10 +78,11 @@ func liveHeapPeak(t *testing.T, fn func()) uint64 {
 // chunk of records per fragment beside the manifests it is handed, never the
 // plan's file records, and no tree of the replay's own. It merges
 // SMALL(300000) — the benchmark's small-file shape at 300k files in 30k
-// directories, 28 MB of fragments — as 2 and as 8 fragments against sealed
-// manifests built from their records, and bounds the peak live heap beyond
-// them (liveHeapPeak's baseline is taken with the manifests and the
-// fragments loaded).
+// directories, 28 MB of fragments — as 8 fragments against sealed manifests
+// built from their records, and bounds the peak live heap beyond them
+// (liveHeapPeak's baseline is taken with the manifests and the fragments
+// loaded). It merged them as 2 fragments too, under a cap 12 MiB lower;
+// every retention measured below stands further over the cap at 8.
 func TestMergeMemoryBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory ceilings are not meaningful under the race detector")
@@ -89,54 +90,53 @@ func TestMergeMemoryBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("300k-file merge skipped in -short")
 	}
-	for _, k := range []int{2, 8} {
-		plan, frags := fragmentBuffers(t, PlanRequest{Config: smallConfig(300_000), MaxShards: k})
-		manifests := make([]*Manifest, len(plan.Shards))
-		for s := range manifests {
-			v, err := DecodeShardView(bytes.NewReader(frags[s]))
-			if err != nil {
-				t.Fatalf("K=%d DecodeShardView(%d): %v", k, s, err)
-			}
-			manifests[s] = hashedManifest(v)
-		}
-		// Measured on 2 cores (Go 1.24): a merge that retained this
-		// plan's file records peaked at 47.5 to 48.3 MB of heap beyond the
-		// manifests; a replay that rebuilt fragment 0's tree and partition
-		// beside the check's at 12.6 to 16.6 MB at K=2 and 23.6 to 33.8 MB at
-		// K=8; this merge, whose record check holds the replay's one tree
-		// and partition, at 8.4 to 10.0 MB at K=2 and 20.4 to 22.8 MB at
-		// K=8 while encoding/json decoded its chunks (9.2 to 11.3 and 21.0
-		// to 23.4 MB measured again beside the next), and at 7.5 to 10.1 MB
-		// and 18.0 to 20.7 MB since fsimage.ChunkReader reads them into
-		// reused record arrays, each fragment's chunk in decoding making up
-		// the difference. A merge whose every fragment decoder rebuilt its
-		// tree peaked at 17.6 to 23.8 MB at K=2 and at 53.3 to 59.0 MB at
-		// K=8. The cap is 14 MiB for two fragments and 2 MiB more for each
-		// fragment beyond: a chunk of records in decoding, at the default
-		// 8192 records a chunk, where a tree and partition of these 30k
-		// directories would add 5 MB more.
-		cap := uint64(14<<20 + (k-2)*2<<20)
-		var (
-			res *MergeResult
-			err error
-		)
-		peak := liveHeapPeak(t, func() {
-			res, err = Merge(fragmentSource(context.Background(), frags), manifests)
-		})
-		if err == nil {
-			err = res.Err()
-		}
+	const k = 8
+	plan, frags := fragmentBuffers(t, PlanRequest{Config: smallConfig(300_000), MaxShards: k})
+	manifests := make([]*Manifest, len(plan.Shards))
+	for s := range manifests {
+		v, err := DecodeShardView(bytes.NewReader(frags[s]))
 		if err != nil {
-			t.Fatalf("K=%d Merge: %v", k, err)
+			t.Fatalf("K=%d DecodeShardView(%d): %v", k, s, err)
 		}
-		if res.Digest == "" {
-			t.Fatalf("K=%d: the merge of hashed manifests produced no digest", k)
-		}
-		t.Logf("300k-file merge of %d fragments: peak live heap %.1f MB beyond the manifests (cap %.1f MB)", k, float64(peak)/(1<<20), float64(cap)/(1<<20))
-		if peak > cap {
-			t.Errorf("the merge of %d fragments peaked at %.1f MB of live heap beyond its manifests, cap is %.1f MB — something is retaining the plan's file records or a second tree",
-				k, float64(peak)/(1<<20), float64(cap)/(1<<20))
-		}
+		manifests[s] = hashedManifest(v)
+	}
+	// Measured on 2 cores (Go 1.24): a merge that retained this
+	// plan's file records peaked at 47.5 to 48.3 MB of heap beyond the
+	// manifests; a replay that rebuilt fragment 0's tree and partition
+	// beside the check's at 12.6 to 16.6 MB at K=2 and 23.6 to 33.8 MB at
+	// K=8; this merge, whose record check holds the replay's one tree
+	// and partition, at 8.4 to 10.0 MB at K=2 and 20.4 to 22.8 MB at
+	// K=8 while encoding/json decoded its chunks (9.2 to 11.3 and 21.0
+	// to 23.4 MB measured again beside the next), and at 7.5 to 10.1 MB
+	// and 18.0 to 20.7 MB since fsimage.ChunkReader reads them into
+	// reused record arrays, each fragment's chunk in decoding making up
+	// the difference. A merge whose every fragment decoder rebuilt its
+	// tree peaked at 17.6 to 23.8 MB at K=2 and at 53.3 to 59.0 MB at
+	// K=8. The cap is 14 MiB for two fragments and 2 MiB more for each
+	// fragment beyond: a chunk of records in decoding, at the default
+	// 8192 records a chunk, where a tree and partition of these 30k
+	// directories would add 5 MB more.
+	cap := uint64(14<<20 + (k-2)*2<<20)
+	var (
+		res *MergeResult
+		err error
+	)
+	peak := liveHeapPeak(t, func() {
+		res, err = Merge(fragmentSource(context.Background(), frags), manifests)
+	})
+	if err == nil {
+		err = res.Err()
+	}
+	if err != nil {
+		t.Fatalf("K=%d Merge: %v", k, err)
+	}
+	if res.Digest == "" {
+		t.Fatalf("K=%d: the merge of hashed manifests produced no digest", k)
+	}
+	t.Logf("300k-file merge of %d fragments: peak live heap %.1f MB beyond the manifests (cap %.1f MB)", k, float64(peak)/(1<<20), float64(cap)/(1<<20))
+	if peak > cap {
+		t.Errorf("the merge of %d fragments peaked at %.1f MB of live heap beyond its manifests, cap is %.1f MB — something is retaining the plan's file records or a second tree",
+			k, float64(peak)/(1<<20), float64(cap)/(1<<20))
 	}
 }
 

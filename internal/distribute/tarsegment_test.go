@@ -20,7 +20,7 @@ import (
 // canonical digest.
 func TestTarWorkersStitchMatchesMonolithic(t *testing.T) {
 	cfg := testConfig()
-	_, refDigest, _ := singleProcessReference(t, cfg)
+	_, refDigest := singleProcessReference(t, cfg)
 
 	for _, k := range []int{1, 2, 4} {
 		p := planRoundTrip(t, testConfig(), k)

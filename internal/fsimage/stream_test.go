@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -233,25 +234,20 @@ func batchTestImage(t testing.TB, n int) *Image {
 }
 
 // sinkBatchCounts are the file counts the sink's batching can get wrong: no
-// file, one, one short of a batch, a batch, one over, and three and one.
-var sinkBatchCounts = []int{0, 1, materializeBatch - 1, materializeBatch, materializeBatch + 1, 3*materializeBatch + 1}
+// file, one, one short of a batch, a batch, one over, and two and one (a
+// batch written after another, and a remainder after both).
+var sinkBatchCounts = []int{0, 1, materializeBatch - 1, materializeBatch, materializeBatch + 1, 2*materializeBatch + 1}
 
-// TestMaterializeSinkMatchesMaterialize: at every batch boundary and at
-// Parallelism 1 and 4, streaming records to disk writes the byte-identical
-// tree the retained Materialize writes, and its Fold takes the per-file
-// digests Materialize reports to OnDigest, in ID order.
-func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
+// TestMaterializeSinkAtBatchBoundaries: at every batch boundary, streaming
+// records to disk leaves the image's directories and, at each file's path,
+// the bytes ContentDigests hashes for it, and nothing else; Written counts
+// the image's bytes, and the Fold, which takes each batch's digests as it is
+// written, sums to the digest CombineDigest makes of ContentDigests.
+func TestMaterializeSinkAtBatchBoundaries(t *testing.T) {
 	for _, n := range sinkBatchCounts {
 		img := batchTestImage(t, n)
-		opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed}
-		retained, digests := opts, make([]string, n)
-		retained.OnDigest = func(f File, sum string) { digests[f.ID] = sum }
-		retainedRoot := t.TempDir()
-		wantWritten, err := img.Materialize(retainedRoot, retained)
-		if err != nil {
-			t.Fatalf("n=%d: Materialize: %v", n, err)
-		}
-		wantHash, err := HashTree(retainedRoot)
+		opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed, Parallelism: 4}
+		digests, err := img.ContentDigests(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,27 +255,60 @@ func TestMaterializeSinkMatchesMaterialize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 4} {
-			opts.Parallelism = par
-			streamRoot := t.TempDir()
-			fold := NewDigestFold(img.DirCount(), n, img.TotalBytes())
-			opts.Fold = fold
-			sink := NewMaterializeSink(streamRoot, img.Tree, opts)
-			if err := img.StreamRecords(sink); err != nil {
-				t.Fatalf("n=%d P%d: stream materialize: %v", n, par, err)
+		root, fold := t.TempDir(), NewDigestFold(img.DirCount(), n, img.TotalBytes())
+		opts.Fold = fold
+		sink := NewMaterializeSink(root, img.Tree, opts)
+		if err := img.StreamRecords(sink); err != nil {
+			t.Fatalf("n=%d: stream materialize: %v", n, err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatalf("n=%d: Close: %v", n, err)
+		}
+		if sink.Written() != img.TotalBytes() {
+			t.Errorf("n=%d: streamed %d bytes of %d", n, sink.Written(), img.TotalBytes())
+		}
+		if got, err := fold.Sum(); err != nil || got != wantDigest {
+			t.Errorf("n=%d: folded digest %s (%v), ContentDigests combine to %s", n, got, err, wantDigest)
+		}
+		want := map[string]string{} // path under root: "" for a directory, else the content's hash
+		for id := 1; id < img.Tree.Len(); id++ {
+			want[img.Tree.Path(id)] = ""
+		}
+		for _, f := range img.Files {
+			want[filePath(img, f)] = digests[f.ID]
+		}
+		err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || path == root {
+				return err
 			}
-			if err := sink.Close(); err != nil {
-				t.Fatalf("n=%d P%d: Close: %v", n, par, err)
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return err
 			}
-			if sink.Written() != wantWritten {
-				t.Errorf("n=%d P%d: streamed %d bytes, retained wrote %d", n, par, sink.Written(), wantWritten)
+			rel = filepath.ToSlash(rel)
+			sum, ok := want[rel]
+			delete(want, rel)
+			switch {
+			case !ok:
+				t.Errorf("n=%d: %s is not in the image", n, rel)
+			case d.IsDir() != (sum == ""):
+				t.Errorf("n=%d: %s: a directory %v, want %v", n, rel, d.IsDir(), sum == "")
+			case !d.IsDir():
+				data, err := os.ReadFile(path)
+				if err != nil {
+					return err
+				}
+				if got := sha256.Sum256(data); hex.EncodeToString(got[:]) != sum {
+					t.Errorf("n=%d: %s holds other bytes than ContentDigests hashes", n, rel)
+				}
 			}
-			if gotHash, err := HashTree(streamRoot); err != nil || gotHash != wantHash {
-				t.Errorf("n=%d P%d: streamed tree hash %s (%v) != retained %s", n, par, gotHash, err, wantHash)
-			}
-			if got, err := fold.Sum(); err != nil || got != wantDigest {
-				t.Errorf("n=%d P%d: folded digest %s (%v), Materialize's table combines to %s", n, par, got, err, wantDigest)
-			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) > 0 {
+			t.Errorf("n=%d: %d entries of the image were not written", n, len(want))
 		}
 	}
 }
@@ -300,61 +329,57 @@ func (s faultAfter) AddFile(f File) error {
 
 // TestMaterializeSinkCancellation: what stops a batch stops the stream. A
 // context cancelled once the first batch is on disk, or a write that fails
-// in the second, is the error of the AddFile that completes the second batch
-// (of Close, when the stream ends inside it); no file of a later batch is
-// written, and no worker goroutine is left.
+// in the second, is the error of the AddFile that completes the second batch;
+// no file of the third batch is written, and no worker goroutine is left.
+// Two batches and one file are the least that has a batch after the failed
+// one.
 func TestMaterializeSinkCancellation(t *testing.T) {
-	for _, n := range sinkBatchCounts[4:] {
-		img := batchTestImage(t, n)
-		blocked := img.Files[materializeBatch] // the first file of the second batch
-		for _, par := range []int{1, 4} {
-			for _, fault := range []string{"cancel", "write"} {
-				label := fmt.Sprintf("n=%d P%d %s", n, par, fault)
-				baseline := runtime.NumGoroutine()
-				root := t.TempDir()
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				sink := NewMaterializeSink(root, img.Tree, MaterializeOptions{
-					Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed, Parallelism: par, Context: ctx,
-				})
-				err := img.StreamRecords(faultAfter{sink, func(f File) error {
-					if f.ID != materializeBatch-1 {
-						return nil
-					}
-					if fault == "cancel" {
-						cancel()
-						return nil
-					}
-					// A directory where the file should go: creating it fails.
-					return os.MkdirAll(filepath.Join(root, filepath.FromSlash(filePath(img, blocked))), 0o755)
-				}})
-				if err == nil {
-					err = sink.Close()
-				}
-				if fault == "cancel" && !errors.Is(err, context.Canceled) {
-					t.Fatalf("%s: got %v, want context.Canceled", label, err)
-				}
-				if fault == "write" && (err == nil || !strings.Contains(err.Error(), blocked.Name)) {
-					t.Fatalf("%s: got %v, want the failed creation of %s", label, err, blocked.Name)
-				}
-				if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, img.Files[0])))); err != nil {
-					t.Errorf("%s: the first batch was not written: %v", label, err)
-				}
-				if last := img.Files[n-1]; n > 2*materializeBatch {
-					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, last)))); err == nil {
-						t.Errorf("%s: %s of the last batch was written after the stream failed", label, last.Name)
-					}
-				}
-				if fault == "cancel" {
-					if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, blocked)))); err == nil {
-						t.Errorf("%s: %s was written after the cancellation", label, blocked.Name)
-					}
-				}
-				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatalf("%s: %d goroutines, %d before the sink was created", label, runtime.NumGoroutine(), baseline)
-					}
-				}
+	const n = 2*materializeBatch + 1
+	img := batchTestImage(t, n)
+	blocked := img.Files[materializeBatch] // the first file of the second batch
+	for _, fault := range []string{"cancel", "write"} {
+		baseline := runtime.NumGoroutine()
+		root := t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		sink := NewMaterializeSink(root, img.Tree, MaterializeOptions{
+			Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed, Parallelism: 4, Context: ctx,
+		})
+		err := img.StreamRecords(faultAfter{sink, func(f File) error {
+			if f.ID != materializeBatch-1 {
+				return nil
+			}
+			if fault == "cancel" {
+				cancel()
+				return nil
+			}
+			// A directory where the file should go: creating it fails.
+			return os.MkdirAll(filepath.Join(root, filepath.FromSlash(filePath(img, blocked))), 0o755)
+		}})
+		if err == nil {
+			err = sink.Close()
+		}
+		if fault == "cancel" && !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got %v, want context.Canceled", fault, err)
+		}
+		if fault == "write" && (err == nil || !strings.Contains(err.Error(), blocked.Name)) {
+			t.Fatalf("%s: got %v, want the failed creation of %s", fault, err, blocked.Name)
+		}
+		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, img.Files[0])))); err != nil {
+			t.Errorf("%s: the first batch was not written: %v", fault, err)
+		}
+		last := img.Files[n-1]
+		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, last)))); err == nil {
+			t.Errorf("%s: %s of the last batch was written after the stream failed", fault, last.Name)
+		}
+		if fault == "cancel" {
+			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, blocked)))); err == nil {
+				t.Errorf("%s: %s was written after the cancellation", fault, blocked.Name)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before the sink was created", fault, runtime.NumGoroutine(), baseline)
 			}
 		}
 	}

@@ -129,16 +129,21 @@ func (s *SquashfsSink) AddDir(d fsimage.DirRecord) error {
 	return nil
 }
 
-// appendFileName rebuilds file i's name into dst from its ID and interned
-// suffix — the inverse of the split done in AddFile.
-func (s *SquashfsSink) appendFileName(dst []byte, id int) []byte {
+// appendNamePrefix appends the part of file id's name its ID makes,
+// "file%08d".
+func (s *SquashfsSink) appendNamePrefix(dst []byte, id int) []byte {
 	dst = append(dst, "file"...)
 	digits := len(strconv.AppendInt(s.scratch[:0], int64(id), 10))
 	for pad := 8 - digits; pad > 0; pad-- {
 		dst = append(dst, '0')
 	}
-	dst = strconv.AppendInt(dst, int64(id), 10)
-	return append(dst, s.suffixes[s.fileSuffix[id]]...)
+	return strconv.AppendInt(dst, int64(id), 10)
+}
+
+// appendFileName rebuilds file i's name into dst from its ID and interned
+// suffix — the inverse of the split done in AddFile.
+func (s *SquashfsSink) appendFileName(dst []byte, id int) []byte {
+	return append(s.appendNamePrefix(dst, id), s.suffixes[s.fileSuffix[id]]...)
 }
 
 // AddFile queues the file's content for the data area and retains only
@@ -149,12 +154,7 @@ func (s *SquashfsSink) AddFile(f fsimage.File) error {
 	}
 	// The name must be reconstructible as "file%08d" + suffix, or the
 	// emitted listing would silently diverge from the canonical stream.
-	prefix := append(s.nameBuf[:0], "file"...)
-	digits := len(strconv.AppendInt(s.scratch[:0], int64(f.ID), 10))
-	for pad := 8 - digits; pad > 0; pad-- {
-		prefix = append(prefix, '0')
-	}
-	prefix = strconv.AppendInt(prefix, int64(f.ID), 10)
+	prefix := s.appendNamePrefix(s.nameBuf[:0], f.ID)
 	s.nameBuf = prefix
 	if len(f.Name) < len(prefix) || f.Name[:len(prefix)] != string(prefix) {
 		return s.body.fail(fmt.Errorf("imgfmt: file %d name %q does not match canonical naming: %w", f.ID, f.Name, fsimage.ErrManifestIntegrity))

@@ -174,8 +174,9 @@ func TestGDLSkipsDeepAndLargeText(t *testing.T) {
 }
 
 func TestFigure7ContentCrossover(t *testing.T) {
-	// Figure 7: with word-model text Beagle's index is larger than GDL's;
-	// with binary content GDL's index is larger than Beagle's.
+	// Figure 7: with word-model text Beagle's index is larger than GDL's,
+	// and than Beagle's of one repeated word; with binary content GDL's
+	// index is larger than Beagle's.
 	textRes, err := core.GenerateImage(core.Config{
 		NumFiles: 800, NumDirs: 150,
 		ContentKind: content.KindTextModel, Seed: 55,
@@ -190,6 +191,11 @@ func TestFigure7ContentCrossover(t *testing.T) {
 	if beagleText.IndexBytes <= gdlText.IndexBytes {
 		t.Errorf("with text content Beagle's index (%d) should exceed GDL's (%d)",
 			beagleText.IndexBytes, gdlText.IndexBytes)
+	}
+	beagleWord := NewEngine(BeaglePolicy()).Index(textRes.Image, content.NewRegistry(content.KindTextSingleWord), 55)
+	if beagleWord.IndexBytes >= beagleText.IndexBytes {
+		t.Errorf("with one repeated word Beagle's index (%d) should be smaller than with word-model text (%d)",
+			beagleWord.IndexBytes, beagleText.IndexBytes)
 	}
 
 	binRes, err := core.GenerateImage(core.Config{

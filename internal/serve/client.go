@@ -257,16 +257,9 @@ func (c *Client) PullShard(ctx context.Context, fingerprint string, shard int) (
 
 // Generate runs an inline generation and returns its digest and report.
 func (c *Client) Generate(ctx context.Context, spec fsimage.Spec) (GenerateResponse, error) {
-	resp, err := c.doIdempotent(ctx, http.MethodPost, "/v1/generate", GenerateRequest{Spec: spec})
-	if err != nil {
-		return GenerateResponse{}, err
-	}
-	defer resp.Body.Close()
 	var out GenerateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return GenerateResponse{}, fmt.Errorf("serve: decoding generate response: %w", err)
-	}
-	return out, nil
+	err := c.getJSON(ctx, http.MethodPost, "/v1/generate", GenerateRequest{Spec: spec}, &out, true)
+	return out, err
 }
 
 // PostRun creates a distributed run (plan build or cache hit, then shard
@@ -398,14 +391,7 @@ func drainBody(resp *http.Response) {
 
 // Stats fetches the server's counter snapshot.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	resp, err := c.doIdempotent(ctx, http.MethodGet, "/v1/stats", nil)
-	if err != nil {
-		return Stats{}, err
-	}
-	defer resp.Body.Close()
 	var out Stats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return Stats{}, fmt.Errorf("serve: decoding stats: %w", err)
-	}
-	return out, nil
+	err := c.getJSON(ctx, http.MethodGet, "/v1/stats", nil, &out, true)
+	return out, err
 }
