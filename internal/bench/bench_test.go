@@ -3,9 +3,12 @@ package bench
 import (
 	"bytes"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"impressions/internal/stats"
 )
 
 // quickOpts runs every experiment at reduced scale so the whole suite stays
@@ -193,3 +196,25 @@ func TestRunOneQuickProducesOutput(t *testing.T) {
 }
 
 var layoutExtraRe = regexp.MustCompile(`layout score 0\.98 \+([0-9.]+)s`)
+
+// TestPrintSizeSeries: the size-series printer of Figures 2, 3 and 5 prints
+// each histogram normalized to its own total, in the order given, over only
+// the bins where either side reaches the floor.
+func TestPrintSizeSeries(t *testing.T) {
+	a, b := stats.NewPowerOfTwoHistogram(20), stats.NewPowerOfTwoHistogram(20)
+	a.AddWeighted(1000, 3)   // [512, 1K): 3/4 of A
+	a.AddWeighted(5000, 1)   // [4K, 8K): 1/4 of A
+	a.AddWeighted(3e5, 1e-6) // [256K, 512K): under the floor on both sides
+	b.AddWeighted(5000, 1)   // [4K, 8K): 1/2 of B
+	b.AddWeighted(1e5, 1)    // [64K, 128K): 1/2 of B
+	var out bytes.Buffer
+	printSizeSeries(&out, "A", a, "B", b, 1e-3)
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		got = append(got, strings.Join(strings.Fields(line), " "))
+	}
+	want := []string{"size bin A B", "512 0.75 0", "4K 0.25 0.5", "64K 0 0.5"}
+	if !slices.Equal(got, want) {
+		t.Errorf("printed\n%s\nwant the rows %q", out.String(), want)
+	}
+}

@@ -21,20 +21,17 @@ import (
 	"impressions/internal/fsimage"
 )
 
-// The failure-path suite of the VFS executor: the two ways a shard's files
-// reach disk — one MaterializeShardRecords call over them all
-// (Image.Materialize) and one call a journal batch (Execute's directory
-// target, journaled; without a journal it runs the same loop, one batch
-// long) — are driven into the same faults at Parallelism 1 and 4, and must
-// return the cause (errors.Is), no result, no goroutine and no open
-// descriptor (the writer's are raw: no finalizer would close a leaked one).
-// Where the outcome is deterministic the suite also counts the files left
-// on disk: a failed or cancelled write must stop the files behind it.
-// A directory fault lands at the first and at the last directory; a file
-// fault at the first file and, since on Linux a worker holds a descriptor
-// on the directory whose run of files it is writing, at the second file of
-// a run; a cancellation before the first file, inside the largest and in
-// the middle of a run.
+// The failure-path suite of the VFS executor: every writer that puts a
+// shard's files on disk — Image.Materialize and Execute's directory target,
+// plain and journaled — is driven into the same faults at Parallelism 1 and
+// 4, and must return the cause (errors.Is), no result, no goroutine and no
+// open descriptor (the writer's are raw: no finalizer would close a leaked
+// one). Where the outcome is deterministic the suite also counts the files
+// left on disk: a failed or cancelled write must stop the files behind it.
+// Each fault lands at five places over the directories or the files: the
+// first, the quartiles and the last. On Linux a worker holds a descriptor
+// on the directory whose run of files it is writing, so three faults also
+// land inside a run: at its second file, and a cancellation in its middle.
 //
 // The faults are ones a process running as root cannot talk its way past
 // (an unwritable directory is writable to root): a regular file where a
@@ -68,6 +65,9 @@ func vfsWriters(t *testing.T) []vfsWriter {
 				OnDigest: func(fsimage.File, string) { reported++ }, Fold: fold})
 			_, ferr := fold.Sum()
 			return reported > 0 || ferr != nil, err
+		}},
+		{name: "Execute dir", run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
+			return execute(ctx, v, root, WorkerOptions{Parallelism: j, MetadataOnly: metadataOnly})
 		}},
 		{name: "Execute dir journaled", run: func(ctx context.Context, v *ShardView, root string, j int, metadataOnly bool) (bool, error) {
 			return execute(ctx, v, root, WorkerOptions{Parallelism: j, MetadataOnly: metadataOnly, JournalPath: filepath.Join(t.TempDir(), "journal"), BatchFiles: 8})
@@ -115,7 +115,9 @@ func fivePositions(n int) []int {
 }
 
 func TestVFSWriteFailures(t *testing.T) {
-	pristine := goldenShard(t)
+	// Shard 0 of the golden plan: 29 files under 12 directories, the plan's
+	// smallest shard, with runs of three files and more.
+	pristine := planRoundTrip(t, testConfig(), 3).view(t, 0)
 	files := pristine.Files // in canonical order, the order the writer takes
 	largest := 0            // position of the largest file
 	for p, f := range files {
@@ -125,8 +127,7 @@ func TestVFSWriteFailures(t *testing.T) {
 	}
 	// Positions of the second file of the first
 	// directory run of three or more files, and of the largest file with
-	// files of its run on both sides (large, so the writer is still inside
-	// it when the cancellation comes): a fault at either meets a worker
+	// files of its run on both sides: a fault at either meets a worker
 	// holding that directory's descriptor mid-run.
 	second, middle := -1, -1
 	for lo, hi := 0, 0; lo < len(files); lo = hi {
@@ -145,6 +146,15 @@ func TestVFSWriteFailures(t *testing.T) {
 	if second < 0 {
 		t.Fatal("the shard has no directory run of three files")
 	}
+	// No check here reads what a file holds, only where the writer met the
+	// fault, so every file keeps at most 4 KiB (an empty one stays empty):
+	// a fault late in the shard would otherwise write megabytes to disk
+	// first. A cancellation makes its file 1 MiB: larger than a pipe's
+	// buffer, it holds the writer inside the file until the test has
+	// cancelled (the writer checks the context between files).
+	for p := range files {
+		files[p].Size = min(files[p].Size, 4<<10)
+	}
 
 	type fault struct {
 		name         string
@@ -157,7 +167,7 @@ func TestVFSWriteFailures(t *testing.T) {
 		arm func(t *testing.T, v *ShardView, root string) (ctx context.Context, cause error, left int, after func(error))
 	}
 	var faults []fault
-	for _, p := range []int{0, len(pristine.Dirs) - 1} {
+	for _, p := range fivePositions(len(pristine.Dirs)) {
 		id := pristine.Dirs[p]
 		if id == 0 {
 			id = pristine.Dirs[p+1] // the root is the caller's to create
@@ -179,7 +189,7 @@ func TestVFSWriteFailures(t *testing.T) {
 			}
 		}})
 	}
-	for _, p := range []int{0, second} {
+	for _, p := range append(fivePositions(len(files)), second) {
 		faults = append(faults, fault{name: fmt.Sprintf("ENAMETOOLONG at file %d", p), arm: func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
 			v.Files[p].Name = strings.Repeat("x", 300)
 			return context.Background(), syscall.ENAMETOOLONG, p, func(error) {}
@@ -192,7 +202,7 @@ func TestVFSWriteFailures(t *testing.T) {
 		if metadataOnly {
 			cause, what = syscall.EINVAL, "metadata-only EINVAL"
 		}
-		for _, p := range []int{0, second} {
+		for _, p := range append(fivePositions(len(files)), second) {
 			name := fmt.Sprintf("%s from /dev/full at file %d", what, p)
 			if p == second {
 				name = fmt.Sprintf("%s from /dev/full at the second file of a directory run (file %d)", what, p)
@@ -223,6 +233,7 @@ func TestVFSWriteFailures(t *testing.T) {
 	// and only then lets the writer finish.
 	cancelledInside := func(p int) func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
 		return func(t *testing.T, v *ShardView, root string) (context.Context, error, int, func(error)) {
+			v.Files[p].Size = 1 << 20
 			f := v.Files[p]
 			fifo := filepath.Join(root, filepath.FromSlash(v.Tree.Path(f.DirID)), f.Name)
 			if err := os.MkdirAll(filepath.Dir(fifo), 0o755); err != nil {

@@ -555,13 +555,14 @@ func TestReadyzSplitsFromHealthz(t *testing.T) {
 }
 
 // TestClientRetriesTransient: idempotent calls retry connection-level and
-// gateway-style failures; state transitions never do.
+// gateway-style failures; state transitions never do. Every call of the
+// client meets a server that answers 503 twice and then 200: an idempotent
+// one gets through on the third attempt, a state transition surfaces the
+// first 503 and makes no second attempt.
 func TestClientRetriesTransient(t *testing.T) {
 	var calls atomic.Int32
-	var failFirst int32 = 2
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := calls.Add(1)
-		if n <= failFirst {
+		if calls.Add(1) <= 2 {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
@@ -572,22 +573,48 @@ func TestClientRetriesTransient(t *testing.T) {
 	c := &Client{Base: ts.URL, HTTP: ts.Client(), Retries: 4, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond}
 	ctx := context.Background()
 
-	if _, err := c.Stats(ctx); err != nil {
-		t.Fatalf("Stats should have retried through two 503s: %v", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("idempotent call made %d attempts, want 3 (2 failures + 1 success)", got)
-	}
-
-	// A lease completion must NOT be retried: one 503 is final.
-	calls.Store(0)
-	failFirst = 100
-	err := c.CompleteLease(ctx, "lease-x", &distribute.Manifest{})
-	if StatusCode(err) != http.StatusServiceUnavailable {
-		t.Fatalf("CompleteLease: got %v, want a surfaced 503", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("non-idempotent call made %d attempts, want exactly 1", got)
+	for _, call := range []struct {
+		name       string
+		idempotent bool
+		run        func() error
+	}{
+		{"Stats", true, func() error { _, err := c.Stats(ctx); return err }},
+		{"Generate", true, func() error { _, err := c.Generate(ctx, fsimage.Spec{}); return err }},
+		{"Run", true, func() error { _, err := c.Run(ctx, "run-x"); return err }},
+		{"FleetStats", true, func() error { _, err := c.FleetStats(ctx); return err }},
+		{"PostPlan", true, func() error {
+			resp, err := c.PostPlan(ctx, PlanRequest{})
+			if err == nil {
+				resp.Body.Close()
+			}
+			return err
+		}},
+		// "{}" is no fragment: what counts is that the 503s were retried.
+		{"PullShard", true, func() error { _, err := c.PullShard(ctx, "fp", 0); return err }},
+		{"PostRun", false, func() error { _, err := c.PostRun(ctx, PlanRequest{}); return err }},
+		{"RegisterWorker", false, func() error { _, err := c.RegisterWorker(ctx); return err }},
+		{"Heartbeat", false, func() error { return c.Heartbeat(ctx, "worker-x") }},
+		{"LeaseShard", false, func() error { _, err := c.LeaseShard(ctx, "worker-x"); return err }},
+		{"CompleteLease", false, func() error { return c.CompleteLease(ctx, "lease-x", &distribute.Manifest{}) }},
+		{"FailLease", false, func() error { return c.FailLease(ctx, "lease-x", "reason") }},
+	} {
+		t.Run(call.name, func(t *testing.T) {
+			calls.Store(0)
+			err := call.run()
+			got := calls.Load()
+			if call.idempotent {
+				if StatusCode(err) == http.StatusServiceUnavailable || got != 3 {
+					t.Fatalf("idempotent call made %d attempts and returned %v, want 3 (2 failures + 1 success)", got, err)
+				}
+				if call.name != "PullShard" && err != nil {
+					t.Fatalf("idempotent call should have retried through two 503s: %v", err)
+				}
+				return
+			}
+			if StatusCode(err) != http.StatusServiceUnavailable || got != 1 {
+				t.Fatalf("state transition made %d attempts and returned %v, want exactly 1 and a surfaced 503", got, err)
+			}
+		})
 	}
 
 	// Connection-level failures (refused) retry too — and give up cleanly
