@@ -254,7 +254,8 @@ mem-check:
 
 # Local mirror of the CI fuzz-smoke job: every fuzz target of the module
 # (whatever `go test -list '^Fuzz'` finds: the tar header, stitcher and
-# squashfs extractor in internal/imgfmt, the chunk codec and decoder in
+# squashfs extractor in internal/imgfmt, the chunk codec and decoder and the
+# digest fold against its recursive oracle (FuzzDigestFold) in
 # internal/fsimage, the shard document, manifest and journal decoders in
 # internal/distribute, and there too the fragment and manifest readers
 # against the encoding/json decoders they replaced (FuzzDocumentReader,

@@ -222,6 +222,14 @@ func (c Config) Validate() error {
 	if files := float64(c.FSSizeBytes) / mean; c.NumFiles <= 0 && c.FSSizeBytes > 0 && !(files < math.MaxInt) {
 		return fmt.Errorf("core: %d bytes at a mean file size of %g bytes make a file count past int (%w)", c.FSSizeBytes, mean, fsimage.ErrInvalidSpec)
 	}
+	// Directory IDs and file indices are held as int32, and file names
+	// ascend below fsimage.MaxFiles.
+	if c.NumDirs > math.MaxInt32 {
+		return fmt.Errorf("core: %d directories: an image holds at most %d (%w)", c.NumDirs, math.MaxInt32, fsimage.ErrInvalidSpec)
+	}
+	if c.NumFiles >= fsimage.MaxFiles || c.NumFiles <= 0 && float64(c.FSSizeBytes)/mean >= fsimage.MaxFiles {
+		return fmt.Errorf("core: an image holds fewer than %d files (%w)", fsimage.MaxFiles, fsimage.ErrInvalidSpec)
+	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: negative parallelism %d (%w)", c.Parallelism, fsimage.ErrInvalidSpec)
 	}

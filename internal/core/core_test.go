@@ -113,10 +113,15 @@ func TestGenerateEmptyConfigFails(t *testing.T) {
 }
 
 // TestNewGeneratorRejectsCountsPastInt32: directory IDs and file indices are
-// held as int32, so a count past that — given, or derived from a size — is
-// an invalid spec, said before any work.
+// held as int32, and canonical file names ascend below fsimage.MaxFiles
+// files, so a count past either — given, or derived from a size — is an
+// invalid spec, said before any work.
 func TestNewGeneratorRejectsCountsPastInt32(t *testing.T) {
-	cases := map[string]Config{"files derived": {FSSizeBytes: 1 << 62}}
+	cases := map[string]Config{
+		"files derived":          {FSSizeBytes: 1 << 62},
+		"MaxFiles files":         {NumFiles: fsimage.MaxFiles, NumDirs: 10},
+		"MaxFiles files derived": {FSSizeBytes: int64((fsimage.MaxFiles + 1) * meanFileSize(nil))},
+	}
 	if math.MaxInt > math.MaxInt32 { // a 32-bit int cannot hold such a count
 		past := int64(math.MaxInt32) + 1
 		cases["files"] = Config{NumFiles: int(past), NumDirs: 10}
@@ -127,7 +132,7 @@ func TestNewGeneratorRejectsCountsPastInt32(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrInvalidSpec", name, err)
 		}
 	}
-	if _, err := NewGenerator(Config{NumFiles: math.MaxInt32, NumDirs: math.MaxInt32}); err != nil {
+	if _, err := NewGenerator(Config{NumFiles: fsimage.MaxFiles - 1, NumDirs: math.MaxInt32}); err != nil {
 		t.Errorf("the largest image: %v", err)
 	}
 }

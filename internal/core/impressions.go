@@ -44,12 +44,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Directory IDs (the parents column) and file indices (the squashfs
-	// sink's directory listings) are held as int32.
-	if normalized.NumFiles > math.MaxInt32 || normalized.NumDirs > math.MaxInt32 {
-		return nil, fmt.Errorf("core: %d files in %d directories: an image holds at most %d of either (%w)",
-			normalized.NumFiles, normalized.NumDirs, math.MaxInt32, fsimage.ErrInvalidSpec)
-	}
 	return &Generator{cfg: normalized}, nil
 }
 

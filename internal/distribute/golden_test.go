@@ -27,12 +27,13 @@ import (
 // fragments seal the plan with their chains, and no record, digest or tree
 // hash moved; every pin here was taken again at format version 5, whose
 // canonical file order is directory-major, so every file's name and content
-// stream moved.
+// stream moved; and every pin was taken again at digest version 2, which
+// plans name, so their fingerprints moved and no record or image byte did.
+// Since then the tree a directory target leaves hashes to the image digest.
 const (
-	goldenTreeHash  = "66f925fc468b0091f7f506e7a4c1f3ff2cc645ebd6b0caf3d4bda39b07bee988" // fsimage.HashTree of the materialized image
-	goldenDigest    = "8516c0a3d8cb09eac76b028d09d8ec2db883830419698d6ded8b826d26bf5965" // canonical image digest
-	goldenFragment1 = "d4ab6a76c228d9135726bb640cb7c8fe4a654cd236203c6682ec38f573121c43" // PartitionPlan, fragment 1
-	goldenShardDoc2 = "c7c4908272b1dcffe09d14b903578666d838f8b3f9c84427e3b7b7b745244493" // PartitionPlan, fragment 2 (first pinned as a shard document sliced out of the plan)
+	goldenDigest    = "68b599cfef3d86251d7873489b3a1be43599776ebcc3fd98baea321bc4854cfb" // canonical image digest, and fsimage.HashTree of the materialized image
+	goldenFragment1 = "c23eee8d3862e559c29b6ee1949d552ac51711646c263f90777bf9704630ca1c" // PartitionPlan, fragment 1
+	goldenShardDoc2 = "96a0b6348c85da83ff2588d53afb6f03e2599d7b3e32f552a0dc1a1b9de93555" // PartitionPlan, fragment 2 (first pinned as a shard document sliced out of the plan)
 )
 
 // goldenManifests are the ManifestSHA256 of shards 0-2 (29, 179 and 192
@@ -44,14 +45,14 @@ const (
 // testdata/journal-v1-shard1.jsonl (goldenJournalV1).
 var (
 	goldenManifests = [3]string{
-		"c1bf24b6144551d611fdcd0686acbc537e515cecebc7a1d9ec6d98372459d28d",
-		"11260190add1bf28b63e440c8d6cd6599b1f748630cc0a9952fb7eb85bd24e23",
-		"37b17af4754b67ffce9f997bd21883a660fa371b2b6278cb03b8ac7bec5ba554",
+		"f6f9cf6f05666b47aaa17712357f7b454a2dc039db6a2eec621b5c5684d4a99b",
+		"f06b972a2c089d580d14776e1d4a823f9d9ab623f0ec01bf3fa902bbf97125de",
+		"3fd5d66e8f20ba81e8a97cde03f1ed95a80062895bef14de79bc35c6a98d0a77",
 	}
 	goldenJournals = [3]string{
-		"452fd58e3f38e00e0e6167a0b74f3ee7b5e8b505ebfa49eadac93677ed805467",
-		"e16fae936cd735e841db92e127d7833c54300636863ad6c397106972b2418102",
-		"2959f269da5986de80bfa13db8acd966f13d1abc430a9463d637f643a3ab1080",
+		"b29d183d6cd616dae297fe12a03375da932eeb95dd164341019c4d59a235d3e0",
+		"50f793772d88e8f43da4f291e27508290e9141f0788a9e22c59f87e4221d1d89",
+		"386277844b5310bddf7f289f0e9c5776235cb09843f69811133bada08d034eac",
 	}
 )
 
@@ -105,10 +106,11 @@ func escapeConfig() core.Config {
 
 // Golden pins for escapeConfig() as a 3-shard plan with 64-record chunks,
 // taken at the commit before the chunk codec stopped going through fmt and
-// encoding/json (PR 17's tree), and again at format version 5.
+// encoding/json (PR 17's tree), and again at format version 5 and at digest
+// version 2.
 const (
-	goldenEscapeFragment1 = "7abf65e715b90004f365d48363ba88addadd40caa52817ea7408176bfba05692" // PartitionPlan, fragment 1
-	goldenEscapeShardDoc2 = "1291faf2656f61b4377729b643367ed92847ea4a33de282d5d6eebca6ba63df3" // PartitionPlan, fragment 2 (first pinned as a sliced shard document)
+	goldenEscapeFragment1 = "92b554f49c027c4c5c1f9d240759e1f1e12e93252a158ed2332d93c22f6a39fe" // PartitionPlan, fragment 1
+	goldenEscapeShardDoc2 = "33f74e4464ba31d628fc937a53770583c92e90ac197ed862541eb0403a9a7bd0" // PartitionPlan, fragment 2 (first pinned as a sliced shard document)
 )
 
 // handBuiltView is a shard view no generator produces: generated file names
@@ -197,8 +199,8 @@ func TestGoldenMaterializedTree(t *testing.T) {
 		if _, err := res.Image.Materialize(root, opts); err != nil {
 			t.Fatalf("j=%d: Materialize: %v", j, err)
 		}
-		if got, err := fsimage.HashTree(root); err != nil || got != goldenTreeHash {
-			t.Errorf("j=%d: tree hashes to %s (%v), pinned %s", j, got, err, goldenTreeHash)
+		if got, err := fsimage.HashTree(root); err != nil || got != goldenDigest {
+			t.Errorf("j=%d: tree hashes to %s (%v), pinned %s", j, got, err, goldenDigest)
 		}
 	}
 }
@@ -276,8 +278,8 @@ func TestExecuteTargetsGolden(t *testing.T) {
 			if !r.tree {
 				return
 			}
-			if got, err := fsimage.HashTree(outRoot); err != nil || got != goldenTreeHash {
-				t.Errorf("tree hashes to %s (%v), pinned %s", got, err, goldenTreeHash)
+			if got, err := fsimage.HashTree(outRoot); err != nil || got != goldenDigest {
+				t.Errorf("tree hashes to %s (%v), pinned %s", got, err, goldenDigest)
 			}
 		})
 	}

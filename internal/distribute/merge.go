@@ -269,7 +269,7 @@ func (m *merger) addFile(f fsimage.File, shard int) error {
 	i := m.cursors[shard]
 	m.cursors[shard]++
 	if m.entryErrs[shard] = mf.checkEntry(i, &f); m.entryErrs[shard] == nil && m.fold != nil {
-		m.fold.AddFile(m.check.ts.Tree(), f, mf.FileDigests[i].SHA256)
+		m.fold.AddFile(f, mf.FileDigests[i].SHA256)
 	}
 	return nil
 }
@@ -326,7 +326,7 @@ func (m *merger) result() (*MergeResult, error) {
 	if res.ContentHashed {
 		digest, err := m.fold.Sum()
 		if err != nil {
-			return nil, fmt.Errorf("distribute: %w (%w)", err, fsimage.ErrManifestIntegrity)
+			return nil, fmt.Errorf("distribute: %w", err)
 		}
 		res.Digest = digest
 	}

@@ -1,28 +1,31 @@
 package fsimage
 
 import (
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
 	"io"
-	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
+	"strings"
 
 	"impressions/internal/namespace"
 	"impressions/internal/parallel"
 	"impressions/internal/stats"
 )
 
-// DigestVersion names the canonical image-digest formula. It is part of the
-// distributed pipeline's wire contract: shard manifests carry per-file
-// content hashes, the merge step folds them with a DigestFold, and the
-// result must equal Digest computed by a single process. Bump the version if
-// the formula ever changes.
-const DigestVersion = "impressions-image-digest-v1"
+// DigestVersion names the canonical image digest, which every writer, the
+// merge of shard manifests and a walk of a written tree (HashTree) compute.
+// A directory's hash is SHA-256 over the SHA-256 of its files' entries
+// (AppendFileEntry), then its subdirectories' names, each with a NUL and
+// its hash, both in byte-wise name order. The image digest is SHA-256 over
+// the version, the totals and the root's hash; no ID, special mark, bias or
+// root name is hashed. Canonical file names ascend below MaxFiles files,
+// which core.Config.Validate enforces: no run has come near that size.
+const DigestVersion = "impressions-image-digest-v2"
 
 // MaterializeStreamLabel is the fork label of the RNG stream that drives
 // content generation; per-file streams are SplitN(fileID) children of it.
@@ -78,12 +81,11 @@ func (img *Image) ContentDigests(opts MaterializeOptions) ([]string, error) {
 	return digests, nil
 }
 
-// Digest computes the canonical SHA-256 of the image: directory paths in ID
-// order, then every file's path, size and content hash in ID order, which
-// is directory-major. Two
-// images with equal digests materialize to byte-identical trees. It is
-// computed without touching disk; the distributed merge step reproduces the
-// same value from shard manifests through a DigestFold.
+// Digest computes the canonical SHA-256 of the image (DigestVersion)
+// without touching disk. Two images with equal digests materialize to
+// byte-identical trees. The distributed merge step reproduces the same
+// value from shard manifests through a DigestFold, and HashTree from the
+// written tree.
 func (img *Image) Digest(opts MaterializeOptions) (string, error) {
 	digests, err := img.ContentDigests(opts)
 	if err != nil {
@@ -100,9 +102,6 @@ func CombineDigest(img *Image, fileDigests []string) (string, error) {
 		return "", fmt.Errorf("fsimage: %d file digests for %d files", len(fileDigests), len(img.Files))
 	}
 	b := NewDigestBuilder(img.DirCount(), img.FileCount(), img.TotalBytes(), func(f File) (string, error) {
-		if fileDigests[f.ID] == "" {
-			return "", fmt.Errorf("fsimage: missing content digest for file %d", f.ID)
-		}
 		return fileDigests[f.ID], nil
 	})
 	if err := img.StreamRecords(b); err != nil {
@@ -111,79 +110,147 @@ func CombineDigest(img *Image, fileDigests []string) (string, error) {
 	return b.Sum()
 }
 
-// AppendFileLine appends one file's line of the canonical digest,
-// "F <path> <size> <content sha256, hex>\n", to dst. It is the one formatter
-// of that line: DigestFold.AddFile uses it, and so do the archive sinks'
-// workers, which hand their lines to AddFileLines.
-func AppendFileLine[S string | []byte](dst, path []byte, size int64, hexSum S) []byte {
-	dst = append(dst, "F "...)
-	dst = append(dst, path...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, size, 10)
-	dst = append(dst, ' ')
-	dst = append(dst, hexSum...)
-	return append(dst, '\n')
+// AppendFileEntry appends a file's entry in its directory's hash to dst: its
+// name, a NUL, its size (8 bytes, big-endian) and its content SHA-256. The
+// archive sinks' workers format with it for DigestFold.AddFiles.
+func AppendFileEntry(dst []byte, name string, size int64, sum []byte) []byte {
+	dst = append(append(dst, name...), 0)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(size))
+	return append(dst, sum[:sha256.Size]...)
 }
 
-// DigestFold is the tree-free core of the canonical image digest (the
-// Digest / CombineDigest formula, DigestVersion): the header from the totals
-// the image promises, then a line per directory and per file, each formatted
-// over the tree of whoever feeds the fold — it holds none of its own. The
-// promised totals are part of the header, so they must be known up front
-// (plan headers and images both carry them); Sum fails if the fold did not
-// take exactly those totals. Directories go in ID order, then files in ID
-// order; the files of one directory come as one run, so its path is
-// rendered once per run (FilePath).
+// DigestFold folds the canonical digest of an image's directories, then its
+// files in canonical order, keeping one running hash for the open directory
+// and 32 bytes for each other one. Sum fails with ErrManifestIntegrity on
+// totals other than those promised, file names that do not ascend in their
+// directory, a directory that steps back, two sibling directories of one
+// name or a bad content hash.
 type DigestFold struct {
-	h         hash.Hash
-	wantDirs  int
-	wantFiles int
-	wantBytes int64
-	dirs      int
-	files     int
-	bytes     int64
-	path      FilePath
-	line      []byte
+	wantDirs, wantFiles, files int
+	wantBytes, bytes           int64
+
+	tree *namespace.Tree     // names the directories in Sum
+	sums [][sha256.Size]byte // each directory's files' hash, once closed
+	h    hash.Hash           // the open directory's files
+	open int                 // the open directory; -1 before the first file
+	last string              // the open directory's last file name
+	err  error
+	buf  []byte
 }
 
 // NewDigestFold starts a digest over an image promising the given totals.
 func NewDigestFold(dirs, files int, bytes int64) *DigestFold {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\ndirs:%d files:%d bytes:%d\n", DigestVersion, dirs, files, bytes)
-	return &DigestFold{h: h, wantDirs: dirs, wantFiles: files, wantBytes: bytes}
+	return &DigestFold{wantDirs: dirs, wantFiles: files, wantBytes: bytes, h: sha256.New(), open: -1}
 }
 
-// AddDir folds the line of directory id of tree, the next directory of the
-// image.
+// fail records the fold's first failure, which Sum returns.
+func (b *DigestFold) fail(format string, args ...any) {
+	if b.err == nil {
+		b.err = fmt.Errorf("fsimage: digest fold: "+format+" (%w)", append(args, ErrManifestIntegrity)...)
+	}
+}
+
+// AddDir takes directory id of tree, the next directory of the image. Sum
+// names the directories from tree, which the fold does not copy.
 func (b *DigestFold) AddDir(tree *namespace.Tree, id int) {
-	b.line = append(tree.AppendPath(append(b.line[:0], "D "...), id), '\n')
-	b.h.Write(b.line)
-	b.dirs++
+	if id != len(b.sums) || b.open >= 0 {
+		b.fail("directory %d arrived as directory %d", id, len(b.sums))
+	}
+	b.tree, b.sums = tree, append(b.sums, sha256.Sum256(nil))
 }
 
-// AddFile folds the line of the next file, in tree, of content hash sum.
-func (b *DigestFold) AddFile(tree *namespace.Tree, f File, sum string) {
-	b.line = AppendFileLine(b.line[:0], b.path.Append(tree, f), f.Size, sum)
-	b.AddFileLines(b.line, 1, f.Size)
+// AddFile folds the next file, of content hash sum (hex).
+func (b *DigestFold) AddFile(f File, sum string) {
+	var raw [sha256.Size]byte
+	if got, err := hex.AppendDecode(raw[:0], []byte(sum)); err != nil || len(got) != len(raw) {
+		b.fail("file %d has content hash %q", f.ID, sum)
+	}
+	b.buf = AppendFileEntry(b.buf[:0], f.Name, f.Size, raw[:])
+	b.AddFiles([]File{f}, b.buf)
 }
 
-// AddFileLines folds the AppendFileLine lines of the next files — that many
-// files, of that many bytes together — for a caller that formats them
-// elsewhere (the archive sinks' workers, beside each file's content hash).
-func (b *DigestFold) AddFileLines(lines []byte, files int, bytes int64) {
-	b.h.Write(lines)
-	b.files += files
-	b.bytes += bytes
+// AddFiles folds the next files, whose AppendFileEntry entries, in order,
+// are entries, for a caller that formats them elsewhere (the archive sinks'
+// workers, beside each file's content hash).
+func (b *DigestFold) AddFiles(files []File, entries []byte) {
+	n := 0 // entries[:n] are the open directory's, not yet hashed
+	for _, f := range files {
+		b.files++
+		b.bytes += f.Size
+		switch {
+		case f.DirID == b.open:
+			if f.Name <= b.last {
+				b.fail("file %q follows %q in directory %d", f.Name, b.last, f.DirID)
+			}
+		case f.DirID < b.open || f.DirID >= len(b.sums) || n > len(entries):
+			b.fail("file %d in directory %d follows directory %d of %d", f.ID, f.DirID, b.open, len(b.sums))
+			return
+		default:
+			if b.open >= 0 {
+				b.h.Write(entries[:n])
+				b.h.Sum(b.sums[b.open][:0])
+				b.h.Reset()
+			}
+			b.open, entries, n = f.DirID, entries[n:], 0
+		}
+		b.last = f.Name
+		n += len(f.Name) + 1 + 8 + sha256.Size // AppendFileEntry's length
+	}
+	if n != len(entries) {
+		b.fail("%d bytes of entries for %d files", len(entries), len(files))
+	}
+	b.h.Write(entries)
 }
 
 // Sum returns the canonical digest, verifying the fold took exactly the
-// totals promised to NewDigestFold.
+// totals promised to NewDigestFold. It hashes every directory in one pass
+// from the highest ID down: a subdirectory's ID is above its parent's, so
+// its hash is final before its parent's is taken.
 func (b *DigestFold) Sum() (string, error) {
-	if b.dirs != b.wantDirs || b.files != b.wantFiles || b.bytes != b.wantBytes {
-		return "", fmt.Errorf("fsimage: digest stream carried %d dirs, %d files, %d bytes; header promised %d, %d, %d",
-			b.dirs, b.files, b.bytes, b.wantDirs, b.wantFiles, b.wantBytes)
+	if b.err != nil {
+		return "", b.err
 	}
-	return hex.EncodeToString(b.h.Sum(nil)), nil
+	if len(b.sums) != b.wantDirs || b.files != b.wantFiles || b.bytes != b.wantBytes {
+		return "", fmt.Errorf("fsimage: digest stream carried %d dirs, %d files, %d bytes; header promised %d, %d, %d (%w)",
+			len(b.sums), b.files, b.bytes, b.wantDirs, b.wantFiles, b.wantBytes, ErrManifestIntegrity)
+	}
+	if b.open >= 0 {
+		b.h.Sum(b.sums[b.open][:0])
+	}
+	top := sha256.New()
+	fmt.Fprintf(top, "%s\ndirs:%d files:%d bytes:%d\n", DigestVersion, b.wantDirs, b.wantFiles, b.wantBytes)
+	if len(b.sums) == 0 {
+		return hex.EncodeToString(top.Sum(nil)), nil
+	}
+	// Every directory but the root, by parent, then by name: the
+	// subdirectories of d are the last run of kids[:at].
+	dirs, sums := b.tree.Dirs[:len(b.sums)], slices.Clone(b.sums)
+	kids := make([]int32, len(dirs)-1)
+	for i := range kids {
+		kids[i] = int32(i + 1)
+	}
+	slices.SortFunc(kids, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(dirs[x].Parent, dirs[y].Parent), strings.Compare(dirs[x].Name, dirs[y].Name))
+	})
+	h, at := sha256.New(), len(kids)
+	for d := len(dirs) - 1; d >= 0; d-- {
+		h.Reset()
+		h.Write(sums[d][:])
+		from := at
+		for from > 0 && dirs[kids[from-1]].Parent == d {
+			from--
+		}
+		for i, k := range kids[from:at] {
+			if i > 0 && dirs[k].Name == dirs[kids[from+i-1]].Name {
+				return "", fmt.Errorf("fsimage: directory %d holds two directories named %q (%w)", d, dirs[k].Name, ErrManifestIntegrity)
+			}
+			h.Write(append(append([]byte(dirs[k].Name), 0), sums[k][:]...))
+		}
+		h.Sum(sums[d][:0])
+		at = from
+	}
+	top.Write(sums[0][:])
+	return hex.EncodeToString(top.Sum(nil)), nil
 }
 
 // DigestBuilder is the canonical image digest of a record stream on its own:
@@ -211,7 +278,7 @@ func (b *DigestBuilder) AddDir(d DirRecord) error {
 	return nil
 }
 
-// AddFile folds the next file record (path, size, content hash) into the
+// AddFile folds the next file record (name, size, content hash) into the
 // digest.
 func (b *DigestBuilder) AddFile(f File) error {
 	if err := b.ts.AddFile(f); err != nil {
@@ -221,70 +288,45 @@ func (b *DigestBuilder) AddFile(f File) error {
 	if err != nil {
 		return err
 	}
-	b.fold.AddFile(b.ts.Tree(), f, sum)
-	return nil
+	b.fold.AddFile(f, sum)
+	return b.fold.err
 }
 
 // Sum returns the canonical digest, verifying the stream delivered exactly
 // the totals promised to NewDigestBuilder.
 func (b *DigestBuilder) Sum() (string, error) { return b.fold.Sum() }
 
-// HashTree computes a canonical SHA-256 over a real directory tree: every
-// entry in sorted relative-path order, directories as "D path", files as
-// "F path size contenthash". Two roots hash equal iff they hold the same
-// tree with byte-identical file contents, so it is the on-disk counterpart
-// of Digest for verifying that a distributed materialization produced
-// exactly the single-process tree.
+// HashTree computes the canonical digest of a real directory tree —
+// ScanTree, the SHA-256 of each file, CombineDigest — so a written image
+// walks to the digest its report, plan and daemon publish. A symlink, FIFO
+// or device in the tree fails it with ErrManifestIntegrity before any file
+// is opened.
 func HashTree(root string) (string, error) {
-	type entry struct {
-		rel   string
-		isDir bool
-		size  int64
-		sum   string
-	}
-	var entries []entry
-	h := sha256.New()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, rerr := filepath.Rel(root, path)
-		if rerr != nil {
-			return rerr
-		}
-		rel = filepath.ToSlash(rel)
-		if rel == "." {
-			return nil
-		}
-		if d.IsDir() {
-			entries = append(entries, entry{rel: rel, isDir: true})
-			return nil
-		}
-		fh, oerr := os.Open(path)
-		if oerr != nil {
-			return oerr
-		}
-		defer fh.Close()
-		h.Reset()
-		n, cerr := io.Copy(h, fh)
-		if cerr != nil {
-			return cerr
-		}
-		entries = append(entries, entry{rel: rel, size: n, sum: hex.EncodeToString(h.Sum(nil))})
-		return nil
-	})
+	res, err := ScanTree(root)
 	if err != nil {
-		return "", fmt.Errorf("fsimage: hashing tree %q: %w", root, err)
+		return "", err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].rel < entries[j].rel })
-	top := sha256.New()
-	fmt.Fprintf(top, "impressions-tree-hash-v1\n")
-	for _, e := range entries {
-		if e.isDir {
-			fmt.Fprintf(top, "D %s\n", e.rel)
-		} else {
-			fmt.Fprintf(top, "F %s %d %s\n", e.rel, e.size, e.sum)
+	if res.Irregular > 0 {
+		return "", fmt.Errorf("fsimage: tree %q holds %d entries that are neither directories nor regular files (%w)", root, res.Irregular, ErrManifestIntegrity)
+	}
+	img, h, buf := res.Image, sha256.New(), make([]byte, 64<<10)
+	digests := make([]string, len(img.Files))
+	var name []byte
+	for _, f := range img.Files {
+		name = appendEntryPath(name, root, img.Tree, f.DirID, f.Name)
+		fh, err := os.Open(string(name))
+		if err != nil {
+			return "", fmt.Errorf("fsimage: hashing tree: %w", err)
 		}
+		h.Reset()
+		// Hiding *os.File's WriteTo keeps it from copying through a buffer
+		// of its own.
+		_, err = io.CopyBuffer(h, struct{ io.Reader }{fh}, buf)
+		fh.Close()
+		if err != nil {
+			return "", fmt.Errorf("fsimage: hashing tree: %w", err)
+		}
+		digests[f.ID] = hex.EncodeToString(h.Sum(buf[:0]))
 	}
-	return hex.EncodeToString(top.Sum(nil)), nil
+	return CombineDigest(img, digests)
 }

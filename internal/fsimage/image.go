@@ -13,11 +13,11 @@
 // too large to retain. On Linux it creates each directory's run of files
 // with openat(2) against one descriptor on the directory.
 // ContentDigests/Digest is the hash-only oracle the writers are tested
-// against. The canonical digest has one fold, DigestFold, which holds no
-// tree: whoever feeds it formats the lines over the tree it already has —
-// the generator's (MaterializeSink), the one an archive sink rebuilds to
-// name its entries, the distributed merge's record check, or, for a stream
-// on its own, DigestBuilder's TreeSink.
+// against, and HashTree reads the same digest back from a written tree. The
+// canonical digest has one fold, DigestFold, which names directories from
+// the tree its feeder already has: the generator's (MaterializeSink), an
+// archive sink's, the distributed merge's record check, or DigestBuilder's
+// TreeSink.
 //
 // The chunked metadata stream (chunks.go) is how records travel in plan,
 // fragment and shard documents. Its encoder side renders with appenders:
@@ -149,6 +149,10 @@ func ExtensionOf(name string) string {
 	ext := path.Ext(name)
 	return strings.ToLower(strings.TrimPrefix(ext, "."))
 }
+
+// MaxFiles bounds an image's files: below it, MakeFileName's eight digits
+// keep each directory's file names ascending, as DigestVersion needs.
+const MaxFiles = 100_000_000
 
 // MakeFileName builds a file name from a numeric counter and extension,
 // matching the paper's "simple numeric counter" naming scheme:

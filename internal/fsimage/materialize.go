@@ -63,7 +63,7 @@ type MaterializeOptions struct {
 	OnDigest func(f File, sha256 string)
 	// Fold, when non-nil, folds the canonical image digest in the write
 	// pass: each directory the writer is given (the root included), then
-	// each file's line beside its content hash, under the same rules as
+	// each file's entry beside its content hash, under the same rules as
 	// OnDigest. Its Sum succeeds once one writer has fed it the whole image.
 	Fold *DigestFold
 }
@@ -209,15 +209,15 @@ func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, file
 			opts.OnDigest(f, sums[i])
 		}
 		if opts.Fold != nil {
-			opts.Fold.AddFile(tree, f, sums[i])
+			opts.Fold.AddFile(f, sums[i])
 		}
 	}
 	return written.Load(), nil
 }
 
 // FilePath renders the slash-separated path of file records relative to the
-// tree root — the name a file has in the canonical digest and in every
-// archive format — in one reused buffer. It renders a directory's part only
+// tree root — the name a file has in every archive format — in one reused
+// buffer. It renders a directory's part only
 // when the directory changes, which in canonical order is once per
 // directory. The zero value is ready to use.
 type FilePath struct {

@@ -1,12 +1,10 @@
 package fsimage
 
 import (
-	"cmp"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"impressions/internal/namespace"
 )
@@ -36,83 +34,48 @@ func Scan(root string) (*Image, error) {
 	return res.Image, nil
 }
 
-// ScanTree is Scan plus a report of the skipped irregular entries.
+// ScanTree is Scan plus a report of the skipped irregular entries. It takes
+// each directory's files in byte-wise name order, then numbers and scans its
+// subdirectories in that order, as the canonical digest takes them.
 func ScanTree(root string) (*ScanResult, error) {
-	info, err := os.Stat(root)
-	if err != nil {
-		return nil, fmt.Errorf("fsimage: stat root %q: %w", root, err)
-	}
-	if !info.IsDir() {
-		return nil, fmt.Errorf("fsimage: root %q is not a directory", root)
-	}
-
 	tree := namespace.GenerateTree(nil, 1, namespace.ShapeFlat)
-	img := New(tree)
-	dirIDs := map[string]int{".": 0}
-
-	// Collect entries in deterministic order: WalkDir visits lexically.
-	type pendingFile struct {
-		dir  int
-		name string
-		size int64
-	}
-	var files []pendingFile
-	irregular := 0
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	res := &ScanResult{Image: New(tree)}
+	var scan func(path string, id int) error
+	scan = func(path string, id int) error {
+		entries, err := os.ReadDir(path)
 		if err != nil {
 			return err
 		}
-		rel, rerr := filepath.Rel(root, path)
-		if rerr != nil {
-			return rerr
+		var subdirs []string
+		for _, e := range entries {
+			// e.Type() is the entry's own: a symlink, even to a directory,
+			// is irregular. Only regular files carry sizes to count.
+			switch {
+			case e.IsDir():
+				subdirs = append(subdirs, e.Name())
+			case e.Type()&fs.ModeType != 0:
+				res.Irregular++
+			default:
+				fi, err := e.Info()
+				if err != nil {
+					return err
+				}
+				res.Image.AddFile(e.Name(), ExtensionOf(e.Name()), fi.Size(), id, tree.Dirs[id].Depth+1)
+				tree.Dirs[id].FileCount++
+				tree.Dirs[id].Bytes += fi.Size()
+			}
 		}
-		if rel == "." {
-			return nil
+		for _, name := range subdirs {
+			sub := tree.AddDir(id)
+			tree.Dirs[sub].Name = name
+			if err := scan(filepath.Join(path, name), sub); err != nil {
+				return err
+			}
 		}
-		rel = filepath.ToSlash(rel)
-		parentID, ok := dirIDs[parentOf(rel)]
-		if !ok {
-			return fmt.Errorf("fsimage: scan saw %q before its parent", rel)
-		}
-		if d.IsDir() {
-			id := tree.AddDir(parentID)
-			tree.Dirs[id].Name = d.Name()
-			dirIDs[rel] = id
-			return nil
-		}
-		// WalkDir lstats entries, so d.Type() is the entry's own type: a
-		// symlink (even to a directory) shows up here, not as a dir. Only
-		// regular files carry sizes the histograms should see.
-		if d.Type()&fs.ModeType != 0 {
-			irregular++
-			return nil
-		}
-		fi, ierr := d.Info()
-		if ierr != nil {
-			return ierr
-		}
-		files = append(files, pendingFile{dir: parentID, name: d.Name(), size: fi.Size()})
 		return nil
-	})
-	if err != nil {
+	}
+	if err := scan(root, 0); err != nil {
 		return nil, fmt.Errorf("fsimage: scanning %q: %w", root, err)
 	}
-
-	// The canonical order is directory-major; WalkDir met each directory's
-	// files by name.
-	slices.SortStableFunc(files, func(a, b pendingFile) int { return cmp.Compare(a.dir, b.dir) })
-	for _, pf := range files {
-		img.AddFile(pf.name, ExtensionOf(pf.name), pf.size, pf.dir, tree.Dirs[pf.dir].Depth+1)
-		tree.Dirs[pf.dir].FileCount++
-		tree.Dirs[pf.dir].Bytes += pf.size
-	}
-	return &ScanResult{Image: img, Irregular: irregular}, nil
-}
-
-func parentOf(rel string) string {
-	dir := filepath.ToSlash(filepath.Dir(rel))
-	if dir == "" {
-		return "."
-	}
-	return dir
+	return res, nil
 }

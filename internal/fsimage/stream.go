@@ -18,7 +18,7 @@ import (
 // (MaterializeSink) — is the consumer's choice. A consumer that needs paths
 // reads them from the tree whoever feeds it already holds — the generator's,
 // or the one a TreeSink rebuilds while it validates the stream — rather than
-// rebuilding another: DigestFold formats the digest over a caller's tree, and
+// rebuilding another: DigestFold names directories from a caller's tree, and
 // MaterializeSink writes under one. The in-memory Image is kept for small
 // images, random access, and the library API; it is not the interchange
 // format, so pipelines that only stream hold O(chunk) file records

@@ -192,7 +192,7 @@ func TestDigestBuilderMatchesCombineDigest(t *testing.T) {
 func TestDigestBuilderRejectsWrongTotals(t *testing.T) {
 	img := buildTestImage(t)
 	b := NewDigestBuilder(img.DirCount(), img.FileCount()+1, img.TotalBytes(), func(f File) (string, error) {
-		return "x", nil
+		return strings.Repeat("0", 64), nil
 	})
 	if err := img.StreamRecords(b); err != nil {
 		t.Fatalf("stream: %v", err)

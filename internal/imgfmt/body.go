@@ -27,9 +27,9 @@ import (
 //     into chunks it owns, the body from the file's content stream
 //     (fsimage.ContentStreams) and hashed as it goes, and passes every full
 //     chunk to the run's channel. With a fsimage.DigestFold attached it also
-//     formats the file's line of the canonical digest, from the path the
-//     header was built from; the directories' lines the engine folds as the
-//     sink hands it each directory (addDir), from the sink's own tree.
+//     formats the file's entry of the canonical digest; the engine hands
+//     the fold each directory as the sink hands it one (addDir), of the
+//     sink's own tree.
 //   - The caller stays the only writer, and a copy loop: it drains the runs
 //     strictly in submission order — one write per chunk, OnDigest for the
 //     files a chunk completes, one fold per run — and hands each chunk back
@@ -86,9 +86,9 @@ type bodyRun struct {
 	// before it sends a chunk whose done exceeds i (unused for
 	// caller-hashed files).
 	sums [][sha256.Size]byte
-	// lines are the digest lines of the run's worker-hashed files, for the
-	// fold, stored by the worker before it sends the closing chunk.
-	lines []byte
+	// entries are the digest entries of the run's worker-hashed files, for
+	// the fold, stored by the worker before it sends the closing chunk.
+	entries []byte
 	// out carries the run's chunks in order. One worker fills it, holding
 	// at most bodyChunksPerWorker buffers, plus the buffer-less closing
 	// chunk: sends never block.
@@ -117,7 +117,7 @@ type bodyEngine struct {
 	// headers frames every file as a tar entry; nil (squashfs) leaves the
 	// bodies bare.
 	headers *tarHeaders
-	// tree names the files, for headers and fold lines. The sink sets it
+	// tree names the files' tar headers. The sink sets it
 	// (addDir, or directly for a segment) before the first add; once files
 	// flow only its directories' file counters change, which no worker reads.
 	tree *namespace.Tree
@@ -158,7 +158,7 @@ func newBodyEngine(opts Options, write func([]byte) error) *bodyEngine {
 
 // addDir takes the sink's next directory, id, of tree, the tree the sink
 // rebuilds from its stream: the files that follow are named from it, and an
-// attached fold takes the directory's line of the canonical digest here.
+// attached fold takes the directory here.
 func (e *bodyEngine) addDir(tree *namespace.Tree, id int) {
 	e.tree = tree
 	if e.opts.Fold != nil {
@@ -244,7 +244,7 @@ func (e *bodyEngine) drainHead() error {
 }
 
 // drain writes one run: every chunk as it arrives, OnDigest for the files
-// it completes, and the run's fold lines behind the last.
+// it completes, and the run's fold entries behind the last.
 func (e *bodyEngine) drain(r *bodyRun) error {
 	// A file over the workers' budget is alone in its run, and hashed here
 	// from what its chunks mark; all others arrive hashed.
@@ -290,7 +290,7 @@ func (e *bodyEngine) drain(r *bodyRun) error {
 	e.written += bytes
 	if !callerHashed {
 		if e.opts.Fold != nil {
-			e.opts.Fold.AddFileLines(r.lines, len(r.files), bytes)
+			e.opts.Fold.AddFiles(r.files, r.entries)
 		}
 		return nil
 	}
@@ -301,7 +301,7 @@ func (e *bodyEngine) drain(r *bodyRun) error {
 		e.opts.OnDigest(f, sum)
 	}
 	if e.opts.Fold != nil {
-		e.opts.Fold.AddFile(e.tree, f, sum)
+		e.opts.Fold.AddFile(f, sum)
 	}
 	return nil
 }
@@ -374,7 +374,7 @@ func (e *bodyEngine) work(ctx context.Context) {
 // reports whether the worker should go on.
 func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) bool {
 	c.out, c.done = r.out, 0
-	lines := r.lines[:0]
+	entries := r.entries[:0]
 	for i, f := range r.files {
 		if err := e.frame(c, f); err != nil {
 			if c.ctx.Err() != nil {
@@ -389,13 +389,12 @@ func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) bool {
 				copy(r.sums[i][:], sum)
 			}
 			if e.opts.Fold != nil {
-				hex.Encode(c.hex[:], sum)
-				lines = fsimage.AppendFileLine(lines, c.path, f.Size, c.hex[:])
+				entries = fsimage.AppendFileEntry(entries, f.Name, f.Size, sum)
 			}
 		}
 		c.done = i + 1
 	}
-	r.lines = lines
+	r.entries = entries
 	c.send(true, nil)
 	return true
 }
@@ -404,10 +403,8 @@ func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) bool {
 // into an image: header, content from the file's own ID-keyed stream (zeros
 // with MetadataOnly), padding.
 func (e *bodyEngine) frame(c *chunker, f fsimage.File) error {
-	if e.headers != nil || e.opts.Fold != nil {
-		c.path = c.paths.Append(e.tree, f)
-	}
 	if e.headers != nil {
+		c.path = c.paths.Append(e.tree, f)
 		var err error
 		if c.hdr, err = e.headers.file.append(c.hdr[:0], c.path, f.Size); err != nil {
 			return err
@@ -461,11 +458,10 @@ type chunker struct {
 	lo, hi int
 
 	// Scratch, reused from file to file: the entry's path (rendered in
-	// paths) and header, its SHA-256 and that in hex.
+	// paths) and header, and its SHA-256.
 	path, hdr []byte
 	paths     fsimage.FilePath
 	sum       [sha256.Size]byte
-	hex       [2 * sha256.Size]byte
 }
 
 // Write takes a file's content from its generator.

@@ -20,7 +20,9 @@ import (
 // canonical image digest. The values were taken from the writers as they
 // stood before the worker-side framing of PR 16 (archive/tar wrote every
 // header then), and taken again when the canonical file order became
-// directory-major (plan format 5), which both images now follow. A change
+// directory-major (plan format 5), which both images now follow; the
+// digests alone were taken again at digest version 2, which moved no image
+// byte. A change
 // that moves one of them is a format change: it needs a deliberate version
 // bump and new pins, never a quiet update here.
 func TestGoldenImageBytes(t *testing.T) {
@@ -36,7 +38,7 @@ func TestGoldenImageBytes(t *testing.T) {
 			"segment2": "6a2ec23957fcb38068cf39e767f4481039bf8a9649f7359ba8fe996d6fa4fda2",
 			"stitched": "7cd57d28acf74961f85874d15fb96eb1cadf3994f00ebe086751e924cd79debc",
 			"squashfs": "b1dab352a332b17754e367210298bf118cf3026d8f05ec6eb4f563072019139d",
-			"digest":   "35cb7a9ea82a91dd4b55c5339165b52114071cff5f911cedd45f686639c9166f",
+			"digest":   "a3c90f747b06e495cc602da73dab8afa6a491a5920e78b47390eede89c0f3bdb",
 		}},
 		{"longNameImage", longNameImage(), map[string]string{
 			"tar":      "1d413683fe3a60243e66d7f1cba1f599d24e31b42b913c64fc7fb4f5785da595",
@@ -45,7 +47,7 @@ func TestGoldenImageBytes(t *testing.T) {
 			"segment2": "8f0e99c1206b509249fe963badf2eb3a0c44025fa7d8014a59a102d72bff1516",
 			"stitched": "1d413683fe3a60243e66d7f1cba1f599d24e31b42b913c64fc7fb4f5785da595",
 			"squashfs": "44885ddd92b367a03778a7d43b7b16b75d1164c698d8102bb4e7166cca561a1e",
-			"digest":   "f46abb97168c3204fdd8a6c9d09ab0e917dc93155fd07f93440d0630b2f4ca67",
+			"digest":   "85ca471aa6d1cc13b8807d0247481722b9d07bd5cacd543551afb82754635d3d",
 		}},
 	} {
 		got := goldenSums(t, tc.img)

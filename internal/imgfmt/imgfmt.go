@@ -8,18 +8,11 @@
 // workers put file entries together ahead of the one goroutine that writes
 // the image (the ordered, bounded pipeline in body.go). Everything that
 // costs per entry happens in the workers — the tar header, the content and
-// its hash, the padding, the file's line of the canonical digest — so the
+// its hash, the padding, the file's entry of the canonical digest — so the
 // writer is a copy loop, one write per 128 KiB chunk of finished entries,
 // and is not what bounds -j on ~1 KB files. A digest fold set as opts.Fold
-// takes the directories' lines from the tree the sink rebuilds to name its
-// entries, and the files' from the workers: a digest costs no tree of its
-// own. Use it as
-//
-//	fold := fsimage.NewDigestFold(dirs, files, bytes)
-//	opts.Fold = fold
-//	sink := imgfmt.NewTarSink(w, opts)
-//	err := src.StreamRecords(sink)
-//	... sink.Close(), then fold.Sum()
+// takes the directories of the tree the sink rebuilds to name its entries,
+// and the files' entries from the workers; Digest shows its use.
 //
 // Two backends ship:
 //
@@ -45,9 +38,9 @@
 //   - SquashfsSink writes an uncompressed squashfs v4 image — superblock,
 //     data blocks, inode/directory/id tables — that mounts directly with
 //     `mount -o loop` (or any squashfs reader), built from the compact
-//     directory tree plus per-file integer columns. ReadSquashfsTree is the
+//     directory tree plus per-file integer columns. ExtractSquashfs is the
 //     matching in-repo reader used by tests (and anyone without mount
-//     privileges) to walk the produced image.
+//     privileges) to extract the produced image.
 //
 // Determinism: every file's content comes from its stream in
 // fsimage.ContentStreams, the frozen materialize contract, so a tar body, a
