@@ -13,12 +13,15 @@ test:
 
 # The experiment suite (internal/bench) regenerates every paper figure and
 # needs more than the default 10m under the race detector on small machines.
-# The supervisor packages and the fragment replay run three more times: a
-# race there shows only on some interleavings. The CI test job runs this.
+# The supervisor packages, the fragment replay and the archive sinks' body
+# engine (its workers write at offsets, or wait their turn in order) run
+# three more times: a race there shows only on some interleavings; the
+# engine's line adds about 2 min 15 s on 2 cores. The CI test job runs this.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=3 -timeout 30m ./internal/fleet/... ./internal/serve/... ./cmd/impressions/...
 	$(GO) test -race -count=3 -timeout 30m -run 'FragmentSource|FragmentsCarry' ./internal/distribute
+	$(GO) test -race -count=3 -timeout 30m -run 'Identical|Surface|Sink' ./internal/imgfmt
 
 # Full benchmark suite (paper tables/figures + micro + parallel engine).
 bench:
@@ -196,7 +199,10 @@ fleet-fault-check:
 # during its write at -j 1 and at -j 4), the archive must be readable
 # by system tar and directory-local (each directory's files one run of
 # entries), both sinks must write the same bytes at -j 1 and -j 4 (the
-# content workers behind them change nothing but the time), the squashfs
+# content workers behind them change nothing but the time), a tar written
+# onto a FIFO (which the sinks write in order, not at offsets) must be the
+# same bytes while a squashfs image, whose superblock is patched last, must
+# fail there with its seek error, the squashfs
 # run must print the tar run's digest, and a plan executed by 3 tar-segment
 # workers (at -j 1, 2 and 4) and stitched must be byte-identical to the
 # single-process tar of the same spec. A stitch handed its segments in the
@@ -212,6 +218,11 @@ image-sink-check:
 	./impressions $$spec -j 1 -format tar -out single.tar -digest | grep '^image digest:' > tar.digest; \
 	./impressions $$spec -j 4 -format tar -out single-j4.tar -digest | grep '^image digest:' > tar-j4.digest; \
 	cmp single.tar single-j4.tar; cmp tar.digest tar-j4.digest; \
+	mkfifo p; cat p > fifo.tar & reader=$$!; ./impressions $$spec -j 4 -format tar -out p > /dev/null; wait $$reader; cmp single.tar fifo.tar; \
+	cat p > /dev/null & reader=$$!; \
+	if ./impressions $$spec -j 4 -format squashfs -out p > /dev/null 2> fifo-squashfs.err; then \
+		echo "image-sink-check: a squashfs image onto a FIFO succeeded"; exit 1; fi; \
+	wait $$reader; grep -q 'seeking to squashfs superblock: .*illegal seek' fifo-squashfs.err; \
 	for j in 1 4; do ./impressions $$spec -j $$j -digest -out vfs-j$$j | grep '^image digest:' > vfs-j$$j.digest; cmp tar.digest vfs-j$$j.digest; done; \
 	./impressions $$spec -layout 0.8 -digest | grep '^image digest:' > layout.digest; cmp tar.digest layout.digest; \
 	./impressions -files 20000 -dirs 2000 -size 22MB -size-mu 6.9 -size-sigma 0.5 -layout 0.9 > /dev/null; \
@@ -230,7 +241,7 @@ image-sink-check:
 	./impressions $$spec -j 1 -format squashfs -out image.squashfs -digest | grep '^image digest:' > squashfs.digest; \
 	./impressions $$spec -j 4 -format squashfs -out image-j4.squashfs; \
 	cmp image.squashfs image-j4.squashfs; cmp tar.digest squashfs.digest; \
-	echo "image-sink-check: OK (tar digest matches VFS at -j 1 and -j 4, squashfs and -layout 0.8; small files age toward -layout 0.9; tar directory-local; -j 1 and -j 4 byte-identical; 3-worker stitch byte-identical; swapped segments refused)"
+	echo "image-sink-check: OK (tar digest matches VFS at -j 1 and -j 4, squashfs and -layout 0.8; small files age toward -layout 0.9; tar directory-local; -j 1, -j 4 and a FIFO byte-identical, squashfs onto a FIFO refused; 3-worker stitch byte-identical; swapped segments refused)"
 
 # Local mirror of the CI bench-pipeline job. bench/pipeline is a Go module of
 # its own, so `go vet ./...` and `go test ./...` from the root never see it:

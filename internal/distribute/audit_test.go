@@ -75,6 +75,33 @@ func TestMergeGradesShards(t *testing.T) {
 	}
 }
 
+// TestMergeGradesMalformedHash: a manifest resealed with a content hash
+// that is not 64 hex digits is its shard's grade, ShardInvalid with
+// ErrManifestIntegrity, and the other shards still verify.
+func TestMergeGradesMalformedHash(t *testing.T) {
+	p := planRoundTrip(t, testConfig(), 3)
+	ms := runManifests(t, p, t.TempDir())
+	const bad = 1
+	if len(ms) != 3 || len(ms[bad].FileDigests) == 0 {
+		t.Fatalf("want 3 shards, shard %d with files: %d shards", bad, len(ms))
+	}
+	resealed := *ms[bad]
+	resealed.FileDigests = append([]FileDigest(nil), resealed.FileDigests...)
+	resealed.FileDigests[0].SHA256 = "zz"
+	resealed.Seal()
+	res, err := Merge(p.source(), []*Manifest{ms[0], &resealed, ms[2]})
+	if err != nil {
+		t.Fatalf("Merge: %v", err)
+	}
+	for s, st := range res.Statuses {
+		if s == bad && (st.State != ShardInvalid || !errors.Is(st.Err, fsimage.ErrManifestIntegrity)) {
+			t.Errorf("shard %d with a malformed hash: %+v", s, st)
+		} else if s != bad && st.State != ShardVerified {
+			t.Errorf("honest shard %d: %+v", s, st)
+		}
+	}
+}
+
 // TestManifestCheckVerify covers the O(shards) check a scheduler commits
 // shards by: it accepts what Merge verifies and refuses what Merge would
 // grade invalid, a resealed manifest with another entry size included.
@@ -107,6 +134,7 @@ func TestManifestCheckVerify(t *testing.T) {
 		"another file":     reseal(*ms[1], func(m *Manifest) { m.FileDigests[0].ID++ }),
 		"two files turned": reseal(*ms[1], func(m *Manifest) { m.FileDigests[0], m.FileDigests[1] = m.FileDigests[1], m.FileDigests[0] }),
 		"no content hash":  reseal(*ms[0], func(m *Manifest) { m.FileDigests[1].SHA256 = "" }),
+		"not hex":          reseal(*ms[0], func(m *Manifest) { m.FileDigests[1].SHA256 = "zz" }),
 		"nil":              nil,
 	} {
 		err := check.Verify(bad)

@@ -158,8 +158,14 @@ func (m *Manifest) checkEntry(i int, f *fsimage.File) error {
 		return fmt.Errorf("distribute: shard %d manifest entry %d is file %d of %d bytes, plan assigns file %d of %d bytes (%w)",
 			m.Shard, i, fd.ID, fd.Size, f.ID, f.Size, fsimage.ErrManifestIntegrity)
 	}
-	if m.ContentHashed && fd.SHA256 == "" {
-		return fmt.Errorf("distribute: shard %d manifest is missing the content hash of file %d (%w)", m.Shard, f.ID, fsimage.ErrManifestIntegrity)
+	return m.checkHash(fd)
+}
+
+// checkHash holds an entry of a hashed manifest to a content hash's form,
+// 64 hex digits, as the digest fold decodes it.
+func (m *Manifest) checkHash(fd FileDigest) error {
+	if _, ok := fsimage.ParseContentHash(fd.SHA256); m.ContentHashed && !ok {
+		return fmt.Errorf("distribute: shard %d manifest has content hash %q for file %d, not 64 hex digits (%w)", m.Shard, fd.SHA256, fd.ID, fsimage.ErrManifestIntegrity)
 	}
 	return nil
 }
@@ -411,8 +417,8 @@ func (c *ManifestCheck) Verify(m *Manifest) error {
 	}
 	e := entryHash{h: sha256.New()}
 	for _, fd := range m.FileDigests {
-		if m.ContentHashed && fd.SHA256 == "" {
-			return fmt.Errorf("distribute: shard %d manifest is missing the content hash of file %d (%w)", m.Shard, fd.ID, fsimage.ErrManifestIntegrity)
+		if err := m.checkHash(fd); err != nil {
+			return err
 		}
 		e.add(fd.ID, fd.Size)
 	}

@@ -336,8 +336,8 @@ func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOption
 	case opts.JournalPath != "" || opts.FailAfterFiles > 0:
 		err = errors.New("JournalPath and FailAfterFiles need a directory target")
 	default:
-		// The segment is written sequentially, its content generated and
-		// hashed by opts.Parallelism workers ahead of the writer.
+		// The segment's content is generated and hashed by opts.Parallelism
+		// workers, each writing its chunks at their offsets in the segment.
 		written, err = imgfmt.WriteSegment(target.tar, v.Tree, v.Dirs, v.Files, mopts)
 	}
 	if err != nil {

@@ -159,10 +159,18 @@ func (b *DigestFold) AddDir(tree *namespace.Tree, id int) {
 	b.tree, b.sums = tree, append(b.sums, sha256.Sum256(nil))
 }
 
+// ParseContentHash decodes a file's content hash as OnDigest and the
+// manifests carry it: 64 hex digits.
+func ParseContentHash(sum string) ([sha256.Size]byte, bool) {
+	var raw [sha256.Size]byte
+	got, err := hex.AppendDecode(raw[:0], []byte(sum))
+	return raw, err == nil && len(got) == len(raw)
+}
+
 // AddFile folds the next file, of content hash sum (hex).
 func (b *DigestFold) AddFile(f File, sum string) {
-	var raw [sha256.Size]byte
-	if got, err := hex.AppendDecode(raw[:0], []byte(sum)); err != nil || len(got) != len(raw) {
+	raw, ok := ParseContentHash(sum)
+	if !ok {
 		b.fail("file %d has content hash %q", f.ID, sum)
 	}
 	b.buf = AppendFileEntry(b.buf[:0], f.Name, f.Size, raw[:])

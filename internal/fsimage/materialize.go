@@ -44,11 +44,11 @@ type MaterializeOptions struct {
 	// sufficient for metadata-only studies. Nothing is hashed, so OnDigest
 	// and Fold get nothing.
 	MetadataOnly bool
-	// Parallelism is the number of workers generating (and for the VFS
-	// writer writing) files; 0 selects runtime.NumCPU(), 1 is one worker.
-	// Every file's content is drawn from a stream derived from the seed and
-	// the file's ID, so the written bytes, the OnDigest sequence and the
-	// folded digest are identical at every parallelism level.
+	// Parallelism is the number of workers generating and writing files; 0
+	// selects runtime.NumCPU(), 1 is one worker. Every file's content is
+	// drawn from a stream derived from the seed and the file's ID, so the
+	// written bytes, the OnDigest sequence and the folded digest are
+	// identical at every parallelism level.
 	Parallelism int
 	// Context, when non-nil, cancels the write: the workers poll it between
 	// files and stop with its error. What is written stays in place, so

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"io"
 	"slices"
 	"sync"
 
@@ -15,61 +16,42 @@ import (
 )
 
 // The body engine is the one place file entries are framed, generated and
-// hashed for every archive writer (TarSink, WriteSegment, SquashfsSink). It
-// is an ordered, bounded, parallel pipeline:
+// hashed for every archive writer (TarSink, WriteSegment, SquashfsSink):
 //
-//   - The goroutine calling add/finish (the sink's AddFile/Close caller) cuts
-//     the file stream into runs — consecutive files that together fit one
-//     chunk, or a single larger file — and queues them in stream order.
-//   - Options.Parallelism workers take runs off the queue. A worker writes
-//     each file of its run as the image holds it — for tar the header, the
-//     body, the zeros up to the next block; for squashfs the body alone —
-//     into chunks it owns, the body from the file's content stream
-//     (fsimage.ContentStreams) and hashed as it goes, and passes every full
-//     chunk to the run's channel. With a fsimage.DigestFold attached it also
-//     formats the file's entry of the canonical digest; the engine hands
-//     the fold each directory as the sink hands it one (addDir), of the
-//     sink's own tree.
-//   - The caller stays the only writer, and a copy loop: it drains the runs
-//     strictly in submission order — one write per chunk, OnDigest for the
-//     files a chunk completes, one fold per run — and hands each chunk back
-//     to the worker it came from. It runs at most a window of runs behind
-//     submission.
+//   - The goroutine calling add/finish (the sink's AddFile/Close caller)
+//     gives each file its offset, a running sum of what files take in the
+//     image (for tar header, content and padding, the header as long as
+//     tarHeaders renders it; for squashfs the content), and queues runs:
+//     consecutive files that together fit one chunk, or one larger file.
+//   - Options.Parallelism workers take the runs in stream order, put each
+//     file into their one chunk as the image holds it — the content from
+//     the file's stream (fsimage.ContentStreams), hashed as it goes, and
+//     with a fsimage.DigestFold attached the file's digest entry — and write
+//     each full chunk at its offset (io.WriterAt: pwrite(2) on a file,
+//     nothing at all on io.Discard).
+//   - The caller's in-order work is only what must be in order: as runs
+//     complete, OnDigest for their files and one fold a run, at most a ring
+//     of runs behind. What a sink frames itself (tar directory headers and
+//     trailer, squashfs superblock and tables) goes through Write.
 //
-// Bytes are a pure function of (seed, file): which worker generates a file,
-// and when, changes nothing that is written. j = 1 is the same pipeline with
-// one worker, and MetadataOnly the same pipeline with zeros for content.
-//
-// Memory: a worker owns bodyChunksPerWorker chunks and blocks when all of
-// them are with the writer, so bytes in flight are capped at 512 KiB per
-// worker whatever the file sizes and counts. A file larger than that streams
-// through chunk by chunk while its worker keeps generating. Such a file is
-// hashed by the caller as it is written rather than by the worker: one
-// file's generator is sequential, so taking SHA-256 off its goroutine is the
-// only overlap there is to have (generation on one core, hash and write on
-// another). Each of its chunks says where in it the file's content lies, so
-// that header and padding stay out of that hash. Files within the budget are
-// generated ahead of the writer anyway, and those are hashed where they are
-// generated, in parallel.
-//
-// Workers never block on anything but their own chunks coming back, the job
-// queue, and the context; the first error — from the writer, a generator,
-// or Options.Context — cancels them and waits for them to exit before the
-// caller sees it. There are no workers before the first file.
+// A destination that cannot seek (a pipe, an HTTP response, a buffer) gets
+// the same engine through inOrder, and only there does a worker wait for
+// the runs ahead of its own. Bytes are a pure function of (seed, file);
+// j = 1 is the same pipeline with one worker, and MetadataOnly the same
+// pipeline with zeros for content. The first error — a write, a generator,
+// Options.Context — stops the workers before the caller sees it.
 const (
-	// bodyChunkSize is the hand-off unit between a worker and the writer.
-	// Runs of small files are cut to fit one chunk, so the hand-off costs
-	// one channel operation per run rather than one per file.
+	// bodyChunkSize is a worker's write unit; runs of small files are cut to
+	// fit one, so the queue costs a channel operation per run, not per file.
 	bodyChunkSize = 128 << 10
-	// bodyChunksPerWorker chunks belong to each worker.
-	bodyChunksPerWorker = 4
-	// bodyWorkerBudget is the content one worker can hold ahead of the
-	// writer; larger files are hashed by the caller (see above).
-	bodyWorkerBudget = bodyChunkSize * bodyChunksPerWorker
-	// bodyRunFiles caps the files of one run (empty squashfs files have no
-	// bytes to cut a run by), which with the window bounds how far OnDigest
-	// lags.
+	// bodyRunsPerWorker runs a worker are queued or in progress. They hold
+	// no content, so a deep ring is cheap and feeds the workers past a long
+	// run at its head.
+	bodyRunsPerWorker = 4
+	// bodyRunFiles caps a run's files (empty squashfs files have no bytes to
+	// cut a run by), which with the ring bounds how far OnDigest lags.
 	bodyRunFiles = 256
+	ownHold      = 64 << 10 // what Write holds before it writes
 )
 
 // zeroBlock feeds MetadataOnly entry bodies and every format's padding.
@@ -81,39 +63,19 @@ var errSinkClosed = errors.New("imgfmt: sink used after Close")
 
 // bodyRun is a run of consecutive files handed to one worker.
 type bodyRun struct {
-	files []fsimage.File
-	// sums[i] is files[i]'s SHA-256, for OnDigest, stored by the worker
-	// before it sends a chunk whose done exceeds i (unused for
-	// caller-hashed files).
-	sums [][sha256.Size]byte
-	// entries are the digest entries of the run's worker-hashed files, for
-	// the fold, stored by the worker before it sends the closing chunk.
+	files    []fsimage.File
+	off, end int64 // the run's bytes are [off, end) of the image
+	// The files' SHA-256, for OnDigest, and digest entries, for the fold,
+	// stored by the worker before it sends its verdict on done (cap 1).
+	sums    [][sha256.Size]byte
 	entries []byte
-	// out carries the run's chunks in order. One worker fills it, holding
-	// at most bodyChunksPerWorker buffers, plus the buffer-less closing
-	// chunk: sends never block.
-	out chan bodyChunk
-}
-
-// bodyChunk is one hand-off from a worker to the writer.
-type bodyChunk struct {
-	data []byte        // the next bytes of the image
-	free chan<- []byte // where data's buffer goes back to
-	done int           // files of the run complete with this chunk
-	// data[lo:hi] is content of a file the caller hashes (hi is 0 when
-	// there is none).
-	lo, hi int
-	last   bool  // nothing follows in this run
-	err    error // the generator failed (last is set)
+	done    chan error
 }
 
 type bodyEngine struct {
 	opts    Options
 	ctx     context.Context // the caller's, Options.Context
 	streams fsimage.ContentStreams
-	// hashing says the files' SHA-256 are wanted, by opts.OnDigest or
-	// opts.Fold (neither is set with MetadataOnly).
-	hashing bool
 	// headers frames every file as a tar entry; nil (squashfs) leaves the
 	// bodies bare.
 	headers *tarHeaders
@@ -121,39 +83,111 @@ type bodyEngine struct {
 	// (addDir, or directly for a segment) before the first add; once files
 	// flow only its directories' file counters change, which no worker reads.
 	tree *namespace.Tree
-	// write is the sink, called on the caller's goroutine, in stream order.
-	write func([]byte) error
+	path fsimage.FilePath // the caller's, to size tar headers
 
-	// runs is a ring: [head, tail) are queued and not yet drained,
+	dst  io.WriterAt // takes the image's bytes at their offsets; nil keeps none
+	base int64       // where the image starts in the destination
+	pos  int64       // the offset of the image's next byte
+	// own holds what Write took and has not written, from offset ownAt.
+	own   []byte
+	ownAt int64
+
+	// runs is a ring: [head, tail) are queued and not yet collected,
 	// runs[tail%len] is being filled by add.
 	runs       []bodyRun
 	head, tail int
 	fillBytes  int64
 	jobs       chan *bodyRun // cap len(runs): sends never block
 
-	started int                // workers running, at most opts.Parallelism
-	cancel  context.CancelFunc // stops them; nil when there are none
-	workCtx context.Context
+	workCtx context.Context    // the workers', which a write inOrder holds ends with
+	cancel  context.CancelFunc // stops them; nil once stopped
 	wg      sync.WaitGroup
 
-	hash    hash.Hash // for caller-hashed files
-	err     error     // first failure, or errSinkClosed
-	written int64     // content bytes drained so far
+	err     error // first failure, or errSinkClosed
+	written int64 // content bytes of the runs collected so far
 }
 
-// newBodyEngine takes opts with their defaults filled in.
-func newBodyEngine(opts Options, write func([]byte) error) *bodyEngine {
+// newBodyEngine takes opts with their defaults filled in, the sink's
+// destination, and for tar the header builder.
+func newBodyEngine(opts Options, w io.Writer, headers *tarHeaders) *bodyEngine {
 	if opts.MetadataOnly {
 		// Zeros are not content: nobody is told their hashes.
 		opts.OnDigest, opts.Fold = nil, nil
 	}
-	return &bodyEngine{
+	e := &bodyEngine{
 		opts:    opts,
 		ctx:     opts.Context,
 		streams: fsimage.NewContentStreams(opts.Seed),
-		hashing: opts.OnDigest != nil || opts.Fold != nil,
-		write:   write,
+		headers: headers,
 	}
+	e.workCtx, e.cancel = context.WithCancel(e.ctx)
+	e.dst, e.base = destination(w, e.workCtx.Done())
+	return e
+}
+
+// destination returns where the engine writes w's image and from which of
+// w's offsets: nowhere for io.Discard; w itself, from where it stands, when
+// it can write at offsets and seek; otherwise an inOrder over it.
+func destination(w io.Writer, quit <-chan struct{}) (io.WriterAt, int64) {
+	if w == io.Discard {
+		return nil, 0
+	}
+	if wa, ok := w.(io.WriterAt); ok {
+		if s, ok := w.(io.Seeker); ok {
+			if base, err := s.Seek(0, io.SeekCurrent); err == nil {
+				return io.NewOffsetWriter(wa, base), base
+			}
+		}
+	}
+	return &inOrder{w: fullWriter{w}, quit: quit, turn: make(chan struct{})}, 0
+}
+
+// writeAt writes p at off of dst, holding it to the io.Writer contract as
+// fullWriter does.
+func writeAt(dst io.WriterAt, p []byte, off int64) error {
+	n, err := dst.WriteAt(p, off)
+	if n < len(p) && err == nil {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		return fmt.Errorf("imgfmt: writing image bytes %d to %d: %w", off, off+int64(len(p)), err)
+	}
+	return nil
+}
+
+// inOrder is the io.WriterAt of a destination that cannot seek: it writes p
+// when off is the next offset due and holds any later write until the bytes
+// before it are written.
+type inOrder struct {
+	w    io.Writer
+	quit <-chan struct{}
+	mu   sync.Mutex
+	next int64         // the offset of w's next byte
+	turn chan struct{} // closed, and replaced, as next moves
+}
+
+func (o *inOrder) WriteAt(p []byte, off int64) (int, error) {
+	for {
+		o.mu.Lock()
+		next, turn := o.next, o.turn
+		o.mu.Unlock()
+		if off == next {
+			break
+		}
+		select {
+		case <-turn:
+		case <-o.quit:
+			return 0, context.Canceled // the engine stopped
+		}
+	}
+	// Only the write at next runs: the others wait for it to move.
+	n, err := o.w.Write(p)
+	o.mu.Lock()
+	o.next += int64(n)
+	close(o.turn)
+	o.turn = make(chan struct{})
+	o.mu.Unlock()
+	return n, err
 }
 
 // addDir takes the sink's next directory, id, of tree, the tree the sink
@@ -166,16 +200,34 @@ func (e *bodyEngine) addDir(tree *namespace.Tree, id int) {
 	}
 }
 
-// framed is the bytes a file of that size takes in the image.
-func (e *bodyEngine) framed(size int64) int64 {
-	if e.headers == nil {
-		return size
+// Write takes bytes the sink frames itself, at the image's next offset,
+// and holds them until Flush, the next run, or ownHold bytes. A sink writes
+// none between its first file and finish (TreeSink refuses a directory
+// after a file), so no queued run is ahead of them.
+func (e *bodyEngine) Write(p []byte) (int, error) {
+	if len(e.own) == 0 {
+		e.ownAt = e.pos
 	}
-	return tarBlock + size + int64(tarPadding(size))
+	e.own = append(e.own, p...)
+	e.pos += int64(len(p))
+	if len(e.own) >= ownHold {
+		return len(p), e.Flush()
+	}
+	return len(p), nil
 }
 
-// add queues the next file. Earlier files may be written during the call;
-// this one is written by a later add or by finish.
+// Flush writes what Write holds.
+func (e *bodyEngine) Flush() error {
+	var err error
+	if len(e.own) > 0 && e.dst != nil {
+		err = writeAt(e.dst, e.own, e.ownAt)
+	}
+	e.own = e.own[:0]
+	return err
+}
+
+// add queues the next file. Earlier files may be collected during the call;
+// this one is by a later add or by finish.
 func (e *bodyEngine) add(f fsimage.File) error {
 	if e.err != nil {
 		return e.err
@@ -184,13 +236,21 @@ func (e *bodyEngine) add(f fsimage.File) error {
 		return e.fail(err)
 	}
 	if e.runs == nil {
-		// Twice the workers: one run each in progress and one each queued,
-		// so a worker never waits for the caller to cut the next run.
-		e.runs = make([]bodyRun, 2*e.opts.Parallelism+1)
+		e.runs = make([]bodyRun, bodyRunsPerWorker*e.opts.Parallelism+1)
 		e.jobs = make(chan *bodyRun, len(e.runs))
-		e.workCtx, e.cancel = context.WithCancel(e.ctx)
+		e.wg.Add(e.opts.Parallelism)
+		for range e.opts.Parallelism {
+			go e.work(e.workCtx)
+		}
 	}
-	framed := e.framed(f.Size)
+	framed := f.Size
+	if e.headers != nil {
+		hdr, err := e.headers.file.length(e.path.Append(e.tree, f), f.Size)
+		if err != nil {
+			return e.fail(err)
+		}
+		framed += hdr + int64(tarPadding(f.Size))
+	}
 	if e.fillBytes+framed > bodyChunkSize {
 		if err := e.submit(); err != nil {
 			return err
@@ -199,114 +259,69 @@ func (e *bodyEngine) add(f fsimage.File) error {
 	r := &e.runs[e.tail%len(e.runs)]
 	r.files = append(r.files, f)
 	e.fillBytes += framed
+	e.pos += framed
 	if e.fillBytes >= bodyChunkSize || len(r.files) == bodyRunFiles {
 		return e.submit()
 	}
 	return nil
 }
 
-// submit queues the run being filled and, when that leaves no free slot to
-// fill next, drains the oldest queued run.
+// submit queues the run being filled, behind what Write holds, and, when
+// that leaves no free slot to fill next, collects the oldest queued run.
 func (e *bodyEngine) submit() error {
 	r := &e.runs[e.tail%len(e.runs)]
 	if len(r.files) == 0 {
 		return nil
 	}
-	if r.out == nil {
-		r.out = make(chan bodyChunk, bodyChunksPerWorker+1)
+	if err := e.Flush(); err != nil {
+		return e.fail(err)
+	}
+	r.off, r.end = e.pos-e.fillBytes, e.pos
+	if r.done == nil {
+		r.done = make(chan error, 1)
 	}
 	if e.opts.OnDigest != nil {
 		r.sums = slices.Grow(r.sums[:0], len(r.files))[:len(r.files)]
 	}
 	e.jobs <- r
-	if e.started < e.opts.Parallelism {
-		e.started++
-		e.wg.Add(1)
-		go e.work(e.workCtx)
-	}
 	e.tail++
 	e.fillBytes = 0
 	if e.tail-e.head == len(e.runs) {
-		return e.drainHead()
+		return e.collect()
 	}
 	return nil
 }
 
-// drainHead writes the oldest queued run and frees its slot.
-func (e *bodyEngine) drainHead() error {
+// collect waits for the oldest queued run, reports its files — OnDigest,
+// the fold — and frees its slot.
+func (e *bodyEngine) collect() error {
 	r := &e.runs[e.head%len(e.runs)]
-	if err := e.drain(r); err != nil {
+	select {
+	case err := <-r.done:
+		if err != nil {
+			return e.fail(err)
+		}
+	case <-e.ctx.Done():
+	}
+	if err := e.ctx.Err(); err != nil {
 		return e.fail(err)
+	}
+	for i, f := range r.files {
+		e.written += f.Size
+		if e.opts.OnDigest != nil {
+			e.opts.OnDigest(f, hex.EncodeToString(r.sums[i][:]))
+		}
+	}
+	if e.opts.Fold != nil {
+		e.opts.Fold.AddFiles(r.files, r.entries)
 	}
 	r.files = r.files[:0]
 	e.head++
 	return nil
 }
 
-// drain writes one run: every chunk as it arrives, OnDigest for the files
-// it completes, and the run's fold entries behind the last.
-func (e *bodyEngine) drain(r *bodyRun) error {
-	// A file over the workers' budget is alone in its run, and hashed here
-	// from what its chunks mark; all others arrive hashed.
-	callerHashed := e.hashing && r.files[0].Size > bodyWorkerBudget
-	reported := 0 // files of r whose last byte is written
-	var bytes int64
-	for {
-		var c bodyChunk
-		select {
-		case c = <-r.out:
-		case <-e.ctx.Done():
-			return e.ctx.Err()
-		}
-		if c.err != nil {
-			return c.err
-		}
-		if c.data != nil {
-			if c.hi > 0 {
-				if e.hash == nil {
-					e.hash = sha256.New()
-				}
-				e.hash.Write(c.data[c.lo:c.hi])
-			}
-			if err := e.write(c.data); err != nil {
-				return fmt.Errorf("imgfmt: writing files %d to %d: %w", r.files[reported].ID, r.files[len(r.files)-1].ID, err)
-			}
-			c.free <- c.data[:0]
-		}
-		for ; reported < c.done; reported++ {
-			f := r.files[reported]
-			bytes += f.Size
-			if e.opts.OnDigest != nil && !callerHashed {
-				e.opts.OnDigest(f, hex.EncodeToString(r.sums[reported][:]))
-			}
-		}
-		if c.last {
-			break
-		}
-	}
-	if reported != len(r.files) {
-		return fmt.Errorf("imgfmt: internal error: body run ended %d files early", len(r.files)-reported)
-	}
-	e.written += bytes
-	if !callerHashed {
-		if e.opts.Fold != nil {
-			e.opts.Fold.AddFiles(r.files, r.entries)
-		}
-		return nil
-	}
-	f := r.files[0]
-	sum := hex.EncodeToString(e.hash.Sum(nil))
-	e.hash.Reset()
-	if e.opts.OnDigest != nil {
-		e.opts.OnDigest(f, sum)
-	}
-	if e.opts.Fold != nil {
-		e.opts.Fold.AddFile(f, sum)
-	}
-	return nil
-}
-
-// finish writes everything still queued and stops the workers.
+// finish collects everything still queued and stops the workers. Write and
+// Flush still take the sink's last bytes.
 func (e *bodyEngine) finish() error {
 	if e.err != nil {
 		return e.err
@@ -319,7 +334,7 @@ func (e *bodyEngine) finish() error {
 			return err
 		}
 		for e.head < e.tail {
-			if err := e.drainHead(); err != nil {
+			if err := e.collect(); err != nil {
 				return err
 			}
 		}
@@ -348,14 +363,12 @@ func (e *bodyEngine) stop() {
 	}
 }
 
-// work is one worker: it frames queued runs until the context ends.
+// work is one worker: it frames queued runs until the context ends or a
+// run fails.
 func (e *bodyEngine) work(ctx context.Context) {
 	defer e.wg.Done()
-	c := chunker{ctx: ctx, free: make(chan []byte, bodyChunksPerWorker)}
-	for i := 0; i < bodyChunksPerWorker; i++ {
-		c.free <- nil // allocated on first use
-	}
-	if e.hashing {
+	c := chunker{ctx: ctx, dst: e.dst}
+	if e.opts.OnDigest != nil || e.opts.Fold != nil {
 		c.h = sha256.New()
 	}
 	for {
@@ -363,27 +376,25 @@ func (e *bodyEngine) work(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case r := <-e.jobs:
-			if !e.frameRun(&c, r) {
+			err := e.frameRun(&c, r)
+			r.done <- err
+			if err != nil {
 				return
 			}
 		}
 	}
 }
 
-// frameRun writes every file of the run through the chunker into r.out. It
-// reports whether the worker should go on.
-func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) bool {
-	c.out, c.done = r.out, 0
+// frameRun writes every file of the run through the chunker, at the run's
+// offsets, and hashes them.
+func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) error {
+	c.off, c.fill = r.off, 0
 	entries := r.entries[:0]
 	for i, f := range r.files {
 		if err := e.frame(c, f); err != nil {
-			if c.ctx.Err() != nil {
-				return false // stopped: nobody is reading r.out any more
-			}
-			c.send(true, err)
-			return false
+			return err
 		}
-		if c.tap {
+		if c.h != nil {
 			sum := c.h.Sum(c.sum[:0])
 			if e.opts.OnDigest != nil {
 				copy(r.sums[i][:], sum)
@@ -392,11 +403,16 @@ func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) bool {
 				entries = fsimage.AppendFileEntry(entries, f.Name, f.Size, sum)
 			}
 		}
-		c.done = i + 1
 	}
 	r.entries = entries
-	c.send(true, nil)
-	return true
+	if err := c.flush(); err != nil {
+		return err
+	}
+	if c.off != r.end {
+		return fmt.Errorf("imgfmt: internal error: files %d to %d took %d bytes, %d were framed for them",
+			r.files[0].ID, r.files[len(r.files)-1].ID, c.off-r.off, r.end-r.off)
+	}
+	return nil
 }
 
 // frame is the package's one generate-and-hash loop, and what puts a file
@@ -404,19 +420,16 @@ func (e *bodyEngine) frameRun(c *chunker, r *bodyRun) bool {
 // with MetadataOnly), padding.
 func (e *bodyEngine) frame(c *chunker, f fsimage.File) error {
 	if e.headers != nil {
-		c.path = c.paths.Append(e.tree, f)
 		var err error
-		if c.hdr, err = e.headers.file.append(c.hdr[:0], c.path, f.Size); err != nil {
+		if c.hdr, err = e.headers.file.append(c.hdr[:0], c.paths.Append(e.tree, f), f.Size); err != nil {
 			return err
 		}
-		if err := c.put(c.hdr, false); err != nil {
+		if err := c.put(c.hdr); err != nil {
 			return err
 		}
 	}
 	c.left = f.Size
-	c.tap = c.h != nil && f.Size <= bodyWorkerBudget
-	c.mark = c.h != nil && !c.tap
-	if c.tap {
+	if c.h != nil {
 		c.h.Reset()
 	}
 	if e.opts.MetadataOnly {
@@ -436,32 +449,28 @@ func (e *bodyEngine) frame(c *chunker, f fsimage.File) error {
 		}
 	}
 	if e.headers != nil {
-		return c.put(zeroBlock[:tarPadding(f.Size)], false)
+		return c.put(zeroBlock[:tarPadding(f.Size)])
 	}
 	return nil
 }
 
 // chunker is a worker's io.Writer: it packs what the worker and its
-// generators write into the worker's chunks and sends each full one to the
-// current run's channel.
+// generators write into the worker's chunk and writes each full one at its
+// offset.
 type chunker struct {
 	ctx  context.Context
-	free chan []byte      // this worker's buffers, as the writer returns them
-	out  chan<- bodyChunk // the current run's
-	buf  []byte           // the chunk being filled; nil when none is held
-	done int              // files of the current run finished
-	left int64            // content bytes the current file still has to get
-	h    hash.Hash        // nil when no digests are wanted
-	tap  bool             // hash the current file here
-	mark bool             // the caller hashes it: mark its content in buf
-	// buf[lo:hi] is marked (hi is 0 when nothing is).
-	lo, hi int
+	dst  io.WriterAt // nil: nothing is kept, or copied
+	buf  []byte      // the chunk, allocated on first use
+	fill int         // bytes of the chunk in hand
+	off  int64       // the image offset of the chunk's first byte
+	left int64       // content bytes the current file still has to get
+	h    hash.Hash   // nil when no digests are wanted
 
-	// Scratch, reused from file to file: the entry's path (rendered in
-	// paths) and header, and its SHA-256.
-	path, hdr []byte
-	paths     fsimage.FilePath
-	sum       [sha256.Size]byte
+	// Scratch, reused from file to file: the entry's path and header, and
+	// its SHA-256.
+	hdr   []byte
+	paths fsimage.FilePath
+	sum   [sha256.Size]byte
 }
 
 // Write takes a file's content from its generator.
@@ -472,48 +481,48 @@ func (c *chunker) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("%d bytes past the end of the file", int64(len(p))-c.left)
 	}
 	c.left -= int64(len(p))
-	if c.tap {
+	if c.h != nil {
 		c.h.Write(p)
 	}
-	if err := c.put(p, c.mark); err != nil {
+	if err := c.put(p); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
 
-// put packs p into the chunks, marking it if asked.
-func (c *chunker) put(p []byte, mark bool) error {
+// put packs p into the chunk, writing it each time it fills.
+func (c *chunker) put(p []byte) error {
 	for len(p) > 0 {
-		if c.buf == nil {
-			select {
-			case c.buf = <-c.free:
-			case <-c.ctx.Done():
-				return c.ctx.Err()
-			}
+		n := min(len(p), bodyChunkSize-c.fill)
+		if c.dst != nil {
 			if c.buf == nil {
-				c.buf = make([]byte, 0, bodyChunkSize)
+				c.buf = make([]byte, bodyChunkSize)
 			}
+			copy(c.buf[c.fill:], p[:n])
 		}
-		at := len(c.buf)
-		n := copy(c.buf[at:cap(c.buf)], p)
-		if mark {
-			if c.hi == 0 {
-				c.lo = at
-			}
-			c.hi = at + n
-		}
-		c.buf = c.buf[:at+n]
+		c.fill += n
 		p = p[n:]
-		if len(c.buf) == cap(c.buf) {
-			c.send(false, nil)
+		if c.fill == bodyChunkSize {
+			if err := c.flush(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// send passes the chunk in hand (possibly none, when closing a run) to the
-// writer.
-func (c *chunker) send(last bool, err error) {
-	c.out <- bodyChunk{data: c.buf, free: c.free, done: c.done, lo: c.lo, hi: c.hi, last: last, err: err}
-	c.buf, c.lo, c.hi = nil, 0, 0
+// flush writes the chunk in hand at its offset. Between chunks is where a
+// worker notices that it was stopped.
+func (c *chunker) flush() error {
+	if err := c.ctx.Err(); err != nil {
+		return err
+	}
+	if c.dst != nil && c.fill > 0 {
+		if err := writeAt(c.dst, c.buf[:c.fill], c.off); err != nil {
+			return err
+		}
+	}
+	c.off += int64(c.fill)
+	c.fill = 0
+	return nil
 }

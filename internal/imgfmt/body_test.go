@@ -3,6 +3,7 @@ package imgfmt_test
 import (
 	"archive/tar"
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,18 +30,17 @@ import (
 // and the OnDigest sequence must not depend on Options.Parallelism, and
 // every failure must come back from AddFile/Close with the workers gone.
 
-// The engine's geometry (body.go: bodyChunkSize, bodyWorkerBudget,
-// bodyRunFiles), which edgeImage aims its sizes at. geometry_test.go fails
-// when body.go moves away from this copy.
+// The engine's geometry (body.go: bodyChunkSize, bodyRunFiles), which
+// edgeImage aims its sizes at. geometry_test.go fails when body.go moves
+// away from this copy.
 const (
 	bodyChunk    = 128 << 10
-	bodyBudget   = 512 << 10
 	bodyRunFiles = 256
 )
 
 // parallelisms are the worker counts every identity test runs at: one
 // worker, the benchmark's two, and more workers than this image has large
-// files (so several idle, several block on their chunks).
+// files (so several idle, and in order several wait for their turn).
 var parallelisms = []int{1, 2, 8}
 
 // imageBuilder appends files to an image; image spreads them over the
@@ -84,23 +85,22 @@ func (b *imageBuilder) tiny(n int) {
 }
 
 // edgeImage aims a size mix at the engine's edges: empty and one-byte
-// files, exactly one chunk and one byte over, exactly a worker's budget and
-// one byte over (where hashing moves to the caller), a run cut by its file
-// count, a run that exactly fills its chunk with an empty file behind it, a
-// file larger than everything eight workers can hold in flight, and runs of
-// several hundred tiny files in between. Runs are cut by what a file takes
-// in the image, which for tar is a 512-byte header more (and padding), so
-// the chunk edges come twice: as content sizes, where squashfs has them,
-// and a header short of that, where tar does.
+// files, exactly one chunk and one byte over, exactly four chunks and one
+// byte over, a run cut by its file count, a run that exactly fills its chunk
+// with an empty file behind it, a file of more chunks than eight workers
+// hold, and runs of several hundred tiny files in between. Runs are cut by
+// what a file takes in the image, which for tar is a 512-byte header more
+// (and padding), so the chunk edges come twice: as content sizes, where
+// squashfs has them, and a header short of that, where tar does.
 func edgeImage() *fsimage.Image {
-	const chunk, budget = bodyChunk, bodyBudget
+	const chunk = bodyChunk
 	b := newImageBuilder(7)
 	for _, size := range []int64{0, 1, chunk, chunk + 1} {
 		b.add(size)
 	}
 	b.tiny(300)
-	b.add(budget)
-	b.add(budget + 1)
+	b.add(4 * chunk)
+	b.add(4*chunk + 1)
 	for k := 0; k < 2*bodyRunFiles+5; k++ {
 		b.add(0)
 	}
@@ -110,7 +110,7 @@ func edgeImage() *fsimage.Image {
 	for _, size := range []int64{chunk - 512, chunk - 511, chunk/2 - 512, chunk/2 - 512, 0} {
 		b.add(size)
 	}
-	b.add(int64(slices.Max(parallelisms))*budget + 3)
+	b.add(int64(slices.Max(parallelisms))*4*chunk + 3)
 	b.tiny(400)
 	b.add(chunk - 1)
 	b.add(2)
@@ -245,9 +245,90 @@ func eachVariant(fn func(j int, log *digestLog)) {
 	}
 }
 
+// backends are the three kinds of destination the engine writes: a file,
+// which it writes at offsets; a writer without WriteAt, which it writes in
+// order; and io.Discard, which keeps nothing, so that only the digests show.
+var backends = []string{"file", "in order", "discard"}
+
+// newDestination returns a destination of the backend and what it holds
+// once written (nil for io.Discard).
+func newDestination(t *testing.T, backend string) (io.Writer, func() []byte) {
+	t.Helper()
+	switch backend {
+	case "file":
+		f, err := os.Create(filepath.Join(t.TempDir(), "image"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f, func() []byte {
+			data, err := os.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+	case "in order":
+		b := &seekBuffer{}
+		return b, func() []byte { return b.data }
+	}
+	return io.Discard, func() []byte { return nil }
+}
+
+// seekBuffer is an in-memory io.WriteSeeker without WriteAt: the engine
+// writes it in order, as it writes a pipe, and a squashfs sink seeks back in
+// it to patch the superblock.
+type seekBuffer struct {
+	data []byte
+	off  int
+}
+
+func (b *seekBuffer) Write(p []byte) (int, error) {
+	if end := b.off + len(p); end > len(b.data) {
+		b.data = append(b.data, make([]byte, end-len(b.data))...)
+	}
+	b.off += copy(b.data[b.off:], p)
+	return len(p), nil
+}
+
+func (b *seekBuffer) Seek(off int64, whence int) (int64, error) {
+	if whence == io.SeekCurrent {
+		off += int64(b.off)
+	}
+	b.off = int(off)
+	return off, nil
+}
+
+// digestOptions are the options of one variant: with a log, OnDigest and a
+// fold, whose digest must come to want once the sink is closed.
+func digestOptions(t *testing.T, img *fsimage.Image, j int, log *digestLog) (imgfmt.Options, func(label, want string)) {
+	opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, OnDigest: log.hook()}
+	if log == nil {
+		return opts, func(string, string) {}
+	}
+	opts.Fold = fsimage.NewDigestFold(img.DirCount(), img.FileCount(), img.TotalBytes())
+	return opts, func(label, want string) {
+		if got, err := opts.Fold.Sum(); err != nil || got != want {
+			t.Errorf("%s: folded digest %s (%v), want %s", label, got, err, want)
+		}
+	}
+}
+
 // identityImages are the images the referenceTar identity tests run on: the
 // engine's size edges and the header builder's name edges.
 var identityImages = map[string]func() *fsimage.Image{"edgeImage": edgeImage, "longNameImage": longNameImage}
+
+// reference is what every sink must make of img: the serial tar, the
+// files' digests, and the canonical image digest.
+func reference(t *testing.T, img *fsimage.Image) ([]byte, []string, string) {
+	t.Helper()
+	want, sums := referenceTar(t, img)
+	digest, err := fsimage.CombineDigest(img, sums)
+	if err != nil {
+		t.Fatalf("CombineDigest: %v", err)
+	}
+	return want, sums, digest
+}
 
 func TestTarSinkIdenticalAtAnyParallelism(t *testing.T) {
 	for name, build := range identityImages {
@@ -256,24 +337,29 @@ func TestTarSinkIdenticalAtAnyParallelism(t *testing.T) {
 }
 
 func testTarSinkIdentical(t *testing.T, img *fsimage.Image) {
-	want, sums := referenceTar(t, img)
-	eachVariant(func(j int, log *digestLog) {
-		var buf bytes.Buffer
-		sink := imgfmt.NewTarSink(&buf, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, OnDigest: log.hook()})
-		if err := img.StreamRecords(sink); err != nil {
-			t.Fatalf("%s: StreamRecords: %v", variant(j, log), err)
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", variant(j, log), err)
-		}
-		if got := sha256.Sum256(buf.Bytes()); got != sha256.Sum256(want) {
-			t.Errorf("%s: tar (%d bytes) differs from the serial reference (%d bytes)", variant(j, log), buf.Len(), len(want))
-		}
-		if sink.Written() != img.TotalBytes() {
-			t.Errorf("%s: Written() = %d, image holds %d", variant(j, log), sink.Written(), img.TotalBytes())
-		}
-		log.check(t, variant(j, log), img.Files, sums, false)
-	})
+	want, sums, digest := reference(t, img)
+	for _, backend := range backends {
+		eachVariant(func(j int, log *digestLog) {
+			label := backend + " " + variant(j, log)
+			w, written := newDestination(t, backend)
+			opts, checkFold := digestOptions(t, img, j, log)
+			sink := imgfmt.NewTarSink(w, opts)
+			if err := img.StreamRecords(sink); err != nil {
+				t.Fatalf("%s: StreamRecords: %v", label, err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", label, err)
+			}
+			if got := written(); got != nil && !bytes.Equal(got, want) {
+				t.Errorf("%s: tar (%d bytes) differs from the serial reference (%d bytes)", label, len(got), len(want))
+			}
+			if sink.Written() != img.TotalBytes() {
+				t.Errorf("%s: Written() = %d, image holds %d", label, sink.Written(), img.TotalBytes())
+			}
+			log.check(t, label, img.Files, sums, false)
+			checkFold(label, digest)
+		})
+	}
 }
 
 func TestSegmentsIdenticalAtAnyParallelism(t *testing.T) {
@@ -287,90 +373,162 @@ func testSegmentsIdentical(t *testing.T, img *fsimage.Image) {
 	const shards = 3
 	sh := shardImage(t, img, shards)
 	var first [shards][]byte
-	eachVariant(func(j int, log *digestLog) {
-		segments := make([][]byte, shards)
-		for s := 0; s < shards; s++ {
-			label := fmt.Sprintf("%s shard %d", variant(j, log), s)
-			if log != nil {
-				log = &digestLog{} // each segment reports its own files
+	for _, backend := range backends {
+		eachVariant(func(j int, log *digestLog) {
+			label := backend + " " + variant(j, log)
+			segments := make([][]byte, shards)
+			for s := 0; s < shards; s++ {
+				label := fmt.Sprintf("%s shard %d", label, s)
+				if log != nil {
+					log = &digestLog{} // each segment reports its own files
+				}
+				w, written := newDestination(t, backend)
+				opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, OnDigest: log.hook()}
+				n, err := imgfmt.WriteSegment(w, img.Tree, sh.part.Shards[s], sh.files[s], opts)
+				if err != nil {
+					t.Fatalf("%s: WriteSegment: %v", label, err)
+				}
+				var bytesWant int64
+				for _, f := range sh.files[s] {
+					bytesWant += f.Size
+				}
+				if n != bytesWant {
+					t.Errorf("%s: WriteSegment reported %d content bytes, shard holds %d", label, n, bytesWant)
+				}
+				log.check(t, label, sh.files[s], sums, false)
+				if segments[s] = written(); segments[s] == nil {
+					continue
+				}
+				if first[s] == nil {
+					first[s] = segments[s]
+				} else if !bytes.Equal(segments[s], first[s]) {
+					t.Errorf("%s: segment differs from the first variant's", label)
+				}
 			}
-			var seg bytes.Buffer
-			opts := imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, OnDigest: log.hook()}
-			written, err := imgfmt.WriteSegment(&seg, img.Tree, sh.part.Shards[s], sh.files[s], opts)
-			if err != nil {
-				t.Fatalf("%s: WriteSegment: %v", label, err)
+			if backend == "discard" {
+				return
 			}
-			var bytesWant int64
-			for _, f := range sh.files[s] {
-				bytesWant += f.Size
+			var out bytes.Buffer
+			if err := sh.stitch(&out, segments, imgfmt.Options{Seed: img.Spec.Seed}); err != nil {
+				t.Fatalf("%s: stitch: %v", label, err)
 			}
-			if written != bytesWant {
-				t.Errorf("%s: WriteSegment reported %d content bytes, shard holds %d", label, written, bytesWant)
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("%s: stitched tar differs from the serial reference", label)
 			}
-			log.check(t, label, sh.files[s], sums, false)
-			if first[s] == nil {
-				first[s] = seg.Bytes()
-			} else if !bytes.Equal(seg.Bytes(), first[s]) {
-				t.Errorf("%s: segment differs from the first variant's", label)
-			}
-			segments[s] = seg.Bytes()
-		}
-		var out bytes.Buffer
-		if err := sh.stitch(&out, segments, imgfmt.Options{Seed: img.Spec.Seed}); err != nil {
-			t.Fatalf("%s: stitch: %v", variant(j, log), err)
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("%s: stitched tar differs from the serial reference", variant(j, log))
-		}
-	})
+		})
+	}
 }
 
 func TestSquashfsIdenticalAtAnyParallelism(t *testing.T) {
-	img := edgeImage()
-	_, sums := referenceTar(t, img)
-	want, err := fsimage.CombineDigest(img, sums)
-	if err != nil {
-		t.Fatalf("CombineDigest: %v", err)
+	for name, build := range identityImages {
+		t.Run(name, func(t *testing.T) { testSquashfsIdentical(t, build()) })
 	}
-	path := filepath.Join(t.TempDir(), "image.squashfs")
-	var first [sha256.Size]byte
-	eachVariant(func(j int, log *digestLog) {
-		out, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer out.Close()
-		sink, err := imgfmt.NewSquashfsSink(out, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, OnDigest: log.hook()})
-		if err != nil {
-			t.Fatalf("%s: NewSquashfsSink: %v", variant(j, log), err)
-		}
-		if err := img.StreamRecords(sink); err != nil {
-			t.Fatalf("%s: StreamRecords: %v", variant(j, log), err)
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", variant(j, log), err)
-		}
-		log.check(t, variant(j, log), img.Files, sums, false)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sha256.Sum256(data); first == [sha256.Size]byte{} {
-			first = got
-			// The first variant is also read back: the data area must hold
-			// every file where the inode table says, with the reference's
-			// bytes.
-			dest := t.TempDir()
-			if err := imgfmt.ExtractSquashfs(bytes.NewReader(data), dest); err != nil {
-				t.Fatalf("ExtractSquashfs: %v", err)
+}
+
+func testSquashfsIdentical(t *testing.T, img *fsimage.Image) {
+	_, sums, digest := reference(t, img)
+	var first []byte
+	// A squashfs sink needs a WriteSeeker, which io.Discard is not.
+	for _, backend := range backends[:2] {
+		eachVariant(func(j int, log *digestLog) {
+			label := backend + " " + variant(j, log)
+			w, written := newDestination(t, backend)
+			opts, checkFold := digestOptions(t, img, j, log)
+			sink, err := imgfmt.NewSquashfsSink(w.(io.WriteSeeker), opts)
+			if err != nil {
+				t.Fatalf("%s: NewSquashfsSink: %v", label, err)
 			}
-			if got, err := fsimage.HashTree(dest); err != nil || got != want {
-				t.Errorf("extracted squashfs tree walks to %s (%v), the reference's digest is %s", got, err, want)
+			if err := img.StreamRecords(sink); err != nil {
+				t.Fatalf("%s: StreamRecords: %v", label, err)
 			}
-		} else if got != first {
-			t.Errorf("%s: squashfs image differs from the first variant's", variant(j, log))
+			if err := sink.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", label, err)
+			}
+			log.check(t, label, img.Files, sums, false)
+			checkFold(label, digest)
+			data := written()
+			if first == nil {
+				first = data
+				// The first variant is also read back: the data area must
+				// hold every file where the inode table says, with the
+				// reference's bytes.
+				dest := t.TempDir()
+				if err := imgfmt.ExtractSquashfs(bytes.NewReader(data), dest); err != nil {
+					t.Fatalf("ExtractSquashfs: %v", err)
+				}
+				if got, err := fsimage.HashTree(dest); err != nil || got != digest {
+					t.Errorf("extracted squashfs tree walks to %s (%v), the reference's digest is %s", got, err, digest)
+				}
+			} else if !bytes.Equal(data, first) {
+				t.Errorf("%s: squashfs image differs from the first variant's", label)
+			}
+		})
+	}
+}
+
+// recorder is an io.WriterAt that keeps every write, to show that the
+// engine writes each byte of an image once and misses none. A squashfs sink
+// patches its superblock through Seek and Write, which patch takes.
+type recorder struct {
+	mu     sync.Mutex
+	writes []recorded
+	patch  seekBuffer
+}
+
+type recorded struct {
+	off  int64
+	data []byte
+}
+
+func (r *recorder) WriteAt(p []byte, off int64) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.writes = append(r.writes, recorded{off, slices.Clone(p)})
+	return len(p), nil
+}
+
+func (r *recorder) Write(p []byte) (int, error)               { return r.patch.Write(p) }
+func (r *recorder) Seek(off int64, whence int) (int64, error) { return r.patch.Seek(off, whence) }
+
+// image fails unless the writes tile [0, end) exactly once, and returns
+// the bytes they make, patched.
+func (r *recorder) image(t *testing.T, label string) []byte {
+	t.Helper()
+	slices.SortFunc(r.writes, func(a, b recorded) int { return cmp.Compare(a.off, b.off) })
+	var data []byte
+	for _, w := range r.writes {
+		if w.off != int64(len(data)) {
+			t.Fatalf("%s: a write of %d bytes at offset %d follows %d bytes written", label, len(w.data), w.off, len(data))
 		}
-	})
+		data = append(data, w.data...)
+	}
+	copy(data, r.patch.data)
+	return data
+}
+
+// TestWritesTileTheImage: written at offsets by eight workers, each byte of
+// a tar (PAX entries included), a segment and a squashfs image is written
+// exactly once, and the bytes are the reference's.
+func TestWritesTileTheImage(t *testing.T) {
+	for name, build := range identityImages {
+		img := build()
+		want, _ := referenceTar(t, img)
+		reference := map[string][]byte{
+			"tar":      want,
+			"segment":  want[:len(want)-2*512], // no end-of-archive blocks
+			"squashfs": squashfsBytes(t, img),
+		}
+		for _, kind := range sinkKinds {
+			label := name + " " + kind.name
+			rec := &recorder{}
+			if err := kind.write(rec, img, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: slices.Max(parallelisms)}); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !bytes.Equal(rec.image(t, label), reference[kind.name]) {
+				t.Errorf("%s: the bytes written differ from the reference's", label)
+			}
+		}
+	}
 }
 
 // TestDigestFoldMatchesCombineDigest: the digest the tar and squashfs sinks
@@ -455,6 +613,43 @@ func (w *limitedWriter) Write(p []byte) (int, error) {
 
 func (w *limitedWriter) Seek(int64, int) (int64, error) { return 0, nil }
 
+// limitedAt is a limitedWriter the engine writes at offsets, as it writes a
+// file: a write that reaches past offset limit gets that far and then fails
+// with err, or comes up short without one (or, with trip set, calls trip
+// once and goes on accepting).
+type limitedAt struct {
+	mu sync.Mutex
+	limitedWriter
+}
+
+func (w *limitedAt) WriteAt(p []byte, off int64) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.limit < 0 || off+int64(len(p)) <= w.limit {
+		w.n += int64(len(p))
+		return len(p), nil
+	}
+	if w.trip != nil {
+		w.trip()
+		w.limit = -1
+		w.n += int64(len(p))
+		return len(p), nil
+	}
+	room := max(w.limit-off, 0)
+	w.n += room
+	return int(room), w.err
+}
+
+// limited returns w as the engine writes it at offsets (at) or in order.
+func limited(w limitedWriter, at bool) io.WriteSeeker {
+	if at {
+		return &limitedAt{limitedWriter: w}
+	}
+	return &w
+}
+
+func order(at bool) string { return map[bool]string{false: "in order", true: "at offsets"}[at] }
+
 // sinkKinds are the three archive writers, each driven to the end of the
 // stream (Close included) unless something fails first.
 var sinkKinds = []struct {
@@ -537,17 +732,19 @@ func TestSinksSurfaceWriterFailures(t *testing.T) {
 		// run of tiny files, inside the largest file, and in what is written
 		// last (the tar trailer, the squashfs tables and padding).
 		limits := []int64{0, 700, total / 20, total * 3 / 4, total - 100}
-		for _, j := range []int{1, 4} {
-			for _, limit := range limits {
-				for _, want := range []error{errDiskFull, io.ErrShortWrite} {
-					label := fmt.Sprintf("%s j=%d fails after %d bytes (%v)", kind.name, j, limit, want)
-					failSink(t, label, img, sums, want, func(log *digestLog) error {
-						w := &limitedWriter{limit: limit}
-						if want == errDiskFull {
-							w.err = errDiskFull
-						}
-						return kind.write(w, img, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, OnDigest: log.hook()})
-					})
+		for _, at := range []bool{false, true} {
+			for _, j := range []int{1, 4} {
+				for _, limit := range limits {
+					for _, want := range []error{errDiskFull, io.ErrShortWrite} {
+						label := fmt.Sprintf("%s %s j=%d fails after %d bytes (%v)", kind.name, order(at), j, limit, want)
+						failSink(t, label, img, sums, want, func(log *digestLog) error {
+							w := limitedWriter{limit: limit}
+							if want == errDiskFull {
+								w.err = errDiskFull
+							}
+							return kind.write(limited(w, at), img, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, OnDigest: log.hook()})
+						})
+					}
 				}
 			}
 		}
@@ -559,14 +756,16 @@ func TestSinksSurfaceCancellationMidFile(t *testing.T) {
 	_, sums := referenceTar(t, img)
 	for _, kind := range sinkKinds {
 		total := outputSize(t, kind.write, img)
-		for _, j := range []int{1, 4} {
-			label := fmt.Sprintf("%s j=%d cancelled inside the largest file", kind.name, j)
-			failSink(t, label, img, sums, context.Canceled, func(log *digestLog) error {
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				w := &limitedWriter{limit: total * 3 / 4, trip: cancel}
-				return kind.write(w, img, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, Context: ctx, OnDigest: log.hook()})
-			})
+		for _, at := range []bool{false, true} {
+			for _, j := range []int{1, 4} {
+				label := fmt.Sprintf("%s %s j=%d cancelled inside the largest file", kind.name, order(at), j)
+				failSink(t, label, img, sums, context.Canceled, func(log *digestLog) error {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					w := limited(limitedWriter{limit: total * 3 / 4, trip: cancel}, at)
+					return kind.write(w, img, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: j, Context: ctx, OnDigest: log.hook()})
+				})
+			}
 		}
 	}
 }
@@ -597,7 +796,7 @@ func (g brokenGenerator) Generate(w io.Writer, size int64, rng *stats.RNG) error
 func (brokenGenerator) Name() string { return "broken" }
 
 func TestSinksSurfaceGeneratorFailures(t *testing.T) {
-	const budget = bodyBudget
+	const budget = 4 * bodyChunk
 	// The broken file sits behind enough healthy ones for the workers to be
 	// busy, once as a tiny file inside a run and once as a streamed file
 	// that fails long after its first chunks were written.

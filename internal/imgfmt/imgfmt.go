@@ -1,18 +1,18 @@
 // Package imgfmt serializes the canonical image record stream straight
-// into image files — archive and filesystem formats — with purely
-// sequential writes: no kernel VFS round-trips, no mkfs, no root.
+// into image files — archive and filesystem formats — with large writes,
+// each at its offset: no kernel VFS round-trips, no mkfs, no root.
 //
 // Where fsimage.MaterializeSink pays one open/write/close per file (so a
 // 100k-small-file image is syscall-bound), these sinks are bound by the
-// content engine and SHA-256 on Options.Parallelism cores: that many
-// workers put file entries together ahead of the one goroutine that writes
-// the image (the ordered, bounded pipeline in body.go). Everything that
-// costs per entry happens in the workers — the tar header, the content and
-// its hash, the padding, the file's entry of the canonical digest — so the
-// writer is a copy loop, one write per 128 KiB chunk of finished entries,
-// and is not what bounds -j on ~1 KB files. A digest fold set as opts.Fold
-// takes the directories of the tree the sink rebuilds to name its entries,
-// and the files' entries from the workers; Digest shows its use.
+// content engine and SHA-256 on Options.Parallelism cores (the pipeline in
+// body.go). Everything that costs per entry happens in the workers — the
+// tar header, the content and its hash, the padding, the file's entry of
+// the canonical digest — and each worker writes its finished 128 KiB chunks
+// where they go in the image, so no worker waits for another's entries.
+// The caller only places entries and hands OnDigest and the fold their
+// files in stream order. A digest fold set as opts.Fold takes the
+// directories of the tree the sink rebuilds to name its entries, and the
+// files' entries from the workers; Digest shows its use.
 //
 // Two backends ship:
 //
@@ -74,8 +74,8 @@ var DefaultModTime = time.Unix(1233878400, 0).UTC()
 // fsimage.MaterializeOptions, the one options type of every image writer:
 // the zero value is usable and every field means what it means to the VFS
 // writer. The sinks take opts.Seed as given (they have no image to default
-// from), cap entries in flight at 512 KiB per worker whatever the file sizes
-// and counts, and on cancellation leave a truncated image.
+// from), hold one 128 KiB chunk per worker whatever the file sizes and
+// counts, and on cancellation leave an image with bytes missing.
 type Options = fsimage.MaterializeOptions
 
 // fullWriter holds the sinks' destination to the io.Writer contract: a

@@ -1,7 +1,6 @@
 package imgfmt
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -51,28 +50,21 @@ const (
 
 // SquashfsSink is the streaming squashfs materializer: a RecordSink that
 // serializes the canonical record stream into an uncompressed squashfs v4
-// image on a WriteSeeker. File content streams into the data area in
-// stream order (purely sequential), generated by Options.Parallelism
-// workers ahead of the writer exactly as for TarSink: a file's bytes and
-// its OnDigest land during a later AddFile or Close, always from the
-// calling goroutine. Close lays down the inode, directory, and id tables
-// from the compact directory tree plus per-file integer columns — the sink
-// never holds file names in memory, and content only within the workers'
-// fixed budget. The result mounts directly: `mount -o loop image.squashfs
-// /mnt`, no mkfs, no root at build time. A method that returns an error has
-// stopped the workers: a failed sink needs no Close.
+// image on a WriteSeeker. File content fills the data area in stream order,
+// generated by Options.Parallelism workers and written at its offsets
+// exactly as for TarSink: a file's OnDigest lands during a later AddFile or
+// Close, always from the calling goroutine. Close lays down the inode,
+// directory, and id tables from the compact directory tree plus per-file
+// integer columns — the sink never holds file names in memory, and content
+// only in the workers' chunks — and seeks back to patch the superblock. The
+// result mounts directly: `mount -o loop image.squashfs /mnt`, no mkfs, no
+// root at build time. A method that returns an error has stopped the
+// workers: a failed sink needs no Close.
 type SquashfsSink struct {
-	w      io.WriteSeeker
-	bw     *bufio.Writer
-	opts   Options
-	body   *bodyEngine
-	ts     fsimage.TreeSink
-	offset int64 // disk bytes emitted so far
-	// dataEnd is where the next file's data will start: the data area is
-	// the file bodies back to back behind the superblock, so a start offset
-	// is a running sum of the sizes before it.
-	dataEnd int64
-
+	w    io.WriteSeeker
+	opts Options
+	body *bodyEngine // its pos is the image's size so far
+	ts   fsimage.TreeSink
 	// Per-file integer columns: names are regenerated from the ID and the
 	// interned name suffix, sizes drive the block lists and the data
 	// offsets. A directory's files are a range of IDs (the canonical order
@@ -86,34 +78,23 @@ type SquashfsSink struct {
 	scratch [64]byte
 }
 
-// NewSquashfsSink starts a squashfs serialization onto w, which must be
-// positioned at offset 0 (the superblock placeholder is written
-// immediately; Close seeks back to patch it).
+// NewSquashfsSink starts a squashfs serialization onto w, from w's offset
+// (the superblock placeholder is the image's first bytes; Close seeks back
+// to patch it).
 func NewSquashfsSink(w io.WriteSeeker, opts Options) (*SquashfsSink, error) {
 	opts = opts.WithDefaults(opts.Seed)
 	s := &SquashfsSink{
 		w:    w,
-		bw:   bufio.NewWriterSize(fullWriter{w}, 64*1024),
 		opts: opts,
+		body: newBodyEngine(opts, w, nil),
 
-		dataEnd:   squashfsSuperSize,
 		suffixIdx: make(map[string]int32),
 	}
-	s.body = newBodyEngine(opts, s.write)
 	// Reserve the superblock; data blocks start right behind it.
-	if err := s.write(zeroBlock[:squashfsSuperSize]); err != nil {
+	if _, err := s.body.Write(zeroBlock[:squashfsSuperSize]); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-func (s *SquashfsSink) write(p []byte) error {
-	n, err := s.bw.Write(p)
-	s.offset += int64(n)
-	if err != nil {
-		return fmt.Errorf("imgfmt: writing squashfs image: %w", err)
-	}
-	return nil
 }
 
 // AddDir records the directory; squashfs directories produce no data
@@ -168,7 +149,6 @@ func (s *SquashfsSink) AddFile(f fsimage.File) error {
 	}
 	s.fileSize = append(s.fileSize, f.Size)
 	s.fileSuffix = append(s.fileSuffix, idx)
-	s.dataEnd += f.Size
 	return s.body.add(f)
 }
 
@@ -367,7 +347,7 @@ func (s *SquashfsSink) childInodeNumber(code int32) uint32 {
 // metaWriter packs a metadata stream into 8192-byte uncompressed metadata
 // blocks, each prefixed with its 2-byte length header.
 type metaWriter struct {
-	out  *SquashfsSink
+	out  io.Writer
 	buf  [squashfsMetaSize]byte
 	n    int
 	u    int64 // uncompressed bytes accepted
@@ -396,10 +376,10 @@ func (m *metaWriter) flush() error {
 	}
 	var hdr [2]byte
 	binary.LittleEndian.PutUint16(hdr[:], uint16(m.n)|0x8000)
-	if err := m.out.write(hdr[:]); err != nil {
+	if _, err := m.out.Write(hdr[:]); err != nil {
 		return err
 	}
-	if err := m.out.write(m.buf[:m.n]); err != nil {
+	if _, err := m.out.Write(m.buf[:m.n]); err != nil {
 		return err
 	}
 	m.disk += int64(2 + m.n)
@@ -414,9 +394,10 @@ func (s *SquashfsSink) Close() error {
 	if err := s.body.finish(); err != nil {
 		return err
 	}
-	if s.offset != s.dataEnd {
-		return fmt.Errorf("imgfmt: internal error: squashfs data area ends at offset %d, the file sizes say %d", s.offset, s.dataEnd)
-	}
+	// The data area is the file bodies back to back behind the superblock,
+	// as the engine placed them; the inode table's start offsets are the
+	// same running sum.
+	dataEnd := s.body.pos
 	tree := s.ts.Tree()
 	dirCount := tree.Len()
 	if dirCount == 0 {
@@ -449,8 +430,8 @@ func (s *SquashfsSink) Close() error {
 	mtime := uint32(DefaultModTime.Unix())
 
 	// Inode table.
-	inodeTableStart := s.offset
-	mw := &metaWriter{out: s}
+	inodeTableStart := s.body.pos
+	mw := &metaWriter{out: s.body}
 	buf := make([]byte, 0, 256)
 	for d := 0; d < dirCount; d++ {
 		if mw.u != layout.dirU[d] {
@@ -511,13 +492,16 @@ func (s *SquashfsSink) Close() error {
 		}
 		dataStart += size
 	}
+	if dataStart != dataEnd {
+		return fmt.Errorf("imgfmt: internal error: squashfs data area ends at offset %d, the file sizes say %d", dataEnd, dataStart)
+	}
 	if err := mw.flush(); err != nil {
 		return err
 	}
 
 	// Directory table.
-	dirTableStart := s.offset
-	mw = &metaWriter{out: s}
+	dirTableStart := s.body.pos
+	mw = &metaWriter{out: s.body}
 	for d := 0; d < dirCount; d++ {
 		if mw.u != listStart[d] {
 			return fmt.Errorf("imgfmt: internal error: listing %d at offset %d, its sizes said %d", d, mw.u, listStart[d])
@@ -531,8 +515,8 @@ func (s *SquashfsSink) Close() error {
 	}
 
 	// Id table: one metadata block of u32 ids, then the u64 block index.
-	idBlockStart := s.offset
-	mw = &metaWriter{out: s}
+	idBlockStart := s.body.pos
+	mw = &metaWriter{out: s.body}
 	buf = buf[:0]
 	for _, id := range ids {
 		buf = binary.LittleEndian.AppendUint32(buf, id)
@@ -543,23 +527,23 @@ func (s *SquashfsSink) Close() error {
 	if err := mw.flush(); err != nil {
 		return err
 	}
-	idTableStart := s.offset
+	idTableStart := s.body.pos
 	buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(idBlockStart))
-	if err := s.write(buf); err != nil {
+	if _, err := s.body.Write(buf); err != nil {
 		return err
 	}
 
-	bytesUsed := s.offset
-	for s.offset%squashfsPad != 0 {
-		n := squashfsPad - s.offset%squashfsPad
+	bytesUsed := s.body.pos
+	for s.body.pos%squashfsPad != 0 {
+		n := squashfsPad - s.body.pos%squashfsPad
 		if n > int64(len(zeroBlock)) {
 			n = int64(len(zeroBlock))
 		}
-		if err := s.write(zeroBlock[:n]); err != nil {
+		if _, err := s.body.Write(zeroBlock[:n]); err != nil {
 			return err
 		}
 	}
-	if err := s.bw.Flush(); err != nil {
+	if err := s.body.Flush(); err != nil {
 		return fmt.Errorf("imgfmt: flushing squashfs image: %w", err)
 	}
 
@@ -588,7 +572,7 @@ func (s *SquashfsSink) Close() error {
 	if len(buf) != squashfsSuperSize {
 		return fmt.Errorf("imgfmt: internal error: superblock is %d bytes", len(buf))
 	}
-	if _, err := s.w.Seek(0, io.SeekStart); err != nil {
+	if _, err := s.w.Seek(s.body.base, io.SeekStart); err != nil {
 		return fmt.Errorf("imgfmt: seeking to squashfs superblock: %w", err)
 	}
 	if _, err := (fullWriter{s.w}).Write(buf); err != nil {

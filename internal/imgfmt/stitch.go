@@ -36,8 +36,8 @@ type Stitcher struct {
 // catches topology mismatches, and opts mismatches only alter fixed
 // metadata, never sizes.
 func NewStitcher(w io.Writer, tree *namespace.Tree, segments []io.Reader, opts Options) *Stitcher {
-	s := &Stitcher{t: newTarWriter(w, opts.WithDefaults(opts.Seed)), segs: make([]*tar.Reader, len(segments))}
-	s.t.tree = tree
+	t := &tarWriter{out: bufio.NewWriterSize(fullWriter{w}, 64*1024), ctx: opts.WithDefaults(opts.Seed).Context, headers: newTarHeaders(), tree: tree}
+	s := &Stitcher{t: t, segs: make([]*tar.Reader, len(segments))}
 	for i, r := range segments {
 		s.segs[i] = tar.NewReader(bufio.NewReaderSize(r, 64*1024))
 	}
@@ -85,14 +85,14 @@ func (s *Stitcher) AddFile(f fsimage.File, shard int) error {
 	if err != nil {
 		return err
 	}
-	n, err := io.Copy(s.t.bw, seg)
+	n, err := io.Copy(s.t.out, seg)
 	if err != nil {
 		return fmt.Errorf("imgfmt: copying %q from segment %d: %w", name, shard, err)
 	}
 	if n != f.Size {
 		return fmt.Errorf("imgfmt: segment entry %q carried %d of %d bytes: %w", name, n, f.Size, fsimage.ErrManifestIntegrity)
 	}
-	if _, err := s.t.bw.Write(zeroBlock[:tarPadding(n)]); err != nil {
+	if _, err := s.t.out.Write(zeroBlock[:tarPadding(n)]); err != nil {
 		return fmt.Errorf("imgfmt: padding %q: %w", name, err)
 	}
 	return nil

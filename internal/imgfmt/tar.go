@@ -1,7 +1,6 @@
 package imgfmt
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -12,12 +11,15 @@ import (
 
 // tarWriter is the calling goroutine's half of every tar-producing path —
 // the monolithic TarSink, the per-shard WriteSegment, and the Stitcher: the
-// buffered destination, and the directory entries (for the Stitcher the
-// file entries too) written to it through the shared header builder. File
-// entries of the first two are framed by the body workers, through the same
-// builder.
+// directory entries (for the Stitcher the file entries too) written to out
+// through the shared header builder. out is the body engine of the first
+// two, whose workers frame the file entries through the same builder, and a
+// buffered writer for the Stitcher.
 type tarWriter struct {
-	bw      *bufio.Writer
+	out interface {
+		io.Writer
+		Flush() error
+	}
 	ctx     context.Context
 	headers *tarHeaders
 	// tree is the full image tree entry names are built from; the owner
@@ -29,28 +31,13 @@ type tarWriter struct {
 	file     fsimage.FilePath
 }
 
-func newTarWriter(w io.Writer, opts Options) *tarWriter {
-	return &tarWriter{
-		bw:      bufio.NewWriterSize(fullWriter{w}, 64*1024),
-		ctx:     opts.Context,
-		headers: newTarHeaders(),
-	}
-}
-
-// bodies starts the engine that frames and generates t's file entries.
-func (t *tarWriter) bodies(opts Options) *bodyEngine {
-	e := newBodyEngine(opts, func(p []byte) error { _, err := t.bw.Write(p); return err })
-	e.headers = t.headers
-	return e
-}
-
 // writeHeader emits the header of the entry named name.
 func (t *tarWriter) writeHeader(tpl *tarTemplate, name []byte, size int64) error {
 	var err error
 	if t.hdr, err = tpl.append(t.hdr[:0], name, size); err != nil {
 		return err
 	}
-	if _, err := t.bw.Write(t.hdr); err != nil {
+	if _, err := t.out.Write(t.hdr); err != nil {
 		return fmt.Errorf("imgfmt: writing tar header for %q: %w", name, err)
 	}
 	return nil
@@ -84,22 +71,23 @@ func (t *tarWriter) writeFileHeader(f fsimage.File) ([]byte, error) {
 // finish flushes the stream behind trailer zero bytes: the two blocks that
 // end an archive, or none for a segment.
 func (t *tarWriter) finish(trailer int) error {
-	if _, err := t.bw.Write(zeroBlock[:trailer]); err != nil {
+	if _, err := t.out.Write(zeroBlock[:trailer]); err != nil {
 		return fmt.Errorf("imgfmt: writing tar trailer: %w", err)
 	}
-	if err := t.bw.Flush(); err != nil {
+	if err := t.out.Flush(); err != nil {
 		return fmt.Errorf("imgfmt: flushing tar stream: %w", err)
 	}
 	return nil
 }
 
 // TarSink is the streaming tar materializer: a RecordSink that serializes
-// the canonical record stream into one POSIX tar archive with purely
-// sequential writes. File entries — header, generated content, padding —
-// are put together by Options.Parallelism workers ahead of the writer, so
-// an entry reaches w (and OnDigest) during a later AddFile or Close than
-// the one that submitted it; w is only ever written from the goroutine
-// making those calls, a chunk of finished entries at a time. Close writes the
+// the canonical record stream into one POSIX tar archive. File entries —
+// header, generated content, padding — are put together by
+// Options.Parallelism workers, each written where it goes in the archive:
+// at its offset when w is an io.WriterAt that can tell where it stands (a
+// file, /dev/null), in order otherwise, and nowhere on io.Discard. An entry
+// reaches OnDigest during a later AddFile or Close than the one that
+// submitted it, always on the goroutine making those calls. Close writes the
 // end-of-archive trailer; the emitted bytes are a pure function of the
 // record stream and Options. A method that returns an error has stopped
 // the workers: a failed sink needs no Close.
@@ -109,12 +97,12 @@ type TarSink struct {
 	ts   fsimage.TreeSink
 }
 
-// NewTarSink starts a tar serialization onto w. opts.Seed must carry the
-// content seed (there is no image to default from).
+// NewTarSink starts a tar serialization onto w, from w's offset. opts.Seed
+// must carry the content seed (there is no image to default from).
 func NewTarSink(w io.Writer, opts Options) *TarSink {
 	opts = opts.WithDefaults(opts.Seed)
-	t := newTarWriter(w, opts)
-	return &TarSink{t: t, body: t.bodies(opts)}
+	body := newBodyEngine(opts, w, newTarHeaders())
+	return &TarSink{t: &tarWriter{out: body, ctx: opts.Context, headers: body.headers}, body: body}
 }
 
 // AddDir appends the next directory entry.
@@ -163,15 +151,14 @@ func (s *TarSink) Written() int64 { return s.body.written }
 // content bytes written.
 func WriteSegment(w io.Writer, tree *namespace.Tree, dirs []int, files []fsimage.File, opts Options) (int64, error) {
 	opts = opts.WithDefaults(opts.Seed)
-	t := newTarWriter(w, opts)
-	t.tree = tree
+	body := newBodyEngine(opts, w, newTarHeaders())
+	body.tree = tree
+	t := &tarWriter{out: body, ctx: opts.Context, headers: body.headers, tree: tree}
 	for _, id := range dirs {
 		if _, err := t.writeDirHeader(id); err != nil {
-			return 0, err
+			return 0, body.fail(err)
 		}
 	}
-	body := t.bodies(opts)
-	body.tree = tree
 	for _, f := range files {
 		if err := body.add(f); err != nil {
 			return body.written, err

@@ -31,9 +31,10 @@ const (
 func tarPadding(size int64) int { return int(-size & (tarBlock - 1)) }
 
 // tarHeaders is the one builder of tar entry headers: TarSink's and
-// WriteSegment's directories and files (the files' in the body workers) and
-// Stitcher's rewritten headers all come from it, which is what makes
-// "segment-stitched equals monolithic" true byte for byte.
+// WriteSegment's directories and files (the files' in the body workers,
+// placed by the lengths it gives their caller) and Stitcher's rewritten
+// headers all come from it, which is what makes "segment-stitched equals
+// monolithic" true byte for byte.
 //
 // archive/tar formats a header field by field on every call; here it
 // renders each kind of entry once, with an empty name and size 0, and the
@@ -76,11 +77,10 @@ func (t *tarTemplate) init(proto tar.Header) {
 	}
 }
 
-// append appends the header of the entry called name, of size bytes, to
-// dst: one block, or whatever archive/tar makes of an entry ustar cannot
-// hold.
-func (t *tarTemplate) append(dst, name []byte, size int64) ([]byte, error) {
-	var sum uint32
+// fit says whether the entry called name, of size bytes, fits the
+// template's block, with the slash at which name splits into prefix and name
+// (-1: none) and the sum of name's bytes.
+func (t *tarTemplate) fit(name []byte, size int64) (split int, sum uint32, ok bool) {
 	ascii := true // as archive/tar has it: no NUL either
 	for _, c := range name {
 		sum += uint32(c)
@@ -88,13 +88,30 @@ func (t *tarTemplate) append(dst, name []byte, size int64) ([]byte, error) {
 			ascii = false
 		}
 	}
-	split, ok := -1, ascii && size >= 0 && size <= tarMaxSize
+	split, ok = -1, ascii && size >= 0 && size <= tarMaxSize
 	if ok && len(name) > tarNameLen {
 		split, ok = ustarSplit(name)
 	}
 	if ok && t.proto.Typeflag == tar.TypeReg && len(name) > 0 && name[len(name)-1] == '/' {
 		ok = false // archive/tar refuses a regular file so named
 	}
+	return split, sum, ok
+}
+
+// length is the length of the header append renders for the entry.
+func (t *tarTemplate) length(name []byte, size int64) (int64, error) {
+	if _, _, ok := t.fit(name, size); ok {
+		return tarBlock, nil
+	}
+	b, err := t.appendStdlib(nil, name, size)
+	return int64(len(b)), err
+}
+
+// append appends the header of the entry called name, of size bytes, to
+// dst: one block, or whatever archive/tar makes of an entry ustar cannot
+// hold.
+func (t *tarTemplate) append(dst, name []byte, size int64) ([]byte, error) {
+	split, sum, ok := t.fit(name, size)
 	if !ok {
 		return t.appendStdlib(dst, name, size)
 	}

@@ -43,6 +43,11 @@ func checkHeader(t *testing.T, h *tarHeaders, name string, size int64, dir bool)
 		t.Fatalf("%q: append overwrote what dst held", name)
 	}
 	got = got[len("kept"):]
+	// The body engine's caller places entries by length: it must be what
+	// append renders.
+	if n, err := tpl.length([]byte(name), size); err != nil || n != int64(len(got)) {
+		t.Fatalf("%q size %d dir %v: length says %d (%v), append rendered %d", name, size, dir, n, err, len(got))
+	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%q size %d dir %v: builder wrote %d bytes, archive/tar %d, first difference at %d",
 			name, size, dir, len(got), len(want), firstDiff(got, want))

@@ -44,8 +44,9 @@ func (s *Server) handleGetRunImage(w http.ResponseWriter, r *http.Request) {
 		// Announce the trailer before the first body byte; its value is set
 		// once the stream has been fully generated and digested.
 		w.Header().Set("Trailer", HeaderImageDigest)
-		// Parallelism stays at its default, one content worker per CPU behind
-		// the stream's single writer (512 KiB each): the slot held here
+		// Parallelism stays at its default, one content worker per CPU, each
+		// holding one 128 KiB chunk until the response takes it in order
+		// (the response cannot seek): the slot held here
 		// already bounds how many of these run at once. The workers end with
 		// ctx, so a client that goes away mid-archive leaves none behind.
 		// Once headers are out, aborting mid-archive is the only honest
