@@ -57,8 +57,9 @@ func StitchPlanTar(src PlanSource, segments []io.Reader, w io.Writer, opts imgfm
 // is built. opts.Parallelism workers generate the content.
 func WritePlanTar(src PlanSource, w io.Writer, opts imgfmt.Options, registry func(kind string) *content.Registry) (*Plan, string, error) {
 	// A plan that fails to replay mid-stream is an error the sink never sees;
-	// cancelling its context on the way out is what releases its content
-	// workers then (the daemon is long-lived).
+	// cancelling its context and closing it is what stops and joins its
+	// content workers then, which write to w themselves: none may touch w
+	// once this returns (the daemon's w is its HTTP response).
 	ctx, cancel := context.WithCancel(cmp.Or(opts.Context, context.Background()))
 	defer cancel()
 	opts.Context = ctx
@@ -85,6 +86,10 @@ func WritePlanTar(src PlanSource, w io.Writer, opts imgfmt.Options, registry fun
 		c.onFile = func(f fsimage.File, _ int) error { return sink.AddFile(f) }
 		return nil
 	}); err != nil {
+		if sink != nil {
+			cancel()
+			_ = sink.Close() // fails on the cancelled context, once the workers are joined
+		}
 		return nil, "", err
 	}
 	if err := sink.Close(); err != nil {

@@ -7,7 +7,9 @@ import (
 	"io"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"impressions/internal/fsimage"
 	"impressions/internal/imgfmt"
@@ -114,22 +116,46 @@ func TestTarWorkerIdenticalAtAnyParallelism(t *testing.T) {
 
 // TestWritePlanTarReleasesWorkersOnBadPlan: a plan whose last fragment
 // breaks off mid-stream fails WritePlanTar from outside the sink, which
-// therefore never hears of it; the sink's content workers must still not
-// outlive the call (the daemon serves image.tar for as long as it lives).
+// therefore never hears of it; the sink's content workers, which write to w
+// themselves, must still be stopped and joined before the call returns (the
+// daemon's w is an HTTP response, and it serves image.tar for as long as it
+// lives). w cannot seek and takes its time, so workers are in it or waiting
+// on it when the plan breaks off; run under -race.
 func TestWritePlanTarReleasesWorkersOnBadPlan(t *testing.T) {
 	frags := planRoundTrip(t, testConfig(), 2).frags
 	frags[1] = frags[1][:len(frags[1])*9/10]
 	baseline := runtime.NumGoroutine()
 	digests := 0
-	opts := imgfmt.Options{Parallelism: 1, OnDigest: func(fsimage.File, string) { digests++ }}
-	if _, _, err := WritePlanTar(fragmentSource(context.Background(), frags), io.Discard, opts, nil); err == nil {
+	w := &slowWriter{}
+	opts := imgfmt.Options{Parallelism: 4, OnDigest: func(fsimage.File, string) { digests++ }}
+	if _, _, err := WritePlanTar(fragmentSource(context.Background(), frags), w, opts, nil); err == nil {
 		t.Fatal("WritePlanTar accepted a truncated plan")
 	}
-	if digests == 0 {
+	w.returned.Store(true)
+	if digests == 0 || w.n == 0 {
 		t.Fatal("the plan broke off before any file was written: the test would show nothing")
 	}
-	// The workers are cancelled, not joined, on this path.
 	checkGoroutines(t, baseline)
+	if n := w.late.Load(); n > 0 {
+		t.Errorf("%d writes to w ended after WritePlanTar returned", n)
+	}
+}
+
+// slowWriter is a destination that cannot seek and counts the writes that
+// end after returned is set.
+type slowWriter struct {
+	n        int64 // unsynchronized: a write racing the test's read of it is a race
+	returned atomic.Bool
+	late     atomic.Int64
+}
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(200 * time.Microsecond)
+	w.n += int64(len(p))
+	if w.returned.Load() {
+		w.late.Add(1)
+	}
+	return len(p), nil
 }
 
 // TestWritePlanTarChecksTheShardTable: WritePlanTar holds the plan to its

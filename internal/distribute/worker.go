@@ -277,7 +277,8 @@ type Target struct {
 // separate roots that are later combined; the bytes are identical either way.
 func DirTarget(outRoot string) Target { return Target{dir: outRoot} }
 
-// TarTarget serializes the shard as a tar segment onto w, sequentially;
+// TarTarget serializes the shard as a tar segment onto w, from w's offset
+// (each chunk at its place when w can seek, in order otherwise);
 // StitchPlanTar merges the segments into the byte-identical monolithic
 // archive. TarTarget(io.Discard) writes nowhere and only proves the content:
 // the manifest is the one a worker that keeps its bytes seals.

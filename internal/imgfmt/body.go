@@ -1,6 +1,7 @@
 package imgfmt
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -35,11 +36,13 @@ import (
 //     trailer, squashfs superblock and tables) goes through Write.
 //
 // A destination that cannot seek (a pipe, an HTTP response, a buffer) gets
-// the same engine through inOrder, and only there does a worker wait for
-// the runs ahead of its own. Bytes are a pure function of (seed, file);
-// j = 1 is the same pipeline with one worker, and MetadataOnly the same
-// pipeline with zeros for content. The first error — a write, a generator,
-// Options.Context — stops the workers before the caller sees it.
+// the same engine through inOrder, which holds a copy of up to
+// bodyRunsPerWorker chunks a worker ahead of the next byte due; only past
+// them does a worker wait for the runs ahead of its own. Bytes are a pure
+// function of (seed, file); j = 1 is the same pipeline with one worker, and
+// MetadataOnly the same pipeline with zeros for content. The first error —
+// a write, a generator, Options.Context — stops the workers before the
+// caller sees it.
 const (
 	// bodyChunkSize is a worker's write unit; runs of small files are cut to
 	// fit one, so the queue costs a channel operation per run, not per file.
@@ -51,7 +54,6 @@ const (
 	// bodyRunFiles caps a run's files (empty squashfs files have no bytes to
 	// cut a run by), which with the ring bounds how far OnDigest lags.
 	bodyRunFiles = 256
-	ownHold      = 64 << 10 // what Write holds before it writes
 )
 
 // zeroBlock feeds MetadataOnly entry bodies and every format's padding.
@@ -88,9 +90,7 @@ type bodyEngine struct {
 	dst  io.WriterAt // takes the image's bytes at their offsets; nil keeps none
 	base int64       // where the image starts in the destination
 	pos  int64       // the offset of the image's next byte
-	// own holds what Write took and has not written, from offset ownAt.
-	own   []byte
-	ownAt int64
+	own  chunker     // what Write took and has not written
 
 	// runs is a ring: [head, tail) are queued and not yet collected,
 	// runs[tail%len] is being filled by add.
@@ -100,7 +100,7 @@ type bodyEngine struct {
 	jobs       chan *bodyRun // cap len(runs): sends never block
 
 	workCtx context.Context    // the workers', which a write inOrder holds ends with
-	cancel  context.CancelFunc // stops them; nil once stopped
+	cancel  context.CancelFunc // stops them
 	wg      sync.WaitGroup
 
 	err     error // first failure, or errSinkClosed
@@ -121,73 +121,88 @@ func newBodyEngine(opts Options, w io.Writer, headers *tarHeaders) *bodyEngine {
 		headers: headers,
 	}
 	e.workCtx, e.cancel = context.WithCancel(e.ctx)
-	e.dst, e.base = destination(w, e.workCtx.Done())
+	e.dst, e.base = destination(w, e.workCtx.Done(), bodyRunsPerWorker*bodyChunkSize*opts.Parallelism)
+	e.own = chunker{ctx: e.ctx, dst: e.dst}
 	return e
 }
 
 // destination returns where the engine writes w's image and from which of
-// w's offsets: nowhere for io.Discard; w itself, from where it stands, when
-// it can write at offsets and seek; otherwise an inOrder over it.
-func destination(w io.Writer, quit <-chan struct{}) (io.WriterAt, int64) {
+// w's offsets, the one w stands at when it can seek (else 0): nowhere for
+// io.Discard; w itself when it can also write at offsets; otherwise an
+// inOrder over it.
+func destination(w io.Writer, quit <-chan struct{}, hold int) (io.WriterAt, int64) {
 	if w == io.Discard {
 		return nil, 0
 	}
-	if wa, ok := w.(io.WriterAt); ok {
-		if s, ok := w.(io.Seeker); ok {
-			if base, err := s.Seek(0, io.SeekCurrent); err == nil {
-				return io.NewOffsetWriter(wa, base), base
-			}
-		}
+	var base int64
+	err := errors.ErrUnsupported // w cannot seek
+	if s, ok := w.(io.Seeker); ok {
+		base, err = s.Seek(0, io.SeekCurrent)
 	}
-	return &inOrder{w: fullWriter{w}, quit: quit, turn: make(chan struct{})}, 0
+	if wa, ok := w.(io.WriterAt); ok && err == nil {
+		return io.NewOffsetWriter(wa, base), base
+	}
+	return &inOrder{w: fullWriter{w}, quit: quit, hold: hold, held: map[int64][]byte{}, turn: make(chan struct{})}, base
 }
 
-// writeAt writes p at off of dst, holding it to the io.Writer contract as
-// fullWriter does.
-func writeAt(dst io.WriterAt, p []byte, off int64) error {
-	n, err := dst.WriteAt(p, off)
-	if n < len(p) && err == nil {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		return fmt.Errorf("imgfmt: writing image bytes %d to %d: %w", off, off+int64(len(p)), err)
-	}
-	return nil
-}
-
-// inOrder is the io.WriterAt of a destination that cannot seek: it writes p
-// when off is the next offset due and holds any later write until the bytes
-// before it are written.
+// inOrder is the io.WriterAt of a destination that cannot seek. The write
+// at the next offset due goes to w at once, and then every held write it
+// makes due; a later one is copied and held, up to hold bytes, so that its
+// worker goes on, and past them waits for its turn.
 type inOrder struct {
-	w    io.Writer
-	quit <-chan struct{}
-	mu   sync.Mutex
-	next int64         // the offset of w's next byte
-	turn chan struct{} // closed, and replaced, as next moves
+	w     io.Writer
+	quit  <-chan struct{}
+	hold  int
+	mu    sync.Mutex
+	next  int64            // the offset of w's next byte
+	held  map[int64][]byte // writes ahead of next, by offset
+	size  int              // their bytes
+	spare [][]byte         // buffers of held writes since written
+	turn  chan struct{}    // closed, and replaced, as next moves
 }
 
 func (o *inOrder) WriteAt(p []byte, off int64) (int, error) {
-	for {
-		o.mu.Lock()
-		next, turn := o.next, o.turn
-		o.mu.Unlock()
-		if off == next {
-			break
+	o.mu.Lock()
+	for off != o.next {
+		if o.size+len(p) <= o.hold {
+			var buf []byte
+			if n := len(o.spare); n > 0 {
+				buf, o.spare = o.spare[n-1], o.spare[:n-1]
+			}
+			o.held[off] = append(buf[:0], p...)
+			o.size += len(p)
+			o.mu.Unlock()
+			return len(p), nil
 		}
+		turn := o.turn
+		o.mu.Unlock()
 		select {
 		case <-turn:
 		case <-o.quit:
 			return 0, context.Canceled // the engine stopped
 		}
+		o.mu.Lock()
 	}
-	// Only the write at next runs: the others wait for it to move.
-	n, err := o.w.Write(p)
-	o.mu.Lock()
-	o.next += int64(n)
-	close(o.turn)
-	o.turn = make(chan struct{})
-	o.mu.Unlock()
-	return n, err
+	// Only the write at next runs: the others are held or wait for it.
+	for q, held := p, false; ; held = true {
+		o.mu.Unlock()
+		if _, err := o.w.Write(q); err != nil {
+			return 0, err
+		}
+		o.mu.Lock()
+		if held {
+			o.size -= len(q)
+			o.spare = append(o.spare, q)
+		}
+		o.next += int64(len(q))
+		close(o.turn)
+		o.turn = make(chan struct{})
+		if q = o.held[o.next]; q == nil {
+			o.mu.Unlock()
+			return len(p), nil
+		}
+		delete(o.held, o.next)
+	}
 }
 
 // addDir takes the sink's next directory, id, of tree, the tree the sink
@@ -201,30 +216,19 @@ func (e *bodyEngine) addDir(tree *namespace.Tree, id int) {
 }
 
 // Write takes bytes the sink frames itself, at the image's next offset,
-// and holds them until Flush, the next run, or ownHold bytes. A sink writes
-// none between its first file and finish (TreeSink refuses a directory
-// after a file), so no queued run is ahead of them.
+// into a chunk of its own that it writes when full, at the next run, or on
+// Flush. A sink writes none between its first file and finish (TreeSink
+// refuses a directory after a file), so no queued run is ahead of them.
 func (e *bodyEngine) Write(p []byte) (int, error) {
-	if len(e.own) == 0 {
-		e.ownAt = e.pos
+	if e.own.fill == 0 {
+		e.own.off = e.pos
 	}
-	e.own = append(e.own, p...)
 	e.pos += int64(len(p))
-	if len(e.own) >= ownHold {
-		return len(p), e.Flush()
-	}
-	return len(p), nil
+	return len(p), e.own.put(p)
 }
 
 // Flush writes what Write holds.
-func (e *bodyEngine) Flush() error {
-	var err error
-	if len(e.own) > 0 && e.dst != nil {
-		err = writeAt(e.dst, e.own, e.ownAt)
-	}
-	e.own = e.own[:0]
-	return err
-}
+func (e *bodyEngine) Flush() error { return e.own.flush() }
 
 // add queues the next file. Earlier files may be collected during the call;
 // this one is by a later add or by finish.
@@ -296,14 +300,12 @@ func (e *bodyEngine) submit() error {
 // the fold — and frees its slot.
 func (e *bodyEngine) collect() error {
 	r := &e.runs[e.head%len(e.runs)]
+	var err error
 	select {
-	case err := <-r.done:
-		if err != nil {
-			return e.fail(err)
-		}
+	case err = <-r.done:
 	case <-e.ctx.Done():
 	}
-	if err := e.ctx.Err(); err != nil {
+	if err = cmp.Or(err, e.ctx.Err()); err != nil {
 		return e.fail(err)
 	}
 	for i, f := range r.files {
@@ -356,11 +358,8 @@ func (e *bodyEngine) fail(err error) error {
 }
 
 func (e *bodyEngine) stop() {
-	if e.cancel != nil {
-		e.cancel()
-		e.wg.Wait()
-		e.cancel = nil
-	}
+	e.cancel()
+	e.wg.Wait()
 }
 
 // work is one worker: it frames queued runs until the context ends or a
@@ -518,8 +517,13 @@ func (c *chunker) flush() error {
 		return err
 	}
 	if c.dst != nil && c.fill > 0 {
-		if err := writeAt(c.dst, c.buf[:c.fill], c.off); err != nil {
-			return err
+		// A short write with no error is io.ErrShortWrite, as in fullWriter.
+		n, err := c.dst.WriteAt(c.buf[:c.fill], c.off)
+		if n < c.fill && err == nil {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			return fmt.Errorf("imgfmt: writing image bytes %d to %d: %w", c.off, c.off+int64(c.fill), err)
 		}
 	}
 	c.off += int64(c.fill)

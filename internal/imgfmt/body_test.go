@@ -683,6 +683,42 @@ var sinkKinds = []struct {
 	}},
 }
 
+// TestSinksWriteFromTheWritersOffset: a destination that can seek and is
+// not at offset 0, written at offsets or in order, gets each sink's image
+// from where it stands, the bytes before it untouched and a squashfs
+// superblock patched at the image's start, not at the writer's.
+func TestSinksWriteFromTheWritersOffset(t *testing.T) {
+	img := edgeImage()
+	lead := bytes.Repeat([]byte{0xA5}, 1000)
+	for _, kind := range sinkKinds {
+		var want []byte
+		for _, backend := range backends[:2] {
+			label := kind.name + " " + backend
+			w, written := newDestination(t, backend)
+			if _, err := w.Write(lead); err != nil {
+				t.Fatal(err)
+			}
+			if err := kind.write(w.(io.WriteSeeker), img, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: 2}); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			data := written()
+			if !bytes.Equal(data[:len(lead)], lead) {
+				t.Errorf("%s: the bytes before the writer's offset were overwritten", label)
+			}
+			if want == nil {
+				b := &seekBuffer{}
+				if err := kind.write(b, img, imgfmt.Options{Seed: img.Spec.Seed}); err != nil {
+					t.Fatalf("%s at offset 0: %v", kind.name, err)
+				}
+				want = b.data
+			}
+			if !bytes.Equal(data[len(lead):], want) {
+				t.Errorf("%s: the image written from offset %d differs from the one written at 0", label, len(lead))
+			}
+		}
+	}
+}
+
 // outputSize is how many bytes the kind writes for img when nothing fails.
 func outputSize(t *testing.T, write func(io.WriteSeeker, *fsimage.Image, imgfmt.Options) error, img *fsimage.Image) int64 {
 	t.Helper()

@@ -75,7 +75,8 @@ var DefaultModTime = time.Unix(1233878400, 0).UTC()
 // the zero value is usable and every field means what it means to the VFS
 // writer. The sinks take opts.Seed as given (they have no image to default
 // from), hold one 128 KiB chunk per worker whatever the file sizes and
-// counts, and on cancellation leave an image with bytes missing.
+// counts (and in order, on a destination that cannot seek, copies of up to
+// four more), and on cancellation leave an image with bytes missing.
 type Options = fsimage.MaterializeOptions
 
 // fullWriter holds the sinks' destination to the io.Writer contract: a

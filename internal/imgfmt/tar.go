@@ -150,24 +150,22 @@ func (s *TarSink) Written() int64 { return s.body.written }
 // (shard paths reach through ancestors owned by other shards). Returns the
 // content bytes written.
 func WriteSegment(w io.Writer, tree *namespace.Tree, dirs []int, files []fsimage.File, opts Options) (int64, error) {
-	opts = opts.WithDefaults(opts.Seed)
-	body := newBodyEngine(opts, w, newTarHeaders())
-	body.tree = tree
-	t := &tarWriter{out: body, ctx: opts.Context, headers: body.headers, tree: tree}
+	s := NewTarSink(w, opts)
+	s.t.tree, s.body.tree = tree, tree
 	for _, id := range dirs {
-		if _, err := t.writeDirHeader(id); err != nil {
-			return 0, body.fail(err)
+		if _, err := s.t.writeDirHeader(id); err != nil {
+			return 0, s.body.fail(err)
 		}
 	}
 	for _, f := range files {
-		if err := body.add(f); err != nil {
-			return body.written, err
+		if err := s.body.add(f); err != nil {
+			return s.body.written, err
 		}
 	}
-	if err := body.finish(); err != nil {
-		return body.written, err
+	if err := s.body.finish(); err != nil {
+		return s.body.written, err
 	}
 	// Every entry is padded to its block boundary; a segment is the
 	// truncated-at-EOF form, with no end-of-archive trailer behind them.
-	return body.written, t.finish(0)
+	return s.body.written, s.t.finish(0)
 }
