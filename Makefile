@@ -202,7 +202,7 @@ fleet-fault-check:
 # content workers behind them change nothing but the time), a tar written
 # onto a FIFO (which the sinks write in order, not at offsets) must be the
 # same bytes while a squashfs image, whose superblock is patched last, must
-# fail there with its seek error, the squashfs
+# fail there with its seek error before the FIFO's reader gets a byte, the squashfs
 # run must print the tar run's digest, and a plan executed by 3 tar-segment
 # workers (at -j 1, 2 and 4) and stitched must be byte-identical to the
 # single-process tar of the same spec. A stitch handed its segments in the
@@ -219,10 +219,11 @@ image-sink-check:
 	./impressions $$spec -j 4 -format tar -out single-j4.tar -digest | grep '^image digest:' > tar-j4.digest; \
 	cmp single.tar single-j4.tar; cmp tar.digest tar-j4.digest; \
 	mkfifo p; cat p > fifo.tar & reader=$$!; ./impressions $$spec -j 4 -format tar -out p > /dev/null; wait $$reader; cmp single.tar fifo.tar; \
-	cat p > /dev/null & reader=$$!; \
+	cat p > fifo.squashfs & reader=$$!; \
 	if ./impressions $$spec -j 4 -format squashfs -out p > /dev/null 2> fifo-squashfs.err; then \
 		echo "image-sink-check: a squashfs image onto a FIFO succeeded"; exit 1; fi; \
-	wait $$reader; grep -q 'seeking to squashfs superblock: .*illegal seek' fifo-squashfs.err; \
+	wait $$reader; grep -q 'squashfs needs a destination that can seek: .*illegal seek' fifo-squashfs.err; \
+	if [ -s fifo.squashfs ]; then echo "image-sink-check: a squashfs run wrote $$(wc -c < fifo.squashfs) bytes onto a FIFO before it failed"; exit 1; fi; \
 	for j in 1 4; do ./impressions $$spec -j $$j -digest -out vfs-j$$j | grep '^image digest:' > vfs-j$$j.digest; cmp tar.digest vfs-j$$j.digest; done; \
 	./impressions $$spec -layout 0.8 -digest | grep '^image digest:' > layout.digest; cmp tar.digest layout.digest; \
 	./impressions -files 20000 -dirs 2000 -size 22MB -size-mu 6.9 -size-sigma 0.5 -layout 0.9 > /dev/null; \

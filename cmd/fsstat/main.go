@@ -19,7 +19,6 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"impressions/internal/dataset"
 	"impressions/internal/fsimage"
 	"impressions/internal/stats"
 )
@@ -69,7 +68,7 @@ func run(args []string) error {
 
 func writeJSON(w *os.File, res *fsimage.ScanResult, topN int) error {
 	img := res.Image
-	st := img.Stats(fsimage.StatsConfig{SizeMaxExp: dataset.SizeMaxExp, DepthBins: dataset.DepthBins})
+	st := img.Stats(fsimage.StatsConfig{})
 	rep := jsonReport{
 		Files:        img.FileCount(),
 		Dirs:         img.DirCount(),
@@ -106,7 +105,7 @@ func writeJSON(w *os.File, res *fsimage.ScanResult, topN int) error {
 func writeText(w *os.File, res *fsimage.ScanResult, topN int) {
 	img := res.Image
 	// One streaming pass feeds every distribution printed below.
-	st := img.Stats(fsimage.StatsConfig{SizeMaxExp: dataset.SizeMaxExp, DepthBins: dataset.DepthBins})
+	st := img.Stats(fsimage.StatsConfig{})
 	fmt.Fprintln(w, img.Summary())
 	fmt.Fprintf(w, "mean file size: %s\n", stats.FormatBytes(img.MeanFileSize()))
 	if res.Irregular > 0 {

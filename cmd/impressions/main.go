@@ -22,8 +22,9 @@
 // canonical digest.
 //
 // Direct image sinks skip the VFS entirely: `-format tar` or `-format
-// squashfs` serializes the image straight into an archive/filesystem file
-// with sequential writes (no per-file syscalls, no mkfs, no root), `worker
+// squashfs` serializes the image straight into an archive/filesystem file,
+// each chunk written at its offset (no per-file syscalls, no mkfs, no root),
+// a squashfs file only where the destination can seek; `worker
 // -format tar` emits one shard as a tar segment, and `stitch` merges the
 // segments into the byte-identical monolithic archive.
 //
@@ -371,7 +372,8 @@ func warnSizeMissed(stderr io.Writer, m *core.Metadata) {
 
 // streamImage replays the metadata once into the sink format and out name: a
 // directory tree written through the VFS, or an archive or filesystem image
-// written sequentially (no per-file syscalls, no mkfs, no root). With
+// whose workers write each chunk at its offset (no per-file syscalls, no
+// mkfs, no root). With
 // wantDigest the canonical image digest is folded in the same pass and
 // returned. The sink's line is printed once the image is whole.
 func streamImage(m *core.Metadata, format, out string, opts fsimage.MaterializeOptions, wantDigest bool, stdout io.Writer) (string, error) {
@@ -391,7 +393,7 @@ func streamImage(m *core.Metadata, format, out string, opts fsimage.MaterializeO
 		written = sink.Written()
 		return err
 	}
-	wrote := "wrote " + format + " image %[2]s (%[1]d content bytes, sequential)\n" // the sink's line, of (bytes, out)
+	wrote := "wrote " + format + " image %[2]s (%[1]d content bytes)\n" // the sink's line, of (bytes, out)
 	var err error
 	if format == "dir" {
 		// The metadata holds the tree the records are of; the sink writes

@@ -63,7 +63,6 @@ import (
 
 	"impressions/internal/content"
 	"impressions/internal/core"
-	"impressions/internal/dataset"
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 )
@@ -126,7 +125,8 @@ type RecordSource = fsimage.RecordSource
 // generation's stream.
 type ImageStats = fsimage.ImageStats
 
-// StatsConfig sizes an ImageStats' bins; zero fields take the defaults.
+// StatsConfig sizes an ImageStats' count bins; a zero field takes the
+// default.
 type StatsConfig = fsimage.StatsConfig
 
 // Accuracy holds per-parameter agreement between a generated image and the
@@ -202,7 +202,7 @@ func NewGenerator(cfg Config) (*core.Generator, error) { return core.NewGenerato
 // are always filled; useSpecial is unused until the accuracy measurement
 // gives it a meaning (ROADMAP item 6(a)).
 func MeasureAccuracy(img *Image, useSpecial bool) Accuracy {
-	return core.MeasureAccuracy(img, dataset.Default())
+	return core.MeasureAccuracy(img)
 }
 
 // ScanDirectory walks a real directory tree and returns it as an Image, so

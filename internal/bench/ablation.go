@@ -96,7 +96,7 @@ func (a Ablation) depthModel(w io.Writer, opts Options) error {
 		files, dirs = 3000, 600
 	}
 	measure := func(disableCoupling bool) (float64, error) {
-		gen, err := core.NewGenerator(core.Config{
+		res, err := core.GenerateImage(core.Config{
 			NumFiles:                 files,
 			NumDirs:                  dirs,
 			Seed:                     opts.Seed,
@@ -105,11 +105,7 @@ func (a Ablation) depthModel(w io.Writer, opts Options) error {
 		if err != nil {
 			return 0, err
 		}
-		res, err := gen.Generate()
-		if err != nil {
-			return 0, err
-		}
-		acc := core.MeasureAccuracy(res.Image, gen.Dataset())
+		acc := core.MeasureAccuracy(res.Image)
 		return acc.BytesWithDepthMB, nil
 	}
 	multiplicative, err := measure(false)

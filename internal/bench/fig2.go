@@ -31,10 +31,11 @@ func (Fig2) Title() string {
 
 // Run implements Experiment.
 func (f Fig2) Run(w io.Writer, opts Options) error {
-	img, ds, err := f.GenerateImage(opts)
+	img, err := f.generate(opts, false)
 	if err != nil {
 		return err
 	}
+	ds := dataset.Default()
 	st := img.Stats(fig2Stats)
 
 	// (a) Directories by namespace depth.
@@ -78,7 +79,7 @@ func (f Fig2) Run(w io.Writer, opts Options) error {
 	printDepthSeries(w, "(g) mean bytes per file by namespace depth (bytes)", desMean, genMean)
 
 	// (h) Files by namespace depth with special directories.
-	imgSpecial, _, err := f.generate(opts, true)
+	imgSpecial, err := f.generate(opts, true)
 	if err != nil {
 		return err
 	}
@@ -90,15 +91,11 @@ func (f Fig2) Run(w io.Writer, opts Options) error {
 
 // fig2Stats bins every panel: one replay of each image feeds all of them.
 // Panel (b) plots subdirectory counts 0..16.
-var fig2Stats = fsimage.StatsConfig{SizeMaxExp: dataset.SizeMaxExp, DepthBins: dataset.DepthBins, CountBins: 17}
+var fig2Stats = fsimage.StatsConfig{CountBins: 17}
 
-// GenerateImage produces the default image (without special directories) and
-// the dataset whose desired curves it is compared against.
-func (f Fig2) GenerateImage(opts Options) (*fsimage.Image, *dataset.Dataset, error) {
-	return f.generate(opts, false)
-}
-
-func (f Fig2) generate(opts Options, special bool) (*fsimage.Image, *dataset.Dataset, error) {
+// generate produces the image the panels compare against the desired curves
+// of dataset.Default(), with or without special directories.
+func (f Fig2) generate(opts Options, special bool) (*fsimage.Image, error) {
 	files, dirs := 20000, 4000
 	if opts.Quick {
 		files, dirs = 4000, 800
@@ -109,15 +106,11 @@ func (f Fig2) generate(opts Options, special bool) (*fsimage.Image, *dataset.Dat
 		Seed:                  opts.Seed,
 		UseSpecialDirectories: special,
 	}
-	gen, err := core.NewGenerator(cfg)
+	res, err := core.GenerateImage(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := gen.Generate()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Image, gen.Dataset(), nil
+	return res.Image, nil
 }
 
 func cumulative(fracs []float64) []float64 {

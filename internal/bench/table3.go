@@ -83,15 +83,11 @@ func (t3 Table3) Measure(opts Options) ([]Table3Row, int, error) {
 			Seed:                  opts.Seed + int64(trial)*7919,
 			UseSpecialDirectories: true,
 		}
-		gen, err := core.NewGenerator(cfg)
+		res, err := core.GenerateImage(cfg)
 		if err != nil {
 			return nil, 0, err
 		}
-		res, err := gen.Generate()
-		if err != nil {
-			return nil, 0, err
-		}
-		acc := core.MeasureAccuracy(res.Image, gen.Dataset())
+		acc := core.MeasureAccuracy(res.Image)
 		m := acc.AsMap()
 		// Rename the keys to the Table 3 wording used in `paper`.
 		m["bytes with depth"] = acc.BytesWithDepthMB

@@ -59,9 +59,6 @@ type Problem struct {
 	// Lambda is the maximum oversampling factor α/N. Defaults to 1.0; the
 	// paper observes λ ≤ 1 suffices in almost all cases.
 	Lambda float64
-	// Alpha is the significance level for the K-S distribution check.
-	// Defaults to 0.05.
-	Alpha float64
 	// MaxRestarts bounds how many times the whole sample set may be discarded
 	// and redrawn. Defaults to 10.
 	MaxRestarts int
@@ -265,6 +262,9 @@ func (r *Resolver) Resolve(p Problem) (Result, error) {
 	return res, nil
 }
 
+// ksAlpha is the significance level of the K-S distribution check.
+const ksAlpha = 0.05
+
 // futilityGapFrac is the relative distance between the target sum and the
 // closest achievable subset sum beyond which an attempt counts as a wide
 // miss; two consecutive wide misses classify the problem as systematically
@@ -277,9 +277,6 @@ func applyDefaults(p *Problem) {
 	}
 	if p.Lambda <= 0 {
 		p.Lambda = 1.0
-	}
-	if p.Alpha <= 0 {
-		p.Alpha = 0.05
 	}
 	if p.MaxRestarts <= 0 {
 		p.MaxRestarts = 10
@@ -315,7 +312,7 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 		res.Oversamples = 0
 		res.OversampleRate = 0
 		if !p.SkipKS && pool != nil {
-			res.KS, _ = gof.KSTwoSample(pool, pool, p.Alpha)
+			res.KS, _ = gof.KSTwoSample(pool, pool, ksAlpha)
 		}
 		return true, 0, nil
 	}
@@ -378,7 +375,7 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 		}
 		// Check the distribution is preserved.
 		if !p.SkipKS {
-			ks, err := gof.KSTwoSample(subset, pool, p.Alpha)
+			ks, err := gof.KSTwoSample(subset, pool, ksAlpha)
 			if err != nil || !ks.Passed {
 				// A sum-feasible subset that distorts the distribution counts
 				// as a stall too; targets far from the expected sum can only

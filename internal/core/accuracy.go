@@ -51,20 +51,17 @@ func (a Accuracy) AsMap() map[string]float64 {
 }
 
 // MeasureAccuracy compares a generated image against the desired curves of
-// the dataset, returning per-parameter MDCC values (and the mean-bytes
+// dataset.Default(), returning per-parameter MDCC values (and the mean-bytes
 // difference for bytes-with-depth). Files by depth is read against both
 // desired curves, without special directories (FilesWithDepth) and with
 // them (FilesWithDepthSpec), so callers can report either one.
-func MeasureAccuracy(img *fsimage.Image, ds *dataset.Dataset) Accuracy {
+func MeasureAccuracy(img *fsimage.Image) Accuracy {
 	var acc Accuracy
+	ds := dataset.Default()
 
 	// One streaming pass accumulates every distribution the eight metrics
 	// read; the per-metric calls below are views over it.
-	st := img.Stats(fsimage.StatsConfig{
-		SizeMaxExp: dataset.SizeMaxExp,
-		DepthBins:  dataset.DepthBins,
-		CountBins:  65,
-	})
+	st := img.Stats(fsimage.StatsConfig{CountBins: 65})
 
 	// Directories by namespace depth and by subdirectory count. The
 	// generative model's depth profile depends on tree size, so both desired

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"impressions/internal/content"
-	"impressions/internal/dataset"
 	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 	"impressions/internal/stats"
@@ -24,10 +23,14 @@ const (
 	ModeUserSpecified Mode = "user-specified"
 )
 
-// Config is the complete set of user-controllable knobs for generating one
-// file-system image. The zero value plus a FSSizeBytes (or NumFiles) is a
-// valid automated-mode configuration; every other field has a sensible
-// Table 2 default applied by Normalize.
+// Config is what a caller sets to generate one file-system image. The zero
+// value plus a FSSizeBytes (or NumFiles) is a valid automated-mode
+// configuration; every other field has a Table 2 default applied by
+// Normalize. The rest of Table 2 is not settable: the file-depth model
+// (DefaultFileDepthDistribution), the directory-size model
+// (DefaultDirFileCountDistribution) and the desired curves
+// (dataset.Default()) are the same for every image, so an image's Spec
+// names everything but the fields ConfigFromSpec lists.
 type Config struct {
 	// Mode is informational: it names how much the caller specified, and
 	// nothing reads it — neither the pipeline nor the spec nor the report.
@@ -50,13 +53,6 @@ type Config struct {
 	// FileSizeDist is the distribution of file sizes by count (D3 in §3.4).
 	// Nil selects the Table 2 hybrid model.
 	FileSizeDist stats.Distribution
-	// FileDepthLambda is the Poisson rate of the file-depth model; 0 selects
-	// the Table 2 default (6.49).
-	FileDepthLambda float64
-	// DirFileDegree / DirFileOffset parameterize the inverse-polynomial model
-	// of directory file counts; 0 selects the Table 2 defaults.
-	DirFileDegree float64
-	DirFileOffset float64
 
 	// TreeShape selects generative (default), flat, or deep namespaces.
 	TreeShape namespace.TreeShape
@@ -84,10 +80,6 @@ type Config struct {
 	// (0 selects 1.0).
 	Beta   float64
 	Lambda float64
-
-	// Dataset supplies the desired empirical curves (extension popularity,
-	// mean bytes per depth, ...). Nil selects dataset.Default().
-	Dataset *dataset.Dataset
 
 	// Parallelism is the number of workers used for the sharded phases of the
 	// pipeline (metadata assignment and, by default, materialization).
@@ -125,15 +117,6 @@ func (c Config) Normalize() (Config, error) {
 	if out.FileSizeDist == nil {
 		out.FileSizeDist = DefaultFileSizeDistribution()
 	}
-	if out.FileDepthLambda <= 0 {
-		out.FileDepthLambda = DefaultFileDepthLambda
-	}
-	if out.DirFileDegree <= 0 {
-		out.DirFileDegree = DefaultDirFilesDegree
-	}
-	if out.DirFileOffset <= 0 {
-		out.DirFileOffset = DefaultDirFilesOffset
-	}
 	if out.ContentKind == "" {
 		out.ContentKind = content.KindDefault
 	}
@@ -148,9 +131,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if out.Lambda <= 0 {
 		out.Lambda = 1.0
-	}
-	if out.Dataset == nil {
-		out.Dataset = dataset.Default()
 	}
 	if out.SpecialDirectories == nil {
 		out.SpecialDirectories = DefaultSpecialDirectories()
@@ -245,12 +225,6 @@ func (c Config) DistributionTable() map[string]string {
 	table := DefaultParameterTable()
 	if c.FileSizeDist != nil {
 		table["file size by count"] = c.FileSizeDist.Name()
-	}
-	if c.FileDepthLambda > 0 {
-		table["file count with depth"] = stats.NewPoisson(c.FileDepthLambda).Name()
-	}
-	if c.DirFileDegree > 0 && c.DirFileOffset > 0 {
-		table["directory size (files)"] = stats.NewInversePolynomial(c.DirFileDegree, c.DirFileOffset, 4096).Name()
 	}
 	table["degree of fragmentation"] = fmt.Sprintf("layout score (%.2f)", c.LayoutScore)
 	return table

@@ -287,9 +287,13 @@ func TestGenerateSpecialDirectories(t *testing.T) {
 // allocations — and the second only copies a histogram.
 func TestGenerationLeavesDatasetCurvesUnbuilt(t *testing.T) {
 	ds := dataset.New(20090225)
-	cfg := Config{FSSizeBytes: 3000 << 12, NumFiles: 3000, NumDirs: 300, Seed: 7, UseSpecialDirectories: true, Dataset: ds}
-	if _, err := GenerateImage(cfg); err != nil {
-		t.Fatalf("GenerateImage: %v", err)
+	gen, err := NewGenerator(Config{FSSizeBytes: 3000 << 12, NumFiles: 3000, NumDirs: 300, Seed: 7, UseSpecialDirectories: true})
+	if err != nil {
+		t.Fatalf("NewGenerator: %v", err)
+	}
+	gen.ds = ds
+	if _, err := gen.Generate(); err != nil {
+		t.Fatalf("Generate: %v", err)
 	}
 	mallocs := func() uint64 {
 		var before, after runtime.MemStats
@@ -313,7 +317,7 @@ func TestMeasureAccuracyReasonable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	acc := MeasureAccuracy(res.Image, gen.Dataset())
+	acc := MeasureAccuracy(res.Image)
 	checks := map[string]float64{
 		"dirs with depth":    acc.DirsWithDepth,
 		"dirs with subdirs":  acc.DirsWithSubdirs,

@@ -29,6 +29,10 @@ type Result struct {
 // same config produce identical images.
 type Generator struct {
 	cfg Config
+	// ds supplies the desired curves generation reads (extension
+	// popularity, mean bytes per depth): dataset.Default(), unless a test
+	// sets another.
+	ds *dataset.Dataset
 	// openColumn, when a test sets it, replaces the creation of a spilled
 	// column's file.
 	openColumn func(path string) (blockFile, error)
@@ -44,7 +48,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Generator{cfg: normalized}, nil
+	return &Generator{cfg: normalized, ds: dataset.Default()}, nil
 }
 
 // Config returns the normalized configuration.
@@ -157,7 +161,7 @@ const extLetters = "abcdefghijklmnopqrstuvwxyz0123456789"
 // processed in fixed-size shards, each drawing from its own derived stream,
 // so the assignment is identical at every parallelism level.
 func (g *Generator) assignExtensions(ctx context.Context, rng *stats.RNG, exts *column[uint32]) ([]string, error) {
-	table := g.cfg.Dataset.ExtensionsByCount()
+	table := g.ds.ExtensionsByCount()
 	names := table.Names()
 	if uint64(len(names)) >= uint64(extOther) {
 		return nil, fmt.Errorf("core: extension table too large for a 31-bit code (%d names)", len(names))
@@ -345,12 +349,12 @@ func normalizeExt(ext string) string {
 }
 
 // placerConfig builds the namespace placer configuration from the config and
-// dataset.
+// the Table 2 models.
 func (g *Generator) placerConfig(tree *namespace.Tree) namespace.PlacerConfig {
 	cfg := g.cfg
 	var meanBytes []float64
 	if !cfg.DisableSizeDepthCoupling {
-		meanBytes = cfg.Dataset.MeanBytesByDepth()
+		meanBytes = g.ds.MeanBytesByDepth()
 	}
 	maxDepth := 0
 	if cfg.TreeShape == namespace.ShapeDeep {
@@ -359,9 +363,9 @@ func (g *Generator) placerConfig(tree *namespace.Tree) namespace.PlacerConfig {
 		maxDepth = tree.MaxDepth() + 1
 	}
 	return namespace.PlacerConfig{
-		DepthModel:            stats.NewPoisson(cfg.FileDepthLambda),
+		DepthModel:            DefaultFileDepthDistribution(),
 		MeanBytesByDepth:      meanBytes,
-		DirFileModel:          stats.NewInversePolynomial(cfg.DirFileDegree, cfg.DirFileOffset, 4096),
+		DirFileModel:          DefaultDirFileCountDistribution(),
 		UseSpecialDirectories: cfg.UseSpecialDirectories,
 		MaxDepth:              maxDepth,
 	}
@@ -422,6 +426,3 @@ func GenerateImageContext(ctx context.Context, cfg Config) (*Result, error) {
 // the sanctioned internal/clock boundary (the determinism contract bans raw
 // time.Now/time.Since in this package; see internal/analysis).
 func seconds(start time.Time) float64 { return clock.Since(start).Seconds() }
-
-// Dataset returns the dataset backing this generator's defaults.
-func (g *Generator) Dataset() *dataset.Dataset { return g.cfg.Dataset }

@@ -55,7 +55,7 @@ func TestParallelismDeterminism(t *testing.T) {
 					t.Fatalf("%s seed %d: spec differs between parallelism 1 and %d:\n%+v\nvs\n%+v",
 						name, seed, level, refSpec, gotSpec)
 				}
-				statsCfg := fsimage.StatsConfig{SizeMaxExp: 40, DepthBins: 20, CountBins: 32}
+				statsCfg := fsimage.StatsConfig{CountBins: 32}
 				a, b := ref.Image.Stats(statsCfg), got.Image.Stats(statsCfg)
 				if !reflect.DeepEqual(a.FilesBySize().Counts, b.FilesBySize().Counts) {
 					t.Fatalf("%s seed %d: files-by-size histogram differs at parallelism %d", name, seed, level)

@@ -10,13 +10,19 @@ import (
 
 // ConfigFromSpec rebuilds a generation Config from a recorded image Spec, so
 // a reported spec (or a distributed plan, which embeds one) can be re-run
-// without the original command line. The scalar knobs — seed, counts, sizes,
-// tree shape, content kind, layout score, special directories — round-trip
-// exactly. Custom distribution objects do not survive serialization (the
-// spec records only their names), so a spec generated with overridden
-// distributions reproduces the metadata only via the plan's embedded image,
-// not via ConfigFromSpec alone; for default-distribution images the returned
-// config regenerates the identical image.
+// without the original command line. Every field the command line sets but
+// the size model round-trips exactly: seed, size, counts, tree shape,
+// content kind, layout score and the special-directory bias. What does not:
+//   - FileSizeDist: the spec records the size model by name only, so an
+//     image drawn from another model (-size-mu, -size-sigma) is regenerated
+//     from the default one;
+//   - SpecialDirectories: the spec records whether the set was used, not
+//     the set, so only the default set comes back;
+//   - Beta and Lambda: the spec names beta in a display string and lambda
+//     not at all, so both come back at their defaults;
+//   - DisableSizeDepthCoupling: the spec does not record it.
+//
+// Parallelism and SpillDir never change an image, so no spec carries them.
 func ConfigFromSpec(spec fsimage.Spec) (Config, error) {
 	shape, err := namespace.ParseShape(spec.TreeShape)
 	if err != nil {

@@ -35,13 +35,13 @@ import (
 	"impressions/internal/stats"
 )
 
-// SizeMaxExp is the largest power-of-two bin exponent used for file-size
-// histograms (2^37 = 128 GB upper edge, matching the paper's figures).
-const SizeMaxExp = 37
+// SizeMaxExp is the largest power-of-two bin exponent of the file-size
+// curves: the one fsimage.ImageStats bins an image's sizes with.
+const SizeMaxExp = fsimage.SizeMaxExp
 
-// DepthBins is the number of unit-width namespace-depth bins (0..16+),
-// matching the x-axis of the paper's depth figures.
-const DepthBins = 17
+// DepthBins is the number of unit-width namespace-depth bins of the depth
+// curves: the one fsimage.ImageStats bins an image's depths with.
+const DepthBins = fsimage.DepthBins
 
 // Dataset is a bundle of desired distributions for one file-system
 // population. All histograms are deterministic functions of the seed.
@@ -252,7 +252,7 @@ func (d *Dataset) buildCurves() {
 // with probability proportional to C(parent)+2) for nDirs directories and
 // returns the dirs-by-depth and dirs-by-subdir-count histograms, binned by
 // the fsimage.ImageStats accumulator that core.MeasureAccuracy reads an
-// image with, at the same DepthBins and 65 count bins. The model is the
+// image with, at the same 65 count bins. The model is the
 // namespace package's generative tree builder; the "desired" curves are by
 // definition the distributions that model produces (the paper fits the
 // model to the Windows dataset and then uses it as ground truth), so reusing
@@ -263,7 +263,7 @@ func namespaceCurves(rng *stats.RNG, nDirs int) (byDepth, bySubdirs *stats.Histo
 		nDirs = 1
 	}
 	tree := namespace.GenerateTree(rng, nDirs, namespace.ShapeGenerative)
-	st := fsimage.New(tree).Stats(fsimage.StatsConfig{DepthBins: DepthBins, CountBins: 65})
+	st := fsimage.New(tree).Stats(fsimage.StatsConfig{CountBins: 65})
 	return st.DirsByDepth(), st.DirsBySubdir()
 }
 

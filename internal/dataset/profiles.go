@@ -22,12 +22,6 @@ type SizeProfile struct {
 // GB is one gibibyte in bytes.
 const GB = float64(1 << 30)
 
-// ProfileSizesGB are the file-system sizes (in GB) for which the synthetic
-// dataset carries observed profiles. 75 GB and 125 GB are deliberately
-// included so the interpolation experiments can hold them out as ground
-// truth, exactly as the paper removes those sizes from its dataset.
-var ProfileSizesGB = []float64{10, 50, 75, 100, 125}
-
 // Profile builds the desired size profile for a file system of the given size
 // in bytes. The profile is a deterministic function of the dataset seed and
 // the size. Larger file systems skew towards larger files: the lognormal

@@ -56,6 +56,10 @@ var (
 	ErrTooManyRuns = errors.New("fleet: too many active runs")
 )
 
+// maxRuns caps concurrently active runs: each holds the manifests it has
+// committed until it merges.
+const maxRuns = 8
+
 // InlineWorkerName is the synthetic worker name the scheduler's inline
 // fallback executor leases under.
 const InlineWorkerName = "inline"
@@ -86,9 +90,6 @@ type Options struct {
 	// workers before the scheduler executes them inline (default 5s;
 	// requires InlineExecute). Negative disables the fallback.
 	InlineGrace time.Duration
-	// MaxRuns caps concurrently active runs — each holds the manifests it
-	// has committed until it merges (default 8).
-	MaxRuns int
 	// InlineExecute computes one shard's manifest daemon-side (digest-only,
 	// no disk) for the zero-worker fallback. The serving layer provides it
 	// and bounds it with its own worker pool.
@@ -129,9 +130,6 @@ func (opts Options) withDefaults() Options {
 	}
 	if opts.InlineGrace == 0 {
 		opts.InlineGrace = 5 * time.Second
-	}
-	if opts.MaxRuns <= 0 {
-		opts.MaxRuns = 8
 	}
 	if opts.WorkerCommand == nil {
 		opts.WorkerCommand = func(fp string, shard int) string {
@@ -298,8 +296,8 @@ func (s *Scheduler) CreateRun(fingerprint string, src distribute.PlanSource) (st
 			active++
 		}
 	}
-	if active >= s.opts.MaxRuns {
-		return "", fmt.Errorf("%w (%d active, cap %d)", ErrTooManyRuns, active, s.opts.MaxRuns)
+	if active >= maxRuns {
+		return "", fmt.Errorf("%w (%d active, cap %d)", ErrTooManyRuns, active, maxRuns)
 	}
 	now := s.opts.Clock()
 	r := &run{

@@ -460,21 +460,25 @@ func TestInlineFallback(t *testing.T) {
 // finish.
 func TestRunCap(t *testing.T) {
 	clk := newFakeClock()
-	opts := testOptions(clk)
-	opts.MaxRuns = 1
-	s := New(opts)
+	s := New(testOptions(clk))
 	open := openTestPlan(t, 1)
-	id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
-	if err != nil {
-		t.Fatalf("CreateRun: %v", err)
+	ids := make([]string, maxRuns)
+	for i := range ids {
+		id, err := s.CreateRun(open.Plan.Fingerprint(), open.source())
+		if err != nil {
+			t.Fatalf("CreateRun %d of %d: %v", i+1, maxRuns, err)
+		}
+		ids[i] = id
 	}
 	if _, err := s.CreateRun(open.Plan.Fingerprint(), open.source()); !errors.Is(err, ErrTooManyRuns) {
-		t.Fatalf("second CreateRun: got %v, want ErrTooManyRuns", err)
+		t.Fatalf("CreateRun past the cap: got %v, want ErrTooManyRuns", err)
 	}
 	w := s.Register()
 	drainRun(t, s, clk, open, w.WorkerID)
-	if st, _ := s.Status(id); st.State != RunComplete {
-		t.Fatalf("run state %s, want complete", st.State)
+	for _, id := range ids {
+		if st, _ := s.Status(id); st.State != RunComplete {
+			t.Fatalf("run %s state %s, want complete", id, st.State)
+		}
 	}
 	if _, err := s.CreateRun("fp-cap-2", openTestPlan(t, 1).source()); err != nil {
 		t.Fatalf("CreateRun after completion: %v", err)

@@ -137,7 +137,7 @@ func TestExtensionOfAndMakeFileName(t *testing.T) {
 
 func TestHistogramsConsistent(t *testing.T) {
 	img := buildTestImage(t)
-	st := img.Stats(StatsConfig{SizeMaxExp: 37, DepthBins: 17, CountBins: 65})
+	st := img.Stats(StatsConfig{CountBins: 65})
 	if total := st.FilesBySize().Total(); total != 10 {
 		t.Errorf("files-by-size total %g", total)
 	}
@@ -165,7 +165,7 @@ func TestHistogramsConsistent(t *testing.T) {
 
 	// A chain of 101 directories: depths 16 through 100 pool into the last
 	// of 17 depth bins.
-	deep := New(namespace.GenerateTree(nil, 101, namespace.ShapeDeep)).Stats(StatsConfig{SizeMaxExp: 37, DepthBins: 17, CountBins: 65})
+	deep := New(namespace.GenerateTree(nil, 101, namespace.ShapeDeep)).Stats(StatsConfig{CountBins: 65})
 	if total := deep.DirsByDepth().Total(); total != 101 {
 		t.Errorf("deep tree: dirs-by-depth total %g, want 101", total)
 	}
@@ -428,7 +428,6 @@ func TestReportRendering(t *testing.T) {
 		ActualFiles: img.FileCount(),
 		ActualDirs:  img.DirCount(),
 		ActualBytes: img.TotalBytes(),
-		Accuracy:    map[string]float64{"file size by count": 0.04},
 		PhaseTimes:  map[string]float64{"directory structure": 0.5},
 	}
 	rep.Spec.Distributions = map[string]string{"file size by count": "hybrid(...)"}

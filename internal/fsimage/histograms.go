@@ -8,27 +8,24 @@ import (
 	"impressions/internal/stats"
 )
 
-// StatsConfig sizes the bins of an ImageStats accumulator. Zero values
-// select the defaults noted per field.
+// SizeMaxExp is the largest power-of-two size bin exponent of every
+// ImageStats (2^37 = 128 GB upper edge, matching the paper's figures).
+const SizeMaxExp = 37
+
+// DepthBins is the number of unit-width depth bins of every ImageStats
+// (0..16+, matching the x-axis of the paper's depth figures); deeper entries
+// pool into the last bin.
+const DepthBins = 17
+
+// StatsConfig sizes the count bins of an ImageStats accumulator; the size
+// and depth bins are SizeMaxExp and DepthBins.
 type StatsConfig struct {
-	// SizeMaxExp is the largest power-of-two size bin exponent (default 40,
-	// covering sizes up to 1 TB).
-	SizeMaxExp int
-	// DepthBins is the number of unit depth bins; deeper entries pool into
-	// the last bin (default 32).
-	DepthBins int
 	// CountBins is the number of unit bins for per-directory subdirectory
-	// and file counts (default 64).
+	// and file counts (0 selects 64).
 	CountBins int
 }
 
 func (c StatsConfig) withDefaults() StatsConfig {
-	if c.SizeMaxExp <= 0 {
-		c.SizeMaxExp = 40
-	}
-	if c.DepthBins <= 0 {
-		c.DepthBins = 32
-	}
 	if c.CountBins <= 0 {
 		c.CountBins = 64
 	}
@@ -71,12 +68,12 @@ func NewImageStats(cfg StatsConfig) *ImageStats {
 	cfg = cfg.withDefaults()
 	return &ImageStats{
 		cfg:          cfg,
-		filesBySize:  stats.NewPowerOfTwoHistogram(cfg.SizeMaxExp),
-		bytesBySize:  stats.NewPowerOfTwoHistogram(cfg.SizeMaxExp),
-		filesByDepth: stats.NewHistogram(stats.UnitEdges(cfg.DepthBins)),
-		dirsByDepth:  stats.NewHistogram(stats.UnitEdges(cfg.DepthBins)),
-		bytesByDepth: make([]float64, cfg.DepthBins),
-		countByDepth: make([]float64, cfg.DepthBins),
+		filesBySize:  stats.NewPowerOfTwoHistogram(SizeMaxExp),
+		bytesBySize:  stats.NewPowerOfTwoHistogram(SizeMaxExp),
+		filesByDepth: stats.NewHistogram(stats.UnitEdges(DepthBins)),
+		dirsByDepth:  stats.NewHistogram(stats.UnitEdges(DepthBins)),
+		bytesByDepth: make([]float64, DepthBins),
+		countByDepth: make([]float64, DepthBins),
 		extFiles:     map[string]int{},
 		extBytes:     map[string]int64{},
 	}
@@ -86,8 +83,8 @@ func (s *ImageStats) depthBin(depth int) int {
 	if depth < 0 {
 		return 0
 	}
-	if depth >= s.cfg.DepthBins {
-		return s.cfg.DepthBins - 1
+	if depth >= DepthBins {
+		return DepthBins - 1
 	}
 	return depth
 }
@@ -191,7 +188,7 @@ func (s *ImageStats) DirsByFileCount() *stats.Histogram {
 // MeanBytesByDepth returns the mean file size at each file depth
 // (0..DepthBins-1); depths without files report zero.
 func (s *ImageStats) MeanBytesByDepth() []float64 {
-	out := make([]float64, s.cfg.DepthBins)
+	out := make([]float64, DepthBins)
 	for i := range out {
 		if s.countByDepth[i] > 0 {
 			out[i] = s.bytesByDepth[i] / s.countByDepth[i]

@@ -39,8 +39,7 @@ type Spec struct {
 	Constraints map[string]string `json:"constraints,omitempty"`
 }
 
-// Report is the reproducibility and accuracy report produced alongside an
-// image.
+// Report is the reproducibility report produced alongside an image.
 type Report struct {
 	Spec Spec `json:"spec"`
 	// GeneratedAt is when the image was generated.
@@ -56,8 +55,6 @@ type Report struct {
 	AchievedLayoutScore float64 `json:"achieved_layout_score"`
 	// Oversamples reports the constraint-resolution oversampling count.
 	Oversamples int `json:"oversamples"`
-	// Accuracy holds per-parameter goodness-of-fit metrics (MDCC, K-S D).
-	Accuracy map[string]float64 `json:"accuracy,omitempty"`
 	// PhaseTimes records wall-clock seconds per generation phase (Table 6).
 	PhaseTimes map[string]float64 `json:"phase_times,omitempty"`
 }
@@ -90,12 +87,6 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 		fmt.Fprintf(&b, "  constraints:\n")
 		for _, k := range sortedKeys(r.Spec.Constraints) {
 			fmt.Fprintf(&b, "    %-32s %s\n", k+":", r.Spec.Constraints[k])
-		}
-	}
-	if len(r.Accuracy) > 0 {
-		fmt.Fprintf(&b, "  accuracy (MDCC / K-S D):\n")
-		for _, k := range sortedKeys(r.Accuracy) {
-			fmt.Fprintf(&b, "    %-32s %.4f\n", k+":", r.Accuracy[k])
 		}
 	}
 	if len(r.PhaseTimes) > 0 {

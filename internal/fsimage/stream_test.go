@@ -206,7 +206,7 @@ func TestDigestBuilderRejectsWrongTotals(t *testing.T) {
 // the files, directories, bytes and deepest file the retained image holds.
 func TestImageStatsMatchesRetainedHistograms(t *testing.T) {
 	img := buildTestImage(t)
-	st := NewImageStats(StatsConfig{SizeMaxExp: 30, DepthBins: 16, CountBins: 24})
+	st := NewImageStats(StatsConfig{CountBins: 24})
 	if err := img.StreamRecords(st); err != nil {
 		t.Fatalf("stream: %v", err)
 	}

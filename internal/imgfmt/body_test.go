@@ -719,6 +719,32 @@ func TestSinksWriteFromTheWritersOffset(t *testing.T) {
 	}
 }
 
+// TestSquashfsRefusesAPipe: a squashfs sink cannot patch its superblock on
+// a destination that cannot seek, so its constructor refuses a pipe before
+// the reader gets a byte.
+func TestSquashfsRefusesAPipe(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got := make(chan int64, 1)
+	go func() {
+		n, _ := io.Copy(io.Discard, r)
+		got <- n
+	}()
+	img := edgeImage()
+	sink, err := imgfmt.NewSquashfsSink(w, imgfmt.Options{Seed: img.Spec.Seed, Parallelism: 2})
+	w.Close()
+	if err == nil {
+		sink.Close()
+		t.Fatal("NewSquashfsSink onto a pipe: no error")
+	}
+	if n := <-got; n != 0 {
+		t.Errorf("the pipe's reader got %d bytes, want 0", n)
+	}
+}
+
 // outputSize is how many bytes the kind writes for img when nothing fails.
 func outputSize(t *testing.T, write func(io.WriteSeeker, *fsimage.Image, imgfmt.Options) error, img *fsimage.Image) int64 {
 	t.Helper()

@@ -80,8 +80,12 @@ type SquashfsSink struct {
 
 // NewSquashfsSink starts a squashfs serialization onto w, from w's offset
 // (the superblock placeholder is the image's first bytes; Close seeks back
-// to patch it).
+// to patch it). A w that cannot seek, such as a pipe, is refused before a
+// byte is written: Close could not patch the superblock.
 func NewSquashfsSink(w io.WriteSeeker, opts Options) (*SquashfsSink, error) {
+	if _, err := w.Seek(0, io.SeekCurrent); err != nil {
+		return nil, fmt.Errorf("imgfmt: squashfs needs a destination that can seek: %w", err)
+	}
 	opts = opts.WithDefaults(opts.Seed)
 	s := &SquashfsSink{
 		w:    w,

@@ -236,10 +236,9 @@ func TestPlacerSizeDepthCoupling(t *testing.T) {
 		meanBytes[d] = 4 * 1024 * 1024 / float64(int64(1)<<uint(d))
 	}
 	placer := NewPlacer(tree, PlacerConfig{
-		DepthModel:        stats.NewPoisson(6.49),
-		DirFileModel:      stats.NewInversePolynomial(2, 2.36, 4096),
-		MeanBytesByDepth:  meanBytes,
-		SizeAffinitySigma: 1.0,
+		DepthModel:       stats.NewPoisson(6.49),
+		DirFileModel:     stats.NewInversePolynomial(2, 2.36, 4096),
+		MeanBytesByDepth: meanBytes,
 	}, rng.Fork("placer"))
 	// Place many huge and many tiny files; huge files should land shallower
 	// on average.

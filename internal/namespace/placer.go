@@ -22,13 +22,14 @@ type PlacerConfig struct {
 	// UseSpecialDirectories applies the Bias of special directories when
 	// choosing parents.
 	UseSpecialDirectories bool
-	// SizeAffinitySigma is the log-space width of the size-affinity factor in
-	// the multiplicative depth model; larger values weaken the coupling
-	// between file size and depth. Zero selects the default of 3.0.
-	SizeAffinitySigma float64
 	// MaxDepth caps file depth (0 means the tree's own max depth + 1).
 	MaxDepth int
 }
+
+// sizeAffinitySigma is the log-space width of the size-affinity factor in
+// the multiplicative depth model; a larger width would weaken the coupling
+// between file size and depth.
+const sizeAffinitySigma = 3.0
 
 // Placer assigns files to directories within a Tree.
 type Placer struct {
@@ -63,10 +64,7 @@ type Placer struct {
 // directory at depth d−1).
 func NewPlacer(tree *Tree, cfg PlacerConfig, rng *stats.RNG) *Placer {
 	p := &Placer{tree: tree, cfg: cfg, rng: rng}
-	p.sigma = cfg.SizeAffinitySigma
-	if p.sigma <= 0 {
-		p.sigma = 3.0
-	}
+	p.sigma = sizeAffinitySigma
 	p.maxFileDepth = cfg.MaxDepth
 	if p.maxFileDepth <= 0 {
 		p.maxFileDepth = tree.MaxDepth() + 1
