@@ -36,10 +36,11 @@ bench-smoke:
 # a single-process run at -j 1 and at -j 4 (same canonical digest, same
 # on-disk bytes). The plan — a fragment index and four fragments — is built
 # four times and must not move a byte: at -j 1, where its chunks are sealed
-# inline, and at -j 4, where three goroutines seal them, each on the heap and
-# with -spill (whose placement runs one worker per depth level at -j 4). The
-# index and every fragment are compared; the workers read their fragments
-# through the index, and `merge -plan` of the index prints the digest. Last,
+# inline, and at -j 4, where three goroutines and the one cutting them seal
+# them, each on the heap and with -spill (whose placement runs one worker
+# per depth level at -j 4). The index and every fragment are compared; the
+# workers read their fragments through the index, and `merge -plan` of the
+# index prints the digest. Last,
 # `distrun` of the same spec (4 worker processes under the in-process
 # scheduler) must print the same digest and write the same tree.
 # That spec requests no size, so its sizes are the first pool drawn; the
@@ -260,9 +261,12 @@ bench-pipeline-check:
 # (TestMergeMemoryBound), and the single-process command must
 # replay N and 4N files into the tar sink and into a directory at the same
 # heap, and grow by no more per file than its metadata pass did
-# (TestGenerateMemoryBound). Tier-1 runs the same three tests.
+# (TestGenerateMemoryBound), and writing a 100k-file plan's fragments at
+# -j 2 must allocate no more than 16 MB, each record buffer once, at K = 8
+# and at K = 32 (TestWriteFragmentsAllocatesOnce). Tier-1 runs the same
+# four tests.
 mem-check:
-	$(GO) test ./internal/distribute ./cmd/impressions -run 'TestPartitionedPlanBuildMemoryBound|TestMergeMemoryBound|TestGenerateMemoryBound' -v -timeout 15m
+	$(GO) test ./internal/distribute ./cmd/impressions -run 'TestPartitionedPlanBuildMemoryBound|TestMergeMemoryBound|TestGenerateMemoryBound|TestWriteFragmentsAllocatesOnce' -v -timeout 15m
 
 # Local mirror of the CI fuzz-smoke job: every fuzz target of the module
 # (whatever `go test -list '^Fuzz'` finds: the tar header, stitcher and

@@ -202,7 +202,7 @@ func newGenFlags(fs *flag.FlagSet) *genFlags {
 		special: fs.Bool("special-dirs", false, "bias placement towards special directories (Windows, Program Files, web cache)"),
 		mu:      fs.Float64("size-mu", 0, "override lognormal mu of the file-size body"),
 		sigma:   fs.Float64("size-sigma", 0, "override lognormal sigma of the file-size body"),
-		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization; with -format tar/squashfs, the workers generating, hashing and writing file content, each chunk at its place in the image; for plan, the metadata pass's workers, of which all but one hash and render the plan's chunks behind the goroutine writing them (0 = all CPUs, 1 = one worker, sealing inline); the image and the plan are byte-identical at any level"),
+		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization; with -format tar/squashfs, the workers generating, hashing and writing file content, each chunk at its place in the image; for plan, the metadata pass's workers, and the plan's chunks hashed and rendered at once: all but one worker seal them behind the goroutine writing them, which seals queued ones too rather than wait (0 = all CPUs, 1 = one worker, sealing inline); the image and the plan are byte-identical at any level"),
 	}
 }
 

@@ -226,6 +226,14 @@ func (c Config) DistributionTable() map[string]string {
 	if c.FileSizeDist != nil {
 		table["file size by count"] = c.FileSizeDist.Name()
 	}
+	if c.DisableSizeDepthCoupling {
+		table["bytes with depth"] = uncoupledBytesWithDepth
+	}
 	table["degree of fragmentation"] = fmt.Sprintf("layout score (%.2f)", c.LayoutScore)
 	return table
 }
+
+// uncoupledBytesWithDepth is the "bytes with depth" entry of an image placed
+// without the mean-bytes-per-depth factor (DisableSizeDepthCoupling), so its
+// spec, and the plan fingerprint taken over it, name the image it is.
+const uncoupledBytesWithDepth = "none (placement ignores file size)"

@@ -12,15 +12,16 @@ import (
 // a reported spec (or a distributed plan, which embeds one) can be re-run
 // without the original command line. Every field the command line sets but
 // the size model round-trips exactly: seed, size, counts, tree shape,
-// content kind, layout score and the special-directory bias. What does not:
+// content kind, layout score and the special-directory bias; so does the
+// ablation's DisableSizeDepthCoupling, which the spec's "bytes with depth"
+// entry names. What does not:
 //   - FileSizeDist: the spec records the size model by name only, so an
 //     image drawn from another model (-size-mu, -size-sigma) is regenerated
 //     from the default one;
 //   - SpecialDirectories: the spec records whether the set was used, not
 //     the set, so only the default set comes back;
 //   - Beta and Lambda: the spec names beta in a display string and lambda
-//     not at all, so both come back at their defaults;
-//   - DisableSizeDepthCoupling: the spec does not record it.
+//     not at all, so both come back at their defaults.
 //
 // Parallelism and SpillDir never change an image, so no spec carries them.
 func ConfigFromSpec(spec fsimage.Spec) (Config, error) {
@@ -32,14 +33,15 @@ func ConfigFromSpec(spec fsimage.Spec) (Config, error) {
 		return Config{}, fmt.Errorf("core: spec has neither a file count nor a size (%w)", fsimage.ErrInvalidSpec)
 	}
 	cfg := Config{
-		Seed:                  spec.Seed,
-		FSSizeBytes:           spec.FSSizeBytes,
-		NumFiles:              spec.NumFiles,
-		NumDirs:               spec.NumDirs,
-		TreeShape:             shape,
-		ContentKind:           content.Kind(spec.ContentKind),
-		LayoutScore:           spec.LayoutScore,
-		UseSpecialDirectories: spec.UseSpecialDirectories,
+		Seed:                     spec.Seed,
+		FSSizeBytes:              spec.FSSizeBytes,
+		NumFiles:                 spec.NumFiles,
+		NumDirs:                  spec.NumDirs,
+		TreeShape:                shape,
+		ContentKind:              content.Kind(spec.ContentKind),
+		LayoutScore:              spec.LayoutScore,
+		UseSpecialDirectories:    spec.UseSpecialDirectories,
+		DisableSizeDepthCoupling: spec.Distributions["bytes with depth"] == uncoupledBytesWithDepth,
 	}
 	return cfg, nil
 }

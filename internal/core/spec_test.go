@@ -7,6 +7,7 @@ import (
 	"impressions/internal/content"
 	"impressions/internal/core"
 	"impressions/internal/distribute"
+	"impressions/internal/fsimage"
 	"impressions/internal/namespace"
 )
 
@@ -34,6 +35,7 @@ func TestConfigFromSpecRoundTrip(t *testing.T) {
 		{"-tree flat", with(func(c *core.Config) { c.TreeShape = namespace.ShapeFlat })},
 		{"-tree deep", with(func(c *core.Config) { c.TreeShape = namespace.ShapeDeep })},
 		{"-special-dirs", with(func(c *core.Config) { c.UseSpecialDirectories = true })},
+		{"no size-depth coupling", with(func(c *core.Config) { c.DisableSizeDepthCoupling = true })},
 	}
 	for _, kind := range []content.Kind{content.KindDefault, content.KindTextSingleWord, content.KindTextModel, content.KindImage, content.KindBinary, content.KindZero} {
 		cases = append(cases, struct {
@@ -85,6 +87,43 @@ func TestConfigFromSpecRoundTrip(t *testing.T) {
 				t.Fatal("directory tree differs after the round trip")
 			}
 		})
+	}
+}
+
+// TestSpecRecordsSizeDepthCoupling: an image placed without the
+// size-depth coupling (the ablation's Poisson-only placement) records
+// another spec, under another plan fingerprint, than the coupled image of
+// the same flags, and its spec restores the switch.
+func TestSpecRecordsSizeDepthCoupling(t *testing.T) {
+	specOf := func(disable bool) fsimage.Spec {
+		gen, err := core.NewGenerator(core.Config{NumFiles: 400, NumDirs: 80, Seed: 99, DisableSizeDepthCoupling: disable})
+		if err != nil {
+			t.Fatalf("NewGenerator: %v", err)
+		}
+		return gen.Spec()
+	}
+	coupled, uncoupled := specOf(false), specOf(true)
+	if reflect.DeepEqual(coupled, uncoupled) {
+		t.Fatal("the uncoupled image records the coupled image's spec")
+	}
+	fp := func(spec fsimage.Spec) string {
+		s, err := distribute.SpecFingerprint(spec, 4, 0)
+		if err != nil {
+			t.Fatalf("SpecFingerprint: %v", err)
+		}
+		return s
+	}
+	if fp(coupled) == fp(uncoupled) {
+		t.Error("the uncoupled image's plan fingerprint is the coupled image's")
+	}
+	for disable, spec := range []fsimage.Spec{coupled, uncoupled} {
+		cfg, err := core.ConfigFromSpec(spec)
+		if err != nil {
+			t.Fatalf("ConfigFromSpec: %v", err)
+		}
+		if want := disable == 1; cfg.DisableSizeDepthCoupling != want {
+			t.Errorf("ConfigFromSpec restored DisableSizeDepthCoupling %v, want %v", cfg.DisableSizeDepthCoupling, want)
+		}
 	}
 }
 

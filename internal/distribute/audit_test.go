@@ -237,6 +237,23 @@ func BenchmarkPlanRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteFragments tracks the cost (time and allocations) of the
+// fragment write alone: the 100k-file default-model plan written as 8
+// fragments into discarding writers at Parallelism 2, the plan_meta shape.
+func BenchmarkWriteFragments(b *testing.B) {
+	rp, err := PlanRequest{Config: core.Config{NumFiles: 100_000, Seed: 20090225, Parallelism: 2}, MaxShards: 8}.Resolve(context.Background())
+	if err != nil {
+		b.Fatalf("Resolve: %v", err)
+	}
+	defer rp.Close()
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := rp.WriteFragments(context.Background(), func(int) (io.WriteCloser, error) { return nopWriteCloser{io.Discard}, nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestAuditMixedModesMajorityWins: one wrong-mode shard must not condemn
 // the correct majority — the minority shard is the invalid one, so the
 // re-run guidance regenerates the one mistake, not the whole run.

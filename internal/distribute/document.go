@@ -23,9 +23,10 @@ type shardWireHeader struct {
 // the records pushed through AddDir/AddFile leave as hash-guarded chunks,
 // sealed and rendered by the build's sealer, closing the encoder waits for
 // the last of them, and Close writes the trailer. The writer buffers the
-// records of the chunk it is cutting; the renderings, and the records of the
-// chunks being sealed, are the sealer's, at most one per sealing goroutine
-// across every writer of the build.
+// records of the chunk it is cutting, in one buffer sized for the files its
+// row of the shard table promises or a chunk, whichever is less; the
+// renderings, and the records of the chunks being sealed, are the sealer's,
+// at most one per slot across every writer of the build.
 type docWriter struct {
 	bw  *bufio.Writer
 	enc *fsimage.ChunkEncoder
@@ -38,7 +39,7 @@ func newDocWriter(w io.Writer, p *Plan, shard int, sealer *fsimage.ChunkSealer) 
 		return nil, fmt.Errorf("distribute: encoding shard document header: %w", err)
 	}
 	d := &docWriter{bw: bufio.NewWriterSize(w, 64*1024)}
-	d.enc = sealer.Encoder(p.ChunkSize, true, d.emit)
+	d.enc = sealer.Encoder(p.ChunkSize, p.Shards[shard].Files, true, d.emit)
 	if _, err := fmt.Fprintf(d.bw, `{"view":%s,"records":[`, raw); err != nil {
 		return nil, fmt.Errorf("distribute: encoding shard document: %w", err)
 	}

@@ -141,7 +141,7 @@ func FragmentName(planBase string, shard int) string {
 // encoders resume behind its chunk hashes: directory records are hashed once
 // and rendered once, whatever K is, and no rendered chunk outlives its
 // writes. The encoders share the build's sealer, so the chunks in flight
-// are bounded by its goroutines, not by K.
+// are bounded by its slots, not by K.
 type fragmentRouter struct {
 	cancelPoll
 	part   *namespace.Partition
@@ -219,7 +219,7 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 // their chains and writes every trailer.
 func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.ChunkSealer, writers []io.WriteCloser) error {
 	router := &fragmentRouter{cancelPoll: cancelPoll{ctx: ctx}, part: rp.part, docs: make([]*docWriter, len(writers))}
-	router.dirs = sealer.Encoder(rp.Plan.ChunkSize, true, router.emitDirs)
+	router.dirs = sealer.Encoder(rp.Plan.ChunkSize, rp.Plan.Dirs, true, router.emitDirs)
 	for s, w := range writers {
 		var err error
 		if router.docs[s], err = newDocWriter(w, rp.Plan, s, sealer); err != nil {
@@ -237,12 +237,22 @@ func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.Chun
 			return err
 		}
 	}
+	// Every fragment's trailing chunk is cut before any is waited for, so
+	// the K of them seal side by side.
+	for s, d := range router.docs {
+		if err := d.enc.Flush(); err != nil {
+			return fmt.Errorf("distribute: sealing fragment %d: %w", s, err)
+		}
+	}
 	chains := make([]string, len(router.docs))
 	for s, d := range router.docs {
 		if err := d.enc.Close(); err != nil {
 			return fmt.Errorf("distribute: sealing fragment %d: %w", s, err)
 		}
 		chains[s] = d.enc.ChainHash()
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	for s, d := range router.docs {
 		if err := d.Close(chains); err != nil {

@@ -280,17 +280,31 @@ func (*stopWriter) Close() error { return nil }
 // Parallelism the sealer runs at, and leaves no goroutine behind. The
 // writer of one fragment fails at its first flush, half way, and at the
 // trailer; the cancel comes at the fragment's first flush and a quarter of
-// the way in, with records left to route.
+// the way in, with records left to route. Two more rows build the plan in
+// chunks larger than any shard, so each fragment's files are one trailing
+// chunk, cut only once the records are routed: fragment 1's writer fails
+// in it, while the goroutine cutting chunks seals the queued ones, and the
+// cancel comes in it, during the trailing flush.
 func TestPlanBuildFailuresStopTheSealer(t *testing.T) {
 	cfg := testConfig()
 	cfg.NumFiles, cfg.FSSizeBytes = 20000, 20000*2048
-	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64})
+	const shards, trailingChunk = 3, 8192
+	_, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: 64})
 	fragLen := len(frags[1])
+	plan, frags := fragmentBuffers(t, PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: trailingChunk})
+	for _, sh := range plan.Shards {
+		if sh.Files >= trailingChunk {
+			t.Fatalf("shard %d has %d files, not fewer than a chunk of %d", sh.Index, sh.Files, trailingChunk)
+		}
+	}
+	// Half way through fragment 1's one chunk of files.
+	filesAt := bytes.Index(frags[1], []byte(`"files":[`))
+	inTrailing := (filesAt + bytes.LastIndex(frags[1], []byte(`"trailer"`))) / 2
 	boom := errors.New("boom")
 	for _, par := range []int{1, 2, 4} {
 		cfg.Parallelism = par
-		req := PlanRequest{Config: cfg, MaxShards: 3, ChunkSize: 64}
-		fragment1 := func(ctx context.Context, w *stopWriter) error {
+		fragment1 := func(ctx context.Context, chunkSize int, w *stopWriter) error {
+			req := PlanRequest{Config: cfg, MaxShards: shards, ChunkSize: chunkSize}
 			_, err := PartitionPlan(ctx, req, func(shard int) (io.WriteCloser, error) {
 				if shard == 1 {
 					return w, nil
@@ -301,17 +315,25 @@ func TestPlanBuildFailuresStopTheSealer(t *testing.T) {
 		}
 		baseline := runtime.NumGoroutine()
 		for _, at := range []int{10, fragLen / 2, fragLen - 10} {
-			if err := fragment1(context.Background(), &stopWriter{n: at, err: boom}); !errors.Is(err, boom) {
+			if err := fragment1(context.Background(), 64, &stopWriter{n: at, err: boom}); !errors.Is(err, boom) {
 				t.Errorf("-j %d PartitionPlan, fragment 1's writer failing after %d of %d bytes: got %v, want %v", par, at, fragLen, err, boom)
 			}
 		}
-		for _, at := range []int{10, fragLen / 4} {
+		if err := fragment1(context.Background(), trailingChunk, &stopWriter{n: inTrailing, err: boom}); !errors.Is(err, boom) {
+			t.Errorf("-j %d PartitionPlan, fragment 1's writer failing in its trailing chunk: got %v, want %v", par, err, boom)
+		}
+		cancelled := func(chunkSize, at int) error {
 			ctx, cancel := context.WithCancel(context.Background())
-			err := fragment1(ctx, &stopWriter{n: at, cancel: cancel})
-			cancel()
-			if !errors.Is(err, context.Canceled) {
+			defer cancel()
+			return fragment1(ctx, chunkSize, &stopWriter{n: at, cancel: cancel})
+		}
+		for _, at := range []int{10, fragLen / 4} {
+			if err := cancelled(64, at); !errors.Is(err, context.Canceled) {
 				t.Errorf("-j %d PartitionPlan cancelled after %d of fragment 1's %d bytes: got %v, want %v", par, at, fragLen, err, context.Canceled)
 			}
+		}
+		if err := cancelled(trailingChunk, inTrailing); !errors.Is(err, context.Canceled) {
+			t.Errorf("-j %d PartitionPlan cancelled in fragment 1's trailing chunk: got %v, want %v", par, err, context.Canceled)
 		}
 		waitGoroutines(t, baseline)
 	}
@@ -462,6 +484,43 @@ func TestPartitionedPlanBuildMemoryBound(t *testing.T) {
 		t.Errorf("the plan build peaked at %.1f MB of live heap at %d files and %.1f MB at %d: more than %d MB apart — something is retaining O(files) state",
 			float64(peaks[0])/(1<<20), n, float64(peaks[1])/(1<<20), 4*n, slack>>20)
 	}
+}
+
+// TestWriteFragmentsAllocatesOnce: writing a 100k-file plan's fragments at
+// Parallelism 2 allocates each record buffer once, at the size its
+// encoder's share of the records needs, and not again after it is handed
+// to the sealer and back: the write allocates at most 16 MB at K = 8 and at
+// K = 32, where buffers regrown from nil at every cut came to 25 and 32 MB.
+func TestWriteFragmentsAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const limit = 16 << 20
+	for _, k := range []int{8, 32} {
+		rp, err := PlanRequest{Config: core.Config{NumFiles: 100_000, Seed: 20090225, Parallelism: 2}, MaxShards: k}.Resolve(context.Background())
+		if err != nil {
+			t.Fatalf("Resolve: %v", err)
+		}
+		alloc := writeFragmentsAlloc(t, rp)
+		rp.Close()
+		t.Logf("K = %d: WriteFragments allocated %.1f MB", k, float64(alloc)/(1<<20))
+		if alloc > limit {
+			t.Errorf("K = %d: WriteFragments allocated %.1f MB, more than %d MB", k, float64(alloc)/(1<<20), limit>>20)
+		}
+	}
+}
+
+// writeFragmentsAlloc writes the plan's fragments into discarding writers
+// and returns the bytes the write allocated.
+func writeFragmentsAlloc(t *testing.T, rp *ResolvedPlan) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := rp.WriteFragments(context.Background(), func(int) (io.WriteCloser, error) { return nopWriteCloser{io.Discard}, nil }); err != nil {
+		t.Fatalf("WriteFragments: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // spilledPartitionPeak builds cfg's plan as 8 spilled fragments of

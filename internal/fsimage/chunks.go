@@ -28,10 +28,12 @@ import (
 // An encoder cuts chunks; a ChunkSealer seals them. One sealer serves every
 // encoder of a build: it hashes each cut chunk and, for an encoder that
 // writes a document, renders it, on parallelism−1 goroutines while the
-// goroutine feeding the encoders goes on cutting, and hands the sealed
-// chunks back to that goroutine — which folds each encoder's chain and
-// emits its chunks — in the order they were cut. At parallelism 1 it seals
-// each chunk inline as it is cut; NewChunkEncoder is that case.
+// goroutine feeding the encoders goes on cutting — and seals queued chunks
+// on that goroutine too whenever it has a chunk to cut and no slot free —
+// and hands the sealed chunks back to that goroutine, which folds each
+// encoder's chain and emits its chunks, in the order they were cut. At
+// parallelism 1 it seals each chunk inline as it is cut; NewChunkEncoder is
+// that case.
 
 // DefaultChunkSize is the default number of metadata records per chunk. At
 // ~100 bytes per serialized record a chunk costs on the order of 1 MB to
@@ -326,17 +328,21 @@ func appendStdlibJSONString(dst []byte, s string) []byte {
 }
 
 // ChunkSealer seals the chunks its encoders cut (see the stream comment
-// above). At most max(parallelism−1, 1) chunks are sealed and not yet
-// emitted at any time, across all its encoders, and each holds its records
-// and its rendering; when none is free, the next cut waits for the oldest
-// and emits it. Encoders and the sealer belong to one goroutine. The first
-// failure — a chunk that does not render, an emit that fails — is returned
-// by every later call of any of its encoders.
+// above). At parallelism 1 it seals each chunk inline as it is cut. Above 1
+// it has parallelism slots, each holding one chunk's records and rendering
+// between its cut and its emit, and parallelism−1 goroutines sealing the
+// chunks queued in them; a cut that finds every slot taken seals queued
+// chunks itself until the oldest chunk is sealed, then emits that one and
+// takes its slot, so no chunk waits in the queue while the goroutine
+// cutting them waits for a slot. Encoders and the sealer belong to one
+// goroutine. The first failure — a chunk that does not render, an emit
+// that fails — is returned by every later call of any of its encoders.
 type ChunkSealer struct {
-	work   chan *sealSlot // to the sealing goroutines; nil seals inline
+	work   chan *sealSlot // chunks queued for sealing; nil seals inline
 	wg     sync.WaitGroup
 	free   []*sealSlot
 	flight []*sealSlot // sealing or sealed, not yet emitted, oldest first
+	size   int         // the largest record buffer of its encoders
 	err    error
 }
 
@@ -359,21 +365,19 @@ func NewChunkSealer(parallelism int) *ChunkSealer {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	workers := parallelism - 1
 	s := &ChunkSealer{}
-	for range max(workers, 1) {
+	for range parallelism {
 		s.free = append(s.free, &sealSlot{done: make(chan struct{}, 1)})
 	}
-	if workers > 0 {
+	if workers := parallelism - 1; workers > 0 {
 		// One place per slot: a cut never waits to hand its chunk over.
-		s.work = make(chan *sealSlot, workers)
+		s.work = make(chan *sealSlot, parallelism)
 		s.wg.Add(workers)
 		for range workers {
 			go func() {
 				defer s.wg.Done()
 				for sl := range s.work {
-					sl.seal()
-					sl.done <- struct{}{}
+					sl.sealQueued()
 				}
 			}()
 		}
@@ -382,15 +386,20 @@ func NewChunkSealer(parallelism int) *ChunkSealer {
 }
 
 // Encoder returns an encoder cutting chunks of at most chunkSize records
-// (<= 0 selects DefaultChunkSize) for this sealer to seal. With render set
-// each chunk is also rendered (AppendJSON) and emit receives the rendering;
-// otherwise it receives nil. The *Chunk and the rendering are reused after
-// emit returns — emit must not retain them.
-func (s *ChunkSealer) Encoder(chunkSize int, render bool, emit func(c *Chunk, json []byte) error) *ChunkEncoder {
+// (<= 0 selects DefaultChunkSize) for this sealer to seal, out of the
+// records the caller expects it to take (0 if unknown). Its record buffer
+// is allocated once, at min(chunkSize, records), the first time it is
+// needed, and grows by append only when more records come than expected or
+// none were. With render set each chunk is also rendered (AppendJSON) and
+// emit receives the rendering; otherwise it receives nil. The *Chunk and
+// the rendering are reused after emit returns — emit must not retain them.
+func (s *ChunkSealer) Encoder(chunkSize, records int, render bool, emit func(c *Chunk, json []byte) error) *ChunkEncoder {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	return &ChunkEncoder{sealer: s, chunkSize: chunkSize, render: render, emit: emit, chain: NewChunkHashChain()}
+	size := min(chunkSize, max(records, 0))
+	s.size = max(s.size, size)
+	return &ChunkEncoder{sealer: s, chunkSize: chunkSize, size: size, render: render, emit: emit, chain: NewChunkHashChain()}
 }
 
 // Close stops the sealer's goroutines, abandoning the chunks in flight;
@@ -415,19 +424,20 @@ const renderBytes = 112
 func (sl *sealSlot) seal() {
 	sl.c.SHA256, sl.lines = sl.c.recordsHash(sl.lines)
 	if sl.enc.render {
-		// Sized for the chunk up front, a rendering is not copied from
-		// buffer to ever larger buffer while every goroutine renders its own.
-		if need := renderBytes * (len(sl.c.Dirs) + len(sl.c.Files)); cap(sl.json) < need {
-			sl.json = make([]byte, 0, need)
-		}
 		if sl.json, sl.err = sl.c.AppendJSON(sl.json[:0]); sl.err != nil {
 			sl.err = fmt.Errorf("fsimage: encoding chunk %d: %w", sl.c.Index, sl.err)
 		}
 	}
 }
 
-// cut seals the records e has buffered as its next chunk: inline, or handed
-// to the goroutines in exchange for the record buffers of a free slot.
+// sealQueued seals a chunk taken off the queue and reports it sealed.
+func (sl *sealSlot) sealQueued() {
+	sl.seal()
+	sl.done <- struct{}{}
+}
+
+// cut seals the records e has buffered as its next chunk: inline, or queued
+// for sealing in exchange for the record buffers of a free slot.
 func (s *ChunkSealer) cut(e *ChunkEncoder) error {
 	if s.err != nil {
 		return s.err
@@ -441,6 +451,11 @@ func (s *ChunkSealer) cut(e *ChunkEncoder) error {
 	s.free = s.free[:len(s.free)-1]
 	sl.enc, sl.c.Index = e, e.cut
 	e.cut++
+	if e.render && sl.json == nil {
+		// Sized once, for the largest chunk any encoder cuts, a rendering
+		// is not copied from buffer to ever larger buffer.
+		sl.json = make([]byte, 0, renderBytes*s.size)
+	}
 	if s.work == nil {
 		sl.c.Dirs, sl.c.Files = orNil(e.dirBuf), orNil(e.fileBuf)
 		sl.seal()
@@ -450,15 +465,25 @@ func (s *ChunkSealer) cut(e *ChunkEncoder) error {
 	// A chunk holds one kind of record, and every directory chunk precedes
 	// every file chunk: a slot that takes files keeps no directory buffer.
 	if len(e.dirBuf) > 0 {
-		sl.dirs, e.dirBuf = e.dirBuf, sl.dirs[:0]
+		sl.dirs, e.dirBuf = e.dirBuf, handBack(sl.dirs, e.size)
 		sl.c.Dirs, sl.c.Files = sl.dirs, nil
 	} else {
-		sl.files, e.fileBuf, sl.dirs = e.fileBuf, sl.files[:0], nil
+		sl.files, e.fileBuf, sl.dirs = e.fileBuf, handBack(sl.files, e.size), nil
 		sl.c.Dirs, sl.c.Files = nil, sl.files
 	}
 	s.flight = append(s.flight, sl)
 	s.work <- sl
 	return nil
+}
+
+// handBack returns a slot's record buffer, emptied, to an encoder whose
+// buffers hold size records, or nil, for the encoder to allocate its own,
+// when it is smaller: no buffer is regrown after a hand-off.
+func handBack[T any](buf []T, size int) []T {
+	if cap(buf) < size {
+		return nil
+	}
+	return buf[:0]
 }
 
 func orNil[T any](s []T) []T {
@@ -468,12 +493,19 @@ func orNil[T any](s []T) []T {
 	return s
 }
 
-// emitOldest waits for the oldest chunk in flight and emits it.
+// emitOldest emits the oldest chunk in flight once it is sealed, sealing
+// queued chunks while it waits.
 func (s *ChunkSealer) emitOldest() error {
 	sl := s.flight[0]
 	s.flight = append(s.flight[:0], s.flight[1:]...)
-	<-sl.done
-	return s.emit(sl)
+	for {
+		select {
+		case <-sl.done:
+			return s.emit(sl)
+		case q := <-s.work:
+			q.sealQueued()
+		}
+	}
 }
 
 // emit folds a sealed chunk into its encoder's chain, hands it to the
@@ -517,6 +549,7 @@ func (s *ChunkSealer) drain(e *ChunkEncoder) error {
 type ChunkEncoder struct {
 	sealer    *ChunkSealer
 	chunkSize int
+	size      int // records a buffer is allocated for
 	render    bool
 	emit      func(*Chunk, []byte) error
 
@@ -534,7 +567,7 @@ type ChunkEncoder struct {
 // *Chunk (and its record slices) is reused between emit calls — emit must
 // not retain it.
 func NewChunkEncoder(chunkSize int, emit func(*Chunk) error) *ChunkEncoder {
-	return NewChunkSealer(1).Encoder(chunkSize, false, func(c *Chunk, _ []byte) error { return emit(c) })
+	return NewChunkSealer(1).Encoder(chunkSize, 0, false, func(c *Chunk, _ []byte) error { return emit(c) })
 }
 
 // AddDir buffers the next directory record, sealing a chunk when full.
@@ -542,9 +575,12 @@ func (e *ChunkEncoder) AddDir(d DirRecord) error {
 	if e.files {
 		return fmt.Errorf("fsimage: directory record %d after the file stream began", d.ID)
 	}
+	if e.dirBuf == nil {
+		e.dirBuf = make([]DirRecord, 0, e.size)
+	}
 	e.dirBuf = append(e.dirBuf, d)
 	if len(e.dirBuf) >= e.chunkSize {
-		return e.flush()
+		return e.Flush()
 	}
 	return nil
 }
@@ -553,20 +589,25 @@ func (e *ChunkEncoder) AddDir(d DirRecord) error {
 // on the first file and full file chunks thereafter.
 func (e *ChunkEncoder) AddFile(f File) error {
 	if !e.files {
-		if err := e.flush(); err != nil {
+		if err := e.Flush(); err != nil {
 			return err
 		}
 		e.files, e.dirBuf = true, nil
 	}
+	if e.fileBuf == nil {
+		e.fileBuf = make([]File, 0, e.size)
+	}
 	e.fileBuf = append(e.fileBuf, f)
 	if len(e.fileBuf) >= e.chunkSize {
-		return e.flush()
+		return e.Flush()
 	}
 	return nil
 }
 
-// flush cuts the buffered records as one chunk (no-op if empty).
-func (e *ChunkEncoder) flush() error {
+// Flush cuts the buffered records as one chunk (no-op if empty) and does
+// not wait for it to be emitted: encoders of one sealer flushed before any
+// of them is closed have their trailing chunks sealed side by side.
+func (e *ChunkEncoder) Flush() error {
 	if len(e.dirBuf) == 0 && len(e.fileBuf) == 0 {
 		return nil
 	}
@@ -577,7 +618,7 @@ func (e *ChunkEncoder) flush() error {
 // encoder is emitted. It must be called after the last record; the encoder
 // may be inspected (Chunks, ChainHash) afterwards.
 func (e *ChunkEncoder) Close() error {
-	if err := e.flush(); err != nil {
+	if err := e.Flush(); err != nil {
 		return err
 	}
 	return e.sealer.drain(e)

@@ -1,6 +1,7 @@
 package fsimage
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,10 +183,36 @@ func TestChunkDecoderRejectsBadStreams(t *testing.T) {
 // TestChunkSealerSharedByEncoders: encoders sharing one sealer, fed in turn
 // as the fragment router feeds them, each emit their own chunks in order,
 // with the hashes, renderings and chains the inline sealer gives them, at
-// every parallelism.
+// every parallelism. The encoders take uneven shares of the files — the
+// smallest fewer than a chunk — and expect their share, nothing, or too
+// little; every trailing chunk is cut before any encoder is closed.
 func TestChunkSealerSharedByEncoders(t *testing.T) {
-	img := buildTestImage(t)
-	const k = 3
+	const (
+		k, chunkSize = 4, 16
+		dirs, files  = 40, 600
+	)
+	// File i goes to encoder shareOf(i): about 1 %, 16 %, 33 % and 50 %.
+	shareOf := func(id int) int {
+		switch r := id % 100; {
+		case r == 0:
+			return 0
+		case r <= 16:
+			return 1
+		case r <= 49:
+			return 2
+		}
+		return 3
+	}
+	var counts [k]int
+	for id := range files {
+		counts[shareOf(id)]++
+	}
+	if counts[0] >= chunkSize {
+		t.Fatalf("encoder 0 takes %d files, not fewer than a chunk of %d", counts[0], chunkSize)
+	}
+	// Each encoder takes every directory; encoder 2 expects nothing and
+	// encoder 3 too few.
+	expect := [k]int{dirs + counts[0], dirs + counts[1], 0, counts[3] / 2}
 	type sealed struct {
 		index      int
 		hash, json string
@@ -195,24 +222,29 @@ func TestChunkSealerSharedByEncoders(t *testing.T) {
 		defer s.Close()
 		encs := make([]*ChunkEncoder, k)
 		for i := range encs {
-			encs[i] = s.Encoder(2, true, func(c *Chunk, json []byte) error {
+			encs[i] = s.Encoder(chunkSize, expect[i], true, func(c *Chunk, json []byte) error {
 				chunks[i] = append(chunks[i], sealed{c.Index, c.SHA256, string(json)})
 				return nil
 			})
 		}
-		err := img.StreamRecords(recordFuncs{
-			dir: func(d DirRecord) error {
-				for _, e := range encs {
-					if err := e.AddDir(d); err != nil {
-						return err
-					}
+		for id := range dirs {
+			d := DirRecord{ID: id, Parent: max(id-1, 0) / 3, Name: fmt.Sprintf("d%d", id), Bias: float64(id%3) / 4}
+			for _, e := range encs {
+				if err := e.AddDir(d); err != nil {
+					t.Fatal(err)
 				}
-				return nil
-			},
-			file: func(f File) error { return encs[f.ID%k].AddFile(f) },
-		})
-		if err != nil {
-			t.Fatal(err)
+			}
+		}
+		for id := range files {
+			f := File{ID: id, Name: fmt.Sprintf("f%d.txt", id), Ext: "txt", Size: int64(id * 37), DirID: id % dirs, Depth: 1 + id%5}
+			if err := encs[shareOf(id)].AddFile(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range encs {
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i, e := range encs {
 			if err := e.Close(); err != nil {
@@ -223,7 +255,12 @@ func TestChunkSealerSharedByEncoders(t *testing.T) {
 		return chunks, chains
 	}
 	wantChunks, wantChains := seal(1)
-	for _, par := range []int{2, 3, 4} {
+	for i, c := range wantChunks {
+		if want := (dirs+chunkSize-1)/chunkSize + (counts[i]+chunkSize-1)/chunkSize; len(c) != want {
+			t.Fatalf("encoder %d emitted %d chunks at parallelism 1, want %d", i, len(c), want)
+		}
+	}
+	for _, par := range []int{2, 3, 4, 8} {
 		if chunks, chains := seal(par); !reflect.DeepEqual(chunks, wantChunks) || chains != wantChains {
 			t.Errorf("parallelism %d: the encoders emitted other chunks or chains than at parallelism 1", par)
 		}
