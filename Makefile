@@ -21,6 +21,7 @@ race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=3 -timeout 30m ./internal/fleet/... ./internal/serve/... ./cmd/impressions/...
 	$(GO) test -race -count=3 -timeout 30m -run 'FragmentSource|FragmentsCarry' ./internal/distribute
+	$(GO) test -race -count=3 -timeout 30m -run 'WriteFragments|PlanBuild|ChunkSealer' ./internal/distribute ./internal/fsimage
 	$(GO) test -race -count=3 -timeout 30m -run 'Identical|Surface|Sink' ./internal/imgfmt
 
 # Full benchmark suite (paper tables/figures + micro + parallel engine).
@@ -34,19 +35,23 @@ bench-smoke:
 # The CI distributed-determinism job runs this and dist-fault-check: a plan executed by 4
 # worker processes (at -j 1, 2, 4 and 8) and merged must be byte-identical to
 # a single-process run at -j 1 and at -j 4 (same canonical digest, same
-# on-disk bytes). The plan — a fragment index and four fragments — is built
-# four times and must not move a byte: at -j 1, where its chunks are sealed
-# inline, and at -j 4, where three goroutines and the one cutting them seal
-# them, each on the heap and with -spill (whose placement runs one worker
-# per depth level at -j 4). The index and every fragment are compared; the
+# on-disk bytes). The plan — a fragment index and its fragments — is built
+# at 1, 4 and 8 shards, each at -j 1, where its chunks are sealed inline,
+# and at -j 2 and 4, where they are sealed a piece at a time by one and
+# three goroutines and the one routing the records, each on the heap and
+# with -spill (whose placement runs one worker per depth level above -j 1),
+# and must not move a byte: the index and every fragment are compared with
+# the heap build at -j 1 of the same shard count (piece boundaries fall
+# differently at each). The 4-shard plan goes on: the
 # workers read their fragments through the index, and `merge -plan` of the
 # index prints the digest. Last,
 # `distrun` of the same spec (4 worker processes under the in-process
 # scheduler) must print the same digest and write the same tree.
 # That spec requests no size, so its sizes are the first pool drawn; the
-# same four builds of SIZED_SPEC (dir_small's spec at 30k files, whose
+# same builds of SIZED_SPEC (dir_small's spec at 30k files, whose
 # resolver oversamples twice) hold the resolved path to the same identity.
 SIZED_SPEC = -files 30000 -dirs 3000 -size 34406400 -size-mu 6.9 -size-sigma 0.5 -seed 20090225
+PLAN_SPEC = -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225
 
 dist-check:
 	@rm -rf /tmp/impressions-dist-check && mkdir -p /tmp/impressions-dist-check
@@ -55,25 +60,28 @@ dist-check:
 	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -digest -out single | grep '^image digest:' > single.digest; \
 	./impressions -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -digest -out single-j4 | grep '^image digest:' > single-j4.digest; \
 	cmp single.digest single-j4.digest; diff -r single single-j4; \
-	mkdir -p plan plan-spill plan-j4 plan-j4-spill; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -shards 4 -plan plan/plan.json; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 1 -shards 4 -spill plan-spill -plan plan-spill/plan.json; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -plan plan-j4/plan.json; \
-	./impressions plan -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -j 4 -shards 4 -spill plan-j4-spill -plan plan-j4-spill/plan.json; \
-	for other in plan-spill plan-j4 plan-j4-spill; do cmp plan/plan.json $$other/plan.json; for s in 0 1 2 3; do cmp plan/plan.json.frag$$s $$other/plan.json.frag$$s; done; done; \
-	mkdir -p sized sized-spill sized-j4 sized-j4-spill; \
-	./impressions plan $(SIZED_SPEC) -j 1 -shards 4 -plan sized/plan.json; \
-	./impressions plan $(SIZED_SPEC) -j 1 -shards 4 -spill sized-spill -plan sized-spill/plan.json; \
-	./impressions plan $(SIZED_SPEC) -j 4 -shards 4 -plan sized-j4/plan.json; \
-	./impressions plan $(SIZED_SPEC) -j 4 -shards 4 -spill sized-j4-spill -plan sized-j4-spill/plan.json; \
-	for other in sized-spill sized-j4 sized-j4-spill; do cmp sized/plan.json $$other/plan.json; for s in 0 1 2 3; do cmp sized/plan.json.frag$$s $$other/plan.json.frag$$s; done; done; \
+	for spec in plan sized; do \
+		if [ $$spec = plan ]; then args="$(PLAN_SPEC)"; else args="$(SIZED_SPEC)"; fi; \
+		for k in 1 4 8; do \
+			for j in 1 2 4; do \
+				d=$$spec-k$$k-j$$j; mkdir -p $$d $$d-spill; \
+				./impressions plan $$args -j $$j -shards $$k -plan $$d/plan.json > /dev/null; \
+				./impressions plan $$args -j $$j -shards $$k -spill $$d-spill -plan $$d-spill/plan.json > /dev/null; \
+				for other in $$d $$d-spill; do \
+					cmp $$spec-k$$k-j1/plan.json $$other/plan.json; \
+					s=0; while [ $$s -lt $$k ]; do cmp $$spec-k$$k-j1/plan.json.frag$$s $$other/plan.json.frag$$s; s=$$((s + 1)); done; \
+				done; \
+			done; \
+		done; \
+	done; \
+	mv plan-k4-j1 plan; \
 	pids=""; for s in 0 1 2 3; do ./impressions worker -plan plan/plan.json -shard $$s -j $$((1 << s)) -out merged -manifest manifest-$$s.json & pids="$$pids $$!"; done; \
 	for p in $$pids; do wait "$$p"; done; \
 	./impressions merge -plan plan/plan.json -print-digest manifest-*.json > merged.digest; \
 	cmp single.digest merged.digest; diff -r single merged; \
 	./impressions distrun -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -shards 4 -out distrun-out | grep '^image digest:' > distrun.digest; \
 	cmp single.digest distrun.digest; diff -r single distrun-out; \
-	echo "dist-check: OK (index and fragments identical at -j 1 and -j 4, on the heap and spilled, with and without a size; merge and distrun digests and trees identical)"
+	echo "dist-check: OK (index and fragments identical at 1, 4 and 8 shards at -j 1, 2 and 4, on the heap and spilled, with and without a size; merge and distrun digests and trees identical)"
 
 # The fault-injection half of the CI distributed-determinism job: plan → 4 workers, one killed
 # mid-write (its manifest discarded so the outcome is timing-independent) →

@@ -202,7 +202,7 @@ func newGenFlags(fs *flag.FlagSet) *genFlags {
 		special: fs.Bool("special-dirs", false, "bias placement towards special directories (Windows, Program Files, web cache)"),
 		mu:      fs.Float64("size-mu", 0, "override lognormal mu of the file-size body"),
 		sigma:   fs.Float64("size-sigma", 0, "override lognormal sigma of the file-size body"),
-		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization; with -format tar/squashfs, the workers generating, hashing and writing file content, each chunk at its place in the image; for plan, the metadata pass's workers, and the plan's chunks hashed and rendered at once: all but one worker seal them behind the goroutine writing them, which seals queued ones too rather than wait (0 = all CPUs, 1 = one worker, sealing inline); the image and the plan are byte-identical at any level"),
+		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization; with -format tar/squashfs, the workers generating, hashing and writing file content, each chunk at its place in the image; for plan, the metadata pass's workers, and the plan's chunks hashed and rendered a piece of 1024 records at a time as the records are routed: all but one worker format the pieces, the goroutine routing them formats queued ones too when the queue is full, and whichever finishes the oldest piece writes it (0 = all CPUs, 1 = one worker, sealing inline); the image and the plan are byte-identical at any level"),
 	}
 }
 
@@ -537,6 +537,9 @@ func runPlan(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if sampler != nil {
+		sampler.sample() // the resolved columns and the pass's garbage, before the write
+	}
 	warnSizeMissed(stderr, rp.Meta)
 	err = writePlanFiles(ctx, rp, *planFlag)
 	rp.Close()
@@ -586,7 +589,9 @@ func writePlanFiles(ctx context.Context, rp *distribute.ResolvedPlan, path strin
 }
 
 // memSampler tracks the process's peak heap while a build runs, for the
-// plan subcommand's -mem report.
+// plan subcommand's -mem report: every memSampleEvery, at whatever boundary
+// its owner samples, and once more as it stops, before its last collection,
+// so a build shorter than a tick still reports the heap it left behind.
 type memSampler struct {
 	baseline  uint64
 	baseAlloc uint64
@@ -595,6 +600,10 @@ type memSampler struct {
 	done      chan struct{}
 }
 
+// memSampleEvery is memSampler's tick: a few milliseconds, the length of
+// the shortest phase it is asked to see.
+var memSampleEvery = 2 * time.Millisecond
+
 func startMemSampler() *memSampler {
 	runtime.GC()
 	var ms runtime.MemStats
@@ -602,22 +611,30 @@ func startMemSampler() *memSampler {
 	s := &memSampler{baseline: ms.HeapAlloc, baseAlloc: ms.TotalAlloc, quit: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
-		tick := time.NewTicker(20 * time.Millisecond)
+		tick := time.NewTicker(memSampleEvery)
 		defer tick.Stop()
 		for {
 			select {
 			case <-s.quit:
 				return
 			case <-tick.C:
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > s.peak.Load() {
-					s.peak.Store(ms.HeapAlloc)
-				}
+				s.sample()
 			}
 		}
 	}()
 	return s
+}
+
+// sample reads the heap and raises the peak to it.
+func (s *memSampler) sample() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for {
+		peak := s.peak.Load()
+		if ms.HeapAlloc <= peak || s.peak.CompareAndSwap(peak, ms.HeapAlloc) {
+			return
+		}
+	}
 }
 
 // stop ends sampling and returns the peak heap above baseline, the live
@@ -625,13 +642,12 @@ func startMemSampler() *memSampler {
 func (s *memSampler) stop() (peak, retained, total uint64) {
 	close(s.quit)
 	<-s.done
+	s.sample()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > s.peak.Load() {
-		s.peak.Store(ms.HeapAlloc)
-	}
-	peak = s.peak.Load() - min(s.peak.Load(), s.baseline)
+	peak = max(s.peak.Load(), ms.HeapAlloc)
+	peak -= min(peak, s.baseline)
 	retained = ms.HeapAlloc - min(ms.HeapAlloc, s.baseline)
 	total = ms.TotalAlloc - s.baseAlloc
 	return peak, retained, total

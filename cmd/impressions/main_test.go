@@ -139,6 +139,40 @@ func TestPlanStreamWritesIdenticalPlan(t *testing.T) {
 	}
 }
 
+// TestPlanMemReportsAPeak: plan -mem reports a peak heap above the heap the
+// build retains even when the sampler never ticks during the build: it
+// reads the heap between resolving and writing, and before its last
+// collection.
+func TestPlanMemReportsAPeak(t *testing.T) {
+	defer func(every time.Duration) { memSampleEvery = every }(memSampleEvery)
+	memSampleEvery = time.Hour
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"plan", "-files", "20000", "-shards", "8", "-spill", dir, "-mem", "-plan", filepath.Join(dir, "plan.json")}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`peak heap (\S+) \(live (\S+) retained`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("-mem did not report peak heap:\n%s", out.String())
+	}
+	// Undo stats.FormatBytes: a number and a binary suffix.
+	bytesOf := func(s string) float64 {
+		scale := 1.0
+		if i := strings.IndexAny(s, "KMGT"); i >= 0 {
+			scale = float64(uint64(1) << (10 * (1 + strings.IndexByte("KMGT", s[i]))))
+			s = s[:i]
+		}
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatalf("-mem printed %q: %v", s, err)
+		}
+		return v * scale
+	}
+	if peak, live := bytesOf(m[1]), bytesOf(m[2]); peak <= live {
+		t.Errorf("-mem reported a peak of %s, no more than the %s retained after the build:\n%s", m[1], m[2], out.String())
+	}
+}
+
 // TestPlanWarnsOfAMissedSize: a plan whose requested size the resolver
 // cannot meet says so in one stderr line, requested against produced, and
 // still exits 0; one that meets its size, or requests none, says nothing.
@@ -1903,7 +1937,7 @@ func TestGenerateMemoryBound(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(10))
 	for _, c := range []struct {
 		name    string
-		n, dirs int // N files, enough for the 20 ms sampler to see the replay, under dirs directories
+		n, dirs int // N files, enough for the sampler to see the replay several times, under dirs directories
 		out     func() []string
 	}{
 		{"tar", 100_000, 3000, func() []string { return []string{"-format", "tar", "-out", os.DevNull} }},

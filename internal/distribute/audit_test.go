@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"impressions/internal/core"
 	"impressions/internal/fsimage"
@@ -238,19 +240,31 @@ func BenchmarkPlanRoundTrip(b *testing.B) {
 }
 
 // BenchmarkWriteFragments tracks the cost (time and allocations) of the
-// fragment write alone: the 100k-file default-model plan written as 8
-// fragments into discarding writers at Parallelism 2, the plan_meta shape.
+// fragment write alone: the 100k-file default-model plan written into
+// discarding writers as 8 fragments at Parallelism 2 (the plan_meta shape)
+// and at 1 (the inline sealer), and as one fragment at 2. Where the process
+// CPU time is known it reports cores, CPU over wall, so the sealer's
+// parallelism shows without the CLI.
 func BenchmarkWriteFragments(b *testing.B) {
-	rp, err := PlanRequest{Config: core.Config{NumFiles: 100_000, Seed: 20090225, Parallelism: 2}, MaxShards: 8}.Resolve(context.Background())
-	if err != nil {
-		b.Fatalf("Resolve: %v", err)
-	}
-	defer rp.Close()
-	b.ReportAllocs()
-	for b.Loop() {
-		if err := rp.WriteFragments(context.Background(), func(int) (io.WriteCloser, error) { return nopWriteCloser{io.Discard}, nil }); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ j, k int }{{2, 8}, {2, 1}, {1, 8}} {
+		b.Run(fmt.Sprintf("j%d/K%d", c.j, c.k), func(b *testing.B) {
+			rp, err := PlanRequest{Config: core.Config{NumFiles: 100_000, Seed: 20090225, Parallelism: c.j}, MaxShards: c.k}.Resolve(context.Background())
+			if err != nil {
+				b.Fatalf("Resolve: %v", err)
+			}
+			defer rp.Close()
+			b.ReportAllocs()
+			cpu0, cpuKnown := processCPU()
+			start := time.Now()
+			for b.Loop() {
+				if err := rp.WriteFragments(context.Background(), func(int) (io.WriteCloser, error) { return nopWriteCloser{io.Discard}, nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if cpu1, _ := processCPU(); cpuKnown {
+				b.ReportMetric(float64(cpu1-cpu0)/float64(time.Since(start)), "cores")
+			}
+		})
 	}
 }
 

@@ -21,12 +21,11 @@ type shardWireHeader struct {
 
 // docWriter writes one document incrementally: newDocWriter emits the head,
 // the records pushed through AddDir/AddFile leave as hash-guarded chunks,
-// sealed and rendered by the build's sealer, closing the encoder waits for
-// the last of them, and Close writes the trailer. The writer buffers the
-// records of the chunk it is cutting, in one buffer sized for the files its
-// row of the shard table promises or a chunk, whichever is less; the
-// renderings, and the records of the chunks being sealed, are the sealer's,
-// at most one per slot across every writer of the build.
+// sealed and rendered a piece at a time by the build's sealer, closing the
+// encoder waits for the last of them, and Close writes the trailer. The
+// writer buffers the records of the piece it is filling; the pieces in
+// flight, their records and renderings, are the sealer's, one ring of them
+// across every writer of the build.
 type docWriter struct {
 	bw  *bufio.Writer
 	enc *fsimage.ChunkEncoder
@@ -39,23 +38,23 @@ func newDocWriter(w io.Writer, p *Plan, shard int, sealer *fsimage.ChunkSealer) 
 		return nil, fmt.Errorf("distribute: encoding shard document header: %w", err)
 	}
 	d := &docWriter{bw: bufio.NewWriterSize(w, 64*1024)}
-	d.enc = sealer.Encoder(p.ChunkSize, p.Shards[shard].Files, true, d.emit)
+	d.enc = sealer.Encoder(p.ChunkSize, d.emit)
 	if _, err := fmt.Fprintf(d.bw, `{"view":%s,"records":[`, raw); err != nil {
 		return nil, fmt.Errorf("distribute: encoding shard document: %w", err)
 	}
 	return d, nil
 }
 
-// emit writes one sealed chunk, rendered, as the next element of the chunk
-// array. Every document numbers its chunks from 0, so any later index
-// follows a comma.
-func (d *docWriter) emit(c *fsimage.Chunk, rendered []byte) error {
-	if c.Index > 0 {
+// emit writes the next piece of the chunk array. Every document numbers its
+// chunks from 0, so a chunk with a later index follows a comma. It runs on
+// whichever goroutine runs the sealer's ordered tail, one piece at a time.
+func (d *docWriter) emit(p *fsimage.ChunkPiece) error {
+	if p.First && p.Index > 0 {
 		if err := d.bw.WriteByte(','); err != nil {
 			return err
 		}
 	}
-	_, err := d.bw.Write(rendered)
+	_, err := d.bw.Write(p.JSON)
 	return err
 }
 

@@ -19,9 +19,9 @@ import (
 // routes one record replay through K incremental shard-document encoders;
 // each fragment's trailer then seals the plan with the chain hashes of all
 // K, so each fragment fingerprints to the plan. Nothing retains the image:
-// live state is the compact tree plus K chunk buffers, and with the spill
-// knob set (Config.SpillDir) even the metadata columns live on disk, so a
-// 10⁸-file plan builds in O(dirs) heap.
+// live state is the compact tree, K piece buffers and the sealer's ring of
+// pieces, and with the spill knob set (Config.SpillDir) even the metadata
+// columns live on disk, so a 10⁸-file plan builds in O(dirs) heap.
 //
 // FragmentSource replays the K fragment documents as the whole plan's record
 // stream, so Merge verifies a run, and the stitcher rebuilds its archive: a
@@ -136,12 +136,12 @@ func FragmentName(planBase string, shard int) string {
 // fragmentRouter is the RecordSink that fans one metadata replay out to the
 // fragment encoders. Each file record goes to its shard's encoder only. The
 // directory section is the same bytes in every fragment, so it is one more
-// encoder on the build's sealer, whose chunks are written to every fragment;
+// encoder on the build's sealer, whose pieces are written to every fragment;
 // at the first file record the router closes it and has the fragment
 // encoders resume behind its chunk hashes: directory records are hashed once
-// and rendered once, whatever K is, and no rendered chunk outlives its
-// writes. The encoders share the build's sealer, so the chunks in flight
-// are bounded by its slots, not by K.
+// and rendered once, whatever K is, and no rendered piece outlives its
+// writes. The encoders share the build's sealer, so the pieces in flight
+// are bounded by its ring, not by K.
 type fragmentRouter struct {
 	cancelPoll
 	part   *namespace.Partition
@@ -177,12 +177,14 @@ func (r *fragmentRouter) AddDir(d fsimage.DirRecord) error {
 	return r.dirs.AddDir(d)
 }
 
-// emitDirs writes a sealed directory chunk to every fragment and keeps its
-// hash.
-func (r *fragmentRouter) emitDirs(c *fsimage.Chunk, rendered []byte) error {
-	r.hashes = append(r.hashes, c.SHA256)
+// emitDirs writes a piece of a directory chunk to every fragment and keeps
+// the chunk's hash once it is sealed.
+func (r *fragmentRouter) emitDirs(p *fsimage.ChunkPiece) error {
+	if p.SHA256 != "" {
+		r.hashes = append(r.hashes, p.SHA256)
+	}
 	for _, d := range r.docs {
-		if err := d.emit(c, rendered); err != nil {
+		if err := d.emit(p); err != nil {
 			return err
 		}
 	}
@@ -219,7 +221,7 @@ func (r *fragmentRouter) AddFile(f fsimage.File) error {
 // their chains and writes every trailer.
 func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.ChunkSealer, writers []io.WriteCloser) error {
 	router := &fragmentRouter{cancelPoll: cancelPoll{ctx: ctx}, part: rp.part, docs: make([]*docWriter, len(writers))}
-	router.dirs = sealer.Encoder(rp.Plan.ChunkSize, rp.Plan.Dirs, true, router.emitDirs)
+	router.dirs = sealer.Encoder(rp.Plan.ChunkSize, router.emitDirs)
 	for s, w := range writers {
 		var err error
 		if router.docs[s], err = newDocWriter(w, rp.Plan, s, sealer); err != nil {
@@ -269,8 +271,6 @@ func (rp *ResolvedPlan) writeFragments(ctx context.Context, sealer *fsimage.Chun
 // header's Fingerprint is what each fragment reproduces and what an index
 // records. Every writer open returned is closed.
 func (rp *ResolvedPlan) WriteFragments(ctx context.Context, open func(shard int) (io.WriteCloser, error)) error {
-	sealer := fsimage.NewChunkSealer(rp.parallelism)
-	defer sealer.Close()
 	wcs := make([]io.WriteCloser, len(rp.Plan.Shards))
 	closeAll := func() {
 		for _, wc := range wcs {
@@ -287,7 +287,12 @@ func (rp *ResolvedPlan) WriteFragments(ctx context.Context, open func(shard int)
 		}
 		wcs[s] = wc
 	}
-	if err := rp.writeFragments(ctx, sealer, wcs); err != nil {
+	sealer := fsimage.NewChunkSealer(rp.parallelism)
+	err := rp.writeFragments(ctx, sealer, wcs)
+	// The sealer's goroutines write fragments too: they stop before any
+	// writer is closed.
+	sealer.Close()
+	if err != nil {
 		closeAll()
 		return err
 	}
@@ -303,9 +308,9 @@ func (rp *ResolvedPlan) WriteFragments(ctx context.Context, open func(shard int)
 
 // PartitionPlan builds the plan req describes as one fragment per shard, at
 // most MaxShards (Resolve, then WriteFragments), and returns the sealed plan
-// header; no image is retained. Live memory is the compact tree plus one
-// chunk buffer per fragment; combined with Config.SpillDir the whole build
-// runs in O(dirs) heap.
+// header; no image is retained. Live memory is the compact tree, one piece
+// buffer per fragment and the sealer's ring; combined with Config.SpillDir
+// the whole build runs in O(dirs) heap.
 func PartitionPlan(ctx context.Context, req PlanRequest, open func(shard int) (io.WriteCloser, error)) (*Plan, error) {
 	rp, err := req.Resolve(ctx)
 	if err != nil {

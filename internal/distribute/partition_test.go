@@ -280,11 +280,12 @@ func (*stopWriter) Close() error { return nil }
 // Parallelism the sealer runs at, and leaves no goroutine behind. The
 // writer of one fragment fails at its first flush, half way, and at the
 // trailer; the cancel comes at the fragment's first flush and a quarter of
-// the way in, with records left to route. Two more rows build the plan in
-// chunks larger than any shard, so each fragment's files are one trailing
-// chunk, cut only once the records are routed: fragment 1's writer fails
-// in it, while the goroutine cutting chunks seals the queued ones, and the
-// cancel comes in it, during the trailing flush.
+// the way in, with records left to route. Four more rows build the plan in
+// chunks larger than any shard, so each fragment's files are one chunk,
+// sealed a piece at a time as they are routed and closed by the trailing
+// flush: fragment 1's writer fails half way through it and in the middle
+// of its second piece (pieces are 1024 records), and the cancel comes at
+// the same two places.
 func TestPlanBuildFailuresStopTheSealer(t *testing.T) {
 	cfg := testConfig()
 	cfg.NumFiles, cfg.FSSizeBytes = 20000, 20000*2048
@@ -300,6 +301,14 @@ func TestPlanBuildFailuresStopTheSealer(t *testing.T) {
 	// Half way through fragment 1's one chunk of files.
 	filesAt := bytes.Index(frags[1], []byte(`"files":[`))
 	inTrailing := (filesAt + bytes.LastIndex(frags[1], []byte(`"trailer"`))) / 2
+	// Half way through the second piece of that chunk: at its 1536th record.
+	if plan.Shards[1].Files < 2048 {
+		t.Fatalf("shard 1 has %d files, not two pieces", plan.Shards[1].Files)
+	}
+	midPiece := filesAt
+	for range 1536 {
+		midPiece += 1 + bytes.Index(frags[1][midPiece+1:], []byte(`{"ID":`))
+	}
 	boom := errors.New("boom")
 	for _, par := range []int{1, 2, 4} {
 		cfg.Parallelism = par
@@ -319,8 +328,10 @@ func TestPlanBuildFailuresStopTheSealer(t *testing.T) {
 				t.Errorf("-j %d PartitionPlan, fragment 1's writer failing after %d of %d bytes: got %v, want %v", par, at, fragLen, err, boom)
 			}
 		}
-		if err := fragment1(context.Background(), trailingChunk, &stopWriter{n: inTrailing, err: boom}); !errors.Is(err, boom) {
-			t.Errorf("-j %d PartitionPlan, fragment 1's writer failing in its trailing chunk: got %v, want %v", par, err, boom)
+		for _, at := range []int{inTrailing, midPiece} {
+			if err := fragment1(context.Background(), trailingChunk, &stopWriter{n: at, err: boom}); !errors.Is(err, boom) {
+				t.Errorf("-j %d PartitionPlan, fragment 1's writer failing at byte %d of its one chunk of files: got %v, want %v", par, at, err, boom)
+			}
 		}
 		cancelled := func(chunkSize, at int) error {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -332,8 +343,10 @@ func TestPlanBuildFailuresStopTheSealer(t *testing.T) {
 				t.Errorf("-j %d PartitionPlan cancelled after %d of fragment 1's %d bytes: got %v, want %v", par, at, fragLen, err, context.Canceled)
 			}
 		}
-		if err := cancelled(trailingChunk, inTrailing); !errors.Is(err, context.Canceled) {
-			t.Errorf("-j %d PartitionPlan cancelled in fragment 1's trailing chunk: got %v, want %v", par, err, context.Canceled)
+		for _, at := range []int{inTrailing, midPiece} {
+			if err := cancelled(trailingChunk, at); !errors.Is(err, context.Canceled) {
+				t.Errorf("-j %d PartitionPlan cancelled at byte %d of fragment 1's one chunk of files: got %v, want %v", par, at, err, context.Canceled)
+			}
 		}
 		waitGoroutines(t, baseline)
 	}

@@ -9,6 +9,7 @@ import (
 	"hash"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 
 	"impressions/internal/jsonscan"
@@ -26,14 +27,18 @@ import (
 // all chunk hashes (ChunkHashChain) stands in for a whole-image hash.
 //
 // An encoder cuts chunks; a ChunkSealer seals them. One sealer serves every
-// encoder of a build: it hashes each cut chunk and, for an encoder that
-// writes a document, renders it, on parallelism−1 goroutines while the
-// goroutine feeding the encoders goes on cutting — and seals queued chunks
-// on that goroutine too whenever it has a chunk to cut and no slot free —
-// and hands the sealed chunks back to that goroutine, which folds each
-// encoder's chain and emits its chunks, in the order they were cut. At
-// parallelism 1 it seals each chunk inline as it is cut; NewChunkEncoder is
-// that case.
+// encoder of a build. An encoder hands its records over a piece at a time
+// (pieceRecords of them, or fewer where a chunk ends) as they arrive, and
+// the sealer formats each piece's hash lines and, for an encoder that
+// writes a document, its JSON, on parallelism−1 goroutines and on the
+// goroutine feeding the encoders whenever its ring of pieces is full. Only
+// the tail runs in the order the pieces were handed over: feeding the
+// chunk's SHA-256, rendering its opening and its hash member, emitting, and
+// folding each sealed chunk into its encoder's chain. Both the hashed text
+// and the JSON of a chunk are concatenations of its records', so the pieces
+// add up to exactly the bytes of the whole chunk. At parallelism 1 each
+// piece is sealed inline as it is handed over; NewChunkEncoder is that
+// case.
 
 // DefaultChunkSize is the default number of metadata records per chunk. At
 // ~100 bytes per serialized record a chunk costs on the order of 1 MB to
@@ -82,7 +87,8 @@ const hashFlushBytes = 32 << 10
 // (which is what fmt's verbs call; %q is strconv.AppendQuote behind
 // appendQuoted's shortcut) rather than through fmt: every plan record is
 // hashed at least twice, sealing and verifying, and formatting was seven
-// times the cost of the SHA-256 it fed.
+// times the cost of the SHA-256 it fed. The text is a concatenation, so a
+// sealer hashes a chunk a piece at a time with the same appenders.
 func (c *Chunk) RecordsHash() string {
 	hash, _ := c.recordsHash(nil)
 	return hash
@@ -94,15 +100,50 @@ func (c *Chunk) recordsHash(buf []byte) (string, []byte) {
 	h := sha256.New()
 	// One buffer for all the lines: flushed when full, sized for a small
 	// chunk when the chunk is small, with room for one more line.
-	if need := min(hashFlushBytes, 128*(len(c.Dirs)+len(c.Files))) + 512; cap(buf) < need {
+	if need := min(hashFlushBytes, 128*(len(c.Dirs)+len(c.Files))) + 128*hashBatch; cap(buf) < need {
 		buf = make([]byte, 0, need)
 	}
-	buf = append(buf[:0], chunkHashVersion...)
+	buf = appendHashPreamble(buf[:0], c.Index)
+	for lo := 0; lo < len(c.Dirs); lo += hashBatch {
+		if buf = appendDirLines(buf, c.Dirs[lo:min(lo+hashBatch, len(c.Dirs))]); len(buf) >= hashFlushBytes {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	for lo := 0; lo < len(c.Files); lo += hashBatch {
+		if buf = appendFileLines(buf, c.Files[lo:min(lo+hashBatch, len(c.Files))]); len(buf) >= hashFlushBytes {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	h.Write(buf)
+	return hexSum(h), buf
+}
+
+// hashBatch is how many records recordsHash renders between checks of its
+// buffer against hashFlushBytes.
+const hashBatch = 64
+
+// hexSum returns h's sum in hex.
+func hexSum(h hash.Hash) string {
+	var sum [sha256.Size]byte
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], h.Sum(sum[:0]))
+	return string(text[:])
+}
+
+// appendHashPreamble appends the hashed text's first line and the index's.
+func appendHashPreamble(buf []byte, index int) []byte {
+	buf = append(buf, chunkHashVersion...)
 	buf = append(buf, "\nindex:"...)
-	buf = strconv.AppendInt(buf, int64(c.Index), 10)
-	buf = append(buf, '\n')
-	for i := range c.Dirs {
-		d := &c.Dirs[i]
+	buf = strconv.AppendInt(buf, int64(index), 10)
+	return append(buf, '\n')
+}
+
+// appendDirLines appends the directory records' hashed lines.
+func appendDirLines(buf []byte, dirs []DirRecord) []byte {
+	for i := range dirs {
+		d := &dirs[i]
 		buf = append(buf, 'D', ' ')
 		buf = strconv.AppendInt(buf, int64(d.ID), 10)
 		buf = append(buf, ' ')
@@ -114,13 +155,14 @@ func (c *Chunk) recordsHash(buf []byte) (string, []byte) {
 		buf = append(buf, ' ')
 		buf = strconv.AppendFloat(buf, d.Bias, 'g', -1, 64)
 		buf = append(buf, '\n')
-		if len(buf) >= hashFlushBytes {
-			h.Write(buf)
-			buf = buf[:0]
-		}
 	}
-	for i := range c.Files {
-		f := &c.Files[i]
+	return buf
+}
+
+// appendFileLines appends the file records' hashed lines.
+func appendFileLines(buf []byte, files []File) []byte {
+	for i := range files {
+		f := &files[i]
 		buf = append(buf, 'F', ' ')
 		buf = strconv.AppendInt(buf, int64(f.ID), 10)
 		buf = append(buf, ' ')
@@ -134,14 +176,8 @@ func (c *Chunk) recordsHash(buf []byte) (string, []byte) {
 		buf = append(buf, ' ')
 		buf = strconv.AppendInt(buf, int64(f.Depth), 10)
 		buf = append(buf, '\n')
-		if len(buf) >= hashFlushBytes {
-			h.Write(buf)
-			buf = buf[:0]
-		}
 	}
-	h.Write(buf)
-	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0])), buf
+	return buf
 }
 
 // AppendJSON appends the chunk's wire form, byte for byte what
@@ -149,63 +185,85 @@ func (c *Chunk) recordsHash(buf []byte) (string, []byte) {
 // JSON copies through verbatim (AppendJSONString) are appended directly;
 // any other string and a non-zero Bias are rendered by encoding/json
 // itself, so its escaping and float rules are never restated here. Like json.Marshal
-// it fails on an infinite or NaN Bias. ChunkReader reads it back.
+// it fails on an infinite or NaN Bias. ChunkReader reads it back. A record
+// array is its records' objects joined by commas, so a sealer renders a
+// chunk a piece at a time with the same appenders.
 func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(c.Index), 10)
 	if len(c.Dirs) > 0 {
-		dst = append(dst, `,"dirs":[`...)
-		for i := range c.Dirs {
-			d := &c.Dirs[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"id":`...)
-			dst = strconv.AppendInt(dst, int64(d.ID), 10)
-			dst = append(dst, `,"parent":`...)
-			dst = strconv.AppendInt(dst, int64(d.Parent), 10)
-			dst = append(dst, `,"name":`...)
-			dst = AppendJSONString(dst, d.Name)
-			if d.Special {
-				dst = append(dst, `,"special":true`...)
-			}
-			if d.Bias != 0 {
-				bias, err := json.Marshal(d.Bias)
-				if err != nil {
-					return dst, err
-				}
-				dst = append(append(dst, `,"bias":`...), bias...)
-			}
-			dst = append(dst, '}')
+		var err error
+		if dst, err = appendDirsJSON(append(dst, `,"dirs":[`...), c.Dirs, true); err != nil {
+			return dst, err
 		}
 		dst = append(dst, ']')
 	}
 	if len(c.Files) > 0 {
-		dst = append(dst, `,"files":[`...)
-		for i := range c.Files {
-			f := &c.Files[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"ID":`...)
-			dst = strconv.AppendInt(dst, int64(f.ID), 10)
-			dst = append(dst, `,"Name":`...)
-			dst = AppendJSONString(dst, f.Name)
-			dst = append(dst, `,"Ext":`...)
-			dst = AppendJSONString(dst, f.Ext)
-			dst = append(dst, `,"Size":`...)
-			dst = strconv.AppendInt(dst, f.Size, 10)
-			dst = append(dst, `,"DirID":`...)
-			dst = strconv.AppendInt(dst, int64(f.DirID), 10)
-			dst = append(dst, `,"Depth":`...)
-			dst = strconv.AppendInt(dst, int64(f.Depth), 10)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
+		dst = append(appendFilesJSON(append(dst, `,"files":[`...), c.Files, true), ']')
 	}
+	return appendChunkEnd(dst, c.SHA256), nil
+}
+
+// appendChunkEnd appends a chunk's last member, its hash, and its closing
+// brace.
+func appendChunkEnd(dst []byte, hash string) []byte {
 	dst = append(dst, `,"sha256":`...)
-	dst = AppendJSONString(dst, c.SHA256)
-	return append(dst, '}'), nil
+	dst = AppendJSONString(dst, hash)
+	return append(dst, '}')
+}
+
+// appendDirsJSON appends the directory records' objects joined by commas,
+// after one more unless first: a record array, or a run of one.
+func appendDirsJSON(dst []byte, dirs []DirRecord, first bool) ([]byte, error) {
+	for i := range dirs {
+		d := &dirs[i]
+		if i > 0 || !first {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"id":`...)
+		dst = strconv.AppendInt(dst, int64(d.ID), 10)
+		dst = append(dst, `,"parent":`...)
+		dst = strconv.AppendInt(dst, int64(d.Parent), 10)
+		dst = append(dst, `,"name":`...)
+		dst = AppendJSONString(dst, d.Name)
+		if d.Special {
+			dst = append(dst, `,"special":true`...)
+		}
+		if d.Bias != 0 {
+			bias, err := json.Marshal(d.Bias)
+			if err != nil {
+				return dst, err
+			}
+			dst = append(append(dst, `,"bias":`...), bias...)
+		}
+		dst = append(dst, '}')
+	}
+	return dst, nil
+}
+
+// appendFilesJSON appends the file records' objects joined by commas, after
+// one more unless first: a record array, or a run of one.
+func appendFilesJSON(dst []byte, files []File, first bool) []byte {
+	for i := range files {
+		f := &files[i]
+		if i > 0 || !first {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"ID":`...)
+		dst = strconv.AppendInt(dst, int64(f.ID), 10)
+		dst = append(dst, `,"Name":`...)
+		dst = AppendJSONString(dst, f.Name)
+		dst = append(dst, `,"Ext":`...)
+		dst = AppendJSONString(dst, f.Ext)
+		dst = append(dst, `,"Size":`...)
+		dst = strconv.AppendInt(dst, f.Size, 10)
+		dst = append(dst, `,"DirID":`...)
+		dst = strconv.AppendInt(dst, int64(f.DirID), 10)
+		dst = append(dst, `,"Depth":`...)
+		dst = strconv.AppendInt(dst, int64(f.Depth), 10)
+		dst = append(dst, '}')
+	}
+	return dst
 }
 
 // ChunkReader reads chunks in the wire form AppendJSON writes, off a
@@ -306,7 +364,7 @@ func readFile(s *jsonscan.Scanner, f *File) error {
 // renderer whose output the fast path stands for.
 func appendQuoted(dst []byte, s string, render func([]byte, string) []byte) []byte {
 	for i := 0; i < len(s); i++ {
-		if b := s[i]; b < 0x20 || b > 0x7e || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+		if !copiedThrough[s[i]] {
 			return render(dst, s)
 		}
 	}
@@ -314,6 +372,16 @@ func appendQuoted(dst []byte, s string, render func([]byte, string) []byte) []by
 	dst = append(dst, s...)
 	return append(dst, '"')
 }
+
+// copiedThrough holds the bytes appendQuoted copies: printable ASCII but
+// " \ < > &. A table, so its scan of every name a chunk renders and hashes
+// costs a load a byte, not seven comparisons.
+var copiedThrough = func() (t [256]bool) {
+	for b := 0x20; b <= 0x7e; b++ {
+		t[b] = !strings.ContainsRune(`"\<>&`, rune(b))
+	}
+	return t
+}()
 
 // AppendJSONString appends s as json.Marshal renders it: copied between
 // quotes when appendQuoted can, by encoding/json otherwise.
@@ -327,35 +395,71 @@ func appendStdlibJSONString(dst []byte, s string) []byte {
 	return append(dst, raw...)
 }
 
-// ChunkSealer seals the chunks its encoders cut (see the stream comment
-// above). At parallelism 1 it seals each chunk inline as it is cut. Above 1
-// it has parallelism slots, each holding one chunk's records and rendering
-// between its cut and its emit, and parallelism−1 goroutines sealing the
-// chunks queued in them; a cut that finds every slot taken seals queued
-// chunks itself until the oldest chunk is sealed, then emits that one and
-// takes its slot, so no chunk waits in the queue while the goroutine
-// cutting them waits for a slot. Encoders and the sealer belong to one
-// goroutine. The first failure — a chunk that does not render, an emit
-// that fails — is returned by every later call of any of its encoders.
-type ChunkSealer struct {
-	work   chan *sealSlot // chunks queued for sealing; nil seals inline
-	wg     sync.WaitGroup
-	free   []*sealSlot
-	flight []*sealSlot // sealing or sealed, not yet emitted, oldest first
-	size   int         // the largest record buffer of its encoders
-	err    error
+// pieceRecords is how many records an encoder hands its sealer at a time: a
+// chunk is hashed and rendered a piece at a time as its records arrive, not
+// once it is full, so a sealing goroutine has work from the first records
+// of a build on.
+const pieceRecords = 1024
+
+// ringPerWorker is how many pieces the sealer holds per unit of parallelism,
+// queued, in formatting or waiting for their turn in the ordered tail.
+const ringPerWorker = 4
+
+// ChunkPiece is one run of a chunk's rendering, as a rendering encoder hands
+// them to its emit, in stream order. A chunk's AppendJSON is the
+// concatenation of its pieces' JSON, from the piece with First set to the
+// piece with SHA256 set.
+type ChunkPiece struct {
+	Index  int    // the chunk's position in the stream
+	First  bool   // JSON opens the chunk
+	JSON   []byte // reused once emit returns
+	SHA256 string // the chunk's RecordsHash, on its last piece only
 }
 
-// sealSlot is one chunk between its cut and its emit.
-type sealSlot struct {
-	c     Chunk
-	dirs  []DirRecord // the record buffers c was cut into
-	files []File
-	enc   *ChunkEncoder
-	lines []byte // RecordsHash's line buffer
-	json  []byte // the rendering, when enc renders
-	err   error  // a rendering failure
-	done  chan struct{}
+// ChunkSealer seals the chunks its encoders cut (see the stream comment
+// above), a piece at a time. Each piece — an encoder's next pieceRecords
+// records, or fewer where a chunk ends — has its hash lines and JSON
+// formatted by whichever goroutine takes it, then goes through the ordered
+// tail in the order the pieces were handed over: the chunk's SHA-256 is
+// fed, its opening and its hash member are rendered around its records,
+// its pieces are emitted and, at its last piece, it is folded into its
+// encoder's chain. At parallelism 1 every piece is formatted and tailed
+// inline as it is handed over. Above 1 a ring of ringPerWorker×parallelism
+// pieces bounds the whole build: parallelism−1 goroutines format the queued
+// pieces, the goroutine handing them over formats the oldest queued one
+// itself whenever the ring is full, and whichever goroutine finishes the
+// oldest piece runs the tail. Encoders and the sealer belong to one
+// goroutine, the emits run on any; the first failure — a chunk that does
+// not render, an emit that fails — is returned by every later call of any
+// of its encoders.
+type ChunkSealer struct {
+	inline piece // the one piece at parallelism 1
+
+	// Above 1, under mu: pieces are numbered as they are handed over;
+	// those below handed are in the ring, those below taken are formatting
+	// or formatted, those below tailed have left it.
+	mu                    sync.Mutex
+	queued, freed         sync.Cond // a piece queued; the tail advanced or the sealer failed
+	ring                  []piece
+	handed, taken, tailed uint64
+	tailing               bool // a goroutine is running the tail
+	wg                    sync.WaitGroup
+	err                   error
+}
+
+// piece is one run of an encoder's records between its hand-over and its
+// tail. Above parallelism 1 it owns its record buffers, swapped for the
+// encoder's at the hand-over; inline it views the encoder's.
+type piece struct {
+	enc         *ChunkEncoder
+	index       int  // its chunk's
+	first, last bool // it opens, closes its chunk
+	dirs        []DirRecord
+	files       []File
+	lines       []byte // the records' hash lines
+	json        []byte // their objects, when enc renders
+	err         error  // a rendering failure
+	done        bool   // formatted (under mu)
 }
 
 // NewChunkSealer returns a sealer for one build at the given parallelism
@@ -366,124 +470,179 @@ func NewChunkSealer(parallelism int) *ChunkSealer {
 		parallelism = runtime.NumCPU()
 	}
 	s := &ChunkSealer{}
-	for range parallelism {
-		s.free = append(s.free, &sealSlot{done: make(chan struct{}, 1)})
+	if parallelism == 1 {
+		return s
 	}
-	if workers := parallelism - 1; workers > 0 {
-		// One place per slot: a cut never waits to hand its chunk over.
-		s.work = make(chan *sealSlot, parallelism)
-		s.wg.Add(workers)
-		for range workers {
-			go func() {
-				defer s.wg.Done()
-				for sl := range s.work {
-					sl.sealQueued()
-				}
-			}()
-		}
+	s.queued.L, s.freed.L = &s.mu, &s.mu
+	s.ring = make([]piece, ringPerWorker*parallelism)
+	s.wg.Add(parallelism - 1)
+	for range parallelism - 1 {
+		go s.work()
 	}
 	return s
 }
 
 // Encoder returns an encoder cutting chunks of at most chunkSize records
-// (<= 0 selects DefaultChunkSize) for this sealer to seal, out of the
-// records the caller expects it to take (0 if unknown). Its record buffer
-// is allocated once, at min(chunkSize, records), the first time it is
-// needed, and grows by append only when more records come than expected or
-// none were. With render set each chunk is also rendered (AppendJSON) and
-// emit receives the rendering; otherwise it receives nil. The *Chunk and
-// the rendering are reused after emit returns — emit must not retain them.
-func (s *ChunkSealer) Encoder(chunkSize, records int, render bool, emit func(c *Chunk, json []byte) error) *ChunkEncoder {
+// (<= 0 selects DefaultChunkSize) for this sealer to seal, rendered, and
+// handing each chunk's rendering to emit a piece at a time (see
+// ChunkPiece). Its record buffer holds one piece, allocated the first time
+// it is needed; above parallelism 1 it is traded for the ring's at every
+// hand-over. The piece is reused once emit returns — emit must not retain
+// it.
+func (s *ChunkSealer) Encoder(chunkSize int, emit func(*ChunkPiece) error) *ChunkEncoder {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	size := min(chunkSize, max(records, 0))
-	s.size = max(s.size, size)
-	return &ChunkEncoder{sealer: s, chunkSize: chunkSize, size: size, render: render, emit: emit, chain: NewChunkHashChain()}
+	return &ChunkEncoder{sealer: s, chunkSize: chunkSize, size: min(chunkSize, pieceRecords), emit: emit, hash: sha256.New(), chain: NewChunkHashChain()}
 }
 
-// Close stops the sealer's goroutines, abandoning the chunks in flight;
+// Close stops the sealer's goroutines, abandoning the pieces in flight;
 // every later call of its encoders fails. Further calls do nothing.
 func (s *ChunkSealer) Close() {
-	if s.work != nil {
-		close(s.work)
-		s.wg.Wait()
-		s.work = nil
+	if s.ring == nil {
+		if s.err == nil {
+			s.err = errSealerClosed
+		}
+		return
 	}
+	s.mu.Lock()
 	if s.err == nil {
 		s.err = errSealerClosed
 	}
+	s.queued.Broadcast()
+	s.freed.Broadcast()
+	s.mu.Unlock()
+	s.wg.Wait()
 }
 
 var errSealerClosed = errors.New("fsimage: chunk sealer closed")
 
-// renderBytes is about what AppendJSON takes for one generated record.
-const renderBytes = 112
+// renderBytes and lineBytes are about what AppendJSON and the hash take for
+// one generated record.
+const renderBytes, lineBytes = 112, 56
 
-// seal hashes the slot's chunk and renders it when its encoder asks.
-func (sl *sealSlot) seal() {
-	sl.c.SHA256, sl.lines = sl.c.recordsHash(sl.lines)
-	if sl.enc.render {
-		if sl.json, sl.err = sl.c.AppendJSON(sl.json[:0]); sl.err != nil {
-			sl.err = fmt.Errorf("fsimage: encoding chunk %d: %w", sl.c.Index, sl.err)
+// work formats queued pieces until the sealer fails or closes.
+func (s *ChunkSealer) work() {
+	defer s.wg.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for s.err == nil && s.taken == s.handed {
+			s.queued.Wait()
 		}
+		if s.err != nil {
+			return
+		}
+		s.formatOldest()
 	}
 }
 
-// sealQueued seals a chunk taken off the queue and reports it sealed.
-func (sl *sealSlot) sealQueued() {
-	sl.seal()
-	sl.done <- struct{}{}
+// formatOldest formats the oldest queued piece and runs the tail as far as
+// the formatted pieces reach. It is called, and returns, with mu held.
+func (s *ChunkSealer) formatOldest() {
+	p := &s.ring[s.taken%uint64(len(s.ring))]
+	s.taken++
+	s.mu.Unlock()
+	p.format()
+	s.mu.Lock()
+	p.done = true
+	if s.tailing {
+		return // the goroutine running the tail reaches p
+	}
+	s.tailing = true
+	for s.tailed < s.taken {
+		q := &s.ring[s.tailed%uint64(len(s.ring))]
+		if !q.done {
+			break
+		}
+		if s.err == nil {
+			s.mu.Unlock()
+			err := q.tail()
+			s.mu.Lock()
+			if err != nil && s.err == nil {
+				s.err = err
+			}
+		}
+		q.done, q.enc = false, nil
+		s.tailed++
+		s.freed.Broadcast()
+	}
+	s.tailing = false
 }
 
-// cut seals the records e has buffered as its next chunk: inline, or queued
-// for sealing in exchange for the record buffers of a free slot.
-func (s *ChunkSealer) cut(e *ChunkEncoder) error {
-	if s.err != nil {
-		return s.err
+// format renders the piece's hash lines and, when its encoder renders, its
+// records' JSON.
+func (p *piece) format() {
+	n := len(p.dirs) + len(p.files)
+	if cap(p.lines) < lineBytes*n {
+		p.lines = make([]byte, 0, lineBytes*pieceRecords)
 	}
-	if len(s.free) == 0 {
-		if err := s.emitOldest(); err != nil {
+	p.lines = appendFileLines(appendDirLines(p.lines[:0], p.dirs), p.files)
+	if p.enc.whole != nil {
+		return
+	}
+	if cap(p.json) < renderBytes*n {
+		p.json = make([]byte, 0, renderBytes*pieceRecords)
+	}
+	if p.json, p.err = appendDirsJSON(p.json[:0], p.dirs, p.first); p.err != nil {
+		p.err = fmt.Errorf("fsimage: encoding chunk %d: %w", p.index, p.err)
+		return
+	}
+	p.json = appendFilesJSON(p.json, p.files, p.first)
+}
+
+// tail is the ordered part of sealing a piece, run for every piece in the
+// order they were handed over: it feeds the piece's lines to its chunk's
+// hash and emits the piece, opening the chunk before its first and sealing
+// it after its last.
+func (p *piece) tail() error {
+	if p.err != nil {
+		return p.err
+	}
+	e := p.enc
+	if p.first {
+		e.hash.Reset()
+		e.head = appendHashPreamble(e.head[:0], p.index)
+		e.hash.Write(e.head)
+	}
+	e.hash.Write(p.lines)
+	if e.whole != nil {
+		if !p.last {
+			return nil
+		}
+		// NewChunkEncoder's sealer is inline: the chunk's records are
+		// still the encoder's buffers.
+		sum := hexSum(e.hash)
+		e.chain.Add(sum)
+		e.sealed++
+		e.chunk = Chunk{Index: p.index, Dirs: orNil(e.dirBuf), Files: orNil(e.fileBuf), SHA256: sum}
+		return e.whole(&e.chunk)
+	}
+	if p.first {
+		e.head = append(e.head[:0], `{"index":`...)
+		e.head = strconv.AppendInt(e.head, int64(p.index), 10)
+		if len(p.dirs) > 0 {
+			e.head = append(e.head, `,"dirs":[`...)
+		} else {
+			e.head = append(e.head, `,"files":[`...)
+		}
+		if err := e.emit(&ChunkPiece{Index: p.index, First: true, JSON: e.head}); err != nil {
 			return err
 		}
 	}
-	sl := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	sl.enc, sl.c.Index = e, e.cut
-	e.cut++
-	if e.render && sl.json == nil {
-		// Sized once, for the largest chunk any encoder cuts, a rendering
-		// is not copied from buffer to ever larger buffer.
-		sl.json = make([]byte, 0, renderBytes*s.size)
+	if len(p.json) > 0 {
+		if err := e.emit(&ChunkPiece{Index: p.index, JSON: p.json}); err != nil {
+			return err
+		}
 	}
-	if s.work == nil {
-		sl.c.Dirs, sl.c.Files = orNil(e.dirBuf), orNil(e.fileBuf)
-		sl.seal()
-		e.dirBuf, e.fileBuf = e.dirBuf[:0], e.fileBuf[:0]
-		return s.emit(sl)
-	}
-	// A chunk holds one kind of record, and every directory chunk precedes
-	// every file chunk: a slot that takes files keeps no directory buffer.
-	if len(e.dirBuf) > 0 {
-		sl.dirs, e.dirBuf = e.dirBuf, handBack(sl.dirs, e.size)
-		sl.c.Dirs, sl.c.Files = sl.dirs, nil
-	} else {
-		sl.files, e.fileBuf, sl.dirs = e.fileBuf, handBack(sl.files, e.size), nil
-		sl.c.Dirs, sl.c.Files = nil, sl.files
-	}
-	s.flight = append(s.flight, sl)
-	s.work <- sl
-	return nil
-}
-
-// handBack returns a slot's record buffer, emptied, to an encoder whose
-// buffers hold size records, or nil, for the encoder to allocate its own,
-// when it is smaller: no buffer is regrown after a hand-off.
-func handBack[T any](buf []T, size int) []T {
-	if cap(buf) < size {
+	if !p.last {
 		return nil
 	}
-	return buf[:0]
+	sum := hexSum(e.hash)
+	e.chain.Add(sum)
+	e.sealed++
+	e.head = appendChunkEnd(append(e.head[:0], ']'), sum)
+	return e.emit(&ChunkPiece{Index: p.index, JSON: e.head, SHA256: sum})
 }
 
 func orNil[T any](s []T) []T {
@@ -493,47 +652,74 @@ func orNil[T any](s []T) []T {
 	return s
 }
 
-// emitOldest emits the oldest chunk in flight once it is sealed, sealing
-// queued chunks while it waits.
-func (s *ChunkSealer) emitOldest() error {
-	sl := s.flight[0]
-	s.flight = append(s.flight[:0], s.flight[1:]...)
-	for {
-		select {
-		case <-sl.done:
-			return s.emit(sl)
-		case q := <-s.work:
-			q.sealQueued()
-		}
-	}
-}
-
-// emit folds a sealed chunk into its encoder's chain, hands it to the
-// encoder's emit and frees its slot.
-func (s *ChunkSealer) emit(sl *sealSlot) error {
-	e, err := sl.enc, sl.err
-	if err == nil {
-		e.chain.Add(sl.c.SHA256)
-		e.sealed++
-		err = e.emit(&sl.c, sl.json)
-	}
-	// The slot keeps its own buffers, not the records it borrowed inline.
-	sl.enc, sl.err, sl.c.Dirs, sl.c.Files = nil, nil, nil, nil
-	s.free = append(s.free, sl)
-	if err != nil {
-		s.err = err
-	}
-	return err
-}
-
-// drain emits chunks in flight until every chunk e has cut is emitted.
-func (s *ChunkSealer) drain(e *ChunkEncoder) error {
-	for e.sealed < e.cut {
+// handOver hands the records e buffered since its last hand-over to the
+// sealer as the next piece of its open chunk; last closes the chunk.
+func (s *ChunkSealer) handOver(e *ChunkEncoder, last bool) error {
+	if s.ring == nil {
 		if s.err != nil {
 			return s.err
 		}
-		if err := s.emitOldest(); err != nil {
-			return err
+		p := &s.inline
+		p.enc, p.index, p.first, p.last = e, e.cut, e.inChunk == 0, last
+		if p.dirs, p.files = nil, nil; e.files {
+			p.files = e.fileBuf[e.from:]
+		} else {
+			p.dirs = e.dirBuf[e.from:]
+		}
+		e.advance(len(p.dirs)+len(p.files), last)
+		p.format()
+		err := p.tail()
+		if err != nil {
+			s.err = err
+		}
+		if last || e.whole == nil {
+			e.dirBuf, e.fileBuf, e.from = e.dirBuf[:0], e.fileBuf[:0], 0
+		} else {
+			e.from = len(e.dirBuf) + len(e.fileBuf)
+		}
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.err == nil && s.handed-s.tailed == uint64(len(s.ring)) {
+		if s.taken < s.handed {
+			s.formatOldest()
+		} else {
+			s.freed.Wait()
+		}
+	}
+	if s.err != nil {
+		return s.err
+	}
+	p := &s.ring[s.handed%uint64(len(s.ring))]
+	p.enc, p.index, p.first, p.last = e, e.cut, e.inChunk == 0, last
+	e.advance(len(e.dirBuf)+len(e.fileBuf), last)
+	// The records change places with the ring's emptied buffer of their
+	// kind; the buffer of the other kind stays with the ring.
+	if len(e.dirBuf) > 0 {
+		p.dirs, e.dirBuf, p.files = e.dirBuf, p.dirs[:0], p.files[:0]
+	} else {
+		p.files, e.fileBuf, p.dirs = e.fileBuf, p.files[:0], p.dirs[:0]
+	}
+	s.handed++
+	e.handed = s.handed
+	s.queued.Signal()
+	return nil
+}
+
+// drain runs and waits for the tail until every piece e has handed over has
+// left it, formatting queued pieces while it waits.
+func (s *ChunkSealer) drain(e *ChunkEncoder) error {
+	if s.ring == nil {
+		return s.err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.err == nil && s.tailed < e.handed {
+		if s.taken < s.handed {
+			s.formatOldest()
+		} else {
+			s.freed.Wait()
 		}
 	}
 	return s.err
@@ -542,35 +728,58 @@ func (s *ChunkSealer) drain(e *ChunkEncoder) error {
 // ChunkEncoder is the RecordSink that slices a metadata stream into sealed,
 // hash-guarded chunks: directory records fill directory chunks, the first
 // file record seals any partial directory chunk, and Close seals the
-// trailing partial chunk. Only the records of the chunk being cut are
-// buffered here, and those of the chunks in its sealer's flight there, so a
-// generation pass can stream an arbitrarily large image through it in
-// O(chunk) memory.
+// trailing partial chunk. It buffers only the records of the piece it is
+// filling (NewChunkEncoder's, the chunk's), the pieces in flight being its
+// sealer's, so a generation pass can stream an arbitrarily large image
+// through it in O(piece) memory.
 type ChunkEncoder struct {
 	sealer    *ChunkSealer
 	chunkSize int
-	size      int // records a buffer is allocated for
-	render    bool
-	emit      func(*Chunk, []byte) error
+	size      int                     // records a buffer is allocated for
+	emit      func(*ChunkPiece) error // a rendering encoder's
+	whole     func(*Chunk) error      // NewChunkEncoder's: whole chunks, records and all
 
+	// The goroutine feeding the encoder's.
 	dirBuf  []DirRecord
 	fileBuf []File
-	files   bool // the file half of the stream has begun
-	cut     int  // chunks cut
-	sealed  int  // chunks emitted, all folded into chain
-	chain   *ChunkHashChain
+	from    int    // the first buffered record not handed over (whole chunks)
+	files   bool   // the file half of the stream has begun
+	cut     int    // chunks opened: the open chunk's index
+	inChunk int    // records of the open chunk handed over
+	handed  uint64 // the sealer's count after its last hand-over
+
+	// The ordered tail's.
+	hash   hash.Hash // the open chunk's
+	head   []byte
+	chunk  Chunk
+	sealed int // chunks emitted, all folded into chain
+	chain  *ChunkHashChain
+}
+
+// advance counts n records handed over into the open chunk, closing it
+// when last.
+func (e *ChunkEncoder) advance(n int, last bool) {
+	e.inChunk += n
+	if last {
+		e.cut++
+		e.inChunk = 0
+	}
 }
 
 // NewChunkEncoder returns an encoder emitting chunks of at most chunkSize
-// records (<= 0 selects DefaultChunkSize), each sealed inline as it is cut:
-// the encoder of a sealer at parallelism 1, rendering nothing. The emitted
-// *Chunk (and its record slices) is reused between emit calls — emit must
-// not retain it.
+// records (<= 0 selects DefaultChunkSize), rendering nothing and sealed
+// inline, a piece at a time, by a sealer at parallelism 1 of its own. It
+// buffers the whole chunk, which emit receives with its records; the
+// emitted *Chunk (and its record slices) is reused between emit calls —
+// emit must not retain it.
 func NewChunkEncoder(chunkSize int, emit func(*Chunk) error) *ChunkEncoder {
-	return NewChunkSealer(1).Encoder(chunkSize, 0, false, func(c *Chunk, _ []byte) error { return emit(c) })
+	e := NewChunkSealer(1).Encoder(chunkSize, nil)
+	e.whole, e.size = emit, 0
+	return e
 }
 
-// AddDir buffers the next directory record, sealing a chunk when full.
+// AddDir buffers the next directory record, handing a piece over when one
+// is full.
 func (e *ChunkEncoder) AddDir(d DirRecord) error {
 	if e.files {
 		return fmt.Errorf("fsimage: directory record %d after the file stream began", d.ID)
@@ -579,14 +788,11 @@ func (e *ChunkEncoder) AddDir(d DirRecord) error {
 		e.dirBuf = make([]DirRecord, 0, e.size)
 	}
 	e.dirBuf = append(e.dirBuf, d)
-	if len(e.dirBuf) >= e.chunkSize {
-		return e.Flush()
-	}
-	return nil
+	return e.added(len(e.dirBuf))
 }
 
 // AddFile buffers the next file record, sealing the partial directory chunk
-// on the first file and full file chunks thereafter.
+// on the first file and handing a piece over when one is full.
 func (e *ChunkEncoder) AddFile(f File) error {
 	if !e.files {
 		if err := e.Flush(); err != nil {
@@ -598,23 +804,31 @@ func (e *ChunkEncoder) AddFile(f File) error {
 		e.fileBuf = make([]File, 0, e.size)
 	}
 	e.fileBuf = append(e.fileBuf, f)
-	if len(e.fileBuf) >= e.chunkSize {
-		return e.Flush()
+	return e.added(len(e.fileBuf))
+}
+
+// added hands the buffered records over once they fill a piece or the
+// chunk, buffered holding that many.
+func (e *ChunkEncoder) added(buffered int) error {
+	n := buffered - e.from
+	if full := e.inChunk+n == e.chunkSize; full || n == pieceRecords {
+		return e.sealer.handOver(e, full)
 	}
 	return nil
 }
 
-// Flush cuts the buffered records as one chunk (no-op if empty) and does
-// not wait for it to be emitted: encoders of one sealer flushed before any
-// of them is closed have their trailing chunks sealed side by side.
+// Flush closes the open chunk, handing its buffered records over as its
+// last piece (no-op if no chunk is open), and does not wait for it to be
+// emitted: encoders of one sealer flushed before any of them is closed
+// have their trailing pieces sealed side by side.
 func (e *ChunkEncoder) Flush() error {
-	if len(e.dirBuf) == 0 && len(e.fileBuf) == 0 {
+	if e.inChunk == 0 && len(e.dirBuf)+len(e.fileBuf) == e.from {
 		return nil
 	}
-	return e.sealer.cut(e)
+	return e.sealer.handOver(e, true)
 }
 
-// Close cuts the trailing partial chunk and waits until every chunk of the
+// Close seals the trailing partial chunk and waits until every chunk of the
 // encoder is emitted. It must be called after the last record; the encoder
 // may be inspected (Chunks, ChainHash) afterwards.
 func (e *ChunkEncoder) Close() error {

@@ -180,65 +180,102 @@ func TestChunkDecoderRejectsBadStreams(t *testing.T) {
 	}
 }
 
-// TestChunkSealerSharedByEncoders: encoders sharing one sealer, fed in turn
-// as the fragment router feeds them, each emit their own chunks in order,
-// with the hashes, renderings and chains the inline sealer gives them, at
-// every parallelism. The encoders take uneven shares of the files — the
-// smallest fewer than a chunk — and expect their share, nothing, or too
-// little; every trailing chunk is cut before any encoder is closed.
-func TestChunkSealerSharedByEncoders(t *testing.T) {
+// TestChunkSealerPieces: what the piece sealer emits is what the
+// whole-chunk codec says of the same records cut at the same chunk
+// boundaries — each chunk's pieces concatenate to its AppendJSON, its last
+// piece carries its RecordsHash, and each encoder chains the same hashes —
+// at chunk sizes about a piece, for encoders sharing one sealer and fed in
+// turn as the fragment router feeds them, taking no file, one, fewer than
+// a piece and many, and for a stream of directories only, at every
+// parallelism. Every trailing chunk is cut before any encoder is closed.
+// NewChunkEncoder, which keeps whole chunks, emits the same chunks too.
+func TestChunkSealerPieces(t *testing.T) {
 	const (
-		k, chunkSize = 4, 16
-		dirs, files  = 40, 600
+		k           = 4
+		dirs, files = 2500, 10000 // the directories span pieces
 	)
-	// File i goes to encoder shareOf(i): about 1 %, 16 %, 33 % and 50 %.
+	// File i goes to encoder shareOf(i): none to 0, one to 1, fewer than a
+	// piece to 2, the rest to 3.
 	shareOf := func(id int) int {
-		switch r := id % 100; {
-		case r == 0:
-			return 0
-		case r <= 16:
+		switch {
+		case id == 5:
 			return 1
-		case r <= 49:
+		case id%50 == 0:
 			return 2
 		}
 		return 3
 	}
-	var counts [k]int
-	for id := range files {
-		counts[shareOf(id)]++
+	dir := func(id int) DirRecord {
+		return DirRecord{ID: id, Parent: max(id-1, 0) / 3, Name: fmt.Sprintf("d%d", id), Special: id%11 == 0, Bias: float64(id%3) / 4}
 	}
-	if counts[0] >= chunkSize {
-		t.Fatalf("encoder 0 takes %d files, not fewer than a chunk of %d", counts[0], chunkSize)
+	file := func(id int) File {
+		return File{ID: id, Name: MakeFileName(id, "txt"), Ext: "txt", Size: int64(id * 37), DirID: id % dirs, Depth: 1 + id%5}
 	}
-	// Each encoder takes every directory; encoder 2 expects nothing and
-	// encoder 3 too few.
-	expect := [k]int{dirs + counts[0], dirs + counts[1], 0, counts[3] / 2}
 	type sealed struct {
 		index      int
 		hash, json string
 	}
-	seal := func(parallelism int) (chunks [k][]sealed, chains [k]string) {
+	// want is the whole-chunk codec's view of encoder i's records.
+	want := func(chunkSize, i int, withFiles bool) (chunks []sealed, chain string) {
+		var recs [2]Chunk
+		for id := range dirs {
+			recs[0].Dirs = append(recs[0].Dirs, dir(id))
+		}
+		for id := range files {
+			if withFiles && shareOf(id) == i {
+				recs[1].Files = append(recs[1].Files, file(id))
+			}
+		}
+		ch := NewChunkHashChain()
+		for _, r := range recs {
+			for lo := 0; lo < len(r.Dirs)+len(r.Files); lo += chunkSize {
+				c := Chunk{Index: len(chunks)}
+				if r.Dirs != nil {
+					c.Dirs = r.Dirs[lo:min(lo+chunkSize, len(r.Dirs))]
+				} else {
+					c.Files = r.Files[lo:min(lo+chunkSize, len(r.Files))]
+				}
+				c.SHA256 = c.RecordsHash()
+				raw, err := c.AppendJSON(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chunks = append(chunks, sealed{c.Index, c.SHA256, string(raw)})
+				ch.Add(c.SHA256)
+			}
+		}
+		return chunks, ch.Sum()
+	}
+	seal := func(parallelism, chunkSize int, withFiles bool) (chunks [k][]sealed, chains [k]string) {
 		s := NewChunkSealer(parallelism)
 		defer s.Close()
 		encs := make([]*ChunkEncoder, k)
 		for i := range encs {
-			encs[i] = s.Encoder(chunkSize, expect[i], true, func(c *Chunk, json []byte) error {
-				chunks[i] = append(chunks[i], sealed{c.Index, c.SHA256, string(json)})
+			var open []byte
+			encs[i] = s.Encoder(chunkSize, func(p *ChunkPiece) error {
+				if p.First != (open == nil) {
+					return fmt.Errorf("encoder %d: piece of chunk %d with First %t", i, p.Index, p.First)
+				}
+				open = append(open, p.JSON...)
+				if p.SHA256 != "" {
+					chunks[i] = append(chunks[i], sealed{p.Index, p.SHA256, string(open)})
+					open = nil
+				}
 				return nil
 			})
 		}
 		for id := range dirs {
-			d := DirRecord{ID: id, Parent: max(id-1, 0) / 3, Name: fmt.Sprintf("d%d", id), Bias: float64(id%3) / 4}
 			for _, e := range encs {
-				if err := e.AddDir(d); err != nil {
+				if err := e.AddDir(dir(id)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		for id := range files {
-			f := File{ID: id, Name: fmt.Sprintf("f%d.txt", id), Ext: "txt", Size: int64(id * 37), DirID: id % dirs, Depth: 1 + id%5}
-			if err := encs[shareOf(id)].AddFile(f); err != nil {
-				t.Fatal(err)
+			if withFiles {
+				if err := encs[shareOf(id)].AddFile(file(id)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		for _, e := range encs {
@@ -250,21 +287,82 @@ func TestChunkSealerSharedByEncoders(t *testing.T) {
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
 			}
+			if e.Chunks() != len(chunks[i]) {
+				t.Fatalf("encoder %d counts %d chunks, emitted %d", i, e.Chunks(), len(chunks[i]))
+			}
 			chains[i] = e.ChainHash()
 		}
 		return chunks, chains
 	}
-	wantChunks, wantChains := seal(1)
-	for i, c := range wantChunks {
-		if want := (dirs+chunkSize-1)/chunkSize + (counts[i]+chunkSize-1)/chunkSize; len(c) != want {
-			t.Fatalf("encoder %d emitted %d chunks at parallelism 1, want %d", i, len(c), want)
+	for _, withFiles := range []bool{true, false} {
+		for _, chunkSize := range []int{1, 7, pieceRecords - 1, pieceRecords, pieceRecords + 1, DefaultChunkSize} {
+			var wantChunks [k][]sealed
+			var wantChains [k]string
+			for i := range k {
+				wantChunks[i], wantChains[i] = want(chunkSize, i, withFiles)
+			}
+			var whole []sealed
+			enc := NewChunkEncoder(chunkSize, func(c *Chunk) error {
+				raw, err := c.AppendJSON(nil)
+				whole = append(whole, sealed{c.Index, c.SHA256, string(raw)})
+				return err
+			})
+			for id := range dirs {
+				if err := enc.AddDir(dir(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for id := range files {
+				if withFiles && shareOf(id) == k-1 {
+					if err := enc.AddFile(file(id)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := enc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(whole, wantChunks[k-1]) || enc.ChainHash() != wantChains[k-1] {
+				t.Errorf("files %t, chunk size %d: NewChunkEncoder emitted %d chunks chaining to %.12s, the whole-chunk codec says %d chaining to %.12s",
+					withFiles, chunkSize, len(whole), enc.ChainHash(), len(wantChunks[k-1]), wantChains[k-1])
+			}
+			for _, par := range []int{1, 2, 3, 8} {
+				chunks, chains := seal(par, chunkSize, withFiles)
+				for i := range k {
+					if !reflect.DeepEqual(chunks[i], wantChunks[i]) || chains[i] != wantChains[i] {
+						t.Errorf("files %t, chunk size %d, parallelism %d: encoder %d emitted %d chunks chaining to %.12s, the whole-chunk codec says %d chaining to %.12s",
+							withFiles, chunkSize, par, i, len(chunks[i]), chains[i], len(wantChunks[i]), wantChains[i])
+					}
+				}
+			}
 		}
 	}
-	for _, par := range []int{2, 3, 4, 8} {
-		if chunks, chains := seal(par); !reflect.DeepEqual(chunks, wantChunks) || chains != wantChains {
-			t.Errorf("parallelism %d: the encoders emitted other chunks or chains than at parallelism 1", par)
+}
+
+// sealInPieces seals c, whose records are of one kind, as a rendering
+// encoder's sealer does, in two pieces split after its first at records:
+// it returns the concatenated rendering and the hash the last piece
+// carries.
+func sealInPieces(c *Chunk, at int) (rendering []byte, hash string, err error) {
+	e := NewChunkSealer(1).Encoder(0, func(p *ChunkPiece) error {
+		rendering = append(rendering, p.JSON...)
+		hash = p.SHA256
+		return nil
+	})
+	n := len(c.Dirs) + len(c.Files)
+	for i, r := range [][2]int{{0, at}, {at, n}} {
+		p := &piece{enc: e, index: c.Index, first: i == 0, last: i == 1}
+		if c.Dirs != nil {
+			p.dirs = c.Dirs[r[0]:r[1]]
+		} else {
+			p.files = c.Files[r[0]:r[1]]
+		}
+		p.format()
+		if err := p.tail(); err != nil {
+			return nil, "", err
 		}
 	}
+	return rendering, hash, nil
 }
 
 // TestChunkEncoderBounded asserts the encoder is actually streaming: with a

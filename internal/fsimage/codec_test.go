@@ -54,19 +54,21 @@ func checkCodec(t *testing.T, c *Chunk) []byte {
 // FuzzChunkCodec is the differential test of the chunk codec: for any record
 // values the hash equals the fmt rendering, the JSON equals encoding/json's,
 // and what was written reads back through ChunkReader to the same records
-// and verifies.
+// and verifies. A chunk of one kind of record, sealed as a sealer seals it
+// in two pieces split at a fuzzed record, renders and hashes to the same
+// bytes, or fails as AppendJSON fails.
 func FuzzChunkCodec(f *testing.F) {
-	f.Add("file00000012.txt", "txt", int64(12), int64(3), int64(4096), int64(7), int64(2), 0.0, false)
-	f.Add("R&D <tmp>", "a&b", int64(0), int64(-1), int64(0), int64(0), int64(1), 2.5, true)
-	f.Add("line\u2028sep\u2029", "é", int64(1), int64(0), int64(1)<<40, int64(1), int64(9), 1e21, true)
-	f.Add("bad\xff\xfeutf8", "\xc3", int64(2), int64(1), int64(5), int64(2), int64(3), 1e-7, false)
-	f.Add("nul\x00\b\f\n\r\t\x7f", "\\\"'", int64(math.MaxInt64), int64(math.MinInt64), int64(-1), int64(-2), int64(-3), math.Copysign(0, -1), true)
-	f.Add("", "", int64(3), int64(2), int64(1), int64(0), int64(1), math.Inf(1), true)
-	f.Add("x", "y", int64(3), int64(2), int64(1), int64(0), int64(1), math.Inf(-1), false)
-	f.Add("x", "y", int64(3), int64(2), int64(1), int64(0), int64(1), math.NaN(), false)
-	f.Add("x", "y", int64(3), int64(2), int64(1), int64(0), int64(1), 123456789.125, false)
-	f.Add("x", "y", int64(3), int64(2), int64(1), int64(0), int64(1), 5e-324, false)
-	f.Fuzz(func(t *testing.T, name, ext string, id, parent, size, dirID, depth int64, bias float64, special bool) {
+	f.Add("file00000012.txt", "txt", int64(12), int64(3), int64(4096), int64(7), int64(2), 0.0, false, uint8(0))
+	f.Add("R&D <tmp>", "a&b", int64(0), int64(-1), int64(0), int64(0), int64(1), 2.5, true, uint8(1))
+	f.Add("line\u2028sep\u2029", "é", int64(1), int64(0), int64(1)<<40, int64(1), int64(9), 1e21, true, uint8(2))
+	f.Add("bad\xff\xfeutf8", "\xc3", int64(2), int64(1), int64(5), int64(2), int64(3), 1e-7, false, uint8(0))
+	f.Add("nul\x00\b\f\n\r\t\x7f", "\\\"'", int64(math.MaxInt64), int64(math.MinInt64), int64(-1), int64(-2), int64(-3), math.Copysign(0, -1), true, uint8(1))
+	f.Add("", "", int64(3), int64(2), int64(1), int64(0), int64(1), math.Inf(1), true, uint8(2))
+	f.Add("x", "y", int64(3), int64(2), int64(1), int64(0), int64(1), math.Inf(-1), false, uint8(0))
+	f.Add("x", "y", int64(3), int64(2), int64(1), int64(0), int64(1), math.NaN(), false, uint8(1))
+	f.Add("x", "y", int64(3), int64(2), int64(1), int64(0), int64(1), 123456789.125, false, uint8(2))
+	f.Add("x", "y", int64(3), int64(2), int64(1), int64(0), int64(1), 5e-324, false, uint8(0))
+	f.Fuzz(func(t *testing.T, name, ext string, id, parent, size, dirID, depth int64, bias float64, special bool, split uint8) {
 		dir := DirRecord{ID: int(id), Parent: int(parent), Name: name, Special: special, Bias: bias}
 		file := File{ID: int(id), Name: name, Ext: ext, Size: size, DirID: int(dirID), Depth: int(depth)}
 		plainDir := DirRecord{ID: 1, Parent: 0, Name: "dir1"}
@@ -77,11 +79,18 @@ func FuzzChunkCodec(f *testing.F) {
 			{Index: 3, Dirs: []DirRecord{dir}, Files: []File{file}}, // no decoder accepts it, but it renders
 			{Index: 0},
 		}
-		for _, c := range chunks {
+		for i, c := range chunks {
 			c.SHA256 = name // any string can arrive in the field
 			checkCodec(t, c)
 			c.SHA256 = c.RecordsHash()
 			raw := checkCodec(t, c)
+			if i < 2 { // a sealer cuts no mixed and no empty chunk
+				at := 1 + int(split)%3 // the first piece holds a record, the last may hold none
+				pieces, hash, err := sealInPieces(c, at)
+				if (err != nil) != (raw == nil) || (err == nil && (!bytes.Equal(pieces, raw) || hash != c.SHA256)) {
+					t.Fatalf("sealed in pieces split at record %d: %s hashed %s (error %v); whole: %s hashed %s", at, pieces, hash, err, raw, c.SHA256)
+				}
+			}
 			// Invalid UTF-8 decodes as U+FFFD, and a Bias of -0 is omitted
 			// and decodes as +0, which hashes differently: two losses of the
 			// wire format itself, older than this codec.
