@@ -13,15 +13,18 @@ test:
 
 # The experiment suite (internal/bench) regenerates every paper figure and
 # needs more than the default 10m under the race detector on small machines.
-# The supervisor packages, the fragment replay and the archive sinks' body
-# engine (its workers write at offsets, or wait their turn in order) run
-# three more times: a race there shows only on some interleavings; the
-# engine's line adds about 2 min 15 s on 2 cores. The CI test job runs this.
+# The supervisor packages, the fragment replay, the plan build's sealer,
+# the metadata pass (its skeleton is built beside the size and extension
+# phases) and the archive sinks' body engine (its workers write at offsets,
+# or wait their turn in order) run three more times: a race there shows
+# only on some interleavings; the engine's line adds about 2 min 15 s on 2
+# cores. The CI test job runs this.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=3 -timeout 30m ./internal/fleet/... ./internal/serve/... ./cmd/impressions/...
 	$(GO) test -race -count=3 -timeout 30m -run 'FragmentSource|FragmentsCarry' ./internal/distribute
 	$(GO) test -race -count=3 -timeout 30m -run 'WriteFragments|PlanBuild|ChunkSealer' ./internal/distribute ./internal/fsimage
+	$(GO) test -race -count=3 -timeout 30m -run 'ResolveMetadata|Generate|Golden' ./internal/core
 	$(GO) test -race -count=3 -timeout 30m -run 'Identical|Surface|Sink' ./internal/imgfmt
 
 # Full benchmark suite (paper tables/figures + micro + parallel engine).
@@ -284,9 +287,10 @@ mem-check:
 # internal/distribute, and there too the fragment and manifest readers
 # against the encoding/json decoders they replaced (FuzzDocumentReader,
 # FuzzManifestReader), the radix sort against sort.Float64s in
-# internal/stats, and the text and binary content kernels against their
-# reference loops in internal/content: FuzzTextFill, FuzzBinaryFill) for
-# FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in
+# internal/stats, the resolver's K-S over its sorted pool against
+# gof.KSTwoSample in internal/constraint (FuzzPoolKS), and the text and
+# binary content kernels against their reference loops in
+# internal/content: FuzzTextFill, FuzzBinaryFill) for FUZZ_TIME each. The seed corpora under testdata/fuzz/ already replay in
 # `go test`; this is the ten seconds of new inputs per target on top. The
 # minimizer is off (it stalls on the stitcher's tens-of-KiB inputs) and the
 # cache of interesting inputs lives outside the tree; a finding is written

@@ -312,7 +312,8 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 		res.Oversamples = 0
 		res.OversampleRate = 0
 		if !p.SkipKS && pool != nil {
-			res.KS, _ = gof.KSTwoSample(pool, pool, ksAlpha)
+			sorted := sortedCopy(pool)
+			res.KS, _ = gof.KSSorted(sorted, sorted, ksAlpha)
 		}
 		return true, 0, nil
 	}
@@ -328,10 +329,10 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 	// tolerance band?) is checked cheaply before running the expensive subset
 	// search: when the target is far from the expected sum, most oversampling
 	// steps are provably infeasible and are skipped. The bounds — the sums of
-	// the N smallest and N largest pool elements — are maintained by a pair
-	// of bounded heaps in O(log N) per oversample; recomputing them from
-	// scratch made the whole resolution O(N²) and dominated image-generation
-	// time at production scale.
+	// the N smallest and N largest pool elements — are maintained over the
+	// sorted first draw and a pair of heaps of the extras in O(log N) per
+	// oversample; recomputing them from scratch made the whole resolution
+	// O(N²) and dominated image-generation time at production scale.
 	bounds := newBoundsTracker(pool, p.N)
 
 	// Abort the attempt early when repeated subset searches stop making
@@ -355,7 +356,7 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 		}
 		feasible = true
 
-		subset, sum, found := r.selectSubset(pool, p)
+		subset, leftOut, sum, found := r.selectSubset(pool, p)
 		if r.recordPath {
 			// Record the best-effort sum so convergence plots show motion.
 			res.Trace = append(res.Trace, sum)
@@ -375,7 +376,7 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 		}
 		// Check the distribution is preserved.
 		if !p.SkipKS {
-			ks, err := gof.KSTwoSample(subset, pool, ksAlpha)
+			ks, err := poolKS(bounds.first, pool[p.N:], gather(pool, leftOut))
 			if err != nil || !ks.Passed {
 				// A sum-feasible subset that distorts the distribution counts
 				// as a stall too; targets far from the expected sum can only
@@ -409,15 +410,64 @@ func (r *Resolver) attempt(p Problem, res *Result) (converged bool, gapFrac floa
 	return false, gap / p.TargetSum, nil
 }
 
+// poolKS is gof.KSTwoSample(subset, pool), value for value, for a subset
+// chosen from a pool of first's draws (sorted) and then extras, leaving out
+// the values leftOut: neither sample is sorted whole. The pool is first
+// merged with the sorted extras, and the subset is that pool less the sorted
+// left-out values. No value may be a NaN, on which KSTwoSample never ends.
+func poolKS(first, extras, leftOut []float64) (gof.KSResult, error) {
+	pool := mergeSorted(first, sortedCopy(extras))
+	return gof.KSSorted(removeSorted(pool, sortedCopy(leftOut)), pool, ksAlpha)
+}
+
+// sortedCopy returns the values of v in increasing order.
+func sortedCopy(v []float64) []float64 {
+	sorted := make([]float64, len(v))
+	stats.SortFloat64s(sorted, v)
+	return sorted
+}
+
+// mergeSorted returns the values of a and b, each in increasing order, in
+// increasing order.
+func mergeSorted(a, b []float64) []float64 {
+	out := make([]float64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// removeSorted returns sorted less one value equal to each of removed, both
+// in increasing order, removed a sub-multiset of sorted.
+func removeSorted(sorted, removed []float64) []float64 {
+	out := make([]float64, 0, len(sorted)-len(removed))
+	for _, v := range sorted {
+		if len(removed) > 0 && v == removed[0] {
+			removed = removed[1:]
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
 // boundsTracker maintains the sums of the n smallest and n largest elements
-// of a growing pool: a max-heap holds the n smallest (its root is the
-// eviction candidate) and a min-heap the n largest. Each add is O(log n) and
-// consumes no randomness, so it changes nothing about resolution results —
-// only their cost.
+// of a growing pool. It keeps the initial pool sorted in first, which
+// poolKS reads too. The n smallest are first[:lo] and the extras in the
+// max-heap low; the larger of first[lo-1] and low's root is the one a
+// smaller extra evicts. The n largest are first[hi:] and the extras in the
+// min-heap high. Each add is O(log extras) and draws nothing from the RNG,
+// so it changes no resolution result, only its cost: each sum moves by the
+// same v − evicted steps as over two heaps of the whole pool.
 type boundsTracker struct {
-	n      int
-	low    []float64 // max-heap of the n smallest elements
-	high   []float64 // min-heap of the n largest elements
+	first  []float64 // the initial pool, sorted
+	lo, hi int       // first[:lo] are among the n smallest, first[hi:] among the n largest
+	low    []float64 // max-heap of the extras among the n smallest
+	high   []float64 // min-heap of the extras among the n largest
 	minSum float64
 	maxSum float64
 }
@@ -425,36 +475,50 @@ type boundsTracker struct {
 // newBoundsTracker seeds the tracker with the initial pool, which must hold
 // at least n elements (the resolver starts from exactly n).
 func newBoundsTracker(pool []float64, n int) *boundsTracker {
-	sorted := make([]float64, len(pool))
-	stats.SortFloat64s(sorted, pool)
-	b := &boundsTracker{n: n}
+	sorted := sortedCopy(pool)
+	b := &boundsTracker{first: sorted, lo: min(n, len(sorted)), hi: len(sorted) - min(n, len(sorted))}
 	b.minSum, b.maxSum = boundSums(sorted, n)
-	if n > len(sorted) {
-		n = len(sorted)
-		b.n = n
-	}
-	b.low = append(b.low, sorted[:n]...)
-	b.high = append(b.high, sorted[len(sorted)-n:]...)
-	// Heapify: sift down from the last internal node.
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(b.low, i, func(a, c float64) bool { return a > c })
-		siftDown(b.high, i, func(a, c float64) bool { return a < c })
-	}
 	return b
 }
 
 // add folds one new pool element into both bounds.
 func (b *boundsTracker) add(v float64) {
-	if v < b.low[0] {
+	greater := func(a, c float64) bool { return a > c }
+	less := func(a, c float64) bool { return a < c }
+	fromFirst := b.lo > 0 && (len(b.low) == 0 || b.first[b.lo-1] >= b.low[0])
+	if fromFirst && v < b.first[b.lo-1] {
+		b.minSum += v - b.first[b.lo-1]
+		b.lo--
+		b.low = push(b.low, v, greater)
+	} else if !fromFirst && len(b.low) > 0 && v < b.low[0] {
 		b.minSum += v - b.low[0]
 		b.low[0] = v
-		siftDown(b.low, 0, func(a, c float64) bool { return a > c })
+		siftDown(b.low, 0, greater)
 	}
-	if v > b.high[0] {
+	fromFirst = b.hi < len(b.first) && (len(b.high) == 0 || b.first[b.hi] <= b.high[0])
+	if fromFirst && v > b.first[b.hi] {
+		b.maxSum += v - b.first[b.hi]
+		b.hi++
+		b.high = push(b.high, v, less)
+	} else if !fromFirst && len(b.high) > 0 && v > b.high[0] {
 		b.maxSum += v - b.high[0]
 		b.high[0] = v
-		siftDown(b.high, 0, func(a, c float64) bool { return a < c })
+		siftDown(b.high, 0, less)
 	}
+}
+
+// push adds v to the heap h ordered by before and returns it.
+func push(h []float64, v float64, before func(a, c float64) bool) []float64 {
+	h = append(h, v)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !before(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	return h
 }
 
 // siftDown restores the heap property rooted at i, where before reports
@@ -500,9 +564,10 @@ func nearestBound(minSum, maxSum, target float64) float64 {
 }
 
 // selectSubset searches pool for a subset of exactly p.N elements whose sum
-// is within tolerance of the target. It returns the best subset found, its
-// sum, and whether it met the tolerance.
-func (r *Resolver) selectSubset(pool []float64, p Problem) ([]float64, float64, bool) {
+// is within tolerance of the target. It returns the best subset found, the
+// indices of the pool elements it leaves out, its sum, and whether it met
+// the tolerance.
+func (r *Resolver) selectSubset(pool []float64, p Problem) ([]float64, []int, float64, bool) {
 	tolerance := p.Beta * p.TargetSum
 
 	// Phase 1 (greedy/random initialization): take a random permutation and
@@ -535,7 +600,7 @@ func (r *Resolver) selectSubset(pool []float64, p Problem) ([]float64, float64, 
 	}
 	if len(chosen) < p.N {
 		// Pool smaller than N should be impossible (pool starts at N).
-		return nil, sum, false
+		return nil, nil, sum, false
 	}
 	// Rebuild the skipped list as the complement of chosen.
 	inChosen := make([]bool, len(pool))
@@ -550,10 +615,10 @@ func (r *Resolver) selectSubset(pool []float64, p Problem) ([]float64, float64, 
 	}
 
 	if math.Abs(sum-p.TargetSum) <= tolerance {
-		return gather(pool, chosen), sum, true
+		return gather(pool, chosen), skipped, sum, true
 	}
 	if p.SkipLocalImprovement {
-		return gather(pool, chosen), sum, false
+		return gather(pool, chosen), skipped, sum, false
 	}
 
 	// Phase 2 (local improvement): repeatedly look for a swap between a chosen
@@ -589,12 +654,12 @@ func (r *Resolver) selectSubset(pool []float64, p Problem) ([]float64, float64, 
 				reinsertSorted(pool, skipped, bestSwap, cIdx)
 				improved = true
 				if math.Abs(sum-p.TargetSum) <= tolerance {
-					return gather(pool, chosen), sum, true
+					return gather(pool, chosen), skipped, sum, true
 				}
 			}
 		}
 	}
-	return gather(pool, chosen), sum, math.Abs(sum-p.TargetSum) <= tolerance
+	return gather(pool, chosen), skipped, sum, math.Abs(sum-p.TargetSum) <= tolerance
 }
 
 // reinsertSorted removes skipped[at] and inserts newIdx at its sorted

@@ -221,6 +221,66 @@ func TestBoundsTrackerMatchesBoundSums(t *testing.T) {
 	}
 }
 
+// heapBounds is the tracker over two heaps of the whole pool that
+// boundsTracker replaced, kept as its oracle: a max-heap of the n smallest
+// and a min-heap of the n largest, each add replacing a root it beats.
+type heapBounds struct {
+	low, high      []float64
+	minSum, maxSum float64
+}
+
+func newHeapBounds(pool []float64, n int) *heapBounds {
+	sorted := append([]float64(nil), pool...)
+	sort.Float64s(sorted)
+	b := &heapBounds{}
+	b.minSum, b.maxSum = boundSums(sorted, n)
+	n = min(n, len(sorted))
+	b.low = append(b.low, sorted[:n]...)
+	b.high = append(b.high, sorted[len(sorted)-n:]...)
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(b.low, i, func(a, c float64) bool { return a > c })
+		siftDown(b.high, i, func(a, c float64) bool { return a < c })
+	}
+	return b
+}
+
+func (b *heapBounds) add(v float64) {
+	if v < b.low[0] {
+		b.minSum += v - b.low[0]
+		b.low[0] = v
+		siftDown(b.low, 0, func(a, c float64) bool { return a > c })
+	}
+	if v > b.high[0] {
+		b.maxSum += v - b.high[0]
+		b.high[0] = v
+		siftDown(b.high, 0, func(a, c float64) bool { return a < c })
+	}
+}
+
+// TestBoundsTrackerMatchesHeaps: the tracker's sums equal, bit for bit
+// after every add, those of two heaps over the whole pool, for continuous
+// draws, draws full of ties and signed values, from pools of 1 to 300.
+func TestBoundsTrackerMatchesHeaps(t *testing.T) {
+	signed := stats.NewEmpirical([]float64{-40, -5, 0, 3, 12, 30, 75}, "signed")
+	for name, dist := range map[string]stats.Distribution{"lognormal": paperDist(), "ties": signed} {
+		for _, n := range []int{1, 2, 7, 300} {
+			rng := stats.NewRNG(int64(n))
+			pool := stats.SampleN(dist, rng, n)
+			tracker, oracle := newBoundsTracker(pool, n), newHeapBounds(pool, n)
+			for i := 0; i <= 3*n+20; i++ {
+				if math.Float64bits(tracker.minSum) != math.Float64bits(oracle.minSum) ||
+					math.Float64bits(tracker.maxSum) != math.Float64bits(oracle.maxSum) {
+					t.Fatalf("%s, n=%d, after %d extras: tracker (%v, %v), heaps (%v, %v)",
+						name, n, i, tracker.minSum, tracker.maxSum, oracle.minSum, oracle.maxSum)
+				}
+				v := dist.Sample(rng)
+				tracker.add(v)
+				oracle.add(v)
+			}
+		}
+	}
+}
+
 // TestRecordedConvergenceMatchesUnrecorded: recording the convergence path
 // must not steer it. Whatever the target's position (far above reach, just
 // above, inside or below), a resolver with RecordConvergence(true) returns

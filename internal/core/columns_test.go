@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -310,6 +311,74 @@ func TestSpillCancelledMidStage(t *testing.T) {
 				}
 				checkNothingLeft(t, spill, goroutines)
 			})
+		}
+	}
+}
+
+// TestResolveMetadataJoinsTheSkeleton: the skeleton runs beside the size
+// and extension phases. A pass cancelled in the size phase, while a large
+// skeleton is still being built, returns context.Canceled only once the
+// skeleton is done, and leaves no goroutine behind; a pass that completes
+// reports the time of all four phases.
+func TestResolveMetadataJoinsTheSkeleton(t *testing.T) {
+	sizes := faultStages[0]
+	if sizes.stage != "sizes" {
+		t.Fatalf("faultStages[0] is %q, not the size phase", sizes.stage)
+	}
+	for _, par := range []int{1, 4} {
+		spill := t.TempDir()
+		cfg := faultConfig(spill, par)
+		cfg.NumDirs = 50_000
+		gen, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		ff := &faultyFiles{fault: sizes, trip: func(f blockFile, p []byte, off int64) (int, error) {
+			cancel()
+			return f.WriteAt(p, off)
+		}}
+		gen.openColumn = ff.open
+		goroutines := runtime.NumGoroutine()
+		m, err := gen.ResolveMetadataContext(ctx)
+		// The skeleton's goroutine may still be returning from the deferred
+		// close the join waits for, but none may still be building the
+		// tree: no stack may be in package namespace. (A count of
+		// goroutines would also count the runtime's finalizer goroutine
+		// while it runs a finalizer.)
+		stacks := make([]byte, 1<<20)
+		if stacks = stacks[:runtime.Stack(stacks, true)]; bytes.Contains(stacks, []byte("impressions/internal/namespace.")) {
+			t.Errorf("j%d: the skeleton was still being built when the cancelled pass returned:\n%s", par, stacks)
+		}
+		cancel()
+		if !ff.tripped {
+			t.Fatalf("j%d: the context was never cancelled: %d sizes.f64 calls", par, ff.calls)
+		}
+		if m != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("j%d: got %v, %v; want no metadata and %v", par, m, err, context.Canceled)
+		}
+		checkNothingLeft(t, spill, goroutines)
+
+		cfg.SpillDir = ""
+		gen, err = NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err = gen.ResolveMetadataContext(context.Background()); err != nil {
+			t.Fatalf("j%d: %v", par, err)
+		}
+		r, err := m.Report()
+		m.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phase := range []string{"directory structure", "file sizes distribution", "popular extensions", "file and bytes with depth"} {
+			if s, ok := r.PhaseTimes[phase]; !ok || s <= 0 {
+				t.Errorf("j%d: phase %q took %v s (reported: %v)", par, phase, s, ok)
+			}
+		}
+		if got := m.DirCount(); got != cfg.NumDirs {
+			t.Errorf("j%d: %d directories, want %d", par, got, cfg.NumDirs)
 		}
 	}
 }

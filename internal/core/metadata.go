@@ -23,8 +23,9 @@ import (
 // free of per-file name allocations and lets consumers choose between
 // retaining the image (Generator.GenerateContext), streaming its records
 // into any fsimage.RecordSink (StreamRecords), or walking the placements
-// without materializing records at all (EachPlacement) — the planner's
-// route to per-shard accumulators with O(chunk) live records.
+// without materializing records at all (EachPlacement). Placement leaves
+// each directory of the tree its file count and bytes, which is all the
+// planner's per-shard totals read.
 type Metadata struct {
 	tree     *namespace.Tree
 	store    *columnStore
@@ -73,8 +74,8 @@ func (m *Metadata) Summary() string {
 }
 
 // EachPlacement walks every file's placement (ID, parent directory, size)
-// without materializing records — the compact input for per-shard
-// accumulators and the disk simulation — and stops at fn's first error. On
+// without materializing records — the compact input of the disk
+// simulation — and stops at fn's first error. On
 // file-backed columns the walk itself can fail with an I/O error.
 func (m *Metadata) EachPlacement(fn func(fileID, dirID int, size int64) error) error {
 	return scanFiles(context.Background(), m.sizes, nil, m.parents, func(lo int, sizes []float64, _ []uint32, parents []int32) error {
@@ -140,6 +141,11 @@ func (m *Metadata) streamRecords(ctx context.Context, sink fsimage.RecordSink) e
 // inside the sharded phases (extensions and placement), so a server can
 // abandon a disconnected client's metadata pass mid-phase. On cancellation
 // or error the partial columns are discarded.
+//
+// The skeleton is built on a goroutine of its own, beside the size and
+// extension phases: they never read the tree, and every phase draws from a
+// stream forked from the seed by its label, so the order they run in moves
+// no byte. Placement waits for it, and so does every return.
 func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, error) {
 	cfg := g.cfg
 	rng := stats.NewRNG(cfg.Seed)
@@ -150,15 +156,20 @@ func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, erro
 	}
 
 	// Phase 1: directory structure (namespace skeleton), one serial pass.
-	start := clock.Now()
-	m.tree = namespace.GenerateTree(rng.Fork("namespace"), cfg.NumDirs, cfg.TreeShape)
-	if cfg.UseSpecialDirectories {
-		m.tree.MarkSpecial(cfg.SpecialDirectories)
-	}
-	m.phases["directory structure"] = seconds(start)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	// The goroutine writes only tree and skeletonTime, read after the join.
+	var tree *namespace.Tree
+	var skeletonTime float64
+	skeleton := make(chan struct{})
+	go func(nsRNG *stats.RNG) {
+		defer close(skeleton)
+		start := clock.Now()
+		tree = namespace.GenerateTree(nsRNG, cfg.NumDirs, cfg.TreeShape)
+		if cfg.UseSpecialDirectories {
+			tree.MarkSpecial(cfg.SpecialDirectories)
+		}
+		skeletonTime = seconds(start)
+	}(rng.Fork("namespace"))
+	defer func() { <-skeleton }() // every return waits for the skeleton
 
 	// The one place the backing is chosen.
 	var err error
@@ -173,7 +184,7 @@ func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, erro
 	}()
 
 	// Phase 2: file sizes under the sum constraint (§3.4).
-	start = clock.Now()
+	start := clock.Now()
 	if m.sizes, err = newColumn[float64](m.store, "sizes.f64", cfg.NumFiles); err != nil {
 		return nil, err
 	}
@@ -194,6 +205,13 @@ func (g *Generator) ResolveMetadataContext(ctx context.Context) (*Metadata, erro
 		return nil, err
 	}
 	m.phases["popular extensions"] = seconds(start)
+
+	<-skeleton
+	m.tree = tree
+	m.phases["directory structure"] = skeletonTime
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	// Phase 4: file depths and parent directories (multiplicative model).
 	start = clock.Now()

@@ -48,9 +48,17 @@ func newDocWriter(w io.Writer, p *Plan, shard int, sealer *fsimage.ChunkSealer) 
 // emit writes the next piece of the chunk array. Every document numbers its
 // chunks from 0, so a chunk with a later index follows a comma. It runs on
 // whichever goroutine runs the sealer's ordered tail, one piece at a time.
+// A piece that does not fit the buffer's free space follows what the buffer
+// holds, written out first, and a piece at least the buffer's size is
+// written from where it is, not copied.
 func (d *docWriter) emit(p *fsimage.ChunkPiece) error {
 	if p.First && p.Index > 0 {
 		if err := d.bw.WriteByte(','); err != nil {
+			return err
+		}
+	}
+	if len(p.JSON) > d.bw.Available() {
+		if err := d.bw.Flush(); err != nil {
 			return err
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"impressions/internal/content"
 	"impressions/internal/core"
 	"impressions/internal/fsimage"
+	"impressions/internal/namespace"
 )
 
 // fragmentBuffers builds a partitioned plan entirely into memory, one
@@ -621,6 +622,44 @@ func TestFragmentSourceSmallFragmentZero(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}
+
+// TestShardTotalsCountedFromTheTree: the per-shard file and byte
+// expectations Resolve reads off the tree's directories equal a scan of the
+// placement columns folded through a ShardAccumulator, at every shard
+// count, on the heap and spilled, with and without special directories.
+func TestShardTotalsCountedFromTheTree(t *testing.T) {
+	for _, special := range []bool{false, true} {
+		for _, spill := range []bool{false, true} {
+			for _, k := range []int{1, 2, 8, 32} {
+				cfg := core.Config{NumFiles: 6000, NumDirs: 600, Seed: 20090225, Parallelism: 2, UseSpecialDirectories: special}
+				if spill {
+					cfg.SpillDir = t.TempDir()
+				}
+				rp, err := PlanRequest{Config: cfg, MaxShards: k}.Resolve(context.Background())
+				if err != nil {
+					t.Fatalf("special %v spill %v K=%d: Resolve: %v", special, spill, k, err)
+				}
+				acc := namespace.NewShardAccumulator(rp.part)
+				err = rp.Meta.EachPlacement(func(_, dirID int, size int64) error { acc.Add(dirID, size); return nil })
+				rp.Close()
+				if err != nil {
+					t.Fatalf("special %v spill %v K=%d: EachPlacement: %v", special, spill, k, err)
+				}
+				files := 0
+				for s, sh := range rp.Plan.Shards {
+					if sh.Files != acc.Files(s) || sh.Bytes != acc.Bytes(s) {
+						t.Errorf("special %v spill %v K=%d shard %d: %d files, %d bytes from the tree; the scan counts %d, %d",
+							special, spill, k, s, sh.Files, sh.Bytes, acc.Files(s), acc.Bytes(s))
+					}
+					files += sh.Files
+				}
+				if files != rp.Plan.Files {
+					t.Errorf("special %v spill %v K=%d: the shards hold %d files of %d", special, spill, k, files, rp.Plan.Files)
+				}
+			}
 		}
 	}
 }

@@ -53,10 +53,11 @@ type ResolvedPlan struct {
 // workers'), and partitions the namespace into balanced subtree shards:
 // oversized subtrees are cut at deeper levels, so one worker per shard holds
 // even when the generative model concentrates the namespace under a few
-// top-level directories. The partition comes from the compact tree, the
-// per-shard file and byte expectations from a streaming accumulator over the
-// placement columns: no file record is materialized. The metadata pass
-// honors ctx. The caller Closes the result.
+// top-level directories. The partition and the per-shard file and byte
+// expectations come from the compact tree, whose directories placement left
+// their file counts and bytes: no file record is materialized, and the
+// columns are not read. The metadata pass honors ctx. The caller Closes the
+// result.
 func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
 	if r.MaxShards < 1 {
 		return nil, fmt.Errorf("distribute: shard count %d < 1 (%w)", r.MaxShards, fsimage.ErrInvalidSpec)
@@ -73,21 +74,19 @@ func (r PlanRequest) Resolve(ctx context.Context) (*ResolvedPlan, error) {
 	if chunkSize <= 0 {
 		chunkSize = fsimage.DefaultChunkSize
 	}
-	part := namespace.PartitionBalanced(m.Tree(), r.MaxShards, fsimage.ShardWeight)
-	acc := namespace.NewShardAccumulator(part)
-	if err := m.EachPlacement(func(_, dirID int, size int64) error { acc.Add(dirID, size); return nil }); err != nil {
-		m.Close()
-		return nil, fmt.Errorf("distribute: accumulating shard expectations: %w", err)
-	}
+	tree := m.Tree()
+	part := namespace.PartitionBalanced(tree, r.MaxShards, fsimage.ShardWeight)
 	shards := make([]ShardPlan, part.Len())
-	for s := range shards {
+	for s, dirs := range part.Shards {
 		shards[s] = ShardPlan{
 			Index:     s,
 			StreamKey: contentStreamKey,
 			Roots:     part.ShardRoots(s),
-			Dirs:      len(part.Shards[s]),
-			Files:     acc.Files(s),
-			Bytes:     acc.Bytes(s),
+			Dirs:      len(dirs),
+		}
+		for _, id := range dirs {
+			shards[s].Files += tree.Dirs[id].FileCount
+			shards[s].Bytes += tree.Dirs[id].Bytes
 		}
 	}
 	spec := m.Spec()

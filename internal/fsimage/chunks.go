@@ -577,8 +577,9 @@ func (p *piece) format() {
 	if cap(p.lines) < lineBytes*n {
 		p.lines = make([]byte, 0, lineBytes*pieceRecords)
 	}
-	p.lines = appendFileLines(appendDirLines(p.lines[:0], p.dirs), p.files)
+	p.lines = appendDirLines(p.lines[:0], p.dirs)
 	if p.enc.whole != nil {
+		p.lines = appendFileLines(p.lines, p.files)
 		return
 	}
 	if cap(p.json) < renderBytes*n {
@@ -588,7 +589,55 @@ func (p *piece) format() {
 		p.err = fmt.Errorf("fsimage: encoding chunk %d: %w", p.index, p.err)
 		return
 	}
-	p.json = appendFilesJSON(p.json, p.files, p.first)
+	p.lines, p.json = appendFileLinesJSON(p.lines, p.json, p.files, p.first)
+}
+
+// appendFileLinesJSON is appendFileLines onto lines and appendFilesJSON
+// onto js in one pass, which formats each integer once, into the hash line,
+// and copies its digits from there into the JSON.
+func appendFileLinesJSON(lines, js []byte, files []File, first bool) ([]byte, []byte) {
+	for i := range files {
+		f := &files[i]
+		lines = append(lines, 'F', ' ')
+		at := len(lines)
+		lines = strconv.AppendInt(lines, int64(f.ID), 10)
+		id := lines[at:]
+		lines = append(lines, ' ')
+		lines = appendQuoted(lines, f.Name, strconv.AppendQuote)
+		lines = append(lines, ' ')
+		lines = appendQuoted(lines, f.Ext, strconv.AppendQuote)
+		lines = append(lines, ' ')
+		at = len(lines)
+		lines = strconv.AppendInt(lines, f.Size, 10)
+		size := lines[at:]
+		lines = append(lines, ' ')
+		at = len(lines)
+		lines = strconv.AppendInt(lines, int64(f.DirID), 10)
+		dir := lines[at:]
+		lines = append(lines, ' ')
+		at = len(lines)
+		lines = strconv.AppendInt(lines, int64(f.Depth), 10)
+		depth := lines[at:]
+		lines = append(lines, '\n')
+
+		if i > 0 || !first {
+			js = append(js, ',')
+		}
+		js = append(js, `{"ID":`...)
+		js = append(js, id...)
+		js = append(js, `,"Name":`...)
+		js = AppendJSONString(js, f.Name)
+		js = append(js, `,"Ext":`...)
+		js = AppendJSONString(js, f.Ext)
+		js = append(js, `,"Size":`...)
+		js = append(js, size...)
+		js = append(js, `,"DirID":`...)
+		js = append(js, dir...)
+		js = append(js, `,"Depth":`...)
+		js = append(js, depth...)
+		js = append(js, '}')
+	}
+	return lines, js
 }
 
 // tail is the ordered part of sealing a piece, run for every piece in the

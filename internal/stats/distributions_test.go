@@ -366,6 +366,26 @@ func TestInversePolynomialWeights(t *testing.T) {
 	}
 }
 
+// TestInversePolynomialWeightTable holds the kept weights to the formula
+// they replace, bit for bit, inside the table, past both of its ends and
+// without one: a negative count weighs as an empty directory.
+func TestInversePolynomialWeightTable(t *testing.T) {
+	for _, ip := range []InversePolynomial{
+		NewInversePolynomial(2, 2.36, 100),
+		NewInversePolynomial(1.5, 0.7, 3),
+		NewInversePolynomial(2, 2.36, 0),
+		{},
+		{Degree: 2, Offset: 2.36, MaxK: 50},
+	} {
+		for k := -1; k <= ip.MaxK+2; k++ {
+			want := 1 / math.Pow(float64(max(k, 0))+ip.Offset, ip.Degree)
+			if got := ip.Weight(k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("degree %g offset %g MaxK %d: Weight(%d) = %v, want %v", ip.Degree, ip.Offset, ip.MaxK, k, got, want)
+			}
+		}
+	}
+}
+
 func TestInversePolynomialMeanMatchesSamples(t *testing.T) {
 	ip := NewInversePolynomial(2, 2.36, 100)
 	want := 0.0

@@ -59,14 +59,19 @@ func KSOneSample(sample []float64, cdf func(float64) float64, alpha float64) (KS
 // after constraint resolution to confirm the constrained sample still follows
 // the original distribution (§3.4, Table 4).
 func KSTwoSample(a, b []float64, alpha float64) (KSResult, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return KSResult{}, ErrNoData
-	}
 	sa := make([]float64, len(a))
 	sb := make([]float64, len(b))
 	stats.SortFloat64s(sa, a)
 	stats.SortFloat64s(sb, b)
+	return KSSorted(sa, sb, alpha)
+}
 
+// KSSorted is KSTwoSample over samples already in increasing order, as
+// stats.SortFloat64s leaves them, for a caller that holds them sorted.
+func KSSorted(sa, sb []float64, alpha float64) (KSResult, error) {
+	if len(sa) == 0 || len(sb) == 0 {
+		return KSResult{}, ErrNoData
+	}
 	na, nb := len(sa), len(sb)
 	var i, j int
 	d := 0.0

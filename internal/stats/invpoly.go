@@ -18,7 +18,8 @@ type InversePolynomial struct {
 	Offset float64
 	MaxK   int
 
-	cum []float64 // cumulative probabilities, built lazily at construction
+	cum     []float64 // cumulative probabilities, built at construction
+	weights []float64 // Weight(k) for k = 0..MaxK, built at construction
 }
 
 // NewInversePolynomial builds the distribution; it panics on non-positive
@@ -30,7 +31,6 @@ func NewInversePolynomial(degree, offset float64, maxK int) InversePolynomial {
 	if maxK <= 0 {
 		maxK = 4096
 	}
-	ip := InversePolynomial{Degree: degree, Offset: offset, MaxK: maxK}
 	weights := make([]float64, maxK+1)
 	total := 0.0
 	for k := 0; k <= maxK; k++ {
@@ -38,6 +38,7 @@ func NewInversePolynomial(degree, offset float64, maxK int) InversePolynomial {
 		weights[k] = w
 		total += w
 	}
+	ip := InversePolynomial{Degree: degree, Offset: offset, MaxK: maxK, weights: weights}
 	ip.cum = make([]float64, maxK+1)
 	acc := 0.0
 	for k := 0; k <= maxK; k++ {
@@ -76,10 +77,14 @@ func (ip InversePolynomial) PMF(k int) float64 {
 
 // Weight returns the un-normalized selection weight for a directory that
 // currently contains k files. Impressions uses this directly when biasing the
-// choice of parent directory.
+// choice of parent directory. For 0 <= k <= MaxK it reads the weight the
+// constructor computed, the same float64.
 func (ip InversePolynomial) Weight(k int) float64 {
 	if k < 0 {
 		k = 0
+	}
+	if k < len(ip.weights) {
+		return ip.weights[k]
 	}
 	return 1 / math.Pow(float64(k)+ip.Offset, ip.Degree)
 }
