@@ -15,10 +15,12 @@ test:
 # needs more than the default 10m under the race detector on small machines.
 # The supervisor packages, the fragment replay, the plan build's sealer,
 # the metadata pass (its skeleton is built beside the size and extension
-# phases) and the archive sinks' body engine (its workers write at offsets,
-# or wait their turn in order) run three more times: a race there shows
-# only on some interleavings; the engine's line adds about 2 min 15 s on 2
-# cores. The CI test job runs this.
+# phases), the body engine behind the archive sinks (its workers write at
+# offsets, or wait their turn in order) and its directory destination (the
+# VFS writer's in-order collect, and the shard journal sealed from it) run
+# three more times: a race there shows only on some interleavings; the
+# archive sinks' line adds about 2 min 15 s on 2 cores. The CI test job
+# runs this.
 race:
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -count=3 -timeout 30m ./internal/fleet/... ./internal/serve/... ./cmd/impressions/...
@@ -26,6 +28,7 @@ race:
 	$(GO) test -race -count=3 -timeout 30m -run 'WriteFragments|PlanBuild|ChunkSealer' ./internal/distribute ./internal/fsimage
 	$(GO) test -race -count=3 -timeout 30m -run 'ResolveMetadata|Generate|Golden' ./internal/core
 	$(GO) test -race -count=3 -timeout 30m -run 'Identical|Surface|Sink' ./internal/imgfmt
+	$(GO) test -race -count=3 -timeout 30m -run 'MaterializeSink|VFS|Journal' ./internal/fsimage ./internal/distribute
 
 # Full benchmark suite (paper tables/figures + micro + parallel engine).
 bench:

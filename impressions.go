@@ -110,8 +110,8 @@ type MaterializeOptions = fsimage.MaterializeOptions
 // Image. See fsimage for the provided sinks: TreeSink (validate and rebuild
 // the directory tree), ChunkEncoder (serialize), DigestBuilder (canonical
 // digest), ImageStats (histograms), MaterializeSink (write to disk under the
-// tree the caller holds, a batch of records at a time; Close it when the
-// stream is through).
+// tree the caller holds, on parallel workers as the records arrive; Close
+// it when the stream is through).
 type RecordSink = fsimage.RecordSink
 
 // RecordSource is anything that can replay an image's metadata records into

@@ -219,7 +219,7 @@ func (j *ShardJournal) Close() error { return j.f.Close() }
 // DefaultJournalBatch is the files-per-batch flush granularity of journaled
 // shard execution. A batch is a contiguous run of the shard's directory
 // order, so at SMALL's ten files per directory it spans a few dozen
-// directories, each opened once.
+// directories, one run of the VFS writer's workers or, past a chunk, a few.
 const DefaultJournalBatch = 256
 
 // JournalFile names the journal of one shard of one plan under workDir. A

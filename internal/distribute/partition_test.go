@@ -482,15 +482,19 @@ func TestFragmentIndexRoundTrip(t *testing.T) {
 // chunks are 1024 records: the fragments' chunks in encoding and in flight
 // are a fixed number, but how many of them a build fills depends on the
 // scheduler, and at the default 8192 records that alone moved a loaded
-// machine's peak by 5 MB.
+// machine's peak by 5 MB. The sampler reads the live heap between ticks, and
+// the N-file build is short enough to fall between a few of them (it once
+// read 3.5 MB against the usual 8.3–10), so its peak is the largest of three
+// builds: a missed peak can only make the bound stricter than it is.
 func TestPartitionedPlanBuildMemoryBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("memory ceilings are not meaningful under the race detector")
 	}
 	const n, slack = 250_000, 4 << 20
 	var peaks [2]uint64
-	for i, files := range []int{n, 4 * n} {
-		peaks[i] = spilledPartitionPeak(t, core.Config{NumFiles: files, NumDirs: 20_000, Seed: 20090225, Parallelism: 4})
+	for i, files := range []int{n, n, n, 4 * n} {
+		peak := spilledPartitionPeak(t, core.Config{NumFiles: files, NumDirs: 20_000, Seed: 20090225, Parallelism: 4})
+		peaks[i/3] = max(peaks[i/3], peak)
 	}
 	t.Logf("partitioned plan build: peak live heap %.1f MB at %d files, %.1f MB at %d (slack %d MB)",
 		float64(peaks[0])/(1<<20), n, float64(peaks[1])/(1<<20), 4*n, slack>>20)

@@ -2,6 +2,7 @@ package distribute
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -248,9 +249,9 @@ type WorkerOptions struct {
 	// target, writing) files within this shard; 0 selects runtime.NumCPU().
 	// As everywhere else, the written bytes are identical at every level.
 	Parallelism int
-	// JournalPath, when set, makes a directory execution resumable: files
-	// are written BatchFiles at a time, each batch's digests are sealed into
-	// this append-only journal, and an execution that finds a journal for
+	// JournalPath, when set, makes a directory execution resumable: each
+	// BatchFiles files' digests are sealed into this append-only journal
+	// once all are written, and an execution that finds a journal for
 	// the same (plan, shard) skips the prefix it proves — after checking
 	// every such file on disk (present, regular, exact size). A journal that
 	// fails any check is discarded and the shard restarts. Delete the
@@ -362,25 +363,28 @@ func Execute(ctx context.Context, v *ShardView, target Target, opts WorkerOption
 	return &ShardResult{Manifest: m, ResumedFiles: resumed, WrittenFiles: len(v.Files) - resumed}, nil
 }
 
-// writeDir materializes the shard under outRoot through the VFS writer,
+// writeDir materializes the shard under outRoot through one VFS writer,
 // whose mopts.OnDigest fills digests, and returns the bytes the shard holds
-// and how many files a journal let it skip. The files go in the
-// shard's order, which is directory-major as the canonical order is: without
-// a journal in one batch, with one BatchFiles at a time — contiguous runs of
-// the file list, so a resume point is a prefix of it — each sealed into the
-// journal before the next starts.
+// and how many files a journal let it skip. With a journal the files, in
+// the shard's directory-major order, are sealed into it BatchFiles at a
+// time, each batch as soon as the writer has collected it (its files
+// closed, its digests reported). The writer cuts a run at every batch, so a
+// failed run never holds back a batch already complete.
 func writeDir(v *ShardView, outRoot string, mopts fsimage.MaterializeOptions, opts WorkerOptions, digests []string) (written int64, resumed int, err error) {
-	// The directory pass is idempotent MkdirAll; run it every attempt so a
-	// resume against a cleaned output root recreates the skeleton.
-	if _, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, v.Dirs, nil, mopts); err != nil {
-		return 0, 0, err
+	sink := fsimage.NewMaterializeSink(outRoot, v.Tree, mopts)
+	// The directory pass is idempotent; it runs every attempt so a resume
+	// against a cleaned output root recreates the skeleton.
+	for _, id := range v.Dirs {
+		if err := sink.AddDir(fsimage.DirRecord{ID: id}); err != nil {
+			return 0, 0, err
+		}
 	}
 	var journal *ShardJournal
 	batch := len(v.Files)
 	if opts.JournalPath != "" {
 		rec := recoverJournal(opts.JournalPath, v, outRoot, opts.MetadataOnly)
 		if journal, err = openJournal(opts.JournalPath, v.Plan.Fingerprint(), v.Shard, rec); err != nil {
-			return 0, 0, err
+			return 0, 0, sink.Fail(err)
 		}
 		defer journal.Close()
 		for i, sum := range rec.digests {
@@ -391,24 +395,42 @@ func writeDir(v *ShardView, outRoot string, mopts fsimage.MaterializeOptions, op
 			batch = DefaultJournalBatch
 		}
 	}
-	for lo, hi := resumed, 0; lo < len(v.Files); lo = hi {
-		hi = min(lo+batch, len(v.Files))
-		if opts.FailAfterFiles > 0 {
-			hi = min(hi, resumed+opts.FailAfterFiles)
-		}
-		n, err := fsimage.MaterializeShardRecords(outRoot, v.Tree, nil, v.Files[lo:hi], mopts)
-		if err != nil {
-			return 0, 0, err
-		}
-		if journal != nil {
-			if err := journal.Append(digests[lo:hi], n); err != nil {
-				return 0, 0, err
+	end := len(v.Files)
+	if opts.FailAfterFiles > 0 {
+		end = min(end, resumed+opts.FailAfterFiles)
+	}
+	// seal journals the whole batches collected, and with all the rest.
+	seal := func(all bool) error {
+		for done := resumed + sink.Collected(); journal != nil && journal.next < done && (all || done-journal.next >= batch); {
+			lo, n := journal.next, int64(0)
+			for _, f := range v.Files[lo:min(lo+batch, done)] {
+				n += f.Size
+			}
+			if err := journal.Append(digests[lo:min(lo+batch, done)], n); err != nil {
+				return err
 			}
 		}
-		written += n
-		if opts.FailAfterFiles > 0 && hi == resumed+opts.FailAfterFiles && hi < len(v.Files) {
-			return 0, 0, ErrSimulatedCrash
+		return nil
+	}
+	for i := resumed; i < end && err == nil; i++ {
+		if err = sink.AddFile(v.Files[i]); err == nil && (i+1-resumed)%batch == 0 {
+			err = sink.Cut()
+		}
+		// Sealed after a failure too: the batches collected before it.
+		if serr := seal(false); err == nil && serr != nil {
+			err = sink.Fail(serr)
 		}
 	}
-	return written, resumed, nil
+	if err == nil {
+		// After a failure whole batches only: the partial one is not done.
+		err = sink.Close()
+		err = cmp.Or(err, seal(err == nil))
+	}
+	if err == nil && end < len(v.Files) {
+		err = ErrSimulatedCrash
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	return written + sink.Written(), resumed, nil
 }

@@ -62,20 +62,16 @@ func TestContentDigestsMatchMaterializedBytes(t *testing.T) {
 	}
 }
 
-// TestMaterializeShardCollectsDigests asserts the digests the VFS writer
+// TestMaterializeSinkCollectsDigests asserts the digests the VFS writer
 // reports to OnDigest while writing equal the oracle's at every
 // parallelism, file for file in the order given, and that the written byte
 // count matches.
-func TestMaterializeShardCollectsDigests(t *testing.T) {
+func TestMaterializeSinkCollectsDigests(t *testing.T) {
 	img := digestTestImage(t)
 	opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: 11}
 	want, err := img.ContentDigests(opts)
 	if err != nil {
 		t.Fatalf("ContentDigests: %v", err)
-	}
-	dirs := make([]int, img.Tree.Len())
-	for i := range dirs {
-		dirs[i] = i
 	}
 	for _, j := range []int{1, 4} {
 		var got []string
@@ -86,11 +82,15 @@ func TestMaterializeShardCollectsDigests(t *testing.T) {
 			}
 			got = append(got, sum)
 		}
-		n, err := MaterializeShardRecords(t.TempDir(), img.Tree, dirs, img.Files, opts)
-		if err != nil {
-			t.Fatalf("j=%d: MaterializeShardRecords: %v", j, err)
+		sink := NewMaterializeSink(t.TempDir(), img.Tree, opts)
+		err := img.StreamRecords(sink)
+		if err == nil {
+			err = sink.Close()
 		}
-		if n != img.TotalBytes() {
+		if err != nil {
+			t.Fatalf("j=%d: MaterializeSink: %v", j, err)
+		}
+		if n := sink.Written(); n != img.TotalBytes() {
 			t.Fatalf("j=%d: wrote %d bytes, want %d", j, n, img.TotalBytes())
 		}
 		if len(got) != len(want) {

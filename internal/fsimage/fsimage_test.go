@@ -307,21 +307,29 @@ func TestMaterializeAllocsPerFile(t *testing.T) {
 		ext := exts[i%len(exts)]
 		files[i] = File{ID: i, Name: MakeFileName(i, ext), Ext: ext, Size: 1100, DirID: i * nDirs / nFiles}
 	}
-	dirs := make([]int, nDirs)
-	for i := range dirs {
-		dirs[i] = i
-	}
 	root := t.TempDir()
-	opts := MaterializeOptions{Seed: 1, Parallelism: 1}
-	if _, err := MaterializeShardRecords(root, tree, dirs, nil, opts); err != nil {
+	opts := MaterializeOptions{Seed: 1, Parallelism: 1}.WithDefaults(1) // the registry is built once, not per run
+	dirs := NewMaterializeSink(root, tree, opts)
+	for id := range nDirs {
+		if err := dirs.AddDir(DirRecord{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dirs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	opts = opts.WithDefaults(1) // the registry is built once, not per run
 	digests := make([]string, nFiles)
 	opts.OnDigest = func(f File, sum string) { digests[f.ID] = sum }
 	var err error
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, werr := MaterializeShardRecords(root, tree, nil, files, opts); werr != nil {
+		sink := NewMaterializeSink(root, tree, opts)
+		for _, f := range files {
+			if werr := sink.AddFile(f); werr != nil {
+				err = werr
+				return
+			}
+		}
+		if werr := sink.Close(); werr != nil {
 			err = werr
 		}
 	})

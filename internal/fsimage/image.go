@@ -5,13 +5,12 @@
 // directory tree back into an image, and serialize images to JSON.
 //
 // File IDs are directory-major (by directory, then by draw), so any slice
-// of the canonical stream holds each directory's files as one run. There is
-// one VFS writer, MaterializeShardRecords, over such a slice: Image.Materialize
-// and the distributed executor's directory target, each of its journal
-// batches a run of the slice, are calls to it, and so is every batch of
-// MaterializeSink, the streamed writer that holds 4096 records of an image
-// too large to retain. On Linux it creates each directory's run of files
-// with openat(2) against one descriptor on the directory.
+// of the canonical stream holds each directory's files as one run. Every
+// image writer is the one body engine (body.go), with an image file
+// (ImageBody, under package imgfmt's archive sinks) or a directory
+// (MaterializeSink, the VFS writer) as its destination. On Linux the VFS
+// writer creates each directory's run of files with openat(2) against one
+// descriptor on the directory.
 // ContentDigests/Digest is the hash-only oracle the writers are tested
 // against, and HashTree reads the same digest back from a written tree. The
 // canonical digest has one fold, DigestFold, which names directories from

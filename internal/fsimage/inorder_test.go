@@ -1,4 +1,4 @@
-package imgfmt
+package fsimage
 
 import (
 	"bytes"
@@ -12,8 +12,7 @@ import (
 // seek, holding up to hold bytes.
 func newInOrder(w *bytes.Buffer, hold int) (*inOrder, chan struct{}) {
 	quit := make(chan struct{})
-	dst, _ := destination(w, quit, hold)
-	return dst.(*inOrder), quit
+	return destination(w, quit, hold).(*inOrder), quit
 }
 
 // TestInOrderHoldsLaterWrites: a write ahead of the next byte due returns at

@@ -2,22 +2,17 @@ package fsimage
 
 import (
 	"bufio"
+	"cmp"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"syscall"
 
 	"impressions/internal/content"
 	"impressions/internal/namespace"
-	"impressions/internal/parallel"
-	"impressions/internal/stats"
 )
 
 // Every image is written with the same permissions: its bytes, and how an
@@ -27,9 +22,9 @@ const (
 	filePerm = 0o644
 )
 
-// MaterializeOptions configures every image writer: the VFS writer
-// (Image.Materialize, MaterializeShardRecords, MaterializeSink) and the
-// archive sinks of package imgfmt, whose Options is this type. The zero
+// MaterializeOptions configures the body engine (body.go), which every
+// image writer is: the VFS writer (MaterializeSink, Image.Materialize) and
+// the archive sinks of package imgfmt, whose Options is this type. The zero
 // value is usable.
 type MaterializeOptions struct {
 	// Registry supplies per-extension content generators. If nil, the default
@@ -94,125 +89,35 @@ func ShardWeight(d *namespace.Dir) float64 {
 }
 
 // Materialize writes the image as a real directory tree rooted at root and
-// returns the number of bytes written: MaterializeShardRecords over every
-// directory and every file of the image.
+// returns the number of bytes written: its records streamed into a
+// MaterializeSink. A write that fails reports nothing: opts.OnDigest and
+// opts.Fold take the image once every file is on disk.
 func (img *Image) Materialize(root string, opts MaterializeOptions) (int64, error) {
-	dirs := make([]int, img.Tree.Len())
-	for i := range dirs {
-		dirs[i] = i
+	opts = opts.WithDefaults(img.Spec.Seed)
+	report := opts
+	var sums []string // each file's content hash, in the image's order
+	opts.OnDigest, opts.Fold = nil, nil
+	if report.OnDigest != nil || report.Fold != nil {
+		opts.OnDigest = func(_ File, sum string) { sums = append(sums, sum) }
 	}
-	return MaterializeShardRecords(root, img.Tree, dirs, img.Files, opts.WithDefaults(img.Spec.Seed))
-}
-
-// MaterializeShardRecords is the VFS writer: it creates the given
-// directories (tree IDs, ascending so parents precede children; a missing
-// ancestor is created on the way) in one serial pass, then writes files in
-// the order given — canonical order, or a run of it, so each directory's
-// files come together — with opts.Parallelism workers. Image.Materialize,
-// every MaterializeSink batch, every directory target of the distributed
-// executor and each of its journal batches are calls to it. The root itself
-// is created if missing.
-// opts.Seed is used as given — callers without an image pass the plan or
-// spec seed.
-//
-// Each worker takes a chunk of files, so its files come as runs of one
-// directory and two workers seldom contend for one. On Linux a worker opens
-// a directory once per run (O_RDONLY|O_DIRECTORY|O_CLOEXEC: the syscall
-// package has no O_PATH) and creates the run's files with openat(2) against
-// that descriptor, so no create walks the path from the root; the
-// descriptor is closed when the run ends and on every failure. Elsewhere
-// each file is opened by its full path. Each file's bytes come from its own
-// stream, keyed by the seed and the file ID alone, so the tree is identical
-// at every parallelism and in every order. The first failed write stops
-// every worker at its next chunk of files, the context's cancellation at
-// its next file, and is the error returned; files already written stay in
-// place.
-//
-// With opts.OnDigest or opts.Fold the workers hash each file as they write
-// it, into a slot per file. Once every file of the call is on disk,
-// opts.Fold takes the given directories, then each file beside its hash in
-// the order given, as opts.OnDigest does. A failed call reports nothing.
-//
-// Each directory is one mkdir(2) unless it cannot be (then MkdirAll's
-// checks run); each file is one raw descriptor opened with O_CLOEXEC,
-// written through a pooled buffer whose write(2)s are retried on EINTR and
-// after short writes (Ftruncate'd instead under MetadataOnly), and closed on
-// every path, its close error checked. No *os.File is made, so nothing but
-// this function closes a descriptor it opened. A file's path is built only
-// for the error that names it.
-func MaterializeShardRecords(root string, tree *namespace.Tree, dirs []int, files []File, opts MaterializeOptions) (int64, error) {
-	opts = opts.WithDefaults(opts.Seed)
-	if err := os.MkdirAll(root, dirPerm); err != nil {
-		return 0, fmt.Errorf("fsimage: creating root %q: %w", root, err)
+	sink := NewMaterializeSink(root, img.Tree, opts)
+	if err := cmp.Or(img.StreamRecords(sink), sink.Close()); err != nil || opts.OnDigest == nil || opts.MetadataOnly {
+		return sink.Written(), err
 	}
-	var path []byte // one buffer serves every entry: the string handed to the syscall is the only allocation
-	for _, id := range dirs {
-		if id == 0 {
-			continue // the root is made
-		}
-		path = appendEntryPath(path, root, tree, id, "")
-		// One mkdir(2) in the common case; MkdirAll sorts out the rest — a
-		// directory already there (a resume), a missing ancestor, or a
-		// non-directory in the way.
-		if p := string(path); os.Mkdir(p, dirPerm) != nil {
-			if err := os.MkdirAll(p, dirPerm); err != nil {
-				return 0, fmt.Errorf("fsimage: creating directory %q: %w", path, err)
-			}
+	if report.Fold != nil {
+		for id := range img.Tree.Len() {
+			report.Fold.AddDir(img.Tree, id)
 		}
 	}
-
-	var sums []string // each file's content hash, positional in files
-	if (opts.OnDigest != nil || opts.Fold != nil) && !opts.MetadataOnly {
-		sums = make([]string, len(files))
-	}
-	ctx := opts.Context
-	streams := NewContentStreams(opts.Seed)
-	var written atomic.Int64
-	err := parallel.RunChunks(ctx, opts.Parallelism, len(files), func(lo, hi int) error {
-		var (
-			c   = newFileCreator(root, tree)
-			sum hash.Hash // taps the content when digests are wanted
-			raw [sha256.Size]byte
-			n   int64
-		)
-		if sums != nil {
-			sum = sha256.New()
+	for i, f := range img.Files {
+		if report.OnDigest != nil {
+			report.OnDigest(f, sums[i])
 		}
-		defer func() { written.Add(n) }()
-		defer c.close()
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			f := files[i]
-			if step, err := c.write(f, opts, streams.File(f.ID), sum); err != nil {
-				return fmt.Errorf("fsimage: %s %q: %w", step, appendEntryPath(nil, root, tree, f.DirID, f.Name), err)
-			}
-			if sum != nil {
-				sums[i] = hex.EncodeToString(sum.Sum(raw[:0]))
-				sum.Reset()
-			}
-			n += f.Size
-		}
-		return nil
-	})
-	if err != nil || sums == nil {
-		return written.Load(), err
-	}
-	if opts.Fold != nil {
-		for _, id := range dirs {
-			opts.Fold.AddDir(tree, id)
+		if report.Fold != nil {
+			report.Fold.AddFile(f, sums[i])
 		}
 	}
-	for i, f := range files {
-		if opts.OnDigest != nil {
-			opts.OnDigest(f, sums[i])
-		}
-		if opts.Fold != nil {
-			opts.Fold.AddFile(f, sums[i])
-		}
-	}
-	return written.Load(), nil
+	return sink.Written(), nil
 }
 
 // FilePath renders the slash-separated path of file records relative to the
@@ -267,99 +172,80 @@ func appendEntryPath(dst []byte, root string, tree *namespace.Tree, dirID int, n
 	return dst
 }
 
-// materializeBatch is how many file records MaterializeSink holds before it
-// writes them: one column shard of the metadata pass.
-const materializeBatch = parallel.DefaultShardSize
-
-// MaterializeSink is the streaming materializer: a RecordSink that writes the
-// records a batch at a time through MaterializeShardRecords, opts.Parallelism
-// workers per batch, under the directory tree it is given — the tree of the
-// records it is streamed, which its caller already holds — and one batch of
-// records. It trusts those records to be the tree's: a stream of foreign
-// bytes is validated (a TreeSink) before it reaches a writer. The tree it
-// writes is Image.Materialize's: content streams are keyed by file ID alone,
-// and opts.OnDigest and opts.Fold take each batch as MaterializeShardRecords
-// reports it.
+// MaterializeSink is the VFS writer, behind Image.Materialize and every
+// directory target of the distributed executor: the body engine with a
+// directory under root as its destination. It writes under the tree it is
+// given, the records' own, and trusts the records to be the tree's: foreign
+// bytes are validated (a TreeSink) before they reach a writer. AddDir
+// creates each directory on the caller, before the first file; the workers
+// create the files, each through one raw descriptor (fileCreator,
+// writeFile) closed on every path. Files written stay after a failure.
 type MaterializeSink struct {
-	tree     *namespace.Tree
-	root     string
-	opts     MaterializeOptions
-	dirs     int // directory records taken
-	dirsMade int
-	batch    []File
-	written  int64
+	bodyEngine
+	root string
+	path []byte // one buffer serves every directory
 }
 
 // NewMaterializeSink starts a streaming materialization under root of the
 // records of tree. opts.Seed must carry the content seed (there is no image
 // to default from).
 func NewMaterializeSink(root string, tree *namespace.Tree, opts MaterializeOptions) *MaterializeSink {
-	return &MaterializeSink{tree: tree, root: root, opts: opts}
+	s := &MaterializeSink{bodyEngine: bodyEngine{tree: tree}, root: root}
+	s.init(opts.WithDefaults(opts.Seed), s)
+	return s
 }
 
-// AddDir takes the next directory, the tree's next.
-func (s *MaterializeSink) AddDir(DirRecord) error {
-	s.dirs++
+// AddDir creates the directory d names in the sink's tree.
+func (s *MaterializeSink) AddDir(d DirRecord) error {
+	s.path = appendEntryPath(s.path, s.root, s.tree, d.ID, "")
+	// One mkdir(2) in the common case; MkdirAll sorts out the rest: a
+	// directory already there (a resume), a missing ancestor, the root
+	// included, or a non-directory in the way.
+	if p := string(s.path); os.Mkdir(p, dirPerm) != nil {
+		if err := os.MkdirAll(p, dirPerm); err != nil {
+			return s.Fail(fmt.Errorf("fsimage: creating directory %q: %w", p, err))
+		}
+	}
+	s.bodyEngine.AddDir(s.tree, d.ID)
 	return nil
 }
 
-// AddFile takes the next file, and writes the batch it completes.
-func (s *MaterializeSink) AddFile(f File) error {
-	if s.batch = append(s.batch, f); len(s.batch) < materializeBatch {
-		return nil
+func (s *MaterializeSink) span(f File) (int64, error) { return f.Size, nil }
+
+func (s *MaterializeSink) worker(context.Context) bodyWorker { return newFileCreator(s.root, s.tree) }
+
+func (c *fileCreator) start(*bodyRun)     {}
+func (c *fileCreator) end(*bodyRun) error { return nil }
+
+// put creates f and fills and closes it, and names the file in an error.
+func (c *fileCreator) put(f File, fill func(io.Writer) error) error {
+	if step, err := c.write(f, fill); err != nil {
+		return fmt.Errorf("fsimage: %s %q: %w", step, appendEntryPath(nil, c.root, c.tree, f.DirID, f.Name), err)
 	}
-	return s.flush()
+	return nil
 }
-
-// Close writes what is still held.
-func (s *MaterializeSink) Close() error { return s.flush() }
-
-// flush creates the directories not yet made and writes the files held. The
-// options' context is polled between the files of a batch, so a cancelled
-// materialization fails at its next batch instead of draining the stream
-// onto disk.
-func (s *MaterializeSink) flush() error {
-	dirs := make([]int, s.dirs-s.dirsMade)
-	for i := range dirs {
-		dirs[i] = s.dirsMade + i
-	}
-	s.dirsMade += len(dirs)
-	n, err := MaterializeShardRecords(s.root, s.tree, dirs, s.batch, s.opts)
-	s.batch = s.batch[:0]
-	s.written += n
-	return err
-}
-
-// Written returns the bytes written so far.
-func (s *MaterializeSink) Written() int64 { return s.written }
 
 // openFlags creates or truncates a file for writing. O_CLOEXEC keeps the
 // descriptor out of any process started while it is open.
 const openFlags = syscall.O_CREAT | syscall.O_WRONLY | syscall.O_TRUNC | syscall.O_CLOEXEC
 
-// writeFile fills the file just created on fd — its content, or under
-// MetadataOnly its size — through a pooled fdWriter, and closes fd on every
-// path. A failure comes back with the step that failed; the caller names
-// the file.
-func writeFile[FD any](fd FD, f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) (step string, err error) {
+// writeFile fills the file just created on fd — its content, which fill
+// writes, or with fill nil (MetadataOnly) its size — through a pooled
+// fdWriter, and closes fd on every path. A failure comes back with the step
+// that failed; the caller names the file.
+func writeFile[FD any](fd FD, f File, fill func(io.Writer) error) (step string, err error) {
 	w := writerPool.Get().(*fdWriter[FD])
 	defer writerPool.Put(w)
 	w.fd = fd
 	switch {
-	case opts.MetadataOnly && f.Size > 0:
+	case fill == nil && f.Size > 0:
 		step, err = "truncating", w.truncate(fd, f.Size)
 		for err == syscall.EINTR {
 			err = w.truncate(fd, f.Size)
 		}
-	case !opts.MetadataOnly:
+	case fill != nil:
 		w.buf.Reset(w) // clears what a failed file left buffered
-		var dst io.Writer = w.buf
-		if sum != nil {
-			// The hash taps the generator's output directly, before
-			// buffering, so it observes exactly the bytes that reach the file.
-			dst = io.MultiWriter(w.buf, sum)
-		}
-		if step, err = "writing content for", opts.Registry.ForExtension(f.Ext).Generate(dst, f.Size, rng); err == nil {
+		if step, err = "writing content for", fill(w.buf); err == nil {
 			step, err = "flushing", w.buf.Flush()
 		}
 	}

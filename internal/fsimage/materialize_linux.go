@@ -1,20 +1,20 @@
 package fsimage
 
 import (
-	"hash"
+	"io"
 	"syscall"
 
 	"impressions/internal/namespace"
-	"impressions/internal/stats"
 )
 
 // dirFlags opens a directory to create files in. The syscall package has no
 // O_PATH, so it is a read-only descriptor.
 const dirFlags = syscall.O_RDONLY | syscall.O_DIRECTORY | syscall.O_CLOEXEC
 
-// fileCreator creates one worker chunk's files, which come by directory:
-// it holds one descriptor on the directory of the current run and creates
-// each of the run's files with openat(2) against it.
+// fileCreator is a MaterializeSink worker's end of the directory: the files
+// of its runs come by directory, so it holds one descriptor on the
+// directory of the current run of them and creates each with openat(2)
+// against it.
 type fileCreator struct {
 	root string
 	tree *namespace.Tree
@@ -24,13 +24,13 @@ type fileCreator struct {
 	path  []byte
 }
 
-func newFileCreator(root string, tree *namespace.Tree) fileCreator {
-	return fileCreator{root: root, tree: tree, dir: -1}
+func newFileCreator(root string, tree *namespace.Tree) *fileCreator {
+	return &fileCreator{root: root, tree: tree, dir: -1}
 }
 
 // write creates f — opening its directory first when f starts a run — and
 // fills and closes it (writeFile).
-func (c *fileCreator) write(f File, opts MaterializeOptions, rng *stats.RNG, sum hash.Hash) (step string, err error) {
+func (c *fileCreator) write(f File, fill func(io.Writer) error) (step string, err error) {
 	if f.DirID != c.dir {
 		c.close()
 		c.path = appendEntryPath(c.path, c.root, c.tree, f.DirID, "")
@@ -51,7 +51,7 @@ func (c *fileCreator) write(f File, opts MaterializeOptions, rng *stats.RNG, sum
 	if err != nil {
 		return "creating file", err
 	}
-	return writeFile(fd, f, opts, rng, sum)
+	return writeFile(fd, f, fill)
 }
 
 // close closes the directory descriptor, if one is open.

@@ -233,18 +233,20 @@ func batchTestImage(t testing.TB, n int) *Image {
 	return img
 }
 
-// sinkBatchCounts are the file counts the sink's batching can get wrong: no
-// file, one, one short of a batch, a batch, one over, and two and one (a
-// batch written after another, and a remainder after both).
-var sinkBatchCounts = []int{0, 1, materializeBatch - 1, materializeBatch, materializeBatch + 1, 2*materializeBatch + 1}
+// sinkRunCounts are the file counts the engine's runs can get wrong at
+// Parallelism 4: no file, one, one short of a run, a run, one over, and one
+// past a full ring of runs (the caller collects the oldest run while it
+// queues the next). The files are tiny, so runs are cut by their count.
+var sinkRunCounts = []int{0, 1, bodyRunFiles - 1, bodyRunFiles, bodyRunFiles + 1, (bodyRunsPerWorker*4+1)*bodyRunFiles + 1}
 
-// TestMaterializeSinkAtBatchBoundaries: at every batch boundary, streaming
+// TestMaterializeSinkAtRunBoundaries: at every run and ring edge, streaming
 // records to disk leaves the image's directories and, at each file's path,
 // the bytes ContentDigests hashes for it, and nothing else; Written counts
-// the image's bytes, and the Fold, which takes each batch's digests as it is
-// written, sums to the digest CombineDigest makes of ContentDigests.
-func TestMaterializeSinkAtBatchBoundaries(t *testing.T) {
-	for _, n := range sinkBatchCounts {
+// the image's bytes, OnDigest takes every file in stream order, and the
+// Fold, which takes each run's digests as it is collected, sums to the
+// digest CombineDigest makes of ContentDigests.
+func TestMaterializeSinkAtRunBoundaries(t *testing.T) {
+	for _, n := range sinkRunCounts {
 		img := batchTestImage(t, n)
 		opts := MaterializeOptions{Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed, Parallelism: 4}
 		digests, err := img.ContentDigests(opts)
@@ -257,6 +259,13 @@ func TestMaterializeSinkAtBatchBoundaries(t *testing.T) {
 		}
 		root, fold := t.TempDir(), NewDigestFold(img.DirCount(), n, img.TotalBytes())
 		opts.Fold = fold
+		reported := 0
+		opts.OnDigest = func(f File, sum string) {
+			if f != img.Files[reported] || sum != digests[f.ID] {
+				t.Fatalf("n=%d: file %d reported in the place of file %d", n, f.ID, reported)
+			}
+			reported++
+		}
 		sink := NewMaterializeSink(root, img.Tree, opts)
 		if err := img.StreamRecords(sink); err != nil {
 			t.Fatalf("n=%d: stream materialize: %v", n, err)
@@ -264,8 +273,8 @@ func TestMaterializeSinkAtBatchBoundaries(t *testing.T) {
 		if err := sink.Close(); err != nil {
 			t.Fatalf("n=%d: Close: %v", n, err)
 		}
-		if sink.Written() != img.TotalBytes() {
-			t.Errorf("n=%d: streamed %d bytes of %d", n, sink.Written(), img.TotalBytes())
+		if sink.Written() != img.TotalBytes() || reported != n || sink.Collected() != n {
+			t.Errorf("n=%d: streamed %d bytes of %d, reported %d files, collected %d", n, sink.Written(), img.TotalBytes(), reported, sink.Collected())
 		}
 		if got, err := fold.Sum(); err != nil || got != wantDigest {
 			t.Errorf("n=%d: folded digest %s (%v), ContentDigests combine to %s", n, got, err, wantDigest)
@@ -327,59 +336,69 @@ func (s faultAfter) AddFile(f File) error {
 	return s.fault(f)
 }
 
-// TestMaterializeSinkCancellation: what stops a batch stops the stream. A
-// context cancelled once the first batch is on disk, or a write that fails
-// in the second, is the error of the AddFile that completes the second batch;
-// no file of the third batch is written, and no worker goroutine is left.
-// Two batches and one file are the least that has a batch after the failed
-// one.
+// TestMaterializeSinkCancellation: what stops a run stops the stream. A
+// context cancelled inside the second run, or a file there whose create
+// fails, is the error of a later AddFile or of Close; no file more than
+// the ring's lag past the fault is written — a ring of runs of
+// bodyRunFiles, the most the caller queues before it collects the failed
+// run — and no worker goroutine is left. A failed create leaves every file
+// before it on disk and reports exactly the run before its own.
 func TestMaterializeSinkCancellation(t *testing.T) {
-	const n = 2*materializeBatch + 1
+	const j = 4
+	lag := (bodyRunsPerWorker*j + 1) * bodyRunFiles
+	fault := bodyRunFiles + 1
+	n := fault + lag + bodyRunFiles // files past the lag, which must stay unwritten
 	img := batchTestImage(t, n)
-	blocked := img.Files[materializeBatch] // the first file of the second batch
-	for _, fault := range []string{"cancel", "write"} {
+	blocked := img.Files[fault]
+	for _, kind := range []string{"cancel", "create"} {
 		baseline := runtime.NumGoroutine()
 		root := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
+		if kind == "create" {
+			// A directory where the file should go: creating it fails.
+			if err := os.MkdirAll(filepath.Join(root, filepath.FromSlash(filePath(img, blocked))), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reported := 0
 		sink := NewMaterializeSink(root, img.Tree, MaterializeOptions{
-			Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed, Parallelism: 4, Context: ctx,
+			Registry: content.NewRegistry(content.KindDefault), Seed: img.Spec.Seed, Parallelism: j, Context: ctx,
+			OnDigest: func(File, string) { reported++ },
 		})
 		err := img.StreamRecords(faultAfter{sink, func(f File) error {
-			if f.ID != materializeBatch-1 {
-				return nil
-			}
-			if fault == "cancel" {
+			if kind == "cancel" && f.ID == fault {
 				cancel()
-				return nil
 			}
-			// A directory where the file should go: creating it fails.
-			return os.MkdirAll(filepath.Join(root, filepath.FromSlash(filePath(img, blocked))), 0o755)
+			return nil
 		}})
 		if err == nil {
 			err = sink.Close()
 		}
-		if fault == "cancel" && !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: got %v, want context.Canceled", fault, err)
+		if kind == "cancel" && !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got %v, want context.Canceled", kind, err)
 		}
-		if fault == "write" && (err == nil || !strings.Contains(err.Error(), blocked.Name)) {
-			t.Fatalf("%s: got %v, want the failed creation of %s", fault, err, blocked.Name)
+		if kind == "create" {
+			if err == nil || !strings.Contains(err.Error(), blocked.Name) {
+				t.Fatalf("%s: got %v, want the failed creation of %s", kind, err, blocked.Name)
+			}
+			if reported != bodyRunFiles {
+				t.Errorf("%s: %d files reported, want the %d of the run before the fault's", kind, reported, bodyRunFiles)
+			}
+			for _, f := range img.Files[:fault] {
+				if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, f)))); err != nil {
+					t.Fatalf("%s: %s, before the fault, was not written: %v", kind, f.Name, err)
+				}
+			}
 		}
-		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, img.Files[0])))); err != nil {
-			t.Errorf("%s: the first batch was not written: %v", fault, err)
-		}
-		last := img.Files[n-1]
-		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, last)))); err == nil {
-			t.Errorf("%s: %s of the last batch was written after the stream failed", fault, last.Name)
-		}
-		if fault == "cancel" {
-			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, blocked)))); err == nil {
-				t.Errorf("%s: %s was written after the cancellation", fault, blocked.Name)
+		for _, f := range img.Files[fault+lag+1:] {
+			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(filePath(img, f)))); err == nil {
+				t.Fatalf("%s: %s, more than %d files past the fault, was written", kind, f.Name, lag)
 			}
 		}
 		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines, %d before the sink was created", fault, runtime.NumGoroutine(), baseline)
+				t.Fatalf("%s: %d goroutines, %d before the sink was created", kind, runtime.NumGoroutine(), baseline)
 			}
 		}
 	}

@@ -30,9 +30,9 @@ import (
 // and the OnDigest sequence must not depend on Options.Parallelism, and
 // every failure must come back from AddFile/Close with the workers gone.
 
-// The engine's geometry (body.go: bodyChunkSize, bodyRunFiles), which
-// edgeImage aims its sizes at. geometry_test.go fails when body.go moves
-// away from this copy.
+// The engine's geometry (internal/fsimage/body.go: bodyChunkSize,
+// bodyRunFiles), which edgeImage aims its sizes at. fsimage's
+// TestEdgeImageMatchesGeometry fails when body.go moves away from this copy.
 const (
 	bodyChunk    = 128 << 10
 	bodyRunFiles = 256
@@ -650,12 +650,15 @@ func limited(w limitedWriter, at bool) io.WriteSeeker {
 
 func order(at bool) string { return map[bool]string{false: "in order", true: "at offsets"}[at] }
 
-// sinkKinds are the three archive writers, each driven to the end of the
-// stream (Close included) unless something fails first.
-var sinkKinds = []struct {
+// sinkKind is a writer driven to the end of the stream (Close included)
+// unless something fails first.
+type sinkKind struct {
 	name  string
 	write func(w io.WriteSeeker, img *fsimage.Image, opts imgfmt.Options) error
-}{
+}
+
+// sinkKinds are the three archive writers.
+var sinkKinds = []sinkKind{
 	{"tar", func(w io.WriteSeeker, img *fsimage.Image, opts imgfmt.Options) error {
 		sink := imgfmt.NewTarSink(w, opts)
 		if err := img.StreamRecords(sink); err != nil {
@@ -882,7 +885,16 @@ func TestSinksSurfaceGeneratorFailures(t *testing.T) {
 		img := b.image()
 		registry := content.NewRegistry(content.KindDefault)
 		registry.Register(broken.gen, "broken")
-		for _, kind := range sinkKinds {
+		// The VFS writer, the engine's directory destination, beside the
+		// archive sinks: it ignores w.
+		dir := sinkKind{"dir", func(_ io.WriteSeeker, img *fsimage.Image, opts imgfmt.Options) error {
+			sink := fsimage.NewMaterializeSink(t.TempDir(), img.Tree, opts)
+			if err := img.StreamRecords(sink); err != nil {
+				return err
+			}
+			return sink.Close()
+		}}
+		for _, kind := range append(sinkKinds[:len(sinkKinds):len(sinkKinds)], dir) {
 			for _, j := range []int{1, 4} {
 				label := fmt.Sprintf("%s j=%d: %s", kind.name, j, broken.name)
 				baseline := runtime.NumGoroutine()

@@ -6,17 +6,6 @@ import (
 	"impressions/internal/fsimage"
 )
 
-// TestEdgeImageMatchesGeometry pins the engine's geometry to the copy in
-// body_test.go (package imgfmt_test, which cannot see these constants), so
-// that retuning body.go cannot silently move edgeImage's files off the
-// edges they are aimed at.
-func TestEdgeImageMatchesGeometry(t *testing.T) {
-	if bodyChunkSize != 128<<10 || bodyRunFiles != 256 {
-		t.Fatalf("body.go geometry is now chunk %d, run files %d: update bodyChunk and bodyRunFiles in body_test.go",
-			bodyChunkSize, bodyRunFiles)
-	}
-}
-
 // TestSquashfsNamePrefix: the one renderer of a file's ID part, which
 // AddFile checks every name against and appendFileName rebuilds listings
 // from, writes the generator's "file%08d" after what dst holds, past eight

@@ -2,17 +2,16 @@
 // into image files — archive and filesystem formats — with large writes,
 // each at its offset: no kernel VFS round-trips, no mkfs, no root.
 //
-// Where fsimage.MaterializeSink pays one open/write/close per file (so a
-// 100k-small-file image is syscall-bound), these sinks are bound by the
-// content engine and SHA-256 on Options.Parallelism cores (the pipeline in
-// body.go). Everything that costs per entry happens in the workers — the
-// tar header, the content and its hash, the padding, the file's entry of
-// the canonical digest — and each worker writes its finished 128 KiB chunks
-// where they go in the image, so no worker waits for another's entries.
-// The caller only places entries and hands OnDigest and the fold their
-// files in stream order. A digest fold set as opts.Fold takes the
-// directories of the tree the sink rebuilds to name its entries, and the
-// files' entries from the workers; Digest shows its use.
+// Every sink here puts its files through fsimage.ImageBody, the image-file
+// destination of the body engine the VFS writer runs too
+// (internal/fsimage/body.go); this package holds what is an archive's own:
+// the tar header framing, the squashfs tables, the stitcher. Where the VFS
+// writer pays one open/write/close per file, these sinks are bound by the
+// content engine and SHA-256 on Options.Parallelism cores: the tar header,
+// the content and its hash, the padding and the file's digest entry are
+// the workers', each writing its 128 KiB chunks where they go in the
+// image. A digest fold set as opts.Fold takes the directories of the tree
+// the sink rebuilds to name its entries; Digest shows its use.
 //
 // Two backends ship:
 //
@@ -70,14 +69,15 @@ const (
 // the FAST '09 week.
 var DefaultModTime = time.Unix(1233878400, 0).UTC()
 
-// Options configures the content engine behind an image file. It is
-// fsimage.MaterializeOptions, the one options type of every image writer:
-// the zero value is usable and every field means what it means to the VFS
-// writer. The sinks take opts.Seed as given (they have no image to default
-// from), hold one 128 KiB chunk per worker whatever the file sizes and
-// counts (and in order, on a destination that cannot seek, copies of up to
+// Options is fsimage.MaterializeOptions, the options of the one body
+// engine: every field means what it means to the VFS writer. The sinks take
+// opts.Seed as given, hold one 128 KiB chunk per worker whatever the file
+// sizes (and in order, on a destination that cannot seek, copies of up to
 // four more), and on cancellation leave an image with bytes missing.
 type Options = fsimage.MaterializeOptions
+
+// zeroBlock feeds what the sinks pad with.
+var zeroBlock [squashfsPad]byte
 
 // fullWriter holds the sinks' destination to the io.Writer contract: a
 // write that comes up short without an error becomes io.ErrShortWrite

@@ -50,10 +50,8 @@ const (
 
 // SquashfsSink is the streaming squashfs materializer: a RecordSink that
 // serializes the canonical record stream into an uncompressed squashfs v4
-// image on a WriteSeeker. File content fills the data area in stream order,
-// generated by Options.Parallelism workers and written at its offsets
-// exactly as for TarSink: a file's OnDigest lands during a later AddFile or
-// Close, always from the calling goroutine. Close lays down the inode,
+// image on a WriteSeeker. File content fills the data area in stream order
+// through an fsimage.ImageBody, as for TarSink. Close lays down the inode,
 // directory, and id tables from the compact directory tree plus per-file
 // integer columns — the sink never holds file names in memory, and content
 // only in the workers' chunks — and seeks back to patch the superblock. The
@@ -62,8 +60,9 @@ const (
 // workers: a failed sink needs no Close.
 type SquashfsSink struct {
 	w    io.WriteSeeker
+	base int64 // w's offset at the image's first byte
 	opts Options
-	body *bodyEngine // its pos is the image's size so far
+	body *fsimage.ImageBody // its Pos is the image's size so far
 	ts   fsimage.TreeSink
 	// Per-file integer columns: names are regenerated from the ID and the
 	// interned name suffix, sizes drive the block lists and the data
@@ -83,14 +82,16 @@ type SquashfsSink struct {
 // to patch it). A w that cannot seek, such as a pipe, is refused before a
 // byte is written: Close could not patch the superblock.
 func NewSquashfsSink(w io.WriteSeeker, opts Options) (*SquashfsSink, error) {
-	if _, err := w.Seek(0, io.SeekCurrent); err != nil {
+	base, err := w.Seek(0, io.SeekCurrent)
+	if err != nil {
 		return nil, fmt.Errorf("imgfmt: squashfs needs a destination that can seek: %w", err)
 	}
 	opts = opts.WithDefaults(opts.Seed)
 	s := &SquashfsSink{
 		w:    w,
+		base: base,
 		opts: opts,
-		body: newBodyEngine(opts, w, nil),
+		body: fsimage.NewImageBody(opts, w, nil),
 
 		suffixIdx: make(map[string]int32),
 	}
@@ -105,12 +106,12 @@ func NewSquashfsSink(w io.WriteSeeker, opts Options) (*SquashfsSink, error) {
 // blocks, so nothing is written until Close.
 func (s *SquashfsSink) AddDir(d fsimage.DirRecord) error {
 	if err := s.opts.Context.Err(); err != nil {
-		return s.body.fail(err)
+		return s.body.Fail(err)
 	}
 	if err := s.ts.AddDir(d); err != nil {
-		return s.body.fail(err)
+		return s.body.Fail(err)
 	}
-	s.body.addDir(s.ts.Tree(), d.ID)
+	s.body.AddDir(s.ts.Tree(), d.ID)
 	return nil
 }
 
@@ -135,14 +136,14 @@ func (s *SquashfsSink) appendFileName(dst []byte, id int) []byte {
 // integer columns (size, name-suffix index).
 func (s *SquashfsSink) AddFile(f fsimage.File) error {
 	if err := s.ts.AddFile(f); err != nil {
-		return s.body.fail(err)
+		return s.body.Fail(err)
 	}
 	// The name must be reconstructible as "file%08d" + suffix, or the
 	// emitted listing would silently diverge from the canonical stream.
 	prefix := s.appendNamePrefix(s.nameBuf[:0], f.ID)
 	s.nameBuf = prefix
 	if len(f.Name) < len(prefix) || f.Name[:len(prefix)] != string(prefix) {
-		return s.body.fail(fmt.Errorf("imgfmt: file %d name %q does not match canonical naming: %w", f.ID, f.Name, fsimage.ErrManifestIntegrity))
+		return s.body.Fail(fmt.Errorf("imgfmt: file %d name %q does not match canonical naming: %w", f.ID, f.Name, fsimage.ErrManifestIntegrity))
 	}
 	suffix := f.Name[len(prefix):]
 	idx, ok := s.suffixIdx[suffix]
@@ -153,11 +154,11 @@ func (s *SquashfsSink) AddFile(f fsimage.File) error {
 	}
 	s.fileSize = append(s.fileSize, f.Size)
 	s.fileSuffix = append(s.fileSuffix, idx)
-	return s.body.add(f)
+	return s.body.AddFile(f)
 }
 
 // Written returns the content bytes written so far.
-func (s *SquashfsSink) Written() int64 { return s.body.written }
+func (s *SquashfsSink) Written() int64 { return s.body.Written() }
 
 // inodeLayout precomputes every inode's position in the inode table: with
 // fixed-size extended inodes the table layout is a pure function of the
@@ -395,13 +396,13 @@ func (m *metaWriter) flush() error {
 // table, directory table, id table, pad, and the patched superblock. The
 // sink must not be used afterwards.
 func (s *SquashfsSink) Close() error {
-	if err := s.body.finish(); err != nil {
+	if err := s.body.Close(); err != nil {
 		return err
 	}
 	// The data area is the file bodies back to back behind the superblock,
 	// as the engine placed them; the inode table's start offsets are the
 	// same running sum.
-	dataEnd := s.body.pos
+	dataEnd := s.body.Pos()
 	tree := s.ts.Tree()
 	dirCount := tree.Len()
 	if dirCount == 0 {
@@ -434,7 +435,7 @@ func (s *SquashfsSink) Close() error {
 	mtime := uint32(DefaultModTime.Unix())
 
 	// Inode table.
-	inodeTableStart := s.body.pos
+	inodeTableStart := s.body.Pos()
 	mw := &metaWriter{out: s.body}
 	buf := make([]byte, 0, 256)
 	for d := 0; d < dirCount; d++ {
@@ -504,7 +505,7 @@ func (s *SquashfsSink) Close() error {
 	}
 
 	// Directory table.
-	dirTableStart := s.body.pos
+	dirTableStart := s.body.Pos()
 	mw = &metaWriter{out: s.body}
 	for d := 0; d < dirCount; d++ {
 		if mw.u != listStart[d] {
@@ -519,7 +520,7 @@ func (s *SquashfsSink) Close() error {
 	}
 
 	// Id table: one metadata block of u32 ids, then the u64 block index.
-	idBlockStart := s.body.pos
+	idBlockStart := s.body.Pos()
 	mw = &metaWriter{out: s.body}
 	buf = buf[:0]
 	for _, id := range ids {
@@ -531,15 +532,15 @@ func (s *SquashfsSink) Close() error {
 	if err := mw.flush(); err != nil {
 		return err
 	}
-	idTableStart := s.body.pos
+	idTableStart := s.body.Pos()
 	buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(idBlockStart))
 	if _, err := s.body.Write(buf); err != nil {
 		return err
 	}
 
-	bytesUsed := s.body.pos
-	for s.body.pos%squashfsPad != 0 {
-		n := squashfsPad - s.body.pos%squashfsPad
+	bytesUsed := s.body.Pos()
+	for s.body.Pos()%squashfsPad != 0 {
+		n := squashfsPad - s.body.Pos()%squashfsPad
 		if n > int64(len(zeroBlock)) {
 			n = int64(len(zeroBlock))
 		}
@@ -576,7 +577,7 @@ func (s *SquashfsSink) Close() error {
 	if len(buf) != squashfsSuperSize {
 		return fmt.Errorf("imgfmt: internal error: superblock is %d bytes", len(buf))
 	}
-	if _, err := s.w.Seek(s.body.base, io.SeekStart); err != nil {
+	if _, err := s.w.Seek(s.base, io.SeekStart); err != nil {
 		return fmt.Errorf("imgfmt: seeking to squashfs superblock: %w", err)
 	}
 	if _, err := (fullWriter{s.w}).Write(buf); err != nil {

@@ -13,8 +13,8 @@ import (
 // the monolithic TarSink, the per-shard WriteSegment, and the Stitcher: the
 // directory entries (for the Stitcher the file entries too) written to out
 // through the shared header builder. out is the body engine of the first
-// two, whose workers frame the file entries through the same builder, and a
-// buffered writer for the Stitcher.
+// two (fsimage.ImageBody), whose workers frame the file entries through the
+// same builder, and a buffered writer for the Stitcher.
 type tarWriter struct {
 	out interface {
 		io.Writer
@@ -34,7 +34,7 @@ type tarWriter struct {
 // writeHeader emits the header of the entry named name.
 func (t *tarWriter) writeHeader(tpl *tarTemplate, name []byte, size int64) error {
 	var err error
-	if t.hdr, err = tpl.append(t.hdr[:0], name, size); err != nil {
+	if t.hdr, err = tpl.AppendHeader(t.hdr[:0], name, size); err != nil {
 		return err
 	}
 	if _, err := t.out.Write(t.hdr); err != nil {
@@ -81,19 +81,16 @@ func (t *tarWriter) finish(trailer int) error {
 }
 
 // TarSink is the streaming tar materializer: a RecordSink that serializes
-// the canonical record stream into one POSIX tar archive. File entries —
-// header, generated content, padding — are put together by
-// Options.Parallelism workers, each written where it goes in the archive:
-// at its offset when w is an io.WriterAt that can tell where it stands (a
-// file, /dev/null), in order otherwise, and nowhere on io.Discard. An entry
-// reaches OnDigest during a later AddFile or Close than the one that
-// submitted it, always on the goroutine making those calls. Close writes the
-// end-of-archive trailer; the emitted bytes are a pure function of the
-// record stream and Options. A method that returns an error has stopped
-// the workers: a failed sink needs no Close.
+// the canonical record stream into one POSIX tar archive. Its file entries
+// — header, generated content, padding — are an fsimage.ImageBody's, each
+// written where it goes in the archive and reported to OnDigest during a
+// later AddFile or Close. Close writes the end-of-archive trailer; the
+// bytes are a pure function of the record stream and Options. A method
+// that returns an error has stopped the workers: a failed sink needs no
+// Close.
 type TarSink struct {
 	t    *tarWriter
-	body *bodyEngine
+	body *fsimage.ImageBody
 	ts   fsimage.TreeSink
 }
 
@@ -101,19 +98,20 @@ type TarSink struct {
 // must carry the content seed (there is no image to default from).
 func NewTarSink(w io.Writer, opts Options) *TarSink {
 	opts = opts.WithDefaults(opts.Seed)
-	body := newBodyEngine(opts, w, newTarHeaders())
-	return &TarSink{t: &tarWriter{out: body, ctx: opts.Context, headers: body.headers}, body: body}
+	headers := newTarHeaders()
+	body := fsimage.NewImageBody(opts, w, &headers.file)
+	return &TarSink{t: &tarWriter{out: body, ctx: opts.Context, headers: headers}, body: body}
 }
 
 // AddDir appends the next directory entry.
 func (s *TarSink) AddDir(d fsimage.DirRecord) error {
 	if err := s.ts.AddDir(d); err != nil {
-		return s.body.fail(err)
+		return s.body.Fail(err)
 	}
 	s.t.tree = s.ts.Tree()
-	s.body.addDir(s.t.tree, d.ID)
+	s.body.AddDir(s.t.tree, d.ID)
 	if _, err := s.t.writeDirHeader(d.ID); err != nil {
-		return s.body.fail(err)
+		return s.body.Fail(err)
 	}
 	return nil
 }
@@ -122,15 +120,15 @@ func (s *TarSink) AddDir(d fsimage.DirRecord) error {
 // follow the entries queued before it.
 func (s *TarSink) AddFile(f fsimage.File) error {
 	if err := s.ts.AddFile(f); err != nil {
-		return s.body.fail(err)
+		return s.body.Fail(err)
 	}
-	return s.body.add(f)
+	return s.body.AddFile(f)
 }
 
 // Close writes the entries still queued, then the tar trailer, and
 // flushes. The sink must not be used afterwards.
 func (s *TarSink) Close() error {
-	if err := s.body.finish(); err != nil {
+	if err := s.body.Close(); err != nil {
 		return err
 	}
 	return s.t.finish(tarTrailer)
@@ -138,7 +136,7 @@ func (s *TarSink) Close() error {
 
 // Written returns the content bytes written so far (header and padding
 // overhead excluded — comparable to Materialize's return).
-func (s *TarSink) Written() int64 { return s.body.written }
+func (s *TarSink) Written() int64 { return s.body.Written() }
 
 // WriteSegment writes one shard's records as a tar segment: the shard's
 // directories (ascending IDs, the image root skipped) then its files
@@ -151,21 +149,22 @@ func (s *TarSink) Written() int64 { return s.body.written }
 // content bytes written.
 func WriteSegment(w io.Writer, tree *namespace.Tree, dirs []int, files []fsimage.File, opts Options) (int64, error) {
 	s := NewTarSink(w, opts)
-	s.t.tree, s.body.tree = tree, tree
+	s.t.tree = tree
 	for _, id := range dirs {
+		s.body.AddDir(tree, id)
 		if _, err := s.t.writeDirHeader(id); err != nil {
-			return 0, s.body.fail(err)
+			return 0, s.body.Fail(err)
 		}
 	}
 	for _, f := range files {
-		if err := s.body.add(f); err != nil {
-			return s.body.written, err
+		if err := s.body.AddFile(f); err != nil {
+			return s.body.Written(), err
 		}
 	}
-	if err := s.body.finish(); err != nil {
-		return s.body.written, err
+	if err := s.body.Close(); err != nil {
+		return s.body.Written(), err
 	}
 	// Every entry is padded to its block boundary; a segment is the
 	// truncated-at-EOF form, with no end-of-archive trailer behind them.
-	return s.body.written, s.t.finish(0)
+	return s.body.Written(), s.t.finish(0)
 }

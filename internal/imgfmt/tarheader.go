@@ -30,6 +30,9 @@ const (
 // next block.
 func tarPadding(size int64) int { return int(-size & (tarBlock - 1)) }
 
+// Padding is tarPadding, for fsimage.Framing.
+func (*tarTemplate) Padding(size int64) int { return tarPadding(size) }
+
 // tarHeaders is the one builder of tar entry headers: TarSink's and
 // WriteSegment's directories and files (the files' in the body workers,
 // placed by the lengths it gives their caller) and Stitcher's rewritten
@@ -57,7 +60,8 @@ func newTarHeaders() *tarHeaders {
 	return h
 }
 
-// tarTemplate builds the headers of one kind of entry.
+// tarTemplate builds the headers of one kind of entry. The file template
+// is the fsimage.Framing the body engine's workers frame file entries with.
 type tarTemplate struct {
 	proto tar.Header     // what archive/tar is given, Name and Size aside
 	block [tarBlock]byte // its rendering of proto: one ustar header
@@ -98,8 +102,8 @@ func (t *tarTemplate) fit(name []byte, size int64) (split int, sum uint32, ok bo
 	return split, sum, ok
 }
 
-// length is the length of the header append renders for the entry.
-func (t *tarTemplate) length(name []byte, size int64) (int64, error) {
+// HeaderLen is the length of the header AppendHeader renders for the entry.
+func (t *tarTemplate) HeaderLen(name []byte, size int64) (int64, error) {
 	if _, _, ok := t.fit(name, size); ok {
 		return tarBlock, nil
 	}
@@ -107,10 +111,10 @@ func (t *tarTemplate) length(name []byte, size int64) (int64, error) {
 	return int64(len(b)), err
 }
 
-// append appends the header of the entry called name, of size bytes, to
-// dst: one block, or whatever archive/tar makes of an entry ustar cannot
+// AppendHeader appends the header of the entry called name, of size bytes,
+// to dst: one block, or whatever archive/tar makes of an entry ustar cannot
 // hold.
-func (t *tarTemplate) append(dst, name []byte, size int64) ([]byte, error) {
+func (t *tarTemplate) AppendHeader(dst, name []byte, size int64) ([]byte, error) {
 	split, sum, ok := t.fit(name, size)
 	if !ok {
 		return t.appendStdlib(dst, name, size)

@@ -31,7 +31,7 @@ func checkHeader(t *testing.T, h *tarHeaders, name string, size int64, dir bool)
 	}
 	// A prefix already in dst must survive: the workers append to scratch
 	// they reuse.
-	got, err := tpl.append([]byte("kept"), []byte(name), size)
+	got, err := tpl.AppendHeader([]byte("kept"), []byte(name), size)
 	want, wantErr := stdlibHeader(name, size, dir)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("%q size %d dir %v: builder error %v, archive/tar error %v", name, size, dir, err, wantErr)
@@ -45,7 +45,7 @@ func checkHeader(t *testing.T, h *tarHeaders, name string, size int64, dir bool)
 	got = got[len("kept"):]
 	// The body engine's caller places entries by length: it must be what
 	// append renders.
-	if n, err := tpl.length([]byte(name), size); err != nil || n != int64(len(got)) {
+	if n, err := tpl.HeaderLen([]byte(name), size); err != nil || n != int64(len(got)) {
 		t.Fatalf("%q size %d dir %v: length says %d (%v), append rendered %d", name, size, dir, n, err, len(got))
 	}
 	if !bytes.Equal(got, want) {
@@ -125,10 +125,10 @@ func TestTarHeaderMatchesArchiveTar(t *testing.T) {
 	// regular file must not have one.
 	checkHeader(t, h, tarPath(100, 20)+"/", 0, true)
 	checkHeader(t, h, strings.Repeat("p", 155)+"/"+strings.Repeat("n", 99)+"/", 0, true)
-	if _, err := h.file.append(nil, []byte("dir/"), 0); err == nil {
+	if _, err := h.file.AppendHeader(nil, []byte("dir/"), 0); err == nil {
 		t.Error("a regular file named dir/ got a header")
 	}
-	if _, err := h.file.append(nil, []byte("file"), -1); err == nil {
+	if _, err := h.file.AppendHeader(nil, []byte("file"), -1); err == nil {
 		t.Error("a file of negative size got a header")
 	}
 }
@@ -159,7 +159,7 @@ func TestTarHeaderPatchesWithoutAllocating(t *testing.T) {
 	h := newTarHeaders()
 	buf := make([]byte, 0, 2*tarBlock)
 	for _, name := range [][]byte{[]byte("dir00001/file00000012.txt"), []byte(tarPath(217, 60))} {
-		if n := testing.AllocsPerRun(100, func() { buf, _ = h.file.append(buf[:0], name, 1234) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { buf, _ = h.file.AppendHeader(buf[:0], name, 1234) }); n != 0 {
 			t.Errorf("%d-byte name: %v allocations per header", len(name), n)
 		}
 	}
@@ -186,7 +186,7 @@ func BenchmarkTarHeader(b *testing.B) {
 	buf := make([]byte, 0, tarBlock)
 	b.Run("template", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			buf, _ = h.file.append(buf[:0], name, 1146)
+			buf, _ = h.file.AppendHeader(buf[:0], name, 1146)
 		}
 	})
 	b.Run("archive/tar", func(b *testing.B) {
