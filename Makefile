@@ -42,17 +42,18 @@ bench-smoke:
 # worker processes (at -j 1, 2, 4 and 8) and merged must be byte-identical to
 # a single-process run at -j 1 and at -j 4 (same canonical digest, same
 # on-disk bytes). The plan — a fragment index and its fragments — is built
-# at 1, 4 and 8 shards, each at -j 1, where its chunks are sealed inline,
-# and at -j 2 and 4, where they are sealed a piece at a time by one and
-# three goroutines and the one routing the records, each on the heap and
-# with -spill (whose placement runs one worker per depth level above -j 1),
+# at 1, 4 and 8 shards, each at -j 1, 2 and 4, where its chunks are sealed
+# a piece at a time by the goroutine routing the records and none, one and
+# three more, through a ring of one, eight and sixteen pieces, each on the
+# heap and with -spill (whose placement runs one worker per depth level above -j 1),
 # and must not move a byte: the index and every fragment are compared with
-# the heap build at -j 1 of the same shard count (piece boundaries fall
-# differently at each). The 4-shard plan goes on: the
+# the heap build at -j 1 of the same shard count (the ring, and so which
+# goroutine formats and writes each piece, differs at each). The 4-shard plan goes on: the
 # workers read their fragments through the index, and `merge -plan` of the
 # index prints the digest. Last,
 # `distrun` of the same spec (4 worker processes under the in-process
-# scheduler) must print the same digest and write the same tree.
+# scheduler) must print the same digest and write the same tree, at the
+# default -j and at -j 1, the configuration the distrun_k2 benchmark runs.
 # That spec requests no size, so its sizes are the first pool drawn; the
 # same builds of SIZED_SPEC (dir_small's spec at 30k files, whose
 # resolver oversamples twice) hold the resolved path to the same identity.
@@ -87,7 +88,9 @@ dist-check:
 	cmp single.digest merged.digest; diff -r single merged; \
 	./impressions distrun -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -shards 4 -out distrun-out | grep '^image digest:' > distrun.digest; \
 	cmp single.digest distrun.digest; diff -r single distrun-out; \
-	echo "dist-check: OK (index and fragments identical at 1, 4 and 8 shards at -j 1, 2 and 4, on the heap and spilled, with and without a size; merge and distrun digests and trees identical)"
+	./impressions distrun -files 3000 -dirs 600 -size-mu 8 -size-sigma 1.2 -seed 20090225 -shards 4 -j 1 -out distrun-j1 | grep '^image digest:' > distrun-j1.digest; \
+	cmp single.digest distrun-j1.digest; diff -r single distrun-j1; \
+	echo "dist-check: OK (index and fragments identical at 1, 4 and 8 shards at -j 1, 2 and 4, on the heap and spilled, with and without a size; merge and distrun digests and trees identical, distrun at -j 1 too)"
 
 # The fault-injection half of the CI distributed-determinism job: plan → 4 workers, one killed
 # mid-write (its manifest discarded so the outcome is timing-independent) →

@@ -202,7 +202,7 @@ func newGenFlags(fs *flag.FlagSet) *genFlags {
 		special: fs.Bool("special-dirs", false, "bias placement towards special directories (Windows, Program Files, web cache)"),
 		mu:      fs.Float64("size-mu", 0, "override lognormal mu of the file-size body"),
 		sigma:   fs.Float64("size-sigma", 0, "override lognormal sigma of the file-size body"),
-		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization; with -format tar/squashfs, the workers generating, hashing and writing file content, each chunk at its place in the image; for plan, the metadata pass's workers, and the plan's chunks hashed and rendered a piece of 1024 records at a time as the records are routed: all but one worker format the pieces, the goroutine routing them formats queued ones too when the queue is full, and whichever finishes the oldest piece writes it (0 = all CPUs, 1 = one worker, sealing inline); the image and the plan are byte-identical at any level"),
+		jobs:    fs.Int("j", 0, "parallel workers for generation and materialization; with -format tar/squashfs, the workers generating, hashing and writing file content, each chunk at its place in the image; for plan, the metadata pass's workers, and the plan's chunks hashed and rendered a piece of 1024 records at a time as the records are routed: all but one worker format the pieces, the goroutine routing them formats queued ones too when the queue is full, and whichever finishes the oldest piece writes it (0 = all CPUs, 1 = one worker, which formats and writes each queued piece as it routes the next); the image and the plan are byte-identical at any level"),
 	}
 }
 
@@ -815,7 +815,7 @@ func runFleetrun(args []string, stdout, stderr io.Writer) error {
 	gen := newGenFlags(fs)
 	var (
 		base    = fs.String("base", "http://127.0.0.1:7077", "base URL of the running impressionsd")
-		shards  = fs.Int("shards", 0, "number of shards (0 = one per daemon CPU decision, i.e. server default)")
+		shards  = fs.Int("shards", 0, "number of shards (0 = the daemon's default, one shard)")
 		timeout = fs.Duration("timeout", 10*time.Minute, "overall deadline for the run")
 	)
 	if err := parseAllFlags(fs, args); err != nil {

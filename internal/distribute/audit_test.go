@@ -242,9 +242,10 @@ func BenchmarkPlanRoundTrip(b *testing.B) {
 // BenchmarkWriteFragments tracks the cost (time and allocations) of the
 // fragment write alone: the 100k-file default-model plan written into
 // discarding writers as 8 fragments at Parallelism 2 (the plan_meta shape)
-// and at 1 (the inline sealer), and as one fragment at 2. Where the process
-// CPU time is known it reports cores, CPU over wall, so the sealer's
-// parallelism shows without the CLI.
+// and at 1 (distrun's plan build, a ring of one piece and no sealing
+// goroutine), and as one fragment at 2. Where the process CPU time is known
+// it reports cores, CPU over wall, so the sealer's parallelism shows
+// without the CLI.
 func BenchmarkWriteFragments(b *testing.B) {
 	for _, c := range []struct{ j, k int }{{2, 8}, {2, 1}, {1, 8}} {
 		b.Run(fmt.Sprintf("j%d/K%d", c.j, c.k), func(b *testing.B) {

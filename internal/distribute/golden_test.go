@@ -69,9 +69,9 @@ func goldenShard(tb testing.TB) *ShardView {
 }
 
 // TestGoldenWireDocuments pins the bytes of two of the plan's fragments,
-// built with the columns on the heap and the chunk sealer inline (-j 1), and
-// spilled with three sealing goroutines (-j 4): every backing and sealer
-// must write the pinned bytes.
+// built with the columns on the heap and a sealer of one piece and no
+// goroutine (-j 1), and spilled with three sealing goroutines (-j 4): every
+// backing and parallelism must write the pinned bytes.
 func TestGoldenWireDocuments(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		cfg := testConfig()

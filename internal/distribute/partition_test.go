@@ -505,27 +505,61 @@ func TestPartitionedPlanBuildMemoryBound(t *testing.T) {
 }
 
 // TestWriteFragmentsAllocatesOnce: writing a 100k-file plan's fragments at
-// Parallelism 2 allocates each record buffer once, at the size its
-// encoder's share of the records needs, and not again after it is handed
-// to the sealer and back: the write allocates at most 16 MB at K = 8 and at
-// K = 32, where buffers regrown from nil at every cut came to 25 and 32 MB.
+// Parallelism 1 (distrun's plan build) and 2 allocates each record buffer
+// once, at the size its encoder's share of the records needs, and not again
+// after it is handed to the sealer and back: the write allocates at most
+// 16 MB at K = 8 and at K = 32, where buffers regrown from nil at every cut
+// came to 25 and 32 MB at Parallelism 2.
 func TestWriteFragmentsAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const limit = 16 << 20
-	for _, k := range []int{8, 32} {
-		rp, err := PlanRequest{Config: core.Config{NumFiles: 100_000, Seed: 20090225, Parallelism: 2}, MaxShards: k}.Resolve(context.Background())
-		if err != nil {
-			t.Fatalf("Resolve: %v", err)
-		}
-		alloc := writeFragmentsAlloc(t, rp)
-		rp.Close()
-		t.Logf("K = %d: WriteFragments allocated %.1f MB", k, float64(alloc)/(1<<20))
-		if alloc > limit {
-			t.Errorf("K = %d: WriteFragments allocated %.1f MB, more than %d MB", k, float64(alloc)/(1<<20), limit>>20)
+	for _, par := range []int{1, 2} {
+		for _, k := range []int{8, 32} {
+			rp, err := PlanRequest{Config: core.Config{NumFiles: 100_000, Seed: 20090225, Parallelism: par}, MaxShards: k}.Resolve(context.Background())
+			if err != nil {
+				t.Fatalf("Resolve: %v", err)
+			}
+			alloc := writeFragmentsAlloc(t, rp)
+			rp.Close()
+			t.Logf("-j %d, K = %d: WriteFragments allocated %.1f MB", par, k, float64(alloc)/(1<<20))
+			if alloc > limit {
+				t.Errorf("-j %d, K = %d: WriteFragments allocated %.1f MB, more than %d MB", par, k, float64(alloc)/(1<<20), limit>>20)
+			}
 		}
 	}
+}
+
+// TestWriteFragmentsAtOneStartsNoGoroutine: at Parallelism 1, as distrun's
+// parent builds its plan, writing the fragments starts no goroutine: the
+// sealer formats and writes every piece on the goroutine routing the
+// records. A sealing goroutine there once cost distrun's parent 2 MiB of
+// peak RSS.
+func TestWriteFragmentsAtOneStartsNoGoroutine(t *testing.T) {
+	rp, err := PlanRequest{Config: core.Config{NumFiles: 20_000, Seed: 20090225, Parallelism: 1}, MaxShards: 4}.Resolve(context.Background())
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	defer rp.Close()
+	w := &goroutinePeak{peak: runtime.NumGoroutine()}
+	baseline := w.peak
+	if err := rp.WriteFragments(context.Background(), func(int) (io.WriteCloser, error) { return nopWriteCloser{w}, nil }); err != nil {
+		t.Fatalf("WriteFragments: %v", err)
+	}
+	if w.writes == 0 || w.peak > baseline {
+		t.Errorf("%d fragment writes saw up to %d goroutines, %d before the write", w.writes, w.peak, baseline)
+	}
+}
+
+// goroutinePeak discards what is written, keeping the most goroutines any
+// write saw.
+type goroutinePeak struct{ writes, peak int }
+
+func (g *goroutinePeak) Write(p []byte) (int, error) {
+	g.writes++
+	g.peak = max(g.peak, runtime.NumGoroutine())
+	return len(p), nil
 }
 
 // writeFragmentsAlloc writes the plan's fragments into discarding writers

@@ -1,6 +1,8 @@
 package fsimage
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -36,9 +38,9 @@ import (
 // chunk's SHA-256, rendering its opening and its hash member, emitting, and
 // folding each sealed chunk into its encoder's chain. Both the hashed text
 // and the JSON of a chunk are concatenations of its records', so the pieces
-// add up to exactly the bytes of the whole chunk. At parallelism 1 each
-// piece is sealed inline as it is handed over; NewChunkEncoder is that
-// case.
+// add up to exactly the bytes of the whole chunk. Every parallelism, 1
+// included, runs this one ring; NewChunkEncoder is a sealer at 1 whose
+// emit reads each rendered chunk back.
 
 // DefaultChunkSize is the default number of metadata records per chunk. At
 // ~100 bytes per serialized record a chunk costs on the order of 1 MB to
@@ -90,20 +92,11 @@ const hashFlushBytes = 32 << 10
 // times the cost of the SHA-256 it fed. The text is a concatenation, so a
 // sealer hashes a chunk a piece at a time with the same appenders.
 func (c *Chunk) RecordsHash() string {
-	hash, _ := c.recordsHash(nil)
-	return hash
-}
-
-// recordsHash is RecordsHash rendering the lines through buf, which it
-// returns for the next call.
-func (c *Chunk) recordsHash(buf []byte) (string, []byte) {
 	h := sha256.New()
 	// One buffer for all the lines: flushed when full, sized for a small
 	// chunk when the chunk is small, with room for one more line.
-	if need := min(hashFlushBytes, 128*(len(c.Dirs)+len(c.Files))) + 128*hashBatch; cap(buf) < need {
-		buf = make([]byte, 0, need)
-	}
-	buf = appendHashPreamble(buf[:0], c.Index)
+	buf := make([]byte, 0, min(hashFlushBytes, 128*(len(c.Dirs)+len(c.Files)))+128*hashBatch)
+	buf = appendHashPreamble(buf, c.Index)
 	for lo := 0; lo < len(c.Dirs); lo += hashBatch {
 		if buf = appendDirLines(buf, c.Dirs[lo:min(lo+hashBatch, len(c.Dirs))]); len(buf) >= hashFlushBytes {
 			h.Write(buf)
@@ -117,11 +110,12 @@ func (c *Chunk) recordsHash(buf []byte) (string, []byte) {
 		}
 	}
 	h.Write(buf)
-	return hexSum(h), buf
+	return hexSum(h)
 }
 
-// hashBatch is how many records recordsHash renders between checks of its
-// buffer against hashFlushBytes.
+// hashBatch is how many records RecordsHash renders between checks of its
+// buffer against hashFlushBytes, and AppendJSON between reuses of its hash
+// lines.
 const hashBatch = 64
 
 // hexSum returns h's sum in hex.
@@ -199,7 +193,12 @@ func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 		dst = append(dst, ']')
 	}
 	if len(c.Files) > 0 {
-		dst = append(appendFilesJSON(append(dst, `,"files":[`...), c.Files, true), ']')
+		dst = append(dst, `,"files":[`...)
+		var lines []byte // the hash lines the renderer formats the integers into
+		for lo := 0; lo < len(c.Files); lo += hashBatch {
+			lines, dst = appendFileLinesJSON(lines[:0], dst, c.Files[lo:min(lo+hashBatch, len(c.Files))], lo == 0)
+		}
+		dst = append(dst, ']')
 	}
 	return appendChunkEnd(dst, c.SHA256), nil
 }
@@ -239,31 +238,6 @@ func appendDirsJSON(dst []byte, dirs []DirRecord, first bool) ([]byte, error) {
 		dst = append(dst, '}')
 	}
 	return dst, nil
-}
-
-// appendFilesJSON appends the file records' objects joined by commas, after
-// one more unless first: a record array, or a run of one.
-func appendFilesJSON(dst []byte, files []File, first bool) []byte {
-	for i := range files {
-		f := &files[i]
-		if i > 0 || !first {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"ID":`...)
-		dst = strconv.AppendInt(dst, int64(f.ID), 10)
-		dst = append(dst, `,"Name":`...)
-		dst = AppendJSONString(dst, f.Name)
-		dst = append(dst, `,"Ext":`...)
-		dst = AppendJSONString(dst, f.Ext)
-		dst = append(dst, `,"Size":`...)
-		dst = strconv.AppendInt(dst, f.Size, 10)
-		dst = append(dst, `,"DirID":`...)
-		dst = strconv.AppendInt(dst, int64(f.DirID), 10)
-		dst = append(dst, `,"Depth":`...)
-		dst = strconv.AppendInt(dst, int64(f.Depth), 10)
-		dst = append(dst, '}')
-	}
-	return dst
 }
 
 // ChunkReader reads chunks in the wire form AppendJSON writes, off a
@@ -423,21 +397,19 @@ type ChunkPiece struct {
 // tail in the order the pieces were handed over: the chunk's SHA-256 is
 // fed, its opening and its hash member are rendered around its records,
 // its pieces are emitted and, at its last piece, it is folded into its
-// encoder's chain. At parallelism 1 every piece is formatted and tailed
-// inline as it is handed over. Above 1 a ring of ringPerWorker×parallelism
-// pieces bounds the whole build: parallelism−1 goroutines format the queued
-// pieces, the goroutine handing them over formats the oldest queued one
-// itself whenever the ring is full, and whichever goroutine finishes the
-// oldest piece runs the tail. Encoders and the sealer belong to one
-// goroutine, the emits run on any; the first failure — a chunk that does
-// not render, an emit that fails — is returned by every later call of any
-// of its encoders.
+// encoder's chain. A ring of pieces bounds the whole build, ringPerWorker
+// per unit of parallelism above 1 and one piece at 1: parallelism−1
+// goroutines (none at 1) format the queued pieces, the goroutine handing
+// them over formats the oldest queued one itself whenever the ring is full
+// and, in an encoder's Close, until the encoder's pieces have all left it,
+// and whichever goroutine finishes the oldest piece runs the tail. Encoders
+// and the sealer belong to one goroutine, the emits run on any; the first
+// failure — a chunk that does not render, an emit that fails — is returned
+// by every later call of any of its encoders.
 type ChunkSealer struct {
-	inline piece // the one piece at parallelism 1
-
-	// Above 1, under mu: pieces are numbered as they are handed over;
-	// those below handed are in the ring, those below taken are formatting
-	// or formatted, those below tailed have left it.
+	// Under mu: pieces are numbered as they are handed over; those below
+	// handed are in the ring, those below taken are formatting or
+	// formatted, those below tailed have left it.
 	mu                    sync.Mutex
 	queued, freed         sync.Cond // a piece queued; the tail advanced or the sealer failed
 	ring                  []piece
@@ -448,8 +420,8 @@ type ChunkSealer struct {
 }
 
 // piece is one run of an encoder's records between its hand-over and its
-// tail. Above parallelism 1 it owns its record buffers, swapped for the
-// encoder's at the hand-over; inline it views the encoder's.
+// tail. It owns its record buffers, swapped for the encoder's at the
+// hand-over.
 type piece struct {
 	enc         *ChunkEncoder
 	index       int  // its chunk's
@@ -463,18 +435,18 @@ type piece struct {
 }
 
 // NewChunkSealer returns a sealer for one build at the given parallelism
-// (<= 0 selects runtime.NumCPU()). Above 1 it starts parallelism−1
-// goroutines, which Close stops.
+// (<= 0 selects runtime.NumCPU()). It starts parallelism−1 goroutines,
+// which Close stops.
 func NewChunkSealer(parallelism int) *ChunkSealer {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()
 	}
-	s := &ChunkSealer{}
+	ring := ringPerWorker * parallelism
 	if parallelism == 1 {
-		return s
+		ring = 1 // one piece queued while the next is filled
 	}
+	s := &ChunkSealer{ring: make([]piece, ring)}
 	s.queued.L, s.freed.L = &s.mu, &s.mu
-	s.ring = make([]piece, ringPerWorker*parallelism)
 	s.wg.Add(parallelism - 1)
 	for range parallelism - 1 {
 		go s.work()
@@ -486,9 +458,8 @@ func NewChunkSealer(parallelism int) *ChunkSealer {
 // (<= 0 selects DefaultChunkSize) for this sealer to seal, rendered, and
 // handing each chunk's rendering to emit a piece at a time (see
 // ChunkPiece). Its record buffer holds one piece, allocated the first time
-// it is needed; above parallelism 1 it is traded for the ring's at every
-// hand-over. The piece is reused once emit returns — emit must not retain
-// it.
+// it is needed and traded for the ring's at every hand-over. The piece is
+// reused once emit returns — emit must not retain it.
 func (s *ChunkSealer) Encoder(chunkSize int, emit func(*ChunkPiece) error) *ChunkEncoder {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
@@ -499,12 +470,6 @@ func (s *ChunkSealer) Encoder(chunkSize int, emit func(*ChunkPiece) error) *Chun
 // Close stops the sealer's goroutines, abandoning the pieces in flight;
 // every later call of its encoders fails. Further calls do nothing.
 func (s *ChunkSealer) Close() {
-	if s.ring == nil {
-		if s.err == nil {
-			s.err = errSealerClosed
-		}
-		return
-	}
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = errSealerClosed
@@ -578,10 +543,6 @@ func (p *piece) format() {
 		p.lines = make([]byte, 0, lineBytes*pieceRecords)
 	}
 	p.lines = appendDirLines(p.lines[:0], p.dirs)
-	if p.enc.whole != nil {
-		p.lines = appendFileLines(p.lines, p.files)
-		return
-	}
 	if cap(p.json) < renderBytes*n {
 		p.json = make([]byte, 0, renderBytes*pieceRecords)
 	}
@@ -592,9 +553,11 @@ func (p *piece) format() {
 	p.lines, p.json = appendFileLinesJSON(p.lines, p.json, p.files, p.first)
 }
 
-// appendFileLinesJSON is appendFileLines onto lines and appendFilesJSON
-// onto js in one pass, which formats each integer once, into the hash line,
-// and copies its digits from there into the JSON.
+// appendFileLinesJSON appends the file records' hashed lines, as
+// appendFileLines does, onto lines and their objects joined by commas, after
+// one more unless first (a record array, or a run of one), onto js. It
+// formats each integer once, into the hash line, and copies its digits from
+// there into the JSON.
 func appendFileLinesJSON(lines, js []byte, files []File, first bool) ([]byte, []byte) {
 	for i := range files {
 		f := &files[i]
@@ -653,21 +616,6 @@ func (p *piece) tail() error {
 		e.hash.Reset()
 		e.head = appendHashPreamble(e.head[:0], p.index)
 		e.hash.Write(e.head)
-	}
-	e.hash.Write(p.lines)
-	if e.whole != nil {
-		if !p.last {
-			return nil
-		}
-		// NewChunkEncoder's sealer is inline: the chunk's records are
-		// still the encoder's buffers.
-		sum := hexSum(e.hash)
-		e.chain.Add(sum)
-		e.sealed++
-		e.chunk = Chunk{Index: p.index, Dirs: orNil(e.dirBuf), Files: orNil(e.fileBuf), SHA256: sum}
-		return e.whole(&e.chunk)
-	}
-	if p.first {
 		e.head = append(e.head[:0], `{"index":`...)
 		e.head = strconv.AppendInt(e.head, int64(p.index), 10)
 		if len(p.dirs) > 0 {
@@ -679,6 +627,7 @@ func (p *piece) tail() error {
 			return err
 		}
 	}
+	e.hash.Write(p.lines)
 	if len(p.json) > 0 {
 		if err := e.emit(&ChunkPiece{Index: p.index, JSON: p.json}); err != nil {
 			return err
@@ -694,40 +643,9 @@ func (p *piece) tail() error {
 	return e.emit(&ChunkPiece{Index: p.index, JSON: e.head, SHA256: sum})
 }
 
-func orNil[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	return s
-}
-
 // handOver hands the records e buffered since its last hand-over to the
 // sealer as the next piece of its open chunk; last closes the chunk.
 func (s *ChunkSealer) handOver(e *ChunkEncoder, last bool) error {
-	if s.ring == nil {
-		if s.err != nil {
-			return s.err
-		}
-		p := &s.inline
-		p.enc, p.index, p.first, p.last = e, e.cut, e.inChunk == 0, last
-		if p.dirs, p.files = nil, nil; e.files {
-			p.files = e.fileBuf[e.from:]
-		} else {
-			p.dirs = e.dirBuf[e.from:]
-		}
-		e.advance(len(p.dirs)+len(p.files), last)
-		p.format()
-		err := p.tail()
-		if err != nil {
-			s.err = err
-		}
-		if last || e.whole == nil {
-			e.dirBuf, e.fileBuf, e.from = e.dirBuf[:0], e.fileBuf[:0], 0
-		} else {
-			e.from = len(e.dirBuf) + len(e.fileBuf)
-		}
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.err == nil && s.handed-s.tailed == uint64(len(s.ring)) {
@@ -759,9 +677,6 @@ func (s *ChunkSealer) handOver(e *ChunkEncoder, last bool) error {
 // drain runs and waits for the tail until every piece e has handed over has
 // left it, formatting queued pieces while it waits.
 func (s *ChunkSealer) drain(e *ChunkEncoder) error {
-	if s.ring == nil {
-		return s.err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.err == nil && s.tailed < e.handed {
@@ -778,20 +693,17 @@ func (s *ChunkSealer) drain(e *ChunkEncoder) error {
 // hash-guarded chunks: directory records fill directory chunks, the first
 // file record seals any partial directory chunk, and Close seals the
 // trailing partial chunk. It buffers only the records of the piece it is
-// filling (NewChunkEncoder's, the chunk's), the pieces in flight being its
-// sealer's, so a generation pass can stream an arbitrarily large image
-// through it in O(piece) memory.
+// filling, the pieces in flight being its sealer's, so a generation pass
+// can stream an arbitrarily large image through it in O(piece) memory.
 type ChunkEncoder struct {
 	sealer    *ChunkSealer
 	chunkSize int
-	size      int                     // records a buffer is allocated for
-	emit      func(*ChunkPiece) error // a rendering encoder's
-	whole     func(*Chunk) error      // NewChunkEncoder's: whole chunks, records and all
+	size      int // records a buffer is allocated for
+	emit      func(*ChunkPiece) error
 
 	// The goroutine feeding the encoder's.
 	dirBuf  []DirRecord
 	fileBuf []File
-	from    int    // the first buffered record not handed over (whole chunks)
 	files   bool   // the file half of the stream has begun
 	cut     int    // chunks opened: the open chunk's index
 	inChunk int    // records of the open chunk handed over
@@ -800,7 +712,6 @@ type ChunkEncoder struct {
 	// The ordered tail's.
 	hash   hash.Hash // the open chunk's
 	head   []byte
-	chunk  Chunk
 	sealed int // chunks emitted, all folded into chain
 	chain  *ChunkHashChain
 }
@@ -816,15 +727,38 @@ func (e *ChunkEncoder) advance(n int, last bool) {
 }
 
 // NewChunkEncoder returns an encoder emitting chunks of at most chunkSize
-// records (<= 0 selects DefaultChunkSize), rendering nothing and sealed
-// inline, a piece at a time, by a sealer at parallelism 1 of its own. It
-// buffers the whole chunk, which emit receives with its records; the
-// emitted *Chunk (and its record slices) is reused between emit calls —
-// emit must not retain it.
+// records (<= 0 selects DefaultChunkSize), records and all: a rendering
+// encoder of a sealer at parallelism 1 of its own, whose emit gathers each
+// chunk's pieces and reads the chunk back with a ChunkReader before handing
+// it on. The emitted *Chunk (and its record slices) is reused between emit
+// calls — emit must not retain it. The chunk is what the wire carries, so
+// the wire format's two losses show: a string that is not valid UTF-8
+// comes back with U+FFFD in its place, and a Bias of -0 as +0, either of
+// which fails the chunk's hash; no generated record has either. Like
+// AppendJSON it fails on an infinite or NaN Bias.
 func NewChunkEncoder(chunkSize int, emit func(*Chunk) error) *ChunkEncoder {
-	e := NewChunkSealer(1).Encoder(chunkSize, nil)
-	e.whole, e.size = emit, 0
-	return e
+	var (
+		raw []byte
+		rd  bytes.Reader
+		br  = bufio.NewReader(&rd)
+		cr  ChunkReader
+	)
+	return NewChunkSealer(1).Encoder(chunkSize, func(p *ChunkPiece) error {
+		if p.First {
+			raw = raw[:0]
+		}
+		if raw = append(raw, p.JSON...); p.SHA256 == "" {
+			return nil
+		}
+		rd.Reset(raw)
+		br.Reset(&rd)
+		cr.s = jsonscan.New(br)
+		c, err := cr.Read()
+		if err != nil {
+			return fmt.Errorf("fsimage: reading chunk %d back: %w", p.Index, err)
+		}
+		return emit(c)
+	})
 }
 
 // AddDir buffers the next directory record, handing a piece over when one
@@ -859,8 +793,7 @@ func (e *ChunkEncoder) AddFile(f File) error {
 // added hands the buffered records over once they fill a piece or the
 // chunk, buffered holding that many.
 func (e *ChunkEncoder) added(buffered int) error {
-	n := buffered - e.from
-	if full := e.inChunk+n == e.chunkSize; full || n == pieceRecords {
+	if full := e.inChunk+buffered == e.chunkSize; full || buffered == pieceRecords {
 		return e.sealer.handOver(e, full)
 	}
 	return nil
@@ -871,7 +804,7 @@ func (e *ChunkEncoder) added(buffered int) error {
 // emitted: encoders of one sealer flushed before any of them is closed
 // have their trailing pieces sealed side by side.
 func (e *ChunkEncoder) Flush() error {
-	if e.inChunk == 0 && len(e.dirBuf)+len(e.fileBuf) == e.from {
+	if e.inChunk == 0 && len(e.dirBuf)+len(e.fileBuf) == 0 {
 		return nil
 	}
 	return e.sealer.handOver(e, true)

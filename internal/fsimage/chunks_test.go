@@ -3,6 +3,7 @@ package fsimage
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -188,7 +189,8 @@ func TestChunkDecoderRejectsBadStreams(t *testing.T) {
 // turn as the fragment router feeds them, taking no file, one, fewer than
 // a piece and many, and for a stream of directories only, at every
 // parallelism. Every trailing chunk is cut before any encoder is closed.
-// NewChunkEncoder, which keeps whole chunks, emits the same chunks too.
+// NewChunkEncoder, which reads each chunk back off its rendering, emits the
+// same chunks too.
 func TestChunkSealerPieces(t *testing.T) {
 	const (
 		k           = 4
@@ -336,6 +338,37 @@ func TestChunkSealerPieces(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestChunkSealerAtOneStartsNoGoroutine: a sealer at parallelism 1 starts
+// no goroutine, neither when it is made nor while encoders seal through it:
+// the goroutine handing the pieces over formats and emits each of them.
+func TestChunkSealerAtOneStartsNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s := NewChunkSealer(1)
+	defer s.Close()
+	peak, emits := runtime.NumGoroutine(), 0
+	encs := make([]*ChunkEncoder, 3)
+	for i := range encs {
+		encs[i] = s.Encoder(pieceRecords+1, func(*ChunkPiece) error {
+			emits++
+			peak = max(peak, runtime.NumGoroutine())
+			return nil
+		})
+	}
+	for id := range 10 * pieceRecords {
+		if err := encs[id%len(encs)].AddFile(File{ID: id, Name: MakeFileName(id, "c"), Ext: "c", Size: int64(id), Depth: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range encs {
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if emits == 0 || peak > baseline {
+		t.Errorf("%d emits saw up to %d goroutines, %d before NewChunkSealer(1)", emits, peak, baseline)
 	}
 }
 
