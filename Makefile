@@ -287,11 +287,11 @@ mem-check:
 
 # Local mirror of the CI fuzz-smoke job: every fuzz target of the module
 # (whatever `go test -list '^Fuzz'` finds: the tar header, stitcher and
-# squashfs extractor in internal/imgfmt, the chunk codec and decoder and the
+# squashfs extractor in internal/imgfmt, the chunk codec and reader and the
 # digest fold against its recursive oracle (FuzzDigestFold) in
 # internal/fsimage, the shard document, manifest and journal decoders in
-# internal/distribute, and there too the fragment and manifest readers
-# against the encoding/json decoders they replaced (FuzzDocumentReader,
+# internal/distribute, and there too the fragment and manifest readers in
+# a round trip with their writers (FuzzDocumentReader,
 # FuzzManifestReader), the radix sort against sort.Float64s in
 # internal/stats, the resolver's K-S over its sorted pool against
 # gof.KSTwoSample in internal/constraint (FuzzPoolKS), and the text and

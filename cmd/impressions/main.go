@@ -681,6 +681,9 @@ func runWorker(args []string, stdout, stderr io.Writer) error {
 	if format != "dir" && format != "" && format != "tar" {
 		return usagef("worker: unknown -format %q (want dir or tar)", *formatFlag)
 	}
+	if *jobs < 0 {
+		return usagef("worker: -j %d: the worker count cannot be negative (0 = all CPUs)", *jobs)
+	}
 	wopts := distribute.WorkerOptions{MetadataOnly: *metadataOnly, Parallelism: *jobs, FailAfterFiles: *failAfter}
 	if *joinFlag != "" {
 		if *planFlag != "" || *fromFlag != "" {
@@ -820,6 +823,9 @@ func runFleetrun(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := parseAllFlags(fs, args); err != nil {
 		return err
+	}
+	if *shards < 0 {
+		return usagef("fleetrun: -shards %d: a run has at least one shard (0 = the daemon's default)", *shards)
 	}
 	// What reaches the daemon is a spec, which carries neither a layout
 	// simulation nor a file-size model.

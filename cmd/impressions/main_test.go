@@ -442,7 +442,10 @@ func TestPlanPartitionWorkerMergePipeline(t *testing.T) {
 // have fails the merge: exit 1, an integrity violation, from the one merge,
 // whichever way the plan and its manifests were made. "plan" plans with
 // -shards and runs each worker from the index; "index" plans with its
-// synonym -partition and runs each worker from its fragment.
+// synonym -partition and runs each worker from its fragment. So does a
+// manifest whose every value is the worker's but whose bytes are not: an
+// unknown member and a second format_version, under another case, ahead of
+// its own members.
 func TestMergeRefusesStrayManifest(t *testing.T) {
 	dir := t.TempDir()
 	cfgArgs := []string{"-files", "120", "-dirs", "30", "-size", "200KB", "-seed", "9"}
@@ -467,6 +470,19 @@ func TestMergeRefusesStrayManifest(t *testing.T) {
 				}
 				manifests = append(manifests, m)
 			}
+			written, err := os.ReadFile(manifests[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreign := filepath.Join(dir, mode.name+"-foreign.json")
+			if err := os.WriteFile(foreign, append([]byte(`{"extra":[1,{"a":null}],"FORMAT_VERSION":9,`), written[1:]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := Main([]string{"merge", "-plan", plan, "-print-digest", manifests[0], foreign}, &stdout, &stderr); code != 1 || stdout.Len() > 0 ||
+				!strings.Contains(stderr.String(), fsimage.ErrManifestIntegrity.Error()) {
+				t.Errorf("merge with a manifest of foreign bytes exited %d, want 1 with an integrity violation and no digest (stdout: %s, stderr: %s)", code, stdout.String(), stderr.String())
+			}
 			stray, err := distribute.LoadManifest(manifests[1])
 			if err != nil {
 				t.Fatal(err)
@@ -477,7 +493,7 @@ func TestMergeRefusesStrayManifest(t *testing.T) {
 			if err := writeJSONFile(manifests[1], stray.Encode); err != nil {
 				t.Fatal(err)
 			}
-			var stderr bytes.Buffer
+			stderr.Reset()
 			if code := Main(append([]string{"merge", "-plan", plan}, manifests...), io.Discard, &stderr); code != 1 {
 				t.Errorf("merge with a manifest for shard 7 of 2 exited %d, want 1", code)
 			}
@@ -617,6 +633,8 @@ func TestMainExitCodes(t *testing.T) {
 		{"worker join+plan conflict", []string{"worker", "-join", "http://127.0.0.1:1", "-plan", "p.json", "-out", t.TempDir()}, 2},
 		{"worker join+from conflict", []string{"worker", "-join", "http://127.0.0.1:1", "-from", "http://x/v1/plans/f/shards/0", "-out", t.TempDir()}, 2},
 		{"worker join missing out", []string{"worker", "-join", "http://127.0.0.1:1"}, 2},
+		{"worker negative -j", []string{"worker", "-plan", filepath.Join(stray, "p.json"), "-shard", "0", "-out", filepath.Join(stray, "w"), "-manifest", filepath.Join(stray, "m.json"), "-j", "-1"}, 2},
+		{"worker join negative -j", []string{"worker", "-join", "http://" + daemon.Addr().String(), "-out", filepath.Join(stray, "w"), "-j", "-1"}, 2},
 		// A tar segment keeps no journal: refused before the plan is opened.
 		{"worker tar -work", []string{"worker", "-plan", filepath.Join(stray, "p.json"), "-shard", "0", "-format", "tar", "-out", filepath.Join(stray, "seg.tar"), "-manifest", filepath.Join(stray, "m.json"), "-work", filepath.Join(stray, "work")}, 2},
 		{"worker tar -fail-after-files", []string{"worker", "-plan", filepath.Join(stray, "p.json"), "-shard", "0", "-format", "tar", "-out", filepath.Join(stray, "seg.tar"), "-manifest", filepath.Join(stray, "m.json"), "-fail-after-files", "5"}, 2},
@@ -657,6 +675,7 @@ func TestMainExitCodes(t *testing.T) {
 		{"fleetrun -layout", fleetrun("-files", "30", "-layout", "0.7"), 2},
 		{"fleetrun -size-mu", fleetrun("-files", "30", "-size-mu", "7"), 2},
 		{"fleetrun -size-sigma", fleetrun("-files", "30", "-size-sigma", "1"), 2},
+		{"fleetrun -shards -3", fleetrun("-files", "30", "-shards", "-3"), 2},
 		// The two shard counts of a partitioned plan must agree; a runtime
 		// failure, raised before any work.
 		{"plan -shards against -partition", []string{"plan", "-files", "30", "-shards", "3", "-partition", "4", "-plan", filepath.Join(stray, "p.json")}, 1},

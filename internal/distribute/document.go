@@ -85,22 +85,25 @@ func (d *docWriter) Close(chains []string) error {
 	return nil
 }
 
-// readDocument is the one reader of shard documents. It walks the envelope
-// with a jsonscan.Scanner (the members exact and in order), decodes the view
-// with encoding/json and holds its plan header to checkHeader, asks open for
-// the sink the records go to (once, with the checked header and the shard
-// the document embeds), reads every chunk with an fsimage.ChunkReader and
-// hands it to a ChunkDecoder, which verifies its hash and replays its records
-// into that sink, verifies the chunk count against the trailer and the
-// chain the chunks make against the trailer's entry for the shard in a list
-// of one chain per shard, requires the input to end after the closing
-// brace, and only then seals the header with the trailer's chains. It
-// returns the chain of the directory section, equal in every fragment of a
-// plan: the chain before the first chunk of files.
+// readDocument is the one reader of shard documents, and takes them only
+// as docWriter writes them, byte for byte. It reads the envelope's literal
+// text with a jsonscan.Scanner, decodes the view with encoding/json (which
+// must marshal back to the bytes read) and holds its plan header to
+// checkHeader, asks open for the sink the records go to (once, with the
+// checked header and the shard the document embeds), reads every chunk
+// with an fsimage.ChunkReader, requires it to be cut where the writer cuts
+// one and hands it to a ChunkDecoder, which verifies its hash and replays
+// its records into that sink, decodes the trailer as it does the view,
+// verifies the chunk count against the trailer and the chain the chunks
+// make against the trailer's entry for the shard in a list of one chain
+// per shard, requires the input to end after the closing brace and its
+// newline, and only then seals the header with the trailer's chains. It
+// returns the chain of the directory section, equal in every fragment of
+// a plan: the chain before the first chunk of files.
 //
-// Whatever keeps the input from reading as a document of this shape — bad
-// JSON, a misplaced or missing member, a failed hash, an early or late end —
-// is damage to the artifact and wraps ErrManifestIntegrity; a header from
+// Whatever keeps the input from reading as a document of this shape — bytes
+// the writer does not write, a failed hash, an early or late end — is
+// damage to the artifact and wraps ErrManifestIntegrity; a header from
 // another version wraps ErrPlanVersion. What the sink answers passes through
 // as it is: the record sinks of this package and fsimage type their own
 // rejections, and a sink's failed write or cancelled context is not a
@@ -110,51 +113,16 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 	damaged := func(format string, a ...any) error {
 		return fmt.Errorf("distribute: shard document: %s (%w)", fmt.Sprintf(format, a...), fsimage.ErrManifestIntegrity)
 	}
-	// delim requires the next token to be the delimiter c.
-	delim := func(c byte) error {
-		if err := s.Expect(c); err != nil {
-			return damaged("%v", err)
-		}
-		return nil
-	}
-	// member requires the next member of the envelope to be named name:
-	// the comma before it unless it is the first, and its key.
-	member := func(name string, first bool) error {
-		if !first {
-			if err := delim(','); err != nil {
-				return err
-			}
-		}
-		if key, err := s.Key(); err != nil {
-			return damaged("expected %q: %v", name, err)
-		} else if string(key) != name {
-			return damaged("expected %q, got %q", name, key)
-		}
-		return nil
-	}
-	value := func(what string, v any) error {
-		raw, err := s.Raw()
-		if err == nil {
-			err = json.Unmarshal(raw, v)
-		}
-		if err != nil {
-			return damaged("decoding %s: %v", what, err)
-		}
-		return nil
-	}
-
-	if err := delim('{'); err != nil {
-		return "", err
-	}
-	if err := member("view", true); err != nil {
-		return "", err
-	}
+	s.Lit("{")
+	s.Lit(`"view":`)
 	var hdr shardWireHeader
-	if err := value("view header", &hdr); err != nil {
-		return "", err
-	}
-	if hdr.FormatVersion != FormatVersion {
+	// Another version's view is not this writer's either: its version,
+	// where encoding/json finds one, is the verdict.
+	if s.Value(&hdr) && hdr.FormatVersion != FormatVersion {
 		return "", fmt.Errorf("distribute: shard document format v%d, this build speaks v%d (%w)", hdr.FormatVersion, FormatVersion, fsimage.ErrPlanVersion)
+	}
+	if err := s.Err(); err != nil {
+		return "", damaged("decoding the view: %v", err)
 	}
 	p := hdr.Plan
 	if p == nil {
@@ -168,27 +136,26 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 		return "", err
 	}
 
-	if err := member("records", false); err != nil {
-		return "", err
-	}
-	if err := delim('['); err != nil {
-		return "", err
-	}
+	s.Lit(`,"records":[`)
 	cdec := fsimage.NewChunkDecoder(sink)
 	chunks := fsimage.NewChunkReader(s)
 	var dirChain string
-	for first := true; ; first = false {
-		more, err := s.Next(']', first)
-		if err != nil {
-			return "", damaged("%v", err)
-		}
-		if !more {
-			break
-		}
+	// The writer cuts each half of the stream, directories then files, into
+	// chunks of p.ChunkSize records, but for the last of the half.
+	var short [2]bool // a half's last chunk has come
+	for more := !s.Opt("]"); more; more = s.Next() {
 		c, err := chunks.Read()
 		if err != nil {
 			return "", damaged("decoding chunk %d: %v", cdec.Chunks(), err)
 		}
+		half, n := 0, len(c.Dirs)
+		if n == 0 {
+			half, n = 1, len(c.Files)
+		}
+		if n == 0 || n > p.ChunkSize || short[half] {
+			return "", damaged("chunk %d holds %d records, where the writer cuts chunks of %d", c.Index, n, p.ChunkSize)
+		}
+		short[half] = n < p.ChunkSize
 		if dirChain == "" && len(c.Files) > 0 {
 			dirChain = cdec.ChainHash()
 		}
@@ -196,23 +163,18 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 			return "", err
 		}
 	}
-	if err := member("trailer", false); err != nil {
-		return "", err
-	}
+	s.Lit(`,"trailer":`)
 	var trailer struct {
-		Chunks *int     `json:"chunks"`
+		Chunks int      `json:"chunks"`
 		Chains []string `json:"chains"`
 	}
-	if err := value("trailer", &trailer); err != nil {
-		return "", err
+	s.Value(&trailer)
+	s.Lit("}\n")
+	s.End()
+	if err := s.Err(); err != nil {
+		return "", damaged("%v", err)
 	}
-	if err := delim('}'); err != nil {
-		return "", err
-	}
-	if err := s.End(); err != nil {
-		return "", damaged("input goes on after the closing brace: %v", err)
-	}
-	if n := cdec.Chunks(); trailer.Chunks == nil || *trailer.Chunks != n {
+	if n := cdec.Chunks(); trailer.Chunks != n {
 		return "", damaged("the trailer does not promise the %d chunks the stream carried — truncated?", n)
 	}
 	if len(trailer.Chains) != len(p.Shards) {
@@ -231,8 +193,8 @@ func readDocument(r io.Reader, open func(hdr *Plan, shard int) (fsimage.RecordSi
 // a format version, digest algorithm, content kind and content stream this
 // build executes (anything else is ErrPlanVersion), and counts that can
 // describe an image — at least the root directory, nothing negative, a dense
-// ordered non-empty shard table whose expectations sum to the totals
-// (anything else is ErrManifestIntegrity). No count is trusted for an allocation before
+// ordered non-empty shard table whose expectations sum to the totals, and
+// chunks of at least one record (anything else is ErrManifestIntegrity). No count is trusted for an allocation before
 // the stream bears it out; what it buys is that a header that contradicts
 // itself is refused before a single record is read.
 func checkHeader(p *Plan) error {
@@ -245,9 +207,9 @@ func checkHeader(p *Plan) error {
 	if !content.Kind(p.ContentKind).Known() {
 		return fmt.Errorf("distribute: plan content kind %q is not one this build generates (%w)", p.ContentKind, fsimage.ErrPlanVersion)
 	}
-	if p.Dirs < 1 || p.Files < 0 || p.Bytes < 0 || len(p.Shards) == 0 {
-		return fmt.Errorf("distribute: plan header describes no image: %d dirs, %d files, %d bytes, %d shards (%w)",
-			p.Dirs, p.Files, p.Bytes, len(p.Shards), fsimage.ErrManifestIntegrity)
+	if p.Dirs < 1 || p.Files < 0 || p.Bytes < 0 || len(p.Shards) == 0 || p.ChunkSize < 1 {
+		return fmt.Errorf("distribute: plan header describes no image: %d dirs, %d files, %d bytes, %d shards, chunks of %d records (%w)",
+			p.Dirs, p.Files, p.Bytes, len(p.Shards), p.ChunkSize, fsimage.ErrManifestIntegrity)
 	}
 	sums := func() error {
 		return fmt.Errorf("distribute: the shard table's expectations do not sum to the plan's %d dirs, %d files, %d bytes (%w)",

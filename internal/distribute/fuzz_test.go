@@ -70,7 +70,7 @@ func reseal(doc []byte) []byte {
 	if err != nil {
 		return nil
 	}
-	return fmt.Appendf(out, "],\"trailer\":{\"chunks\":%d,\"chains\":%s}}", len(chunks), chains)
+	return fmt.Appendf(out, "],\"trailer\":{\"chunks\":%d,\"chains\":%s}}\n", len(chunks), chains)
 }
 
 // sentinelOf returns the one sentinel err wraps, and fails the test when it

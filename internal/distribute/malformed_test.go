@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -311,10 +310,18 @@ func sealRecords(tb testing.TB, view *ShardView, edit func(l *records)) []byte {
 		tb.Fatal(err)
 	}
 	edit(&l)
+	return writeDocument(tb, view.Plan, view.Shard, &l)
+}
+
+// writeDocument writes shard's document of p with docWriter: l's records,
+// sealed under p's chains (none, for a header without them) with its own
+// entry the chain its records make.
+func writeDocument(tb testing.TB, p *Plan, shard int, l *records) []byte {
+	tb.Helper()
 	var doc bytes.Buffer
 	sealer := fsimage.NewChunkSealer(1)
 	defer sealer.Close()
-	d, err := newDocWriter(&doc, view.Plan, view.Shard, sealer)
+	d, err := newDocWriter(&doc, p, shard, sealer)
 	if err == nil {
 		err = l.replay(d)
 	}
@@ -322,8 +329,9 @@ func sealRecords(tb testing.TB, view *ShardView, edit func(l *records)) []byte {
 		err = d.enc.Close()
 	}
 	if err == nil {
-		chains := slices.Clone(view.Plan.Chains)
-		chains[view.Shard] = d.enc.ChainHash()
+		chains := make([]string, len(p.Shards))
+		copy(chains, p.Chains)
+		chains[shard] = d.enc.ChainHash()
 		err = d.Close(chains)
 	}
 	if err != nil {

@@ -50,9 +50,10 @@
 // it, so a fragment whose records differ from the ones its plan was built
 // with binds another plan, and a set whose lists differ is no plan at all.
 // One writer (docWriter) renders it, and whatever reads bytes this process
-// did not just write goes through four checks: readDocument walks the
-// envelope, verifies every chunk, its own chain against its entry in the
-// trailer and demands the input end there; checkHeader holds the plan
+// did not just write goes through four checks: readDocument takes the
+// document only in the bytes docWriter writes, verifies every chunk, its
+// own chain against its entry in the trailer and demands the input end
+// there; checkHeader holds the plan
 // header to this build (format version, digest algorithm, content kind,
 // stream keys — ErrPlanVersion) and to itself (counts, shard table, sums —
 // ErrManifestIntegrity); recordCheck holds the record stream to that header

@@ -117,13 +117,13 @@ func (m *Manifest) Encode(w io.Writer) error {
 
 // appendJSON appends the manifest's JSON line, the writing counterpart of
 // read: integers and booleans appended directly, strings through
-// fsimage.AppendJSONString, a nil FileDigests as null and an empty SHA256
+// jsonscan.AppendString, a nil FileDigests as null and an empty SHA256
 // left out, as encoding/json renders them.
 func (m *Manifest) appendJSON(dst []byte) []byte {
 	dst = append(dst, `{"format_version":`...)
 	dst = strconv.AppendInt(dst, int64(m.FormatVersion), 10)
 	dst = append(dst, `,"plan_fingerprint":`...)
-	dst = fsimage.AppendJSONString(dst, m.PlanFingerprint)
+	dst = jsonscan.AppendString(dst, m.PlanFingerprint)
 	dst = append(dst, `,"shard":`...)
 	dst = strconv.AppendInt(dst, int64(m.Shard), 10)
 	dst = append(dst, `,"dirs":`...)
@@ -149,78 +149,73 @@ func (m *Manifest) appendJSON(dst []byte) []byte {
 			dst = strconv.AppendInt(dst, fd.Size, 10)
 			if fd.SHA256 != "" {
 				dst = append(dst, `,"sha256":`...)
-				dst = fsimage.AppendJSONString(dst, fd.SHA256)
+				dst = jsonscan.AppendString(dst, fd.SHA256)
 			}
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
 	}
 	dst = append(dst, `,"manifest_sha256":`...)
-	dst = fsimage.AppendJSONString(dst, m.ManifestSHA256)
+	dst = jsonscan.AppendString(dst, m.ManifestSHA256)
 	return append(dst, "}\n"...)
 }
 
-// DecodeManifest reads a manifest previously written by Encode: one object
-// that must be all of r, decided as json.Unmarshal decides it into a zero
-// Manifest. Input that does not parse, stops early or goes on after the
-// object is a damaged artifact.
+// DecodeManifest is the one reader of manifests, and takes them only as
+// Encode writes them, byte for byte, trailing newline included: the bytes
+// a worker uploads and the file it writes. Any other input is a damaged
+// artifact.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
 	s := jsonscan.New(bufio.NewReaderSize(r, 64*1024))
 	var m Manifest
-	if err := m.read(s); err != nil {
+	m.read(s)
+	if err := s.Err(); err != nil {
 		return nil, fmt.Errorf("distribute: decoding manifest: %v (%w)", err, fsimage.ErrManifestIntegrity)
-	}
-	if err := s.End(); err != nil {
-		return nil, fmt.Errorf("distribute: decoding manifest: input goes on after the object: %v (%w)", err, fsimage.ErrManifestIntegrity)
 	}
 	return &m, nil
 }
 
-// read decodes the next value into m, its file digests into a slice that
-// grows as they arrive.
-func (m *Manifest) read(s *jsonscan.Scanner) error {
-	if null, err := s.Null(); null || err != nil {
-		return err
+// read replays appendJSON as reads into m, whose file digests grow as they
+// arrive, and requires the input to end after it.
+func (m *Manifest) read(s *jsonscan.Scanner) {
+	s.Lit(`{"format_version":`)
+	s.Int(&m.FormatVersion)
+	s.Lit(`,"plan_fingerprint":`)
+	s.String(&m.PlanFingerprint)
+	s.Lit(`,"shard":`)
+	s.Int(&m.Shard)
+	s.Lit(`,"dirs":`)
+	s.Int(&m.Dirs)
+	s.Lit(`,"files":`)
+	s.Int(&m.Files)
+	s.Lit(`,"bytes":`)
+	s.Int64(&m.Bytes)
+	s.Lit(`,"content_hashed":`)
+	s.Bool(&m.ContentHashed)
+	switch {
+	case s.Opt(`,"file_digests":null`):
+	case s.Opt(`,"file_digests":[]`):
+		m.FileDigests = []FileDigest{}
+	default:
+		s.Lit(`,"file_digests":[`)
+		for more := true; more; more = s.Next() {
+			m.FileDigests = jsonscan.Append(m.FileDigests)
+			fd := &m.FileDigests[len(m.FileDigests)-1]
+			s.Lit(`{"id":`)
+			s.Int(&fd.ID)
+			s.Lit(`,"size":`)
+			s.Int64(&fd.Size)
+			if s.Opt(`,"sha256":`) {
+				if s.String(&fd.SHA256); fd.SHA256 == "" {
+					s.Fail("an empty sha256, which the writer leaves out")
+				}
+			}
+			s.Lit("}")
+		}
 	}
-	var digests jsonscan.Array[FileDigest]
-	return s.Object(func(key []byte) (err error) {
-		switch {
-		case jsonscan.Match(key, "format_version"):
-			return s.Int(&m.FormatVersion)
-		case jsonscan.Match(key, "plan_fingerprint"):
-			return s.String(&m.PlanFingerprint)
-		case jsonscan.Match(key, "shard"):
-			return s.Int(&m.Shard)
-		case jsonscan.Match(key, "dirs"):
-			return s.Int(&m.Dirs)
-		case jsonscan.Match(key, "files"):
-			return s.Int(&m.Files)
-		case jsonscan.Match(key, "bytes"):
-			return s.Int64(&m.Bytes)
-		case jsonscan.Match(key, "content_hashed"):
-			return s.Bool(&m.ContentHashed)
-		case jsonscan.Match(key, "file_digests"):
-			m.FileDigests, err = digests.Decode(s, readFileDigest)
-			return err
-		case jsonscan.Match(key, "manifest_sha256"):
-			return s.String(&m.ManifestSHA256)
-		}
-		return s.Skip(1)
-	})
-}
-
-func readFileDigest(s *jsonscan.Scanner, fd *FileDigest) error {
-	return s.Object(func(key []byte) error {
-		switch {
-		case jsonscan.Match(key, "id"):
-			return s.Int(&fd.ID)
-		case jsonscan.Match(key, "size"):
-			return s.Int64(&fd.Size)
-		case jsonscan.Match(key, "sha256"):
-			return s.String(&fd.SHA256)
-		}
-		return s.Skip(3) // in the entry, in file_digests, in the manifest
-	})
+	s.Lit(`,"manifest_sha256":`)
+	s.String(&m.ManifestSHA256)
+	s.Lit("}\n")
+	s.End()
 }
 
 // decodeJSONArtifact reads a fragment index, which must be all of r: input

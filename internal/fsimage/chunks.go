@@ -11,7 +11,6 @@ import (
 	"hash"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 
 	"impressions/internal/jsonscan"
@@ -24,9 +23,11 @@ import (
 // each. Producers push records into a ChunkEncoder (any RecordSource will
 // do), consumers replay verified chunks through a ChunkDecoder into any
 // RecordSink, and both sides hold O(chunk) metadata buffers instead of
-// O(image). The per-chunk hash covers the records themselves — not their
-// JSON rendering — so integrity survives any re-encoding, and the chain over
-// all chunk hashes (ChunkHashChain) stands in for a whole-image hash.
+// O(image). The per-chunk hash covers the records themselves, not their
+// JSON rendering, and the chain over all chunk hashes (ChunkHashChain)
+// stands in for a whole-image hash. The rendering has one form, AppendJSON's,
+// and ChunkReader takes no other: the hash guards the values, the reader
+// the bytes they travel in.
 //
 // An encoder cuts chunks; a ChunkSealer seals them. One sealer serves every
 // encoder of a build. An encoder hands its records over a piece at a time
@@ -143,7 +144,7 @@ func appendDirLines(buf []byte, dirs []DirRecord) []byte {
 		buf = append(buf, ' ')
 		buf = strconv.AppendInt(buf, int64(d.Parent), 10)
 		buf = append(buf, ' ')
-		buf = appendQuoted(buf, d.Name, strconv.AppendQuote)
+		buf = jsonscan.AppendQuoted(buf, d.Name, strconv.AppendQuote)
 		buf = append(buf, ' ')
 		buf = strconv.AppendBool(buf, d.Special)
 		buf = append(buf, ' ')
@@ -160,9 +161,9 @@ func appendFileLines(buf []byte, files []File) []byte {
 		buf = append(buf, 'F', ' ')
 		buf = strconv.AppendInt(buf, int64(f.ID), 10)
 		buf = append(buf, ' ')
-		buf = appendQuoted(buf, f.Name, strconv.AppendQuote)
+		buf = jsonscan.AppendQuoted(buf, f.Name, strconv.AppendQuote)
 		buf = append(buf, ' ')
-		buf = appendQuoted(buf, f.Ext, strconv.AppendQuote)
+		buf = jsonscan.AppendQuoted(buf, f.Ext, strconv.AppendQuote)
 		buf = append(buf, ' ')
 		buf = strconv.AppendInt(buf, f.Size, 10)
 		buf = append(buf, ' ')
@@ -176,12 +177,12 @@ func appendFileLines(buf []byte, files []File) []byte {
 
 // AppendJSON appends the chunk's wire form, byte for byte what
 // json.Marshal(c) returns, to dst. Integers, booleans and the strings that
-// JSON copies through verbatim (AppendJSONString) are appended directly;
-// any other string and a non-zero Bias are rendered by encoding/json
-// itself, so its escaping and float rules are never restated here. Like json.Marshal
-// it fails on an infinite or NaN Bias. ChunkReader reads it back. A record
-// array is its records' objects joined by commas, so a sealer renders a
-// chunk a piece at a time with the same appenders.
+// JSON copies through verbatim (jsonscan.AppendString) are appended
+// directly; any other string and a non-zero Bias are rendered by
+// encoding/json itself, so its escaping and float rules are never restated
+// here. Like json.Marshal it fails on an infinite or NaN Bias. ChunkReader
+// reads it back. A record array is its records' objects joined by commas,
+// so a sealer renders a chunk a piece at a time with the same appenders.
 func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(c.Index), 10)
@@ -207,7 +208,7 @@ func (c *Chunk) AppendJSON(dst []byte) ([]byte, error) {
 // brace.
 func appendChunkEnd(dst []byte, hash string) []byte {
 	dst = append(dst, `,"sha256":`...)
-	dst = AppendJSONString(dst, hash)
+	dst = jsonscan.AppendString(dst, hash)
 	return append(dst, '}')
 }
 
@@ -224,7 +225,7 @@ func appendDirsJSON(dst []byte, dirs []DirRecord, first bool) ([]byte, error) {
 		dst = append(dst, `,"parent":`...)
 		dst = strconv.AppendInt(dst, int64(d.Parent), 10)
 		dst = append(dst, `,"name":`...)
-		dst = AppendJSONString(dst, d.Name)
+		dst = jsonscan.AppendString(dst, d.Name)
 		if d.Special {
 			dst = append(dst, `,"special":true`...)
 		}
@@ -240,133 +241,85 @@ func appendDirsJSON(dst []byte, dirs []DirRecord, first bool) ([]byte, error) {
 	return dst, nil
 }
 
-// ChunkReader reads chunks in the wire form AppendJSON writes, off a
-// jsonscan.Scanner, into one Chunk whose record slices it reuses from chunk
-// to chunk: they grow only as records arrive, to the largest chunk read.
-// It decides every input as json.Unmarshal decides it into a zero Chunk —
-// members in any order, names matched under case folding, unknown members
-// skipped, a repeated member decoded again over the last, null leaving a
-// field as it is (a record slice nil) — and checks nothing
-// encoding/json would not: the hash and the order are ChunkDecoder.AddChunk's.
+// ChunkReader reads chunks off a jsonscan.Scanner in the one wire form
+// AppendJSON writes, byte for byte, into one Chunk whose record slices it
+// reuses from chunk to chunk: they grow only as records arrive, to the
+// largest chunk read. Members come in the writer's order under its names,
+// a record array only when it has records, "special" only when true and
+// "bias" only when not zero; any other input is refused. It checks nothing
+// more: the hash and the order are ChunkDecoder.AddChunk's.
 type ChunkReader struct {
 	s     *jsonscan.Scanner
 	c     Chunk
-	dirs  jsonscan.Array[DirRecord]
-	files jsonscan.Array[File]
+	dirs  []DirRecord
+	files []File
 }
 
 // NewChunkReader returns a reader of the chunks s scans.
 func NewChunkReader(s *jsonscan.Scanner) *ChunkReader { return &ChunkReader{s: s} }
 
-// Read decodes the next value as a chunk. The chunk and its records are
-// the reader's, overwritten by the next Read.
+// Read reads the next chunk. The chunk and its records are the reader's,
+// overwritten by the next Read.
 func (r *ChunkReader) Read() (*Chunk, error) {
-	s := r.s
-	r.c = Chunk{}
-	r.dirs.Reset()
-	r.files.Reset()
-	if null, err := s.Null(); null || err != nil {
-		return &r.c, err
-	}
-	err := s.Object(func(key []byte) (err error) {
-		switch {
-		case jsonscan.Match(key, "index"):
-			return s.Int(&r.c.Index)
-		case jsonscan.Match(key, "dirs"):
-			r.c.Dirs, err = r.dirs.Decode(s, readDirRecord)
-			return err
-		case jsonscan.Match(key, "files"):
-			r.c.Files, err = r.files.Decode(s, readFile)
-			return err
-		case jsonscan.Match(key, "sha256"):
-			return s.String(&r.c.SHA256)
+	s, c := r.s, &r.c
+	*c = Chunk{}
+	s.Lit(`{"index":`)
+	s.Int(&c.Index)
+	if s.Opt(`,"dirs":[`) {
+		r.dirs = r.dirs[:0]
+		for more := true; more; more = s.Next() {
+			r.dirs = jsonscan.Append(r.dirs)
+			readDirRecord(s, &r.dirs[len(r.dirs)-1])
 		}
-		return s.Skip(1)
-	})
-	if err != nil {
+		c.Dirs = r.dirs
+	}
+	if s.Opt(`,"files":[`) {
+		r.files = r.files[:0]
+		for more := true; more; more = s.Next() {
+			r.files = jsonscan.Append(r.files)
+			readFile(s, &r.files[len(r.files)-1])
+		}
+		c.Files = r.files
+	}
+	s.Lit(`,"sha256":`)
+	s.String(&c.SHA256)
+	s.Lit("}")
+	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	return &r.c, nil
+	return c, nil
 }
 
-// recordDepth is how deep a record's member values lie in a chunk: in the
-// record, in its array, in the chunk.
-const recordDepth = 3
-
-func readDirRecord(s *jsonscan.Scanner, d *DirRecord) error {
-	return s.Object(func(key []byte) error {
-		switch {
-		case jsonscan.Match(key, "id"):
-			return s.Int(&d.ID)
-		case jsonscan.Match(key, "parent"):
-			return s.Int(&d.Parent)
-		case jsonscan.Match(key, "name"):
-			return s.String(&d.Name)
-		case jsonscan.Match(key, "special"):
-			return s.Bool(&d.Special)
-		case jsonscan.Match(key, "bias"):
-			return s.Float64(&d.Bias)
-		}
-		return s.Skip(recordDepth)
-	})
-}
-
-func readFile(s *jsonscan.Scanner, f *File) error {
-	return s.Object(func(key []byte) error {
-		switch {
-		case jsonscan.Match(key, "ID"):
-			return s.Int(&f.ID)
-		case jsonscan.Match(key, "Name"):
-			return s.String(&f.Name)
-		case jsonscan.Match(key, "Ext"):
-			return s.String(&f.Ext)
-		case jsonscan.Match(key, "Size"):
-			return s.Int64(&f.Size)
-		case jsonscan.Match(key, "DirID"):
-			return s.Int(&f.DirID)
-		case jsonscan.Match(key, "Depth"):
-			return s.Int(&f.Depth)
-		}
-		return s.Skip(recordDepth)
-	})
-}
-
-// appendQuoted appends s between double quotes as it stands when it is
-// printable ASCII free of " \ < > & — a string that strconv.Quote and
-// encoding/json (which escapes the last three for HTML) both copy through,
-// as every generated name is — and leaves any other string to render, the
-// renderer whose output the fast path stands for.
-func appendQuoted(dst []byte, s string, render func([]byte, string) []byte) []byte {
-	for i := 0; i < len(s); i++ {
-		if !copiedThrough[s[i]] {
-			return render(dst, s)
+func readDirRecord(s *jsonscan.Scanner, d *DirRecord) {
+	s.Lit(`{"id":`)
+	s.Int(&d.ID)
+	s.Lit(`,"parent":`)
+	s.Int(&d.Parent)
+	s.Lit(`,"name":`)
+	s.String(&d.Name)
+	d.Special = s.Opt(`,"special":true`)
+	if s.Opt(`,"bias":`) {
+		if s.Float64(&d.Bias); d.Bias == 0 {
+			s.Fail("a zero bias, which the writer leaves out")
 		}
 	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	s.Lit("}")
 }
 
-// copiedThrough holds the bytes appendQuoted copies: printable ASCII but
-// " \ < > &. A table, so its scan of every name a chunk renders and hashes
-// costs a load a byte, not seven comparisons.
-var copiedThrough = func() (t [256]bool) {
-	for b := 0x20; b <= 0x7e; b++ {
-		t[b] = !strings.ContainsRune(`"\<>&`, rune(b))
-	}
-	return t
-}()
-
-// AppendJSONString appends s as json.Marshal renders it: copied between
-// quotes when appendQuoted can, by encoding/json otherwise.
-func AppendJSONString(dst []byte, s string) []byte {
-	return appendQuoted(dst, s, appendStdlibJSONString)
-}
-
-// appendStdlibJSONString appends json.Marshal(s).
-func appendStdlibJSONString(dst []byte, s string) []byte {
-	raw, _ := json.Marshal(s) // a string always marshals
-	return append(dst, raw...)
+func readFile(s *jsonscan.Scanner, f *File) {
+	s.Lit(`{"ID":`)
+	s.Int(&f.ID)
+	s.Lit(`,"Name":`)
+	s.String(&f.Name)
+	s.Lit(`,"Ext":`)
+	s.String(&f.Ext)
+	s.Lit(`,"Size":`)
+	s.Int64(&f.Size)
+	s.Lit(`,"DirID":`)
+	s.Int(&f.DirID)
+	s.Lit(`,"Depth":`)
+	s.Int(&f.Depth)
+	s.Lit("}")
 }
 
 // pieceRecords is how many records an encoder hands its sealer at a time: a
@@ -566,9 +519,9 @@ func appendFileLinesJSON(lines, js []byte, files []File, first bool) ([]byte, []
 		lines = strconv.AppendInt(lines, int64(f.ID), 10)
 		id := lines[at:]
 		lines = append(lines, ' ')
-		lines = appendQuoted(lines, f.Name, strconv.AppendQuote)
+		lines = jsonscan.AppendQuoted(lines, f.Name, strconv.AppendQuote)
 		lines = append(lines, ' ')
-		lines = appendQuoted(lines, f.Ext, strconv.AppendQuote)
+		lines = jsonscan.AppendQuoted(lines, f.Ext, strconv.AppendQuote)
 		lines = append(lines, ' ')
 		at = len(lines)
 		lines = strconv.AppendInt(lines, f.Size, 10)
@@ -589,9 +542,9 @@ func appendFileLinesJSON(lines, js []byte, files []File, first bool) ([]byte, []
 		js = append(js, `{"ID":`...)
 		js = append(js, id...)
 		js = append(js, `,"Name":`...)
-		js = AppendJSONString(js, f.Name)
+		js = jsonscan.AppendString(js, f.Name)
 		js = append(js, `,"Ext":`...)
-		js = AppendJSONString(js, f.Ext)
+		js = jsonscan.AppendString(js, f.Ext)
 		js = append(js, `,"Size":`...)
 		js = append(js, size...)
 		js = append(js, `,"DirID":`...)
@@ -732,10 +685,10 @@ func (e *ChunkEncoder) advance(n int, last bool) {
 // chunk's pieces and reads the chunk back with a ChunkReader before handing
 // it on. The emitted *Chunk (and its record slices) is reused between emit
 // calls — emit must not retain it. The chunk is what the wire carries, so
-// the wire format's two losses show: a string that is not valid UTF-8
-// comes back with U+FFFD in its place, and a Bias of -0 as +0, either of
-// which fails the chunk's hash; no generated record has either. Like
-// AppendJSON it fails on an infinite or NaN Bias.
+// the wire format's two losses show: a chunk with a string that is not
+// valid UTF-8 does not read back (see jsonscan) and fails, and a Bias of -0
+// comes back as +0, which fails the chunk's hash; no generated record has
+// either. Like AppendJSON it fails on an infinite or NaN Bias.
 func NewChunkEncoder(chunkSize int, emit func(*Chunk) error) *ChunkEncoder {
 	var (
 		raw []byte

@@ -115,8 +115,8 @@ func FuzzChunkCodec(f *testing.F) {
 func readChunk(raw []byte) (*Chunk, error) {
 	s := jsonscan.New(bufio.NewReader(bytes.NewReader(raw)))
 	c, err := NewChunkReader(s).Read()
-	if err == nil {
-		err = s.End()
+	if s.End(); err == nil {
+		err = s.Err()
 	}
 	return c, err
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -43,14 +42,9 @@ func encodeChunkStream(t testing.TB, img *Image, chunkSize int) []byte {
 // error.
 func readChunkStream(data []byte, add func(*Chunk) error) error {
 	s := jsonscan.New(bufio.NewReader(bytes.NewReader(data)))
-	if err := s.Expect('['); err != nil {
-		return err
-	}
+	s.Lit("[")
 	r := NewChunkReader(s)
-	for first := true; ; first = false {
-		if more, err := s.Next(']', first); err != nil || !more {
-			return err
-		}
+	for more := !s.Opt("]"); more; more = s.Next() {
 		c, err := r.Read()
 		if err != nil {
 			return err
@@ -59,30 +53,8 @@ func readChunkStream(data []byte, add func(*Chunk) error) error {
 			return err
 		}
 	}
-}
-
-// oracleChunkStream reads a serialized chunk array with encoding/json, as
-// the plan decoder read one before ChunkReader, handing each chunk to add.
-func oracleChunkStream(data []byte, add func(*Chunk) error) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	tok, err := dec.Token()
-	if err != nil {
-		return err
-	}
-	if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return errors.New("not a chunk array") // a well-formed object is no stream either
-	}
-	for dec.More() {
-		var c Chunk
-		if err := dec.Decode(&c); err != nil {
-			return err
-		}
-		if err := add(&c); err != nil {
-			return err
-		}
-	}
-	_, err = dec.Token()
-	return err
+	s.End()
+	return s.Err()
 }
 
 // decodeChunkStream replays a serialized chunk array through a ChunkDecoder
@@ -208,11 +180,13 @@ func TestDecodeChunksRejectsMalformedChains(t *testing.T) {
 }
 
 // FuzzDecodeChunks hammers the hash-guarded chunk decoder with arbitrary
-// byte streams seeded from a valid stream and the malformed-chain corpus.
-// ChunkReader must read every chunk encoding/json reads, to the same
-// records, and fail where it fails; the decoder may reject (it almost
-// always must) but may never panic, and anything it accepts must re-encode
-// to a consistent image.
+// byte streams seeded from a valid stream and the malformed-chain corpus,
+// and holds ChunkReader to a round trip both ways. A stream it reads is
+// what AppendJSON writes for the chunks read, byte for byte; the chunks
+// encoding/json finds in any input, written by AppendJSON, read back to the
+// same records. The decoder may reject (it almost always must) but may
+// never panic, and anything it accepts must re-encode to a consistent
+// image.
 func FuzzDecodeChunks(f *testing.F) {
 	img := buildTestImage(f)
 	valid := encodeChunkStream(f, img, 4)
@@ -226,22 +200,34 @@ func FuzzDecodeChunks(f *testing.F) {
 	f.Add([]byte(`[{"index":0,"dirs":[{"id":1},],"sha256":""}]`))
 	f.Add([]byte(`[{"index":00,"sha256":""}]`))
 	f.Add([]byte(`[{"index":0,"files":[{"ID":1,"Size":1e3}]}]`))
+	f.Add([]byte(`[{"index":1,"dirs":[{"id":1,"parent":0,"name":"\u0001\u003c","special":true,"bias":1e+21}],"files":[{"ID":2,"Name":"é","Ext":"","Size":-1,"DirID":0,"Depth":0}],"sha256":""}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var got, want []Chunk
-		keep := func(into *[]Chunk) func(*Chunk) error {
-			return func(c *Chunk) error {
-				*into = append(*into, Chunk{Index: c.Index, Dirs: slices.Clone(c.Dirs), Files: slices.Clone(c.Files), SHA256: c.SHA256})
-				return nil
+		var read []Chunk
+		err := readChunkStream(data, func(c *Chunk) error {
+			read = append(read, Chunk{Index: c.Index, Dirs: slices.Clone(c.Dirs), Files: slices.Clone(c.Files), SHA256: c.SHA256})
+			return nil
+		})
+		if err == nil {
+			if again := appendChunks(t, read); !bytes.Equal(again, data) {
+				t.Fatalf("ChunkReader read\n%s\nwhich AppendJSON writes as\n%s", data, again)
 			}
 		}
-		gotErr, wantErr := readChunkStream(data, keep(&got)), oracleChunkStream(data, keep(&want))
-		if (gotErr == nil) != (wantErr == nil) || len(got) != len(want) {
-			t.Fatalf("ChunkReader read %d chunks, then %v; encoding/json %d, then %v", len(got), gotErr, len(want), wantErr)
-		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if g.Index != w.Index || g.SHA256 != w.SHA256 || !slices.Equal(g.Dirs, w.Dirs) || !slices.Equal(g.Files, w.Files) {
-				t.Fatalf("chunk %d: ChunkReader read %+v, encoding/json %+v", i, g, w)
+		var values []Chunk
+		if json.Unmarshal(data, &values) == nil {
+			written := appendChunks(t, values)
+			var back []Chunk
+			if written != nil {
+				if err := readChunkStream(written, func(c *Chunk) error {
+					back = append(back, Chunk{Index: c.Index, Dirs: slices.Clone(c.Dirs), Files: slices.Clone(c.Files), SHA256: c.SHA256})
+					return nil
+				}); err != nil {
+					t.Fatalf("AppendJSON wrote\n%s\nwhich does not read back: %v", written, err)
+				}
+			}
+			for i := range back {
+				if w := values[i]; back[i].Index != w.Index || back[i].SHA256 != w.SHA256 || !slices.Equal(back[i].Dirs, w.Dirs) || !slices.Equal(back[i].Files, w.Files) {
+					t.Fatalf("chunk %d: written as %+v, read back as %+v", i, w, back[i])
+				}
 			}
 		}
 		if decodeChunkStream(data) != nil {
@@ -250,8 +236,8 @@ func FuzzDecodeChunks(f *testing.F) {
 		// Accepted input must describe a valid image.
 		sink := newCollector()
 		b := NewChunkDecoder(sink)
-		for i := range got {
-			if err := b.AddChunk(&got[i]); err != nil {
+		for i := range read {
+			if err := b.AddChunk(&read[i]); err != nil {
 				t.Fatalf("accepted stream re-apply: %v", err)
 			}
 		}
@@ -263,4 +249,20 @@ func FuzzDecodeChunks(f *testing.F) {
 			t.Fatalf("accepted stream built an invalid image")
 		}
 	})
+}
+
+// appendChunks writes chunks as a chunk array with AppendJSON, or returns
+// nil where AppendJSON fails.
+func appendChunks(t *testing.T, chunks []Chunk) []byte {
+	out := []byte{'['}
+	for i := range chunks {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		var err error
+		if out, err = chunks[i].AppendJSON(out); err != nil {
+			return nil
+		}
+	}
+	return append(out, ']')
 }

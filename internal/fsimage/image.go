@@ -26,10 +26,10 @@
 // float, to strconv.AppendQuote and encoding/json, whose output the fast
 // path reproduces byte for byte (FuzzChunkCodec holds both to the fmt and
 // json.Marshal renderings they replaced). The decoder side mirrors it:
-// ChunkReader parses chunks off a jsonscan.Scanner into reused record
-// arrays, copying plain strings straight out and handing any other to
-// encoding/json, and decides every input as encoding/json did
-// (FuzzDecodeChunks holds it to that decoder).
+// ChunkReader reads chunks off a jsonscan.Scanner into reused record
+// arrays, in AppendJSON's form and no other, each member where AppendJSON
+// writes it and each value as it renders it (FuzzDecodeChunks holds the
+// two to a round trip both ways).
 package fsimage
 
 import (

@@ -354,7 +354,16 @@ func (c *Client) LeaseShard(ctx context.Context, workerID string) (*fleet.Lease,
 // CompleteLease uploads a shard manifest against a lease; the answer is
 // accepted, superseded (409) or rejected (422).
 func (c *Client) CompleteLease(ctx context.Context, leaseID string, m *distribute.Manifest) error {
-	return c.post(ctx, "/v1/fleet/leases/"+leaseID+"/complete", m)
+	var body bytes.Buffer
+	if err := m.Encode(&body); err != nil {
+		return err
+	}
+	resp, err := c.send(ctx, http.MethodPost, "/v1/fleet/leases/"+leaseID+"/complete", body.Bytes())
+	if err != nil {
+		return err
+	}
+	drainBody(resp)
+	return nil
 }
 
 // FailLease gives a lease back with the reason the attempt produced no

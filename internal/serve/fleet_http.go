@@ -16,6 +16,7 @@ import (
 
 	"impressions/internal/distribute"
 	"impressions/internal/fleet"
+	"impressions/internal/fsimage"
 )
 
 // maxManifestBody bounds an uploaded shard manifest (64 MiB — a manifest
@@ -190,14 +191,17 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, l)
 }
 
-// handleComplete accepts a shard manifest against a lease. The scheduler
-// verifies the manifest server-side before trusting a byte of it: a stale
+// handleComplete accepts a shard manifest against a lease. The body is
+// read by distribute.DecodeManifest, the one reader of manifests, and so
+// only as Manifest.Encode writes it: any other body is a bad request (400).
+// The scheduler verifies the manifest before trusting a byte of it: a stale
 // lease is 409, a bad manifest is 422 (and its shard is re-queued).
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var m distribute.Manifest
-	err := decodeJSONLimit(r, &m, maxManifestBody)
-	if err == nil {
-		err = s.fleet.Complete(r.PathValue("id"), &m)
+	m, err := distribute.DecodeManifest(io.LimitReader(r.Body, maxManifestBody))
+	if err != nil {
+		err = fmt.Errorf("serve: decoding the manifest upload: %v (%w)", err, fsimage.ErrInvalidSpec)
+	} else {
+		err = s.fleet.Complete(r.PathValue("id"), m)
 	}
 	writeNoContent(w, err)
 }

@@ -7,7 +7,9 @@ package serve
 // converging to the single-process canonical digest.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -217,7 +219,11 @@ func TestFleetDroppedHeartbeats(t *testing.T) {
 }
 
 // TestFleetTamperedManifest: a manifest altered in transit is refused with
-// 422, the shard re-queued, and the honest retry converges.
+// 422, the shard re-queued, and the honest retry converges. An upload of
+// the honest manifest in bytes Manifest.Encode does not write, with an
+// unknown member and a case-folded format_version ahead of its own or with
+// its members reordered, is a bad request (400) that leaves the lease as
+// it was.
 func TestFleetTamperedManifest(t *testing.T) {
 	fo := fleetTestOptions()
 	// The tampering worker is driven by raw client calls with no heartbeat
@@ -250,6 +256,31 @@ func TestFleetTamperedManifest(t *testing.T) {
 		t.Fatalf("Execute: %v", err)
 	}
 	m := res.Manifest
+	var encoded bytes.Buffer
+	if err := m.Encode(&encoded); err != nil {
+		t.Fatal(err)
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(encoded.Bytes(), &members); err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := json.Marshal(members) // in name order
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{
+		append([]byte(`{"extra":[1,{"a":null}],"FORMAT_VERSION":9,`), encoded.Bytes()[1:]...),
+		append(reordered, '\n'),
+	} {
+		resp, err := http.Post(c.Base+"/v1/fleet/leases/"+l.LeaseID+"/complete", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("completion in foreign bytes %s: status %d, want 400", body[:60], resp.StatusCode)
+		}
+	}
 	m.Bytes++ // altered after sealing
 	err = c.CompleteLease(ctx, l.LeaseID, m)
 	if StatusCode(err) != http.StatusUnprocessableEntity {

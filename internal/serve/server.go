@@ -200,17 +200,11 @@ func (s *Server) registry(kind string) *content.Registry {
 	return r
 }
 
-// decodeJSON reads a bounded JSON request body.
+// decodeJSON reads a JSON request body of up to 1 MiB. A member the
+// request type does not have is refused, not ignored: a field the API has
+// dropped must not come back as a silently different answer.
 func decodeJSON(r *http.Request, v any) error {
-	return decodeJSONLimit(r, v, 1<<20)
-}
-
-// decodeJSONLimit reads a JSON request body up to limit bytes (manifest
-// uploads carry per-file digest lines and need more room than specs). A
-// member the request type does not have is refused, not ignored: a field
-// the API has dropped must not come back as a silently different answer.
-func decodeJSONLimit(r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: decoding request body: %v (%w)", err, fsimage.ErrInvalidSpec)
